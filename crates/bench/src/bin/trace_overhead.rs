@@ -22,11 +22,15 @@ use tincy_serve::json::JsonObject;
 use tincy_video::SceneConfig;
 
 const REPS: usize = 5;
+/// Frames per run: enough that a run lasts a few hundred milliseconds, so
+/// the host's run-to-run jitter (a few milliseconds) stays well inside
+/// the budget being checked.
+const FRAMES: u64 = 192;
 const OVERHEAD_BUDGET: f64 = 0.05;
 
 fn config() -> DemoConfig {
     DemoConfig {
-        frames: 48,
+        frames: FRAMES,
         system: SystemConfig {
             input_size: 32,
             seed: 7,
@@ -63,7 +67,7 @@ fn run_once(traced: bool) -> Duration {
         assert!(!trace.events.is_empty(), "traced run recorded events");
         assert_eq!(trace.dropped, 0, "default ring capacity absorbs the run");
     }
-    assert_eq!(report.metrics.frames, 48);
+    assert_eq!(report.metrics.frames, FRAMES);
     elapsed
 }
 
@@ -85,7 +89,7 @@ fn main() {
 
     let overhead = on.as_secs_f64() / off.as_secs_f64() - 1.0;
     println!(
-        "demo 48 frames x4 workers: untraced {:.2} ms, traced {:.2} ms, overhead {:+.2}%",
+        "demo {FRAMES} frames x4 workers: untraced {:.2} ms, traced {:.2} ms, overhead {:+.2}%",
         off.as_secs_f64() * 1000.0,
         on.as_secs_f64() * 1000.0,
         overhead * 100.0
@@ -95,7 +99,7 @@ fn main() {
         "{}\n",
         JsonObject::new()
             .str("bench", "trace_overhead")
-            .u64("frames", 48)
+            .u64("frames", FRAMES)
             .u64("workers", 4)
             .u64("reps", REPS as u64)
             .f64("untraced_ms", off.as_secs_f64() * 1000.0)

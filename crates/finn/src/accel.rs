@@ -11,6 +11,7 @@ use crate::device::FpgaDevice;
 use crate::engine::{ConvEngine, EngineConfig};
 use crate::fault::{result_checksum, FaultInjector, FaultKind};
 use crate::resource::ResourceEstimate;
+use crate::stream::ThresholdTable;
 use std::sync::Arc;
 use tincy_kernels::{KernelPlan, PackedLayer, TuneBudget};
 use tincy_nn::NnError;
@@ -22,11 +23,22 @@ use tincy_trace::static_label;
 const HIDDEN_ACT_BITS: usize = 3;
 
 /// Parameters of one offloaded W1A3 conv(+pool) layer.
+///
+/// Weights and thresholds sit behind `Arc`s: clones of the layer, and the
+/// [`PackedLayer`] the accelerator prepares for the CPU fallback, share
+/// them instead of copying.
 #[derive(Debug, Clone)]
 pub struct QnnLayerParams {
     in_shape: Shape3,
-    weights: BitTensor,
-    thresholds: ThresholdsForLayer,
+    weights: Arc<BitTensor>,
+    /// `weights` with each row re-linearized from the channel-major
+    /// `(c, ky, kx)` order of the weight files to the tap-major
+    /// `(ky, kx, c)` order the engine streams footprints in. Built once
+    /// here; the same matrix as `weights` when the two orders coincide.
+    streamed_weights: Arc<BitTensor>,
+    thresholds: Arc<ThresholdsForLayer>,
+    /// `thresholds` laid out as the engine's comparator banks.
+    threshold_table: Arc<ThresholdTable>,
     geom: ConvGeom,
     pool: Option<PoolGeom>,
 }
@@ -65,10 +77,19 @@ impl QnnLayerParams {
                 ),
             });
         }
+        let weights = Arc::new(weights);
+        let (taps, channels) = (geom.kernel * geom.kernel, in_shape.channels);
+        let streamed_weights = if taps == 1 || channels == 1 {
+            Arc::clone(&weights)
+        } else {
+            Arc::new(weights.permute_columns(|col| (col % taps) * channels + col / taps))
+        };
         Ok(Self {
             in_shape,
             weights,
-            thresholds,
+            streamed_weights,
+            threshold_table: Arc::new(ThresholdTable::new(&thresholds)),
+            thresholds: Arc::new(thresholds),
             geom,
             pool,
         })
@@ -93,9 +114,19 @@ impl QnnLayerParams {
         &self.weights
     }
 
+    /// The weights in the engine's tap-major streaming order.
+    pub(crate) fn streamed_weights(&self) -> &BitTensor {
+        &self.streamed_weights
+    }
+
     /// The per-channel threshold sets.
     pub fn thresholds(&self) -> &ThresholdsForLayer {
         &self.thresholds
+    }
+
+    /// The threshold sets as the engine's comparator banks.
+    pub(crate) fn threshold_table(&self) -> &ThresholdTable {
+        &self.threshold_table
     }
 
     /// The convolution geometry.
@@ -203,8 +234,8 @@ impl QnnAccelerator {
                 #[allow(clippy::cast_possible_truncation)]
                 PackedLayer::new(
                     layer.in_shape(),
-                    layer.weights().clone(),
-                    layer.thresholds().clone(),
+                    Arc::clone(&layer.weights),
+                    Arc::clone(&layer.thresholds),
                     layer.geom(),
                     layer.pool(),
                     HIDDEN_ACT_BITS,

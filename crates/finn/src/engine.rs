@@ -4,13 +4,18 @@
 //! subsequent pooling layer would fit into the available fabric. The layers
 //! of the network must be run one after the other on the same accelerator."
 //! One [`ConvEngine`] is that hardware: a sliding-window unit feeding a
-//! folded MVTU, with an optional in-stream max-pool unit.
+//! folded MVTU, with an optional in-stream max-pool unit. The datapath is
+//! the word-wise streaming model of `stream.rs`; the cycle model is
+//! [`conv_layer_cycles`]. The two are independent: how fast the host
+//! computes a layer says nothing about the cycles the fabric is charged.
 
 use crate::accel::QnnLayerParams;
-use crate::mvtu::Mvtu;
-use crate::sliding::SlidingWindow;
+use crate::stream::StreamedConv;
+use tincy_kernels::PopcountIsa;
 use tincy_nn::NnError;
-use tincy_tensor::{PoolGeom, Shape3, Tensor};
+use tincy_tensor::{Shape3, Tensor};
+
+pub use tincy_kernels::max_pool_levels;
 
 /// Engine folding and clocking configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,8 +92,32 @@ impl ConvEngine {
     /// # Errors
     ///
     /// Returns [`NnError`] if the input does not match the layer geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an input activation level exceeds the 3-bit range.
     pub fn run_layer(
         &self,
+        params: &QnnLayerParams,
+        input: &Tensor<u8>,
+    ) -> Result<(Tensor<u8>, u64), NnError> {
+        self.run_layer_on(PopcountIsa::detect(), params, input)
+    }
+
+    /// [`ConvEngine::run_layer`] on a given instantiation of the popcount
+    /// loops. Output and cycles never depend on `isa`; `run_layer` picks
+    /// the fastest one the CPU has, and tests hold the others to it.
+    ///
+    /// # Errors
+    ///
+    /// As [`ConvEngine::run_layer`].
+    ///
+    /// # Panics
+    ///
+    /// As [`ConvEngine::run_layer`].
+    pub fn run_layer_on(
+        &self,
+        isa: PopcountIsa,
         params: &QnnLayerParams,
         input: &Tensor<u8>,
     ) -> Result<(Tensor<u8>, u64), NnError> {
@@ -98,25 +127,13 @@ impl ConvEngine {
                 actual: input.shape().to_string(),
             });
         }
-        let swu = SlidingWindow::new(params.in_shape(), params.geom())?;
-        let mvtu = Mvtu::new(
-            params.weights().clone(),
-            params.thresholds().clone(),
-            self.config.pe,
-            self.config.simd,
-        )?;
-        let conv_shape = Shape3::new(mvtu.out_channels(), swu.out_height(), swu.out_width());
-        let mut conv_out = Tensor::zeros(conv_shape);
-        for oy in 0..swu.out_height() {
-            for ox in 0..swu.out_width() {
-                let footprint = swu.footprint(input, oy, ox);
-                for (c, level) in mvtu.process(&footprint).into_iter().enumerate() {
-                    *conv_out.at_mut(c, oy, ox) = level;
-                }
-            }
-        }
-        let cycles =
-            conv_shape.spatial() as u64 * mvtu.cycles_per_vector() + self.config.pipeline_latency;
+        let conv_out = isa.run(StreamedConv { params, input });
+        let cycles = conv_layer_cycles(
+            params.in_shape(),
+            conv_out.shape().channels,
+            params.geom(),
+            self.config,
+        );
         let out = match params.pool() {
             // The in-stream pool unit adds no cycles: it consumes the MVTU
             // output stream at line rate.
@@ -133,8 +150,11 @@ impl ConvEngine {
 }
 
 /// Cycles one engine invocation takes for a conv layer of the given
-/// dimensions — the pure form of the model used by
-/// [`ConvEngine::run_layer`], usable for planning without weights.
+/// dimensions: every output pixel occupies the folded MVTU for
+/// `ceil(K²·C / simd) · ceil(channels / pe)` beats
+/// ([`crate::Mvtu::cycles_per_vector`]), plus the pipeline fill. This is
+/// the whole cycle model of [`ConvEngine::run_layer`], usable for planning
+/// without weights.
 pub fn conv_layer_cycles(
     in_shape: Shape3,
     out_channels: usize,
@@ -147,30 +167,6 @@ pub fn conv_layer_cycles(
     out.spatial() as u64 * fold as u64 + config.pipeline_latency
 }
 
-/// Max-pooling over quantized activation levels.
-pub fn max_pool_levels(input: &Tensor<u8>, geom: PoolGeom) -> Tensor<u8> {
-    let out_shape = geom.output_shape(input.shape());
-    let mut out = Tensor::zeros(out_shape);
-    for c in 0..out_shape.channels {
-        for oy in 0..out_shape.height {
-            for ox in 0..out_shape.width {
-                let mut best = 0u8;
-                for ky in 0..geom.size {
-                    for kx in 0..geom.size {
-                        let iy = oy * geom.stride + ky;
-                        let ix = ox * geom.stride + kx;
-                        if iy < input.shape().height && ix < input.shape().width {
-                            best = best.max(input.at(c, iy, ix));
-                        }
-                    }
-                }
-                *out.at_mut(c, oy, ox) = best;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,7 +174,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tincy_quant::{ThresholdSet, ThresholdsForLayer};
-    use tincy_tensor::{BitTensor, ConvGeom};
+    use tincy_tensor::{BitTensor, ConvGeom, PoolGeom};
 
     fn layer_params(
         rng: &mut StdRng,

@@ -7,8 +7,9 @@
 //! 3-bit activations the dot product is evaluated per bitplane and the
 //! planes are combined with shifts — see [`tincy_quant::xnor_popcount_dot`].
 
+use tincy_kernels::{PopcountIsa, PopcountKernel};
 use tincy_nn::NnError;
-use tincy_quant::{xnor_popcount_dot, ThresholdsForLayer};
+use tincy_quant::{and_popcount, xnor_popcount_dot, ThresholdsForLayer};
 use tincy_tensor::{BitTensor, U3Tensor};
 
 /// One Matrix–Vector–Threshold Unit instance.
@@ -103,17 +104,25 @@ impl Mvtu {
     /// Processes one activation vector through all output channels:
     /// accumulate, then threshold to the quantized activation level.
     ///
+    /// Same integers as [`Mvtu::accumulate`] per channel, but the
+    /// activation-only term `Σ_p 2^p·pc(plane_p)` is folded once per vector
+    /// instead of once per channel, and the loop runs on the hardware
+    /// population count where the CPU has one.
+    ///
     /// # Panics
     ///
     /// Panics if the activation vector length differs from
     /// [`Mvtu::dot_length`].
     pub fn process(&self, activations: &U3Tensor) -> Vec<u8> {
-        (0..self.out_channels())
-            .map(|c| {
-                let acc = self.accumulate(c, activations);
-                self.thresholds.channel(c).activate(acc)
-            })
-            .collect()
+        assert_eq!(
+            activations.len(),
+            self.dot_length(),
+            "activation vector length mismatch"
+        );
+        PopcountIsa::detect().run(ProcessVector {
+            mvtu: self,
+            activations,
+        })
     }
 
     /// Cycles to process one activation vector: the matrix is folded onto
@@ -121,6 +130,43 @@ impl Mvtu {
     /// `ceil(dot/simd) · ceil(channels/pe)` beats.
     pub fn cycles_per_vector(&self) -> u64 {
         (self.dot_length().div_ceil(self.simd) * self.out_channels().div_ceil(self.pe)) as u64
+    }
+}
+
+/// One [`Mvtu::process`] call.
+struct ProcessVector<'a> {
+    mvtu: &'a Mvtu,
+    activations: &'a U3Tensor,
+}
+
+impl PopcountKernel for ProcessVector<'_> {
+    type Output = Vec<u8>;
+
+    #[inline(always)]
+    fn run(self) -> Vec<u8> {
+        let Self { mvtu, activations } = self;
+        let planes: [&[u64]; 3] = std::array::from_fn(|p| activations.plane_words(p));
+        let mut plane_sum = 0i32;
+        for (p, plane) in planes.iter().enumerate() {
+            let mut ones = 0u32;
+            for &word in *plane {
+                ones += word.count_ones();
+            }
+            plane_sum += (ones as i32) << p;
+        }
+        let mut levels = Vec::with_capacity(mvtu.out_channels());
+        for c in 0..mvtu.out_channels() {
+            let mut positive = 0i32;
+            for (p, plane) in planes.iter().enumerate() {
+                positive += (and_popcount(mvtu.weights.row_words(c), plane) as i32) << p;
+            }
+            levels.push(
+                mvtu.thresholds
+                    .channel(c)
+                    .activate(2 * positive - plane_sum),
+            );
+        }
+        levels
     }
 }
 
@@ -183,6 +229,24 @@ mod tests {
         // acc = 0 -> passes only threshold 0 -> level 1.
         let zeros = U3Tensor::from_values(&[0, 0, 0, 0]).unwrap();
         assert_eq!(mvtu.process(&zeros), vec![1]);
+    }
+
+    #[test]
+    fn process_is_accumulate_then_activate_per_channel() {
+        let mut rng = StdRng::seed_from_u64(79);
+        for cols in [9, 64, 130, 576] {
+            let mvtu = random_mvtu(&mut rng, 7, cols);
+            let acts: Vec<u8> = (0..cols).map(|_| rng.gen_range(0..8)).collect();
+            let packed = U3Tensor::from_values(&acts).unwrap();
+            let expected: Vec<u8> = (0..7)
+                .map(|c| {
+                    mvtu.thresholds
+                        .channel(c)
+                        .activate(mvtu.accumulate(c, &packed))
+                })
+                .collect();
+            assert_eq!(mvtu.process(&packed), expected, "cols {cols}");
+        }
     }
 
     #[test]

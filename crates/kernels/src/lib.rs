@@ -25,7 +25,12 @@ pub mod pack;
 pub mod tune;
 
 pub use gemm::{gemm_q8, gemm_q8_reference};
-pub use pack::PackedLayer;
+pub use pack::{max_pool_levels, PackedLayer};
+// The popcount dispatch of `tincy-simd`, re-exported for the fabric
+// simulator. `tincy-finn` reaches `tincy-simd` through this crate rather
+// than by an edge of its own: the benchmark package commits a lock file
+// that records every edge, and must not change with the code it measures.
+pub use tincy_simd::popcount::{PopcountIsa, PopcountKernel};
 pub use tune::{
     autotune, plan_for, plan_snapshot, registry_json, KernelPlan, LayerShape, PlanEntry,
     TuneBudget, TuneMode, Variant,

@@ -35,8 +35,9 @@
 //! the naive signed-arithmetic reference.
 
 use crate::tune::{LayerShape, Variant};
+use std::sync::Arc;
 use tincy_quant::{and_popcount, ThresholdsForLayer};
-use tincy_simd::U64x4;
+use tincy_simd::{PopcountIsa, PopcountKernel, U64x4};
 use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor};
 use tincy_trace::{static_label, Backend};
 
@@ -51,12 +52,14 @@ const ROW_TILE: usize = 16;
 const PIX_TILE: usize = 64;
 
 /// One hidden layer prepared for packed evaluation: packed weights, folded
-/// thresholds, convolution geometry and optional max-pool.
+/// thresholds, convolution geometry and optional max-pool. Weights and
+/// thresholds are held by `Arc` so the fabric simulator's copy of the same
+/// layer can be shared instead of cloned.
 #[derive(Debug, Clone)]
 pub struct PackedLayer {
     in_shape: Shape3,
-    weights: BitTensor,
-    thresholds: ThresholdsForLayer,
+    weights: Arc<BitTensor>,
+    thresholds: Arc<ThresholdsForLayer>,
     geom: ConvGeom,
     pool: Option<PoolGeom>,
     act_bits: usize,
@@ -85,12 +88,13 @@ impl PackedLayer {
     /// validate these shapes).
     pub fn new(
         in_shape: Shape3,
-        weights: BitTensor,
-        thresholds: ThresholdsForLayer,
+        weights: impl Into<Arc<BitTensor>>,
+        thresholds: impl Into<Arc<ThresholdsForLayer>>,
         geom: ConvGeom,
         pool: Option<PoolGeom>,
         act_bits: usize,
     ) -> Self {
+        let (weights, thresholds) = (weights.into(), thresholds.into());
         assert!(
             (1..=3).contains(&act_bits),
             "act_bits must be in 1..=3, got {act_bits}"
@@ -320,16 +324,51 @@ impl PackedLayer {
     }
 
     /// Evaluates output rows `r0..r1` into `out` (length
-    /// `(r1-r0) × pixels`).
+    /// `(r1-r0) × pixels`) with the hardware population count where the
+    /// CPU has one.
     fn gemm_range(&self, map: &PackedMap, out: &mut [u8], r0: usize, r1: usize, variant: Variant) {
+        PopcountIsa::detect().run(GemmRange {
+            layer: self,
+            map,
+            out,
+            r0,
+            r1,
+            variant,
+        });
+    }
+}
+
+/// One [`PackedLayer::gemm_range`] call.
+struct GemmRange<'a> {
+    layer: &'a PackedLayer,
+    map: &'a PackedMap,
+    out: &'a mut [u8],
+    r0: usize,
+    r1: usize,
+    variant: Variant,
+}
+
+impl PopcountKernel for GemmRange<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Self {
+            layer,
+            map,
+            out,
+            r0,
+            r1,
+            variant,
+        } = self;
         let pixels = map.pixels;
         let words = map.words;
         match variant {
             Variant::Scalar | Variant::Unrolled4 => {
                 let unrolled = variant == Variant::Unrolled4;
                 for r in r0..r1 {
-                    let wrow = self.weights.row_words(r);
-                    let tset = self.thresholds.channel(r);
+                    let wrow = layer.weights.row_words(r);
+                    let tset = layer.thresholds.channel(r);
                     for pix in 0..pixels {
                         let base = pix * words;
                         let pos = if unrolled {
@@ -350,8 +389,8 @@ impl PackedLayer {
                     while rt < r1 {
                         let rend = (rt + ROW_TILE).min(r1);
                         for r in rt..rend {
-                            let wrow = self.weights.row_words(r);
-                            let tset = self.thresholds.channel(r);
+                            let wrow = layer.weights.row_words(r);
+                            let tset = layer.thresholds.channel(r);
                             for pix in pt..pend {
                                 let pos = dot_unrolled(wrow, &map.planes, pix * words);
                                 let acc = 2 * pos - map.asum[pix];
@@ -369,7 +408,7 @@ impl PackedLayer {
 
 /// Plane-weighted AND-popcount `Σ_p 2^p · pc(w ∧ plane_p)`, one word at a
 /// time.
-#[inline]
+#[inline(always)]
 fn dot_scalar(wrow: &[u64], planes: &[Vec<u64>], base: usize) -> i32 {
     let mut acc = 0i32;
     for (p, plane) in planes.iter().enumerate() {
@@ -380,7 +419,7 @@ fn dot_scalar(wrow: &[u64], planes: &[Vec<u64>], base: usize) -> i32 {
 }
 
 /// Plane-weighted AND-popcount, four words per iteration on [`U64x4`].
-#[inline]
+#[inline(always)]
 fn dot_unrolled(wrow: &[u64], planes: &[Vec<u64>], base: usize) -> i32 {
     let words = wrow.len();
     let full = words & !3;
@@ -405,26 +444,29 @@ fn dot_unrolled(wrow: &[u64], planes: &[Vec<u64>], base: usize) -> i32 {
 
 /// Max-pool over quantization levels — the unsigned activation codes are
 /// monotone in the represented value, so pooling codes equals pooling
-/// values. Same semantics as the fabric engine's pooling stage: ragged
-/// edge windows are truncated at the feature-map border.
-fn max_pool_levels(input: &Tensor<u8>, geom: PoolGeom) -> Tensor<u8> {
+/// values. The one pooling stage of the packed kernels and of the fabric
+/// engine: ragged edge windows are truncated at the feature-map border.
+pub fn max_pool_levels(input: &Tensor<u8>, geom: PoolGeom) -> Tensor<u8> {
     let shape = input.shape();
     let out_shape = geom.output_shape(shape);
-    let mut out = Tensor::zeros(out_shape);
-    for c in 0..shape.channels {
-        for oy in 0..out_shape.height {
-            for ox in 0..out_shape.width {
-                let mut best = 0u8;
-                for ky in 0..geom.size {
-                    for kx in 0..geom.size {
-                        let iy = oy * geom.stride + ky;
-                        let ix = ox * geom.stride + kx;
-                        if iy < shape.height && ix < shape.width {
-                            best = best.max(input.at(c, iy, ix));
-                        }
+    let mut out = Tensor::<u8>::zeros(out_shape);
+    let (height, width) = (shape.height, shape.width);
+    let channels = input.as_slice().chunks_exact(shape.spatial().max(1)).zip(
+        out.as_mut_slice()
+            .chunks_exact_mut(out_shape.spatial().max(1)),
+    );
+    for (src, dst) in channels {
+        for (oy, dst_row) in dst.chunks_exact_mut(out_shape.width).enumerate() {
+            let y0 = oy * geom.stride;
+            let y1 = (y0 + geom.size).min(height);
+            for (ox, best) in dst_row.iter_mut().enumerate() {
+                let x0 = ox * geom.stride;
+                let x1 = (x0 + geom.size).min(width);
+                for y in y0..y1 {
+                    for &v in &src[y * width + x0..y * width + x1] {
+                        *best = (*best).max(v);
                     }
                 }
-                *out.at_mut(c, oy, ox) = best;
             }
         }
     }
@@ -526,6 +568,19 @@ mod tests {
             assert_eq!(got.as_slice(), expected.as_slice(), "variant={variant:?}");
         }
         assert_eq!(expected.shape(), layer.out_shape());
+    }
+
+    #[test]
+    fn pool_truncates_ragged_windows_at_the_border() {
+        let input = Tensor::from_fn(Shape3::new(2, 3, 3), |c, y, x| (c * 4 + y + x) as u8 % 8);
+        // 2x2 stride 2 over 3x3: the last row and column pool a 1-wide window.
+        let halved = max_pool_levels(&input, PoolGeom::new(2, 2));
+        assert_eq!(halved.shape(), Shape3::new(2, 2, 2));
+        assert_eq!(halved.as_slice(), &[2, 3, 3, 4, 6, 7, 7, 0]);
+        // 2x2 stride 1 keeps the extent (Tiny YOLO's 13x13 pool).
+        let same = max_pool_levels(&input, PoolGeom::new(2, 1));
+        assert_eq!(same.shape(), input.shape());
+        assert_eq!(same.channel(0), &[2, 3, 3, 3, 4, 4, 3, 4, 4]);
     }
 
     #[test]

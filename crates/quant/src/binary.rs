@@ -42,10 +42,13 @@ pub fn binarize(weights: &[f32]) -> Vec<i8> {
 /// `tincy-finn`, and the packed CPU kernels in `tincy-kernels` all share
 /// these semantics, so they agree bit-for-bit by construction.
 ///
+/// Always inlined, so a caller compiled for a CPU with a population-count
+/// instruction (`tincy_simd::popcount`) counts with it.
+///
 /// # Panics
 ///
 /// Panics if the word counts differ.
-#[inline]
+#[inline(always)]
 pub fn and_popcount(weight_words: &[u64], plane: &[u64]) -> u32 {
     assert_eq!(weight_words.len(), plane.len(), "word count mismatch");
     weight_words

@@ -88,7 +88,9 @@ impl F32x4 {
 /// four words at a time: AND against the weight row, then a per-lane
 /// popcount (NEON `vcntq_u8` followed by the pairwise-add ladder on the
 /// A53). Keeping the four accumulating lanes distinct is what lets the
-/// auto-vectorizer map the loop onto the 128-bit unit.
+/// auto-vectorizer map the loop onto the 128-bit unit. The methods are
+/// `#[inline(always)]` so that a [`crate::PopcountKernel`] calling them is
+/// compiled with the population count its dispatcher selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct U64x4(pub [u64; 4]);
 
@@ -101,13 +103,13 @@ impl U64x4 {
     /// # Panics
     ///
     /// Panics if `src` holds fewer than four words.
-    #[inline]
+    #[inline(always)]
     pub fn load(src: &[u64]) -> Self {
         Self([src[0], src[1], src[2], src[3]])
     }
 
     /// Lane-wise bitwise AND (NEON `vandq_u64`).
-    #[inline]
+    #[inline(always)]
     #[must_use]
     pub fn and(self, rhs: Self) -> Self {
         let mut out = self.0;
@@ -118,7 +120,7 @@ impl U64x4 {
     }
 
     /// Sum of the per-lane popcounts (NEON `vcntq_u8` + pairwise adds).
-    #[inline]
+    #[inline(always)]
     pub fn count_ones(self) -> u32 {
         (self.0[0].count_ones() + self.0[1].count_ones())
             + (self.0[2].count_ones() + self.0[3].count_ones())

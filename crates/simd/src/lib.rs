@@ -18,7 +18,10 @@
 //!   f32, 8-bit with 32-bit accumulators, and 8-bit with 16-bit
 //!   accumulators plus the rounding right shift by 4,
 //! * [`conv`] — a single dispatch point over all implementations, plus the
-//!   direct-loop golden reference.
+//!   direct-loop golden reference,
+//! * [`popcount`] — run-time selection of the hardware population count
+//!   for the XNOR-popcount loops of `tincy-kernels` and `tincy-finn` (the
+//!   only `unsafe` in the workspace).
 
 // The kernels are written with explicit index loops and NEON-intrinsic
 // method names (`add` ~ vaddq, `mul` ~ vmulq) so the code shape matches the
@@ -31,6 +34,7 @@ pub mod gemm;
 pub mod kernel16x27;
 pub mod lanes;
 pub mod lowp;
+pub mod popcount;
 
 pub use conv::{conv_reference, convolve, ConvAlgo};
 pub use fused::{fused_conv_f32, fused_conv_lowp};
@@ -38,3 +42,4 @@ pub use gemm::{gemm_f32, gemm_f32_lanes};
 pub use kernel16x27::FirstLayerKernel;
 pub use lanes::{F32x4, I16x8, I32x4, U64x4};
 pub use lowp::{gemm_lowp, requantize_bias_relu};
+pub use popcount::{PopcountIsa, PopcountKernel};

@@ -60,10 +60,16 @@ impl BitTensor {
             });
         }
         let mut out = Self::zeros(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                if signs[r * cols + c] > 0 {
-                    out.set(r, c, true);
+        let words_per_row = out.words_per_row;
+        let rows = signs
+            .chunks_exact(cols.max(1))
+            .zip(out.data.chunks_exact_mut(words_per_row));
+        for (row_signs, row_words) in rows {
+            // Branch-free, one word at a time: weight signs are as good as
+            // random, and a model holds millions of them.
+            for (chunk, word) in row_signs.chunks(WORD_BITS).zip(row_words) {
+                for (bit, &sign) in chunk.iter().enumerate() {
+                    *word |= u64::from(sign > 0) << bit;
                 }
             }
         }
@@ -123,6 +129,41 @@ impl BitTensor {
     /// The packed words of one row.
     pub fn row_words(&self, r: usize) -> &[u64] {
         &self.data[r * self.words_per_row..(r + 1) * self.words_per_row]
+    }
+
+    /// The matrix with every column `c` moved to column `dest(c)`: a
+    /// re-linearization of the dot-product axis that leaves every dot
+    /// product unchanged as long as the activation vector is permuted the
+    /// same way. Walks the set bits of each source word, so the cost is one
+    /// table look-up per `+1` weight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dest` is not a permutation of `0..cols`.
+    #[must_use]
+    pub fn permute_columns(&self, dest: impl Fn(usize) -> usize) -> Self {
+        let table: Vec<usize> = (0..self.cols).map(dest).collect();
+        let mut hit = vec![false; self.cols];
+        for &d in &table {
+            assert!(
+                d < self.cols && !std::mem::replace(&mut hit[d], true),
+                "column map is not a permutation of 0..{}",
+                self.cols
+            );
+        }
+        let mut out = Self::zeros(self.rows, self.cols);
+        let rows = self.data.chunks_exact(self.words_per_row);
+        for (src, dst) in rows.zip(out.data.chunks_exact_mut(self.words_per_row)) {
+            for (w, &word) in src.iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    let d = table[w * WORD_BITS + rest.trailing_zeros() as usize];
+                    dst[d / WORD_BITS] |= 1u64 << (d % WORD_BITS);
+                    rest &= rest - 1;
+                }
+            }
+        }
+        out
     }
 
     /// The signed weight at `(r, c)`: `+1` if the bit is set, else `-1`.
@@ -308,6 +349,49 @@ mod tests {
         assert_eq!(t.sign(1, 2), 1);
         assert_eq!(t.row_count_ones(0), 2);
         assert_eq!(t.row_count_ones(1), 1);
+    }
+
+    #[test]
+    fn from_signs_packs_rows_that_end_mid_word() {
+        let (rows, cols) = (3, 130);
+        let signs: Vec<i8> = (0..rows * cols)
+            .map(|i| if i * 7 % 5 < 2 { 1 } else { -1 })
+            .collect();
+        let t = BitTensor::from_signs(rows, cols, &signs).unwrap();
+        for r in 0..rows {
+            for c in 0..cols {
+                assert_eq!(t.sign(r, c), signs[r * cols + c] as i32, "({r},{c})");
+            }
+            // Padding bits beyond the logical width stay clear.
+            assert_eq!(t.row_words(r)[2] >> 2, 0);
+        }
+    }
+
+    #[test]
+    fn permute_columns_moves_every_bit() {
+        let (rows, cols) = (3, 150);
+        let mut t = BitTensor::zeros(rows, cols);
+        for r in 0..rows {
+            for c in (r..cols).step_by(r + 2) {
+                t.set(r, c, true);
+            }
+        }
+        // 6 groups of 25 columns transposed to 25 groups of 6.
+        let dest = |c: usize| (c % 25) * 6 + c / 25;
+        let p = t.permute_columns(dest);
+        assert_eq!((p.rows(), p.cols()), (rows, cols));
+        for r in 0..rows {
+            for c in 0..cols {
+                assert_eq!(p.get(r, dest(c)), t.get(r, c), "row {r} column {c}");
+            }
+            assert_eq!(p.row_count_ones(r), t.row_count_ones(r));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn permute_columns_rejects_a_collision() {
+        let _ = BitTensor::zeros(1, 4).permute_columns(|c| c / 2);
     }
 
     #[test]
