@@ -18,8 +18,9 @@ use std::time::Duration;
 use tincy_core::SystemConfig;
 use tincy_finn::FaultPlan;
 use tincy_serve::json::{fleet_report_json, JsonObject};
+use tincy_serve::smoke::check_smoke;
 use tincy_serve::{
-    run_fleet_loadgen, ArrivalPattern, FleetConfig, FleetLoadConfig, FleetLoadReport, RoutePolicy,
+    run_load, ArrivalPattern, Fleet, FleetConfig, FleetReport, LoadConfig, LoadReport, RoutePolicy,
     SloClass,
 };
 
@@ -46,12 +47,12 @@ fn fleet_config(policy: RoutePolicy) -> FleetConfig {
     config
 }
 
-fn load_config() -> FleetLoadConfig {
+fn load_config() -> LoadConfig {
     let clients = std::env::var("TINCY_FLEET_CLIENTS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(12);
-    FleetLoadConfig {
+    LoadConfig {
         clients,
         requests_per_client: 12,
         pattern: ArrivalPattern::Uniform {
@@ -65,28 +66,11 @@ fn load_config() -> FleetLoadConfig {
     }
 }
 
-fn check(label: &str, report: &FleetLoadReport, config: &FleetConfig) {
-    let f = &report.fleet;
-    assert_eq!(
-        report.dropped(),
-        0,
-        "{label}: accepted requests must all complete"
-    );
-    assert_eq!(f.lost(), 0, "{label}: shards must not lose admitted work");
-    assert!(
-        report.all_in_order(),
-        "{label}: per-client ordering must hold across re-routing"
-    );
-    assert!(
-        f.drains >= 1,
-        "{label}: the faulted shard was never drained (drains = {})",
-        f.drains
-    );
-    assert!(
-        f.readmits >= 1,
-        "{label}: the drained shard was never re-admitted (readmits = {})",
-        f.readmits
-    );
+fn check(label: &str, report: &LoadReport<FleetReport>, config: &FleetConfig) {
+    // Zero loss, per-client order across re-routing, a drain and a
+    // re-admission of the faulted shard.
+    check_smoke(report, true).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let f = &report.target;
     for class in SloClass::ALL {
         let stats = f.class_latency(class);
         if stats.count() == 0 {
@@ -118,11 +102,11 @@ fn main() {
         let mut fingerprints: Vec<Vec<u64>> = Vec::new();
         for run in 0..2 {
             let config = fleet_config(policy);
-            let report = run_fleet_loadgen(config.clone(), &load)
+            let report = run_load::<Fleet>(config.clone(), &load, |_| {})
                 .unwrap_or_else(|e| panic!("{} run {run} failed: {e}", policy.label()));
             let label = format!("{} run {run}", policy.label());
             check(&label, &report, &config);
-            let f = &report.fleet;
+            let f = &report.target;
             let qs = f.latency().quantiles(&[0.50, 0.99]);
             println!(
                 "{:<24} {:>9.1} {:>10.2} {:>10.2} {:>8} {:>9} {:>7} {:>7}",

@@ -28,7 +28,7 @@ use tincy_finn::FaultPlan;
 use tincy_json::{array_u64, JsonObject};
 use tincy_nn::ModelSpec;
 use tincy_serve::{
-    run_loadgen, DriftHandle, DriftStatus, InferenceServer, LoadMode, LoadgenConfig, ServeConfig,
+    run_load, ArrivalPattern, DriftHandle, DriftStatus, InferenceServer, LoadConfig, ServeConfig,
     ServeEngine, ServeVariant, ShiftPolicy, SloClass, VariantLadder,
 };
 use tincy_tensor::Shape3;
@@ -98,17 +98,18 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 /// Section 1: closed-loop load with interactive clients on the cheap
 /// rung and batch clients on the accurate one; returns the JSON row.
 fn bench_p99_gap() -> String {
-    let load = LoadgenConfig {
+    let load = LoadConfig {
         clients: 4,
         requests_per_client: 16,
-        mode: LoadMode::Closed,
+        pattern: ArrivalPattern::Closed,
         classes: vec![SloClass::Interactive, SloClass::Batch],
         ..Default::default()
     };
-    let report = run_loadgen(base_config(), &load).expect("gap section server starts");
+    let report = run_load::<InferenceServer>(base_config(), &load, |_| {})
+        .expect("gap section server starts");
     assert_eq!(report.dropped(), 0, "accepted requests must all complete");
     assert!(report.all_in_order(), "per-client ordering must hold");
-    let s = &report.serve;
+    let s = &report.target;
     assert_eq!(s.shifts_down + s.shifts_up, 0, "gap section must not shift");
     let cheap_p99 = s.variant_latency[0].p99();
     let accurate_p99 = s.variant_latency[1].p99();

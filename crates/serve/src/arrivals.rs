@@ -1,13 +1,17 @@
-//! Deterministic arrival schedules for fleet-scale load generation.
+//! Deterministic arrival schedules for the load driver.
 //!
 //! A schedule is a pure function of `(pattern, clients, requests, seed)`:
 //! per client, the submission offset of each request from the run's
-//! start. The load generator replays the schedule against the wall
-//! clock, so two runs with the same seed submit the same frames at the
-//! same virtual times — the backbone of the fleet determinism suite.
+//! start. The driver replays the schedule against the wall clock, so two
+//! runs with the same seed submit the same frames at the same virtual
+//! times and the offered rate does not drift with the time a submission
+//! takes.
 //!
-//! Patterns model the traffic shapes a detector fleet sees in the wild:
-//!
+//! * [`ArrivalPattern::Closed`] — no schedule: each client keeps one
+//!   request outstanding (submit, await the response, repeat).
+//! * [`ArrivalPattern::Burst`] — every offset is zero and the target
+//!   starts paused: everything is queued before dispatch resumes, so
+//!   queue content and batch formation are deterministic.
 //! * [`ArrivalPattern::Uniform`] — steady open-loop traffic, every
 //!   client pacing at a fixed interval (with a deterministic per-client
 //!   phase so thousands of clients do not submit in lockstep).
@@ -18,18 +22,19 @@
 //!   window in which arrivals are compressed by `factor`, modeling a
 //!   flash crowd slamming the fleet; admission control must shed the
 //!   peak, not queue it.
-//! * [`ArrivalPattern::Closed`] — no schedule: each client submits,
-//!   waits for the response, repeats (closed loop).
 
 use std::time::Duration;
 
-use super::ring::mix64;
+use crate::fleet::mix64;
 
-/// How fleet clients pace their submissions.
+/// How clients pace their submissions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalPattern {
     /// Closed loop: submit, await the response, repeat.
     Closed,
+    /// Everything at offset zero against a paused target, which resumes
+    /// after the last submission.
+    Burst,
     /// Open loop at a fixed per-client interval.
     Uniform {
         /// Gap between one client's consecutive submissions.
@@ -58,14 +63,54 @@ pub enum ArrivalPattern {
     },
 }
 
-impl ArrivalPattern {
-    /// Short stable label for reports and bench artifacts.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ArrivalPattern::Closed => "closed",
-            ArrivalPattern::Uniform { .. } => "uniform",
-            ArrivalPattern::Diurnal { .. } => "diurnal",
-            ArrivalPattern::FlashCrowd { .. } => "flash-crowd",
+impl std::str::FromStr for ArrivalPattern {
+    type Err = String;
+
+    /// Parses the CLI spelling: `closed`, `burst`, `uniform:GAP_US` (or
+    /// `open:GAP_US`), `diurnal:BASE_US:PERIOD_MS:RATIO`,
+    /// `flash:BASE_US:AT_MS:WIDTH_MS:FACTOR`.
+    fn from_str(value: &str) -> Result<Self, String> {
+        fn num<T: std::str::FromStr>(value: &str, field: &str) -> Result<T, String>
+        where
+            T::Err: std::fmt::Display,
+        {
+            field.parse().map_err(|e| format!("{value}: {e}"))
+        }
+        let micros = |field: &str| num(value, field).map(Duration::from_micros);
+        let millis = |field: &str| num(value, field).map(Duration::from_millis);
+        let unknown = || {
+            format!(
+                "unknown pattern {value:?} (expected closed, burst, uniform:GAP_US, \
+                 diurnal:BASE_US:PERIOD_MS:RATIO or flash:BASE_US:AT_MS:WIDTH_MS:FACTOR)"
+            )
+        };
+        match value {
+            "closed" => return Ok(ArrivalPattern::Closed),
+            "burst" => return Ok(ArrivalPattern::Burst),
+            _ => {}
+        }
+        let (kind, rest) = value.split_once(':').ok_or_else(unknown)?;
+        let fields: Vec<&str> = rest.split(':').collect();
+        match (kind, fields.as_slice()) {
+            ("uniform" | "open", [gap]) => Ok(ArrivalPattern::Uniform {
+                interval: micros(gap)?,
+            }),
+            ("diurnal", [base, period, ratio]) => Ok(ArrivalPattern::Diurnal {
+                base_interval: micros(base)?,
+                period: millis(period)?,
+                peak_ratio: num(value, ratio)?,
+            }),
+            ("diurnal", _) => Err(format!("{value}: expected diurnal:BASE_US:PERIOD_MS:RATIO")),
+            ("flash", [base, at, width, factor]) => Ok(ArrivalPattern::FlashCrowd {
+                base_interval: micros(base)?,
+                at: millis(at)?,
+                width: millis(width)?,
+                factor: num(value, factor)?,
+            }),
+            ("flash", _) => Err(format!(
+                "{value}: expected flash:BASE_US:AT_MS:WIDTH_MS:FACTOR"
+            )),
+            _ => Err(unknown()),
         }
     }
 }
@@ -98,6 +143,7 @@ fn client_schedule(
 ) -> Vec<Duration> {
     match *pattern {
         ArrivalPattern::Closed => Vec::new(),
+        ArrivalPattern::Burst => (0..requests).map(|_| Duration::ZERO).collect(),
         ArrivalPattern::Uniform { interval } => {
             // Deterministic phase spreads clients across one interval.
             let phase = interval.mul_f64(unit(seed, client as u64));

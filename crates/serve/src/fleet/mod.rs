@@ -23,22 +23,13 @@
 //!   with `shard="i"`, scraped over keep-alive [`tincy_telemetry::HttpClient`]
 //!   connections into one exposition.
 //!
-//! [`run_fleet_loadgen`] scales the deterministic load generator to
-//! thousands of simulated clients driven by a handful of worker
-//! threads, pacing submissions from pure [`arrival_schedule`]s
-//! (uniform, diurnal, flash-crowd) so a seeded run is reproducible.
+//! [`crate::run_load`] drives a fleet exactly as it drives one server.
 
-mod arrivals;
-mod loadgen;
 mod ring;
 mod router;
 mod telemetry;
 
-pub use arrivals::{arrival_schedule, ArrivalPattern};
-pub use loadgen::{
-    run_fleet_loadgen, run_fleet_loadgen_observed, FleetClientOutcome, FleetLoadConfig,
-    FleetLoadReport,
-};
+pub(crate) use ring::mix64;
 pub use ring::HashRing;
 pub use router::{Fleet, FleetClient, FleetReport};
 

@@ -20,9 +20,11 @@
 //! plus the fabric's bit-exactness with the reference path guarantee the
 //! answer does not depend on which backend produced it.
 //!
-//! [`loadgen`] provides a deterministic multi-client load generator
-//! (closed-loop, open-loop and burst pacing), and [`json`] hand-rolled
-//! JSON emission for metrics dumps and bench artifacts. With
+//! [`load`] provides the deterministic multi-client load driver (closed
+//! loop, burst and scheduled open-loop pacing against a server or a
+//! fleet alike), [`smoke`] the assertions the CLI's `--smoke`/`--scrape`
+//! flags and the integration tests share, and [`json`] hand-rolled JSON
+//! emission for metrics dumps and bench artifacts. With
 //! [`ServeConfig::status_addr`] set, a running server additionally
 //! exposes live metrics (`/metrics` Prometheus text, `/metrics.json`)
 //! and a mid-run [`ServeReport`] (`/report`) over a minimal HTTP
@@ -30,33 +32,29 @@
 //!
 //! [`fleet`] scales the single-server runtime out: N in-process shards
 //! behind a least-loaded or consistent-hash router with drain/re-admit
-//! health management, fleet-wide metrics aggregation and a multi-client
-//! load generator driven by deterministic arrival schedules.
+//! health management and fleet-wide metrics aggregation.
 
+pub mod arrivals;
 pub mod config;
 pub mod drift;
 pub mod engine;
 pub mod fleet;
 pub mod json;
-pub mod loadgen;
+pub mod load;
 pub mod metrics;
 pub mod request;
 mod scheduler;
 pub mod server;
+pub mod smoke;
 mod telemetry;
 pub mod variants;
 
+pub use arrivals::{arrival_schedule, ArrivalPattern};
 pub use config::ServeConfig;
 pub use drift::{DriftHandle, DriftMonitor, DriftStatus, SegmentCalibrator};
 pub use engine::ServeEngine;
-pub use fleet::{
-    arrival_schedule, run_fleet_loadgen, run_fleet_loadgen_observed, ArrivalPattern, Fleet,
-    FleetClient, FleetClientOutcome, FleetConfig, FleetLoadConfig, FleetLoadReport, FleetReport,
-    HashRing, RoutePolicy,
-};
-pub use loadgen::{
-    run_loadgen, run_loadgen_observed, ClientOutcome, LoadMode, LoadgenConfig, LoadgenReport,
-};
+pub use fleet::{Fleet, FleetClient, FleetConfig, FleetReport, HashRing, RoutePolicy};
+pub use load::{run_load, ClientOutcome, LoadClient, LoadConfig, LoadReport, LoadTarget};
 pub use metrics::ServeReport;
 pub use request::{AdmissionError, BackendKind, InferResponse, SloClass};
 pub use server::{ClientHandle, InferenceServer};

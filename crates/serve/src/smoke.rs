@@ -1,0 +1,397 @@
+//! Smoke and scrape checks over a finished [`run_load`](crate::run_load)
+//! session — what `tincy loadgen|fleet --smoke/--scrape/--slo-smoke/
+//! --variant-smoke` exit nonzero on, and what the integration suites
+//! assert. Every check returns its one-line `ok` summary, or the
+//! violated invariant.
+
+use crate::fleet::FleetReport;
+use crate::load::LoadReport;
+use crate::metrics::ServeReport;
+use crate::request::SloClass;
+use std::net::SocketAddr;
+use std::time::Duration;
+use tincy_telemetry::{check_histogram_series, parse_prometheus, HttpClient, PromSample};
+use tincy_trace::Trace;
+
+/// Returns the formatted violation from the enclosing check unless the
+/// condition holds.
+macro_rules! ensure {
+    ($holds:expr, $($violation:tt)+) => {
+        let holds: bool = $holds;
+        if !holds {
+            return Err(format!($($violation)+));
+        }
+    };
+}
+
+/// GETs `path` through a reusable keep-alive connection, reconnecting
+/// when the server reaped an idle connection and retrying with
+/// exponential backoff when the connection cap sheds the scrape with a
+/// 503 — which must carry a `Retry-After` header. Any other non-200 is
+/// fatal.
+fn scrape_get(
+    client: &mut Option<HttpClient>,
+    addr: SocketAddr,
+    path: &str,
+) -> Result<String, String> {
+    let mut backoff = Duration::from_millis(5);
+    for _ in 0..10 {
+        let conn = match client {
+            Some(conn) => conn,
+            None => client.insert(
+                HttpClient::connect(addr, Duration::from_secs(2))
+                    .map_err(|e| format!("connect {addr}: {e}"))?,
+            ),
+        };
+        match conn.get(path) {
+            Ok(response) if response.status == 200 => return Ok(response.body),
+            Ok(response) if response.status == 503 => {
+                if response.header("retry-after").is_none() {
+                    return Err(format!("GET {path}: 503 shed without a Retry-After header"));
+                }
+                // Shed connections are closed by the server; back off and
+                // reconnect.
+                *client = None;
+                std::thread::sleep(backoff);
+                backoff *= 2;
+            }
+            Ok(response) => return Err(format!("GET {path} returned {}", response.status)),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => {
+                // Idle keep-alive connection reaped between scrapes:
+                // reconnect without consuming a retry's backoff.
+                *client = None;
+            }
+            Err(e) => return Err(format!("GET {path}: {e}")),
+        }
+    }
+    Err(format!("GET {path}: still shed after 10 retries"))
+}
+
+/// Scrapes a running target's status endpoint `passes` times over one
+/// keep-alive connection (plus `/healthz`), asserting on every pass that
+/// the exposition parses and its native-histogram series are well
+/// formed, and between passes that no `_total` counter vanished or went
+/// backwards. Returns the last sample set.
+///
+/// # Errors
+///
+/// The violated invariant, or the transport failure.
+pub fn scrape(addr: SocketAddr, passes: usize) -> Result<Vec<PromSample>, String> {
+    let mut client: Option<HttpClient> = None;
+    let mut last: Vec<PromSample> = Vec::new();
+    for _ in 0..passes {
+        let body = scrape_get(&mut client, addr, "/metrics")?;
+        let samples =
+            parse_prometheus(&body).map_err(|e| format!("/metrics did not parse: {e}"))?;
+        check_histogram_series(&samples)
+            .map_err(|e| format!("/metrics histogram series malformed: {e}"))?;
+        for sample in last.iter().filter(|s| s.name.ends_with("_total")) {
+            let later = samples
+                .iter()
+                .find(|s| s.name == sample.name && s.labels == sample.labels)
+                .ok_or_else(|| format!("{} vanished between scrapes", sample.name))?;
+            ensure!(
+                later.value >= sample.value,
+                "counter {} went backwards: {} -> {}",
+                sample.name,
+                sample.value,
+                later.value
+            );
+        }
+        last = samples;
+    }
+    let health = scrape_get(&mut client, addr, "/healthz")?;
+    ensure!(health.contains("\"ok\":true"), "GET /healthz: {health}");
+    Ok(last)
+}
+
+/// Looks up one sample by name and (optionally) one label value.
+fn find(samples: &[PromSample], name: &str, label: Option<(&str, &str)>) -> Result<f64, String> {
+    samples
+        .iter()
+        .find(|s| s.name == name && label.is_none_or(|(key, value)| s.label(key) == Some(value)))
+        .map(|s| s.value)
+        .ok_or_else(|| format!("scrape is missing {name} {label:?}"))
+}
+
+/// Asserts that a server scrape taken after all responses were delivered
+/// agrees with the final [`ServeReport`], counter for counter.
+///
+/// # Errors
+///
+/// The first counter that is missing or disagrees.
+pub fn check_scrape(samples: &[PromSample], report: &ServeReport) -> Result<String, String> {
+    let expect = |name: &str, label: Option<(&str, &str)>, want: u64| {
+        let got = find(samples, name, label)?;
+        ensure!(
+            got == want as f64,
+            "scrape disagrees with the final report on {name} {label:?}: \
+             scraped {got}, report says {want}"
+        );
+        Ok(())
+    };
+    expect("tincy_serve_accepted_total", None, report.accepted)?;
+    expect("tincy_serve_completed_total", None, report.completed)?;
+    expect("tincy_serve_finn_items_total", None, report.finn_items)?;
+    expect("tincy_serve_cpu_items_total", None, report.cpu_items)?;
+    let reasons = [
+        ("queue-full", report.rejected_queue_full),
+        ("client-full", report.rejected_client_full),
+        ("draining", report.rejected_draining),
+    ];
+    for (reason, want) in reasons {
+        expect("tincy_serve_rejected_total", Some(("reason", reason)), want)?;
+    }
+    for class in SloClass::ALL {
+        expect(
+            "tincy_serve_rejected_class_total",
+            Some(("class", class.label())),
+            report.rejected_class[class.index()],
+        )?;
+    }
+    expect(
+        "tincy_offload_fallbacks_total",
+        None,
+        report.offload.fallbacks,
+    )?;
+    expect("tincy_offload_faults_total", None, report.offload.faults)?;
+    Ok("scrape: counters match the final report".to_owned())
+}
+
+/// Asserts the aggregated fleet exposition carries the router families
+/// and every shard's re-labelled series, and that the mid-run counters
+/// never exceed the final report (the health monitor's canaries keep
+/// counting until the drain, so equality is not required).
+///
+/// # Errors
+///
+/// The first series that is missing or out of bounds.
+pub fn check_fleet_scrape(samples: &[PromSample], report: &FleetReport) -> Result<String, String> {
+    let shards = report.shards.len();
+    let total = find(samples, "tincy_fleet_shards", None)?;
+    ensure!(
+        total == shards as f64,
+        "tincy_fleet_shards reports {total}, fleet has {shards}"
+    );
+    for (shard, serve) in report.shards.iter().enumerate() {
+        // Router-level gauges, and the shard's own series re-labelled
+        // into the fleet namespace by the aggregator.
+        let id = shard.to_string();
+        let of_shard = Some(("shard", id.as_str()));
+        find(samples, "tincy_fleet_shard_up", of_shard)?;
+        find(samples, "tincy_fleet_routed_total", of_shard)?;
+        let accepted = find(samples, "tincy_fleet_accepted_total", of_shard)?;
+        ensure!(
+            accepted <= serve.accepted as f64,
+            "shard {shard} scraped {accepted} accepted mid-run, final report says {}",
+            serve.accepted
+        );
+    }
+    let drains = find(samples, "tincy_fleet_drains_total", None)?;
+    ensure!(
+        drains <= report.drains as f64,
+        "scraped {drains} drains mid-run, final report says {}",
+        report.drains
+    );
+    Ok("scrape: aggregated per-shard series present and bounded by the final report".to_owned())
+}
+
+/// The target-side half of [`check_smoke`].
+pub trait TargetReport {
+    /// Holds the target's own report to its smoke condition: on one
+    /// server, micro-batching engaged; on a fleet, no shard lost admitted
+    /// work and — with a `faulted` shard — a drain and a re-admission.
+    ///
+    /// # Errors
+    ///
+    /// The violated condition.
+    fn check(&self, faulted: bool) -> Result<(), String>;
+}
+
+impl TargetReport for ServeReport {
+    fn check(&self, _faulted: bool) -> Result<(), String> {
+        ensure!(
+            self.batched_invocations() > 0,
+            "micro-batching never engaged (no batch larger than 1)"
+        );
+        Ok(())
+    }
+}
+
+impl TargetReport for FleetReport {
+    fn check(&self, faulted: bool) -> Result<(), String> {
+        ensure!(
+            self.lost() == 0,
+            "shards lost {} admitted requests",
+            self.lost()
+        );
+        ensure!(
+            !faulted || (self.drains > 0 && self.readmits > 0),
+            "a shard was faulted but the fleet recorded {} drains and {} readmits",
+            self.drains,
+            self.readmits
+        );
+        Ok(())
+    }
+}
+
+/// The clients' half of the contract: something was admitted, every
+/// admitted request was answered exactly once, each client in submission
+/// order.
+fn conserved<R>(report: &LoadReport<R>) -> Result<(), String> {
+    ensure!(report.accepted() > 0, "no request was admitted");
+    ensure!(
+        report.dropped() == 0,
+        "{} accepted requests were dropped",
+        report.dropped()
+    );
+    ensure!(
+        report.all_in_order(),
+        "a client observed out-of-order delivery"
+    );
+    Ok(())
+}
+
+/// The smoke contract of every load run: conservation and per-client
+/// order as the clients saw them, plus the target's own
+/// [`TargetReport::check`].
+///
+/// # Errors
+///
+/// The violated invariant.
+pub fn check_smoke<R: TargetReport>(
+    report: &LoadReport<R>,
+    faulted: bool,
+) -> Result<String, String> {
+    conserved(report)
+        .and_then(|()| report.target.check(faulted))
+        .map_err(|e| format!("smoke: {e}"))?;
+    Ok("smoke: ok".to_owned())
+}
+
+/// Asserts the multi-variant invariants of a ladder run: several rungs
+/// hosted, every admission and completion attributed to exactly one rung
+/// (conservation: nothing lost or double-counted across shifts), tight
+/// traffic on a cheaper-or-equal rung than best-effort, and the shared
+/// weights cache populated.
+///
+/// # Errors
+///
+/// The violated invariant.
+pub fn check_variant_smoke(report: &LoadReport<ServeReport>) -> Result<String, String> {
+    let ladder = |s: &ServeReport| {
+        ensure!(
+            s.variants() >= 2,
+            "expected a multi-rung ladder, got {} rung(s)",
+            s.variants()
+        );
+        let admitted: u64 = s.variant_requests.iter().flatten().sum();
+        ensure!(
+            admitted == s.accepted,
+            "per-variant admissions {admitted} != accepted {}",
+            s.accepted
+        );
+        let items: u64 = s.variant_items.iter().sum();
+        ensure!(
+            items == s.completed,
+            "per-variant completions {items} != completed {}",
+            s.completed
+        );
+        let [interactive, _, batch] = s.active_variant;
+        ensure!(
+            interactive <= batch,
+            "interactive rung {interactive} above best-effort rung {batch}"
+        );
+        ensure!(s.weight_entries > 0, "the shared weights cache is empty");
+        Ok(())
+    };
+    ladder(&report.target)
+        .and_then(|()| conserved(report))
+        .map_err(|e| format!("variant smoke: {e}"))?;
+    Ok("variant smoke: ok".to_owned())
+}
+
+/// Asserts the stitched fleet timeline's per-request journeys: every
+/// traced request must verify (stage events present and causally
+/// ordered), and when admission rejections were re-dispatched and
+/// admitted elsewhere, at least one delivered journey must carry spans
+/// on two shards under a single trace id with its router→shard flow
+/// intact.
+///
+/// # Errors
+///
+/// The journey that fails to verify, or the missing cross-shard journey.
+pub fn check_fleet_trace(trace: &Trace, report: &FleetReport) -> Result<String, String> {
+    let journeys = tincy_trace::journeys(trace);
+    ensure!(
+        !journeys.is_empty(),
+        "fleet trace: no request-tagged events in the stitched timeline"
+    );
+    for journey in &journeys {
+        journey.verify().map_err(|e| format!("fleet trace: {e}"))?;
+    }
+    let cross = journeys
+        .iter()
+        .filter(|j| j.delivered() && j.failovers > 0 && j.shards.len() >= 2 && j.flow_finished)
+        .count();
+    // More shard-side rejections than sheds alone can account for (a shed
+    // collects one rejection from every shard) means at least one request
+    // was refused by its owner and admitted by another shard — its
+    // journey must span both.
+    let rejections: u64 = report.shards.iter().map(ServeReport::rejected).sum();
+    ensure!(
+        cross > 0 || rejections <= report.sheds * report.shards.len() as u64,
+        "fleet trace: rejections were re-dispatched, but no delivered journey \
+         spans two shards under one trace id"
+    );
+    Ok(format!(
+        "fleet trace: ok ({} journeys verified, {cross} delivered across >=2 shards with the \
+         router flow intact)",
+        journeys.len()
+    ))
+}
+
+/// Asserts the burn-rate engine's behavior over one faulted run from the
+/// fleet's aggregated `/metrics`: at least one `tincy_slo_alerts_total`
+/// edge fired during the session, and every `tincy_slo_alert_active`
+/// gauge is back to zero by the observation point (all clients served,
+/// faulted shard re-admitted).
+///
+/// # Errors
+///
+/// The alert that never fired, or the ones still active.
+pub fn check_slo_smoke(samples: &[PromSample]) -> Result<String, String> {
+    let fired: f64 = samples
+        .iter()
+        .filter(|s| s.name == "tincy_slo_alerts_total")
+        .map(|s| s.value)
+        .sum();
+    let active: Vec<String> = samples
+        .iter()
+        .filter(|s| s.name == "tincy_slo_alert_active" && s.value != 0.0)
+        .map(|s| {
+            s.labels
+                .iter()
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect::<Vec<_>>()
+                .join(",")
+        })
+        .collect();
+    ensure!(
+        samples.iter().any(|s| s.name == "tincy_slo_alert_active"),
+        "slo smoke: no tincy_slo_alert_active series on /metrics"
+    );
+    ensure!(
+        fired >= 1.0,
+        "slo smoke: the injected fault never tripped a burn-rate alert"
+    );
+    ensure!(
+        active.is_empty(),
+        "slo smoke: {} alerts still active after re-admission: {}",
+        active.len(),
+        active.join(" ")
+    );
+    Ok(format!(
+        "slo smoke: ok ({fired} burn-rate alert edges fired, all cleared)"
+    ))
+}

@@ -8,9 +8,7 @@
 
 use std::time::Duration;
 use tincy_core::SystemConfig;
-use tincy_serve::{
-    arrival_schedule, run_fleet_loadgen, ArrivalPattern, FleetConfig, FleetLoadConfig,
-};
+use tincy_serve::{arrival_schedule, run_load, ArrivalPattern, Fleet, FleetConfig, LoadConfig};
 use tincy_video::SceneConfig;
 
 fn diurnal() -> ArrivalPattern {
@@ -59,6 +57,45 @@ fn diurnal_peak_runs_faster_than_trough() {
     );
 }
 
+#[test]
+fn cli_spelling_parses_to_every_pattern() {
+    let (us, ms) = (Duration::from_micros, Duration::from_millis);
+    let cases = [
+        ("closed", ArrivalPattern::Closed),
+        ("burst", ArrivalPattern::Burst),
+        (
+            "uniform:2000",
+            ArrivalPattern::Uniform { interval: us(2000) },
+        ),
+        ("open:2000", ArrivalPattern::Uniform { interval: us(2000) }),
+        (
+            "diurnal:5000:200:4",
+            ArrivalPattern::Diurnal {
+                base_interval: us(5000),
+                period: ms(200),
+                peak_ratio: 4.0,
+            },
+        ),
+        (
+            "flash:20000:100:160:8",
+            ArrivalPattern::FlashCrowd {
+                base_interval: us(20000),
+                at: ms(100),
+                width: ms(160),
+                factor: 8,
+            },
+        ),
+    ];
+    for (text, want) in cases {
+        assert_eq!(text.parse::<ArrivalPattern>(), Ok(want), "{text}");
+    }
+    let err = |text: &str| text.parse::<ArrivalPattern>().unwrap_err();
+    assert!(err("diurnal:1:2").contains("expected diurnal:BASE_US:PERIOD_MS:RATIO"));
+    assert!(err("flash:1:2:3").contains("expected flash:BASE_US:AT_MS:WIDTH_MS:FACTOR"));
+    assert!(err("uniform:fast").starts_with("uniform:fast: "));
+    assert!(err("steady").starts_with("unknown pattern \"steady\""));
+}
+
 /// A flash crowd beyond fleet capacity is shed at admission: rejections
 /// rise, the pending queue never exceeds its bound, and every admitted
 /// request completes — the overload never converts into queueing or
@@ -79,7 +116,7 @@ fn flash_crowd_peak_sheds_instead_of_queueing() {
     config.base.queue_capacity = queue_capacity;
     config.base.per_client_capacity = 2;
     config.base.score_threshold = 0.0;
-    let load = FleetLoadConfig {
+    let load = LoadConfig {
         clients: 8,
         requests_per_client: 12,
         pattern: flash_crowd(),
@@ -92,7 +129,7 @@ fn flash_crowd_peak_sheds_instead_of_queueing() {
         workers: 4,
         ..Default::default()
     };
-    let report = run_fleet_loadgen(config, &load).expect("fleet run succeeds");
+    let report = run_load::<Fleet>(config, &load, |_| {}).expect("fleet run succeeds");
 
     assert!(
         report.rejected() > 0,
@@ -103,8 +140,8 @@ fn flash_crowd_peak_sheds_instead_of_queueing() {
         0,
         "admitted requests must complete even while the peak sheds"
     );
-    assert_eq!(report.fleet.lost(), 0, "no shard may lose admitted work");
-    for (shard, serve) in report.fleet.shards.iter().enumerate() {
+    assert_eq!(report.target.lost(), 0, "no shard may lose admitted work");
+    for (shard, serve) in report.target.shards.iter().enumerate() {
         assert!(
             serve.max_depth <= queue_capacity,
             "shard {shard} queued {} deep past its bound of {queue_capacity}",

@@ -527,9 +527,8 @@ fn to_ns(micros: f64) -> u64 {
 mod tests {
     use super::*;
     use crate::clock::TestClock;
-    use crate::collector::{finish, start_with_clock};
+    use crate::collector::{exclusive, finish, start_with_clock};
     use crate::span::span;
-    use crate::test_lock::session_lock;
     use std::sync::Arc;
 
     fn sample_trace() -> Trace {
@@ -561,7 +560,7 @@ mod tests {
 
     #[test]
     fn export_emits_complete_and_instant_events() {
-        let _guard = session_lock();
+        let _guard = exclusive();
         let trace = sample_trace();
         let json = to_chrome_json(&trace);
         assert!(json.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
@@ -574,7 +573,7 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_spans_and_attrs() {
-        let _guard = session_lock();
+        let _guard = exclusive();
         let trace = sample_trace();
         let parsed = from_chrome_json(&to_chrome_json(&trace)).unwrap();
         parsed.check().unwrap();
@@ -612,7 +611,7 @@ mod tests {
 
     #[test]
     fn thread_names_and_links_round_trip() {
-        let _guard = session_lock();
+        let _guard = exclusive();
         start_with_clock(Arc::new(TestClock::new()), 64);
         let worker = std::thread::Builder::new()
             .name("chrome-worker".to_string())
@@ -643,7 +642,7 @@ mod tests {
 
     #[test]
     fn trace_ids_and_flows_round_trip_exactly() {
-        let _guard = session_lock();
+        let _guard = exclusive();
         // Both ids deliberately exceed f64's 53-bit mantissa: a numeric
         // JSON round trip would corrupt them, the hex form must not.
         let ctx = crate::TraceContext {

@@ -17,9 +17,11 @@ use crate::clock::{Clock, MonotonicClock};
 use crate::data::Trace;
 use crate::event::{label_table, Attrs, Event, EventKind, Label};
 use parking_lot::Mutex;
+use parking_lot::MutexGuard;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::thread::ThreadId;
 
 /// Default per-thread ring capacity (events). At ~64 bytes per event a
 /// 10-thread session tops out around 160 MiB worst case; real demo/serve
@@ -33,6 +35,8 @@ struct Session {
     generation: u64,
     clock: Arc<dyn Clock>,
     capacity: usize,
+    /// When set, only this thread records ([`start_local`]).
+    only: Option<ThreadId>,
     rings: Vec<Arc<Mutex<Ring>>>,
     /// OS thread names, parallel to `rings` (`""` for unnamed threads).
     names: Vec<String>,
@@ -102,21 +106,51 @@ thread_local! {
     static HANDLE: RefCell<Option<ThreadHandle>> = const { RefCell::new(None) };
 }
 
+/// Claims the process-global session until the guard drops, blocking
+/// while another claim is live. `cargo test` runs a binary's tests on
+/// parallel threads, so every test that opens a session holds a claim
+/// for as long as it does; a test whose *siblings* record spans without
+/// claiming opens its session with [`start_local`] as well.
+pub fn exclusive() -> MutexGuard<'static, ()> {
+    static CLAIM: Mutex<()> = Mutex::new(());
+    CLAIM.lock()
+}
+
 /// Starts a trace session on the real monotonic clock with the default
 /// per-thread ring capacity. An already-running session is discarded.
 pub fn start() {
-    start_with_clock(Arc::new(MonotonicClock::new()), DEFAULT_THREAD_CAPACITY);
+    start_session(
+        Arc::new(MonotonicClock::new()),
+        DEFAULT_THREAD_CAPACITY,
+        None,
+    );
+}
+
+/// Like [`start`], but only the calling thread records: spans other
+/// threads emit while the session runs are discarded, so a finished
+/// trace holds exactly what the caller did between start and finish.
+pub fn start_local() {
+    start_session(
+        Arc::new(MonotonicClock::new()),
+        DEFAULT_THREAD_CAPACITY,
+        Some(std::thread::current().id()),
+    );
 }
 
 /// Starts a trace session on an injected clock, with `capacity` events
 /// retained per thread (a flight recorder: the newest events win).
 pub fn start_with_clock(clock: Arc<dyn Clock>, capacity: usize) {
+    start_session(clock, capacity, None);
+}
+
+fn start_session(clock: Arc<dyn Clock>, capacity: usize, only: Option<ThreadId>) {
     let mut registry = registry().lock();
     let generation = GENERATION.fetch_add(1, Ordering::AcqRel) + 1;
     *registry = Some(Session {
         generation,
         clock,
         capacity,
+        only,
         rings: Vec::new(),
         names: Vec::new(),
         links: Vec::new(),
@@ -248,6 +282,12 @@ fn register_thread(generation: u64) -> Option<ThreadHandle> {
     if session.generation != generation {
         return None;
     }
+    if session
+        .only
+        .is_some_and(|id| id != std::thread::current().id())
+    {
+        return None;
+    }
     let thread = u32::try_from(session.rings.len()).expect("thread space exhausted");
     let ring = Arc::new(Mutex::new(Ring::new(session.capacity)));
     session.rings.push(Arc::clone(&ring));
@@ -303,7 +343,6 @@ pub(crate) fn current_generation() -> u64 {
 mod tests {
     use super::*;
     use crate::clock::TestClock;
-    use crate::test_lock::session_lock;
 
     #[test]
     fn ring_keeps_newest_events_and_counts_drops() {
@@ -324,7 +363,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_is_a_no_op() {
-        let _guard = session_lock();
+        let _guard = exclusive();
         assert!(!is_enabled());
         record(
             EventKind::Instant,
@@ -337,7 +376,7 @@ mod tests {
 
     #[test]
     fn thread_drops_are_cumulative_across_sweeps() {
-        let _guard = session_lock();
+        let _guard = exclusive();
         let clock = Arc::new(TestClock::new());
         start_with_clock(clock, 2); // tiny rings force overwrites
         let label = Label::intern("collector.drop");
@@ -359,8 +398,24 @@ mod tests {
     }
 
     #[test]
+    fn local_session_discards_other_threads() {
+        let _guard = exclusive();
+        start_local();
+        let label = Label::intern("collector.local");
+        record(EventKind::Begin, label, Attrs::default());
+        // A bystander opens a span it never closes inside the session.
+        std::thread::spawn(move || record(EventKind::Begin, label, Attrs::default()))
+            .join()
+            .expect("bystander thread");
+        record(EventKind::End, label, Attrs::default());
+        let trace = finish();
+        assert_eq!(trace.threads, 1);
+        assert_eq!(trace.spans().expect("only the caller's span").len(), 1);
+    }
+
+    #[test]
     fn session_collects_across_restarts() {
-        let _guard = session_lock();
+        let _guard = exclusive();
         let clock = Arc::new(TestClock::new());
         start_with_clock(clock.clone(), 64);
         record(

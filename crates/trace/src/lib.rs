@@ -31,7 +31,8 @@ mod stream;
 pub use chrome::{from_chrome_json, to_chrome_json};
 pub use clock::{Clock, MonotonicClock, TestClock};
 pub use collector::{
-    finish, is_enabled, start, start_with_clock, sweep, thread_drops, DEFAULT_THREAD_CAPACITY,
+    exclusive, finish, is_enabled, start, start_local, start_with_clock, sweep, thread_drops,
+    DEFAULT_THREAD_CAPACITY,
 };
 pub use context::{splitmix64, TraceContext};
 pub use data::{Span, Trace, TraceError};
@@ -42,17 +43,3 @@ pub use span::{span, SpanBuilder, SpanGuard};
 pub use stream::{
     segment_files, stitch_segments, DrainConfig, DrainSummary, SegmentWriter, TraceDrainer,
 };
-
-#[cfg(test)]
-pub(crate) mod test_lock {
-    //! The trace session is process-global; unit tests that start/finish
-    //! sessions serialize on this lock so `cargo test`'s parallel runner
-    //! cannot interleave them.
-    use parking_lot::{Mutex, MutexGuard};
-
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    pub fn session_lock() -> MutexGuard<'static, ()> {
-        LOCK.lock()
-    }
-}

@@ -132,10 +132,9 @@ fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
 mod tests {
     use super::*;
     use crate::clock::TestClock;
-    use crate::collector::{finish, start_with_clock};
+    use crate::collector::{exclusive, finish, start_with_clock};
     use crate::event::Label;
     use crate::span::span;
-    use crate::test_lock::session_lock;
     use std::sync::Arc;
 
     #[test]
@@ -149,7 +148,7 @@ mod tests {
 
     #[test]
     fn profile_groups_by_label_and_layer() {
-        let _guard = session_lock();
+        let _guard = exclusive();
         let clock = Arc::new(TestClock::new());
         start_with_clock(clock.clone(), 256);
         let stage = Label::intern("profile.stage");

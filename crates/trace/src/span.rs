@@ -193,14 +193,13 @@ impl Drop for SpanGuard {
 mod tests {
     use super::*;
     use crate::clock::TestClock;
-    use crate::collector::{finish, start_with_clock};
+    use crate::collector::{exclusive, finish, start_with_clock};
     use crate::event::EventKind;
-    use crate::test_lock::session_lock;
     use std::sync::Arc;
 
     #[test]
     fn span_guard_records_matching_begin_end_with_attrs() {
-        let _guard = session_lock();
+        let _guard = exclusive();
         let clock = Arc::new(TestClock::new());
         start_with_clock(clock.clone(), 64);
         {
@@ -230,7 +229,7 @@ mod tests {
 
     #[test]
     fn disabled_builder_is_inert() {
-        let _guard = session_lock();
+        let _guard = exclusive();
         let _ = finish();
         let span_guard = span(Label::intern("span.disabled")).fault("nope").start();
         drop(span_guard);
@@ -240,7 +239,7 @@ mod tests {
 
     #[test]
     fn guard_outliving_its_session_stays_silent() {
-        let _guard = session_lock();
+        let _guard = exclusive();
         let clock = Arc::new(TestClock::new());
         start_with_clock(clock.clone(), 64);
         let open = span(Label::intern("span.stale")).start();

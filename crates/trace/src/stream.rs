@@ -445,10 +445,9 @@ mod tests {
     use super::*;
     use crate::chrome::{from_chrome_json, to_chrome_json};
     use crate::clock::TestClock;
-    use crate::collector::{finish, start_with_clock, sweep};
+    use crate::collector::{exclusive, finish, start_with_clock, sweep};
     use crate::event::Label;
     use crate::span::span;
-    use crate::test_lock::session_lock;
     use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -459,7 +458,7 @@ mod tests {
 
     #[test]
     fn sweep_holds_back_open_spans_until_they_close() {
-        let _guard = session_lock();
+        let _guard = exclusive();
         let clock = Arc::new(TestClock::new());
         start_with_clock(clock.clone(), 256);
         let outer = Label::intern("stream.outer");
@@ -541,7 +540,7 @@ mod tests {
 
     #[test]
     fn stitched_segments_equal_single_file_import() {
-        let _guard = session_lock();
+        let _guard = exclusive();
         let dir = temp_dir("stitch");
 
         // Reference: the identical workload drained once into one file.
@@ -589,7 +588,7 @@ mod tests {
 
     #[test]
     fn rotation_prunes_oldest_but_never_tears_a_segment() {
-        let _guard = session_lock();
+        let _guard = exclusive();
         let dir = temp_dir("prune");
         let clock = Arc::new(TestClock::new());
         start_with_clock(clock.clone(), 4096);
@@ -645,7 +644,7 @@ mod tests {
 
     #[test]
     fn shard_labeled_segments_merge_with_clock_normalization() {
-        let _guard = session_lock();
+        let _guard = exclusive();
         let dir = temp_dir("shards");
         // Deliberately above f64's 53-bit mantissa to exercise hex ids.
         let trace_id = 0xffff_ffff_ffff_fff7_u64;
@@ -733,7 +732,7 @@ mod tests {
 
     #[test]
     fn drainer_thread_sweeps_and_finalizes_on_drop() {
-        let _guard = session_lock();
+        let _guard = exclusive();
         let dir = temp_dir("drainer");
         crate::collector::start();
         {

@@ -241,7 +241,10 @@ mod tests {
         let mut net = TrainNet::new(Shape3::new(3, 32, 32), &detector_specs(2), 1).unwrap();
         let loss = DetectionLoss::new(2, (0.4, 0.4));
         let data = small_dataset(4);
-        tincy_trace::start();
+        // Sibling tests run `train` on parallel threads; only this
+        // thread's spans belong to the trace under test.
+        let _claim = tincy_trace::exclusive();
+        tincy_trace::start_local();
         train(
             &mut net,
             &loss,

@@ -1,134 +1,26 @@
 //! `tincy` — a darknet-style command-line front end for the reproduction.
 //!
 //! ```text
-//! tincy ops <network.cfg>      per-layer operation accounting for a config
-//! tincy tables                 Tables I & II summary
-//! tincy ladder                 the §III/§IV speedup ladder
-//! tincy demo [frames [workers [input]]] [--frames N] [--fault-seed N]
-//!            [--outage START:LEN] [--metrics-json PATH] [--trace-out PATH]
-//!            [--kernel-plan PATH]
-//!                              run the pipelined live-detection demo,
-//!                              optionally with deterministic accelerator
-//!                              faults (retried/CPU-fallback transparently);
-//!                              with --kernel-plan, write the startup
-//!                              autotuner's packed-kernel plan (layer shape
-//!                              -> chosen variant) as JSON
-//! tincy serve [requests [clients [input]]] [serve flags]
-//!                              run the inference server under a built-in
-//!                              deterministic client load, print the serving
-//!                              report (micro-batching, SLO latencies,
-//!                              backend utilization)
-//! tincy loadgen [requests [clients [input]]] [serve flags] [--smoke]
-//!            [--scrape]
-//!                              client-side view of the same session; with
-//!                              --smoke, assert zero dropped accepted
-//!                              requests, per-client ordering and engaged
-//!                              micro-batching; with --scrape, hit the
-//!                              --status-addr endpoint mid-session and
-//!                              assert the scraped counters are monotonic
-//!                              and match the final report (nonzero exit
-//!                              on violation)
-//! tincy fleet [clients [requests [input]]] [fleet flags] [--smoke]
-//!            [--scrape] [--slo-smoke]
-//!                              run N in-process serve shards behind a
-//!                              least-loaded or consistent-hash router under
-//!                              a deterministic multi-client load; faulted
-//!                              shards are drained and re-admitted on
-//!                              recovery; with --smoke, assert zero lost
-//!                              responses, per-client ordering and (when a
-//!                              shard is faulted) a drain + re-admit cycle;
-//!                              with --scrape, hit the fleet --status-addr
-//!                              mid-session and assert the aggregated
-//!                              per-shard series are present and monotonic;
-//!                              with --trace-dir, record every request's
-//!                              distributed trace (router admission mints
-//!                              the id, every shard hop stamps it) and,
-//!                              under --smoke, verify the stitched
-//!                              timeline's per-request journeys — a
-//!                              failed-over request must show its spans on
-//!                              both shards under one trace id; with
-//!                              --slo-smoke, run a twitchy error-budget
-//!                              policy and assert a burn-rate alert fires
-//!                              during the injected fault and clears after
-//!                              re-admission
-//! tincy trace-report [--check] [--threshold PCT] [--by-request]
-//!            <trace.json | segments-dir>
-//!                              profile a Chrome-trace file captured with
-//!                              --trace-out, or a --trace-dir segment
-//!                              directory (stitched back into one
-//!                              timeline): per-span statistics plus the
-//!                              modeled-vs-observed stage table diffed
-//!                              against the Table III budget; with --check,
-//!                              fail on malformed span nesting or drops;
-//!                              with --by-request, group events by
-//!                              distributed trace id and print each
-//!                              request's journey (admit → route →
-//!                              [failover…] → serve → deliver) with
-//!                              Table-III-style stage attribution —
-//!                              combined with --check, fail unless every
-//!                              delivered request has causally ordered
-//!                              admit→deliver coverage
-//! tincy calibrate [--threshold PCT] <trace.json | segments-dir>
-//!                              build a *measured* stage budget from a
-//!                              traced run (the inverse of trace-report's
-//!                              diff), verify it reproduces the observed
-//!                              stage means within the threshold (default
-//!                              1%), and print the predicted pipelined fps
-//!                              next to the paper's
-//! tincy explore [--pe MIN:MAX] [--simd MIN:MAX] [--budget LUT:BRAM:DSP]
-//!               [--frontier-out PATH] [--check]
-//!                              sweep the design space (topology-edit
-//!                              subsets × hidden bit-widths × engine
-//!                              folds), prune infeasible points against
-//!                              the XCZU3EG resource model, and print the
-//!                              Pareto frontier over (fps, accuracy proxy,
-//!                              utilization) with the paper's shipped
-//!                              16×16 `[W1A3]` design marked; with
-//!                              --frontier-out, also write the frontier as
-//!                              JSON; with --check, fail unless the paper
-//!                              point is feasible, reproduces the ladder's
-//!                              pipelined fps, sits on the frontier, and
-//!                              the sweep is deterministic
-//!
-//! fleet flags: --shards N  --policy least-loaded|hash
-//!              --pattern closed|uniform:GAP_US|diurnal:BASE_US:PERIOD_MS:RATIO
-//!                        |flash:BASE_US:AT_MS:WIDTH_MS:FACTOR
-//!              --workers N (driver threads)  --seed N
-//!              --fault-shard I (targets following --fault-seed/--outage)
-//!              --fault-seed N  --outage START:LEN
-//!              --health-every MS  --readmit-streak K  --vnodes N
-//!              --cpu-workers N  --max-batch N  --queue N  --per-client N
-//!              --engage-depth N  --status-addr HOST:PORT
-//!              --metrics-json PATH  --trace-dir DIR  --segment-events N
-//!              --exemplars (attach worst-observation trace-id exemplars
-//!              to the latency histogram buckets on /metrics)
-//!
-//! serve flags: --mode closed|open:MICROS|burst  --cpu-workers N
-//!              --max-batch N  --queue N  --per-client N  --engage-depth N
-//!              --fault-seed N  --outage START:LEN  --metrics-json PATH
-//!              --kernel-plan PATH  --trace-out PATH  --trace-dir DIR
-//!              --segment-events N  --status-addr HOST:PORT
-//!              --recalibrate-every MS  --drift-threshold PCT
-//!              --variants FRONTIER.json  --variant-smoke
-//!
-//! `--variants FRONTIER.json` hosts every servable design point from an
-//! `explore --frontier-out` dump as a quantization-variant ladder in one
-//! serve process: tight SLO classes are pinned to the cheap/fast rung,
-//! best-effort to the most accurate, and sustained drift or SLO burn
-//! shifts traffic down the ladder (back up after a clean streak).
-//! `--variant-smoke` asserts the multi-variant conservation invariants
-//! after the run.
-//!
-//! `--recalibrate-every MS` (requires `--trace-dir`) tails the streaming
-//! trace segments with a rolling calibrator: windowed measured stage
-//! budgets (EWMA), `tincy_calibration_drift` gauges on `/metrics`, and a
-//! drift alert (log line, `/healthz` degraded, alert counter) when any
-//! stage diverges from its reference by more than `--drift-threshold PCT`
-//! (default 50).
+//! tincy ops <network.cfg>   per-layer operation accounting for a config
+//! tincy tables              Tables I & II summary
+//! tincy ladder              the §III/§IV speedup ladder
+//! tincy demo                the pipelined live-detection demo
+//! tincy serve               the inference server under a built-in load
+//! tincy loadgen             the client-side view of the same session
+//! tincy fleet               N serve shards behind a router under load
+//! tincy trace-report        profile a captured trace or segment directory
+//! tincy calibrate           measured stage budget from a traced run
+//! tincy explore             design-space sweep and Pareto frontier
 //! ```
+//!
+//! `tincy <cmd> --help` prints a command's positionals and every flag it
+//! accepts, from the one table ([`FLAGS`]) the parser itself reads.
 
+use std::error::Error;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Duration;
 use tincy::core::demo::{run_demo, DemoConfig};
 use tincy::core::topology::{cnv6, mlp4, tincy_yolo, tiny_yolo};
 use tincy::core::SystemConfig;
@@ -138,41 +30,241 @@ use tincy::perf::{
     measured_budget, model_diff, pipelined_fps, speedup_ladder, PipelineModel, RollingConfig,
     StageBudget, StageId,
 };
+use tincy::serve::smoke::{
+    check_fleet_scrape, check_fleet_trace, check_scrape, check_slo_smoke, check_smoke,
+    check_variant_smoke, scrape,
+};
 use tincy::serve::{
-    json, run_fleet_loadgen_observed, run_loadgen_observed, ArrivalPattern, DriftHandle,
-    DriftMonitor, Fleet, FleetConfig, FleetLoadConfig, FleetLoadReport, LoadMode, LoadgenConfig,
-    LoadgenReport, RoutePolicy, SegmentCalibrator, ServeConfig, ServeReport,
+    json, run_load, ArrivalPattern, DriftHandle, DriftMonitor, Fleet, FleetConfig, FleetReport,
+    InferenceServer, LoadConfig, LoadReport, SegmentCalibrator, ServeConfig, ServeReport,
+    ServeVariant, VariantLadder,
 };
-use tincy::telemetry::{
-    check_histogram_series, parse_prometheus, HttpClient, PromSample, SloPolicy,
-};
+use tincy::telemetry::{PromSample, SloPolicy};
 use tincy::trace::{stitch_segments, DrainConfig, TraceDrainer};
 use tincy::video::SceneConfig;
 
+type CliResult<T = ()> = Result<T, Box<dyn Error>>;
+
+/// The subcommands that take flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cmd {
+    Demo,
+    Serve,
+    Loadgen,
+    Fleet,
+    TraceReport,
+    Calibrate,
+    Explore,
+}
+
+/// One row per [`Cmd`]: its name, positional synopsis, how many
+/// positionals it accepts, and what it does.
+#[rustfmt::skip]
+static CMDS: &[(Cmd, &str, &str, usize, &str)] = &[
+    (Cmd::Demo, "demo", "[frames [workers [input]]]", 3,
+        "the pipelined live-detection demo, optionally under accelerator faults"),
+    (Cmd::Serve, "serve", "[requests [clients [input]]]", 3,
+        "the inference server under a deterministic client load: the serving report"),
+    (Cmd::Loadgen, "loadgen", "[requests [clients [input]]]", 3,
+        "the same session as `serve`, reported from the clients' side"),
+    (Cmd::Fleet, "fleet", "[clients [requests [input]]]", 3,
+        "N serve shards behind a router; faulted shards are drained and re-admitted"),
+    (Cmd::TraceReport, "trace-report", "<trace.json | segments-dir>", 1,
+        "span statistics and the stage table of a trace, diffed against Table III"),
+    (Cmd::Calibrate, "calibrate", "<trace.json | segments-dir>", 1,
+        "a measured stage budget from a traced run, and the fps it predicts"),
+    (Cmd::Explore, "explore", "", 0,
+        "design-space sweep against the XCZU3EG model: the Pareto frontier"),
+];
+
+/// One row of the flag table: the flag, the placeholder of the value it
+/// takes (empty for a switch), the subcommands that accept it, one help
+/// line.
+struct Flag(&'static str, &'static str, &'static [Cmd], &'static str);
+
+const DEMO: &[Cmd] = &[Cmd::Demo];
+const SERVE: &[Cmd] = &[Cmd::Serve, Cmd::Loadgen];
+const FLEET: &[Cmd] = &[Cmd::Fleet];
+const LOAD: &[Cmd] = &[Cmd::Serve, Cmd::Loadgen, Cmd::Fleet];
+const LOCAL: &[Cmd] = &[Cmd::Demo, Cmd::Serve, Cmd::Loadgen];
+const RUN: &[Cmd] = &[Cmd::Demo, Cmd::Serve, Cmd::Loadgen, Cmd::Fleet];
+const REPORT: &[Cmd] = &[Cmd::TraceReport];
+const BUDGET: &[Cmd] = &[Cmd::TraceReport, Cmd::Calibrate];
+const EXPLORE: &[Cmd] = &[Cmd::Explore];
+const CHECKED: &[Cmd] = &[Cmd::TraceReport, Cmd::Explore];
+
+/// Every flag of every subcommand: the parser accepts exactly these, and
+/// `--help` prints them.
+#[rustfmt::skip]
+static FLAGS: &[Flag] = &[
+    Flag("--frames", "N", DEMO, "frame count (overrides the positional)"),
+    Flag("--fault-shard", "I", FLEET, "shard the following --fault-seed/--outage apply to"),
+    Flag("--fault-seed", "N", RUN, "seeded random accelerator faults"),
+    Flag("--outage", "START:LEN", RUN, "hard outage over fabric invocations START..START+LEN"),
+    Flag("--metrics-json", "PATH", RUN, "write the run's metrics as JSON"),
+    Flag("--kernel-plan", "PATH", LOCAL, "write the autotuner's packed-kernel plan as JSON"),
+    Flag("--trace-out", "PATH", LOCAL, "write a Chrome trace of the run (not with --trace-dir)"),
+    Flag("--trace-dir", "DIR", RUN, "stream rotating trace segments into DIR"),
+    Flag("--segment-events", "N", RUN, "events per trace segment (default 512)"),
+    Flag("--mode", "PATTERN", SERVE, "closed | open:GAP_US | burst (default); see fleet --pattern"),
+    Flag("--pattern", "PATTERN", FLEET, "closed | burst | uniform:GAP_US | diurnal:BASE_US:PERIOD_MS:RATIO | flash:BASE_US:AT_MS:WIDTH_MS:FACTOR"),
+    Flag("--workers", "N", FLEET, "load-driver threads the clients are partitioned across"),
+    Flag("--seed", "N", FLEET, "base seed of the cameras and the arrival schedule"),
+    Flag("--shards", "N", FLEET, "serve shards"),
+    Flag("--policy", "NAME", FLEET, "least-loaded | hash"),
+    Flag("--health-every", "MS", FLEET, "health-monitor poll cadence"),
+    Flag("--readmit-streak", "K", FLEET, "clean canary probes that re-admit a drained shard"),
+    Flag("--vnodes", "N", FLEET, "virtual nodes per shard on the hash ring"),
+    Flag("--cpu-workers", "N", LOAD, "host workers (per shard)"),
+    Flag("--max-batch", "N", LOAD, "largest FINN micro-batch"),
+    Flag("--queue", "N", LOAD, "pending-queue bound (per shard)"),
+    Flag("--per-client", "N", LOAD, "outstanding-request quota per client"),
+    Flag("--engage-depth", "N", LOAD, "queue depth at which host workers engage"),
+    Flag("--status-addr", "HOST:PORT", LOAD, "serve /metrics, /metrics.json, /report, /healthz"),
+    Flag("--recalibrate-every", "MS", SERVE, "tail --trace-dir into the rolling drift calibrator"),
+    Flag("--drift-threshold", "PCT", SERVE, "stage divergence that raises the drift alert (50)"),
+    Flag("--variants", "FRONTIER.json", SERVE, "host an `explore --frontier-out` dump as a variant ladder"),
+    Flag("--variant-smoke", "", SERVE, "fail unless every rung conserves admissions and completions"),
+    Flag("--smoke", "", LOAD, "fail on loss, reordering, no micro-batch (serve) or no drain + re-admit (fleet)"),
+    Flag("--scrape", "", LOAD, "scrape the status endpoint mid-session and hold it to the final report"),
+    Flag("--slo-smoke", "", FLEET, "fail unless a burn-rate alert fires in the fault and clears after"),
+    Flag("--exemplars", "", FLEET, "attach trace-id exemplars to the latency buckets"),
+    Flag("--check", "", CHECKED, "fail on a malformed trace / a frontier without the paper point"),
+    Flag("--by-request", "", REPORT, "group events by trace id and print each request's journey"),
+    Flag("--threshold", "PCT", BUDGET, "deviation that flags a stage (trace-report 25, calibrate 1)"),
+    Flag("--pe", "MIN:MAX", EXPLORE, "PE fold bounds"),
+    Flag("--simd", "MIN:MAX", EXPLORE, "SIMD fold bounds"),
+    Flag("--budget", "LUT:BRAM:DSP", EXPLORE, "resource budget (default XCZU3EG)"),
+    Flag("--frontier-out", "PATH", EXPLORE, "write the frontier as JSON"),
+];
+
+/// One parsed command line: flag occurrences in order, and positionals.
+#[derive(Debug)]
+struct Args {
+    flags: Vec<(&'static str, String)>,
+    positional: Vec<String>,
+}
+
+impl Args {
+    /// Splits `args` against the table: every `-…` word must be a flag
+    /// `cmd` accepts, followed by its value unless it is a switch.
+    fn parse(cmd: Cmd, args: &[String]) -> Result<Self, String> {
+        let mut parsed = Args {
+            flags: Vec::new(),
+            positional: Vec::new(),
+        };
+        let mut iter = args.iter();
+        while let Some(arg) = iter.next() {
+            if !arg.starts_with('-') {
+                parsed.positional.push(arg.clone());
+                continue;
+            }
+            let &Flag(name, placeholder, ..) = FLAGS
+                .iter()
+                .find(|f| f.0 == arg && f.2.contains(&cmd))
+                .ok_or_else(|| format!("unknown flag {arg}"))?;
+            let value = match placeholder {
+                "" => String::new(),
+                _ => iter
+                    .next()
+                    .ok_or_else(|| format!("{arg} requires {placeholder}"))?
+                    .clone(),
+            };
+            parsed.flags.push((name, value));
+        }
+        let accepted = CMDS.iter().find(|row| row.0 == cmd).map_or(0, |row| row.3);
+        if let Some(extra) = parsed.positional.get(accepted) {
+            return Err(format!("unexpected argument {extra:?}"));
+        }
+        Ok(parsed)
+    }
+
+    /// The value of the last occurrence of `name` (empty for a switch).
+    fn text(&self, name: &str) -> Option<&str> {
+        debug_assert!(FLAGS.iter().any(|f| f.0 == name), "{name} not in FLAGS");
+        let (_, value) = self.flags.iter().rev().find(|(flag, _)| *flag == name)?;
+        Some(value)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.text(name).is_some()
+    }
+
+    fn get<T: FromStr<Err: std::fmt::Display>>(&self, name: &str) -> Result<Option<T>, String> {
+        self.text(name).map(|v| parse_as(name, v)).transpose()
+    }
+
+    /// Overwrites `slot` when `name` was given.
+    fn set<T: FromStr<Err: std::fmt::Display>>(
+        &self,
+        name: &str,
+        slot: &mut T,
+    ) -> Result<(), String> {
+        if let Some(value) = self.get(name)? {
+            *slot = value;
+        }
+        Ok(())
+    }
+
+    /// Positional `index`, or `default` when absent.
+    fn pos<T: FromStr<Err: std::fmt::Display>>(
+        &self,
+        index: usize,
+        what: &str,
+        default: T,
+    ) -> Result<T, String> {
+        self.positional
+            .get(index)
+            .map_or(Ok(default), |v| parse_as(what, v))
+    }
+}
+
+fn parse_as<T: FromStr<Err: std::fmt::Display>>(what: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|e| format!("{what} {value}: {e}"))
+}
+
+fn usage(&(cmd, name, synopsis, _, about): &(Cmd, &str, &str, usize, &str)) -> String {
+    let mut out = format!("usage: tincy {name} {synopsis} [flags]\n\n{about}\n\nflags:\n");
+    for Flag(flag, placeholder, cmds, help) in FLAGS {
+        if cmds.contains(&cmd) {
+            out += &format!("  {:<30} {help}\n", format!("{flag} {placeholder}"));
+        }
+    }
+    out
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("ops") => cmd_ops(args.get(1).map(String::as_str)),
-        Some("tables") => {
-            cmd_tables();
+    let (name, rest) = args.split_first().map_or(("", &[][..]), |(n, r)| (n, r));
+    let result = match (name, CMDS.iter().find(|row| row.1 == name)) {
+        ("ops", _) => cmd_ops(rest.first().map(String::as_str)),
+        ("tables", _) => cmd_tables(),
+        ("ladder", _) => cmd_ladder(),
+        (_, Some(row)) if rest.iter().any(|a| a == "--help" || a == "-h") => {
+            print!("{}", usage(row));
             Ok(())
         }
-        Some("ladder") => {
-            cmd_ladder();
-            Ok(())
+        (_, Some(&(cmd, ..))) => {
+            Args::parse(cmd, rest)
+                .map_err(Into::into)
+                .and_then(|args| match cmd {
+                    Cmd::Demo => cmd_demo(&args),
+                    Cmd::Serve => cmd_serve(&args, false),
+                    Cmd::Loadgen => cmd_serve(&args, true),
+                    Cmd::Fleet => cmd_fleet(&args),
+                    Cmd::TraceReport => cmd_trace_report(&args),
+                    Cmd::Calibrate => cmd_calibrate(&args),
+                    Cmd::Explore => cmd_explore(&args),
+                })
         }
-        Some("demo") => cmd_demo(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..], false),
-        Some("loadgen") => cmd_serve(&args[1..], true),
-        Some("fleet") => cmd_fleet(&args[1..]),
-        Some("trace-report") => cmd_trace_report(&args[1..]),
-        Some("calibrate") => cmd_calibrate(&args[1..]),
-        Some("explore") => cmd_explore(&args[1..]),
         _ => {
-            eprintln!(
-                "usage: tincy <ops <cfg>|tables|ladder|demo|serve|loadgen|fleet|trace-report|calibrate|explore> \
-                 (see --help text at the top of src/bin/tincy.rs)"
-            );
+            eprintln!("usage: tincy <command> [--help]\n");
+            eprintln!("  ops <network.cfg>   per-layer operation accounting for a config");
+            eprintln!("  tables              Tables I & II summary");
+            eprintln!("  ladder              the §III/§IV speedup ladder");
+            for (_, name, _, _, about) in CMDS {
+                eprintln!("  {name:<19} {about}");
+            }
             return ExitCode::FAILURE;
         }
     };
@@ -185,7 +277,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn cmd_ops(path: Option<&str>) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_ops(path: Option<&str>) -> CliResult {
     let path = path.ok_or("ops requires a cfg file path")?;
     let text = std::fs::read_to_string(path)?;
     let spec = parse_cfg(&text)?;
@@ -211,7 +303,7 @@ fn cmd_ops(path: Option<&str>) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_tables() {
+fn cmd_tables() -> CliResult {
     let tiny = tiny_yolo();
     let tincy = tincy_yolo();
     println!(
@@ -226,113 +318,169 @@ fn cmd_tables() {
             reduced, eight
         );
     }
+    Ok(())
 }
 
-fn cmd_ladder() {
+fn cmd_ladder() -> CliResult {
     for step in speedup_ladder() {
         println!("[{}] {:<58} {:>8.2} fps", step.section, step.name, step.fps);
     }
+    Ok(())
 }
 
-/// Parses `--fault-seed` / `--outage` into a fault plan, mutating in place.
-fn parse_fault_flag(
-    flag: &str,
-    iter: &mut std::slice::Iter<'_, String>,
-    fault_plan: &mut FaultPlan,
-) -> Result<bool, Box<dyn std::error::Error>> {
-    match flag {
-        "--fault-seed" => {
-            let seed: u64 = iter
-                .next()
-                .ok_or("--fault-seed requires a value")?
-                .parse()
-                .map_err(|e| format!("--fault-seed: {e}"))?;
-            *fault_plan = FaultPlan {
-                outage: fault_plan.outage,
-                ..FaultPlan::from_seed(seed)
-            };
-            Ok(true)
+/// Folds `--fault-seed` / `--outage` occurrences into fault plans, one per
+/// shard: each applies to the shard named by the latest `--fault-shard`
+/// before it (shard 0 without one — the only shard `demo` and `serve`
+/// have). Always yields a plan for shard 0.
+fn fault_plans(args: &Args, shards: usize) -> Result<Vec<FaultPlan>, String> {
+    let mut plans = vec![FaultPlan::none()];
+    let mut shard = 0usize;
+    for (name, value) in &args.flags {
+        match *name {
+            "--fault-shard" => {
+                shard = parse_as(name, value)?;
+                if shard >= shards {
+                    return Err(format!("{name} {shard}: the fleet has {shards} shards"));
+                }
+                if plans.len() <= shard {
+                    plans.resize_with(shard + 1, FaultPlan::none);
+                }
+            }
+            "--fault-seed" => {
+                plans[shard] = FaultPlan {
+                    outage: plans[shard].outage,
+                    ..FaultPlan::from_seed(parse_as(name, value)?)
+                };
+            }
+            "--outage" => {
+                let (start, len) = value
+                    .split_once(':')
+                    .ok_or_else(|| format!("{name} {value}: expected START:LEN"))?;
+                let window = FaultPlan::outage(parse_as(name, start)?, parse_as(name, len)?)
+                    .outage
+                    .expect("outage constructor sets the window");
+                plans[shard] = plans[shard].with_outage(window);
+            }
+            _ => {}
         }
-        "--outage" => {
-            let value = iter.next().ok_or("--outage requires START:LEN")?;
-            let (start, len) = value.split_once(':').ok_or("--outage expects START:LEN")?;
-            let parse = |s: &str| {
-                s.parse::<u64>()
-                    .map_err(|e| format!("--outage {value}: {e}"))
-            };
-            let window = FaultPlan::outage(parse(start)?, parse(len)?)
-                .outage
-                .expect("outage constructor sets the window");
-            *fault_plan = fault_plan.with_outage(window);
-            Ok(true)
+    }
+    Ok(plans)
+}
+
+/// The `--trace-out` / `--trace-dir` / `--segment-events` family: starts
+/// the session (and the streaming drainer), and closes both out.
+struct TraceSession<'a> {
+    out: Option<&'a str>,
+    dir: Option<&'a str>,
+    drainer: Option<TraceDrainer>,
+}
+
+impl<'a> TraceSession<'a> {
+    fn start(args: &'a Args) -> CliResult<Self> {
+        let (out, dir) = (args.text("--trace-out"), args.text("--trace-dir"));
+        let max_segment_events = args.get("--segment-events")?.unwrap_or(512);
+        if out.is_some() && dir.is_some() {
+            return Err("--trace-out and --trace-dir are mutually exclusive \
+                        (streaming sweeps would leave the final trace empty)"
+                .into());
         }
-        _ => Ok(false),
+        if out.is_some() || dir.is_some() {
+            tincy::trace::start();
+        }
+        let config = DrainConfig {
+            max_segment_events,
+            ..DrainConfig::default()
+        };
+        let drainer = dir
+            .map(|dir| TraceDrainer::spawn(dir, config))
+            .transpose()?;
+        Ok(Self { out, dir, drainer })
+    }
+
+    /// Flushes the segments or writes the Chrome trace, and prints the
+    /// summary line.
+    fn finish(self) -> CliResult {
+        if let (Some(drainer), Some(dir)) = (self.drainer, self.dir) {
+            let summary = drainer.finalize()?;
+            // The sweeps consumed the session; close it out.
+            let _ = tincy::trace::finish();
+            println!(
+                "trace segments written to {dir} ({} segments, {} events, {} dropped, {} pruned)",
+                summary.segments, summary.events, summary.dropped, summary.pruned
+            );
+        }
+        if let Some(path) = self.out {
+            let trace = tincy::trace::finish();
+            std::fs::write(path, tincy::trace::to_chrome_json(&trace))?;
+            println!(
+                "trace written to {path} ({} events on {} threads, {} dropped)",
+                trace.events.len(),
+                trace.threads,
+                trace.dropped
+            );
+        }
+        Ok(())
     }
 }
 
-fn cmd_demo(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    // Split flags from positional arguments.
-    let mut positional = Vec::new();
-    let mut fault_plan = FaultPlan::none();
-    let mut metrics_json: Option<String> = None;
-    let mut kernel_plan: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut trace_dir: Option<String> = None;
-    let mut segment_events: Option<usize> = None;
-    let mut frames_flag: Option<u64> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if parse_fault_flag(arg, &mut iter, &mut fault_plan)? {
-            continue;
-        }
-        match arg.as_str() {
-            "--metrics-json" => {
-                metrics_json = Some(iter.next().ok_or("--metrics-json requires a path")?.clone());
-            }
-            "--kernel-plan" => {
-                kernel_plan = Some(iter.next().ok_or("--kernel-plan requires a path")?.clone());
-            }
-            "--trace-out" => {
-                trace_out = Some(iter.next().ok_or("--trace-out requires a path")?.clone());
-            }
-            "--trace-dir" => {
-                trace_dir = Some(
-                    iter.next()
-                        .ok_or("--trace-dir requires a directory")?
-                        .clone(),
-                );
-            }
-            "--segment-events" => {
-                segment_events = Some(
-                    iter.next()
-                        .ok_or("--segment-events requires a count")?
-                        .parse()
-                        .map_err(|e| format!("--segment-events: {e}"))?,
-                );
-            }
-            "--frames" => {
-                frames_flag = Some(
-                    iter.next()
-                        .ok_or("--frames requires a count")?
-                        .parse()
-                        .map_err(|e| format!("--frames: {e}"))?,
-                );
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag {other}").into());
-            }
-            other => positional.push(other.to_owned()),
-        }
+/// Writes `--metrics-json` and `--kernel-plan` (the autotuner's registry:
+/// every layer shape tuned this process, with the chosen packed-kernel
+/// variant) when asked to.
+fn write_artifacts(args: &Args, metrics: impl FnOnce() -> String) -> CliResult {
+    if let Some(path) = args.text("--metrics-json") {
+        std::fs::write(path, metrics())?;
+        println!("metrics written to {path}");
     }
-    if positional.len() > 3 {
-        return Err(format!("unexpected argument {:?}", positional[3]).into());
+    if let Some(path) = args.text("--kernel-plan") {
+        std::fs::write(path, tincy::kernels::registry_json())?;
+        println!("kernel plan written to {path}");
     }
-    let frames: u64 = match frames_flag {
+    Ok(())
+}
+
+/// Applies the scheduler flags `serve` and `fleet` share to one server's
+/// (or every shard's) configuration.
+fn tune(args: &Args, config: &mut ServeConfig, input: usize) -> Result<(), String> {
+    args.set("--cpu-workers", &mut config.cpu_workers)?;
+    args.set("--max-batch", &mut config.max_batch)?;
+    args.set("--queue", &mut config.queue_capacity)?;
+    args.set("--per-client", &mut config.per_client_capacity)?;
+    args.set("--engage-depth", &mut config.cpu_engage_depth)?;
+    config.system.input_size = input;
+    config.score_threshold = 0.02;
+    Ok(())
+}
+
+/// Where `--scrape` / `--slo-smoke` find the endpoint: the given
+/// `--status-addr`, or an ephemeral port when a check needs one.
+fn status_addr(args: &Args, needed: bool) -> Option<String> {
+    let given = args.text("--status-addr").map(str::to_owned);
+    given.or_else(|| needed.then(|| "127.0.0.1:0".to_owned()))
+}
+
+/// The `--scrape` passes against a live endpoint, from `run_load`'s
+/// observation point.
+fn observed_scrape(
+    addr: Option<std::net::SocketAddr>,
+    passes: usize,
+) -> Result<Vec<PromSample>, String> {
+    let addr = addr.ok_or("scrape requires --status-addr (the target has no endpoint)")?;
+    let samples = scrape(addr, passes)?;
+    println!(
+        "scrape: {} samples from {addr}, counters monotonic across {passes} keep-alive passes",
+        samples.len()
+    );
+    Ok(samples)
+}
+
+fn cmd_demo(args: &Args) -> CliResult {
+    let frames: u64 = match args.get("--frames")? {
         Some(n) => n,
-        None => positional.first().map_or(Ok(16), |s| s.parse())?,
+        None => args.pos(0, "frames", 16)?,
     };
-    let workers: usize = positional.get(1).map_or(Ok(4), |s| s.parse())?;
-    let input: usize = positional.get(2).map_or(Ok(96), |s| s.parse())?;
+    let workers: usize = args.pos(1, "workers", 4)?;
+    let input: usize = args.pos(2, "input", 96)?;
+    let fault_plan = fault_plans(args, 1)?[0];
     let config = DemoConfig {
         frames,
         system: SystemConfig {
@@ -344,41 +492,9 @@ fn cmd_demo(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         score_threshold: 0.02,
         scene: SceneConfig::default(),
     };
-    if trace_out.is_some() && trace_dir.is_some() {
-        return Err("--trace-out and --trace-dir are mutually exclusive \
-                    (streaming sweeps would leave the final trace empty)"
-            .into());
-    }
-    if trace_out.is_some() || trace_dir.is_some() {
-        tincy::trace::start();
-    }
-    let drainer = match &trace_dir {
-        Some(dir) => Some(TraceDrainer::spawn(
-            dir,
-            DrainConfig {
-                max_segment_events: segment_events.unwrap_or(512),
-                ..DrainConfig::default()
-            },
-        )?),
-        None => None,
-    };
+    let trace = TraceSession::start(args)?;
     let report = run_demo(&config)?;
-    if let Some(drainer) = drainer {
-        let summary = drainer.finalize()?;
-        // The sweeps consumed the session; close it out.
-        let _ = tincy::trace::finish();
-        println!(
-            "trace segments written to {} ({} segments, {} events, {} dropped, {} pruned)",
-            trace_dir.as_deref().unwrap_or("?"),
-            summary.segments,
-            summary.events,
-            summary.dropped,
-            summary.pruned
-        );
-    }
-    if let Some(path) = &trace_out {
-        write_trace(path)?;
-    }
+    trace.finish()?;
     println!(
         "{} frames at {:.2} fps ({} workers, {}x{} input), in order: {}, {} detections",
         report.metrics.frames,
@@ -398,244 +514,79 @@ fn cmd_demo(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             report.metrics.degraded
         );
     }
-    if let Some(path) = metrics_json {
-        std::fs::write(
-            &path,
-            json::demo_metrics_json(&report.metrics, &report.offload),
-        )?;
-        println!("metrics written to {path}");
-    }
-    if let Some(path) = &kernel_plan {
-        write_kernel_plan(path)?;
-    }
-    Ok(())
+    write_artifacts(args, || {
+        json::demo_metrics_json(&report.metrics, &report.offload)
+    })
 }
 
-/// Writes the autotuner's kernel-plan registry (every layer shape tuned
-/// this process, with the chosen packed-kernel variant) as JSON.
-fn write_kernel_plan(path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    std::fs::write(path, tincy::kernels::registry_json())?;
-    println!("kernel plan written to {path}");
-    Ok(())
+/// Builds the `--variants` ladder from an `explore --frontier-out` dump.
+fn variant_ladder(path: &str, input: usize) -> Result<VariantLadder, String> {
+    let named = |e: &dyn std::fmt::Display| format!("--variants {path}: {e}");
+    let json = std::fs::read_to_string(path).map_err(|e| named(&e))?;
+    let frontier = tincy::explore::servable_variants(&json).map_err(|e| named(&e))?;
+    let rungs = frontier.iter().map(|fv| ServeVariant {
+        name: fv.id.clone(),
+        model: fv.model_at(input),
+        accuracy: fv.accuracy,
+    });
+    let ladder = VariantLadder::new(rungs.collect()).map_err(|e| named(&e))?;
+    println!(
+        "variant ladder ({} rungs, cheapest first): {}",
+        ladder.len(),
+        ladder.names().join(" < ")
+    );
+    Ok(ladder)
 }
 
 /// Shared implementation of `tincy serve` (server-side view) and
-/// `tincy loadgen` (client-side view + smoke assertions).
-fn cmd_serve(args: &[String], client_view: bool) -> Result<(), Box<dyn std::error::Error>> {
-    let mut positional = Vec::new();
-    let mut fault_plan = FaultPlan::none();
-    let mut metrics_json: Option<String> = None;
-    let mut kernel_plan: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut trace_dir: Option<String> = None;
-    let mut segment_events: Option<usize> = None;
-    let mut mode = LoadMode::Burst;
-    let mut smoke = false;
-    let mut scrape = false;
-    let mut variants_path: Option<String> = None;
-    let mut variant_smoke = false;
-    let mut recalibrate_every: Option<u64> = None;
-    let mut drift_threshold: Option<f64> = None;
-    let mut serve_config = ServeConfig::default();
-    let mut iter = args.iter();
-    let next_usize = |iter: &mut std::slice::Iter<'_, String>,
-                      flag: &str|
-     -> Result<usize, Box<dyn std::error::Error>> {
-        Ok(iter
-            .next()
-            .ok_or_else(|| format!("{flag} requires a value"))?
-            .parse()
-            .map_err(|e| format!("{flag}: {e}"))?)
-    };
-    while let Some(arg) = iter.next() {
-        if parse_fault_flag(arg, &mut iter, &mut fault_plan)? {
-            continue;
-        }
-        match arg.as_str() {
-            "--metrics-json" => {
-                metrics_json = Some(iter.next().ok_or("--metrics-json requires a path")?.clone());
-            }
-            "--kernel-plan" => {
-                kernel_plan = Some(iter.next().ok_or("--kernel-plan requires a path")?.clone());
-            }
-            "--trace-out" => {
-                trace_out = Some(iter.next().ok_or("--trace-out requires a path")?.clone());
-            }
-            "--trace-dir" => {
-                trace_dir = Some(
-                    iter.next()
-                        .ok_or("--trace-dir requires a directory")?
-                        .clone(),
-                );
-            }
-            "--segment-events" => {
-                segment_events = Some(next_usize(&mut iter, "--segment-events")?);
-            }
-            "--status-addr" => {
-                serve_config.status_addr = Some(
-                    iter.next()
-                        .ok_or("--status-addr requires HOST:PORT")?
-                        .clone(),
-                );
-            }
-            "--cpu-workers" => serve_config.cpu_workers = next_usize(&mut iter, "--cpu-workers")?,
-            "--max-batch" => serve_config.max_batch = next_usize(&mut iter, "--max-batch")?,
-            "--queue" => serve_config.queue_capacity = next_usize(&mut iter, "--queue")?,
-            "--per-client" => {
-                serve_config.per_client_capacity = next_usize(&mut iter, "--per-client")?;
-            }
-            "--engage-depth" => {
-                serve_config.cpu_engage_depth = next_usize(&mut iter, "--engage-depth")?;
-            }
-            "--mode" => {
-                let value = iter.next().ok_or("--mode requires closed|open:US|burst")?;
-                mode = match value.as_str() {
-                    "closed" => LoadMode::Closed,
-                    "burst" => LoadMode::Burst,
-                    other => match other.strip_prefix("open:") {
-                        Some(us) => LoadMode::Open {
-                            interval: std::time::Duration::from_micros(
-                                us.parse().map_err(|e| format!("--mode {other}: {e}"))?,
-                            ),
-                        },
-                        None => return Err(format!("unknown mode {other}").into()),
-                    },
-                };
-            }
-            "--recalibrate-every" => {
-                recalibrate_every = Some(next_usize(&mut iter, "--recalibrate-every")? as u64);
-            }
-            "--drift-threshold" => {
-                drift_threshold = Some(
-                    iter.next()
-                        .ok_or("--drift-threshold requires a percentage")?
-                        .parse()
-                        .map_err(|e| format!("--drift-threshold: {e}"))?,
-                );
-            }
-            "--variants" => {
-                variants_path = Some(
-                    iter.next()
-                        .ok_or("--variants requires a frontier JSON path")?
-                        .clone(),
-                );
-            }
-            "--variant-smoke" => variant_smoke = true,
-            "--smoke" => smoke = true,
-            "--scrape" => scrape = true,
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag {other}").into());
-            }
-            other => positional.push(other.to_owned()),
-        }
-    }
-    if positional.len() > 3 {
-        return Err(format!("unexpected argument {:?}", positional[3]).into());
-    }
-    let requests: u64 = positional.first().map_or(Ok(8), |s| s.parse())?;
-    let clients: usize = positional.get(1).map_or(Ok(4), |s| s.parse())?;
-    let input: usize = positional.get(2).map_or(Ok(64), |s| s.parse())?;
-    serve_config.system = SystemConfig {
-        input_size: input,
-        fault_plan,
+/// `tincy loadgen` (client-side view).
+fn cmd_serve(args: &Args, client_view: bool) -> CliResult {
+    let (smoke, scrape) = (args.has("--smoke"), args.has("--scrape"));
+    let load = LoadConfig {
+        requests_per_client: args.pos(0, "requests", 8)?,
+        clients: args.pos(1, "clients", 4)?,
+        pattern: args.get("--mode")?.unwrap_or(ArrivalPattern::Burst),
         ..Default::default()
     };
-    serve_config.score_threshold = 0.02;
-    if let Some(path) = &variants_path {
-        let json = std::fs::read_to_string(path).map_err(|e| format!("--variants {path}: {e}"))?;
-        let frontier = tincy::explore::servable_variants(&json)
-            .map_err(|e| format!("--variants {path}: {e}"))?;
-        let ladder = tincy::serve::VariantLadder::new(
-            frontier
-                .iter()
-                .map(|fv| tincy::serve::ServeVariant {
-                    name: fv.id.clone(),
-                    model: fv.model_at(input),
-                    accuracy: fv.accuracy,
-                })
-                .collect(),
-        )
-        .map_err(|e| format!("--variants {path}: {e}"))?;
-        println!(
-            "variant ladder ({} rungs, cheapest first): {}",
-            ladder.len(),
-            ladder.names().join(" < ")
-        );
-        serve_config.variants = Some(ladder);
-    } else if variant_smoke {
-        return Err("--variant-smoke requires --variants (nothing to shift on one rung)".into());
+    let input: usize = args.pos(2, "input", 64)?;
+    let mut config = ServeConfig::default();
+    tune(args, &mut config, input)?;
+    config.system.fault_plan = fault_plans(args, 1)?[0];
+    config.status_addr = status_addr(args, scrape);
+    match args.text("--variants") {
+        Some(path) => config.variants = Some(variant_ladder(path, input)?),
+        None if args.has("--variant-smoke") => {
+            return Err("--variant-smoke requires --variants (nothing to shift on one rung)".into())
+        }
+        None => {}
     }
-    let load = LoadgenConfig {
-        clients,
-        requests_per_client: requests,
-        mode,
-        ..Default::default()
-    };
-    if trace_out.is_some() && trace_dir.is_some() {
-        return Err("--trace-out and --trace-dir are mutually exclusive \
-                    (streaming sweeps would leave the final trace empty)"
-            .into());
-    }
-    if scrape && serve_config.status_addr.is_none() {
-        // A scrape needs an endpoint; an ephemeral port suffices.
-        serve_config.status_addr = Some("127.0.0.1:0".to_string());
-    }
-    if recalibrate_every.is_some() && trace_dir.is_none() {
+    let recalibrate: Option<u64> = args.get("--recalibrate-every")?;
+    let threshold: f64 = args.get("--drift-threshold")?.unwrap_or(50.0);
+    if recalibrate.is_some() && !args.has("--trace-dir") {
         return Err("--recalibrate-every requires --trace-dir \
                     (the calibrator tails the streaming segments)"
             .into());
     }
-    let drift_handle = recalibrate_every.map(|_| {
+    let trace = TraceSession::start(args)?;
+    let monitor = recalibrate.zip(trace.dir).map(|(period_ms, dir)| {
         let handle = DriftHandle::default();
-        serve_config.drift = Some(handle.clone());
-        handle
+        config.drift = Some(handle.clone());
+        let rolling = RollingConfig {
+            threshold: threshold / 100.0,
+            ..Default::default()
+        };
+        DriftMonitor::spawn(
+            SegmentCalibrator::new(Path::new(dir), handle, rolling),
+            Duration::from_millis(period_ms),
+        )
     });
-    if trace_out.is_some() || trace_dir.is_some() {
-        tincy::trace::start();
-    }
-    let drainer = match &trace_dir {
-        Some(dir) => Some(TraceDrainer::spawn(
-            dir,
-            DrainConfig {
-                max_segment_events: segment_events.unwrap_or(512),
-                ..DrainConfig::default()
-            },
-        )?),
-        None => None,
-    };
-    let monitor = match (&recalibrate_every, &drift_handle, &trace_dir) {
-        (Some(period_ms), Some(handle), Some(dir)) => Some(DriftMonitor::spawn(
-            SegmentCalibrator::new(
-                Path::new(dir),
-                handle.clone(),
-                RollingConfig {
-                    threshold: drift_threshold.unwrap_or(50.0) / 100.0,
-                    ..Default::default()
-                },
-            ),
-            std::time::Duration::from_millis(*period_ms),
-        )),
-        _ => None,
-    };
-    let mut scraped: Option<Result<Vec<PromSample>, String>> = None;
-    let report = run_loadgen_observed(serve_config, &load, |server| {
+    let mut scraped = None;
+    let report = run_load(config, &load, |server: &InferenceServer| {
         if scrape {
-            scraped = Some(scrape_status(server));
+            scraped = Some(observed_scrape(server.status_addr(), 3));
         }
     })?;
-    if let Some(drainer) = drainer {
-        let summary = drainer.finalize()?;
-        // The sweeps consumed the session; close it out.
-        let _ = tincy::trace::finish();
-        println!(
-            "trace segments written to {} ({} segments, {} events, {} dropped, {} pruned)",
-            trace_dir.as_deref().unwrap_or("?"),
-            summary.segments,
-            summary.events,
-            summary.dropped,
-            summary.pruned
-        );
-    }
+    trace.finish()?;
     if let Some(monitor) = monitor {
         // After the drainer's finalize, so the flushed tail segment is
         // absorbed too.
@@ -667,209 +618,54 @@ fn cmd_serve(args: &[String], client_view: bool) -> Result<(), Box<dyn std::erro
             return Err("recalibrate smoke: no trace segments were absorbed".into());
         }
     }
-    if let Some(path) = &trace_out {
-        write_trace(path)?;
-    }
     if client_view {
         print_client_view(&report);
     } else {
-        print_server_view(&report);
+        print_server_view(&report.target);
     }
-    if let Some(path) = metrics_json {
-        std::fs::write(&path, json::serve_report_json(&report.serve))?;
-        println!("metrics written to {path}");
+    write_artifacts(args, || json::serve_report_json(&report.target))?;
+    if let Some(samples) = scraped {
+        println!("{}", check_scrape(&samples?, &report.target)?);
     }
-    if let Some(path) = &kernel_plan {
-        write_kernel_plan(path)?;
-    }
-    if scrape {
-        let samples =
-            scraped.ok_or("scrape: the load generator never reached the observation point")??;
-        check_scrape(&samples, &report.serve)?;
-    }
-    if variant_smoke {
-        check_variant_smoke(&report)?;
+    if args.has("--variant-smoke") {
+        println!("{}", check_variant_smoke(&report)?);
     }
     if smoke {
-        return check_smoke(&report);
+        println!("{}", check_smoke(&report, false)?);
     }
     Ok(())
 }
 
-/// Parses a `--pattern` value into an [`ArrivalPattern`].
-fn parse_pattern(value: &str) -> Result<ArrivalPattern, Box<dyn std::error::Error>> {
-    let micros = |s: &str| -> Result<std::time::Duration, String> {
-        Ok(std::time::Duration::from_micros(
-            s.parse().map_err(|e| format!("--pattern {value}: {e}"))?,
-        ))
-    };
-    let millis = |s: &str| -> Result<std::time::Duration, String> {
-        Ok(std::time::Duration::from_millis(
-            s.parse().map_err(|e| format!("--pattern {value}: {e}"))?,
-        ))
-    };
-    if value == "closed" {
-        return Ok(ArrivalPattern::Closed);
-    }
-    if let Some(gap) = value.strip_prefix("uniform:") {
-        return Ok(ArrivalPattern::Uniform {
-            interval: micros(gap)?,
-        });
-    }
-    if let Some(rest) = value.strip_prefix("diurnal:") {
-        let parts: Vec<&str> = rest.split(':').collect();
-        let [base, period, ratio] = parts.as_slice() else {
-            return Err(
-                format!("--pattern {value}: expected diurnal:BASE_US:PERIOD_MS:RATIO").into(),
-            );
-        };
-        return Ok(ArrivalPattern::Diurnal {
-            base_interval: micros(base)?,
-            period: millis(period)?,
-            peak_ratio: ratio
-                .parse()
-                .map_err(|e| format!("--pattern {value}: {e}"))?,
-        });
-    }
-    if let Some(rest) = value.strip_prefix("flash:") {
-        let parts: Vec<&str> = rest.split(':').collect();
-        let [base, at, width, factor] = parts.as_slice() else {
-            return Err(
-                format!("--pattern {value}: expected flash:BASE_US:AT_MS:WIDTH_MS:FACTOR").into(),
-            );
-        };
-        return Ok(ArrivalPattern::FlashCrowd {
-            base_interval: micros(base)?,
-            at: millis(at)?,
-            width: millis(width)?,
-            factor: factor
-                .parse()
-                .map_err(|e| format!("--pattern {value}: {e}"))?,
-        });
-    }
-    Err(format!(
-        "unknown pattern {value:?} (expected closed, uniform:GAP_US, \
-         diurnal:BASE_US:PERIOD_MS:RATIO or flash:BASE_US:AT_MS:WIDTH_MS:FACTOR)"
-    )
-    .into())
-}
-
 /// `tincy fleet`: N in-process shards behind a router, a multi-client
 /// deterministic load, and optional smoke/scrape assertions.
-fn cmd_fleet(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut positional = Vec::new();
+fn cmd_fleet(args: &Args) -> CliResult {
+    let slo_smoke = args.has("--slo-smoke");
+    let scrape = args.has("--scrape") || slo_smoke;
     let mut config = FleetConfig::default();
-    let mut load = FleetLoadConfig::default();
-    let mut fault_shard = 0usize;
-    let mut metrics_json: Option<String> = None;
-    let mut smoke = false;
-    let mut scrape = false;
-    let mut slo_smoke = false;
-    let mut exemplars = false;
-    let mut trace_dir: Option<String> = None;
-    let mut segment_events: Option<usize> = None;
-    let mut iter = args.iter();
-    let next_usize = |iter: &mut std::slice::Iter<'_, String>,
-                      flag: &str|
-     -> Result<usize, Box<dyn std::error::Error>> {
-        Ok(iter
-            .next()
-            .ok_or_else(|| format!("{flag} requires a value"))?
-            .parse()
-            .map_err(|e| format!("{flag}: {e}"))?)
-    };
-    while let Some(arg) = iter.next() {
-        // Fault flags target the shard named by the latest --fault-shard.
-        if matches!(arg.as_str(), "--fault-seed" | "--outage") {
-            if config.shard_faults.len() <= fault_shard {
-                config
-                    .shard_faults
-                    .resize_with(fault_shard + 1, FaultPlan::none);
-            }
-            parse_fault_flag(arg, &mut iter, &mut config.shard_faults[fault_shard])?;
-            continue;
-        }
-        match arg.as_str() {
-            "--fault-shard" => fault_shard = next_usize(&mut iter, "--fault-shard")?,
-            "--shards" => config.shards = next_usize(&mut iter, "--shards")?,
-            "--policy" => {
-                config.policy = iter
-                    .next()
-                    .ok_or("--policy requires least-loaded|hash")?
-                    .parse::<RoutePolicy>()?;
-            }
-            "--pattern" => {
-                load.pattern = parse_pattern(iter.next().ok_or("--pattern requires a value")?)?;
-            }
-            "--workers" => load.workers = next_usize(&mut iter, "--workers")?,
-            "--seed" => load.seed = next_usize(&mut iter, "--seed")? as u64,
-            "--health-every" => {
-                config.health_every = std::time::Duration::from_millis(next_usize(
-                    &mut iter,
-                    "--health-every",
-                )? as u64);
-            }
-            "--readmit-streak" => {
-                config.readmit_streak = next_usize(&mut iter, "--readmit-streak")? as u32;
-            }
-            "--vnodes" => config.vnodes = next_usize(&mut iter, "--vnodes")?,
-            "--cpu-workers" => config.base.cpu_workers = next_usize(&mut iter, "--cpu-workers")?,
-            "--max-batch" => config.base.max_batch = next_usize(&mut iter, "--max-batch")?,
-            "--queue" => config.base.queue_capacity = next_usize(&mut iter, "--queue")?,
-            "--per-client" => {
-                config.base.per_client_capacity = next_usize(&mut iter, "--per-client")?;
-            }
-            "--engage-depth" => {
-                config.base.cpu_engage_depth = next_usize(&mut iter, "--engage-depth")?;
-            }
-            "--status-addr" => {
-                config.status_addr = Some(
-                    iter.next()
-                        .ok_or("--status-addr requires HOST:PORT")?
-                        .clone(),
-                );
-            }
-            "--metrics-json" => {
-                metrics_json = Some(iter.next().ok_or("--metrics-json requires a path")?.clone());
-            }
-            "--smoke" => smoke = true,
-            "--scrape" => scrape = true,
-            "--slo-smoke" => slo_smoke = true,
-            "--exemplars" => exemplars = true,
-            "--trace-dir" => {
-                trace_dir = Some(iter.next().ok_or("--trace-dir requires a path")?.clone());
-            }
-            "--segment-events" => {
-                segment_events = Some(next_usize(&mut iter, "--segment-events")?);
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag {other}").into());
-            }
-            other => positional.push(other.to_owned()),
-        }
+    args.set("--shards", &mut config.shards)?;
+    args.set("--policy", &mut config.policy)?;
+    args.set("--readmit-streak", &mut config.readmit_streak)?;
+    args.set("--vnodes", &mut config.vnodes)?;
+    if let Some(ms) = args.get("--health-every")? {
+        config.health_every = Duration::from_millis(ms);
     }
-    if positional.len() > 3 {
-        return Err(format!("unexpected argument {:?}", positional[3]).into());
-    }
+    config.shard_faults = fault_plans(args, config.shards)?;
     // `TINCY_FLEET_CLIENTS` scales the default client count up to a full
     // soak without touching the invocation (CI uses this).
     let default_clients = match std::env::var("TINCY_FLEET_CLIENTS") {
-        Ok(value) => value
-            .parse()
-            .map_err(|e| format!("TINCY_FLEET_CLIENTS: {e}"))?,
+        Ok(value) => parse_as("TINCY_FLEET_CLIENTS", &value)?,
         Err(_) => 64,
     };
-    load.clients = positional
-        .first()
-        .map_or(Ok(default_clients), |s| s.parse())?;
-    load.requests_per_client = positional.get(1).map_or(Ok(8), |s| s.parse())?;
-    let input: usize = positional.get(2).map_or(Ok(64), |s| s.parse())?;
-    config.base.system = SystemConfig {
-        input_size: input,
+    let mut load = LoadConfig {
+        clients: args.pos(0, "clients", default_clients)?,
+        requests_per_client: args.pos(1, "requests", 8)?,
         ..Default::default()
     };
-    config.base.score_threshold = 0.02;
-    config.base.exemplars = exemplars;
+    args.set("--pattern", &mut load.pattern)?;
+    args.set("--workers", &mut load.workers)?;
+    args.set("--seed", &mut load.seed)?;
+    tune(args, &mut config.base, args.pos(2, "input", 64)?)?;
+    config.base.exemplars = args.has("--exemplars");
     if slo_smoke {
         // A deliberately twitchy error-budget policy: the injected fault
         // window must trip the fast burn-rate pair, and post-re-admission
@@ -885,257 +681,52 @@ fn cmd_fleet(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             ..SloPolicy::sensitive()
         };
     }
-    if (scrape || slo_smoke) && config.status_addr.is_none() {
-        config.status_addr = Some("127.0.0.1:0".to_string());
-    }
+    config.status_addr = status_addr(args, scrape);
     let faulted = config.shard_faults.iter().any(|plan| !plan.is_empty());
-    let shards = config.shards;
-    if trace_dir.is_some() {
-        tincy::trace::start();
-    }
-    let drainer = match &trace_dir {
-        Some(dir) => Some(TraceDrainer::spawn(
-            dir,
-            DrainConfig {
-                max_segment_events: segment_events.unwrap_or(512),
-                ..DrainConfig::default()
-            },
-        )?),
-        None => None,
-    };
-    let mut scraped: Option<Result<Vec<PromSample>, String>> = None;
-    let mut slo_scraped: Option<Result<Vec<PromSample>, String>> = None;
-    let report = run_fleet_loadgen_observed(config, &load, |fleet| {
+    let trace = TraceSession::start(args)?;
+    let mut scraped = None;
+    let report = run_load(config, &load, |fleet: &Fleet| {
         if scrape {
-            scraped = Some(scrape_fleet(fleet));
-        }
-        if slo_smoke {
-            slo_scraped = Some(scrape_fleet(fleet));
+            scraped = Some(observed_scrape(fleet.status_addr(), 2));
         }
     })?;
-    let stitched = match (drainer, &trace_dir) {
-        (Some(drainer), Some(dir)) => {
-            let summary = drainer.finalize()?;
-            let _ = tincy::trace::finish();
-            println!(
-                "trace segments written to {dir} ({} segments, {} events, {} dropped, {} pruned)",
-                summary.segments, summary.events, summary.dropped, summary.pruned
-            );
-            Some(stitch_segments(Path::new(dir))?)
-        }
-        _ => None,
-    };
-    print_fleet_view(&report, shards);
-    if let Some(path) = metrics_json {
-        std::fs::write(&path, json::fleet_report_json(&report.fleet))?;
-        println!("metrics written to {path}");
-    }
-    if scrape {
-        let samples =
-            scraped.ok_or("scrape: the load generator never reached the observation point")??;
-        check_fleet_scrape(&samples, &report, shards)?;
+    trace.finish()?;
+    print_fleet_view(&report);
+    write_artifacts(args, || json::fleet_report_json(&report.target))?;
+    let samples = scraped.transpose()?.unwrap_or_default();
+    if args.has("--scrape") {
+        println!("{}", check_fleet_scrape(&samples, &report.target)?);
     }
     if slo_smoke {
-        let samples = slo_scraped
-            .ok_or("slo smoke: the load generator never reached the observation point")??;
-        check_slo_smoke(&samples)?;
+        println!("{}", check_slo_smoke(&samples)?);
     }
-    if smoke {
-        check_fleet_smoke(&report, faulted)?;
-        if let Some(trace) = &stitched {
-            check_fleet_trace(trace, &report, shards)?;
+    if args.has("--smoke") {
+        println!("{}", check_smoke(&report, faulted)?);
+        if let Some(dir) = args.text("--trace-dir") {
+            let stitched = stitch_segments(Path::new(dir))?;
+            println!("{}", check_fleet_trace(&stitched, &report.target)?);
         }
     }
     Ok(())
 }
 
-/// Asserts the stitched fleet timeline's per-request journeys: every
-/// traced request must verify (stage events present and causally
-/// ordered), and when admission rejections were re-dispatched and
-/// admitted elsewhere, at least one delivered journey must carry spans
-/// on two shards under a single trace id with its router→shard flow
-/// intact.
-fn check_fleet_trace(
-    trace: &tincy::trace::Trace,
-    report: &FleetLoadReport,
-    shards: usize,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let journeys = tincy::trace::journeys(trace);
-    if journeys.is_empty() {
-        return Err("fleet trace: no request-tagged events in the stitched timeline".into());
-    }
-    for journey in &journeys {
-        journey.verify().map_err(|e| format!("fleet trace: {e}"))?;
-    }
-    let cross = journeys
-        .iter()
-        .filter(|j| j.delivered() && j.failovers > 0 && j.shards.len() >= 2 && j.flow_finished)
-        .count();
-    // More shard-side rejections than sheds alone can account for (a shed
-    // collects one rejection from every shard) means at least one request
-    // was refused by its owner and admitted by another shard — its
-    // journey must span both.
-    let rejections: u64 = report
-        .fleet
-        .shards
-        .iter()
-        .map(|s| s.rejected_queue_full + s.rejected_client_full + s.rejected_draining)
-        .sum();
-    if rejections > report.fleet.sheds * shards as u64 && cross == 0 {
-        return Err(
-            "fleet trace: rejections were re-dispatched, but no delivered journey \
-                    spans two shards under one trace id"
-                .into(),
-        );
-    }
+/// The latency line the server and fleet views share.
+fn print_latency(stats: &tincy::pipeline::DurationStats, violations: u64) {
+    let qs = stats.quantiles(&[0.50, 0.95, 0.99]);
     println!(
-        "fleet trace: ok ({} journeys verified, {} delivered across >=2 shards with the \
-         router flow intact)",
-        journeys.len(),
-        cross
+        "latency p50/p95/p99: {:.2} / {:.2} / {:.2} ms  ({violations} SLO violations)",
+        qs[0].as_secs_f64() * 1000.0,
+        qs[1].as_secs_f64() * 1000.0,
+        qs[2].as_secs_f64() * 1000.0,
     );
-    Ok(())
 }
 
-/// Asserts the burn-rate engine's behavior over one faulted run from the
-/// fleet's aggregated `/metrics`: at least one `tincy_slo_alerts_total`
-/// edge fired during the session, and every `tincy_slo_alert_active`
-/// gauge is back to zero by the observation point (all clients served,
-/// faulted shard re-admitted).
-fn check_slo_smoke(samples: &[PromSample]) -> Result<(), Box<dyn std::error::Error>> {
-    let fired: f64 = samples
-        .iter()
-        .filter(|s| s.name == "tincy_slo_alerts_total")
-        .map(|s| s.value)
-        .sum();
-    let active: Vec<String> = samples
-        .iter()
-        .filter(|s| s.name == "tincy_slo_alert_active" && s.value != 0.0)
-        .map(|s| {
-            s.labels
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        })
-        .collect();
-    if !samples.iter().any(|s| s.name == "tincy_slo_alert_active") {
-        return Err("slo smoke: no tincy_slo_alert_active series on /metrics".into());
-    }
-    if fired < 1.0 {
-        return Err("slo smoke: the injected fault never tripped a burn-rate alert".into());
-    }
-    if !active.is_empty() {
-        return Err(format!(
-            "slo smoke: {} alerts still active after re-admission: {}",
-            active.len(),
-            active.join(" ")
-        )
-        .into());
-    }
-    println!("slo smoke: ok ({fired} burn-rate alert edges fired, all cleared)");
-    Ok(())
-}
-
-/// Scrapes the running fleet's status endpoint twice over one keep-alive
-/// connection (plus `/healthz`), asserting counter monotonicity between
-/// passes. Returns the last sample set.
-fn scrape_fleet(fleet: &Fleet) -> Result<Vec<PromSample>, String> {
-    let addr = fleet
-        .status_addr()
-        .ok_or("scrape requires --status-addr (the fleet has no endpoint)")?;
-    let mut client: Option<HttpClient> = None;
-    let mut last: Option<Vec<PromSample>> = None;
-    for _ in 0..2 {
-        let body = scrape_get(&mut client, addr, "/metrics")?;
-        let samples =
-            parse_prometheus(&body).map_err(|e| format!("/metrics did not parse: {e}"))?;
-        if let Some(earlier) = &last {
-            for sample in earlier {
-                if !sample.name.ends_with("_total") {
-                    continue;
-                }
-                let later = samples
-                    .iter()
-                    .find(|s| s.name == sample.name && s.labels == sample.labels)
-                    .ok_or_else(|| format!("{} vanished between scrapes", sample.name))?;
-                if later.value < sample.value {
-                    return Err(format!(
-                        "counter {} went backwards: {} -> {}",
-                        sample.name, sample.value, later.value
-                    ));
-                }
-            }
-        }
-        last = Some(samples);
-    }
-    let health = scrape_get(&mut client, addr, "/healthz")?;
-    if !health.contains("\"ok\":true") {
-        return Err(format!("GET /healthz: {health}"));
-    }
-    let samples = last.expect("two passes ran");
-    println!(
-        "scrape: {} samples from {addr}, counters monotonic across 2 keep-alive passes",
-        samples.len()
-    );
-    Ok(samples)
-}
-
-/// Asserts the aggregated fleet exposition carries the router families
-/// and every shard's re-labelled series, and that the mid-run counters
-/// never exceed the final report.
-fn check_fleet_scrape(
-    samples: &[PromSample],
-    report: &FleetLoadReport,
-    shards: usize,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let find = |name: &str, shard: Option<usize>| -> Result<f64, String> {
-        let value = shard.map(|i| i.to_string());
-        samples
-            .iter()
-            .find(|s| {
-                s.name == name && value.as_deref().is_none_or(|v| s.label("shard") == Some(v))
-            })
-            .map(|s| s.value)
-            .ok_or_else(|| format!("scrape is missing {name} (shard {shard:?})"))
-    };
-    let total = find("tincy_fleet_shards", None)?;
-    if total != shards as f64 {
-        return Err(format!("tincy_fleet_shards reports {total}, fleet has {shards}").into());
-    }
-    for shard in 0..shards {
-        // Router-level gauges, and the shard's own series re-labelled
-        // into the fleet namespace by the aggregator.
-        find("tincy_fleet_shard_up", Some(shard))?;
-        find("tincy_fleet_routed_total", Some(shard))?;
-        let accepted = find("tincy_fleet_accepted_total", Some(shard))?;
-        let final_accepted = report.fleet.shards[shard].accepted as f64;
-        if accepted > final_accepted {
-            return Err(format!(
-                "shard {shard} scraped {accepted} accepted mid-run, final report says \
-                 {final_accepted}"
-            )
-            .into());
-        }
-    }
-    let drains = find("tincy_fleet_drains_total", None)?;
-    if drains > report.fleet.drains as f64 {
-        return Err(format!(
-            "scraped {drains} drains mid-run, final report says {}",
-            report.fleet.drains
-        )
-        .into());
-    }
-    println!("scrape: aggregated per-shard series present and bounded by the final report");
-    Ok(())
-}
-
-fn print_fleet_view(report: &FleetLoadReport, shards: usize) {
-    let f = &report.fleet;
+fn print_fleet_view(report: &LoadReport<FleetReport>) {
+    let f = &report.target;
     println!(
         "fleet: {} shards ({} policy) served {} / {} accepted ({} shed, {} lost) in {:.1} ms — \
          {:.1} req/s",
-        shards,
+        f.shards.len(),
         f.policy.label(),
         f.completed(),
         f.accepted(),
@@ -1148,14 +739,7 @@ fn print_fleet_view(report: &FleetLoadReport, shards: usize) {
         "router: routed {:?}, {} rerouted, {} drains, {} readmits, {} probes",
         f.routed, f.rerouted, f.drains, f.readmits, f.probes
     );
-    let qs = f.latency().quantiles(&[0.50, 0.95, 0.99]);
-    println!(
-        "latency p50/p95/p99: {:.2} / {:.2} / {:.2} ms  ({} SLO violations)",
-        qs[0].as_secs_f64() * 1000.0,
-        qs[1].as_secs_f64() * 1000.0,
-        qs[2].as_secs_f64() * 1000.0,
-        f.slo_violations()
-    );
+    print_latency(&f.latency(), f.slo_violations());
     println!(
         "clients: {} all in order: {}, {} detections",
         report.outcomes.len(),
@@ -1164,192 +748,7 @@ fn print_fleet_view(report: &FleetLoadReport, shards: usize) {
     );
 }
 
-fn check_fleet_smoke(
-    report: &FleetLoadReport,
-    faulted: bool,
-) -> Result<(), Box<dyn std::error::Error>> {
-    if report.accepted() == 0 {
-        return Err("fleet smoke: no request was admitted".into());
-    }
-    if report.dropped() != 0 {
-        return Err(format!(
-            "fleet smoke: {} accepted requests were dropped",
-            report.dropped()
-        )
-        .into());
-    }
-    if report.fleet.lost() != 0 {
-        return Err(format!(
-            "fleet smoke: shards lost {} admitted requests",
-            report.fleet.lost()
-        )
-        .into());
-    }
-    if !report.all_in_order() {
-        return Err("fleet smoke: a client observed out-of-order delivery".into());
-    }
-    if faulted && (report.fleet.drains == 0 || report.fleet.readmits == 0) {
-        return Err(format!(
-            "fleet smoke: a shard was faulted but the fleet recorded {} drains and {} readmits",
-            report.fleet.drains, report.fleet.readmits
-        )
-        .into());
-    }
-    println!("fleet smoke: ok");
-    Ok(())
-}
-
-/// GETs `path` through a reusable keep-alive connection, reconnecting
-/// when the server reaped an idle connection and retrying with
-/// exponential backoff when the connection cap sheds the scrape with a
-/// 503 — which must carry a `Retry-After` header. Any other non-200 is
-/// fatal.
-fn scrape_get(
-    client: &mut Option<HttpClient>,
-    addr: std::net::SocketAddr,
-    path: &str,
-) -> Result<String, String> {
-    let mut backoff = std::time::Duration::from_millis(5);
-    for _ in 0..10 {
-        if client.is_none() {
-            *client = Some(
-                HttpClient::connect(addr, std::time::Duration::from_secs(2))
-                    .map_err(|e| format!("connect {addr}: {e}"))?,
-            );
-        }
-        let conn = client.as_mut().expect("connected above");
-        match conn.get(path) {
-            Ok(response) if response.status == 200 => return Ok(response.body),
-            Ok(response) if response.status == 503 => {
-                if response.header("retry-after").is_none() {
-                    return Err(format!("GET {path}: 503 shed without a Retry-After header"));
-                }
-                // Shed connections are closed by the server; back off and
-                // reconnect.
-                *client = None;
-                std::thread::sleep(backoff);
-                backoff *= 2;
-            }
-            Ok(response) => return Err(format!("GET {path} returned {}", response.status)),
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => {
-                // Idle keep-alive connection reaped between scrapes:
-                // reconnect without consuming a retry's backoff.
-                *client = None;
-            }
-            Err(e) => return Err(format!("GET {path}: {e}")),
-        }
-    }
-    Err(format!("GET {path}: still shed after 10 retries"))
-}
-
-/// Scrapes the running server's status endpoint three times over one
-/// keep-alive connection (plus `/healthz`), asserting counter
-/// monotonicity between passes and native-histogram well-formedness on
-/// each. Returns the last sample set for comparison against the final
-/// report.
-fn scrape_status(server: &tincy::serve::InferenceServer) -> Result<Vec<PromSample>, String> {
-    let addr = server
-        .status_addr()
-        .ok_or("scrape requires --status-addr (the server has no endpoint)")?;
-    let mut client: Option<HttpClient> = None;
-    let mut last: Option<Vec<PromSample>> = None;
-    for _ in 0..3 {
-        let body = scrape_get(&mut client, addr, "/metrics")?;
-        let samples =
-            parse_prometheus(&body).map_err(|e| format!("/metrics did not parse: {e}"))?;
-        check_histogram_series(&samples)
-            .map_err(|e| format!("/metrics histogram series malformed: {e}"))?;
-        // Counters (`_total` families) must never decrease between scrapes.
-        if let Some(earlier) = &last {
-            for sample in earlier {
-                if !sample.name.ends_with("_total") {
-                    continue;
-                }
-                let later = samples
-                    .iter()
-                    .find(|s| s.name == sample.name && s.labels == sample.labels)
-                    .ok_or_else(|| format!("{} vanished between scrapes", sample.name))?;
-                if later.value < sample.value {
-                    return Err(format!(
-                        "counter {} went backwards: {} -> {}",
-                        sample.name, sample.value, later.value
-                    ));
-                }
-            }
-        }
-        last = Some(samples);
-    }
-    let health = scrape_get(&mut client, addr, "/healthz")?;
-    if !health.contains("\"ok\":true") {
-        return Err(format!("GET /healthz: {health}"));
-    }
-    let samples = last.expect("three passes ran");
-    println!(
-        "scrape: {} samples from {addr}, counters monotonic across 3 keep-alive passes",
-        samples.len()
-    );
-    Ok(samples)
-}
-
-/// Asserts that a scrape taken after all responses were delivered agrees
-/// with the final [`ServeReport`] on the load-shedding and offload
-/// counters.
-fn check_scrape(
-    samples: &[PromSample],
-    report: &ServeReport,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let find = |name: &str, label: Option<(&str, &str)>| -> Result<f64, String> {
-        samples
-            .iter()
-            .find(|s| {
-                s.name == name && label.is_none_or(|(key, value)| s.label(key) == Some(value))
-            })
-            .map(|s| s.value)
-            .ok_or_else(|| format!("scrape is missing {name} {label:?}"))
-    };
-    let expect = |name: &str,
-                  label: Option<(&str, &str)>,
-                  want: u64|
-     -> Result<(), Box<dyn std::error::Error>> {
-        let got = find(name, label)?;
-        if got != want as f64 {
-            return Err(format!(
-                "scrape disagrees with the final report on {name} {label:?}: \
-                 scraped {got}, report says {want}"
-            )
-            .into());
-        }
-        Ok(())
-    };
-    expect("tincy_serve_accepted_total", None, report.accepted)?;
-    expect("tincy_serve_completed_total", None, report.completed)?;
-    let reasons = [
-        ("queue-full", report.rejected_queue_full),
-        ("client-full", report.rejected_client_full),
-        ("draining", report.rejected_draining),
-    ];
-    for (reason, want) in reasons {
-        expect("tincy_serve_rejected_total", Some(("reason", reason)), want)?;
-    }
-    for class in tincy::serve::SloClass::ALL {
-        expect(
-            "tincy_serve_rejected_class_total",
-            Some(("class", class.label())),
-            report.rejected_class[class.index()],
-        )?;
-    }
-    expect(
-        "tincy_offload_fallbacks_total",
-        None,
-        report.offload.fallbacks,
-    )?;
-    expect("tincy_offload_faults_total", None, report.offload.faults)?;
-    println!("scrape: counters match the final report");
-    Ok(())
-}
-
-fn print_server_view(report: &LoadgenReport) {
-    let s = &report.serve;
+fn print_server_view(s: &ServeReport) {
     println!(
         "served {} / {} accepted requests ({} rejected) in {:.1} ms — {:.1} req/s",
         s.completed,
@@ -1366,14 +765,7 @@ fn print_server_view(report: &LoadgenReport) {
         s.cpu_items
     );
     println!("batch histogram: {:?}  (index = batch size)", s.batch_hist);
-    let qs = s.latency.quantiles(&[0.50, 0.95, 0.99]);
-    println!(
-        "latency p50/p95/p99: {:.2} / {:.2} / {:.2} ms  ({} SLO violations)",
-        qs[0].as_secs_f64() * 1000.0,
-        qs[1].as_secs_f64() * 1000.0,
-        qs[2].as_secs_f64() * 1000.0,
-        s.slo_violations
-    );
+    print_latency(&s.latency, s.slo_violations);
     println!(
         "utilization: finn {:.1}%, cpu {:.1}%  max queue depth {}",
         s.finn_utilization() * 100.0,
@@ -1401,7 +793,7 @@ fn print_server_view(report: &LoadgenReport) {
     }
 }
 
-fn print_client_view(report: &LoadgenReport) {
+fn print_client_view(report: &LoadReport<ServeReport>) {
     for o in &report.outcomes {
         println!(
             "client {:>2} [{}]: {}/{} accepted, {} completed, in order: {}, {} detections",
@@ -1420,54 +812,16 @@ fn print_client_view(report: &LoadgenReport) {
         report.completed(),
         report.dropped(),
         report.all_in_order(),
-        report.serve.batched_invocations()
+        report.target.batched_invocations()
     );
 }
 
-/// Finishes the active trace session and writes it as Chrome trace-event
-/// JSON (load into chrome://tracing or Perfetto).
-fn write_trace(path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let trace = tincy::trace::finish();
-    std::fs::write(path, tincy::trace::to_chrome_json(&trace))?;
-    println!(
-        "trace written to {path} ({} events on {} threads, {} dropped)",
-        trace.events.len(),
-        trace.threads,
-        trace.dropped
-    );
-    Ok(())
-}
-
-fn cmd_trace_report(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut check = false;
-    let mut by_request = false;
-    let mut threshold = 0.25;
-    let mut path: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--by-request" => by_request = true,
-            "--threshold" => {
-                let pct: f64 = iter
-                    .next()
-                    .ok_or("--threshold requires a percentage")?
-                    .parse()
-                    .map_err(|e| format!("--threshold: {e}"))?;
-                threshold = pct / 100.0;
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag {other}").into());
-            }
-            other => {
-                if path.replace(other.to_owned()).is_some() {
-                    return Err("trace-report takes exactly one trace file".into());
-                }
-            }
-        }
-    }
+fn cmd_trace_report(args: &Args) -> CliResult {
+    let check = args.has("--check");
+    let threshold = args.get::<f64>("--threshold")?.unwrap_or(25.0) / 100.0;
+    let path = args.positional.first();
     let path = path.ok_or("trace-report requires a trace file or segment directory")?;
-    let trace = load_trace(&path)?;
+    let trace = load_trace(path)?;
     if check {
         trace
             .check()
@@ -1521,7 +875,7 @@ fn cmd_trace_report(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             if row.flagged { "DEVIATES" } else { "" }
         );
     }
-    if by_request {
+    if args.has("--by-request") {
         report_journeys(&trace, check)?;
     }
     if check {
@@ -1529,16 +883,12 @@ fn cmd_trace_report(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     Ok(())
 }
-
 /// The `--by-request` view: reconstructs each traced request's journey
 /// (admit → route → [failover…] → serve → deliver) and prints per-stage
 /// attribution — the distributed analogue of the Table III stage table.
 /// With `check`, every journey must verify: a delivered request with a
 /// missing or causally misordered stage is an error.
-fn report_journeys(
-    trace: &tincy::trace::Trace,
-    check: bool,
-) -> Result<(), Box<dyn std::error::Error>> {
+fn report_journeys(trace: &tincy::trace::Trace, check: bool) -> CliResult {
     let journeys = tincy::trace::journeys(trace);
     if journeys.is_empty() {
         return Err("--by-request: the trace carries no request-tagged events".into());
@@ -1625,7 +975,7 @@ fn report_journeys(
 
 /// Loads a timeline from either a single Chrome-trace file or a
 /// `--trace-dir` segment directory (stitched back together).
-fn load_trace(path: &str) -> Result<tincy::trace::Trace, Box<dyn std::error::Error>> {
+fn load_trace(path: &str) -> CliResult<tincy::trace::Trace> {
     if std::fs::metadata(path)?.is_dir() {
         return Ok(stitch_segments(Path::new(path))?);
     }
@@ -1633,32 +983,11 @@ fn load_trace(path: &str) -> Result<tincy::trace::Trace, Box<dyn std::error::Err
     Ok(tincy::trace::from_chrome_json(&text).map_err(|e| format!("{path}: {e}"))?)
 }
 
-fn cmd_calibrate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut threshold = 0.01;
-    let mut path: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--threshold" => {
-                let pct: f64 = iter
-                    .next()
-                    .ok_or("--threshold requires a percentage")?
-                    .parse()
-                    .map_err(|e| format!("--threshold: {e}"))?;
-                threshold = pct / 100.0;
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag {other}").into());
-            }
-            other => {
-                if path.replace(other.to_owned()).is_some() {
-                    return Err("calibrate takes exactly one trace file or directory".into());
-                }
-            }
-        }
-    }
+fn cmd_calibrate(args: &Args) -> CliResult {
+    let threshold = args.get::<f64>("--threshold")?.unwrap_or(1.0) / 100.0;
+    let path = args.positional.first();
     let path = path.ok_or("calibrate requires a trace file or segment directory")?;
-    let trace = load_trace(&path)?;
+    let trace = load_trace(path)?;
     let profile = tincy::trace::Profile::from_trace(&trace);
     let means = profile.stage_means_ms();
     let baseline = StageBudget::paper_baseline();
@@ -1721,75 +1050,7 @@ fn cmd_calibrate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Asserts the multi-variant invariants of a `--variants` run: several
-/// rungs hosted, every admission and completion attributed to exactly
-/// one rung (conservation: nothing lost or double-counted across
-/// shifts), tight traffic on a cheaper-or-equal rung than best-effort,
-/// and the shared weights cache populated.
-fn check_variant_smoke(report: &LoadgenReport) -> Result<(), Box<dyn std::error::Error>> {
-    let s = &report.serve;
-    if s.variants() < 2 {
-        return Err(format!(
-            "variant smoke: expected a multi-rung ladder, got {} rung(s)",
-            s.variants()
-        )
-        .into());
-    }
-    let admitted: u64 = s.variant_requests.iter().flatten().sum();
-    if admitted != s.accepted {
-        return Err(format!(
-            "variant smoke: per-variant admissions {admitted} != accepted {}",
-            s.accepted
-        )
-        .into());
-    }
-    let items: u64 = s.variant_items.iter().sum();
-    if items != s.completed {
-        return Err(format!(
-            "variant smoke: per-variant completions {items} != completed {}",
-            s.completed
-        )
-        .into());
-    }
-    if report.dropped() != 0 {
-        return Err(format!(
-            "variant smoke: {} accepted requests were dropped",
-            report.dropped()
-        )
-        .into());
-    }
-    if !report.all_in_order() {
-        return Err("variant smoke: a client observed out-of-order delivery".into());
-    }
-    let [interactive, _, batch] = s.active_variant;
-    if interactive > batch {
-        return Err(format!(
-            "variant smoke: interactive rung {interactive} above best-effort rung {batch}"
-        )
-        .into());
-    }
-    if s.weight_entries == 0 {
-        return Err("variant smoke: the shared weights cache is empty".into());
-    }
-    println!("variant smoke: ok");
-    Ok(())
-}
-
-fn check_smoke(report: &LoadgenReport) -> Result<(), Box<dyn std::error::Error>> {
-    if report.dropped() != 0 {
-        return Err(format!("smoke: {} accepted requests were dropped", report.dropped()).into());
-    }
-    if !report.all_in_order() {
-        return Err("smoke: a client observed out-of-order delivery".into());
-    }
-    if report.serve.batched_invocations() == 0 {
-        return Err("smoke: micro-batching never engaged (no batch larger than 1)".into());
-    }
-    println!("smoke: ok");
-    Ok(())
-}
-
-fn parse_range(flag: &str, value: &str) -> Result<(usize, usize), Box<dyn std::error::Error>> {
+fn parse_range(flag: &str, value: &str) -> CliResult<(usize, usize)> {
     let (lo, hi) = value
         .split_once(':')
         .ok_or_else(|| format!("{flag} expects MIN:MAX, got {value}"))?;
@@ -1801,56 +1062,35 @@ fn parse_range(flag: &str, value: &str) -> Result<(usize, usize), Box<dyn std::e
     Ok((lo, hi))
 }
 
-fn cmd_explore(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_explore(args: &Args) -> CliResult {
     use tincy::explore::{report_json, report_table, run_sweep, ResourceBudget, SweepConfig};
 
     let mut config = SweepConfig::default();
-    let mut frontier_out: Option<String> = None;
-    let mut check = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--pe" => {
-                let value = iter.next().ok_or("--pe requires MIN:MAX")?;
-                config.pe_bounds = parse_range("--pe", value)?;
-            }
-            "--simd" => {
-                let value = iter.next().ok_or("--simd requires MIN:MAX")?;
-                config.simd_bounds = parse_range("--simd", value)?;
-            }
-            "--budget" => {
-                let value = iter.next().ok_or("--budget requires LUT:BRAM:DSP")?;
-                let parts: Vec<&str> = value.split(':').collect();
-                if parts.len() != 3 {
-                    return Err(format!("--budget expects LUT:BRAM:DSP, got {value}").into());
-                }
-                config.budget = ResourceBudget {
-                    luts: parts[0]
-                        .parse()
-                        .map_err(|e| format!("--budget luts: {e}"))?,
-                    bram36: parts[1]
-                        .parse()
-                        .map_err(|e| format!("--budget bram36: {e}"))?,
-                    dsps: parts[2]
-                        .parse()
-                        .map_err(|e| format!("--budget dsps: {e}"))?,
-                };
-            }
-            "--frontier-out" => {
-                frontier_out = Some(iter.next().ok_or("--frontier-out requires a path")?.clone());
-            }
-            "--check" => check = true,
-            other => return Err(format!("unknown flag {other}").into()),
-        }
+    if let Some(value) = args.text("--pe") {
+        config.pe_bounds = parse_range("--pe", value)?;
+    }
+    if let Some(value) = args.text("--simd") {
+        config.simd_bounds = parse_range("--simd", value)?;
+    }
+    if let Some(value) = args.text("--budget") {
+        let parts: Vec<&str> = value.split(':').collect();
+        let [luts, bram36, dsps] = parts.as_slice() else {
+            return Err(format!("--budget expects LUT:BRAM:DSP, got {value}").into());
+        };
+        config.budget = ResourceBudget {
+            luts: parse_as("--budget luts", luts)?,
+            bram36: parse_as("--budget bram36", bram36)?,
+            dsps: parse_as("--budget dsps", dsps)?,
+        };
     }
 
     let report = run_sweep(&config);
     print!("{}", report_table(&report));
-    if let Some(path) = frontier_out {
-        std::fs::write(&path, report_json(&report))?;
+    if let Some(path) = args.text("--frontier-out") {
+        std::fs::write(path, report_json(&report))?;
         println!("frontier written to {path}");
     }
-    if check {
+    if args.has("--check") {
         report
             .check()
             .map_err(|violation| format!("explore check failed: {violation}"))?;
@@ -1861,4 +1101,96 @@ fn cmd_explore(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(cmd: Cmd, line: &str) -> Result<Args, String> {
+        let words: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        Args::parse(cmd, &words)
+    }
+
+    /// The flags each load-running subcommand accepted before the table
+    /// existed, written out from the old hand parsers' `match` arms.
+    #[test]
+    fn each_subcommand_accepts_exactly_its_old_flags() {
+        let local = "--fault-seed --outage --metrics-json --kernel-plan --trace-out --trace-dir \
+                     --segment-events";
+        let serve = format!(
+            "{local} --status-addr --cpu-workers --max-batch --queue --per-client --engage-depth \
+             --mode --recalibrate-every --drift-threshold --variants --variant-smoke --smoke \
+             --scrape"
+        );
+        let fleet = "--fault-seed --outage --fault-shard --shards --policy --pattern --workers \
+                     --seed --health-every --readmit-streak --vnodes --cpu-workers --max-batch \
+                     --queue --per-client --engage-depth --status-addr --metrics-json --smoke \
+                     --scrape --slo-smoke --exemplars --trace-dir --segment-events";
+        let cases = [
+            (Cmd::Demo, format!("{local} --frames")),
+            (Cmd::Serve, serve.clone()),
+            (Cmd::Loadgen, serve),
+            (Cmd::Fleet, fleet.to_owned()),
+        ];
+        for (cmd, want) in cases {
+            let mut want: Vec<&str> = want.split_whitespace().collect();
+            let mut got: Vec<&str> = FLAGS
+                .iter()
+                .filter(|f| f.2.contains(&cmd))
+                .map(|f| f.0)
+                .collect();
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "{cmd:?}");
+        }
+    }
+
+    #[test]
+    fn errors_name_the_offending_flag() {
+        let err = |line| parse(Cmd::Serve, line).unwrap_err();
+        assert_eq!(err("8 --shards 2"), "unknown flag --shards");
+        assert_eq!(err("--max-batch"), "--max-batch requires N");
+        assert_eq!(err("1 2 3 4"), "unexpected argument \"4\"");
+        let args = parse(Cmd::Serve, "--max-batch many").unwrap();
+        let err = args.get::<usize>("--max-batch").unwrap_err();
+        assert!(err.starts_with("--max-batch many: "), "{err}");
+    }
+
+    #[test]
+    fn values_parse_at_their_own_width() {
+        let args = parse(
+            Cmd::Fleet,
+            "--seed 18446744073709551615 --readmit-streak 4294967296",
+        );
+        let args = args.unwrap();
+        assert_eq!(args.get::<u64>("--seed"), Ok(Some(u64::MAX)));
+        let err = args.get::<u32>("--readmit-streak").unwrap_err();
+        assert!(err.starts_with("--readmit-streak 4294967296: "), "{err}");
+        assert_eq!(args.get::<u64>("--health-every"), Ok(None));
+    }
+
+    #[test]
+    fn fault_shard_scopes_the_fault_flags_after_it() {
+        let line = "--outage 1:2 --fault-shard 2 --fault-seed 9 --outage 3:4 --fault-shard 1";
+        let plans = fault_plans(&parse(Cmd::Fleet, line).unwrap(), 3).unwrap();
+        let window = |plan: &FaultPlan| plan.outage.map(|w| (w.start, w.length));
+        assert_eq!(plans.len(), 3);
+        assert_eq!((plans[0].seed, window(&plans[0])), (0, Some((1, 2))));
+        assert!(plans[1].is_empty());
+        assert_eq!((plans[2].seed, window(&plans[2])), (9, Some((3, 4))));
+        let err = fault_plans(&parse(Cmd::Fleet, "--fault-shard 3").unwrap(), 3).unwrap_err();
+        assert_eq!(err, "--fault-shard 3: the fleet has 3 shards");
+    }
+
+    #[test]
+    fn trace_out_with_trace_dir_is_rejected() {
+        let args = parse(Cmd::Demo, "--trace-out t.json --trace-dir segs").unwrap();
+        let err = TraceSession::start(&args)
+            .err()
+            .expect("rejected")
+            .to_string();
+        assert!(err.starts_with("--trace-out and --trace-dir are mutually exclusive"));
+        assert!(!tincy::trace::is_enabled(), "no session was started");
+    }
 }

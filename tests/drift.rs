@@ -7,22 +7,14 @@
 //! `tincy serve --recalibrate-every`, minus the wall clock.
 
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use tincy::core::SystemConfig;
 use tincy::perf::RollingConfig;
 use tincy::serve::{DriftHandle, InferenceServer, SegmentCalibrator, ServeConfig};
 use tincy::telemetry::{http_get, parse_prometheus, PromSample};
 use tincy::trace::{
-    span, start_with_clock, sweep, Clock, DrainConfig, Label, SegmentWriter, TestClock,
+    exclusive, span, start_with_clock, sweep, Clock, DrainConfig, Label, SegmentWriter, TestClock,
 };
-
-/// The trace session is process-global; the two scenarios must not
-/// overlap.
-static SESSION: Mutex<()> = Mutex::new(());
-
-fn session_lock() -> MutexGuard<'static, ()> {
-    SESSION.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 const MS: u64 = 1_000_000;
 
@@ -108,7 +100,7 @@ fn calibrate_and_scrape(dir: &Path) -> (Vec<PromSample>, String) {
 
 #[test]
 fn skewed_clock_trips_the_drift_alert_and_a_clean_run_does_not() {
-    let _guard = session_lock();
+    let _guard = exclusive();
     let base = std::env::temp_dir().join(format!("tincy-drift-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 

@@ -14,25 +14,21 @@
 //!
 //! `TINCY_FLEET_CLIENTS` scales the client count up to a full soak.
 
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 use tincy::core::SystemConfig;
 use tincy::finn::FaultPlan;
+use tincy::serve::smoke::check_smoke;
 use tincy::serve::{
-    run_fleet_loadgen, run_fleet_loadgen_observed, ArrivalPattern, Fleet, FleetConfig,
-    FleetLoadConfig, FleetLoadReport, RoutePolicy, SloClass,
+    run_load, ArrivalPattern, Fleet, FleetConfig, FleetReport, LoadConfig, LoadReport, RoutePolicy,
+    SloClass,
 };
-use tincy::trace::{journeys, stitch_segments, DrainConfig, TraceDrainer};
+use tincy::trace::{exclusive, journeys, stitch_segments, DrainConfig, TraceDrainer};
 use tincy::video::{SceneConfig, SyntheticCamera};
 
-/// The trace session is process-global: the traced test below must not
-/// overlap any other fleet run in this binary, or foreign spans (with
-/// colliding minted trace ids) would leak into its stitched timeline.
-static SESSION: Mutex<()> = Mutex::new(());
-
-fn session_lock() -> MutexGuard<'static, ()> {
-    SESSION.lock().unwrap_or_else(|e| e.into_inner())
-}
+// The trace session is process-global: the traced test below must not
+// overlap any other fleet run in this binary, or foreign spans (with
+// colliding minted trace ids) would leak into its stitched timeline —
+// so every test here holds `exclusive()`.
 
 const FAULTED_SHARD: usize = 1;
 
@@ -58,12 +54,12 @@ fn faulted_fleet(policy: RoutePolicy) -> FleetConfig {
     config
 }
 
-fn soak_load(seed: u64) -> FleetLoadConfig {
+fn soak_load(seed: u64) -> LoadConfig {
     let clients = std::env::var("TINCY_FLEET_CLIENTS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(8);
-    FleetLoadConfig {
+    LoadConfig {
         clients,
         requests_per_client: 12,
         // Paced under fleet capacity so the fault-out rebalances traffic
@@ -82,55 +78,29 @@ fn soak_load(seed: u64) -> FleetLoadConfig {
     }
 }
 
-/// The loss/duplication/ordering contract every fleet run must satisfy.
-fn assert_clean(label: &str, report: &FleetLoadReport) {
-    assert!(report.accepted() > 0, "{label}: nothing was admitted");
-    assert_eq!(
-        report.accepted(),
-        report.completed(),
-        "{label}: admitted and collected responses disagree (lost or duplicated work)"
-    );
-    assert_eq!(report.fleet.lost(), 0, "{label}: shards lost admitted work");
-    for outcome in &report.outcomes {
-        assert_eq!(
-            outcome.accepted, outcome.completed,
-            "{label}: client {} collected {} responses for {} admissions",
-            outcome.client, outcome.completed, outcome.accepted
-        );
-        assert!(
-            outcome.in_order,
-            "{label}: client {} saw out-of-order delivery across re-routing",
-            outcome.client
-        );
-    }
+/// Runs the soak and holds it to the smoke contract: nothing lost or
+/// duplicated, per-client order across re-routing, and the faulted shard
+/// drained and re-admitted.
+fn soak(policy: RoutePolicy, seed: u64, observe: impl FnOnce(&Fleet)) -> LoadReport<FleetReport> {
+    let report =
+        run_load(faulted_fleet(policy), &soak_load(seed), observe).expect("fleet run succeeds");
+    check_smoke(&report, true).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    report
 }
 
 #[test]
 fn fault_out_soak_drains_readmits_and_loses_nothing() {
-    let _guard = session_lock();
-    let report = run_fleet_loadgen_observed(
-        faulted_fleet(RoutePolicy::LeastLoaded),
-        &soak_load(21),
-        |fleet| {
-            assert!(
-                fleet.shard_up(FAULTED_SHARD),
-                "the faulted shard was not re-admitted before the load finished \
-                 (drains {}, readmits {})",
-                fleet.drains(),
-                fleet.readmits()
-            );
-        },
-    )
-    .expect("fleet run succeeds");
-    assert_clean("soak", &report);
-    let f = &report.fleet;
-    assert!(f.drains >= 1, "the faulted shard was never drained");
-    assert!(
-        f.readmits >= 1,
-        "the drained shard was never re-admitted (drains {}, probes {})",
-        f.drains,
-        f.probes
-    );
+    let _guard = exclusive();
+    let report = soak(RoutePolicy::LeastLoaded, 21, |fleet| {
+        assert!(
+            fleet.shard_up(FAULTED_SHARD),
+            "the faulted shard was not re-admitted before the load finished \
+             (drains {}, readmits {})",
+            fleet.drains(),
+            fleet.readmits()
+        );
+    });
+    let f = &report.target;
     // Traffic rebalanced around the drain instead of shedding.
     assert_eq!(report.rejected(), 0, "a paced load must not shed");
     assert!(
@@ -142,15 +112,9 @@ fn fault_out_soak_drains_readmits_and_loses_nothing() {
 
 #[test]
 fn seeded_soaks_are_deterministic() {
-    let _guard = session_lock();
-    let run = || {
-        run_fleet_loadgen(faulted_fleet(RoutePolicy::LeastLoaded), &soak_load(33))
-            .expect("fleet run succeeds")
-    };
-    let first = run();
-    let second = run();
-    assert_clean("run 0", &first);
-    assert_clean("run 1", &second);
+    let _guard = exclusive();
+    let first = soak(RoutePolicy::LeastLoaded, 33, |_| {});
+    let second = soak(RoutePolicy::LeastLoaded, 33, |_| {});
     // Routing and drain timing vary with the scheduler; the delivered
     // results must not — every shard shares the weight seed and the
     // fabric is bit-exact with the host fallback path.
@@ -164,13 +128,8 @@ fn seeded_soaks_are_deterministic() {
 
 #[test]
 fn hash_policy_reroutes_only_the_drained_shards_clients() {
-    let _guard = session_lock();
-    let report = run_fleet_loadgen(faulted_fleet(RoutePolicy::ConsistentHash), &soak_load(55))
-        .expect("fleet run succeeds");
-    assert_clean("hash", &report);
-    let f = &report.fleet;
-    assert!(f.drains >= 1, "the faulted shard was never drained");
-    assert!(f.readmits >= 1, "the drained shard was never re-admitted");
+    let _guard = exclusive();
+    let report = soak(RoutePolicy::ConsistentHash, 55, |_| {});
     // Consistent hashing keeps clients sticky: only clients whose ring
     // owner was drained should have touched a second shard.
     let spread = report.outcomes.iter().filter(|o| o.shards_used > 1).count();
@@ -193,7 +152,7 @@ fn hash_policy_reroutes_only_the_drained_shards_clients() {
 /// timing or load dependence.
 #[test]
 fn failed_over_request_spans_both_shards_under_one_trace_id() {
-    let _guard = session_lock();
+    let _guard = exclusive();
     let dir = std::env::temp_dir().join(format!("tincy-fleet-trace-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 

@@ -9,8 +9,8 @@
 use std::path::PathBuf;
 use tincy::core::SystemConfig;
 use tincy::serve::{
-    run_fleet_loadgen_observed, run_loadgen_observed, ArrivalPattern, DriftHandle, FleetConfig,
-    FleetLoadConfig, LoadMode, LoadgenConfig, ServeConfig,
+    run_load, ArrivalPattern, DriftHandle, Fleet, FleetConfig, InferenceServer, LoadConfig,
+    ServeConfig,
 };
 use tincy::telemetry::{check_histogram_series, http_get, parse_prometheus};
 use tincy::video::SceneConfig;
@@ -80,10 +80,10 @@ fn metrics_exposition_shape_matches_the_golden_file() {
         drift: Some(DriftHandle::default()),
         ..Default::default()
     };
-    let load = LoadgenConfig {
+    let load = LoadConfig {
         clients: 2,
         requests_per_client: 3,
-        mode: LoadMode::Burst,
+        pattern: ArrivalPattern::Burst,
         scene: SceneConfig {
             width: 48,
             height: 36,
@@ -93,7 +93,7 @@ fn metrics_exposition_shape_matches_the_golden_file() {
     };
 
     let mut scraped = String::new();
-    run_loadgen_observed(config, &load, |server| {
+    run_load(config, &load, |server: &InferenceServer| {
         let addr = server.status_addr().expect("status endpoint bound");
         let (code, body) = http_get(addr, "/metrics").expect("scrape /metrics");
         assert_eq!(code, 200, "GET /metrics failed: {body}");
@@ -124,7 +124,7 @@ fn fleet_metrics_exposition_shape_matches_the_golden_file() {
     config.base.cpu_workers = 1;
     config.base.max_batch = 4;
     config.base.score_threshold = 0.0;
-    let load = FleetLoadConfig {
+    let load = LoadConfig {
         clients: 4,
         requests_per_client: 2,
         pattern: ArrivalPattern::Closed,
@@ -138,7 +138,7 @@ fn fleet_metrics_exposition_shape_matches_the_golden_file() {
     };
 
     let mut scraped = String::new();
-    run_fleet_loadgen_observed(config, &load, |fleet| {
+    run_load(config, &load, |fleet: &Fleet| {
         let addr = fleet.status_addr().expect("fleet status endpoint bound");
         let (code, body) = http_get(addr, "/metrics").expect("scrape fleet /metrics");
         assert_eq!(code, 200, "GET /metrics failed: {body}");

@@ -7,7 +7,8 @@ use std::time::Duration;
 use tincy::core::SystemConfig;
 use tincy::finn::FaultPlan;
 use tincy::serve::{
-    run_loadgen, AdmissionError, InferenceServer, LoadMode, LoadgenConfig, ServeConfig, SloClass,
+    run_load, AdmissionError, ArrivalPattern, InferenceServer, LoadConfig, LoadReport, ServeConfig,
+    ServeReport, SloClass,
 };
 use tincy::video::{Image, SceneConfig, SyntheticCamera};
 
@@ -43,14 +44,20 @@ fn frames(n: u64, seed: u64) -> Vec<Image> {
     std::iter::from_fn(|| camera.capture()).collect()
 }
 
-fn small_load(clients: usize, requests: u64, mode: LoadMode) -> LoadgenConfig {
-    LoadgenConfig {
+fn drive(
+    config: ServeConfig,
+    clients: usize,
+    requests: u64,
+    pattern: ArrivalPattern,
+) -> LoadReport<ServeReport> {
+    let load = LoadConfig {
         clients,
         requests_per_client: requests,
-        mode,
+        pattern,
         scene: small_scene(),
         ..Default::default()
-    }
+    };
+    run_load::<InferenceServer>(config, &load, |_| {}).unwrap()
 }
 
 #[test]
@@ -58,11 +65,7 @@ fn per_client_delivery_follows_submission_order() {
     // Open-loop traffic from several clients lands in arbitrary backend
     // interleavings; every client must still observe its own responses in
     // submission order.
-    let report = run_loadgen(
-        small_serve(FaultPlan::none()),
-        &small_load(3, 6, LoadMode::Closed),
-    )
-    .unwrap();
+    let report = drive(small_serve(FaultPlan::none()), 3, 6, ArrivalPattern::Closed);
     assert!(report.all_in_order());
     assert_eq!(report.accepted(), 18);
     assert_eq!(report.completed(), 18);
@@ -74,11 +77,7 @@ fn mixed_slo_classes_all_complete() {
     // One client per SLO class, saturating burst: earliest-deadline-first
     // lets no class starve — every accepted request of every class is
     // answered.
-    let report = run_loadgen(
-        small_serve(FaultPlan::none()),
-        &small_load(3, 8, LoadMode::Burst),
-    )
-    .unwrap();
+    let report = drive(small_serve(FaultPlan::none()), 3, 8, ArrivalPattern::Burst);
     assert_eq!(report.dropped(), 0);
     assert!(report.all_in_order());
     let classes: Vec<SloClass> = report.outcomes.iter().map(|o| o.class).collect();
@@ -96,7 +95,7 @@ fn mixed_slo_classes_all_complete() {
     }
     // Per-class latency distributions were populated.
     for class in SloClass::ALL {
-        assert_eq!(report.serve.class(class).count(), 8);
+        assert_eq!(report.target.class(class).count(), 8);
     }
 }
 
@@ -151,20 +150,21 @@ fn admission_control_rejects_instead_of_queueing() {
 
 #[test]
 fn burst_mode_forms_micro_batches() {
-    let report = run_loadgen(
+    let report = drive(
         ServeConfig {
             cpu_workers: 0,
             ..small_serve(FaultPlan::none())
         },
-        &small_load(2, 6, LoadMode::Burst),
-    )
-    .unwrap();
+        2,
+        6,
+        ArrivalPattern::Burst,
+    );
     assert_eq!(report.dropped(), 0);
-    assert_eq!(report.serve.finn_items, 12);
-    assert_eq!(report.serve.finn_batches, 3, "12 frames in 3 batches of 4");
-    assert_eq!(report.serve.batch_hist.get(4), Some(&3));
-    assert!(report.serve.batched_invocations() >= 1);
-    assert!(report.serve.mean_batch() > 1.0);
+    assert_eq!(report.target.finn_items, 12);
+    assert_eq!(report.target.finn_batches, 3, "12 frames in 3 batches of 4");
+    assert_eq!(report.target.batch_hist.get(4), Some(&3));
+    assert!(report.target.batched_invocations() >= 1);
+    assert!(report.target.mean_batch() > 1.0);
 }
 
 #[test]
@@ -211,13 +211,7 @@ fn degraded_finn_sheds_load_and_stays_bit_exact() {
 
 #[test]
 fn loadgen_detections_are_deterministic_across_runs() {
-    let run = || {
-        run_loadgen(
-            small_serve(FaultPlan::none()),
-            &small_load(3, 5, LoadMode::Burst),
-        )
-        .unwrap()
-    };
+    let run = || drive(small_serve(FaultPlan::none()), 3, 5, ArrivalPattern::Burst);
     let first = run();
     let second = run();
     assert_eq!(first.detections(), second.detections());
@@ -235,7 +229,7 @@ fn slo_targets_mark_violations() {
         slo_targets: [Duration::ZERO; 3],
         ..small_serve(FaultPlan::none())
     };
-    let report = run_loadgen(config, &small_load(2, 3, LoadMode::Burst)).unwrap();
+    let report = drive(config, 2, 3, ArrivalPattern::Burst);
     assert_eq!(report.dropped(), 0);
-    assert_eq!(report.serve.slo_violations, 6);
+    assert_eq!(report.target.slo_violations, 6);
 }

@@ -6,25 +6,16 @@
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
 use tincy::core::demo::{run_demo, DemoConfig};
 use tincy::core::SystemConfig;
 use tincy::finn::FaultPlan;
 use tincy::perf::{
     measured_budget, model_diff, pipelined_fps, PipelineModel, StageBudget, StageId,
 };
-use tincy::serve::{run_loadgen_observed, LoadMode, LoadgenConfig, ServeConfig, SloClass};
-use tincy::telemetry::{http_get, parse_prometheus, PromSample};
-use tincy::trace::{stitch_segments, DrainConfig, Profile, TraceDrainer};
+use tincy::serve::smoke::{check_scrape, scrape};
+use tincy::serve::{run_load, ArrivalPattern, InferenceServer, LoadConfig, ServeConfig};
+use tincy::trace::{exclusive, stitch_segments, DrainConfig, Profile, TraceDrainer};
 use tincy::video::SceneConfig;
-
-/// The trace session is process-global; tests that open one must not
-/// overlap.
-static SESSION: Mutex<()> = Mutex::new(());
-
-fn session_lock() -> MutexGuard<'static, ()> {
-    SESSION.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn segment_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tincy-telemetry-{tag}-{}", std::process::id()));
@@ -32,17 +23,9 @@ fn segment_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn counter(samples: &[PromSample], name: &str, label: Option<(&str, &str)>) -> u64 {
-    let sample = samples
-        .iter()
-        .find(|s| s.name == name && label.is_none_or(|(k, v)| s.label(k) == Some(v)))
-        .unwrap_or_else(|| panic!("sample {name} {label:?} missing from scrape"));
-    sample.value as u64
-}
-
 #[test]
 fn fault_seeded_serve_streams_segments_and_scrape_matches_report() {
-    let _guard = session_lock();
+    let _guard = exclusive();
     let dir = segment_dir("serve");
     tincy::trace::start();
     // Tiny segments force rotation even on a short run.
@@ -68,10 +51,10 @@ fn fault_seeded_serve_streams_segments_and_scrape_matches_report() {
         status_addr: Some("127.0.0.1:0".to_string()),
         ..Default::default()
     };
-    let load = LoadgenConfig {
+    let load = LoadConfig {
         clients: 4,
         requests_per_client: 6,
-        mode: LoadMode::Burst,
+        pattern: ArrivalPattern::Burst,
         scene: SceneConfig {
             width: 48,
             height: 36,
@@ -80,33 +63,13 @@ fn fault_seeded_serve_streams_segments_and_scrape_matches_report() {
         ..Default::default()
     };
 
-    // The observer runs after every client joined and before shutdown, so
-    // the counters it scrapes are final and must match the report.
-    let mut scraped: Option<Vec<PromSample>> = None;
-    let report = run_loadgen_observed(config, &load, |server| {
+    // The observer runs after every client collected its responses and
+    // before shutdown, so the counters it scrapes (two keep-alive passes,
+    // monotonic in between) are final and must match the report.
+    let mut scraped = None;
+    let report = run_load(config, &load, |server: &InferenceServer| {
         let addr = server.status_addr().expect("status endpoint bound");
-        let scrape = |path: &str| {
-            let (code, body) = http_get(addr, path).expect("status endpoint reachable");
-            assert_eq!(code, 200, "GET {path} failed: {body}");
-            body
-        };
-        let first = parse_prometheus(&scrape("/metrics")).expect("prometheus text parses");
-        assert!(scrape("/healthz").contains("\"ok\":true"));
-        let second = parse_prometheus(&scrape("/metrics")).expect("prometheus text parses");
-        for sample in first.iter().filter(|s| s.name.ends_with("_total")) {
-            let later = second
-                .iter()
-                .find(|s| s.name == sample.name && s.labels == sample.labels)
-                .unwrap_or_else(|| panic!("{} vanished between scrapes", sample.name));
-            assert!(
-                later.value >= sample.value,
-                "counter {} went backwards: {} -> {}",
-                sample.name,
-                sample.value,
-                later.value
-            );
-        }
-        scraped = Some(second);
+        scraped = Some(scrape(addr, 2).expect("scrape passes"));
     })
     .expect("serve run succeeds");
 
@@ -138,7 +101,7 @@ fn fault_seeded_serve_streams_segments_and_scrape_matches_report() {
 
     // Every `serve.finn_batch` span links its member request ids; across
     // the run the links cover exactly the FINN-served items.
-    let serve = &report.serve;
+    let serve = &report.target;
     let mut linked_items = 0u64;
     for span in spans
         .iter()
@@ -162,65 +125,14 @@ fn fault_seeded_serve_streams_segments_and_scrape_matches_report() {
     );
 
     // (b) the scrape matches the final report, counter for counter.
-    let samples = scraped.expect("observer ran");
-    assert_eq!(
-        counter(&samples, "tincy_serve_accepted_total", None),
-        serve.accepted
-    );
-    assert_eq!(
-        counter(&samples, "tincy_serve_completed_total", None),
-        serve.completed
-    );
-    assert_eq!(
-        counter(&samples, "tincy_serve_finn_items_total", None),
-        serve.finn_items
-    );
-    assert_eq!(
-        counter(&samples, "tincy_serve_cpu_items_total", None),
-        serve.cpu_items
-    );
-    for (reason, want) in [
-        ("queue-full", serve.rejected_queue_full),
-        ("client-full", serve.rejected_client_full),
-        ("draining", serve.rejected_draining),
-    ] {
-        assert_eq!(
-            counter(
-                &samples,
-                "tincy_serve_rejected_total",
-                Some(("reason", reason))
-            ),
-            want,
-            "rejected_total{{reason={reason}}}"
-        );
-    }
-    for class in SloClass::ALL {
-        assert_eq!(
-            counter(
-                &samples,
-                "tincy_serve_rejected_class_total",
-                Some(("class", class.label())),
-            ),
-            serve.rejected_class[class.index()],
-            "rejected_class_total{{class={}}}",
-            class.label()
-        );
-    }
-    assert_eq!(
-        counter(&samples, "tincy_offload_fallbacks_total", None),
-        serve.offload.fallbacks
-    );
-    assert_eq!(
-        counter(&samples, "tincy_offload_faults_total", None),
-        serve.offload.faults
-    );
+    check_scrape(&scraped.expect("observer ran"), serve).expect("scrape matches the report");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn calibrated_budget_reproduces_observed_stage_means_within_one_percent() {
-    let _guard = session_lock();
+    let _guard = exclusive();
     tincy::trace::start();
     let config = DemoConfig {
         frames: 8,

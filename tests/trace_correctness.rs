@@ -1,23 +1,19 @@
 //! Trace correctness: span matching under arbitrary recording patterns,
 //! and fault attribution on a degraded end-to-end run.
 //!
-//! The trace session is process-global, so every test here serializes on
-//! one mutex; each test starts its own session and finishes it before
-//! releasing the lock.
+//! The trace session is process-global, so every test here holds
+//! `tincy::trace::exclusive()`; each test starts its own session and
+//! finishes it before releasing the claim.
 
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use tincy::core::demo::{run_demo, DemoConfig};
 use tincy::core::SystemConfig;
 use tincy::finn::FaultPlan;
-use tincy::trace::{finish, span, start, start_with_clock, Backend, Label, Span, TestClock, Trace};
+use tincy::trace::{
+    exclusive, finish, span, start, start_with_clock, Backend, Label, Span, TestClock, Trace,
+};
 use tincy::video::SceneConfig;
-
-static SESSION: Mutex<()> = Mutex::new(());
-
-fn session_lock() -> MutexGuard<'static, ()> {
-    SESSION.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn demo_config(frames: u64, workers: usize) -> DemoConfig {
     DemoConfig {
@@ -102,7 +98,7 @@ proptest! {
             1..4,
         ),
     ) {
-        let _guard = session_lock();
+        let _guard = exclusive();
         let clock = Arc::new(TestClock::new());
         start_with_clock(clock.clone(), 4096);
         let labels: Vec<Label> = (0..4)
@@ -145,7 +141,7 @@ proptest! {
 /// the offload stage of the correct frame.
 #[test]
 fn faulted_offload_emits_retry_and_fallback_spans() {
-    let _guard = session_lock();
+    let _guard = exclusive();
     let mut config = demo_config(8, 4);
     // Same plan as tests/fault_injection.rs: an outage at invocation 3
     // longer than the retry budget, forcing CPU fallback.
@@ -230,7 +226,7 @@ fn faulted_offload_emits_retry_and_fallback_spans() {
 /// degraded run yields byte-identical detections to an untraced one.
 #[test]
 fn tracing_does_not_perturb_results() {
-    let _guard = session_lock();
+    let _guard = exclusive();
     let mut config = demo_config(6, 3);
     config.system.fault_plan = FaultPlan::outage(2, 4);
     let untraced = run_demo(&config).unwrap();

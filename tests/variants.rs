@@ -10,7 +10,7 @@ use tincy::core::SystemConfig;
 use tincy::explore::DesignPoint;
 use tincy::finn::FaultPlan;
 use tincy::serve::{
-    run_loadgen, DriftHandle, DriftStatus, InferenceServer, LoadMode, LoadgenConfig, ServeConfig,
+    run_load, ArrivalPattern, DriftHandle, DriftStatus, InferenceServer, LoadConfig, ServeConfig,
     ServeEngine, ServeVariant, ShiftPolicy, SloClass, VariantLadder,
 };
 use tincy::tensor::Shape3;
@@ -235,25 +235,23 @@ fn seeded_runs_fingerprint_identically() {
     // Same seeds, same ladder, two independent runs: the bit-exact
     // backends and deterministic cameras must produce identical
     // detection fingerprints and identical per-variant routing totals.
-    let load = LoadgenConfig {
+    let load = LoadConfig {
         clients: 3,
         requests_per_client: 6,
-        mode: LoadMode::Closed,
+        pattern: ArrivalPattern::Closed,
         scene: small_scene(),
         ..Default::default()
     };
-    let run = || run_loadgen(ladder_config(FaultPlan::none()), &load).unwrap();
+    let run =
+        || run_load::<InferenceServer>(ladder_config(FaultPlan::none()), &load, |_| {}).unwrap();
     let (a, b) = (run(), run());
     assert!(a.all_in_order() && b.all_in_order());
     assert_eq!(a.dropped(), 0);
     assert_eq!(b.dropped(), 0);
     assert_eq!(a.detections(), b.detections(), "detection fingerprint");
-    let per_client = |r: &tincy::serve::LoadgenReport| -> Vec<u64> {
-        r.outcomes.iter().map(|o| o.detections).collect()
-    };
-    assert_eq!(per_client(&a), per_client(&b), "per-client fingerprints");
+    assert_eq!(a.fingerprint(), b.fingerprint(), "per-client fingerprints");
     assert_eq!(
-        a.serve.variant_requests, b.serve.variant_requests,
+        a.target.variant_requests, b.target.variant_requests,
         "per-variant routing totals"
     );
 }
