@@ -11,9 +11,7 @@ use crate::device::FpgaDevice;
 use crate::engine::{ConvEngine, EngineConfig};
 use crate::fault::{result_checksum, FaultInjector, FaultKind};
 use crate::resource::ResourceEstimate;
-use crate::stream::ThresholdTable;
-use std::sync::Arc;
-use tincy_kernels::{KernelPlan, PackedLayer, TuneBudget};
+use tincy_kernels::{autotune, KernelPlan, PackedLayer, TuneBudget, Variant};
 use tincy_nn::NnError;
 use tincy_quant::{BinaryDot, ThresholdsForLayer};
 use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor, U3Tensor};
@@ -22,25 +20,13 @@ use tincy_trace::static_label;
 /// Activation bit width of the offloaded hidden layers (W1A3).
 const HIDDEN_ACT_BITS: usize = 3;
 
-/// Parameters of one offloaded W1A3 conv(+pool) layer.
-///
-/// Weights and thresholds sit behind `Arc`s: clones of the layer, and the
-/// [`PackedLayer`] the accelerator prepares for the CPU fallback, share
-/// them instead of copying.
+/// Parameters of one offloaded W1A3 conv(+pool) layer: a validated
+/// [`PackedLayer`], the one implementation of the layer function the
+/// engine and the host fallback both run. Its weights, thresholds and
+/// everything derived from them sit behind `Arc`s, so clones share them.
 #[derive(Debug, Clone)]
 pub struct QnnLayerParams {
-    in_shape: Shape3,
-    weights: Arc<BitTensor>,
-    /// `weights` with each row re-linearized from the channel-major
-    /// `(c, ky, kx)` order of the weight files to the tap-major
-    /// `(ky, kx, c)` order the engine streams footprints in. Built once
-    /// here; the same matrix as `weights` when the two orders coincide.
-    streamed_weights: Arc<BitTensor>,
-    thresholds: Arc<ThresholdsForLayer>,
-    /// `thresholds` laid out as the engine's comparator banks.
-    threshold_table: Arc<ThresholdTable>,
-    geom: ConvGeom,
-    pool: Option<PoolGeom>,
+    core: PackedLayer,
 }
 
 impl QnnLayerParams {
@@ -77,77 +63,55 @@ impl QnnLayerParams {
                 ),
             });
         }
-        let weights = Arc::new(weights);
-        let (taps, channels) = (geom.kernel * geom.kernel, in_shape.channels);
-        let streamed_weights = if taps == 1 || channels == 1 {
-            Arc::clone(&weights)
-        } else {
-            Arc::new(weights.permute_columns(|col| (col % taps) * channels + col / taps))
-        };
-        Ok(Self {
-            in_shape,
-            weights,
-            streamed_weights,
-            threshold_table: Arc::new(ThresholdTable::new(&thresholds)),
-            thresholds: Arc::new(thresholds),
-            geom,
-            pool,
-        })
+        let core = PackedLayer::new(in_shape, weights, thresholds, geom, pool, HIDDEN_ACT_BITS);
+        Ok(Self { core })
+    }
+
+    /// The layer function shared with the host path.
+    pub(crate) fn core(&self) -> &PackedLayer {
+        &self.core
     }
 
     /// Expected input feature-map shape.
     pub fn in_shape(&self) -> Shape3 {
-        self.in_shape
+        self.core.in_shape()
     }
 
     /// Output shape after convolution and optional pooling.
     pub fn out_shape(&self) -> Shape3 {
-        let conv = self.geom.output_shape(self.in_shape, self.weights.rows());
-        match self.pool {
-            Some(pool) => pool.output_shape(conv),
-            None => conv,
-        }
+        self.core.out_shape()
     }
 
     /// The packed binary weights.
     pub fn weights(&self) -> &BitTensor {
-        &self.weights
-    }
-
-    /// The weights in the engine's tap-major streaming order.
-    pub(crate) fn streamed_weights(&self) -> &BitTensor {
-        &self.streamed_weights
+        self.core.weights()
     }
 
     /// The per-channel threshold sets.
     pub fn thresholds(&self) -> &ThresholdsForLayer {
-        &self.thresholds
-    }
-
-    /// The threshold sets as the engine's comparator banks.
-    pub(crate) fn threshold_table(&self) -> &ThresholdTable {
-        &self.threshold_table
+        self.core.thresholds()
     }
 
     /// The convolution geometry.
     pub fn geom(&self) -> ConvGeom {
-        self.geom
+        self.core.geom()
     }
 
     /// The fused pooling geometry, if any.
     pub fn pool(&self) -> Option<PoolGeom> {
-        self.pool
+        self.core.pool()
     }
 
     /// Binary weight storage in bits.
     pub fn weight_bits(&self) -> u64 {
-        (self.weights.rows() * self.weights.cols()) as u64
+        (self.weights().rows() * self.weights().cols()) as u64
     }
 
     /// Dot-product operations per frame (paper accounting, conv only).
     pub fn ops(&self) -> u64 {
-        let conv = self.geom.output_shape(self.in_shape, self.weights.rows());
-        2 * self.weights.cols() as u64 * conv.spatial() as u64 * self.weights.rows() as u64
+        let weights = self.weights();
+        let conv = self.geom().output_shape(self.in_shape(), weights.rows());
+        2 * weights.cols() as u64 * conv.spatial() as u64 * weights.rows() as u64
     }
 }
 
@@ -192,10 +156,11 @@ impl AccelReport {
 #[derive(Debug, Clone)]
 pub struct QnnAccelerator {
     layers: Vec<QnnLayerParams>,
-    /// The same stack prepared for the packed CPU fallback path.
+    /// The layers' cores tagged with their index for the host path's
+    /// `cpu.kernel.*` spans.
     packed: Vec<PackedLayer>,
-    /// Autotuned kernel choice per layer (shared via the process cache).
-    plan: Arc<KernelPlan>,
+    /// What `benchmark/` reads its `forward` arguments from; chooses nothing.
+    plan: KernelPlan,
     engine: ConvEngine,
     /// AXI weight-stream width in bits per cycle.
     axi_bits_per_cycle: u64,
@@ -232,18 +197,10 @@ impl QnnAccelerator {
             .enumerate()
             .map(|(i, layer)| {
                 #[allow(clippy::cast_possible_truncation)]
-                PackedLayer::new(
-                    layer.in_shape(),
-                    Arc::clone(&layer.weights),
-                    Arc::clone(&layer.thresholds),
-                    layer.geom(),
-                    layer.pool(),
-                    HIDDEN_ACT_BITS,
-                )
-                .with_trace_layer(i as u32)
+                layer.core.clone().with_trace_layer(i as u32)
             })
             .collect();
-        let plan = tincy_kernels::plan_for(&packed, &TuneBudget::default());
+        let plan = autotune(&packed, &TuneBudget);
         Ok(Self {
             layers,
             packed,
@@ -412,26 +369,25 @@ impl QnnAccelerator {
         Ok((fmaps, report))
     }
 
-    /// The bit-exact software fallback path, served by the autotuned
-    /// packed XNOR-popcount kernels. Identical results to
-    /// [`QnnAccelerator::reference_run_naive`] (and therefore to the
-    /// hardware path) at a fraction of the time — this is what degraded
-    /// serving runs per frame.
+    /// The host path: the layers' shared cores run back to back, with the
+    /// instructions of [`QnnAccelerator::run`] and none of its weight-swap,
+    /// cycle or fault bookkeeping. Identical results to
+    /// [`QnnAccelerator::reference_run_naive`] at a fraction of the time —
+    /// this is what host workers and degraded serving run per frame.
     ///
     /// # Errors
     ///
     /// Returns [`NnError`] on a shape mismatch.
     pub fn reference_run(&self, input: &Tensor<u8>) -> Result<Tensor<u8>, NnError> {
         let mut fmap = input.clone();
-        for (index, packed) in self.packed.iter().enumerate() {
+        for packed in &self.packed {
             if fmap.shape() != packed.in_shape() {
                 return Err(NnError::ShapeMismatch {
                     expected: packed.in_shape().to_string(),
                     actual: fmap.shape().to_string(),
                 });
             }
-            let entry = self.plan.entry(index);
-            fmap = packed.forward(&fmap, entry.variant, entry.threads);
+            fmap = packed.forward(&fmap, Variant::Blocked, 1);
         }
         Ok(fmap)
     }
@@ -451,28 +407,13 @@ impl QnnAccelerator {
         Ok(fmap)
     }
 
-    /// Naive reference evaluation of a single layer (bench comparisons).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError`] on a shape mismatch or out-of-range index.
-    pub fn reference_layer_naive(
-        &self,
-        index: usize,
-        input: &Tensor<u8>,
-    ) -> Result<Tensor<u8>, NnError> {
-        let layer = self.layers.get(index).ok_or_else(|| NnError::InvalidSpec {
-            what: format!("layer index {index} out of range"),
-        })?;
-        reference_layer(layer, input)
-    }
-
     /// The packed fallback layers, aligned with [`QnnAccelerator::layers`].
     pub fn packed_layers(&self) -> &[PackedLayer] {
         &self.packed
     }
 
-    /// The autotuned kernel plan serving the fallback path.
+    /// One entry per layer, all naming the one schedule. Kept because
+    /// `benchmark/` reads its `forward` arguments from it.
     pub fn kernel_plan(&self) -> &KernelPlan {
         &self.plan
     }
@@ -632,7 +573,6 @@ mod tests {
             );
         }
         let accel = two_layer_accel(&mut rng);
-        assert_eq!(accel.kernel_plan().entries().len(), accel.layers().len());
         assert_eq!(accel.packed_layers().len(), accel.layers().len());
     }
 

@@ -5,12 +5,12 @@
 //! of the network must be run one after the other on the same accelerator."
 //! One [`ConvEngine`] is that hardware: a sliding-window unit feeding a
 //! folded MVTU, with an optional in-stream max-pool unit. The datapath is
-//! the word-wise streaming model of `stream.rs`; the cycle model is
+//! the layer's [`tincy_kernels::PackedLayer`] — the word-wise streaming
+//! schedule the host fallback runs too; the cycle model is
 //! [`conv_layer_cycles`]. The two are independent: how fast the host
 //! computes a layer says nothing about the cycles the fabric is charged.
 
 use crate::accel::QnnLayerParams;
-use crate::stream::StreamedConv;
 use tincy_kernels::PopcountIsa;
 use tincy_nn::NnError;
 use tincy_tensor::{Shape3, Tensor};
@@ -127,20 +127,15 @@ impl ConvEngine {
                 actual: input.shape().to_string(),
             });
         }
-        let conv_out = isa.run(StreamedConv { params, input });
+        // The in-stream pool unit adds no cycles: it consumes the MVTU
+        // output stream at line rate.
         let cycles = conv_layer_cycles(
             params.in_shape(),
-            conv_out.shape().channels,
+            params.weights().rows(),
             params.geom(),
             self.config,
         );
-        let out = match params.pool() {
-            // The in-stream pool unit adds no cycles: it consumes the MVTU
-            // output stream at line rate.
-            Some(pool) => max_pool_levels(&conv_out, pool),
-            None => conv_out,
-        };
-        Ok((out, cycles))
+        Ok((params.core().run_on(isa, input), cycles))
     }
 
     /// Wall-clock seconds for a cycle count at the configured clock.

@@ -15,11 +15,11 @@
 //!   [`tincy_quant::BinaryDot`].
 //! * [`sliding`] — the sliding-window unit feeding kernel footprints to the
 //!   MVTU (the on-the-fly `im2col` of the dataflow architecture).
-//! * [`engine`] — one generalized conv(+pool) engine with a cycle model;
-//!   its datapath streams whole words the way the fabric does (line
-//!   buffer, tap-major footprints, AND-popcount MVTU), with [`mvtu`] and
-//!   [`sliding`] kept as the per-vector reference units it is tested
-//!   against.
+//! * [`engine`] — one generalized conv(+pool) engine: the shared layer
+//!   function of `tincy-kernels`, which streams whole words the way the
+//!   fabric does (line buffer, tap-major footprints, AND-popcount MVTU),
+//!   plus a cycle model; [`mvtu`] and [`sliding`] are kept as the
+//!   per-vector reference units it is tested against.
 //! * [`accel`] — the layer-at-a-time accelerator executing a whole hidden
 //!   stack on one engine, including weight-swap traffic.
 //! * [`fault`] — deterministic fault injection for the offload boundary
@@ -38,7 +38,6 @@ pub mod fault;
 pub mod mvtu;
 pub mod resource;
 pub mod sliding;
-mod stream;
 
 pub use accel::{AccelReport, QnnAccelerator, QnnLayerParams};
 pub use backend::{FabricBackend, FABRIC_LIBRARY};

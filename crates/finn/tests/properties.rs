@@ -6,9 +6,10 @@
 use proptest::prelude::*;
 use tincy_finn::engine::EngineConfig;
 use tincy_finn::{
-    conv_layer_cycles, ConvEngine, Mvtu, QnnAccelerator, QnnLayerParams, SlidingWindow,
+    conv_layer_cycles, ConvEngine, FaultInjector, FaultPlan, Mvtu, QnnAccelerator, QnnLayerParams,
+    SlidingWindow,
 };
-use tincy_kernels::{PopcountIsa, Variant};
+use tincy_kernels::PopcountIsa;
 use tincy_nn::NnError;
 use tincy_quant::{BinaryDot, ThresholdSet, ThresholdsForLayer};
 use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor, U3Tensor};
@@ -297,11 +298,9 @@ fn streaming_engine_matches_every_other_path_over_the_geometry_grid() {
                         // (b) the naive signed-arithmetic reference
                         let naive = accel.reference_run_naive(&case.input).expect("runs");
                         assert_eq!(out, naive, "naive reference, {what}");
-                        // (c) every packed CPU kernel
-                        for variant in Variant::ALL {
-                            let packed = accel.packed_layers()[0].forward(&case.input, variant, 2);
-                            assert_eq!(out, packed, "{variant:?}, {what}");
-                        }
+                        // (c) the host path over the same core
+                        let host = accel.reference_run(&case.input).expect("runs");
+                        assert_eq!(out, host, "host path, {what}");
                     }
                 }
             }
@@ -366,4 +365,39 @@ fn batch_of_four_equals_four_runs() {
         }
     }
     assert_eq!(report.layer_cycles, layer_cycles);
+}
+
+/// A hidden stack shaped like the offloaded Tincy YOLO layers at a reduced
+/// input: host path = naive reference = fabric, and the host path keeps
+/// serving the healthy fabric's output through a full FINN outage.
+#[test]
+fn host_path_equals_naive_and_fabric_and_survives_a_full_outage() {
+    let first = stream_case(
+        11,
+        Shape3::new(64, 16, 16),
+        64,
+        ConvGeom::same(3, 1),
+        Some(PoolGeom::new(2, 2)),
+    );
+    let second = stream_case(12, Shape3::new(64, 8, 8), 128, ConvGeom::same(3, 1), None);
+    let third = stream_case(13, Shape3::new(128, 8, 8), 128, ConvGeom::same(3, 1), None);
+    let layers = vec![first.layer, second.layer, third.layer];
+    let accel = QnnAccelerator::new(layers.clone(), EngineConfig::default()).expect("chains");
+    let input = first.input;
+
+    let (fabric, _) = accel.run(&input).expect("fabric path runs");
+    let host = accel.reference_run(&input).expect("host path runs");
+    let naive = accel.reference_run_naive(&input).expect("naive path runs");
+    assert_eq!(host, naive, "host path disagrees with the naive reference");
+    assert_eq!(host, fabric, "host path disagrees with the fabric path");
+
+    let degraded = QnnAccelerator::new(layers, EngineConfig::default())
+        .expect("chains")
+        .with_fault_injector(FaultInjector::new(FaultPlan::outage(0, u64::MAX)));
+    let err = degraded
+        .run(&input)
+        .expect_err("the outage faults the fabric path");
+    assert!(err.is_retryable(), "{err}");
+    let served = degraded.reference_run(&input).expect("host path serves");
+    assert_eq!(served, fabric, "degraded output diverges from the fabric's");
 }

@@ -4,18 +4,18 @@
 //! layers fall back to an integer GEMM instead of the XNOR-popcount path.
 //! `C[m][n] = Σ_k A[m][k]·B[k][n]` with `A` the signed 8-bit weights
 //! (row-major `m × k`), `B` the unsigned 8-bit activations (row-major
-//! `k × n`) and 32-bit accumulators. All variants perform the same exact
-//! integer additions, so they are bit-exact with each other and with
-//! [`gemm_q8_reference`].
+//! `k × n`) and 32-bit accumulators. The blocked loop performs the same
+//! exact integer additions as [`gemm_q8_reference`] in a different order,
+//! so the two are bit-exact.
 
 use crate::tune::Variant;
 use tincy_trace::{static_label, Backend};
 
-/// Depth tile of the cache-blocked variant: a `K_TILE × N_TILE` panel of
-/// `B` stays L1-resident while a row tile of `A` streams by.
+/// Depth tile: a `K_TILE × N_TILE` panel of `B` stays L1-resident while
+/// the rows of `A` stream by.
 const K_TILE: usize = 256;
 
-/// Column tile of the cache-blocked variant.
+/// Column tile.
 const N_TILE: usize = 64;
 
 /// Naive i-k-j reference for the quantized GEMM.
@@ -38,10 +38,10 @@ pub fn gemm_q8_reference(a: &[i8], b: &[u8], m: usize, k: usize, n: usize) -> Ve
     c
 }
 
-/// Quantized GEMM with a selectable kernel variant.
+/// Cache-blocked quantized GEMM, under one `cpu.kernel.q8` span.
 ///
-/// `threads` only matters for [`Variant::Threaded`]; every variant returns
-/// bit-identical accumulators.
+/// `_variant` has one value and `_threads` is ignored (see
+/// [`crate::PackedLayer::forward`]); `benchmark/` passes both.
 ///
 /// # Panics
 ///
@@ -52,116 +52,35 @@ pub fn gemm_q8(
     m: usize,
     k: usize,
     n: usize,
-    variant: Variant,
-    threads: usize,
+    _variant: Variant,
+    _threads: usize,
 ) -> Vec<i32> {
     assert_eq!(a.len(), m * k, "A size mismatch");
     assert_eq!(b.len(), k * n, "B size mismatch");
     let _span = tincy_trace::span(static_label!("cpu.kernel.q8"))
         .backend(Backend::Host)
-        .variant(variant.label())
         .start();
     let mut c = vec![0i32; m * n];
-    if variant == Variant::Threaded && threads > 1 && m > 1 {
-        let chunk = m.div_ceil(threads.min(m));
-        std::thread::scope(|scope| {
-            let mut rest = c.as_mut_slice();
-            let mut i0 = 0usize;
-            while i0 < m {
-                let i1 = (i0 + chunk).min(m);
-                let (head, tail) = rest.split_at_mut((i1 - i0) * n);
-                rest = tail;
-                scope.spawn(move || {
-                    gemm_q8_range(&a[i0 * k..i1 * k], b, head, i1 - i0, k, n, Variant::Blocked);
-                });
-                i0 = i1;
-            }
-        });
-    } else {
-        let sequential = if variant == Variant::Threaded {
-            Variant::Blocked
-        } else {
-            variant
-        };
-        gemm_q8_range(a, b, &mut c, m, k, n, sequential);
-    }
-    c
-}
-
-/// Evaluates `rows × n` output rows for the row-sliced `A` panel.
-fn gemm_q8_range(
-    a: &[i8],
-    b: &[u8],
-    c: &mut [i32],
-    rows: usize,
-    k: usize,
-    n: usize,
-    variant: Variant,
-) {
-    match variant {
-        Variant::Scalar => {
-            for i in 0..rows {
-                for p in 0..k {
-                    let av = a[i * k + p] as i32;
-                    if av == 0 {
-                        continue;
-                    }
-                    for j in 0..n {
-                        c[i * n + j] += av * b[p * n + j] as i32;
-                    }
-                }
-            }
-        }
-        Variant::Unrolled4 => {
-            let full = n & !3;
-            for i in 0..rows {
-                for p in 0..k {
+    for p0 in (0..k).step_by(K_TILE) {
+        let p1 = (p0 + K_TILE).min(k);
+        for j0 in (0..n).step_by(N_TILE) {
+            let j1 = (j0 + N_TILE).min(n);
+            for i in 0..m {
+                let crow = &mut c[i * n..(i + 1) * n];
+                for p in p0..p1 {
                     let av = a[i * k + p] as i32;
                     if av == 0 {
                         continue;
                     }
                     let brow = &b[p * n..(p + 1) * n];
-                    let crow = &mut c[i * n..(i + 1) * n];
-                    let mut j = 0usize;
-                    while j < full {
-                        crow[j] += av * brow[j] as i32;
-                        crow[j + 1] += av * brow[j + 1] as i32;
-                        crow[j + 2] += av * brow[j + 2] as i32;
-                        crow[j + 3] += av * brow[j + 3] as i32;
-                        j += 4;
-                    }
-                    for j in full..n {
+                    for j in j0..j1 {
                         crow[j] += av * brow[j] as i32;
                     }
                 }
-            }
-        }
-        Variant::Blocked | Variant::Threaded => {
-            let mut p0 = 0usize;
-            while p0 < k {
-                let p1 = (p0 + K_TILE).min(k);
-                let mut j0 = 0usize;
-                while j0 < n {
-                    let j1 = (j0 + N_TILE).min(n);
-                    for i in 0..rows {
-                        let crow = &mut c[i * n..(i + 1) * n];
-                        for p in p0..p1 {
-                            let av = a[i * k + p] as i32;
-                            if av == 0 {
-                                continue;
-                            }
-                            let brow = &b[p * n..(p + 1) * n];
-                            for j in j0..j1 {
-                                crow[j] += av * brow[j] as i32;
-                            }
-                        }
-                    }
-                    j0 = j1;
-                }
-                p0 = p1;
             }
         }
     }
+    c
 }
 
 #[cfg(test)]
@@ -171,7 +90,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     #[test]
-    fn variants_match_reference() {
+    fn blocked_matches_reference() {
         let mut rng = StdRng::seed_from_u64(21);
         for (m, k, n) in [
             (1usize, 1usize, 1usize),
@@ -184,15 +103,11 @@ mod tests {
                 .collect();
             let b: Vec<u8> = (0..k * n).map(|_| rng.gen_range(0..256u32) as u8).collect();
             let expected = gemm_q8_reference(&a, &b, m, k, n);
-            for variant in Variant::ALL {
-                for threads in [1usize, 3] {
-                    assert_eq!(
-                        gemm_q8(&a, &b, m, k, n, variant, threads),
-                        expected,
-                        "m={m} k={k} n={n} variant={variant:?} threads={threads}"
-                    );
-                }
-            }
+            assert_eq!(
+                gemm_q8(&a, &b, m, k, n, Variant::Blocked, 1),
+                expected,
+                "m={m} k={k} n={n}"
+            );
         }
     }
 }

@@ -1,27 +1,33 @@
-//! Bit-packed XNOR-popcount CPU kernels for the fallback path.
+//! The one binary-conv core: bit-packed AND-popcount layers on `u64` words.
 //!
-//! The hidden W1A3 layers of Tincy YOLO are served by the FINN fabric in
-//! normal operation, but every degraded-mode frame (FINN faulted out, host
-//! workers engaged, fleet shards drained) runs the bit-exact software
-//! reference instead. The naive reference evaluates `Σ sign(wᵢ)·aᵢ` one
-//! byte at a time; this crate computes the identical arithmetic on packed
-//! `u64` lanes:
+//! The paper's CPU side and its fabric compute the same W1A3 layer
+//! function, so this workspace computes it in one place. A
+//! [`PackedLayer`] is that function for one hidden conv(+pool) layer:
 //!
-//! * [`pack`] — im2col footprints packed into activation bitplanes with
-//!   per-pixel popcount-correction terms, evaluated by the packed GEMM
-//!   variants and activated through the folded batchnorm thresholds,
-//! * [`gemm`] — the W8A8 quantized GEMM variants for mixed-precision
-//!   profiles that keep 8-bit hidden layers,
-//! * [`tune`] — the startup autotuner that picks a winning variant per
-//!   layer shape and records it in a [`KernelPlan`], plus the process-wide
-//!   plan cache and registry backing the `tincy_kernel_variant` metric.
+//! * the fabric simulator's engine (`tincy_finn::ConvEngine::run_layer`)
+//!   is [`PackedLayer::run_on`] plus the cycle model;
+//! * the host path — a serve host worker, the fault fallback,
+//!   `QnnAccelerator::reference_run` — is [`PackedLayer::forward`]: the
+//!   same call under a `cpu.kernel.*` span, with no cycle or fault
+//!   bookkeeping.
 //!
-//! Every variant computes the same integer accumulators in a different
-//! order, so outputs are bit-exact with the naive reference by
-//! construction — the autotuner can never change results, only speed.
+//! Modules:
+//!
+//! * `stream` — the schedule itself: line buffer, L1-sized
+//!   footprint tile, three planes per weight word, comparator banks;
+//! * [`pack`] — [`PackedLayer`], its naive signed-arithmetic oracle
+//!   [`PackedLayer::forward_reference`], and the shared max-pool;
+//! * [`gemm`] — the W8A8 quantized GEMM for mixed-precision profiles that
+//!   keep 8-bit hidden layers;
+//! * [`tune`] — the remains of the autotuner, kept for `benchmark/`.
+//!
+//! No kernel here spawns a thread: parallelism lives in the frame pipeline
+//! and the server's worker pool (the paper's fifth measure, "one thread per
+//! core"), where the threads can be counted against the cores.
 
 pub mod gemm;
 pub mod pack;
+mod stream;
 pub mod tune;
 
 pub use gemm::{gemm_q8, gemm_q8_reference};
@@ -31,7 +37,4 @@ pub use pack::{max_pool_levels, PackedLayer};
 // than by an edge of its own: the benchmark package commits a lock file
 // that records every edge, and must not change with the code it measures.
 pub use tincy_simd::popcount::{PopcountIsa, PopcountKernel};
-pub use tune::{
-    autotune, plan_for, plan_snapshot, registry_json, KernelPlan, LayerShape, PlanEntry,
-    TuneBudget, TuneMode, Variant,
-};
+pub use tune::{autotune, KernelPlan, PlanEntry, TuneBudget, Variant};

@@ -1,79 +1,52 @@
-//! Bit-packed im2col footprints and the packed hidden-layer evaluator.
+//! The packed hidden layer: one W1A`n` conv(+pool) prepared for the
+//! streamed schedule of `stream.rs`.
 //!
-//! # Packing format
+//! # Arithmetic
 //!
-//! For one hidden layer the weights are already a packed [`BitTensor`]
-//! (bit set ⇔ +1): one row per output channel, `K²·C` columns padded to
-//! whole `u64` words with the padding bits clear. The activations are
-//! packed to match: for every output pixel the `K²·C` im2col footprint
-//! (zero-padded at the borders, exactly like the naive reference) is
-//! written as `planes` bitplanes of `words_per_row` words each, the same
-//! word layout as the weight rows. Plane `p` holds bit `p` of each
-//! activation, so a 3-bit activation column contributes to up to three
-//! planes with weights 1, 2 and 4.
-//!
-//! # Correction-term math
-//!
-//! With `w ∈ {−1,+1}` packed as a bitmask, `Σ wᵢ·bᵢ = 2·pc(w ∧ b) − pc(b)`
-//! per plane. The `pc(b)` term depends only on the activations, so it is
-//! folded once per pixel into a correction term
+//! With `w ∈ {−1,+1}` packed as a bitmask (bit set ⇔ +1) and the
+//! activations split into bitplanes, `Σ wᵢ·bᵢ = 2·pc(w ∧ b) − pc(b)` per
+//! plane, so per output pixel and weight row
 //!
 //! ```text
-//! asum[pix] = Σ_p 2^p · pc(plane_p[pix])
+//! acc = 2 · Σ_p 2^p · pc(w_row ∧ plane_p[pix]) − Σ_p 2^p · pc(plane_p[pix])
 //! ```
 //!
-//! and the per-(row, pixel) inner loop reduces to AND+popcount only:
-//!
-//! ```text
-//! acc = 2 · Σ_p 2^p · pc(w_row ∧ plane_p[pix]) − asum[pix]
-//! ```
-//!
-//! `acc` then goes through the layer's folded batchnorm [`ThresholdSet`]
-//! (ascending or descending) to produce the next 3-bit activation, and an
-//! optional max-pool finishes the layer. Every kernel variant sums the
-//! same integers in a different order, so all variants are bit-exact with
-//! the naive signed-arithmetic reference.
+//! where the second sum depends on the activations only and is folded once
+//! per pixel. `acc` goes through the layer's folded batchnorm thresholds
+//! (ascending or descending) to produce the next activation level, and an
+//! optional max-pool finishes the layer. These are the integers of the
+//! naive signed reference ([`PackedLayer::forward_reference`]) summed in a
+//! different order, so the two are bit-exact by construction.
 
-use crate::tune::{LayerShape, Variant};
+use crate::stream::{StreamedConv, ThresholdTable};
+use crate::tune::Variant;
 use std::sync::Arc;
-use tincy_quant::{and_popcount, ThresholdsForLayer};
-use tincy_simd::{PopcountIsa, PopcountKernel, U64x4};
+use tincy_quant::ThresholdsForLayer;
+use tincy_simd::PopcountIsa;
 use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor};
 use tincy_trace::{static_label, Backend};
 
-/// Bits per packed word (matches [`BitTensor`]).
-const WORD_BITS: usize = 64;
-
-/// Output-channel tile of the cache-blocked variants: 16 weight rows keep
-/// the tile's weight words resident in L1 while a pixel tile streams by.
-const ROW_TILE: usize = 16;
-
-/// Pixel tile of the cache-blocked variants.
-const PIX_TILE: usize = 64;
-
 /// One hidden layer prepared for packed evaluation: packed weights, folded
-/// thresholds, convolution geometry and optional max-pool. Weights and
-/// thresholds are held by `Arc` so the fabric simulator's copy of the same
-/// layer can be shared instead of cloned.
+/// thresholds, convolution geometry and optional max-pool. Everything the
+/// schedule derives from the weights and thresholds is built once in
+/// [`PackedLayer::new`] and held by `Arc`, so clones — the fabric
+/// simulator's and the host fallback's view of the same layer — share it.
 #[derive(Debug, Clone)]
 pub struct PackedLayer {
     in_shape: Shape3,
     weights: Arc<BitTensor>,
+    /// `weights` with each row re-linearized from the channel-major
+    /// `(c, ky, kx)` order of the weight files to the tap-major
+    /// `(ky, kx, c)` order footprints are streamed in; the same matrix as
+    /// `weights` when the two orders coincide.
+    streamed_weights: Arc<BitTensor>,
     thresholds: Arc<ThresholdsForLayer>,
+    /// `thresholds` laid out as comparator banks.
+    threshold_table: Arc<ThresholdTable>,
     geom: ConvGeom,
     pool: Option<PoolGeom>,
     act_bits: usize,
     trace_layer: Option<u32>,
-}
-
-/// Activation bitplanes for one input feature map: `planes[p]` holds
-/// `pixels × words` packed words, plane-major, pixel rows contiguous.
-struct PackedMap {
-    pixels: usize,
-    words: usize,
-    planes: Vec<Vec<u64>>,
-    /// Per-pixel popcount-correction term `Σ_p 2^p · pc(plane_p)`.
-    asum: Vec<i32>,
 }
 
 impl PackedLayer {
@@ -110,9 +83,17 @@ impl PackedLayer {
             weights.rows(),
             "threshold channel count mismatch"
         );
+        let (taps, channels) = (geom.kernel * geom.kernel, in_shape.channels);
+        let streamed_weights = if taps == 1 || channels == 1 {
+            Arc::clone(&weights)
+        } else {
+            Arc::new(weights.permute_columns(|col| (col % taps) * channels + col / taps))
+        };
         Self {
             in_shape,
             weights,
+            streamed_weights,
+            threshold_table: Arc::new(ThresholdTable::new(&thresholds)),
             thresholds,
             geom,
             pool,
@@ -121,7 +102,8 @@ impl PackedLayer {
         }
     }
 
-    /// Tags `kernel.*` spans emitted by this layer with a layer index.
+    /// Tags the `cpu.kernel.*` spans emitted by this layer with a layer
+    /// index.
     #[must_use]
     pub fn with_trace_layer(mut self, layer: u32) -> Self {
         self.trace_layer = Some(layer);
@@ -142,57 +124,76 @@ impl PackedLayer {
         }
     }
 
-    /// Activation bit width consumed by this layer.
-    pub fn act_bits(&self) -> usize {
-        self.act_bits
+    /// The packed binary weights, one row per output channel in the
+    /// channel-major `(c, ky, kx)` column order of the weight files.
+    pub fn weights(&self) -> &BitTensor {
+        &self.weights
     }
 
-    /// The shape key the autotuner bins this layer under.
-    pub fn shape(&self) -> LayerShape {
-        let conv = self.geom.output_shape(self.in_shape, self.weights.rows());
-        LayerShape {
-            rows: self.weights.rows(),
-            cols: self.weights.cols(),
-            pixels: conv.spatial(),
-            planes: self.act_bits,
-        }
+    /// The per-channel threshold sets.
+    pub fn thresholds(&self) -> &ThresholdsForLayer {
+        &self.thresholds
     }
 
-    /// Evaluates the layer with the chosen kernel variant.
+    /// The convolution geometry.
+    pub fn geom(&self) -> ConvGeom {
+        self.geom
+    }
+
+    /// The fused pooling geometry, if any.
+    pub fn pool(&self) -> Option<PoolGeom> {
+        self.pool
+    }
+
+    /// Evaluates the layer on the host path, under one `cpu.kernel.binary`
+    /// span.
     ///
-    /// `threads` only matters for [`Variant::Threaded`]; every variant
-    /// produces bit-identical output.
+    /// There is one schedule: `_variant` has one value and `_threads` is
+    /// ignored — worker threads belong to the server and the pipeline, not
+    /// to a kernel. Both parameters survive only because `benchmark/`
+    /// passes them.
     ///
     /// # Panics
     ///
-    /// Panics if `input` has the wrong shape.
-    pub fn forward(&self, input: &Tensor<u8>, variant: Variant, threads: usize) -> Tensor<u8> {
-        assert_eq!(input.shape(), self.in_shape, "input shape mismatch");
-        let label = match variant {
-            Variant::Scalar => static_label!("cpu.kernel.scalar"),
-            Variant::Unrolled4 => static_label!("cpu.kernel.unrolled4"),
-            Variant::Blocked => static_label!("cpu.kernel.blocked"),
-            Variant::Threaded => static_label!("cpu.kernel.threaded"),
-        };
-        let mut builder = tincy_trace::span(label)
-            .backend(Backend::Host)
-            .variant(variant.label());
+    /// Panics if `input` has the wrong shape, or holds an activation level
+    /// that does not fit `act_bits` bits (it would otherwise be computed on
+    /// as a different, valid level).
+    pub fn forward(&self, input: &Tensor<u8>, _variant: Variant, _threads: usize) -> Tensor<u8> {
+        let mut builder =
+            tincy_trace::span(static_label!("cpu.kernel.binary")).backend(Backend::Host);
         if let Some(layer) = self.trace_layer {
             builder = builder.layer(layer);
         }
         let _span = builder.start();
-        let conv_shape = self.geom.output_shape(self.in_shape, self.weights.rows());
-        let map = self.pack_input(input, conv_shape);
-        let mut conv_out = Tensor::zeros(conv_shape);
-        self.gemm_into(&map, conv_out.as_mut_slice(), variant, threads);
+        self.run_on(PopcountIsa::detect(), input)
+    }
+
+    /// The layer function itself, on a given instantiation of the popcount
+    /// loops: what [`PackedLayer::forward`] and the fabric simulator's
+    /// engine both run, without the span of the one or the cycle model of
+    /// the other. The output never depends on `isa`.
+    ///
+    /// # Panics
+    ///
+    /// As [`PackedLayer::forward`].
+    pub fn run_on(&self, isa: PopcountIsa, input: &Tensor<u8>) -> Tensor<u8> {
+        assert_eq!(input.shape(), self.in_shape, "input shape mismatch");
+        let conv_out = isa.run(StreamedConv {
+            in_shape: self.in_shape,
+            geom: self.geom,
+            weights: &self.streamed_weights,
+            thresholds: &self.threshold_table,
+            act_bits: self.act_bits,
+            input,
+        });
         match self.pool {
             Some(pool) => max_pool_levels(&conv_out, pool),
             None => conv_out,
         }
     }
 
-    /// Naive signed-arithmetic reference: the golden path the packed
-    /// variants are proven bit-exact against.
+    /// Naive signed-arithmetic reference: the golden path the streamed
+    /// schedule is proven bit-exact against.
     ///
     /// # Panics
     ///
@@ -233,213 +234,6 @@ impl PackedLayer {
             None => conv_out,
         }
     }
-
-    /// Packs the im2col footprint of every output pixel into activation
-    /// bitplanes and computes the per-pixel correction terms.
-    fn pack_input(&self, input: &Tensor<u8>, conv_shape: Shape3) -> PackedMap {
-        let pixels = conv_shape.spatial();
-        let words = self.weights.words_per_row();
-        let mut planes = vec![vec![0u64; pixels * words]; self.act_bits];
-        let mut pix = 0usize;
-        for oy in 0..conv_shape.height {
-            for ox in 0..conv_shape.width {
-                let base = pix * words;
-                let mut col = 0usize;
-                for c in 0..self.in_shape.channels {
-                    for ky in 0..self.geom.kernel {
-                        let iy = (oy * self.geom.stride + ky) as isize - self.geom.pad as isize;
-                        if iy < 0 || iy as usize >= self.in_shape.height {
-                            col += self.geom.kernel;
-                            continue;
-                        }
-                        for kx in 0..self.geom.kernel {
-                            let ix = (ox * self.geom.stride + kx) as isize - self.geom.pad as isize;
-                            if ix < 0 || ix as usize >= self.in_shape.width {
-                                col += 1;
-                                continue;
-                            }
-                            let v = input.at(c, iy as usize, ix as usize);
-                            debug_assert!(
-                                (v as usize) >> self.act_bits == 0,
-                                "activation {v} exceeds {} bits",
-                                self.act_bits
-                            );
-                            if v != 0 {
-                                let word = base + col / WORD_BITS;
-                                let mask = 1u64 << (col % WORD_BITS);
-                                for (p, plane) in planes.iter_mut().enumerate() {
-                                    if (v >> p) & 1 == 1 {
-                                        plane[word] |= mask;
-                                    }
-                                }
-                            }
-                            col += 1;
-                        }
-                    }
-                }
-                pix += 1;
-            }
-        }
-        let mut asum = vec![0i32; pixels];
-        for (p, plane) in planes.iter().enumerate() {
-            for (pix, total) in asum.iter_mut().enumerate() {
-                let row = &plane[pix * words..(pix + 1) * words];
-                let pc: u32 = row.iter().map(|&w| w.count_ones()).sum();
-                *total += (pc as i32) << p;
-            }
-        }
-        PackedMap {
-            pixels,
-            words,
-            planes,
-            asum,
-        }
-    }
-
-    /// Dispatches the packed GEMM; `out` is channel-major
-    /// (`rows × pixels`).
-    fn gemm_into(&self, map: &PackedMap, out: &mut [u8], variant: Variant, threads: usize) {
-        let rows = self.weights.rows();
-        if variant == Variant::Threaded && threads > 1 && rows > 1 {
-            let chunk = rows.div_ceil(threads.min(rows));
-            std::thread::scope(|scope| {
-                let mut rest = out;
-                let mut r0 = 0usize;
-                while r0 < rows {
-                    let r1 = (r0 + chunk).min(rows);
-                    let (head, tail) = rest.split_at_mut((r1 - r0) * map.pixels);
-                    rest = tail;
-                    scope.spawn(move || self.gemm_range(map, head, r0, r1, Variant::Blocked));
-                    r0 = r1;
-                }
-            });
-        } else {
-            let sequential = if variant == Variant::Threaded {
-                Variant::Blocked
-            } else {
-                variant
-            };
-            self.gemm_range(map, out, 0, rows, sequential);
-        }
-    }
-
-    /// Evaluates output rows `r0..r1` into `out` (length
-    /// `(r1-r0) × pixels`) with the hardware population count where the
-    /// CPU has one.
-    fn gemm_range(&self, map: &PackedMap, out: &mut [u8], r0: usize, r1: usize, variant: Variant) {
-        PopcountIsa::detect().run(GemmRange {
-            layer: self,
-            map,
-            out,
-            r0,
-            r1,
-            variant,
-        });
-    }
-}
-
-/// One [`PackedLayer::gemm_range`] call.
-struct GemmRange<'a> {
-    layer: &'a PackedLayer,
-    map: &'a PackedMap,
-    out: &'a mut [u8],
-    r0: usize,
-    r1: usize,
-    variant: Variant,
-}
-
-impl PopcountKernel for GemmRange<'_> {
-    type Output = ();
-
-    #[inline(always)]
-    fn run(self) {
-        let Self {
-            layer,
-            map,
-            out,
-            r0,
-            r1,
-            variant,
-        } = self;
-        let pixels = map.pixels;
-        let words = map.words;
-        match variant {
-            Variant::Scalar | Variant::Unrolled4 => {
-                let unrolled = variant == Variant::Unrolled4;
-                for r in r0..r1 {
-                    let wrow = layer.weights.row_words(r);
-                    let tset = layer.thresholds.channel(r);
-                    for pix in 0..pixels {
-                        let base = pix * words;
-                        let pos = if unrolled {
-                            dot_unrolled(wrow, &map.planes, base)
-                        } else {
-                            dot_scalar(wrow, &map.planes, base)
-                        };
-                        let acc = 2 * pos - map.asum[pix];
-                        out[(r - r0) * pixels + pix] = tset.activate(acc);
-                    }
-                }
-            }
-            Variant::Blocked | Variant::Threaded => {
-                let mut pt = 0usize;
-                while pt < pixels {
-                    let pend = (pt + PIX_TILE).min(pixels);
-                    let mut rt = r0;
-                    while rt < r1 {
-                        let rend = (rt + ROW_TILE).min(r1);
-                        for r in rt..rend {
-                            let wrow = layer.weights.row_words(r);
-                            let tset = layer.thresholds.channel(r);
-                            for pix in pt..pend {
-                                let pos = dot_unrolled(wrow, &map.planes, pix * words);
-                                let acc = 2 * pos - map.asum[pix];
-                                out[(r - r0) * pixels + pix] = tset.activate(acc);
-                            }
-                        }
-                        rt = rend;
-                    }
-                    pt = pend;
-                }
-            }
-        }
-    }
-}
-
-/// Plane-weighted AND-popcount `Σ_p 2^p · pc(w ∧ plane_p)`, one word at a
-/// time.
-#[inline(always)]
-fn dot_scalar(wrow: &[u64], planes: &[Vec<u64>], base: usize) -> i32 {
-    let mut acc = 0i32;
-    for (p, plane) in planes.iter().enumerate() {
-        let pc = and_popcount(wrow, &plane[base..base + wrow.len()]);
-        acc += (pc as i32) << p;
-    }
-    acc
-}
-
-/// Plane-weighted AND-popcount, four words per iteration on [`U64x4`].
-#[inline(always)]
-fn dot_unrolled(wrow: &[u64], planes: &[Vec<u64>], base: usize) -> i32 {
-    let words = wrow.len();
-    let full = words & !3;
-    let mut acc = 0i32;
-    for (p, plane) in planes.iter().enumerate() {
-        let brow = &plane[base..base + words];
-        let mut pc = 0u32;
-        let mut j = 0usize;
-        while j < full {
-            pc += U64x4::load(&wrow[j..])
-                .and(U64x4::load(&brow[j..]))
-                .count_ones();
-            j += 4;
-        }
-        for j in full..words {
-            pc += (wrow[j] & brow[j]).count_ones();
-        }
-        acc += (pc as i32) << p;
-    }
-    acc
 }
 
 /// Max-pool over quantization levels — the unsigned activation codes are
@@ -513,22 +307,35 @@ mod tests {
     }
 
     #[test]
-    fn all_variants_match_reference() {
+    fn forward_matches_reference_whatever_threads_says() {
         let mut rng = StdRng::seed_from_u64(11);
         let in_shape = Shape3::new(3, 6, 5);
         let layer = random_layer(&mut rng, in_shape, 9, 1);
         let input = random_input(&mut rng, in_shape, 3);
         let expected = layer.forward_reference(&input);
-        for variant in Variant::ALL {
-            for threads in [1usize, 3] {
-                let got = layer.forward(&input, variant, threads);
-                assert_eq!(
-                    got.as_slice(),
-                    expected.as_slice(),
-                    "variant={variant:?} threads={threads}"
-                );
-            }
+        for threads in [0usize, 1, 3] {
+            let got = layer.forward(&input, Variant::Blocked, threads);
+            assert_eq!(got.as_slice(), expected.as_slice(), "threads={threads}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 2-bit range")]
+    fn level_wider_than_act_bits_panics_instead_of_aliasing() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let in_shape = Shape3::new(3, 4, 4);
+        let three_bit = random_layer(&mut rng, in_shape, 2, 1);
+        let layer = PackedLayer::new(
+            in_shape,
+            three_bit.weights().clone(),
+            three_bit.thresholds().clone(),
+            three_bit.geom(),
+            None,
+            2,
+        );
+        let mut input = random_input(&mut rng, in_shape, 2);
+        *input.at_mut(1, 2, 3) = 4;
+        let _ = layer.forward(&input, Variant::Blocked, 1);
     }
 
     #[test]
@@ -563,10 +370,8 @@ mod tests {
         );
         let input = random_input(&mut rng, in_shape, 3);
         let expected = layer.forward_reference(&input);
-        for variant in Variant::ALL {
-            let got = layer.forward(&input, variant, 2);
-            assert_eq!(got.as_slice(), expected.as_slice(), "variant={variant:?}");
-        }
+        let got = layer.forward(&input, Variant::Blocked, 1);
+        assert_eq!(got.as_slice(), expected.as_slice());
         assert_eq!(expected.shape(), layer.out_shape());
     }
 
@@ -598,9 +403,7 @@ mod tests {
         let layer = PackedLayer::new(in_shape, weights, thresholds, geom, None, 1);
         let input = random_input(&mut rng, in_shape, 1);
         let expected = layer.forward_reference(&input);
-        for variant in Variant::ALL {
-            let got = layer.forward(&input, variant, 2);
-            assert_eq!(got.as_slice(), expected.as_slice(), "variant={variant:?}");
-        }
+        let got = layer.forward(&input, Variant::Blocked, 1);
+        assert_eq!(got.as_slice(), expected.as_slice());
     }
 }

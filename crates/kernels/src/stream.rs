@@ -1,10 +1,11 @@
-//! The engine's streaming datapath: line buffer → window assembly → MVTU.
+//! The one binary-conv schedule: line buffer → window assembly → MVTU.
 //!
 //! FINN's sliding-window unit does not gather `K²·C` scalars per output
 //! pixel. It keeps the last `K` input rows in a line buffer, channel
 //! innermost, and emits each footprint as whole words in tap-major
 //! `(ky, kx, c)` order; the MVTU's weight memory is laid out to match. The
-//! simulator does the same on `u64` words:
+//! host computes a layer the same way on `u64` words, whether it is
+//! simulating the fabric or standing in for it:
 //!
 //! 1. **Line buffer.** The CHW input is packed once into three bitplanes.
 //!    Within a plane every (zero-padded) input row is one dense bit stream,
@@ -23,15 +24,13 @@
 //!
 //! Nothing is allocated per pixel and nothing is cloned per call; the
 //! tap-major weights and the comparator banks are built once in
-//! [`QnnLayerParams::new`]. Only host time depends on any of this —
-//! results are those of the per-vector [`crate::SlidingWindow`] →
-//! [`crate::Mvtu`] units, and simulated cycles come from
-//! [`crate::conv_layer_cycles`] alone.
+//! [`crate::PackedLayer::new`]. Activations narrower than three bits leave
+//! the upper planes empty, which the arithmetic above gets right without a
+//! special case.
 
-use crate::accel::QnnLayerParams;
-use tincy_kernels::PopcountKernel;
 use tincy_quant::ThresholdsForLayer;
-use tincy_tensor::{Tensor, U3Tensor};
+use tincy_simd::PopcountKernel;
+use tincy_tensor::{BitTensor, ConvGeom, Shape3, Tensor};
 
 const WORD_BITS: usize = 64;
 
@@ -119,8 +118,10 @@ impl LineBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if any activation level exceeds the 3-bit range.
-    fn pack(input: &Tensor<u8>, pad: usize) -> Self {
+    /// Panics if any activation level exceeds the `act_bits`-bit range: a
+    /// wider level would otherwise be truncated to its low planes and
+    /// computed on as if it were a valid one.
+    fn pack(input: &Tensor<u8>, pad: usize, act_bits: usize) -> Self {
         let shape = input.shape();
         let (channels, height, width) = (shape.channels, shape.height, shape.width);
         let row_words = ((width + 2 * pad) * channels).div_ceil(WORD_BITS) + 1;
@@ -141,10 +142,10 @@ impl LineBuffer {
                 }
             }
         }
-        // Levels are OR-ed: any bit above the third marks an offender.
+        // Levels are OR-ed: any bit above `act_bits` marks an offender.
         assert!(
-            seen <= U3Tensor::MAX,
-            "activation level exceeds 3-bit range"
+            seen >> act_bits == 0,
+            "activation level exceeds {act_bits}-bit range"
         );
         Self {
             words,
@@ -185,10 +186,16 @@ fn append_bits(dst: &mut [u64], dst_bit: usize, src: &[u64], src_bit: usize, len
     }
 }
 
-/// One convolution (before pooling) streamed through the engine.
+/// One convolution (before pooling) over one input feature map.
 pub(crate) struct StreamedConv<'a> {
-    pub(crate) params: &'a QnnLayerParams,
-    /// Must have the layer's input shape.
+    pub(crate) in_shape: Shape3,
+    pub(crate) geom: ConvGeom,
+    /// Weight rows in tap-major `(ky, kx, c)` order.
+    pub(crate) weights: &'a BitTensor,
+    pub(crate) thresholds: &'a ThresholdTable,
+    /// Widest activation level the layer accepts, in bits (`1..=3`).
+    pub(crate) act_bits: usize,
+    /// Must have shape `in_shape`.
     pub(crate) input: &'a Tensor<u8>,
 }
 
@@ -197,14 +204,18 @@ impl PopcountKernel for StreamedConv<'_> {
 
     #[inline(always)]
     fn run(self) -> Tensor<u8> {
-        let Self { params, input } = self;
-        let geom = params.geom();
-        let weights = params.streamed_weights();
-        let thresholds = params.threshold_table();
-        let channels = params.in_shape().channels;
-        let conv_shape = geom.output_shape(params.in_shape(), weights.rows());
+        let Self {
+            in_shape,
+            geom,
+            weights,
+            thresholds,
+            act_bits,
+            input,
+        } = self;
+        let channels = in_shape.channels;
+        let conv_shape = geom.output_shape(in_shape, weights.rows());
         let (out_width, pixels) = (conv_shape.width, conv_shape.spatial());
-        let lines = LineBuffer::pack(input, geom.pad);
+        let lines = LineBuffer::pack(input, geom.pad, act_bits);
 
         let words = weights.words_per_row();
         let footprint_words = PLANES * words;
@@ -340,7 +351,7 @@ mod tests {
     fn line_buffer_is_channel_innermost_with_zero_borders() {
         let shape = tincy_tensor::Shape3::new(3, 2, 2);
         let input = Tensor::from_fn(shape, |c, y, x| (1 + c + 2 * y + x) as u8);
-        let lines = LineBuffer::pack(&input, 1);
+        let lines = LineBuffer::pack(&input, 1, 3);
         assert_eq!(lines.rows, 4);
         for plane in 0..PLANES {
             for y in 0..4 {

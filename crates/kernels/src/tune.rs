@@ -1,167 +1,44 @@
-//! The startup autotuner: pick a kernel variant per layer shape.
+//! What is left of the startup autotuner: the names `benchmark/` calls.
 //!
-//! # Protocol
-//!
-//! Variant choice never changes results — every variant is bit-exact — so
-//! tuning is purely a performance decision and can be as cheap as a cost
-//! model. Two modes:
-//!
-//! * [`TuneMode::Model`] (default): a deterministic analytic cost model
-//!   over the layer shape. Machine-independent, zero startup cost, and
-//!   keeps the exported `tincy_kernel_variant` series stable across hosts
-//!   (the metrics-shape goldens pin label values).
-//! * [`TuneMode::Measure`] (opt-in via `TINCY_KERNEL_TUNE=measure`): time
-//!   each variant on a seeded synthetic input under a small warmup budget
-//!   and keep the fastest. Deterministic inputs, not deterministic
-//!   winners — wall-clock decides.
-//!
-//! Plans are cached process-wide by the stack's shape key so identical
-//! worker engines (serve CPU workers, fleet shards) tune once; every tuned
-//! layer emits a `kernel.autotune` trace span and lands in a global
-//! registry backing the `tincy_kernel_variant` metric and the
-//! `--kernel-plan` CLI flag.
+//! There is one packed schedule (`stream.rs`), so there is nothing to
+//! tune and no plan to cache. The ledger still asks for a plan and passes
+//! its entries back into [`crate::PackedLayer::forward`] and
+//! [`crate::gemm_q8`], and a change that claims a gain may not edit the
+//! ledger; these types keep those calls compiling and choose nothing. They
+//! go when a `benchmark/`-only change stops naming them.
 
 use crate::pack::PackedLayer;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
-use tincy_json::{JsonArray, JsonObject};
-use tincy_tensor::{Shape3, Tensor};
-use tincy_trace::static_label;
 
-/// One packed-GEMM implementation strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// The packed schedule. One value, because there is one schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
-    /// One word at a time, per-plane accumulators.
-    Scalar,
-    /// Four words per iteration on `U64x4` lanes.
-    Unrolled4,
-    /// Cache-blocked row × pixel tiles around the unrolled inner loop.
+    /// The streamed, L1-tiled schedule (cache-blocked panels for the W8A8
+    /// GEMM).
     Blocked,
-    /// Row-parallel blocked tiles across a scoped thread pool.
-    Threaded,
 }
 
-impl Variant {
-    /// Every variant, in deterministic tie-break order (earlier wins ties).
-    pub const ALL: [Variant; 4] = [
-        Variant::Scalar,
-        Variant::Unrolled4,
-        Variant::Blocked,
-        Variant::Threaded,
-    ];
+/// Carries nothing; [`autotune`] takes it for the ledger's sake.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TuneBudget;
 
-    /// Stable label used in metrics, traces and plan JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            Variant::Scalar => "scalar",
-            Variant::Unrolled4 => "unrolled4",
-            Variant::Blocked => "blocked",
-            Variant::Threaded => "threaded",
-        }
-    }
-}
-
-/// The shape key the autotuner bins layers under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct LayerShape {
-    /// Output channels (weight rows).
-    pub rows: usize,
-    /// Im2col dot length (`K²·C`).
-    pub cols: usize,
-    /// Convolution output pixels.
-    pub pixels: usize,
-    /// Activation bitplanes.
-    pub planes: usize,
-}
-
-impl LayerShape {
-    /// Compact `rows x cols x pixels x planes` form for labels and JSON.
-    pub fn token(&self) -> String {
-        format!(
-            "{}x{}x{}x{}",
-            self.rows, self.cols, self.pixels, self.planes
-        )
-    }
-}
-
-/// How the autotuner decides.
+/// The arguments the ledger passes to [`PackedLayer::forward`] for one
+/// layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TuneMode {
-    /// Deterministic analytic cost model (default).
-    Model,
-    /// Timed warmup runs on seeded synthetic inputs.
-    Measure,
-}
-
-/// The autotuner's decision procedure and warmup budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TuneBudget {
-    /// Decision mode.
-    pub mode: TuneMode,
-    /// Seed for the synthetic warmup inputs (Measure mode).
-    pub seed: u64,
-    /// Timed iterations per variant, best-of (Measure mode).
-    pub iters: usize,
-    /// Worker threads assumed for [`Variant::Threaded`].
-    pub threads: usize,
-}
-
-impl Default for TuneBudget {
-    /// Model mode unless `TINCY_KERNEL_TUNE=measure`; a fixed 4-thread
-    /// assumption keeps Model-mode plans identical across machines.
-    fn default() -> Self {
-        let mode = match std::env::var("TINCY_KERNEL_TUNE") {
-            Ok(v) if v == "measure" => TuneMode::Measure,
-            _ => TuneMode::Model,
-        };
-        Self {
-            mode,
-            seed: 7,
-            iters: 3,
-            threads: 4,
-        }
-    }
-}
-
-impl TuneBudget {
-    /// A Model-mode budget regardless of the environment.
-    pub fn model() -> Self {
-        Self {
-            mode: TuneMode::Model,
-            ..Self::default()
-        }
-    }
-}
-
-/// The tuned decision for one layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanEntry {
-    /// Layer index within the tuned stack.
-    pub layer: u32,
-    /// The shape the decision was made for.
-    pub shape: LayerShape,
-    /// Winning variant.
+    /// Always [`Variant::Blocked`].
     pub variant: Variant,
-    /// Thread count the variant runs with (1 unless Threaded).
+    /// Always 1, and ignored by the kernels: they spawn no threads.
     pub threads: usize,
-    /// The winning cost (model units or measured nanoseconds).
-    pub cost: f64,
 }
 
-/// The autotuner's output: one entry per layer of the tuned stack.
-#[derive(Debug, Clone, PartialEq)]
+/// One [`PlanEntry`] per layer of a stack.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelPlan {
     entries: Vec<PlanEntry>,
 }
 
 impl KernelPlan {
-    /// Entries in layer order.
-    pub fn entries(&self) -> &[PlanEntry] {
-        &self.entries
-    }
-
-    /// The decision for one layer.
+    /// The entry for one layer.
     ///
     /// # Panics
     ///
@@ -169,307 +46,15 @@ impl KernelPlan {
     pub fn entry(&self, layer: usize) -> &PlanEntry {
         &self.entries[layer]
     }
-
-    /// Serializes the plan as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut rows = JsonArray::new();
-        for entry in &self.entries {
-            rows.raw(&plan_entry_json(
-                entry.layer,
-                entry.shape,
-                entry.variant,
-                entry.threads,
-            ));
-        }
-        JsonObject::new()
-            .u64("layers", self.entries.len() as u64)
-            .raw("entries", &rows.finish())
-            .finish()
-    }
 }
 
-fn plan_entry_json(layer: u32, shape: LayerShape, variant: Variant, threads: usize) -> String {
-    JsonObject::new()
-        .u64("layer", layer as u64)
-        .str("shape", &shape.token())
-        .u64("rows", shape.rows as u64)
-        .u64("cols", shape.cols as u64)
-        .u64("pixels", shape.pixels as u64)
-        .u64("planes", shape.planes as u64)
-        .str("variant", variant.label())
-        .u64("threads", threads as u64)
-        .finish()
-}
-
-/// Analytic cost of running `shape` with `variant` (arbitrary units).
-///
-/// `work` counts packed inner-loop word operations. The factors encode the
-/// mechanisms, not a specific host: unrolling pays once rows span several
-/// quads, tiles pay once the weight matrix spills L1, threads amortize a
-/// fixed spawn cost.
-fn model_cost(shape: LayerShape, variant: Variant, threads: usize) -> f64 {
-    let words = shape.cols.div_ceil(64) as f64;
-    let work = shape.rows as f64 * shape.pixels as f64 * words * shape.planes as f64;
-    let unrolled = work * if words >= 4.0 { 0.70 } else { 1.02 };
-    let weight_bytes = shape.rows as f64 * words * 8.0;
-    let blocked = unrolled
-        * if weight_bytes > 32.0 * 1024.0 && shape.pixels >= 2 * 64 {
-            0.85
-        } else {
-            1.03
-        };
-    match variant {
-        Variant::Scalar => work,
-        Variant::Unrolled4 => unrolled,
-        Variant::Blocked => blocked,
-        Variant::Threaded => {
-            let threads = threads.max(1) as f64;
-            blocked / threads + 30_000.0 * threads
-        }
-    }
-}
-
-/// SplitMix64 step, the workspace's standard seed expander.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Deterministic synthetic warmup input for Measure mode.
-fn seeded_input(shape: Shape3, act_bits: usize, seed: u64) -> Tensor<u8> {
-    let mut state = seed ^ (shape.volume() as u64).rotate_left(17);
-    let levels = 1u64 << act_bits;
-    Tensor::from_fn(shape, |_, _, _| (splitmix64(&mut state) % levels) as u8)
-}
-
-fn measured_cost(layer: &PackedLayer, variant: Variant, budget: &TuneBudget) -> f64 {
-    let input = seeded_input(layer.in_shape(), layer.act_bits(), budget.seed);
-    let mut best = f64::INFINITY;
-    for _ in 0..budget.iters.max(1) {
-        let start = Instant::now();
-        let out = layer.forward(&input, variant, budget.threads);
-        let elapsed = start.elapsed().as_nanos() as f64;
-        std::hint::black_box(out);
-        if elapsed < best {
-            best = elapsed;
-        }
-    }
-    best
-}
-
-/// Tunes one stack of packed layers, emitting a `kernel.autotune` span per
-/// layer.
-pub fn autotune(layers: &[PackedLayer], budget: &TuneBudget) -> KernelPlan {
-    let entries = layers
-        .iter()
-        .enumerate()
-        .map(|(i, layer)| {
-            let shape = layer.shape();
-            let mut winner = Variant::Scalar;
-            let mut best = f64::INFINITY;
-            for variant in Variant::ALL {
-                let cost = match budget.mode {
-                    TuneMode::Model => model_cost(shape, variant, budget.threads),
-                    TuneMode::Measure => measured_cost(layer, variant, budget),
-                };
-                if cost < best {
-                    best = cost;
-                    winner = variant;
-                }
-            }
-            let threads = if winner == Variant::Threaded {
-                budget.threads.max(1)
-            } else {
-                1
-            };
-            tincy_trace::span(static_label!("kernel.autotune"))
-                .layer(i as u32)
-                .variant(winner.label())
-                .cycles(best as u64)
-                .emit();
-            PlanEntry {
-                layer: i as u32,
-                shape,
-                variant: winner,
-                threads,
-                cost: best,
-            }
-        })
-        .collect();
-    KernelPlan { entries }
-}
-
-type PlanCache = Mutex<HashMap<Vec<LayerShape>, Arc<KernelPlan>>>;
-type PlanRegistry = Mutex<BTreeMap<(u32, LayerShape), (Variant, usize)>>;
-
-fn cache() -> &'static PlanCache {
-    static CACHE: OnceLock<PlanCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn registry() -> &'static PlanRegistry {
-    static REGISTRY: OnceLock<PlanRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Returns the plan for a layer stack, tuning on first sight of its shape
-/// key and serving every later identical stack (serve workers, fleet
-/// shards) from the process-wide cache. Tuned entries are recorded in the
-/// global registry behind [`plan_snapshot`] / [`registry_json`].
-pub fn plan_for(layers: &[PackedLayer], budget: &TuneBudget) -> Arc<KernelPlan> {
-    let key: Vec<LayerShape> = layers.iter().map(PackedLayer::shape).collect();
-    let mut cache = cache().lock().expect("kernel plan cache poisoned");
-    if let Some(plan) = cache.get(&key) {
-        return Arc::clone(plan);
-    }
-    let plan = Arc::new(autotune(layers, budget));
-    {
-        let mut registry = registry().lock().expect("kernel plan registry poisoned");
-        for entry in plan.entries() {
-            registry.insert((entry.layer, entry.shape), (entry.variant, entry.threads));
-        }
-    }
-    cache.insert(key, Arc::clone(&plan));
-    plan
-}
-
-/// Every `(layer, shape) → variant` decision tuned so far this process, in
-/// deterministic order.
-pub fn plan_snapshot() -> Vec<(u32, LayerShape, Variant)> {
-    registry()
-        .lock()
-        .expect("kernel plan registry poisoned")
-        .iter()
-        .map(|(&(layer, shape), &(variant, _))| (layer, shape, variant))
-        .collect()
-}
-
-/// The global registry as JSON — the payload behind `--kernel-plan`.
-pub fn registry_json() -> String {
-    let mut rows = JsonArray::new();
-    for ((layer, shape), (variant, threads)) in registry()
-        .lock()
-        .expect("kernel plan registry poisoned")
-        .iter()
-    {
-        rows.raw(&plan_entry_json(*layer, *shape, *variant, *threads));
-    }
-    JsonObject::new()
-        .raw("kernel_plan", &rows.finish())
-        .finish()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use tincy_quant::{ThresholdSet, ThresholdsForLayer};
-    use tincy_tensor::{BitTensor, ConvGeom};
-
-    fn layer(rng: &mut StdRng, in_shape: Shape3, out_c: usize) -> PackedLayer {
-        let geom = ConvGeom::same(3, 1);
-        let cols = geom.dot_length(in_shape.channels);
-        let signs: Vec<i8> = (0..out_c * cols)
-            .map(|_| if rng.gen() { 1 } else { -1 })
-            .collect();
-        let weights = BitTensor::from_signs(out_c, cols, &signs).unwrap();
-        let sets: Vec<ThresholdSet> = (0..out_c)
-            .map(|_| {
-                let mut taus = Vec::with_capacity(7);
-                let mut t = rng.gen_range(-30..-15);
-                for _ in 0..7 {
-                    t += rng.gen_range(1..6);
-                    taus.push(t);
-                }
-                ThresholdSet::new(taus).unwrap()
-            })
-            .collect();
-        PackedLayer::new(
-            in_shape,
-            weights,
-            ThresholdsForLayer::new(sets).unwrap(),
-            geom,
-            None,
-            3,
-        )
-    }
-
-    #[test]
-    fn model_mode_is_deterministic() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let layers = vec![
-            layer(&mut rng, Shape3::new(3, 8, 8), 16),
-            layer(&mut rng, Shape3::new(16, 4, 4), 32),
-        ];
-        let budget = TuneBudget::model();
-        assert_eq!(autotune(&layers, &budget), autotune(&layers, &budget));
-    }
-
-    #[test]
-    fn plan_cache_returns_same_plan_for_same_shapes() {
-        let mut rng = StdRng::seed_from_u64(32);
-        let a = vec![layer(&mut rng, Shape3::new(2, 5, 5), 6)];
-        let b = vec![layer(&mut rng, Shape3::new(2, 5, 5), 6)];
-        let budget = TuneBudget::model();
-        let pa = plan_for(&a, &budget);
-        let pb = plan_for(&b, &budget);
-        assert!(Arc::ptr_eq(&pa, &pb));
-        assert!(plan_snapshot()
-            .iter()
-            .any(|&(l, s, _)| l == 0 && s == a[0].shape()));
-    }
-
-    #[test]
-    fn big_shapes_go_threaded_small_shapes_stay_sequential() {
-        let big = LayerShape {
-            rows: 512,
-            cols: 4608,
-            pixels: 1024,
-            planes: 3,
-        };
-        let tiny = LayerShape {
-            rows: 4,
-            cols: 27,
-            pixels: 16,
-            planes: 3,
-        };
-        let budget = TuneBudget::model();
-        let pick = |shape: LayerShape| {
-            Variant::ALL
-                .into_iter()
-                .fold((Variant::Scalar, f64::INFINITY), |acc, v| {
-                    let cost = model_cost(shape, v, budget.threads);
-                    if cost < acc.1 {
-                        (v, cost)
-                    } else {
-                        acc
-                    }
-                })
-                .0
-        };
-        assert_eq!(pick(big), Variant::Threaded);
-        assert_ne!(pick(tiny), Variant::Threaded);
-    }
-
-    #[test]
-    fn plan_json_lists_every_layer() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let layers = vec![
-            layer(&mut rng, Shape3::new(2, 4, 4), 4),
-            layer(&mut rng, Shape3::new(4, 4, 4), 8),
-        ];
-        let plan = autotune(&layers, &TuneBudget::model());
-        let json = plan.to_json();
-        let parsed = tincy_json::parse(&json).unwrap();
-        let entries = parsed.get("entries").and_then(|v| v.as_arr()).unwrap();
-        assert_eq!(entries.len(), 2);
-        for (i, entry) in entries.iter().enumerate() {
-            assert_eq!(entry.get("layer").and_then(|v| v.as_f64()), Some(i as f64));
-            assert!(entry.get("variant").and_then(|v| v.as_str()).is_some());
-        }
+/// The plan for a stack: the one schedule, for every layer.
+pub fn autotune(layers: &[PackedLayer], _budget: &TuneBudget) -> KernelPlan {
+    let entry = PlanEntry {
+        variant: Variant::Blocked,
+        threads: 1,
+    };
+    KernelPlan {
+        entries: vec![entry; layers.len()],
     }
 }

@@ -1,11 +1,11 @@
-//! Property-based tests: every packed kernel variant is bit-exact with
-//! the naive signed reference over randomized layer configurations and
-//! thread counts, across the precision profiles the fallback path serves
-//! (W1A1, W1A3 binarized-weight layers and W8A8 quantized GEMM), and the
-//! autotuner is deterministic under a fixed budget.
+//! Property-based tests: the one packed schedule is bit-exact with the
+//! naive signed reference over randomized layer configurations and over
+//! the geometry grid of the models, across the precision profiles the
+//! host path serves (W1A1 to W1A3 binarized-weight layers and the W8A8
+//! quantized GEMM), on every instantiation of the popcount loops.
 
 use proptest::prelude::*;
-use tincy_kernels::{autotune, gemm_q8, gemm_q8_reference, PackedLayer, TuneBudget, Variant};
+use tincy_kernels::{gemm_q8, gemm_q8_reference, PackedLayer, PopcountIsa, Variant};
 use tincy_quant::{ThresholdSet, ThresholdsForLayer};
 use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor};
 
@@ -16,7 +16,6 @@ struct LayerCase {
     stride: usize,
     pool: Option<PoolGeom>,
     act_bits: usize,
-    threads: usize,
     weight_seed: u64,
     input_seed: u64,
 }
@@ -31,22 +30,18 @@ fn layer_case() -> impl Strategy<Value = LayerCase> {
         // W1A1 and W1A3 activation profiles; 2-bit rides along since the
         // packing is per-plane.
         1usize..4,
-        1usize..5,
         any::<u64>(),
         any::<u64>(),
     )
-        .prop_map(
-            |(c, hw, oc, stride, pool, act_bits, threads, ws, is)| LayerCase {
-                in_shape: Shape3::new(c, hw, hw),
-                out_channels: oc,
-                stride,
-                pool,
-                act_bits,
-                threads,
-                weight_seed: ws,
-                input_seed: is,
-            },
-        )
+        .prop_map(|(c, hw, oc, stride, pool, act_bits, ws, is)| LayerCase {
+            in_shape: Shape3::new(c, hw, hw),
+            out_channels: oc,
+            stride,
+            pool,
+            act_bits,
+            weight_seed: ws,
+            input_seed: is,
+        })
 }
 
 fn lcg(seed: u64) -> impl FnMut() -> u64 {
@@ -99,59 +94,106 @@ fn build_input(case: &LayerCase) -> Tensor<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every packed variant equals the naive signed reference, at any
-    /// thread count, for W1A1 through W1A3 layers with arbitrary strides
-    /// and pooling.
+    /// The schedule equals the naive signed reference for W1A1 through
+    /// W1A3 layers with arbitrary strides and pooling.
     #[test]
-    fn packed_variants_bit_exact_with_reference(case in layer_case()) {
+    fn schedule_bit_exact_with_reference(case in layer_case()) {
         let layer = build_layer(&case);
         let input = build_input(&case);
         let expected = layer.forward_reference(&input);
-        for variant in Variant::ALL {
-            let got = layer.forward(&input, variant, case.threads);
-            prop_assert_eq!(
-                got.as_slice(), expected.as_slice(),
-                "variant {:?} threads {}", variant, case.threads
-            );
-        }
+        let got = layer.forward(&input, Variant::Blocked, 1);
+        prop_assert_eq!(got.as_slice(), expected.as_slice());
     }
 
-    /// The W8A8 quantized GEMM variants equal the naive i32 reference.
+    /// The W8A8 quantized GEMM equals the naive i32 reference.
     #[test]
-    fn gemm_q8_variants_bit_exact_with_reference(
+    fn gemm_q8_bit_exact_with_reference(
         m in 1usize..12,
         k in 1usize..40,
         n in 1usize..40,
-        threads in 1usize..5,
         seed in any::<u64>()
     ) {
         let mut rng = lcg(seed);
         let a: Vec<i8> = (0..m * k).map(|_| (rng() % 256) as u8 as i8).collect();
         let b: Vec<u8> = (0..k * n).map(|_| (rng() % 256) as u8).collect();
         let expected = gemm_q8_reference(&a, &b, m, k, n);
-        for variant in Variant::ALL {
-            let got = gemm_q8(&a, &b, m, k, n, variant, threads);
-            prop_assert_eq!(
-                &got, &expected,
-                "variant {:?} threads {}", variant, threads
-            );
-        }
+        prop_assert_eq!(&gemm_q8(&a, &b, m, k, n, Variant::Blocked, 1), &expected);
     }
+}
 
-    /// Model-mode autotuning is a pure function of the layer shapes: the
-    /// same stack always yields the same plan, regardless of seed.
-    #[test]
-    fn autotuner_is_deterministic(case in layer_case(), seed in any::<u64>()) {
-        let layer = build_layer(&case);
-        let layers = [layer];
-        let first = autotune(&layers, &TuneBudget::model());
-        let mut reseeded = TuneBudget::model();
-        reseeded.seed = seed;
-        let second = autotune(&layers, &reseeded);
-        prop_assert_eq!(first.entries(), second.entries());
-        for entry in first.entries() {
-            prop_assert!(entry.threads >= 1);
-            prop_assert!(Variant::ALL.contains(&entry.variant));
+/// One point of the geometry grid: random weights, thresholds spread like
+/// the accumulators and alternating in comparison direction from channel
+/// to channel, and a random input of `act_bits`-bit levels.
+fn grid_case(
+    index: usize,
+    act_bits: usize,
+    in_shape: Shape3,
+    geom: ConvGeom,
+    pool: Option<PoolGeom>,
+) -> (PackedLayer, Tensor<u8>) {
+    let mut rng = lcg(0x5eed ^ (index as u64) << 8);
+    let out_channels = 2 + index % 5;
+    let cols = geom.dot_length(in_shape.channels);
+    let signs: Vec<i8> = (0..out_channels * cols)
+        .map(|_| if rng() & 1 == 0 { 1 } else { -1 })
+        .collect();
+    let weights = BitTensor::from_signs(out_channels, cols, &signs).expect("dims");
+    let top = (1i32 << act_bits) - 1;
+    let spread = ((cols as f64).sqrt() as i32 * top / 2 + 2) as u64;
+    let sets = (0..out_channels)
+        .map(|c| {
+            let base = (rng() % (2 * spread)) as i32 - 2 * spread as i32;
+            let step = (rng() % (spread / 2 + 1)) as i32;
+            let taus = (0..top).map(|k| base + k * step).collect();
+            ThresholdSet::with_direction(taus, (c + index).is_multiple_of(2)).expect("monotone")
+        })
+        .collect();
+    let thresholds = ThresholdsForLayer::new(sets).expect("uniform");
+    let layer = PackedLayer::new(in_shape, weights, thresholds, geom, pool, act_bits);
+    let input = Tensor::from_fn(in_shape, |_, _, _| (rng() % (1 << act_bits)) as u8);
+    (layer, input)
+}
+
+/// The schedule against the naive reference over channel counts on both
+/// sides of and straddling the 64-bit word, both kernel sizes, strides,
+/// paddings and pooling modes of the models, thresholds in both comparison
+/// directions in every layer, for every activation width (narrow ones
+/// leave the upper bitplanes empty) and on both popcount instantiations.
+#[test]
+fn schedule_matches_reference_over_the_geometry_grid() {
+    let pools = [None, Some(PoolGeom::new(2, 2)), Some(PoolGeom::new(2, 1))];
+    let geoms: Vec<ConvGeom> = [1, 3]
+        .into_iter()
+        .flat_map(|k| [1, 2].map(|s| (k, s)))
+        .flat_map(|(k, s)| [0, 1].map(|p| ConvGeom::new(k, s, p)))
+        .collect();
+    let mut index = 0;
+    for act_bits in 1..=3usize {
+        let mut level_seen = [0usize; 8];
+        for channels in [1, 3, 24, 40, 64, 96, 130] {
+            for (&geom, pool) in geoms.iter().flat_map(|g| pools.map(|p| (g, p))) {
+                index += 1;
+                let hw = 4 + index % 4;
+                let in_shape = Shape3::new(channels, hw, hw + index % 2);
+                let (layer, input) = grid_case(index, act_bits, in_shape, geom, pool);
+                let what = format!("A{act_bits} {in_shape} {geom:?} pool {pool:?}");
+                let expected = layer.forward_reference(&input);
+                assert_eq!(expected.shape(), layer.out_shape(), "{what}");
+                for &level in expected.as_slice() {
+                    level_seen[level as usize] += 1;
+                }
+                let isas = [Some(PopcountIsa::PORTABLE), PopcountIsa::hardware()];
+                for isa in isas.into_iter().flatten() {
+                    assert_eq!(layer.run_on(isa, &input), expected, "{isa:?}, {what}");
+                }
+            }
         }
+        // The thresholds sit inside the accumulator range: every level the
+        // width can express occurs.
+        let levels = &level_seen[..1 << act_bits];
+        assert!(
+            levels.iter().all(|&n| n > 20),
+            "A{act_bits}: {level_seen:?}"
+        );
     }
 }

@@ -196,45 +196,50 @@ impl ConvLayer {
         self.kernel_cache = None;
     }
 
-    fn lowp_weights(&mut self) -> (Mat<i8>, f32) {
-        if self.lowp_cache.is_none() {
-            let max_abs = self
-                .weights
+    // The three derived-weight caches are filled on first use and handed out
+    // as borrows. Each helper takes the fields it needs rather than `self`,
+    // so `convolve_raw` can hold the borrow next to `self.bias`.
+
+    fn lowp_weights<'a>(
+        cache: &'a mut Option<(Mat<i8>, f32)>,
+        weights: &Mat<f32>,
+    ) -> &'a (Mat<i8>, f32) {
+        cache.get_or_insert_with(|| {
+            let max_abs = weights
                 .as_slice()
                 .iter()
                 .fold(0.0f32, |m, &w| m.max(w.abs()))
                 .max(f32::MIN_POSITIVE);
             let scale = max_abs / 127.0;
-            let q = self
-                .weights
-                .map(|w| (w / scale).round().clamp(-127.0, 127.0) as i8);
-            self.lowp_cache = Some((q, scale));
-        }
-        self.lowp_cache.clone().expect("cache populated above")
+            let q = weights.map(|w| (w / scale).round().clamp(-127.0, 127.0) as i8);
+            (q, scale)
+        })
     }
 
-    fn binary_weights(&mut self) -> Mat<f32> {
-        if self.binary_cache.is_none() {
+    fn binary_weights<'a>(cache: &'a mut Option<Mat<f32>>, weights: &Mat<f32>) -> &'a Mat<f32> {
+        cache.get_or_insert_with(|| {
             // Per-layer mean-absolute scale α (XNOR-Net style).
-            let n = self.weights.as_slice().len().max(1);
-            let alpha = self.weights.as_slice().iter().map(|w| w.abs()).sum::<f32>() / n as f32;
-            let signs = binarize(self.weights.as_slice());
-            let binarized = Mat::from_vec(
-                self.weights.rows(),
-                self.weights.cols(),
+            let n = weights.as_slice().len().max(1);
+            let alpha = weights.as_slice().iter().map(|w| w.abs()).sum::<f32>() / n as f32;
+            let signs = binarize(weights.as_slice());
+            Mat::from_vec(
+                weights.rows(),
+                weights.cols(),
                 signs.iter().map(|&s| alpha * s as f32).collect(),
             )
-            .expect("same dimensions as source weights");
-            self.binary_cache = Some(binarized);
-        }
-        self.binary_cache.clone().expect("cache populated above")
+            .expect("same dimensions as source weights")
+        })
     }
 
-    fn first_layer_kernel(&mut self) -> Result<FirstLayerKernel, NnError> {
-        if self.kernel_cache.is_none() {
-            self.kernel_cache = Some(FirstLayerKernel::new(&self.weights, &self.bias)?);
+    fn first_layer_kernel<'a>(
+        cache: &'a mut Option<FirstLayerKernel>,
+        weights: &Mat<f32>,
+        bias: &[f32],
+    ) -> Result<&'a FirstLayerKernel, NnError> {
+        if cache.is_none() {
+            *cache = Some(FirstLayerKernel::new(weights, bias)?);
         }
-        Ok(self.kernel_cache.clone().expect("cache populated above"))
+        Ok(cache.as_ref().expect("cache populated above"))
     }
 
     /// Raw (pre-batchnorm, pre-activation) convolution output.
@@ -244,20 +249,20 @@ impl ConvLayer {
                 Ok(convolve(algo, input, &self.weights, &self.bias, self.geom)?)
             }
             ConvCompute::BinaryRef => {
-                let bw = self.binary_weights();
+                let bw = Self::binary_weights(&mut self.binary_cache, &self.weights);
                 Ok(convolve(
                     ConvAlgo::Im2colGemm,
                     input,
-                    &bw,
+                    bw,
                     &self.bias,
                     self.geom,
                 )?)
             }
             ConvCompute::Lowp { slice_width } => {
-                let (wq, w_scale) = self.lowp_weights();
+                let (wq, w_scale) = Self::lowp_weights(&mut self.lowp_cache, &self.weights);
                 let q = AffineQuant::fit_data(input.as_slice())?;
                 let input_q = input.map(|v| q.quantize(v));
-                let acc = fused_conv_lowp(&input_q, &wq, q.zero_point(), self.geom, slice_width)?;
+                let acc = fused_conv_lowp(&input_q, wq, q.zero_point(), self.geom, slice_width)?;
                 let spatial = self.out_shape.spatial();
                 let scale = w_scale * q.scale();
                 let mut out = acc.map(|v| v as f32 * scale);
@@ -267,11 +272,13 @@ impl ConvLayer {
                 Ok(out)
             }
             ConvCompute::FirstLayerF32 => {
-                let kernel = self.first_layer_kernel()?;
+                let kernel =
+                    Self::first_layer_kernel(&mut self.kernel_cache, &self.weights, &self.bias)?;
                 Ok(kernel.forward_f32(input, self.geom)?)
             }
             ConvCompute::FirstLayerI32 | ConvCompute::FirstLayerI16 => {
-                let kernel = self.first_layer_kernel()?;
+                let kernel =
+                    Self::first_layer_kernel(&mut self.kernel_cache, &self.weights, &self.bias)?;
                 let q = AffineQuant::fit_data(input.as_slice())?;
                 let input_q = input.map(|v| q.quantize(v));
                 if matches!(self.compute, ConvCompute::FirstLayerI32) {

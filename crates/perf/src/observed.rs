@@ -49,8 +49,8 @@ pub fn classify_stage(name: &str) -> Option<StageId> {
         "frame drawing" | "sink" => return Some(StageId::ImageOutput),
         _ => {}
     }
-    // Packed fallback kernels: `cpu.kernel.<variant>` spans (plus the
-    // quantized `cpu.kernel.q8`). Attribution-only — they nest inside the
+    // Host-path kernels: `cpu.kernel.binary` spans (plus the quantized
+    // `cpu.kernel.q8`). Attribution-only — they nest inside the
     // hidden-layer / offload time.
     if name.starts_with("cpu.kernel") {
         return Some(StageId::CpuKernel);
@@ -172,7 +172,7 @@ mod tests {
         assert_eq!(classify_stage("gemm.scalar"), None);
         assert_eq!(classify_stage("L[x] conv"), None);
         assert_eq!(
-            classify_stage("cpu.kernel.unrolled4"),
+            classify_stage("cpu.kernel.binary"),
             Some(StageId::CpuKernel)
         );
         assert_eq!(classify_stage("cpu.kernel.q8"), Some(StageId::CpuKernel));
@@ -222,7 +222,7 @@ mod tests {
             ("L[3] region".to_owned(), 2.0),
             ("object boxing".to_owned(), 0.75),
             ("sink".to_owned(), 1.25),
-            ("cpu.kernel.blocked".to_owned(), 6.5),
+            ("cpu.kernel.binary".to_owned(), 6.5),
             ("slot.deposit".to_owned(), 99.0), // ignored: off the frame path
         ];
         let (budget, covered) = measured_budget(&observed, &StageBudget::paper_baseline());

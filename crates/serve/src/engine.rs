@@ -164,9 +164,10 @@ impl ServeEngine {
     }
 
     /// Runs one frame entirely on the host: the offload segment is
-    /// evaluated through the bit-exact software reference path, bypassing
-    /// the accelerator and its recovery counters. This is scheduled CPU
-    /// work, not fault recovery.
+    /// evaluated by the hidden layers' shared cores — the instructions the
+    /// fabric simulator runs, without its weight-swap, cycle and fault
+    /// bookkeeping — bypassing the accelerator and its recovery counters.
+    /// This is scheduled CPU work, not fault recovery.
     ///
     /// # Errors
     ///

@@ -155,22 +155,6 @@ impl Collect for ServeCollector {
                 Value::Histogram(HistogramSnapshot::from_stats(&m.queue_wait, &self.buckets)),
             ),
         ];
-        // One info-style gauge per autotuned layer shape: which packed
-        // kernel variant the startup autotuner chose for it. The value is
-        // constant 1 — the information lives in the labels, Prometheus
-        // `*_info` style.
-        for (layer, shape, variant) in tincy_kernels::plan_snapshot() {
-            out.push(
-                Sample::new(
-                    "tincy_kernel_variant",
-                    "Packed CPU kernel variant chosen by the startup autotuner, per layer shape",
-                    Value::Gauge(1.0),
-                )
-                .label("layer", &layer.to_string())
-                .label("shape", &shape.token())
-                .label("variant", variant.label()),
-            );
-        }
         if let Some(drift) = &self.drift {
             let status = drift.status();
             // Every stage is always emitted (0 when unknown) so the

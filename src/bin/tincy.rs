@@ -102,7 +102,6 @@ static FLAGS: &[Flag] = &[
     Flag("--fault-seed", "N", RUN, "seeded random accelerator faults"),
     Flag("--outage", "START:LEN", RUN, "hard outage over fabric invocations START..START+LEN"),
     Flag("--metrics-json", "PATH", RUN, "write the run's metrics as JSON"),
-    Flag("--kernel-plan", "PATH", LOCAL, "write the autotuner's packed-kernel plan as JSON"),
     Flag("--trace-out", "PATH", LOCAL, "write a Chrome trace of the run (not with --trace-dir)"),
     Flag("--trace-dir", "DIR", RUN, "stream rotating trace segments into DIR"),
     Flag("--segment-events", "N", RUN, "events per trace segment (default 512)"),
@@ -423,17 +422,11 @@ impl<'a> TraceSession<'a> {
     }
 }
 
-/// Writes `--metrics-json` and `--kernel-plan` (the autotuner's registry:
-/// every layer shape tuned this process, with the chosen packed-kernel
-/// variant) when asked to.
+/// Writes `--metrics-json` when asked to.
 fn write_artifacts(args: &Args, metrics: impl FnOnce() -> String) -> CliResult {
     if let Some(path) = args.text("--metrics-json") {
         std::fs::write(path, metrics())?;
         println!("metrics written to {path}");
-    }
-    if let Some(path) = args.text("--kernel-plan") {
-        std::fs::write(path, tincy::kernels::registry_json())?;
-        println!("kernel plan written to {path}");
     }
     Ok(())
 }
@@ -1116,7 +1109,7 @@ mod tests {
     /// existed, written out from the old hand parsers' `match` arms.
     #[test]
     fn each_subcommand_accepts_exactly_its_old_flags() {
-        let local = "--fault-seed --outage --metrics-json --kernel-plan --trace-out --trace-dir \
+        let local = "--fault-seed --outage --metrics-json --trace-out --trace-dir \
                      --segment-events";
         let serve = format!(
             "{local} --status-addr --cpu-workers --max-batch --queue --per-client --engage-depth \
