@@ -2,9 +2,9 @@
 //! in the offline build, and the schemas are small and fixed, so one
 //! incremental writer ([`JsonObject`], [`JsonArray`]) and one
 //! recursive-descent parser ([`parse`] into [`JsonValue`]) cover every
-//! producer and consumer: the `--metrics-json` paths in the CLI, the
-//! `BENCH_*.json` artifacts, Chrome trace export/import, the Prometheus
-//! status server's escaping, and the `tincy-explore` frontier report.
+//! producer and consumer: the `--metrics-json` paths in the CLI, Chrome
+//! trace export/import, the telemetry JSON exposition, and the
+//! `tincy-explore` frontier report.
 //!
 //! Domain-specific serializers (serve reports, pipeline metrics, trace
 //! events) stay in their own crates; this crate owns only the syntax.

@@ -1,6 +1,6 @@
 //! Incremental JSON emission: object/array builders plus the string
-//! escape, shared by every `--metrics-json` path, bench artifact, and
-//! the explore frontier report.
+//! escape, shared by every `--metrics-json` path, the Chrome trace and
+//! telemetry exporters, and the explore frontier report.
 
 /// Incremental JSON object builder.
 pub struct JsonObject {

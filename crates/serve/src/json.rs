@@ -1,6 +1,6 @@
-//! Domain JSON serializers for metrics dumps (`--metrics-json`) and the
-//! serving bench artifacts. The syntax layer (builders, escaping,
-//! parsing) lives in [`tincy_json`] and is re-exported here so existing
+//! Domain JSON serializers for metrics dumps (`--metrics-json`). The
+//! syntax layer (builders, escaping, parsing) lives in [`tincy_json`] and
+//! is re-exported here so existing
 //! `tincy_serve::json::{JsonObject, array_u64}` imports keep working.
 
 use crate::metrics::ServeReport;
@@ -43,12 +43,9 @@ pub fn offload_stats_json(stats: &OffloadStats) -> String {
 
 /// Pipeline metrics (the `tincy demo --metrics-json` payload body).
 pub fn pipeline_metrics_json(metrics: &PipelineMetrics) -> String {
-    let mut stages = String::from("[");
-    for (i, stage) in metrics.stages.iter().enumerate() {
-        if i > 0 {
-            stages.push(',');
-        }
-        stages.push_str(
+    let mut stages = JsonArray::new();
+    for stage in &metrics.stages {
+        stages.raw(
             &JsonObject::new()
                 .str("name", &stage.name)
                 .u64("invocations", stage.invocations)
@@ -57,7 +54,6 @@ pub fn pipeline_metrics_json(metrics: &PipelineMetrics) -> String {
                 .finish(),
         );
     }
-    stages.push(']');
     JsonObject::new()
         .u64("frames", metrics.frames)
         .f64("elapsed_us", micros(metrics.elapsed))
@@ -66,25 +62,23 @@ pub fn pipeline_metrics_json(metrics: &PipelineMetrics) -> String {
         .bool("in_order", metrics.in_order)
         .u64("workers", metrics.workers as u64)
         .u64("degraded", metrics.degraded)
-        .raw("stages", &stages)
+        .raw("stages", &stages.finish())
         .finish()
 }
 
-/// The full serving report (the `tincy serve --metrics-json` payload and
-/// the `BENCH_serve.json` row body).
+/// One latency distribution per SLO class, keyed by the class label.
+fn class_latency_json(stats_json: impl Fn(SloClass) -> String) -> String {
+    SloClass::ALL
+        .iter()
+        .fold(JsonObject::new(), |classes, &class| {
+            classes.raw(class.label(), &stats_json(class))
+        })
+        .finish()
+}
+
+/// The full serving report (the `tincy serve --metrics-json` payload).
 pub fn serve_report_json(report: &ServeReport) -> String {
-    let mut classes = String::from("{");
-    for (i, class) in SloClass::ALL.iter().enumerate() {
-        if i > 0 {
-            classes.push(',');
-        }
-        classes.push_str(&format!(
-            "\"{}\":{}",
-            class.label(),
-            duration_stats_json(report.class(*class))
-        ));
-    }
-    classes.push('}');
+    let classes = class_latency_json(|class| duration_stats_json(report.class(class)));
     JsonObject::new()
         .u64("accepted", report.accepted)
         .u64("completed", report.completed)
@@ -120,12 +114,9 @@ pub fn serve_report_json(report: &ServeReport) -> String {
 /// weight-swap accounting, plus the shift counters, the active rung per
 /// class and the shared weights-cache stats.
 pub fn variants_json(report: &ServeReport) -> String {
-    let mut rungs = String::from("[");
+    let mut rungs = JsonArray::new();
     for (i, name) in report.variant_names.iter().enumerate() {
-        if i > 0 {
-            rungs.push(',');
-        }
-        rungs.push_str(
+        rungs.raw(
             &JsonObject::new()
                 .str("name", name)
                 .raw("requests_by_class", &array_u64(&report.variant_requests[i]))
@@ -135,10 +126,9 @@ pub fn variants_json(report: &ServeReport) -> String {
                 .finish(),
         );
     }
-    rungs.push(']');
     let active: Vec<u64> = report.active_variant.iter().map(|&v| v as u64).collect();
     JsonObject::new()
-        .raw("ladder", &rungs)
+        .raw("ladder", &rungs.finish())
         .raw("active_by_class", &array_u64(&active))
         .u64("shifts_down", report.shifts_down)
         .u64("shifts_up", report.shifts_up)
@@ -147,30 +137,15 @@ pub fn variants_json(report: &ServeReport) -> String {
         .finish()
 }
 
-/// The full fleet report (the `tincy fleet --metrics-json` payload and
-/// the `BENCH_fleet.json` row body): router counters, merged fleet-wide
-/// latency, and every shard's own serve report.
+/// The full fleet report (the `tincy fleet --metrics-json` payload):
+/// router counters, merged fleet-wide latency, and every shard's own
+/// serve report.
 pub fn fleet_report_json(report: &crate::fleet::FleetReport) -> String {
-    let mut shards = String::from("[");
-    for (i, shard) in report.shards.iter().enumerate() {
-        if i > 0 {
-            shards.push(',');
-        }
-        shards.push_str(&serve_report_json(shard));
+    let mut shards = JsonArray::new();
+    for shard in &report.shards {
+        shards.raw(&serve_report_json(shard));
     }
-    shards.push(']');
-    let mut classes = String::from("{");
-    for (i, class) in SloClass::ALL.iter().enumerate() {
-        if i > 0 {
-            classes.push(',');
-        }
-        classes.push_str(&format!(
-            "\"{}\":{}",
-            class.label(),
-            duration_stats_json(&report.class_latency(*class))
-        ));
-    }
-    classes.push('}');
+    let classes = class_latency_json(|class| duration_stats_json(&report.class_latency(class)));
     JsonObject::new()
         .u64("shards", report.shards.len() as u64)
         .str("policy", report.policy.label())
@@ -190,29 +165,25 @@ pub fn fleet_report_json(report: &crate::fleet::FleetReport) -> String {
         .raw("variants", &fleet_variants_json(report))
         .f64("wall_us", micros(report.wall))
         .f64("throughput_rps", report.throughput())
-        .raw("shard_reports", &shards)
+        .raw("shard_reports", &shards.finish())
         .finish()
 }
 
 /// Fleet-wide variant summary: per-variant admissions merged across
 /// shards plus the total ladder shifts taken anywhere in the fleet.
 fn fleet_variants_json(report: &crate::fleet::FleetReport) -> String {
-    let mut rungs = String::from("[");
-    for (i, (name, per_class)) in report.variant_requests().iter().enumerate() {
-        if i > 0 {
-            rungs.push(',');
-        }
-        rungs.push_str(
+    let mut rungs = JsonArray::new();
+    for (name, per_class) in &report.variant_requests() {
+        rungs.raw(
             &JsonObject::new()
                 .str("name", name)
                 .raw("requests_by_class", &array_u64(per_class))
                 .finish(),
         );
     }
-    rungs.push(']');
     let (down, up) = report.variant_shifts();
     JsonObject::new()
-        .raw("ladder", &rungs)
+        .raw("ladder", &rungs.finish())
         .u64("shifts_down", down)
         .u64("shifts_up", up)
         .finish()

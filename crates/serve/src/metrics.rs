@@ -40,7 +40,7 @@ pub struct ServeReport {
     pub class_latency: [DurationStats; 3],
     /// Requests whose end-to-end latency exceeded their class target.
     pub slo_violations: u64,
-    /// Busy time of the FINN engine.
+    /// Busy time of the FINN engines, summed over rungs (one worker each).
     pub finn_busy: Duration,
     /// Summed busy time of all host workers.
     pub cpu_busy: Duration,
@@ -99,9 +99,10 @@ impl ServeReport {
         }
     }
 
-    /// FINN engine utilization: busy time over wall time.
+    /// FINN engine utilization: summed busy time over wall time × rungs
+    /// (the server runs one FINN worker per ladder rung).
     pub fn finn_utilization(&self) -> f64 {
-        fraction(self.finn_busy, self.wall, 1)
+        fraction(self.finn_busy, self.wall, self.variants())
     }
 
     /// Host worker utilization: summed busy time over wall time × workers.
@@ -214,6 +215,17 @@ mod tests {
         assert!((r.finn_utilization() - 0.5).abs() < 1e-12);
         assert!((r.cpu_utilization() - 0.25).abs() < 1e-12);
         assert!((r.throughput() - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn finn_utilization_is_per_rung() {
+        // Two rungs, each FINN worker busy for the whole wall: fully
+        // utilized is 1.0, not the 2.0 a one-lane division reports.
+        let mut r = empty();
+        r.variant_names = vec!["cheap".to_string(), "accurate".to_string()];
+        r.finn_busy = Duration::from_secs(4);
+        r.wall = Duration::from_secs(2);
+        assert!((r.finn_utilization() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl Collect for ServeCollector {
             ),
             Sample::new(
                 "tincy_serve_finn_busy_seconds",
-                "Busy time of the FINN engine",
+                "Busy time of the FINN engines, summed over rungs",
                 Value::Gauge(m.finn_busy.as_secs_f64()),
             ),
             Sample::new(

@@ -5,7 +5,7 @@
 
 use crate::metrics::{Sample, Value};
 use std::fmt::Write as _;
-use tincy_json::escape_into as escape_json;
+use tincy_json::{JsonArray, JsonObject};
 use tincy_pipeline::DurationStats;
 
 /// Quantiles exposed for summaries; matches the p50/p95/p99 the serve
@@ -181,71 +181,48 @@ fn escape_label(out: &mut String, raw: &str) {
 /// `{"name","labels","type","value"}`, summaries with the
 /// `duration_stats_json` house keys (`count`, `mean_us`, `p50_us`, …).
 pub fn json_text(samples: &[Sample]) -> String {
-    let mut out = String::from("[");
-    for (i, sample) in samples.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":\"");
-        escape_json(&mut out, &sample.name);
-        out.push_str("\",\"labels\":{");
-        for (j, (key, value)) in sample.labels.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_json(&mut out, key);
-            out.push_str("\":\"");
-            escape_json(&mut out, value);
-            out.push('"');
-        }
-        let _ = write!(out, "}},\"type\":\"{}\"", sample.value.type_name());
-        match &sample.value {
-            Value::Counter(v) => {
-                let _ = write!(out, ",\"value\":{v}");
-            }
-            Value::Gauge(v) => {
-                let _ = write!(out, ",\"value\":{v}");
-            }
-            Value::Summary(stats) => {
-                out.push_str(&summary_json(stats));
-            }
+    let mut out = JsonArray::new();
+    for sample in samples {
+        let labels = sample
+            .labels
+            .iter()
+            .fold(JsonObject::new(), |obj, (key, value)| obj.str(key, value));
+        let entry = JsonObject::new()
+            .str("name", &sample.name)
+            .raw("labels", &labels.finish())
+            .str("type", sample.value.type_name());
+        let entry = match &sample.value {
+            Value::Counter(v) => entry.u64("value", *v),
+            Value::Gauge(v) => entry.raw("value", &v.to_string()),
+            Value::Summary(stats) => summary_json(entry, stats),
             Value::Histogram(snap) => {
-                let _ = write!(
-                    out,
-                    ",\"count\":{},\"sum_s\":{}",
-                    snap.count, snap.sum_seconds
-                );
-                out.push_str(",\"buckets\":[");
-                for (i, (bound, cumulative)) in snap.bounds.iter().zip(&snap.cumulative).enumerate()
-                {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{{\"le\":{bound},\"count\":{cumulative}}}");
+                let mut buckets = JsonArray::new();
+                for (bound, cumulative) in snap.bounds.iter().zip(&snap.cumulative) {
+                    let bucket = JsonObject::new().raw("le", &bound.to_string());
+                    buckets.raw(&bucket.u64("count", *cumulative).finish());
                 }
-                out.push(']');
+                entry
+                    .u64("count", snap.count)
+                    .raw("sum_s", &snap.sum_seconds.to_string())
+                    .raw("buckets", &buckets.finish())
             }
-        }
-        out.push('}');
+        };
+        out.raw(&entry.finish());
     }
-    out.push(']');
-    out
+    out.finish()
 }
 
-fn summary_json(stats: &DurationStats) -> String {
+fn summary_json(entry: JsonObject, stats: &DurationStats) -> JsonObject {
     let qs = stats.quantiles(&QUANTILES);
-    let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
-    format!(
-        ",\"count\":{},\"mean_us\":{:.3},\"min_us\":{:.3},\"max_us\":{:.3},\"p50_us\":{:.3},\"p95_us\":{:.3},\"p99_us\":{:.3}",
-        stats.count(),
-        us(stats.mean()),
-        us(stats.min().unwrap_or_default()),
-        us(stats.max().unwrap_or_default()),
-        us(qs[0]),
-        us(qs[1]),
-        us(qs[2]),
-    )
+    let us = |d: std::time::Duration| format!("{:.3}", d.as_secs_f64() * 1e6);
+    entry
+        .u64("count", stats.count())
+        .raw("mean_us", &us(stats.mean()))
+        .raw("min_us", &us(stats.min().unwrap_or_default()))
+        .raw("max_us", &us(stats.max().unwrap_or_default()))
+        .raw("p50_us", &us(qs[0]))
+        .raw("p95_us", &us(qs[1]))
+        .raw("p99_us", &us(qs[2]))
 }
 
 /// An exemplar parsed off a sample line's ` # {labels} value` suffix
@@ -546,6 +523,34 @@ mod tests {
         assert!(json.contains("\"type\":\"summary\""));
         assert!(json.contains("\"count\":2"));
         assert!(json.contains("\"reason\":\"queue-full\""));
+    }
+
+    /// The JSON exposition's exact bytes: a summary, a gauge, labelled
+    /// counters (one label value needing an escape) and a histogram.
+    #[test]
+    fn json_text_bytes_are_pinned() {
+        let mut samples = sample_set();
+        samples[3] = samples[3].clone().label("note", "a\"b");
+        let mut stats = DurationStats::new();
+        for ms in [2u64, 4, 40] {
+            stats.record(Duration::from_millis(ms));
+        }
+        let buckets = crate::Buckets::explicit(vec![0.005, 0.05]).unwrap();
+        let snap = crate::HistogramSnapshot::from_stats(&stats, &buckets);
+        samples.push(Sample::new("demo_hist", "h", Value::Histogram(snap)));
+        let expected = concat!(
+            r#"[{"name":"demo_latency_seconds","labels":{},"type":"summary","count":2,"#,
+            r#""mean_us":3000.000,"min_us":2000.000,"max_us":4000.000,"#,
+            r#""p50_us":2031.615,"p95_us":4000.000,"p99_us":4000.000},"#,
+            r#"{"name":"demo_queue_depth","labels":{},"type":"gauge","value":3},"#,
+            r#"{"name":"demo_rejected_total","labels":{"reason":"queue-full"},"#,
+            r#""type":"counter","value":5},"#,
+            r#"{"name":"demo_rejected_total","labels":{"reason":"deadline","note":"a\"b"},"#,
+            r#""type":"counter","value":2},"#,
+            r#"{"name":"demo_hist","labels":{},"type":"histogram","count":3,"#,
+            r#""sum_s":0.046,"buckets":[{"le":0.005,"count":2},{"le":0.05,"count":3}]}]"#,
+        );
+        assert_eq!(json_text(&samples), expected);
     }
 
     #[test]

@@ -3,17 +3,16 @@
 //! The exporter writes the JSON array format understood by
 //! `chrome://tracing` and Perfetto: matched spans become complete `"X"`
 //! events (microsecond `ts`/`dur`), instants become `"i"` events with
-//! thread scope, and typed attributes land in `args`. JSON is hand-rolled
-//! (same house style as `crates/serve/src/json.rs` — no serde); the
-//! importer reconstructs a [`Trace`] via the minimal parser in
+//! thread scope, and typed attributes land in `args`. The syntax goes
+//! through the shared `tincy-json` writer (no serde); the importer
+//! reconstructs a [`Trace`] via the parser re-exported as
 //! [`crate::json`].
 
 use crate::data::Trace;
 use crate::event::{Attrs, Backend, Event, EventKind, Label};
 use crate::json::{parse, JsonValue};
 use std::collections::{BTreeSet, HashMap};
-use std::fmt::Write as _;
-use tincy_json::escape_into;
+use tincy_json::{array_u64, JsonArray, JsonObject};
 
 const CATEGORY: &str = "tincy";
 
@@ -35,194 +34,111 @@ pub fn to_chrome_json(trace: &Trace) -> String {
 }
 
 pub(crate) fn render_chrome_json(trace: &Trace, origin: Option<&SegmentOrigin>) -> String {
-    let mut out = String::new();
-    out.push_str("{\"displayTimeUnit\":\"ns\",");
-    if let Some(origin) = origin {
-        out.push_str("\"otherData\":{\"process\":\"");
-        escape_into(&mut out, &origin.process);
-        out.push('"');
-        if let Some(shard) = origin.shard {
-            let _ = write!(out, ",\"shard\":\"{shard}\"");
-        }
-        out.push_str("},");
-    }
-    out.push_str("\"traceEvents\":[");
-    let mut first = true;
+    let mut events = JsonArray::new();
     // Perfetto track names: one thread_name metadata event per named
     // thread, so workers show up as named tracks instead of raw tids.
     for (tid, name) in trace.thread_names.iter().enumerate() {
-        if name.is_empty() {
-            continue;
+        if !name.is_empty() {
+            let event = JsonObject::new()
+                .str("name", "thread_name")
+                .str("ph", "M")
+                .u64("pid", 1)
+                .u64("tid", tid as u64)
+                .raw("args", &JsonObject::new().str("name", name).finish());
+            events.raw(&event.finish());
         }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\""
-        );
-        escape_into(&mut out, name);
-        out.push_str("\"}}");
     }
-    for span in trace.spans_lossy() {
-        emit_event(
-            &mut out,
-            &mut first,
-            trace.label_name(span.label),
-            "X",
-            span.start_ns,
-            Some(span.end_ns.saturating_sub(span.start_ns)),
-            span.thread,
-            &span.attrs,
-            trace,
-        );
-    }
-    for instant in trace.instants() {
-        emit_event(
-            &mut out,
-            &mut first,
-            trace.label_name(instant.label),
-            "i",
-            instant.t_ns,
-            None,
-            instant.thread,
-            &instant.attrs,
-            trace,
-        );
-    }
-    for flow in trace.flows() {
-        let phase = if flow.kind == EventKind::FlowStart {
-            "s"
-        } else {
-            "f"
+    let spans = trace.spans_lossy();
+    let complete = spans.iter().map(|s| {
+        let dur = s.end_ns.saturating_sub(s.start_ns);
+        ("X", s.label, s.start_ns, Some(dur), s.thread, &s.attrs)
+    });
+    let points = trace.instants().chain(trace.flows()).map(|e| {
+        let phase = match e.kind {
+            EventKind::FlowStart => "s",
+            EventKind::FlowFinish => "f",
+            _ => "i",
         };
-        emit_event(
-            &mut out,
-            &mut first,
-            trace.label_name(flow.label),
-            phase,
-            flow.t_ns,
-            None,
-            flow.thread,
-            &flow.attrs,
-            trace,
-        );
+        (phase, e.label, e.t_ns, None, e.thread, &e.attrs)
+    });
+    for (phase, label, t_ns, dur_ns, tid, attrs) in complete.chain(points) {
+        let mut event = JsonObject::new()
+            .str("name", trace.label_name(label))
+            .str("cat", CATEGORY)
+            .str("ph", phase)
+            .raw("ts", &micros(t_ns));
+        if let Some(dur) = dur_ns {
+            event = event.raw("dur", &micros(dur));
+        }
+        if phase == "i" {
+            event = event.str("s", "t");
+        }
+        if phase == "s" || phase == "f" {
+            // Perfetto joins flow arrows by id; ours is the trace id (hex —
+            // 64-bit ids do not survive a JSON f64 round trip as numbers).
+            event = event.str("id", &hex(attrs.trace.unwrap_or(0)));
+            if phase == "f" {
+                event = event.str("bp", "e");
+            }
+        }
+        event = event.u64("pid", 1).u64("tid", u64::from(tid));
+        if !attrs.is_empty() {
+            event = event.raw("args", &args_json(trace, attrs));
+        }
+        events.raw(&event.finish());
     }
-    out.push_str("]}");
-    out
+    let mut root = JsonObject::new().str("displayTimeUnit", "ns");
+    if let Some(origin) = origin {
+        let mut data = JsonObject::new().str("process", &origin.process);
+        if let Some(shard) = origin.shard {
+            data = data.str("shard", &shard.to_string());
+        }
+        root = root.raw("otherData", &data.finish());
+    }
+    root.raw("traceEvents", &events.finish()).finish()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn emit_event(
-    out: &mut String,
-    first: &mut bool,
-    name: &str,
-    phase: &str,
-    t_ns: u64,
-    dur_ns: Option<u64>,
-    tid: u32,
-    attrs: &Attrs,
-    trace: &Trace,
-) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push_str("{\"name\":\"");
-    escape_into(out, name);
-    let _ = write!(
-        out,
-        "\",\"cat\":\"{CATEGORY}\",\"ph\":\"{phase}\",\"ts\":{}",
-        micros(t_ns)
-    );
-    if let Some(dur) = dur_ns {
-        let _ = write!(out, ",\"dur\":{}", micros(dur));
-    }
-    if phase == "i" {
-        out.push_str(",\"s\":\"t\"");
-    }
-    if phase == "s" || phase == "f" {
-        // Perfetto joins flow arrows by id; ours is the trace id (hex —
-        // 64-bit ids do not survive a JSON f64 round trip as numbers).
-        let _ = write!(out, ",\"id\":\"{:016x}\"", attrs.trace.unwrap_or(0));
-        if phase == "f" {
-            out.push_str(",\"bp\":\"e\"");
+fn args_json(trace: &Trace, attrs: &Attrs) -> String {
+    let numbers = [
+        ("frame", attrs.frame),
+        ("request", attrs.request),
+        ("layer", attrs.layer.map(u64::from)),
+        ("batch", attrs.batch.map(u64::from)),
+        ("attempt", attrs.attempt.map(u64::from)),
+        ("cycles", attrs.cycles),
+        ("shard", attrs.shard.map(u64::from)),
+    ];
+    // Hex-string form for 64-bit ids (see the flow id note above).
+    let ids = [("trace", attrs.trace), ("parent", attrs.parent)];
+    let names = [
+        ("backend", attrs.backend.map(Backend::label)),
+        ("fault", attrs.fault.map(|l| trace.label_name(l))),
+        ("variant", attrs.variant.map(|l| trace.label_name(l))),
+    ];
+    let mut args = JsonObject::new();
+    for (key, value) in numbers {
+        if let Some(value) = value {
+            args = args.u64(key, value);
         }
     }
-    let _ = write!(out, ",\"pid\":1,\"tid\":{tid}");
-    if !attrs.is_empty() {
-        out.push_str(",\"args\":{");
-        let mut first_arg = true;
-        fn arg_u64(out: &mut String, first_arg: &mut bool, key: &str, value: Option<u64>) {
-            if let Some(value) = value {
-                if !*first_arg {
-                    out.push(',');
-                }
-                *first_arg = false;
-                let _ = write!(out, "\"{key}\":{value}");
-            }
+    for (key, value) in ids {
+        if let Some(value) = value {
+            args = args.str(key, &hex(value));
         }
-        // Hex-string form for 64-bit ids (see the flow id note above).
-        fn arg_hex(out: &mut String, first_arg: &mut bool, key: &str, value: Option<u64>) {
-            if let Some(value) = value {
-                if !*first_arg {
-                    out.push(',');
-                }
-                *first_arg = false;
-                let _ = write!(out, "\"{key}\":\"{value:016x}\"");
-            }
-        }
-        arg_u64(out, &mut first_arg, "frame", attrs.frame);
-        arg_u64(out, &mut first_arg, "request", attrs.request);
-        arg_u64(out, &mut first_arg, "layer", attrs.layer.map(u64::from));
-        arg_u64(out, &mut first_arg, "batch", attrs.batch.map(u64::from));
-        arg_u64(out, &mut first_arg, "attempt", attrs.attempt.map(u64::from));
-        arg_u64(out, &mut first_arg, "cycles", attrs.cycles);
-        arg_u64(out, &mut first_arg, "shard", attrs.shard.map(u64::from));
-        arg_hex(out, &mut first_arg, "trace", attrs.trace);
-        arg_hex(out, &mut first_arg, "parent", attrs.parent);
-        if let Some(backend) = attrs.backend {
-            if !first_arg {
-                out.push(',');
-            }
-            first_arg = false;
-            let _ = write!(out, "\"backend\":\"{}\"", backend.label());
-        }
-        if let Some(fault) = attrs.fault {
-            if !first_arg {
-                out.push(',');
-            }
-            first_arg = false;
-            out.push_str("\"fault\":\"");
-            escape_into(out, trace.label_name(fault));
-            out.push('"');
-        }
-        if let Some(variant) = attrs.variant {
-            if !first_arg {
-                out.push(',');
-            }
-            first_arg = false;
-            out.push_str("\"variant\":\"");
-            escape_into(out, trace.label_name(variant));
-            out.push('"');
-        }
-        if let Some(links) = attrs.links {
-            if !first_arg {
-                out.push(',');
-            }
-            out.push_str("\"links\":[");
-            for (i, id) in trace.link_requests(links).iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{id}");
-            }
-            out.push(']');
-        }
-        out.push('}');
     }
-    out.push('}');
+    for (key, value) in names {
+        if let Some(value) = value {
+            args = args.str(key, value);
+        }
+    }
+    if let Some(links) = attrs.links {
+        args = args.raw("links", &array_u64(trace.link_requests(links)));
+    }
+    args.finish()
+}
+
+fn hex(id: u64) -> String {
+    format!("{id:016x}")
 }
 
 /// Nanoseconds as a microsecond decimal with nanosecond resolution.
@@ -569,6 +485,75 @@ mod tests {
         assert!(json.contains("\"backend\":\"finn\""));
         assert!(json.contains("\"fault\":\"dma timeout\""));
         assert!(json.contains("\"dur\":2.000"), "inner span is 2 µs: {json}");
+    }
+
+    /// The exporter's exact bytes: a named thread, a span carrying every
+    /// attribute, an instant and a flow pair, with and without a segment
+    /// origin.
+    #[test]
+    fn export_bytes_are_pinned() {
+        let _guard = exclusive();
+        let clock = Arc::new(TestClock::new());
+        start_with_clock(clock.clone(), 64);
+        std::thread::Builder::new()
+            .name("pin \"worker\"".to_string())
+            .spawn(move || {
+                let id = 0xffee_ddcc_bbaa_9988;
+                span(Label::intern("pin.hop")).trace(id).emit_flow_start();
+                clock.advance(500);
+                {
+                    let _all = span(Label::intern("pin \"span\""))
+                        .frame(4)
+                        .request(9)
+                        .layer(2)
+                        .batch(3)
+                        .attempt(1)
+                        .cycles(52_480)
+                        .shard(1)
+                        .trace(id)
+                        .parent(0x0123_4567_89ab_cdef)
+                        .backend(Backend::Finn)
+                        .fault("dma\ttimeout")
+                        .variant("cheap-32")
+                        .link_requests(&[7, 11])
+                        .start();
+                    clock.advance(1_250);
+                }
+                span(Label::intern("pin.instant")).emit();
+                span(Label::intern("pin.hop")).trace(id).emit_flow_finish();
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        let trace = finish();
+        let events = concat!(
+            r#""traceEvents":[{"name":"thread_name","ph":"M","pid":1,"tid":0,"#,
+            r#""args":{"name":"pin \"worker\""}},"#,
+            r#"{"name":"pin \"span\"","cat":"tincy","ph":"X","ts":0.500,"dur":1.250,"#,
+            r#""pid":1,"tid":0,"args":{"frame":4,"request":9,"layer":2,"batch":3,"#,
+            r#""attempt":1,"cycles":52480,"shard":1,"trace":"ffeeddccbbaa9988","#,
+            r#""parent":"0123456789abcdef","backend":"finn","fault":"dma\ttimeout","#,
+            r#""variant":"cheap-32","links":[7,11]}},"#,
+            r#"{"name":"pin.instant","cat":"tincy","ph":"i","ts":1.750,"s":"t","pid":1,"tid":0},"#,
+            r#"{"name":"pin.hop","cat":"tincy","ph":"s","ts":0.000,"id":"ffeeddccbbaa9988","#,
+            r#""pid":1,"tid":0,"args":{"trace":"ffeeddccbbaa9988"}},"#,
+            r#"{"name":"pin.hop","cat":"tincy","ph":"f","ts":1.750,"id":"ffeeddccbbaa9988","#,
+            r#""bp":"e","pid":1,"tid":0,"args":{"trace":"ffeeddccbbaa9988"}}]}"#,
+        );
+        assert_eq!(
+            to_chrome_json(&trace),
+            format!(r#"{{"displayTimeUnit":"ns",{events}"#)
+        );
+        let origin = SegmentOrigin {
+            process: "pid \"77\"".to_string(),
+            shard: Some(1),
+        };
+        assert_eq!(
+            render_chrome_json(&trace, Some(&origin)),
+            format!(
+                r#"{{"displayTimeUnit":"ns","otherData":{{"process":"pid \"77\"","shard":"1"}},{events}"#
+            )
+        );
     }
 
     #[test]

@@ -643,14 +643,8 @@ fn cmd_fleet(args: &Args) -> CliResult {
         config.health_every = Duration::from_millis(ms);
     }
     config.shard_faults = fault_plans(args, config.shards)?;
-    // `TINCY_FLEET_CLIENTS` scales the default client count up to a full
-    // soak without touching the invocation (CI uses this).
-    let default_clients = match std::env::var("TINCY_FLEET_CLIENTS") {
-        Ok(value) => parse_as("TINCY_FLEET_CLIENTS", &value)?,
-        Err(_) => 64,
-    };
     let mut load = LoadConfig {
-        clients: args.pos(0, "clients", default_clients)?,
+        clients: args.pos(0, "clients", 64)?,
         requests_per_client: args.pos(1, "requests", 8)?,
         ..Default::default()
     };

@@ -10,7 +10,8 @@
 //! * the faulted shard is drained, probed, and re-admitted once its
 //!   fabric recovers, all while the load keeps flowing;
 //! * two runs with the same seed produce identical per-client detection
-//!   fingerprints (routing may differ; results may not).
+//!   fingerprints, whichever policy routes them (routing may differ;
+//!   results may not).
 //!
 //! `TINCY_FLEET_CLIENTS` scales the client count up to a full soak.
 
@@ -114,10 +115,10 @@ fn fault_out_soak_drains_readmits_and_loses_nothing() {
 fn seeded_soaks_are_deterministic() {
     let _guard = exclusive();
     let first = soak(RoutePolicy::LeastLoaded, 33, |_| {});
-    let second = soak(RoutePolicy::LeastLoaded, 33, |_| {});
-    // Routing and drain timing vary with the scheduler; the delivered
-    // results must not — every shard shares the weight seed and the
-    // fabric is bit-exact with the host fallback path.
+    let second = soak(RoutePolicy::ConsistentHash, 33, |_| {});
+    // Routing and drain timing vary with the scheduler and the policy;
+    // the delivered results must not — every shard shares the weight
+    // seed and the fabric is bit-exact with the host fallback path.
     assert_eq!(
         first.fingerprint(),
         second.fingerprint(),

@@ -11,7 +11,8 @@ use tincy::core::demo::{run_demo, DemoConfig};
 use tincy::core::SystemConfig;
 use tincy::finn::FaultPlan;
 use tincy::trace::{
-    exclusive, finish, span, start, start_with_clock, Backend, Label, Span, TestClock, Trace,
+    exclusive, finish, span, start, start_with_clock, thread_drops, Backend, Label, Span,
+    TestClock, Trace,
 };
 use tincy::video::SceneConfig;
 
@@ -223,7 +224,8 @@ fn faulted_offload_emits_retry_and_fallback_spans() {
 }
 
 /// Tracing changes nothing about what the system computes: a traced
-/// degraded run yields byte-identical detections to an untraced one.
+/// degraded run yields byte-identical detections to an untraced one, and
+/// the default rings record it without dropping a span.
 #[test]
 fn tracing_does_not_perturb_results() {
     let _guard = exclusive();
@@ -232,8 +234,13 @@ fn tracing_does_not_perturb_results() {
     let untraced = run_demo(&config).unwrap();
     start();
     let traced = run_demo(&config).unwrap();
+    // Lossless: the per-thread counters behind `tincy_trace_dropped_total`
+    // read zero on every ring, so no span went unrecorded.
+    let drops = thread_drops().expect("session is live");
+    assert!(drops.iter().all(|(_, n)| *n == 0), "span drops: {drops:?}");
     let trace = finish();
     assert!(!trace.events.is_empty());
+    assert_eq!(trace.dropped, 0);
     assert_eq!(traced.frame_detections, untraced.frame_detections);
     assert_eq!(traced.offload, untraced.offload);
 }
