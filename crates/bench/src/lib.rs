@@ -1,5 +1,7 @@
 //! Shared formatting helpers for the table-reproduction binaries.
 
+#![forbid(unsafe_code)]
+
 /// Formats an integer with thousands separators, as the paper prints its
 /// operation counts (e.g. `149,520,384`).
 pub fn with_commas(n: u64) -> String {

@@ -15,6 +15,8 @@
 //!   detector folded into fabric parameters (binary weight masks + integer
 //!   thresholds) and executed on the simulated accelerator.
 
+#![forbid(unsafe_code)]
+
 pub mod build;
 pub mod demo;
 pub mod deploy;

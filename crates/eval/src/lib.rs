@@ -11,6 +11,8 @@
 //! * [`average_precision`] / [`mean_average_precision`] — the VOC metric
 //!   (both 11-point interpolated and continuous variants).
 
+#![forbid(unsafe_code)]
+
 mod bbox;
 mod detection;
 mod map;

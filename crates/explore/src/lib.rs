@@ -28,6 +28,8 @@
 //! via `tincy-train`, served bit-exactly via `tincy-serve` — without code
 //! changes.
 
+#![forbid(unsafe_code)]
+
 pub mod design;
 pub mod evaluate;
 pub mod frontier;

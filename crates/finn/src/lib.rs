@@ -30,6 +30,8 @@
 //! * [`backend`] — the `library=fabric.so` offload backend plugging the
 //!   accelerator into `tincy-nn` networks (Fig 4).
 
+#![forbid(unsafe_code)]
+
 pub mod accel;
 pub mod backend;
 pub mod device;

@@ -9,6 +9,8 @@
 //! Domain-specific serializers (serve reports, pipeline metrics, trace
 //! events) stay in their own crates; this crate owns only the syntax.
 
+#![forbid(unsafe_code)]
+
 mod value;
 mod write;
 

@@ -14,7 +14,8 @@
 //! Modules:
 //!
 //! * `stream` — the schedule itself: line buffer, L1-sized
-//!   footprint tile, three planes per weight word, comparator banks;
+//!   footprint tile, three planes per weight word, comparators run across
+//!   a tile row of accumulators;
 //! * [`pack`] — [`PackedLayer`], its naive signed-arithmetic oracle
 //!   [`PackedLayer::forward_reference`], and the shared max-pool;
 //! * [`gemm`] — the W8A8 quantized GEMM for mixed-precision profiles that
@@ -24,6 +25,8 @@
 //! No kernel here spawns a thread: parallelism lives in the frame pipeline
 //! and the server's worker pool (the paper's fifth measure, "one thread per
 //! core"), where the threads can be counted against the cores.
+
+#![forbid(unsafe_code)]
 
 pub mod gemm;
 pub mod pack;

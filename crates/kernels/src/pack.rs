@@ -41,7 +41,7 @@ pub struct PackedLayer {
     /// `weights` when the two orders coincide.
     streamed_weights: Arc<BitTensor>,
     thresholds: Arc<ThresholdsForLayer>,
-    /// `thresholds` laid out as comparator banks.
+    /// `thresholds` laid out as the schedule's comparator rows.
     threshold_table: Arc<ThresholdTable>,
     geom: ConvGeom,
     pool: Option<PoolGeom>,
@@ -245,6 +245,8 @@ pub fn max_pool_levels(input: &Tensor<u8>, geom: PoolGeom) -> Tensor<u8> {
     let out_shape = geom.output_shape(shape);
     let mut out = Tensor::<u8>::zeros(out_shape);
     let (height, width) = (shape.height, shape.width);
+    // The window's rows folded into one: a whole input row at a time.
+    let mut column_max = vec![0u8; width];
     let channels = input.as_slice().chunks_exact(shape.spatial().max(1)).zip(
         out.as_mut_slice()
             .chunks_exact_mut(out_shape.spatial().max(1)),
@@ -253,13 +255,18 @@ pub fn max_pool_levels(input: &Tensor<u8>, geom: PoolGeom) -> Tensor<u8> {
         for (oy, dst_row) in dst.chunks_exact_mut(out_shape.width).enumerate() {
             let y0 = oy * geom.stride;
             let y1 = (y0 + geom.size).min(height);
-            for (ox, best) in dst_row.iter_mut().enumerate() {
-                let x0 = ox * geom.stride;
-                let x1 = (x0 + geom.size).min(width);
-                for y in y0..y1 {
-                    for &v in &src[y * width + x0..y * width + x1] {
-                        *best = (*best).max(v);
-                    }
+            column_max.copy_from_slice(&src[y0 * width..][..width]);
+            for y in y0 + 1..y1 {
+                for (best, &v) in column_max.iter_mut().zip(&src[y * width..][..width]) {
+                    *best = (*best).max(v);
+                }
+            }
+            // Then the window's columns, one tap at a time across the row;
+            // taps past the right border drop out with their outputs.
+            for tap in 0..geom.size.min(width) {
+                let taps = column_max[tap..].iter().step_by(geom.stride);
+                for (best, &v) in dst_row.iter_mut().zip(taps) {
+                    *best = (*best).max(v);
                 }
             }
         }

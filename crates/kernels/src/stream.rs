@@ -10,20 +10,24 @@
 //! 1. **Line buffer.** The CHW input is packed once into three bitplanes.
 //!    Within a plane every (zero-padded) input row is one dense bit stream,
 //!    pixel after pixel, `C` bits each — so the `K` taps a window covers in
-//!    one input row are `K·C` *adjacent* bits.
+//!    one input row are `K·C` *adjacent* bits. Where `C` is a multiple of
+//!    eight the stream is written a byte at a time: eight channels of
+//!    eight pixels are turned into the pixels' eight channel-bytes by
+//!    shifts and ORs on whole words.
 //! 2. **Window assembly.** A footprint plane is `K` such runs, one per
 //!    kernel row, appended with shifts and ORs into a reused tile buffer
 //!    (whole-word moves when `C` is a multiple of 64). The plane popcounts
 //!    `Σ_p 2^p·pc(plane_p)` are folded once per pixel while the words are
 //!    hot.
-//! 3. **MVTU.** Per weight row and pixel, the three planes are ANDed
-//!    against the same weight word and counted together:
-//!    `acc = 2·Σ_p 2^p·pc(w ∧ plane_p) − Σ_p 2^p·pc(plane_p)`, then the
-//!    channel's comparator bank ([`ThresholdTable`]) turns `acc` into the
-//!    level written straight into the CHW output.
+//! 3. **MVTU.** Per weight row, first every pixel of the tile gets its
+//!    accumulator — the three planes ANDed against the same weight word
+//!    and counted together,
+//!    `acc = 2·Σ_p 2^p·pc(w ∧ plane_p) − Σ_p 2^p·pc(plane_p)` — then the
+//!    channel's comparators ([`ThresholdTable`]) run across that row of
+//!    accumulators and write the levels straight into the CHW output.
 //!
 //! Nothing is allocated per pixel and nothing is cloned per call; the
-//! tap-major weights and the comparator banks are built once in
+//! tap-major weights and the comparator rows are built once in
 //! [`crate::PackedLayer::new`]. Activations narrower than three bits leave
 //! the upper planes empty, which the arithmetic above gets right without a
 //! special case.
@@ -41,15 +45,9 @@ const PLANES: usize = 3;
 /// L1 beside one weight row, so each pass streams the weight matrix once.
 const TILE_BYTES: usize = 16 * 1024;
 
-/// Comparators per bank of the threshold unit.
-const BANK: usize = 8;
-
-/// A layer's threshold sets as the MVTU's comparator banks: one contiguous
-/// row per output channel, padded to whole banks with a threshold no
-/// accumulator passes. The level is a straight count of comparators that
-/// fire — the same number [`tincy_quant::ThresholdSet::activate`] finds by
-/// binary search, without its data-dependent branches and without a
-/// pointer chase per channel.
+/// A layer's threshold sets as the MVTU's comparator rows: the thresholds
+/// of every output channel in one contiguous array, `row_len` per channel,
+/// so a weight row finds its comparators without a pointer chase.
 #[derive(Debug)]
 pub(crate) struct ThresholdTable {
     taus: Vec<i32>,
@@ -59,20 +57,11 @@ pub(crate) struct ThresholdTable {
 
 impl ThresholdTable {
     pub(crate) fn new(thresholds: &ThresholdsForLayer) -> Self {
-        let channels = thresholds.num_channels();
-        let row_len = thresholds.channel(0).len().next_multiple_of(BANK);
-        let mut taus = Vec::with_capacity(channels * row_len);
-        let mut ascending = Vec::with_capacity(channels);
-        for c in 0..channels {
-            let set = thresholds.channel(c);
-            // |acc| ≤ 7·K²·C, nowhere near either end of the i32 range.
-            let never = if set.is_ascending() {
-                i32::MAX
-            } else {
-                i32::MIN
-            };
+        let row_len = thresholds.channel(0).len();
+        let mut taus = Vec::with_capacity(thresholds.num_channels() * row_len);
+        let mut ascending = Vec::with_capacity(thresholds.num_channels());
+        for set in thresholds.iter() {
             taus.extend_from_slice(set.thresholds());
-            taus.resize((c + 1) * row_len, never);
             ascending.push(set.is_ascending());
         }
         Self {
@@ -84,22 +73,69 @@ impl ThresholdTable {
 
     /// The comparator row of `channel` and its comparison direction.
     #[inline(always)]
-    fn channel(&self, channel: usize) -> (&[[i32; BANK]], bool) {
+    fn channel(&self, channel: usize) -> (&[i32], bool) {
         let row = &self.taus[channel * self.row_len..][..self.row_len];
-        (row.as_chunks().0, self.ascending[channel])
+        (row, self.ascending[channel])
     }
 }
 
-/// The activation level of `acc`: how many comparators of the row fire.
+/// Sets each of `levels` to the number of comparators its accumulator
+/// fires — the count [`tincy_quant::ThresholdSet::activate`] finds by
+/// binary search. The comparison runs *across pixels*: one threshold
+/// against a lane-wide group of accumulators at a time, the counts staying
+/// in their lanes, so there is no horizontal sum per pixel and no
+/// data-dependent branch.
 #[inline(always)]
-fn level(banks: &[[i32; BANK]], ascending: bool, acc: i32) -> u8 {
-    let mut fired = 0u32;
-    for bank in banks {
-        for &tau in bank {
-            fired += u32::from(if ascending { tau <= acc } else { tau >= acc });
+fn fire(taus: &[i32], ascending: bool, accs: &[i32], levels: &mut [u8]) {
+    if ascending {
+        count_fired(taus, accs, levels, |tau, acc| tau <= acc);
+    } else {
+        count_fired(taus, accs, levels, |tau, acc| tau >= acc);
+    }
+}
+
+#[inline(always)]
+fn count_fired(taus: &[i32], accs: &[i32], levels: &mut [u8], fires: impl Fn(i32, i32) -> bool) {
+    const LANES: usize = 16;
+    let (acc_groups, acc_tail) = accs.as_chunks::<LANES>();
+    let (level_groups, level_tail) = levels.as_chunks_mut::<LANES>();
+    for (levels, accs) in level_groups.iter_mut().zip(acc_groups) {
+        let mut fired = [0i32; LANES];
+        for &tau in taus {
+            for (fired, &acc) in fired.iter_mut().zip(accs) {
+                *fired += i32::from(fires(tau, acc));
+            }
+        }
+        for (level, fired) in levels.iter_mut().zip(fired) {
+            *level = fired as u8;
         }
     }
-    fired as u8
+    for (level, &acc) in level_tail.iter_mut().zip(acc_tail) {
+        *level = taus.iter().filter(|&&tau| fires(tau, acc)).count() as u8;
+    }
+}
+
+/// One weight row of `words` words against every footprint of the tile:
+/// `accs[i] = 2·Σ_p 2^p·pc(w ∧ plane_p[i]) − sums[i]`.
+///
+/// Inlined into every call site: called with a literal word count, the
+/// `3·words` AND-popcounts unroll flat.
+#[inline(always)]
+fn accumulate(words: usize, weight_row: &[u64], tile: &[u64], sums: &[i32], accs: &mut [i32]) {
+    let weight_row = &weight_row[..words];
+    let footprints = tile.chunks_exact(PLANES * words);
+    for ((acc, footprint), &sum) in accs.iter_mut().zip(footprints).zip(sums) {
+        let (plane0, rest) = footprint.split_at(words);
+        let (plane1, plane2) = rest.split_at(words);
+        let (mut ones0, mut ones1, mut ones2) = (0u32, 0u32, 0u32);
+        for j in 0..words {
+            let w = weight_row[j];
+            ones0 += (w & plane0[j]).count_ones();
+            ones1 += (w & plane1[j]).count_ones();
+            ones2 += (w & plane2[j]).count_ones();
+        }
+        *acc = 2 * (ones0 + 2 * ones1 + 4 * ones2) as i32 - sum;
+    }
 }
 
 /// The input feature map as the sliding-window unit sees it: per bitplane
@@ -125,30 +161,69 @@ impl LineBuffer {
         let shape = input.shape();
         let (channels, height, width) = (shape.channels, shape.height, shape.width);
         let row_words = ((width + 2 * pad) * channels).div_ceil(WORD_BITS) + 1;
-        let rows = height + 2 * pad;
-        let plane_words = rows * row_words;
-        let mut words = vec![0u64; PLANES * plane_words];
-        let mut seen = 0u8;
-        let input_rows = input.as_slice().chunks_exact(width.max(1));
-        for (index, levels) in input_rows.enumerate() {
-            let (c, y) = (index / height, index % height);
-            let row = (y + pad) * row_words;
-            for (x, &level) in levels.iter().enumerate() {
-                seen |= level;
-                let bit = (x + pad) * channels + c;
-                let (word, shift) = (row + bit / WORD_BITS, bit % WORD_BITS);
-                for plane in 0..PLANES {
-                    words[plane * plane_words + word] |= u64::from(level >> plane & 1) << shift;
+        let (row_bytes, rows) = (row_words * 8, height + 2 * pad);
+        let plane_bytes = rows * row_bytes;
+        // Bit `k` of a row's stream is bit `k % 8` of its byte `k / 8`:
+        // the little-endian image of the `u64` words the windows read.
+        let mut bytes = vec![0u8; PLANES * plane_bytes];
+        let mut seen = 0u64;
+        // Eight channels of eight pixels at a time where the channel count
+        // allows: the eight bits a pixel gets from the group are one whole
+        // byte of its row, so the group is stored, not OR-ed in bit by bit.
+        let (grouped_channels, grouped) = match channels % 8 {
+            0 => (channels, width / 8 * 8),
+            _ => (0, 0),
+        };
+        let level_row = |c: usize, y: usize| &input.channel(c)[y * width..][..width];
+        for y in 0..height {
+            let row = (y + pad) * row_bytes;
+            for c0 in (0..grouped_channels).step_by(8) {
+                let group: [&[u8]; 8] = std::array::from_fn(|i| level_row(c0 + i, y));
+                for x0 in (0..grouped).step_by(8) {
+                    let mut planes = [0u64; PLANES];
+                    for (i, levels) in group.iter().enumerate() {
+                        let eight = levels[x0..x0 + 8].try_into().expect("eight pixels");
+                        let levels = u64::from_le_bytes(eight);
+                        seen |= levels;
+                        for (p, plane) in planes.iter_mut().enumerate() {
+                            // Byte `j`, bit `i`: plane `p` of pixel `x0 + j`
+                            // in channel `c0 + i`.
+                            *plane |= (levels >> p & 0x0101_0101_0101_0101) << i;
+                        }
+                    }
+                    for (p, plane) in planes.iter().enumerate() {
+                        for (j, &byte) in plane.to_le_bytes().iter().enumerate() {
+                            let at = ((x0 + j + pad) * channels + c0) / 8;
+                            bytes[p * plane_bytes + row + at] = byte;
+                        }
+                    }
+                }
+            }
+            // Whatever is left, a bit at a time.
+            for c in 0..channels {
+                for (x, &level) in level_row(c, y).iter().enumerate().skip(grouped) {
+                    seen |= u64::from(level);
+                    let bit = (x + pad) * channels + c;
+                    for plane in 0..PLANES {
+                        bytes[plane * plane_bytes + row + bit / 8] |=
+                            (level >> plane & 1) << (bit % 8);
+                    }
                 }
             }
         }
         // Levels are OR-ed: any bit above `act_bits` marks an offender.
+        let seen = seen.to_le_bytes().iter().fold(0, |all, byte| all | byte);
         assert!(
             seen >> act_bits == 0,
             "activation level exceeds {act_bits}-bit range"
         );
+        let words = bytes
+            .as_chunks()
+            .0
+            .iter()
+            .map(|&word| u64::from_le_bytes(word));
         Self {
-            words,
+            words: words.collect(),
             row_words,
             rows,
         }
@@ -223,6 +298,7 @@ impl PopcountKernel for StreamedConv<'_> {
         let tile_pixels = (TILE_BYTES / (footprint_words * 8)).clamp(1, pixels.max(1));
         let mut tile = vec![0u64; tile_pixels * footprint_words];
         let mut plane_sums = vec![0i32; tile_pixels];
+        let mut accs = vec![0i32; tile_pixels];
         let mut out = Tensor::zeros(conv_shape);
         let levels = out.as_mut_slice();
 
@@ -248,23 +324,21 @@ impl PopcountKernel for StreamedConv<'_> {
             }
             for r in 0..weights.rows() {
                 let weight_row = weights.row_words(r);
-                let (banks, ascending) = thresholds.channel(r);
-                let row_levels = &mut levels[r * pixels + start..][..count];
-                let footprints = tile.chunks_exact(footprint_words);
-                let pixels_of_tile = row_levels.iter_mut().zip(footprints).zip(&plane_sums);
-                for ((out_level, footprint), &sum) in pixels_of_tile {
-                    let (plane0, rest) = footprint.split_at(words);
-                    let (plane1, plane2) = rest.split_at(words);
-                    let (mut ones0, mut ones1, mut ones2) = (0u32, 0u32, 0u32);
-                    for j in 0..words {
-                        let w = weight_row[j];
-                        ones0 += (w & plane0[j]).count_ones();
-                        ones1 += (w & plane1[j]).count_ones();
-                        ones2 += (w & plane2[j]).count_ones();
-                    }
-                    let acc = 2 * (ones0 + 2 * ones1 + 4 * ones2) as i32 - sum;
-                    *out_level = level(banks, ascending, acc);
+                let accs = &mut accs[..count];
+                // The first hidden layer's 144-bit footprint is three
+                // words, so it pays per pixel, not per word: give it the
+                // loop with its word count as a constant.
+                match words {
+                    3 => accumulate(3, weight_row, &tile, &plane_sums, accs),
+                    _ => accumulate(words, weight_row, &tile, &plane_sums, accs),
                 }
+                let (taus, ascending) = thresholds.channel(r);
+                fire(
+                    taus,
+                    ascending,
+                    accs,
+                    &mut levels[r * pixels + start..][..count],
+                );
             }
         }
         out
@@ -274,6 +348,8 @@ impl PopcountKernel for StreamedConv<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use tincy_quant::ThresholdSet;
 
     #[test]
     fn append_bits_copies_unaligned_runs() {
@@ -312,37 +388,89 @@ mod tests {
         }
     }
 
-    #[test]
-    fn comparator_banks_agree_with_threshold_sets() {
-        use tincy_quant::ThresholdSet;
-        let sets = vec![
-            ThresholdSet::new(vec![-9, -9, -2, 0, 3, 3, 40]).unwrap(),
-            ThresholdSet::with_direction(vec![-30, -4, -4, 0, 1, 8, 8], false).unwrap(),
-            ThresholdSet::with_direction(vec![i32::MIN, -1, 0, 0, 5, 6, i32::MAX], false).unwrap(),
-            ThresholdSet::new(vec![i32::MIN, -1, 0, 0, 5, 6, i32::MAX]).unwrap(),
-        ];
-        let table = ThresholdTable::new(&ThresholdsForLayer::new(sets.clone()).unwrap());
-        for (c, set) in sets.iter().enumerate() {
-            let (banks, ascending) = table.channel(c);
-            for acc in -50..50 {
-                assert_eq!(
-                    level(banks, ascending, acc),
-                    set.activate(acc),
-                    "{c} at {acc}"
-                );
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The across-pixel comparator count is `ThresholdSet::activate`,
+        /// in both directions, with duplicate thresholds and the `i32`
+        /// extremes as thresholds and as accumulators, on tile tails too
+        /// short to fill a vector lane.
+        #[test]
+        fn comparators_across_pixels_agree_with_threshold_sets(
+            steps in proptest::collection::vec(0i32..4, 1..12),
+            base in -20i32..20,
+            (low_sentinel, high_sentinel, ascending) in (any::<bool>(), any::<bool>(), any::<bool>()),
+            accs in proptest::collection::vec(-30i32..50, 1..10),
+            extreme in 0usize..3,
+        ) {
+            let mut tau = base;
+            let mut taus: Vec<i32> = steps.iter().map(|step| { tau += step; tau }).collect();
+            if low_sentinel {
+                taus[0] = i32::MIN;
             }
+            if high_sentinel {
+                *taus.last_mut().expect("at least one threshold") = i32::MAX;
+            }
+            taus.sort_unstable();
+            let mut accs = accs;
+            accs[0] = [accs[0], i32::MIN, i32::MAX][extreme];
+            let set = ThresholdSet::with_direction(taus, ascending).expect("monotone");
+            let other = ThresholdSet::with_direction(vec![0; set.len()], !ascending).expect("monotone");
+            let table = ThresholdTable::new(
+                &ThresholdsForLayer::new(vec![other, set.clone()]).expect("uniform"),
+            );
+            let (row, direction) = table.channel(1);
+            prop_assert_eq!(direction, ascending);
+            let mut levels = vec![0u8; accs.len()];
+            fire(row, direction, &accs, &mut levels);
+            let expected: Vec<u8> = accs.iter().map(|&acc| set.activate(acc)).collect();
+            prop_assert_eq!(levels, expected);
         }
-        // More thresholds than one bank holds, and fewer.
+    }
+
+    #[test]
+    fn comparator_rows_hold_more_thresholds_than_a_lane() {
         for len in [1usize, 8, 9, 255] {
             let set = ThresholdSet::new((0..len as i32).map(|k| 2 * k - 7).collect()).unwrap();
             let table = ThresholdTable::new(&ThresholdsForLayer::new(vec![set.clone()]).unwrap());
-            let (banks, ascending) = table.channel(0);
-            for acc in -10..520 {
-                assert_eq!(
-                    level(banks, ascending, acc),
-                    set.activate(acc),
-                    "{len} at {acc}"
-                );
+            let (row, ascending) = table.channel(0);
+            let accs: Vec<i32> = (-10..520).collect();
+            let mut levels = vec![0u8; accs.len()];
+            fire(row, ascending, &accs, &mut levels);
+            for (&acc, &level) in accs.iter().zip(&levels) {
+                assert_eq!(level, set.activate(acc), "{len} at {acc}");
+            }
+        }
+    }
+
+    #[test]
+    fn line_buffer_groups_of_eight_channels_match_the_bitwise_layout() {
+        // Whole groups, a pixel tail, and channels past the first word.
+        for (channels, height, width, pad) in [(8, 2, 8, 0), (16, 3, 19, 1), (72, 2, 9, 1)] {
+            let shape = tincy_tensor::Shape3::new(channels, height, width);
+            let input = Tensor::from_fn(shape, |c, y, x| ((c * 5 + y * 3 + x * 7) % 8) as u8);
+            let lines = LineBuffer::pack(&input, pad, 3);
+            for plane in 0..PLANES {
+                for y in 0..height + 2 * pad {
+                    let row = lines.row(plane, y);
+                    for x in 0..width + 2 * pad {
+                        for c in 0..channels {
+                            let bit = x * channels + c;
+                            let inside =
+                                (pad..pad + height).contains(&y) && (pad..pad + width).contains(&x);
+                            let level = if inside {
+                                input.at(c, y - pad, x - pad)
+                            } else {
+                                0
+                            };
+                            assert_eq!(
+                                row[bit / 64] >> (bit % 64) & 1,
+                                u64::from(level >> plane & 1),
+                                "{channels} channels: plane {plane} pixel ({y},{x}) channel {c}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -23,6 +23,8 @@
 //!   to gain access to the invocations of the individual layers", §III-F),
 //! * [`weights`] — sequential weight-file I/O in Darknet's style.
 
+#![forbid(unsafe_code)]
+
 pub mod activation;
 pub mod batchnorm;
 pub mod cfg;
@@ -40,7 +42,7 @@ pub mod weights;
 pub use activation::Activation;
 pub use batchnorm::BatchNorm;
 pub use cfg::{parse_cfg, render_cfg};
-pub use conv::{ConvCompute, ConvLayer};
+pub use conv::ConvLayer;
 pub use error::NnError;
 pub use layer::Layer;
 pub use maxpool::MaxPoolLayer;

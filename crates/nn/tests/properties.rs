@@ -1,11 +1,15 @@
 //! Property-based tests for the Darknet-analog framework.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use tincy_nn::{
-    parse_cfg, render_cfg, Activation, ConvSpec, LayerSpec, NetworkSpec, PoolSpec, RegionSpec,
+    parse_cfg, render_cfg, Activation, BatchNorm, ConvLayer, ConvSpec, Layer, LayerSpec,
+    NetworkSpec, PoolSpec, RegionSpec,
 };
-use tincy_quant::PrecisionConfig;
-use tincy_tensor::Shape3;
+use tincy_quant::{AffineQuant, PrecisionConfig};
+use tincy_simd::conv::conv_lowp_im2col;
+use tincy_tensor::{Shape3, Tensor};
 
 fn precision() -> impl Strategy<Value = PrecisionConfig> {
     prop_oneof![
@@ -64,6 +68,34 @@ fn network_spec() -> impl Strategy<Value = NetworkSpec> {
         .prop_filter("must validate", |spec| spec.validate().is_ok())
 }
 
+/// What a W8A8 layer computed before its steps were fused, one pass per
+/// step: fit → quantize each element → gemmlowp-style convolution → scale
+/// → bias → batch norm → activation.
+fn w8a8_step_by_step(layer: &ConvLayer, input: &Tensor<f32>) -> Tensor<f32> {
+    let weights = layer.weights();
+    let max_abs = weights
+        .as_slice()
+        .iter()
+        .fold(0.0f32, |m, &w| m.max(w.abs()))
+        .max(f32::MIN_POSITIVE);
+    let w_scale = max_abs / 127.0;
+    let wq = weights.map(|w| (w / w_scale).round().clamp(-127.0, 127.0) as i8);
+    let q = AffineQuant::fit_data(input.as_slice()).expect("finite input");
+    let input_q = input.map(|v| q.quantize(v));
+    let acc = conv_lowp_im2col(&input_q, &wq, q.zero_point(), layer.geom()).expect("geometry");
+    let spatial = acc.shape().spatial();
+    let scale = w_scale * q.scale();
+    let mut out = acc.map(|v| v as f32 * scale);
+    for (i, v) in out.as_mut_slice().iter_mut().enumerate() {
+        *v += layer.bias()[i / spatial];
+    }
+    if let Some(bn) = layer.batchnorm() {
+        bn.apply(&mut out);
+    }
+    layer.activation().apply_slice(out.as_mut_slice());
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -112,5 +144,66 @@ proptest! {
         let spec = NetworkSpec::new(Shape3::new(channels, 13, 13))
             .with(LayerSpec::Region(region));
         prop_assert_eq!(spec.validate().is_ok(), channels == expected);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// W8A8 host layers: exact i32 accumulation over one affine input
+    /// quantization, bit-identical whichever kernel serves the shape —
+    /// the 16×27 kernel (3 channels, 16 filters, 3×3) or the GEMM.
+    #[test]
+    fn w8a8_forward_is_bit_identical_to_its_steps(
+        (channels, filters) in prop_oneof![Just((3usize, 16usize)), Just((3, 5)), Just((8, 16)), Just((512, 7))],
+        size in prop_oneof![Just(1usize), Just(3)],
+        stride in 1usize..3,
+        pad in 0usize..2,
+        (height, width) in (1usize..8, 1usize..8),
+        input_kind in 0usize..4,
+        (batch_normalize, activation) in (any::<bool>(), activation()),
+        seed in any::<u64>()
+    ) {
+        // Odd extents down to 1x1, or the smallest the kernel fits.
+        let smallest = size.saturating_sub(2 * pad).max(1);
+        let shape = Shape3::new(
+            channels,
+            (2 * height - 1).max(smallest),
+            (2 * width - 1).max(smallest),
+        );
+        let spec = ConvSpec {
+            filters,
+            size,
+            stride,
+            pad,
+            activation,
+            batch_normalize,
+            precision: PrecisionConfig::W8A8,
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut layer = ConvLayer::new(shape, &spec, &mut rng).expect("valid geometry");
+        let bias = (0..filters).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
+        layer.set_parameters(layer.weights().clone(), bias).expect("same dimensions");
+        if batch_normalize {
+            let mut draw = |lo: f32, hi: f32| (0..filters).map(|_| rng.gen_range(lo..hi)).collect();
+            layer.set_batchnorm(BatchNorm {
+                gamma: draw(-1.5, 1.5),
+                beta: draw(-0.5, 0.5),
+                mean: draw(-0.5, 0.5),
+                var: draw(0.1, 2.0),
+                eps: 1e-5,
+            }).expect("same width");
+        }
+        let input = match input_kind {
+            0 => Tensor::from_fn(shape, |_, _, _| rng.gen_range(0.0f32..1.0)),
+            1 => Tensor::from_fn(shape, |_, _, _| rng.gen_range(-3.0f32..2.0)),
+            2 => Tensor::filled(shape, rng.gen_range(-1.0f32..1.0)),
+            _ => Tensor::filled(shape, 0.0),
+        };
+        let expected = w8a8_step_by_step(&layer, &input);
+        let got = layer.forward(&input).expect("forward");
+        prop_assert_eq!(got.shape(), expected.shape());
+        let bits = |t: &Tensor<f32>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&expected));
     }
 }

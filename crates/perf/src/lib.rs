@@ -17,6 +17,8 @@
 //! The [`ladder`] module strings these transformations into the paper's
 //! speedup ladder: 0.1 fps → 1.1 fps → 2.5 fps → >5 fps → 16 fps (160×).
 
+#![forbid(unsafe_code)]
+
 pub mod calib;
 pub mod fabric;
 pub mod ladder;

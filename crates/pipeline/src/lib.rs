@@ -18,6 +18,8 @@
 //! both the real Tincy demo (`tincy-core`) and synthetic workloads
 //! (`tincy-perf`, benches) can run on it.
 
+#![forbid(unsafe_code)]
+
 mod latency;
 mod metrics;
 mod pipeline_impl;

@@ -75,15 +75,32 @@ impl AffineQuant {
     /// Returns [`QuantError::InvalidRange`] if the slice contains non-finite
     /// values; an empty slice yields the degenerate unit quantizer.
     pub fn fit_data(data: &[f32]) -> Result<Self, QuantError> {
-        let mut min = f32::INFINITY;
-        let mut max = f32::NEG_INFINITY;
-        for &v in data {
-            min = min.min(v);
-            max = max.max(v);
-        }
         if data.is_empty() {
             return Self::new(1.0, 0);
         }
+        // Lane-wise extrema, folded at the end: a reduction the compiler
+        // vectorizes, where one running minimum is a serial chain. The
+        // compare-and-select skips NaN exactly as `f32::min`/`max` do.
+        const LANES: usize = 8;
+        let lower = |m: f32, v: f32| if v < m { v } else { m };
+        let upper = |m: f32, v: f32| if v > m { v } else { m };
+        let mut min = [f32::INFINITY; LANES];
+        let mut max = [f32::NEG_INFINITY; LANES];
+        let (groups, tail) = data.as_chunks::<LANES>();
+        for group in groups {
+            for ((min, max), &v) in min.iter_mut().zip(&mut max).zip(group) {
+                *min = lower(*min, v);
+                *max = upper(*max, v);
+            }
+        }
+        let min = min
+            .iter()
+            .chain(tail)
+            .fold(f32::INFINITY, |m, &v| lower(m, v));
+        let max = max
+            .iter()
+            .chain(tail)
+            .fold(f32::NEG_INFINITY, |m, &v| upper(m, v));
         Self::fit(min, max)
     }
 
@@ -100,7 +117,7 @@ impl AffineQuant {
     /// Quantizes a real value with round-to-nearest and saturation.
     #[inline]
     pub fn quantize(&self, real: f32) -> u8 {
-        let q = (real / self.scale).round() as i32 + self.zero_point;
+        let q = ((real / self.scale).round() as i32).saturating_add(self.zero_point);
         q.clamp(0, 255) as u8
     }
 
@@ -110,9 +127,26 @@ impl AffineQuant {
         self.scale * (q as i32 - self.zero_point) as f32
     }
 
-    /// Quantizes a whole slice.
+    /// Quantizes a whole slice: byte for byte what [`AffineQuant::quantize`]
+    /// returns for each element, computed without `f32::round` (a libm
+    /// call on targets with no rounding instruction) so the loop
+    /// vectorizes.
     pub fn quantize_slice(&self, real: &[f32]) -> Vec<u8> {
-        real.iter().map(|&v| self.quantize(v)).collect()
+        // Beyond ±LIMIT steps the result saturates whatever the zero
+        // point, so the quotient can be clamped into the range where the
+        // integer conversion below is exact.
+        const LIMIT: f32 = 512.0;
+        real.iter()
+            .map(|&v| {
+                let steps = (v / self.scale).clamp(-LIMIT, LIMIT);
+                // Round half away from zero: truncate, then look at the
+                // (exactly representable) fraction that was cut off.
+                let whole = steps as i32;
+                let cut = steps - whole as f32;
+                let rounded = whole + i32::from(cut >= 0.5) - i32::from(cut <= -0.5);
+                (rounded + self.zero_point).clamp(0, 255) as u8
+            })
+            .collect()
     }
 
     /// Dequantizes a whole slice.
@@ -168,6 +202,44 @@ mod tests {
         assert!(AffineQuant::fit_data(&[]).is_ok());
         let q = AffineQuant::fit_data(&[0.0, 0.0]).unwrap();
         assert_eq!(q.quantize(0.0), 0);
+    }
+
+    #[test]
+    fn quantize_saturates_instead_of_overflowing() {
+        let q = AffineQuant::new(1.0, 200).unwrap();
+        assert_eq!(q.quantize(f32::MAX), 255);
+        assert_eq!(q.quantize(f32::MIN), 0);
+        assert_eq!(q.quantize(f32::NAN), 200);
+    }
+
+    #[test]
+    fn fit_data_matches_a_serial_scan() {
+        // Lengths around the lane count, NaN skipped, signed zeros.
+        let data: Vec<f32> = (0..37)
+            .map(|i| ((i * 29) % 17) as f32 * 0.37 - 2.5)
+            .collect();
+        for len in 0..data.len() {
+            let mut slice = data[..len].to_vec();
+            if len > 3 {
+                slice[len / 2] = f32::NAN;
+                slice[len / 3] = -0.0;
+            }
+            let serial = {
+                let (mut min, mut max) = (f32::INFINITY, f32::NEG_INFINITY);
+                for &v in &slice {
+                    min = min.min(v);
+                    max = max.max(v);
+                }
+                if slice.is_empty() {
+                    AffineQuant::new(1.0, 0)
+                } else {
+                    AffineQuant::fit(min, max)
+                }
+            };
+            assert_eq!(AffineQuant::fit_data(&slice), serial, "len {len}");
+        }
+        assert!(AffineQuant::fit_data(&[f32::NAN]).is_err());
+        assert!(AffineQuant::fit_data(&[1.0, f32::INFINITY]).is_err());
     }
 
     #[test]

@@ -28,8 +28,11 @@ pub fn rounding_right_shift(x: i32, n: u32) -> i32 {
     (x + (1 << (n - 1))) >> n
 }
 
-/// Rounding right shift on a 16-bit lane (the NEON `vrshr.s16` used by the
-/// 16-bit accumulation path).
+/// Rounding right shift on a 16-bit lane (the NEON `vrshr.s16` of the
+/// 16-bit accumulation path), with the rounding add widened so no input
+/// overflows. This is the definition, not the hot loop: `tincy-simd`'s
+/// first-layer kernel shifts inside the lane and is tested against this
+/// function over its whole product domain.
 ///
 /// # Panics
 ///

@@ -19,6 +19,8 @@
 //! * [`WeightPrecision`] / [`ActPrecision`] — the precision vocabulary used
 //!   to describe configurations such as `[W1A3]` throughout the paper.
 
+#![forbid(unsafe_code)]
+
 mod affine;
 mod binary;
 mod error;

@@ -32,6 +32,29 @@ proptest! {
         prop_assert!(q.quantize(va) <= q.quantize(vb));
     }
 
+    /// The slice quantizer is `quantize`, byte for byte, where rounding is
+    /// decided: on every half step `k ± 0.5`, one ulp either side of it,
+    /// both zeros, and beyond the `u8`, the 2²⁴ and the `i32` ranges.
+    #[test]
+    fn slice_quantizer_is_quantize_on_every_rounding_boundary(
+        scale in prop_oneof![Just(1.0f32), Just(1.0 / 255.0), Just(0.003_921_569), 1e-3f32..40.0],
+        zero_point in prop_oneof![Just(0i32), Just(255), 0i32..256],
+        k in -300i32..300
+    ) {
+        let q = AffineQuant::new(scale, zero_point).unwrap();
+        let ulps = |v: f32, n: i32| f32::from_bits((v.to_bits() as i32 + n) as u32);
+        let mut inputs = vec![0.0, -0.0, f32::MAX, f32::MIN, f32::MIN_POSITIVE, f32::NAN];
+        for half in [k as f32 - 0.5, k as f32 + 0.5, k as f32] {
+            let v = half * scale;
+            inputs.extend([v, ulps(v, 1), ulps(v, -1), ulps(v, 2), ulps(v, -2)]);
+        }
+        for magnitude in [255.4f32, 256.0, 511.5, 512.0, 513.0, 1.7e7, 3.4e7, 2.2e9, 4.4e9, 1e30] {
+            inputs.extend([magnitude * scale, -magnitude * scale]);
+        }
+        let expected: Vec<u8> = inputs.iter().map(|&v| q.quantize(v)).collect();
+        prop_assert_eq!(q.quantize_slice(&inputs), expected);
+    }
+
     #[test]
     fn vrshr_is_division_with_bounded_error(x in -1_000_000i32..1_000_000, n in 1u32..16) {
         let shifted = rounding_right_shift(x, n) as f64;

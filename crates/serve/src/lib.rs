@@ -34,6 +34,8 @@
 //! behind a least-loaded or consistent-hash router with drain/re-admit
 //! health management and fleet-wide metrics aggregation.
 
+#![forbid(unsafe_code)]
+
 pub mod arrivals;
 pub mod config;
 pub mod drift;

@@ -6,26 +6,9 @@
 //! channel-major `(c, ky, kx)` order — exactly matching the row order of
 //! [`tincy_tensor::im2col`].
 
-use crate::fused::fused_conv_f32;
-use crate::gemm::{gemm_f32, gemm_f32_lanes};
+use crate::gemm::gemm_f32;
 use crate::lowp::gemm_lowp;
 use tincy_tensor::{im2col, im2col_with_pad, ConvGeom, Mat, Shape3, Tensor, TensorError};
-
-/// Selects a float convolution implementation (§III-D's progression).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ConvAlgo {
-    /// Direct nested loops — the golden reference.
-    Reference,
-    /// Darknet's generic path: explicit `im2col` + scalar GEMM.
-    Im2colGemm,
-    /// Explicit `im2col` + lane-blocked GEMM.
-    Im2colGemmLanes,
-    /// Fused, sliced `im2col` + GEMM (§III-D, 2.1× on float data).
-    FusedF32 {
-        /// Width of each im2col slice (the vector lane count).
-        slice_width: usize,
-    },
-}
 
 /// Direct-loop convolution: the golden reference all other implementations
 /// are verified against.
@@ -72,16 +55,14 @@ pub fn conv_reference(
     Ok(out)
 }
 
-/// Runs a float convolution with the chosen implementation.
-///
-/// All algorithms produce results identical to [`conv_reference`] up to
+/// Darknet's generic float convolution: explicit `im2col` + scalar GEMM —
+/// the 1.0× of §III-D's progression. Identical to [`conv_reference`] up to
 /// floating-point association order.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError`] on any geometry/shape mismatch.
-pub fn convolve(
-    algo: ConvAlgo,
+pub fn conv_im2col_gemm(
     input: &Tensor<f32>,
     weights: &Mat<f32>,
     bias: &[f32],
@@ -94,27 +75,14 @@ pub fn convolve(
         bias.len(),
         geom,
     )?;
-    match algo {
-        ConvAlgo::Reference => conv_reference(input, weights, bias, geom),
-        ConvAlgo::Im2colGemm | ConvAlgo::Im2colGemmLanes => {
-            let cols = im2col(input, geom)?;
-            let product = if matches!(algo, ConvAlgo::Im2colGemm) {
-                gemm_f32(weights, &cols)
-            } else {
-                gemm_f32_lanes(weights, &cols)
-            };
-            let out_shape = geom.output_shape(input.shape(), weights.rows());
-            let mut data = product.into_vec();
-            let spatial = out_shape.spatial();
-            for (i, v) in data.iter_mut().enumerate() {
-                *v += bias[i / spatial];
-            }
-            Tensor::from_vec(out_shape, data)
-        }
-        ConvAlgo::FusedF32 { slice_width } => {
-            fused_conv_f32(input, weights, bias, geom, slice_width)
-        }
+    let cols = im2col(input, geom)?;
+    let out_shape = geom.output_shape(input.shape(), weights.rows());
+    let mut data = gemm_f32(weights, &cols).into_vec();
+    let spatial = out_shape.spatial();
+    for (i, v) in data.iter_mut().enumerate() {
+        *v += bias[i / spatial];
     }
+    Tensor::from_vec(out_shape, data)
 }
 
 /// Quantized convolution through explicit `im2col` + low-precision GEMM —
@@ -123,7 +91,8 @@ pub fn convolve(
 ///
 /// # Errors
 ///
-/// Returns [`TensorError`] on any geometry/shape mismatch.
+/// Returns [`TensorError`] on any geometry/shape mismatch, or if
+/// `zero_point` is outside `0..=255`.
 pub fn conv_lowp_im2col(
     input: &Tensor<u8>,
     weights: &Mat<i8>,
@@ -137,10 +106,19 @@ pub fn conv_lowp_im2col(
         weights.rows(),
         geom,
     )?;
-    let cols = im2col_with_pad(input, geom, zero_point as u8)?;
+    let zero_point = check_zero_point(zero_point)?;
+    let cols = im2col_with_pad(input, geom, zero_point)?;
     let acc = gemm_lowp(weights, &cols, zero_point);
     let out_shape = geom.output_shape(input.shape(), weights.rows());
     Tensor::from_vec(out_shape, acc.into_vec())
+}
+
+/// The zero point as the activation byte it must be: a value outside
+/// `0..=255` would otherwise wrap into a different, valid padding value.
+pub(crate) fn check_zero_point(zero_point: i32) -> Result<u8, TensorError> {
+    u8::try_from(zero_point).map_err(|_| TensorError::IncompatibleGeometry {
+        what: format!("zero point {zero_point} is not a u8 activation"),
+    })
 }
 
 pub(crate) fn check_weights(
@@ -195,7 +173,7 @@ mod tests {
     }
 
     #[test]
-    fn all_algorithms_agree_with_reference() {
+    fn generic_and_fused_agree_with_reference() {
         let mut rng = StdRng::seed_from_u64(3);
         let cases = [
             (Shape3::new(3, 8, 8), 16, ConvGeom::same(3, 1)),
@@ -206,16 +184,14 @@ mod tests {
         for (shape, out_c, geom) in cases {
             let (input, weights, bias) = random_case(&mut rng, shape, out_c, geom);
             let reference = conv_reference(&input, &weights, &bias, geom).unwrap();
-            for algo in [
-                ConvAlgo::Im2colGemm,
-                ConvAlgo::Im2colGemmLanes,
-                ConvAlgo::FusedF32 { slice_width: 4 },
-                ConvAlgo::FusedF32 { slice_width: 7 },
-            ] {
-                let out = convolve(algo, &input, &weights, &bias, geom).unwrap();
+            let generic = conv_im2col_gemm(&input, &weights, &bias, geom).unwrap();
+            assert!(generic.max_abs_diff(&reference) < 1e-4, "{shape:?}");
+            for slice_width in [4, 7] {
+                let fused =
+                    crate::fused_conv_f32(&input, &weights, &bias, geom, slice_width).unwrap();
                 assert!(
-                    out.max_abs_diff(&reference) < 1e-4,
-                    "algo {algo:?} diverges on {shape:?}"
+                    fused.max_abs_diff(&reference) < 1e-4,
+                    "slice width {slice_width} diverges on {shape:?}"
                 );
             }
         }
@@ -234,6 +210,15 @@ mod tests {
             "{:?}",
             acc.as_slice()
         );
+    }
+
+    #[test]
+    fn lowp_conv_rejects_a_zero_point_that_is_not_a_u8() {
+        let input = Tensor::<u8>::zeros(Shape3::new(1, 3, 3));
+        let weights = Mat::from_fn(1, 9, |_, _| 1i8);
+        for zero_point in [-1, 256] {
+            assert!(conv_lowp_im2col(&input, &weights, zero_point, ConvGeom::same(3, 1)).is_err());
+        }
     }
 
     #[test]

@@ -69,51 +69,10 @@ pub fn fused_conv_f32(
     Ok(out)
 }
 
-/// Fused low-precision convolution: u8 activations with a zero point,
-/// i8 weights, exact i32 accumulation. Padding contributes the zero point.
-///
-/// # Errors
-///
-/// Returns [`TensorError`] on geometry/shape mismatch or zero slice width.
-pub fn fused_conv_lowp(
-    input: &Tensor<u8>,
-    weights: &Mat<i8>,
-    zero_point: i32,
-    geom: ConvGeom,
-    slice_width: usize,
-) -> Result<Tensor<i32>, TensorError> {
-    crate::conv::check_weights(
-        input.shape(),
-        weights.rows(),
-        weights.cols(),
-        weights.rows(),
-        geom,
-    )?;
-    let out_shape = geom.output_shape(input.shape(), weights.rows());
-    let spatial = out_shape.spatial();
-    let mut out = Tensor::zeros(out_shape);
-    let mut slices = Im2colSlices::with_pad(input, geom, slice_width, zero_point as u8)?;
-    let rows = slices.rows();
-    while let Some((start, width)) = slices.next_slice() {
-        for oc in 0..weights.rows() {
-            let w_row = weights.row(oc);
-            let base = oc * spatial + start;
-            for i in 0..width {
-                let mut acc = 0i32;
-                for (r, &w) in w_row.iter().enumerate().take(rows) {
-                    acc += w as i32 * (slices.row(r)[i] as i32 - zero_point);
-                }
-                out.as_mut_slice()[base + i] = acc;
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::{conv_lowp_im2col, conv_reference};
+    use crate::conv::conv_reference;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tincy_tensor::Shape3;
@@ -133,22 +92,6 @@ mod tests {
                 fused.max_abs_diff(&reference) < 1e-4,
                 "slice width {slice_width} diverges"
             );
-        }
-    }
-
-    #[test]
-    fn fused_lowp_matches_explicit_lowp_bit_exactly() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let shape = Shape3::new(3, 6, 5);
-        for geom in [ConvGeom::same(3, 1), ConvGeom::same(3, 2)] {
-            let input: Tensor<u8> = Tensor::from_fn(shape, |_, _, _| rng.gen());
-            let weights = Mat::from_fn(4, 27, |_, _| rng.gen_range(-127i8..=127));
-            let zp = 77;
-            let explicit = conv_lowp_im2col(&input, &weights, zp, geom).unwrap();
-            for slice_width in [1, 4, 13] {
-                let fused = fused_conv_lowp(&input, &weights, zp, geom, slice_width).unwrap();
-                assert_eq!(fused, explicit, "slice width {slice_width}, geom {geom:?}");
-            }
         }
     }
 

@@ -1,12 +1,9 @@
-//! Matrix multiplication backends for the GEMM lowering of convolution.
+//! The float GEMM of the generic convolution lowering.
 //!
 //! Darknet's generic path is "a straightforward C implementation split into
 //! an explicit `im2col` followed by a matrix multiplication" (§III-D).
-//! [`gemm_f32`] is that reference; [`gemm_f32_lanes`] is the NEON-shaped
-//! variant that computes four result columns per instruction the way the
-//! fused implementation's inner loop does.
+//! [`gemm_f32`] is that multiplication.
 
-use crate::lanes::F32x4;
 use tincy_tensor::Mat;
 use tincy_trace::static_label;
 
@@ -44,53 +41,9 @@ pub fn gemm_f32(a: &Mat<f32>, b: &Mat<f32>) -> Mat<f32> {
     c
 }
 
-/// Lane-blocked GEMM: identical result to [`gemm_f32`], but the inner loop
-/// advances four output columns at a time through [`F32x4`] registers —
-/// the NEON execution shape.
-///
-/// # Panics
-///
-/// Panics if `a.cols() != b.rows()`.
-pub fn gemm_f32_lanes(a: &Mat<f32>, b: &Mat<f32>) -> Mat<f32> {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let _span = tincy_trace::span(static_label!("gemm.lanes")).start();
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut c = Mat::zeros(m, n);
-    let full = n / F32x4::LANES * F32x4::LANES;
-    for i in 0..m {
-        let a_row = a.row(i);
-        // Vectorized body: four columns per lane register.
-        let mut j = 0;
-        while j < full {
-            let mut acc = F32x4::default();
-            for (p, &a_ip) in a_row.iter().enumerate().take(k) {
-                acc = acc.mla(F32x4::splat(a_ip), F32x4::load(&b.row(p)[j..]));
-            }
-            acc.store(&mut c.row_mut(i)[j..]);
-            j += F32x4::LANES;
-        }
-        // Scalar tail.
-        for j in full..n {
-            let mut acc = 0.0f32;
-            for (p, &a_ip) in a_row.iter().enumerate().take(k) {
-                acc += a_ip * b.at(p, j);
-            }
-            *c.at_mut(i, j) = acc;
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn random_mat(rng: &mut StdRng, rows: usize, cols: usize) -> Mat<f32> {
-        Mat::from_fn(rows, cols, |_, _| rng.gen_range(-1.0..1.0))
-    }
-
     #[test]
     fn identity_multiplication() {
         let a = Mat::from_fn(3, 3, |r, c| (r * 3 + c) as f32);
@@ -105,25 +58,6 @@ mod tests {
         let b = Mat::from_vec(3, 2, vec![7., 8., 9., 10., 11., 12.]).unwrap();
         let c = gemm_f32(&a, &b);
         assert_eq!(c.as_slice(), &[58., 64., 139., 154.]);
-    }
-
-    #[test]
-    fn lanes_matches_scalar_on_awkward_sizes() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for (m, k, n) in [(1, 1, 1), (2, 3, 4), (5, 7, 9), (16, 27, 33), (3, 8, 64)] {
-            let a = random_mat(&mut rng, m, k);
-            let b = random_mat(&mut rng, k, n);
-            let c_ref = gemm_f32(&a, &b);
-            let c_lane = gemm_f32_lanes(&a, &b);
-            for i in 0..m {
-                for j in 0..n {
-                    assert!(
-                        (c_ref.at(i, j) - c_lane.at(i, j)).abs() < 1e-4,
-                        "mismatch at ({i},{j}) for {m}x{k}x{n}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

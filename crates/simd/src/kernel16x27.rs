@@ -17,14 +17,16 @@
 //! the paper keeps the float variant available "as drop in reference for
 //! case-to-case evaluation" — so do we.
 
-use crate::lanes::{F32x4, I16x8};
-use tincy_quant::rounding_right_shift_i16;
+use crate::lanes::F32x4;
 use tincy_tensor::{ConvGeom, Mat, Tensor, TensorError};
 
 /// Number of output channels of the first layer.
 pub const OUT_CHANNELS: usize = 16;
 /// Dot-product length: 3×3 kernel over 3 image channels.
 pub const DOT_LENGTH: usize = 27;
+/// The integer variants take their taps two per pass over a row of
+/// accumulators; the odd one out is paired with a zero weight.
+const TAP_PAIRS: usize = DOT_LENGTH.div_ceil(2);
 
 /// The specialized 16×27 first-layer convolution kernel.
 #[derive(Debug, Clone)]
@@ -32,8 +34,9 @@ pub struct FirstLayerKernel {
     /// Weights transposed to `[k][oc]` so each dot-product step is one
     /// broadcast-multiply across output-channel lanes.
     wt: [[f32; OUT_CHANNELS]; DOT_LENGTH],
-    /// Symmetrically quantized weights in the same layout.
-    wq: [[i8; OUT_CHANNELS]; DOT_LENGTH],
+    /// Symmetrically quantized weights (`±127`), one row of tap pairs per
+    /// output channel, already widened to the 16-bit lanes they multiply in.
+    wq: [[[i16; 2]; TAP_PAIRS]; OUT_CHANNELS],
     /// Real value of one quantized weight unit.
     w_scale: f32,
     bias: [f32; OUT_CHANNELS],
@@ -61,22 +64,19 @@ impl FirstLayerKernel {
                 what: format!("first-layer kernel requires 16 biases, got {}", bias.len()),
             });
         }
-        let mut wt = [[0.0f32; OUT_CHANNELS]; DOT_LENGTH];
-        for oc in 0..OUT_CHANNELS {
-            for k in 0..DOT_LENGTH {
-                wt[k][oc] = weights.at(oc, k);
-            }
-        }
-        let max_abs = wt
+        let max_abs = weights
+            .as_slice()
             .iter()
-            .flatten()
             .fold(0.0f32, |m, &w| m.max(w.abs()))
             .max(f32::MIN_POSITIVE);
         let w_scale = max_abs / 127.0;
-        let mut wq = [[0i8; OUT_CHANNELS]; DOT_LENGTH];
-        for k in 0..DOT_LENGTH {
-            for oc in 0..OUT_CHANNELS {
-                wq[k][oc] = (wt[k][oc] / w_scale).round().clamp(-127.0, 127.0) as i8;
+        let mut wt = [[0.0f32; OUT_CHANNELS]; DOT_LENGTH];
+        let mut wq = [[[0i16; 2]; TAP_PAIRS]; OUT_CHANNELS];
+        for oc in 0..OUT_CHANNELS {
+            for k in 0..DOT_LENGTH {
+                let w = weights.at(oc, k);
+                wt[k][oc] = w;
+                wq[oc][k / 2][k % 2] = (w / w_scale).round().clamp(-127.0, 127.0) as i16;
             }
         }
         let mut b = [0.0f32; OUT_CHANNELS];
@@ -109,30 +109,20 @@ impl FirstLayerKernel {
 
     /// Gathers the 27-element footprint at output position `(oy, ox)`.
     #[inline]
-    fn gather<T: Copy>(
-        input: &Tensor<T>,
+    fn gather(
+        input: &Tensor<f32>,
         geom: ConvGeom,
         oy: usize,
         ox: usize,
-        pad: T,
-        buf: &mut [T; DOT_LENGTH],
+        buf: &mut [f32; DOT_LENGTH],
     ) {
-        let shape = input.shape();
         let mut k = 0;
         for c in 0..3 {
             for ky in 0..3 {
                 for kx in 0..3 {
                     let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
                     let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                    buf[k] = if iy < 0
-                        || ix < 0
-                        || iy as usize >= shape.height
-                        || ix as usize >= shape.width
-                    {
-                        pad
-                    } else {
-                        input.at(c, iy as usize, ix as usize)
-                    };
+                    buf[k] = input.at_padded(c, iy, ix);
                     k += 1;
                 }
             }
@@ -158,7 +148,7 @@ impl FirstLayerKernel {
         let mut x = [0.0f32; DOT_LENGTH];
         for oy in 0..out_shape.height {
             for ox in 0..out_shape.width {
-                Self::gather(input, geom, oy, ox, 0.0, &mut x);
+                Self::gather(input, geom, oy, ox, &mut x);
                 let mut acc = [
                     F32x4::load(&self.bias[0..]),
                     F32x4::load(&self.bias[4..]),
@@ -183,40 +173,65 @@ impl FirstLayerKernel {
         Ok(out)
     }
 
+    /// The integer variants' schedule: the paper's sliced im2col with the
+    /// slice as wide as one output row. Per output row the 27 taps become
+    /// 27 rows of `out_w` zero-point-free 16-bit deltas (padding is a zero
+    /// delta), then every output channel's row of the CHW result takes
+    /// `mac(acc_row, [w0, w1], deltas0, deltas1)` once per pair of taps —
+    /// contiguous pixels in every lane, no gather and no scatter.
+    fn row_sliced<A: Copy + Default>(
+        &self,
+        input: &Tensor<u8>,
+        zero_point: i32,
+        geom: ConvGeom,
+        mac: impl Fn(&mut [A], [i16; 2], &[i16], &[i16]),
+    ) -> Result<Tensor<A>, TensorError> {
+        self.check_input(input, geom)?;
+        let zero_point = i16::from(crate::conv::check_zero_point(zero_point)?);
+        let out_shape = geom.output_shape(input.shape(), OUT_CHANNELS);
+        let (out_h, out_w) = (out_shape.height, out_shape.width);
+        let mut out = Tensor::zeros(out_shape);
+        // The row past the 27th tap is the zero weight's and stays zero.
+        let mut slice = vec![0i16; 2 * TAP_PAIRS * out_w];
+        for oy in 0..out_h {
+            // The kernel's two strides (§III-D's 1, transformation (d)'s 2)
+            // as literals: the strided read becomes a de-interleave.
+            match geom.stride {
+                1 => fill_slice(&mut slice, out_w, input, zero_point, oy, 1, geom.pad),
+                2 => fill_slice(&mut slice, out_w, input, zero_point, oy, 2, geom.pad),
+                stride => fill_slice(&mut slice, out_w, input, zero_point, oy, stride, geom.pad),
+            }
+            for (oc, pairs) in self.wq.iter().enumerate() {
+                let acc_row = &mut out.as_mut_slice()[(oc * out_h + oy) * out_w..][..out_w];
+                for (&w, deltas) in pairs.iter().zip(slice.chunks_exact(2 * out_w)) {
+                    let (deltas0, deltas1) = deltas.split_at(out_w);
+                    mac(acc_row, w, deltas0, deltas1);
+                }
+            }
+        }
+        Ok(out)
+    }
+
     /// 8-bit variant with exact 32-bit accumulation. Returns raw
     /// accumulators; combine with [`FirstLayerKernel::dequantize_i32`].
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError`] on shape/geometry mismatch.
+    /// Returns [`TensorError`] on shape/geometry mismatch, or if
+    /// `zero_point` is outside `0..=255`.
     pub fn accumulate_i32(
         &self,
         input: &Tensor<u8>,
         zero_point: i32,
         geom: ConvGeom,
     ) -> Result<Tensor<i32>, TensorError> {
-        self.check_input(input, geom)?;
-        let out_shape = geom.output_shape(input.shape(), OUT_CHANNELS);
-        let mut out = Tensor::zeros(out_shape);
-        let spatial = out_shape.spatial();
-        let mut x = [0u8; DOT_LENGTH];
-        for oy in 0..out_shape.height {
-            for ox in 0..out_shape.width {
-                Self::gather(input, geom, oy, ox, zero_point as u8, &mut x);
-                let mut acc = [0i32; OUT_CHANNELS];
-                for k in 0..DOT_LENGTH {
-                    let d = x[k] as i32 - zero_point;
-                    for (oc, slot) in acc.iter_mut().enumerate() {
-                        *slot += d * self.wq[k][oc] as i32;
-                    }
-                }
-                let pix = oy * out_shape.width + ox;
-                for (oc, &a) in acc.iter().enumerate() {
-                    out.as_mut_slice()[oc * spatial + pix] = a;
-                }
+        self.row_sliced(input, zero_point, geom, |acc_row: &mut [i32], w, d0, d1| {
+            for ((acc, &d0), &d1) in acc_row.iter_mut().zip(d0).zip(d1) {
+                // Each product fits its 16-bit lane (see `shifted_product`);
+                // only the sum needs the 32-bit one.
+                *acc += i32::from(w[0] * d0) + i32::from(w[1] * d1);
             }
-        }
-        Ok(out)
+        })
     }
 
     /// 8-bit variant with 16-bit accumulation: every product is rounding-
@@ -227,66 +242,101 @@ impl FirstLayerKernel {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError`] on shape/geometry mismatch.
+    /// Returns [`TensorError`] on shape/geometry mismatch, or if
+    /// `zero_point` is outside `0..=255`.
     pub fn accumulate_i16(
         &self,
         input: &Tensor<u8>,
         zero_point: i32,
         geom: ConvGeom,
     ) -> Result<Tensor<i16>, TensorError> {
-        self.check_input(input, geom)?;
-        let out_shape = geom.output_shape(input.shape(), OUT_CHANNELS);
-        let mut out = Tensor::zeros(out_shape);
-        let spatial = out_shape.spatial();
-        let mut x = [0u8; DOT_LENGTH];
-        for oy in 0..out_shape.height {
-            for ox in 0..out_shape.width {
-                Self::gather(input, geom, oy, ox, zero_point as u8, &mut x);
-                // 16 output channels = two int16x8 accumulators.
-                let mut acc = [I16x8::default(); 2];
-                for k in 0..DOT_LENGTH {
-                    let d = (x[k] as i32 - zero_point) as i16;
-                    for half in 0..2 {
-                        let mut prod = [0i16; 8];
-                        for lane in 0..8 {
-                            // u8×i8 product fits i16 (|d| ≤ 255, |w| ≤ 127).
-                            let p = d as i32 * self.wq[k][half * 8 + lane] as i32;
-                            prod[lane] = rounding_right_shift_i16(p as i16, 4);
-                        }
-                        acc[half] = acc[half].saturating_add(I16x8(prod));
-                    }
-                }
-                let pix = oy * out_shape.width + ox;
-                for half in 0..2 {
-                    for lane in 0..8 {
-                        out.as_mut_slice()[(half * 8 + lane) * spatial + pix] = acc[half].0[lane];
-                    }
-                }
+        self.row_sliced(input, zero_point, geom, |acc_row: &mut [i16], w, d0, d1| {
+            for ((acc, &d0), &d1) in acc_row.iter_mut().zip(d0).zip(d1) {
+                *acc = acc
+                    .saturating_add(shifted_product(w[0], d0))
+                    .saturating_add(shifted_product(w[1], d1));
             }
-        }
-        Ok(out)
+        })
     }
 
     /// Converts 32-bit accumulators to real outputs: `acc·(w_scale·a_scale) + bias`.
     pub fn dequantize_i32(&self, acc: &Tensor<i32>, a_scale: f32) -> Tensor<f32> {
-        self.dequantize_scaled(acc.map(|v| v as f32), a_scale, 1.0)
+        self.dequantize_scaled(acc, |v| v as f32, a_scale, 1.0)
     }
 
     /// Converts 16-bit accumulators to real outputs, compensating the
     /// implicit 1/16 factor of the pre-shift.
     pub fn dequantize_i16(&self, acc: &Tensor<i16>, a_scale: f32) -> Tensor<f32> {
-        self.dequantize_scaled(acc.map(|v| v as f32), a_scale, 16.0)
+        self.dequantize_scaled(acc, f32::from, a_scale, 16.0)
     }
 
-    fn dequantize_scaled(&self, accf: Tensor<f32>, a_scale: f32, factor: f32) -> Tensor<f32> {
-        let spatial = accf.shape().spatial();
+    fn dequantize_scaled<A: Copy>(
+        &self,
+        acc: &Tensor<A>,
+        to_f32: impl Fn(A) -> f32,
+        a_scale: f32,
+        factor: f32,
+    ) -> Tensor<f32> {
+        let spatial = acc.shape().spatial().max(1);
         let scale = self.w_scale * a_scale * factor;
-        let mut out = accf;
-        for (i, v) in out.as_mut_slice().iter_mut().enumerate() {
-            *v = *v * scale + self.bias[i / spatial];
+        let mut out = Tensor::zeros(acc.shape());
+        let channels = out
+            .as_mut_slice()
+            .chunks_mut(spatial)
+            .zip(acc.as_slice().chunks(spatial));
+        for ((out, acc), &bias) in channels.zip(&self.bias) {
+            for (out, &acc) in out.iter_mut().zip(acc) {
+                *out = to_f32(acc) * scale + bias;
+            }
         }
         out
     }
+}
+
+/// Fills the first 27 rows of `slice` (`out_w` deltas each) with the taps
+/// of output row `oy`: input coordinates are `o·stride + k − pad`, and the
+/// taps that fall on the border keep a zero delta.
+#[inline(always)]
+fn fill_slice(
+    slice: &mut [i16],
+    out_w: usize,
+    input: &Tensor<u8>,
+    zero_point: i16,
+    oy: usize,
+    stride: usize,
+    pad: usize,
+) {
+    let shape = input.shape();
+    let tap_rows = slice.chunks_exact_mut(out_w).take(DOT_LENGTH);
+    for (k, deltas) in tap_rows.enumerate() {
+        let (c, ky, kx) = (k / 9, k / 3 % 3, k % 3);
+        deltas.fill(0);
+        let Some(iy) = (oy * stride + ky).checked_sub(pad) else {
+            continue;
+        };
+        if iy >= shape.height {
+            continue;
+        }
+        let row = &input.channel(c)[iy * shape.width..][..shape.width];
+        let first = pad.saturating_sub(kx).div_ceil(stride);
+        let inside = (
+            row.get(first * stride + kx - pad..),
+            deltas.get_mut(first..),
+        );
+        if let (Some(taps), Some(deltas)) = inside {
+            for (delta, &v) in deltas.iter_mut().zip(taps.iter().step_by(stride)) {
+                *delta = i16::from(v) - zero_point;
+            }
+        }
+    }
+}
+
+/// `vrshr #4` of one weight × delta product, entirely in a 16-bit lane:
+/// `|w·d| ≤ 127·255 = 32 385`, so neither the product nor the rounding
+/// constant added to it can leave the `i16` range.
+#[inline(always)]
+fn shifted_product(w: i16, d: i16) -> i16 {
+    (w * d + 8) >> 4
 }
 
 #[cfg(test)]
@@ -383,6 +433,33 @@ mod tests {
             .unwrap();
         let out32 = kernel.dequantize_i32(&acc32, q.scale());
         assert!(out32.max_abs_diff(&reference) <= err16 + 1e-6);
+    }
+
+    #[test]
+    fn zero_point_outside_u8_is_an_error_not_a_wrapped_pad() {
+        let mut rng = StdRng::seed_from_u64(36);
+        let (_, _, kernel) = setup(&mut rng);
+        let input = Tensor::<u8>::zeros(Shape3::new(3, 4, 4));
+        let geom = ConvGeom::same(3, 1);
+        for zero_point in [-1, 256] {
+            assert!(kernel.accumulate_i32(&input, zero_point, geom).is_err());
+            assert!(kernel.accumulate_i16(&input, zero_point, geom).is_err());
+        }
+        assert!(kernel.accumulate_i32(&input, 255, geom).is_ok());
+        assert!(kernel.accumulate_i16(&input, 0, geom).is_ok());
+    }
+
+    #[test]
+    fn shifted_product_is_vrshr_over_the_whole_product_domain() {
+        for w in -127i16..=127 {
+            for d in -255i16..=255 {
+                assert_eq!(
+                    shifted_product(w, d),
+                    tincy_quant::rounding_right_shift_i16(w * d, 4),
+                    "{w} x {d}"
+                );
+            }
+        }
     }
 
     #[test]

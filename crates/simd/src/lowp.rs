@@ -8,10 +8,20 @@
 
 use tincy_tensor::Mat;
 
+/// Multiplicand columns converted per pass, in 16-bit deltas: one pass
+/// stays in L1 beside the weight row it is multiplied with.
+const BLOCK_DELTAS: usize = 8 * 1024;
+
 /// Low-precision GEMM: `C[i][j] = Σ_k W[i][k] · (A[k][j] − zero_point)`.
 ///
 /// `weights` are symmetric signed 8-bit; `activations` are unsigned 8-bit
 /// with the given zero point; accumulation is exact in `i32`.
+///
+/// The multiplicand is converted once, a block of columns at a time, into
+/// pixel-major 16-bit deltas `A[k][j] − zero_point`, so every result is one
+/// dot product of two contiguous 16-bit runs — the shape the widening
+/// multiply-add of either ISA (`vmlal.s16`, `pmaddwd`) consumes — however
+/// few columns there are (the 1×1 head layer has `H·W` of them).
 ///
 /// # Panics
 ///
@@ -28,47 +38,48 @@ use tincy_tensor::Mat;
 /// let c = gemm_lowp(&w, &a, 128);
 /// assert_eq!(c.at(0, 0), (130 - 128) - (120 - 128));
 /// ```
-pub fn gemm_lowp(weights: &Mat<i8>, activations: &Mat<u8>, zero_point: i32) -> Mat<i32> {
+pub fn gemm_lowp(weights: &Mat<i8>, activations: &Mat<u8>, zero_point: u8) -> Mat<i32> {
     assert_eq!(
         weights.cols(),
         activations.rows(),
         "inner dimensions must agree"
     );
+    let zero_point = i16::from(zero_point);
     let (m, k, n) = (weights.rows(), weights.cols(), activations.cols());
     let mut c = Mat::zeros(m, n);
-    for i in 0..m {
-        let w_row = weights.row(i);
-        let c_row = c.row_mut(i);
-        for (p, &w_ip) in w_row.iter().enumerate().take(k) {
-            let w = w_ip as i32;
-            let a_row = activations.row(p);
-            for j in 0..n {
-                c_row[j] += w * (a_row[j] as i32 - zero_point);
+    // Runs are padded with zeros to whole vectors so no dot has a tail.
+    let run = k.next_multiple_of(8).max(8);
+    let block = (BLOCK_DELTAS / run).clamp(1, n.max(1));
+    let mut deltas = vec![0i16; block * run];
+    let mut w_run = vec![0i16; run];
+    for start in (0..n).step_by(block) {
+        let width = block.min(n - start);
+        for p in 0..k {
+            let a_row = &activations.row(p)[start..][..width];
+            for (column, &a) in deltas.chunks_exact_mut(run).zip(a_row) {
+                column[p] = i16::from(a) - zero_point;
+            }
+        }
+        for i in 0..m {
+            for (w16, &w) in w_run.iter_mut().zip(weights.row(i)) {
+                *w16 = i16::from(w);
+            }
+            let c_row = &mut c.row_mut(i)[start..][..width];
+            for (slot, column) in c_row.iter_mut().zip(deltas.chunks_exact(run)) {
+                *slot = dot_i16(&w_run, column);
             }
         }
     }
     c
 }
 
-/// Requantizes an integer accumulator matrix back to real values, adds a
-/// per-row bias and applies an optional ReLU.
-///
-/// `scale = weight_scale · activation_scale` is the real value of one
-/// accumulator unit.
-///
-/// # Panics
-///
-/// Panics if `bias.len() != acc.rows()`.
-pub fn requantize_bias_relu(acc: &Mat<i32>, scale: f32, bias: &[f32], relu: bool) -> Mat<f32> {
-    assert_eq!(bias.len(), acc.rows(), "one bias per output row required");
-    Mat::from_fn(acc.rows(), acc.cols(), |i, j| {
-        let v = acc.at(i, j) as f32 * scale + bias[i];
-        if relu && v < 0.0 {
-            0.0
-        } else {
-            v
-        }
-    })
+/// Exact dot product of two 16-bit runs whose products fit 32 bits.
+#[inline]
+fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
+    a.iter()
+        .zip(b)
+        .map(|(&a, &b)| i32::from(a) * i32::from(b))
+        .sum()
 }
 
 #[cfg(test)]
@@ -111,8 +122,9 @@ mod tests {
         let aq_params = AffineQuant::fit(0.0, 1.0).unwrap();
         let aq = af.map(|v| aq_params.quantize(v));
 
-        let acc = gemm_lowp(&wq, &aq, aq_params.zero_point());
-        let out = requantize_bias_relu(&acc, w_scale * aq_params.scale(), &vec![0.0; m], false);
+        let zero_point = u8::try_from(aq_params.zero_point()).unwrap();
+        let acc = gemm_lowp(&wq, &aq, zero_point);
+        let out = acc.map(|v| v as f32 * (w_scale * aq_params.scale()));
 
         let reference = crate::gemm_f32(&wf, &af);
         for i in 0..m {
@@ -125,16 +137,31 @@ mod tests {
     }
 
     #[test]
-    fn relu_clamps_negative_requantized_values() {
-        let acc = Mat::from_vec(1, 2, vec![-100, 100]).unwrap();
-        let out = requantize_bias_relu(&acc, 0.01, &[0.0], true);
-        assert_eq!(out.as_slice(), &[0.0, 1.0]);
-    }
-
-    #[test]
-    fn bias_applies_per_row() {
-        let acc = Mat::from_vec(2, 1, vec![0, 0]).unwrap();
-        let out = requantize_bias_relu(&acc, 1.0, &[1.5, -2.5], false);
-        assert_eq!(out.as_slice(), &[1.5, -2.5]);
+    fn blocks_and_padded_runs_match_the_scalar_sum() {
+        // Inner lengths around the vector width, more columns than one
+        // block holds, and the extreme operands on both sides.
+        let mut rng = StdRng::seed_from_u64(12);
+        for (m, k, n) in [(1, 1, 1), (3, 7, 5), (2, 8, 9), (5, 9, 700), (2, 512, 4)] {
+            let w = Mat::from_fn(m, k, |_, _| rng.gen_range(-128i16..=127) as i8);
+            let a = Mat::from_fn(k, n, |_, _| [0u8, 255, rng.gen()][rng.gen_range(0..3usize)]);
+            for zero_point in [0u8, 77, 255] {
+                let c = gemm_lowp(&w, &a, zero_point);
+                for i in 0..m {
+                    for j in 0..n {
+                        let expected: i32 = (0..k)
+                            .map(|p| {
+                                i32::from(w.at(i, p))
+                                    * (i32::from(a.at(p, j)) - i32::from(zero_point))
+                            })
+                            .sum();
+                        assert_eq!(
+                            c.at(i, j),
+                            expected,
+                            "{m}x{k}x{n} zp {zero_point} ({i},{j})"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

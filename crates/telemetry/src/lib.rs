@@ -21,6 +21,8 @@
 //!   ([`SloPolicy`]) evaluated over fast/slow window pairs on injected
 //!   time ([`SloTracker`]), feeding `/healthz` and the fleet monitor.
 
+#![forbid(unsafe_code)]
+
 mod expose;
 mod http;
 mod metrics;

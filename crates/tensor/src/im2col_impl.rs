@@ -157,13 +157,13 @@ pub struct Im2colSlices<'a, T> {
     total_cols: usize,
     out_w: usize,
     next_col: usize,
-    pad_value: T,
     /// Row-major buffer of `rows × slice_width`, re-used across slices.
     buffer: Vec<T>,
 }
 
 impl<'a, T: Copy + Default> Im2colSlices<'a, T> {
     /// Creates a slice iterator with the given slice width (vector lanes).
+    /// Border taps read `T::default()`, as in [`im2col`].
     ///
     /// # Errors
     ///
@@ -173,21 +173,6 @@ impl<'a, T: Copy + Default> Im2colSlices<'a, T> {
         input: &'a Tensor<T>,
         geom: ConvGeom,
         slice_width: usize,
-    ) -> Result<Self, TensorError> {
-        Self::with_pad(input, geom, slice_width, T::default())
-    }
-
-    /// [`Im2colSlices::new`] with an explicit padding value (see
-    /// [`im2col_with_pad`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Im2colSlices::new`].
-    pub fn with_pad(
-        input: &'a Tensor<T>,
-        geom: ConvGeom,
-        slice_width: usize,
-        pad_value: T,
     ) -> Result<Self, TensorError> {
         geom.validate(input.shape())?;
         if slice_width == 0 {
@@ -204,7 +189,6 @@ impl<'a, T: Copy + Default> Im2colSlices<'a, T> {
             total_cols,
             out_w: geom.output_extent(input.shape().width),
             next_col: 0,
-            pad_value,
             buffer: vec![T::default(); rows * slice_width],
         })
     }
@@ -241,7 +225,7 @@ impl<'a, T: Copy + Default> Im2colSlices<'a, T> {
                         let ox = col % self.out_w;
                         let iy = (oy * self.geom.stride + ky) as isize - self.geom.pad as isize;
                         let ix = (ox * self.geom.stride + kx) as isize - self.geom.pad as isize;
-                        self.buffer[base + i] = at_or(self.input, c, iy, ix, self.pad_value);
+                        self.buffer[base + i] = at_or(self.input, c, iy, ix, T::default());
                     }
                 }
             }

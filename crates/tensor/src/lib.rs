@@ -25,6 +25,8 @@
 //! assert_eq!(fmap.len(), 3 * 416 * 416);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod error;
 mod im2col_impl;
 mod matrix;

@@ -16,6 +16,8 @@
 //! Timestamps come from a [`Clock`] the session injects: production uses
 //! [`MonotonicClock`], tests drive a [`TestClock`] by hand.
 
+#![forbid(unsafe_code)]
+
 mod chrome;
 mod clock;
 mod collector;

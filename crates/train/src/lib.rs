@@ -19,6 +19,8 @@
 //! * [`trainer`] — the training/evaluation loops used by the Table IV
 //!   reproduction.
 
+#![forbid(unsafe_code)]
+
 pub mod layers;
 pub mod loss;
 pub mod model;

@@ -61,7 +61,9 @@ impl Image {
         }
     }
 
-    /// Bilinear sample at fractional coordinates (clamped at borders).
+    /// Bilinear sample at fractional coordinates (clamped at borders): the
+    /// per-sample definition [`Image::resized`] tabulates.
+    #[cfg(test)]
     fn sample(&self, c: usize, x: f32, y: f32) -> f32 {
         let max_x = (self.width() - 1) as f32;
         let max_y = (self.height() - 1) as f32;
@@ -80,11 +82,35 @@ impl Image {
 
     /// Bilinear resize to an exact target size.
     pub fn resized(&self, width: usize, height: usize) -> Image {
-        let sx = self.width() as f32 / width as f32;
-        let sy = self.height() as f32 / height as f32;
-        let data = Tensor::from_fn(Shape3::new(3, height, width), |c, y, x| {
-            self.sample(c, (x as f32 + 0.5) * sx - 0.5, (y as f32 + 0.5) * sy - 0.5)
-        });
+        // A bilinear sample separates: which two source columns (rows) an
+        // output column (row) blends, and how, does not depend on the
+        // other coordinate. Tabulated once per axis instead of per sample.
+        let taps = |out_len: usize, src_len: usize| -> Vec<(usize, usize, f32)> {
+            let scale = src_len as f32 / out_len as f32;
+            let last = src_len - 1;
+            (0..out_len)
+                .map(|o| {
+                    let at = ((o as f32 + 0.5) * scale - 0.5).clamp(0.0, last as f32);
+                    let i0 = at.floor() as usize;
+                    (i0, (i0 + 1).min(last), at - i0 as f32)
+                })
+                .collect()
+        };
+        let columns = taps(width, self.width());
+        let rows = taps(height, self.height());
+        let src_width = self.width();
+        let mut data = Tensor::zeros(Shape3::new(3, height, width));
+        let out_rows = data.as_mut_slice().chunks_exact_mut(width.max(1));
+        for (index, out_row) in out_rows.enumerate() {
+            let (c, (y0, y1, fy)) = (index / height, rows[index % height]);
+            let upper = &self.data.channel(c)[y0 * src_width..][..src_width];
+            let lower = &self.data.channel(c)[y1 * src_width..][..src_width];
+            for (out, &(x0, x1, fx)) in out_row.iter_mut().zip(&columns) {
+                let top = upper[x0] * (1.0 - fx) + upper[x1] * fx;
+                let bottom = lower[x0] * (1.0 - fx) + lower[x1] * fx;
+                *out = top * (1.0 - fy) + bottom * fy;
+            }
+        }
         Image { data }
     }
 
@@ -97,13 +123,13 @@ impl Image {
         let resized = self.resized(new_w, new_h);
         let off_x = (target - new_w) / 2;
         let off_y = (target - new_h) / 2;
-        let data = Tensor::from_fn(Shape3::new(3, target, target), |c, y, x| {
-            if y >= off_y && y < off_y + new_h && x >= off_x && x < off_x + new_w {
-                resized.as_tensor().at(c, y - off_y, x - off_x)
-            } else {
-                0.5
-            }
-        });
+        let mut data = Tensor::filled(Shape3::new(3, target, target), 0.5);
+        let resized_rows = resized.data.as_slice().chunks_exact(new_w);
+        for (index, row) in resized_rows.enumerate() {
+            let (c, y) = (index / new_h, index % new_h);
+            let start = (c * target + off_y + y) * target + off_x;
+            data.as_mut_slice()[start..][..new_w].copy_from_slice(row);
+        }
         Image { data }
     }
 
@@ -145,6 +171,83 @@ mod tests {
             .as_slice()
             .iter()
             .all(|&v| (v - 0.3).abs() < 1e-6));
+    }
+
+    #[test]
+    fn tabulated_resize_is_the_per_sample_definition_to_the_bit() {
+        // Odd sizes, up- and down-scaling, and one-pixel sources.
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        for (w, h) in [(1, 1), (1, 7), (5, 1), (7, 5), (13, 9), (32, 24)] {
+            let image = Image::from_tensor(Tensor::from_fn(Shape3::new(3, h, w), |_, _, _| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                (seed >> 40) as f32 / (1u32 << 24) as f32
+            }));
+            for (width, height) in [
+                (1, 1),
+                (3, 11),
+                (9, 4),
+                (w, h),
+                (2 * w + 1, 3 * h),
+                (64, 48),
+            ] {
+                let (sx, sy) = (w as f32 / width as f32, h as f32 / height as f32);
+                let resized = image.resized(width, height);
+                assert_eq!((resized.width(), resized.height()), (width, height));
+                for c in 0..3 {
+                    for y in 0..height {
+                        for x in 0..width {
+                            let expected = image.sample(
+                                c,
+                                (x as f32 + 0.5) * sx - 0.5,
+                                (y as f32 + 0.5) * sy - 0.5,
+                            );
+                            assert_eq!(
+                                resized.as_tensor().at(c, y, x).to_bits(),
+                                expected.to_bits(),
+                                "{w}x{h} -> {width}x{height} at ({c},{y},{x})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn letterbox_places_the_resized_image_in_gray() {
+        let image = Image::from_tensor(Tensor::from_fn(Shape3::new(3, 5, 9), |c, y, x| {
+            (c * 45 + y * 9 + x) as f32 / 135.0
+        }));
+        for target in [4, 9, 16, 31] {
+            let boxed = image.letterboxed(target);
+            let scale = (target as f32 / 9.0).min(target as f32 / 5.0);
+            let (new_w, new_h) = (
+                ((9.0 * scale) as usize).max(1),
+                ((5.0 * scale) as usize).max(1),
+            );
+            let resized = image.resized(new_w, new_h);
+            let (off_x, off_y) = ((target - new_w) / 2, (target - new_h) / 2);
+            for c in 0..3 {
+                for y in 0..target {
+                    for x in 0..target {
+                        let inside = (off_y..off_y + new_h).contains(&y)
+                            && (off_x..off_x + new_w).contains(&x);
+                        let expected = if inside {
+                            resized.as_tensor().at(c, y - off_y, x - off_x)
+                        } else {
+                            0.5
+                        };
+                        assert_eq!(
+                            boxed.as_tensor().at(c, y, x).to_bits(),
+                            expected.to_bits(),
+                            "target {target} at ({c},{y},{x})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! ground truth, it doubles as the dataset source for the Table IV accuracy
 //! study.
 
+#![forbid(unsafe_code)]
+
 mod dataset;
 mod draw;
 mod frame;

@@ -47,6 +47,8 @@
 //! assert_eq!(net.total_ops(), 4_445_001_496);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use tincy_core as core;
 pub use tincy_eval as eval;
 pub use tincy_explore as explore;

@@ -6,6 +6,7 @@
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 use tincy::core::demo::{run_demo, DemoConfig};
 use tincy::core::SystemConfig;
 use tincy::finn::FaultPlan;
@@ -14,7 +15,9 @@ use tincy::perf::{
 };
 use tincy::serve::smoke::{check_scrape, scrape};
 use tincy::serve::{run_load, ArrivalPattern, InferenceServer, LoadConfig, ServeConfig};
-use tincy::trace::{exclusive, stitch_segments, DrainConfig, Profile, TraceDrainer};
+use tincy::trace::{
+    exclusive, segment_files, stitch_segments, DrainConfig, Label, Profile, TraceDrainer,
+};
 use tincy::video::SceneConfig;
 
 fn segment_dir(tag: &str) -> PathBuf {
@@ -68,6 +71,16 @@ fn fault_seeded_serve_streams_segments_and_scrape_matches_report() {
     // monotonic in between) are final and must match the report.
     let mut scraped = None;
     let report = run_load(config, &load, |server: &InferenceServer| {
+        // By now the rings hold several segments' worth of events, so the
+        // drainer's next sweep has to rotate however fast the host served
+        // the burst: wait for that file, not for a sweep period. The
+        // scrape is traced, so the final flush has a later span to write.
+        let rotated = || segment_files(&dir).is_ok_and(|files| !files.is_empty());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !rotated() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let _span = tincy::trace::span(Label::intern("telemetry.scrape")).start();
         let addr = server.status_addr().expect("status endpoint bound");
         scraped = Some(scrape(addr, 2).expect("scrape passes"));
     })
