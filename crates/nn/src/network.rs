@@ -71,31 +71,6 @@ impl Network {
         })
     }
 
-    /// Assembles a network from prebuilt layers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidSpec`] if consecutive shapes do not chain.
-    pub fn from_layers(input_shape: Shape3, layers: Vec<Box<dyn Layer>>) -> Result<Self, NnError> {
-        let mut shape = input_shape;
-        for (i, layer) in layers.iter().enumerate() {
-            if layer.input_shape() != shape {
-                return Err(NnError::InvalidSpec {
-                    what: format!(
-                        "layer {i} expects input {}, previous layer produces {}",
-                        layer.input_shape(),
-                        shape
-                    ),
-                });
-            }
-            shape = layer.output_shape();
-        }
-        Ok(Self {
-            input_shape,
-            layers,
-        })
-    }
-
     /// The expected input shape.
     pub fn input_shape(&self) -> Shape3 {
         self.input_shape
@@ -140,19 +115,6 @@ impl Network {
             x = layer.forward(&x)?;
         }
         Ok(x)
-    }
-
-    /// Runs a single layer — the disintegrated forward pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the layer failure.
-    pub fn forward_layer(
-        &mut self,
-        index: usize,
-        input: &Tensor<f32>,
-    ) -> Result<Tensor<f32>, NnError> {
-        self.layers[index].forward(input)
     }
 
     /// Total learned parameters.
@@ -252,8 +214,8 @@ mod tests {
         let x = Tensor::from_fn(Shape3::new(3, 8, 8), |c, y, z| (c + y + z) as f32 * 0.1);
         let whole = net.forward(&x).unwrap();
         let mut step = x.clone();
-        for i in 0..net.num_layers() {
-            step = net.forward_layer(i, &step).unwrap();
+        for layer in &mut net.into_layers() {
+            step = layer.forward(&step).unwrap();
         }
         assert!(whole.max_abs_diff(&step) < 1e-6);
     }
@@ -292,14 +254,6 @@ mod tests {
         buf.truncate(buf.len() - 8);
         let mut b = Network::from_spec(&small_spec(), &reg, 2).unwrap();
         assert!(b.load_weights(std::io::Cursor::new(buf)).is_err());
-    }
-
-    #[test]
-    fn from_layers_validates_chaining() {
-        let net = Network::from_spec(&small_spec(), &BackendRegistry::new(), 7).unwrap();
-        let mut layers = net.into_layers();
-        layers.swap(0, 2); // breaks the shape chain
-        assert!(Network::from_layers(Shape3::new(3, 8, 8), layers).is_err());
     }
 
     #[test]

@@ -248,6 +248,25 @@ pub struct OffloadStats {
     pub degraded: u64,
 }
 
+impl std::ops::AddAssign for OffloadStats {
+    fn add_assign(&mut self, rhs: Self) {
+        self.forwards += rhs.forwards;
+        self.faults += rhs.faults;
+        self.retries += rhs.retries;
+        self.fallbacks += rhs.fallbacks;
+        self.degraded += rhs.degraded;
+    }
+}
+
+impl std::iter::Sum for OffloadStats {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |mut total, stats| {
+            total += stats;
+            total
+        })
+    }
+}
+
 /// Runs one offload invocation under a retry/fallback policy, updating
 /// `health`.
 ///
@@ -539,11 +558,6 @@ impl OffloadLayer {
     /// Immutable access to the backend.
     pub fn backend(&self) -> &dyn OffloadBackend {
         self.backend.as_ref()
-    }
-
-    /// Mutable access to the backend (e.g. to adjust simulator settings).
-    pub fn backend_mut(&mut self) -> &mut dyn OffloadBackend {
-        self.backend.as_mut()
     }
 }
 

@@ -12,13 +12,10 @@
 //! is compared against a reference budget; relative divergence past a
 //! threshold raises the drift alert.
 //!
-//! The reference is either a fixed modeled budget
-//! ([`RollingCalibrator::with_model`] — FINN-R style continuous
-//! validation against the performance model) or, by default, frozen from
-//! the EWMA itself after a warmup prefix of segments — self-calibration,
-//! for deployments where the absolute model does not apply (simulated
-//! timing, different silicon) but *drift from steady state* is still the
-//! signal that matters.
+//! The reference is frozen from the EWMA itself after a warmup prefix
+//! of segments — self-calibration: the absolute model does not apply
+//! here (simulated timing, different silicon), but *drift from steady
+//! state* is still the signal that matters.
 
 use crate::observed::{classify_stage, stage_index};
 use crate::stages::{StageBudget, StageId};
@@ -28,9 +25,8 @@ use crate::stages::{StageBudget, StageId};
 pub struct RollingConfig {
     /// Nominal EWMA window in segments; `alpha = 2 / (window + 1)`.
     pub window: usize,
-    /// Segments absorbed before the self-calibrated reference freezes
-    /// (ignored when a model reference is supplied). Until the
-    /// reference exists, no drift is computed and no alert can fire.
+    /// Segments absorbed before the self-calibrated reference freezes.
+    /// Until the reference exists, no drift is computed and no alert can fire.
     pub warmup: usize,
     /// Relative divergence (`|ewma - reference| / reference`) at which a
     /// stage counts as drifted; `0.5` = 50%.
@@ -77,7 +73,6 @@ pub struct RollingCalibrator {
     config: RollingConfig,
     stages: [StageState; 8],
     segments: u64,
-    model: Option<StageBudget>,
 }
 
 impl RollingCalibrator {
@@ -88,19 +83,7 @@ impl RollingCalibrator {
             config,
             stages: [StageState::default(); 8],
             segments: 0,
-            model: None,
         }
-    }
-
-    /// An instance validating against a fixed modeled budget: every
-    /// stage's reference is the model from the first segment on.
-    pub fn with_model(config: RollingConfig, model: &StageBudget) -> Self {
-        let mut this = Self::new(config);
-        this.model = Some(*model);
-        for (i, stage) in StageId::ALL.into_iter().enumerate() {
-            this.stages[i].reference_ms = Some(model.get(stage));
-        }
-        this
     }
 
     /// The EWMA smoothing factor.
@@ -144,7 +127,7 @@ impl RollingCalibrator {
         // Self-calibration: freeze the post-warmup EWMA as the reference
         // for every stage that has one and lacks a reference. Stages
         // first observed later freeze on their first observation.
-        if self.model.is_none() && self.segments >= self.config.warmup as u64 {
+        if self.segments >= self.config.warmup as u64 {
             for state in &mut self.stages {
                 if state.reference_ms.is_none() {
                     state.reference_ms = state.ewma_ms;
@@ -161,7 +144,7 @@ impl RollingCalibrator {
     /// Whether the reference is still being established (self-calibrating
     /// warmup prefix).
     pub fn calibrating(&self) -> bool {
-        self.model.is_none() && self.segments < self.config.warmup as u64
+        self.segments < self.config.warmup as u64
     }
 
     /// The current drift state of every Table III stage.
@@ -297,22 +280,6 @@ mod tests {
             .find(|r| r.stage == StageId::HiddenLayers)
             .unwrap();
         assert_eq!(hidden.ewma_ms, Some(4.0));
-    }
-
-    #[test]
-    fn model_reference_diverges_immediately_when_measurements_disagree() {
-        let model = StageBudget::paper_baseline().with(StageId::HiddenLayers, 3.0);
-        let mut cal = RollingCalibrator::with_model(RollingConfig::default(), &model);
-        assert!(!cal.calibrating(), "a model reference needs no warmup");
-        cal.absorb(&segment(9.0));
-        let hidden = cal
-            .rows()
-            .into_iter()
-            .find(|r| r.stage == StageId::HiddenLayers)
-            .unwrap();
-        assert_eq!(hidden.reference_ms, Some(3.0));
-        assert!((hidden.drift.unwrap() - 2.0).abs() < 1e-9);
-        assert!(hidden.alerted);
     }
 
     #[test]

@@ -135,11 +135,6 @@ impl<T: Send + 'static> Pipeline<T> {
         self
     }
 
-    /// Number of stages between source and sink.
-    pub fn num_stages(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Runs the pipeline to completion on `workers` threads (clamped to at
     /// least one), delivering finished frames to `sink` in source order.
     pub fn run(self, sink: impl FnMut(T) + Send + 'static, workers: usize) -> PipelineMetrics {

@@ -148,11 +148,6 @@ impl AffineQuant {
             })
             .collect()
     }
-
-    /// Dequantizes a whole slice.
-    pub fn dequantize_slice(&self, q: &[u8]) -> Vec<f32> {
-        q.iter().map(|&v| self.dequantize(v)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -246,9 +241,8 @@ mod tests {
     fn slice_round_trip() {
         let q = AffineQuant::fit(-1.0, 1.0).unwrap();
         let data = vec![-1.0, -0.5, 0.0, 0.5, 1.0];
-        let deq = q.dequantize_slice(&q.quantize_slice(&data));
-        for (a, b) in data.iter().zip(&deq) {
-            assert!((a - b).abs() <= q.scale());
+        for (a, b) in data.iter().zip(q.quantize_slice(&data)) {
+            assert!((a - q.dequantize(b)).abs() <= q.scale());
         }
     }
 }

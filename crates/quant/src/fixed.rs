@@ -43,18 +43,6 @@ pub fn rounding_right_shift_i16(x: i16, n: u32) -> i16 {
     (((x as i32) + (1 << (n - 1))) >> n) as i16
 }
 
-/// Saturates a wide value to the `i16` lane range (NEON `vqmovn` behaviour).
-#[inline]
-pub fn saturate_i16(x: i32) -> i16 {
-    x.clamp(i16::MIN as i32, i16::MAX as i32) as i16
-}
-
-/// Saturates a wide value to the `u8` range.
-#[inline]
-pub fn saturate_u8(x: i32) -> u8 {
-    x.clamp(0, 255) as u8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,16 +79,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn zero_shift_panics() {
         rounding_right_shift(1, 0);
-    }
-
-    #[test]
-    fn saturation() {
-        assert_eq!(saturate_i16(40_000), i16::MAX);
-        assert_eq!(saturate_i16(-40_000), i16::MIN);
-        assert_eq!(saturate_i16(123), 123);
-        assert_eq!(saturate_u8(300), 255);
-        assert_eq!(saturate_u8(-2), 0);
-        assert_eq!(saturate_u8(17), 17);
     }
 
     #[test]

@@ -32,7 +32,7 @@ mod thresholds;
 pub use affine::AffineQuant;
 pub use binary::{and_popcount, binarize, xnor_popcount_dot, BinaryDot};
 pub use error::QuantError;
-pub use fixed::{rounding_right_shift, rounding_right_shift_i16, saturate_i16, saturate_u8};
+pub use fixed::{rounding_right_shift, rounding_right_shift_i16};
 pub use qtypes::{ActPrecision, PrecisionConfig, WeightPrecision};
 pub use ternary::{ternarize, TernaryWeights};
 pub use thresholds::{ThresholdSet, ThresholdsForLayer};

@@ -35,14 +35,6 @@ impl TernaryWeights {
     pub fn to_dense(&self) -> Vec<f32> {
         self.signs.iter().map(|&s| self.alpha * s as f32).collect()
     }
-
-    /// Fraction of weights pruned to zero.
-    pub fn sparsity(&self) -> f32 {
-        if self.signs.is_empty() {
-            return 0.0;
-        }
-        self.signs.iter().filter(|&&s| s == 0).count() as f32 / self.signs.len() as f32
-    }
 }
 
 /// Quantizes float weights with the TWN rule.
@@ -113,14 +105,12 @@ mod tests {
         let t = ternarize(&[1.0, -1.0, 0.1, -0.1]).unwrap();
         assert_eq!(t.signs(), &[1, -1, 0, 0]);
         assert!((t.alpha() - 1.0).abs() < 1e-6);
-        assert_eq!(t.sparsity(), 0.5);
     }
 
     #[test]
     fn uniform_weights_all_survive() {
         // |w| all equal => delta = 0.7|w| < |w|, nothing pruned.
         let t = ternarize(&[0.5, -0.5, 0.5]).unwrap();
-        assert_eq!(t.sparsity(), 0.0);
         assert_eq!(t.to_dense(), vec![0.5, -0.5, 0.5]);
     }
 

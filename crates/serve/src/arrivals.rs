@@ -66,8 +66,8 @@ pub enum ArrivalPattern {
 impl std::str::FromStr for ArrivalPattern {
     type Err = String;
 
-    /// Parses the CLI spelling: `closed`, `burst`, `uniform:GAP_US` (or
-    /// `open:GAP_US`), `diurnal:BASE_US:PERIOD_MS:RATIO`,
+    /// Parses the CLI spelling: `closed`, `burst`, `uniform:GAP_US`,
+    /// `diurnal:BASE_US:PERIOD_MS:RATIO`,
     /// `flash:BASE_US:AT_MS:WIDTH_MS:FACTOR`.
     fn from_str(value: &str) -> Result<Self, String> {
         fn num<T: std::str::FromStr>(value: &str, field: &str) -> Result<T, String>
@@ -92,7 +92,7 @@ impl std::str::FromStr for ArrivalPattern {
         let (kind, rest) = value.split_once(':').ok_or_else(unknown)?;
         let fields: Vec<&str> = rest.split(':').collect();
         match (kind, fields.as_slice()) {
-            ("uniform" | "open", [gap]) => Ok(ArrivalPattern::Uniform {
+            ("uniform", [gap]) => Ok(ArrivalPattern::Uniform {
                 interval: micros(gap)?,
             }),
             ("diurnal", [base, period, ratio]) => Ok(ArrivalPattern::Diurnal {

@@ -1,7 +1,6 @@
 //! Serving configuration.
 
 use crate::drift::DriftHandle;
-use crate::request::SloClass;
 use crate::variants::{ShiftPolicy, VariantLadder};
 use std::time::Duration;
 use tincy_core::SystemConfig;
@@ -40,7 +39,7 @@ pub struct ServeConfig {
     /// [`crate::InferenceServer::resume`] for deterministic batch
     /// formation).
     pub start_paused: bool,
-    /// Latency targets per SLO class, indexed by [`SloClass::index`].
+    /// Latency targets per SLO class, indexed by [`crate::SloClass::index`].
     pub slo_targets: [Duration; 3],
     /// When set, bind a telemetry status server on this address
     /// (`host:port`; port 0 picks a free one) exposing `GET /metrics`
@@ -112,19 +111,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Latency target of one SLO class.
-    pub fn target(&self, class: SloClass) -> Duration {
-        self.slo_targets[class.index()]
-    }
-
-    /// A default configuration serving an explicit design point.
-    pub fn for_model(model: ModelSpec) -> Self {
-        Self {
-            model: Some(model),
-            ..Default::default()
-        }
-    }
-
     /// The design point this configuration serves (the explicit model, or
     /// the Tincy model the `system` configuration describes). On a
     /// multi-variant ladder this is the cheapest rung.

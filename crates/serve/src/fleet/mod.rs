@@ -1,9 +1,10 @@
-//! `tincy-fleet` — fleet-scale sharded serving.
+//! Fleet-scale sharded serving.
 //!
 //! One [`crate::InferenceServer`] is one device: a FINN fabric plus host
 //! workers. This module runs N of them as *shards* behind a router
 //! ([`Fleet`]), generalizing the paper's single-device heterogeneous
-//! split to a fleet (DESIGN.md §9):
+//! split to a fleet (DESIGN.md §7.3). `tincy serve` is the N = 1 case:
+//! one shard, a router with one candidate, no health monitor.
 //!
 //! * **Dispatch** — [`RoutePolicy::LeastLoaded`] picks the shard with
 //!   the fewest outstanding requests; [`RoutePolicy::ConsistentHash`]
@@ -12,18 +13,18 @@
 //!   rejection fails over to the next candidate — the fleet sheds only
 //!   when *every* shard refuses.
 //! * **Drain / re-admit** — a health monitor watches each shard's
-//!   offload counters (and, when per-shard endpoints are bound, its
-//!   `/healthz`). A shard whose fabric degrades is drained: removed
-//!   from the ring and skipped by dispatch while its outstanding work
-//!   completes (accepted work is never dropped). Drained shards are
-//!   probed with canary frames; a streak of clean fabric probes
-//!   re-admits the shard.
-//! * **Aggregation** — `--status-addr` exposes router-level
-//!   `tincy_fleet_*` families plus every shard's own series re-labelled
-//!   with `shard="i"`, scraped over keep-alive [`tincy_telemetry::HttpClient`]
-//!   connections into one exposition.
+//!   offload counters and asks the shard for its own degradation
+//!   verdict (SLO burn, calibration drift). A shard whose fabric
+//!   degrades is drained: removed from the ring and skipped by dispatch
+//!   while its outstanding work completes (accepted work is never
+//!   dropped). Drained shards are probed with canary frames; a streak
+//!   of clean fabric probes re-admits the shard.
+//! * **Aggregation** — `--status-addr` binds one endpoint: the router's
+//!   `tincy_fleet_*` families plus every shard's own series under a
+//!   `shard="i"` label, read from the shards' collectors by function
+//!   call — the shards share the fleet's address space.
 //!
-//! [`crate::run_load`] drives a fleet exactly as it drives one server.
+//! [`crate::run_load`] drives a fleet, whatever its size.
 
 mod ring;
 mod router;
@@ -94,8 +95,8 @@ pub struct FleetConfig {
     /// Virtual nodes per shard on the consistent-hash ring.
     pub vnodes: usize,
     /// When set, bind the fleet status endpoint here (`host:port`; port
-    /// 0 picks a free one) and a per-shard endpoint on `127.0.0.1:0`
-    /// each; the fleet `/metrics` aggregates every shard's scrape.
+    /// 0 picks a free one) — the fleet's only listener; its `/metrics`
+    /// carries every shard's series. `base.status_addr` is ignored.
     pub status_addr: Option<String>,
 }
 
@@ -115,11 +116,15 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// The fault plan of one shard ([`FaultPlan::none`] when unset).
-    pub fn fault_of(&self, shard: usize) -> FaultPlan {
-        self.shard_faults
-            .get(shard)
-            .copied()
-            .unwrap_or_else(FaultPlan::none)
+    /// `server` as a fleet of one: its fault plan is shard 0's, its
+    /// status address the fleet's.
+    pub fn single(mut server: ServeConfig) -> Self {
+        Self {
+            shards: 1,
+            shard_faults: vec![server.system.fault_plan],
+            status_addr: server.status_addr.take(),
+            base: server,
+            ..Default::default()
+        }
     }
 }

@@ -4,7 +4,9 @@
 //! Shard health is judged from the fabric's own offload counters, not
 //! wall-clock timeouts: a poll that observes the `degraded` counter
 //! advance means the shard's FINN engine needed retries or CPU fallback
-//! since the last poll, and the shard is drained. A drained shard keeps
+//! since the last poll, and the shard is drained — as is a shard whose
+//! own verdict (SLO burn, calibration drift) says it should be routed
+//! around. A drained shard keeps
 //! completing its outstanding work (accepted work is never dropped
 //! anywhere in the stack); once idle it is probed with canary frames.
 //! A probe is *clean* only on fabric evidence — the `forwards` counter
@@ -15,11 +17,12 @@
 //! the shard.
 
 use super::ring::HashRing;
-use super::telemetry::bind_fleet_status;
+use super::telemetry::FleetStats;
 use super::{FleetConfig, RoutePolicy};
 use crate::metrics::ServeReport;
 use crate::request::{AdmissionError, InferResponse, SloClass};
 use crate::server::{ClientHandle, InferenceServer};
+use crate::telemetry::ServeCollector;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, VecDeque};
 use std::net::SocketAddr;
@@ -27,9 +30,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tincy_nn::{NnError, OffloadHealth, OffloadStats};
+use tincy_finn::FaultPlan;
+use tincy_nn::{NnError, OffloadStats};
 use tincy_pipeline::DurationStats;
-use tincy_telemetry::{HttpClient, StatusServer};
+use tincy_telemetry::StatusServer;
 use tincy_trace::{static_label, TraceContext};
 use tincy_video::{Image, SceneConfig, SyntheticCamera};
 
@@ -61,7 +65,7 @@ pub(super) struct Shared {
     pub(super) rerouted: AtomicU64,
     pub(super) sheds: AtomicU64,
     pub(super) probes: AtomicU64,
-    pub(super) scrape_errors: AtomicU64,
+    started: Instant,
 }
 
 impl Shared {
@@ -84,7 +88,7 @@ impl Shared {
             rerouted: AtomicU64::new(0),
             sheds: AtomicU64::new(0),
             probes: AtomicU64::new(0),
-            scrape_errors: AtomicU64::new(0),
+            started: Instant::now(),
         }
     }
 
@@ -109,6 +113,26 @@ impl Shared {
             .iter()
             .filter(|s| s.up.load(Ordering::Relaxed))
             .count()
+    }
+
+    /// The router's counters around the shards' reports: the final
+    /// report after a drain, `/report` mid-run.
+    pub(super) fn report(&self, shards: Vec<ServeReport>) -> FleetReport {
+        FleetReport {
+            routed: self
+                .slots
+                .iter()
+                .map(|s| s.routed.load(Ordering::Relaxed))
+                .collect(),
+            shards,
+            policy: self.policy,
+            drains: self.drains.load(Ordering::Relaxed),
+            readmits: self.readmits.load(Ordering::Relaxed),
+            rerouted: self.rerouted.load(Ordering::Relaxed),
+            sheds: self.sheds.load(Ordering::Relaxed),
+            probes: self.probes.load(Ordering::Relaxed),
+            wall: self.started.elapsed(),
+        }
     }
 
     /// The shard the policy would pick with every shard healthy — the
@@ -153,17 +177,18 @@ impl Shared {
     }
 }
 
-/// A running fleet: shards, health monitor and (optionally) the
-/// aggregating status endpoint. Register clients with [`Self::client`],
-/// then [`Self::finish`] to drain every shard and collect the
-/// [`FleetReport`].
+/// A running fleet: shards, health monitor and (optionally) the status
+/// endpoint. Register clients with [`Self::client`], then
+/// [`Self::finish`] to drain every shard and collect the
+/// [`FleetReport`]. A fleet of one shard is a plain server behind a
+/// pass-through router: there is nowhere to fail over to, so it runs no
+/// health monitor.
 pub struct Fleet {
     servers: Vec<InferenceServer>,
     shared: Arc<Shared>,
     stop: Arc<AtomicBool>,
     monitor: Option<JoinHandle<()>>,
     status: Option<StatusServer>,
-    started: Instant,
     next_client: AtomicU64,
 }
 
@@ -178,60 +203,45 @@ impl Fleet {
         let mut servers = Vec::with_capacity(config.shards);
         for shard in 0..config.shards {
             let mut shard_config = config.base.clone();
-            shard_config.system.fault_plan = config.fault_of(shard);
+            let fault = config.shard_faults.get(shard);
+            shard_config.system.fault_plan = fault.copied().unwrap_or_else(FaultPlan::none);
             // Shard identity flows into every span the shard records and
             // into its worker thread names — the shards share one process
             // (one trace session), so this is what keeps their timelines
-            // apart in a stitched trace.
-            shard_config.shard = Some(shard as u32);
-            // Per-shard endpoints exist only to feed the fleet-level
-            // aggregation; port 0 keeps them collision-free.
-            shard_config.status_addr = config
-                .status_addr
-                .as_ref()
-                .map(|_| "127.0.0.1:0".to_string());
+            // apart in a stitched trace. A lone shard has nothing to be
+            // told apart from.
+            shard_config.shard = (config.shards > 1).then_some(shard as u32);
+            // The fleet endpoint is the only listener: it reads every
+            // shard through its collector.
+            shard_config.status_addr = None;
             servers.push(InferenceServer::start(shard_config)?);
         }
         let shared = Arc::new(Shared::new(config.shards, config.policy, config.vnodes));
-        let status = match &config.status_addr {
-            Some(addr) => {
-                let shard_addrs: Vec<SocketAddr> = servers
-                    .iter()
-                    .map(|s| s.status_addr().expect("per-shard endpoint bound"))
-                    .collect();
-                Some(
-                    bind_fleet_status(addr, Arc::clone(&shared), shard_addrs)
-                        .map_err(NnError::Io)?,
-                )
-            }
-            None => None,
-        };
-        let monitor = Monitor::new(&config, &servers, Arc::clone(&shared));
+        // Only the endpoint and the monitor hold the shards' collectors:
+        // the monitor is joined before the shards finish, so without an
+        // endpoint a shard's state goes when the shard does.
+        let status = config.status_addr.as_deref().map(|addr| {
+            let shards = servers.iter().map(|s| Arc::clone(&s.collector)).collect();
+            let view = FleetStats {
+                shared: Arc::clone(&shared),
+                shards,
+            };
+            Arc::new(view).bind(addr)
+        });
+        let status = status.transpose().map_err(NnError::Io)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let monitor = Some(spawn_monitor(
-            monitor,
-            Arc::clone(&stop),
-            config.health_every,
-        ));
+        let monitor = (config.shards > 1).then(|| {
+            let monitor = Monitor::new(&config, &servers, Arc::clone(&shared));
+            spawn_monitor(monitor, Arc::clone(&stop), config.health_every)
+        });
         Ok(Self {
             servers,
             shared,
             stop,
             monitor,
             status,
-            started: Instant::now(),
             next_client: AtomicU64::new(0),
         })
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Shards currently routable (not drained).
-    pub fn up_shards(&self) -> usize {
-        self.shared.up_count()
     }
 
     /// Whether one shard is currently routable.
@@ -239,24 +249,9 @@ impl Fleet {
         self.shared.slots[shard].up.load(Ordering::Relaxed)
     }
 
-    /// Drains observed so far (fleet lifetime).
-    pub fn drains(&self) -> u64 {
-        self.shared.drains.load(Ordering::Relaxed)
-    }
-
-    /// Re-admissions observed so far.
-    pub fn readmits(&self) -> u64 {
-        self.shared.readmits.load(Ordering::Relaxed)
-    }
-
     /// The fleet status endpoint's bound address, when configured.
     pub fn status_addr(&self) -> Option<SocketAddr> {
         self.status.as_ref().map(StatusServer::addr)
-    }
-
-    /// One shard's status endpoint address, when endpoints are bound.
-    pub fn shard_status_addr(&self, shard: usize) -> Option<SocketAddr> {
-        self.servers[shard].status_addr()
     }
 
     /// Resumes dispatch on every shard. Burst-mode fleets (configured
@@ -296,34 +291,17 @@ impl Fleet {
         if let Some(handle) = self.monitor.take() {
             handle.join().expect("fleet health monitor panicked");
         }
-        let wall = self.started.elapsed();
         let shards: Vec<ServeReport> = self
             .servers
             .drain(..)
             .map(InferenceServer::finish)
             .collect();
-        // The aggregation endpoint outlives the shard endpoints it
-        // scrapes only briefly: unbind it after the shards drain so a
-        // scrape during the drain still answers.
+        // Unbind only after the shards drain, so a scrape during the
+        // drain still answers.
         if let Some(mut status) = self.status.take() {
             status.shutdown();
         }
-        let shared = &self.shared;
-        FleetReport {
-            routed: shared
-                .slots
-                .iter()
-                .map(|s| s.routed.load(Ordering::Relaxed))
-                .collect(),
-            shards,
-            policy: shared.policy,
-            drains: shared.drains.load(Ordering::Relaxed),
-            readmits: shared.readmits.load(Ordering::Relaxed),
-            rerouted: shared.rerouted.load(Ordering::Relaxed),
-            sheds: shared.sheds.load(Ordering::Relaxed),
-            probes: shared.probes.load(Ordering::Relaxed),
-            wall,
-        }
+        self.shared.report(shards)
     }
 }
 
@@ -349,11 +327,6 @@ pub struct FleetClient {
 }
 
 impl FleetClient {
-    /// This client's routing key.
-    pub fn key(&self) -> u64 {
-        self.key
-    }
-
     /// Submits one frame. Candidates are tried in policy order; the
     /// submission sheds (an error) only when every shard refuses.
     /// Returns the fleet-level sequence number on admission.
@@ -548,6 +521,11 @@ impl FleetReport {
         merged
     }
 
+    /// FINN invocations, on any shard, that carried more than one request.
+    pub fn batched_invocations(&self) -> u64 {
+        self.shards.iter().map(|s| s.batched_invocations()).sum()
+    }
+
     /// SLO violations across the fleet.
     pub fn slo_violations(&self) -> u64 {
         self.shards.iter().map(|s| s.slo_violations).sum()
@@ -555,21 +533,7 @@ impl FleetReport {
 
     /// Summed offload health counters across every shard's fabric.
     pub fn offload(&self) -> OffloadStats {
-        let mut total = OffloadStats {
-            forwards: 0,
-            faults: 0,
-            retries: 0,
-            fallbacks: 0,
-            degraded: 0,
-        };
-        for shard in &self.shards {
-            total.forwards += shard.offload.forwards;
-            total.faults += shard.offload.faults;
-            total.retries += shard.offload.retries;
-            total.fallbacks += shard.offload.fallbacks;
-            total.degraded += shard.offload.degraded;
-        }
-        total
+        self.shards.iter().map(|s| s.offload).sum()
     }
 
     /// Completed requests per wall-clock second.
@@ -580,37 +544,6 @@ impl FleetReport {
         } else {
             0.0
         }
-    }
-
-    /// Fleet-wide admissions per variant name, merged across shards
-    /// (every shard hosts the same ladder, so names line up; a shard
-    /// missing a name contributes nothing). Ladder order of shard 0.
-    pub fn variant_requests(&self) -> Vec<(String, [u64; 3])> {
-        let Some(first) = self.shards.first() else {
-            return Vec::new();
-        };
-        first
-            .variant_names
-            .iter()
-            .map(|name| {
-                let mut per_class = [0u64; 3];
-                for shard in &self.shards {
-                    if let Some(i) = shard.variant_names.iter().position(|n| n == name) {
-                        for (acc, v) in per_class.iter_mut().zip(shard.variant_requests[i]) {
-                            *acc += v;
-                        }
-                    }
-                }
-                (name.clone(), per_class)
-            })
-            .collect()
-    }
-
-    /// Ladder shifts taken across the fleet: `(down, up)`.
-    pub fn variant_shifts(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(down, up), s| {
-            (down + s.shifts_down, up + s.shifts_up)
-        })
     }
 }
 
@@ -627,28 +560,26 @@ struct Track {
     streak: u32,
 }
 
-/// The health monitor: offload-delta verdicts, optional `/healthz`
-/// polling, and canary probing of drained shards.
+/// The health monitor: offload-delta verdicts, each shard's own
+/// degradation verdict, and canary probing of drained shards.
 struct Monitor {
     shared: Arc<Shared>,
-    healths: Vec<OffloadHealth>,
+    /// Each shard's own state, read by function call.
+    shards: Vec<Arc<ServeCollector>>,
     probes: Vec<ClientHandle>,
     probe_image: Image,
     tracks: Vec<Track>,
     readmit_streak: u32,
-    endpoints: Vec<Option<SocketAddr>>,
-    scrapers: Vec<Option<HttpClient>>,
 }
 
 impl Monitor {
     fn new(config: &FleetConfig, servers: &[InferenceServer], shared: Arc<Shared>) -> Self {
-        let healths: Vec<OffloadHealth> =
-            servers.iter().map(InferenceServer::finn_health).collect();
-        let tracks = healths
+        let shards: Vec<_> = servers.iter().map(|s| Arc::clone(&s.collector)).collect();
+        let tracks = shards
             .iter()
-            .map(|h| Track {
+            .map(|shard| Track {
                 phase: Phase::Up,
-                last: h.snapshot(),
+                last: shard.fabric(),
                 streak: 0,
             })
             .collect();
@@ -660,42 +591,14 @@ impl Monitor {
         };
         let mut camera = SyntheticCamera::with_limit(probe_scene, 0x70726f6265, 1);
         let probe_image = camera.capture().expect("probe camera yields one frame");
-        let endpoints: Vec<Option<SocketAddr>> =
-            servers.iter().map(InferenceServer::status_addr).collect();
-        let scrapers = endpoints.iter().map(|_| None).collect();
         Self {
             shared,
+            shards,
             probes: servers.iter().map(InferenceServer::client).collect(),
-            healths,
             probe_image,
             tracks,
             readmit_streak: config.readmit_streak.max(1),
-            endpoints,
-            scrapers,
         }
-    }
-
-    /// Whether the shard's own `/healthz` reports drift degradation.
-    /// Connection failures are treated as "no signal", not as
-    /// degradation — the offload counters remain the authority.
-    fn healthz_degraded(&mut self, shard: usize) -> bool {
-        let Some(addr) = self.endpoints[shard] else {
-            return false;
-        };
-        for _ in 0..2 {
-            if self.scrapers[shard].is_none() {
-                self.scrapers[shard] = HttpClient::connect(addr, Duration::from_millis(500)).ok();
-            }
-            let Some(client) = self.scrapers[shard].as_mut() else {
-                return false;
-            };
-            match client.get("/healthz") {
-                Ok(response) => return response.body.contains("\"degraded\":true"),
-                // Reaped keep-alive connection: reconnect once.
-                Err(_) => self.scrapers[shard] = None,
-            }
-        }
-        false
     }
 
     fn drain(&mut self, shard: usize) {
@@ -718,15 +621,16 @@ impl Monitor {
         for shard in 0..self.tracks.len() {
             match self.tracks[shard].phase {
                 Phase::Up => {
-                    let snap = self.healths[shard].snapshot();
+                    let shard_view = &self.shards[shard];
+                    let snap = shard_view.fabric();
                     let degraded = snap.degraded > self.tracks[shard].last.degraded;
                     self.tracks[shard].last = snap;
-                    if degraded || self.healthz_degraded(shard) {
+                    if degraded || shard_view.degraded().is_some() {
                         self.drain(shard);
                     }
                 }
                 Phase::Draining => {
-                    self.tracks[shard].last = self.healths[shard].snapshot();
+                    self.tracks[shard].last = self.shards[shard].fabric();
                     if self.shared.load_of(shard) == 0 {
                         let track = &mut self.tracks[shard];
                         track.phase = Phase::Drained;
@@ -741,7 +645,8 @@ impl Monitor {
     /// Sends one canary through the drained shard and judges recovery
     /// from the fabric counters it moved.
     fn probe(&mut self, shard: usize) {
-        let before = self.healths[shard].snapshot();
+        let fabric = || self.shards[shard].fabric();
+        let before = fabric();
         if self.probes[shard]
             .submit(self.probe_image.clone(), SloClass::Standard)
             .is_err()
@@ -752,7 +657,7 @@ impl Monitor {
         // Accepted work is always answered, so this blocks only as long
         // as the canary takes to complete.
         let _ = self.probes[shard].recv();
-        let after = self.healths[shard].snapshot();
+        let after = fabric();
         let track = &mut self.tracks[shard];
         if after.degraded > before.degraded {
             track.streak = 0;
@@ -822,9 +727,17 @@ mod tests {
 
     #[test]
     fn fleet_serves_and_drains_cleanly() {
-        let fleet = Fleet::start(small_fleet(RoutePolicy::LeastLoaded)).unwrap();
-        assert_eq!(fleet.shards(), 2);
-        assert_eq!(fleet.up_shards(), 2);
+        let fleet = Fleet::start(FleetConfig {
+            status_addr: Some("127.0.0.1:0".to_string()),
+            ..small_fleet(RoutePolicy::LeastLoaded)
+        })
+        .unwrap();
+        assert_eq!(fleet.shared.up_count(), 2);
+        let addr = fleet.status_addr().expect("fleet endpoint bound");
+        assert!(
+            fleet.servers.iter().all(|s| s.status_addr().is_none()),
+            "the fleet endpoint is the only listener"
+        );
         let mut client = fleet.client();
         for image in frames(6, 9) {
             client.submit(image, SloClass::Standard).unwrap();
@@ -832,6 +745,12 @@ mod tests {
         client.collect_all();
         assert!(client.in_order());
         assert_eq!(client.counts(), (6, 6, 0, 6));
+        let (_, live) = tincy_telemetry::http_get(addr, "/report").unwrap();
+        let live = tincy_json::parse(&live).expect("/report is JSON");
+        assert_eq!(live.get("accepted").and_then(|v| v.as_f64()), Some(6.0));
+        let (_, health) = tincy_telemetry::http_get(addr, "/healthz").unwrap();
+        assert!(health.contains("\"degraded\":false"), "{health}");
+        assert!(health.contains("\"up\":2"), "{health}");
         let report = fleet.finish();
         assert_eq!(report.lost(), 0);
         assert_eq!(report.routed.iter().sum::<u64>(), 6);
@@ -869,5 +788,59 @@ mod tests {
         client.collect_all();
         let report = fleet.finish();
         assert_eq!(report.lost(), 0);
+    }
+
+    /// A shard's own verdict drains it whether or not anything listens:
+    /// the monitor asks the shard, not an endpoint.
+    #[test]
+    fn monitor_drains_a_degraded_shard_with_no_endpoint_bound() {
+        let config = small_fleet(RoutePolicy::LeastLoaded);
+        let drifted = crate::DriftHandle::default();
+        drifted.publish(crate::DriftStatus {
+            alerted: true,
+            ..Default::default()
+        });
+        let servers: Vec<InferenceServer> = [None, Some(drifted)]
+            .into_iter()
+            .map(|drift| {
+                let shard = ServeConfig {
+                    drift,
+                    ..config.base.clone()
+                };
+                InferenceServer::start(shard).unwrap()
+            })
+            .collect();
+        assert!(servers.iter().all(|s| s.status_addr().is_none()));
+        let shared = Arc::new(Shared::new(2, config.policy, config.vnodes));
+        let mut monitor = Monitor::new(&config, &servers, Arc::clone(&shared));
+        monitor.step();
+        let up = |shard: usize| shared.slots[shard].up.load(Ordering::Relaxed);
+        assert!(up(0), "the healthy shard stays routable");
+        assert!(!up(1), "the drifted shard is drained");
+        assert_eq!(shared.drains.load(Ordering::Relaxed), 1);
+        drop(monitor);
+        for server in servers {
+            server.finish();
+        }
+    }
+
+    /// One shard has nowhere to fail over to: no monitor thread, and an
+    /// outage is ridden out by the shard's own retry/fallback path.
+    #[test]
+    fn a_fleet_of_one_runs_no_health_monitor() {
+        let mut base = small_fleet(RoutePolicy::LeastLoaded).base;
+        base.system.fault_plan = FaultPlan::outage(2, 6);
+        let fleet = Fleet::start(FleetConfig::single(base)).unwrap();
+        assert!(fleet.monitor.is_none(), "no tincy-fleet-health thread");
+        let mut client = fleet.client();
+        for image in frames(8, 7) {
+            client.submit(image, SloClass::Standard).unwrap();
+            client.collect_all();
+        }
+        assert!(client.in_order());
+        let report = fleet.finish();
+        assert!(report.offload().faults > 0, "the outage was hit");
+        assert_eq!((report.drains, report.probes, report.lost()), (0, 0, 0));
+        assert_eq!(report.rerouted, 0);
     }
 }

@@ -1,32 +1,51 @@
-//! Fleet-level telemetry: router counters as first-class families, plus
-//! scrape-and-relabel aggregation — the fleet `/metrics` answers with
-//! its own `tincy_fleet_*` series followed by every shard's exposition,
-//! re-labelled with `shard="i"` and renamed into the fleet namespace
-//! (`tincy_serve_*` → `tincy_fleet_*`, `tincy_offload_*` →
-//! `tincy_fleet_offload_*`). Shards are scraped over keep-alive
-//! [`HttpClient`] connections held across scrapes; a shard that cannot
-//! be scraped is skipped (and counted) rather than failing the whole
-//! exposition.
+//! Fleet-level telemetry: the router's own counters as `tincy_fleet_*`
+//! families, followed by every shard's own series. Those keep their
+//! names and gain `shard="i"` — the fleet reads them by calling the
+//! shard's collector, in process, exactly as the shard's own endpoint
+//! would.
 
 use super::router::Shared;
-use crate::json::{array_u64, JsonObject};
-use parking_lot::Mutex;
+use crate::json::report_json;
+use crate::telemetry::{bind_status, healthz_json, ServeCollector};
 use std::io;
-use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
-use tincy_telemetry::{
-    json_text, parse_prometheus, prometheus_text, render_prometheus, Collect, Handler, HttpClient,
-    PromSample, Registry, Response, Sample, StatusServer, Value,
-};
+use tincy_telemetry::{Collect, Sample, StatusServer, Value};
 
-/// Scrape timeout against a shard's loopback endpoint.
-const SCRAPE_TIMEOUT: Duration = Duration::from_millis(500);
+/// Scrape-time view of the router state and of every shard behind it:
+/// what the fleet's status endpoint serves.
+pub(super) struct FleetStats {
+    pub(super) shared: Arc<Shared>,
+    /// The shards' own state, read by function call: exactly what each
+    /// shard's own endpoint would serve.
+    pub(super) shards: Vec<Arc<ServeCollector>>,
+}
 
-/// Scrape-time view of the router state.
-struct FleetStats {
-    shared: Arc<Shared>,
+impl FleetStats {
+    /// Binds the fleet endpoint on the one route table: the router's
+    /// families plus every shard's series under its `shard` label, a
+    /// `/healthz` that is degraded while any shard is, and the live
+    /// [`super::FleetReport`].
+    pub(super) fn bind(self: &Arc<Self>, addr: &str) -> io::Result<StatusServer> {
+        let (health, live) = (Arc::clone(self), Arc::clone(self));
+        bind_status(
+            addr,
+            Arc::clone(self) as Arc<dyn Collect>,
+            move || {
+                let router = &health.shared;
+                healthz_json(health.shards.iter().find_map(|s| s.degraded()))
+                    .u64("shards", router.slots.len() as u64)
+                    .u64("up", router.up_count() as u64)
+                    .u64("drains", router.drains.load(Ordering::Relaxed))
+                    .u64("readmits", router.readmits.load(Ordering::Relaxed))
+                    .finish()
+            },
+            move || {
+                let shards = live.shards.iter().map(|s| s.report()).collect();
+                report_json(&live.shared.report(shards))
+            },
+        )
+    }
 }
 
 impl Collect for FleetStats {
@@ -58,11 +77,6 @@ impl Collect for FleetStats {
                 "Canary probes sent to drained shards",
                 &s.probes,
             ),
-            (
-                "tincy_fleet_scrape_errors_total",
-                "Shard scrapes that failed during aggregation",
-                &s.scrape_errors,
-            ),
         ];
         let mut out = vec![Sample::new(
             "tincy_fleet_shards",
@@ -76,7 +90,7 @@ impl Collect for FleetStats {
                 Value::Counter(counter.load(Ordering::Relaxed)),
             ));
         }
-        for (i, slot) in s.slots.iter().enumerate() {
+        for (i, (slot, shard_view)) in s.slots.iter().zip(&self.shards).enumerate() {
             let shard = i.to_string();
             out.push(
                 Sample::new(
@@ -102,133 +116,13 @@ impl Collect for FleetStats {
                 )
                 .label("shard", &shard),
             );
+            for mut sample in shard_view.collect() {
+                sample
+                    .labels
+                    .insert(0, ("shard".to_string(), shard.clone()));
+                out.push(sample);
+            }
         }
         out
     }
-}
-
-/// One shard's keep-alive scrape connection, re-established on error.
-struct ShardScraper {
-    addr: SocketAddr,
-    client: Option<HttpClient>,
-}
-
-impl ShardScraper {
-    /// One `/metrics` scrape; reconnects once on a reaped connection.
-    fn scrape(&mut self) -> Option<Vec<PromSample>> {
-        for _ in 0..2 {
-            if self.client.is_none() {
-                self.client = HttpClient::connect(self.addr, SCRAPE_TIMEOUT).ok();
-            }
-            let client = self.client.as_mut()?;
-            match client.get("/metrics") {
-                Ok(response) if response.status == 200 => {
-                    return parse_prometheus(&response.body).ok()
-                }
-                Ok(_) => return None,
-                Err(_) => self.client = None,
-            }
-        }
-        None
-    }
-}
-
-/// Moves a shard sample into the fleet namespace and tags its origin.
-fn relabel(mut sample: PromSample, shard: usize) -> PromSample {
-    sample.name = if let Some(rest) = sample.name.strip_prefix("tincy_serve_") {
-        format!("tincy_fleet_{rest}")
-    } else if let Some(rest) = sample.name.strip_prefix("tincy_offload_") {
-        format!("tincy_fleet_offload_{rest}")
-    } else {
-        sample.name
-    };
-    sample
-        .labels
-        .insert(0, ("shard".to_string(), shard.to_string()));
-    sample
-}
-
-/// Binds the fleet status endpoint: `/metrics` (router families +
-/// aggregated shard series), `/metrics.json` (router families),
-/// `/healthz` and `/report` (router counters as JSON).
-pub(super) fn bind_fleet_status(
-    addr: &str,
-    shared: Arc<Shared>,
-    shard_addrs: Vec<SocketAddr>,
-) -> io::Result<StatusServer> {
-    let registry = Arc::new(Registry::new());
-    registry.register(Arc::new(FleetStats {
-        shared: Arc::clone(&shared),
-    }) as Arc<dyn Collect>);
-    let scrapers: Arc<Mutex<Vec<ShardScraper>>> = Arc::new(Mutex::new(
-        shard_addrs
-            .into_iter()
-            .map(|addr| ShardScraper { addr, client: None })
-            .collect(),
-    ));
-    let prom = Arc::clone(&registry);
-    let prom_shared = Arc::clone(&shared);
-    let health_shared = Arc::clone(&shared);
-    let routes: Vec<(&'static str, Handler)> = vec![
-        (
-            "/metrics",
-            Box::new(move || {
-                let mut text = prometheus_text(&prom.gather());
-                let mut scrapers = scrapers.lock();
-                for (i, scraper) in scrapers.iter_mut().enumerate() {
-                    match scraper.scrape() {
-                        Some(samples) => {
-                            let relabeled: Vec<PromSample> =
-                                samples.into_iter().map(|s| relabel(s, i)).collect();
-                            text.push_str(&render_prometheus(&relabeled));
-                        }
-                        None => {
-                            prom_shared.scrape_errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                Response::ok("text/plain; version=0.0.4; charset=utf-8", text)
-            }),
-        ),
-        (
-            "/metrics.json",
-            Box::new(move || Response::ok("application/json", json_text(&registry.gather()))),
-        ),
-        (
-            "/healthz",
-            Box::new(move || {
-                let body = JsonObject::new()
-                    .bool("ok", true)
-                    .u64("shards", health_shared.slots.len() as u64)
-                    .u64("up", health_shared.up_count() as u64)
-                    .u64("drains", health_shared.drains.load(Ordering::Relaxed))
-                    .u64("readmits", health_shared.readmits.load(Ordering::Relaxed))
-                    .finish();
-                Response::ok("application/json", body + "\n")
-            }),
-        ),
-        (
-            "/report",
-            Box::new(move || {
-                let routed: Vec<u64> = shared
-                    .slots
-                    .iter()
-                    .map(|s| s.routed.load(Ordering::Relaxed))
-                    .collect();
-                let body = JsonObject::new()
-                    .u64("shards", shared.slots.len() as u64)
-                    .u64("up", shared.up_count() as u64)
-                    .str("policy", shared.policy.label())
-                    .raw("routed", &array_u64(&routed))
-                    .u64("drains", shared.drains.load(Ordering::Relaxed))
-                    .u64("readmits", shared.readmits.load(Ordering::Relaxed))
-                    .u64("rerouted", shared.rerouted.load(Ordering::Relaxed))
-                    .u64("sheds", shared.sheds.load(Ordering::Relaxed))
-                    .u64("probes", shared.probes.load(Ordering::Relaxed))
-                    .finish();
-                Response::ok("application/json", body)
-            }),
-        ),
-    ];
-    StatusServer::bind(addr, routes)
 }

@@ -1,8 +1,9 @@
-//! Domain JSON serializers for metrics dumps (`--metrics-json`). The
-//! syntax layer (builders, escaping, parsing) lives in [`tincy_json`] and
-//! is re-exported here so existing
+//! Domain JSON serializers for metrics dumps (`--metrics-json`) and the
+//! `/report` route. The syntax layer (builders, escaping, parsing) lives
+//! in [`tincy_json`] and is re-exported here so existing
 //! `tincy_serve::json::{JsonObject, array_u64}` imports keep working.
 
+use crate::fleet::FleetReport;
 use crate::metrics::ServeReport;
 use crate::request::SloClass;
 use std::time::Duration;
@@ -76,7 +77,8 @@ fn class_latency_json(stats_json: impl Fn(SloClass) -> String) -> String {
         .finish()
 }
 
-/// The full serving report (the `tincy serve --metrics-json` payload).
+/// One server's report: an element of [`report_json`]'s `shard_reports`,
+/// and the `/report` body of a standalone server's endpoint.
 pub fn serve_report_json(report: &ServeReport) -> String {
     let classes = class_latency_json(|class| duration_stats_json(report.class(class)));
     JsonObject::new()
@@ -111,9 +113,9 @@ pub fn serve_report_json(report: &ServeReport) -> String {
 
 /// The per-variant breakdown of a serve report: the ladder (cheapest
 /// rung first) with per-class admissions, completions, latency and
-/// weight-swap accounting, plus the shift counters, the active rung per
-/// class and the shared weights-cache stats.
-pub fn variants_json(report: &ServeReport) -> String {
+/// weight-swap accounting, plus the shift counters and the active rung
+/// per class.
+fn variants_json(report: &ServeReport) -> String {
     let mut rungs = JsonArray::new();
     for (i, name) in report.variant_names.iter().enumerate() {
         rungs.raw(
@@ -132,15 +134,14 @@ pub fn variants_json(report: &ServeReport) -> String {
         .raw("active_by_class", &array_u64(&active))
         .u64("shifts_down", report.shifts_down)
         .u64("shifts_up", report.shifts_up)
-        .u64("weight_entries", report.weight_entries)
-        .u64("weight_hits", report.weight_hits)
         .finish()
 }
 
-/// The full fleet report (the `tincy fleet --metrics-json` payload):
-/// router counters, merged fleet-wide latency, and every shard's own
-/// serve report.
-pub fn fleet_report_json(report: &crate::fleet::FleetReport) -> String {
+/// The report of a serving run (the `tincy serve --metrics-json` payload
+/// and the fleet endpoint's `/report`), one shape at any shard count:
+/// router counters, latency merged over the shards, and every shard's own
+/// [`serve_report_json`].
+pub fn report_json(report: &FleetReport) -> String {
     let mut shards = JsonArray::new();
     for shard in &report.shards {
         shards.raw(&serve_report_json(shard));
@@ -162,30 +163,9 @@ pub fn fleet_report_json(report: &crate::fleet::FleetReport) -> String {
         .raw("latency", &duration_stats_json(&report.latency()))
         .raw("class_latency", &classes)
         .raw("offload", &offload_stats_json(&report.offload()))
-        .raw("variants", &fleet_variants_json(report))
         .f64("wall_us", micros(report.wall))
         .f64("throughput_rps", report.throughput())
         .raw("shard_reports", &shards.finish())
-        .finish()
-}
-
-/// Fleet-wide variant summary: per-variant admissions merged across
-/// shards plus the total ladder shifts taken anywhere in the fleet.
-fn fleet_variants_json(report: &crate::fleet::FleetReport) -> String {
-    let mut rungs = JsonArray::new();
-    for (name, per_class) in &report.variant_requests() {
-        rungs.raw(
-            &JsonObject::new()
-                .str("name", name)
-                .raw("requests_by_class", &array_u64(per_class))
-                .finish(),
-        );
-    }
-    let (down, up) = report.variant_shifts();
-    JsonObject::new()
-        .raw("ladder", &rungs.finish())
-        .u64("shifts_down", down)
-        .u64("shifts_up", up)
         .finish()
 }
 

@@ -20,19 +20,20 @@
 //! plus the fabric's bit-exactness with the reference path guarantee the
 //! answer does not depend on which backend produced it.
 //!
-//! [`load`] provides the deterministic multi-client load driver (closed
-//! loop, burst and scheduled open-loop pacing against a server or a
-//! fleet alike), [`smoke`] the assertions the CLI's `--smoke`/`--scrape`
-//! flags and the integration tests share, and [`json`] hand-rolled JSON
-//! emission for metrics dumps and bench artifacts. With
-//! [`ServeConfig::status_addr`] set, a running server additionally
-//! exposes live metrics (`/metrics` Prometheus text, `/metrics.json`)
-//! and a mid-run [`ServeReport`] (`/report`) over a minimal HTTP
-//! endpoint backed by `tincy-telemetry`.
-//!
 //! [`fleet`] scales the single-server runtime out: N in-process shards
 //! behind a least-loaded or consistent-hash router with drain/re-admit
-//! health management and fleet-wide metrics aggregation.
+//! health management and one status endpoint for the lot. It is also the
+//! front door: [`load`], the deterministic multi-client load driver
+//! (closed loop, burst and scheduled open-loop pacing), drives a fleet
+//! of any size, and a single server under load is the fleet of one.
+//! [`smoke`] holds the assertions the CLI's `--smoke`/`--scrape` flags
+//! and the integration tests share, and [`json`] the report and metrics
+//! dumps, written through `tincy-json`. With a status address set
+//! ([`ServeConfig::status_addr`] on a standalone server,
+//! [`FleetConfig::status_addr`] on a fleet), a minimal HTTP endpoint
+//! backed by `tincy-telemetry` exposes live metrics (`/metrics`
+//! Prometheus text, `/metrics.json`), `/healthz` and the mid-run report
+//! (`/report`).
 
 #![forbid(unsafe_code)]
 
@@ -56,8 +57,8 @@ pub use config::ServeConfig;
 pub use drift::{DriftHandle, DriftMonitor, DriftStatus, SegmentCalibrator};
 pub use engine::ServeEngine;
 pub use fleet::{Fleet, FleetClient, FleetConfig, FleetReport, HashRing, RoutePolicy};
-pub use load::{run_load, ClientOutcome, LoadClient, LoadConfig, LoadReport, LoadTarget};
+pub use load::{run_load, ClientOutcome, LoadConfig, LoadReport};
 pub use metrics::ServeReport;
 pub use request::{AdmissionError, BackendKind, InferResponse, SloClass};
 pub use server::{ClientHandle, InferenceServer};
-pub use variants::{ServeVariant, Shift, ShiftPolicy, ShiftState, VariantLadder, WeightsCache};
+pub use variants::{ServeVariant, Shift, ShiftPolicy, ShiftState, VariantLadder};

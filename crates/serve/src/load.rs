@@ -1,5 +1,5 @@
-//! The load driver: deterministic multi-client load against any
-//! [`LoadTarget`] — one [`InferenceServer`] or a whole [`Fleet`].
+//! The load driver: deterministic multi-client load against a [`Fleet`]
+//! — of one shard for a single server.
 //!
 //! A small pool of worker threads *drives* a partition of simulated
 //! clients each, so client counts scale past what a thread per client
@@ -10,22 +10,18 @@
 //! shard serves a request may differ under load, but bit-exact backends
 //! make the results identical either way.
 //!
-//! There are two loops, one per pacing kind and none per target:
-//! *scheduled* (every open-loop pattern, and burst as the all-zero
-//! schedule against a paused target) and *closed* (one request
-//! outstanding per client, response-paced).
+//! There are two loops, one per pacing kind: *scheduled* (every
+//! open-loop pattern, and burst as the all-zero schedule against a paused
+//! fleet) and *closed* (one request outstanding per client,
+//! response-paced).
 
 use crate::arrivals::{arrival_schedule, ArrivalPattern};
-use crate::config::ServeConfig;
 use crate::fleet::{Fleet, FleetClient, FleetConfig, FleetReport};
-use crate::metrics::ServeReport;
-use crate::request::{AdmissionError, SloClass};
-use crate::server::{ClientHandle, InferenceServer};
-use std::collections::VecDeque;
+use crate::request::SloClass;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 use tincy_nn::NnError;
-use tincy_video::{Image, SceneConfig, SyntheticCamera};
+use tincy_video::{SceneConfig, SyntheticCamera};
 
 /// How long an idle closed-loop worker sleeps between polls (the ledger's
 /// generator idles at the same interval): the bound on how late a response
@@ -90,31 +86,32 @@ pub struct ClientOutcome {
     pub submitted: u64,
     /// Submissions admitted.
     pub accepted: u64,
-    /// Submissions the target refused (on a fleet: by every shard).
+    /// Submissions every shard refused.
     pub rejected: u64,
     /// Responses collected.
     pub completed: u64,
-    /// Whether responses arrived exactly in submission order (on a
-    /// fleet: across any re-routing).
+    /// Whether responses arrived exactly in submission order, across
+    /// any re-routing.
     pub in_order: bool,
     /// Total detections across the client's responses (deterministic for
     /// a given scene/seed thanks to bit-exact backends).
     pub detections: u64,
-    /// Distinct shards the client's requests landed on (1 on a server).
+    /// Distinct shards the client's requests landed on.
     pub shards_used: usize,
 }
 
-/// Aggregate result of a load run: the clients' view plus the target's
-/// own report ([`ServeReport`] or [`FleetReport`]).
+/// Aggregate result of a load run: the clients' view plus the fleet's
+/// own report.
 #[derive(Debug, Clone)]
-pub struct LoadReport<R> {
+pub struct LoadReport {
     /// Per-client outcomes, client order.
     pub outcomes: Vec<ClientOutcome>,
-    /// The target's own report.
-    pub target: R,
+    /// The fleet's own report; `target.shards[0]` is the server's when
+    /// the fleet is one shard.
+    pub target: FleetReport,
 }
 
-impl<R> LoadReport<R> {
+impl LoadReport {
     /// Total admitted submissions.
     pub fn accepted(&self) -> u64 {
         self.outcomes.iter().map(|o| o.accepted).sum()
@@ -153,176 +150,44 @@ impl<R> LoadReport<R> {
     }
 }
 
-/// A system the driver can load: start it, register clients, release a
-/// paused start, drain it into a report.
-pub trait LoadTarget: Sized {
-    /// What [`Self::start`] is built from.
-    type Config;
-    /// One client's connection.
-    type Client: LoadClient;
-    /// What [`Self::finish`] returns.
-    type Report;
-
-    /// Starts the target; `paused` holds dispatch until [`Self::resume`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction failures.
-    fn start(config: Self::Config, paused: bool) -> Result<Self, NnError>;
-
-    /// Registers a client.
-    fn client(&self) -> Self::Client;
-
-    /// Releases dispatch after a paused start.
-    fn resume(&self);
-
-    /// Drains and shuts down; no accepted request is dropped.
-    fn finish(self) -> Self::Report;
-}
-
-/// One client's connection as the driver uses it.
-pub trait LoadClient: Send {
-    /// Submits one frame; returns the admission sequence number.
-    ///
-    /// # Errors
-    ///
-    /// [`AdmissionError`] when the target refuses the request.
-    fn submit(&mut self, image: Image, class: SloClass) -> Result<u64, AdmissionError>;
-
-    /// Collects every response already delivered, without blocking.
-    /// `pending` holds the sequence numbers of the admitted requests not
-    /// yet collected, oldest first; one is popped per response. Returns
-    /// whether delivery is still in submission order, and the detections
-    /// the collected responses carried.
-    fn pump(&mut self, pending: &mut VecDeque<u64>) -> (bool, u64);
-
-    /// Distinct shards this client's requests landed on.
-    fn shards_used(&self) -> usize {
-        1
-    }
-}
-
-impl LoadTarget for InferenceServer {
-    type Config = ServeConfig;
-    type Client = ClientHandle;
-    type Report = ServeReport;
-
-    fn start(mut config: ServeConfig, paused: bool) -> Result<Self, NnError> {
-        config.start_paused |= paused;
-        InferenceServer::start(config)
-    }
-
-    fn client(&self) -> ClientHandle {
-        InferenceServer::client(self)
-    }
-
-    fn resume(&self) {
-        InferenceServer::resume(self);
-    }
-
-    fn finish(self) -> ServeReport {
-        InferenceServer::finish(self)
-    }
-}
-
-impl LoadClient for ClientHandle {
-    fn submit(&mut self, image: Image, class: SloClass) -> Result<u64, AdmissionError> {
-        ClientHandle::submit(self, image, class)
-    }
-
-    fn pump(&mut self, pending: &mut VecDeque<u64>) -> (bool, u64) {
-        let (mut in_order, mut detections) = (true, 0);
-        while let Some(response) = self.try_recv() {
-            in_order &= pending.pop_front() == Some(response.seq);
-            detections += response.detections.len() as u64;
-        }
-        (in_order, detections)
-    }
-}
-
-impl LoadTarget for Fleet {
-    type Config = FleetConfig;
-    type Client = FleetClient;
-    type Report = FleetReport;
-
-    fn start(mut config: FleetConfig, paused: bool) -> Result<Self, NnError> {
-        config.base.start_paused |= paused;
-        Fleet::start(config)
-    }
-
-    fn client(&self) -> FleetClient {
-        Fleet::client(self)
-    }
-
-    fn resume(&self) {
-        self.resume_all();
-    }
-
-    fn finish(self) -> FleetReport {
-        Fleet::finish(self)
-    }
-}
-
-/// A fleet client checks order across shards itself (its responses carry
-/// per-shard sequence numbers), so `pending` only counts here.
-impl LoadClient for FleetClient {
-    fn submit(&mut self, image: Image, class: SloClass) -> Result<u64, AdmissionError> {
-        FleetClient::submit(self, image, class)
-    }
-
-    fn pump(&mut self, pending: &mut VecDeque<u64>) -> (bool, u64) {
-        let before = self.detections();
-        let collected = FleetClient::pump(self);
-        pending.drain(..collected);
-        (self.in_order(), self.detections() - before)
-    }
-
-    fn shards_used(&self) -> usize {
-        FleetClient::shards_used(self)
-    }
-}
-
-/// One driven client: its connection, camera, what it still owes and
-/// the tallies so far.
-struct Lane<C> {
-    client: C,
+/// One driven client: its connection (which keeps the tallies), its
+/// camera and what it still owes.
+struct Lane {
+    index: usize,
+    class: SloClass,
+    client: FleetClient,
     camera: SyntheticCamera,
     /// Frames not yet submitted.
     remaining: u64,
-    /// Sequence numbers of admitted requests not yet collected.
-    pending: VecDeque<u64>,
-    outcome: ClientOutcome,
 }
 
-impl<C: LoadClient> Lane<C> {
+impl Lane {
     fn submit_next(&mut self) {
         self.remaining -= 1;
-        self.outcome.submitted += 1;
         let image = self.camera.capture().expect("camera holds every frame");
-        match self.client.submit(image, self.outcome.class) {
-            Ok(seq) => {
-                self.outcome.accepted += 1;
-                self.pending.push_back(seq);
-            }
-            Err(_) => self.outcome.rejected += 1,
-        }
+        // A refusal is tallied by the client; the frame is not retried.
+        let _ = self.client.submit(image, self.class);
     }
 
-    /// Collects what was delivered; whether anything was.
-    fn pump(&mut self) -> bool {
-        let before = self.pending.len();
-        let (in_order, detections) = self.client.pump(&mut self.pending);
-        let collected = before - self.pending.len();
-        self.outcome.completed += collected as u64;
-        self.outcome.in_order &= in_order;
-        self.outcome.detections += detections;
-        collected > 0
+    fn outcome(self) -> ClientOutcome {
+        let (submitted, accepted, rejected, completed) = self.client.counts();
+        ClientOutcome {
+            client: self.index,
+            class: self.class,
+            submitted,
+            accepted,
+            rejected,
+            completed,
+            in_order: self.client.in_order(),
+            detections: self.client.detections(),
+            shards_used: self.client.shards_used(),
+        }
     }
 }
 
 /// Replays one worker's merged schedule against the wall clock, pumping
 /// delivered responses between submissions.
-fn drive_scheduled<C: LoadClient>(lanes: &mut [Lane<C>], events: &[(Duration, usize)]) {
+fn drive_scheduled(lanes: &mut [Lane], events: &[(Duration, usize)]) {
     let start = Instant::now();
     for &(at, slot) in events {
         loop {
@@ -331,29 +196,29 @@ fn drive_scheduled<C: LoadClient>(lanes: &mut [Lane<C>], events: &[(Duration, us
                 break;
             }
             for lane in lanes.iter_mut() {
-                lane.pump();
+                lane.client.pump();
             }
             std::thread::sleep((at - now).min(Duration::from_millis(1)));
         }
         lanes[slot].submit_next();
-        lanes[slot].pump();
+        lanes[slot].client.pump();
     }
 }
 
 /// Keeps one request outstanding per lane until every lane has submitted
 /// its frames and collected the responses — which, for lanes a schedule
 /// already emptied, is the final collection.
-fn drive_closed<C: LoadClient>(lanes: &mut [Lane<C>]) {
+fn drive_closed(lanes: &mut [Lane]) {
     loop {
         let mut live = false;
         let mut progressed = false;
         for lane in lanes.iter_mut() {
-            progressed |= lane.pump();
-            if lane.pending.is_empty() && lane.remaining > 0 {
+            progressed |= lane.client.pump() > 0;
+            if lane.client.outstanding() == 0 && lane.remaining > 0 {
                 lane.submit_next();
                 progressed = true;
             }
-            live |= !lane.pending.is_empty() || lane.remaining > 0;
+            live |= lane.client.outstanding() > 0 || lane.remaining > 0;
         }
         if !live {
             return;
@@ -364,54 +229,45 @@ fn drive_closed<C: LoadClient>(lanes: &mut [Lane<C>]) {
     }
 }
 
-/// Runs a full load session against a freshly started target and returns
-/// the combined report. `observe` is called on the still-running target
+/// Runs a full load session against a freshly started fleet and returns
+/// the combined report. `observe` is called on the still-running fleet
 /// after every client has collected its responses and before the drain —
 /// the point where live telemetry must agree with the final report
 /// (`--scrape` hits the status endpoint from it).
 ///
 /// # Errors
 ///
-/// Propagates target construction failures.
-pub fn run_load<T: LoadTarget>(
-    config: T::Config,
+/// Propagates fleet construction failures.
+pub fn run_load(
+    mut config: FleetConfig,
     load: &LoadConfig,
-    observe: impl FnOnce(&T),
-) -> Result<LoadReport<T::Report>, NnError> {
+    observe: impl FnOnce(&Fleet),
+) -> Result<LoadReport, NnError> {
     let burst = load.pattern == ArrivalPattern::Burst;
-    let target = T::start(config, burst)?;
+    config.base.start_paused |= burst;
+    let fleet = Fleet::start(config)?;
     let schedule = arrival_schedule(
         &load.pattern,
         load.clients,
         load.requests_per_client,
         load.seed,
     );
-    // Clients are registered in index order on this thread, so client
-    // ids and routing keys do not depend on worker interleaving; lanes
-    // are partitioned by index modulo the worker count.
+    // Clients are registered in index order on this thread, so routing
+    // keys do not depend on worker interleaving; lanes are partitioned by
+    // index modulo the worker count.
     let workers = load.workers.clamp(1, load.clients.max(1));
-    let mut partitions: Vec<Vec<Lane<T::Client>>> = (0..workers).map(|_| Vec::new()).collect();
-    for client in 0..load.clients {
-        partitions[client % workers].push(Lane {
-            client: target.client(),
+    let mut partitions: Vec<Vec<Lane>> = (0..workers).map(|_| Vec::new()).collect();
+    for index in 0..load.clients {
+        partitions[index % workers].push(Lane {
+            index,
+            class: load.class_of(index),
+            client: fleet.client(),
             camera: SyntheticCamera::with_limit(
                 load.scene.clone(),
-                load.seed + client as u64,
+                load.seed + index as u64,
                 load.requests_per_client,
             ),
             remaining: load.requests_per_client,
-            pending: VecDeque::new(),
-            outcome: ClientOutcome {
-                client,
-                class: load.class_of(client),
-                submitted: 0,
-                accepted: 0,
-                rejected: 0,
-                completed: 0,
-                in_order: true,
-                detections: 0,
-                shards_used: 0,
-            },
         });
     }
     // Start line for every worker; in burst mode also the line between
@@ -427,7 +283,7 @@ pub fn run_load<T: LoadTarget>(
                 scope.spawn(move || {
                     let mut events: Vec<(Duration, usize)> = Vec::new();
                     for (slot, lane) in lanes.iter().enumerate() {
-                        let row = &schedule[lane.outcome.client];
+                        let row = &schedule[lane.index];
                         events.extend(row.iter().map(|&at| (at, slot)));
                     }
                     events.sort();
@@ -437,27 +293,23 @@ pub fn run_load<T: LoadTarget>(
                         barrier.wait();
                     }
                     drive_closed(&mut lanes);
-                    let outcome = |lane: Lane<T::Client>| ClientOutcome {
-                        shards_used: lane.client.shards_used(),
-                        ..lane.outcome
-                    };
-                    lanes.into_iter().map(outcome).collect::<Vec<_>>()
+                    lanes.into_iter().map(Lane::outcome).collect::<Vec<_>>()
                 })
             })
             .collect();
         barrier.wait();
         if burst {
             barrier.wait();
-            target.resume();
+            fleet.resume_all();
         }
         for join in joins {
             outcomes.extend(join.join().expect("load worker panicked"));
         }
     });
     outcomes.sort_by_key(|o| o.client);
-    observe(&target);
+    observe(&fleet);
     Ok(LoadReport {
         outcomes,
-        target: target.finish(),
+        target: fleet.finish(),
     })
 }

@@ -73,10 +73,6 @@ pub struct ServeReport {
     pub shifts_down: u64,
     /// Ladder promotions taken (clean-streak shifts back toward home).
     pub shifts_up: u64,
-    /// Distinct weight blobs in the shared weights cache.
-    pub weight_entries: u64,
-    /// Cross-variant weight-cache sharing hits at engine build.
-    pub weight_hits: u64,
 }
 
 impl ServeReport {
@@ -133,11 +129,6 @@ impl ServeReport {
     pub fn variants(&self) -> usize {
         self.variant_names.len()
     }
-
-    /// Admissions of one class onto one variant.
-    pub fn variant_requests_for(&self, variant: usize, class: SloClass) -> u64 {
-        self.variant_requests[variant][class.index()]
-    }
 }
 
 fn fraction(busy: Duration, wall: Duration, lanes: usize) -> f64 {
@@ -186,8 +177,6 @@ mod tests {
             active_variant: [0; 3],
             shifts_down: 0,
             shifts_up: 0,
-            weight_entries: 0,
-            weight_hits: 0,
         }
     }
 

@@ -123,10 +123,6 @@ pub(crate) struct MetricsAcc {
     pub shifts_down: u64,
     /// Ladder promotions (shifts back toward the home rungs).
     pub shifts_up: u64,
-    /// Distinct weight blobs in the shared weights cache.
-    pub weight_entries: u64,
-    /// Cross-variant weight-cache sharing hits at engine build.
-    pub weight_hits: u64,
 }
 
 impl MetricsAcc {
@@ -163,8 +159,6 @@ impl MetricsAcc {
             active_variant: homes,
             shifts_down: 0,
             shifts_up: 0,
-            weight_entries: 0,
-            weight_hits: 0,
         }
     }
 
@@ -207,8 +201,6 @@ impl MetricsAcc {
             active_variant: self.active_variant,
             shifts_down: self.shifts_down,
             shifts_up: self.shifts_up,
-            weight_entries: self.weight_entries,
-            weight_hits: self.weight_hits,
         }
     }
 }

@@ -10,19 +10,20 @@
 
 use crate::config::ServeConfig;
 use crate::engine::ServeEngine;
+use crate::json::serve_report_json;
 use crate::metrics::ServeReport;
 use crate::request::{AdmissionError, BackendKind, InferResponse, SloClass};
 use crate::scheduler::SchedState;
-use crate::telemetry::{bind_status, ServeCollector};
-use crate::variants::{Shift, ShiftState, WeightsCache};
+use crate::telemetry::{bind_status, healthz_json, ServeCollector};
+use crate::variants::{Shift, ShiftPolicy, ShiftState};
 use parking_lot::{Condvar, Mutex};
 use std::net::SocketAddr;
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
-use tincy_nn::{NnError, OffloadHealth, OffloadStats};
-use tincy_telemetry::StatusServer;
+use tincy_nn::NnError;
+use tincy_telemetry::{Collect, StatusServer};
 use tincy_trace::{static_label, TraceContext};
 use tincy_video::Image;
 
@@ -49,10 +50,9 @@ impl Inner {
 pub struct InferenceServer {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    /// One health handle per variant's FINN engine, ladder order.
-    finn_healths: Vec<OffloadHealth>,
-    started: Instant,
-    cpu_workers: usize,
+    /// The server's state as anything outside it reads it: its own
+    /// endpoint, or the fleet it is a shard of.
+    pub(crate) collector: Arc<ServeCollector>,
     /// Telemetry endpoint, alive for the server's lifetime when
     /// `status_addr` was configured.
     status: Option<StatusServer>,
@@ -66,11 +66,6 @@ pub struct ClientHandle {
 }
 
 impl ClientHandle {
-    /// This client's id (as reported in responses).
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// Submits one frame under an SLO class. Returns the per-client
     /// sequence number on admission; rejects immediately (never queues
     /// unboundedly) when the server is saturated or draining.
@@ -121,13 +116,6 @@ impl InferenceServer {
     /// Propagates network construction failures.
     pub fn start(config: ServeConfig) -> Result<Self, NnError> {
         let ladder = config.ladder();
-        // Intern every variant's weighted-layer content into the shared
-        // cache: rungs sharing a layer (same spec, position, seed and
-        // activation step — hence bit-identical weights) store it once.
-        let weights = WeightsCache::new();
-        for variant in ladder.variants() {
-            weights.intern_model(&variant.model);
-        }
         let mut finn_engines = Vec::with_capacity(ladder.len());
         let mut finn_healths = Vec::with_capacity(ladder.len());
         for variant in ladder.variants() {
@@ -155,12 +143,18 @@ impl InferenceServer {
             cpu_engines.push(per_variant);
         }
 
-        let mut sched = SchedState::new(&config);
-        sched.metrics.weight_entries = weights.entries();
-        sched.metrics.weight_hits = weights.hits();
         let inner = Arc::new(Inner {
-            state: Mutex::new(sched),
+            state: Mutex::new(SchedState::new(&config)),
             cond: Condvar::new(),
+        });
+        let collector = Arc::new(ServeCollector {
+            inner: Arc::clone(&inner),
+            healths: finn_healths,
+            started: Instant::now(),
+            cpu_workers: config.cpu_workers,
+            buckets: config.latency_buckets.clone(),
+            drift: config.drift.clone(),
+            exemplars: config.exemplars,
         });
         let mut workers = Vec::with_capacity(ladder.len() + config.cpu_workers + 1);
         let max_batch = config.max_batch.max(1);
@@ -199,34 +193,29 @@ impl InferenceServer {
         }
         if multi {
             workers.push(spawn_shift_monitor(
-                Arc::clone(&inner),
-                &config,
+                Arc::clone(&collector),
+                config.shift,
                 ladder.max_offset(),
                 format!("{prefix}serve-shift"),
             ));
         }
-        let started = Instant::now();
         let status = match &config.status_addr {
             Some(addr) => {
-                let collector = Arc::new(ServeCollector {
-                    inner: Arc::clone(&inner),
-                    healths: finn_healths.clone(),
-                    started,
-                    cpu_workers: config.cpu_workers,
-                    buckets: config.latency_buckets.clone(),
-                    drift: config.drift.clone(),
-                    exemplars: config.exemplars,
-                });
-                Some(bind_status(addr, collector).map_err(NnError::Io)?)
+                let (health, report) = (Arc::clone(&collector), Arc::clone(&collector));
+                let bound = bind_status(
+                    addr,
+                    Arc::clone(&collector) as Arc<dyn Collect>,
+                    move || healthz_json(health.degraded()).finish(),
+                    move || serve_report_json(&report.report()),
+                );
+                Some(bound.map_err(NnError::Io)?)
             }
             None => None,
         };
         Ok(Self {
             inner,
             workers,
-            finn_healths,
-            started,
-            cpu_workers: config.cpu_workers,
+            collector,
             status,
         })
     }
@@ -256,12 +245,6 @@ impl InferenceServer {
     /// Current pending-queue depth (across all variants).
     pub fn depth(&self) -> usize {
         self.inner.state.lock().depth()
-    }
-
-    /// Live FINN health handle (of the cheapest rung's engine on a
-    /// multi-variant ladder — the rung tight traffic rides).
-    pub fn finn_health(&self) -> OffloadHealth {
-        self.finn_healths[0].clone()
     }
 
     /// The active ladder rung per SLO class, indexed by
@@ -295,26 +278,8 @@ impl InferenceServer {
         if let Some(mut status) = self.status.take() {
             status.shutdown();
         }
-        let wall = self.started.elapsed();
-        let state = self.inner.state.lock();
-        state
-            .metrics
-            .report(self.cpu_workers, wall, sum_offload(&self.finn_healths))
+        self.collector.report()
     }
-}
-
-/// Sums the offload health counters of every variant's FINN engine.
-pub(crate) fn sum_offload(healths: &[OffloadHealth]) -> OffloadStats {
-    let mut total = OffloadStats::default();
-    for health in healths {
-        let s = health.snapshot();
-        total.forwards += s.forwards;
-        total.faults += s.faults;
-        total.retries += s.retries;
-        total.fallbacks += s.fallbacks;
-        total.degraded += s.degraded;
-    }
-    total
 }
 
 fn spawn_finn_worker(
@@ -438,33 +403,27 @@ fn spawn_cpu_worker(
     })
 }
 
-/// Spawns the ladder shift monitor: at the policy cadence it samples the
-/// drift handle (when configured) and the per-class burn-rate state, and
+/// Spawns the ladder shift monitor: at the policy cadence it takes the
+/// server's degradation verdict (SLO burn or calibration drift) and
 /// feeds the hysteretic [`ShiftState`]. A sustained dirty streak demotes
 /// every class one rung toward the cheap end; a sustained clean streak
 /// promotes back toward the home rungs.
 fn spawn_shift_monitor(
-    inner: Arc<Inner>,
-    config: &ServeConfig,
+    collector: Arc<ServeCollector>,
+    policy: ShiftPolicy,
     max_offset: usize,
     name: String,
 ) -> JoinHandle<()> {
-    let drift = config.drift.clone();
-    let policy = config.shift;
     spawn_named(name, move || {
         let mut shift = ShiftState::new();
         loop {
             {
-                let mut state = inner.state.lock();
+                let alerted = collector.degraded().is_some();
+                let mut state = collector.inner.state.lock();
                 if state.shutdown {
                     return;
                 }
-                let burning = state
-                    .slo_status()
-                    .iter()
-                    .any(|s| s.fast_active || s.slow_active);
-                let drifting = drift.as_ref().is_some_and(|h| h.status().alerted);
-                match shift.observe(&policy, drifting || burning, max_offset) {
+                match shift.observe(&policy, alerted, max_offset) {
                     Some(Shift::Demote { offset }) => {
                         state.apply_shift(offset, true, "demote");
                     }

@@ -1,7 +1,8 @@
 //! Live telemetry for a running server: a [`Collect`] adapter that
 //! snapshots the scheduler's accumulators and the FINN offload health at
-//! scrape time, plus the route table of the `--status-addr` endpoint
-//! (DESIGN.md §8 "Live telemetry").
+//! scrape time, the one degradation verdict everything that reacts to a
+//! server's state shares, and the route table of every `--status-addr`
+//! endpoint — a standalone server's and a fleet's alike (DESIGN.md §8.2).
 //!
 //! The adapter owns no counters of its own — every sample is a
 //! point-in-time view of the same `MetricsAcc` that [`crate::ServeReport`]
@@ -9,14 +10,14 @@
 //! the final report agree by construction.
 
 use crate::drift::DriftHandle;
-use crate::json::serve_report_json;
 use crate::metrics::ServeReport;
 use crate::request::SloClass;
 use crate::server::Inner;
 use std::io;
 use std::sync::Arc;
 use std::time::Instant;
-use tincy_nn::OffloadHealth;
+use tincy_json::JsonObject;
+use tincy_nn::{OffloadHealth, OffloadStats};
 use tincy_perf::StageId;
 use tincy_telemetry::{
     json_text, prometheus_text, Buckets, Collect, Handler, HistogramSnapshot, Registry, Response,
@@ -41,23 +42,40 @@ pub(crate) struct ServeCollector {
 }
 
 impl ServeCollector {
-    /// The live equivalent of [`crate::InferenceServer::finish`]'s report:
-    /// same field mapping (via `MetricsAcc::report`), taken mid-run.
-    pub fn live_report(&self) -> ServeReport {
-        let metrics = self.inner.state.lock().metrics.clone();
-        metrics.report(
-            self.cpu_workers,
-            self.started.elapsed(),
-            crate::server::sum_offload(&self.healths),
-        )
+    /// The health counters of the cheapest rung's FINN engine — the rung
+    /// tight traffic rides, and the one the fleet judges a shard by.
+    pub fn fabric(&self) -> OffloadStats {
+        self.healths[0].snapshot()
     }
-}
 
-impl ServeCollector {
-    /// Evaluates the per-class burn-rate trackers at the current
-    /// injected clock, indexed by [`SloClass::index`].
-    pub fn slo_status(&self) -> [tincy_telemetry::SloStatus; 3] {
-        self.inner.state.lock().slo_status()
+    /// Offload health counters summed over every variant's FINN engine.
+    fn offload(&self) -> OffloadStats {
+        self.healths.iter().map(OffloadHealth::snapshot).sum()
+    }
+
+    /// The report as of now: [`crate::InferenceServer::finish`] returns
+    /// it after the drain, `/report` serves it mid-run.
+    pub fn report(&self) -> ServeReport {
+        let state = self.inner.state.lock();
+        state
+            .metrics
+            .report(self.cpu_workers, self.started.elapsed(), self.offload())
+    }
+
+    /// Why this server should be routed around, if it should: it burns
+    /// error budget faster than its policy allows, or its measured stage
+    /// budget has walked away from the reference. The ladder's shift
+    /// monitor, `/healthz` and the fleet health monitor all act on this
+    /// one verdict.
+    pub fn degraded(&self) -> Option<&'static str> {
+        let slo = self.inner.state.lock().slo_status();
+        if slo.iter().any(|s| s.fast_active || s.slow_active) {
+            Some("slo-burn")
+        } else if self.drift.as_ref().is_some_and(|h| h.status().alerted) {
+            Some("calibration-drift")
+        } else {
+            None
+        }
     }
 }
 
@@ -67,7 +85,7 @@ impl Collect for ServeCollector {
             let mut state = self.inner.state.lock();
             (state.metrics.clone(), state.depth(), state.slo_status())
         };
-        let offload = crate::server::sum_offload(&self.healths);
+        let offload = self.offload();
         let latency_hist = {
             let snap = HistogramSnapshot::from_stats(&m.latency, &self.buckets);
             if self.exemplars {
@@ -235,16 +253,6 @@ impl Collect for ServeCollector {
                 .label("direction", direction),
             );
         }
-        out.push(Sample::new(
-            "tincy_variant_weight_entries",
-            "Distinct weight blobs in the shared weights cache",
-            Value::Gauge(m.weight_entries as f64),
-        ));
-        out.push(Sample::new(
-            "tincy_variant_weight_hits",
-            "Cross-variant weight-cache sharing hits at engine build",
-            Value::Gauge(m.weight_hits as f64),
-        ));
         let reasons = [
             m.rejected_queue_full,
             m.rejected_client_full,
@@ -326,21 +334,6 @@ impl Collect for ServeCollector {
                 );
             }
         }
-        // Flight-recorder drop accounting, only while a trace session is
-        // live: a non-zero value means the stitched timeline is missing
-        // spans from that thread's ring.
-        if let Some(drops) = tincy_trace::thread_drops() {
-            for (thread, dropped) in drops {
-                out.push(
-                    Sample::new(
-                        "tincy_trace_dropped_total",
-                        "Trace events dropped by the flight recorder's per-thread ring",
-                        Value::Counter(dropped),
-                    )
-                    .label("thread", &thread),
-                );
-            }
-        }
         let offload_counters = [
             ("forwards", offload.forwards, "Completed forward passes"),
             ("faults", offload.faults, "Accelerator faults observed"),
@@ -367,12 +360,52 @@ impl Collect for ServeCollector {
     }
 }
 
-/// Binds the status endpoint with the standard route table: `/metrics`
-/// (Prometheus text), `/metrics.json` (same samples as JSON), `/healthz`
-/// and `/report` (the live [`ServeReport`] as JSON).
-pub(crate) fn bind_status(addr: &str, collector: Arc<ServeCollector>) -> io::Result<StatusServer> {
+/// Flight-recorder drop accounting, only while a trace session is live:
+/// a non-zero value means the stitched timeline is missing spans from
+/// that thread's ring. The recorder is process-wide, so an endpoint
+/// carries this once however many shards stand behind it.
+struct TraceDrops;
+
+impl Collect for TraceDrops {
+    fn collect(&self) -> Vec<Sample> {
+        let drops = tincy_trace::thread_drops().unwrap_or_default();
+        let sample = |(thread, dropped): (String, u64)| {
+            Sample::new(
+                "tincy_trace_dropped_total",
+                "Trace events dropped by the flight recorder's per-thread ring",
+                Value::Counter(dropped),
+            )
+            .label("thread", &thread)
+        };
+        drops.into_iter().map(sample).collect()
+    }
+}
+
+/// The `/healthz` body for a degradation verdict. Degradation is advisory
+/// (still HTTP 200): the process keeps serving.
+pub(crate) fn healthz_json(verdict: Option<&'static str>) -> JsonObject {
+    let body = JsonObject::new()
+        .bool("ok", true)
+        .bool("degraded", verdict.is_some());
+    match verdict {
+        Some(reason) => body.str("reason", reason),
+        None => body,
+    }
+}
+
+/// Binds a status endpoint with the one route table: `/metrics`
+/// (Prometheus text of the collector's samples, plus the recorder's drop
+/// counters), `/metrics.json` (the same samples as JSON), `/healthz` and
+/// `/report` (the two JSON bodies the caller renders).
+pub(crate) fn bind_status(
+    addr: &str,
+    collector: Arc<dyn Collect>,
+    healthz: impl Fn() -> String + Send + Sync + 'static,
+    report: impl Fn() -> String + Send + Sync + 'static,
+) -> io::Result<StatusServer> {
     let registry = Arc::new(Registry::new());
-    registry.register(Arc::clone(&collector) as Arc<dyn Collect>);
+    registry.register(collector);
+    registry.register(Arc::new(TraceDrops));
     let prom = Arc::clone(&registry);
     let routes: Vec<(&'static str, Handler)> = vec![
         (
@@ -388,41 +421,13 @@ pub(crate) fn bind_status(addr: &str, collector: Arc<ServeCollector>) -> io::Res
             "/metrics.json",
             Box::new(move || Response::ok("application/json", json_text(&registry.gather()))),
         ),
-        ("/healthz", {
-            let drift = collector.drift.clone();
-            let slo = Arc::clone(&collector);
-            Box::new(move || {
-                // Degradation is advisory (still HTTP 200): the server
-                // keeps serving, but it is burning error budget faster
-                // than its policy allows, or the measured stage budget
-                // has walked away from its reference. The fleet health
-                // monitor treats either as a drain signal.
-                let slo_burning = slo
-                    .slo_status()
-                    .iter()
-                    .any(|s| s.fast_active || s.slow_active);
-                let body = if slo_burning {
-                    "{\"ok\":true,\"degraded\":true,\"reason\":\"slo-burn\"}\n"
-                } else {
-                    match &drift {
-                        Some(handle) if handle.status().alerted => {
-                            "{\"ok\":true,\"degraded\":true,\"reason\":\"calibration-drift\"}\n"
-                        }
-                        Some(_) => "{\"ok\":true,\"degraded\":false}\n",
-                        None => "{\"ok\":true}\n",
-                    }
-                };
-                Response::ok("application/json", body.to_string())
-            })
-        }),
+        (
+            "/healthz",
+            Box::new(move || Response::ok("application/json", healthz() + "\n")),
+        ),
         (
             "/report",
-            Box::new(move || {
-                Response::ok(
-                    "application/json",
-                    serve_report_json(&collector.live_report()),
-                )
-            }),
+            Box::new(move || Response::ok("application/json", report())),
         ),
     ];
     StatusServer::bind(addr, routes)

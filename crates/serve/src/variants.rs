@@ -1,5 +1,4 @@
-//! Multi-variant serving: the variant ladder, shift hysteresis and the
-//! shared weights cache.
+//! Multi-variant serving: the variant ladder and its shift hysteresis.
 //!
 //! One serve process can host several quantization variants of the
 //! detector — typically instantiated from the `tincy explore` Pareto
@@ -9,13 +8,8 @@
 //! one), and a sustained calibration-drift or SLO burn-rate alert shifts
 //! every class *down* the ladder toward the cheap end — restoring rung
 //! by rung after a clean streak. [`ShiftState`] is the hysteresis state
-//! machine that keeps demote/promote from flapping; [`WeightsCache`]
-//! interns per-layer weight-content descriptors so identical layers
-//! shared between variants are stored once.
+//! machine that keeps demote/promote from flapping.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 use tincy_nn::{LayerSpec, ModelSpec};
 
@@ -249,104 +243,6 @@ impl ShiftState {
     }
 }
 
-/// Shared weights cache keyed by layer content hash.
-///
-/// Variants instantiated from the same frontier share most of their
-/// topology; layers whose weight content is identical (same layer spec,
-/// seed and activation step — weights are a deterministic function of
-/// those) are interned once and shared by reference. Hash buckets hold
-/// every distinct content blob that hashed alike and interning compares
-/// full content within the bucket, so a hash collision can never alias
-/// layers from different variants — the collision probe in
-/// `crates/serve/tests/ladder.rs` pins this.
-#[derive(Debug, Default)]
-pub struct WeightsCache {
-    buckets: parking_lot::Mutex<HashMap<u64, Vec<Arc<[u8]>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl WeightsCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns a content blob, returning the shared copy.
-    pub fn intern(&self, content: &[u8]) -> Arc<[u8]> {
-        self.intern_hashed(fnv1a(content), content)
-    }
-
-    /// Interns under an explicit hash — the collision-probe hook: two
-    /// different blobs forced onto the same hash must still come back as
-    /// two distinct allocations.
-    pub fn intern_hashed(&self, hash: u64, content: &[u8]) -> Arc<[u8]> {
-        let mut buckets = self.buckets.lock();
-        let bucket = buckets.entry(hash).or_default();
-        if let Some(found) = bucket.iter().find(|blob| ***blob == *content) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(found);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let blob: Arc<[u8]> = Arc::from(content);
-        bucket.push(Arc::clone(&blob));
-        blob
-    }
-
-    /// Interns every weighted layer of a model, returning one shared
-    /// descriptor per offloadable conv. The descriptor canonically
-    /// identifies the layer's weight content (spec + position + seed +
-    /// activation step), so two variants sharing a layer share one blob.
-    pub fn intern_model(&self, model: &ModelSpec) -> Vec<Arc<[u8]>> {
-        model
-            .network
-            .layers
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| matches!(l, LayerSpec::Conv(c) if c.precision.offloadable()))
-            .map(|(i, layer)| self.intern(layer_content(model, i, layer).as_bytes()))
-            .collect()
-    }
-
-    /// Interns that found an existing entry.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Interns that allocated a new entry (== distinct blobs stored).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Distinct blobs currently stored.
-    pub fn entries(&self) -> u64 {
-        self.buckets.lock().values().map(|b| b.len() as u64).sum()
-    }
-}
-
-/// The canonical weight-content descriptor of one layer: everything the
-/// deterministic weight generator derives the tensor from. Two layers
-/// with equal descriptors have bit-identical weights.
-pub fn layer_content(model: &ModelSpec, index: usize, layer: &LayerSpec) -> String {
-    let input = model.network.input_shape_of(index);
-    format!(
-        "seed={};act_step={};layer_index={index};in={}x{}x{};layer={:?}",
-        model.seed, model.act_step, input.channels, input.height, input.width, layer
-    )
-}
-
-/// FNV-1a over a byte slice — the layer content hash. Small and
-/// deterministic; collision *safety* comes from full-content comparison
-/// inside each bucket, not from the hash.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,43 +333,5 @@ mod tests {
         for _ in 0..8 {
             assert_eq!(state.observe(&policy, false, 2), None);
         }
-    }
-
-    #[test]
-    fn weights_cache_shares_identical_content_only() {
-        let cache = WeightsCache::new();
-        let a = cache.intern(b"layer-a");
-        let b = cache.intern(b"layer-a");
-        let c = cache.intern(b"layer-b");
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.entries(), 2);
-    }
-
-    #[test]
-    fn forced_hash_collision_never_aliases() {
-        let cache = WeightsCache::new();
-        let a = cache.intern_hashed(42, b"variant-one-weights");
-        let b = cache.intern_hashed(42, b"variant-two-weights");
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(&*a, b"variant-one-weights");
-        assert_eq!(&*b, b"variant-two-weights");
-        assert_eq!(cache.entries(), 2);
-    }
-
-    #[test]
-    fn model_interning_shares_layers_across_identical_variants() {
-        let model = SystemConfig::default().model();
-        let cache = WeightsCache::new();
-        let first = cache.intern_model(&model);
-        let second = cache.intern_model(&model);
-        assert!(!first.is_empty());
-        assert_eq!(first.len(), second.len());
-        for (a, b) in first.iter().zip(&second) {
-            assert!(Arc::ptr_eq(a, b));
-        }
-        assert_eq!(cache.entries() as usize, first.len());
     }
 }

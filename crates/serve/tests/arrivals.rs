@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 use tincy_core::SystemConfig;
-use tincy_serve::{arrival_schedule, run_load, ArrivalPattern, Fleet, FleetConfig, LoadConfig};
+use tincy_serve::{arrival_schedule, run_load, ArrivalPattern, FleetConfig, LoadConfig};
 use tincy_video::SceneConfig;
 
 fn diurnal() -> ArrivalPattern {
@@ -67,7 +67,6 @@ fn cli_spelling_parses_to_every_pattern() {
             "uniform:2000",
             ArrivalPattern::Uniform { interval: us(2000) },
         ),
-        ("open:2000", ArrivalPattern::Uniform { interval: us(2000) }),
         (
             "diurnal:5000:200:4",
             ArrivalPattern::Diurnal {
@@ -129,7 +128,7 @@ fn flash_crowd_peak_sheds_instead_of_queueing() {
         workers: 4,
         ..Default::default()
     };
-    let report = run_load::<Fleet>(config, &load, |_| {}).expect("fleet run succeeds");
+    let report = run_load(config, &load, |_| {}).expect("fleet run succeeds");
 
     assert!(
         report.rejected() > 0,

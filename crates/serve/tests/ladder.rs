@@ -1,14 +1,10 @@
 //! Property tests for the variant ladder: ordering is total and
-//! monotone in the accuracy proxy, the shift hysteresis never flaps
-//! under adversarial drift signals, and the shared weights cache never
-//! aliases distinct layer content — even under forced hash collisions.
+//! monotone in the accuracy proxy, and the shift hysteresis never flaps
+//! under adversarial drift signals.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use std::time::Duration;
-use tincy_serve::{
-    ServeConfig, ServeVariant, ShiftPolicy, ShiftState, VariantLadder, WeightsCache,
-};
+use tincy_serve::{ServeConfig, ServeVariant, ShiftPolicy, ShiftState, VariantLadder};
 
 fn variants_from(accuracies: &[f64]) -> Vec<ServeVariant> {
     let model = ServeConfig::default().model_spec();
@@ -140,43 +136,6 @@ proptest! {
                 "an alternating signal must never complete a streak"
             );
             prop_assert_eq!(state.offset(), 0);
-        }
-    }
-
-    /// The weights cache never aliases distinct content: interning two
-    /// different blobs under the SAME hash (a forced collision, far
-    /// beyond what FNV-1a would produce on real layer descriptors)
-    /// still returns each caller its own bytes, while identical content
-    /// is shared.
-    #[test]
-    fn weights_cache_never_aliases_under_forced_collisions(
-        blobs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..64), 2..12),
-        hash in any::<u64>(),
-    ) {
-        let cache = WeightsCache::new();
-        let interned: Vec<Arc<[u8]>> = blobs
-            .iter()
-            .map(|blob| cache.intern_hashed(hash, blob))
-            .collect();
-        for (blob, arc) in blobs.iter().zip(&interned) {
-            prop_assert_eq!(
-                &arc[..], &blob[..],
-                "a collision must never hand back another variant's bytes"
-            );
-        }
-        // Identical content shares one allocation; distinct content gets
-        // its own entry even inside one hash bucket.
-        let mut unique: Vec<&[u8]> = blobs.iter().map(Vec::as_slice).collect();
-        unique.sort_unstable();
-        unique.dedup();
-        prop_assert_eq!(cache.entries(), unique.len() as u64);
-        for blob in &blobs {
-            let again = cache.intern_hashed(hash, blob);
-            let first = blobs.iter().position(|b| b == blob).expect("blob is present");
-            prop_assert!(
-                Arc::ptr_eq(&again, &interned[first]),
-                "identical content must be shared, not duplicated"
-            );
         }
     }
 }

@@ -1,9 +1,7 @@
-//! The load driver's pacing contract, checked on both targets.
+//! The load driver's pacing contract.
 
 use tincy_core::SystemConfig;
-use tincy_serve::{
-    run_load, ArrivalPattern, Fleet, FleetConfig, InferenceServer, LoadConfig, ServeConfig,
-};
+use tincy_serve::{run_load, ArrivalPattern, FleetConfig, LoadConfig, ServeConfig};
 use tincy_video::SceneConfig;
 
 /// A FINN-only server whose fabric invocation (input 64: several
@@ -45,29 +43,13 @@ fn closed_on_one_worker() -> LoadConfig {
 fn closed_loop_keeps_one_request_outstanding_per_client() {
     let load = closed_on_one_worker();
 
-    let server = run_load::<InferenceServer>(finn_only(), &load, |_| {}).expect("server run");
-    assert_eq!(server.completed(), 24);
-    assert!(server.all_in_order());
-    assert!(
-        server.target.batched_invocations() >= 1,
-        "server batch histogram {:?}",
-        server.target.batch_hist
-    );
-
     // One shard, so all four clients meet on the same fabric.
-    let config = FleetConfig {
-        shards: 1,
-        base: finn_only(),
-        ..Default::default()
-    };
-    let fleet = run_load::<Fleet>(config, &load, |_| {}).expect("fleet run");
-    assert_eq!(fleet.completed(), 24);
-    assert!(fleet.all_in_order());
-    let batched: u64 = fleet
-        .target
-        .shards
-        .iter()
-        .map(|s| s.batched_invocations())
-        .sum();
-    assert!(batched >= 1, "no shard formed a micro-batch");
+    let report = run_load(FleetConfig::single(finn_only()), &load, |_| {}).expect("server run");
+    assert_eq!(report.completed(), 24);
+    assert!(report.all_in_order());
+    assert!(
+        report.target.batched_invocations() >= 1,
+        "batch histogram {:?}",
+        report.target.shards[0].batch_hist
+    );
 }

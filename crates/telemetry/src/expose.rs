@@ -357,34 +357,6 @@ fn parse_labels(body: &str) -> Option<Vec<(String, String)>> {
     }
 }
 
-/// Re-emits parsed samples as Prometheus sample lines (no `# HELP` /
-/// `# TYPE` comments — the parser does not retain them). Composed with
-/// [`parse_prometheus`], this is a fixed point: parsing the rendered
-/// text yields the same samples, and rendering those yields the same
-/// text.
-pub fn render_prometheus(samples: &[PromSample]) -> String {
-    let mut out = String::new();
-    for sample in samples {
-        let _ = write!(
-            out,
-            "{}{} {}",
-            sample.name,
-            label_set(&sample.labels, None),
-            fmt_value(sample.value)
-        );
-        if let Some(exemplar) = &sample.exemplar {
-            let mut labels = label_set(&exemplar.labels, None);
-            if labels.is_empty() {
-                // OpenMetrics always braces the exemplar label set.
-                labels.push_str("{}");
-            }
-            let _ = write!(out, " # {labels} {}", fmt_value(exemplar.value));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Structurally validates every native-histogram family in a scrape:
 /// for each `_bucket` series group (same base name and non-`le` labels),
 /// the `le` bounds must be parseable and strictly increasing, the
@@ -634,22 +606,6 @@ mod tests {
             inf.exemplar.as_ref().unwrap().label("trace_id"),
             Some("ffee000000000001")
         );
-
-        // Parse → render stays a fixed point with exemplars attached.
-        let rendered = render_prometheus(&parsed);
-        let reparsed = parse_prometheus(&rendered).unwrap();
-        assert_eq!(parsed, reparsed);
-        assert_eq!(rendered, render_prometheus(&reparsed));
-    }
-
-    #[test]
-    fn render_parse_is_a_fixed_point() {
-        let text = prometheus_text(&sample_set());
-        let parsed = parse_prometheus(&text).unwrap();
-        let rendered = render_prometheus(&parsed);
-        let reparsed = parse_prometheus(&rendered).unwrap();
-        assert_eq!(parsed, reparsed);
-        assert_eq!(rendered, render_prometheus(&reparsed));
     }
 
     #[test]

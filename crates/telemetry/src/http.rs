@@ -669,13 +669,15 @@ fn parse_response_head(head: &str) -> Option<(u16, Vec<(String, String)>)> {
     Some((status, headers))
 }
 
-/// A one-shot HTTP GET against `addr` returning status, headers and body.
+/// A one-shot HTTP GET against `addr` (the scrape client behind `tincy
+/// loadgen --scrape` and the CI smoke job). Returns the status code and
+/// body.
 ///
 /// # Errors
 ///
 /// Propagates connection failures; malformed responses surface as
 /// `InvalidData`.
-pub fn http_get_full(addr: impl ToSocketAddrs, path: &str) -> io::Result<HttpResponse> {
+pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> io::Result<(u16, String)> {
     let addr = addr
         .to_socket_addrs()?
         .next()
@@ -693,26 +695,9 @@ pub fn http_get_full(addr: impl ToSocketAddrs, path: &str) -> io::Result<HttpRes
     let (head, body) = raw
         .split_once("\r\n\r\n")
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing response head"))?;
-    let (status, headers) = parse_response_head(head)
+    let (status, _) = parse_response_head(head)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing status code"))?;
-    Ok(HttpResponse {
-        status,
-        headers,
-        body: body.to_string(),
-    })
-}
-
-/// A one-shot HTTP GET against `addr` (the scrape client behind `tincy
-/// loadgen --scrape` and the CI smoke job). Returns the status code and
-/// body.
-///
-/// # Errors
-///
-/// Propagates connection failures; malformed responses surface as
-/// `InvalidData`.
-pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> io::Result<(u16, String)> {
-    let response = http_get_full(addr, path)?;
-    Ok((response.status, response.body))
+    Ok((status, body.to_string()))
 }
 
 #[cfg(test)]

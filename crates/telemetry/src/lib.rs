@@ -9,9 +9,9 @@
 //!   (the serve scheduler, offload health); histograms expose either
 //!   summary quantiles or native cumulative buckets ([`Buckets`]);
 //! - exposition as Prometheus text ([`prometheus_text`]) and JSON
-//!   ([`json_text`]), with a matching parser ([`parse_prometheus`]), a
-//!   re-emitter ([`render_prometheus`]) and a structural histogram
-//!   validator ([`check_histogram_series`]) for smoke checks;
+//!   ([`json_text`]), with a matching parser ([`parse_prometheus`]) and
+//!   a structural histogram validator ([`check_histogram_series`]) for
+//!   smoke checks;
 //! - a hardened keep-alive HTTP [`StatusServer`] (connection cap with
 //!   503 shedding, header/read deadlines, drain-on-shutdown — see
 //!   [`ServerConfig`]) that serves those expositions on `tincy serve
@@ -29,12 +29,11 @@ mod metrics;
 pub mod slo;
 
 pub use expose::{
-    check_histogram_series, json_text, parse_prometheus, prometheus_text, render_prometheus,
-    PromExemplar, PromSample,
+    check_histogram_series, json_text, parse_prometheus, prometheus_text, PromExemplar, PromSample,
 };
 pub use http::{
-    http_get, http_get_full, Handler, HttpClient, HttpResponse, Parse, Request, RequestParser,
-    Response, ServerConfig, ServerStats, StatusServer,
+    http_get, Handler, HttpClient, HttpResponse, Parse, Request, RequestParser, Response,
+    ServerConfig, ServerStats, StatusServer,
 };
 pub use metrics::{
     Buckets, Collect, Counter, Exemplar, ExemplarStore, Gauge, Histogram, HistogramSnapshot,

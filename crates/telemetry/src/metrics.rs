@@ -94,14 +94,6 @@ impl Default for Buckets {
 }
 
 impl Buckets {
-    /// `count` bounds starting at `start`, spaced `width` apart.
-    pub fn linear(start: f64, width: f64, count: usize) -> Self {
-        assert!(start > 0.0 && width > 0.0, "linear buckets must ascend");
-        Self {
-            bounds: (0..count).map(|i| start + width * i as f64).collect(),
-        }
-    }
-
     /// `count` bounds starting at `start`, each `factor` times the last.
     pub fn exponential(start: f64, factor: f64, count: usize) -> Self {
         assert!(
@@ -474,7 +466,6 @@ mod tests {
 
     #[test]
     fn bucket_constructors_ascend() {
-        assert_eq!(Buckets::linear(0.01, 0.01, 3).bounds(), &[0.01, 0.02, 0.03]);
         let exp = Buckets::exponential(0.001, 2.0, 3);
         assert_eq!(exp.bounds(), &[0.001, 0.002, 0.004]);
         assert!(Buckets::explicit(vec![0.1, 0.1]).is_err());

@@ -6,10 +6,69 @@
 //! demand that render → parse → render is a fixed point.
 
 use proptest::prelude::*;
+use std::time::Duration;
 use tincy_telemetry::{
-    check_histogram_series, parse_prometheus, prometheus_text, render_prometheus, Buckets, Parse,
-    PromExemplar, PromSample, Registry, RequestParser,
+    check_histogram_series, parse_prometheus, prometheus_text, Buckets, ExemplarStore,
+    HistogramSnapshot, Parse, PromExemplar, PromSample, Registry, RequestParser, Sample, Value,
 };
+
+/// The parser's inverse: parsed samples back as sample lines (no
+/// `# HELP` / `# TYPE` — the parser does not retain them), float specials
+/// in their Prometheus spelling, label values escaped. Composed with
+/// [`parse_prometheus`] it is a fixed point: parsing the rendered text
+/// yields the same samples, and rendering those yields the same text.
+fn render_prometheus(samples: &[PromSample]) -> String {
+    let value = |v: f64| match v {
+        f64::INFINITY => "+Inf".to_string(),
+        f64::NEG_INFINITY => "-Inf".to_string(),
+        v => v.to_string(),
+    };
+    let label_set = |labels: &[(String, String)]| {
+        let pair = |(key, raw): &(String, String)| {
+            let raw = raw.replace('\\', "\\\\").replace('"', "\\\"");
+            format!("{key}=\"{}\"", raw.replace('\n', "\\n"))
+        };
+        let pairs: Vec<String> = labels.iter().map(pair).collect();
+        format!("{{{}}}", pairs.join(","))
+    };
+    let line = |sample: &PromSample| {
+        let labels = Some(&sample.labels).filter(|l| !l.is_empty());
+        // OpenMetrics always braces the exemplar label set.
+        let exemplar = sample.exemplar.as_ref().map_or(String::new(), |e| {
+            format!(" # {} {}", label_set(&e.labels), value(e.value))
+        });
+        let labels = labels.map_or(String::new(), |l| label_set(l));
+        format!(
+            "{}{labels} {}{exemplar}\n",
+            sample.name,
+            value(sample.value)
+        )
+    };
+    samples.iter().map(line).collect()
+}
+
+/// What the product renderer emits for a summary and for a histogram
+/// with exemplars on its buckets parses to samples the re-emitter
+/// reproduces exactly (the registry property below covers the rest).
+#[test]
+fn prometheus_text_parse_render_is_a_fixed_point() {
+    let mut stats = tincy_pipeline::DurationStats::new();
+    stats.record(Duration::from_millis(2));
+    stats.record(Duration::from_millis(300));
+    let buckets = Buckets::explicit(vec![0.005, 0.05]).unwrap();
+    let mut store = ExemplarStore::new(&buckets);
+    store.observe(0.002, 0xabcd_ef01_2345_6789);
+    store.observe(0.3, 0xffee_0000_0000_0001);
+    let histogram = HistogramSnapshot::from_stats(&stats, &buckets).with_exemplars(&store);
+    let text = prometheus_text(&[
+        Sample::new("demo_latency_seconds", "latency", Value::Summary(stats)),
+        Sample::new("ex_hist_seconds", "h", Value::Histogram(histogram)),
+    ]);
+    let parsed = parse_prometheus(&text).unwrap();
+    assert!(parsed.iter().any(|s| s.exemplar.is_some()), "{text}");
+    let rendered = render_prometheus(&parsed);
+    assert_eq!(parse_prometheus(&rendered).unwrap(), parsed);
+}
 
 const METHODS: &[&str] = &["GET", "HEAD", "POST"];
 const PATHS: &[&str] = &["/metrics", "/healthz", "/report", "/"];
@@ -302,6 +361,8 @@ proptest! {
             .unwrap_or_else(|e| panic!("exposition failed to parse: {e}\n{text}"));
         check_histogram_series(&parsed)
             .unwrap_or_else(|e| panic!("histogram series invalid: {e}\n{text}"));
+        let reparsed = parse_prometheus(&render_prometheus(&parsed));
+        prop_assert_eq!(reparsed.as_ref(), Ok(&parsed), "re-emitting what parsed is the identity");
         // The counter samples survive with their exact values.
         for (i, &n) in counts.iter().enumerate() {
             let name = format!("tincy_prop_count_{i}");

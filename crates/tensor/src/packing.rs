@@ -180,11 +180,6 @@ impl BitTensor {
     pub fn row_count_ones(&self, r: usize) -> u32 {
         self.row_words(r).iter().map(|w| w.count_ones()).sum()
     }
-
-    /// Memory footprint of the packed representation in bytes.
-    pub fn packed_bytes(&self) -> usize {
-        self.data.len() * 8
-    }
 }
 
 /// A vector of 3-bit unsigned values stored as three bitplanes.
@@ -312,7 +307,8 @@ impl U3Tensor {
     }
 
     /// Memory footprint of the packed representation in bytes.
-    pub fn packed_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn packed_bytes(&self) -> usize {
         self.planes.iter().map(|p| p.len() * 8).sum()
     }
 }
@@ -338,7 +334,6 @@ mod tests {
         let t = BitTensor::zeros(2, 65);
         assert_eq!(t.words_per_row(), 2);
         assert_eq!(t.row_words(1).len(), 2);
-        assert_eq!(t.packed_bytes(), 32);
     }
 
     #[test]

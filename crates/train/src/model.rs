@@ -30,7 +30,7 @@ fn act_of(activation: Activation) -> Act {
 ///
 /// Returns [`TrainError`] if the model contains an `[offload]` section
 /// (train the expanded per-layer topology, not the deployed collapse).
-pub fn train_specs_for(model: &ModelSpec) -> Result<(Shape3, Vec<TrainLayerSpec>), TrainError> {
+fn train_specs_for(model: &ModelSpec) -> Result<(Shape3, Vec<TrainLayerSpec>), TrainError> {
     let convs_offloadable: Vec<bool> = model
         .network
         .layers

@@ -236,21 +236,6 @@ impl TrainNet {
             .collect()
     }
 
-    /// Sets the quantization mode of the layer that *feeds* the hidden
-    /// stack (the first conv): its output activations are discretized so
-    /// the deployed fabric sees exactly the QAT feature map.
-    pub fn quantize_input_activations(&mut self, act_step: f32) {
-        if let Some(TLayer::Conv(c)) = self
-            .layers
-            .iter_mut()
-            .find(|l| matches!(l, TLayer::Conv(_)))
-        {
-            if c.quant == QuantMode::Float {
-                c.quant = QuantMode::A3Only { act_step };
-            }
-        }
-    }
-
     /// Switches the quantization mode of the *hidden* conv layers (all conv
     /// layers except the first and the last) — the paper's quantization
     /// boundary: input and output layers are quantization sensitive and stay

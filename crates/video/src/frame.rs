@@ -15,16 +15,6 @@ impl Image {
         Self { data }
     }
 
-    /// Wraps an existing 3-channel tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor does not have exactly three channels.
-    pub fn from_tensor(data: Tensor<f32>) -> Self {
-        assert_eq!(data.shape().channels, 3, "images must have three channels");
-        Self { data }
-    }
-
     /// Image width in pixels.
     pub fn width(&self) -> usize {
         self.data.shape().width
@@ -178,12 +168,13 @@ mod tests {
         // Odd sizes, up- and down-scaling, and one-pixel sources.
         let mut seed = 0x2545_f491_4f6c_dd1d_u64;
         for (w, h) in [(1, 1), (1, 7), (5, 1), (7, 5), (13, 9), (32, 24)] {
-            let image = Image::from_tensor(Tensor::from_fn(Shape3::new(3, h, w), |_, _, _| {
+            let data = Tensor::from_fn(Shape3::new(3, h, w), |_, _, _| {
                 seed ^= seed << 13;
                 seed ^= seed >> 7;
                 seed ^= seed << 17;
                 (seed >> 40) as f32 / (1u32 << 24) as f32
-            }));
+            });
+            let image = Image { data };
             for (width, height) in [
                 (1, 1),
                 (3, 11),
@@ -217,9 +208,10 @@ mod tests {
 
     #[test]
     fn letterbox_places_the_resized_image_in_gray() {
-        let image = Image::from_tensor(Tensor::from_fn(Shape3::new(3, 5, 9), |c, y, x| {
+        let data = Tensor::from_fn(Shape3::new(3, 5, 9), |c, y, x| {
             (c * 45 + y * 9 + x) as f32 / 135.0
-        }));
+        });
+        let image = Image { data };
         for target in [4, 9, 16, 31] {
             let boxed = image.letterboxed(target);
             let scale = (target as f32 / 9.0).min(target as f32 / 5.0);

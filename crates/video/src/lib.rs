@@ -21,5 +21,5 @@ pub use dataset::{generate_dataset, DatasetConfig, Sample};
 pub use draw::{class_color, draw_box, draw_detections};
 pub use frame::Image;
 pub use scene::{Scene, SceneConfig, SceneObject};
-pub use sink::{NullSink, PpmSink, StatsSink, VideoSink};
+pub use sink::{PpmSink, VideoSink};
 pub use source::SyntheticCamera;

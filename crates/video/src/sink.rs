@@ -10,52 +10,6 @@ pub trait VideoSink: Send {
     fn consume(&mut self, frame: &Image);
 }
 
-/// Discards frames (pure-throughput measurements).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl VideoSink for NullSink {
-    fn consume(&mut self, _frame: &Image) {}
-}
-
-/// Counts frames and accumulates simple statistics.
-#[derive(Debug, Clone, Default)]
-pub struct StatsSink {
-    frames: u64,
-    mean_luma_sum: f64,
-}
-
-impl StatsSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Frames consumed.
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-
-    /// Mean luminance over all consumed frames.
-    pub fn mean_luma(&self) -> f64 {
-        if self.frames == 0 {
-            0.0
-        } else {
-            self.mean_luma_sum / self.frames as f64
-        }
-    }
-}
-
-impl VideoSink for StatsSink {
-    fn consume(&mut self, frame: &Image) {
-        let t = frame.as_tensor();
-        let n = t.len().max(1);
-        let sum: f64 = t.as_slice().iter().map(|&v| v as f64).sum();
-        self.mean_luma_sum += sum / n as f64;
-        self.frames += 1;
-    }
-}
-
 /// Writes every `every`-th frame as a PPM file into a directory.
 #[derive(Debug)]
 pub struct PpmSink {
@@ -105,21 +59,6 @@ impl VideoSink for PpmSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_sink_counts_and_averages() {
-        let mut sink = StatsSink::new();
-        sink.consume(&Image::filled(2, 2, [1.0, 1.0, 1.0]));
-        sink.consume(&Image::filled(2, 2, [0.0, 0.0, 0.0]));
-        assert_eq!(sink.frames(), 2);
-        assert!((sink.mean_luma() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn null_sink_is_sendable_object() {
-        let mut sink: Box<dyn VideoSink> = Box::new(NullSink);
-        sink.consume(&Image::filled(1, 1, [0.0; 3]));
-    }
 
     #[test]
     fn ppm_sink_writes_every_nth() {

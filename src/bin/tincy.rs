@@ -5,9 +5,8 @@
 //! tincy tables              Tables I & II summary
 //! tincy ladder              the §III/§IV speedup ladder
 //! tincy demo                the pipelined live-detection demo
-//! tincy serve               the inference server under a built-in load
+//! tincy serve               the inference server (--shards N: a routed fleet) under a built-in load
 //! tincy loadgen             the client-side view of the same session
-//! tincy fleet               N serve shards behind a router under load
 //! tincy trace-report        profile a captured trace or segment directory
 //! tincy calibrate           measured stage budget from a traced run
 //! tincy explore             design-space sweep and Pareto frontier
@@ -31,15 +30,14 @@ use tincy::perf::{
     StageBudget, StageId,
 };
 use tincy::serve::smoke::{
-    check_fleet_scrape, check_fleet_trace, check_scrape, check_slo_smoke, check_smoke,
-    check_variant_smoke, scrape,
+    check_fleet_trace, check_scrape, check_slo_smoke, check_smoke, check_variant_smoke,
+    scrape as smoke_scrape,
 };
 use tincy::serve::{
-    json, run_load, ArrivalPattern, DriftHandle, DriftMonitor, Fleet, FleetConfig, FleetReport,
-    InferenceServer, LoadConfig, LoadReport, SegmentCalibrator, ServeConfig, ServeReport,
-    ServeVariant, VariantLadder,
+    json, run_load, ArrivalPattern, DriftHandle, DriftMonitor, FleetConfig, LoadConfig, LoadReport,
+    SegmentCalibrator, ServeVariant, VariantLadder,
 };
-use tincy::telemetry::{PromSample, SloPolicy};
+use tincy::telemetry::SloPolicy;
 use tincy::trace::{stitch_segments, DrainConfig, TraceDrainer};
 use tincy::video::SceneConfig;
 
@@ -51,7 +49,6 @@ enum Cmd {
     Demo,
     Serve,
     Loadgen,
-    Fleet,
     TraceReport,
     Calibrate,
     Explore,
@@ -64,11 +61,9 @@ static CMDS: &[(Cmd, &str, &str, usize, &str)] = &[
     (Cmd::Demo, "demo", "[frames [workers [input]]]", 3,
         "the pipelined live-detection demo, optionally under accelerator faults"),
     (Cmd::Serve, "serve", "[requests [clients [input]]]", 3,
-        "the inference server under a deterministic client load: the serving report"),
+        "the server under a deterministic client load; --shards N puts N behind a router"),
     (Cmd::Loadgen, "loadgen", "[requests [clients [input]]]", 3,
         "the same session as `serve`, reported from the clients' side"),
-    (Cmd::Fleet, "fleet", "[clients [requests [input]]]", 3,
-        "N serve shards behind a router; faulted shards are drained and re-admitted"),
     (Cmd::TraceReport, "trace-report", "<trace.json | segments-dir>", 1,
         "span statistics and the stage table of a trace, diffed against Table III"),
     (Cmd::Calibrate, "calibrate", "<trace.json | segments-dir>", 1,
@@ -84,10 +79,7 @@ struct Flag(&'static str, &'static str, &'static [Cmd], &'static str);
 
 const DEMO: &[Cmd] = &[Cmd::Demo];
 const SERVE: &[Cmd] = &[Cmd::Serve, Cmd::Loadgen];
-const FLEET: &[Cmd] = &[Cmd::Fleet];
-const LOAD: &[Cmd] = &[Cmd::Serve, Cmd::Loadgen, Cmd::Fleet];
-const LOCAL: &[Cmd] = &[Cmd::Demo, Cmd::Serve, Cmd::Loadgen];
-const RUN: &[Cmd] = &[Cmd::Demo, Cmd::Serve, Cmd::Loadgen, Cmd::Fleet];
+const RUN: &[Cmd] = &[Cmd::Demo, Cmd::Serve, Cmd::Loadgen];
 const REPORT: &[Cmd] = &[Cmd::TraceReport];
 const BUDGET: &[Cmd] = &[Cmd::TraceReport, Cmd::Calibrate];
 const EXPLORE: &[Cmd] = &[Cmd::Explore];
@@ -98,36 +90,35 @@ const CHECKED: &[Cmd] = &[Cmd::TraceReport, Cmd::Explore];
 #[rustfmt::skip]
 static FLAGS: &[Flag] = &[
     Flag("--frames", "N", DEMO, "frame count (overrides the positional)"),
-    Flag("--fault-shard", "I", FLEET, "shard the following --fault-seed/--outage apply to"),
+    Flag("--fault-shard", "I", SERVE, "shard the following --fault-seed/--outage apply to"),
     Flag("--fault-seed", "N", RUN, "seeded random accelerator faults"),
     Flag("--outage", "START:LEN", RUN, "hard outage over fabric invocations START..START+LEN"),
     Flag("--metrics-json", "PATH", RUN, "write the run's metrics as JSON"),
-    Flag("--trace-out", "PATH", LOCAL, "write a Chrome trace of the run (not with --trace-dir)"),
+    Flag("--trace-out", "PATH", RUN, "write a Chrome trace of the run (not with --trace-dir)"),
     Flag("--trace-dir", "DIR", RUN, "stream rotating trace segments into DIR"),
     Flag("--segment-events", "N", RUN, "events per trace segment (default 512)"),
-    Flag("--mode", "PATTERN", SERVE, "closed | open:GAP_US | burst (default); see fleet --pattern"),
-    Flag("--pattern", "PATTERN", FLEET, "closed | burst | uniform:GAP_US | diurnal:BASE_US:PERIOD_MS:RATIO | flash:BASE_US:AT_MS:WIDTH_MS:FACTOR"),
-    Flag("--workers", "N", FLEET, "load-driver threads the clients are partitioned across"),
-    Flag("--seed", "N", FLEET, "base seed of the cameras and the arrival schedule"),
-    Flag("--shards", "N", FLEET, "serve shards"),
-    Flag("--policy", "NAME", FLEET, "least-loaded | hash"),
-    Flag("--health-every", "MS", FLEET, "health-monitor poll cadence"),
-    Flag("--readmit-streak", "K", FLEET, "clean canary probes that re-admit a drained shard"),
-    Flag("--vnodes", "N", FLEET, "virtual nodes per shard on the hash ring"),
-    Flag("--cpu-workers", "N", LOAD, "host workers (per shard)"),
-    Flag("--max-batch", "N", LOAD, "largest FINN micro-batch"),
-    Flag("--queue", "N", LOAD, "pending-queue bound (per shard)"),
-    Flag("--per-client", "N", LOAD, "outstanding-request quota per client"),
-    Flag("--engage-depth", "N", LOAD, "queue depth at which host workers engage"),
-    Flag("--status-addr", "HOST:PORT", LOAD, "serve /metrics, /metrics.json, /report, /healthz"),
+    Flag("--pattern", "PATTERN", SERVE, "burst (default) | closed | uniform:GAP_US | diurnal:BASE_US:PERIOD_MS:RATIO | flash:BASE_US:AT_MS:WIDTH_MS:FACTOR"),
+    Flag("--workers", "N", SERVE, "load-driver threads the clients are partitioned across"),
+    Flag("--seed", "N", SERVE, "base seed of the cameras and the arrival schedule"),
+    Flag("--shards", "N", SERVE, "serve shards behind the router (default 1)"),
+    Flag("--policy", "NAME", SERVE, "least-loaded | hash"),
+    Flag("--health-every", "MS", SERVE, "health-monitor poll cadence"),
+    Flag("--readmit-streak", "K", SERVE, "clean canary probes that re-admit a drained shard"),
+    Flag("--vnodes", "N", SERVE, "virtual nodes per shard on the hash ring"),
+    Flag("--cpu-workers", "N", SERVE, "host workers (per shard)"),
+    Flag("--max-batch", "N", SERVE, "largest FINN micro-batch"),
+    Flag("--queue", "N", SERVE, "pending-queue bound (per shard)"),
+    Flag("--per-client", "N", SERVE, "outstanding-request quota per client"),
+    Flag("--engage-depth", "N", SERVE, "queue depth at which host workers engage"),
+    Flag("--status-addr", "HOST:PORT", SERVE, "serve /metrics, /metrics.json, /report, /healthz"),
     Flag("--recalibrate-every", "MS", SERVE, "tail --trace-dir into the rolling drift calibrator"),
     Flag("--drift-threshold", "PCT", SERVE, "stage divergence that raises the drift alert (50)"),
     Flag("--variants", "FRONTIER.json", SERVE, "host an `explore --frontier-out` dump as a variant ladder"),
     Flag("--variant-smoke", "", SERVE, "fail unless every rung conserves admissions and completions"),
-    Flag("--smoke", "", LOAD, "fail on loss, reordering, no micro-batch (serve) or no drain + re-admit (fleet)"),
-    Flag("--scrape", "", LOAD, "scrape the status endpoint mid-session and hold it to the final report"),
-    Flag("--slo-smoke", "", FLEET, "fail unless a burn-rate alert fires in the fault and clears after"),
-    Flag("--exemplars", "", FLEET, "attach trace-id exemplars to the latency buckets"),
+    Flag("--smoke", "", SERVE, "fail on loss, reordering, a burst without a micro-batch, a faulted shard without drain + re-admit"),
+    Flag("--scrape", "", SERVE, "scrape the status endpoint mid-session and hold it to the final report"),
+    Flag("--slo-smoke", "", SERVE, "fail unless a burn-rate alert fires in the fault and clears after"),
+    Flag("--exemplars", "", SERVE, "attach trace-id exemplars to the latency buckets"),
     Flag("--check", "", CHECKED, "fail on a malformed trace / a frontier without the paper point"),
     Flag("--by-request", "", REPORT, "group events by trace id and print each request's journey"),
     Flag("--threshold", "PCT", BUDGET, "deviation that flags a stage (trace-report 25, calibrate 1)"),
@@ -250,7 +241,6 @@ fn main() -> ExitCode {
                     Cmd::Demo => cmd_demo(&args),
                     Cmd::Serve => cmd_serve(&args, false),
                     Cmd::Loadgen => cmd_serve(&args, true),
-                    Cmd::Fleet => cmd_fleet(&args),
                     Cmd::TraceReport => cmd_trace_report(&args),
                     Cmd::Calibrate => cmd_calibrate(&args),
                     Cmd::Explore => cmd_explore(&args),
@@ -329,8 +319,8 @@ fn cmd_ladder() -> CliResult {
 
 /// Folds `--fault-seed` / `--outage` occurrences into fault plans, one per
 /// shard: each applies to the shard named by the latest `--fault-shard`
-/// before it (shard 0 without one — the only shard `demo` and `serve`
-/// have). Always yields a plan for shard 0.
+/// before it (shard 0 without one — the only shard `demo` and a plain
+/// `serve` have). Always yields a plan for shard 0.
 fn fault_plans(args: &Args, shards: usize) -> Result<Vec<FaultPlan>, String> {
     let mut plans = vec![FaultPlan::none()];
     let mut shard = 0usize;
@@ -431,41 +421,6 @@ fn write_artifacts(args: &Args, metrics: impl FnOnce() -> String) -> CliResult {
     Ok(())
 }
 
-/// Applies the scheduler flags `serve` and `fleet` share to one server's
-/// (or every shard's) configuration.
-fn tune(args: &Args, config: &mut ServeConfig, input: usize) -> Result<(), String> {
-    args.set("--cpu-workers", &mut config.cpu_workers)?;
-    args.set("--max-batch", &mut config.max_batch)?;
-    args.set("--queue", &mut config.queue_capacity)?;
-    args.set("--per-client", &mut config.per_client_capacity)?;
-    args.set("--engage-depth", &mut config.cpu_engage_depth)?;
-    config.system.input_size = input;
-    config.score_threshold = 0.02;
-    Ok(())
-}
-
-/// Where `--scrape` / `--slo-smoke` find the endpoint: the given
-/// `--status-addr`, or an ephemeral port when a check needs one.
-fn status_addr(args: &Args, needed: bool) -> Option<String> {
-    let given = args.text("--status-addr").map(str::to_owned);
-    given.or_else(|| needed.then(|| "127.0.0.1:0".to_owned()))
-}
-
-/// The `--scrape` passes against a live endpoint, from `run_load`'s
-/// observation point.
-fn observed_scrape(
-    addr: Option<std::net::SocketAddr>,
-    passes: usize,
-) -> Result<Vec<PromSample>, String> {
-    let addr = addr.ok_or("scrape requires --status-addr (the target has no endpoint)")?;
-    let samples = scrape(addr, passes)?;
-    println!(
-        "scrape: {} samples from {addr}, counters monotonic across {passes} keep-alive passes",
-        samples.len()
-    );
-    Ok(samples)
-}
-
 fn cmd_demo(args: &Args) -> CliResult {
     let frames: u64 = match args.get("--frames")? {
         Some(n) => n,
@@ -532,22 +487,65 @@ fn variant_ladder(path: &str, input: usize) -> Result<VariantLadder, String> {
 }
 
 /// Shared implementation of `tincy serve` (server-side view) and
-/// `tincy loadgen` (client-side view).
+/// `tincy loadgen` (client-side view): `--shards` serve shards behind the
+/// router (one by default), a multi-client deterministic load, and the
+/// smoke/scrape assertions.
 fn cmd_serve(args: &Args, client_view: bool) -> CliResult {
-    let (smoke, scrape) = (args.has("--smoke"), args.has("--scrape"));
-    let load = LoadConfig {
+    let (smoke, slo_smoke) = (args.has("--smoke"), args.has("--slo-smoke"));
+    let scrape = args.has("--scrape") || slo_smoke;
+    let mut load = LoadConfig {
         requests_per_client: args.pos(0, "requests", 8)?,
         clients: args.pos(1, "clients", 4)?,
-        pattern: args.get("--mode")?.unwrap_or(ArrivalPattern::Burst),
+        pattern: ArrivalPattern::Burst,
         ..Default::default()
     };
+    args.set("--pattern", &mut load.pattern)?;
+    args.set("--workers", &mut load.workers)?;
+    args.set("--seed", &mut load.seed)?;
     let input: usize = args.pos(2, "input", 64)?;
-    let mut config = ServeConfig::default();
-    tune(args, &mut config, input)?;
-    config.system.fault_plan = fault_plans(args, 1)?[0];
-    config.status_addr = status_addr(args, scrape);
+    let mut config = FleetConfig {
+        shards: 1,
+        ..Default::default()
+    };
+    args.set("--shards", &mut config.shards)?;
+    args.set("--policy", &mut config.policy)?;
+    args.set("--readmit-streak", &mut config.readmit_streak)?;
+    args.set("--vnodes", &mut config.vnodes)?;
+    if let Some(ms) = args.get("--health-every")? {
+        config.health_every = Duration::from_millis(ms);
+    }
+    config.shard_faults = fault_plans(args, config.shards)?;
+    // The given `--status-addr`, or an ephemeral port when a check needs
+    // an endpoint to scrape.
+    let given = args.text("--status-addr").map(str::to_owned);
+    config.status_addr = given.or_else(|| scrape.then(|| "127.0.0.1:0".to_owned()));
+    let faulted = config.shard_faults.iter().any(|plan| !plan.is_empty());
+    let base = &mut config.base;
+    args.set("--cpu-workers", &mut base.cpu_workers)?;
+    args.set("--max-batch", &mut base.max_batch)?;
+    args.set("--queue", &mut base.queue_capacity)?;
+    args.set("--per-client", &mut base.per_client_capacity)?;
+    args.set("--engage-depth", &mut base.cpu_engage_depth)?;
+    base.system.input_size = input;
+    base.score_threshold = 0.02;
+    base.exemplars = args.has("--exemplars");
+    if slo_smoke {
+        // A deliberately twitchy error-budget policy: the injected fault
+        // window must trip the fast burn-rate pair, and post-re-admission
+        // traffic must clear it within the run. The latency/shed budgets
+        // stay loose so the verdict keys on the deterministic
+        // degraded-completion signal, not host scheduling jitter, and the
+        // slow pair's threshold sits above the loose budget's maximum
+        // attainable burn so only the fast windows drive the check.
+        base.slo = SloPolicy {
+            latency_budget: 0.25,
+            shed_budget: 0.25,
+            slow_threshold: 6.0,
+            ..SloPolicy::sensitive()
+        };
+    }
     match args.text("--variants") {
-        Some(path) => config.variants = Some(variant_ladder(path, input)?),
+        Some(path) => base.variants = Some(variant_ladder(path, input)?),
         None if args.has("--variant-smoke") => {
             return Err("--variant-smoke requires --variants (nothing to shift on one rung)".into())
         }
@@ -563,7 +561,7 @@ fn cmd_serve(args: &Args, client_view: bool) -> CliResult {
     let trace = TraceSession::start(args)?;
     let monitor = recalibrate.zip(trace.dir).map(|(period_ms, dir)| {
         let handle = DriftHandle::default();
-        config.drift = Some(handle.clone());
+        base.drift = Some(handle.clone());
         let rolling = RollingConfig {
             threshold: threshold / 100.0,
             ..Default::default()
@@ -573,10 +571,13 @@ fn cmd_serve(args: &Args, client_view: bool) -> CliResult {
             Duration::from_millis(period_ms),
         )
     });
-    let mut scraped = None;
-    let report = run_load(config, &load, |server: &InferenceServer| {
-        if scrape {
-            scraped = Some(observed_scrape(server.status_addr(), 3));
+    let burst = load.pattern == ArrivalPattern::Burst;
+    // From `run_load`'s observation point: every response is collected,
+    // nothing has shut down.
+    let mut scraped = Ok(Vec::new());
+    let report = run_load(config, &load, |fleet| {
+        if let (true, Some(addr)) = (scrape, fleet.status_addr()) {
+            scraped = smoke_scrape(addr, 3);
         }
     })?;
     trace.finish()?;
@@ -614,81 +615,27 @@ fn cmd_serve(args: &Args, client_view: bool) -> CliResult {
     if client_view {
         print_client_view(&report);
     } else {
-        print_server_view(&report.target);
+        print_server_view(&report);
     }
-    write_artifacts(args, || json::serve_report_json(&report.target))?;
-    if let Some(samples) = scraped {
-        println!("{}", check_scrape(&samples?, &report.target)?);
+    write_artifacts(args, || json::report_json(&report.target))?;
+    let samples = scraped?;
+    if scrape {
+        println!(
+            "scrape: {} samples, counters monotonic across 3 keep-alive passes",
+            samples.len()
+        );
+    }
+    if args.has("--scrape") {
+        println!("{}", check_scrape(&samples, &report.target)?);
+    }
+    if slo_smoke {
+        println!("{}", check_slo_smoke(&samples)?);
     }
     if args.has("--variant-smoke") {
         println!("{}", check_variant_smoke(&report)?);
     }
     if smoke {
-        println!("{}", check_smoke(&report, false)?);
-    }
-    Ok(())
-}
-
-/// `tincy fleet`: N in-process shards behind a router, a multi-client
-/// deterministic load, and optional smoke/scrape assertions.
-fn cmd_fleet(args: &Args) -> CliResult {
-    let slo_smoke = args.has("--slo-smoke");
-    let scrape = args.has("--scrape") || slo_smoke;
-    let mut config = FleetConfig::default();
-    args.set("--shards", &mut config.shards)?;
-    args.set("--policy", &mut config.policy)?;
-    args.set("--readmit-streak", &mut config.readmit_streak)?;
-    args.set("--vnodes", &mut config.vnodes)?;
-    if let Some(ms) = args.get("--health-every")? {
-        config.health_every = Duration::from_millis(ms);
-    }
-    config.shard_faults = fault_plans(args, config.shards)?;
-    let mut load = LoadConfig {
-        clients: args.pos(0, "clients", 64)?,
-        requests_per_client: args.pos(1, "requests", 8)?,
-        ..Default::default()
-    };
-    args.set("--pattern", &mut load.pattern)?;
-    args.set("--workers", &mut load.workers)?;
-    args.set("--seed", &mut load.seed)?;
-    tune(args, &mut config.base, args.pos(2, "input", 64)?)?;
-    config.base.exemplars = args.has("--exemplars");
-    if slo_smoke {
-        // A deliberately twitchy error-budget policy: the injected fault
-        // window must trip the fast burn-rate pair, and post-re-admission
-        // traffic must clear it within the run. The latency/shed budgets
-        // stay loose so the verdict keys on the deterministic
-        // degraded-completion signal, not host scheduling jitter, and the
-        // slow pair's threshold sits above the loose budget's maximum
-        // attainable burn so only the fast windows drive the check.
-        config.base.slo = SloPolicy {
-            latency_budget: 0.25,
-            shed_budget: 0.25,
-            slow_threshold: 6.0,
-            ..SloPolicy::sensitive()
-        };
-    }
-    config.status_addr = status_addr(args, scrape);
-    let faulted = config.shard_faults.iter().any(|plan| !plan.is_empty());
-    let trace = TraceSession::start(args)?;
-    let mut scraped = None;
-    let report = run_load(config, &load, |fleet: &Fleet| {
-        if scrape {
-            scraped = Some(observed_scrape(fleet.status_addr(), 2));
-        }
-    })?;
-    trace.finish()?;
-    print_fleet_view(&report);
-    write_artifacts(args, || json::fleet_report_json(&report.target))?;
-    let samples = scraped.transpose()?.unwrap_or_default();
-    if args.has("--scrape") {
-        println!("{}", check_fleet_scrape(&samples, &report.target)?);
-    }
-    if slo_smoke {
-        println!("{}", check_slo_smoke(&samples)?);
-    }
-    if args.has("--smoke") {
-        println!("{}", check_smoke(&report, faulted)?);
+        println!("{}", check_smoke(&report, burst, faulted)?);
         if let Some(dir) = args.text("--trace-dir") {
             let stitched = stitch_segments(Path::new(dir))?;
             println!("{}", check_fleet_trace(&stitched, &report.target)?);
@@ -697,24 +644,12 @@ fn cmd_fleet(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// The latency line the server and fleet views share.
-fn print_latency(stats: &tincy::pipeline::DurationStats, violations: u64) {
-    let qs = stats.quantiles(&[0.50, 0.95, 0.99]);
-    println!(
-        "latency p50/p95/p99: {:.2} / {:.2} / {:.2} ms  ({violations} SLO violations)",
-        qs[0].as_secs_f64() * 1000.0,
-        qs[1].as_secs_f64() * 1000.0,
-        qs[2].as_secs_f64() * 1000.0,
-    );
-}
-
-fn print_fleet_view(report: &LoadReport<FleetReport>) {
+/// The serving report: the fleet as a whole, the router when there is
+/// more than one shard to route between, then every shard's backends.
+fn print_server_view(report: &LoadReport) {
     let f = &report.target;
     println!(
-        "fleet: {} shards ({} policy) served {} / {} accepted ({} shed, {} lost) in {:.1} ms — \
-         {:.1} req/s",
-        f.shards.len(),
-        f.policy.label(),
+        "served {} / {} accepted requests ({} rejected, {} lost) in {:.1} ms — {:.1} req/s",
         f.completed(),
         f.accepted(),
         report.rejected(),
@@ -722,11 +657,60 @@ fn print_fleet_view(report: &LoadReport<FleetReport>) {
         f.wall.as_secs_f64() * 1000.0,
         f.throughput()
     );
+    if f.shards.len() > 1 {
+        println!(
+            "router: {} shards ({} policy) routed {:?}, {} rerouted, {} drains, {} readmits, \
+             {} probes",
+            f.shards.len(),
+            f.policy.label(),
+            f.routed,
+            f.rerouted,
+            f.drains,
+            f.readmits,
+            f.probes
+        );
+    }
+    let qs = f.latency().quantiles(&[0.50, 0.95, 0.99]);
     println!(
-        "router: routed {:?}, {} rerouted, {} drains, {} readmits, {} probes",
-        f.routed, f.rerouted, f.drains, f.readmits, f.probes
+        "latency p50/p95/p99: {:.2} / {:.2} / {:.2} ms  ({} SLO violations)",
+        qs[0].as_secs_f64() * 1000.0,
+        qs[1].as_secs_f64() * 1000.0,
+        qs[2].as_secs_f64() * 1000.0,
+        f.slo_violations()
     );
-    print_latency(&f.latency(), f.slo_violations());
+    for (shard, s) in f.shards.iter().enumerate() {
+        println!(
+            "shard {shard}: finn {} items in {} batches (mean batch {:.2}, histogram {:?}), cpu {} \
+             items — utilization finn {:.1}%, cpu {:.1}%, max queue depth {}",
+            s.finn_items,
+            s.finn_batches,
+            s.mean_batch(),
+            s.batch_hist,
+            s.cpu_items,
+            s.finn_utilization() * 100.0,
+            s.cpu_utilization() * 100.0,
+            s.max_depth
+        );
+        if s.offload.faults > 0 {
+            println!(
+                "shard {shard} offload health: {} faults, {} retries, {} fallbacks, {} degraded",
+                s.offload.faults, s.offload.retries, s.offload.fallbacks, s.offload.degraded
+            );
+        }
+        if s.variants() > 1 {
+            for (i, name) in s.variant_names.iter().enumerate() {
+                println!(
+                    "shard {shard} variant {i} {name}: {:?} admissions by class, {} items, \
+                     {} weight swaps",
+                    s.variant_requests[i], s.variant_items[i], s.weight_swaps[i]
+                );
+            }
+            println!(
+                "shard {shard} variant shifts: {} down, {} up — active rungs by class {:?}",
+                s.shifts_down, s.shifts_up, s.active_variant
+            );
+        }
+    }
     println!(
         "clients: {} all in order: {}, {} detections",
         report.outcomes.len(),
@@ -735,52 +719,7 @@ fn print_fleet_view(report: &LoadReport<FleetReport>) {
     );
 }
 
-fn print_server_view(s: &ServeReport) {
-    println!(
-        "served {} / {} accepted requests ({} rejected) in {:.1} ms — {:.1} req/s",
-        s.completed,
-        s.accepted,
-        s.rejected(),
-        s.wall.as_secs_f64() * 1000.0,
-        s.throughput()
-    );
-    println!(
-        "backends: finn {} items in {} batches (mean batch {:.2}), cpu {} items",
-        s.finn_items,
-        s.finn_batches,
-        s.mean_batch(),
-        s.cpu_items
-    );
-    println!("batch histogram: {:?}  (index = batch size)", s.batch_hist);
-    print_latency(&s.latency, s.slo_violations);
-    println!(
-        "utilization: finn {:.1}%, cpu {:.1}%  max queue depth {}",
-        s.finn_utilization() * 100.0,
-        s.cpu_utilization() * 100.0,
-        s.max_depth
-    );
-    if s.offload.faults > 0 {
-        println!(
-            "offload health: {} faults, {} retries, {} fallbacks, {} degraded",
-            s.offload.faults, s.offload.retries, s.offload.fallbacks, s.offload.degraded
-        );
-    }
-    if s.variants() > 1 {
-        for (i, name) in s.variant_names.iter().enumerate() {
-            println!(
-                "variant {i} {name}: {:?} admissions by class, {} items, {} weight swaps",
-                s.variant_requests[i], s.variant_items[i], s.weight_swaps[i]
-            );
-        }
-        println!(
-            "variant shifts: {} down, {} up — active rungs by class {:?}, \
-             weights cache {} entries / {} shared",
-            s.shifts_down, s.shifts_up, s.active_variant, s.weight_entries, s.weight_hits
-        );
-    }
-}
-
-fn print_client_view(report: &LoadReport<ServeReport>) {
+fn print_client_view(report: &LoadReport) {
     for o in &report.outcomes {
         println!(
             "client {:>2} [{}]: {}/{} accepted, {} completed, in order: {}, {} detections",
@@ -1099,27 +1038,25 @@ mod tests {
         Args::parse(cmd, &words)
     }
 
-    /// The flags each load-running subcommand accepted before the table
-    /// existed, written out from the old hand parsers' `match` arms.
+    /// The flags each load-running subcommand accepts, written out: what
+    /// the old hand parsers' `match` arms took, with `fleet`'s folded
+    /// into `serve` and `--mode` gone in favour of `--pattern`.
     #[test]
     fn each_subcommand_accepts_exactly_its_old_flags() {
         let local = "--fault-seed --outage --metrics-json --trace-out --trace-dir \
                      --segment-events";
         let serve = format!(
             "{local} --status-addr --cpu-workers --max-batch --queue --per-client --engage-depth \
-             --mode --recalibrate-every --drift-threshold --variants --variant-smoke --smoke \
-             --scrape"
+             --recalibrate-every --drift-threshold --variants --variant-smoke --smoke --scrape \
+             --fault-shard --shards --policy --pattern --workers --seed --health-every \
+             --readmit-streak --vnodes --slo-smoke --exemplars"
         );
-        let fleet = "--fault-seed --outage --fault-shard --shards --policy --pattern --workers \
-                     --seed --health-every --readmit-streak --vnodes --cpu-workers --max-batch \
-                     --queue --per-client --engage-depth --status-addr --metrics-json --smoke \
-                     --scrape --slo-smoke --exemplars --trace-dir --segment-events";
         let cases = [
             (Cmd::Demo, format!("{local} --frames")),
             (Cmd::Serve, serve.clone()),
             (Cmd::Loadgen, serve),
-            (Cmd::Fleet, fleet.to_owned()),
         ];
+        assert_eq!(CMDS.len(), 6);
         for (cmd, want) in cases {
             let mut want: Vec<&str> = want.split_whitespace().collect();
             let mut got: Vec<&str> = FLAGS
@@ -1136,7 +1073,11 @@ mod tests {
     #[test]
     fn errors_name_the_offending_flag() {
         let err = |line| parse(Cmd::Serve, line).unwrap_err();
-        assert_eq!(err("8 --shards 2"), "unknown flag --shards");
+        assert_eq!(err("8 --mode closed"), "unknown flag --mode");
+        assert_eq!(
+            parse(Cmd::Demo, "8 --shards 2").unwrap_err(),
+            "unknown flag --shards"
+        );
         assert_eq!(err("--max-batch"), "--max-batch requires N");
         assert_eq!(err("1 2 3 4"), "unexpected argument \"4\"");
         let args = parse(Cmd::Serve, "--max-batch many").unwrap();
@@ -1147,7 +1088,7 @@ mod tests {
     #[test]
     fn values_parse_at_their_own_width() {
         let args = parse(
-            Cmd::Fleet,
+            Cmd::Serve,
             "--seed 18446744073709551615 --readmit-streak 4294967296",
         );
         let args = args.unwrap();
@@ -1160,13 +1101,13 @@ mod tests {
     #[test]
     fn fault_shard_scopes_the_fault_flags_after_it() {
         let line = "--outage 1:2 --fault-shard 2 --fault-seed 9 --outage 3:4 --fault-shard 1";
-        let plans = fault_plans(&parse(Cmd::Fleet, line).unwrap(), 3).unwrap();
+        let plans = fault_plans(&parse(Cmd::Serve, line).unwrap(), 3).unwrap();
         let window = |plan: &FaultPlan| plan.outage.map(|w| (w.start, w.length));
         assert_eq!(plans.len(), 3);
         assert_eq!((plans[0].seed, window(&plans[0])), (0, Some((1, 2))));
         assert!(plans[1].is_empty());
         assert_eq!((plans[2].seed, window(&plans[2])), (9, Some((3, 4))));
-        let err = fault_plans(&parse(Cmd::Fleet, "--fault-shard 3").unwrap(), 3).unwrap_err();
+        let err = fault_plans(&parse(Cmd::Serve, "--fault-shard 3").unwrap(), 3).unwrap_err();
         assert_eq!(err, "--fault-shard 3: the fleet has 3 shards");
     }
 

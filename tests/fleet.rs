@@ -11,18 +11,17 @@
 //!   fabric recovers, all while the load keeps flowing;
 //! * two runs with the same seed produce identical per-client detection
 //!   fingerprints, whichever policy routes them (routing may differ;
-//!   results may not).
-//!
-//! `TINCY_FLEET_CLIENTS` scales the client count up to a full soak.
+//!   results may not), and whether or not a status endpoint is bound
+//!   (the health monitor reads its shards by function call either way).
 
 use std::time::Duration;
 use tincy::core::SystemConfig;
 use tincy::finn::FaultPlan;
 use tincy::serve::smoke::check_smoke;
 use tincy::serve::{
-    run_load, ArrivalPattern, Fleet, FleetConfig, FleetReport, LoadConfig, LoadReport, RoutePolicy,
-    SloClass,
+    run_load, ArrivalPattern, Fleet, FleetConfig, LoadConfig, LoadReport, RoutePolicy, SloClass,
 };
+use tincy::telemetry::{http_get, parse_prometheus};
 use tincy::trace::{exclusive, journeys, stitch_segments, DrainConfig, TraceDrainer};
 use tincy::video::{SceneConfig, SyntheticCamera};
 
@@ -56,12 +55,8 @@ fn faulted_fleet(policy: RoutePolicy) -> FleetConfig {
 }
 
 fn soak_load(seed: u64) -> LoadConfig {
-    let clients = std::env::var("TINCY_FLEET_CLIENTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
     LoadConfig {
-        clients,
+        clients: 6,
         requests_per_client: 12,
         // Paced under fleet capacity so the fault-out rebalances traffic
         // instead of melting the queues.
@@ -82,23 +77,19 @@ fn soak_load(seed: u64) -> LoadConfig {
 /// Runs the soak and holds it to the smoke contract: nothing lost or
 /// duplicated, per-client order across re-routing, and the faulted shard
 /// drained and re-admitted.
-fn soak(policy: RoutePolicy, seed: u64, observe: impl FnOnce(&Fleet)) -> LoadReport<FleetReport> {
-    let report =
-        run_load(faulted_fleet(policy), &soak_load(seed), observe).expect("fleet run succeeds");
-    check_smoke(&report, true).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+fn soak(config: FleetConfig, seed: u64, observe: impl FnOnce(&Fleet)) -> LoadReport {
+    let report = run_load(config, &soak_load(seed), observe).expect("fleet run succeeds");
+    check_smoke(&report, false, true).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     report
 }
 
 #[test]
 fn fault_out_soak_drains_readmits_and_loses_nothing() {
     let _guard = exclusive();
-    let report = soak(RoutePolicy::LeastLoaded, 21, |fleet| {
+    let report = soak(faulted_fleet(RoutePolicy::LeastLoaded), 21, |fleet| {
         assert!(
             fleet.shard_up(FAULTED_SHARD),
-            "the faulted shard was not re-admitted before the load finished \
-             (drains {}, readmits {})",
-            fleet.drains(),
-            fleet.readmits()
+            "the faulted shard was not re-admitted before the load finished"
         );
     });
     let f = &report.target;
@@ -114,11 +105,19 @@ fn fault_out_soak_drains_readmits_and_loses_nothing() {
 #[test]
 fn seeded_soaks_are_deterministic() {
     let _guard = exclusive();
-    let first = soak(RoutePolicy::LeastLoaded, 33, |_| {});
-    let second = soak(RoutePolicy::ConsistentHash, 33, |_| {});
-    // Routing and drain timing vary with the scheduler and the policy;
-    // the delivered results must not — every shard shares the weight
-    // seed and the fabric is bit-exact with the host fallback path.
+    let first = soak(faulted_fleet(RoutePolicy::LeastLoaded), 33, |_| {});
+    let listening = FleetConfig {
+        status_addr: Some("127.0.0.1:0".to_string()),
+        ..faulted_fleet(RoutePolicy::ConsistentHash)
+    };
+    let second = soak(listening, 33, |fleet| {
+        assert!(fleet.status_addr().is_some(), "the endpoint is bound");
+    });
+    // Routing and drain timing vary with the scheduler and the policy,
+    // and the second fleet has an endpoint where the first has none; the
+    // drain verdict and the delivered results must not — every shard
+    // shares the weight seed and the fabric is bit-exact with the host
+    // fallback path.
     assert_eq!(
         first.fingerprint(),
         second.fingerprint(),
@@ -130,7 +129,7 @@ fn seeded_soaks_are_deterministic() {
 #[test]
 fn hash_policy_reroutes_only_the_drained_shards_clients() {
     let _guard = exclusive();
-    let report = soak(RoutePolicy::ConsistentHash, 55, |_| {});
+    let report = soak(faulted_fleet(RoutePolicy::ConsistentHash), 55, |_| {});
     // Consistent hashing keeps clients sticky: only clients whose ring
     // owner was drained should have touched a second shard.
     let spread = report.outcomes.iter().filter(|o| o.shards_used > 1).count();
@@ -163,6 +162,7 @@ fn failed_over_request_spans_both_shards_under_one_trace_id() {
     let mut config = FleetConfig {
         shards: 2,
         policy: RoutePolicy::ConsistentHash,
+        status_addr: Some("127.0.0.1:0".to_string()),
         ..Default::default()
     };
     config.base.system = SystemConfig {
@@ -201,6 +201,25 @@ fn failed_over_request_spans_both_shards_under_one_trace_id() {
     let (submitted, accepted, _, completed) = client.counts();
     assert_eq!((submitted, accepted, completed), (3, 3, 3));
     drop(client);
+
+    // The recorder is one per process, so its drop counters are the
+    // fleet's, once per thread — not each shard's copy of all of them.
+    let addr = fleet.status_addr().expect("fleet endpoint bound");
+    let (_, metrics) = http_get(addr, "/metrics").expect("scrape fleet /metrics");
+    let samples = parse_prometheus(&metrics).expect("exposition parses");
+    let drops: Vec<_> = samples
+        .iter()
+        .filter(|s| s.name == "tincy_trace_dropped_total")
+        .collect();
+    assert!(
+        !drops.is_empty(),
+        "a live session exposes its drop counters"
+    );
+    let mut threads: Vec<_> = drops.iter().map(|s| s.label("thread")).collect();
+    threads.sort_unstable();
+    threads.dedup();
+    assert_eq!(threads.len(), drops.len(), "one series per thread");
+    assert!(drops.iter().all(|s| s.label("shard").is_none()));
     let report = fleet.finish();
     assert_eq!(report.sheds, 0, "no submission may shed in this scenario");
 

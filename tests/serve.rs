@@ -7,8 +7,8 @@ use std::time::Duration;
 use tincy::core::SystemConfig;
 use tincy::finn::FaultPlan;
 use tincy::serve::{
-    run_load, AdmissionError, ArrivalPattern, InferenceServer, LoadConfig, LoadReport, ServeConfig,
-    ServeReport, SloClass,
+    run_load, AdmissionError, ArrivalPattern, FleetConfig, InferenceServer, LoadConfig, LoadReport,
+    ServeConfig, SloClass,
 };
 use tincy::video::{Image, SceneConfig, SyntheticCamera};
 
@@ -49,7 +49,7 @@ fn drive(
     clients: usize,
     requests: u64,
     pattern: ArrivalPattern,
-) -> LoadReport<ServeReport> {
+) -> LoadReport {
     let load = LoadConfig {
         clients,
         requests_per_client: requests,
@@ -57,7 +57,7 @@ fn drive(
         scene: small_scene(),
         ..Default::default()
     };
-    run_load::<InferenceServer>(config, &load, |_| {}).unwrap()
+    run_load(FleetConfig::single(config), &load, |_| {}).unwrap()
 }
 
 #[test]
@@ -95,7 +95,7 @@ fn mixed_slo_classes_all_complete() {
     }
     // Per-class latency distributions were populated.
     for class in SloClass::ALL {
-        assert_eq!(report.target.class(class).count(), 8);
+        assert_eq!(report.target.shards[0].class(class).count(), 8);
     }
 }
 
@@ -160,11 +160,14 @@ fn burst_mode_forms_micro_batches() {
         ArrivalPattern::Burst,
     );
     assert_eq!(report.dropped(), 0);
-    assert_eq!(report.target.finn_items, 12);
-    assert_eq!(report.target.finn_batches, 3, "12 frames in 3 batches of 4");
-    assert_eq!(report.target.batch_hist.get(4), Some(&3));
-    assert!(report.target.batched_invocations() >= 1);
-    assert!(report.target.mean_batch() > 1.0);
+    assert_eq!(report.target.shards[0].finn_items, 12);
+    assert_eq!(
+        report.target.shards[0].finn_batches, 3,
+        "12 frames in 3 batches of 4"
+    );
+    assert_eq!(report.target.shards[0].batch_hist.get(4), Some(&3));
+    assert!(report.target.shards[0].batched_invocations() >= 1);
+    assert!(report.target.shards[0].mean_batch() > 1.0);
 }
 
 #[test]
@@ -231,5 +234,5 @@ fn slo_targets_mark_violations() {
     };
     let report = drive(config, 2, 3, ArrivalPattern::Burst);
     assert_eq!(report.dropped(), 0);
-    assert_eq!(report.target.slo_violations, 6);
+    assert_eq!(report.target.shards[0].slo_violations, 6);
 }

@@ -14,7 +14,7 @@ use tincy::perf::{
     measured_budget, model_diff, pipelined_fps, PipelineModel, StageBudget, StageId,
 };
 use tincy::serve::smoke::{check_scrape, scrape};
-use tincy::serve::{run_load, ArrivalPattern, InferenceServer, LoadConfig, ServeConfig};
+use tincy::serve::{run_load, ArrivalPattern, FleetConfig, LoadConfig, ServeConfig};
 use tincy::trace::{
     exclusive, segment_files, stitch_segments, DrainConfig, Label, Profile, TraceDrainer,
 };
@@ -70,7 +70,7 @@ fn fault_seeded_serve_streams_segments_and_scrape_matches_report() {
     // before shutdown, so the counters it scrapes (two keep-alive passes,
     // monotonic in between) are final and must match the report.
     let mut scraped = None;
-    let report = run_load(config, &load, |server: &InferenceServer| {
+    let report = run_load(FleetConfig::single(config), &load, |server| {
         // By now the rings hold several segments' worth of events, so the
         // drainer's next sweep has to rotate however fast the host served
         // the burst: wait for that file, not for a sweep period. The
@@ -114,7 +114,7 @@ fn fault_seeded_serve_streams_segments_and_scrape_matches_report() {
 
     // Every `serve.finn_batch` span links its member request ids; across
     // the run the links cover exactly the FINN-served items.
-    let serve = &report.target;
+    let serve = &report.target.shards[0];
     let mut linked_items = 0u64;
     for span in spans
         .iter()
@@ -138,7 +138,8 @@ fn fault_seeded_serve_streams_segments_and_scrape_matches_report() {
     );
 
     // (b) the scrape matches the final report, counter for counter.
-    check_scrape(&scraped.expect("observer ran"), serve).expect("scrape matches the report");
+    check_scrape(&scraped.expect("observer ran"), &report.target)
+        .expect("scrape matches the report");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

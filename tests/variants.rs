@@ -11,8 +11,8 @@ use tincy::core::{build_network_for, offload_position, SystemConfig};
 use tincy::explore::DesignPoint;
 use tincy::finn::{AccelReport, FabricBackend, FaultPlan};
 use tincy::serve::{
-    run_load, ArrivalPattern, DriftHandle, DriftStatus, InferenceServer, LoadConfig, ServeConfig,
-    ServeEngine, ServeVariant, ShiftPolicy, SloClass, VariantLadder,
+    run_load, ArrivalPattern, DriftHandle, DriftStatus, FleetConfig, InferenceServer, LoadConfig,
+    ServeConfig, ServeEngine, ServeVariant, ShiftPolicy, SloClass, VariantLadder,
 };
 use tincy::tensor::{Shape3, Tensor};
 use tincy::video::{Image, SceneConfig, SyntheticCamera};
@@ -298,8 +298,8 @@ fn seeded_runs_fingerprint_identically() {
         scene: small_scene(),
         ..Default::default()
     };
-    let run =
-        || run_load::<InferenceServer>(ladder_config(FaultPlan::none()), &load, |_| {}).unwrap();
+    let config = || FleetConfig::single(ladder_config(FaultPlan::none()));
+    let run = || run_load(config(), &load, |_| {}).unwrap();
     let (a, b) = (run(), run());
     assert!(a.all_in_order() && b.all_in_order());
     assert_eq!(a.dropped(), 0);
@@ -307,7 +307,7 @@ fn seeded_runs_fingerprint_identically() {
     assert_eq!(a.detections(), b.detections(), "detection fingerprint");
     assert_eq!(a.fingerprint(), b.fingerprint(), "per-client fingerprints");
     assert_eq!(
-        a.target.variant_requests, b.target.variant_requests,
+        a.target.shards[0].variant_requests, b.target.shards[0].variant_requests,
         "per-variant routing totals"
     );
 }
