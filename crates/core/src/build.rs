@@ -10,7 +10,7 @@ use crate::topology::tincy_yolo_with_input;
 use tincy_finn::{EngineConfig, FabricBackend, FaultPlan, FABRIC_LIBRARY};
 use tincy_nn::{
     BackendRegistry, ConvSpec, FoldSpec, LayerSpec, ModelSpec, Network, NetworkSpec, NnError,
-    OffloadHealth, OffloadSpec, PoolSpec, RetryPolicy,
+    OffloadHealth, OffloadSpec, PoolSpec, RegionLayer, RegionParams, RetryPolicy,
 };
 use tincy_tensor::Shape3;
 
@@ -52,7 +52,7 @@ impl SystemConfig {
     pub fn model(&self) -> ModelSpec {
         ModelSpec {
             act_step: self.act_step,
-            fold: FoldSpec::from(self.engine),
+            fold: self.engine,
             seed: self.seed,
             ..tincy_model(self.input_size)
         }
@@ -105,7 +105,7 @@ pub fn hidden_stack(input_size: usize) -> Vec<(ConvSpec, Option<PoolSpec>)> {
 pub fn fabric_registry_for(model: &ModelSpec, fault_plan: FaultPlan) -> BackendRegistry {
     let mut registry = BackendRegistry::new();
     let hidden = hidden_stack_of(&model.network);
-    let engine = EngineConfig::from(model.fold);
+    let engine = model.fold;
     let act_step = model.act_step;
     registry.register(FABRIC_LIBRARY, move || {
         let mut backend = FabricBackend::new(hidden.clone(), engine, act_step);
@@ -226,9 +226,35 @@ pub fn build_offloaded_network(config: &SystemConfig) -> Result<Network, NnError
     build_network_for(&config.model(), config.fault_plan)
 }
 
+/// Non-maximum-suppression IoU threshold of every detection path (demo
+/// and serving).
+pub const NMS_IOU: f32 = 0.45;
+
+/// The detection decoder a specification ends in: its trailing region
+/// layer over the feature map that layer receives. Offloading never
+/// touches the tail, so a model's full topology and its offloaded
+/// collapse decode alike.
+///
+/// # Errors
+///
+/// Returns [`NnError::InvalidSpec`] if the specification does not end in
+/// a region layer.
+pub fn region_decoder(spec: &NetworkSpec) -> Result<RegionLayer, NnError> {
+    match spec.layers.last() {
+        Some(LayerSpec::Region(r)) => RegionLayer::new(
+            spec.input_shape_of(spec.layers.len() - 1),
+            RegionParams::from(r),
+        ),
+        _ => Err(NnError::InvalidSpec {
+            what: "a detector's specification must end in a region layer".to_owned(),
+        }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tincy_nn::Layer as _;
 
     #[test]
     fn hidden_stack_covers_seven_convs_and_five_pools() {
@@ -311,12 +337,39 @@ mod tests {
             ..Default::default()
         };
         let model = config.model();
-        assert_eq!(EngineConfig::from(model.fold), config.engine);
+        assert_eq!(model.fold, config.engine);
         assert_eq!(model.seed, 9);
         assert_eq!(model.network, tincy_yolo_with_input(32));
         // And the model document survives serialization.
         let back = ModelSpec::from_json(&model.to_json()).unwrap();
         assert_eq!(back, model);
+    }
+
+    #[test]
+    fn leaky_or_linear_hidden_convs_are_an_error_not_a_relu_network() {
+        for activation in [tincy_nn::Activation::Leaky, tincy_nn::Activation::Linear] {
+            let mut model = tincy_model(32);
+            for layer in &mut model.network.layers {
+                match layer {
+                    LayerSpec::Conv(c) if c.precision.offloadable() => c.activation = activation,
+                    _ => {}
+                }
+            }
+            let err = build_network_for(&model, FaultPlan::none()).unwrap_err();
+            assert!(matches!(err, NnError::InvalidSpec { .. }), "{err}");
+        }
+    }
+
+    #[test]
+    fn region_decoder_needs_a_trailing_region_layer() {
+        let mut full = tincy_yolo_with_input(64);
+        for spec in [&full, &offloaded_spec(64)] {
+            let decoder = region_decoder(spec).unwrap();
+            assert_eq!(decoder.input_shape(), Shape3::new(125, 2, 2));
+        }
+        full.layers.pop();
+        let err = region_decoder(&full).unwrap_err();
+        assert!(matches!(err, NnError::InvalidSpec { .. }), "{err}");
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! accelerator. The pipeline is four stages longer than the underlying
 //! network, exactly as in the paper.
 
-use crate::build::{arm_offload_resilience, build_offloaded_network, SystemConfig};
+use crate::build::{
+    arm_offload_resilience, build_network_for, region_decoder, SystemConfig, NMS_IOU,
+};
 use tincy_eval::{nms, Detection};
-use tincy_nn::{LayerSpec, NnError, OffloadStats, RegionLayer, RegionParams};
+use tincy_nn::{NnError, OffloadStats};
 use tincy_pipeline::{FnStage, Pipeline, PipelineMetrics, Stage};
 use tincy_tensor::{Shape3, Tensor};
 use tincy_video::{draw_detections, Image, SceneConfig, SyntheticCamera};
@@ -72,17 +74,9 @@ struct DemoFrame {
 ///
 /// Returns [`NnError`] if the network cannot be assembled.
 pub fn run_demo(config: &DemoConfig) -> Result<DemoReport, NnError> {
-    let net = build_offloaded_network(&config.system)?;
-    let spec = crate::build::offloaded_spec(config.system.input_size);
-    let region_params: RegionParams = match spec.layers.last() {
-        Some(LayerSpec::Region(r)) => RegionParams::from(r),
-        _ => unreachable!("offloaded spec ends in a region layer"),
-    };
-    let grid = config.system.input_size / 32;
-    let decoder = RegionLayer::new(
-        Shape3::new(region_params.expected_channels(), grid, grid),
-        region_params,
-    )?;
+    let model = config.system.model();
+    let net = build_network_for(&model, config.system.fault_plan)?;
+    let decoder = region_decoder(&model.network)?;
 
     let input_size = config.system.input_size;
     let mut camera =
@@ -114,7 +108,7 @@ pub fn run_demo(config: &DemoConfig) -> Result<DemoReport, NnError> {
     stages.push(FnStage::boxed(
         "object boxing",
         move |mut frame: DemoFrame| {
-            frame.detections = nms(decoder.decode(&frame.fmap, score_threshold), 0.45);
+            frame.detections = nms(decoder.decode(&frame.fmap, score_threshold), NMS_IOU);
             frame
         },
     ));

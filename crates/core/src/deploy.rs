@@ -1,458 +1,58 @@
-//! Deployment: from a quantization-aware-trained detector to the simulated
-//! fabric — the offline half of the FINN flow (§II, §III-A/C).
+//! Deployment: from a quantization-aware-trained detector to the network
+//! the product runs — the offline half of the FINN flow (§II, §III-A/C).
 //!
-//! A QAT [`TrainNet`] computes its hidden layers as `±α` binary-weight
-//! convolutions with ReLU and 3-bit output quantization. Deployment folds
-//! each layer into pure integer hardware:
-//!
-//! * the weight signs become the MVTU's packed bitmask,
-//! * `α`, the activation step, the bias and the ReLU+quantizer staircase
-//!   fold into seven per-channel integer thresholds,
-//! * a following max-pool fuses into the engine's in-stream pool unit.
-//!
-//! The quantization-sensitive first and last layers (§III-A) stay on the
-//! CPU in float, exactly as in the paper's system. Because the QAT model
-//! already discretized its hidden feature maps during training, the
-//! deployed accelerator computes the *same function* up to float rounding
-//! at threshold boundaries — verified end to end in `tests/deployment.rs`.
+//! There is one road, the paper's (Fig 3/4): the trained float parameters
+//! stream through `load_weights`, CPU layers keep theirs, and the
+//! `[offload]` backend binarizes its share and folds `α`, the activation
+//! step, the bias and the ReLU + 3-bit staircase into integer thresholds
+//! ([`tincy_finn::FabricBackend`]). Because the QAT model already
+//! discretized its hidden feature maps during training, the deployed
+//! network computes the *same function* up to float rounding at threshold
+//! boundaries — verified end to end, with the refusals and the fault
+//! path, in `tests/deployment.rs`.
 
-use tincy_finn::{
-    max_pool_levels, EngineConfig, FaultInjector, FaultPlan, QnnAccelerator, QnnLayerParams,
-};
-use tincy_nn::{run_with_resilience, NnError, OffloadHealth, RetryPolicy};
-use tincy_quant::{binarize, ThresholdSet, ThresholdsForLayer};
-use tincy_simd::conv_reference;
-use tincy_tensor::{BitTensor, ConvGeom, Mat, PoolGeom, Shape3, Tensor};
-use tincy_train::{Act, ExportedLayer, QuantMode, TrainNet};
+use crate::build::build_network_for;
+use tincy_finn::FaultPlan;
+use tincy_nn::{LayerSpec, ModelSpec, Network, NnError};
+use tincy_train::TrainNet;
 
-/// A CPU-side float convolution (the first/last layers of the system).
-#[derive(Debug, Clone)]
-struct CpuConv {
-    weights: Mat<f32>,
-    bias: Vec<f32>,
-    geom: ConvGeom,
-    act: Act,
-    /// Output quantization step, if the layer feeds the fabric.
-    act_step: Option<f32>,
-}
-
-impl CpuConv {
-    fn from_export(layer: &ExportedLayer) -> Result<Self, NnError> {
-        let ExportedLayer::Conv {
-            weights,
-            bias,
-            in_shape,
-            geom,
-            act,
-            quant,
-            out_shape: _,
-        } = layer
-        else {
-            return Err(NnError::InvalidSpec {
-                what: "expected a convolution at the CPU boundary".to_owned(),
-            });
-        };
-        let cols = geom.dot_length(in_shape.channels);
-        let weights = Mat::from_vec(bias.len(), cols, weights.clone())?;
-        let act_step = match quant {
-            QuantMode::Float => None,
-            QuantMode::A3Only { act_step } => Some(*act_step),
-            QuantMode::W1A3 { .. } | QuantMode::W2A3 { .. } => {
-                return Err(NnError::InvalidSpec {
-                    what: "CPU boundary layers must not be weight-quantized".to_owned(),
-                })
-            }
-        };
-        Ok(Self {
-            weights,
-            bias: bias.clone(),
-            geom: *geom,
-            act: *act,
-            act_step,
-        })
+/// Deploys a trained net as the served [`Network`] of its `model`:
+/// [`build_network_for`] with the trained parameters loaded through the
+/// one weight stream.
+///
+/// Batch normalization is cleared on the way: a [`TrainNet`] carries no
+/// statistics and its trained bias is the whole affine.
+///
+/// # Errors
+///
+/// Returns [`NnError::InvalidSpec`] if `net` is not the model's own
+/// lowering ([`TrainNet::from_model`]) — a float hidden conv or an
+/// unquantized input conv would deploy as a different function — and
+/// propagates network construction failures.
+pub fn deploy(
+    net: &TrainNet,
+    model: &ModelSpec,
+    fault_plan: FaultPlan,
+) -> Result<Network, NnError> {
+    let invalid = |what: String| NnError::InvalidSpec { what };
+    let lowering = TrainNet::from_model(model).map_err(|e| invalid(e.to_string()))?;
+    if (net.input_shape(), net.specs()) != (lowering.input_shape(), lowering.specs()) {
+        return Err(invalid(format!(
+            "the trained net is not the lowering of model {:?}: {:?} vs {:?}",
+            model.name,
+            net.specs(),
+            lowering.specs()
+        )));
     }
-
-    fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
-        let mut out = conv_reference(input, &self.weights, &self.bias, self.geom)?;
-        for v in out.as_mut_slice() {
-            *v = match self.act {
-                Act::Linear => *v,
-                Act::Relu => v.max(0.0),
-                Act::Leaky => {
-                    if *v > 0.0 {
-                        *v
-                    } else {
-                        0.1 * *v
-                    }
-                }
-            };
+    let mut model = model.clone();
+    for layer in &mut model.network.layers {
+        if let LayerSpec::Conv(conv) = layer {
+            conv.batch_normalize = false;
         }
-        Ok(out)
     }
-}
-
-/// The deployed detector: CPU input conv → (CPU pools) → fabric hidden
-/// stack → CPU head conv.
-#[derive(Debug)]
-pub struct DeployedDetector {
-    first: CpuConv,
-    /// Pools between the input conv and the first fabric layer, executed
-    /// on quantized levels on the CPU.
-    prefix_pools: Vec<PoolGeom>,
-    accel: QnnAccelerator,
-    head: CpuConv,
-    act_step: f32,
-    retry: RetryPolicy,
-    health: OffloadHealth,
-}
-
-impl DeployedDetector {
-    /// Compiles a trained network for the fabric.
-    ///
-    /// The network must have the deployment shape the paper's system uses:
-    /// a float (or activation-quantized) input conv, `[W1A3]` hidden convs
-    /// with ReLU (transformation (a) is *required* — leaky slopes do not
-    /// fold into monotone integer thresholds), interleaved pools, and a
-    /// float head conv.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidSpec`] if the network does not have that
-    /// shape.
-    pub fn compile(net: &TrainNet, engine: EngineConfig) -> Result<Self, NnError> {
-        let exported = net.export();
-        let conv_indices: Vec<usize> = exported
-            .iter()
-            .enumerate()
-            .filter_map(|(i, l)| matches!(l, ExportedLayer::Conv { .. }).then_some(i))
-            .collect();
-        if conv_indices.len() < 3 {
-            return Err(NnError::InvalidSpec {
-                what: "deployment needs at least input conv, one hidden conv and a head".to_owned(),
-            });
-        }
-        let first = CpuConv::from_export(&exported[conv_indices[0]])?;
-        let act_step = first.act_step.ok_or_else(|| NnError::InvalidSpec {
-            what: "the input conv must quantize its activations (QuantMode::A3Only) so the \
-                   fabric sees the feature map the QAT model trained on"
-                .to_owned(),
-        })?;
-        let head_index = *conv_indices.last().expect("nonempty");
-        let head = CpuConv::from_export(&exported[head_index])?;
-        if head.act_step.is_some() {
-            return Err(NnError::InvalidSpec {
-                what: "the head conv must stay float".to_owned(),
-            });
-        }
-
-        // Everything between the first conv and the head goes to the
-        // fabric; leading pools run on the CPU over quantized levels.
-        let mut prefix_pools = Vec::new();
-        let mut layers: Vec<QnnLayerParams> = Vec::new();
-        let mut i = conv_indices[0] + 1;
-        while i < head_index {
-            match &exported[i] {
-                ExportedLayer::Pool { geom, .. } => {
-                    if layers.is_empty() {
-                        prefix_pools.push(*geom);
-                    } else {
-                        return Err(NnError::InvalidSpec {
-                            what: "unfused pool between hidden convs (pools must follow a \
-                                   conv directly)"
-                                .to_owned(),
-                        });
-                    }
-                    i += 1;
-                }
-                ExportedLayer::Conv {
-                    weights,
-                    bias,
-                    in_shape,
-                    geom,
-                    act,
-                    quant,
-                    out_shape: _,
-                } => {
-                    let QuantMode::W1A3 {
-                        act_step: layer_step,
-                    } = quant
-                    else {
-                        return Err(NnError::InvalidSpec {
-                            what: format!("hidden conv at index {i} is not [W1A3]"),
-                        });
-                    };
-                    if (layer_step - act_step).abs() > f32::EPSILON {
-                        return Err(NnError::InvalidSpec {
-                            what: "all layers must share one activation step".to_owned(),
-                        });
-                    }
-                    if *act != Act::Relu {
-                        return Err(NnError::InvalidSpec {
-                            what: "hidden layers must use ReLU (transformation (a)); leaky \
-                                   slopes do not fold into integer thresholds"
-                                .to_owned(),
-                        });
-                    }
-                    // Fuse an immediately following pool.
-                    let pool = match exported.get(i + 1) {
-                        Some(ExportedLayer::Pool { geom, .. }) if i + 1 < head_index => {
-                            i += 1;
-                            Some(*geom)
-                        }
-                        _ => None,
-                    };
-                    layers.push(Self::fold_layer(
-                        weights, bias, *in_shape, *geom, act_step, pool,
-                    )?);
-                    i += 1;
-                }
-            }
-        }
-        if layers.is_empty() {
-            return Err(NnError::InvalidSpec {
-                what: "no hidden [W1A3] layers to offload".to_owned(),
-            });
-        }
-        let accel = QnnAccelerator::new(layers, engine)?;
-        Ok(Self {
-            first,
-            prefix_pools,
-            accel,
-            head,
-            act_step,
-            retry: RetryPolicy::default(),
-            health: OffloadHealth::new(),
-        })
-    }
-
-    /// Arms deterministic fault injection on the compiled accelerator
-    /// ([`FaultPlan::none`] disarms it).
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.accel
-            .set_fault_injector((!plan.is_empty()).then(|| FaultInjector::new(plan)));
-    }
-
-    /// Replaces the retry/fallback policy for accelerator faults.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
-    /// A shared handle on the detector's offload health counters.
-    pub fn health(&self) -> OffloadHealth {
-        self.health.clone()
-    }
-
-    /// Folds one trained `[W1A3]` layer into fabric parameters.
-    fn fold_layer(
-        weights: &[f32],
-        bias: &[f32],
-        in_shape: Shape3,
-        geom: ConvGeom,
-        act_step: f32,
-        pool: Option<PoolGeom>,
-    ) -> Result<QnnLayerParams, NnError> {
-        let filters = bias.len();
-        let cols = geom.dot_length(in_shape.channels);
-        // The QAT forward was: y = relu(Σ α·sign(w)·x + b) quantized with
-        // step s, where x = s·level. On integer accumulators acc = Σ
-        // sign(w)·level this is the affine y = (α·s)·acc + b through the
-        // quantizer staircase — exactly ThresholdSet::from_affine's model.
-        let n = weights.len().max(1);
-        let alpha = weights.iter().map(|w| w.abs()).sum::<f32>() / n as f32;
-        let signs = binarize(weights);
-        let packed = BitTensor::from_signs(filters, cols, &signs)?;
-        let thresholds = ThresholdsForLayer::new(
-            bias.iter()
-                .map(|&b| ThresholdSet::from_affine(alpha * act_step, b, act_step, 8))
-                .collect::<Result<Vec<_>, _>>()?,
-        )?;
-        QnnLayerParams::new(in_shape, packed, thresholds, geom, pool)
-    }
-
-    /// The activation quantization step shared across the hidden stack.
-    pub fn act_step(&self) -> f32 {
-        self.act_step
-    }
-
-    /// The compiled accelerator (for timing reports and resource
-    /// estimates).
-    pub fn accelerator(&self) -> &QnnAccelerator {
-        &self.accel
-    }
-
-    /// Runs one image through the deployed system, returning the raw head
-    /// logits (decode with the training crate's [`tincy_train::DetectionLoss`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError`] on a shape mismatch.
-    pub fn forward(&self, image: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
-        // CPU input conv (float) + activation; outputs are multiples of the
-        // step by construction (A3Only QAT), so the level conversion below
-        // is exact.
-        let first_out = self.first.forward(image)?;
-        let step = self.act_step;
-        let mut levels: Tensor<u8> = first_out.map(|v| (v / step).round().clamp(0.0, 7.0) as u8);
-        for pool in &self.prefix_pools {
-            levels = max_pool_levels(&levels, *pool);
-        }
-        // The hidden stack runs under the retry/fallback policy: a faulted
-        // accelerator invocation is retried with bounded backoff and, past
-        // the budget, completed on the bit-exact software reference.
-        let hidden_levels = run_with_resilience(&self.retry, &self.health, |use_reference| {
-            if use_reference {
-                self.accel.reference_run(&levels)
-            } else {
-                self.accel.run(&levels).map(|(out, _report)| out)
-            }
-        })?;
-        let hidden_f32 = hidden_levels.map(|l| l as f32 * step);
-        self.head.forward(&hidden_f32)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tincy_train::{TrainConvSpec, TrainLayerSpec};
-
-    fn qat_specs() -> Vec<TrainLayerSpec> {
-        let step = 0.25;
-        vec![
-            TrainLayerSpec::Conv(TrainConvSpec {
-                filters: 6,
-                size: 3,
-                stride: 2,
-                pad: 1,
-                act: Act::Relu,
-                quant: QuantMode::A3Only { act_step: step },
-            }),
-            TrainLayerSpec::MaxPool { size: 2, stride: 2 },
-            TrainLayerSpec::Conv(TrainConvSpec {
-                filters: 8,
-                size: 3,
-                stride: 1,
-                pad: 1,
-                act: Act::Relu,
-                quant: QuantMode::W1A3 { act_step: step },
-            }),
-            TrainLayerSpec::MaxPool { size: 2, stride: 2 },
-            TrainLayerSpec::Conv(TrainConvSpec {
-                filters: 8,
-                size: 3,
-                stride: 1,
-                pad: 1,
-                act: Act::Relu,
-                quant: QuantMode::W1A3 { act_step: step },
-            }),
-            TrainLayerSpec::Conv(TrainConvSpec {
-                filters: 7,
-                size: 1,
-                stride: 1,
-                pad: 0,
-                act: Act::Linear,
-                quant: QuantMode::Float,
-            }),
-        ]
-    }
-
-    #[test]
-    fn compile_accepts_the_deployment_shape() {
-        let net = TrainNet::new(Shape3::new(3, 32, 32), &qat_specs(), 1).unwrap();
-        let deployed = DeployedDetector::compile(&net, EngineConfig::default()).unwrap();
-        assert_eq!(deployed.accelerator().layers().len(), 2);
-        assert_eq!(deployed.prefix_pools.len(), 1);
-    }
-
-    #[test]
-    fn deployed_matches_qat_forward() {
-        let mut net = TrainNet::new(Shape3::new(3, 32, 32), &qat_specs(), 7).unwrap();
-        let deployed = DeployedDetector::compile(&net, EngineConfig::default()).unwrap();
-        let image = Tensor::from_fn(Shape3::new(3, 32, 32), |c, y, x| {
-            ((c * 13 + y * 5 + x) % 16) as f32 / 16.0
-        });
-        let qat_head = net.forward(&image);
-        let deployed_head = deployed.forward(&image).unwrap();
-        assert_eq!(qat_head.shape(), deployed_head.shape());
-        // Float-vs-integer threshold boundaries can flip an occasional
-        // level; demand near-exact agreement.
-        let diff = qat_head.max_abs_diff(&deployed_head);
-        assert!(
-            diff < 0.35,
-            "deployed head diverges from QAT head by {diff}"
-        );
-        let close = qat_head
-            .as_slice()
-            .iter()
-            .zip(deployed_head.as_slice())
-            .filter(|(a, b)| (*a - *b).abs() < 1e-3)
-            .count();
-        let frac = close as f32 / qat_head.len() as f32;
-        assert!(frac > 0.95, "only {frac:.3} of head values agree");
-    }
-
-    #[test]
-    fn deployed_forward_survives_an_outage_bit_exactly() {
-        let net = TrainNet::new(Shape3::new(3, 32, 32), &qat_specs(), 7).unwrap();
-        let image = Tensor::from_fn(Shape3::new(3, 32, 32), |c, y, x| {
-            ((c * 7 + y * 3 + x) % 16) as f32 / 16.0
-        });
-        let clean = DeployedDetector::compile(&net, EngineConfig::default())
-            .unwrap()
-            .forward(&image)
-            .unwrap();
-
-        let mut faulty = DeployedDetector::compile(&net, EngineConfig::default()).unwrap();
-        faulty.set_fault_plan(FaultPlan::outage(0, 10));
-        faulty.set_retry_policy(RetryPolicy {
-            backoff_base: std::time::Duration::ZERO,
-            ..RetryPolicy::default()
-        });
-        let degraded = faulty.forward(&image).unwrap();
-        assert_eq!(degraded, clean, "CPU fallback output is bit-exact");
-        let stats = faulty.health().snapshot();
-        assert_eq!(stats.fallbacks, 1);
-        assert_eq!(stats.degraded, 1);
-        assert!(stats.faults >= 1);
-
-        // Fail-fast surfaces the fault instead.
-        let mut strict = DeployedDetector::compile(&net, EngineConfig::default()).unwrap();
-        strict.set_fault_plan(FaultPlan::outage(0, 10));
-        strict.set_retry_policy(RetryPolicy::fail_fast());
-        assert!(strict.forward(&image).unwrap_err().is_retryable());
-    }
-
-    #[test]
-    fn compile_rejects_unquantized_input_conv() {
-        let mut specs = qat_specs();
-        if let TrainLayerSpec::Conv(c) = &mut specs[0] {
-            c.quant = QuantMode::Float;
-        }
-        let net = TrainNet::new(Shape3::new(3, 32, 32), &specs, 1).unwrap();
-        assert!(DeployedDetector::compile(&net, EngineConfig::default()).is_err());
-    }
-
-    #[test]
-    fn compile_rejects_leaky_hidden_layers() {
-        let mut specs = qat_specs();
-        if let TrainLayerSpec::Conv(c) = &mut specs[2] {
-            c.act = Act::Leaky;
-        }
-        let net = TrainNet::new(Shape3::new(3, 32, 32), &specs, 1).unwrap();
-        let err = DeployedDetector::compile(&net, EngineConfig::default());
-        assert!(
-            err.is_err(),
-            "leaky hidden layers must be rejected (transformation (a))"
-        );
-    }
-
-    #[test]
-    fn compile_rejects_float_hidden_layers() {
-        let mut specs = qat_specs();
-        if let TrainLayerSpec::Conv(c) = &mut specs[2] {
-            c.quant = QuantMode::Float;
-        }
-        let net = TrainNet::new(Shape3::new(3, 32, 32), &specs, 1).unwrap();
-        assert!(DeployedDetector::compile(&net, EngineConfig::default()).is_err());
-    }
+    let mut network = build_network_for(&model, fault_plan)?;
+    let mut stream = Vec::new();
+    net.save_weights(&mut stream)?;
+    network.load_weights(stream.as_slice())?;
+    Ok(network)
 }

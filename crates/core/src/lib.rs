@@ -11,9 +11,11 @@
 //! * [`demo`] — the end-to-end pipelined demo mode of Fig 5: synthetic
 //!   camera → letterboxing → layers (with the hidden stack on the simulated
 //!   accelerator) → object boxing → frame drawing,
-//! * [`deploy`] — the offline FINN flow: a quantization-aware-trained
-//!   detector folded into fabric parameters (binary weight masks + integer
-//!   thresholds) and executed on the simulated accelerator.
+//! * [`deploy`](mod@deploy) — the offline FINN flow: a
+//!   quantization-aware-trained detector becomes the network [`build`]
+//!   assembles, its trained parameters streamed in through `load_weights`
+//!   (the fabric backend folds its share into binary weight masks +
+//!   integer thresholds on the way).
 
 #![forbid(unsafe_code)]
 
@@ -26,10 +28,10 @@ pub mod variants;
 pub use build::{
     arm_offload_resilience, build_network_for, build_offloaded_network, fabric_registry,
     fabric_registry_for, hidden_stack, hidden_stack_of, offload_position, offloaded_spec,
-    offloaded_spec_of, tincy_model, SystemConfig,
+    offloaded_spec_of, region_decoder, tincy_model, SystemConfig, NMS_IOU,
 };
 pub use demo::{run_demo, DemoConfig, DemoReport};
-pub use deploy::DeployedDetector;
+pub use deploy::deploy;
 pub use topology::{cnv6, mlp4, tincy_yolo, tincy_yolo_with_input, tiny_yolo, VOC_ANCHORS};
 pub use variants::{
     quantize_for_fabric, tiny_yolo_variant_a, tiny_yolo_variant_abc, transform_a, transform_bc,

@@ -3,7 +3,6 @@
 //! resources from the `tincy-finn` bill-of-materials estimator.
 
 use crate::design::{hidden_convs, hidden_offloadable};
-use tincy_finn::engine::EngineConfig;
 use tincy_finn::{model_estimate, ResourceEstimate};
 use tincy_nn::{LayerSpec, ModelSpec, NetworkSpec};
 use tincy_perf::calib;
@@ -164,7 +163,7 @@ pub fn stage_budget(model: &ModelSpec, calib: &Calibration) -> StageBudget {
                 geom: c.geom(),
             })
             .collect();
-        fabric_hidden_ms(&dims, EngineConfig::from(model.fold), AXI_BITS_PER_CYCLE)
+        fabric_hidden_ms(&dims, model.fold, AXI_BITS_PER_CYCLE)
     } else {
         calib::HIDDEN_LAYERS_MS * seg.hidden_ops as f64 / calib.hidden_ops as f64
     };

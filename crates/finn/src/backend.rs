@@ -11,7 +11,8 @@ use crate::accel::{AccelReport, QnnAccelerator, QnnLayerParams};
 use crate::engine::EngineConfig;
 use crate::fault::{FaultInjector, FaultPlan, FaultStats};
 use tincy_nn::{
-    ConvSpec, NnError, OffloadBackend, OffloadConfig, PoolSpec, WeightsReader, WeightsWriter,
+    Activation, ConvSpec, NnError, OffloadBackend, OffloadConfig, PoolSpec, WeightsReader,
+    WeightsWriter,
 };
 use tincy_quant::{binarize, ThresholdSet, ThresholdsForLayer};
 use tincy_tensor::{BitTensor, Shape3, Tensor};
@@ -47,6 +48,19 @@ pub struct FabricBackend {
     /// Fault-injection harness; cloned onto every (re)built accelerator so
     /// its counters and invocation stream survive weight reloads.
     injector: Option<FaultInjector>,
+}
+
+/// The fabric interface's 3-bit quantizer: a float feature map to
+/// activation levels.
+#[inline]
+fn to_levels(input: &Tensor<f32>, step: f32) -> Tensor<u8> {
+    input.map(|v| (v / step).round().clamp(0.0, 7.0) as u8)
+}
+
+/// Activation levels back to the float feature map they stand for.
+#[inline]
+fn from_levels(levels: &Tensor<u8>, step: f32) -> Tensor<f32> {
+    levels.map(|l| l as f32 * step)
 }
 
 impl FabricBackend {
@@ -98,8 +112,10 @@ impl FabricBackend {
         self.act_step
     }
 
-    fn conv_param_count(spec: &ConvSpec, in_channels: usize) -> usize {
-        spec.num_params(in_channels)
+    fn loaded(&self) -> Result<&QnnAccelerator, NnError> {
+        self.accel.as_ref().ok_or(NnError::InvalidSpec {
+            what: "fabric backend used before load_weights".to_owned(),
+        })
     }
 
     /// Deterministic default parameters so a freshly initialized backend is
@@ -223,6 +239,18 @@ impl OffloadBackend for FabricBackend {
                     ),
                 });
             }
+            // Thresholds fold a monotone staircase: ReLU then the 3-bit
+            // quantizer (transformation (a), §III-E). A leaky slope or a
+            // linear pass-through has no such fold.
+            if conv.activation != Activation::Relu {
+                return Err(NnError::InvalidSpec {
+                    what: format!(
+                        "hidden layer activation {:?} does not fold into integer thresholds \
+                         (the fabric computes ReLU)",
+                        conv.activation
+                    ),
+                });
+            }
         }
         let shapes = self.shapes(config.input_shape);
         let produced = *shapes.last().expect("shapes includes the input");
@@ -258,11 +286,8 @@ impl OffloadBackend for FabricBackend {
                     reader.read_f32s(conv.filters)?,
                 )
             } else {
-                (
-                    vec![1.0; conv.filters],
-                    vec![0.0; conv.filters],
-                    vec![1.0; conv.filters],
-                )
+                // Never read: the fold takes the bias as the whole affine.
+                Default::default()
             };
             let weights = reader.read_f32s(conv.filters * conv.size * conv.size * in_channels)?;
             params.push(FloatParams {
@@ -291,48 +316,32 @@ impl OffloadBackend for FabricBackend {
     }
 
     fn forward(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
-        let accel = self.accel.as_ref().ok_or(NnError::InvalidSpec {
-            what: "fabric backend used before load_weights".to_owned(),
-        })?;
         let step = self.act_step;
-        let quantized: Tensor<u8> = input.map(|v| ((v / step).round().clamp(0.0, 7.0)) as u8);
-        let (levels, report) = accel.run(&quantized)?;
+        let (levels, report) = self.loaded()?.run(&to_levels(input, step))?;
         self.last_report = Some(report);
-        Ok(levels.map(|l| l as f32 * step))
+        Ok(from_levels(&levels, step))
     }
 
     /// CPU fallback: the golden software reference, which the hardware path
     /// matches **bit exactly** — so frames completed in degraded mode are
     /// byte-identical to fault-free frames.
     fn forward_reference(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
-        let accel = self.accel.as_ref().ok_or(NnError::InvalidSpec {
-            what: "fabric backend used before load_weights".to_owned(),
-        })?;
         let step = self.act_step;
-        let quantized: Tensor<u8> = input.map(|v| ((v / step).round().clamp(0.0, 7.0)) as u8);
-        let levels = accel.reference_run(&quantized)?;
-        // No hardware report for a host-side pass; leave the last one.
-        Ok(levels.map(|l| l as f32 * step))
+        // No hardware report for a host-side pass; the last one stays.
+        let levels = self.loaded()?.reference_run(&to_levels(input, step))?;
+        Ok(from_levels(&levels, step))
     }
 
     /// Batched offload: one accelerator invocation for the whole
     /// micro-batch, streaming each layer's weights in once — the
     /// amortization the serving layer's batch former exists to exploit.
     fn forward_batch(&mut self, inputs: &[Tensor<f32>]) -> Result<Vec<Tensor<f32>>, NnError> {
-        let accel = self.accel.as_ref().ok_or(NnError::InvalidSpec {
-            what: "fabric backend used before load_weights".to_owned(),
-        })?;
         let step = self.act_step;
-        let quantized: Vec<Tensor<u8>> = inputs
-            .iter()
-            .map(|input| input.map(|v| ((v / step).round().clamp(0.0, 7.0)) as u8))
-            .collect();
+        let accel = self.loaded()?;
+        let quantized: Vec<_> = inputs.iter().map(|i| to_levels(i, step)).collect();
         let (levels, report) = accel.run_batch(&quantized)?;
         self.last_report = Some(report);
-        Ok(levels
-            .into_iter()
-            .map(|t| t.map(|l| l as f32 * step))
-            .collect())
+        Ok(levels.iter().map(|t| from_levels(t, step)).collect())
     }
 
     fn num_params(&self) -> usize {
@@ -343,7 +352,7 @@ impl OffloadBackend for FabricBackend {
         self.hidden
             .iter()
             .enumerate()
-            .map(|(i, (conv, _))| Self::conv_param_count(conv, shapes[i].channels))
+            .map(|(i, (conv, _))| conv.num_params(shapes[i].channels))
             .sum()
     }
 
@@ -355,7 +364,6 @@ impl OffloadBackend for FabricBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tincy_nn::Activation;
     use tincy_quant::PrecisionConfig;
 
     fn hidden_spec() -> Vec<(ConvSpec, Option<PoolSpec>)> {
@@ -441,6 +449,20 @@ mod tests {
         assert!(backend
             .init(&config(Shape3::new(4, 8, 8), Shape3::new(6, 4, 4)))
             .is_err());
+    }
+
+    #[test]
+    fn rejects_hidden_activations_that_do_not_fold_into_thresholds() {
+        for (activation, name) in [(Activation::Leaky, "Leaky"), (Activation::Linear, "Linear")] {
+            let mut hidden = hidden_spec();
+            hidden[1].0.activation = activation;
+            let mut backend = FabricBackend::new(hidden, EngineConfig::default(), 0.125);
+            let err = backend
+                .init(&config(Shape3::new(4, 8, 8), Shape3::new(6, 4, 4)))
+                .unwrap_err();
+            assert!(matches!(err, NnError::InvalidSpec { .. }), "{err}");
+            assert!(err.to_string().contains(name), "{err}");
+        }
     }
 
     #[test]

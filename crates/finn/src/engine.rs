@@ -17,48 +17,11 @@ use tincy_tensor::{Shape3, Tensor};
 
 pub use tincy_kernels::max_pool_levels;
 
-/// Engine folding and clocking configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Output-channel parallelism of the MVTU.
-    pub pe: usize,
-    /// Dot-element parallelism of the MVTU.
-    pub simd: usize,
-    /// Fabric clock in Hz.
-    pub clock_hz: u64,
-    /// Pipeline fill/drain overhead per layer invocation, in cycles.
-    pub pipeline_latency: u64,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        // 16x16 at 300 MHz: 256 binary MACs/cycle, the operating point that
-        // reproduces the paper's 30 ms hidden-layer budget.
-        Self::from(tincy_nn::FoldSpec::SHIPPED)
-    }
-}
-
-impl From<tincy_nn::FoldSpec> for EngineConfig {
-    fn from(fold: tincy_nn::FoldSpec) -> Self {
-        Self {
-            pe: fold.pe,
-            simd: fold.simd,
-            clock_hz: fold.clock_hz,
-            pipeline_latency: fold.pipeline_latency,
-        }
-    }
-}
-
-impl From<EngineConfig> for tincy_nn::FoldSpec {
-    fn from(config: EngineConfig) -> Self {
-        Self {
-            pe: config.pe,
-            simd: config.simd,
-            clock_hz: config.clock_hz,
-            pipeline_latency: config.pipeline_latency,
-        }
-    }
-}
+/// Engine folding and clocking configuration: the model document's
+/// [`tincy_nn::FoldSpec`] itself. Its default is the shipped 16x16 at
+/// 300 MHz — 256 binary MACs/cycle, the operating point that reproduces
+/// the paper's 30 ms hidden-layer budget.
+pub type EngineConfig = tincy_nn::FoldSpec;
 
 /// One generalized conv(+pool) engine instance.
 #[derive(Debug, Clone)]

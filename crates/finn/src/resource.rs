@@ -5,7 +5,6 @@
 //! logic), its weight storage comes from BRAM, and a fixed overhead covers
 //! the sliding-window unit, stream infrastructure and control.
 
-use crate::engine::EngineConfig;
 use std::ops::Add;
 use tincy_nn::{LayerSpec, ModelSpec};
 
@@ -90,8 +89,7 @@ pub fn model_estimate(model: &ModelSpec) -> ResourceEstimate {
     if max_weight_bits == 0 {
         return ResourceEstimate::default();
     }
-    let config = EngineConfig::from(model.fold);
-    ResourceEstimate::conv_engine(config.pe, config.simd, max_weight_bits, max_levels)
+    ResourceEstimate::conv_engine(model.fold.pe, model.fold.simd, max_weight_bits, max_levels)
 }
 
 #[cfg(test)]

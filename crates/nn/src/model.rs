@@ -16,8 +16,8 @@ use tincy_json::{parse, JsonArray, JsonObject, JsonValue};
 use tincy_quant::PrecisionConfig;
 use tincy_tensor::Shape3;
 
-/// MVTU folding and clocking, as pure data (the serializable face of
-/// `tincy_finn::EngineConfig`).
+/// MVTU folding and clocking, as pure data (`tincy_finn::EngineConfig`
+/// is this type).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FoldSpec {
     /// Output-channel parallelism of the MVTU.
@@ -64,7 +64,11 @@ pub struct ModelSpec {
     pub fold: FoldSpec,
     /// Activation quantization step for the fabric interface.
     pub act_step: f32,
-    /// Weight initialization seed.
+    /// Weight initialization seed of the CPU layers (and of a trainable
+    /// lowering). It does **not** pick the hidden stack's initial weights:
+    /// the fabric backend keys those on the offload segment's input volume
+    /// alone, so two seeds of one topology serve the same hidden weights
+    /// until `load_weights` replaces them.
     pub seed: u64,
 }
 

@@ -6,15 +6,15 @@
 //! bit-exactness with the software reference path makes FINN and CPU
 //! results interchangeable.
 
-use tincy_core::{arm_offload_resilience, build_network_for, offload_position, SystemConfig};
+use tincy_core::{
+    arm_offload_resilience, build_network_for, offload_position, region_decoder, SystemConfig,
+    NMS_IOU,
+};
 use tincy_eval::{nms, Detection};
 use tincy_finn::FaultPlan;
-use tincy_nn::{Layer, LayerSpec, ModelSpec, NnError, OffloadHealth, RegionLayer, RegionParams};
+use tincy_nn::{Layer, ModelSpec, NnError, OffloadHealth, RegionLayer};
 use tincy_tensor::Tensor;
 use tincy_video::Image;
-
-/// Non-maximum-suppression IoU threshold (matches the demo path).
-const NMS_IOU: f32 = 0.45;
 
 /// One runnable copy of the offloaded detector, split into CPU prologue /
 /// offload segment / CPU epilogue.
@@ -61,7 +61,23 @@ impl ServeEngine {
         system: &SystemConfig,
         score_threshold: f32,
     ) -> Result<Self, NnError> {
-        Self::build(model, system, score_threshold)
+        let net = build_network_for(model, system.fault_plan)?;
+        let decoder = region_decoder(&model.network)?;
+        let mut layers = net.into_layers();
+        let health =
+            arm_offload_resilience(&mut layers, system).ok_or_else(|| NnError::InvalidSpec {
+                what: "served models must contain an offloadable hidden stack".to_owned(),
+            })?;
+        let offload_idx =
+            offload_position(&mut layers).expect("arm_offload_resilience found an offload layer");
+        Ok(Self {
+            layers,
+            offload_idx,
+            decoder,
+            health,
+            input_size: model.network.input.height,
+            score_threshold,
+        })
     }
 
     /// [`Self::cpu`] for an explicit design point (fault-free, like
@@ -79,40 +95,7 @@ impl ServeEngine {
             fault_plan: FaultPlan::none(),
             ..*system
         };
-        Self::build(model, &host_system, score_threshold)
-    }
-
-    fn build(
-        model: &ModelSpec,
-        system: &SystemConfig,
-        score_threshold: f32,
-    ) -> Result<Self, NnError> {
-        let net = build_network_for(model, system.fault_plan)?;
-        let spec = tincy_core::offloaded_spec_of(model);
-        let region_params: RegionParams = match spec.layers.last() {
-            Some(LayerSpec::Region(r)) => RegionParams::from(r),
-            _ => {
-                return Err(NnError::InvalidSpec {
-                    what: "served models must end in a region layer".to_owned(),
-                })
-            }
-        };
-        let decoder = RegionLayer::new(spec.input_shape_of(spec.layers.len() - 1), region_params)?;
-        let mut layers = net.into_layers();
-        let health =
-            arm_offload_resilience(&mut layers, system).ok_or_else(|| NnError::InvalidSpec {
-                what: "served models must contain an offloadable hidden stack".to_owned(),
-            })?;
-        let offload_idx =
-            offload_position(&mut layers).expect("arm_offload_resilience found an offload layer");
-        Ok(Self {
-            layers,
-            offload_idx,
-            decoder,
-            health,
-            input_size: model.network.input.height,
-            score_threshold,
-        })
+        Self::finn_for_model(model, &host_system, score_threshold)
     }
 
     /// Offload health handle (faults/retries/fallbacks/degradation).

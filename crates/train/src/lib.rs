@@ -31,6 +31,6 @@ pub mod trainer;
 
 pub use layers::{Act, QuantMode, TrainConvSpec, TrainLayerSpec};
 pub use loss::{DetectionLoss, LossParts};
-pub use net::{ExportedLayer, TrainError, TrainNet};
+pub use net::{TrainError, TrainNet};
 pub use sgd::Sgd;
 pub use trainer::{evaluate_map, train, TrainConfig, TrainReport};

@@ -1,41 +1,12 @@
 //! The trainable network container.
 
-use crate::layers::{Act, ConvT, PoolT, QuantMode, TrainLayerSpec};
+use crate::layers::{ConvT, PoolT, QuantMode, TrainLayerSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
-use tincy_tensor::{ConvGeom, PoolGeom, Shape3, Tensor};
-
-/// One trained layer's parameters, exported for deployment.
-#[derive(Debug, Clone)]
-pub enum ExportedLayer {
-    /// A convolution with its trained parameters.
-    Conv {
-        /// Row-major `filters × K²·C` weights.
-        weights: Vec<f32>,
-        /// Per-filter bias.
-        bias: Vec<f32>,
-        /// Input feature-map shape.
-        in_shape: Shape3,
-        /// Output feature-map shape.
-        out_shape: Shape3,
-        /// Convolution geometry.
-        geom: ConvGeom,
-        /// Activation function.
-        act: Act,
-        /// Quantization mode the layer was trained with.
-        quant: QuantMode,
-    },
-    /// A max-pooling layer.
-    Pool {
-        /// Input feature-map shape.
-        in_shape: Shape3,
-        /// Output feature-map shape.
-        out_shape: Shape3,
-        /// Pooling geometry.
-        geom: PoolGeom,
-    },
-}
+use std::io::Write;
+use tincy_nn::{NnError, WeightsWriter};
+use tincy_tensor::{Shape3, Tensor};
 
 /// Training-time errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -212,28 +183,28 @@ impl TrainNet {
         n
     }
 
-    /// Exports the trained parameters layer by layer for deployment (the
-    /// FINN offline flow consumes this to build the fabric configuration).
-    pub fn export(&self) -> Vec<ExportedLayer> {
-        self.layers
-            .iter()
-            .map(|layer| match layer {
-                TLayer::Conv(c) => ExportedLayer::Conv {
-                    weights: c.w.clone(),
-                    bias: c.b.clone(),
-                    in_shape: c.in_shape,
-                    out_shape: c.out_shape,
-                    geom: c.geom,
-                    act: c.act,
-                    quant: c.quant,
-                },
-                TLayer::Pool(p) => ExportedLayer::Pool {
-                    in_shape: p.in_shape,
-                    out_shape: p.out_shape,
-                    geom: p.geom,
-                },
-            })
-            .collect()
+    /// Streams the trained parameters as a `TNCY` weight file: the header,
+    /// then per conv `bias, weights` in layer order — what
+    /// `tincy_nn::Network::load_weights` feeds a network of the same
+    /// topology without batch normalization (a `TrainNet` has none; the
+    /// trained bias is the whole affine), CPU layers and `[offload]`
+    /// backend alike.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::Io`] on sink failure.
+    pub fn save_weights<W: Write>(&self, mut sink: W) -> Result<(), NnError> {
+        let convs = self.layers.iter().filter_map(|l| match l {
+            TLayer::Conv(c) => Some(c),
+            TLayer::Pool(_) => None,
+        });
+        let mut writer = WeightsWriter::new(&mut sink);
+        writer.write_header(convs.clone().map(|c| (c.b.len() + c.w.len()) as u64).sum())?;
+        for conv in convs {
+            writer.write_f32s(&conv.b)?;
+            writer.write_f32s(&conv.w)?;
+        }
+        Ok(())
     }
 
     /// Switches the quantization mode of the *hidden* conv layers (all conv

@@ -1,56 +1,61 @@
-//! The full paper pipeline in one program: train a detector with
-//! quantization-aware retraining, fold it into fabric parameters (binary
-//! weight masks + integer thresholds), deploy it onto the simulated FINN
-//! accelerator, and verify that the deployed system detects as well as the
-//! QAT model — with the accelerator's cycle report and resource estimate
-//! on the side.
+//! The full paper pipeline in one program: describe a detector once as a
+//! `ModelSpec`, train its lowering with quantization-aware retraining,
+//! deploy it — the trained parameters stream through `load_weights` into
+//! the network the product runs, where the fabric backend folds its share
+//! into binary weight masks + integer thresholds — and verify that the
+//! deployed system detects as well as the QAT model, with the
+//! accelerator's resource estimate on the side. Exits non-zero if the
+//! fold does not preserve the trained function.
 //!
 //! ```text
 //! cargo run --release --example train_and_deploy
 //! ```
 
-use tincy::core::DeployedDetector;
+use tincy::core::deploy;
 use tincy::eval::{mean_average_precision, nms, ApMethod};
-use tincy::finn::{EngineConfig, FpgaDevice};
+use tincy::finn::{FabricBackend, FaultPlan, FpgaDevice};
+use tincy::nn::Activation::{Linear, Relu};
+use tincy::nn::{ConvSpec, FoldSpec, LayerSpec, ModelSpec, NetworkSpec, PoolSpec};
+use tincy::quant::PrecisionConfig;
 use tincy::tensor::Shape3;
-use tincy::train::{
-    evaluate_map, train, Act, DetectionLoss, QuantMode, TrainConfig, TrainConvSpec, TrainLayerSpec,
-    TrainNet,
-};
+use tincy::train::{evaluate_map, train, DetectionLoss, TrainConfig, TrainNet};
 use tincy::video::{generate_dataset, DatasetConfig, SceneConfig};
 
 const CLASSES: usize = 2;
-const STEP: f32 = 0.25;
+/// Largest tolerated |QAT − deployed| held-out mAP, in points.
+const MAX_MAP_GAP: f32 = 5.0;
 
-fn specs() -> Vec<TrainLayerSpec> {
-    let conv = |filters, stride, quant| {
-        TrainLayerSpec::Conv(TrainConvSpec {
+fn model() -> ModelSpec {
+    let conv = |filters, size, stride, activation, precision| {
+        LayerSpec::Conv(ConvSpec {
             filters,
-            size: 3,
+            size,
             stride,
-            pad: 1,
-            act: Act::Relu,
-            quant,
+            pad: size / 2,
+            activation,
+            batch_normalize: false,
+            precision,
         })
     };
-    vec![
-        // Input conv: float weights, quantized output (feeds the fabric).
-        conv(8, 2, QuantMode::A3Only { act_step: STEP }),
-        TrainLayerSpec::MaxPool { size: 2, stride: 2 },
-        // Hidden stack: binary weights, 3-bit activations.
-        conv(16, 1, QuantMode::W1A3 { act_step: STEP }),
-        TrainLayerSpec::MaxPool { size: 2, stride: 2 },
-        conv(16, 1, QuantMode::W1A3 { act_step: STEP }),
-        // Head: float.
-        TrainLayerSpec::Conv(TrainConvSpec {
-            filters: 5 + CLASSES,
-            size: 1,
-            stride: 1,
-            pad: 0,
-            act: Act::Linear,
-            quant: QuantMode::Float,
-        }),
-    ]
+    let pool = LayerSpec::MaxPool(PoolSpec { size: 2, stride: 2 });
+    let (float, w1a3) = (PrecisionConfig::FLOAT, PrecisionConfig::W1A3);
+    ModelSpec {
+        name: "qat-detector".to_owned(),
+        network: NetworkSpec::new(Shape3::new(3, 32, 32))
+            // Input conv: float weights on the CPU; it feeds the fabric, so
+            // the trainer quantizes its output.
+            .with(conv(8, 3, 2, Relu, float))
+            .with(pool.clone())
+            // Hidden stack: binary weights, 3-bit activations.
+            .with(conv(16, 3, 1, Relu, w1a3))
+            .with(pool)
+            .with(conv(16, 3, 1, Relu, w1a3))
+            // Head: float.
+            .with(conv(5 + CLASSES, 1, 1, Linear, float)),
+        fold: FoldSpec::SHIPPED,
+        act_step: 0.25,
+        seed: 5,
+    }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -75,42 +80,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Quantization-aware training (the whole net is QAT from scratch —
     //    the retraining flow is shown in examples/accuracy_study.rs).
-    let mut net = TrainNet::new(Shape3::new(3, 32, 32), &specs(), 5)?;
+    let model = model();
+    let mut net = TrainNet::from_model(&model)?;
     println!(
         "training the [W1A3] detector ({} parameters)...",
         net.num_params()
     );
-    train(
-        &mut net,
-        &loss,
-        &train_set,
-        &TrainConfig {
-            epochs: 60,
-            lr: 0.02,
+    for (epochs, lr) in [(60, 0.02), (30, 0.005)] {
+        let config = TrainConfig {
+            epochs,
+            lr,
             ..Default::default()
-        },
-    );
-    train(
-        &mut net,
-        &loss,
-        &train_set,
-        &TrainConfig {
-            epochs: 30,
-            lr: 0.005,
-            ..Default::default()
-        },
-    );
+        };
+        train(&mut net, &loss, &train_set, &config);
+    }
     let qat_map = evaluate_map(&mut net, &loss, &eval_set, 0.25, 0.4).map_percent();
     println!("QAT model held-out mAP: {qat_map:.1}%");
 
-    // 2. Fold into fabric parameters and deploy.
-    let deployed = DeployedDetector::compile(&net, EngineConfig::default())?;
+    // 2. Deploy: the served network, trained parameters loaded; the
+    //    fabric backend behind its [offload] layer did the fold.
+    let mut deployed = deploy(&net, &model, FaultPlan::none())?;
+    let offload = deployed.layer_mut(2).as_offload_mut();
+    let backend = offload.expect("the offload layer").backend().as_any();
+    let fabric = backend.downcast_ref::<FabricBackend>();
+    let accelerator = fabric.and_then(FabricBackend::accelerator);
+    let accelerator = accelerator.expect("fabric.so, weights loaded");
     println!(
-        "compiled {} hidden layers for the fabric (activation step {})",
-        deployed.accelerator().layers().len(),
-        deployed.act_step()
+        "folded {} hidden layers for the fabric (activation step {})",
+        accelerator.layers().len(),
+        model.act_step
     );
-    let resources = deployed.accelerator().engine_resources();
+    let resources = accelerator.engine_resources();
     let device = FpgaDevice::XCZU3EG;
     let (lut, bram, _) = device.utilization(&resources);
     println!(
@@ -136,6 +136,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mean_average_precision(&detections, &truths, CLASSES, 0.4, ApMethod::Voc11Point)
             .map_percent();
     println!("deployed (fabric) held-out mAP: {deployed_map:.1}%");
+    if (qat_map - deployed_map).abs() > MAX_MAP_GAP {
+        return Err(format!(
+            "QAT {qat_map:.1}% vs deployed {deployed_map:.1}%: the fold to integer thresholds \
+             moved held-out mAP by more than {MAX_MAP_GAP} points"
+        )
+        .into());
+    }
     println!(
         "\nQAT {qat_map:.1}% vs deployed {deployed_map:.1}% — the fold to integer \
          thresholds preserves the trained function"
