@@ -24,14 +24,12 @@ pub mod fabric;
 pub mod ladder;
 pub mod observed;
 pub mod pipeline_model;
-pub mod rolling;
 pub mod stages;
 pub mod tables;
 
 pub use fabric::{fabric_hidden_ms, HiddenConvDims};
 pub use ladder::{speedup_ladder, LadderStep};
-pub use observed::{classify_stage, measured_budget, model_diff, ModelDiffRow};
+pub use observed::{model_diff, ModelDiffRow};
 pub use pipeline_model::{pipelined_fps, PipelineModel};
-pub use rolling::{DriftRow, RollingCalibrator, RollingConfig};
 pub use stages::{StageBudget, StageId};
 pub use tables::{table1, table2, table3, Table1Row, Table2Row, Table3Row};

@@ -5,7 +5,8 @@
 //! per-stage means (as produced by a trace profile) onto the Table III
 //! stage taxonomy and diffs them against a [`StageBudget`], flagging
 //! stages whose observed time deviates from the model by more than a
-//! caller-chosen threshold.
+//! caller-chosen threshold. The same fold is the measured budget,
+//! [`StageBudget::from_observed`].
 //!
 //! The mapping from pipeline stage names to [`StageId`] follows the demo
 //! pipeline layout (Fig 5): `source`/`letterbox` are acquisition, `L[0]`
@@ -32,17 +33,10 @@ pub struct ModelDiffRow {
     pub flagged: bool,
 }
 
-impl ModelDiffRow {
-    /// Signed relative deviation `(observed - modeled) / modeled`.
-    pub fn deviation(&self) -> Option<f64> {
-        self.ratio.map(|r| r - 1.0)
-    }
-}
-
 /// Classifies one pipeline stage name onto the Table III taxonomy.
 /// Returns `None` for names outside the frame path (trace-internal
 /// labels such as `slot.deposit` or `gemm.scalar`).
-pub fn classify_stage(name: &str) -> Option<StageId> {
+fn classify_stage(name: &str) -> Option<StageId> {
     match name {
         "source" | "letterbox" => return Some(StageId::Acquisition),
         "object boxing" => return Some(StageId::BoxDrawing),
@@ -73,31 +67,38 @@ pub fn classify_stage(name: &str) -> Option<StageId> {
     }
 }
 
+/// Folds `(stage name, mean ms)` pairs onto the taxonomy, in
+/// [`StageId::ALL`] order: names sharing a [`StageId`] (e.g. `source` and
+/// `letterbox`) are summed, since the budget models them as one row, and
+/// a stage nothing was observed for is `None`.
+pub(crate) fn fold(observed: &[(String, f64)]) -> [Option<f64>; 8] {
+    let mut sums: [Option<f64>; 8] = [None; 8];
+    for (name, ms) in observed {
+        if let Some(stage) = classify_stage(name) {
+            let slot = &mut sums[stage.index()];
+            *slot = Some(slot.unwrap_or(0.0) + ms);
+        }
+    }
+    sums
+}
+
 /// Diffs observed per-stage means against a stage budget.
 ///
 /// `observed` holds `(stage name, mean ms)` pairs — the shape produced by
-/// a trace profile's stage summary. Stage names sharing a [`StageId`]
-/// (e.g. `source` and `letterbox`) are summed before comparison, since
-/// the budget models them as one row. `threshold` is the relative
-/// deviation above which a row is flagged (`0.25` = flag stages off by
-/// more than 25%); rows with no observation are never flagged.
+/// a trace profile's stage summary — folded as [`StageBudget::from_observed`]
+/// folds them. `threshold` is the relative deviation above which a row is
+/// flagged (`0.25` = flag stages off by more than 25%); rows with no
+/// observation are never flagged.
 pub fn model_diff(
     budget: &StageBudget,
     observed: &[(String, f64)],
     threshold: f64,
 ) -> Vec<ModelDiffRow> {
-    let mut sums: [Option<f64>; 8] = [None; 8];
-    for (name, ms) in observed {
-        if let Some(stage) = classify_stage(name) {
-            let slot = &mut sums[stage_index(stage)];
-            *slot = Some(slot.unwrap_or(0.0) + ms);
-        }
-    }
     StageId::ALL
         .into_iter()
-        .map(|stage| {
+        .zip(fold(observed))
+        .map(|(stage, observed_ms)| {
             let modeled_ms = budget.get(stage);
-            let observed_ms = sums[stage_index(stage)];
             let ratio = observed_ms.and_then(|o| {
                 if modeled_ms > 0.0 {
                     Some(o / modeled_ms)
@@ -115,41 +116,6 @@ pub fn model_diff(
             }
         })
         .collect()
-}
-
-/// The inverse of [`model_diff`]: folds observed per-stage means onto
-/// the Table III taxonomy and builds a *measured* budget from them.
-/// Stages the trace carried no samples for keep their `fallback` time —
-/// the returned mask records which stages were actually observed.
-/// `model_diff(&budget, observed, ..)` on the result reports a ratio of
-/// 1 for every observed stage, which is what `tincy calibrate` asserts.
-pub fn measured_budget(
-    observed: &[(String, f64)],
-    fallback: &StageBudget,
-) -> (StageBudget, [bool; 8]) {
-    let mut sums: [Option<f64>; 8] = [None; 8];
-    for (name, ms) in observed {
-        if let Some(stage) = classify_stage(name) {
-            let slot = &mut sums[stage_index(stage)];
-            *slot = Some(slot.unwrap_or(0.0) + ms);
-        }
-    }
-    let mut budget = *fallback;
-    let mut covered = [false; 8];
-    for (i, stage) in StageId::ALL.into_iter().enumerate() {
-        if let Some(ms) = sums[i] {
-            budget = budget.with(stage, ms);
-            covered[i] = true;
-        }
-    }
-    (budget, covered)
-}
-
-pub(crate) fn stage_index(stage: StageId) -> usize {
-    StageId::ALL
-        .iter()
-        .position(|&s| s == stage)
-        .expect("stage is in ALL")
 }
 
 #[cfg(test)]
@@ -196,7 +162,7 @@ mod tests {
         assert_eq!(acq.stage, StageId::Acquisition);
         assert_eq!(acq.observed_ms, Some(15.0), "source + letterbox sum");
         assert!(acq.flagged, "+50% exceeds the 25% threshold");
-        assert!((acq.deviation().unwrap() - 0.5).abs() < 1e-12);
+        assert!((acq.ratio.unwrap() - 1.5).abs() < 1e-12);
         let input = &rows[1];
         assert_eq!(input.stage, StageId::InputLayer);
         assert_eq!(input.observed_ms, Some(101.0));
@@ -209,48 +175,36 @@ mod tests {
     }
 
     #[test]
-    fn measured_budget_round_trips_through_model_diff() {
-        // A calibrated budget diffed against the very observations that
-        // produced it must report ratio 1 on every covered stage.
+    fn observed_budget_is_the_diffs_fold_with_the_baseline_elsewhere() {
         let observed = vec![
             ("source".to_owned(), 3.0),
             ("letterbox".to_owned(), 1.5),
-            ("L[0] conv".to_owned(), 12.0),
-            ("L[1] offload".to_owned(), 7.25),
-            ("L[1] pool".to_owned(), 0.5),
             ("L[2] conv".to_owned(), 4.0),
             ("L[3] region".to_owned(), 2.0),
-            ("object boxing".to_owned(), 0.75),
-            ("sink".to_owned(), 1.25),
             ("cpu.kernel.binary".to_owned(), 6.5),
             ("slot.deposit".to_owned(), 99.0), // ignored: off the frame path
         ];
-        let (budget, covered) = measured_budget(&observed, &StageBudget::paper_baseline());
-        assert_eq!(covered, [true; 8]);
-        assert!((budget.get(StageId::CpuKernel) - 6.5).abs() < 1e-12);
-        assert_eq!(budget, StageBudget::from_observed(&observed));
+        let budget = StageBudget::from_observed(&observed);
+        let baseline = StageBudget::paper_baseline();
         assert!((budget.get(StageId::Acquisition) - 4.5).abs() < 1e-12);
         assert!((budget.get(StageId::OutputLayer) - 6.0).abs() < 1e-12);
-        for row in model_diff(&budget, &observed, 0.01) {
-            let ratio = row.ratio.expect("every stage was observed");
-            assert!(
-                (ratio - 1.0).abs() < 1e-9,
-                "{}: ratio {ratio}",
-                row.stage.label()
-            );
-            assert!(!row.flagged);
-        }
-    }
-
-    #[test]
-    fn uncovered_stages_keep_the_fallback_budget() {
-        let observed = vec![("L[1] offload".to_owned(), 8.0)];
-        let (budget, covered) = measured_budget(&observed, &StageBudget::paper_baseline());
-        assert_eq!(covered.iter().filter(|&&c| c).count(), 1);
-        assert_eq!(budget.get(StageId::HiddenLayers), 8.0);
+        assert!((budget.get(StageId::CpuKernel) - 6.5).abs() < 1e-12);
         assert_eq!(
-            budget.get(StageId::Acquisition),
-            StageBudget::paper_baseline().get(StageId::Acquisition)
+            budget.get(StageId::HiddenLayers),
+            baseline.get(StageId::HiddenLayers)
         );
+        // The diff's coverage mask is the budget's: exactly the stages the
+        // fold replaced.
+        let covered: Vec<StageId> = model_diff(&budget, &observed, 0.01)
+            .into_iter()
+            .filter(|row| row.observed_ms.is_some())
+            .map(|row| row.stage)
+            .collect();
+        let expected = [
+            StageId::Acquisition,
+            StageId::OutputLayer,
+            StageId::CpuKernel,
+        ];
+        assert_eq!(covered, expected);
     }
 }

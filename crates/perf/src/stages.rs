@@ -66,6 +66,14 @@ impl StageId {
             StageId::CpuKernel => "CPU Kernels",
         }
     }
+
+    /// Position in [`Self::ALL`].
+    pub(crate) fn index(self) -> usize {
+        Self::ALL
+            .iter()
+            .position(|&s| s == self)
+            .expect("stage is in ALL")
+    }
 }
 
 /// Per-stage frame-time budget in milliseconds.
@@ -93,27 +101,32 @@ impl StageBudget {
         }
     }
 
-    /// A budget calibrated from traced stage means — the inverse of
+    /// The measured budget of a traced run — the inverse of
     /// [`crate::observed::model_diff`]. `observed` holds `(stage name,
     /// mean ms)` pairs as produced by a trace profile's stage summary
     /// (`Profile::stage_means_ms`); names sharing a [`StageId`] are
-    /// summed, and stages without observations keep the paper baseline.
-    /// Use [`crate::observed::measured_budget`] directly to learn which
-    /// stages were covered.
+    /// summed, and stages without observations keep the paper baseline
+    /// (`model_diff`'s `observed_ms` says which were covered).
     pub fn from_observed(observed: &[(String, f64)]) -> Self {
-        crate::observed::measured_budget(observed, &Self::paper_baseline()).0
+        let mut budget = Self::paper_baseline();
+        for (time, sum) in budget.times.iter_mut().zip(crate::observed::fold(observed)) {
+            if let Some(ms) = sum {
+                *time = ms;
+            }
+        }
+        budget
     }
 
     /// Time of one stage in ms.
     pub fn get(&self, stage: StageId) -> f64 {
-        self.times[Self::index(stage)]
+        self.times[stage.index()]
     }
 
     /// Returns a budget with one stage replaced.
     #[must_use]
     pub fn with(&self, stage: StageId, ms: f64) -> Self {
         let mut out = *self;
-        out.times[Self::index(stage)] = ms;
+        out.times[stage.index()] = ms;
         out
     }
 
@@ -150,13 +163,6 @@ impl StageBudget {
     /// Iterates `(stage, ms)` over the frame path in pipeline order.
     pub fn iter(&self) -> impl Iterator<Item = (StageId, f64)> + '_ {
         StageId::FRAME_PATH.into_iter().map(|s| (s, self.get(s)))
-    }
-
-    fn index(stage: StageId) -> usize {
-        StageId::ALL
-            .iter()
-            .position(|&s| s == stage)
-            .expect("stage is in ALL")
     }
 }
 

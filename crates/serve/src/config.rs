@@ -1,6 +1,5 @@
 //! Serving configuration.
 
-use crate::drift::DriftHandle;
 use crate::variants::{ShiftPolicy, VariantLadder};
 use std::time::Duration;
 use tincy_core::SystemConfig;
@@ -62,12 +61,12 @@ pub struct ServeConfig {
     /// latency histogram buckets on `/metrics`, each carrying the trace
     /// id of the worst observation the bucket has seen.
     pub exemplars: bool,
-    /// When set, the status endpoint reads live drift state from this
-    /// handle: `tincy_calibration_*` series on `/metrics`, and
-    /// `/healthz` reports `degraded` while the drift alert is raised.
-    /// Feed the handle from a [`crate::SegmentCalibrator`] tailing the
-    /// run's trace-segment directory.
-    pub drift: Option<DriftHandle>,
+    /// When set, every (ladder rung, backend) keeps an EWMA of its own
+    /// per-item service time against a reference frozen after warmup,
+    /// and raises its drift alert while the relative divergence exceeds
+    /// this value (`0.5` = 50%): `tincy_calibration_*{variant,backend}`
+    /// on `/metrics`, and the `calibration-drift` verdict (DESIGN §8.3).
+    pub drift_threshold: Option<f64>,
     /// Quantization-variant ladder to host. When unset the server runs a
     /// one-rung ladder around [`Self::model_spec`] — the classic
     /// single-model behavior. With multiple rungs, each SLO class is
@@ -103,7 +102,7 @@ impl Default for ServeConfig {
             exemplars: false,
             status_addr: None,
             latency_buckets: Buckets::default(),
-            drift: None,
+            drift_threshold: None,
             variants: None,
             shift: ShiftPolicy::default(),
         }

@@ -609,6 +609,7 @@ impl Monitor {
     }
 
     fn readmit(&mut self, shard: usize) {
+        self.shards[shard].rearm_drift();
         self.shared.slots[shard].up.store(true, Ordering::Relaxed);
         self.shared.ring.lock().insert(shard as u32);
         self.shared.readmits.fetch_add(1, Ordering::Relaxed);
@@ -791,25 +792,25 @@ mod tests {
     }
 
     /// A shard's own verdict drains it whether or not anything listens:
-    /// the monitor asks the shard, not an endpoint.
+    /// the monitor asks the shard, not an endpoint. Both shards run the
+    /// one base config with drift on, and only shard 1's FINN engine
+    /// slows 4x after warmup: drift is each shard's own measurement.
     #[test]
     fn monitor_drains_a_degraded_shard_with_no_endpoint_bound() {
-        let config = small_fleet(RoutePolicy::LeastLoaded);
-        let drifted = crate::DriftHandle::default();
-        drifted.publish(crate::DriftStatus {
-            alerted: true,
-            ..Default::default()
-        });
-        let servers: Vec<InferenceServer> = [None, Some(drifted)]
-            .into_iter()
-            .map(|drift| {
-                let shard = ServeConfig {
-                    drift,
-                    ..config.base.clone()
-                };
-                InferenceServer::start(shard).unwrap()
-            })
+        let mut config = small_fleet(RoutePolicy::LeastLoaded);
+        config.base.drift_threshold = Some(0.5);
+        let servers: Vec<InferenceServer> = (0..2)
+            .map(|_| InferenceServer::start(config.base.clone()).unwrap())
             .collect();
+        for (shard, server) in servers.iter().enumerate() {
+            let mut state = server.collector.inner.state.lock();
+            for block in 0..5 {
+                let ms = if shard == 1 && block >= 3 { 4 } else { 1 };
+                for _ in 0..crate::scheduler::DRIFT_BLOCK {
+                    state.record_finn_batch(0, 1, Duration::from_millis(ms), false);
+                }
+            }
+        }
         assert!(servers.iter().all(|s| s.status_addr().is_none()));
         let shared = Arc::new(Shared::new(2, config.policy, config.vnodes));
         let mut monitor = Monitor::new(&config, &servers, Arc::clone(&shared));
@@ -817,6 +818,17 @@ mod tests {
         let up = |shard: usize| shared.slots[shard].up.load(Ordering::Relaxed);
         assert!(up(0), "the healthy shard stays routable");
         assert!(!up(1), "the drifted shard is drained");
+        assert_eq!(shared.drains.load(Ordering::Relaxed), 1);
+        // Clean canaries re-admit it, and re-admission re-arms its drift:
+        // the next step leaves it up rather than draining it again on an
+        // alert that one canary per step could never clear.
+        let readmits = || shared.readmits.load(Ordering::Relaxed);
+        (0..8)
+            .take_while(|_| readmits() == 0)
+            .for_each(|_| monitor.step());
+        assert_eq!(readmits(), 1);
+        monitor.step();
+        assert!(up(1), "a re-admitted shard is judged by its next blocks");
         assert_eq!(shared.drains.load(Ordering::Relaxed), 1);
         drop(monitor);
         for server in servers {

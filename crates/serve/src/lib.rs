@@ -39,7 +39,6 @@
 
 pub mod arrivals;
 pub mod config;
-pub mod drift;
 pub mod engine;
 pub mod fleet;
 pub mod json;
@@ -54,7 +53,6 @@ pub mod variants;
 
 pub use arrivals::{arrival_schedule, ArrivalPattern};
 pub use config::ServeConfig;
-pub use drift::{DriftHandle, DriftMonitor, DriftStatus, SegmentCalibrator};
 pub use engine::ServeEngine;
 pub use fleet::{Fleet, FleetClient, FleetConfig, FleetReport, HashRing, RoutePolicy};
 pub use load::{run_load, ClientOutcome, LoadConfig, LoadReport};

@@ -73,6 +73,9 @@ pub struct ServeReport {
     pub shifts_down: u64,
     /// Ladder promotions taken (clean-streak shifts back toward home).
     pub shifts_up: u64,
+    /// Blocks folded by the per-(rung, backend) service-time drift
+    /// trackers (`None` without [`crate::ServeConfig::drift_threshold`]).
+    pub drift_blocks: Option<u64>,
 }
 
 impl ServeReport {
@@ -177,6 +180,7 @@ mod tests {
             active_variant: [0; 3],
             shifts_down: 0,
             shifts_up: 0,
+            drift_blocks: None,
         }
     }
 

@@ -79,6 +79,88 @@ struct ClientState {
     tx: Sender<InferResponse>,
 }
 
+/// Items one drift block averages: about what one default 512-event
+/// trace segment held per stage (DESIGN §8.3).
+pub(crate) const DRIFT_BLOCK: u32 = 16;
+/// The drift EWMA's nominal window in blocks (`alpha = 2/(8+1)`), which is
+/// also how many blocks the rest of the server may close before an alert
+/// its own tracker has not re-judged stops counting.
+const DRIFT_WINDOW: u64 = 8;
+const DRIFT_ALPHA: f64 = 2.0 / (DRIFT_WINDOW as f64 + 1.0);
+/// Blocks folded before the drift reference freezes.
+const DRIFT_WARMUP: u64 = 3;
+
+/// The per-item service time of one (ladder rung, backend): block means
+/// folded into an EWMA and compared with that EWMA as it stood after the
+/// warmup — drift from this server's own steady state.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ServiceDrift {
+    threshold: f64,
+    /// Seconds and items of the block still filling.
+    open_secs: f64,
+    open_items: u32,
+    pub blocks: u64,
+    /// The server's closed-block count just after this tracker's last
+    /// block.
+    closed_at: u64,
+    ewma: f64,
+    reference: Option<f64>,
+    /// Whether `|drift|` exceeded the threshold at the last block.
+    pub alerted: bool,
+    /// Rising edges of `alerted`.
+    pub alerts: u64,
+}
+
+impl ServiceDrift {
+    fn new(threshold: f64) -> Self {
+        Self {
+            threshold,
+            open_secs: 0.0,
+            open_items: 0,
+            blocks: 0,
+            closed_at: 0,
+            ewma: 0.0,
+            reference: None,
+            alerted: false,
+            alerts: 0,
+        }
+    }
+
+    /// Folds `items` items of `per_item` seconds each, counting every
+    /// block it closes in the server-wide `closed`.
+    fn observe(&mut self, per_item: f64, items: usize, closed: &mut u64) {
+        for _ in 0..items {
+            self.open_secs += per_item;
+            self.open_items += 1;
+            if self.open_items < DRIFT_BLOCK {
+                continue;
+            }
+            let mean = self.open_secs / f64::from(DRIFT_BLOCK);
+            (self.open_secs, self.open_items) = (0.0, 0);
+            self.ewma = match self.blocks {
+                0 => mean,
+                _ => self.ewma + DRIFT_ALPHA * (mean - self.ewma),
+            };
+            self.blocks += 1;
+            *closed += 1;
+            self.closed_at = *closed;
+            if self.blocks == DRIFT_WARMUP {
+                self.reference = Some(self.ewma);
+            }
+            let alerted = self.drift().is_some_and(|d| d.abs() > self.threshold);
+            self.alerts += u64::from(alerted && !self.alerted);
+            self.alerted = alerted;
+        }
+    }
+
+    /// `(ewma - reference) / reference`, once the reference has frozen.
+    pub fn drift(&self) -> Option<f64> {
+        self.reference
+            .filter(|&r| r > 0.0)
+            .map(|r| (self.ewma - r) / r)
+    }
+}
+
 /// Metric accumulators, folded into a [`crate::ServeReport`] at drain.
 #[derive(Debug, Clone)]
 pub(crate) struct MetricsAcc {
@@ -123,10 +205,20 @@ pub(crate) struct MetricsAcc {
     pub shifts_down: u64,
     /// Ladder promotions (shifts back toward the home rungs).
     pub shifts_up: u64,
+    /// Service-time drift per ladder rung, `[FINN, host]`; empty without
+    /// a drift threshold.
+    pub drift: Vec<[ServiceDrift; 2]>,
+    /// Drift blocks closed so far, over every tracker.
+    pub drift_closed: u64,
 }
 
 impl MetricsAcc {
-    fn new(buckets: &tincy_telemetry::Buckets, names: Vec<String>, homes: [usize; 3]) -> Self {
+    fn new(
+        buckets: &tincy_telemetry::Buckets,
+        names: Vec<String>,
+        homes: [usize; 3],
+        drift_threshold: Option<f64>,
+    ) -> Self {
         let variants = names.len();
         Self {
             accepted: 0,
@@ -159,7 +251,21 @@ impl MetricsAcc {
             active_variant: homes,
             shifts_down: 0,
             shifts_up: 0,
+            drift: drift_threshold
+                .map_or_else(Vec::new, |t| vec![[ServiceDrift::new(t); 2]; variants]),
+            drift_closed: 0,
         }
+    }
+
+    /// Whether a tracker is alerted on current evidence: it closed one of
+    /// the last [`DRIFT_WINDOW`] blocks this server closed. A rung that a
+    /// demotion left, or a host that stopped engaging, no longer feeds its
+    /// tracker; once the traffic that went elsewhere has closed a window
+    /// of blocks its alert stops counting, and its next own block judges
+    /// it again.
+    pub fn drift_alerted(&self) -> bool {
+        let current = |t: &ServiceDrift| self.drift_closed - t.closed_at < DRIFT_WINDOW;
+        self.drift.iter().flatten().any(|t| t.alerted && current(t))
     }
 
     /// Folds the accumulators into a [`ServeReport`] snapshot. Shared by
@@ -201,6 +307,7 @@ impl MetricsAcc {
             active_variant: self.active_variant,
             shifts_down: self.shifts_down,
             shifts_up: self.shifts_up,
+            drift_blocks: (!self.drift.is_empty()).then_some(self.drift_closed),
         }
     }
 }
@@ -270,7 +377,12 @@ impl SchedState {
             draining: false,
             shutdown: false,
             finn_degraded: vec![false; ladder.len()],
-            metrics: MetricsAcc::new(&config.latency_buckets, ladder.names(), homes),
+            metrics: MetricsAcc::new(
+                &config.latency_buckets,
+                ladder.names(),
+                homes,
+                config.drift_threshold,
+            ),
             homes,
             swap_layers: ladder.variants().iter().map(|v| v.swap_layers()).collect(),
             queue_capacity: config.queue_capacity,
@@ -613,8 +725,17 @@ impl SchedState {
     /// Records one FINN invocation of the given batch size against the
     /// serving variant, charging the variant's per-invocation weight
     /// swaps (one per weighted fabric layer — the amortization batching
-    /// exists to win).
-    pub fn record_finn_batch(&mut self, variant: usize, batch: usize, busy: Duration) {
+    /// exists to win). A batch that needed no retry or fallback feeds the
+    /// variant's FINN drift tracker its per-item time; a `degraded` one
+    /// already burns the SLO budget, and a timed-out attempt is not a
+    /// slower fabric.
+    pub fn record_finn_batch(
+        &mut self,
+        variant: usize,
+        batch: usize,
+        busy: Duration,
+        degraded: bool,
+    ) {
         if self.metrics.batch_hist.len() <= batch {
             self.metrics.batch_hist.resize(batch + 1, 0);
         }
@@ -622,11 +743,18 @@ impl SchedState {
         self.metrics.finn_batches += 1;
         self.metrics.finn_busy += busy;
         self.metrics.weight_swaps[variant] += self.swap_layers[variant];
+        let per_item = busy.as_secs_f64() / batch as f64;
+        if let (Some([finn, _]), false) = (self.metrics.drift.get_mut(variant), degraded) {
+            finn.observe(per_item, batch, &mut self.metrics.drift_closed);
+        }
     }
 
-    /// Records host-worker busy time.
-    pub fn record_cpu_busy(&mut self, busy: Duration) {
+    /// Records one host-worker request's busy time against its variant.
+    pub fn record_cpu_busy(&mut self, variant: usize, busy: Duration) {
         self.metrics.cpu_busy += busy;
+        if let Some([_, host]) = self.metrics.drift.get_mut(variant) {
+            host.observe(busy.as_secs_f64(), 1, &mut self.metrics.drift_closed);
+        }
     }
 }
 
@@ -879,5 +1007,71 @@ mod tests {
         assert_eq!(lease.requests.len(), 1);
         assert_eq!(lease.requests[0].class, SloClass::Interactive);
         assert_eq!(lease.requests[0].variant, 0);
+    }
+
+    fn drift_state() -> SchedState {
+        SchedState::new(&ServeConfig {
+            drift_threshold: Some(0.5),
+            ..ladder_config()
+        })
+    }
+
+    /// Records `blocks` drift blocks of FINN batches of 4 at `ms` per
+    /// item on `variant`, each `degraded` or not.
+    fn finn_blocks(state: &mut SchedState, variant: usize, ms: u64, blocks: u32, degraded: bool) {
+        for _ in 0..blocks * DRIFT_BLOCK / 4 {
+            state.record_finn_batch(variant, 4, Duration::from_millis(4 * ms), degraded);
+        }
+    }
+
+    fn host_block(state: &mut SchedState, ms: u64) {
+        for _ in 0..DRIFT_BLOCK {
+            state.record_cpu_busy(0, Duration::from_millis(ms));
+        }
+    }
+
+    #[test]
+    fn steady_service_never_alerts() {
+        let mut state = drift_state();
+        for _ in 0..20 {
+            finn_blocks(&mut state, 0, 2, 1, false);
+            host_block(&mut state, 7);
+        }
+        for tracker in state.metrics.drift[0] {
+            let seen = (tracker.blocks, tracker.drift(), tracker.alerts);
+            assert_eq!(seen, (20, Some(0.0), 0));
+            assert!(!tracker.alerted);
+        }
+    }
+
+    #[test]
+    fn faulted_batches_leave_the_ewma_untouched() {
+        let mut state = drift_state();
+        finn_blocks(&mut state, 0, 1, 3, false);
+        let before = state.metrics.drift[0][0];
+        finn_blocks(&mut state, 0, 50, 8, true);
+        assert_eq!(state.metrics.drift[0][0], before);
+        assert_eq!(
+            state.metrics.finn_batches, 44,
+            "a faulted batch still counts"
+        );
+    }
+
+    #[test]
+    fn a_slow_rung_moves_only_its_own_series() {
+        let mut state = drift_state();
+        for block in 0..5 {
+            finn_blocks(&mut state, 0, if block < 3 { 1 } else { 4 }, 1, false);
+            finn_blocks(&mut state, 1, 1, 1, false);
+            host_block(&mut state, 3);
+        }
+        let [finn, host] = state.metrics.drift[0];
+        // Reference 1 ms, two 4 ms blocks at alpha 2/9: 4 - 3 (7/9)^2 ms.
+        assert!((finn.drift().unwrap() - 96.0 / 81.0).abs() < 1e-9);
+        assert!(finn.alerted);
+        assert_eq!(finn.alerts, 1);
+        for other in [host, state.metrics.drift[1][0]] {
+            assert_eq!((other.drift(), other.alerted), (Some(0.0), false));
+        }
     }
 }

@@ -3,10 +3,10 @@
 //! the bit-exact reference path under pressure, degradation or drain.
 //!
 //! With a multi-rung [`crate::VariantLadder`] the server also runs a
-//! *shift monitor* thread: it samples the calibration-drift handle and
-//! the per-class SLO burn-rate state at the configured cadence, feeds a
-//! hysteretic [`ShiftState`], and demotes traffic down the ladder under a
-//! sustained alert (promoting back after a clean streak).
+//! *shift monitor* thread: it samples the server's verdict (per-class SLO
+//! burn, then its own service-time drift) at the configured cadence,
+//! feeds a hysteretic [`ShiftState`], and demotes traffic down the ladder
+//! under a sustained alert (promoting back after a clean streak).
 
 use crate::config::ServeConfig;
 use crate::engine::ServeEngine;
@@ -153,7 +153,6 @@ impl InferenceServer {
             started: Instant::now(),
             cpu_workers: config.cpu_workers,
             buckets: config.latency_buckets.clone(),
-            drift: config.drift.clone(),
             exemplars: config.exemplars,
         });
         let mut workers = Vec::with_capacity(ladder.len() + config.cpu_workers + 1);
@@ -333,7 +332,7 @@ fn spawn_finn_worker(
             let degraded_now = health.snapshot().degraded > before.degraded;
             inner.mutate(|state| {
                 state.finn_degraded[variant] = degraded_now;
-                state.record_finn_batch(variant, batch, busy);
+                state.record_finn_batch(variant, batch, busy, degraded_now);
                 for (request, dets) in lease.requests.into_iter().zip(detections) {
                     // A batch that needed the resilience machinery served
                     // its members degraded: they burn SLO latency budget
@@ -397,7 +396,7 @@ fn spawn_cpu_worker(
         };
         let busy = t0.elapsed();
         inner.mutate(|state| {
-            state.record_cpu_busy(busy);
+            state.record_cpu_busy(request.variant, busy);
             state.complete(request, detections, BackendKind::Cpu, 1, false);
         });
     })
@@ -441,6 +440,9 @@ fn spawn_shift_monitor(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::DRIFT_BLOCK;
+    use crate::variants::{ServeVariant, VariantLadder};
+    use std::time::Duration;
     use tincy_core::SystemConfig;
     use tincy_video::{SceneConfig, SyntheticCamera};
 
@@ -560,5 +562,225 @@ mod tests {
         assert_eq!(report.accepted, 0);
         assert_eq!(report.completed, 0);
         assert_eq!(report.finn_batches, 0);
+    }
+
+    /// Records `blocks` whole drift blocks of `ms` per item on `rung`, as
+    /// a `backend` worker records its requests — synthetic service times,
+    /// through the scheduler calls the workers make.
+    fn feed(server: &InferenceServer, rung: usize, backend: BackendKind, ms: u64, blocks: u32) {
+        let busy = Duration::from_millis(ms);
+        let mut state = server.inner.state.lock();
+        for _ in 0..blocks * DRIFT_BLOCK {
+            match backend {
+                BackendKind::Finn => state.record_finn_batch(rung, 1, busy, false),
+                BackendKind::Cpu => state.record_cpu_busy(rung, busy),
+            }
+        }
+    }
+
+    #[test]
+    fn slowdown_after_warmup_raises_the_drift_verdict_on_metrics_and_healthz() {
+        let server = InferenceServer::start(ServeConfig {
+            status_addr: Some("127.0.0.1:0".to_string()),
+            drift_threshold: Some(0.5),
+            ..small_config()
+        })
+        .unwrap();
+        // Three 1 ms blocks freeze the reference; the first 4x slower
+        // block puts the EWMA (alpha 2/9) at +67%, past the 50% threshold.
+        feed(&server, 0, BackendKind::Finn, 1, 3);
+        assert_eq!(server.collector.degraded(), None);
+        feed(&server, 0, BackendKind::Finn, 4, 1);
+        assert_eq!(server.collector.degraded(), Some("calibration-drift"));
+        feed(&server, 0, BackendKind::Finn, 4, 1);
+        let addr = server.status_addr().expect("status endpoint bound");
+        let (_, body) = tincy_telemetry::http_get(addr, "/metrics").unwrap();
+        let samples = tincy_telemetry::parse_prometheus(&body).unwrap();
+        let get = |name: &str, backend: &str| {
+            samples
+                .iter()
+                .find(|s| s.name == name && s.label("backend") == Some(backend))
+                .unwrap_or_else(|| panic!("{name} {backend} exposed"))
+                .value
+        };
+        // Two slow blocks: EWMA = 4 - 3 (7/9)^2 ms against 1 ms.
+        let drift = get("tincy_calibration_drift", "finn");
+        assert!((drift - 96.0 / 81.0).abs() < 1e-9, "drift {drift}");
+        assert_eq!(get("tincy_calibration_alerts_total", "finn"), 1.0);
+        assert_eq!(get("tincy_calibration_drift", "cpu"), 0.0);
+        assert_eq!(get("tincy_calibration_alerts_total", "cpu"), 0.0);
+        let (_, health) = tincy_telemetry::http_get(addr, "/healthz").unwrap();
+        assert!(
+            health.contains("\"degraded\":true") && health.contains("calibration-drift"),
+            "{health}"
+        );
+        assert_eq!(server.finish().drift_blocks, Some(5));
+    }
+
+    /// A two-rung ladder, cheap 32 px below accurate 64 px, with drift on
+    /// and a twitchy shift policy.
+    fn ladder_config() -> ServeConfig {
+        let rung = |name: &str, input_size, accuracy| ServeVariant {
+            name: name.to_owned(),
+            model: SystemConfig {
+                input_size,
+                seed: 5,
+                ..Default::default()
+            }
+            .model(),
+            accuracy,
+        };
+        let ladder = VariantLadder::new(vec![rung("cheap", 32, 41.1), rung("accurate", 64, 48.5)]);
+        ServeConfig {
+            variants: Some(ladder.unwrap()),
+            queue_capacity: 128,
+            per_client_capacity: 32,
+            score_threshold: 0.0,
+            drift_threshold: Some(0.5),
+            shift: ShiftPolicy {
+                demote_after: 2,
+                promote_after: 2,
+                every: Duration::from_millis(2),
+            },
+            ..small_config()
+        }
+    }
+
+    fn wait_until(mut cond: impl FnMut() -> bool) -> bool {
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_secs(5) {
+            if cond() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        false
+    }
+
+    /// Raises the drift alert on rung 0's host tracker: three steady
+    /// blocks freeze the reference, one 4x slower block trips it. Host
+    /// workers stay idle below the engage depth, so no real request
+    /// lands in these blocks.
+    fn raise_drift(server: &InferenceServer) {
+        feed(server, 0, BackendKind::Cpu, 1, 3);
+        feed(server, 0, BackendKind::Cpu, 4, 1);
+    }
+
+    #[test]
+    fn drift_alert_demotes_and_clean_streak_restores() {
+        // A sustained drift alert must shift every class toward the cheap
+        // rung; a sustained clean streak must shift them back home. A phase
+        // of batch traffic at home, demoted and promoted again conserves
+        // work: each response on the rung active at admission, delivered 1:1
+        // with the submissions, none lost or duplicated across the cycle.
+        const PHASE: u64 = 4;
+        let server = InferenceServer::start(ladder_config()).unwrap();
+        let client = server.client();
+        let mut images = frames(3 * PHASE, 11).into_iter();
+        let mut batch_phase = |rung: usize| {
+            let sent: Vec<(u64, usize)> = (0..PHASE)
+                .map(|_| {
+                    let image = images.next().unwrap();
+                    (client.submit(image, SloClass::Batch).unwrap(), rung)
+                })
+                .collect();
+            let got: Vec<(u64, usize)> = (0..PHASE)
+                .map(|_| client.recv().unwrap())
+                .map(|r| (r.seq, r.variant))
+                .collect();
+            assert_eq!(got, sent, "responses match submissions 1:1 on rung {rung}");
+        };
+        assert_eq!(server.active_variants(), [0, 0, 1], "home routing");
+        batch_phase(1);
+        raise_drift(&server);
+        assert!(
+            wait_until(|| server.active_variants() == [0, 0, 0]),
+            "sustained drift must demote the batch class to the cheap rung"
+        );
+        batch_phase(0);
+        // Two blocks back at the reference bring the EWMA to +40%.
+        feed(&server, 0, BackendKind::Cpu, 1, 2);
+        assert!(
+            wait_until(|| server.active_variants() == [0, 0, 1]),
+            "a clean streak must restore home routing"
+        );
+        batch_phase(1);
+        let report = server.finish();
+        assert!(report.shifts_down >= 1);
+        assert!(report.shifts_up >= 1);
+        assert_eq!((report.accepted, report.completed), (3 * PHASE, 3 * PHASE));
+    }
+
+    #[test]
+    fn a_demotion_off_the_drifted_rung_promotes_back_and_re_judges_it() {
+        // The accurate rung's FINN engine slows (and the idle host with
+        // it), and the demotion takes the batch class off that rung, so
+        // neither tracker closes another block. The blocks the demoted
+        // traffic closes on the cheap rung age both alerts out, the server
+        // promotes back, and the rung's next own block judges it again.
+        let server = InferenceServer::start(ladder_config()).unwrap();
+        for ms in [1, 1, 1, 4] {
+            feed(&server, 1, BackendKind::Finn, ms, 1);
+            feed(&server, 0, BackendKind::Cpu, ms, 1);
+        }
+        assert!(wait_until(|| server.active_variants() == [0, 0, 0]));
+        // The host alert closed 7 blocks before these, the FINN one 8.
+        feed(&server, 0, BackendKind::Finn, 1, 7);
+        assert_eq!(server.collector.degraded(), Some("calibration-drift"));
+        feed(&server, 0, BackendKind::Finn, 1, 1);
+        assert_eq!(server.collector.degraded(), None);
+        assert!(wait_until(|| server.active_variants() == [0, 0, 1]));
+        // Still slow: alerted again, on current evidence.
+        feed(&server, 1, BackendKind::Finn, 4, 1);
+        assert!(wait_until(|| server.active_variants() == [0, 0, 0]));
+        let report = server.finish();
+        assert_eq!((report.shifts_down, report.shifts_up), (2, 1));
+    }
+
+    #[test]
+    fn in_order_delivery_survives_mid_flight_shift() {
+        // Queue work on the accurate rung, shift the ladder while it is
+        // still pending, queue more (now routed to the cheap rung), then
+        // dispatch everything: each client must see its responses in
+        // submission order even though the variant changed mid-stream, and
+        // the queued work must stay on its admission-time rung.
+        let server = InferenceServer::start(ServeConfig {
+            start_paused: true,
+            ..ladder_config()
+        })
+        .unwrap();
+        let clients = [server.client(), server.client()];
+        let mut images: Vec<_> = (0..2).map(|i| frames(6, 31 + i).into_iter()).collect();
+        let mut submitted: Vec<Vec<u64>> = vec![Vec::new(); 2];
+        let mut submit_half = |submitted: &mut Vec<Vec<u64>>| {
+            for (i, client) in clients.iter().enumerate() {
+                for _ in 0..3 {
+                    let image = images[i].next().unwrap();
+                    submitted[i].push(client.submit(image, SloClass::Batch).unwrap());
+                }
+            }
+        };
+        submit_half(&mut submitted);
+        raise_drift(&server);
+        assert!(
+            wait_until(|| server.active_variants()[2] == 0),
+            "the shift must land while the first half is still queued"
+        );
+        submit_half(&mut submitted);
+        server.resume();
+        for (i, client) in clients.iter().enumerate() {
+            let responses: Vec<_> = (0..6).map(|_| client.recv().unwrap()).collect();
+            let seqs: Vec<u64> = responses.iter().map(|r| r.seq).collect();
+            assert_eq!(seqs, submitted[i], "client {i} delivery order");
+            let variants: Vec<usize> = responses.iter().map(|r| r.variant).collect();
+            assert_eq!(
+                variants,
+                vec![1, 1, 1, 0, 0, 0],
+                "queued work keeps its admission-time rung across the shift"
+            );
+        }
+        let report = server.finish();
+        assert_eq!(report.completed, 12);
+        assert!(report.shifts_down >= 1);
     }
 }

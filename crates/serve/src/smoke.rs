@@ -183,6 +183,13 @@ pub fn check_scrape(samples: &[PromSample], report: &FleetReport) -> Result<Stri
             serve.offload.fallbacks,
         )?;
         expect("tincy_offload_faults_total", None, serve.offload.faults)?;
+        if serve.drift_blocks.is_some() {
+            find(
+                samples,
+                "tincy_calibration_drift",
+                &[of_shard, ("backend", "finn")],
+            )?;
+        }
     }
     Ok(format!(
         "scrape: every shard's counters {} the final report",
@@ -212,7 +219,8 @@ fn conserved(report: &LoadReport) -> Result<(), String> {
 /// `burst` run (the one pacing that fills the queues before dispatch
 /// starts) must have formed a micro-batch; a run with a `faulted` shard
 /// must have drained and re-admitted it, when the fleet had a second
-/// shard to fail over to.
+/// shard to fail over to; a run with drift on must have closed a drift
+/// block.
 ///
 /// # Errors
 ///
@@ -234,6 +242,11 @@ pub fn check_smoke(report: &LoadReport, burst: bool, faulted: bool) -> Result<St
             "a shard was faulted but the fleet recorded {} drains and {} readmits",
             fleet.drains,
             fleet.readmits
+        );
+        let blocks: Option<u64> = fleet.shards.iter().map(|s| s.drift_blocks).sum();
+        ensure!(
+            blocks != Some(0),
+            "drift is on but the service-time trackers observed no block"
         );
         Ok(())
     };

@@ -9,16 +9,14 @@
 //! is folded from at drain, so a scrape taken after the last response and
 //! the final report agree by construction.
 
-use crate::drift::DriftHandle;
 use crate::metrics::ServeReport;
-use crate::request::SloClass;
+use crate::request::{BackendKind, SloClass};
 use crate::server::Inner;
 use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 use tincy_json::JsonObject;
 use tincy_nn::{OffloadHealth, OffloadStats};
-use tincy_perf::StageId;
 use tincy_telemetry::{
     json_text, prometheus_text, Buckets, Collect, Handler, HistogramSnapshot, Registry, Response,
     Sample, StatusServer, Value, SLO_WINDOW_NAMES,
@@ -35,7 +33,6 @@ pub(crate) struct ServeCollector {
     pub started: Instant,
     pub cpu_workers: usize,
     pub buckets: Buckets,
-    pub drift: Option<DriftHandle>,
     /// Attach worst-observation trace-id exemplars to the latency
     /// histogram buckets.
     pub exemplars: bool,
@@ -63,18 +60,33 @@ impl ServeCollector {
     }
 
     /// Why this server should be routed around, if it should: it burns
-    /// error budget faster than its policy allows, or its measured stage
-    /// budget has walked away from the reference. The ladder's shift
-    /// monitor, `/healthz` and the fleet health monitor all act on this
-    /// one verdict.
+    /// error budget faster than its policy allows, or one of its rungs'
+    /// service time has walked away from its reference. The ladder's
+    /// shift monitor, `/healthz` and the fleet health monitor all act on
+    /// this one verdict.
     pub fn degraded(&self) -> Option<&'static str> {
-        let slo = self.inner.state.lock().slo_status();
-        if slo.iter().any(|s| s.fast_active || s.slow_active) {
+        let mut state = self.inner.state.lock();
+        if state
+            .slo_status()
+            .iter()
+            .any(|s| s.fast_active || s.slow_active)
+        {
             Some("slo-burn")
-        } else if self.drift.as_ref().is_some_and(|h| h.status().alerted) {
+        } else if state.metrics.drift_alerted() {
             Some("calibration-drift")
         } else {
             None
+        }
+    }
+
+    /// Drops every drift alert, keeping each tracker's EWMA and reference:
+    /// the fleet re-admitted this shard on clean probes, and the blocks
+    /// its traffic closes next judge it again — a drained shard sees only
+    /// canaries, which could not clear the alert in time.
+    pub fn rearm_drift(&self) {
+        let mut state = self.inner.state.lock();
+        for tracker in state.metrics.drift.iter_mut().flatten() {
+            tracker.alerted = false;
         }
     }
 }
@@ -173,31 +185,29 @@ impl Collect for ServeCollector {
                 Value::Histogram(HistogramSnapshot::from_stats(&m.queue_wait, &self.buckets)),
             ),
         ];
-        if let Some(drift) = &self.drift {
-            let status = drift.status();
-            // Every stage is always emitted (0 when unknown) so the
-            // exposition shape is stable scrape to scrape.
-            for stage in StageId::ALL {
-                let row = status.stages.iter().find(|r| r.stage == stage);
+        // Every (rung, backend) is emitted (drift 0 until the reference
+        // freezes) so the exposition shape is stable scrape to scrape.
+        for (name, pair) in m.variant_names.iter().zip(&m.drift) {
+            for (backend, tracker) in [BackendKind::Finn, BackendKind::Cpu].into_iter().zip(pair) {
                 out.push(
                     Sample::new(
                         "tincy_calibration_drift",
-                        "Relative divergence of the rolling measured stage budget from its reference",
-                        Value::Gauge(row.and_then(|r| r.drift).unwrap_or(0.0)),
+                        "Relative divergence of the per-item service time's EWMA from its reference",
+                        Value::Gauge(tracker.drift().unwrap_or(0.0)),
                     )
-                    .label("stage", stage.label()),
+                    .label("variant", name)
+                    .label("backend", backend.label()),
+                );
+                out.push(
+                    Sample::new(
+                        "tincy_calibration_alerts_total",
+                        "Drift alerts raised (steady-to-drifted transitions)",
+                        Value::Counter(tracker.alerts),
+                    )
+                    .label("variant", name)
+                    .label("backend", backend.label()),
                 );
             }
-            out.push(Sample::new(
-                "tincy_calibration_segments_total",
-                "Trace segments absorbed by the rolling calibrator",
-                Value::Counter(status.segments),
-            ));
-            out.push(Sample::new(
-                "tincy_calibration_alerts_total",
-                "Drift alerts raised (steady-to-drifted transitions)",
-                Value::Counter(status.alerts),
-            ));
         }
         // The variant ladder: which rung each class rides right now, the
         // per-variant×class admission counters, shift counters and the

@@ -7,8 +7,7 @@
 //! tincy demo                the pipelined live-detection demo
 //! tincy serve               the inference server (--shards N: a routed fleet) under a built-in load
 //! tincy loadgen             the client-side view of the same session
-//! tincy trace-report        profile a captured trace or segment directory
-//! tincy calibrate           measured stage budget from a traced run
+//! tincy trace-report        profile a trace or segment directory against Table III
 //! tincy explore             design-space sweep and Pareto frontier
 //! ```
 //!
@@ -25,17 +24,14 @@ use tincy::core::topology::{cnv6, mlp4, tincy_yolo, tiny_yolo};
 use tincy::core::SystemConfig;
 use tincy::finn::FaultPlan;
 use tincy::nn::parse_cfg;
-use tincy::perf::{
-    measured_budget, model_diff, pipelined_fps, speedup_ladder, PipelineModel, RollingConfig,
-    StageBudget, StageId,
-};
+use tincy::perf::{model_diff, pipelined_fps, speedup_ladder, PipelineModel, StageBudget, StageId};
 use tincy::serve::smoke::{
     check_fleet_trace, check_scrape, check_slo_smoke, check_smoke, check_variant_smoke,
     scrape as smoke_scrape,
 };
 use tincy::serve::{
-    json, run_load, ArrivalPattern, DriftHandle, DriftMonitor, FleetConfig, LoadConfig, LoadReport,
-    SegmentCalibrator, ServeVariant, VariantLadder,
+    json, run_load, ArrivalPattern, FleetConfig, LoadConfig, LoadReport, ServeVariant,
+    VariantLadder,
 };
 use tincy::telemetry::SloPolicy;
 use tincy::trace::{stitch_segments, DrainConfig, TraceDrainer};
@@ -50,7 +46,6 @@ enum Cmd {
     Serve,
     Loadgen,
     TraceReport,
-    Calibrate,
     Explore,
 }
 
@@ -65,9 +60,7 @@ static CMDS: &[(Cmd, &str, &str, usize, &str)] = &[
     (Cmd::Loadgen, "loadgen", "[requests [clients [input]]]", 3,
         "the same session as `serve`, reported from the clients' side"),
     (Cmd::TraceReport, "trace-report", "<trace.json | segments-dir>", 1,
-        "span statistics and the stage table of a trace, diffed against Table III"),
-    (Cmd::Calibrate, "calibrate", "<trace.json | segments-dir>", 1,
-        "a measured stage budget from a traced run, and the fps it predicts"),
+        "span statistics and the stage table of a trace, diffed against Table III, and the fps it predicts"),
     (Cmd::Explore, "explore", "", 0,
         "design-space sweep against the XCZU3EG model: the Pareto frontier"),
 ];
@@ -81,7 +74,6 @@ const DEMO: &[Cmd] = &[Cmd::Demo];
 const SERVE: &[Cmd] = &[Cmd::Serve, Cmd::Loadgen];
 const RUN: &[Cmd] = &[Cmd::Demo, Cmd::Serve, Cmd::Loadgen];
 const REPORT: &[Cmd] = &[Cmd::TraceReport];
-const BUDGET: &[Cmd] = &[Cmd::TraceReport, Cmd::Calibrate];
 const EXPLORE: &[Cmd] = &[Cmd::Explore];
 const CHECKED: &[Cmd] = &[Cmd::TraceReport, Cmd::Explore];
 
@@ -111,8 +103,7 @@ static FLAGS: &[Flag] = &[
     Flag("--per-client", "N", SERVE, "outstanding-request quota per client"),
     Flag("--engage-depth", "N", SERVE, "queue depth at which host workers engage"),
     Flag("--status-addr", "HOST:PORT", SERVE, "serve /metrics, /metrics.json, /report, /healthz"),
-    Flag("--recalibrate-every", "MS", SERVE, "tail --trace-dir into the rolling drift calibrator"),
-    Flag("--drift-threshold", "PCT", SERVE, "stage divergence that raises the drift alert (50)"),
+    Flag("--drift-threshold", "PCT", SERVE, "per-item service-time divergence (per rung and backend) that raises the drift alert"),
     Flag("--variants", "FRONTIER.json", SERVE, "host an `explore --frontier-out` dump as a variant ladder"),
     Flag("--variant-smoke", "", SERVE, "fail unless every rung conserves admissions and completions"),
     Flag("--smoke", "", SERVE, "fail on loss, reordering, a burst without a micro-batch, a faulted shard without drain + re-admit"),
@@ -121,7 +112,7 @@ static FLAGS: &[Flag] = &[
     Flag("--exemplars", "", SERVE, "attach trace-id exemplars to the latency buckets"),
     Flag("--check", "", CHECKED, "fail on a malformed trace / a frontier without the paper point"),
     Flag("--by-request", "", REPORT, "group events by trace id and print each request's journey"),
-    Flag("--threshold", "PCT", BUDGET, "deviation that flags a stage (trace-report 25, calibrate 1)"),
+    Flag("--threshold", "PCT", REPORT, "deviation that flags a stage (25)"),
     Flag("--pe", "MIN:MAX", EXPLORE, "PE fold bounds"),
     Flag("--simd", "MIN:MAX", EXPLORE, "SIMD fold bounds"),
     Flag("--budget", "LUT:BRAM:DSP", EXPLORE, "resource budget (default XCZU3EG)"),
@@ -184,6 +175,17 @@ impl Args {
         self.text(name).map(|v| parse_as(name, v)).transpose()
     }
 
+    /// A `PCT` flag as a fraction (`50` is `0.5`); only a finite value
+    /// above zero means anything.
+    fn percent(&self, name: &str) -> Result<Option<f64>, String> {
+        match self.get::<f64>(name)? {
+            Some(pct) if !(pct.is_finite() && pct > 0.0) => Err(format!(
+                "{name} {pct}: expected a finite percentage above 0"
+            )),
+            pct => Ok(pct.map(|pct| pct / 100.0)),
+        }
+    }
+
     /// Overwrites `slot` when `name` was given.
     fn set<T: FromStr<Err: std::fmt::Display>>(
         &self,
@@ -242,7 +244,6 @@ fn main() -> ExitCode {
                     Cmd::Serve => cmd_serve(&args, false),
                     Cmd::Loadgen => cmd_serve(&args, true),
                     Cmd::TraceReport => cmd_trace_report(&args),
-                    Cmd::Calibrate => cmd_calibrate(&args),
                     Cmd::Explore => cmd_explore(&args),
                 })
         }
@@ -551,26 +552,8 @@ fn cmd_serve(args: &Args, client_view: bool) -> CliResult {
         }
         None => {}
     }
-    let recalibrate: Option<u64> = args.get("--recalibrate-every")?;
-    let threshold: f64 = args.get("--drift-threshold")?.unwrap_or(50.0);
-    if recalibrate.is_some() && !args.has("--trace-dir") {
-        return Err("--recalibrate-every requires --trace-dir \
-                    (the calibrator tails the streaming segments)"
-            .into());
-    }
+    base.drift_threshold = args.percent("--drift-threshold")?;
     let trace = TraceSession::start(args)?;
-    let monitor = recalibrate.zip(trace.dir).map(|(period_ms, dir)| {
-        let handle = DriftHandle::default();
-        base.drift = Some(handle.clone());
-        let rolling = RollingConfig {
-            threshold: threshold / 100.0,
-            ..Default::default()
-        };
-        DriftMonitor::spawn(
-            SegmentCalibrator::new(Path::new(dir), handle, rolling),
-            Duration::from_millis(period_ms),
-        )
-    });
     let burst = load.pattern == ArrivalPattern::Burst;
     // From `run_load`'s observation point: every response is collected,
     // nothing has shut down.
@@ -581,37 +564,6 @@ fn cmd_serve(args: &Args, client_view: bool) -> CliResult {
         }
     })?;
     trace.finish()?;
-    if let Some(monitor) = monitor {
-        // After the drainer's finalize, so the flushed tail segment is
-        // absorbed too.
-        let status = monitor.finalize()?;
-        println!(
-            "recalibration: {} segments absorbed, {} drift alerts{}",
-            status.segments,
-            status.alerts,
-            if status.alerted {
-                " (currently drifted)"
-            } else {
-                ""
-            }
-        );
-        for row in &status.stages {
-            let (Some(ewma), Some(reference)) = (row.ewma_ms, row.reference_ms) else {
-                continue;
-            };
-            println!(
-                "  {:<22} ewma {:9.3} ms  reference {:9.3} ms  drift {:+6.1}%{}",
-                row.stage.label(),
-                ewma,
-                reference,
-                row.drift.unwrap_or(0.0) * 100.0,
-                if row.alerted { "  ALERT" } else { "" }
-            );
-        }
-        if smoke && status.segments == 0 {
-            return Err("recalibrate smoke: no trace segments were absorbed".into());
-        }
-    }
     if client_view {
         print_client_view(&report);
     } else {
@@ -744,7 +696,7 @@ fn print_client_view(report: &LoadReport) {
 
 fn cmd_trace_report(args: &Args) -> CliResult {
     let check = args.has("--check");
-    let threshold = args.get::<f64>("--threshold")?.unwrap_or(25.0) / 100.0;
+    let threshold = args.percent("--threshold")?.unwrap_or(0.25);
     let path = args.positional.first();
     let path = path.ok_or("trace-report requires a trace file or segment directory")?;
     let trace = load_trace(path)?;
@@ -775,8 +727,8 @@ fn cmd_trace_report(args: &Args) -> CliResult {
         );
     }
 
-    let budget = StageBudget::paper_baseline();
-    let rows = model_diff(&budget, &profile.stage_means_ms(), threshold);
+    let observed = profile.stage_means_ms();
+    let rows = model_diff(&StageBudget::paper_baseline(), &observed, threshold);
     println!();
     println!(
         "modeled-vs-observed per-frame stage times (Table III generic-Darknet \
@@ -800,6 +752,27 @@ fn cmd_trace_report(args: &Args) -> CliResult {
             ratio,
             if row.flagged { "DEVIATES" } else { "" }
         );
+    }
+    // The measured budget: observed stages, the baseline for the rest.
+    let frame_path_observed = rows
+        .iter()
+        .any(|row| row.observed_ms.is_some() && StageId::FRAME_PATH.contains(&row.stage));
+    if frame_path_observed {
+        let budget = StageBudget::from_observed(&observed);
+        let model = PipelineModel::default();
+        let paper_fps = speedup_ladder().last().map_or(16.0, |step| step.fps);
+        println!(
+            "measured budget: {:.3} ms/frame ({:.2} fps sequential); pipelined prediction \
+             ({} workers, {:.0}% efficiency): {:.2} fps — paper final: {:.2} fps",
+            budget.total_ms(),
+            budget.sequential_fps(),
+            model.workers,
+            model.efficiency * 100.0,
+            pipelined_fps(&budget, model),
+            paper_fps
+        );
+    } else {
+        println!("measured budget: the trace observed no frame-path stage, so no fps prediction");
     }
     if args.has("--by-request") {
         report_journeys(&trace, check)?;
@@ -909,73 +882,6 @@ fn load_trace(path: &str) -> CliResult<tincy::trace::Trace> {
     Ok(tincy::trace::from_chrome_json(&text).map_err(|e| format!("{path}: {e}"))?)
 }
 
-fn cmd_calibrate(args: &Args) -> CliResult {
-    let threshold = args.get::<f64>("--threshold")?.unwrap_or(1.0) / 100.0;
-    let path = args.positional.first();
-    let path = path.ok_or("calibrate requires a trace file or segment directory")?;
-    let trace = load_trace(path)?;
-    let profile = tincy::trace::Profile::from_trace(&trace);
-    let means = profile.stage_means_ms();
-    let baseline = StageBudget::paper_baseline();
-    let (budget, covered) = measured_budget(&means, &baseline);
-    if !covered.iter().any(|&c| c) {
-        return Err(format!("{path}: no frame-path stage spans to calibrate from").into());
-    }
-
-    println!("measured stage budget calibrated from {path}:");
-    println!(
-        "{:<20} {:>12} {:>12}  source",
-        "stage", "baseline ms", "budget ms"
-    );
-    for (i, stage) in StageId::ALL.into_iter().enumerate() {
-        println!(
-            "{:<20} {:>12.3} {:>12.3}  {}",
-            stage.label(),
-            baseline.get(stage),
-            budget.get(stage),
-            if covered[i] {
-                "measured"
-            } else {
-                "baseline (uncovered)"
-            }
-        );
-    }
-
-    // Round trip: diffing the measured budget against the very means that
-    // produced it must land within the threshold on every covered stage.
-    for row in model_diff(&budget, &means, threshold) {
-        let Some(ratio) = row.ratio else { continue };
-        if row.flagged {
-            return Err(format!(
-                "calibration failed to round-trip: {} observed/measured ratio {ratio:.4} \
-                 deviates more than {:.1}%",
-                row.stage.label(),
-                threshold * 100.0
-            )
-            .into());
-        }
-    }
-    println!(
-        "round trip: every covered stage within {:.1}% of its observed mean",
-        threshold * 100.0
-    );
-
-    let model = PipelineModel::default();
-    let fps = pipelined_fps(&budget, model);
-    let paper_fps = speedup_ladder().last().map_or(16.0, |step| step.fps);
-    println!(
-        "sequential: {:.3} ms/frame ({:.2} fps); pipelined prediction \
-         ({} workers, {:.0}% efficiency): {:.2} fps — paper final: {:.2} fps",
-        budget.total_ms(),
-        budget.sequential_fps(),
-        model.workers,
-        model.efficiency * 100.0,
-        fps,
-        paper_fps
-    );
-    Ok(())
-}
-
 fn parse_range(flag: &str, value: &str) -> CliResult<(usize, usize)> {
     let (lo, hi) = value
         .split_once(':')
@@ -1047,7 +953,7 @@ mod tests {
                      --segment-events";
         let serve = format!(
             "{local} --status-addr --cpu-workers --max-batch --queue --per-client --engage-depth \
-             --recalibrate-every --drift-threshold --variants --variant-smoke --smoke --scrape \
+             --drift-threshold --variants --variant-smoke --smoke --scrape \
              --fault-shard --shards --policy --pattern --workers --seed --health-every \
              --readmit-streak --vnodes --slo-smoke --exemplars"
         );
@@ -1056,7 +962,7 @@ mod tests {
             (Cmd::Serve, serve.clone()),
             (Cmd::Loadgen, serve),
         ];
-        assert_eq!(CMDS.len(), 6);
+        assert_eq!((CMDS.len(), FLAGS.len()), (5, 36));
         for (cmd, want) in cases {
             let mut want: Vec<&str> = want.split_whitespace().collect();
             let mut got: Vec<&str> = FLAGS
@@ -1083,6 +989,19 @@ mod tests {
         let args = parse(Cmd::Serve, "--max-batch many").unwrap();
         let err = args.get::<usize>("--max-batch").unwrap_err();
         assert!(err.starts_with("--max-batch many: "), "{err}");
+        for (cmd, flag, value) in [
+            (Cmd::Serve, "--drift-threshold", "NaN"),
+            (Cmd::Serve, "--drift-threshold", "-5"),
+            (Cmd::TraceReport, "--threshold", "inf"),
+            (Cmd::TraceReport, "--threshold", "0"),
+        ] {
+            let args = parse(cmd, &format!("{flag} {value}")).unwrap();
+            let err = args.percent(flag).unwrap_err();
+            assert_eq!(
+                err,
+                format!("{flag} {value}: expected a finite percentage above 0")
+            );
+        }
     }
 
     #[test]

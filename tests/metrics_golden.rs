@@ -10,8 +10,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use tincy::core::SystemConfig;
 use tincy::serve::{
-    run_load, ArrivalPattern, DriftHandle, FleetConfig, InferenceServer, LoadConfig, ServeConfig,
-    SloClass,
+    run_load, ArrivalPattern, FleetConfig, InferenceServer, LoadConfig, ServeConfig, SloClass,
 };
 use tincy::telemetry::{check_histogram_series, http_get, parse_prometheus};
 use tincy::video::{SceneConfig, SyntheticCamera};
@@ -38,9 +37,8 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/metrics_shape.txt")
 }
 
-/// The server every shape below is taken from. A drift handle (even one
-/// nothing publishes into) turns on the calibration families, so their
-/// shape is pinned too.
+/// The server every shape below is taken from. A drift threshold turns on
+/// the calibration families, so their shape is pinned too.
 fn shaped_server() -> ServeConfig {
     ServeConfig {
         system: SystemConfig {
@@ -51,7 +49,7 @@ fn shaped_server() -> ServeConfig {
         cpu_workers: 2,
         max_batch: 4,
         score_threshold: 0.0,
-        drift: Some(DriftHandle::default()),
+        drift_threshold: Some(0.5),
         ..Default::default()
     }
 }

@@ -1,18 +1,19 @@
 //! Multi-variant serving invariants, exercised end to end through the
 //! public `tincy::serve` API: per-variant bit-exactness under a seeded
-//! FINN outage, the rung gap in simulated device cycles, drift-driven
-//! demotion and clean-streak promotion conserving work, in-order delivery
-//! across a mid-flight ladder shift, and seeded-run fingerprint
-//! determinism.
+//! FINN outage, the rung gap in simulated device cycles, and seeded-run
+//! fingerprint determinism. The drift-driven demote/promote cycle and
+//! in-order delivery across a mid-flight shift raise the alert through the
+//! scheduler's own trackers, so they live with it (`crates/serve/src/
+//! server.rs`).
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tincy::core::{build_network_for, offload_position, SystemConfig};
 use tincy::explore::DesignPoint;
 use tincy::finn::{AccelReport, FabricBackend, FaultPlan};
 use tincy::serve::{
-    run_load, ArrivalPattern, DriftHandle, DriftStatus, FleetConfig, InferenceServer, LoadConfig,
-    ServeConfig, ServeEngine, ServeVariant, ShiftPolicy, SloClass, VariantLadder,
+    run_load, ArrivalPattern, FleetConfig, InferenceServer, LoadConfig, ServeConfig, ServeEngine,
+    ServeVariant, ShiftPolicy, SloClass, VariantLadder,
 };
 use tincy::tensor::{Shape3, Tensor};
 use tincy::video::{Image, SceneConfig, SyntheticCamera};
@@ -74,8 +75,7 @@ fn accurate_rung_costs_over_twice_the_cheap_rungs_device_cycles() {
     assert!(accurate.cycles_per_frame() >= 2 * cheap.cycles_per_frame());
 }
 
-/// A ladder config that never shifts on its own (the drift tests swap in
-/// a twitchy policy explicitly).
+/// A ladder config that never shifts on its own.
 fn ladder_config(fault_plan: FaultPlan) -> ServeConfig {
     ServeConfig {
         system: SystemConfig {
@@ -105,17 +105,6 @@ fn small_scene() -> SceneConfig {
         height: 36,
         ..Default::default()
     }
-}
-
-fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < timeout {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    false
 }
 
 #[test]
@@ -164,126 +153,6 @@ fn responses_are_bit_exact_with_their_variant_mid_outage() {
         "both rungs saw traffic"
     );
     assert!(report.offload.faults > 0, "the outage must actually fault");
-}
-
-#[test]
-fn drift_alert_demotes_and_clean_streak_restores() {
-    // A sustained drift alert must shift every class toward the cheap
-    // rung; a sustained clean streak must shift them back home. A phase
-    // of batch traffic at home, demoted and promoted again conserves
-    // work: each response on the rung active at admission, delivered 1:1
-    // with the submissions, none lost or duplicated across the cycle.
-    const PHASE: u64 = 4;
-    let drift = DriftHandle::default();
-    let config = ServeConfig {
-        drift: Some(drift.clone()),
-        shift: ShiftPolicy {
-            demote_after: 2,
-            promote_after: 2,
-            every: Duration::from_millis(2),
-        },
-        ..ladder_config(FaultPlan::none())
-    };
-    let server = InferenceServer::start(config).unwrap();
-    let client = server.client();
-    let mut camera = SyntheticCamera::with_limit(small_scene(), 11, 3 * PHASE);
-    let mut batch_phase = |rung: usize| {
-        let sent: Vec<(u64, usize)> = (0..PHASE)
-            .map(|_| {
-                let image = camera.capture().unwrap();
-                (client.submit(image, SloClass::Batch).unwrap(), rung)
-            })
-            .collect();
-        let got: Vec<(u64, usize)> = (0..PHASE)
-            .map(|_| client.recv().unwrap())
-            .map(|r| (r.seq, r.variant))
-            .collect();
-        assert_eq!(got, sent, "responses match submissions 1:1 on rung {rung}");
-    };
-    assert_eq!(server.active_variants(), [0, 0, 1], "home routing");
-    batch_phase(1);
-    drift.publish(DriftStatus {
-        alerted: true,
-        ..Default::default()
-    });
-    assert!(
-        wait_until(Duration::from_secs(5), || server.active_variants()
-            == [0, 0, 0]),
-        "sustained drift must demote the batch class to the cheap rung"
-    );
-    batch_phase(0);
-    drift.publish(DriftStatus::default());
-    assert!(
-        wait_until(Duration::from_secs(5), || server.active_variants()
-            == [0, 0, 1]),
-        "a clean streak must restore home routing"
-    );
-    batch_phase(1);
-    let report = server.finish();
-    assert!(report.shifts_down >= 1);
-    assert!(report.shifts_up >= 1);
-    assert_eq!((report.accepted, report.completed), (3 * PHASE, 3 * PHASE));
-}
-
-#[test]
-fn in_order_delivery_survives_mid_flight_shift() {
-    // Queue work on the accurate rung, shift the ladder while it is
-    // still pending, queue more (now routed to the cheap rung), then
-    // dispatch everything: each client must see its responses in
-    // submission order even though the variant changed mid-stream, and
-    // the queued work must stay on its admission-time rung.
-    let drift = DriftHandle::default();
-    let config = ServeConfig {
-        drift: Some(drift.clone()),
-        start_paused: true,
-        shift: ShiftPolicy {
-            demote_after: 2,
-            promote_after: 2,
-            every: Duration::from_millis(2),
-        },
-        ..ladder_config(FaultPlan::none())
-    };
-    let server = InferenceServer::start(config).unwrap();
-    let clients = [server.client(), server.client()];
-    let mut cameras: Vec<SyntheticCamera> = (0..2)
-        .map(|i| SyntheticCamera::with_limit(small_scene(), 31 + i, 6))
-        .collect();
-    let mut submitted: Vec<Vec<u64>> = vec![Vec::new(); 2];
-    for (i, client) in clients.iter().enumerate() {
-        for _ in 0..3 {
-            let image = cameras[i].capture().unwrap();
-            submitted[i].push(client.submit(image, SloClass::Batch).unwrap());
-        }
-    }
-    drift.publish(DriftStatus {
-        alerted: true,
-        ..Default::default()
-    });
-    assert!(
-        wait_until(Duration::from_secs(5), || server.active_variants()[2] == 0),
-        "the shift must land while the first half is still queued"
-    );
-    for (i, client) in clients.iter().enumerate() {
-        for _ in 0..3 {
-            let image = cameras[i].capture().unwrap();
-            submitted[i].push(client.submit(image, SloClass::Batch).unwrap());
-        }
-    }
-    server.resume();
-    for (i, client) in clients.iter().enumerate() {
-        let responses: Vec<_> = (0..6).map(|_| client.recv().unwrap()).collect();
-        let seqs: Vec<u64> = responses.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, submitted[i], "client {i} delivery order");
-        let variants: Vec<usize> = responses.iter().map(|r| r.variant).collect();
-        assert_eq!(
-            variants,
-            vec![1, 1, 1, 0, 0, 0],
-            "queued work keeps its admission-time rung across the shift"
-        );
-    }
-    let report = server.finish();
-    assert_eq!(report.completed, 12);
-    assert!(report.shifts_down >= 1);
 }
 
 #[test]
