@@ -12,8 +12,8 @@ use crate::fault::{result_checksum, FaultInjector, FaultKind};
 use crate::resource::ResourceEstimate;
 use tincy_kernels::{autotune, KernelPlan, PackedLayer, TuneBudget, Variant};
 use tincy_nn::NnError;
-use tincy_quant::{BinaryDot, ThresholdsForLayer};
-use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor, U3Tensor};
+use tincy_quant::ThresholdsForLayer;
+use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor};
 use tincy_trace::static_label;
 
 /// Activation bit width of the offloaded hidden layers (W1A3).
@@ -365,9 +365,10 @@ impl QnnAccelerator {
 
     /// The host path: the layers' shared cores run back to back, with the
     /// instructions of [`QnnAccelerator::run`] and none of its weight-swap,
-    /// cycle or fault bookkeeping. Identical results to
-    /// [`QnnAccelerator::reference_run_naive`] at a fraction of the time —
-    /// this is what host workers and degraded serving run per frame.
+    /// cycle or fault bookkeeping. Identical results to folding the naive
+    /// [`PackedLayer::forward_reference`] over [`Self::packed_layers`] at a
+    /// fraction of the time — this is what host workers and degraded
+    /// serving run per frame.
     ///
     /// # Errors
     ///
@@ -382,21 +383,6 @@ impl QnnAccelerator {
                 });
             }
             fmap = packed.forward(&fmap, Variant::Blocked, 1);
-        }
-        Ok(fmap)
-    }
-
-    /// Pure-software golden reference: naive signed dot products plus
-    /// threshold activation, no packing, no folding. The hardware path and
-    /// the packed fallback path must both match this **bit exactly**.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError`] on a shape mismatch.
-    pub fn reference_run_naive(&self, input: &Tensor<u8>) -> Result<Tensor<u8>, NnError> {
-        let mut fmap = input.clone();
-        for layer in &self.layers {
-            fmap = reference_layer(layer, &fmap)?;
         }
         Ok(fmap)
     }
@@ -442,57 +428,6 @@ impl QnnAccelerator {
     pub fn total_ops(&self) -> u64 {
         self.layers.iter().map(QnnLayerParams::ops).sum()
     }
-}
-
-/// Reference evaluation of one layer (shared with tests and the backend).
-pub(crate) fn reference_layer(
-    layer: &QnnLayerParams,
-    input: &Tensor<u8>,
-) -> Result<Tensor<u8>, NnError> {
-    if input.shape() != layer.in_shape() {
-        return Err(NnError::ShapeMismatch {
-            expected: layer.in_shape().to_string(),
-            actual: input.shape().to_string(),
-        });
-    }
-    let geom = layer.geom();
-    let conv_shape = geom.output_shape(layer.in_shape(), layer.weights().rows());
-    let dot = BinaryDot::new(layer.weights().clone());
-    let mut conv_out = Tensor::zeros(conv_shape);
-    let mut footprint = vec![0u8; geom.dot_length(layer.in_shape().channels)];
-    for oy in 0..conv_shape.height {
-        for ox in 0..conv_shape.width {
-            let mut i = 0;
-            for c in 0..layer.in_shape().channels {
-                for ky in 0..geom.kernel {
-                    for kx in 0..geom.kernel {
-                        let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                        footprint[i] = if iy < 0
-                            || ix < 0
-                            || iy as usize >= layer.in_shape().height
-                            || ix as usize >= layer.in_shape().width
-                        {
-                            0
-                        } else {
-                            input.at(c, iy as usize, ix as usize)
-                        };
-                        i += 1;
-                    }
-                }
-            }
-            // The packed path exists only on the engine; here we stay naive.
-            let _ = U3Tensor::from_values(&footprint);
-            for ch in 0..conv_shape.channels {
-                let acc = dot.dot_naive(ch, &footprint);
-                *conv_out.at_mut(ch, oy, ox) = layer.thresholds().channel(ch).activate(acc);
-            }
-        }
-    }
-    Ok(match layer.pool() {
-        Some(pool) => crate::engine::max_pool_levels(&conv_out, pool),
-        None => conv_out,
-    })
 }
 
 #[cfg(test)]
@@ -555,9 +490,13 @@ mod tests {
         for _ in 0..3 {
             let accel = two_layer_accel(&mut rng);
             let input = Tensor::from_fn(accel.input_shape(), |_, _, _| rng.gen_range(0..8) as u8);
+            let naive = accel
+                .packed_layers()
+                .iter()
+                .fold(input.clone(), |fmap, layer| layer.forward_reference(&fmap));
             assert_eq!(
                 accel.reference_run(&input).unwrap(),
-                accel.reference_run_naive(&input).unwrap(),
+                naive,
                 "packed kernels must match the naive integer reference bit-exactly"
             );
         }

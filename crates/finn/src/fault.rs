@@ -343,7 +343,7 @@ mod tests {
             "expected a visible fault rate, got {faults}/4000"
         );
         assert!(faults < 1000, "fault rate implausibly high: {faults}/4000");
-        // CI's drift smoke (`loadgen 16 4 32 --fault-seed 7`, at most 64
+        // CI's drift smoke (`serve 16 4 32 --fault-seed 7`, at most 64
         // FINN invocations) counts on seed 7's first fault coming later.
         assert_eq!(schedule(&a).iter().position(Option::is_some), Some(66));
     }

@@ -296,7 +296,7 @@ fn streaming_engine_matches_every_other_path_over_the_geometry_grid() {
                         let accel = QnnAccelerator::new(vec![case.layer.clone()], case.config)
                             .expect("single layer");
                         // (b) the naive signed-arithmetic reference
-                        let naive = accel.reference_run_naive(&case.input).expect("runs");
+                        let naive = accel.packed_layers()[0].forward_reference(&case.input);
                         assert_eq!(out, naive, "naive reference, {what}");
                         // (c) the host path over the same core
                         let host = accel.reference_run(&case.input).expect("runs");
@@ -387,7 +387,10 @@ fn host_path_equals_naive_and_fabric_and_survives_a_full_outage() {
 
     let (fabric, _) = accel.run(&input).expect("fabric path runs");
     let host = accel.reference_run(&input).expect("host path runs");
-    let naive = accel.reference_run_naive(&input).expect("naive path runs");
+    let naive = accel
+        .packed_layers()
+        .iter()
+        .fold(input.clone(), |fmap, layer| layer.forward_reference(&fmap));
     assert_eq!(host, naive, "host path disagrees with the naive reference");
     assert_eq!(host, fabric, "host path disagrees with the fabric path");
 

@@ -1,10 +1,10 @@
 //! Serving configuration.
 
-use crate::variants::{ShiftPolicy, VariantLadder};
+use crate::variants::VariantLadder;
 use std::time::Duration;
 use tincy_core::SystemConfig;
 use tincy_nn::ModelSpec;
-use tincy_telemetry::{Buckets, SloPolicy};
+use tincy_telemetry::SloPolicy;
 
 /// Configuration of the inference server.
 #[derive(Debug, Clone)]
@@ -13,11 +13,6 @@ pub struct ServeConfig {
     /// the common weight seed is what makes FINN and CPU results
     /// interchangeable).
     pub system: SystemConfig,
-    /// Explicit design point to serve. When unset, the Tincy model the
-    /// `system` configuration describes is served; when set (e.g. an
-    /// explore-selected `ModelSpec`), it overrides the topology, folding
-    /// and weight seed, and `system` supplies only fault/retry policy.
-    pub model: Option<ModelSpec>,
     /// Host workers running the bit-exact reference path. The FINN engine
     /// is a single worker — the device is one fabric.
     pub cpu_workers: usize,
@@ -28,10 +23,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Per-client outstanding-request quota.
     pub per_client_capacity: usize,
-    /// Host workers engage only when the queue is deeper than this (or the
-    /// FINN engine is degraded, or the server is draining) — shallow
-    /// queues are left to accumulate into FINN micro-batches.
-    pub cpu_engage_depth: usize,
     /// Detection score threshold.
     pub score_threshold: f32,
     /// Start with dispatch paused (burst mode: submit, then
@@ -45,9 +36,6 @@ pub struct ServeConfig {
     /// (Prometheus text), `/metrics.json`, `/healthz` and `/report` for
     /// the lifetime of the server.
     pub status_addr: Option<String>,
-    /// Bucket bounds for the native latency/queue-wait histogram
-    /// exposition (`*_hist_seconds` families on `/metrics`).
-    pub latency_buckets: Buckets,
     /// Shard identity within a fleet. Stamps a `shard` attribute on
     /// every span the server records, prefixes worker thread names with
     /// `shard<k>-`, and salts the trace ids minted for direct (non-fleet)
@@ -73,8 +61,6 @@ pub struct ServeConfig {
     /// routed to its home rung and a shift monitor demotes traffic down
     /// the ladder under sustained drift or SLO burn.
     pub variants: Option<VariantLadder>,
-    /// Hysteresis policy of the ladder shift monitor.
-    pub shift: ShiftPolicy,
 }
 
 impl Default for ServeConfig {
@@ -84,12 +70,10 @@ impl Default for ServeConfig {
                 input_size: 128,
                 ..Default::default()
             },
-            model: None,
             cpu_workers: 2,
             max_batch: 4,
             queue_capacity: 64,
             per_client_capacity: 8,
-            cpu_engage_depth: 8,
             score_threshold: 0.2,
             start_paused: false,
             slo_targets: [
@@ -101,23 +85,21 @@ impl Default for ServeConfig {
             slo: SloPolicy::default(),
             exemplars: false,
             status_addr: None,
-            latency_buckets: Buckets::default(),
             drift_threshold: None,
             variants: None,
-            shift: ShiftPolicy::default(),
         }
     }
 }
 
 impl ServeConfig {
-    /// The design point this configuration serves (the explicit model, or
-    /// the Tincy model the `system` configuration describes). On a
-    /// multi-variant ladder this is the cheapest rung.
+    /// The design point this configuration serves: the cheapest rung of
+    /// the ladder, or the Tincy model the `system` configuration
+    /// describes.
     pub fn model_spec(&self) -> ModelSpec {
-        if let Some(ladder) = &self.variants {
-            return ladder.get(0).model.clone();
+        match &self.variants {
+            Some(ladder) => ladder.get(0).model.clone(),
+            None => self.system.model(),
         }
-        self.model.clone().unwrap_or_else(|| self.system.model())
     }
 
     /// The variant ladder this configuration hosts: the configured one,

@@ -8,8 +8,9 @@
 //!
 //! * **Dispatch** — [`RoutePolicy::LeastLoaded`] picks the shard with
 //!   the fewest outstanding requests; [`RoutePolicy::ConsistentHash`]
-//!   pins each client to a shard via a virtual-node [`HashRing`], so a
-//!   client's frames batch together on one fabric. Either way a
+//!   pins each client to a shard via a virtual-node [`HashRing`] (64
+//!   nodes per shard), so a client's frames batch together on one
+//!   fabric. Either way a
 //!   rejection fails over to the next candidate — the fleet sheds only
 //!   when *every* shard refuses.
 //! * **Drain / re-admit** — a health monitor watches each shard's
@@ -17,8 +18,10 @@
 //!   verdict (SLO burn, calibration drift). A shard whose fabric
 //!   degrades is drained: removed from the ring and skipped by dispatch
 //!   while its outstanding work completes (accepted work is never
-//!   dropped). Drained shards are probed with canary frames; a streak
-//!   of clean fabric probes re-admits the shard.
+//!   dropped). Drained shards are probed with canary frames; two clean
+//!   fabric probes in a row re-admit the shard, and re-admission clears
+//!   the evidence behind the shard's own verdict. The monitor polls
+//!   every 10 ms.
 //! * **Aggregation** — `--status-addr` binds one endpoint: the router's
 //!   `tincy_fleet_*` families plus every shard's own series under a
 //!   `shard="i"` label, read from the shards' collectors by function
@@ -37,6 +40,13 @@ pub use router::{Fleet, FleetClient, FleetReport};
 use crate::config::ServeConfig;
 use std::time::Duration;
 use tincy_finn::FaultPlan;
+
+/// Health-monitor poll cadence.
+pub(crate) const HEALTH_EVERY: Duration = Duration::from_millis(10);
+/// Consecutive clean fabric probes that re-admit a drained shard.
+pub(crate) const READMIT_STREAK: u32 = 2;
+/// Virtual nodes per shard on the consistent-hash ring.
+pub(crate) const VNODES: usize = 64;
 
 /// How the router picks a shard for each submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,13 +97,6 @@ pub struct FleetConfig {
     /// Per-shard fault plans, indexed by shard; shards beyond the end
     /// run fault-free.
     pub shard_faults: Vec<FaultPlan>,
-    /// Health-monitor poll cadence.
-    pub health_every: Duration,
-    /// Consecutive clean fabric probes required to re-admit a drained
-    /// shard.
-    pub readmit_streak: u32,
-    /// Virtual nodes per shard on the consistent-hash ring.
-    pub vnodes: usize,
     /// When set, bind the fleet status endpoint here (`host:port`; port
     /// 0 picks a free one) — the fleet's only listener; its `/metrics`
     /// carries every shard's series. `base.status_addr` is ignored.
@@ -107,9 +110,6 @@ impl Default for FleetConfig {
             policy: RoutePolicy::LeastLoaded,
             base: ServeConfig::default(),
             shard_faults: Vec::new(),
-            health_every: Duration::from_millis(10),
-            readmit_streak: 2,
-            vnodes: 64,
             status_addr: None,
         }
     }

@@ -13,12 +13,13 @@
 //! advanced while `degraded` did not. A probe stolen by a host worker
 //! moves neither counter and is inconclusive: it leaves the recovery
 //! streak untouched rather than resetting it, and a later probe lands
-//! on the fabric. [`FleetConfig::readmit_streak`] clean probes re-admit
-//! the shard.
+//! on the fabric. `READMIT_STREAK` clean probes re-admit the shard, and
+//! re-admission clears the drift alerts and burn windows behind its own
+//! verdict, so it is judged by what its traffic does next.
 
 use super::ring::HashRing;
 use super::telemetry::FleetStats;
-use super::{FleetConfig, RoutePolicy};
+use super::{FleetConfig, RoutePolicy, HEALTH_EVERY, READMIT_STREAK, VNODES};
 use crate::metrics::ServeReport;
 use crate::request::{AdmissionError, InferResponse, SloClass};
 use crate::server::{ClientHandle, InferenceServer};
@@ -69,7 +70,7 @@ pub(super) struct Shared {
 }
 
 impl Shared {
-    fn new(shards: usize, policy: RoutePolicy, vnodes: usize) -> Self {
+    fn new(shards: usize, policy: RoutePolicy) -> Self {
         let slots = (0..shards)
             .map(|_| Slot {
                 load: AtomicU64::new(0),
@@ -77,7 +78,7 @@ impl Shared {
                 routed: AtomicU64::new(0),
             })
             .collect();
-        let ring = HashRing::with_shards(shards as u32, vnodes);
+        let ring = HashRing::with_shards(shards as u32, VNODES);
         Self {
             slots,
             policy,
@@ -197,9 +198,14 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Propagates shard construction and endpoint bind failures.
+    /// [`NnError::InvalidSpec`] for zero shards; propagates shard
+    /// construction and endpoint bind failures.
     pub fn start(config: FleetConfig) -> Result<Self, NnError> {
-        assert!(config.shards >= 1, "a fleet needs at least one shard");
+        if config.shards == 0 {
+            return Err(NnError::InvalidSpec {
+                what: "shards 0: a fleet needs at least one shard".to_owned(),
+            });
+        }
         let mut servers = Vec::with_capacity(config.shards);
         for shard in 0..config.shards {
             let mut shard_config = config.base.clone();
@@ -216,7 +222,7 @@ impl Fleet {
             shard_config.status_addr = None;
             servers.push(InferenceServer::start(shard_config)?);
         }
-        let shared = Arc::new(Shared::new(config.shards, config.policy, config.vnodes));
+        let shared = Arc::new(Shared::new(config.shards, config.policy));
         // Only the endpoint and the monitor hold the shards' collectors:
         // the monitor is joined before the shards finish, so without an
         // endpoint a shard's state goes when the shard does.
@@ -231,8 +237,8 @@ impl Fleet {
         let status = status.transpose().map_err(NnError::Io)?;
         let stop = Arc::new(AtomicBool::new(false));
         let monitor = (config.shards > 1).then(|| {
-            let monitor = Monitor::new(&config, &servers, Arc::clone(&shared));
-            spawn_monitor(monitor, Arc::clone(&stop), config.health_every)
+            let monitor = Monitor::new(&servers, Arc::clone(&shared));
+            spawn_monitor(monitor, Arc::clone(&stop))
         });
         Ok(Self {
             servers,
@@ -569,11 +575,10 @@ struct Monitor {
     probes: Vec<ClientHandle>,
     probe_image: Image,
     tracks: Vec<Track>,
-    readmit_streak: u32,
 }
 
 impl Monitor {
-    fn new(config: &FleetConfig, servers: &[InferenceServer], shared: Arc<Shared>) -> Self {
+    fn new(servers: &[InferenceServer], shared: Arc<Shared>) -> Self {
         let shards: Vec<_> = servers.iter().map(|s| Arc::clone(&s.collector)).collect();
         let tracks = shards
             .iter()
@@ -597,7 +602,6 @@ impl Monitor {
             probes: servers.iter().map(InferenceServer::client).collect(),
             probe_image,
             tracks,
-            readmit_streak: config.readmit_streak.max(1),
         }
     }
 
@@ -609,7 +613,7 @@ impl Monitor {
     }
 
     fn readmit(&mut self, shard: usize) {
-        self.shards[shard].rearm_drift();
+        self.shards[shard].rearm();
         self.shared.slots[shard].up.store(true, Ordering::Relaxed);
         self.shared.ring.lock().insert(shard as u32);
         self.shared.readmits.fetch_add(1, Ordering::Relaxed);
@@ -668,21 +672,21 @@ impl Monitor {
         // Neither counter moved: a host worker stole the canary, which
         // says nothing about the fabric — leave the streak alone.
         track.last = after;
-        if track.streak >= self.readmit_streak {
+        if track.streak >= READMIT_STREAK {
             self.readmit(shard);
         }
     }
 }
 
-fn spawn_monitor(mut monitor: Monitor, stop: Arc<AtomicBool>, every: Duration) -> JoinHandle<()> {
+fn spawn_monitor(mut monitor: Monitor, stop: Arc<AtomicBool>) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("tincy-fleet-health".to_string())
         .spawn(move || {
             while !stop.load(Ordering::Acquire) {
                 monitor.step();
                 let mut waited = Duration::ZERO;
-                while waited < every && !stop.load(Ordering::Acquire) {
-                    let step = Duration::from_millis(2).min(every - waited);
+                while waited < HEALTH_EVERY && !stop.load(Ordering::Acquire) {
+                    let step = Duration::from_millis(2).min(HEALTH_EVERY - waited);
                     std::thread::sleep(step);
                     waited += step;
                 }
@@ -695,6 +699,7 @@ fn spawn_monitor(mut monitor: Monitor, stop: Arc<AtomicBool>, every: Duration) -
 mod tests {
     use super::*;
     use crate::config::ServeConfig;
+    use crate::request::BackendKind;
     use tincy_core::SystemConfig;
 
     fn small_fleet(policy: RoutePolicy) -> FleetConfig {
@@ -791,18 +796,34 @@ mod tests {
         assert_eq!(report.lost(), 0);
     }
 
+    /// Completes `n` requests on rung 0 of `server`, served degraded,
+    /// through the scheduler calls its workers make (the lock is held
+    /// throughout, so no worker sees them).
+    fn degraded_completions(server: &InferenceServer, n: usize) {
+        let (tx, _rx) = std::sync::mpsc::channel();
+        let mut state = server.collector.inner.state.lock();
+        let client = state.register_client(tx);
+        for image in frames(n as u64, 1) {
+            state
+                .submit(client, SloClass::Standard, image, None)
+                .unwrap();
+        }
+        for request in state.lease(0, n).requests {
+            state.complete(request, Vec::new(), BackendKind::Finn, n, true);
+        }
+    }
+
     /// A shard's own verdict drains it whether or not anything listens:
     /// the monitor asks the shard, not an endpoint. Both shards run the
-    /// one base config with drift on, and only shard 1's FINN engine
-    /// slows 4x after warmup: drift is each shard's own measurement.
+    /// one base config with drift on, and only shard 1 degrades: its FINN
+    /// engine slows 4x after warmup (drift is each shard's own
+    /// measurement), or it serves its requests degraded (SLO burn). Either
+    /// way it drains once: clean canaries re-admit it, re-admission clears
+    /// the evidence, and the next step leaves it up rather than draining
+    /// it again on an alert that one canary per step could never clear.
     #[test]
     fn monitor_drains_a_degraded_shard_with_no_endpoint_bound() {
-        let mut config = small_fleet(RoutePolicy::LeastLoaded);
-        config.base.drift_threshold = Some(0.5);
-        let servers: Vec<InferenceServer> = (0..2)
-            .map(|_| InferenceServer::start(config.base.clone()).unwrap())
-            .collect();
-        for (shard, server) in servers.iter().enumerate() {
+        let slow_finn: fn(usize, &InferenceServer) = |shard, server| {
             let mut state = server.collector.inner.state.lock();
             for block in 0..5 {
                 let ms = if shard == 1 && block >= 3 { 4 } else { 1 };
@@ -810,30 +831,55 @@ mod tests {
                     state.record_finn_batch(0, 1, Duration::from_millis(ms), false);
                 }
             }
+        };
+        let burning: fn(usize, &InferenceServer) = |shard, server| {
+            if shard == 1 {
+                degraded_completions(server, 8);
+            }
+        };
+        for (reason, degrade) in [("calibration-drift", slow_finn), ("slo-burn", burning)] {
+            let mut config = small_fleet(RoutePolicy::LeastLoaded);
+            config.base.drift_threshold = Some(0.5);
+            let servers: Vec<InferenceServer> = (0..2)
+                .map(|_| InferenceServer::start(config.base.clone()).unwrap())
+                .collect();
+            for (shard, server) in servers.iter().enumerate() {
+                degrade(shard, server);
+            }
+            assert!(servers.iter().all(|s| s.status_addr().is_none()));
+            assert_eq!(servers[1].collector.degraded(), Some(reason));
+            let shared = Arc::new(Shared::new(2, config.policy));
+            let mut monitor = Monitor::new(&servers, Arc::clone(&shared));
+            monitor.step();
+            let up = |shard: usize| shared.slots[shard].up.load(Ordering::Relaxed);
+            let drains = || shared.drains.load(Ordering::Relaxed);
+            assert!(up(0), "{reason}: the healthy shard stays routable");
+            assert!(!up(1), "{reason}: the degraded shard is drained");
+            assert_eq!(drains(), 1, "{reason}");
+            let readmits = || shared.readmits.load(Ordering::Relaxed);
+            (0..8)
+                .take_while(|_| readmits() == 0)
+                .for_each(|_| monitor.step());
+            assert_eq!(readmits(), 1, "{reason}");
+            monitor.step();
+            assert!(up(1), "{reason}: a re-admitted shard is judged afresh");
+            assert_eq!(drains(), 1, "{reason}");
+            drop(monitor);
+            for server in servers {
+                server.finish();
+            }
         }
-        assert!(servers.iter().all(|s| s.status_addr().is_none()));
-        let shared = Arc::new(Shared::new(2, config.policy, config.vnodes));
-        let mut monitor = Monitor::new(&config, &servers, Arc::clone(&shared));
-        monitor.step();
-        let up = |shard: usize| shared.slots[shard].up.load(Ordering::Relaxed);
-        assert!(up(0), "the healthy shard stays routable");
-        assert!(!up(1), "the drifted shard is drained");
-        assert_eq!(shared.drains.load(Ordering::Relaxed), 1);
-        // Clean canaries re-admit it, and re-admission re-arms its drift:
-        // the next step leaves it up rather than draining it again on an
-        // alert that one canary per step could never clear.
-        let readmits = || shared.readmits.load(Ordering::Relaxed);
-        (0..8)
-            .take_while(|_| readmits() == 0)
-            .for_each(|_| monitor.step());
-        assert_eq!(readmits(), 1);
-        monitor.step();
-        assert!(up(1), "a re-admitted shard is judged by its next blocks");
-        assert_eq!(shared.drains.load(Ordering::Relaxed), 1);
-        drop(monitor);
-        for server in servers {
-            server.finish();
-        }
+    }
+
+    #[test]
+    fn a_fleet_of_zero_shards_is_an_error() {
+        let config = FleetConfig {
+            shards: 0,
+            ..small_fleet(RoutePolicy::LeastLoaded)
+        };
+        let err = Fleet::start(config).err().expect("zero shards refused");
+        assert!(matches!(err, NnError::InvalidSpec { .. }), "{err}");
+        assert!(err.to_string().contains("shards 0"), "{err}");
     }
 
     /// One shard has nowhere to fail over to: no monitor thread, and an

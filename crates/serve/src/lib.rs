@@ -59,4 +59,4 @@ pub use load::{run_load, ClientOutcome, LoadConfig, LoadReport};
 pub use metrics::ServeReport;
 pub use request::{AdmissionError, BackendKind, InferResponse, SloClass};
 pub use server::{ClientHandle, InferenceServer};
-pub use variants::{ServeVariant, Shift, ShiftPolicy, ShiftState, VariantLadder};
+pub use variants::{ServeVariant, Shift, ShiftState, VariantLadder, DEMOTE_AFTER, PROMOTE_AFTER};

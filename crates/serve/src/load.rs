@@ -38,9 +38,6 @@ pub struct LoadConfig {
     /// Arrival pattern shared by every client (deterministic per-client
     /// phases come from the seed).
     pub pattern: ArrivalPattern,
-    /// SLO classes assigned round-robin: client `i` submits under
-    /// `classes[i % classes.len()]`.
-    pub classes: Vec<SloClass>,
     /// Synthetic scene parameters (shared; seeds differ per client).
     pub scene: SceneConfig,
     /// Base seed for cameras and the arrival schedule.
@@ -57,20 +54,9 @@ impl Default for LoadConfig {
             pattern: ArrivalPattern::Uniform {
                 interval: Duration::from_millis(2),
             },
-            classes: vec![SloClass::Interactive, SloClass::Standard, SloClass::Batch],
             scene: SceneConfig::default(),
             seed: 7,
             workers: 8,
-        }
-    }
-}
-
-impl LoadConfig {
-    /// The SLO class client `i` submits under.
-    pub fn class_of(&self, client: usize) -> SloClass {
-        match self.classes.as_slice() {
-            [] => SloClass::Standard,
-            classes => classes[client % classes.len()],
         }
     }
 }
@@ -260,7 +246,8 @@ pub fn run_load(
     for index in 0..load.clients {
         partitions[index % workers].push(Lane {
             index,
-            class: load.class_of(index),
+            // Clients cycle Interactive, Standard, Batch.
+            class: SloClass::ALL[index % SloClass::ALL.len()],
             client: fleet.client(),
             camera: SyntheticCamera::with_limit(
                 load.scene.clone(),

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use tincy_eval::Detection;
 use tincy_nn::OffloadStats;
 use tincy_pipeline::DurationStats;
-use tincy_telemetry::{ExemplarStore, SloStatus, SloTracker};
+use tincy_telemetry::{Buckets, ExemplarStore, SloStatus, SloTracker};
 use tincy_trace::{static_label, SpanBuilder, TraceContext};
 use tincy_video::Image;
 
@@ -78,6 +78,9 @@ struct ClientState {
     /// Delivery channel back to the client handle.
     tx: Sender<InferResponse>,
 }
+
+/// Queue depth past which host workers engage on a healthy fabric.
+const CPU_ENGAGE_DEPTH: usize = 8;
 
 /// Items one drift block averages: about what one default 512-event
 /// trace segment held per stage (DESIGN §8.3).
@@ -213,12 +216,7 @@ pub(crate) struct MetricsAcc {
 }
 
 impl MetricsAcc {
-    fn new(
-        buckets: &tincy_telemetry::Buckets,
-        names: Vec<String>,
-        homes: [usize; 3],
-        drift_threshold: Option<f64>,
-    ) -> Self {
+    fn new(names: Vec<String>, homes: [usize; 3], drift_threshold: Option<f64>) -> Self {
         let variants = names.len();
         Self {
             accepted: 0,
@@ -242,7 +240,7 @@ impl MetricsAcc {
             finn_busy: Duration::ZERO,
             cpu_busy: Duration::ZERO,
             max_depth: 0,
-            latency_exemplars: ExemplarStore::new(buckets),
+            latency_exemplars: ExemplarStore::new(&Buckets::default()),
             variant_names: names,
             variant_requests: vec![[0; 3]; variants],
             variant_items: vec![0; variants],
@@ -339,7 +337,6 @@ pub(crate) struct SchedState {
     swap_layers: Vec<u64>,
     queue_capacity: usize,
     per_client_capacity: usize,
-    cpu_engage_depth: usize,
     slo_targets: [Duration; 3],
     /// Shard identity within a fleet (span attribution + trace-id salt).
     shard: Option<u32>,
@@ -377,17 +374,11 @@ impl SchedState {
             draining: false,
             shutdown: false,
             finn_degraded: vec![false; ladder.len()],
-            metrics: MetricsAcc::new(
-                &config.latency_buckets,
-                ladder.names(),
-                homes,
-                config.drift_threshold,
-            ),
+            metrics: MetricsAcc::new(ladder.names(), homes, config.drift_threshold),
             homes,
             swap_layers: ladder.variants().iter().map(|v| v.swap_layers()).collect(),
             queue_capacity: config.queue_capacity,
             per_client_capacity: config.per_client_capacity,
-            cpu_engage_depth: config.cpu_engage_depth,
             slo_targets: config.slo_targets,
             shard: config.shard,
             mint_salt: config.shard.map_or(0, |s| (u64::from(s) + 1) << 32),
@@ -410,6 +401,17 @@ impl SchedState {
             Some(shard) => span.shard(shard),
             None => span,
         }
+    }
+
+    /// Drops every drift alert (trackers keep their EWMA and reference),
+    /// and counts every class's burn alert on the evidence so far before
+    /// dropping that evidence (see [`SloTracker::rearm`]).
+    pub fn rearm(&mut self) {
+        for tracker in self.metrics.drift.iter_mut().flatten() {
+            tracker.alerted = false;
+        }
+        let now = self.now_ns();
+        self.slo.iter_mut().for_each(|tracker| tracker.rearm(now));
     }
 
     /// Evaluates every class's burn-rate state at the current injected
@@ -588,15 +590,14 @@ impl SchedState {
     }
 
     /// Whether a host worker may take work right now: only under queue
-    /// pressure, FINN degradation (of any variant's engine) or drain —
-    /// otherwise frames are left to accumulate into FINN micro-batches.
+    /// pressure (deeper than [`CPU_ENGAGE_DEPTH`]), FINN degradation (of
+    /// any variant's engine) or drain — otherwise frames are left to
+    /// accumulate into FINN micro-batches.
     pub fn cpu_ready(&self) -> bool {
         let depth = self.depth();
         !self.paused
             && depth > 0
-            && (depth > self.cpu_engage_depth
-                || self.finn_degraded.iter().any(|d| *d)
-                || self.draining)
+            && (depth > CPU_ENGAGE_DEPTH || self.finn_degraded.iter().any(|d| *d) || self.draining)
     }
 
     /// Leases up to `max` earliest-deadline requests of one variant to
@@ -768,7 +769,6 @@ mod tests {
         ServeConfig {
             queue_capacity: 4,
             per_client_capacity: 2,
-            cpu_engage_depth: 2,
             ..Default::default()
         }
     }
@@ -888,7 +888,8 @@ mod tests {
 
     #[test]
     fn cpu_engages_only_under_pressure_degradation_or_drain() {
-        let mut state = SchedState::new(&config());
+        // The default quotas: 64 queued, 8 per client.
+        let mut state = SchedState::new(&ServeConfig::default());
         let (tx, _rx) = channel();
         let a = state.register_client(tx);
         let (tx, _rx) = channel();
@@ -902,10 +903,12 @@ mod tests {
         state.draining = true;
         assert!(state.cpu_ready(), "drain engages every backend");
         state.draining = false;
-        state.submit(a, SloClass::Standard, frame(), None).unwrap();
-        assert!(!state.cpu_ready(), "depth 2 does not exceed engage depth 2");
+        for _ in 1..CPU_ENGAGE_DEPTH {
+            state.submit(a, SloClass::Standard, frame(), None).unwrap();
+        }
+        assert!(!state.cpu_ready(), "depth 8 does not exceed engage depth 8");
         state.submit(b, SloClass::Standard, frame(), None).unwrap();
-        assert!(state.cpu_ready(), "depth 3 exceeds engage depth 2");
+        assert!(state.cpu_ready(), "depth 9 exceeds engage depth 8");
     }
 
     #[test]

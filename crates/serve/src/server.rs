@@ -4,7 +4,7 @@
 //!
 //! With a multi-rung [`crate::VariantLadder`] the server also runs a
 //! *shift monitor* thread: it samples the server's verdict (per-class SLO
-//! burn, then its own service-time drift) at the configured cadence,
+//! burn, then its own service-time drift) every 10 ms,
 //! feeds a hysteretic [`ShiftState`], and demotes traffic down the ladder
 //! under a sustained alert (promoting back after a clean streak).
 
@@ -15,7 +15,7 @@ use crate::metrics::ServeReport;
 use crate::request::{AdmissionError, BackendKind, InferResponse, SloClass};
 use crate::scheduler::SchedState;
 use crate::telemetry::{bind_status, healthz_json, ServeCollector};
-use crate::variants::{Shift, ShiftPolicy, ShiftState};
+use crate::variants::{Shift, ShiftState, SHIFT_EVERY};
 use parking_lot::{Condvar, Mutex};
 use std::net::SocketAddr;
 use std::sync::mpsc::{channel, Receiver};
@@ -152,7 +152,6 @@ impl InferenceServer {
             healths: finn_healths,
             started: Instant::now(),
             cpu_workers: config.cpu_workers,
-            buckets: config.latency_buckets.clone(),
             exemplars: config.exemplars,
         });
         let mut workers = Vec::with_capacity(ladder.len() + config.cpu_workers + 1);
@@ -193,7 +192,6 @@ impl InferenceServer {
         if multi {
             workers.push(spawn_shift_monitor(
                 Arc::clone(&collector),
-                config.shift,
                 ladder.max_offset(),
                 format!("{prefix}serve-shift"),
             ));
@@ -402,14 +400,13 @@ fn spawn_cpu_worker(
     })
 }
 
-/// Spawns the ladder shift monitor: at the policy cadence it takes the
+/// Spawns the ladder shift monitor: every `SHIFT_EVERY` it takes the
 /// server's degradation verdict (SLO burn or calibration drift) and
 /// feeds the hysteretic [`ShiftState`]. A sustained dirty streak demotes
 /// every class one rung toward the cheap end; a sustained clean streak
 /// promotes back toward the home rungs.
 fn spawn_shift_monitor(
     collector: Arc<ServeCollector>,
-    policy: ShiftPolicy,
     max_offset: usize,
     name: String,
 ) -> JoinHandle<()> {
@@ -422,7 +419,7 @@ fn spawn_shift_monitor(
                 if state.shutdown {
                     return;
                 }
-                match shift.observe(&policy, alerted, max_offset) {
+                match shift.observe(alerted, max_offset) {
                     Some(Shift::Demote { offset }) => {
                         state.apply_shift(offset, true, "demote");
                     }
@@ -432,7 +429,7 @@ fn spawn_shift_monitor(
                     None => {}
                 }
             }
-            std::thread::sleep(policy.every);
+            std::thread::sleep(SHIFT_EVERY);
         }
     })
 }
@@ -617,8 +614,7 @@ mod tests {
         assert_eq!(server.finish().drift_blocks, Some(5));
     }
 
-    /// A two-rung ladder, cheap 32 px below accurate 64 px, with drift on
-    /// and a twitchy shift policy.
+    /// A two-rung ladder, cheap 32 px below accurate 64 px, with drift on.
     fn ladder_config() -> ServeConfig {
         let rung = |name: &str, input_size, accuracy| ServeVariant {
             name: name.to_owned(),
@@ -637,11 +633,6 @@ mod tests {
             per_client_capacity: 32,
             score_threshold: 0.0,
             drift_threshold: Some(0.5),
-            shift: ShiftPolicy {
-                demote_after: 2,
-                promote_after: 2,
-                every: Duration::from_millis(2),
-            },
             ..small_config()
         }
     }

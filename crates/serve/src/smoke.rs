@@ -1,5 +1,5 @@
 //! Smoke and scrape checks over a finished [`run_load`](crate::run_load)
-//! session — what `tincy serve|loadgen --smoke/--scrape/--slo-smoke/
+//! session — what `tincy serve --smoke/--scrape/--slo-smoke/
 //! --variant-smoke` exit nonzero on, and what the integration suites
 //! assert. Every check returns its one-line `ok` summary, or the
 //! violated invariant.

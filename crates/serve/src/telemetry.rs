@@ -32,7 +32,6 @@ pub(crate) struct ServeCollector {
     pub healths: Vec<OffloadHealth>,
     pub started: Instant,
     pub cpu_workers: usize,
-    pub buckets: Buckets,
     /// Attach worst-observation trace-id exemplars to the latency
     /// histogram buckets.
     pub exemplars: bool,
@@ -79,15 +78,14 @@ impl ServeCollector {
         }
     }
 
-    /// Drops every drift alert, keeping each tracker's EWMA and reference:
-    /// the fleet re-admitted this shard on clean probes, and the blocks
-    /// its traffic closes next judge it again — a drained shard sees only
-    /// canaries, which could not clear the alert in time.
-    pub fn rearm_drift(&self) {
-        let mut state = self.inner.state.lock();
-        for tracker in state.metrics.drift.iter_mut().flatten() {
-            tracker.alerted = false;
-        }
+    /// Clears the evidence behind both verdicts: every drift alert (each
+    /// tracker keeps its EWMA and reference) and every class's windowed
+    /// burn outcomes (the alert counts stay). The fleet re-admitted this
+    /// shard on clean probes, so what its traffic does next judges it — a
+    /// drained shard sees only canaries, which could not dilute a burn or
+    /// clear a drift alert in time.
+    pub fn rearm(&self) {
+        self.inner.state.lock().rearm();
     }
 }
 
@@ -98,8 +96,9 @@ impl Collect for ServeCollector {
             (state.metrics.clone(), state.depth(), state.slo_status())
         };
         let offload = self.offload();
+        let buckets = Buckets::default();
         let latency_hist = {
-            let snap = HistogramSnapshot::from_stats(&m.latency, &self.buckets);
+            let snap = HistogramSnapshot::from_stats(&m.latency, &buckets);
             if self.exemplars {
                 snap.with_exemplars(&m.latency_exemplars)
             } else {
@@ -182,7 +181,7 @@ impl Collect for ServeCollector {
             Sample::new(
                 "tincy_serve_queue_wait_hist_seconds",
                 "Queue wait, submission to dispatch (cumulative buckets)",
-                Value::Histogram(HistogramSnapshot::from_stats(&m.queue_wait, &self.buckets)),
+                Value::Histogram(HistogramSnapshot::from_stats(&m.queue_wait, &buckets)),
             ),
         ];
         // Every (rung, backend) is emitted (drift 0 until the reference

@@ -150,28 +150,12 @@ impl VariantLadder {
     }
 }
 
-/// Hysteresis policy for ladder shifts: how many consecutive dirty
-/// observations demote, how many consecutive clean ones promote, and the
-/// observation cadence.
-#[derive(Debug, Clone, Copy)]
-pub struct ShiftPolicy {
-    /// Consecutive alerted observations before demoting one rung.
-    pub demote_after: u32,
-    /// Consecutive clean observations before promoting one rung back.
-    pub promote_after: u32,
-    /// Observation cadence of the shift monitor thread.
-    pub every: Duration,
-}
-
-impl Default for ShiftPolicy {
-    fn default() -> Self {
-        Self {
-            demote_after: 3,
-            promote_after: 6,
-            every: Duration::from_millis(10),
-        }
-    }
-}
+/// Consecutive alerted observations before the ladder demotes one rung.
+pub const DEMOTE_AFTER: u32 = 3;
+/// Consecutive clean observations before it promotes one rung back.
+pub const PROMOTE_AFTER: u32 = 6;
+/// Observation cadence of the shift monitor thread.
+pub(crate) const SHIFT_EVERY: Duration = Duration::from_millis(10);
 
 /// A ladder shift decision, carrying the new demotion offset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,8 +172,8 @@ pub enum Shift {
     },
 }
 
-/// The demote/promote state machine. Feed it one observation per policy
-/// tick (`alerted` = drift alert raised or SLO budget burning); it
+/// The demote/promote state machine. Feed it one observation per shift
+/// monitor tick (`alerted` = drift alert raised or SLO budget burning); it
 /// answers with a [`Shift`] only after a full streak in one direction,
 /// and every shift resets both streaks — so an alternating signal never
 /// moves the ladder, and a second demotion needs a fresh dirty streak.
@@ -212,16 +196,11 @@ impl ShiftState {
     }
 
     /// Absorbs one observation and decides whether to shift.
-    pub fn observe(
-        &mut self,
-        policy: &ShiftPolicy,
-        alerted: bool,
-        max_offset: usize,
-    ) -> Option<Shift> {
+    pub fn observe(&mut self, alerted: bool, max_offset: usize) -> Option<Shift> {
         if alerted {
             self.clean = 0;
             self.dirty += 1;
-            if self.dirty >= policy.demote_after.max(1) && self.offset < max_offset {
+            if self.dirty >= DEMOTE_AFTER && self.offset < max_offset {
                 self.offset += 1;
                 self.dirty = 0;
                 return Some(Shift::Demote {
@@ -231,7 +210,7 @@ impl ShiftState {
         } else {
             self.dirty = 0;
             self.clean += 1;
-            if self.clean >= policy.promote_after.max(1) && self.offset > 0 {
+            if self.clean >= PROMOTE_AFTER && self.offset > 0 {
                 self.offset -= 1;
                 self.clean = 0;
                 return Some(Shift::Promote {
@@ -305,33 +284,26 @@ mod tests {
 
     #[test]
     fn shift_state_requires_full_streaks() {
-        let policy = ShiftPolicy {
-            demote_after: 2,
-            promote_after: 3,
-            every: Duration::from_millis(1),
-        };
         let mut state = ShiftState::new();
-        assert_eq!(state.observe(&policy, true, 2), None);
-        assert_eq!(
-            state.observe(&policy, true, 2),
-            Some(Shift::Demote { offset: 1 })
-        );
+        for _ in 1..DEMOTE_AFTER {
+            assert_eq!(state.observe(true, 2), None);
+        }
+        assert_eq!(state.observe(true, 2), Some(Shift::Demote { offset: 1 }));
         // Alternating signals never move the ladder.
         for _ in 0..8 {
-            assert_eq!(state.observe(&policy, true, 2), None);
-            assert_eq!(state.observe(&policy, false, 2), None);
+            assert_eq!(state.observe(true, 2), None);
+            assert_eq!(state.observe(false, 2), None);
         }
         assert_eq!(state.offset(), 1);
         // The alternating loop left one clean observation on the streak;
-        // two more complete promote_after = 3.
-        assert_eq!(state.observe(&policy, false, 2), None);
-        assert_eq!(
-            state.observe(&policy, false, 2),
-            Some(Shift::Promote { offset: 0 })
-        );
+        // PROMOTE_AFTER - 1 more complete it.
+        for _ in 2..PROMOTE_AFTER {
+            assert_eq!(state.observe(false, 2), None);
+        }
+        assert_eq!(state.observe(false, 2), Some(Shift::Promote { offset: 0 }));
         // Already home: clean streaks are a no-op.
         for _ in 0..8 {
-            assert_eq!(state.observe(&policy, false, 2), None);
+            assert_eq!(state.observe(false, 2), None);
         }
     }
 }

@@ -126,7 +126,6 @@ fn flash_crowd_peak_sheds_instead_of_queueing() {
         },
         seed: 9,
         workers: 4,
-        ..Default::default()
     };
     let report = run_load(config, &load, |_| {}).expect("fleet run succeeds");
 

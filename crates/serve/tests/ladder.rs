@@ -3,8 +3,9 @@
 //! under adversarial drift signals.
 
 use proptest::prelude::*;
-use std::time::Duration;
-use tincy_serve::{ServeConfig, ServeVariant, ShiftPolicy, ShiftState, VariantLadder};
+use tincy_serve::{
+    ServeConfig, ServeVariant, ShiftState, VariantLadder, DEMOTE_AFTER, PROMOTE_AFTER,
+};
 
 fn variants_from(accuracies: &[f64]) -> Vec<ServeVariant> {
     let model = ServeConfig::default().model_spec();
@@ -66,15 +67,8 @@ proptest! {
     #[test]
     fn shift_hysteresis_requires_full_streaks(
         signals in proptest::collection::vec(any::<bool>(), 1..200),
-        demote_after in 1u32..5,
-        promote_after in 1u32..5,
         max_offset in 1usize..4,
     ) {
-        let policy = ShiftPolicy {
-            demote_after,
-            promote_after,
-            every: Duration::from_millis(1),
-        };
         let mut state = ShiftState::new();
         let mut dirty_streak = 0u32;
         let mut clean_streak = 0u32;
@@ -87,24 +81,24 @@ proptest! {
                 dirty_streak = 0;
             }
             let before = state.offset();
-            let shift = state.observe(&policy, alerted, max_offset);
+            let shift = state.observe(alerted, max_offset);
             prop_assert!(state.offset() <= max_offset, "offset escaped the ladder");
             match shift {
                 Some(tincy_serve::Shift::Demote { offset }) => {
                     prop_assert_eq!(offset, before + 1);
                     prop_assert!(
-                        dirty_streak >= demote_after,
+                        dirty_streak >= DEMOTE_AFTER,
                         "demoted after only {} dirty observations (need {})",
-                        dirty_streak, demote_after
+                        dirty_streak, DEMOTE_AFTER
                     );
                     dirty_streak = 0;
                 }
                 Some(tincy_serve::Shift::Promote { offset }) => {
                     prop_assert_eq!(offset + 1, before);
                     prop_assert!(
-                        clean_streak >= promote_after,
+                        clean_streak >= PROMOTE_AFTER,
                         "promoted after only {} clean observations (need {})",
-                        clean_streak, promote_after
+                        clean_streak, PROMOTE_AFTER
                     );
                     clean_streak = 0;
                 }
@@ -113,26 +107,20 @@ proptest! {
         }
     }
 
-    /// A strictly alternating drift signal never moves the ladder when
-    /// both streak requirements exceed one observation: no flapping.
+    /// A strictly alternating drift signal never moves the ladder: both
+    /// streak requirements exceed one observation, so no flapping.
     #[test]
     fn alternating_signals_never_flap(
-        demote_after in 2u32..6,
-        promote_after in 2u32..6,
         max_offset in 1usize..4,
         rounds in 1usize..100,
         start_dirty in any::<bool>(),
     ) {
-        let policy = ShiftPolicy {
-            demote_after,
-            promote_after,
-            every: Duration::from_millis(1),
-        };
+        prop_assert!(DEMOTE_AFTER > 1 && PROMOTE_AFTER > 1);
         let mut state = ShiftState::new();
         for i in 0..rounds {
             let alerted = (i % 2 == 0) == start_dirty;
             prop_assert!(
-                state.observe(&policy, alerted, max_offset).is_none(),
+                state.observe(alerted, max_offset).is_none(),
                 "an alternating signal must never complete a streak"
             );
             prop_assert_eq!(state.offset(), 0);

@@ -670,7 +670,7 @@ fn parse_response_head(head: &str) -> Option<(u16, Vec<(String, String)>)> {
 }
 
 /// A one-shot HTTP GET against `addr` (the scrape client behind `tincy
-/// loadgen --scrape` and the CI smoke job). Returns the status code and
+/// serve --scrape` and the CI smoke job). Returns the status code and
 /// body.
 ///
 /// # Errors

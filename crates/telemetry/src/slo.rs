@@ -158,6 +158,16 @@ impl SloTracker {
         self.push(now_ns, Outcome::Shed);
     }
 
+    /// Closes the books on what was recorded so far: one last
+    /// [`Self::evaluate`] counts any alert that evidence raises, then the
+    /// windowed outcomes are dropped and the edge counts kept, so the next
+    /// evaluation judges only what is recorded from now on (counting an
+    /// active alert's falling edge).
+    pub fn rearm(&mut self, now_ns: u64) {
+        self.evaluate(now_ns);
+        self.events.clear();
+    }
+
     fn push(&mut self, now_ns: u64, outcome: Outcome) {
         self.events.push_back((now_ns, outcome));
         self.prune(now_ns);
@@ -281,6 +291,18 @@ mod tests {
         assert!(!status.fast_active, "burn {:?}", status.burn);
         assert!(status.slow_active, "burn {:?}", status.burn);
         assert_eq!(status.fired, [0, 1]);
+    }
+
+    #[test]
+    fn rearm_counts_the_alert_then_judges_afresh() {
+        let mut tracker = SloTracker::new(Duration::from_millis(50), SloPolicy::default());
+        feed(&mut tracker, 0, 8, 20, 20);
+        // Never evaluated mid-outage: the rearm still counts the alert.
+        tracker.rearm(8 * SEC);
+        let status = tracker.evaluate(8 * SEC);
+        assert!(!status.fast_active, "burn {:?}", status.burn);
+        assert_eq!((status.fired[0], status.cleared[0]), (1, 1));
+        assert_eq!(status.burn, [0.0; 4]);
     }
 
     #[test]

@@ -16,24 +16,16 @@ use tincy_json::{array_u64, JsonArray, JsonObject};
 
 const CATEGORY: &str = "tincy";
 
-/// Identity of the recorder that wrote a segment, embedded in the
-/// exported JSON's `otherData` so stitching can tell apart segments that
-/// came from different processes/shards sharing one directory.
-#[derive(Debug, Clone)]
-pub(crate) struct SegmentOrigin {
-    /// Writing process (its pid rendered as a string).
-    pub process: String,
-    /// Fleet shard index, when the recording session declared one.
-    pub shard: Option<u32>,
-}
-
 /// Serializes the trace to Chrome trace-event JSON (object form with a
 /// `traceEvents` array, `displayTimeUnit: "ns"`).
 pub fn to_chrome_json(trace: &Trace) -> String {
     render_chrome_json(trace, None)
 }
 
-pub(crate) fn render_chrome_json(trace: &Trace, origin: Option<&SegmentOrigin>) -> String {
+/// [`to_chrome_json`], with the writing process (its pid, as a string)
+/// in `otherData` when given: a segment carries it so stitching can refuse
+/// a directory that mixes two processes' recordings.
+pub(crate) fn render_chrome_json(trace: &Trace, process: Option<&str>) -> String {
     let mut events = JsonArray::new();
     // Perfetto track names: one thread_name metadata event per named
     // thread, so workers show up as named tracks instead of raw tids.
@@ -88,11 +80,8 @@ pub(crate) fn render_chrome_json(trace: &Trace, origin: Option<&SegmentOrigin>) 
         events.raw(&event.finish());
     }
     let mut root = JsonObject::new().str("displayTimeUnit", "ns");
-    if let Some(origin) = origin {
-        let mut data = JsonObject::new().str("process", &origin.process);
-        if let Some(shard) = origin.shard {
-            data = data.str("shard", &shard.to_string());
-        }
+    if let Some(process) = process {
+        let data = JsonObject::new().str("process", process);
         root = root.raw("otherData", &data.finish());
     }
     root.raw("traceEvents", &events.finish()).finish()
@@ -182,7 +171,7 @@ pub(crate) struct TraceAssembly {
     max_thread: Option<u32>,
     /// Distinct `otherData.process` tags seen across ingested documents.
     /// More than one means the directory mixes recordings from different
-    /// processes, which cannot be interleaved without shard labels.
+    /// processes, whose clocks and thread ids are unrelated.
     pub(crate) processes: BTreeSet<String>,
 }
 
@@ -280,7 +269,7 @@ impl TraceAssembly {
                 let dur = item.get("dur").and_then(JsonValue::as_f64).unwrap_or(0.0);
                 self.spans.entry(thread).or_default().push(SpanRec {
                     start: t_ns,
-                    end: t_ns + to_ns(dur),
+                    end: t_ns.saturating_add(to_ns(dur)),
                     label,
                     attrs,
                 });
@@ -413,7 +402,7 @@ impl TraceAssembly {
         events.sort_by_key(|e| e.t_ns);
         let threads = self
             .max_thread
-            .map_or(0, |m| m + 1)
+            .map_or(0, |m| m.saturating_add(1))
             .max(u32::try_from(self.thread_names.len()).unwrap_or(u32::MAX));
         Trace {
             events,
@@ -488,8 +477,8 @@ mod tests {
     }
 
     /// The exporter's exact bytes: a named thread, a span carrying every
-    /// attribute, an instant and a flow pair, with and without a segment
-    /// origin.
+    /// attribute, an instant and a flow pair, with and without a writing
+    /// process.
     #[test]
     fn export_bytes_are_pinned() {
         let _guard = exclusive();
@@ -544,15 +533,9 @@ mod tests {
             to_chrome_json(&trace),
             format!(r#"{{"displayTimeUnit":"ns",{events}"#)
         );
-        let origin = SegmentOrigin {
-            process: "pid \"77\"".to_string(),
-            shard: Some(1),
-        };
         assert_eq!(
-            render_chrome_json(&trace, Some(&origin)),
-            format!(
-                r#"{{"displayTimeUnit":"ns","otherData":{{"process":"pid \"77\"","shard":"1"}},{events}"#
-            )
+            render_chrome_json(&trace, Some("pid \"77\"")),
+            format!(r#"{{"displayTimeUnit":"ns","otherData":{{"process":"pid \"77\""}},{events}"#)
         );
     }
 

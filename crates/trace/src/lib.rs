@@ -42,6 +42,4 @@ pub use event::{Attrs, Backend, Event, EventKind, Label};
 pub use journey::{journeys, JourneyError, RequestJourney};
 pub use profile::{Profile, ProfileRow};
 pub use span::{span, SpanBuilder, SpanGuard};
-pub use stream::{
-    segment_files, stitch_segments, DrainConfig, DrainSummary, SegmentWriter, TraceDrainer,
-};
+pub use stream::{segment_files, stitch_segments, DrainSummary, SegmentWriter, TraceDrainer};

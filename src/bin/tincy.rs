@@ -6,7 +6,6 @@
 //! tincy ladder              the §III/§IV speedup ladder
 //! tincy demo                the pipelined live-detection demo
 //! tincy serve               the inference server (--shards N: a routed fleet) under a built-in load
-//! tincy loadgen             the client-side view of the same session
 //! tincy trace-report        profile a trace or segment directory against Table III
 //! tincy explore             design-space sweep and Pareto frontier
 //! ```
@@ -18,7 +17,6 @@ use std::error::Error;
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
-use std::time::Duration;
 use tincy::core::demo::{run_demo, DemoConfig};
 use tincy::core::topology::{cnv6, mlp4, tincy_yolo, tiny_yolo};
 use tincy::core::SystemConfig;
@@ -34,7 +32,7 @@ use tincy::serve::{
     VariantLadder,
 };
 use tincy::telemetry::SloPolicy;
-use tincy::trace::{stitch_segments, DrainConfig, TraceDrainer};
+use tincy::trace::{stitch_segments, TraceDrainer};
 use tincy::video::SceneConfig;
 
 type CliResult<T = ()> = Result<T, Box<dyn Error>>;
@@ -44,7 +42,6 @@ type CliResult<T = ()> = Result<T, Box<dyn Error>>;
 enum Cmd {
     Demo,
     Serve,
-    Loadgen,
     TraceReport,
     Explore,
 }
@@ -56,9 +53,7 @@ static CMDS: &[(Cmd, &str, &str, usize, &str)] = &[
     (Cmd::Demo, "demo", "[frames [workers [input]]]", 3,
         "the pipelined live-detection demo, optionally under accelerator faults"),
     (Cmd::Serve, "serve", "[requests [clients [input]]]", 3,
-        "the server under a deterministic client load; --shards N puts N behind a router"),
-    (Cmd::Loadgen, "loadgen", "[requests [clients [input]]]", 3,
-        "the same session as `serve`, reported from the clients' side"),
+        "the server under a deterministic client load, then each client's view; --shards N puts N behind a router"),
     (Cmd::TraceReport, "trace-report", "<trace.json | segments-dir>", 1,
         "span statistics and the stage table of a trace, diffed against Table III, and the fps it predicts"),
     (Cmd::Explore, "explore", "", 0,
@@ -71,8 +66,8 @@ static CMDS: &[(Cmd, &str, &str, usize, &str)] = &[
 struct Flag(&'static str, &'static str, &'static [Cmd], &'static str);
 
 const DEMO: &[Cmd] = &[Cmd::Demo];
-const SERVE: &[Cmd] = &[Cmd::Serve, Cmd::Loadgen];
-const RUN: &[Cmd] = &[Cmd::Demo, Cmd::Serve, Cmd::Loadgen];
+const SERVE: &[Cmd] = &[Cmd::Serve];
+const RUN: &[Cmd] = &[Cmd::Demo, Cmd::Serve];
 const REPORT: &[Cmd] = &[Cmd::TraceReport];
 const EXPLORE: &[Cmd] = &[Cmd::Explore];
 const CHECKED: &[Cmd] = &[Cmd::TraceReport, Cmd::Explore];
@@ -94,14 +89,10 @@ static FLAGS: &[Flag] = &[
     Flag("--seed", "N", SERVE, "base seed of the cameras and the arrival schedule"),
     Flag("--shards", "N", SERVE, "serve shards behind the router (default 1)"),
     Flag("--policy", "NAME", SERVE, "least-loaded | hash"),
-    Flag("--health-every", "MS", SERVE, "health-monitor poll cadence"),
-    Flag("--readmit-streak", "K", SERVE, "clean canary probes that re-admit a drained shard"),
-    Flag("--vnodes", "N", SERVE, "virtual nodes per shard on the hash ring"),
     Flag("--cpu-workers", "N", SERVE, "host workers (per shard)"),
     Flag("--max-batch", "N", SERVE, "largest FINN micro-batch"),
     Flag("--queue", "N", SERVE, "pending-queue bound (per shard)"),
     Flag("--per-client", "N", SERVE, "outstanding-request quota per client"),
-    Flag("--engage-depth", "N", SERVE, "queue depth at which host workers engage"),
     Flag("--status-addr", "HOST:PORT", SERVE, "serve /metrics, /metrics.json, /report, /healthz"),
     Flag("--drift-threshold", "PCT", SERVE, "per-item service-time divergence (per rung and backend) that raises the drift alert"),
     Flag("--variants", "FRONTIER.json", SERVE, "host an `explore --frontier-out` dump as a variant ladder"),
@@ -241,8 +232,7 @@ fn main() -> ExitCode {
                 .map_err(Into::into)
                 .and_then(|args| match cmd {
                     Cmd::Demo => cmd_demo(&args),
-                    Cmd::Serve => cmd_serve(&args, false),
-                    Cmd::Loadgen => cmd_serve(&args, true),
+                    Cmd::Serve => cmd_serve(&args),
                     Cmd::TraceReport => cmd_trace_report(&args),
                     Cmd::Explore => cmd_explore(&args),
                 })
@@ -377,12 +367,8 @@ impl<'a> TraceSession<'a> {
         if out.is_some() || dir.is_some() {
             tincy::trace::start();
         }
-        let config = DrainConfig {
-            max_segment_events,
-            ..DrainConfig::default()
-        };
         let drainer = dir
-            .map(|dir| TraceDrainer::spawn(dir, config))
+            .map(|dir| TraceDrainer::spawn(dir, max_segment_events))
             .transpose()?;
         Ok(Self { out, dir, drainer })
     }
@@ -428,7 +414,7 @@ fn cmd_demo(args: &Args) -> CliResult {
         None => args.pos(0, "frames", 16)?,
     };
     let workers: usize = args.pos(1, "workers", 4)?;
-    let input: usize = args.pos(2, "input", 96)?;
+    let input = input_size(args, 96)?;
     let fault_plan = fault_plans(args, 1)?[0];
     let config = DemoConfig {
         frames,
@@ -468,6 +454,15 @@ fn cmd_demo(args: &Args) -> CliResult {
     })
 }
 
+/// The `input` positional: the side of the square network input, which
+/// five stride-2 stages halve down to the region grid.
+fn input_size(args: &Args, default: usize) -> Result<usize, String> {
+    match args.pos(2, "input", default)? {
+        input if input > 0 && input.is_multiple_of(32) => Ok(input),
+        input => Err(format!("input {input}: expected a positive multiple of 32")),
+    }
+}
+
 /// Builds the `--variants` ladder from an `explore --frontier-out` dump.
 fn variant_ladder(path: &str, input: usize) -> Result<VariantLadder, String> {
     let named = |e: &dyn std::fmt::Display| format!("--variants {path}: {e}");
@@ -487,11 +482,10 @@ fn variant_ladder(path: &str, input: usize) -> Result<VariantLadder, String> {
     Ok(ladder)
 }
 
-/// Shared implementation of `tincy serve` (server-side view) and
-/// `tincy loadgen` (client-side view): `--shards` serve shards behind the
-/// router (one by default), a multi-client deterministic load, and the
-/// smoke/scrape assertions.
-fn cmd_serve(args: &Args, client_view: bool) -> CliResult {
+/// `tincy serve`: `--shards` serve shards behind the router (one by
+/// default), a multi-client deterministic load, the server's view and the
+/// clients', and the smoke/scrape assertions.
+fn cmd_serve(args: &Args) -> CliResult {
     let (smoke, slo_smoke) = (args.has("--smoke"), args.has("--slo-smoke"));
     let scrape = args.has("--scrape") || slo_smoke;
     let mut load = LoadConfig {
@@ -503,18 +497,13 @@ fn cmd_serve(args: &Args, client_view: bool) -> CliResult {
     args.set("--pattern", &mut load.pattern)?;
     args.set("--workers", &mut load.workers)?;
     args.set("--seed", &mut load.seed)?;
-    let input: usize = args.pos(2, "input", 64)?;
+    let input = input_size(args, 64)?;
     let mut config = FleetConfig {
         shards: 1,
         ..Default::default()
     };
     args.set("--shards", &mut config.shards)?;
     args.set("--policy", &mut config.policy)?;
-    args.set("--readmit-streak", &mut config.readmit_streak)?;
-    args.set("--vnodes", &mut config.vnodes)?;
-    if let Some(ms) = args.get("--health-every")? {
-        config.health_every = Duration::from_millis(ms);
-    }
     config.shard_faults = fault_plans(args, config.shards)?;
     // The given `--status-addr`, or an ephemeral port when a check needs
     // an endpoint to scrape.
@@ -526,7 +515,6 @@ fn cmd_serve(args: &Args, client_view: bool) -> CliResult {
     args.set("--max-batch", &mut base.max_batch)?;
     args.set("--queue", &mut base.queue_capacity)?;
     args.set("--per-client", &mut base.per_client_capacity)?;
-    args.set("--engage-depth", &mut base.cpu_engage_depth)?;
     base.system.input_size = input;
     base.score_threshold = 0.02;
     base.exemplars = args.has("--exemplars");
@@ -564,11 +552,8 @@ fn cmd_serve(args: &Args, client_view: bool) -> CliResult {
         }
     })?;
     trace.finish()?;
-    if client_view {
-        print_client_view(&report);
-    } else {
-        print_server_view(&report);
-    }
+    print_server_view(&report);
+    print_client_view(&report);
     write_artifacts(args, || json::report_json(&report.target))?;
     let samples = scraped?;
     if scrape {
@@ -598,6 +583,7 @@ fn cmd_serve(args: &Args, client_view: bool) -> CliResult {
 
 /// The serving report: the fleet as a whole, the router when there is
 /// more than one shard to route between, then every shard's backends.
+/// Its timings vary run to run.
 fn print_server_view(report: &LoadReport) {
     let f = &report.target;
     println!(
@@ -663,14 +649,10 @@ fn print_server_view(report: &LoadReport) {
             );
         }
     }
-    println!(
-        "clients: {} all in order: {}, {} detections",
-        report.outcomes.len(),
-        report.all_in_order(),
-        report.detections()
-    );
 }
 
+/// Each client's outcome and the totals: counts, ordering and detections
+/// only, so these lines are byte-identical across runs of one command.
 fn print_client_view(report: &LoadReport) {
     for o in &report.outcomes {
         println!(
@@ -952,17 +934,16 @@ mod tests {
         let local = "--fault-seed --outage --metrics-json --trace-out --trace-dir \
                      --segment-events";
         let serve = format!(
-            "{local} --status-addr --cpu-workers --max-batch --queue --per-client --engage-depth \
+            "{local} --status-addr --cpu-workers --max-batch --queue --per-client \
              --drift-threshold --variants --variant-smoke --smoke --scrape \
-             --fault-shard --shards --policy --pattern --workers --seed --health-every \
-             --readmit-streak --vnodes --slo-smoke --exemplars"
+             --fault-shard --shards --policy --pattern --workers --seed \
+             --slo-smoke --exemplars"
         );
         let cases = [
             (Cmd::Demo, format!("{local} --frames")),
-            (Cmd::Serve, serve.clone()),
-            (Cmd::Loadgen, serve),
+            (Cmd::Serve, serve),
         ];
-        assert_eq!((CMDS.len(), FLAGS.len()), (5, 36));
+        assert_eq!((CMDS.len(), FLAGS.len()), (4, 32));
         for (cmd, want) in cases {
             let mut want: Vec<&str> = want.split_whitespace().collect();
             let mut got: Vec<&str> = FLAGS
@@ -1002,19 +983,31 @@ mod tests {
                 format!("{flag} {value}: expected a finite percentage above 0")
             );
         }
+        for (cmd, line, input) in [
+            (Cmd::Serve, "2 1 30", 30),
+            (Cmd::Demo, "2 1 30", 30),
+            (Cmd::Serve, "2 1 0", 0),
+        ] {
+            let err = input_size(&parse(cmd, line).unwrap(), 64).unwrap_err();
+            assert_eq!(
+                err,
+                format!("input {input}: expected a positive multiple of 32")
+            );
+        }
+        assert_eq!(input_size(&parse(Cmd::Serve, "2 1").unwrap(), 64), Ok(64));
     }
 
     #[test]
     fn values_parse_at_their_own_width() {
         let args = parse(
             Cmd::Serve,
-            "--seed 18446744073709551615 --readmit-streak 4294967296",
+            "--seed 18446744073709551615 --workers 18446744073709551616",
         );
         let args = args.unwrap();
         assert_eq!(args.get::<u64>("--seed"), Ok(Some(u64::MAX)));
-        let err = args.get::<u32>("--readmit-streak").unwrap_err();
-        assert!(err.starts_with("--readmit-streak 4294967296: "), "{err}");
-        assert_eq!(args.get::<u64>("--health-every"), Ok(None));
+        let err = args.get::<u64>("--workers").unwrap_err();
+        assert!(err.starts_with("--workers 18446744073709551616: "), "{err}");
+        assert_eq!(args.get::<u64>("--shards"), Ok(None));
     }
 
     #[test]

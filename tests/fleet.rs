@@ -22,7 +22,7 @@ use tincy::serve::{
     run_load, ArrivalPattern, Fleet, FleetConfig, LoadConfig, LoadReport, RoutePolicy, SloClass,
 };
 use tincy::telemetry::{http_get, parse_prometheus};
-use tincy::trace::{exclusive, journeys, stitch_segments, DrainConfig, TraceDrainer};
+use tincy::trace::{exclusive, journeys, stitch_segments, TraceDrainer};
 use tincy::video::{SceneConfig, SyntheticCamera};
 
 // The trace session is process-global: the traced test below must not
@@ -40,8 +40,6 @@ fn faulted_fleet(policy: RoutePolicy) -> FleetConfig {
     let mut config = FleetConfig {
         shards: 3,
         policy,
-        health_every: Duration::from_millis(10),
-        readmit_streak: 2,
         ..Default::default()
     };
     config.base.system = SystemConfig {
@@ -70,7 +68,6 @@ fn soak_load(seed: u64) -> LoadConfig {
         },
         seed,
         workers: 4,
-        ..Default::default()
     }
 }
 
@@ -157,7 +154,7 @@ fn failed_over_request_spans_both_shards_under_one_trace_id() {
     let _ = std::fs::remove_dir_all(&dir);
 
     tincy::trace::start();
-    let drainer = TraceDrainer::spawn(&dir, DrainConfig::default()).expect("spawn trace drainer");
+    let drainer = TraceDrainer::spawn(&dir, 512).expect("spawn trace drainer");
 
     let mut config = FleetConfig {
         shards: 2,

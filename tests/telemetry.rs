@@ -13,9 +13,7 @@ use tincy::finn::FaultPlan;
 use tincy::perf::{model_diff, pipelined_fps, PipelineModel, StageBudget};
 use tincy::serve::smoke::{check_scrape, scrape};
 use tincy::serve::{run_load, ArrivalPattern, FleetConfig, LoadConfig, ServeConfig};
-use tincy::trace::{
-    exclusive, segment_files, stitch_segments, DrainConfig, Label, Profile, TraceDrainer,
-};
+use tincy::trace::{exclusive, segment_files, stitch_segments, Label, Profile, TraceDrainer};
 use tincy::video::SceneConfig;
 
 fn segment_dir(tag: &str) -> PathBuf {
@@ -30,14 +28,7 @@ fn fault_seeded_serve_streams_segments_and_scrape_matches_report() {
     let dir = segment_dir("serve");
     tincy::trace::start();
     // Tiny segments force rotation even on a short run.
-    let drainer = TraceDrainer::spawn(
-        &dir,
-        DrainConfig {
-            max_segment_events: 64,
-            ..DrainConfig::default()
-        },
-    )
-    .expect("spawn drainer");
+    let drainer = TraceDrainer::spawn(&dir, 64).expect("spawn drainer");
 
     let config = ServeConfig {
         system: SystemConfig {

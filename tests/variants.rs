@@ -7,14 +7,14 @@
 //! server.rs`).
 
 use std::collections::HashMap;
-use std::time::Duration;
 use tincy::core::{build_network_for, offload_position, SystemConfig};
 use tincy::explore::DesignPoint;
 use tincy::finn::{AccelReport, FabricBackend, FaultPlan};
 use tincy::serve::{
     run_load, ArrivalPattern, FleetConfig, InferenceServer, LoadConfig, ServeConfig, ServeEngine,
-    ServeVariant, ShiftPolicy, SloClass, VariantLadder,
+    ServeVariant, SloClass, VariantLadder,
 };
+use tincy::telemetry::SloPolicy;
 use tincy::tensor::{Shape3, Tensor};
 use tincy::video::{Image, SceneConfig, SyntheticCamera};
 
@@ -75,7 +75,8 @@ fn accurate_rung_costs_over_twice_the_cheap_rungs_device_cycles() {
     assert!(accurate.cycles_per_frame() >= 2 * cheap.cycles_per_frame());
 }
 
-/// A ladder config that never shifts on its own.
+/// A ladder config that never shifts on its own: no drift threshold, and
+/// an error-budget policy no burn rate can exceed.
 fn ladder_config(fault_plan: FaultPlan) -> ServeConfig {
     ServeConfig {
         system: SystemConfig {
@@ -90,10 +91,10 @@ fn ladder_config(fault_plan: FaultPlan) -> ServeConfig {
         queue_capacity: 128,
         per_client_capacity: 32,
         score_threshold: 0.0,
-        shift: ShiftPolicy {
-            demote_after: 1_000_000,
-            promote_after: 1_000_000,
-            every: Duration::from_millis(5),
+        slo: SloPolicy {
+            fast_threshold: f64::INFINITY,
+            slow_threshold: f64::INFINITY,
+            ..SloPolicy::default()
         },
         ..Default::default()
     }
