@@ -33,8 +33,8 @@ pub struct ServeConfig {
     pub slo_targets: [Duration; 3],
     /// When set, bind a telemetry status server on this address
     /// (`host:port`; port 0 picks a free one) exposing `GET /metrics`
-    /// (Prometheus text), `/metrics.json`, `/healthz` and `/report` for
-    /// the lifetime of the server.
+    /// (Prometheus text), `/healthz` and `/report` for the lifetime of
+    /// the server.
     pub status_addr: Option<String>,
     /// Shard identity within a fleet. Stamps a `shard` attribute on
     /// every span the server records, prefixes worker thread names with

@@ -214,7 +214,7 @@ impl Fleet {
             // Shard identity flows into every span the shard records and
             // into its worker thread names — the shards share one process
             // (one trace session), so this is what keeps their timelines
-            // apart in a stitched trace. A lone shard has nothing to be
+            // apart in one trace. A lone shard has nothing to be
             // told apart from.
             shard_config.shard = (config.shards > 1).then_some(shard as u32);
             // The fleet endpoint is the only listener: it reads every

@@ -1,7 +1,6 @@
 //! Domain JSON serializers for metrics dumps (`--metrics-json`) and the
 //! `/report` route. The syntax layer (builders, escaping, parsing) lives
-//! in [`tincy_json`] and is re-exported here so existing
-//! `tincy_serve::json::{JsonObject, array_u64}` imports keep working.
+//! in [`tincy_json`].
 
 use crate::fleet::FleetReport;
 use crate::metrics::ServeReport;
@@ -10,7 +9,7 @@ use std::time::Duration;
 use tincy_nn::OffloadStats;
 use tincy_pipeline::{DurationStats, PipelineMetrics};
 
-pub use tincy_json::{array_u64, JsonArray, JsonObject};
+use tincy_json::{array_u64, JsonArray, JsonObject};
 
 fn micros(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6

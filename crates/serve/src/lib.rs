@@ -31,9 +31,8 @@
 //! dumps, written through `tincy-json`. With a status address set
 //! ([`ServeConfig::status_addr`] on a standalone server,
 //! [`FleetConfig::status_addr`] on a fleet), a minimal HTTP endpoint
-//! backed by `tincy-telemetry` exposes live metrics (`/metrics`
-//! Prometheus text, `/metrics.json`), `/healthz` and the mid-run report
-//! (`/report`).
+//! backed by `tincy-telemetry` exposes live metrics (`/metrics`,
+//! Prometheus text), `/healthz` and the mid-run report (`/report`).
 
 #![forbid(unsafe_code)]
 

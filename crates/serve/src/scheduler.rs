@@ -82,8 +82,10 @@ struct ClientState {
 /// Queue depth past which host workers engage on a healthy fabric.
 const CPU_ENGAGE_DEPTH: usize = 8;
 
-/// Items one drift block averages: about what one default 512-event
-/// trace segment held per stage (DESIGN §8.3).
+/// Items one drift block averages: the block the smallest drift run (32
+/// admitted requests split over one rung's FINN and host trackers) is
+/// sure to fill in one of them, and four default micro-batches on the
+/// fabric (DESIGN §8.3).
 pub(crate) const DRIFT_BLOCK: u32 = 16;
 /// The drift EWMA's nominal window in blocks (`alpha = 2/(8+1)`), which is
 /// also how many blocks the rest of the server may close before an alert
@@ -704,7 +706,7 @@ impl SchedState {
         .emit();
         // Close the router→shard flow on the completing worker's thread:
         // the matching `fleet.route` flow-start (same join id) was emitted
-        // on the submitting thread, so the stitched timeline draws the
+        // on the submitting thread, so the session's timeline draws the
         // cross-thread (and cross-shard, after failover) hand-off arrow.
         self.shard_tag(tincy_trace::span(static_label!("fleet.route")).context(request.trace))
             .emit_flow_finish();

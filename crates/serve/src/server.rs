@@ -158,7 +158,7 @@ impl InferenceServer {
         let max_batch = config.max_batch.max(1);
         // In a fleet every shard lives in one process (one trace
         // session), so worker thread names carry the shard id — the
-        // stitched timeline's track names say which shard served what.
+        // trace's track names say which shard served what.
         let prefix = config
             .shard
             .map(|shard| format!("shard{shard}-"))

@@ -120,16 +120,28 @@ fn find(samples: &[PromSample], name: &str, labels: &[(&str, &str)]) -> Result<f
 }
 
 /// Holds a scrape of the fleet endpoint, taken after every client
-/// collected its responses, to the final [`FleetReport`]: the router
-/// families are there, and every shard's series agree with its
-/// [`ServeReport`] counter for counter. Once the health monitor has sent
-/// canaries (`probes > 0`) the shards keep counting until the drain, so
-/// the scrape is then only bounded by the report.
+/// collected its responses, to the final [`FleetReport`]: a live trace
+/// recorder dropped nothing, the router families are there, and every
+/// shard's series agree with its [`ServeReport`] counter for counter.
+/// Once the health monitor has sent canaries (`probes > 0`) the shards
+/// keep counting until the drain, so the scrape is then only bounded by
+/// the report.
 ///
 /// # Errors
 ///
-/// The first series that is missing or disagrees.
+/// The thread whose ring dropped events, or the first series that is
+/// missing or disagrees.
 pub fn check_scrape(samples: &[PromSample], report: &FleetReport) -> Result<String, String> {
+    let lossy = samples
+        .iter()
+        .find(|s| s.name == "tincy_trace_dropped_total" && s.value > 0.0);
+    if let Some(lossy) = lossy {
+        return Err(format!(
+            "the trace recorder dropped {} events on thread {:?}",
+            lossy.value,
+            lossy.label("thread").unwrap_or_default()
+        ));
+    }
     let shards = report.shards.len();
     let total = find(samples, "tincy_fleet_shards", &[])?;
     ensure!(
@@ -300,7 +312,7 @@ pub fn check_variant_smoke(report: &LoadReport) -> Result<String, String> {
     Ok("variant smoke: ok".to_owned())
 }
 
-/// Asserts the stitched fleet timeline's per-request journeys: every
+/// Asserts the fleet trace's per-request journeys: every
 /// traced request must verify (stage events present and causally
 /// ordered), and when admission rejections were re-dispatched and
 /// admitted elsewhere, at least one delivered journey must carry spans
@@ -314,7 +326,7 @@ pub fn check_fleet_trace(trace: &Trace, report: &FleetReport) -> Result<String, 
     let journeys = tincy_trace::journeys(trace);
     ensure!(
         !journeys.is_empty(),
-        "fleet trace: no request-tagged events in the stitched timeline"
+        "fleet trace: no request-tagged events in the trace"
     );
     for journey in &journeys {
         journey.verify().map_err(|e| format!("fleet trace: {e}"))?;
@@ -383,4 +395,36 @@ pub fn check_slo_smoke(samples: &[PromSample]) -> Result<String, String> {
     Ok(format!(
         "slo smoke: ok ({fired} burn-rate alert edges fired, all cleared)"
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::RoutePolicy;
+
+    #[test]
+    fn scrape_check_names_the_thread_whose_ring_dropped_events() {
+        let dropped = PromSample {
+            name: "tincy_trace_dropped_total".to_owned(),
+            labels: vec![("thread".to_owned(), "serve-finn".to_owned())],
+            value: 1.0,
+            exemplar: None,
+        };
+        let report = FleetReport {
+            shards: Vec::new(),
+            routed: Vec::new(),
+            policy: RoutePolicy::LeastLoaded,
+            drains: 0,
+            readmits: 0,
+            rerouted: 0,
+            sheds: 0,
+            probes: 0,
+            wall: Duration::ZERO,
+        };
+        let err = check_scrape(&[dropped], &report).unwrap_err();
+        assert_eq!(
+            err,
+            "the trace recorder dropped 1 events on thread \"serve-finn\""
+        );
+    }
 }

@@ -18,8 +18,8 @@ use std::time::Instant;
 use tincy_json::JsonObject;
 use tincy_nn::{OffloadHealth, OffloadStats};
 use tincy_telemetry::{
-    json_text, prometheus_text, Buckets, Collect, Handler, HistogramSnapshot, Registry, Response,
-    Sample, StatusServer, Value, SLO_WINDOW_NAMES,
+    prometheus_text, Buckets, Collect, Handler, HistogramSnapshot, Registry, Response, Sample,
+    StatusServer, Value, SLO_WINDOW_NAMES,
 };
 
 /// Rejection-reason labels, aligned with [`crate::AdmissionError::tag`].
@@ -370,7 +370,7 @@ impl Collect for ServeCollector {
 }
 
 /// Flight-recorder drop accounting, only while a trace session is live:
-/// a non-zero value means the stitched timeline is missing spans from
+/// a non-zero value means the session's trace is missing spans from
 /// that thread's ring. The recorder is process-wide, so an endpoint
 /// carries this once however many shards stand behind it.
 struct TraceDrops;
@@ -404,8 +404,8 @@ pub(crate) fn healthz_json(verdict: Option<&'static str>) -> JsonObject {
 
 /// Binds a status endpoint with the one route table: `/metrics`
 /// (Prometheus text of the collector's samples, plus the recorder's drop
-/// counters), `/metrics.json` (the same samples as JSON), `/healthz` and
-/// `/report` (the two JSON bodies the caller renders).
+/// counters), `/healthz` and `/report` (the two JSON bodies the caller
+/// renders).
 pub(crate) fn bind_status(
     addr: &str,
     collector: Arc<dyn Collect>,
@@ -415,20 +415,15 @@ pub(crate) fn bind_status(
     let registry = Arc::new(Registry::new());
     registry.register(collector);
     registry.register(Arc::new(TraceDrops));
-    let prom = Arc::clone(&registry);
     let routes: Vec<(&'static str, Handler)> = vec![
         (
             "/metrics",
             Box::new(move || {
                 Response::ok(
                     "text/plain; version=0.0.4; charset=utf-8",
-                    prometheus_text(&prom.gather()),
+                    prometheus_text(&registry.gather()),
                 )
             }),
-        ),
-        (
-            "/metrics.json",
-            Box::new(move || Response::ok("application/json", json_text(&registry.gather()))),
         ),
         (
             "/healthz",

@@ -1,12 +1,8 @@
-//! Exposition formats: Prometheus text (version 0.0.4) and JSON, plus
-//! the minimal Prometheus parser the scrape smoke path and tests use to
-//! read an exposition back. JSON is hand-rolled via the shared
-//! `tincy-json` layer — no serde.
+//! The Prometheus text exposition (version 0.0.4), plus the minimal
+//! parser the scrape smoke path and tests use to read it back.
 
 use crate::metrics::{Sample, Value};
 use std::fmt::Write as _;
-use tincy_json::{JsonArray, JsonObject};
-use tincy_pipeline::DurationStats;
 
 /// Quantiles exposed for summaries; matches the p50/p95/p99 the serve
 /// reports print.
@@ -16,7 +12,8 @@ const QUANTILES: [f64; 3] = [0.5, 0.95, 0.99];
 /// [`Registry::gather`](crate::Registry::gather), sorted by name) in
 /// the Prometheus text exposition format. Durations are expressed in
 /// seconds; histograms become summaries — the log-linear
-/// [`DurationStats`] tracks quantiles, not cumulative buckets.
+/// [`DurationStats`](tincy_pipeline::DurationStats) tracks quantiles, not
+/// cumulative buckets.
 pub fn prometheus_text(samples: &[Sample]) -> String {
     let mut out = String::new();
     let mut last_family: Option<&str> = None;
@@ -175,54 +172,6 @@ fn escape_label(out: &mut String, raw: &str) {
             c => out.push(c),
         }
     }
-}
-
-/// Renders samples as a JSON array: counters/gauges as
-/// `{"name","labels","type","value"}`, summaries with the
-/// `duration_stats_json` house keys (`count`, `mean_us`, `p50_us`, …).
-pub fn json_text(samples: &[Sample]) -> String {
-    let mut out = JsonArray::new();
-    for sample in samples {
-        let labels = sample
-            .labels
-            .iter()
-            .fold(JsonObject::new(), |obj, (key, value)| obj.str(key, value));
-        let entry = JsonObject::new()
-            .str("name", &sample.name)
-            .raw("labels", &labels.finish())
-            .str("type", sample.value.type_name());
-        let entry = match &sample.value {
-            Value::Counter(v) => entry.u64("value", *v),
-            Value::Gauge(v) => entry.raw("value", &v.to_string()),
-            Value::Summary(stats) => summary_json(entry, stats),
-            Value::Histogram(snap) => {
-                let mut buckets = JsonArray::new();
-                for (bound, cumulative) in snap.bounds.iter().zip(&snap.cumulative) {
-                    let bucket = JsonObject::new().raw("le", &bound.to_string());
-                    buckets.raw(&bucket.u64("count", *cumulative).finish());
-                }
-                entry
-                    .u64("count", snap.count)
-                    .raw("sum_s", &snap.sum_seconds.to_string())
-                    .raw("buckets", &buckets.finish())
-            }
-        };
-        out.raw(&entry.finish());
-    }
-    out.finish()
-}
-
-fn summary_json(entry: JsonObject, stats: &DurationStats) -> JsonObject {
-    let qs = stats.quantiles(&QUANTILES);
-    let us = |d: std::time::Duration| format!("{:.3}", d.as_secs_f64() * 1e6);
-    entry
-        .u64("count", stats.count())
-        .raw("mean_us", &us(stats.mean()))
-        .raw("min_us", &us(stats.min().unwrap_or_default()))
-        .raw("max_us", &us(stats.max().unwrap_or_default()))
-        .raw("p50_us", &us(qs[0]))
-        .raw("p95_us", &us(qs[1]))
-        .raw("p99_us", &us(qs[2]))
 }
 
 /// An exemplar parsed off a sample line's ` # {labels} value` suffix
@@ -444,6 +393,7 @@ mod tests {
     use super::*;
     use crate::metrics::Sample;
     use std::time::Duration;
+    use tincy_pipeline::DurationStats;
 
     fn sample_set() -> Vec<Sample> {
         let mut stats = DurationStats::new();
@@ -486,43 +436,6 @@ mod tests {
             .find(|s| s.name == "demo_latency_seconds" && s.label("quantile") == Some("0.5"))
             .unwrap();
         assert!(p50.value > 0.0015 && p50.value < 0.0045, "{}", p50.value);
-    }
-
-    #[test]
-    fn json_text_is_parseable_and_complete() {
-        let json = json_text(&sample_set());
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"type\":\"summary\""));
-        assert!(json.contains("\"count\":2"));
-        assert!(json.contains("\"reason\":\"queue-full\""));
-    }
-
-    /// The JSON exposition's exact bytes: a summary, a gauge, labelled
-    /// counters (one label value needing an escape) and a histogram.
-    #[test]
-    fn json_text_bytes_are_pinned() {
-        let mut samples = sample_set();
-        samples[3] = samples[3].clone().label("note", "a\"b");
-        let mut stats = DurationStats::new();
-        for ms in [2u64, 4, 40] {
-            stats.record(Duration::from_millis(ms));
-        }
-        let buckets = crate::Buckets::explicit(vec![0.005, 0.05]).unwrap();
-        let snap = crate::HistogramSnapshot::from_stats(&stats, &buckets);
-        samples.push(Sample::new("demo_hist", "h", Value::Histogram(snap)));
-        let expected = concat!(
-            r#"[{"name":"demo_latency_seconds","labels":{},"type":"summary","count":2,"#,
-            r#""mean_us":3000.000,"min_us":2000.000,"max_us":4000.000,"#,
-            r#""p50_us":2031.615,"p95_us":4000.000,"p99_us":4000.000},"#,
-            r#"{"name":"demo_queue_depth","labels":{},"type":"gauge","value":3},"#,
-            r#"{"name":"demo_rejected_total","labels":{"reason":"queue-full"},"#,
-            r#""type":"counter","value":5},"#,
-            r#"{"name":"demo_rejected_total","labels":{"reason":"deadline","note":"a\"b"},"#,
-            r#""type":"counter","value":2},"#,
-            r#"{"name":"demo_hist","labels":{},"type":"histogram","count":3,"#,
-            r#""sum_s":0.046,"buckets":[{"le":0.005,"count":2},{"le":0.05,"count":3}]}]"#,
-        );
-        assert_eq!(json_text(&samples), expected);
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //!   [`Collect`] hook for subsystems that keep their own accumulators
 //!   (the serve scheduler, offload health); histograms expose either
 //!   summary quantiles or native cumulative buckets ([`Buckets`]);
-//! - exposition as Prometheus text ([`prometheus_text`]) and JSON
-//!   ([`json_text`]), with a matching parser ([`parse_prometheus`]) and
-//!   a structural histogram validator ([`check_histogram_series`]) for
-//!   smoke checks;
+//! - exposition as Prometheus text ([`prometheus_text`]), with a
+//!   matching parser ([`parse_prometheus`]) and a structural histogram
+//!   validator ([`check_histogram_series`]) for smoke checks;
 //! - a hardened keep-alive HTTP [`StatusServer`] (connection cap with
 //!   503 shedding, header/read deadlines, drain-on-shutdown — see
-//!   [`ServerConfig`]) that serves those expositions on `tincy serve
+//!   [`ServerConfig`]) that serves that exposition on `tincy serve
 //!   --status-addr` (GET `/metrics`, `/healthz`, `/report`), plus the
 //!   [`HttpClient`] keep-alive scrape client;
 //! - the [`slo`] burn-rate engine: per-class error budgets
@@ -29,7 +28,7 @@ mod metrics;
 pub mod slo;
 
 pub use expose::{
-    check_histogram_series, json_text, parse_prometheus, prometheus_text, PromExemplar, PromSample,
+    check_histogram_series, parse_prometheus, prometheus_text, PromExemplar, PromSample,
 };
 pub use http::{
     http_get, Handler, HttpClient, HttpResponse, Parse, Request, RequestParser, Response,

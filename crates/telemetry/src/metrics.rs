@@ -138,8 +138,8 @@ impl Buckets {
 
 /// A Prometheus/OpenMetrics exemplar: the trace id of a notable
 /// observation that landed in a bucket, plus that observation's value in
-/// seconds — the bridge from a burning latency budget to the stitched
-/// trace of an offending request.
+/// seconds — the bridge from a burning latency budget to the trace of
+/// an offending request.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exemplar {
     /// Distributed trace id of the exemplified request.

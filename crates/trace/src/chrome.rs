@@ -3,29 +3,21 @@
 //! The exporter writes the JSON array format understood by
 //! `chrome://tracing` and Perfetto: matched spans become complete `"X"`
 //! events (microsecond `ts`/`dur`), instants become `"i"` events with
-//! thread scope, and typed attributes land in `args`. The syntax goes
-//! through the shared `tincy-json` writer (no serde); the importer
-//! reconstructs a [`Trace`] via the parser re-exported as
-//! [`crate::json`].
+//! thread scope, and typed attributes land in `args`. A trace that lost
+//! events to a full ring says how many in `otherData.dropped`. The syntax
+//! goes through the shared `tincy-json` writer and parser (no serde).
 
 use crate::data::Trace;
 use crate::event::{Attrs, Backend, Event, EventKind, Label};
-use crate::json::{parse, JsonValue};
-use std::collections::{BTreeSet, HashMap};
-use tincy_json::{array_u64, JsonArray, JsonObject};
+use std::collections::HashMap;
+use tincy_json::{array_u64, parse, JsonArray, JsonObject, JsonValue};
 
 const CATEGORY: &str = "tincy";
 
 /// Serializes the trace to Chrome trace-event JSON (object form with a
-/// `traceEvents` array, `displayTimeUnit: "ns"`).
+/// `traceEvents` array, `displayTimeUnit: "ns"`, and
+/// `otherData: {"dropped": N}` when the recorder overwrote N > 0 events).
 pub fn to_chrome_json(trace: &Trace) -> String {
-    render_chrome_json(trace, None)
-}
-
-/// [`to_chrome_json`], with the writing process (its pid, as a string)
-/// in `otherData` when given: a segment carries it so stitching can refuse
-/// a directory that mixes two processes' recordings.
-pub(crate) fn render_chrome_json(trace: &Trace, process: Option<&str>) -> String {
     let mut events = JsonArray::new();
     // Perfetto track names: one thread_name metadata event per named
     // thread, so workers show up as named tracks instead of raw tids.
@@ -80,8 +72,8 @@ pub(crate) fn render_chrome_json(trace: &Trace, process: Option<&str>) -> String
         events.raw(&event.finish());
     }
     let mut root = JsonObject::new().str("displayTimeUnit", "ns");
-    if let Some(process) = process {
-        let data = JsonObject::new().str("process", process);
+    if trace.dropped > 0 {
+        let data = JsonObject::new().u64("dropped", trace.dropped);
         root = root.raw("otherData", &data.finish());
     }
     root.raw("traceEvents", &events.finish()).finish()
@@ -137,15 +129,31 @@ fn micros(ns: u64) -> String {
 
 /// Parses Chrome trace-event JSON (as produced by [`to_chrome_json`],
 /// tolerant of the bare-array form and of unknown phases) back into a
-/// [`Trace`]. Complete `"X"` events are split back into Begin/End pairs.
+/// [`Trace`]. Complete `"X"` events are split back into Begin/End pairs,
+/// and `otherData.dropped` becomes [`Trace::dropped`].
 ///
 /// # Errors
 ///
 /// A message describing the malformed construct.
 pub fn from_chrome_json(text: &str) -> Result<Trace, String> {
-    let mut assembly = TraceAssembly::new();
-    assembly.ingest(text)?;
-    Ok(assembly.into_trace())
+    let root = parse(text)?;
+    let events = match &root {
+        JsonValue::Arr(items) => items,
+        JsonValue::Obj(_) => match root.get("traceEvents") {
+            Some(JsonValue::Arr(items)) => items,
+            _ => return Err("missing traceEvents array".to_string()),
+        },
+        _ => return Err("trace file is neither an object nor an array".to_string()),
+    };
+    let mut assembly = TraceAssembly::default();
+    assembly.ingest(events)?;
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let dropped = root
+        .get("otherData")
+        .and_then(|data| data.get("dropped"))
+        .and_then(JsonValue::as_f64)
+        .map_or(0, |n| n.max(0.0) as u64);
+    Ok(assembly.into_trace(dropped))
 }
 
 struct SpanRec {
@@ -155,13 +163,11 @@ struct SpanRec {
     attrs: Attrs,
 }
 
-/// Incremental importer: ingests one or more Chrome trace-event JSON
-/// documents — the segments of one recording session — and assembles a
-/// single [`Trace`]. Labels, link sets and thread names are merged
-/// across documents; [`Self::into_trace`] rebuilds the Begin/End stream.
-/// This is what segment stitching ([`crate::stitch_segments`]) and the
-/// single-file [`from_chrome_json`] share.
-pub(crate) struct TraceAssembly {
+/// The importer's state while it walks one document's events: labels and
+/// link sets interned in order of appearance, spans grouped per thread
+/// for [`Self::into_trace`] to rebuild the Begin/End stream.
+#[derive(Default)]
+struct TraceAssembly {
     labels: Vec<String>,
     by_name: HashMap<String, u32>,
     spans: HashMap<u32, Vec<SpanRec>>,
@@ -169,26 +175,9 @@ pub(crate) struct TraceAssembly {
     thread_names: Vec<String>,
     links: Vec<Vec<u64>>,
     max_thread: Option<u32>,
-    /// Distinct `otherData.process` tags seen across ingested documents.
-    /// More than one means the directory mixes recordings from different
-    /// processes, whose clocks and thread ids are unrelated.
-    pub(crate) processes: BTreeSet<String>,
 }
 
 impl TraceAssembly {
-    pub(crate) fn new() -> Self {
-        Self {
-            labels: Vec::new(),
-            by_name: HashMap::new(),
-            spans: HashMap::new(),
-            instants: Vec::new(),
-            thread_names: Vec::new(),
-            links: Vec::new(),
-            max_thread: None,
-            processes: BTreeSet::new(),
-        }
-    }
-
     fn intern(&mut self, name: &str) -> Label {
         if let Some(&id) = self.by_name.get(name) {
             return Label(id);
@@ -199,29 +188,10 @@ impl TraceAssembly {
         Label(id)
     }
 
-    /// Parses one Chrome trace-event document into the assembly.
-    ///
-    /// # Errors
-    ///
-    /// A message describing the malformed construct.
-    pub(crate) fn ingest(&mut self, text: &str) -> Result<(), String> {
-        let root = parse(text)?;
-        if let Some(process) = root
-            .get("otherData")
-            .and_then(|data| data.get("process"))
-            .and_then(JsonValue::as_str)
-        {
-            self.processes.insert(process.to_string());
-        }
-        let events_json = match &root {
-            JsonValue::Arr(items) => items,
-            JsonValue::Obj(_) => match root.get("traceEvents") {
-                Some(JsonValue::Arr(items)) => items,
-                _ => return Err("missing traceEvents array".to_string()),
-            },
-            _ => return Err("trace file is neither an object nor an array".to_string()),
-        };
-        for item in events_json {
+    /// Adds one document's events; an event without a name or `ts` is an
+    /// error.
+    fn ingest(&mut self, events: &[JsonValue]) -> Result<(), String> {
+        for item in events {
             let phase = item.get("ph").and_then(JsonValue::as_str).unwrap_or("");
             if phase == "M" {
                 self.ingest_metadata(item);
@@ -354,7 +324,7 @@ impl TraceAssembly {
     /// sorting spans (start asc, end desc) puts parents before children
     /// even when a deterministic clock made edges share a timestamp, so
     /// stack discipline survives the round trip.
-    pub(crate) fn into_trace(mut self) -> Trace {
+    fn into_trace(mut self, dropped: u64) -> Trace {
         let mut events = Vec::new();
         let mut thread_ids: Vec<u32> = self.spans.keys().copied().collect();
         thread_ids.sort_unstable();
@@ -410,7 +380,7 @@ impl TraceAssembly {
             threads,
             thread_names: self.thread_names,
             links: self.links,
-            dropped: 0,
+            dropped,
         }
     }
 }
@@ -477,8 +447,8 @@ mod tests {
     }
 
     /// The exporter's exact bytes: a named thread, a span carrying every
-    /// attribute, an instant and a flow pair, with and without a writing
-    /// process.
+    /// attribute, an instant and a flow pair, and no `otherData` when
+    /// nothing was dropped.
     #[test]
     fn export_bytes_are_pinned() {
         let _guard = exclusive();
@@ -533,10 +503,73 @@ mod tests {
             to_chrome_json(&trace),
             format!(r#"{{"displayTimeUnit":"ns",{events}"#)
         );
-        assert_eq!(
-            render_chrome_json(&trace, Some("pid \"77\"")),
-            format!(r#"{{"displayTimeUnit":"ns","otherData":{{"process":"pid \"77\""}},{events}"#)
+    }
+
+    /// A ring of two that saw five instants overwrote three; the file says
+    /// so and the importer reads it back.
+    #[test]
+    fn drop_count_survives_the_round_trip() {
+        let _guard = exclusive();
+        start_with_clock(Arc::new(TestClock::new()), 2);
+        for _ in 0..5 {
+            span(Label::intern("chrome.lossy")).emit();
+        }
+        let trace = finish();
+        assert_eq!(trace.dropped, 3);
+        let json = to_chrome_json(&trace);
+        assert!(
+            json.starts_with(r#"{"displayTimeUnit":"ns","otherData":{"dropped":3},"#),
+            "{json}"
         );
+        let parsed = from_chrome_json(&json).unwrap();
+        assert_eq!((parsed.dropped, parsed.events.len()), (3, 2));
+    }
+
+    /// Damaged input is an error, never a panic: every byte-prefix of a
+    /// real session's file fails to import, and a fixed set of
+    /// single-byte substitutions goes through the importer unharmed.
+    #[test]
+    fn damaged_files_are_errors_not_panics() {
+        let _guard = exclusive();
+        let clock = Arc::new(TestClock::new());
+        // Five events fit; the first one is overwritten.
+        start_with_clock(clock.clone(), 5);
+        span(Label::intern("chrome.lost")).emit();
+        clock.advance(2_000);
+        let outer = span(Label::intern("chrome.outer")).frame(1).start();
+        clock.advance(500);
+        span(Label::intern("chrome.mark")).layer(2).emit();
+        clock.advance(1_250);
+        drop(outer);
+        let id = 0xffee_ddcc_bbaa_9988;
+        span(Label::intern("chrome.hop"))
+            .trace(id)
+            .emit_flow_start();
+        span(Label::intern("chrome.batch"))
+            .request(3)
+            .batch(2)
+            .shard(1)
+            .variant("cheap")
+            .fault("dma timeout")
+            .link_requests(&[1, 2])
+            .trace(id)
+            .emit_flow_finish();
+        let trace = finish();
+        assert_eq!(trace.dropped, 1, "the file carries otherData too");
+        let text = to_chrome_json(&trace);
+        assert!(from_chrome_json(&text).is_ok());
+        for end in 0..text.len() {
+            assert!(from_chrome_json(&text[..end]).is_err(), "prefix {end}");
+        }
+        let mut bytes = text.into_bytes();
+        for i in 0..bytes.len() {
+            let original = bytes[i];
+            for b in *b"\"{}[],:-9e" {
+                bytes[i] = b;
+                let _ = from_chrome_json(std::str::from_utf8(&bytes).unwrap());
+            }
+            bytes[i] = original;
+        }
     }
 
     #[test]

@@ -56,11 +56,8 @@ struct Ring {
     buf: Vec<Event>,
     capacity: usize,
     head: usize,
-    /// Drops since the last sweep/finish (folded into [`Trace::dropped`]).
+    /// Events overwritten since the session started.
     dropped: u64,
-    /// Session-lifetime drops; never reset, so live metrics stay
-    /// monotonic even though sweeps consume `dropped`.
-    total_dropped: u64,
 }
 
 impl Ring {
@@ -70,7 +67,6 @@ impl Ring {
             capacity: capacity.max(1),
             head: 0,
             dropped: 0,
-            total_dropped: 0,
         }
     }
 
@@ -81,7 +77,6 @@ impl Ring {
             self.buf[self.head] = event;
             self.head = (self.head + 1) % self.capacity;
             self.dropped += 1;
-            self.total_dropped += 1;
         }
     }
 
@@ -193,66 +188,11 @@ pub fn finish() -> Trace {
     }
 }
 
-/// Drains every completed event out of the running session's rings
-/// without stopping it — the streaming-drain primitive behind
-/// [`TraceDrainer`](crate::TraceDrainer). Begin edges whose End has not
-/// been recorded yet are held back (re-queued at the front of their
-/// ring), so a span that straddles a sweep boundary lands whole in a
-/// later sweep and every returned trace contains only matched spans and
-/// instants. Returns `None` when no session is running.
-pub fn sweep() -> Option<Trace> {
-    let mut registry = registry().lock();
-    let session = registry.as_mut()?;
-    let mut events = Vec::new();
-    let mut dropped = 0;
-    for ring in &session.rings {
-        let mut ring = ring.lock();
-        let drained = ring.drain();
-        dropped += std::mem::take(&mut ring.dropped);
-        // Walk the thread's stream to find unmatched Begin edges (same
-        // tolerant matching as `Trace::spans_lossy`).
-        let mut stack: Vec<usize> = Vec::new();
-        for (i, event) in drained.iter().enumerate() {
-            match event.kind {
-                EventKind::Begin => stack.push(i),
-                EventKind::End => {
-                    if let Some(&top) = stack.last() {
-                        if drained[top].label == event.label {
-                            stack.pop();
-                        }
-                    }
-                }
-                EventKind::Instant | EventKind::FlowStart | EventKind::FlowFinish => {}
-            }
-        }
-        let mut held = stack.into_iter().peekable();
-        for (i, event) in drained.into_iter().enumerate() {
-            if held.peek() == Some(&i) {
-                held.next();
-                // The ring was just drained, so these pushes cannot wrap.
-                ring.push(event);
-            } else {
-                events.push(event);
-            }
-        }
-    }
-    events.sort_by_key(|e| e.t_ns);
-    Some(Trace {
-        events,
-        labels: label_table(),
-        threads: u32::try_from(session.rings.len()).unwrap_or(u32::MAX),
-        thread_names: session.names.clone(),
-        links: session.links.clone(),
-        dropped,
-    })
-}
-
 /// Per-thread flight-recorder drop counts for the *running* session:
 /// `(thread name, events overwritten since the session started)`, in
-/// registration order. Unlike the per-sweep counts folded into
-/// [`Trace::dropped`], these are cumulative — the live
-/// `tincy_trace_dropped_total{thread}` metric reads them. `None` when no
-/// session is running.
+/// registration order — what the live `tincy_trace_dropped_total{thread}`
+/// metric reads, and what [`finish`] sums into [`Trace::dropped`]. `None`
+/// when no session is running.
 pub fn thread_drops() -> Option<Vec<(String, u64)>> {
     let registry = registry().lock();
     let session = registry.as_ref()?;
@@ -261,7 +201,7 @@ pub fn thread_drops() -> Option<Vec<(String, u64)>> {
             .rings
             .iter()
             .zip(&session.names)
-            .map(|(ring, name)| (name.clone(), ring.lock().total_dropped))
+            .map(|(ring, name)| (name.clone(), ring.lock().dropped))
             .collect(),
     )
 }
@@ -375,25 +315,24 @@ mod tests {
     }
 
     #[test]
-    fn thread_drops_are_cumulative_across_sweeps() {
+    fn thread_drops_are_cumulative_and_sum_into_the_trace() {
         let _guard = exclusive();
         let clock = Arc::new(TestClock::new());
         start_with_clock(clock, 2); // tiny rings force overwrites
         let label = Label::intern("collector.drop");
+        let total = || -> u64 {
+            let drops = thread_drops().expect("session running");
+            drops.iter().map(|(_, d)| *d).sum()
+        };
         for _ in 0..5 {
             record(EventKind::Instant, label, Attrs::default());
         }
-        let total = |drops: &[(String, u64)]| drops.iter().map(|(_, d)| *d).sum::<u64>();
-        assert_eq!(total(&thread_drops().expect("session running")), 3);
-        let swept = sweep().expect("session running");
-        assert_eq!(swept.dropped, 3);
-        // The sweep consumed the per-sweep count but not the cumulative one.
-        assert_eq!(total(&thread_drops().expect("session running")), 3);
+        assert_eq!(total(), 3);
         for _ in 0..3 {
             record(EventKind::Instant, label, Attrs::default());
         }
-        assert_eq!(total(&thread_drops().expect("session running")), 4);
-        assert_eq!(finish().dropped, 1);
+        assert_eq!(total(), 6);
+        assert_eq!(finish().dropped, 6);
         assert!(thread_drops().is_none(), "no session after finish");
     }
 

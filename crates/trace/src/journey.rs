@@ -5,8 +5,8 @@
 //! queue wait / service).
 //!
 //! This is the analysis behind `tincy trace-report --by-request`: it
-//! works on single-shard traces and on stitched multi-shard timelines
-//! alike, because every hop tags its events with the same trace id.
+//! works on single-shard and multi-shard traces alike, because every
+//! hop tags its events with the same trace id.
 
 use crate::data::Trace;
 use crate::event::{Backend, EventKind};

@@ -25,15 +25,13 @@ mod context;
 mod data;
 mod event;
 pub mod journey;
-pub mod json;
 mod profile;
 mod span;
-mod stream;
 
 pub use chrome::{from_chrome_json, to_chrome_json};
 pub use clock::{Clock, MonotonicClock, TestClock};
 pub use collector::{
-    exclusive, finish, is_enabled, start, start_local, start_with_clock, sweep, thread_drops,
+    exclusive, finish, is_enabled, start, start_local, start_with_clock, thread_drops,
     DEFAULT_THREAD_CAPACITY,
 };
 pub use context::{splitmix64, TraceContext};
@@ -42,4 +40,3 @@ pub use event::{Attrs, Backend, Event, EventKind, Label};
 pub use journey::{journeys, JourneyError, RequestJourney};
 pub use profile::{Profile, ProfileRow};
 pub use span::{span, SpanBuilder, SpanGuard};
-pub use stream::{segment_files, stitch_segments, DrainSummary, SegmentWriter, TraceDrainer};

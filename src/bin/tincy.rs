@@ -6,7 +6,7 @@
 //! tincy ladder              the §III/§IV speedup ladder
 //! tincy demo                the pipelined live-detection demo
 //! tincy serve               the inference server (--shards N: a routed fleet) under a built-in load
-//! tincy trace-report        profile a trace or segment directory against Table III
+//! tincy trace-report        profile a trace file against Table III
 //! tincy explore             design-space sweep and Pareto frontier
 //! ```
 //!
@@ -14,6 +14,7 @@
 //! accepts, from the one table ([`FLAGS`]) the parser itself reads.
 
 use std::error::Error;
+use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -32,7 +33,7 @@ use tincy::serve::{
     VariantLadder,
 };
 use tincy::telemetry::SloPolicy;
-use tincy::trace::{stitch_segments, TraceDrainer};
+use tincy::trace::Trace;
 use tincy::video::SceneConfig;
 
 type CliResult<T = ()> = Result<T, Box<dyn Error>>;
@@ -54,7 +55,7 @@ static CMDS: &[(Cmd, &str, &str, usize, &str)] = &[
         "the pipelined live-detection demo, optionally under accelerator faults"),
     (Cmd::Serve, "serve", "[requests [clients [input]]]", 3,
         "the server under a deterministic client load, then each client's view; --shards N puts N behind a router"),
-    (Cmd::TraceReport, "trace-report", "<trace.json | segments-dir>", 1,
+    (Cmd::TraceReport, "trace-report", "<trace.json>", 1,
         "span statistics and the stage table of a trace, diffed against Table III, and the fps it predicts"),
     (Cmd::Explore, "explore", "", 0,
         "design-space sweep against the XCZU3EG model: the Pareto frontier"),
@@ -81,9 +82,7 @@ static FLAGS: &[Flag] = &[
     Flag("--fault-seed", "N", RUN, "seeded random accelerator faults"),
     Flag("--outage", "START:LEN", RUN, "hard outage over fabric invocations START..START+LEN"),
     Flag("--metrics-json", "PATH", RUN, "write the run's metrics as JSON"),
-    Flag("--trace-out", "PATH", RUN, "write a Chrome trace of the run (not with --trace-dir)"),
-    Flag("--trace-dir", "DIR", RUN, "stream rotating trace segments into DIR"),
-    Flag("--segment-events", "N", RUN, "events per trace segment (default 512)"),
+    Flag("--trace-out", "PATH", RUN, "write a Chrome trace of the run, even one that fails"),
     Flag("--pattern", "PATTERN", SERVE, "burst (default) | closed | uniform:GAP_US | diurnal:BASE_US:PERIOD_MS:RATIO | flash:BASE_US:AT_MS:WIDTH_MS:FACTOR"),
     Flag("--workers", "N", SERVE, "load-driver threads the clients are partitioned across"),
     Flag("--seed", "N", SERVE, "base seed of the cameras and the arrival schedule"),
@@ -93,7 +92,7 @@ static FLAGS: &[Flag] = &[
     Flag("--max-batch", "N", SERVE, "largest FINN micro-batch"),
     Flag("--queue", "N", SERVE, "pending-queue bound (per shard)"),
     Flag("--per-client", "N", SERVE, "outstanding-request quota per client"),
-    Flag("--status-addr", "HOST:PORT", SERVE, "serve /metrics, /metrics.json, /report, /healthz"),
+    Flag("--status-addr", "HOST:PORT", SERVE, "serve /metrics, /report, /healthz"),
     Flag("--drift-threshold", "PCT", SERVE, "per-item service-time divergence (per rung and backend) that raises the drift alert"),
     Flag("--variants", "FRONTIER.json", SERVE, "host an `explore --frontier-out` dump as a variant ladder"),
     Flag("--variant-smoke", "", SERVE, "fail unless every rung conserves admissions and completions"),
@@ -347,56 +346,71 @@ fn fault_plans(args: &Args, shards: usize) -> Result<Vec<FaultPlan>, String> {
     Ok(plans)
 }
 
-/// The `--trace-out` / `--trace-dir` / `--segment-events` family: starts
-/// the session (and the streaming drainer), and closes both out.
+/// `--trace-out`: records the run and writes it as one Chrome trace file.
+/// A session dropped without [`Self::finish`] — the run returned an error
+/// — still writes its file.
 struct TraceSession<'a> {
     out: Option<&'a str>,
-    dir: Option<&'a str>,
-    drainer: Option<TraceDrainer>,
 }
 
 impl<'a> TraceSession<'a> {
-    fn start(args: &'a Args) -> CliResult<Self> {
-        let (out, dir) = (args.text("--trace-out"), args.text("--trace-dir"));
-        let max_segment_events = args.get("--segment-events")?.unwrap_or(512);
-        if out.is_some() && dir.is_some() {
-            return Err("--trace-out and --trace-dir are mutually exclusive \
-                        (streaming sweeps would leave the final trace empty)"
-                .into());
-        }
-        if out.is_some() || dir.is_some() {
+    fn start(args: &'a Args) -> Self {
+        let out = args.text("--trace-out");
+        if out.is_some() {
             tincy::trace::start();
         }
-        let drainer = dir
-            .map(|dir| TraceDrainer::spawn(dir, max_segment_events))
-            .transpose()?;
-        Ok(Self { out, dir, drainer })
+        Self { out }
     }
 
-    /// Flushes the segments or writes the Chrome trace, and prints the
-    /// summary line.
-    fn finish(self) -> CliResult {
-        if let (Some(drainer), Some(dir)) = (self.drainer, self.dir) {
-            let summary = drainer.finalize()?;
-            // The sweeps consumed the session; close it out.
-            let _ = tincy::trace::finish();
-            println!(
-                "trace segments written to {dir} ({} segments, {} events, {} dropped, {} pruned)",
-                summary.segments, summary.events, summary.dropped, summary.pruned
-            );
-        }
-        if let Some(path) = self.out {
-            let trace = tincy::trace::finish();
-            std::fs::write(path, tincy::trace::to_chrome_json(&trace))?;
-            println!(
-                "trace written to {path} ({} events on {} threads, {} dropped)",
-                trace.events.len(),
-                trace.threads,
-                trace.dropped
-            );
-        }
-        Ok(())
+    /// Stops the session, writes the file, prints the summary line and
+    /// returns the trace (`None` without `--trace-out`).
+    fn finish(mut self) -> CliResult<Option<Trace>> {
+        let Some((path, trace)) = self.write()? else {
+            return Ok(None);
+        };
+        println!(
+            "trace written to {path} ({} events on {} threads, {} dropped)",
+            trace.events.len(),
+            trace.threads,
+            trace.dropped
+        );
+        Ok(Some(trace))
     }
+
+    fn write(&mut self) -> CliResult<Option<(&'a str, Trace)>> {
+        let Some(path) = self.out.take() else {
+            return Ok(None);
+        };
+        let trace = tincy::trace::finish();
+        write_atomically(Path::new(path), &tincy::trace::to_chrome_json(&trace))
+            .map_err(|e| format!("--trace-out {path}: {e}"))?;
+        Ok(Some((path, trace)))
+    }
+}
+
+impl Drop for TraceSession<'_> {
+    fn drop(&mut self) {
+        if let Err(e) = self.write() {
+            eprintln!("error: {e}");
+        }
+    }
+}
+
+/// Writes `contents` to a dot-prefixed temp file beside `path`, syncs it
+/// and renames it into place, so neither a reader nor a crash ever sees a
+/// torn file at `path`.
+fn write_atomically(path: &Path, contents: &str) -> std::io::Result<()> {
+    let name = path.file_name().ok_or(std::io::ErrorKind::InvalidInput)?;
+    let tmp = path.with_file_name(format!(".{}.tmp", name.to_string_lossy()));
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(contents.as_bytes())?;
+        file.sync_all()
+    });
+    written
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .inspect_err(|_| {
+            let _ = std::fs::remove_file(&tmp);
+        })
 }
 
 /// Writes `--metrics-json` when asked to.
@@ -427,7 +441,7 @@ fn cmd_demo(args: &Args) -> CliResult {
         score_threshold: 0.02,
         scene: SceneConfig::default(),
     };
-    let trace = TraceSession::start(args)?;
+    let trace = TraceSession::start(args);
     let report = run_demo(&config)?;
     trace.finish()?;
     println!(
@@ -541,7 +555,7 @@ fn cmd_serve(args: &Args) -> CliResult {
         None => {}
     }
     base.drift_threshold = args.percent("--drift-threshold")?;
-    let trace = TraceSession::start(args)?;
+    let trace = TraceSession::start(args);
     let burst = load.pattern == ArrivalPattern::Burst;
     // From `run_load`'s observation point: every response is collected,
     // nothing has shut down.
@@ -551,7 +565,7 @@ fn cmd_serve(args: &Args) -> CliResult {
             scraped = smoke_scrape(addr, 3);
         }
     })?;
-    trace.finish()?;
+    let trace = trace.finish()?;
     print_server_view(&report);
     print_client_view(&report);
     write_artifacts(args, || json::report_json(&report.target))?;
@@ -573,9 +587,8 @@ fn cmd_serve(args: &Args) -> CliResult {
     }
     if smoke {
         println!("{}", check_smoke(&report, burst, faulted)?);
-        if let Some(dir) = args.text("--trace-dir") {
-            let stitched = stitch_segments(Path::new(dir))?;
-            println!("{}", check_fleet_trace(&stitched, &report.target)?);
+        if let Some(trace) = &trace {
+            println!("{}", check_fleet_trace(trace, &report.target)?);
         }
     }
     Ok(())
@@ -680,7 +693,7 @@ fn cmd_trace_report(args: &Args) -> CliResult {
     let check = args.has("--check");
     let threshold = args.percent("--threshold")?.unwrap_or(0.25);
     let path = args.positional.first();
-    let path = path.ok_or("trace-report requires a trace file or segment directory")?;
+    let path = path.ok_or("trace-report requires a trace file")?;
     let trace = load_trace(path)?;
     if check {
         trace
@@ -769,7 +782,7 @@ fn cmd_trace_report(args: &Args) -> CliResult {
 /// attribution — the distributed analogue of the Table III stage table.
 /// With `check`, every journey must verify: a delivered request with a
 /// missing or causally misordered stage is an error.
-fn report_journeys(trace: &tincy::trace::Trace, check: bool) -> CliResult {
+fn report_journeys(trace: &Trace, check: bool) -> CliResult {
     let journeys = tincy::trace::journeys(trace);
     if journeys.is_empty() {
         return Err("--by-request: the trace carries no request-tagged events".into());
@@ -854,14 +867,10 @@ fn report_journeys(trace: &tincy::trace::Trace, check: bool) -> CliResult {
     Ok(())
 }
 
-/// Loads a timeline from either a single Chrome-trace file or a
-/// `--trace-dir` segment directory (stitched back together).
-fn load_trace(path: &str) -> CliResult<tincy::trace::Trace> {
-    if std::fs::metadata(path)?.is_dir() {
-        return Ok(stitch_segments(Path::new(path))?);
-    }
-    let text = std::fs::read_to_string(path)?;
-    Ok(tincy::trace::from_chrome_json(&text).map_err(|e| format!("{path}: {e}"))?)
+/// Loads a `--trace-out` Chrome-trace file; any failure names the path.
+fn load_trace(path: &str) -> Result<Trace, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    tincy::trace::from_chrome_json(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn parse_range(flag: &str, value: &str) -> CliResult<(usize, usize)> {
@@ -931,8 +940,7 @@ mod tests {
     /// into `serve` and `--mode` gone in favour of `--pattern`.
     #[test]
     fn each_subcommand_accepts_exactly_its_old_flags() {
-        let local = "--fault-seed --outage --metrics-json --trace-out --trace-dir \
-                     --segment-events";
+        let local = "--fault-seed --outage --metrics-json --trace-out";
         let serve = format!(
             "{local} --status-addr --cpu-workers --max-batch --queue --per-client \
              --drift-threshold --variants --variant-smoke --smoke --scrape \
@@ -943,7 +951,7 @@ mod tests {
             (Cmd::Demo, format!("{local} --frames")),
             (Cmd::Serve, serve),
         ];
-        assert_eq!((CMDS.len(), FLAGS.len()), (4, 32));
+        assert_eq!((CMDS.len(), FLAGS.len()), (4, 30));
         for (cmd, want) in cases {
             let mut want: Vec<&str> = want.split_whitespace().collect();
             let mut got: Vec<&str> = FLAGS
@@ -1023,14 +1031,74 @@ mod tests {
         assert_eq!(err, "--fault-shard 3: the fleet has 3 shards");
     }
 
+    /// A scratch path under the system temp directory, unique to this
+    /// process and `tag`, with nothing at it.
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!("tincy-cli-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
     #[test]
-    fn trace_out_with_trace_dir_is_rejected() {
-        let args = parse(Cmd::Demo, "--trace-out t.json --trace-dir segs").unwrap();
-        let err = TraceSession::start(&args)
-            .err()
-            .expect("rejected")
-            .to_string();
-        assert!(err.starts_with("--trace-out and --trace-dir are mutually exclusive"));
-        assert!(!tincy::trace::is_enabled(), "no session was started");
+    fn trace_report_refuses_a_directory_naming_it() {
+        let dir = std::env::temp_dir();
+        let dir = dir.to_str().expect("utf-8 temp dir");
+        let err = load_trace(dir).unwrap_err();
+        assert!(err.starts_with(&format!("{dir}: ")), "{err}");
+    }
+
+    #[test]
+    fn atomic_write_leaves_only_the_target() {
+        let dir = scratch("atomic");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.json");
+        write_atomically(&path, "{}").unwrap();
+        write_atomically(&path, "[]").unwrap();
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["t.json"]);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "[]");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The path a failed `run_demo` or `run_load` takes: the session is
+    /// dropped unfinished, and the file is still written and readable.
+    #[test]
+    fn an_unfinished_session_still_writes_its_trace() {
+        let _guard = tincy::trace::exclusive();
+        let path = scratch("dropped.json");
+        let line = format!("--trace-out {}", path.display());
+        let args = parse(Cmd::Demo, &line).unwrap();
+        let session = TraceSession::start(&args);
+        tincy::trace::span(tincy::trace::Label::intern("cli.failed_run")).emit();
+        drop(session);
+        assert!(!tincy::trace::is_enabled(), "the drop closed the session");
+        let trace = load_trace(path.to_str().unwrap()).unwrap();
+        let names: Vec<_> = trace
+            .instants()
+            .map(|e| trace.label_name(e.label))
+            .collect();
+        assert_eq!(names, ["cli.failed_run"]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A trace whose rings overwrote events fails `trace-report --check`.
+    #[test]
+    fn check_refuses_a_trace_with_drops() {
+        let _guard = tincy::trace::exclusive();
+        tincy::trace::start_with_clock(std::sync::Arc::new(tincy::trace::TestClock::new()), 2);
+        for _ in 0..5 {
+            tincy::trace::span(tincy::trace::Label::intern("cli.lossy")).emit();
+        }
+        let path = scratch("lossy.json");
+        let json = tincy::trace::to_chrome_json(&tincy::trace::finish());
+        write_atomically(&path, &json).unwrap();
+        let line = format!("--check {}", path.display());
+        let err = cmd_trace_report(&parse(Cmd::TraceReport, &line).unwrap()).unwrap_err();
+        assert_eq!(err.to_string(), "trace check failed: 3 events dropped");
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -22,12 +22,12 @@ use tincy::serve::{
     run_load, ArrivalPattern, Fleet, FleetConfig, LoadConfig, LoadReport, RoutePolicy, SloClass,
 };
 use tincy::telemetry::{http_get, parse_prometheus};
-use tincy::trace::{exclusive, journeys, stitch_segments, TraceDrainer};
+use tincy::trace::{exclusive, from_chrome_json, journeys, to_chrome_json};
 use tincy::video::{SceneConfig, SyntheticCamera};
 
 // The trace session is process-global: the traced test below must not
 // overlap any other fleet run in this binary, or foreign spans (with
-// colliding minted trace ids) would leak into its stitched timeline —
+// colliding minted trace ids) would leak into its trace —
 // so every test here holds `exclusive()`.
 
 const FAULTED_SHARD: usize = 1;
@@ -138,7 +138,7 @@ fn hash_policy_reroutes_only_the_drained_shards_clients() {
 
 /// Distributed-tracing contract: a request refused by its
 /// consistent-hash owner and failed over to the peer shard must appear
-/// in the stitched timeline as ONE journey — its reject span on the
+/// in the session's trace as ONE journey — its reject span on the
 /// owner and its admit/lease/deliver spans on the peer, all under the
 /// trace id the router minted, with the router→shard flow (start +
 /// finish link events) intact.
@@ -150,11 +150,7 @@ fn hash_policy_reroutes_only_the_drained_shards_clients() {
 #[test]
 fn failed_over_request_spans_both_shards_under_one_trace_id() {
     let _guard = exclusive();
-    let dir = std::env::temp_dir().join(format!("tincy-fleet-trace-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
     tincy::trace::start();
-    let drainer = TraceDrainer::spawn(&dir, 512).expect("spawn trace drainer");
 
     let mut config = FleetConfig {
         shards: 2,
@@ -220,11 +216,9 @@ fn failed_over_request_spans_both_shards_under_one_trace_id() {
     let report = fleet.finish();
     assert_eq!(report.sheds, 0, "no submission may shed in this scenario");
 
-    drainer.finalize().expect("finalize trace segments");
-    let _ = tincy::trace::finish();
-
-    let trace = stitch_segments(&dir).expect("stitched timeline");
-    trace.check().expect("stitched trace is well formed");
+    let trace = from_chrome_json(&to_chrome_json(&tincy::trace::finish()))
+        .expect("the exported trace re-imports");
+    trace.check().expect("the trace is well formed");
     let by_request = journeys(&trace);
     assert_eq!(by_request.len(), 3, "one journey per minted trace id");
     for journey in &by_request {
@@ -249,5 +243,4 @@ fn failed_over_request_spans_both_shards_under_one_trace_id() {
         (1, 1),
         "the cross-shard journey records its single reject + failover hop"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,34 +1,23 @@
 //! End-to-end live-telemetry invariants, exercised through the public
-//! facade: streaming segment drains during a fault-seeded serve run, the
-//! Prometheus status endpoint agreeing with the final [`ServeReport`],
+//! facade: the trace of a fault-seeded serve run surviving its Chrome
+//! export, the Prometheus status endpoint agreeing with the final [`ServeReport`],
 //! span links resolving micro-batch membership, and the measured stage
 //! budget of a traced demo reproducing its observed stage means.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
 use tincy::core::demo::{run_demo, DemoConfig};
 use tincy::core::SystemConfig;
 use tincy::finn::FaultPlan;
 use tincy::perf::{model_diff, pipelined_fps, PipelineModel, StageBudget};
 use tincy::serve::smoke::{check_scrape, scrape};
 use tincy::serve::{run_load, ArrivalPattern, FleetConfig, LoadConfig, ServeConfig};
-use tincy::trace::{exclusive, segment_files, stitch_segments, Label, Profile, TraceDrainer};
+use tincy::trace::{exclusive, from_chrome_json, to_chrome_json, Profile};
 use tincy::video::SceneConfig;
 
-fn segment_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tincy-telemetry-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 #[test]
-fn fault_seeded_serve_streams_segments_and_scrape_matches_report() {
+fn fault_seeded_serve_trace_round_trips_and_scrape_matches_report() {
     let _guard = exclusive();
-    let dir = segment_dir("serve");
     tincy::trace::start();
-    // Tiny segments force rotation even on a short run.
-    let drainer = TraceDrainer::spawn(&dir, 64).expect("spawn drainer");
 
     let config = ServeConfig {
         system: SystemConfig {
@@ -60,40 +49,23 @@ fn fault_seeded_serve_streams_segments_and_scrape_matches_report() {
     // monotonic in between) are final and must match the report.
     let mut scraped = None;
     let report = run_load(FleetConfig::single(config), &load, |server| {
-        // By now the rings hold several segments' worth of events, so the
-        // drainer's next sweep has to rotate however fast the host served
-        // the burst: wait for that file, not for a sweep period. The
-        // scrape is traced, so the final flush has a later span to write.
-        let rotated = || segment_files(&dir).is_ok_and(|files| !files.is_empty());
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !rotated() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let _span = tincy::trace::span(Label::intern("telemetry.scrape")).start();
         let addr = server.status_addr().expect("status endpoint bound");
         scraped = Some(scrape(addr, 2).expect("scrape passes"));
     })
     .expect("serve run succeeds");
 
-    let summary = drainer.finalize().expect("drains finalize");
-    let _ = tincy::trace::finish();
-
-    // (a) the run rotated into multiple segments, lost nothing, and the
-    // stitched directory forms one well-formed timeline.
-    assert!(
-        summary.segments >= 2,
-        "expected rotation, got {} segments of {} events",
-        summary.segments,
-        summary.events
-    );
-    assert_eq!(summary.dropped, 0, "ring buffers overflowed");
-    let stitched = stitch_segments(&dir).expect("segments stitch");
-    stitched.check().expect("stitched timeline is well-formed");
-    let spans = stitched.spans().expect("stitched spans parse");
+    // (a) the session lost nothing, and its Chrome export re-imports as
+    // one well-formed timeline.
+    let recorded = tincy::trace::finish();
+    assert_eq!(recorded.dropped, 0, "ring buffers overflowed");
+    let trace = from_chrome_json(&to_chrome_json(&recorded)).expect("export re-imports");
+    assert_eq!(trace.dropped, 0);
+    trace.check().expect("re-imported timeline is well-formed");
+    let spans = trace.spans().expect("re-imported spans parse");
 
     // Named worker threads survive the export/import round trip.
-    let names: BTreeSet<&str> = (0..stitched.threads)
-        .filter_map(|t| stitched.thread_name(t))
+    let names: BTreeSet<&str> = (0..trace.threads)
+        .filter_map(|t| trace.thread_name(t))
         .collect();
     assert!(names.contains("serve-finn"), "thread names: {names:?}");
     assert!(
@@ -107,12 +79,12 @@ fn fault_seeded_serve_streams_segments_and_scrape_matches_report() {
     let mut linked_items = 0u64;
     for span in spans
         .iter()
-        .filter(|s| stitched.label_name(s.label) == "serve.finn_batch")
+        .filter(|s| trace.label_name(s.label) == "serve.finn_batch")
     {
         let links = span
             .attrs
             .links
-            .map_or(&[][..], |id| stitched.link_requests(id));
+            .map_or(&[][..], |id| trace.link_requests(id));
         assert!(!links.is_empty(), "finn batch span without member links");
         assert_eq!(
             links.len() as u32,
@@ -129,8 +101,6 @@ fn fault_seeded_serve_streams_segments_and_scrape_matches_report() {
     // (b) the scrape matches the final report, counter for counter.
     check_scrape(&scraped.expect("observer ran"), &report.target)
         .expect("scrape matches the report");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
