@@ -45,10 +45,6 @@ pub struct ServeConfig {
     /// (exposed as `tincy_slo_*` on `/metrics`, and as a `degraded`
     /// verdict on `/healthz` while an alert is active).
     pub slo: SloPolicy,
-    /// Attach OpenMetrics exemplars (`# {trace_id="..."} value`) to the
-    /// latency histogram buckets on `/metrics`, each carrying the trace
-    /// id of the worst observation the bucket has seen.
-    pub exemplars: bool,
     /// When set, every (ladder rung, backend) keeps an EWMA of its own
     /// per-item service time against a reference frozen after warmup,
     /// and raises its drift alert while the relative divergence exceeds
@@ -83,7 +79,6 @@ impl Default for ServeConfig {
             ],
             shard: None,
             slo: SloPolicy::default(),
-            exemplars: false,
             status_addr: None,
             drift_threshold: None,
             variants: None,

@@ -26,8 +26,8 @@
 //! front door: [`load`], the deterministic multi-client load driver
 //! (closed loop, burst and scheduled open-loop pacing), drives a fleet
 //! of any size, and a single server under load is the fleet of one.
-//! [`smoke`] holds the assertions the CLI's `--smoke`/`--scrape` flags
-//! and the integration tests share, and [`json`] the report and metrics
+//! [`smoke`] holds the assertions the CLI's `--smoke` flag and the
+//! integration tests share, and [`json`] the report and metrics
 //! dumps, written through `tincy-json`. With a status address set
 //! ([`ServeConfig::status_addr`] on a standalone server,
 //! [`FleetConfig::status_addr`] on a fleet), a minimal HTTP endpoint

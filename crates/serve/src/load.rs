@@ -219,7 +219,7 @@ fn drive_closed(lanes: &mut [Lane]) {
 /// the combined report. `observe` is called on the still-running fleet
 /// after every client has collected its responses and before the drain —
 /// the point where live telemetry must agree with the final report
-/// (`--scrape` hits the status endpoint from it).
+/// (`--smoke` scrapes the status endpoint from it).
 ///
 /// # Errors
 ///

@@ -6,7 +6,9 @@ use std::time::Duration;
 use tincy_nn::OffloadStats;
 use tincy_pipeline::DurationStats;
 
-/// Aggregate report of one serving run, built when the server drains.
+/// Aggregate report of one serving run. The scheduler accumulates into
+/// one as it runs; the server completes it when it drains (and for every
+/// live `/report`).
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Requests admitted past admission control.
@@ -79,6 +81,44 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
+    /// An empty report over a ladder of `names` (cheapest first), each
+    /// SLO class active on its home rung — what a scheduler starts
+    /// accumulating into.
+    pub fn new(names: Vec<String>, homes: [usize; 3]) -> Self {
+        let variants = names.len();
+        Self {
+            accepted: 0,
+            completed: 0,
+            rejected_queue_full: 0,
+            rejected_client_full: 0,
+            rejected_draining: 0,
+            rejected_class: [0; 3],
+            finn_batches: 0,
+            finn_items: 0,
+            cpu_items: 0,
+            batch_hist: Vec::new(),
+            latency: DurationStats::new(),
+            queue_wait: DurationStats::new(),
+            class_latency: std::array::from_fn(|_| DurationStats::new()),
+            slo_violations: 0,
+            finn_busy: Duration::ZERO,
+            cpu_busy: Duration::ZERO,
+            cpu_workers: 0,
+            wall: Duration::ZERO,
+            max_depth: 0,
+            offload: OffloadStats::default(),
+            variant_names: names,
+            variant_requests: vec![[0; 3]; variants],
+            variant_items: vec![0; variants],
+            variant_latency: vec![DurationStats::new(); variants],
+            weight_swaps: vec![0; variants],
+            active_variant: homes,
+            shifts_down: 0,
+            shifts_up: 0,
+            drift_blocks: None,
+        }
+    }
+
     /// Total rejected submissions.
     pub fn rejected(&self) -> u64 {
         self.rejected_queue_full + self.rejected_client_full + self.rejected_draining
@@ -147,41 +187,7 @@ mod tests {
     use super::*;
 
     fn empty() -> ServeReport {
-        ServeReport {
-            accepted: 0,
-            completed: 0,
-            rejected_queue_full: 0,
-            rejected_client_full: 0,
-            rejected_draining: 0,
-            rejected_class: [0; 3],
-            finn_batches: 0,
-            finn_items: 0,
-            cpu_items: 0,
-            batch_hist: Vec::new(),
-            latency: DurationStats::new(),
-            queue_wait: DurationStats::new(),
-            class_latency: [
-                DurationStats::new(),
-                DurationStats::new(),
-                DurationStats::new(),
-            ],
-            slo_violations: 0,
-            finn_busy: Duration::ZERO,
-            cpu_busy: Duration::ZERO,
-            cpu_workers: 0,
-            wall: Duration::ZERO,
-            max_depth: 0,
-            offload: OffloadStats::default(),
-            variant_names: vec!["tincy".to_string()],
-            variant_requests: vec![[0; 3]],
-            variant_items: vec![0],
-            variant_latency: vec![DurationStats::new()],
-            weight_swaps: vec![0],
-            active_variant: [0; 3],
-            shifts_down: 0,
-            shifts_up: 0,
-            drift_blocks: None,
-        }
+        ServeReport::new(vec!["tincy".to_string()], [0; 3])
     }
 
     #[test]

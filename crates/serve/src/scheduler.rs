@@ -28,8 +28,7 @@ use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 use tincy_eval::Detection;
 use tincy_nn::OffloadStats;
-use tincy_pipeline::DurationStats;
-use tincy_telemetry::{Buckets, ExemplarStore, SloStatus, SloTracker};
+use tincy_telemetry::{SloStatus, SloTracker};
 use tincy_trace::{static_label, SpanBuilder, TraceContext};
 use tincy_video::Image;
 
@@ -166,152 +165,6 @@ impl ServiceDrift {
     }
 }
 
-/// Metric accumulators, folded into a [`crate::ServeReport`] at drain.
-#[derive(Debug, Clone)]
-pub(crate) struct MetricsAcc {
-    pub accepted: u64,
-    pub completed: u64,
-    pub rejected_queue_full: u64,
-    pub rejected_client_full: u64,
-    pub rejected_draining: u64,
-    /// Rejections per SLO class (indexed by [`SloClass::index`]), any
-    /// reason — the global reason counters can't say *who* was shed.
-    pub rejected_class: [u64; 3],
-    pub finn_batches: u64,
-    pub finn_items: u64,
-    pub cpu_items: u64,
-    pub batch_hist: Vec<u64>,
-    pub latency: DurationStats,
-    pub queue_wait: DurationStats,
-    pub class_latency: [DurationStats; 3],
-    pub slo_violations: u64,
-    pub finn_busy: Duration,
-    pub cpu_busy: Duration,
-    pub max_depth: usize,
-    /// Worst latency observation per histogram bucket, tagged with its
-    /// trace id — the tail exemplars attached to
-    /// `tincy_serve_latency_hist_seconds` when exemplars are enabled.
-    pub latency_exemplars: ExemplarStore,
-    /// Ladder rung names, cheapest first (the `variant` label values).
-    pub variant_names: Vec<String>,
-    /// Admissions per variant per SLO class.
-    pub variant_requests: Vec<[u64; 3]>,
-    /// Completions per variant.
-    pub variant_items: Vec<u64>,
-    /// End-to-end latency per variant.
-    pub variant_latency: Vec<DurationStats>,
-    /// Fabric weight swaps charged per variant: one per weighted layer
-    /// per FINN invocation, the accelerator's dominant reload cost.
-    pub weight_swaps: Vec<u64>,
-    /// Active ladder rung per SLO class (indexed by [`SloClass::index`])
-    /// — the single routing truth admission reads.
-    pub active_variant: [usize; 3],
-    /// Ladder demotions (shifts toward the cheap end).
-    pub shifts_down: u64,
-    /// Ladder promotions (shifts back toward the home rungs).
-    pub shifts_up: u64,
-    /// Service-time drift per ladder rung, `[FINN, host]`; empty without
-    /// a drift threshold.
-    pub drift: Vec<[ServiceDrift; 2]>,
-    /// Drift blocks closed so far, over every tracker.
-    pub drift_closed: u64,
-}
-
-impl MetricsAcc {
-    fn new(names: Vec<String>, homes: [usize; 3], drift_threshold: Option<f64>) -> Self {
-        let variants = names.len();
-        Self {
-            accepted: 0,
-            completed: 0,
-            rejected_queue_full: 0,
-            rejected_client_full: 0,
-            rejected_draining: 0,
-            rejected_class: [0; 3],
-            finn_batches: 0,
-            finn_items: 0,
-            cpu_items: 0,
-            batch_hist: Vec::new(),
-            latency: DurationStats::new(),
-            queue_wait: DurationStats::new(),
-            class_latency: [
-                DurationStats::new(),
-                DurationStats::new(),
-                DurationStats::new(),
-            ],
-            slo_violations: 0,
-            finn_busy: Duration::ZERO,
-            cpu_busy: Duration::ZERO,
-            max_depth: 0,
-            latency_exemplars: ExemplarStore::new(&Buckets::default()),
-            variant_names: names,
-            variant_requests: vec![[0; 3]; variants],
-            variant_items: vec![0; variants],
-            variant_latency: vec![DurationStats::new(); variants],
-            weight_swaps: vec![0; variants],
-            active_variant: homes,
-            shifts_down: 0,
-            shifts_up: 0,
-            drift: drift_threshold
-                .map_or_else(Vec::new, |t| vec![[ServiceDrift::new(t); 2]; variants]),
-            drift_closed: 0,
-        }
-    }
-
-    /// Whether a tracker is alerted on current evidence: it closed one of
-    /// the last [`DRIFT_WINDOW`] blocks this server closed. A rung that a
-    /// demotion left, or a host that stopped engaging, no longer feeds its
-    /// tracker; once the traffic that went elsewhere has closed a window
-    /// of blocks its alert stops counting, and its next own block judges
-    /// it again.
-    pub fn drift_alerted(&self) -> bool {
-        let current = |t: &ServiceDrift| self.drift_closed - t.closed_at < DRIFT_WINDOW;
-        self.drift.iter().flatten().any(|t| t.alerted && current(t))
-    }
-
-    /// Folds the accumulators into a [`ServeReport`] snapshot. Shared by
-    /// [`crate::InferenceServer::finish`] and the live `/report` telemetry
-    /// route so the final and the mid-run view can never disagree on a
-    /// field mapping.
-    pub(crate) fn report(
-        &self,
-        cpu_workers: usize,
-        wall: Duration,
-        offload: OffloadStats,
-    ) -> ServeReport {
-        ServeReport {
-            accepted: self.accepted,
-            completed: self.completed,
-            rejected_queue_full: self.rejected_queue_full,
-            rejected_client_full: self.rejected_client_full,
-            rejected_draining: self.rejected_draining,
-            rejected_class: self.rejected_class,
-            finn_batches: self.finn_batches,
-            finn_items: self.finn_items,
-            cpu_items: self.cpu_items,
-            batch_hist: self.batch_hist.clone(),
-            latency: self.latency.clone(),
-            queue_wait: self.queue_wait.clone(),
-            class_latency: self.class_latency.clone(),
-            slo_violations: self.slo_violations,
-            finn_busy: self.finn_busy,
-            cpu_busy: self.cpu_busy,
-            cpu_workers,
-            wall,
-            max_depth: self.max_depth,
-            offload,
-            variant_names: self.variant_names.clone(),
-            variant_requests: self.variant_requests.clone(),
-            variant_items: self.variant_items.clone(),
-            variant_latency: self.variant_latency.clone(),
-            weight_swaps: self.weight_swaps.clone(),
-            active_variant: self.active_variant,
-            shifts_down: self.shifts_down,
-            shifts_up: self.shifts_up,
-            drift_blocks: (!self.drift.is_empty()).then_some(self.drift_closed),
-        }
-    }
-}
-
 /// The mutex-protected scheduler state.
 pub(crate) struct SchedState {
     /// One EDF heap per hosted variant (index = ladder rung).
@@ -331,7 +184,14 @@ pub(crate) struct SchedState {
     /// probe; while any is set, host workers engage unconditionally to
     /// shed load.
     pub finn_degraded: Vec<bool>,
-    pub metrics: MetricsAcc,
+    /// The counters and distributions of the run so far; [`Self::report`]
+    /// completes them with the fields only the server knows.
+    pub metrics: ServeReport,
+    /// Service-time drift per ladder rung, `[FINN, host]`; empty without
+    /// a drift threshold.
+    pub drift: Vec<[ServiceDrift; 2]>,
+    /// Drift blocks closed so far, over every tracker.
+    drift_closed: u64,
     /// Home rung per SLO class (demotion offset 0).
     homes: [usize; 3],
     /// Per-variant weighted-fabric-layer count — the weight swaps one
@@ -376,7 +236,11 @@ impl SchedState {
             draining: false,
             shutdown: false,
             finn_degraded: vec![false; ladder.len()],
-            metrics: MetricsAcc::new(ladder.names(), homes, config.drift_threshold),
+            metrics: ServeReport::new(ladder.names(), homes),
+            drift: config
+                .drift_threshold
+                .map_or_else(Vec::new, |t| vec![[ServiceDrift::new(t); 2]; ladder.len()]),
+            drift_closed: 0,
             homes,
             swap_layers: ladder.variants().iter().map(|v| v.swap_layers()).collect(),
             queue_capacity: config.queue_capacity,
@@ -405,11 +269,36 @@ impl SchedState {
         }
     }
 
+    /// Whether a drift tracker is alerted on current evidence: it closed
+    /// one of the last [`DRIFT_WINDOW`] blocks this server closed. A rung
+    /// that a demotion left, or a host that stopped engaging, no longer
+    /// feeds its tracker; once the traffic that went elsewhere has closed
+    /// a window of blocks its alert stops counting, and its next own
+    /// block judges it again.
+    pub fn drift_alerted(&self) -> bool {
+        let current = |t: &ServiceDrift| self.drift_closed - t.closed_at < DRIFT_WINDOW;
+        self.drift.iter().flatten().any(|t| t.alerted && current(t))
+    }
+
+    /// The report as of now: the accumulated metrics plus the fields only
+    /// the server knows. [`crate::InferenceServer::finish`] and the live
+    /// `/report` route both read it, so the final and the mid-run view
+    /// can never disagree on a field.
+    pub fn report(&self, cpu_workers: usize, wall: Duration, offload: OffloadStats) -> ServeReport {
+        ServeReport {
+            cpu_workers,
+            wall,
+            offload,
+            drift_blocks: (!self.drift.is_empty()).then_some(self.drift_closed),
+            ..self.metrics.clone()
+        }
+    }
+
     /// Drops every drift alert (trackers keep their EWMA and reference),
     /// and counts every class's burn alert on the evidence so far before
     /// dropping that evidence (see [`SloTracker::rearm`]).
     pub fn rearm(&mut self) {
-        for tracker in self.metrics.drift.iter_mut().flatten() {
+        for tracker in self.drift.iter_mut().flatten() {
             tracker.alerted = false;
         }
         let now = self.now_ns();
@@ -669,11 +558,6 @@ impl SchedState {
         self.metrics.completed += 1;
         let now_ns = self.now_ns();
         self.slo[request.class.index()].record(now_ns, latency, degraded);
-        if let Some(ctx) = request.trace {
-            self.metrics
-                .latency_exemplars
-                .observe(latency.as_secs_f64(), ctx.trace_id);
-        }
         match backend {
             BackendKind::Finn => self.metrics.finn_items += 1,
             BackendKind::Cpu => self.metrics.cpu_items += 1,
@@ -747,16 +631,16 @@ impl SchedState {
         self.metrics.finn_busy += busy;
         self.metrics.weight_swaps[variant] += self.swap_layers[variant];
         let per_item = busy.as_secs_f64() / batch as f64;
-        if let (Some([finn, _]), false) = (self.metrics.drift.get_mut(variant), degraded) {
-            finn.observe(per_item, batch, &mut self.metrics.drift_closed);
+        if let (Some([finn, _]), false) = (self.drift.get_mut(variant), degraded) {
+            finn.observe(per_item, batch, &mut self.drift_closed);
         }
     }
 
     /// Records one host-worker request's busy time against its variant.
     pub fn record_cpu_busy(&mut self, variant: usize, busy: Duration) {
         self.metrics.cpu_busy += busy;
-        if let Some([_, host]) = self.metrics.drift.get_mut(variant) {
-            host.observe(busy.as_secs_f64(), 1, &mut self.metrics.drift_closed);
+        if let Some([_, host]) = self.drift.get_mut(variant) {
+            host.observe(busy.as_secs_f64(), 1, &mut self.drift_closed);
         }
     }
 }
@@ -1042,7 +926,7 @@ mod tests {
             finn_blocks(&mut state, 0, 2, 1, false);
             host_block(&mut state, 7);
         }
-        for tracker in state.metrics.drift[0] {
+        for tracker in state.drift[0] {
             let seen = (tracker.blocks, tracker.drift(), tracker.alerts);
             assert_eq!(seen, (20, Some(0.0), 0));
             assert!(!tracker.alerted);
@@ -1053,9 +937,9 @@ mod tests {
     fn faulted_batches_leave_the_ewma_untouched() {
         let mut state = drift_state();
         finn_blocks(&mut state, 0, 1, 3, false);
-        let before = state.metrics.drift[0][0];
+        let before = state.drift[0][0];
         finn_blocks(&mut state, 0, 50, 8, true);
-        assert_eq!(state.metrics.drift[0][0], before);
+        assert_eq!(state.drift[0][0], before);
         assert_eq!(
             state.metrics.finn_batches, 44,
             "a faulted batch still counts"
@@ -1070,12 +954,12 @@ mod tests {
             finn_blocks(&mut state, 1, 1, 1, false);
             host_block(&mut state, 3);
         }
-        let [finn, host] = state.metrics.drift[0];
+        let [finn, host] = state.drift[0];
         // Reference 1 ms, two 4 ms blocks at alpha 2/9: 4 - 3 (7/9)^2 ms.
         assert!((finn.drift().unwrap() - 96.0 / 81.0).abs() < 1e-9);
         assert!(finn.alerted);
         assert_eq!(finn.alerts, 1);
-        for other in [host, state.metrics.drift[1][0]] {
+        for other in [host, state.drift[1][0]] {
             assert_eq!((other.drift(), other.alerted), (Some(0.0), false));
         }
     }

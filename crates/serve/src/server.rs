@@ -152,7 +152,6 @@ impl InferenceServer {
             healths: finn_healths,
             started: Instant::now(),
             cpu_workers: config.cpu_workers,
-            exemplars: config.exemplars,
         });
         let mut workers = Vec::with_capacity(ladder.len() + config.cpu_workers + 1);
         let max_batch = config.max_batch.max(1);

@@ -1,8 +1,7 @@
 //! Smoke and scrape checks over a finished [`run_load`](crate::run_load)
-//! session — what `tincy serve --smoke/--scrape/--slo-smoke/
-//! --variant-smoke` exit nonzero on, and what the integration suites
-//! assert. Every check returns its one-line `ok` summary, or the
-//! violated invariant.
+//! session — what `tincy serve --smoke` and `--slo-smoke` exit nonzero
+//! on, and what the integration suites assert. Every check returns its
+//! one-line `ok` summary, or the violated invariant.
 
 use crate::fleet::FleetReport;
 use crate::load::LoadReport;
@@ -106,11 +105,11 @@ pub fn scrape(addr: SocketAddr, passes: usize) -> Result<Vec<PromSample>, String
 }
 
 /// Looks up one sample's value by name and the label values it must carry.
-fn find(samples: &[PromSample], name: &str, labels: &[(&str, &str)]) -> Result<f64, String> {
+fn find(samples: &[PromSample], name: &str, labels: &[(&str, String)]) -> Result<f64, String> {
     let carries = |s: &PromSample| {
         labels
             .iter()
-            .all(|&(key, value)| s.label(key) == Some(value))
+            .all(|(key, value)| s.label(key) == Some(value))
     };
     samples
         .iter()
@@ -119,13 +118,107 @@ fn find(samples: &[PromSample], name: &str, labels: &[(&str, &str)]) -> Result<f
         .ok_or_else(|| format!("scrape is missing {name} {labels:?}"))
 }
 
+/// One series a scrape is held to: its family and labels, the final
+/// report's value, and whether the scrape may trail that value even
+/// without canaries (a monitor kept counting after the scrape).
+type Expected = (&'static str, Vec<(&'static str, String)>, u64, bool);
+
+/// Every counter and histogram count of a fleet scrape, with the value
+/// the final report holds for it.
+fn expected(report: &FleetReport) -> Vec<Expected> {
+    let monitors = [
+        ("tincy_fleet_drains_total", report.drains),
+        ("tincy_fleet_readmits_total", report.readmits),
+        ("tincy_fleet_rerouted_total", report.rerouted),
+        ("tincy_fleet_sheds_total", report.sheds),
+        ("tincy_fleet_probes_total", report.probes),
+    ];
+    let mut out: Vec<Expected> = monitors
+        .into_iter()
+        .map(|(name, want)| (name, Vec::new(), want, true))
+        .collect();
+    for (shard, serve) in report.shards.iter().enumerate() {
+        let of_shard = || vec![("shard", shard.to_string())];
+        let with = |key, value: &str| [of_shard(), vec![(key, value.to_owned())]].concat();
+        let counters = [
+            ("tincy_fleet_routed_total", report.routed[shard]),
+            ("tincy_serve_accepted_total", serve.accepted),
+            ("tincy_serve_completed_total", serve.completed),
+            ("tincy_serve_finn_items_total", serve.finn_items),
+            ("tincy_serve_cpu_items_total", serve.cpu_items),
+            ("tincy_serve_finn_batches_total", serve.finn_batches),
+            ("tincy_serve_slo_violations_total", serve.slo_violations),
+            ("tincy_serve_queue_depth_max", serve.max_depth as u64),
+            (
+                "tincy_serve_queue_wait_seconds_count",
+                serve.queue_wait.count(),
+            ),
+            ("tincy_offload_forwards_total", serve.offload.forwards),
+            ("tincy_offload_faults_total", serve.offload.faults),
+            ("tincy_offload_retries_total", serve.offload.retries),
+            ("tincy_offload_fallbacks_total", serve.offload.fallbacks),
+            ("tincy_offload_degraded_total", serve.offload.degraded),
+        ];
+        let mut exact: Vec<_> = counters.map(|(name, want)| (name, of_shard(), want)).into();
+        let reasons = [
+            ("queue-full", serve.rejected_queue_full),
+            ("client-full", serve.rejected_client_full),
+            ("draining", serve.rejected_draining),
+        ];
+        let rejected =
+            |(reason, want)| ("tincy_serve_rejected_total", with("reason", reason), want);
+        exact.extend(reasons.map(rejected));
+        for class in SloClass::ALL {
+            let of_class = with("class", class.label());
+            let rejected = serve.rejected_for(class);
+            exact.push((
+                "tincy_serve_rejected_class_total",
+                of_class.clone(),
+                rejected,
+            ));
+            let completed = serve.class(class).count();
+            exact.push(("tincy_serve_latency_seconds_count", of_class, completed));
+        }
+        for (variant, name) in serve.variant_names.iter().enumerate() {
+            let of_variant = with("variant", name);
+            for class in SloClass::ALL {
+                let labels = [
+                    of_variant.clone(),
+                    vec![("class", class.label().to_owned())],
+                ];
+                let want = serve.variant_requests[variant][class.index()];
+                exact.push(("tincy_variant_requests_total", labels.concat(), want));
+            }
+            let items = serve.variant_items[variant];
+            exact.push(("tincy_variant_items_total", of_variant.clone(), items));
+            let swaps = serve.weight_swaps[variant];
+            exact.push(("tincy_variant_weight_swaps_total", of_variant, swaps));
+        }
+        out.extend(
+            exact
+                .into_iter()
+                .map(|(name, labels, want)| (name, labels, want, false)),
+        );
+        for (direction, want) in [("down", serve.shifts_down), ("up", serve.shifts_up)] {
+            out.push((
+                "tincy_variant_shifts_total",
+                with("direction", direction),
+                want,
+                true,
+            ));
+        }
+    }
+    out
+}
+
 /// Holds a scrape of the fleet endpoint, taken after every client
 /// collected its responses, to the final [`FleetReport`]: a live trace
 /// recorder dropped nothing, the router families are there, and every
-/// shard's series agree with its [`ServeReport`] counter for counter.
+/// counter and histogram count agrees with the report, shard by shard.
 /// Once the health monitor has sent canaries (`probes > 0`) the shards
 /// keep counting until the drain, so the scrape is then only bounded by
-/// the report.
+/// the report; the monitors' own counters (router drains, re-admits,
+/// re-routes, sheds and probes, ladder shifts) are always only bounded.
 ///
 /// # Errors
 ///
@@ -148,59 +241,21 @@ pub fn check_scrape(samples: &[PromSample], report: &FleetReport) -> Result<Stri
         total == shards as f64,
         "tincy_fleet_shards reports {total}, fleet has {shards}"
     );
-    let drains = find(samples, "tincy_fleet_drains_total", &[])?;
-    ensure!(
-        drains <= report.drains as f64,
-        "scraped {drains} drains mid-run, final report says {}",
-        report.drains
-    );
     let exact = report.probes == 0;
+    for (name, labels, want, trails) in expected(report) {
+        let (got, want) = (find(samples, name, &labels)?, want as f64);
+        ensure!(
+            got == want || ((trails || !exact) && got < want),
+            "scrape disagrees with the final report on {name} {labels:?}: \
+             scraped {got}, report says {want}"
+        );
+    }
     for (shard, serve) in report.shards.iter().enumerate() {
-        let id = shard.to_string();
-        let of_shard = ("shard", id.as_str());
-        find(samples, "tincy_fleet_shard_up", &[of_shard])?;
-        find(samples, "tincy_fleet_routed_total", &[of_shard])?;
-        let expect = |name: &str, label: Option<(&str, &str)>, want: u64| {
-            let labels: Vec<_> = [of_shard].into_iter().chain(label).collect();
-            let got = find(samples, name, &labels)?;
-            ensure!(
-                got == want as f64 || (!exact && got < want as f64),
-                "scrape disagrees with the final report on {name} {labels:?}: \
-                 scraped {got}, report says {want}"
-            );
-            Ok(())
-        };
-        expect("tincy_serve_accepted_total", None, serve.accepted)?;
-        expect("tincy_serve_completed_total", None, serve.completed)?;
-        expect("tincy_serve_finn_items_total", None, serve.finn_items)?;
-        expect("tincy_serve_cpu_items_total", None, serve.cpu_items)?;
-        let reasons = [
-            ("queue-full", serve.rejected_queue_full),
-            ("client-full", serve.rejected_client_full),
-            ("draining", serve.rejected_draining),
-        ];
-        for (reason, want) in reasons {
-            expect("tincy_serve_rejected_total", Some(("reason", reason)), want)?;
-        }
-        for class in SloClass::ALL {
-            expect(
-                "tincy_serve_rejected_class_total",
-                Some(("class", class.label())),
-                serve.rejected_class[class.index()],
-            )?;
-        }
-        expect(
-            "tincy_offload_fallbacks_total",
-            None,
-            serve.offload.fallbacks,
-        )?;
-        expect("tincy_offload_faults_total", None, serve.offload.faults)?;
+        let mut labels = vec![("shard", shard.to_string())];
+        find(samples, "tincy_fleet_shard_up", &labels)?;
         if serve.drift_blocks.is_some() {
-            find(
-                samples,
-                "tincy_calibration_drift",
-                &[of_shard, ("backend", "finn")],
-            )?;
+            labels.push(("backend", "finn".to_owned()));
+            find(samples, "tincy_calibration_drift", &labels)?;
         }
     }
     Ok(format!(
@@ -402,17 +457,10 @@ mod tests {
     use super::*;
     use crate::RoutePolicy;
 
-    #[test]
-    fn scrape_check_names_the_thread_whose_ring_dropped_events() {
-        let dropped = PromSample {
-            name: "tincy_trace_dropped_total".to_owned(),
-            labels: vec![("thread".to_owned(), "serve-finn".to_owned())],
-            value: 1.0,
-            exemplar: None,
-        };
-        let report = FleetReport {
-            shards: Vec::new(),
-            routed: Vec::new(),
+    fn fleet(shards: Vec<ServeReport>) -> FleetReport {
+        FleetReport {
+            routed: vec![0; shards.len()],
+            shards,
             policy: RoutePolicy::LeastLoaded,
             drains: 0,
             readmits: 0,
@@ -420,11 +468,57 @@ mod tests {
             sheds: 0,
             probes: 0,
             wall: Duration::ZERO,
-        };
-        let err = check_scrape(&[dropped], &report).unwrap_err();
+        }
+    }
+
+    fn sample(name: &str, labels: &[(&str, String)], value: f64) -> PromSample {
+        PromSample {
+            name: name.to_owned(),
+            labels: labels
+                .iter()
+                .map(|(k, v)| ((*k).to_owned(), v.clone()))
+                .collect(),
+            value,
+        }
+    }
+
+    #[test]
+    fn scrape_check_names_the_thread_whose_ring_dropped_events() {
+        let dropped = sample(
+            "tincy_trace_dropped_total",
+            &[("thread", "serve-finn".to_owned())],
+            1.0,
+        );
+        let err = check_scrape(&[dropped], &fleet(Vec::new())).unwrap_err();
         assert_eq!(
             err,
             "the trace recorder dropped 1 events on thread \"serve-finn\""
+        );
+    }
+
+    /// A scrape rendered from one report passes against it, and fails
+    /// against a report with one more FINN batch, naming that family.
+    #[test]
+    fn scrape_check_names_the_family_that_disagrees() {
+        let mut report = fleet(vec![ServeReport::new(vec!["tincy".to_owned()], [0; 3])]);
+        let mut samples: Vec<PromSample> = expected(&report)
+            .iter()
+            .map(|(name, labels, want, _)| sample(name, labels, *want as f64))
+            .collect();
+        samples.push(sample("tincy_fleet_shards", &[], 1.0));
+        samples.push(sample(
+            "tincy_fleet_shard_up",
+            &[("shard", "0".to_owned())],
+            1.0,
+        ));
+        check_scrape(&samples, &report).expect("the scrape is the report's own");
+        report.shards[0].finn_batches = 1;
+        let err = check_scrape(&samples, &report).unwrap_err();
+        assert!(
+            err.starts_with(
+                "scrape disagrees with the final report on tincy_serve_finn_batches_total"
+            ),
+            "{err}"
         );
     }
 }

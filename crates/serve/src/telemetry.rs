@@ -5,8 +5,8 @@
 //! endpoint — a standalone server's and a fleet's alike (DESIGN.md §8.2).
 //!
 //! The adapter owns no counters of its own — every sample is a
-//! point-in-time view of the same `MetricsAcc` that [`crate::ServeReport`]
-//! is folded from at drain, so a scrape taken after the last response and
+//! point-in-time view of the same accumulating [`crate::ServeReport`] the
+//! server returns at drain, so a scrape taken after the last response and
 //! the final report agree by construction.
 
 use crate::metrics::ServeReport;
@@ -18,8 +18,8 @@ use std::time::Instant;
 use tincy_json::JsonObject;
 use tincy_nn::{OffloadHealth, OffloadStats};
 use tincy_telemetry::{
-    prometheus_text, Buckets, Collect, Handler, HistogramSnapshot, Registry, Response, Sample,
-    StatusServer, Value, SLO_WINDOW_NAMES,
+    prometheus_text, Collect, Handler, HistogramSnapshot, Registry, Response, Sample, StatusServer,
+    Value, SLO_WINDOW_NAMES,
 };
 
 /// Rejection-reason labels, aligned with [`crate::AdmissionError::tag`].
@@ -32,9 +32,6 @@ pub(crate) struct ServeCollector {
     pub healths: Vec<OffloadHealth>,
     pub started: Instant,
     pub cpu_workers: usize,
-    /// Attach worst-observation trace-id exemplars to the latency
-    /// histogram buckets.
-    pub exemplars: bool,
 }
 
 impl ServeCollector {
@@ -52,10 +49,9 @@ impl ServeCollector {
     /// The report as of now: [`crate::InferenceServer::finish`] returns
     /// it after the drain, `/report` serves it mid-run.
     pub fn report(&self) -> ServeReport {
+        let offload = self.offload();
         let state = self.inner.state.lock();
-        state
-            .metrics
-            .report(self.cpu_workers, self.started.elapsed(), self.offload())
+        state.report(self.cpu_workers, self.started.elapsed(), offload)
     }
 
     /// Why this server should be routed around, if it should: it burns
@@ -71,7 +67,7 @@ impl ServeCollector {
             .any(|s| s.fast_active || s.slow_active)
         {
             Some("slo-burn")
-        } else if state.metrics.drift_alerted() {
+        } else if state.drift_alerted() {
             Some("calibration-drift")
         } else {
             None
@@ -91,20 +87,12 @@ impl ServeCollector {
 
 impl Collect for ServeCollector {
     fn collect(&self) -> Vec<Sample> {
-        let (m, depth, slo) = {
+        let (m, drift, depth, slo) = {
             let mut state = self.inner.state.lock();
-            (state.metrics.clone(), state.depth(), state.slo_status())
+            let (depth, slo) = (state.depth(), state.slo_status());
+            (state.metrics.clone(), state.drift.clone(), depth, slo)
         };
         let offload = self.offload();
-        let buckets = Buckets::default();
-        let latency_hist = {
-            let snap = HistogramSnapshot::from_stats(&m.latency, &buckets);
-            if self.exemplars {
-                snap.with_exemplars(&m.latency_exemplars)
-            } else {
-                snap
-            }
-        };
         let mut out = vec![
             Sample::new(
                 "tincy_serve_accepted_total",
@@ -162,31 +150,26 @@ impl Collect for ServeCollector {
                 Value::Gauge(m.cpu_busy.as_secs_f64()),
             ),
             Sample::new(
-                "tincy_serve_latency_seconds",
-                "End-to-end latency, submission to delivery",
-                Value::Summary(m.latency.clone()),
-            ),
-            Sample::new(
                 "tincy_serve_queue_wait_seconds",
                 "Queue wait, submission to dispatch",
-                Value::Summary(m.queue_wait.clone()),
-            ),
-            // Native cumulative histograms alongside the summaries:
-            // aggregators need bucket series, dashboards the quantiles.
-            Sample::new(
-                "tincy_serve_latency_hist_seconds",
-                "End-to-end latency, submission to delivery (cumulative buckets)",
-                Value::Histogram(latency_hist),
-            ),
-            Sample::new(
-                "tincy_serve_queue_wait_hist_seconds",
-                "Queue wait, submission to dispatch (cumulative buckets)",
-                Value::Histogram(HistogramSnapshot::from_stats(&m.queue_wait, &buckets)),
+                Value::Histogram(HistogramSnapshot::from_stats(&m.queue_wait)),
             ),
         ];
+        // One latency family by class; the server total is `sum without
+        // (class)`.
+        for class in SloClass::ALL {
+            out.push(
+                Sample::new(
+                    "tincy_serve_latency_seconds",
+                    "End-to-end latency, submission to delivery, by SLO class",
+                    Value::Histogram(HistogramSnapshot::from_stats(m.class(class))),
+                )
+                .label("class", class.label()),
+            );
+        }
         // Every (rung, backend) is emitted (drift 0 until the reference
         // freezes) so the exposition shape is stable scrape to scrape.
-        for (name, pair) in m.variant_names.iter().zip(&m.drift) {
+        for (name, pair) in m.variant_names.iter().zip(&drift) {
             for (backend, tracker) in [BackendKind::Finn, BackendKind::Cpu].into_iter().zip(pair) {
                 out.push(
                     Sample::new(
@@ -283,14 +266,6 @@ impl Collect for ServeCollector {
                     "tincy_serve_rejected_class_total",
                     "Submissions refused by admission control, by SLO class",
                     Value::Counter(m.rejected_class[class.index()]),
-                )
-                .label("class", class.label()),
-            );
-            out.push(
-                Sample::new(
-                    "tincy_serve_class_latency_seconds",
-                    "End-to-end latency by SLO class",
-                    Value::Summary(m.class_latency[class.index()].clone()),
                 )
                 .label("class", class.label()),
             );

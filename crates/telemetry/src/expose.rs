@@ -1,19 +1,14 @@
 //! The Prometheus text exposition (version 0.0.4), plus the minimal
 //! parser the scrape smoke path and tests use to read it back.
 
-use crate::metrics::{Sample, Value};
+use crate::metrics::{Sample, Value, BUCKETS};
 use std::fmt::Write as _;
-
-/// Quantiles exposed for summaries; matches the p50/p95/p99 the serve
-/// reports print.
-const QUANTILES: [f64; 3] = [0.5, 0.95, 0.99];
 
 /// Renders samples (as returned by
 /// [`Registry::gather`](crate::Registry::gather), sorted by name) in
 /// the Prometheus text exposition format. Durations are expressed in
-/// seconds; histograms become summaries — the log-linear
-/// [`DurationStats`](tincy_pipeline::DurationStats) tracks quantiles, not
-/// cumulative buckets.
+/// seconds; histograms become native cumulative `_bucket{le=...}`
+/// series plus `_sum`/`_count`.
 pub fn prometheus_text(samples: &[Sample]) -> String {
     let mut out = String::new();
     let mut last_family: Option<&str> = None;
@@ -40,54 +35,18 @@ pub fn prometheus_text(samples: &[Sample]) -> String {
                     label_set(&sample.labels, None)
                 );
             }
-            Value::Summary(stats) => {
-                let seconds = stats.quantiles(&QUANTILES);
-                for (q, d) in QUANTILES.iter().zip(&seconds) {
-                    let _ = writeln!(
-                        out,
-                        "{}{} {}",
-                        sample.name,
-                        label_set(&sample.labels, Some(("quantile", &format!("{q}")))),
-                        fmt_value(d.as_secs_f64())
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "{}_sum{} {}",
-                    sample.name,
-                    label_set(&sample.labels, None),
-                    fmt_value(stats.total().as_secs_f64())
-                );
-                let _ = writeln!(
-                    out,
-                    "{}_count{} {}",
-                    sample.name,
-                    label_set(&sample.labels, None),
-                    stats.count()
-                );
-            }
             Value::Histogram(snap) => {
-                for (i, (bound, cumulative)) in snap.bounds.iter().zip(&snap.cumulative).enumerate()
-                {
-                    let _ = write!(
+                // The implicit +Inf bucket equals the total count.
+                let bounds = BUCKETS.iter().chain([&f64::INFINITY]);
+                let counts = snap.cumulative.iter().chain([&snap.count]);
+                for (bound, cumulative) in bounds.zip(counts) {
+                    let _ = writeln!(
                         out,
                         "{}_bucket{} {cumulative}",
                         sample.name,
                         label_set(&sample.labels, Some(("le", &fmt_value(*bound)))),
                     );
-                    write_exemplar(&mut out, &snap.exemplars, i);
-                    out.push('\n');
                 }
-                // The implicit +Inf bucket equals the total count.
-                let _ = write!(
-                    out,
-                    "{}_bucket{} {}",
-                    sample.name,
-                    label_set(&sample.labels, Some(("le", "+Inf"))),
-                    snap.count
-                );
-                write_exemplar(&mut out, &snap.exemplars, snap.bounds.len());
-                out.push('\n');
                 let _ = writeln!(
                     out,
                     "{}_sum{} {}",
@@ -106,19 +65,6 @@ pub fn prometheus_text(samples: &[Sample]) -> String {
         }
     }
     out
-}
-
-/// Appends the OpenMetrics exemplar suffix for bucket `index`, if the
-/// snapshot carries one: ` # {trace_id="<hex>"} <value>`.
-fn write_exemplar(out: &mut String, exemplars: &[Option<crate::Exemplar>], index: usize) {
-    if let Some(Some(exemplar)) = exemplars.get(index) {
-        let _ = write!(
-            out,
-            " # {{trace_id=\"{:016x}\"}} {}",
-            exemplar.trace_id,
-            fmt_value(exemplar.value)
-        );
-    }
 }
 
 /// Formats a float so the parser reads back the identical value:
@@ -174,37 +120,15 @@ fn escape_label(out: &mut String, raw: &str) {
     }
 }
 
-/// An exemplar parsed off a sample line's ` # {labels} value` suffix
-/// (OpenMetrics syntax).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PromExemplar {
-    /// Exemplar label pairs (conventionally a `trace_id`).
-    pub labels: Vec<(String, String)>,
-    /// The exemplified observation.
-    pub value: f64,
-}
-
-impl PromExemplar {
-    /// The value of exemplar label `key`, if present.
-    pub fn label(&self, key: &str) -> Option<&str> {
-        self.labels
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
 /// One parsed Prometheus sample line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PromSample {
     /// Metric name (including `_sum`/`_count` suffixes).
     pub name: String,
-    /// Label pairs, in source order (`quantile` included).
+    /// Label pairs, in source order (`le` included).
     pub labels: Vec<(String, String)>,
     /// The sample value.
     pub value: f64,
-    /// The attached exemplar, when the line carried one.
-    pub exemplar: Option<PromExemplar>,
 }
 
 impl PromSample {
@@ -249,26 +173,12 @@ fn parse_line(line: &str) -> Option<PromSample> {
     } else {
         (Vec::new(), rest)
     };
-    // An OpenMetrics exemplar rides after ` # ` on the same line.
-    let (value_str, exemplar) = match rest.split_once(" # ") {
-        Some((value_str, suffix)) => (value_str, Some(parse_exemplar(suffix)?)),
-        None => (rest, None),
-    };
-    let value: f64 = value_str.trim().parse().ok()?;
+    let value: f64 = rest.trim().parse().ok()?;
     Some(PromSample {
         name: name.to_string(),
         labels,
         value,
-        exemplar,
     })
-}
-
-fn parse_exemplar(suffix: &str) -> Option<PromExemplar> {
-    let body = suffix.trim_start().strip_prefix('{')?;
-    let close = body.find('}')?;
-    let labels = parse_labels(&body[..close])?;
-    let value: f64 = body[close + 1..].trim().parse().ok()?;
-    Some(PromExemplar { labels, value })
 }
 
 fn parse_labels(body: &str) -> Option<Vec<(String, String)>> {
@@ -391,20 +301,22 @@ pub fn check_histogram_series(samples: &[PromSample]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Sample;
+    use crate::metrics::{HistogramSnapshot, Sample};
     use std::time::Duration;
     use tincy_pipeline::DurationStats;
 
     fn sample_set() -> Vec<Sample> {
         let mut stats = DurationStats::new();
-        stats.record(Duration::from_millis(2));
-        stats.record(Duration::from_millis(4));
+        for ms in [2u64, 3, 6, 40, 400, 4000] {
+            stats.record(Duration::from_millis(ms));
+        }
         vec![
             Sample::new(
                 "demo_latency_seconds",
                 "request latency",
-                Value::Summary(stats),
-            ),
+                Value::Histogram(HistogramSnapshot::from_stats(&stats)),
+            )
+            .label("class", "gold"),
             Sample::new("demo_queue_depth", "queue depth", Value::Gauge(3.0)),
             Sample::new("demo_rejected_total", "rejections", Value::Counter(5))
                 .label("reason", "queue-full"),
@@ -417,55 +329,27 @@ mod tests {
     fn prometheus_text_round_trips_through_the_parser() {
         let text = prometheus_text(&sample_set());
         assert!(text.contains("# TYPE demo_rejected_total counter"));
-        assert!(text.contains("# TYPE demo_latency_seconds summary"));
+        assert!(text.contains("# TYPE demo_latency_seconds histogram"));
         let parsed = parse_prometheus(&text).unwrap();
-        // 3 quantiles + sum + count, one gauge, two counters.
-        assert_eq!(parsed.len(), 8);
+        // 12 bounds + +Inf + sum + count, one gauge, two counters.
+        assert_eq!(parsed.len(), BUCKETS.len() + 3 + 3);
+        check_histogram_series(&parsed).expect("series is structurally valid");
         let full = parsed
             .iter()
             .find(|s| s.name == "demo_rejected_total" && s.label("reason") == Some("queue-full"))
             .unwrap();
         assert_eq!(full.value, 5.0);
-        let count = parsed
-            .iter()
-            .find(|s| s.name == "demo_latency_seconds_count")
-            .unwrap();
-        assert_eq!(count.value, 2.0);
-        let p50 = parsed
-            .iter()
-            .find(|s| s.name == "demo_latency_seconds" && s.label("quantile") == Some("0.5"))
-            .unwrap();
-        assert!(p50.value > 0.0015 && p50.value < 0.0045, "{}", p50.value);
-    }
-
-    #[test]
-    fn native_histograms_expose_cumulative_buckets_and_round_trip() {
-        let mut stats = DurationStats::new();
-        for ms in [2u64, 4, 8, 40, 400] {
-            stats.record(Duration::from_millis(ms));
-        }
-        let buckets = crate::Buckets::explicit(vec![0.005, 0.05, 0.5]).unwrap();
-        let snap = crate::HistogramSnapshot::from_stats(&stats, &buckets);
-        let sample = Sample::new(
-            "demo_latency_hist_seconds",
-            "latency histogram",
-            Value::Histogram(snap),
-        )
-        .label("class", "gold");
-        let text = prometheus_text(&[sample]);
-        assert!(text.contains("# TYPE demo_latency_hist_seconds histogram"));
-        assert!(text.contains("le=\"+Inf\""));
-
-        let parsed = parse_prometheus(&text).unwrap();
-        // 3 bounds + +Inf + sum + count.
-        assert_eq!(parsed.len(), 6);
-        check_histogram_series(&parsed).expect("series is structurally valid");
-        let inf = parsed
-            .iter()
-            .find(|s| s.name == "demo_latency_hist_seconds_bucket" && s.label("le") == Some("+Inf"))
-            .unwrap();
-        assert_eq!(inf.value, 5.0);
-        assert_eq!(inf.label("class"), Some("gold"));
+        let bucket = |le: &str| {
+            parsed
+                .iter()
+                .find(|s| s.name == "demo_latency_seconds_bucket" && s.label("le") == Some(le))
+                .unwrap()
+        };
+        assert_eq!(bucket("0.004").value, 2.0);
+        assert_eq!(bucket("2.048").value, 5.0);
+        // The 4 s sample lands only in +Inf, which equals the count.
+        assert_eq!(bucket("+Inf").value, 6.0);
+        assert_eq!(bucket("+Inf").label("class"), Some("gold"));
     }
 
     #[test]
@@ -490,41 +374,12 @@ mod tests {
     }
 
     #[test]
-    fn bucket_exemplars_render_and_parse() {
-        let mut stats = DurationStats::new();
-        stats.record(Duration::from_millis(2));
-        stats.record(Duration::from_millis(300));
-        let buckets = crate::Buckets::explicit(vec![0.005, 0.05]).unwrap();
-        let mut store = crate::ExemplarStore::new(&buckets);
-        store.observe(0.002, 0xabcd_ef01_2345_6789);
-        store.observe(0.3, 0xffee_0000_0000_0001);
-        let snap = crate::HistogramSnapshot::from_stats(&stats, &buckets).with_exemplars(&store);
-        let text = prometheus_text(&[Sample::new("ex_hist_seconds", "h", Value::Histogram(snap))]);
-        assert!(text.contains("# {trace_id=\"abcdef0123456789\"}"), "{text}");
-
-        let parsed = parse_prometheus(&text).unwrap();
-        check_histogram_series(&parsed).unwrap();
-        let first = parsed
-            .iter()
-            .find(|s| s.name == "ex_hist_seconds_bucket" && s.label("le") == Some("0.005"))
-            .unwrap();
-        let exemplar = first.exemplar.as_ref().unwrap();
-        assert_eq!(exemplar.label("trace_id"), Some("abcdef0123456789"));
-        assert_eq!(exemplar.value, 0.002);
-        let inf = parsed
-            .iter()
-            .find(|s| s.name == "ex_hist_seconds_bucket" && s.label("le") == Some("+Inf"))
-            .unwrap();
-        assert_eq!(
-            inf.exemplar.as_ref().unwrap().label("trace_id"),
-            Some("ffee000000000001")
-        );
-    }
-
-    #[test]
     fn parser_rejects_garbage() {
         assert!(parse_prometheus("not a metric line").is_err());
         assert!(parse_prometheus("name{unterminated 1").is_err());
+        // Nothing may trail the value: an OpenMetrics suffix is refused,
+        // not read past.
+        assert!(parse_prometheus("m_bucket{le=\"+Inf\"} 1 # {trace_id=\"ab\"} 0.5").is_err());
         assert!(parse_prometheus("# just a comment\n").unwrap().is_empty());
     }
 

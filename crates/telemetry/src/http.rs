@@ -669,8 +669,8 @@ fn parse_response_head(head: &str) -> Option<(u16, Vec<(String, String)>)> {
     Some((status, headers))
 }
 
-/// A one-shot HTTP GET against `addr` (the scrape client behind `tincy
-/// serve --scrape` and the CI smoke job). Returns the status code and
+/// A one-shot HTTP GET against `addr` (the golden tests' and the
+/// ledger's scrape client). Returns the status code and
 /// body.
 ///
 /// # Errors

@@ -6,8 +6,8 @@
 //!   [`Histogram`]s (the latter reusing `tincy-pipeline`'s streaming
 //!   [`DurationStats`](tincy_pipeline::DurationStats)), plus a
 //!   [`Collect`] hook for subsystems that keep their own accumulators
-//!   (the serve scheduler, offload health); histograms expose either
-//!   summary quantiles or native cumulative buckets ([`Buckets`]);
+//!   (the serve scheduler, offload health); histograms expose native
+//!   cumulative buckets over one grid ([`BUCKETS`]);
 //! - exposition as Prometheus text ([`prometheus_text`]), with a
 //!   matching parser ([`parse_prometheus`]) and a structural histogram
 //!   validator ([`check_histogram_series`]) for smoke checks;
@@ -27,15 +27,12 @@ mod http;
 mod metrics;
 pub mod slo;
 
-pub use expose::{
-    check_histogram_series, parse_prometheus, prometheus_text, PromExemplar, PromSample,
-};
+pub use expose::{check_histogram_series, parse_prometheus, prometheus_text, PromSample};
 pub use http::{
     http_get, Handler, HttpClient, HttpResponse, Parse, Request, RequestParser, Response,
     ServerConfig, ServerStats, StatusServer,
 };
 pub use metrics::{
-    Buckets, Collect, Counter, Exemplar, ExemplarStore, Gauge, Histogram, HistogramSnapshot,
-    Registry, Sample, Value,
+    Collect, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Sample, Value, BUCKETS,
 };
 pub use slo::{SloPolicy, SloStatus, SloTracker, SLO_WINDOWS, SLO_WINDOW_NAMES};

@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use tincy_telemetry::{
-    check_histogram_series, parse_prometheus, prometheus_text, Buckets, ExemplarStore,
-    HistogramSnapshot, Parse, PromExemplar, PromSample, Registry, RequestParser, Sample, Value,
+    check_histogram_series, parse_prometheus, prometheus_text, HistogramSnapshot, Parse,
+    PromSample, Registry, RequestParser, Sample, Value, BUCKETS,
 };
 
 /// The parser's inverse: parsed samples back as sample lines (no
@@ -33,39 +33,29 @@ fn render_prometheus(samples: &[PromSample]) -> String {
     };
     let line = |sample: &PromSample| {
         let labels = Some(&sample.labels).filter(|l| !l.is_empty());
-        // OpenMetrics always braces the exemplar label set.
-        let exemplar = sample.exemplar.as_ref().map_or(String::new(), |e| {
-            format!(" # {} {}", label_set(&e.labels), value(e.value))
-        });
         let labels = labels.map_or(String::new(), |l| label_set(l));
-        format!(
-            "{}{labels} {}{exemplar}\n",
-            sample.name,
-            value(sample.value)
-        )
+        format!("{}{labels} {}\n", sample.name, value(sample.value))
     };
     samples.iter().map(line).collect()
 }
 
-/// What the product renderer emits for a summary and for a histogram
-/// with exemplars on its buckets parses to samples the re-emitter
-/// reproduces exactly (the registry property below covers the rest).
+/// What the product renderer emits for a labelled histogram parses to
+/// samples the re-emitter reproduces exactly (the registry property
+/// below covers the rest).
 #[test]
 fn prometheus_text_parse_render_is_a_fixed_point() {
     let mut stats = tincy_pipeline::DurationStats::new();
     stats.record(Duration::from_millis(2));
     stats.record(Duration::from_millis(300));
-    let buckets = Buckets::explicit(vec![0.005, 0.05]).unwrap();
-    let mut store = ExemplarStore::new(&buckets);
-    store.observe(0.002, 0xabcd_ef01_2345_6789);
-    store.observe(0.3, 0xffee_0000_0000_0001);
-    let histogram = HistogramSnapshot::from_stats(&stats, &buckets).with_exemplars(&store);
-    let text = prometheus_text(&[
-        Sample::new("demo_latency_seconds", "latency", Value::Summary(stats)),
-        Sample::new("ex_hist_seconds", "h", Value::Histogram(histogram)),
-    ]);
+    let histogram = HistogramSnapshot::from_stats(&stats);
+    let text = prometheus_text(&[Sample::new(
+        "demo_latency_seconds",
+        "latency",
+        Value::Histogram(histogram),
+    )
+    .label("class", "batch")]);
     let parsed = parse_prometheus(&text).unwrap();
-    assert!(parsed.iter().any(|s| s.exemplar.is_some()), "{text}");
+    assert_eq!(parsed.len(), BUCKETS.len() + 3, "{text}");
     let rendered = render_prometheus(&parsed);
     assert_eq!(parse_prometheus(&rendered).unwrap(), parsed);
 }
@@ -266,7 +256,6 @@ proptest! {
                     })
                     .collect(),
                 value: VALUES[value % VALUES.len()],
-                exemplar: None,
             })
             .collect();
 
@@ -282,52 +271,6 @@ proptest! {
             prop_assert_eq!(&a.name, &b.name);
             prop_assert_eq!(&a.labels, &b.labels);
             prop_assert!(a.value == b.value || (a.value.is_nan() && b.value.is_nan()));
-        }
-    }
-
-    /// Sample lines carrying OpenMetrics exemplars (` # {trace_id=...}
-    /// value`) survive render → parse → render as a fixed point, with
-    /// the exemplar's trace id and value intact — including trace ids
-    /// past f64's 53-bit mantissa, which travel as hex strings.
-    #[test]
-    fn exemplar_render_parse_render_is_a_fixed_point(
-        entries in proptest::collection::vec(
-            (proptest::arbitrary::any::<u64>(), 0usize..6, proptest::arbitrary::any::<bool>()),
-            1..8,
-        ),
-    ) {
-        const OBSERVED: &[f64] = &[0.0004, 0.002, 0.0371, 0.5, 1.75, 120.0];
-        let samples: Vec<PromSample> = entries
-            .iter()
-            .enumerate()
-            .map(|(i, &(trace_id, value, attach))| PromSample {
-                name: "tincy_serve_latency_seconds_bucket".to_string(),
-                labels: vec![
-                    ("class".to_string(), format!("c{}", i % 3)),
-                    ("le".to_string(), "+Inf".to_string()),
-                ],
-                value: i as f64,
-                exemplar: attach.then(|| PromExemplar {
-                    labels: vec![("trace_id".to_string(), format!("{trace_id:016x}"))],
-                    value: OBSERVED[value % OBSERVED.len()],
-                }),
-            })
-            .collect();
-
-        let first = render_prometheus(&samples);
-        let parsed = parse_prometheus(&first)
-            .unwrap_or_else(|e| panic!("rendered text failed to parse: {e}\n{first}"));
-        prop_assert_eq!(&parsed, &samples);
-        let second = render_prometheus(&parsed);
-        prop_assert_eq!(&first, &second);
-        for (sample, &(trace_id, _, attach)) in parsed.iter().zip(&entries) {
-            let hex = sample.exemplar.as_ref().and_then(|e| e.label("trace_id"));
-            if attach {
-                let restored = u64::from_str_radix(hex.expect("exemplar survives"), 16).unwrap();
-                prop_assert_eq!(restored, trace_id, "trace id is bit-exact");
-            } else {
-                prop_assert!(hex.is_none());
-            }
         }
     }
 
@@ -350,8 +293,7 @@ proptest! {
                 .gauge(&format!("tincy_prop_gauge_{i}"), "generated")
                 .set(GAUGE_VALUES[g % GAUGE_VALUES.len()]);
         }
-        let histogram =
-            registry.histogram_with("tincy_prop_hist_seconds", "generated", Buckets::default());
+        let histogram = registry.histogram("tincy_prop_hist_seconds", "generated");
         for &us in &observations {
             histogram.observe(std::time::Duration::from_micros(us));
         }

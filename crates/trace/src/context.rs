@@ -44,7 +44,7 @@ impl TraceContext {
         }
     }
 
-    /// Renders the trace id the way exported traces and exemplars do:
+    /// Renders the trace id the way exported traces do:
     /// zero-padded lowercase hex (64-bit ids do not survive a JSON f64
     /// round trip as numbers, so they travel as strings).
     #[must_use]

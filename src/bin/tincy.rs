@@ -95,11 +95,8 @@ static FLAGS: &[Flag] = &[
     Flag("--status-addr", "HOST:PORT", SERVE, "serve /metrics, /report, /healthz"),
     Flag("--drift-threshold", "PCT", SERVE, "per-item service-time divergence (per rung and backend) that raises the drift alert"),
     Flag("--variants", "FRONTIER.json", SERVE, "host an `explore --frontier-out` dump as a variant ladder"),
-    Flag("--variant-smoke", "", SERVE, "fail unless every rung conserves admissions and completions"),
-    Flag("--smoke", "", SERVE, "fail on loss, reordering, a burst without a micro-batch, a faulted shard without drain + re-admit"),
-    Flag("--scrape", "", SERVE, "scrape the status endpoint mid-session and hold it to the final report"),
+    Flag("--smoke", "", SERVE, "fail on loss, reordering, a burst without a micro-batch, a faulted shard without drain + re-admit, a scrape that disagrees with the report, a rung that loses work, a bad trace"),
     Flag("--slo-smoke", "", SERVE, "fail unless a burn-rate alert fires in the fault and clears after"),
-    Flag("--exemplars", "", SERVE, "attach trace-id exemplars to the latency buckets"),
     Flag("--check", "", CHECKED, "fail on a malformed trace / a frontier without the paper point"),
     Flag("--by-request", "", REPORT, "group events by trace id and print each request's journey"),
     Flag("--threshold", "PCT", REPORT, "deviation that flags a stage (25)"),
@@ -416,7 +413,8 @@ fn write_atomically(path: &Path, contents: &str) -> std::io::Result<()> {
 /// Writes `--metrics-json` when asked to.
 fn write_artifacts(args: &Args, metrics: impl FnOnce() -> String) -> CliResult {
     if let Some(path) = args.text("--metrics-json") {
-        std::fs::write(path, metrics())?;
+        write_atomically(Path::new(path), &metrics())
+            .map_err(|e| format!("--metrics-json {path}: {e}"))?;
         println!("metrics written to {path}");
     }
     Ok(())
@@ -501,7 +499,7 @@ fn variant_ladder(path: &str, input: usize) -> Result<VariantLadder, String> {
 /// clients', and the smoke/scrape assertions.
 fn cmd_serve(args: &Args) -> CliResult {
     let (smoke, slo_smoke) = (args.has("--smoke"), args.has("--slo-smoke"));
-    let scrape = args.has("--scrape") || slo_smoke;
+    let scrape = smoke || slo_smoke;
     let mut load = LoadConfig {
         requests_per_client: args.pos(0, "requests", 8)?,
         clients: args.pos(1, "clients", 4)?,
@@ -531,7 +529,6 @@ fn cmd_serve(args: &Args) -> CliResult {
     args.set("--per-client", &mut base.per_client_capacity)?;
     base.system.input_size = input;
     base.score_threshold = 0.02;
-    base.exemplars = args.has("--exemplars");
     if slo_smoke {
         // A deliberately twitchy error-budget policy: the injected fault
         // window must trip the fast burn-rate pair, and post-re-admission
@@ -547,12 +544,8 @@ fn cmd_serve(args: &Args) -> CliResult {
             ..SloPolicy::sensitive()
         };
     }
-    match args.text("--variants") {
-        Some(path) => base.variants = Some(variant_ladder(path, input)?),
-        None if args.has("--variant-smoke") => {
-            return Err("--variant-smoke requires --variants (nothing to shift on one rung)".into())
-        }
-        None => {}
+    if let Some(path) = args.text("--variants") {
+        base.variants = Some(variant_ladder(path, input)?);
     }
     base.drift_threshold = args.percent("--drift-threshold")?;
     let trace = TraceSession::start(args);
@@ -576,16 +569,14 @@ fn cmd_serve(args: &Args) -> CliResult {
             samples.len()
         );
     }
-    if args.has("--scrape") {
-        println!("{}", check_scrape(&samples, &report.target)?);
-    }
     if slo_smoke {
         println!("{}", check_slo_smoke(&samples)?);
     }
-    if args.has("--variant-smoke") {
-        println!("{}", check_variant_smoke(&report)?);
-    }
     if smoke {
+        println!("{}", check_scrape(&samples, &report.target)?);
+        if args.has("--variants") {
+            println!("{}", check_variant_smoke(&report)?);
+        }
         println!("{}", check_smoke(&report, burst, faulted)?);
         if let Some(trace) = &trace {
             println!("{}", check_fleet_trace(trace, &report.target)?);
@@ -943,15 +934,15 @@ mod tests {
         let local = "--fault-seed --outage --metrics-json --trace-out";
         let serve = format!(
             "{local} --status-addr --cpu-workers --max-batch --queue --per-client \
-             --drift-threshold --variants --variant-smoke --smoke --scrape \
+             --drift-threshold --variants --smoke \
              --fault-shard --shards --policy --pattern --workers --seed \
-             --slo-smoke --exemplars"
+             --slo-smoke"
         );
         let cases = [
             (Cmd::Demo, format!("{local} --frames")),
             (Cmd::Serve, serve),
         ];
-        assert_eq!((CMDS.len(), FLAGS.len()), (4, 30));
+        assert_eq!((CMDS.len(), FLAGS.len()), (4, 27));
         for (cmd, want) in cases {
             let mut want: Vec<&str> = want.split_whitespace().collect();
             let mut got: Vec<&str> = FLAGS
@@ -1061,6 +1052,27 @@ mod tests {
             .collect();
         assert_eq!(names, ["t.json"]);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "[]");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `--metrics-json` into a missing directory, or onto a directory,
+    /// errs naming the flag and the path, and leaves no temp file behind.
+    #[test]
+    fn metrics_json_errors_name_the_path_and_leave_no_temp_file() {
+        let dir = scratch("metrics");
+        std::fs::create_dir_all(dir.join("taken")).unwrap();
+        for target in ["missing/m.json", "taken"] {
+            let path = dir.join(target);
+            let args = parse(Cmd::Serve, &format!("--metrics-json {}", path.display())).unwrap();
+            let err = write_artifacts(&args, || "{}".to_owned()).unwrap_err();
+            let want = format!("--metrics-json {}: ", path.display());
+            assert!(err.to_string().starts_with(&want), "{err}");
+        }
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["taken"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
