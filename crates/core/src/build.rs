@@ -340,9 +340,6 @@ mod tests {
         assert_eq!(model.fold, config.engine);
         assert_eq!(model.seed, 9);
         assert_eq!(model.network, tincy_yolo_with_input(32));
-        // And the model document survives serialization.
-        let back = ModelSpec::from_json(&model.to_json()).unwrap();
-        assert_eq!(back, model);
     }
 
     #[test]

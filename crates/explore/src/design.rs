@@ -411,11 +411,4 @@ mod tests {
         assert!(hidden_has_leaky(&without_a.network()));
         assert!(!hidden_has_leaky(&DesignPoint::PAPER.network()));
     }
-
-    #[test]
-    fn model_round_trips_through_json() {
-        let model = DesignPoint::PAPER.model();
-        let back = ModelSpec::from_json(&model.to_json()).unwrap();
-        assert_eq!(back, model);
-    }
 }

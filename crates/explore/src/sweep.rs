@@ -324,7 +324,6 @@ pub fn run_sweep(config: &SweepConfig) -> ExploreReport {
 mod tests {
     use super::*;
     use crate::frontier::dominates;
-    use tincy_nn::ModelSpec;
 
     #[test]
     fn default_sweep_passes_its_own_check() {
@@ -375,16 +374,6 @@ mod tests {
         let b = run_sweep(&SweepConfig::default());
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn frontier_models_round_trip_through_json() {
-        let report = run_sweep(&SweepConfig::default());
-        for point in report.frontier_points() {
-            let model = point.point.model();
-            let back = ModelSpec::from_json(&model.to_json()).unwrap();
-            assert_eq!(back, model, "{} does not round-trip", point.point.id());
-        }
     }
 
     #[test]

@@ -205,23 +205,12 @@ impl QnnAccelerator {
         })
     }
 
-    /// Attaches a fault-injection harness (builder style). The injector's
-    /// counters are shared through its handle, so re-attaching a clone
-    /// after a rebuild continues the same invocation stream.
-    #[must_use]
-    pub fn with_fault_injector(mut self, injector: FaultInjector) -> Self {
-        self.injector = Some(injector);
-        self
-    }
-
-    /// Attaches or detaches the fault-injection harness in place.
+    /// Attaches or detaches the fault-injection harness in place. The
+    /// injector's counters are shared through its handle, so re-attaching
+    /// a clone after a rebuild continues the same invocation stream, and
+    /// the caller's clone reads them.
     pub fn set_fault_injector(&mut self, injector: Option<FaultInjector>) {
         self.injector = injector;
-    }
-
-    /// The attached fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
     }
 
     /// The offloaded layers.
@@ -549,8 +538,9 @@ mod tests {
     fn injected_outage_fails_then_recovers_bit_exactly() {
         use crate::fault::{FaultInjector, FaultPlan};
         let mut rng = StdRng::seed_from_u64(104);
-        let accel = two_layer_accel(&mut rng)
-            .with_fault_injector(FaultInjector::new(FaultPlan::outage(0, 2)));
+        let injector = FaultInjector::new(FaultPlan::outage(0, 2));
+        let mut accel = two_layer_accel(&mut rng);
+        accel.set_fault_injector(Some(injector.clone()));
         let input = Tensor::from_fn(accel.input_shape(), |_, _, _| rng.gen_range(0..8) as u8);
         for _ in 0..2 {
             let err = accel.run(&input).unwrap_err();
@@ -561,7 +551,7 @@ mod tests {
         }
         let (out, _) = accel.run(&input).unwrap();
         assert_eq!(out, accel.reference_run(&input).unwrap());
-        let stats = accel.fault_injector().unwrap().stats();
+        let stats = injector.stats();
         assert_eq!(
             (stats.invocations, stats.faults, stats.dma_timeouts),
             (3, 2, 2)
@@ -581,7 +571,8 @@ mod tests {
             reload_penalty_cycles: 9_999,
             ..FaultPlan::default()
         };
-        let accel = two_layer_accel(&mut rng).with_fault_injector(FaultInjector::new(plan));
+        let mut accel = two_layer_accel(&mut rng);
+        accel.set_fault_injector(Some(FaultInjector::new(plan)));
         let input = Tensor::from_fn(accel.input_shape(), |_, _, _| rng.gen_range(0..8) as u8);
         assert!(accel.run(&input).is_err());
         let (_, report) = accel.run(&input).unwrap();
@@ -603,7 +594,8 @@ mod tests {
             length: 1,
             kind: FaultKind::CorruptResult,
         });
-        let accel = two_layer_accel(&mut rng).with_fault_injector(FaultInjector::new(plan));
+        let mut accel = two_layer_accel(&mut rng);
+        accel.set_fault_injector(Some(FaultInjector::new(plan)));
         let input = Tensor::from_fn(accel.input_shape(), |_, _, _| rng.gen_range(0..8) as u8);
         let err = accel.run(&input).unwrap_err();
         assert!(err.is_retryable());
@@ -651,15 +643,16 @@ mod tests {
     fn batched_run_draws_one_fault_per_invocation() {
         use crate::fault::{FaultInjector, FaultPlan};
         let mut rng = StdRng::seed_from_u64(108);
-        let accel = two_layer_accel(&mut rng)
-            .with_fault_injector(FaultInjector::new(FaultPlan::outage(0, 1)));
+        let injector = FaultInjector::new(FaultPlan::outage(0, 1));
+        let mut accel = two_layer_accel(&mut rng);
+        accel.set_fault_injector(Some(injector.clone()));
         let inputs: Vec<Tensor<u8>> = (0..3)
             .map(|_| Tensor::from_fn(accel.input_shape(), |_, _, _| rng.gen_range(0..8) as u8))
             .collect();
         assert!(accel.run_batch(&inputs).is_err(), "whole batch faults once");
         let (outs, _) = accel.run_batch(&inputs).unwrap();
         assert_eq!(outs.len(), 3);
-        let stats = accel.fault_injector().unwrap().stats();
+        let stats = injector.stats();
         assert_eq!((stats.invocations, stats.faults), (2, 1));
     }
 

@@ -17,7 +17,7 @@ use tincy_tensor::{Shape3, Tensor};
 
 pub use tincy_kernels::max_pool_levels;
 
-/// Engine folding and clocking configuration: the model document's
+/// Engine folding and clocking configuration: a `ModelSpec`'s
 /// [`tincy_nn::FoldSpec`] itself. Its default is the shipped 16x16 at
 /// 300 MHz — 256 binary MACs/cycle, the operating point that reproduces
 /// the paper's 30 ms hidden-layer budget.

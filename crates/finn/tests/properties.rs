@@ -394,9 +394,8 @@ fn host_path_equals_naive_and_fabric_and_survives_a_full_outage() {
     assert_eq!(host, naive, "host path disagrees with the naive reference");
     assert_eq!(host, fabric, "host path disagrees with the fabric path");
 
-    let degraded = QnnAccelerator::new(layers, EngineConfig::default())
-        .expect("chains")
-        .with_fault_injector(FaultInjector::new(FaultPlan::outage(0, u64::MAX)));
+    let mut degraded = QnnAccelerator::new(layers, EngineConfig::default()).expect("chains");
+    degraded.set_fault_injector(Some(FaultInjector::new(FaultPlan::outage(0, u64::MAX))));
     let err = degraded
         .run(&input)
         .expect_err("the outage faults the fabric path");

@@ -179,16 +179,6 @@ impl ConvLayer {
         }
     }
 
-    /// Folds batch normalization into the weights and bias, removing the
-    /// separate normalization step while preserving the layer function.
-    pub fn fold_batchnorm(&mut self) {
-        if let Some(bn) = self.batchnorm.take() {
-            let per_channel = self.weights.cols();
-            bn.fold_into(self.weights.as_mut_slice(), &mut self.bias, per_channel);
-            self.invalidate_caches();
-        }
-    }
-
     fn invalidate_caches(&mut self) {
         self.lowp_cache = None;
         self.binary_cache = None;
@@ -473,20 +463,29 @@ mod tests {
         let mut layer =
             ConvLayer::new(shape, &spec(4, 3, 1, PrecisionConfig::FLOAT), &mut rng).unwrap();
         // Non-trivial BN parameters.
-        layer
-            .set_batchnorm(BatchNorm {
-                gamma: vec![1.3, 0.7, 2.0, 0.5],
-                beta: vec![0.1, -0.2, 0.0, 0.4],
-                mean: vec![0.5, -0.5, 0.2, 0.0],
-                var: vec![1.5, 0.8, 2.2, 1.0],
-                eps: 1e-5,
-            })
-            .unwrap();
+        let bn = BatchNorm {
+            gamma: vec![1.3, 0.7, 2.0, 0.5],
+            beta: vec![0.1, -0.2, 0.0, 0.4],
+            mean: vec![0.5, -0.5, 0.2, 0.0],
+            var: vec![1.5, 0.8, 2.2, 1.0],
+            eps: 1e-5,
+        };
+        layer.set_batchnorm(bn.clone()).unwrap();
         let x = input(&mut rng, shape);
         let before = layer.forward(&x).unwrap();
-        layer.fold_batchnorm();
-        assert!(layer.batchnorm().is_none());
-        let after = layer.forward(&x).unwrap();
+        // The same function without the normalization step: the weights
+        // and bias folded, in a layer without batch norm.
+        let (mut weights, mut bias) = (layer.weights().clone(), layer.bias().to_vec());
+        let per_channel = weights.cols();
+        bn.fold_into(weights.as_mut_slice(), &mut bias, per_channel);
+        let plain = ConvSpec {
+            batch_normalize: false,
+            ..spec(4, 3, 1, PrecisionConfig::FLOAT)
+        };
+        let mut folded = ConvLayer::new(shape, &plain, &mut rng).unwrap();
+        folded.set_parameters(weights, bias).unwrap();
+        assert!(folded.batchnorm().is_none());
+        let after = folded.forward(&x).unwrap();
         assert!(before.max_abs_diff(&after) < 1e-4);
     }
 

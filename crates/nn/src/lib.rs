@@ -16,8 +16,8 @@
 //! * [`batchnorm`] — batch normalization and its folding,
 //! * [`offload`] — the offload layer and backend registry (the `dlopen`
 //!   analog),
-//! * [`model`] — serializable [`ModelSpec`]/[`FoldSpec`] design points
-//!   (topology + folding + quantization) with a JSON round-trip,
+//! * [`model`] — [`ModelSpec`]/[`FoldSpec`] design points (topology +
+//!   folding + quantization),
 //! * [`network`] — the network container with whole-net *and* per-layer
 //!   forward entry points ("the network inference had to be disintegrated
 //!   to gain access to the invocations of the individual layers", §III-F),

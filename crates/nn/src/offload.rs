@@ -460,11 +460,6 @@ impl OffloadLayer {
         &self.config
     }
 
-    /// The active retry/fallback policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Replaces the retry/fallback policy.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
@@ -908,7 +903,7 @@ mod tests {
             Box::new(OffloadLayer::new(shape, &spec(shape), &registry()).unwrap());
         let offload = layer.as_offload_mut().expect("offload layer downcasts");
         offload.set_retry_policy(RetryPolicy::fail_fast());
-        assert_eq!(offload.retry_policy(), RetryPolicy::fail_fast());
+        assert_eq!(offload.retry, RetryPolicy::fail_fast());
     }
 
     #[test]

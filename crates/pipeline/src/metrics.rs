@@ -48,16 +48,6 @@ impl StageStats {
         }
     }
 
-    /// Fastest recorded invocation, if any.
-    pub fn min_time(&self) -> Option<Duration> {
-        self.timing.min()
-    }
-
-    /// Slowest recorded invocation, if any.
-    pub fn max_time(&self) -> Option<Duration> {
-        self.timing.max()
-    }
-
     /// The [p50, p95, p99] invocation times in one histogram walk —
     /// reporting paths that print all three should use this instead of
     /// three separate queries.
@@ -202,8 +192,8 @@ mod tests {
         assert_eq!(stats.invocations, 4);
         assert_eq!(stats.busy, Duration::from_millis(20));
         assert_eq!(stats.mean_time(), Duration::from_millis(5));
-        assert_eq!(stats.min_time(), Some(Duration::from_millis(2)));
-        assert_eq!(stats.max_time(), Some(Duration::from_millis(8)));
+        assert_eq!(stats.timing.min(), Some(Duration::from_millis(2)));
+        assert_eq!(stats.timing.max(), Some(Duration::from_millis(8)));
         assert_eq!(stats.timing.count(), 4);
         assert!(stats.p50() >= Duration::from_millis(2));
         assert!(stats.p99() <= Duration::from_millis(8));

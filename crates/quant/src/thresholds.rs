@@ -127,32 +127,6 @@ impl ThresholdSet {
         }
     }
 
-    /// Folds batch normalization into thresholds.
-    ///
-    /// The float path is `y = γ·(s·acc − μ)/√(σ²+ε) + β` followed by the
-    /// `levels`-level quantizer of step `q`; `s` is the real value of one
-    /// accumulator unit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ThresholdSet::from_affine`] errors.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_batchnorm(
-        gamma: f32,
-        beta: f32,
-        mean: f32,
-        var: f32,
-        eps: f32,
-        acc_scale: f32,
-        q: f32,
-        levels: usize,
-    ) -> Result<Self, QuantError> {
-        let inv_std = 1.0 / (var + eps).sqrt();
-        let a = gamma * inv_std * acc_scale;
-        let b = beta - gamma * mean * inv_std;
-        Self::from_affine(a, b, q, levels)
-    }
-
     /// Number of thresholds (`levels − 1`).
     pub fn len(&self) -> usize {
         self.thresholds.len()
@@ -279,24 +253,6 @@ mod tests {
         let t = ThresholdSet::from_affine(a, b, q, levels).unwrap();
         assert!(!t.is_ascending());
         for acc in -500..500 {
-            assert_eq!(
-                t.activate(acc),
-                float_level(a, b, q, levels, acc),
-                "acc={acc}"
-            );
-        }
-    }
-
-    #[test]
-    fn batchnorm_fold_matches_explicit_affine() {
-        let (gamma, beta, mean, var, eps, s, q, levels) = (
-            1.3f32, 0.2f32, 4.0f32, 2.0f32, 1e-5f32, 0.05f32, 0.25f32, 8usize,
-        );
-        let t = ThresholdSet::from_batchnorm(gamma, beta, mean, var, eps, s, q, levels).unwrap();
-        let inv_std = 1.0 / (var + eps).sqrt();
-        let a = gamma * inv_std * s;
-        let b = beta - gamma * mean * inv_std;
-        for acc in -300..300 {
             assert_eq!(
                 t.activate(acc),
                 float_level(a, b, q, levels, acc),

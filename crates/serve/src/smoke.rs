@@ -9,7 +9,7 @@ use crate::metrics::ServeReport;
 use crate::request::SloClass;
 use std::net::SocketAddr;
 use std::time::Duration;
-use tincy_telemetry::{check_histogram_series, parse_prometheus, HttpClient, PromSample};
+use tincy_telemetry::{check_histogram_series, http_get, parse_prometheus, PromSample};
 use tincy_trace::Trace;
 
 /// Returns the formatted violation from the enclosing check unless the
@@ -23,52 +23,30 @@ macro_rules! ensure {
     };
 }
 
-/// GETs `path` through a reusable keep-alive connection, reconnecting
-/// when the server reaped an idle connection and retrying with
-/// exponential backoff when the connection cap sheds the scrape with a
-/// 503 — which must carry a `Retry-After` header. Any other non-200 is
+/// GETs `path` on a connection of its own, retrying with exponential
+/// backoff while the connection cap sheds the scrape: with a 503, or past
+/// the server's shed ceiling by closing unanswered. Any other non-200 is
 /// fatal.
-fn scrape_get(
-    client: &mut Option<HttpClient>,
-    addr: SocketAddr,
-    path: &str,
-) -> Result<String, String> {
+fn scrape_get(addr: SocketAddr, path: &str) -> Result<String, String> {
+    use std::io::ErrorKind::{ConnectionAborted, ConnectionReset};
     let mut backoff = Duration::from_millis(5);
     for _ in 0..10 {
-        let conn = match client {
-            Some(conn) => conn,
-            None => client.insert(
-                HttpClient::connect(addr, Duration::from_secs(2))
-                    .map_err(|e| format!("connect {addr}: {e}"))?,
-            ),
-        };
-        match conn.get(path) {
-            Ok(response) if response.status == 200 => return Ok(response.body),
-            Ok(response) if response.status == 503 => {
-                if response.header("retry-after").is_none() {
-                    return Err(format!("GET {path}: 503 shed without a Retry-After header"));
-                }
-                // Shed connections are closed by the server; back off and
-                // reconnect.
-                *client = None;
-                std::thread::sleep(backoff);
-                backoff *= 2;
-            }
-            Ok(response) => return Err(format!("GET {path} returned {}", response.status)),
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => {
-                // Idle keep-alive connection reaped between scrapes:
-                // reconnect without consuming a retry's backoff.
-                *client = None;
-            }
+        match http_get(addr, path) {
+            Ok((200, body)) => return Ok(body),
+            Ok((503, _)) => {}
+            Err(e) if matches!(e.kind(), ConnectionAborted | ConnectionReset) => {}
+            Ok((status, _)) => return Err(format!("GET {path} returned {status}")),
             Err(e) => return Err(format!("GET {path}: {e}")),
         }
+        std::thread::sleep(backoff);
+        backoff *= 2;
     }
     Err(format!("GET {path}: still shed after 10 retries"))
 }
 
-/// Scrapes a running target's status endpoint `passes` times over one
-/// keep-alive connection (plus `/healthz`), asserting on every pass that
-/// the exposition parses and its native-histogram series are well
+/// Scrapes a running target's status endpoint `passes` times, one
+/// connection per request (plus `/healthz`), asserting on every pass
+/// that the exposition parses and its native-histogram series are well
 /// formed, and between passes that no `_total` counter vanished or went
 /// backwards. Returns the last sample set.
 ///
@@ -76,10 +54,9 @@ fn scrape_get(
 ///
 /// The violated invariant, or the transport failure.
 pub fn scrape(addr: SocketAddr, passes: usize) -> Result<Vec<PromSample>, String> {
-    let mut client: Option<HttpClient> = None;
     let mut last: Vec<PromSample> = Vec::new();
     for _ in 0..passes {
-        let body = scrape_get(&mut client, addr, "/metrics")?;
+        let body = scrape_get(addr, "/metrics")?;
         let samples =
             parse_prometheus(&body).map_err(|e| format!("/metrics did not parse: {e}"))?;
         check_histogram_series(&samples)
@@ -99,7 +76,7 @@ pub fn scrape(addr: SocketAddr, passes: usize) -> Result<Vec<PromSample>, String
         }
         last = samples;
     }
-    let health = scrape_get(&mut client, addr, "/healthz")?;
+    let health = scrape_get(addr, "/healthz")?;
     ensure!(health.contains("\"ok\":true"), "GET /healthz: {health}");
     Ok(last)
 }

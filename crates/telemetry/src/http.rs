@@ -1,71 +1,65 @@
-//! A hardened std-only HTTP status endpoint: HTTP/1.1 keep-alive with a
-//! per-connection request limit, read/write deadlines, a bounded
-//! connection cap with accept-queue shedding (503 + `Retry-After`),
-//! slow-loris protection (header size and header time limits) and
-//! graceful drain-on-shutdown. This is still deliberately not a web
-//! server — it exists so `tincy serve --status-addr` can expose
-//! `/metrics`, `/healthz` and `/report` to a long-lived scraper without
-//! pulling in a dependency the offline build cannot have.
+//! A hardened std-only HTTP status endpoint that answers exactly one
+//! request per connection, always with `Connection: close`: read/write
+//! deadlines, a bounded connection cap with accept-queue shedding (503 +
+//! `Retry-After`) by a bounded number of shed handlers, slow-loris
+//! protection (header size and header time limits) and graceful
+//! drain-on-shutdown. This is still deliberately not a web server — it
+//! exists so `tincy serve --status-addr` can expose `/metrics`,
+//! `/healthz` and `/report` to a scraper without pulling in a dependency
+//! the offline build cannot have. HTTP/1.1 lets a server close after every
+//! response; a scraper pays one TCP connect per scrape.
 //!
-//! Connection lifecycle (DESIGN.md §8 "Telemetry hardening"):
+//! Connection lifecycle (DESIGN.md §8.2 "Endpoint hardening"):
 //!
 //! ```text
-//! accept ── over cap? ──> shed: 503 + Retry-After, close
+//! accept ── over cap? ──> fewer than 8 shed handlers live? ── yes ──> 503 + Retry-After, close
+//!    │                                                   └─── no ──> close unanswered
+//!    ▼
+//! read one head (≤ 8 KiB, ≤ 2 s) ──> 431 / 400 / 408, close
 //!    │
 //!    ▼
-//! read head (≤ max_header_bytes, ≤ header_deadline) ──> 431/400 close
-//!    │
-//!    ▼
-//! route + write full response
-//!    │
-//!    ├─ Connection: close / request limit / shutting down ──> close
-//!    └─ otherwise ──> keep-alive: read next head
+//! route, write the full response with `Connection: close`, drain, close
 //! ```
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs of the status server.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Concurrent connections served; accepts beyond the cap are shed
-    /// with `503` + `Retry-After` instead of queueing.
-    pub max_connections: usize,
-    /// Requests served on one keep-alive connection before it is closed
-    /// (bounds how long one client can monopolize a slot).
-    pub max_requests_per_conn: usize,
+/// The server's limits: [`LIMITS`] is the one value the product runs
+/// with; unit tests shrink it through [`StatusServer::start`].
+#[derive(Debug, Clone, Copy)]
+struct Limits {
+    /// Connections served at once; accepts beyond the cap are shed.
+    max_connections: usize,
+    /// Shed handlers alive at once. An over-cap accept past this is
+    /// closed unanswered, so no connection rate grows the thread count.
+    max_shedding: usize,
     /// Largest accepted request head (request line + headers).
-    pub max_header_bytes: usize,
-    /// Total time allowed to receive one request head; a peer trickling
+    max_header_bytes: usize,
+    /// Total time allowed to receive the request head; a peer trickling
     /// header bytes (slow loris) is cut off at this deadline.
-    pub header_deadline: Duration,
-    /// Per-read/write socket timeout: a stalled peer cannot wedge a
-    /// handler thread, and idle keep-alive connections are reaped after
-    /// this long without a request.
-    pub io_timeout: Duration,
+    header_deadline: Duration,
+    /// Per-read/write socket timeout, and the bound on draining the
+    /// peer after a response: a stalled peer cannot wedge a thread.
+    io_timeout: Duration,
     /// How long [`StatusServer::shutdown`] waits for in-flight
-    /// connections to finish their current response before detaching.
-    pub drain_deadline: Duration,
-    /// `Retry-After` seconds advertised on shed (503) responses.
-    pub retry_after_secs: u64,
+    /// connections to finish their response before detaching.
+    drain_deadline: Duration,
 }
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            max_connections: 64,
-            max_requests_per_conn: 128,
-            max_header_bytes: 8 * 1024,
-            header_deadline: Duration::from_secs(2),
-            io_timeout: Duration::from_secs(2),
-            drain_deadline: Duration::from_secs(5),
-            retry_after_secs: 1,
-        }
-    }
-}
+const LIMITS: Limits = Limits {
+    max_connections: 64,
+    max_shedding: 8,
+    max_header_bytes: 8 * 1024,
+    header_deadline: Duration::from_secs(2),
+    io_timeout: Duration::from_secs(2),
+    drain_deadline: Duration::from_secs(5),
+};
+
+/// `Retry-After` seconds advertised on shed (503) responses.
+const RETRY_AFTER_SECS: u64 = 1;
 
 /// An HTTP response produced by a route handler.
 #[derive(Debug, Clone)]
@@ -126,15 +120,14 @@ impl Response {
         }
     }
 
-    /// Renders the full wire form, including the `Connection` header.
-    fn to_bytes(&self, close: bool) -> Vec<u8> {
+    /// Renders the full wire form; every response closes its connection.
+    fn to_bytes(&self) -> Vec<u8> {
         let mut head = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             self.reason(),
             self.content_type,
             self.body.len(),
-            if close { "close" } else { "keep-alive" },
         );
         if let Some(secs) = self.retry_after {
             head.push_str(&format!("Retry-After: {secs}\r\n"));
@@ -266,69 +259,46 @@ fn parse_head(head: &str) -> Option<Request> {
 /// A route handler, called once per matching GET request.
 pub type Handler = Box<dyn Fn() -> Response + Send + Sync>;
 
-/// Point-in-time serving statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Connections currently being served.
-    pub active: usize,
-    /// Connections accepted into service over the server's lifetime.
-    pub accepted: u64,
-    /// Connections shed with 503 because the cap was reached.
-    pub shed: u64,
-    /// Requests answered across all connections.
-    pub requests: u64,
-}
-
-#[derive(Default)]
-struct Counters {
-    active: AtomicUsize,
-    accepted: AtomicU64,
-    shed: AtomicU64,
-    requests: AtomicU64,
-}
-
 /// The status endpoint: binds immediately, serves on a background accept
-/// thread plus one short-lived thread per connection, until
-/// [`Self::shutdown`] (or drop) stops accepting and drains in-flight
-/// connections.
+/// thread plus one short-lived thread per served connection (at most 64)
+/// and per shed one (at most 8), until [`Self::shutdown`] (or drop) stops
+/// accepting and drains in-flight connections.
 pub struct StatusServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    counters: Arc<Counters>,
-    config: ServerConfig,
+    /// Connections being served (the cap and the shutdown drain read it).
+    active: Arc<AtomicUsize>,
+    /// Shed handlers alive (bounded by `limits.max_shedding`; the
+    /// shutdown drain reads it).
+    shedding: Arc<AtomicUsize>,
+    limits: Limits,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl StatusServer {
-    /// Binds `addr` with default tuning; see [`Self::bind_with`].
+    /// Binds `addr` (e.g. `127.0.0.1:9090`; port 0 picks a free port)
+    /// and starts serving `routes` (exact-match paths, query strings
+    /// ignored).
     ///
     /// # Errors
     ///
     /// Propagates bind and thread-spawn failures.
     pub fn bind(addr: &str, routes: Vec<(&'static str, Handler)>) -> io::Result<Self> {
-        Self::bind_with(addr, routes, ServerConfig::default())
+        Self::start(addr, routes, LIMITS)
     }
 
-    /// Binds `addr` (e.g. `127.0.0.1:9090`; port 0 picks a free port)
-    /// and starts serving `routes` (exact-match paths, query strings
-    /// ignored) under the given tuning.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind and thread-spawn failures.
-    pub fn bind_with(
-        addr: &str,
-        routes: Vec<(&'static str, Handler)>,
-        config: ServerConfig,
-    ) -> io::Result<Self> {
+    fn start(addr: &str, routes: Vec<(&'static str, Handler)>, limits: Limits) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(Counters::default());
+        let active = Arc::new(AtomicUsize::new(0));
+        let shedding = Arc::new(AtomicUsize::new(0));
         let routes = Arc::new(routes);
-        let accept_stop = Arc::clone(&stop);
-        let accept_counters = Arc::clone(&counters);
-        let accept_config = config.clone();
+        let (accept_stop, accept_active, accept_shedding) = (
+            Arc::clone(&stop),
+            Arc::clone(&active),
+            Arc::clone(&shedding),
+        );
         let handle = std::thread::Builder::new()
             .name("tincy-status".to_string())
             .spawn(move || {
@@ -337,47 +307,33 @@ impl StatusServer {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    if accept_counters.active.load(Ordering::Acquire)
-                        >= accept_config.max_connections
-                    {
-                        // Shed at the accept gate: a best-effort 503 so the
-                        // peer backs off instead of queueing. Runs on its
-                        // own short-lived thread — it must drain the peer's
-                        // request bytes (or the close would RST the 503
-                        // away) and that wait cannot block the accept loop.
-                        accept_counters.shed.fetch_add(1, Ordering::Relaxed);
-                        let config = accept_config.clone();
-                        let _ = std::thread::Builder::new()
-                            .name("tincy-status-shed".to_string())
-                            .spawn(move || {
-                                let _ = shed(stream, &config);
+                    if accept_active.load(Ordering::Acquire) >= limits.max_connections {
+                        // Over the cap: a best-effort 503 so the peer backs
+                        // off instead of queueing. It runs on its own thread
+                        // — it must drain the peer's request bytes (or the
+                        // close would RST the 503 away) and that wait cannot
+                        // block the accept loop. Past the shed ceiling the
+                        // connection is dropped unanswered.
+                        if accept_shedding.load(Ordering::Acquire) < limits.max_shedding {
+                            spawn_counted(&accept_shedding, "tincy-status-shed", move || {
+                                let _ = shed(stream, &limits);
                             });
+                        }
                         continue;
                     }
-                    accept_counters.active.fetch_add(1, Ordering::AcqRel);
-                    accept_counters.accepted.fetch_add(1, Ordering::Relaxed);
                     let routes = Arc::clone(&routes);
                     let stop = Arc::clone(&accept_stop);
-                    let counters = Arc::clone(&accept_counters);
-                    let config = accept_config.clone();
-                    // Handler threads are detached; `active` tracks them
-                    // for the shutdown drain.
-                    let spawned = std::thread::Builder::new()
-                        .name("tincy-status-conn".to_string())
-                        .spawn(move || {
-                            let _ = serve_connection(stream, &routes, &config, &stop, &counters);
-                            counters.active.fetch_sub(1, Ordering::AcqRel);
-                        });
-                    if spawned.is_err() {
-                        accept_counters.active.fetch_sub(1, Ordering::AcqRel);
-                    }
+                    spawn_counted(&accept_active, "tincy-status-conn", move || {
+                        let _ = serve_connection(stream, &routes, &limits, &stop);
+                    });
                 }
             })?;
         Ok(Self {
             addr,
             stop,
-            counters,
-            config,
+            active,
+            shedding,
+            limits,
             handle: Some(handle),
         })
     }
@@ -387,30 +343,20 @@ impl StatusServer {
         self.addr
     }
 
-    /// Current serving statistics.
-    pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            active: self.counters.active.load(Ordering::Acquire),
-            accepted: self.counters.accepted.load(Ordering::Relaxed),
-            shed: self.counters.shed.load(Ordering::Relaxed),
-            requests: self.counters.requests.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Stops accepting, lets in-flight connections finish their current
-    /// response (keep-alive connections are told `Connection: close`),
-    /// and waits up to the drain deadline for them to wind down.
-    /// Idempotent; also runs on drop.
+    /// Stops accepting, lets in-flight connections finish their
+    /// response, and waits up to the drain deadline for them and the
+    /// shed handlers to wind down. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         let Some(handle) = self.handle.take() else {
             return;
         };
         self.stop.store(true, Ordering::Release);
         // Unblock the accept call with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, self.config.io_timeout);
+        let _ = TcpStream::connect_timeout(&self.addr, self.limits.io_timeout);
         let _ = handle.join();
-        let deadline = Instant::now() + self.config.drain_deadline;
-        while self.counters.active.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
+        let deadline = Instant::now() + self.limits.drain_deadline;
+        let live = || self.active.load(Ordering::Acquire) + self.shedding.load(Ordering::Acquire);
+        while live() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
     }
@@ -422,236 +368,100 @@ impl Drop for StatusServer {
     }
 }
 
-/// Best-effort 503 on an over-cap connection: respond, then drain the
-/// peer's request bytes until it closes (bounded by the read timeout) so
-/// the close does not reset the response away.
-fn shed(mut stream: TcpStream, config: &ServerConfig) -> io::Result<()> {
-    stream.set_write_timeout(Some(config.io_timeout))?;
-    stream.set_read_timeout(Some(config.io_timeout))?;
-    stream.write_all(&Response::unavailable(config.retry_after_secs).to_bytes(true))?;
-    stream.flush()?;
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let mut sink = [0u8; 1024];
-    for _ in 0..64 {
-        match stream.read(&mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
+/// Runs `work` on a detached thread that `live` counts while it runs.
+fn spawn_counted(live: &Arc<AtomicUsize>, name: &str, work: impl FnOnce() + Send + 'static) {
+    live.fetch_add(1, Ordering::AcqRel);
+    let done = Arc::clone(live);
+    let spawned = std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(move || {
+            work();
+            done.fetch_sub(1, Ordering::AcqRel);
+        });
+    if spawned.is_err() {
+        live.fetch_sub(1, Ordering::AcqRel);
     }
-    Ok(())
 }
 
+/// Best-effort 503 on an over-cap connection.
+fn shed(mut stream: TcpStream, limits: &Limits) -> io::Result<()> {
+    stream.set_read_timeout(Some(limits.io_timeout))?;
+    stream.set_write_timeout(Some(limits.io_timeout))?;
+    respond(
+        &mut stream,
+        &Response::unavailable(RETRY_AFTER_SECS),
+        limits.io_timeout,
+    )
+}
+
+/// Reads one request head, bounding both its size and the time the peer
+/// may take to deliver it, and answers it.
 fn serve_connection(
     mut stream: TcpStream,
     routes: &[(&'static str, Handler)],
-    config: &ServerConfig,
+    limits: &Limits,
     stop: &AtomicBool,
-    counters: &Counters,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(config.io_timeout))?;
-    stream.set_write_timeout(Some(config.io_timeout))?;
-    let mut parser = RequestParser::new(config.max_header_bytes);
-    let mut served = 0usize;
+    stream.set_read_timeout(Some(limits.io_timeout))?;
+    stream.set_write_timeout(Some(limits.io_timeout))?;
+    let mut parser = RequestParser::new(limits.max_header_bytes);
     let mut buf = [0u8; 1024];
-    loop {
-        // Read one request head, bounding both its size and the time the
-        // peer may take to deliver it.
-        let head_start = Instant::now();
-        let request = loop {
-            match parser.next_request() {
-                Parse::Complete(request) => break request,
-                Parse::Overflow => {
-                    return respond(
-                        &mut stream,
-                        counters,
-                        &Response::plain(431, "head too large\n"),
-                    );
-                }
-                Parse::Malformed => {
-                    return respond(
-                        &mut stream,
-                        counters,
-                        &Response::plain(400, "bad request\n"),
-                    );
-                }
-                Parse::Incomplete => {}
+    let head_start = Instant::now();
+    let response = loop {
+        match parser.next_request() {
+            Parse::Complete(request) if request.method != "GET" => {
+                break Response::plain(405, "method not allowed\n");
             }
-            if stop.load(Ordering::Acquire) && parser.buffered() == 0 {
-                // Draining and idle: close instead of waiting for another
-                // request that will never be served.
-                return Ok(());
+            Parse::Complete(request) => {
+                break routes
+                    .iter()
+                    .find(|(route, _)| *route == request.path())
+                    .map_or_else(Response::not_found, |(_, handler)| handler());
             }
-            if head_start.elapsed() >= config.header_deadline {
-                if parser.buffered() == 0 {
-                    return Ok(()); // idle keep-alive connection reaped
-                }
-                return respond(
-                    &mut stream,
-                    counters,
-                    &Response::plain(408, "head timeout\n"),
-                );
-            }
-            match stream.read(&mut buf) {
-                Ok(0) => return Ok(()), // peer closed
-                Ok(n) => parser.feed(&buf[..n]),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    // Socket timeout: loop back so the header deadline and
-                    // stop flag are re-checked.
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        served += 1;
-        let response = if request.method != "GET" {
-            Response::plain(405, "method not allowed\n")
-        } else {
-            routes
-                .iter()
-                .find(|(route, _)| *route == request.path())
-                .map_or_else(Response::not_found, |(_, handler)| handler())
-        };
-        let close =
-            request.close || served >= config.max_requests_per_conn || stop.load(Ordering::Acquire);
-        counters.requests.fetch_add(1, Ordering::Relaxed);
-        stream.write_all(&response.to_bytes(close))?;
-        stream.flush()?;
-        if close {
+            Parse::Overflow => break Response::plain(431, "head too large\n"),
+            Parse::Malformed => break Response::plain(400, "bad request\n"),
+            Parse::Incomplete => {}
+        }
+        if stop.load(Ordering::Acquire) && parser.buffered() == 0 {
+            // Draining and nothing asked yet: close instead of waiting
+            // for a request that will never be served.
             return Ok(());
         }
-    }
+        if head_start.elapsed() >= limits.header_deadline {
+            break Response::plain(408, "head timeout\n");
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => return Ok(()), // peer closed
+            Ok(n) => parser.feed(&buf[..n]),
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                // Socket timeout: loop back so the header deadline and
+                // stop flag are re-checked.
+            }
+            Err(e) => return Err(e),
+        }
+    };
+    respond(&mut stream, &response, limits.io_timeout)
 }
 
-/// Writes a terminal (always-close) response. The peer's remaining
-/// request bytes are drained (briefly, bounded by the socket timeout)
-/// before the close, so the response is not wiped out by a TCP reset
-/// for unread data.
-fn respond(stream: &mut TcpStream, counters: &Counters, response: &Response) -> io::Result<()> {
-    counters.requests.fetch_add(1, Ordering::Relaxed);
-    stream.write_all(&response.to_bytes(true))?;
+/// Writes the one response of a connection, then drains the peer's
+/// remaining bytes until it closes (for less than twice `io_timeout`) so
+/// the close does not reset the response away with a TCP RST for unread
+/// data.
+fn respond(stream: &mut TcpStream, response: &Response, io_timeout: Duration) -> io::Result<()> {
+    stream.write_all(&response.to_bytes())?;
     stream.flush()?;
     let _ = stream.shutdown(std::net::Shutdown::Write);
+    let deadline = Instant::now() + io_timeout;
     let mut sink = [0u8; 1024];
-    for _ in 0..64 {
+    while Instant::now() < deadline {
         match stream.read(&mut sink) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
     }
     Ok(())
-}
-
-/// A parsed HTTP response, as returned by the scrape clients.
-#[derive(Debug, Clone)]
-pub struct HttpResponse {
-    /// Status code.
-    pub status: u16,
-    /// Header pairs in wire order.
-    pub headers: Vec<(String, String)>,
-    /// Response body.
-    pub body: String,
-}
-
-impl HttpResponse {
-    /// The value of header `name` (case-insensitive), if present.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// A keep-alive scrape client: one TCP connection, many GETs. Each GET
-/// reads exactly `Content-Length` body bytes, so the connection stays
-/// usable for the next request.
-pub struct HttpClient {
-    stream: TcpStream,
-    addr: SocketAddr,
-    buf: Vec<u8>,
-}
-
-impl HttpClient {
-    /// Connects to `addr` with `timeout` applied to the connect and every
-    /// subsequent read/write.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures.
-    pub fn connect(addr: impl ToSocketAddrs, timeout: Duration) -> io::Result<Self> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address"))?;
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        Ok(Self {
-            stream,
-            addr,
-            buf: Vec::new(),
-        })
-    }
-
-    /// Issues one keep-alive GET and reads the complete response.
-    ///
-    /// # Errors
-    ///
-    /// `ConnectionAborted` when the peer closed before sending any part of
-    /// the response (e.g. reaped idle connection — reconnect and retry);
-    /// `InvalidData` when a response started but arrived truncated or
-    /// malformed.
-    pub fn get(&mut self, path: &str) -> io::Result<HttpResponse> {
-        write!(
-            self.stream,
-            "GET {path} HTTP/1.1\r\nHost: {}\r\nConnection: keep-alive\r\n\r\n",
-            self.addr
-        )?;
-        self.stream.flush()?;
-        let mut chunk = [0u8; 1024];
-        let head_end = loop {
-            if let Some(end) = find_terminator(&self.buf) {
-                break end;
-            }
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(if self.buf.is_empty() {
-                    io::Error::new(io::ErrorKind::ConnectionAborted, "closed before response")
-                } else {
-                    io::Error::new(io::ErrorKind::InvalidData, "truncated response head")
-                });
-            }
-            self.buf.extend_from_slice(&chunk[..n]);
-        };
-        let head = String::from_utf8_lossy(&self.buf[..head_end]).into_owned();
-        self.buf.drain(..head_end + 4);
-        let (status, headers) = parse_response_head(&head)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed response head"))?;
-        let length: usize = headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case("content-length"))
-            .and_then(|(_, v)| v.parse().ok())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing content length"))?;
-        while self.buf.len() < length {
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "truncated response body",
-                ));
-            }
-            self.buf.extend_from_slice(&chunk[..n]);
-        }
-        let body = String::from_utf8_lossy(&self.buf[..length]).into_owned();
-        self.buf.drain(..length);
-        Ok(HttpResponse {
-            status,
-            headers,
-            body,
-        })
-    }
 }
 
 #[allow(clippy::type_complexity)]
@@ -669,15 +479,24 @@ fn parse_response_head(head: &str) -> Option<(u16, Vec<(String, String)>)> {
     Some((status, headers))
 }
 
-/// A one-shot HTTP GET against `addr` (the golden tests' and the
-/// ledger's scrape client). Returns the status code and
+/// A one-shot HTTP GET against `addr` (the scrape client of the smoke
+/// checks, the golden tests and the ledger). Returns the status code and
 /// body.
 ///
 /// # Errors
 ///
-/// Propagates connection failures; malformed responses surface as
+/// Propagates connection failures; a peer that closes before sending a
+/// byte is `ConnectionAborted`; a malformed or truncated response is
 /// `InvalidData`.
 pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> io::Result<(u16, String)> {
+    let (status, _, body) = fetch(addr, path)?;
+    Ok((status, body))
+}
+
+/// [`http_get`] with the response headers, in wire order.
+#[allow(clippy::type_complexity)]
+fn fetch(addr: impl ToSocketAddrs, path: &str) -> io::Result<(u16, Vec<(String, String)>, String)> {
+    let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
     let addr = addr
         .to_socket_addrs()?
         .next()
@@ -686,18 +505,31 @@ pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> io::Result<(u16, String
     let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )?;
+    // One write: `write!` on the raw stream would send each piece of the
+    // format as its own segment.
+    let request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes())?;
     let mut raw = String::new();
     stream.read_to_string(&mut raw)?;
+    if raw.is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::ConnectionAborted,
+            "closed before any response byte",
+        ));
+    }
     let (head, body) = raw
         .split_once("\r\n\r\n")
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing response head"))?;
-    let (status, _) = parse_response_head(head)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing status code"))?;
-    Ok((status, body.to_string()))
+        .ok_or_else(|| invalid("truncated response head"))?;
+    let (status, headers) =
+        parse_response_head(head).ok_or_else(|| invalid("malformed response head"))?;
+    let length = headers
+        .iter()
+        .find(|(name, _)| name.eq_ignore_ascii_case("content-length"))
+        .map(|(_, value)| value.parse::<usize>());
+    if length.is_some_and(|length| length != Ok(body.len())) {
+        return Err(invalid("response body does not match its Content-Length"));
+    }
+    Ok((status, headers, body.to_string()))
 }
 
 #[cfg(test)]
@@ -722,12 +554,29 @@ mod tests {
         StatusServer::bind("127.0.0.1:0", test_routes()).expect("bind loopback")
     }
 
+    fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+        headers
+            .iter()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Polls `holds` every 2 ms for up to 5 s.
+    fn wait_until(what: &str, holds: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !holds() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
     #[test]
     fn routes_serve_and_unknown_paths_404() {
         let server = test_server();
-        let (status, body) = http_get(server.addr(), "/metrics").unwrap();
+        let (status, headers, body) = fetch(server.addr(), "/metrics").unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, "m_total 1\n");
+        assert_eq!(header(&headers, "connection"), Some("close"));
         let (status, body) = http_get(server.addr(), "/healthz").unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, "{\"ok\":true}");
@@ -739,72 +588,87 @@ mod tests {
     }
 
     #[test]
-    fn keep_alive_serves_many_requests_on_one_connection() {
-        let server = test_server();
-        let mut client = HttpClient::connect(server.addr(), Duration::from_secs(2)).unwrap();
-        for _ in 0..5 {
-            let response = client.get("/metrics").unwrap();
-            assert_eq!(response.status, 200);
-            assert_eq!(response.body, "m_total 1\n");
-            assert_eq!(response.header("connection"), Some("keep-alive"));
-        }
-        let stats = server.stats();
-        assert_eq!(stats.accepted, 1, "one connection carried all requests");
-        assert_eq!(stats.requests, 5);
-    }
-
-    #[test]
-    fn request_limit_closes_the_connection() {
-        let server = StatusServer::bind_with(
-            "127.0.0.1:0",
-            test_routes(),
-            ServerConfig {
-                max_requests_per_conn: 2,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let mut client = HttpClient::connect(server.addr(), Duration::from_secs(2)).unwrap();
-        assert_eq!(
-            client.get("/metrics").unwrap().header("connection"),
-            Some("keep-alive")
-        );
-        let second = client.get("/metrics").unwrap();
-        assert_eq!(second.header("connection"), Some("close"));
-        assert!(client.get("/metrics").is_err(), "connection was closed");
-    }
-
-    #[test]
     fn connection_cap_sheds_with_retry_after() {
-        let server = StatusServer::bind_with(
+        let server = StatusServer::start(
             "127.0.0.1:0",
             test_routes(),
-            ServerConfig {
+            Limits {
                 max_connections: 1,
-                io_timeout: Duration::from_millis(500),
-                ..ServerConfig::default()
+                ..LIMITS
             },
         )
         .unwrap();
-        // Occupy the only slot with a keep-alive connection.
-        let mut holder = HttpClient::connect(server.addr(), Duration::from_secs(2)).unwrap();
-        assert_eq!(holder.get("/metrics").unwrap().status, 200);
+        // Occupy the only slot with a connection that has not sent its
+        // request yet.
+        let _holder = TcpStream::connect(server.addr()).unwrap();
+        wait_until("the holder to be served", || {
+            server.active.load(Ordering::Acquire) == 1
+        });
         // The next connection is shed with 503 + Retry-After.
-        let mut shed = HttpClient::connect(server.addr(), Duration::from_secs(2)).unwrap();
-        let response = shed.get("/metrics").unwrap();
-        assert_eq!(response.status, 503);
-        assert!(response.header("retry-after").is_some());
-        assert!(server.stats().shed >= 1);
+        let (status, headers, _) = fetch(server.addr(), "/metrics").unwrap();
+        assert_eq!(status, 503);
+        assert_eq!(header(&headers, "retry-after"), Some("1"));
+        assert_eq!(header(&headers, "connection"), Some("close"));
+    }
+
+    #[test]
+    fn shed_handlers_stay_under_their_ceiling() {
+        let server = StatusServer::start(
+            "127.0.0.1:0",
+            test_routes(),
+            Limits {
+                max_connections: 1,
+                max_shedding: 2,
+                header_deadline: Duration::from_secs(10),
+                ..LIMITS
+            },
+        )
+        .unwrap();
+        let holder = TcpStream::connect(server.addr()).unwrap();
+        wait_until("the holder to be served", || {
+            server.active.load(Ordering::Acquire) == 1
+        });
+        // Six idle connections over the cap. A shed handler answers 503
+        // and then waits for its peer to close, so it stays live; the
+        // connections past the ceiling are closed unanswered.
+        let mut idle = Vec::new();
+        let (mut peak, mut answered) = (0, 0);
+        for _ in 0..6 {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut out = String::new();
+            // A reset is a close unanswered, too.
+            let _ = stream.read_to_string(&mut out);
+            if out.starts_with("HTTP/1.1 503") {
+                answered += 1;
+            } else {
+                assert!(out.is_empty(), "got: {out}");
+            }
+            peak = peak.max(server.shedding.load(Ordering::Acquire));
+            idle.push(stream);
+        }
+        assert!(peak <= 2, "{peak} shed handlers live, ceiling 2");
+        assert!(answered >= 1, "no over-cap connection was answered 503");
+        // With the peers gone, the server answers again.
+        drop(idle);
+        drop(holder);
+        wait_until("the holder and shed handlers to end", || {
+            server.active.load(Ordering::Acquire) == 0
+                && server.shedding.load(Ordering::Acquire) == 0
+        });
+        assert_eq!(http_get(server.addr(), "/metrics").unwrap().0, 200);
     }
 
     #[test]
     fn oversized_heads_are_rejected_not_hung() {
-        let server = StatusServer::bind_with(
+        let server = StatusServer::start(
             "127.0.0.1:0",
             test_routes(),
-            ServerConfig {
+            Limits {
                 max_header_bytes: 256,
-                ..ServerConfig::default()
+                ..LIMITS
             },
         )
         .unwrap();
@@ -815,13 +679,13 @@ mod tests {
 
     #[test]
     fn slow_loris_is_cut_off_at_the_header_deadline() {
-        let server = StatusServer::bind_with(
+        let server = StatusServer::start(
             "127.0.0.1:0",
             test_routes(),
-            ServerConfig {
+            Limits {
                 header_deadline: Duration::from_millis(150),
                 io_timeout: Duration::from_millis(50),
-                ..ServerConfig::default()
+                ..LIMITS
             },
         )
         .unwrap();
@@ -849,12 +713,12 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_requests_are_each_answered() {
+    fn pipelined_requests_get_one_answer_then_close() {
         let server = test_server();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream
             .write_all(
-                b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\nGET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+                b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\nGET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
             )
             .unwrap();
         stream
@@ -862,9 +726,10 @@ mod tests {
             .unwrap();
         let mut out = String::new();
         stream.read_to_string(&mut out).unwrap();
-        assert_eq!(out.matches("HTTP/1.1 200").count(), 2, "got: {out}");
-        assert!(out.contains("m_total 1"));
-        assert!(out.contains("\"ok\":true"));
+        assert_eq!(out.matches("HTTP/1.1 ").count(), 1, "got: {out}");
+        assert!(out.starts_with("HTTP/1.1 200"), "got: {out}");
+        assert!(out.contains("Connection: close\r\n"), "got: {out}");
+        assert!(out.ends_with("m_total 1\n"), "got: {out}");
     }
 
     #[test]
@@ -873,11 +738,157 @@ mod tests {
         let addr = server.addr();
         server.shutdown();
         server.shutdown();
-        assert_eq!(server.stats().active, 0, "drained at shutdown");
+        assert_eq!(server.active.load(Ordering::Acquire), 0, "drained");
         assert!(
             TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err()
                 || http_get(addr, "/metrics").is_err(),
             "the endpoint no longer serves after shutdown"
+        );
+    }
+
+    /// Per-client outcome counters of the soak, summed by the main thread.
+    #[derive(Debug, Default)]
+    struct Tally {
+        ok: u64,
+        shed: u64,
+        shed_without_retry_after: u64,
+        truncated: u64,
+        body_mismatch: u64,
+        unexpected_status: u64,
+    }
+
+    impl std::ops::AddAssign for Tally {
+        fn add_assign(&mut self, other: Self) {
+            self.ok += other.ok;
+            self.shed += other.shed;
+            self.shed_without_retry_after += other.shed_without_retry_after;
+            self.truncated += other.truncated;
+            self.body_mismatch += other.body_mismatch;
+            self.unexpected_status += other.unexpected_status;
+        }
+    }
+
+    /// Soak: 16 clients released together, three one-request connections
+    /// each, against a server capped at 4 whose route holds its first
+    /// requests until the other 12 first-wave connections are shed with
+    /// `503` + `Retry-After` (or, past the shed ceiling, closed); the
+    /// server shuts down once the first wave is done, with the later
+    /// ones in flight. Every response a client reads must be complete and
+    /// byte-identical to the route body (no half-written response across
+    /// shedding or the shutdown drain), and the drain must end inside its
+    /// deadline.
+    #[test]
+    fn soak_one_request_clients_survive_shedding_and_mid_run_shutdown() {
+        const CLIENTS: usize = 16;
+        const ROUNDS: usize = 3;
+        let cap = CLIENTS / 4;
+        let limits = Limits {
+            max_connections: cap,
+            header_deadline: Duration::from_secs(1),
+            io_timeout: Duration::from_secs(1),
+            drain_deadline: Duration::from_secs(3),
+            ..LIMITS
+        };
+        let body: String = "tincy_soak_metric 1\n".repeat(200);
+        let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+        let (route_body, route_gate) = (body.clone(), Arc::clone(&gate));
+        let route: Handler = Box::new(move || {
+            let (open, opened) = &*route_gate;
+            let mut open = open.lock().expect("gate lock poisoned");
+            while !*open {
+                open = opened.wait(open).expect("gate lock poisoned");
+            }
+            Response::ok("text/plain; charset=utf-8", route_body.clone())
+        });
+        let mut server = StatusServer::start("127.0.0.1:0", vec![("/metrics", route)], limits)
+            .expect("bind soak server");
+        let addr = server.addr();
+
+        let start = Arc::new(std::sync::Barrier::new(CLIENTS));
+        let first_wave = Arc::new(AtomicUsize::new(0));
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let (start, first_wave, expected) =
+                    (Arc::clone(&start), Arc::clone(&first_wave), body.clone());
+                std::thread::spawn(move || {
+                    let mut tally = Tally::default();
+                    start.wait();
+                    for round in 0..ROUNDS {
+                        match fetch(addr, "/metrics") {
+                            Ok((200, _, body)) => {
+                                tally.ok += 1;
+                                tally.body_mismatch += u64::from(body != expected);
+                            }
+                            Ok((503, headers, _)) => {
+                                tally.shed += 1;
+                                tally.shed_without_retry_after +=
+                                    u64::from(header(&headers, "retry-after").is_none());
+                            }
+                            Ok(_) => tally.unexpected_status += 1,
+                            // A half-written response: the failure this
+                            // soak exists to catch.
+                            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                                tally.truncated += 1;
+                            }
+                            // Refused after shutdown, closed unanswered
+                            // past the shed ceiling, reset: no response.
+                            Err(_) => {}
+                        }
+                        if round == 0 {
+                            first_wave.fetch_add(1, Ordering::AcqRel);
+                        }
+                        // Spaced so the shutdown lands between rounds.
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    tally
+                })
+            })
+            .collect();
+
+        // The cap's worth of first-wave requests wait in the route; every
+        // other first-wave connection is shed.
+        wait_until("the shed part of the first wave", || {
+            first_wave.load(Ordering::Acquire) == CLIENTS - cap
+        });
+        let mid_run_active = server.active.load(Ordering::Acquire);
+        *gate.0.lock().expect("gate lock poisoned") = true;
+        gate.1.notify_all();
+        wait_until("the first wave", || {
+            first_wave.load(Ordering::Acquire) == CLIENTS
+        });
+        let drain_start = Instant::now();
+        server.shutdown();
+        let drain = drain_start.elapsed();
+        let mut total = Tally::default();
+        for client in clients {
+            total += client.join().expect("soak client must not panic");
+        }
+
+        assert!(total.ok > 0, "no client ever got a response: {total:?}");
+        assert_eq!(total.truncated, 0, "half-written responses: {total:?}");
+        assert_eq!(total.body_mismatch, 0, "corrupted responses: {total:?}");
+        assert_eq!(
+            total.shed_without_retry_after, 0,
+            "shed 503s must advertise Retry-After: {total:?}"
+        );
+        assert_eq!(total.unexpected_status, 0, "unexpected statuses: {total:?}");
+        assert!(
+            total.shed > 0,
+            "cap {cap} under {CLIENTS} clients must shed: {total:?}"
+        );
+        assert!(
+            mid_run_active <= cap,
+            "active connections {mid_run_active} exceeded the cap {cap}"
+        );
+        assert!(
+            drain <= limits.drain_deadline + Duration::from_secs(2),
+            "shutdown drain took {drain:?}, deadline {:?}",
+            limits.drain_deadline
+        );
+        assert_eq!(
+            server.active.load(Ordering::Acquire),
+            0,
+            "connections leaked past the drain"
         );
     }
 

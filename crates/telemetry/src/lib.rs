@@ -11,11 +11,12 @@
 //! - exposition as Prometheus text ([`prometheus_text`]), with a
 //!   matching parser ([`parse_prometheus`]) and a structural histogram
 //!   validator ([`check_histogram_series`]) for smoke checks;
-//! - a hardened keep-alive HTTP [`StatusServer`] (connection cap with
-//!   503 shedding, header/read deadlines, drain-on-shutdown — see
-//!   [`ServerConfig`]) that serves that exposition on `tincy serve
-//!   --status-addr` (GET `/metrics`, `/healthz`, `/report`), plus the
-//!   [`HttpClient`] keep-alive scrape client;
+//! - a hardened HTTP [`StatusServer`] that answers one request per
+//!   connection (connection cap with 503 shedding by a bounded number of
+//!   threads, header/read deadlines, drain-on-shutdown) and serves that
+//!   exposition on `tincy serve --status-addr` (GET `/metrics`,
+//!   `/healthz`, `/report`), plus the one-shot [`http_get`] scrape
+//!   client;
 //! - the [`slo`] burn-rate engine: per-class error budgets
 //!   ([`SloPolicy`]) evaluated over fast/slow window pairs on injected
 //!   time ([`SloTracker`]), feeding `/healthz` and the fleet monitor.
@@ -28,10 +29,7 @@ mod metrics;
 pub mod slo;
 
 pub use expose::{check_histogram_series, parse_prometheus, prometheus_text, PromSample};
-pub use http::{
-    http_get, Handler, HttpClient, HttpResponse, Parse, Request, RequestParser, Response,
-    ServerConfig, ServerStats, StatusServer,
-};
+pub use http::{http_get, Handler, Parse, Request, RequestParser, Response, StatusServer};
 pub use metrics::{
     Collect, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Sample, Value, BUCKETS,
 };

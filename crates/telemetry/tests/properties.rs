@@ -3,7 +3,8 @@
 //! exposition round trip. The parser properties feed the same wire
 //! bytes under arbitrary chunk splits (however a socket might fragment
 //! them) and demand identical outcomes; the exposition properties
-//! demand that render → parse → render is a fixed point.
+//! demand that render → parse → render is a fixed point, and that the
+//! scrape parsers reject, never panic on, arbitrary text.
 
 use proptest::prelude::*;
 use std::time::Duration;
@@ -316,5 +317,95 @@ proptest! {
             .find(|s| s.name == "tincy_prop_hist_seconds_count")
             .map(|s| s.value);
         prop_assert_eq!(count, Some(observations.len() as f64));
+    }
+}
+
+/// Pieces of Prometheus sample lines for the scrape-parser property:
+/// names, suffixes, `le` bounds (odd ones included), labels and values
+/// that parse, plus the junk that breaks a line.
+const NAMES: &[&str] = &[
+    "tincy_x",
+    "tincy_x",
+    "tincy_x",
+    "tincy_y_total",
+    "tincy_é",
+    "9bad",
+    "",
+];
+const SUFFIXES: &[&str] = &[
+    "_bucket", "_bucket", "_bucket", "_bucket", "", "_sum", "_count",
+];
+const BOUNDS: &[&str] = &["0.5", "1", "2", "+Inf", "+Inf", "-Inf", "NaN", "1e400", "x"];
+const CLASSES: &[&str] = &["", "", "class=\"a\"", "class=\"b\\\"c\""];
+const VALUES: &[&str] = &[
+    "0", "1", "2", "3", "0.5", "-3e9", "1e400", "+Inf", "-Inf", "NaN",
+];
+const JUNK: &[&str] = &[
+    " # {x=\"1\"} 2",
+    " 17",
+    "\"",
+    "\\",
+    "{",
+    "}",
+    "=",
+    "\t",
+    "#",
+    " x",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary scrape text never panics the parser or the histogram
+    /// validator: each returns `Ok` or `Err`. The text is sample lines
+    /// built from the pieces above (so histogram series with missing,
+    /// unordered, duplicate or non-numeric bounds reach the validator),
+    /// those lines cut at an arbitrary byte and swapped, or raw bytes
+    /// read lossily. The vendored proptest does not shrink, so a failure
+    /// prints the whole input.
+    #[test]
+    fn scrape_parsers_never_panic_on_outside_text(
+        lines in proptest::collection::vec(
+            (0usize..NAMES.len(), 0usize..SUFFIXES.len(), 0usize..BOUNDS.len() + 1,
+             0usize..CLASSES.len(), 0usize..VALUES.len(), 0usize..4 * JUNK.len()),
+            0..10,
+        ),
+        bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..256),
+        mode in 0usize..4,
+    ) {
+        let lines: Vec<String> = lines
+            .iter()
+            .map(|&(name, suffix, bound, class, value, junk)| {
+                let bound = BOUNDS.get(bound).map(|b| format!("le=\"{b}\""));
+                let labels: Vec<String> = bound
+                    .into_iter()
+                    .chain(Some(CLASSES[class].to_string()).filter(|c| !c.is_empty()))
+                    .collect();
+                let labels = if labels.is_empty() {
+                    String::new()
+                } else {
+                    format!("{{{}}}", labels.join(","))
+                };
+                // One line in four carries junk.
+                let junk = JUNK.get(junk).copied().unwrap_or("");
+                format!("{}{}{labels} {}{junk}\n", NAMES[name], SUFFIXES[suffix], VALUES[value])
+            })
+            .collect();
+        let text = match mode {
+            0 | 1 => lines.concat(),
+            2 => {
+                let whole = lines.concat().into_bytes();
+                let cut = bytes.first().map_or(0, |&b| b as usize % (whole.len() + 1));
+                let (head, tail) = whole.split_at(cut);
+                String::from_utf8_lossy(&[tail, head].concat()).into_owned()
+            }
+            _ => String::from_utf8_lossy(&bytes).into_owned(),
+        };
+        let outcome = std::panic::catch_unwind(|| {
+            if let Ok(samples) = parse_prometheus(&text) {
+                let _ = check_histogram_series(&samples);
+            }
+        });
+        prop_assert!(outcome.is_ok(), "a scrape parser panicked on {text:?}");
     }
 }

@@ -118,6 +118,8 @@ fn args_json(trace: &Trace, attrs: &Attrs) -> String {
     args.finish()
 }
 
+/// A trace or span id as exported: zero-padded lowercase hex (64-bit ids do not
+/// survive a JSON f64 round trip as numbers, so they travel as strings).
 fn hex(id: u64) -> String {
     format!("{id:016x}")
 }
@@ -434,6 +436,11 @@ mod tests {
     }
 
     #[test]
+    fn hex_ids_are_fixed_width_lowercase() {
+        assert_eq!(hex(0xab), "00000000000000ab");
+    }
+
+    #[test]
     fn export_emits_complete_and_instant_events() {
         let _guard = exclusive();
         let trace = sample_trace();
@@ -670,7 +677,7 @@ mod tests {
         let trace = finish();
         let json = to_chrome_json(&trace);
         assert!(
-            json.contains(&format!("\"id\":\"{}\"", ctx.trace_hex())),
+            json.contains(&format!("\"id\":\"{}\"", hex(ctx.trace_id))),
             "flow join id is the hex trace id: {json}"
         );
         assert!(json.contains("\"ph\":\"s\""), "{json}");

@@ -43,14 +43,6 @@ impl TraceContext {
             parent_span_id: splitmix64(trace_id),
         }
     }
-
-    /// Renders the trace id the way exported traces do:
-    /// zero-padded lowercase hex (64-bit ids do not survive a JSON f64
-    /// round trip as numbers, so they travel as strings).
-    #[must_use]
-    pub fn trace_hex(&self) -> String {
-        format!("{:016x}", self.trace_id)
-    }
 }
 
 #[cfg(test)]
@@ -75,14 +67,5 @@ mod tests {
                 assert!(seen.insert(TraceContext::mint(key, seq).trace_id));
             }
         }
-    }
-
-    #[test]
-    fn trace_hex_is_fixed_width_lowercase() {
-        let ctx = TraceContext {
-            trace_id: 0xab,
-            parent_span_id: 0,
-        };
-        assert_eq!(ctx.trace_hex(), "00000000000000ab");
     }
 }

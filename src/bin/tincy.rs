@@ -18,6 +18,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::time::{Duration, Instant};
 use tincy::core::demo::{run_demo, DemoConfig};
 use tincy::core::topology::{cnv6, mlp4, tincy_yolo, tiny_yolo};
 use tincy::core::SystemConfig;
@@ -553,7 +554,17 @@ fn cmd_serve(args: &Args) -> CliResult {
     // From `run_load`'s observation point: every response is collected,
     // nothing has shut down.
     let mut scraped = Ok(Vec::new());
+    let shards = config.shards;
     let report = run_load(config, &load, |fleet| {
+        if smoke && faulted {
+            // `check_smoke` wants the faulted shard drained *and*
+            // re-admitted; the health monitor may still be probing it
+            // when the last response arrives. Give it up to 2 s.
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while !(0..shards).all(|shard| fleet.shard_up(shard)) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
         if let (true, Some(addr)) = (scrape, fleet.status_addr()) {
             scraped = smoke_scrape(addr, 3);
         }
@@ -565,7 +576,7 @@ fn cmd_serve(args: &Args) -> CliResult {
     let samples = scraped?;
     if scrape {
         println!(
-            "scrape: {} samples, counters monotonic across 3 keep-alive passes",
+            "scrape: {} samples, counters monotonic across 3 passes, one request per connection",
             samples.len()
         );
     }

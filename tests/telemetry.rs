@@ -45,8 +45,9 @@ fn fault_seeded_serve_trace_round_trips_and_scrape_matches_report() {
     };
 
     // The observer runs after every client collected its responses and
-    // before shutdown, so the counters it scrapes (two keep-alive passes,
-    // monotonic in between) are final and must match the report.
+    // before shutdown, so the counters it scrapes (two passes, one request
+    // per connection, monotonic in between) are final and must match the
+    // report.
     let mut scraped = None;
     let report = run_load(FleetConfig::single(config), &load, |server| {
         let addr = server.status_addr().expect("status endpoint bound");
