@@ -292,7 +292,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        let mut net = build_offloaded_network(&config).unwrap();
+        let net = build_offloaded_network(&config).unwrap();
         assert_eq!(net.num_layers(), 4); // conv, offload, conv, region
         let input = tincy_tensor::Tensor::from_fn(Shape3::new(3, 32, 32), |c, y, x| {
             ((c + y + x) % 9) as f32 / 9.0

@@ -95,7 +95,7 @@ pub fn run_demo(config: &DemoConfig) -> Result<DemoReport, NnError> {
     // health counter doubles as the pipeline's degradation probe.
     let mut layers = net.into_layers();
     let health = arm_offload_resilience(&mut layers, &config.system);
-    for (i, mut layer) in layers.into_iter().enumerate() {
+    for (i, layer) in layers.into_iter().enumerate() {
         let name = format!("L[{i}] {}", layer.kind());
         stages.push(FnStage::boxed(name, move |mut frame: DemoFrame| {
             frame.fmap = layer

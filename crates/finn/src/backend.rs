@@ -7,7 +7,7 @@
 //! folds batch normalization and activation quantization into integer
 //! threshold sets, and hands the result to the [`QnnAccelerator`].
 
-use crate::accel::{AccelReport, QnnAccelerator, QnnLayerParams};
+use crate::accel::{QnnAccelerator, QnnLayerParams};
 use crate::engine::EngineConfig;
 use crate::fault::{FaultInjector, FaultPlan, FaultStats};
 use tincy_nn::{
@@ -44,7 +44,6 @@ pub struct FabricBackend {
     input_shape: Option<Shape3>,
     params: Vec<FloatParams>,
     accel: Option<QnnAccelerator>,
-    last_report: Option<AccelReport>,
     /// Fault-injection harness; cloned onto every (re)built accelerator so
     /// its counters and invocation stream survive weight reloads.
     injector: Option<FaultInjector>,
@@ -77,7 +76,6 @@ impl FabricBackend {
             input_shape: None,
             params: Vec::new(),
             accel: None,
-            last_report: None,
             injector: None,
         }
     }
@@ -95,11 +93,6 @@ impl FabricBackend {
     /// Fault counters, if injection is armed.
     pub fn fault_stats(&self) -> Option<FaultStats> {
         self.injector.as_ref().map(FaultInjector::stats)
-    }
-
-    /// The timing report of the most recent forward pass.
-    pub fn last_report(&self) -> Option<&AccelReport> {
-        self.last_report.as_ref()
     }
 
     /// The built accelerator (after `load_weights`).
@@ -315,19 +308,17 @@ impl OffloadBackend for FabricBackend {
         Ok(())
     }
 
-    fn forward(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
+    fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
         let step = self.act_step;
-        let (levels, report) = self.loaded()?.run(&to_levels(input, step))?;
-        self.last_report = Some(report);
+        let (levels, _) = self.loaded()?.run(&to_levels(input, step))?;
         Ok(from_levels(&levels, step))
     }
 
     /// CPU fallback: the golden software reference, which the hardware path
     /// matches **bit exactly** — so frames completed in degraded mode are
     /// byte-identical to fault-free frames.
-    fn forward_reference(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
+    fn forward_reference(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
         let step = self.act_step;
-        // No hardware report for a host-side pass; the last one stays.
         let levels = self.loaded()?.reference_run(&to_levels(input, step))?;
         Ok(from_levels(&levels, step))
     }
@@ -335,12 +326,11 @@ impl OffloadBackend for FabricBackend {
     /// Batched offload: one accelerator invocation for the whole
     /// micro-batch, streaming each layer's weights in once — the
     /// amortization the serving layer's batch former exists to exploit.
-    fn forward_batch(&mut self, inputs: &[Tensor<f32>]) -> Result<Vec<Tensor<f32>>, NnError> {
+    fn forward_batch(&self, inputs: &[Tensor<f32>]) -> Result<Vec<Tensor<f32>>, NnError> {
         let step = self.act_step;
         let accel = self.loaded()?;
         let quantized: Vec<_> = inputs.iter().map(|i| to_levels(i, step)).collect();
-        let (levels, report) = accel.run_batch(&quantized)?;
-        self.last_report = Some(report);
+        let (levels, _) = accel.run_batch(&quantized)?;
         Ok(levels.iter().map(|t| from_levels(t, step)).collect())
     }
 
@@ -488,7 +478,7 @@ mod tests {
 
     #[test]
     fn forward_produces_quantized_levels_and_report() {
-        let mut backend = loaded_backend();
+        let backend = loaded_backend();
         let input = Tensor::from_fn(Shape3::new(4, 8, 8), |c, y, x| {
             ((c + y + x) % 8) as f32 * 0.125
         });
@@ -500,14 +490,15 @@ mod tests {
             assert!((level - level.round()).abs() < 1e-5);
             assert!((0.0..=7.0).contains(&level));
         }
-        let report = backend.last_report().expect("report recorded");
+        let accel = backend.accelerator().expect("accelerator built");
+        let (_, report) = accel.run(&to_levels(&input, 0.125)).unwrap();
         assert_eq!(report.layer_cycles.len(), 2);
         assert!(backend.ops_per_frame() > 0);
     }
 
     #[test]
     fn reference_forward_matches_hardware_forward() {
-        let mut backend = loaded_backend();
+        let backend = loaded_backend();
         let input = Tensor::from_fn(Shape3::new(4, 8, 8), |c, y, x| {
             ((c + 2 * y + x) % 8) as f32 * 0.125
         });
@@ -549,7 +540,7 @@ mod tests {
 
     #[test]
     fn batched_forward_matches_singles_and_reports_batch() {
-        let mut backend = loaded_backend();
+        let backend = loaded_backend();
         let inputs: Vec<Tensor<f32>> = (0..3)
             .map(|k| {
                 Tensor::from_fn(Shape3::new(4, 8, 8), move |c, y, x| {
@@ -561,7 +552,9 @@ mod tests {
             inputs.iter().map(|i| backend.forward(i).unwrap()).collect();
         let batched = backend.forward_batch(&inputs).unwrap();
         assert_eq!(batched, singles, "micro-batching never changes results");
-        let report = backend.last_report().expect("batched report recorded");
+        let accel = backend.accelerator().expect("accelerator built");
+        let levels: Vec<_> = inputs.iter().map(|i| to_levels(i, 0.125)).collect();
+        let (_, report) = accel.run_batch(&levels).unwrap();
         assert_eq!(report.batch, 3);
     }
 
@@ -586,8 +579,7 @@ mod tests {
         let input = Tensor::from_fn(Shape3::new(4, 8, 8), |c, y, x| {
             ((c * 2 + y + x) % 8) as f32 * 0.125
         });
-        let mut a = backend;
-        let out_a = a.forward(&input).unwrap();
+        let out_a = backend.forward(&input).unwrap();
         let out_b = other.forward(&input).unwrap();
         assert_eq!(out_a, out_b);
     }

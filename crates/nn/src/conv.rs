@@ -30,32 +30,68 @@ use tincy_simd::kernel16x27::OUT_CHANNELS;
 use tincy_simd::{conv_im2col_gemm, FirstLayerKernel};
 use tincy_tensor::{ConvGeom, Mat, Shape3, Tensor};
 
-/// Which implementation a [`ConvLayer`] uses for its dot products.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which implementation a [`ConvLayer`] uses for its dot products, with
+/// the weights that implementation derives from the layer's parameters.
+/// It is built whenever the parameters are set, so a forward only reads.
+#[derive(Debug)]
 enum ConvCompute {
     /// Float weights, generic im2col + GEMM.
     Float,
     /// Binary-weight float path: weights are binarized to `±α` (per-layer
     /// mean-absolute scale) — the CPU reference for `W1` layers.
-    BinaryRef,
+    BinaryRef(Mat<f32>),
     /// 8-bit weights and activations in the custom 16×27 first-layer
     /// kernel with 32-bit accumulators.
-    FirstLayerI32,
-    /// 8-bit weights and activations in the low-precision GEMM.
-    GemmLowp,
+    FirstLayerI32(Box<FirstLayerKernel>),
+    /// 8-bit weights and activations in the low-precision GEMM: the
+    /// symmetric 8-bit weights and their scale.
+    GemmLowp(Mat<i8>, f32),
 }
 
 impl ConvCompute {
-    /// The compute path of a layer of this shape and precision.
-    fn select(in_shape: Shape3, spec: &ConvSpec) -> Self {
+    /// The compute path of a layer of this shape and precision, derived
+    /// from the layer's parameters.
+    fn new(
+        in_shape: Shape3,
+        spec: &ConvSpec,
+        weights: &Mat<f32>,
+        bias: &[f32],
+    ) -> Result<Self, NnError> {
         let first_layer_shape =
             in_shape.channels == 3 && spec.size == 3 && spec.filters == OUT_CHANNELS;
-        match spec.precision.weights {
-            WeightPrecision::W1 | WeightPrecision::W2 => ConvCompute::BinaryRef,
-            WeightPrecision::W8 if first_layer_shape => ConvCompute::FirstLayerI32,
-            WeightPrecision::W8 => ConvCompute::GemmLowp,
-            WeightPrecision::Float => ConvCompute::Float,
-        }
+        Ok(match spec.precision.weights {
+            WeightPrecision::W1 | WeightPrecision::W2 => Self::binary(weights),
+            WeightPrecision::W8 if first_layer_shape => {
+                Self::FirstLayerI32(Box::new(FirstLayerKernel::new(weights, bias)?))
+            }
+            WeightPrecision::W8 => Self::lowp(weights),
+            WeightPrecision::Float => Self::Float,
+        })
+    }
+
+    fn lowp(weights: &Mat<f32>) -> Self {
+        let max_abs = weights
+            .as_slice()
+            .iter()
+            .fold(0.0f32, |m, &w| m.max(w.abs()))
+            .max(f32::MIN_POSITIVE);
+        let scale = max_abs / 127.0;
+        let q = weights.map(|w| (w / scale).round().clamp(-127.0, 127.0) as i8);
+        Self::GemmLowp(q, scale)
+    }
+
+    fn binary(weights: &Mat<f32>) -> Self {
+        // Per-layer mean-absolute scale α (XNOR-Net style).
+        let n = weights.as_slice().len().max(1);
+        let alpha = weights.as_slice().iter().map(|w| w.abs()).sum::<f32>() / n as f32;
+        let signs = binarize(weights.as_slice());
+        let binarized = Mat::from_vec(
+            weights.rows(),
+            weights.cols(),
+            signs.iter().map(|&s| alpha * s as f32).collect(),
+        )
+        .expect("same dimensions as source weights");
+        Self::BinaryRef(binarized)
     }
 }
 
@@ -64,19 +100,11 @@ impl ConvCompute {
 pub struct ConvLayer {
     in_shape: Shape3,
     out_shape: Shape3,
-    geom: ConvGeom,
-    filters: usize,
-    activation: Activation,
+    spec: ConvSpec,
     weights: Mat<f32>,
     bias: Vec<f32>,
     batchnorm: Option<BatchNorm>,
     compute: ConvCompute,
-    /// Cached symmetric 8-bit weights for the low-precision GEMM.
-    lowp_cache: Option<(Mat<i8>, f32)>,
-    /// Cached binarized (±α) weights for the binary reference path.
-    binary_cache: Option<Mat<f32>>,
-    /// Cached specialized kernel for the first-layer shape.
-    kernel_cache: Option<FirstLayerKernel>,
 }
 
 impl ConvLayer {
@@ -85,7 +113,8 @@ impl ConvLayer {
     /// # Errors
     ///
     /// Returns [`NnError::InvalidSpec`] if the geometry does not fit the
-    /// input.
+    /// input, or the derived weights of the layer's compute path cannot
+    /// be built.
     pub fn new(in_shape: Shape3, spec: &ConvSpec, rng: &mut StdRng) -> Result<Self, NnError> {
         let geom = spec.geom();
         geom.validate(in_shape).map_err(|e| NnError::InvalidSpec {
@@ -103,27 +132,22 @@ impl ConvLayer {
         Ok(Self {
             in_shape,
             out_shape: geom.output_shape(in_shape, spec.filters),
-            geom,
-            filters: spec.filters,
-            activation: spec.activation,
+            spec: spec.clone(),
+            compute: ConvCompute::new(in_shape, spec, &weights, &bias)?,
             weights,
             bias,
             batchnorm,
-            compute: ConvCompute::select(in_shape, spec),
-            lowp_cache: None,
-            binary_cache: None,
-            kernel_cache: None,
         })
     }
 
     /// The convolution geometry.
     pub fn geom(&self) -> ConvGeom {
-        self.geom
+        self.spec.geom()
     }
 
     /// The activation function.
     pub fn activation(&self) -> Activation {
-        self.activation
+        self.spec.activation
     }
 
     /// Immutable weight matrix (`filters × K²·C`).
@@ -155,9 +179,9 @@ impl ConvLayer {
                 what: "parameter dimensions do not match layer".to_owned(),
             });
         }
+        self.compute = ConvCompute::new(self.in_shape, &self.spec, &weights, &bias)?;
         self.weights = weights;
         self.bias = bias;
-        self.invalidate_caches();
         Ok(())
     }
 
@@ -179,74 +203,25 @@ impl ConvLayer {
         }
     }
 
-    fn invalidate_caches(&mut self) {
-        self.lowp_cache = None;
-        self.binary_cache = None;
-        self.kernel_cache = None;
-    }
-
-    // The three derived-weight caches are filled on first use and handed out
-    // as borrows. Each helper takes the fields it needs rather than `self`,
-    // so `forward_w8a8` and `convolve_float` can hold the borrow next to
-    // `self.bias`.
-
-    fn lowp_weights<'a>(
-        cache: &'a mut Option<(Mat<i8>, f32)>,
-        weights: &Mat<f32>,
-    ) -> &'a (Mat<i8>, f32) {
-        cache.get_or_insert_with(|| {
-            let max_abs = weights
-                .as_slice()
-                .iter()
-                .fold(0.0f32, |m, &w| m.max(w.abs()))
-                .max(f32::MIN_POSITIVE);
-            let scale = max_abs / 127.0;
-            let q = weights.map(|w| (w / scale).round().clamp(-127.0, 127.0) as i8);
-            (q, scale)
-        })
-    }
-
-    fn binary_weights<'a>(cache: &'a mut Option<Mat<f32>>, weights: &Mat<f32>) -> &'a Mat<f32> {
-        cache.get_or_insert_with(|| {
-            // Per-layer mean-absolute scale α (XNOR-Net style).
-            let n = weights.as_slice().len().max(1);
-            let alpha = weights.as_slice().iter().map(|w| w.abs()).sum::<f32>() / n as f32;
-            let signs = binarize(weights.as_slice());
-            Mat::from_vec(
-                weights.rows(),
-                weights.cols(),
-                signs.iter().map(|&s| alpha * s as f32).collect(),
-            )
-            .expect("same dimensions as source weights")
-        })
-    }
-
-    fn first_layer_kernel<'a>(
-        cache: &'a mut Option<FirstLayerKernel>,
-        weights: &Mat<f32>,
-        bias: &[f32],
-    ) -> Result<&'a FirstLayerKernel, NnError> {
-        if cache.is_none() {
-            *cache = Some(FirstLayerKernel::new(weights, bias)?);
-        }
-        Ok(cache.as_ref().expect("cache populated above"))
-    }
-
     /// The integer path: one affine quantization of the input, exact
     /// `i32` accumulation, and scale → bias → batch norm → activation
     /// folded into one pass over the accumulators.
-    fn forward_w8a8(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
+    fn forward_w8a8(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
         let q = AffineQuant::fit_data(input.as_slice())?;
         let input_q = Tensor::from_vec(input.shape(), q.quantize_slice(input.as_slice()))?;
-        let (acc, w_scale) = if self.compute == ConvCompute::FirstLayerI32 {
-            let kernel =
-                Self::first_layer_kernel(&mut self.kernel_cache, &self.weights, &self.bias)?;
-            let acc = kernel.accumulate_i32(&input_q, q.zero_point(), self.geom)?;
-            (acc, kernel.weight_scale())
-        } else {
-            let (wq, w_scale) = Self::lowp_weights(&mut self.lowp_cache, &self.weights);
-            let acc = conv_lowp_im2col(&input_q, wq, q.zero_point(), self.geom)?;
-            (acc, *w_scale)
+        let geom = self.geom();
+        let (acc, w_scale) = match &self.compute {
+            ConvCompute::FirstLayerI32(kernel) => (
+                kernel.accumulate_i32(&input_q, q.zero_point(), geom)?,
+                kernel.weight_scale(),
+            ),
+            ConvCompute::GemmLowp(wq, w_scale) => (
+                conv_lowp_im2col(&input_q, wq, q.zero_point(), geom)?,
+                *w_scale,
+            ),
+            ConvCompute::Float | ConvCompute::BinaryRef(_) => {
+                unreachable!("forward dispatches only the 8-bit paths here")
+            }
         };
         let scale = w_scale * q.scale();
         let spatial = self.out_shape.spatial().max(1);
@@ -256,7 +231,7 @@ impl ConvLayer {
             .chunks_mut(spatial)
             .zip(acc.as_slice().chunks(spatial));
         for (c, (out, acc)) in channels.enumerate() {
-            let (bias, activation) = (self.bias[c], self.activation);
+            let (bias, activation) = (self.bias[c], self.spec.activation);
             // Batch norm as the per-channel affine `BatchNorm::apply` uses.
             let normalize = self.batchnorm.as_ref().map(|bn| bn.affine(c));
             for (out, &acc) in out.iter_mut().zip(acc) {
@@ -269,16 +244,6 @@ impl ConvLayer {
             }
         }
         Ok(out)
-    }
-
-    /// Raw (pre-batchnorm, pre-activation) output of the float paths.
-    fn convolve_float(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
-        let weights = if self.compute == ConvCompute::BinaryRef {
-            Self::binary_weights(&mut self.binary_cache, &self.weights)
-        } else {
-            &self.weights
-        };
-        Ok(conv_im2col_gemm(input, weights, &self.bias, self.geom)?)
     }
 }
 
@@ -295,34 +260,36 @@ impl Layer for ConvLayer {
         self.out_shape
     }
 
-    fn forward(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
+    fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
         self.check_input(input)?;
-        if matches!(
-            self.compute,
-            ConvCompute::FirstLayerI32 | ConvCompute::GemmLowp
-        ) {
-            return self.forward_w8a8(input);
-        }
-        let mut out = self.convolve_float(input)?;
+        let weights = match &self.compute {
+            ConvCompute::Float => &self.weights,
+            ConvCompute::BinaryRef(binarized) => binarized,
+            ConvCompute::FirstLayerI32(_) | ConvCompute::GemmLowp(..) => {
+                return self.forward_w8a8(input)
+            }
+        };
+        let mut out = conv_im2col_gemm(input, weights, &self.bias, self.geom())?;
         if let Some(bn) = &self.batchnorm {
             bn.apply(&mut out);
         }
-        self.activation.apply_slice(out.as_mut_slice());
+        self.spec.activation.apply_slice(out.as_mut_slice());
         Ok(out)
     }
 
     fn load_weights(&mut self, reader: &mut WeightsReader<'_>) -> Result<(), NnError> {
         // Darknet order: bias, [gamma, mean, var], weights.
-        self.bias = reader.read_f32s(self.filters)?;
+        let filters = self.spec.filters;
+        self.bias = reader.read_f32s(filters)?;
         if let Some(bn) = &mut self.batchnorm {
-            bn.gamma = reader.read_f32s(self.filters)?;
-            bn.mean = reader.read_f32s(self.filters)?;
-            bn.var = reader.read_f32s(self.filters)?;
+            bn.gamma = reader.read_f32s(filters)?;
+            bn.mean = reader.read_f32s(filters)?;
+            bn.var = reader.read_f32s(filters)?;
         }
         let flat = reader.read_f32s(self.weights.rows() * self.weights.cols())?;
         self.weights = Mat::from_vec(self.weights.rows(), self.weights.cols(), flat)
             .expect("length checked by read_f32s");
-        self.invalidate_caches();
+        self.compute = ConvCompute::new(self.in_shape, &self.spec, &self.weights, &self.bias)?;
         Ok(())
     }
 
@@ -344,7 +311,7 @@ impl Layer for ConvLayer {
     }
 
     fn ops_per_frame(&self) -> u64 {
-        2 * self.weights.cols() as u64 * self.out_shape.spatial() as u64 * self.filters as u64
+        2 * self.weights.cols() as u64 * self.out_shape.spatial() as u64 * self.spec.filters as u64
     }
 }
 
@@ -374,7 +341,7 @@ mod tests {
     fn float_forward_shape_and_relu() {
         let mut rng = StdRng::seed_from_u64(1);
         let shape = Shape3::new(3, 8, 8);
-        let mut layer =
+        let layer =
             ConvLayer::new(shape, &spec(16, 3, 2, PrecisionConfig::FLOAT), &mut rng).unwrap();
         let out = layer.forward(&input(&mut rng, shape)).unwrap();
         assert_eq!(out.shape(), Shape3::new(16, 4, 4));
@@ -389,19 +356,24 @@ mod tests {
         // The same seed draws the same weights whatever the precision; 16
         // filters select the 16x27 kernel, 8 the low-precision GEMM.
         let shape = Shape3::new(3, 10, 10);
-        for (filters, compute) in [(16, ConvCompute::FirstLayerI32), (8, ConvCompute::GemmLowp)] {
+        for (filters, first_layer_kernel) in [(16, true), (8, false)] {
             let build = |precision| {
                 let mut rng = StdRng::seed_from_u64(2);
                 let layer = ConvLayer::new(shape, &spec(filters, 3, 2, precision), &mut rng);
                 (layer.unwrap(), input(&mut rng, shape))
             };
-            let (mut generic, x) = build(PrecisionConfig::FLOAT);
-            let (mut quantized, _) = build(PrecisionConfig::W8A8);
-            assert_eq!(generic.compute, ConvCompute::Float);
-            assert_eq!(quantized.compute, compute);
+            let (generic, x) = build(PrecisionConfig::FLOAT);
+            let (quantized, _) = build(PrecisionConfig::W8A8);
+            assert!(matches!(generic.compute, ConvCompute::Float));
+            let compute = &quantized.compute;
+            if first_layer_kernel {
+                assert!(matches!(compute, ConvCompute::FirstLayerI32(_)));
+            } else {
+                assert!(matches!(compute, ConvCompute::GemmLowp(..)));
+            }
             let reference = generic.forward(&x).unwrap();
             let diff = quantized.forward(&x).unwrap().max_abs_diff(&reference);
-            assert!(diff < 0.1, "compute {compute:?}: diff {diff} exceeds 0.1");
+            assert!(diff < 0.1, "{filters} filters: diff {diff} exceeds 0.1");
         }
     }
 
@@ -435,7 +407,7 @@ mod tests {
     fn weights_round_trip_through_stream() {
         let mut rng = StdRng::seed_from_u64(4);
         let shape = Shape3::new(3, 6, 6);
-        let mut layer =
+        let layer =
             ConvLayer::new(shape, &spec(4, 3, 1, PrecisionConfig::FLOAT), &mut rng).unwrap();
         let x = input(&mut rng, shape);
         let before = layer.forward(&x).unwrap();

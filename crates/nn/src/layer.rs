@@ -6,6 +6,8 @@
 //! Rust these map to the constructor, [`Layer::load_weights`],
 //! [`Layer::forward`] and [`Drop`] respectively — the offload mechanism
 //! customizes all four by substituting a whole [`Layer`] implementation.
+//! Only the first two change a layer: `forward` takes `&self`, so one
+//! built network can serve many threads at once.
 
 use crate::error::NnError;
 use crate::weights::{WeightsReader, WeightsWriter};
@@ -14,10 +16,12 @@ use tincy_tensor::{Shape3, Tensor};
 /// A network layer.
 ///
 /// Layers exchange `f32` feature maps at their boundaries (as Darknet
-/// does); quantized layers quantize internally. Implementations must be
-/// [`Send`] so layers can be distributed over pipeline worker threads
-/// (§III-F).
-pub trait Layer: Send {
+/// does); quantized layers quantize internally. Only construction and
+/// [`Layer::load_weights`] mutate a layer; everything a forward needs is
+/// derived there. Implementations must be [`Send`] + [`Sync`] so layers
+/// can be distributed over pipeline worker threads (§III-F) and one built
+/// network can be shared by concurrent workers.
+pub trait Layer: Send + Sync {
     /// Short type name (`conv`, `pool`, `region`, `offload`).
     fn kind(&self) -> &'static str;
 
@@ -33,7 +37,7 @@ pub trait Layer: Send {
     ///
     /// Returns [`NnError::ShapeMismatch`] if `input` does not match
     /// [`Layer::input_shape`], or implementation-specific failures.
-    fn forward(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError>;
+    fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError>;
 
     /// Loads this layer's parameters from the sequential weight stream.
     ///
@@ -67,6 +71,12 @@ pub trait Layer: Send {
     /// `Box<dyn Layer>` stacks can configure retry policies and observe
     /// offload health. `None` for every other layer kind.
     fn as_offload_mut(&mut self) -> Option<&mut crate::offload::OffloadLayer> {
+        None
+    }
+
+    /// Shared-borrow counterpart of [`Layer::as_offload_mut`], for callers
+    /// that run a shared network.
+    fn as_offload(&self) -> Option<&crate::offload::OffloadLayer> {
         None
     }
 
@@ -104,7 +114,7 @@ mod tests {
         fn output_shape(&self) -> Shape3 {
             self.0
         }
-        fn forward(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
+        fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
             self.check_input(input)?;
             Ok(input.clone())
         }
@@ -115,7 +125,7 @@ mod tests {
 
     #[test]
     fn trait_is_object_safe_and_checks_shapes() {
-        let mut layer: Box<dyn Layer> = Box::new(Passthrough(Shape3::new(1, 2, 2)));
+        let layer: Box<dyn Layer> = Box::new(Passthrough(Shape3::new(1, 2, 2)));
         let ok = Tensor::<f32>::zeros(Shape3::new(1, 2, 2));
         assert!(layer.forward(&ok).is_ok());
         let bad = Tensor::<f32>::zeros(Shape3::new(2, 2, 2));

@@ -11,7 +11,8 @@
 //!   operation counts (the basis of Tables I & II),
 //! * [`cfg`](mod@cfg) — the darknet-style textual configuration format including the
 //!   paper's `[offload]` section,
-//! * [`layer`] — the layer trait with the Fig 3 life cycle,
+//! * [`layer`] — the layer trait with the Fig 3 life cycle (only init and
+//!   load mutate; a built network forwards through `&self`),
 //! * [`conv`], [`maxpool`], [`region`] — the layer implementations,
 //! * [`batchnorm`] — batch normalization and its folding,
 //! * [`offload`] — the offload layer and backend registry (the `dlopen`

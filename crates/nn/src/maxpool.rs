@@ -57,7 +57,7 @@ impl Layer for MaxPoolLayer {
         self.out_shape
     }
 
-    fn forward(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
+    fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
         self.check_input(input)?;
         let mut out = Tensor::zeros(self.out_shape);
         for c in 0..self.out_shape.channels {
@@ -92,7 +92,7 @@ mod tests {
     #[test]
     fn two_by_two_stride_two() {
         let input = Tensor::from_fn(Shape3::new(1, 4, 4), |_, y, x| (y * 4 + x) as f32);
-        let mut layer = MaxPoolLayer::new(input.shape(), &PoolSpec { size: 2, stride: 2 }).unwrap();
+        let layer = MaxPoolLayer::new(input.shape(), &PoolSpec { size: 2, stride: 2 }).unwrap();
         let out = layer.forward(&input).unwrap();
         assert_eq!(out.shape(), Shape3::new(1, 2, 2));
         assert_eq!(out.as_slice(), &[5.0, 7.0, 13.0, 15.0]);
@@ -101,7 +101,7 @@ mod tests {
     #[test]
     fn stride_one_preserves_extent_with_clipped_windows() {
         let input = Tensor::from_fn(Shape3::new(1, 3, 3), |_, y, x| (y * 3 + x) as f32);
-        let mut layer = MaxPoolLayer::new(input.shape(), &PoolSpec { size: 2, stride: 1 }).unwrap();
+        let layer = MaxPoolLayer::new(input.shape(), &PoolSpec { size: 2, stride: 1 }).unwrap();
         let out = layer.forward(&input).unwrap();
         assert_eq!(out.shape(), Shape3::new(1, 3, 3));
         // Bottom-right output sees only the single clipped element.
@@ -118,7 +118,7 @@ mod tests {
                 -((y * 2 + x) as f32)
             }
         });
-        let mut layer = MaxPoolLayer::new(input.shape(), &PoolSpec { size: 2, stride: 2 }).unwrap();
+        let layer = MaxPoolLayer::new(input.shape(), &PoolSpec { size: 2, stride: 2 }).unwrap();
         let out = layer.forward(&input).unwrap();
         assert_eq!(out.at(0, 0, 0), 3.0);
         assert_eq!(out.at(1, 0, 0), 0.0);
@@ -127,7 +127,7 @@ mod tests {
     #[test]
     fn negative_values_handled() {
         let input = Tensor::filled(Shape3::new(1, 2, 2), -5.0f32);
-        let mut layer = MaxPoolLayer::new(input.shape(), &PoolSpec { size: 2, stride: 2 }).unwrap();
+        let layer = MaxPoolLayer::new(input.shape(), &PoolSpec { size: 2, stride: 2 }).unwrap();
         let out = layer.forward(&input).unwrap();
         assert_eq!(out.at(0, 0, 0), -5.0);
     }

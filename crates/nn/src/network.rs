@@ -109,9 +109,9 @@ impl Network {
     /// # Errors
     ///
     /// Propagates the first layer failure.
-    pub fn forward(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
+    pub fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
         let mut x = input.clone();
-        for layer in &mut self.layers {
+        for layer in &self.layers {
             x = layer.forward(&x)?;
         }
         Ok(x)
@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn build_and_forward() {
-        let mut net = Network::from_spec(&small_spec(), &BackendRegistry::new(), 7).unwrap();
+        let net = Network::from_spec(&small_spec(), &BackendRegistry::new(), 7).unwrap();
         assert_eq!(net.num_layers(), 3);
         assert_eq!(net.output_shape(), Shape3::new(2, 4, 4));
         let x = Tensor::filled(Shape3::new(3, 8, 8), 0.5f32);
@@ -210,11 +210,11 @@ mod tests {
 
     #[test]
     fn per_layer_forward_equals_whole_forward() {
-        let mut net = Network::from_spec(&small_spec(), &BackendRegistry::new(), 7).unwrap();
+        let net = Network::from_spec(&small_spec(), &BackendRegistry::new(), 7).unwrap();
         let x = Tensor::from_fn(Shape3::new(3, 8, 8), |c, y, z| (c + y + z) as f32 * 0.1);
         let whole = net.forward(&x).unwrap();
         let mut step = x.clone();
-        for layer in &mut net.into_layers() {
+        for layer in &net.into_layers() {
             step = layer.forward(&step).unwrap();
         }
         assert!(whole.max_abs_diff(&step) < 1e-6);
@@ -223,18 +223,18 @@ mod tests {
     #[test]
     fn deterministic_initialization() {
         let reg = BackendRegistry::new();
-        let mut a = Network::from_spec(&small_spec(), &reg, 42).unwrap();
-        let mut b = Network::from_spec(&small_spec(), &reg, 42).unwrap();
+        let a = Network::from_spec(&small_spec(), &reg, 42).unwrap();
+        let b = Network::from_spec(&small_spec(), &reg, 42).unwrap();
         let x = Tensor::filled(Shape3::new(3, 8, 8), 0.3f32);
         assert!(a.forward(&x).unwrap().max_abs_diff(&b.forward(&x).unwrap()) == 0.0);
-        let mut c = Network::from_spec(&small_spec(), &reg, 43).unwrap();
+        let c = Network::from_spec(&small_spec(), &reg, 43).unwrap();
         assert!(a.forward(&x).unwrap().max_abs_diff(&c.forward(&x).unwrap()) > 0.0);
     }
 
     #[test]
     fn weights_save_load_round_trip() {
         let reg = BackendRegistry::new();
-        let mut a = Network::from_spec(&small_spec(), &reg, 1).unwrap();
+        let a = Network::from_spec(&small_spec(), &reg, 1).unwrap();
         let mut buf = Vec::new();
         a.save_weights(&mut buf).unwrap();
 

@@ -45,8 +45,10 @@ pub struct OffloadConfig {
 ///
 /// `init` ↦ [`OffloadBackend::init`], `load_weights` ↦
 /// [`OffloadBackend::load_weights`], `forward` ↦
-/// [`OffloadBackend::forward`], `destroy` ↦ [`Drop`].
-pub trait OffloadBackend: Send {
+/// [`OffloadBackend::forward`], `destroy` ↦ [`Drop`]. As with [`Layer`],
+/// only the first two mutate: the forward hooks take `&self`, so one
+/// backend can serve concurrent workers.
+pub trait OffloadBackend: Send + Sync {
     /// The library identifier this backend serves.
     fn library_name(&self) -> &str;
 
@@ -81,7 +83,7 @@ pub trait OffloadBackend: Send {
     /// # Errors
     ///
     /// Implementation-specific inference failures.
-    fn forward(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError>;
+    fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError>;
 
     /// Host-side (CPU) reference evaluation of the same function — the
     /// graceful-degradation path taken when the accelerator stays faulted
@@ -94,7 +96,7 @@ pub trait OffloadBackend: Send {
     /// # Errors
     ///
     /// Implementation-specific inference failures.
-    fn forward_reference(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
+    fn forward_reference(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
         self.forward(input)
     }
 
@@ -107,7 +109,7 @@ pub trait OffloadBackend: Send {
     ///
     /// Implementation-specific; a failure faults the whole batch (no
     /// partial results), matching the all-or-nothing DMA transfer model.
-    fn forward_batch(&mut self, inputs: &[Tensor<f32>]) -> Result<Vec<Tensor<f32>>, NnError> {
+    fn forward_batch(&self, inputs: &[Tensor<f32>]) -> Result<Vec<Tensor<f32>>, NnError> {
         inputs.iter().map(|input| self.forward(input)).collect()
     }
 
@@ -117,10 +119,7 @@ pub trait OffloadBackend: Send {
     /// # Errors
     ///
     /// Implementation-specific inference failures.
-    fn forward_reference_batch(
-        &mut self,
-        inputs: &[Tensor<f32>],
-    ) -> Result<Vec<Tensor<f32>>, NnError> {
+    fn forward_reference_batch(&self, inputs: &[Tensor<f32>]) -> Result<Vec<Tensor<f32>>, NnError> {
         inputs
             .iter()
             .map(|input| self.forward_reference(input))
@@ -483,7 +482,7 @@ impl OffloadLayer {
     /// Returns [`NnError::ShapeMismatch`] for any nonconforming input or
     /// output, or the backend's failure per the resilience contract. An
     /// empty batch is rejected as [`NnError::InvalidSpec`].
-    pub fn forward_batch(&mut self, inputs: &[Tensor<f32>]) -> Result<Vec<Tensor<f32>>, NnError> {
+    pub fn forward_batch(&self, inputs: &[Tensor<f32>]) -> Result<Vec<Tensor<f32>>, NnError> {
         if inputs.is_empty() {
             return Err(NnError::InvalidSpec {
                 what: "offload micro-batch must not be empty".to_owned(),
@@ -492,7 +491,7 @@ impl OffloadLayer {
         for input in inputs {
             self.check_input(input)?;
         }
-        let backend = self.backend.as_mut();
+        let backend = self.backend.as_ref();
         let outs = run_with_resilience_n(
             &self.retry,
             &self.health,
@@ -535,7 +534,7 @@ impl OffloadLayer {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] or the backend's own failure.
-    pub fn forward_host(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
+    pub fn forward_host(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
         let _span = tincy_trace::span(static_label!("offload.host"))
             .backend(tincy_trace::Backend::Host)
             .start();
@@ -578,9 +577,9 @@ impl Layer for OffloadLayer {
         self.config.output_shape
     }
 
-    fn forward(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
+    fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
         self.check_input(input)?;
-        let backend = self.backend.as_mut();
+        let backend = self.backend.as_ref();
         let out = run_with_resilience(&self.retry, &self.health, |use_reference| {
             if use_reference {
                 backend.forward_reference(input)
@@ -614,6 +613,10 @@ impl Layer for OffloadLayer {
     }
 
     fn as_offload_mut(&mut self) -> Option<&mut OffloadLayer> {
+        Some(self)
+    }
+
+    fn as_offload(&self) -> Option<&OffloadLayer> {
         Some(self)
     }
 }
@@ -664,7 +667,7 @@ pub(crate) mod test_support {
         fn write_weights(&self, writer: &mut WeightsWriter<'_>) -> Result<(), NnError> {
             writer.write_f32s(&[self.factor])
         }
-        fn forward(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
+        fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
             Ok(input.map(|v| v * self.factor))
         }
         fn num_params(&self) -> usize {
@@ -675,14 +678,14 @@ pub(crate) mod test_support {
         }
     }
 
-    /// A backend whose accelerated path fails the first `faults_left`
+    /// A backend whose accelerated path fails the first `faults`
     /// invocations with a retryable fault; the reference path always works
     /// (scaling by `factor`, like [`ScaleBackend`]).
     pub struct FlakyBackend {
         pub inner: ScaleBackend,
-        pub faults_left: u32,
-        pub hw_calls: u32,
-        pub reference_calls: u32,
+        pub faults: u64,
+        pub hw_calls: AtomicU64,
+        pub reference_calls: AtomicU64,
     }
 
     impl FlakyBackend {
@@ -694,10 +697,16 @@ pub(crate) mod test_support {
             };
             Box::new(Self {
                 inner,
-                faults_left: faults,
-                hw_calls: 0,
-                reference_calls: 0,
+                faults: u64::from(faults),
+                hw_calls: AtomicU64::new(0),
+                reference_calls: AtomicU64::new(0),
             })
+        }
+
+        /// Accelerated and reference invocations so far.
+        pub fn calls(&self) -> (u64, u64) {
+            let load = |calls: &AtomicU64| calls.load(Ordering::Relaxed);
+            (load(&self.hw_calls), load(&self.reference_calls))
         }
     }
 
@@ -717,10 +726,8 @@ pub(crate) mod test_support {
         fn write_weights(&self, writer: &mut WeightsWriter<'_>) -> Result<(), NnError> {
             self.inner.write_weights(writer)
         }
-        fn forward(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
-            self.hw_calls += 1;
-            if self.faults_left > 0 {
-                self.faults_left -= 1;
+        fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
+            if self.hw_calls.fetch_add(1, Ordering::Relaxed) < self.faults {
                 return Err(NnError::Accel {
                     what: "injected flake".to_owned(),
                     retryable: true,
@@ -728,8 +735,8 @@ pub(crate) mod test_support {
             }
             self.inner.forward(input)
         }
-        fn forward_reference(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
-            self.reference_calls += 1;
+        fn forward_reference(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
+            self.reference_calls.fetch_add(1, Ordering::Relaxed);
             self.inner.forward(input)
         }
         fn num_params(&self) -> usize {
@@ -825,7 +832,7 @@ mod tests {
 
     #[test]
     fn retry_recovers_from_transient_faults() {
-        let mut layer = flaky_layer(2, RetryPolicy::default());
+        let layer = flaky_layer(2, RetryPolicy::default());
         let input = Tensor::filled(Shape3::new(1, 2, 2), 3.0f32);
         let out = layer.forward(&input).unwrap();
         assert!(out.as_slice().iter().all(|&v| (v - 3.0).abs() < 1e-6));
@@ -839,7 +846,7 @@ mod tests {
 
     #[test]
     fn fallback_completes_frame_when_retries_exhaust() {
-        let mut layer = flaky_layer(100, RetryPolicy::default());
+        let layer = flaky_layer(100, RetryPolicy::default());
         let input = Tensor::filled(Shape3::new(1, 2, 2), 4.0f32);
         let out = layer.forward(&input).unwrap();
         assert!(out.as_slice().iter().all(|&v| (v - 4.0).abs() < 1e-6));
@@ -853,13 +860,12 @@ mod tests {
             .as_any()
             .downcast_ref::<FlakyBackend>()
             .expect("flaky backend");
-        assert_eq!(backend.hw_calls, 3);
-        assert_eq!(backend.reference_calls, 1);
+        assert_eq!(backend.calls(), (3, 1));
     }
 
     #[test]
     fn fail_fast_policy_surfaces_the_fault() {
-        let mut layer = flaky_layer(1, RetryPolicy::fail_fast());
+        let layer = flaky_layer(1, RetryPolicy::fail_fast());
         let input = Tensor::filled(Shape3::new(1, 2, 2), 1.0f32);
         let err = layer.forward(&input).unwrap_err();
         assert!(err.is_retryable());
@@ -868,7 +874,7 @@ mod tests {
 
     #[test]
     fn non_retryable_errors_bypass_retry_and_fallback() {
-        let mut layer = flaky_layer(0, RetryPolicy::default());
+        let layer = flaky_layer(0, RetryPolicy::default());
         let bad = Tensor::filled(Shape3::new(2, 2, 2), 1.0f32);
         assert!(matches!(
             layer.forward(&bad),
@@ -909,7 +915,7 @@ mod tests {
     #[test]
     fn batch_forward_matches_singles_and_counts_items() {
         let shape = Shape3::new(2, 3, 3);
-        let mut layer = OffloadLayer::new(shape, &spec(shape), &registry()).unwrap();
+        let layer = OffloadLayer::new(shape, &spec(shape), &registry()).unwrap();
         let inputs: Vec<Tensor<f32>> = (0..4)
             .map(|i| Tensor::filled(shape, i as f32 + 1.0))
             .collect();
@@ -928,7 +934,7 @@ mod tests {
 
     #[test]
     fn faulted_batch_falls_back_as_a_unit() {
-        let mut layer = flaky_layer(100, RetryPolicy::default());
+        let layer = flaky_layer(100, RetryPolicy::default());
         let inputs: Vec<Tensor<f32>> = (0..3)
             .map(|_| Tensor::filled(Shape3::new(1, 2, 2), 2.0))
             .collect();
@@ -949,7 +955,7 @@ mod tests {
 
     #[test]
     fn forward_host_runs_reference_without_recovery_counters() {
-        let mut layer = flaky_layer(100, RetryPolicy::default());
+        let layer = flaky_layer(100, RetryPolicy::default());
         let input = Tensor::filled(Shape3::new(1, 2, 2), 5.0f32);
         let out = layer.forward_host(&input).unwrap();
         assert!(out.as_slice().iter().all(|&v| (v - 5.0).abs() < 1e-6));
@@ -960,8 +966,7 @@ mod tests {
             .as_any()
             .downcast_ref::<FlakyBackend>()
             .expect("flaky backend");
-        assert_eq!(backend.hw_calls, 0, "accelerated path never touched");
-        assert_eq!(backend.reference_calls, 1);
+        assert_eq!(backend.calls(), (0, 1), "accelerated path never touched");
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl Layer for RegionLayer {
         self.shape
     }
 
-    fn forward(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
+    fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
         self.check_input(input)?;
         let mut out = input.clone();
         let stride = 5 + self.params.classes;
@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn forward_applies_logistic_and_softmax() {
-        let mut l = layer();
+        let l = layer();
         let input = Tensor::filled(Shape3::new(16, 2, 2), 0.0f32);
         let out = l.forward(&input).unwrap();
         // sigmoid(0) = 0.5 on x, y, objectness.
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn decode_produces_expected_box() {
-        let mut l = layer();
+        let l = layer();
         let mut input = Tensor::filled(Shape3::new(16, 2, 2), -20.0f32);
         // Anchor 0 at cell (0, 0): strong objectness, class 1 dominant.
         *input.at_mut(0, 0, 0) = 0.0; // tx -> sigmoid 0.5
@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn decode_threshold_filters() {
-        let mut l = layer();
+        let l = layer();
         let input = Tensor::filled(Shape3::new(16, 2, 2), 0.0f32);
         let out = l.forward(&input).unwrap();
         // All scores are 0.5 * 1/3 = 1/6 — below 0.5.

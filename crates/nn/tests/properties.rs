@@ -147,6 +147,50 @@ proptest! {
     }
 }
 
+/// Bytes a mutation draws from half the time: the cfg grammar's own, so
+/// edits reach past the tokenizer into section and key handling.
+const CFG_BYTES: &[u8] = b"[]=,-.#;\n 0123456789convolutionalmaxpoolregionoffload";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Outside text never panics the cfg parser, nor the accounting over
+    /// what it accepts: valid renderings under byte-level replacements,
+    /// insertions and deletions. The vendored proptest does not shrink,
+    /// so a panic reports the input that caused it.
+    #[test]
+    fn parse_cfg_never_panics_on_mutated_text(
+        spec in network_spec(),
+        edits in proptest::collection::vec(
+            (0usize..3, any::<usize>(), any::<bool>(), any::<u8>()),
+            1..8,
+        )
+    ) {
+        let mut bytes = render_cfg(&spec).into_bytes();
+        for &(kind, at, grammar, byte) in &edits {
+            let byte = if grammar { CFG_BYTES[usize::from(byte) % CFG_BYTES.len()] } else { byte };
+            let at = at % (bytes.len() + 1);
+            match kind {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 => bytes.insert(at, byte),
+                _ if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => {}
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes).into_owned();
+        let outcome = std::panic::catch_unwind(|| {
+            if let Ok(spec) = parse_cfg(&text) {
+                spec.output_shapes();
+                spec.ops_per_layer();
+                spec.num_params();
+            }
+        });
+        prop_assert!(outcome.is_ok(), "parse_cfg panicked on:\n{text:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

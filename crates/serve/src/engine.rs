@@ -1,10 +1,10 @@
-//! A backend worker's private copy of the offloaded network, split around
-//! the accelerated segment so the serving layer can micro-batch it.
+//! The offloaded network of one served variant, split around the
+//! accelerated segment so the serving layer can micro-batch it.
 //!
-//! Every worker builds its own engine from the same [`SystemConfig`]; the
-//! deterministic weight seed makes all copies identical, and the fabric's
-//! bit-exactness with the software reference path makes FINN and CPU
-//! results interchangeable.
+//! A built engine only reads on a forward, so one engine per variant is
+//! shared by that variant's FINN worker and every host worker; the
+//! fabric's bit-exactness with the software reference path makes FINN and
+//! CPU results interchangeable.
 
 use tincy_core::{
     arm_offload_resilience, build_network_for, offload_position, region_decoder, SystemConfig,
@@ -12,12 +12,12 @@ use tincy_core::{
 };
 use tincy_eval::{nms, Detection};
 use tincy_finn::FaultPlan;
-use tincy_nn::{Layer, ModelSpec, NnError, OffloadHealth, RegionLayer};
+use tincy_nn::{Layer, ModelSpec, NnError, OffloadHealth, OffloadLayer, RegionLayer};
 use tincy_tensor::Tensor;
 use tincy_video::Image;
 
-/// One runnable copy of the offloaded detector, split into CPU prologue /
-/// offload segment / CPU epilogue.
+/// The runnable offloaded detector, split into CPU prologue / offload
+/// segment / CPU epilogue.
 pub struct ServeEngine {
     layers: Vec<Box<dyn Layer>>,
     offload_idx: usize,
@@ -38,15 +38,18 @@ impl ServeEngine {
         Self::finn_for_model(&system.model(), system, score_threshold)
     }
 
-    /// Builds an engine for a host worker: same weights, but fault-free
-    /// (host workers run the reference path and never consult the fabric,
-    /// so arming faults would only waste the plan's determinism budget).
+    /// Builds a fault-free engine: [`Self::finn`] with the system's fault
+    /// plan disarmed.
     ///
     /// # Errors
     ///
     /// Propagates network construction failures.
     pub fn cpu(system: &SystemConfig, score_threshold: f32) -> Result<Self, NnError> {
-        Self::cpu_for_model(&system.model(), system, score_threshold)
+        let fault_free = SystemConfig {
+            fault_plan: FaultPlan::none(),
+            ..*system
+        };
+        Self::finn(&fault_free, score_threshold)
     }
 
     /// [`Self::finn`] for an explicit design point: the model supplies the
@@ -80,39 +83,21 @@ impl ServeEngine {
         })
     }
 
-    /// [`Self::cpu`] for an explicit design point (fault-free, like
-    /// [`Self::cpu`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates network construction failures.
-    pub fn cpu_for_model(
-        model: &ModelSpec,
-        system: &SystemConfig,
-        score_threshold: f32,
-    ) -> Result<Self, NnError> {
-        let host_system = SystemConfig {
-            fault_plan: FaultPlan::none(),
-            ..*system
-        };
-        Self::finn_for_model(model, &host_system, score_threshold)
-    }
-
     /// Offload health handle (faults/retries/fallbacks/degradation).
     pub fn health(&self) -> OffloadHealth {
         self.health.clone()
     }
 
-    fn prologue(&mut self, image: &Image) -> Result<Tensor<f32>, NnError> {
+    fn prologue(&self, image: &Image) -> Result<Tensor<f32>, NnError> {
         let mut fmap = image.letterboxed(self.input_size).into_tensor();
-        for layer in &mut self.layers[..self.offload_idx] {
+        for layer in &self.layers[..self.offload_idx] {
             fmap = layer.forward(&fmap)?;
         }
         Ok(fmap)
     }
 
-    fn epilogue(&mut self, mut fmap: Tensor<f32>) -> Result<Vec<Detection>, NnError> {
-        for layer in &mut self.layers[self.offload_idx + 1..] {
+    fn epilogue(&self, mut fmap: Tensor<f32>) -> Result<Vec<Detection>, NnError> {
+        for layer in &self.layers[self.offload_idx + 1..] {
             fmap = layer.forward(&fmap)?;
         }
         Ok(nms(
@@ -130,15 +115,12 @@ impl ServeEngine {
     /// Propagates layer evaluation failures (shapes are consistent by
     /// construction, and accelerator faults are absorbed by the offload
     /// layer's retry/fallback policy, so errors here indicate a bug).
-    pub fn process_batch(&mut self, images: &[Image]) -> Result<Vec<Vec<Detection>>, NnError> {
+    pub fn process_batch(&self, images: &[Image]) -> Result<Vec<Vec<Detection>>, NnError> {
         let mut fmaps = Vec::with_capacity(images.len());
         for image in images {
             fmaps.push(self.prologue(image)?);
         }
-        let offload = self.layers[self.offload_idx]
-            .as_offload_mut()
-            .expect("offload_idx points at the offload layer");
-        let outs = offload.forward_batch(&fmaps)?;
+        let outs = self.offload().forward_batch(&fmaps)?;
         let mut detections = Vec::with_capacity(outs.len());
         for fmap in outs {
             detections.push(self.epilogue(fmap)?);
@@ -155,13 +137,16 @@ impl ServeEngine {
     /// # Errors
     ///
     /// Propagates layer evaluation failures.
-    pub fn process_host(&mut self, image: &Image) -> Result<Vec<Detection>, NnError> {
+    pub fn process_host(&self, image: &Image) -> Result<Vec<Detection>, NnError> {
         let fmap = self.prologue(image)?;
-        let offload = self.layers[self.offload_idx]
-            .as_offload_mut()
-            .expect("offload_idx points at the offload layer");
-        let out = offload.forward_host(&fmap)?;
+        let out = self.offload().forward_host(&fmap)?;
         self.epilogue(out)
+    }
+
+    fn offload(&self) -> &OffloadLayer {
+        self.layers[self.offload_idx]
+            .as_offload()
+            .expect("offload_idx points at the offload layer")
     }
 }
 
@@ -191,8 +176,8 @@ mod tests {
     #[test]
     fn finn_batch_and_host_paths_are_bit_exact() {
         let system = small_system();
-        let mut finn = ServeEngine::finn(&system, 0.0).unwrap();
-        let mut cpu = ServeEngine::cpu(&system, 0.0).unwrap();
+        let finn = ServeEngine::finn(&system, 0.0).unwrap();
+        let cpu = ServeEngine::cpu(&system, 0.0).unwrap();
         let images = frames(3);
         let batched = finn.process_batch(&images).unwrap();
         for (image, expected) in images.iter().zip(&batched) {
@@ -203,7 +188,7 @@ mod tests {
     #[test]
     fn host_path_leaves_recovery_counters_untouched() {
         let system = small_system();
-        let mut cpu = ServeEngine::cpu(&system, 0.0).unwrap();
+        let cpu = ServeEngine::cpu(&system, 0.0).unwrap();
         let images = frames(2);
         for image in &images {
             cpu.process_host(image).unwrap();
@@ -214,8 +199,8 @@ mod tests {
     #[test]
     fn batch_matches_singletons() {
         let system = small_system();
-        let mut a = ServeEngine::finn(&system, 0.0).unwrap();
-        let mut b = ServeEngine::finn(&system, 0.0).unwrap();
+        let a = ServeEngine::finn(&system, 0.0).unwrap();
+        let b = ServeEngine::finn(&system, 0.0).unwrap();
         let images = frames(4);
         let batched = a.process_batch(&images).unwrap();
         let singles: Vec<_> = images

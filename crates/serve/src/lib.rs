@@ -16,9 +16,10 @@
 //! makes starvation impossible under mixed SLO classes. Admission control
 //! bounds the global queue and per-client quotas, rejecting instead of
 //! queueing unboundedly; accepted requests are never dropped — a degraded
-//! FINN engine sheds load to the CPU workers, and the common weight seed
-//! plus the fabric's bit-exactness with the reference path guarantee the
-//! answer does not depend on which backend produced it.
+//! FINN engine sheds load to the CPU workers, and because a rung's FINN
+//! worker and host workers share its one engine, the fabric's
+//! bit-exactness with the reference path guarantees the answer does not
+//! depend on which backend produced it.
 //!
 //! [`fleet`] scales the single-server runtime out: N in-process shards
 //! behind a least-loaded or consistent-hash router with drain/re-admit

@@ -116,32 +116,18 @@ impl InferenceServer {
     /// Propagates network construction failures.
     pub fn start(config: ServeConfig) -> Result<Self, NnError> {
         let ladder = config.ladder();
-        let mut finn_engines = Vec::with_capacity(ladder.len());
-        let mut finn_healths = Vec::with_capacity(ladder.len());
-        for variant in ladder.variants() {
-            let engine = ServeEngine::finn_for_model(
-                &variant.model,
-                &config.system,
-                config.score_threshold,
-            )?;
-            finn_healths.push(engine.health());
-            finn_engines.push(engine);
-        }
-        // Each host worker carries one reference engine per variant — a
-        // leased request runs on the engine of its admission-time rung,
-        // so the CPU path stays bit-exact per variant.
-        let mut cpu_engines = Vec::with_capacity(config.cpu_workers);
-        for _ in 0..config.cpu_workers {
-            let mut per_variant = Vec::with_capacity(ladder.len());
-            for variant in ladder.variants() {
-                per_variant.push(ServeEngine::cpu_for_model(
-                    &variant.model,
-                    &config.system,
-                    config.score_threshold,
-                )?);
-            }
-            cpu_engines.push(per_variant);
-        }
+        // One engine per rung, shared by that rung's FINN worker and every
+        // host worker: a leased request runs on the engine of its
+        // admission-time rung, so the CPU path stays bit-exact per variant.
+        let engines = ladder
+            .variants()
+            .iter()
+            .map(|variant| {
+                ServeEngine::finn_for_model(&variant.model, &config.system, config.score_threshold)
+                    .map(Arc::new)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let finn_healths = engines.iter().map(|engine| engine.health()).collect();
 
         let inner = Arc::new(Inner {
             state: Mutex::new(SchedState::new(&config)),
@@ -163,7 +149,7 @@ impl InferenceServer {
             .map(|shard| format!("shard{shard}-"))
             .unwrap_or_default();
         let multi = ladder.len() > 1;
-        for (variant, engine) in finn_engines.into_iter().enumerate() {
+        for (variant, engine) in engines.iter().enumerate() {
             // The single-variant name stays `serve-finn` so existing
             // trace-based assertions and dashboards keep their tracks.
             let name = if multi {
@@ -173,17 +159,17 @@ impl InferenceServer {
             };
             workers.push(spawn_finn_worker(
                 Arc::clone(&inner),
-                engine,
+                Arc::clone(engine),
                 variant,
                 max_batch,
                 name,
                 config.shard,
             ));
         }
-        for (i, engines) in cpu_engines.into_iter().enumerate() {
+        for i in 0..config.cpu_workers {
             workers.push(spawn_cpu_worker(
                 Arc::clone(&inner),
-                engines,
+                engines.clone(),
                 format!("{prefix}serve-cpu-{i}"),
                 config.shard,
             ));
@@ -280,7 +266,7 @@ impl InferenceServer {
 
 fn spawn_finn_worker(
     inner: Arc<Inner>,
-    mut engine: ServeEngine,
+    engine: Arc<ServeEngine>,
     variant: usize,
     max_batch: usize,
     name: String,
@@ -355,7 +341,7 @@ fn spawn_named(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle
 
 fn spawn_cpu_worker(
     inner: Arc<Inner>,
-    mut engines: Vec<ServeEngine>,
+    engines: Vec<Arc<ServeEngine>>,
     name: String,
     shard: Option<u32>,
 ) -> JoinHandle<()> {

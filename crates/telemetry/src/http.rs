@@ -146,8 +146,6 @@ pub struct Request {
     pub method: String,
     /// Request target (path + optional query).
     pub target: String,
-    /// Whether the client asked for `Connection: close`.
-    pub close: bool,
 }
 
 impl Request {
@@ -237,22 +235,14 @@ fn parse_head(head: &str) -> Option<Request> {
     if parts.next().is_some() || !version.starts_with("HTTP/") {
         return None;
     }
-    let mut close = false;
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line.split_once(':')?;
-        if name.trim().eq_ignore_ascii_case("connection")
-            && value.trim().eq_ignore_ascii_case("close")
-        {
-            close = true;
-        }
+    // Header values are never read (every response closes), but a header
+    // line without a colon still makes the head malformed.
+    if lines.any(|line| !line.is_empty() && !line.contains(':')) {
+        return None;
     }
     Some(Request {
         method: method.to_string(),
         target: target.to_string(),
-        close,
     })
 }
 
@@ -909,7 +899,6 @@ mod tests {
             };
             assert_eq!(request.method, "GET");
             assert_eq!(request.path(), "/metrics");
-            assert!(request.close);
             assert_eq!(parser.buffered(), 0);
         }
     }

@@ -119,7 +119,6 @@ proptest! {
             expected.push((
                 METHODS[m % METHODS.len()].to_string(),
                 PATHS[p % PATHS.len()].to_string(),
-                close,
             ));
         }
 
@@ -146,10 +145,9 @@ proptest! {
 
         prop_assert_eq!(&got_whole, &got_chunked);
         prop_assert_eq!(got_whole.len(), expected.len());
-        for (request, (method, path, close)) in got_whole.iter().zip(&expected) {
+        for (request, (method, path)) in got_whole.iter().zip(&expected) {
             prop_assert_eq!(&request.method, method);
             prop_assert_eq!(request.path(), path.as_str());
-            prop_assert_eq!(request.close, *close);
         }
         prop_assert_eq!(chunked.buffered(), 0, "no residue after the last request");
     }

@@ -70,7 +70,7 @@ impl OffloadBackend for ChannelGainBackend {
         writer.write_f32s(&self.gains)
     }
 
-    fn forward(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
+    fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
         let spatial = self.shape.spatial();
         let mut out = input.clone();
         for (i, v) in out.as_mut_slice().iter_mut().enumerate() {

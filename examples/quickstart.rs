@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         input_size: 64,
         ..Default::default()
     };
-    let mut net = build_offloaded_network(&config)?;
+    let net = build_offloaded_network(&config)?;
     println!(
         "\noffloaded network: {} layers ({} parameters)",
         net.num_layers(),

@@ -99,8 +99,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Deploy: the served network, trained parameters loaded; the
     //    fabric backend behind its [offload] layer did the fold.
-    let mut deployed = deploy(&net, &model, FaultPlan::none())?;
-    let offload = deployed.layer_mut(2).as_offload_mut();
+    let deployed = deploy(&net, &model, FaultPlan::none())?;
+    let offload = deployed.layer(2).as_offload();
     let backend = offload.expect("the offload layer").backend().as_any();
     let fabric = backend.downcast_ref::<FabricBackend>();
     let accelerator = fabric.and_then(FabricBackend::accelerator);

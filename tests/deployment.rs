@@ -111,7 +111,7 @@ fn deployed_detector_matches_qat_accuracy() {
     let train_set = dataset(16, 3);
     let eval_set = dataset(12, 900);
     let loss = DetectionLoss::new(CLASSES, (0.4, 0.4));
-    let (mut net, mut deployed) = train_and_deploy(9, &train_set, 25);
+    let (mut net, deployed) = train_and_deploy(9, &train_set, 25);
 
     let qat = evaluate_map(&mut net, &loss, &eval_set, 0.25, 0.4);
     let mut detections = Vec::new();
@@ -133,7 +133,7 @@ fn deployed_detector_matches_qat_accuracy() {
 #[test]
 fn deployed_head_matches_qat_head_per_image() {
     let train_set = dataset(8, 5);
-    let (mut net, mut deployed) = train_and_deploy(4, &train_set, 10);
+    let (mut net, deployed) = train_and_deploy(4, &train_set, 10);
     for sample in &train_set[..4] {
         let qat_head = net.forward(sample.image.as_tensor());
         let dep_head = deployed.forward(sample.image.as_tensor()).expect("runs");
@@ -158,7 +158,7 @@ fn deployed_network_is_conv_pool_offload_conv_with_two_fabric_layers() {
 #[test]
 fn deployed_matches_qat_forward() {
     let mut net = TrainNet::from_model(&model(7)).unwrap();
-    let mut deployed = deploy(&net, &model(7), FaultPlan::none()).unwrap();
+    let deployed = deploy(&net, &model(7), FaultPlan::none()).unwrap();
     let qat_head = net.forward(&image(13, 5));
     let deployed_head = deployed.forward(&image(13, 5)).unwrap();
     assert_eq!(qat_head.shape(), deployed_head.shape());
@@ -174,7 +174,7 @@ fn deployed_matches_qat_forward() {
 fn deployed_forward_survives_an_outage_bit_exactly() {
     let net = TrainNet::from_model(&model(7)).unwrap();
     let image = image(7, 3);
-    let mut clean = deploy(&net, &model(7), FaultPlan::none()).unwrap();
+    let clean = deploy(&net, &model(7), FaultPlan::none()).unwrap();
     let clean = clean.forward(&image).unwrap();
 
     let mut faulty = deploy(&net, &model(7), FaultPlan::outage(0, 10)).unwrap();
@@ -227,13 +227,13 @@ fn trained_weights_are_backend_interchangeable() {
     // parameters, not only the seeded ones every other test loads.
     let train_set = dataset(8, 5);
     let (_, deployed) = train_and_deploy(4, &train_set, 10);
-    let mut layers = deployed.into_layers();
+    let layers = deployed.into_layers();
     let prologue = |sample: &Sample| {
         let conv = layers[0].forward(sample.image.as_tensor()).expect("conv");
         layers[1].forward(&conv).expect("pool")
     };
     let fmaps: Vec<_> = train_set[..3].iter().map(prologue).collect();
-    let offload = layers[2].as_offload_mut().expect("layer 2");
+    let offload = layers[2].as_offload().expect("layer 2");
     let singles: Vec<_> = fmaps
         .iter()
         .map(|fmap| offload.forward(fmap).expect("fabric"))

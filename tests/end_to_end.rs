@@ -35,7 +35,7 @@ fn network_from_rendered_cfg_runs_with_fabric_backend() {
     let text = render_cfg(&offloaded_spec(config.input_size));
     let spec = parse_cfg(&text).expect("valid cfg");
     let registry = fabric_registry(&config);
-    let mut net = Network::from_spec(&spec, &registry, config.seed).expect("buildable");
+    let net = Network::from_spec(&spec, &registry, config.seed).expect("buildable");
     let out = net.forward(&frame(0)).expect("forward");
     assert_eq!(out.shape(), Shape3::new(125, 1, 1));
     assert!(out.as_slice().iter().all(|v| v.is_finite()));
@@ -46,7 +46,7 @@ fn weights_round_trip_preserves_inference_through_offload() {
     let config = system();
     let registry = fabric_registry(&config);
     let spec = offloaded_spec(config.input_size);
-    let mut a = Network::from_spec(&spec, &registry, 1).expect("buildable");
+    let a = Network::from_spec(&spec, &registry, 1).expect("buildable");
     let mut blob = Vec::new();
     a.save_weights(&mut blob).expect("serializable");
 
@@ -70,7 +70,7 @@ fn detections_decode_from_the_activated_head() {
     let config = system();
     let registry = fabric_registry(&config);
     let spec = offloaded_spec(config.input_size);
-    let mut net = Network::from_spec(&spec, &registry, 5).expect("buildable");
+    let net = Network::from_spec(&spec, &registry, 5).expect("buildable");
     let head = net.forward(&frame(1)).expect("forward");
 
     let region = match spec.layers.last() {

@@ -54,12 +54,11 @@ fn non_paper_offloaded_points(n: usize) -> Vec<DesignPoint> {
 
 fn assert_bit_exact(model: &ModelSpec) {
     let system = SystemConfig::default();
-    let mut finn = ServeEngine::finn_for_model(model, &system, 0.0).expect("fabric engine builds");
-    let mut cpu = ServeEngine::cpu_for_model(model, &system, 0.0).expect("cpu engine builds");
+    let engine = ServeEngine::finn_for_model(model, &system, 0.0).expect("engine builds");
     let images = frames(3);
-    let batched = finn.process_batch(&images).expect("fabric batch runs");
+    let batched = engine.process_batch(&images).expect("fabric batch runs");
     for (image, expected) in images.iter().zip(&batched) {
-        let host = cpu.process_host(image).expect("host path runs");
+        let host = engine.process_host(image).expect("host path runs");
         assert_eq!(&host, expected, "fabric and host detections diverge");
     }
 }

@@ -61,7 +61,7 @@ fn destroy_hook_runs_on_drop() {
         fn write_weights(&self, _: &mut WeightsWriter<'_>) -> Result<(), NnError> {
             Ok(())
         }
-        fn forward(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
+        fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
             Ok(input.clone())
         }
         fn num_params(&self) -> usize {
@@ -117,7 +117,7 @@ fn fabric_backend_downcasts_for_timing_reports() {
         ..Default::default()
     };
     let registry = fabric_registry(&config);
-    let mut net = Network::from_spec(&offloaded_spec(32), &registry, 9).expect("buildable");
+    let net = Network::from_spec(&offloaded_spec(32), &registry, 9).expect("buildable");
 
     let input = Tensor::from_fn(Shape3::new(3, 32, 32), |c, y, x| {
         ((c + y * 2 + x) % 8) as f32 / 8.0
@@ -126,25 +126,16 @@ fn fabric_backend_downcasts_for_timing_reports() {
 
     // Reach the backend through the generic layer interface (as a
     // monitoring tool would) and read the accelerator's cycle report.
-    let nn_layer = net.layer_mut(1);
-    assert_eq!(nn_layer.kind(), "offload");
-    // Downcast chain: &mut dyn Layer has no as_any, but the OffloadLayer
-    // API exposes its backend; reconstruct through a fresh build instead.
-    drop(net);
-
-    let mut backend = registry.create("fabric.so").expect("registered");
-    let cfg = OffloadConfig {
-        library: "fabric.so".into(),
-        network: "x".into(),
-        weights: "y".into(),
-        input_shape: Shape3::new(16, 16, 16),
-        output_shape: Shape3::new(512, 1, 1),
-    };
-    backend.init(&cfg).expect("geometry chains");
-    let fabric = backend
+    let offload = net.layer(1).as_offload().expect("layer 1 is the offload");
+    let fabric = offload
+        .backend()
         .as_any()
         .downcast_ref::<FabricBackend>()
         .expect("fabric backend");
-    assert!(fabric.last_report().is_none(), "no forward ran yet");
+    let accel = fabric.accelerator().expect("built at load time");
+    let (_, report) = accel
+        .run(&Tensor::zeros(accel.input_shape()))
+        .expect("fabric runs");
+    assert_eq!(report.layer_cycles.len(), hidden_stack(32).len());
     assert_eq!(hidden_stack(32).len(), 7);
 }

@@ -3,12 +3,14 @@
 //! freedom under mixed SLOs, micro-batch formation and bit-exact
 //! load-shedding when the FINN engine degrades.
 
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 use tincy::core::SystemConfig;
-use tincy::finn::FaultPlan;
+use tincy::finn::{FaultKind, FaultPlan, FaultWindow};
+use tincy::nn::{Network, RetryPolicy};
 use tincy::serve::{
     run_load, AdmissionError, ArrivalPattern, FleetConfig, InferenceServer, LoadConfig, LoadReport,
-    ServeConfig, SloClass,
+    ServeConfig, ServeEngine, SloClass,
 };
 use tincy::video::{Image, SceneConfig, SyntheticCamera};
 
@@ -235,4 +237,71 @@ fn slo_targets_mark_violations() {
     let report = drive(config, 2, 3, ArrivalPattern::Burst);
     assert_eq!(report.dropped(), 0);
     assert_eq!(report.target.shards[0].slo_violations, 6);
+}
+
+/// Compile-time proof that a built network and a serve engine can be
+/// shared across worker threads.
+const _: fn() = || {
+    fn shareable<T: Send + Sync>() {}
+    shareable::<ServeEngine>();
+    shareable::<Network>();
+};
+
+#[test]
+fn one_engine_shared_by_concurrent_workers_stays_bit_exact() {
+    // The server shares one engine per rung between its FINN worker and
+    // every host worker. Under a seeded fault plan, a FINN thread and two
+    // host threads on one engine must produce what one thread does, and
+    // the host threads must draw nothing from the shared injector. The
+    // seeded rates rarely fire in two invocations, so an outage on the
+    // second one makes sure the injector is drawn from and counted.
+    let plan = FaultPlan {
+        outage: Some(FaultWindow {
+            start: 1,
+            length: 1,
+            kind: FaultKind::DmaTimeout,
+        }),
+        ..FaultPlan::from_seed(7)
+    };
+    let system = SystemConfig {
+        retry: RetryPolicy {
+            backoff_base: Duration::ZERO,
+            ..RetryPolicy::default()
+        },
+        ..small_system(plan)
+    };
+    let images = frames(8, 3);
+    let sequential = ServeEngine::finn(&system, 0.0).unwrap();
+    let mut batched = sequential.process_batch(&images[..4]).unwrap();
+    batched.extend(sequential.process_batch(&images[4..]).unwrap());
+    let host: Vec<_> = images
+        .iter()
+        .map(|image| sequential.process_host(image).unwrap())
+        .collect();
+
+    let shared = Arc::new(ServeEngine::finn(&system, 0.0).unwrap());
+    // All three workers start their frames together.
+    let start = Arc::new(Barrier::new(3));
+    let worker = |host: bool| {
+        let (engine, images, start) = (Arc::clone(&shared), images.clone(), Arc::clone(&start));
+        std::thread::spawn(move || {
+            start.wait();
+            if host {
+                let run = |image| engine.process_host(image).unwrap();
+                return images.iter().map(run).collect::<Vec<_>>();
+            }
+            let mut out = engine.process_batch(&images[..4]).unwrap();
+            out.extend(engine.process_batch(&images[4..]).unwrap());
+            out
+        })
+    };
+    let (finn, hosts) = (worker(false), [worker(true), worker(true)]);
+    assert_eq!(finn.join().unwrap(), batched);
+    for worker in hosts {
+        assert_eq!(worker.join().unwrap(), host);
+    }
+    assert_eq!(batched, host, "FINN and host paths agree");
+    let stats = shared.health().snapshot();
+    assert_eq!(stats, sequential.health().snapshot());
+    assert_eq!((stats.forwards, stats.faults, stats.degraded), (8, 1, 4));
 }
