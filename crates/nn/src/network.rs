@@ -1,11 +1,11 @@
 //! The network container.
 //!
-//! Besides the whole-network [`Network::forward`], the per-layer
-//! [`Network::forward_layer`] entry point is first class: the pipelined demo
-//! mode of §III-F "had to disintegrate the network inference (forward) pass
-//! to gain access to the invocations of the individual layers", and
-//! [`Network::into_layers`] hands the layers out for distribution across
-//! pipeline stages.
+//! Besides the whole-network [`Network::forward`], the per-layer path is
+//! first class: the pipelined demo mode of §III-F "had to disintegrate the
+//! network inference (forward) pass to gain access to the invocations of
+//! the individual layers", so [`Network::into_layers`] hands the layers
+//! out for distribution across pipeline stages, each of which runs its
+//! layers' [`Layer::forward`].
 
 use crate::conv::ConvLayer;
 use crate::error::NnError;

@@ -6,22 +6,17 @@
 //! split to a fleet (DESIGN.md §7.3). `tincy serve` is the N = 1 case:
 //! one shard, a router with one candidate, no health monitor.
 //!
-//! * **Dispatch** — [`RoutePolicy::LeastLoaded`] picks the shard with
-//!   the fewest outstanding requests; [`RoutePolicy::ConsistentHash`]
-//!   pins each client to a shard via a virtual-node [`HashRing`] (64
-//!   nodes per shard), so a client's frames batch together on one
-//!   fabric. Either way a
-//!   rejection fails over to the next candidate — the fleet sheds only
-//!   when *every* shard refuses.
+//! * **Dispatch** — the router picks the routable shard with the fewest
+//!   outstanding requests; a rejection fails over to the next candidate
+//!   — the fleet sheds only when *every* shard refuses.
 //! * **Drain / re-admit** — a health monitor watches each shard's
-//!   offload counters and asks the shard for its own degradation
-//!   verdict (SLO burn, calibration drift). A shard whose fabric
-//!   degrades is drained: removed from the ring and skipped by dispatch
-//!   while its outstanding work completes (accepted work is never
-//!   dropped). Drained shards are probed with canary frames; two clean
-//!   fabric probes in a row re-admit the shard, and re-admission clears
-//!   the evidence behind the shard's own verdict. The monitor polls
-//!   every 10 ms.
+//!   fabric counters. A shard whose fabric's `degraded` counter advances
+//!   is drained: skipped by dispatch while its outstanding work
+//!   completes (accepted work is never dropped). Load, SLO burn and
+//!   drift do not drain a shard: admission sheds overload with a typed
+//!   error, and the ladder demotes on burn and drift. Drained shards are
+//!   probed with canary frames; two clean fabric probes in a row
+//!   re-admit the shard. The monitor polls every 10 ms.
 //! * **Aggregation** — `--status-addr` binds one endpoint: the router's
 //!   `tincy_fleet_*` families plus every shard's own series under a
 //!   `shard="i"` label, read from the shards' collectors by function
@@ -45,42 +40,14 @@ use tincy_finn::FaultPlan;
 pub(crate) const HEALTH_EVERY: Duration = Duration::from_millis(10);
 /// Consecutive clean fabric probes that re-admit a drained shard.
 pub(crate) const READMIT_STREAK: u32 = 2;
-/// Virtual nodes per shard on the consistent-hash ring.
-pub(crate) const VNODES: usize = 64;
 
-/// How the router picks a shard for each submission.
+/// How the router picks a shard: it has one way. Only the benchmark
+/// ledger's fleet fixture names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutePolicy {
     /// The routable shard with the fewest outstanding requests (ties
-    /// break on shard index).
+    /// break on lifetime routed count, then shard index).
     LeastLoaded,
-    /// The shard owning the client's key on the consistent-hash ring —
-    /// sticky per client, minimally disrupted by drains.
-    ConsistentHash,
-}
-
-impl RoutePolicy {
-    /// Stable label for reports and CLI round-trips.
-    pub fn label(self) -> &'static str {
-        match self {
-            RoutePolicy::LeastLoaded => "least-loaded",
-            RoutePolicy::ConsistentHash => "hash",
-        }
-    }
-}
-
-impl std::str::FromStr for RoutePolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "least-loaded" => Ok(RoutePolicy::LeastLoaded),
-            "hash" => Ok(RoutePolicy::ConsistentHash),
-            other => Err(format!(
-                "unknown policy {other:?} (expected least-loaded or hash)"
-            )),
-        }
-    }
 }
 
 /// Configuration of a serve fleet.
@@ -88,7 +55,8 @@ impl std::str::FromStr for RoutePolicy {
 pub struct FleetConfig {
     /// Number of shards (in-process serve instances).
     pub shards: usize,
-    /// Dispatch policy.
+    /// Dispatch policy; nothing reads it. Only the benchmark ledger's
+    /// fleet fixture sets it.
     pub policy: RoutePolicy,
     /// Per-shard server configuration. Every shard shares the weight
     /// seed, so results are bit-exact regardless of routing; the fault

@@ -1,12 +1,15 @@
-//! Consistent-hash ring for shard dispatch.
+//! A consistent-hash ring over shard ids, and the `mix64` hash the
+//! arrival schedules draw from.
+//!
+//! The router does not use the ring: it routes least-loaded. Only the
+//! benchmark ledger's `fleet.ring_route_ns` row still times it.
 //!
 //! Each shard contributes `vnodes` points on a 64-bit ring; a key routes
 //! to the first point at or clockwise after its own hash. Removing a
 //! shard deletes only that shard's points, so keys that routed elsewhere
-//! keep their mapping (the minimal-disruption property the fleet router
-//! relies on when it drains a shard), and re-inserting the shard with
-//! the same id restores the original mapping exactly — the points are a
-//! pure function of `(shard, vnode)`.
+//! keep their mapping, and re-inserting the shard with the same id
+//! restores the original mapping exactly — the points are a pure
+//! function of `(shard, vnode)`.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +25,8 @@ pub(crate) fn mix64(a: u64, b: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A consistent-hash ring over shard ids.
+/// A consistent-hash ring over shard ids. Only the benchmark ledger
+/// holds it.
 #[derive(Debug, Clone)]
 pub struct HashRing {
     /// Ring position → owning shard. On the (astronomically unlikely)

@@ -1,30 +1,26 @@
-//! The fleet router runtime: N in-process serve shards, policy dispatch
-//! with failover, and the drain/re-admit health monitor.
+//! The fleet router runtime: N in-process serve shards, least-loaded
+//! dispatch with failover, and the drain/re-admit health monitor.
 //!
 //! Shard health is judged from the fabric's own offload counters, not
-//! wall-clock timeouts: a poll that observes the `degraded` counter
-//! advance means the shard's FINN engine needed retries or CPU fallback
-//! since the last poll, and the shard is drained — as is a shard whose
-//! own verdict (SLO burn, calibration drift) says it should be routed
-//! around. A drained shard keeps
-//! completing its outstanding work (accepted work is never dropped
-//! anywhere in the stack); once idle it is probed with canary frames.
-//! A probe is *clean* only on fabric evidence — the `forwards` counter
-//! advanced while `degraded` did not. A probe stolen by a host worker
-//! moves neither counter and is inconclusive: it leaves the recovery
-//! streak untouched rather than resetting it, and a later probe lands
-//! on the fabric. `READMIT_STREAK` clean probes re-admit the shard, and
-//! re-admission clears the drift alerts and burn windows behind its own
-//! verdict, so it is judged by what its traffic does next.
+//! wall-clock timeouts or the shard's load: a poll that observes the
+//! `degraded` counter advance means the shard's FINN engine needed
+//! retries or CPU fallback since the last poll, and the shard is
+//! drained. A shard's SLO burn or drift verdict does not drain it. A
+//! drained shard keeps completing its outstanding work (accepted work
+//! is never dropped anywhere in the stack); once idle it is probed with
+//! canary frames. A probe is *clean* only on fabric evidence — the
+//! `forwards` counter advanced while `degraded` did not. A probe stolen
+//! by a host worker moves neither counter and is inconclusive: it
+//! leaves the recovery streak untouched rather than resetting it, and a
+//! later probe lands on the fabric. `READMIT_STREAK` clean probes
+//! re-admit the shard.
 
-use super::ring::HashRing;
 use super::telemetry::FleetStats;
-use super::{FleetConfig, RoutePolicy, HEALTH_EVERY, READMIT_STREAK, VNODES};
+use super::{FleetConfig, HEALTH_EVERY, READMIT_STREAK};
 use crate::metrics::ServeReport;
 use crate::request::{AdmissionError, InferResponse, SloClass};
 use crate::server::{ClientHandle, InferenceServer};
 use crate::telemetry::ServeCollector;
-use parking_lot::Mutex;
 use std::collections::{BTreeSet, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -48,19 +44,15 @@ pub(super) struct Slot {
     pub(super) up: AtomicBool,
     /// Requests ever routed to the shard.
     pub(super) routed: AtomicU64,
+    /// The fabric `degraded` count the monitor last judged while the
+    /// shard was up: written after any drain that count caused.
+    judged: AtomicU64,
 }
 
 /// State shared by the router, its clients, the health monitor and the
 /// status endpoint.
 pub(super) struct Shared {
     pub(super) slots: Vec<Slot>,
-    pub(super) policy: RoutePolicy,
-    /// The live ring: drained shards are removed, re-admitted shards
-    /// re-inserted.
-    pub(super) ring: Mutex<HashRing>,
-    /// The full-membership ring, never mutated — the "ideal" mapping
-    /// used to count re-routes.
-    pub(super) full_ring: HashRing,
     pub(super) drains: AtomicU64,
     pub(super) readmits: AtomicU64,
     pub(super) rerouted: AtomicU64,
@@ -70,20 +62,17 @@ pub(super) struct Shared {
 }
 
 impl Shared {
-    fn new(shards: usize, policy: RoutePolicy) -> Self {
+    fn new(shards: usize) -> Self {
         let slots = (0..shards)
             .map(|_| Slot {
                 load: AtomicU64::new(0),
                 up: AtomicBool::new(true),
                 routed: AtomicU64::new(0),
+                judged: AtomicU64::new(0),
             })
             .collect();
-        let ring = HashRing::with_shards(shards as u32, VNODES);
         Self {
             slots,
-            policy,
-            full_ring: ring.clone(),
-            ring: Mutex::new(ring),
             drains: AtomicU64::new(0),
             readmits: AtomicU64::new(0),
             rerouted: AtomicU64::new(0),
@@ -126,7 +115,6 @@ impl Shared {
                 .map(|s| s.routed.load(Ordering::Relaxed))
                 .collect(),
             shards,
-            policy: self.policy,
             drains: self.drains.load(Ordering::Relaxed),
             readmits: self.readmits.load(Ordering::Relaxed),
             rerouted: self.rerouted.load(Ordering::Relaxed),
@@ -136,23 +124,18 @@ impl Shared {
         }
     }
 
-    /// The shard the policy would pick with every shard healthy — the
+    /// The shard the router would pick with every shard healthy — the
     /// reference against which re-routes are counted.
-    fn ideal_shard(&self, key: u64) -> usize {
-        match self.policy {
-            RoutePolicy::ConsistentHash => {
-                self.full_ring.route(key).map_or(0, |shard| shard as usize)
-            }
-            RoutePolicy::LeastLoaded => (0..self.slots.len())
-                .min_by_key(|&i| self.balance_key(i))
-                .unwrap_or(0),
-        }
+    fn ideal_shard(&self) -> usize {
+        (0..self.slots.len())
+            .min_by_key(|&i| self.balance_key(i))
+            .unwrap_or(0)
     }
 
-    /// Shards in submission order: routable shards first (the policy's
-    /// pick, then the rest by load), then drained shards as a last
-    /// resort — admission only sheds when every shard refuses.
-    fn candidate_order(&self, key: u64) -> Vec<usize> {
+    /// Shards in submission order: routable shards by load, then drained
+    /// shards as a last resort — admission only sheds when every shard
+    /// refuses.
+    fn candidate_order(&self) -> Vec<usize> {
         let mut up = Vec::new();
         let mut down = Vec::new();
         for (i, slot) in self.slots.iter().enumerate() {
@@ -164,15 +147,6 @@ impl Shared {
         }
         up.sort_by_key(|&i| self.balance_key(i));
         down.sort_by_key(|&i| self.balance_key(i));
-        if self.policy == RoutePolicy::ConsistentHash {
-            if let Some(owner) = self.ring.lock().route(key) {
-                let owner = owner as usize;
-                if let Some(pos) = up.iter().position(|&i| i == owner) {
-                    up.remove(pos);
-                    up.insert(0, owner);
-                }
-            }
-        }
         up.extend(down);
         up
     }
@@ -222,7 +196,7 @@ impl Fleet {
             shard_config.status_addr = None;
             servers.push(InferenceServer::start(shard_config)?);
         }
-        let shared = Arc::new(Shared::new(config.shards, config.policy));
+        let shared = Arc::new(Shared::new(config.shards));
         // Only the endpoint and the monitor hold the shards' collectors:
         // the monitor is joined before the shards finish, so without an
         // endpoint a shard's state goes when the shard does.
@@ -250,9 +224,36 @@ impl Fleet {
         })
     }
 
-    /// Whether one shard is currently routable.
-    pub fn shard_up(&self, shard: usize) -> bool {
-        self.shared.slots[shard].up.load(Ordering::Relaxed)
+    /// Waits up to `timeout` until every shard is routable and the
+    /// health monitor has judged the fabric evidence each one shows now,
+    /// so a fault the last responses hit has been drained on and, once
+    /// the fabric recovers, re-admitted. Returns whether that happened in
+    /// time. A fleet of one has no monitor and is always settled.
+    pub fn settle(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        while !self.settled() {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        true
+    }
+
+    fn settled(&self) -> bool {
+        // Fabric count, then the judged count, then `up`: the monitor
+        // writes `judged` after the drain it decided on, so a judged count
+        // that covers the fabric's proves `up` is no older than that step.
+        self.monitor.is_none()
+            || self
+                .servers
+                .iter()
+                .zip(&self.shared.slots)
+                .all(|(server, slot)| {
+                    let degraded = server.collector.fabric().degraded;
+                    slot.judged.load(Ordering::Acquire) >= degraded
+                        && slot.up.load(Ordering::Acquire)
+                })
     }
 
     /// The fleet status endpoint's bound address, when configured.
@@ -272,7 +273,7 @@ impl Fleet {
     }
 
     /// Registers a fleet client: one connection per shard plus a stable
-    /// routing key.
+    /// key its trace ids are minted from.
     pub fn client(&self) -> FleetClient {
         let key = self.next_client.fetch_add(1, Ordering::Relaxed);
         FleetClient {
@@ -311,7 +312,7 @@ impl Fleet {
     }
 }
 
-/// A fleet client: submissions are dispatched by policy with failover;
+/// A fleet client: submissions are dispatched least-loaded with failover;
 /// responses are collected in fleet submission order. Per-(client,
 /// shard) delivery is FIFO, so collecting pending responses in the
 /// order they were admitted yields exactly the submission order even
@@ -333,7 +334,7 @@ pub struct FleetClient {
 }
 
 impl FleetClient {
-    /// Submits one frame. Candidates are tried in policy order; the
+    /// Submits one frame. Candidates are tried least-loaded first; the
     /// submission sheds (an error) only when every shard refuses.
     /// Returns the fleet-level sequence number on admission.
     ///
@@ -354,14 +355,9 @@ impl FleetClient {
         tincy_trace::span(static_label!("fleet.route"))
             .context(Some(ctx))
             .emit_flow_start();
-        let ideal = self.shared.ideal_shard(self.key);
+        let ideal = self.shared.ideal_shard();
         let mut last_err = None;
-        for (attempt, shard) in self
-            .shared
-            .candidate_order(self.key)
-            .into_iter()
-            .enumerate()
-        {
+        for (attempt, shard) in self.shared.candidate_order().into_iter().enumerate() {
             let attempt = u32::try_from(attempt).unwrap_or(u32::MAX);
             match self.handles[shard].submit_traced(image.clone(), class, ctx) {
                 Ok(seq) => {
@@ -476,13 +472,12 @@ pub struct FleetReport {
     pub shards: Vec<ServeReport>,
     /// Requests routed per shard (router view; excludes probes).
     pub routed: Vec<u64>,
-    /// Dispatch policy the fleet ran.
-    pub policy: RoutePolicy,
-    /// Shards drained after a degradation verdict.
+    /// Shards drained after their fabric degraded.
     pub drains: u64,
     /// Drained shards re-admitted after a clean probe streak.
     pub readmits: u64,
-    /// Admissions that landed off the policy's full-fleet ideal shard.
+    /// Admissions that landed off the least-loaded shard of the full
+    /// fleet.
     pub rerouted: u64,
     /// Submissions refused by every shard.
     pub sheds: u64,
@@ -566,8 +561,8 @@ struct Track {
     streak: u32,
 }
 
-/// The health monitor: offload-delta verdicts, each shard's own
-/// degradation verdict, and canary probing of drained shards.
+/// The health monitor: offload-delta verdicts and canary probing of
+/// drained shards.
 struct Monitor {
     shared: Arc<Shared>,
     /// Each shard's own state, read by function call.
@@ -606,16 +601,16 @@ impl Monitor {
     }
 
     fn drain(&mut self, shard: usize) {
-        self.shared.slots[shard].up.store(false, Ordering::Relaxed);
-        self.shared.ring.lock().remove(shard as u32);
+        self.shared.slots[shard].up.store(false, Ordering::Release);
         self.shared.drains.fetch_add(1, Ordering::Relaxed);
         self.tracks[shard].phase = Phase::Draining;
     }
 
     fn readmit(&mut self, shard: usize) {
-        self.shards[shard].rearm();
-        self.shared.slots[shard].up.store(true, Ordering::Relaxed);
-        self.shared.ring.lock().insert(shard as u32);
+        let slot = &self.shared.slots[shard];
+        slot.judged
+            .store(self.tracks[shard].last.degraded, Ordering::Release);
+        slot.up.store(true, Ordering::Release);
         self.shared.readmits.fetch_add(1, Ordering::Relaxed);
         let track = &mut self.tracks[shard];
         track.phase = Phase::Up;
@@ -626,13 +621,14 @@ impl Monitor {
         for shard in 0..self.tracks.len() {
             match self.tracks[shard].phase {
                 Phase::Up => {
-                    let shard_view = &self.shards[shard];
-                    let snap = shard_view.fabric();
-                    let degraded = snap.degraded > self.tracks[shard].last.degraded;
-                    self.tracks[shard].last = snap;
-                    if degraded || shard_view.degraded().is_some() {
+                    let snap = self.shards[shard].fabric();
+                    if snap.degraded > self.tracks[shard].last.degraded {
                         self.drain(shard);
                     }
+                    self.tracks[shard].last = snap;
+                    self.shared.slots[shard]
+                        .judged
+                        .store(snap.degraded, Ordering::Release);
                 }
                 Phase::Draining => {
                     self.tracks[shard].last = self.shards[shard].fabric();
@@ -702,10 +698,9 @@ mod tests {
     use crate::request::BackendKind;
     use tincy_core::SystemConfig;
 
-    fn small_fleet(policy: RoutePolicy) -> FleetConfig {
+    fn small_fleet() -> FleetConfig {
         FleetConfig {
             shards: 2,
-            policy,
             base: ServeConfig {
                 system: SystemConfig {
                     input_size: 32,
@@ -735,7 +730,7 @@ mod tests {
     fn fleet_serves_and_drains_cleanly() {
         let fleet = Fleet::start(FleetConfig {
             status_addr: Some("127.0.0.1:0".to_string()),
-            ..small_fleet(RoutePolicy::LeastLoaded)
+            ..small_fleet()
         })
         .unwrap();
         assert_eq!(fleet.shared.up_count(), 2);
@@ -764,26 +759,8 @@ mod tests {
     }
 
     #[test]
-    fn hash_policy_pins_a_client_to_one_shard() {
-        let fleet = Fleet::start(FleetConfig {
-            shards: 4,
-            ..small_fleet(RoutePolicy::ConsistentHash)
-        })
-        .unwrap();
-        let mut client = fleet.client();
-        for image in frames(8, 3) {
-            client.submit(image, SloClass::Standard).unwrap();
-        }
-        client.collect_all();
-        assert_eq!(client.shards_used(), 1, "hash routing is sticky");
-        let report = fleet.finish();
-        assert_eq!(report.lost(), 0);
-        assert_eq!(report.rerouted, 0);
-    }
-
-    #[test]
     fn least_loaded_spreads_across_shards() {
-        let fleet = Fleet::start(small_fleet(RoutePolicy::LeastLoaded)).unwrap();
+        let fleet = Fleet::start(small_fleet()).unwrap();
         let mut client = fleet.client();
         // Submit without collecting: load accumulates, so dispatch must
         // alternate between the two shards.
@@ -813,16 +790,15 @@ mod tests {
         }
     }
 
-    /// A shard's own verdict drains it whether or not anything listens:
-    /// the monitor asks the shard, not an endpoint. Both shards run the
-    /// one base config with drift on, and only shard 1 degrades: its FINN
-    /// engine slows 4x after warmup (drift is each shard's own
-    /// measurement), or it serves its requests degraded (SLO burn). Either
-    /// way it drains once: clean canaries re-admit it, re-admission clears
-    /// the evidence, and the next step leaves it up rather than draining
-    /// it again on an alert that one canary per step could never clear.
+    /// A shard's own verdict does not drain it: the monitor drains on the
+    /// fabric's counters only. Both shards run the one base config with
+    /// drift on, and only shard 1 degrades: its FINN engine slows 4x after
+    /// warmup (drift is each shard's own measurement), or it serves its
+    /// requests degraded (SLO burn). Either way its fabric counters never
+    /// move, so it stays routable while `degraded()` still names the
+    /// reason for the ladder and `/healthz`.
     #[test]
-    fn monitor_drains_a_degraded_shard_with_no_endpoint_bound() {
+    fn monitor_leaves_a_burning_or_drifting_shard_routable() {
         let slow_finn: fn(usize, &InferenceServer) = |shard, server| {
             let mut state = server.collector.inner.state.lock();
             for block in 0..5 {
@@ -838,7 +814,7 @@ mod tests {
             }
         };
         for (reason, degrade) in [("calibration-drift", slow_finn), ("slo-burn", burning)] {
-            let mut config = small_fleet(RoutePolicy::LeastLoaded);
+            let mut config = small_fleet();
             config.base.drift_threshold = Some(0.5);
             let servers: Vec<InferenceServer> = (0..2)
                 .map(|_| InferenceServer::start(config.base.clone()).unwrap())
@@ -846,24 +822,17 @@ mod tests {
             for (shard, server) in servers.iter().enumerate() {
                 degrade(shard, server);
             }
-            assert!(servers.iter().all(|s| s.status_addr().is_none()));
-            assert_eq!(servers[1].collector.degraded(), Some(reason));
-            let shared = Arc::new(Shared::new(2, config.policy));
+            let shared = Arc::new(Shared::new(2));
             let mut monitor = Monitor::new(&servers, Arc::clone(&shared));
-            monitor.step();
-            let up = |shard: usize| shared.slots[shard].up.load(Ordering::Relaxed);
-            let drains = || shared.drains.load(Ordering::Relaxed);
-            assert!(up(0), "{reason}: the healthy shard stays routable");
-            assert!(!up(1), "{reason}: the degraded shard is drained");
-            assert_eq!(drains(), 1, "{reason}");
-            let readmits = || shared.readmits.load(Ordering::Relaxed);
-            (0..8)
-                .take_while(|_| readmits() == 0)
-                .for_each(|_| monitor.step());
-            assert_eq!(readmits(), 1, "{reason}");
-            monitor.step();
-            assert!(up(1), "{reason}: a re-admitted shard is judged afresh");
-            assert_eq!(drains(), 1, "{reason}");
+            for _ in 0..3 {
+                monitor.step();
+            }
+            assert!(
+                shared.slots.iter().all(|s| s.up.load(Ordering::Relaxed)),
+                "{reason}: both shards stay routable"
+            );
+            assert_eq!(shared.drains.load(Ordering::Relaxed), 0, "{reason}");
+            assert_eq!(servers[1].collector.degraded(), Some(reason));
             drop(monitor);
             for server in servers {
                 server.finish();
@@ -875,7 +844,7 @@ mod tests {
     fn a_fleet_of_zero_shards_is_an_error() {
         let config = FleetConfig {
             shards: 0,
-            ..small_fleet(RoutePolicy::LeastLoaded)
+            ..small_fleet()
         };
         let err = Fleet::start(config).err().expect("zero shards refused");
         assert!(matches!(err, NnError::InvalidSpec { .. }), "{err}");
@@ -886,7 +855,7 @@ mod tests {
     /// outage is ridden out by the shard's own retry/fallback path.
     #[test]
     fn a_fleet_of_one_runs_no_health_monitor() {
-        let mut base = small_fleet(RoutePolicy::LeastLoaded).base;
+        let mut base = small_fleet().base;
         base.system.fault_plan = FaultPlan::outage(2, 6);
         let fleet = Fleet::start(FleetConfig::single(base)).unwrap();
         assert!(fleet.monitor.is_none(), "no tincy-fleet-health thread");

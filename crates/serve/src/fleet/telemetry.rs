@@ -54,7 +54,7 @@ impl Collect for FleetStats {
         let counters = [
             (
                 "tincy_fleet_drains_total",
-                "Shards drained after a degradation verdict",
+                "Shards drained after their fabric degraded",
                 &s.drains,
             ),
             (
@@ -64,7 +64,7 @@ impl Collect for FleetStats {
             ),
             (
                 "tincy_fleet_rerouted_total",
-                "Admissions landing off the policy's full-fleet ideal shard",
+                "Admissions landing off the full fleet's least-loaded shard",
                 &s.rerouted,
             ),
             (

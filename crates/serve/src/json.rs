@@ -148,7 +148,6 @@ pub fn report_json(report: &FleetReport) -> String {
     let classes = class_latency_json(|class| duration_stats_json(&report.class_latency(class)));
     JsonObject::new()
         .u64("shards", report.shards.len() as u64)
-        .str("policy", report.policy.label())
         .u64("accepted", report.accepted())
         .u64("completed", report.completed())
         .u64("lost", report.lost())

@@ -22,11 +22,12 @@
 //! depend on which backend produced it.
 //!
 //! [`fleet`] scales the single-server runtime out: N in-process shards
-//! behind a least-loaded or consistent-hash router with drain/re-admit
-//! health management and one status endpoint for the lot. It is also the
-//! front door: [`load`], the deterministic multi-client load driver
-//! (closed loop, burst and scheduled open-loop pacing), drives a fleet
-//! of any size, and a single server under load is the fleet of one.
+//! behind a least-loaded router that drains a shard whose fabric
+//! degrades and re-admits it on clean canaries, and one status endpoint
+//! for the lot. It is also the front door: [`load`], the deterministic
+//! multi-client load driver (closed loop, burst and scheduled open-loop
+//! pacing), drives a fleet of any size, and a single server under load
+//! is the fleet of one.
 //! [`smoke`] holds the assertions the CLI's `--smoke` flag and the
 //! integration tests share, and [`json`] the report and metrics
 //! dumps, written through `tincy-json`. With a status address set

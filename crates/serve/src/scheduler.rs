@@ -294,17 +294,6 @@ impl SchedState {
         }
     }
 
-    /// Drops every drift alert (trackers keep their EWMA and reference),
-    /// and counts every class's burn alert on the evidence so far before
-    /// dropping that evidence (see [`SloTracker::rearm`]).
-    pub fn rearm(&mut self) {
-        for tracker in self.drift.iter_mut().flatten() {
-            tracker.alerted = false;
-        }
-        let now = self.now_ns();
-        self.slo.iter_mut().for_each(|tracker| tracker.rearm(now));
-    }
-
     /// Evaluates every class's burn-rate state at the current injected
     /// clock, indexed by [`SloClass::index`].
     pub fn slo_status(&mut self) -> [SloStatus; 3] {

@@ -432,13 +432,11 @@ pub fn check_slo_smoke(samples: &[PromSample]) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RoutePolicy;
 
     fn fleet(shards: Vec<ServeReport>) -> FleetReport {
         FleetReport {
             routed: vec![0; shards.len()],
             shards,
-            policy: RoutePolicy::LeastLoaded,
             drains: 0,
             readmits: 0,
             rerouted: 0,

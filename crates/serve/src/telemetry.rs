@@ -54,11 +54,12 @@ impl ServeCollector {
         state.report(self.cpu_workers, self.started.elapsed(), offload)
     }
 
-    /// Why this server should be routed around, if it should: it burns
-    /// error budget faster than its policy allows, or one of its rungs'
-    /// service time has walked away from its reference. The ladder's
-    /// shift monitor, `/healthz` and the fleet health monitor all act on
-    /// this one verdict.
+    /// Why this server is degraded, if it is: it burns error budget
+    /// faster than its policy allows, or one of its rungs' service time
+    /// has walked away from its reference. The ladder's shift monitor
+    /// demotes on this one verdict, and `/healthz` reports it. The fleet
+    /// does not drain on it (an overloaded shard is not a broken one): it
+    /// drains on the fabric's own counters.
     pub fn degraded(&self) -> Option<&'static str> {
         let mut state = self.inner.state.lock();
         if state
@@ -72,16 +73,6 @@ impl ServeCollector {
         } else {
             None
         }
-    }
-
-    /// Clears the evidence behind both verdicts: every drift alert (each
-    /// tracker keeps its EWMA and reference) and every class's windowed
-    /// burn outcomes (the alert counts stay). The fleet re-admitted this
-    /// shard on clean probes, so what its traffic does next judges it — a
-    /// drained shard sees only canaries, which could not dilute a burn or
-    /// clear a drift alert in time.
-    pub fn rearm(&self) {
-        self.inner.state.lock().rearm();
     }
 }
 

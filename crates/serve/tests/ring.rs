@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use tincy_serve::HashRing;
 
-const VNODES: usize = 128;
+const POINTS_PER_SHARD: usize = 128;
 
 /// Routes `keys` consecutive keys starting at `base` and counts how
 /// many land on each of `shards` shards.
@@ -27,7 +27,7 @@ proptest! {
     /// fleets of 2..=8 shards, wherever the key range starts.
     #[test]
     fn key_distribution_is_balanced(shards in 2u32..=8, base in 0u64..1 << 48) {
-        let ring = HashRing::with_shards(shards, VNODES);
+        let ring = HashRing::with_shards(shards, POINTS_PER_SHARD);
         let keys = 4096u64;
         let fair = keys as f64 / f64::from(shards);
         for (shard, count) in shares(&ring, shards, base, keys).into_iter().enumerate() {
@@ -49,7 +49,7 @@ proptest! {
         base in 0u64..1 << 48,
     ) {
         let removed = removed % shards;
-        let full = HashRing::with_shards(shards, VNODES);
+        let full = HashRing::with_shards(shards, POINTS_PER_SHARD);
         let mut reduced = full.clone();
         reduced.remove(removed);
         for key in base..base + 1024 {
@@ -75,7 +75,7 @@ proptest! {
         base in 0u64..1 << 48,
     ) {
         let removed = removed % shards;
-        let full = HashRing::with_shards(shards, VNODES);
+        let full = HashRing::with_shards(shards, POINTS_PER_SHARD);
         let mut cycled = full.clone();
         cycled.remove(removed);
         cycled.insert(removed);

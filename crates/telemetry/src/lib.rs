@@ -19,7 +19,8 @@
 //!   client;
 //! - the [`slo`] burn-rate engine: per-class error budgets
 //!   ([`SloPolicy`]) evaluated over fast/slow window pairs on injected
-//!   time ([`SloTracker`]), feeding `/healthz` and the fleet monitor.
+//!   time ([`SloTracker`]), feeding `/healthz`, `/metrics` and the ladder's
+//!   shift monitor.
 
 #![forbid(unsafe_code)]
 

@@ -12,7 +12,9 @@
 //! (30 s and 5 m) that catches sustained low-grade burn. A pair alerts
 //! only when **both** of its windows exceed its threshold — the short
 //! window proves the burn is current, the long one proves it is not a
-//! blip — and clears as soon as either window recovers.
+//! blip — and clears as soon as either window recovers. Alert edges are
+//! counted as outcomes are recorded: every record evaluates, so an
+//! outage that nobody scrapes still counts the alert it raised.
 //!
 //! Time is injected: every entry point takes `now_ns` (nanoseconds on a
 //! caller-owned monotonic origin), so production drives the tracker from
@@ -22,7 +24,8 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 /// The evaluation windows, pairing order fast→slow: 5 s + 1 m trip the
-/// fast alert, 30 s + 5 m the slow one. Index into [`SloStatus::burn`].
+/// fast alert, 30 s + 5 m the slow one. A window of length `w` holds the
+/// outcomes recorded in `(now - w, now]`. Index into [`SloStatus::burn`].
 pub const SLO_WINDOWS: [Duration; 4] = [
     Duration::from_secs(5),
     Duration::from_secs(60),
@@ -103,15 +106,68 @@ enum Outcome {
     Shed,
 }
 
+/// Outcomes inside one trailing window.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    total: u64,
+    bad: u64,
+    shed: u64,
+}
+
+impl Counts {
+    fn add(&mut self, outcome: Outcome) {
+        self.total += 1;
+        match outcome {
+            Outcome::Good => {}
+            Outcome::Bad => self.bad += 1,
+            Outcome::Shed => self.shed += 1,
+        }
+    }
+
+    fn sub(&mut self, outcome: Outcome) {
+        self.total -= 1;
+        match outcome {
+            Outcome::Good => {}
+            Outcome::Bad => self.bad -= 1,
+            Outcome::Shed => self.shed -= 1,
+        }
+    }
+
+    /// The worse of `violation_rate / latency_budget` and
+    /// `shed_rate / shed_budget`. An empty window burns nothing.
+    fn burn(self, policy: &SloPolicy) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        let latency_burn = (self.bad as f64 / self.total as f64) / policy.latency_budget;
+        let shed_burn = (self.shed as f64 / self.total as f64) / policy.shed_budget;
+        latency_burn.max(shed_burn)
+    }
+}
+
 /// Burn-rate tracker for one request class. Not internally synchronized;
 /// callers wrap it in their own lock (the serve scheduler already owns
 /// one).
+///
+/// Every record evaluates, so an alert edge is counted when the outcome
+/// that raises or clears it is recorded, whoever (if anyone) reads the
+/// status. Each window keeps running counts and a cursor on its oldest
+/// event, so recording costs the same however many events the 5 m
+/// window holds.
 #[derive(Debug)]
 pub struct SloTracker {
     target: Duration,
     policy: SloPolicy,
-    /// (t_ns, outcome), oldest first, pruned beyond the longest window.
+    /// (t_ns, outcome), oldest first: the events inside the longest
+    /// window.
     events: VecDeque<(u64, Outcome)>,
+    /// Sequence number of `events.front()`.
+    head: u64,
+    /// Per window, the sequence number of its oldest event still inside
+    /// it, indexed like [`SLO_WINDOWS`].
+    tails: [u64; 4],
+    /// Per window, the outcomes from its tail to the newest event.
+    counts: [Counts; 4],
     fast_active: bool,
     slow_active: bool,
     fired: [u64; 2],
@@ -126,6 +182,9 @@ impl SloTracker {
             target,
             policy,
             events: VecDeque::new(),
+            head: 0,
+            tails: [0; 4],
+            counts: [Counts::default(); 4],
             fast_active: false,
             slow_active: false,
             fired: [0; 2],
@@ -158,61 +217,42 @@ impl SloTracker {
         self.push(now_ns, Outcome::Shed);
     }
 
-    /// Closes the books on what was recorded so far: one last
-    /// [`Self::evaluate`] counts any alert that evidence raises, then the
-    /// windowed outcomes are dropped and the edge counts kept, so the next
-    /// evaluation judges only what is recorded from now on (counting an
-    /// active alert's falling edge).
-    pub fn rearm(&mut self, now_ns: u64) {
-        self.evaluate(now_ns);
-        self.events.clear();
-    }
-
     fn push(&mut self, now_ns: u64, outcome: Outcome) {
         self.events.push_back((now_ns, outcome));
-        self.prune(now_ns);
+        for counts in &mut self.counts {
+            counts.add(outcome);
+        }
+        self.evaluate(now_ns);
     }
 
-    fn prune(&mut self, now_ns: u64) {
-        let horizon = SLO_WINDOWS[3].as_nanos() as u64;
-        let cutoff = now_ns.saturating_sub(horizon);
-        while self.events.front().is_some_and(|&(t, _)| t < cutoff) {
+    /// Moves every window's tail past the events it no longer holds at
+    /// `now_ns`: a window of length `w` holds the events of
+    /// `(now - w, now]`. Then drops what no window holds.
+    fn expire(&mut self, now_ns: u64) {
+        for (w, window) in SLO_WINDOWS.iter().enumerate() {
+            let span = window.as_nanos() as u64;
+            while let Some(&(t, outcome)) = self.events.get((self.tails[w] - self.head) as usize) {
+                if t.saturating_add(span) > now_ns {
+                    break;
+                }
+                self.counts[w].sub(outcome);
+                self.tails[w] += 1;
+            }
+        }
+        let oldest = self.tails.iter().copied().min().unwrap_or(self.head);
+        while self.head < oldest {
             self.events.pop_front();
+            self.head += 1;
         }
-    }
-
-    /// Burn rate over the trailing `window`: the worse of
-    /// `violation_rate / latency_budget` and `shed_rate / shed_budget`.
-    /// An empty window burns nothing.
-    #[must_use]
-    pub fn burn_rate(&self, now_ns: u64, window: Duration) -> f64 {
-        let cutoff = now_ns.saturating_sub(window.as_nanos() as u64);
-        let (mut total, mut bad, mut shed) = (0u64, 0u64, 0u64);
-        for &(t, outcome) in self.events.iter().rev() {
-            if t < cutoff {
-                break;
-            }
-            total += 1;
-            match outcome {
-                Outcome::Good => {}
-                Outcome::Bad => bad += 1,
-                Outcome::Shed => shed += 1,
-            }
-        }
-        if total == 0 {
-            return 0.0;
-        }
-        let latency_burn = (bad as f64 / total as f64) / self.policy.latency_budget;
-        let shed_burn = (shed as f64 / total as f64) / self.policy.shed_budget;
-        latency_burn.max(shed_burn)
     }
 
     /// Evaluates every window at `now_ns`, updates alert edges, and
-    /// returns the snapshot. Call this from the scrape/health path too:
-    /// alerts must clear by time passing, not only by new traffic.
+    /// returns the snapshot. Recording already evaluates; call this from
+    /// the scrape/health path too, so alerts clear by time passing, not
+    /// only by new traffic.
     pub fn evaluate(&mut self, now_ns: u64) -> SloStatus {
-        self.prune(now_ns);
-        let burn = SLO_WINDOWS.map(|w| self.burn_rate(now_ns, w));
+        self.expire(now_ns);
+        let burn = self.counts.map(|counts| counts.burn(&self.policy));
         let fast = burn[0] > self.policy.fast_threshold && burn[1] > self.policy.fast_threshold;
         let slow = burn[2] > self.policy.slow_threshold && burn[3] > self.policy.slow_threshold;
         if fast && !self.fast_active {
@@ -247,13 +287,16 @@ mod tests {
     const SEC: u64 = 1_000_000_000;
 
     /// Feeds `per_sec` served requests per second over `[from, to)`
-    /// seconds, `bad_per_sec` of them breaching the target.
+    /// seconds, the last at the end of each second, `bad_per_sec` of them
+    /// breaching the target and spread evenly over the second (the
+    /// request that completes each `per_sec / bad_per_sec` share breaches).
     fn feed(tracker: &mut SloTracker, from: u64, to: u64, per_sec: u64, bad_per_sec: u64) {
         let target = tracker.target();
         for sec in from..to {
             for i in 0..per_sec {
-                let now = sec * SEC + i * (SEC / per_sec);
-                let latency = if i < bad_per_sec {
+                let now = sec * SEC + (i + 1) * (SEC / per_sec);
+                let breach = (i + 1) * bad_per_sec / per_sec > i * bad_per_sec / per_sec;
+                let latency = if breach {
                     target + Duration::from_millis(50)
                 } else {
                     target
@@ -284,9 +327,9 @@ mod tests {
     #[test]
     fn slow_burn_trips_without_fast() {
         let mut tracker = SloTracker::new(Duration::from_millis(50), SloPolicy::default());
-        // 40% breaches → burn 0.4/0.05 = 8: above the slow threshold (6),
+        // 50% breaches → burn 0.5/0.05 = 10: above the slow threshold (6),
         // below the fast one (14.4). Sustain it across the 5 m window.
-        feed(&mut tracker, 0, 310, 10, 4);
+        feed(&mut tracker, 0, 310, 10, 5);
         let status = tracker.evaluate(310 * SEC);
         assert!(!status.fast_active, "burn {:?}", status.burn);
         assert!(status.slow_active, "burn {:?}", status.burn);
@@ -294,15 +337,15 @@ mod tests {
     }
 
     #[test]
-    fn rearm_counts_the_alert_then_judges_afresh() {
+    fn recording_counts_edges_that_no_evaluation_saw() {
         let mut tracker = SloTracker::new(Duration::from_millis(50), SloPolicy::default());
+        // An outage and its recovery, with nobody reading the status in
+        // between: the records themselves count both edges.
         feed(&mut tracker, 0, 8, 20, 20);
-        // Never evaluated mid-outage: the rearm still counts the alert.
-        tracker.rearm(8 * SEC);
-        let status = tracker.evaluate(8 * SEC);
+        feed(&mut tracker, 8, 20, 20, 0);
+        let status = tracker.evaluate(20 * SEC);
         assert!(!status.fast_active, "burn {:?}", status.burn);
         assert_eq!((status.fired[0], status.cleared[0]), (1, 1));
-        assert_eq!(status.burn, [0.0; 4]);
     }
 
     #[test]
@@ -356,5 +399,56 @@ mod tests {
         let status = tracker.evaluate(61 * SEC);
         assert!(status.fast_active, "burn {:?}", status.burn);
         assert_eq!(status.fired[0], 1);
+    }
+
+    /// The burn rates the old evaluation computed: one scan of the whole
+    /// history per window.
+    fn scan(history: &[(u64, Outcome)], now_ns: u64, policy: &SloPolicy) -> [f64; 4] {
+        SLO_WINDOWS.map(|window| {
+            let span = window.as_nanos() as u64;
+            let mut counts = Counts::default();
+            for &(t, outcome) in history.iter().rev() {
+                if t.saturating_add(span) <= now_ns {
+                    break;
+                }
+                counts.add(outcome);
+            }
+            counts.burn(policy)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The running counts burn exactly what a full scan burns, after
+        /// every record and every bare evaluation, on streams whose
+        /// timestamps run past the longest window.
+        #[test]
+        fn running_counts_burn_what_the_scan_burns(
+            steps in proptest::collection::vec((0u64..3_000, 0u8..4), 300..600),
+        ) {
+            let policy = SloPolicy::default();
+            let mut tracker = SloTracker::new(Duration::from_millis(50), policy);
+            let mut history = Vec::new();
+            let mut now = 0;
+            for (gap_ms, kind) in steps {
+                now += gap_ms * 1_000_000;
+                match kind {
+                    0 => tracker.record(now, Duration::from_millis(1), false),
+                    1 => tracker.record(now, Duration::from_millis(1), true),
+                    2 => tracker.record_shed(now),
+                    _ => {}
+                }
+                if let Some(outcome) = [Outcome::Good, Outcome::Bad, Outcome::Shed].get(kind as usize) {
+                    history.push((now, *outcome));
+                }
+                let status = tracker.evaluate(now);
+                proptest::prop_assert_eq!(status.burn, scan(&history, now, &policy));
+                let longest = SLO_WINDOWS[3].as_nanos() as u64;
+                let held = history.iter().filter(|(t, _)| t + longest > now).count();
+                proptest::prop_assert_eq!(tracker.events.len(), held);
+            }
+            proptest::prop_assert!(now > SLO_WINDOWS[3].as_nanos() as u64);
+        }
     }
 }

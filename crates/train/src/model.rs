@@ -95,8 +95,9 @@ impl TrainNet {
     ///
     /// # Errors
     ///
-    /// Returns [`TrainError`] for untrainable models (see
-    /// [`train_specs_for`]) or invalid layer geometry.
+    /// Returns [`TrainError`] for untrainable models (one with an
+    /// `[offload]` section: train the expanded per-layer topology, not the
+    /// deployed collapse) or invalid layer geometry.
     pub fn from_model(model: &ModelSpec) -> Result<Self, TrainError> {
         let (input, specs) = train_specs_for(model)?;
         TrainNet::new(input, &specs, model.seed)

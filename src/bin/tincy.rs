@@ -18,7 +18,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tincy::core::demo::{run_demo, DemoConfig};
 use tincy::core::topology::{cnv6, mlp4, tincy_yolo, tiny_yolo};
 use tincy::core::SystemConfig;
@@ -88,7 +88,6 @@ static FLAGS: &[Flag] = &[
     Flag("--workers", "N", SERVE, "load-driver threads the clients are partitioned across"),
     Flag("--seed", "N", SERVE, "base seed of the cameras and the arrival schedule"),
     Flag("--shards", "N", SERVE, "serve shards behind the router (default 1)"),
-    Flag("--policy", "NAME", SERVE, "least-loaded | hash"),
     Flag("--cpu-workers", "N", SERVE, "host workers (per shard)"),
     Flag("--max-batch", "N", SERVE, "largest FINN micro-batch"),
     Flag("--queue", "N", SERVE, "pending-queue bound (per shard)"),
@@ -516,7 +515,6 @@ fn cmd_serve(args: &Args) -> CliResult {
         ..Default::default()
     };
     args.set("--shards", &mut config.shards)?;
-    args.set("--policy", &mut config.policy)?;
     config.shard_faults = fault_plans(args, config.shards)?;
     // The given `--status-addr`, or an ephemeral port when a check needs
     // an endpoint to scrape.
@@ -554,16 +552,13 @@ fn cmd_serve(args: &Args) -> CliResult {
     // From `run_load`'s observation point: every response is collected,
     // nothing has shut down.
     let mut scraped = Ok(Vec::new());
-    let shards = config.shards;
     let report = run_load(config, &load, |fleet| {
         if smoke && faulted {
             // `check_smoke` wants the faulted shard drained *and*
-            // re-admitted; the health monitor may still be probing it
-            // when the last response arrives. Give it up to 2 s.
-            let deadline = Instant::now() + Duration::from_secs(2);
-            while !(0..shards).all(|shard| fleet.shard_up(shard)) && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // re-admitted; the health monitor may not have seen the last
+            // fault yet, or may still be probing the shard, when the last
+            // response arrives. Give it up to 2 s.
+            fleet.settle(Duration::from_secs(2));
         }
         if let (true, Some(addr)) = (scrape, fleet.status_addr()) {
             scraped = smoke_scrape(addr, 3);
@@ -612,10 +607,8 @@ fn print_server_view(report: &LoadReport) {
     );
     if f.shards.len() > 1 {
         println!(
-            "router: {} shards ({} policy) routed {:?}, {} rerouted, {} drains, {} readmits, \
-             {} probes",
+            "router: {} shards routed {:?}, {} rerouted, {} drains, {} readmits, {} probes",
             f.shards.len(),
-            f.policy.label(),
             f.routed,
             f.rerouted,
             f.drains,
@@ -946,14 +939,14 @@ mod tests {
         let serve = format!(
             "{local} --status-addr --cpu-workers --max-batch --queue --per-client \
              --drift-threshold --variants --smoke \
-             --fault-shard --shards --policy --pattern --workers --seed \
+             --fault-shard --shards --pattern --workers --seed \
              --slo-smoke"
         );
         let cases = [
             (Cmd::Demo, format!("{local} --frames")),
             (Cmd::Serve, serve),
         ];
-        assert_eq!((CMDS.len(), FLAGS.len()), (4, 27));
+        assert_eq!((CMDS.len(), FLAGS.len()), (4, 26));
         for (cmd, want) in cases {
             let mut want: Vec<&str> = want.split_whitespace().collect();
             let mut got: Vec<&str> = FLAGS

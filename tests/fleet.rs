@@ -10,16 +10,16 @@
 //! * the faulted shard is drained, probed, and re-admitted once its
 //!   fabric recovers, all while the load keeps flowing;
 //! * two runs with the same seed produce identical per-client detection
-//!   fingerprints, whichever policy routes them (routing may differ;
-//!   results may not), and whether or not a status endpoint is bound
-//!   (the health monitor reads its shards by function call either way).
+//!   fingerprints (routing may differ; results may not), whether or not
+//!   a status endpoint is bound (the health monitor reads its shards by
+//!   function call either way).
 
 use std::time::Duration;
 use tincy::core::SystemConfig;
 use tincy::finn::FaultPlan;
 use tincy::serve::smoke::check_smoke;
 use tincy::serve::{
-    run_load, ArrivalPattern, Fleet, FleetConfig, LoadConfig, LoadReport, RoutePolicy, SloClass,
+    run_load, ArrivalPattern, Fleet, FleetConfig, LoadConfig, LoadReport, SloClass,
 };
 use tincy::telemetry::{http_get, parse_prometheus};
 use tincy::trace::{exclusive, from_chrome_json, journeys, to_chrome_json};
@@ -30,16 +30,13 @@ use tincy::video::{SceneConfig, SyntheticCamera};
 // colliding minted trace ids) would leak into its trace —
 // so every test here holds `exclusive()`.
 
-const FAULTED_SHARD: usize = 1;
-
 /// A 3-shard fleet with a mid-run FINN outage on shard 1. The outage is
 /// invocation-indexed: the shard serves its first frames cleanly, then
 /// every fabric attempt faults until the window is burned through (by
 /// retries and canary probes) and the fabric recovers.
-fn faulted_fleet(policy: RoutePolicy) -> FleetConfig {
+fn faulted_fleet() -> FleetConfig {
     let mut config = FleetConfig {
         shards: 3,
-        policy,
         ..Default::default()
     };
     config.base.system = SystemConfig {
@@ -73,8 +70,17 @@ fn soak_load(seed: u64) -> LoadConfig {
 
 /// Runs the soak and holds it to the smoke contract: nothing lost or
 /// duplicated, per-client order across re-routing, and the faulted shard
-/// drained and re-admitted.
+/// drained and re-admitted — before the load's observation point, which
+/// waits for the monitor to have judged every fault the load hit.
 fn soak(config: FleetConfig, seed: u64, observe: impl FnOnce(&Fleet)) -> LoadReport {
+    let observe = |fleet: &Fleet| {
+        assert!(
+            fleet.settle(Duration::from_secs(2)),
+            "seed {seed}: the faulted shard was not drained and re-admitted within 2 s \
+             of the load finishing"
+        );
+        observe(fleet);
+    };
     let report = run_load(config, &soak_load(seed), observe).expect("fleet run succeeds");
     check_smoke(&report, false, true).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     report
@@ -83,12 +89,7 @@ fn soak(config: FleetConfig, seed: u64, observe: impl FnOnce(&Fleet)) -> LoadRep
 #[test]
 fn fault_out_soak_drains_readmits_and_loses_nothing() {
     let _guard = exclusive();
-    let report = soak(faulted_fleet(RoutePolicy::LeastLoaded), 21, |fleet| {
-        assert!(
-            fleet.shard_up(FAULTED_SHARD),
-            "the faulted shard was not re-admitted before the load finished"
-        );
-    });
+    let report = soak(faulted_fleet(), 21, |_| {});
     let f = &report.target;
     // Traffic rebalanced around the drain instead of shedding.
     assert_eq!(report.rejected(), 0, "a paced load must not shed");
@@ -102,19 +103,18 @@ fn fault_out_soak_drains_readmits_and_loses_nothing() {
 #[test]
 fn seeded_soaks_are_deterministic() {
     let _guard = exclusive();
-    let first = soak(faulted_fleet(RoutePolicy::LeastLoaded), 33, |_| {});
+    let first = soak(faulted_fleet(), 33, |_| {});
     let listening = FleetConfig {
         status_addr: Some("127.0.0.1:0".to_string()),
-        ..faulted_fleet(RoutePolicy::ConsistentHash)
+        ..faulted_fleet()
     };
     let second = soak(listening, 33, |fleet| {
         assert!(fleet.status_addr().is_some(), "the endpoint is bound");
     });
-    // Routing and drain timing vary with the scheduler and the policy,
-    // and the second fleet has an endpoint where the first has none; the
-    // drain verdict and the delivered results must not — every shard
-    // shares the weight seed and the fabric is bit-exact with the host
-    // fallback path.
+    // Routing and drain timing vary with the scheduler, and the second
+    // fleet has an endpoint where the first has none; the drain verdict
+    // and the delivered results must not — every shard shares the weight
+    // seed and the fabric is bit-exact with the host fallback path.
     assert_eq!(
         first.fingerprint(),
         second.fingerprint(),
@@ -123,30 +123,19 @@ fn seeded_soaks_are_deterministic() {
     assert_eq!(first.accepted(), second.accepted());
 }
 
-#[test]
-fn hash_policy_reroutes_only_the_drained_shards_clients() {
-    let _guard = exclusive();
-    let report = soak(faulted_fleet(RoutePolicy::ConsistentHash), 55, |_| {});
-    // Consistent hashing keeps clients sticky: only clients whose ring
-    // owner was drained should have touched a second shard.
-    let spread = report.outcomes.iter().filter(|o| o.shards_used > 1).count();
-    assert!(
-        spread < report.outcomes.len(),
-        "every client moved shards under hash routing"
-    );
-}
-
-/// Distributed-tracing contract: a request refused by its
-/// consistent-hash owner and failed over to the peer shard must appear
-/// in the session's trace as ONE journey — its reject span on the
-/// owner and its admit/lease/deliver spans on the peer, all under the
-/// trace id the router minted, with the router→shard flow (start +
-/// finish link events) intact.
+/// Distributed-tracing contract: a request refused by the least-loaded
+/// shard and failed over to the peer shard must appear in the session's
+/// trace as ONE journey — its reject span on the first shard and its
+/// admit/lease/deliver spans on the peer, all under the trace id the
+/// router minted, with the router→shard flow (start + finish link
+/// events) intact.
 ///
 /// The failover is forced deterministically: both shards start paused
-/// (burst admission) with a 2-deep per-client quota, so the third
-/// submission MUST bounce off the owner and land on the peer — no
-/// timing or load dependence.
+/// (burst admission) with a 2-deep per-client quota, so nothing
+/// completes and routing follows the submission order alone. Clients A
+/// and B submit B1→s0, A1→s1, A2→s0, A3→s1, B2→s0; A4 is then offered
+/// to s1 first, where A's quota is full, and MUST land on s0 — no timing
+/// or load dependence.
 #[test]
 fn failed_over_request_spans_both_shards_under_one_trace_id() {
     let _guard = exclusive();
@@ -154,7 +143,6 @@ fn failed_over_request_spans_both_shards_under_one_trace_id() {
 
     let mut config = FleetConfig {
         shards: 2,
-        policy: RoutePolicy::ConsistentHash,
         status_addr: Some("127.0.0.1:0".to_string()),
         ..Default::default()
     };
@@ -168,7 +156,8 @@ fn failed_over_request_spans_both_shards_under_one_trace_id() {
     config.base.per_client_capacity = 2;
 
     let fleet = Fleet::start(config).expect("fleet starts");
-    let mut client = fleet.client();
+    // Client A is `clients[0]`, B is `clients[1]`.
+    let mut clients = [fleet.client(), fleet.client()];
     let mut camera = SyntheticCamera::with_limit(
         SceneConfig {
             width: 48,
@@ -176,24 +165,22 @@ fn failed_over_request_spans_both_shards_under_one_trace_id() {
             ..Default::default()
         },
         11,
-        3,
+        6,
     );
-    for _ in 0..3 {
+    for who in [1, 0, 0, 0, 1, 0] {
         let image = camera.capture().expect("camera frame");
-        client
+        clients[who]
             .submit(image, SloClass::Standard)
             .expect("every submission is admitted somewhere");
     }
-    assert_eq!(
-        client.shards_used(),
-        2,
-        "the third submission must have failed over to the peer shard"
-    );
     fleet.resume_all();
-    client.collect_all();
-    let (submitted, accepted, _, completed) = client.counts();
-    assert_eq!((submitted, accepted, completed), (3, 3, 3));
-    drop(client);
+    for (client, sent) in clients.iter_mut().zip([4, 2]) {
+        client.collect_all();
+        assert!(client.in_order());
+        let (submitted, accepted, _, completed) = client.counts();
+        assert_eq!((submitted, accepted, completed), (sent, sent, sent));
+    }
+    drop(clients);
 
     // The recorder is one per process, so its drop counters are the
     // fleet's, once per thread — not each shard's copy of all of them.
@@ -215,12 +202,17 @@ fn failed_over_request_spans_both_shards_under_one_trace_id() {
     assert!(drops.iter().all(|s| s.label("shard").is_none()));
     let report = fleet.finish();
     assert_eq!(report.sheds, 0, "no submission may shed in this scenario");
+    assert_eq!(
+        report.routed,
+        vec![4, 2],
+        "A's fourth submission must have failed over to shard 0"
+    );
 
     let trace = from_chrome_json(&to_chrome_json(&tincy::trace::finish()))
         .expect("the exported trace re-imports");
     trace.check().expect("the trace is well formed");
     let by_request = journeys(&trace);
-    assert_eq!(by_request.len(), 3, "one journey per minted trace id");
+    assert_eq!(by_request.len(), 6, "one journey per minted trace id");
     for journey in &by_request {
         journey.verify().expect("causally ordered stage coverage");
         assert!(journey.delivered(), "every admitted request delivers");

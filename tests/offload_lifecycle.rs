@@ -6,7 +6,8 @@ use std::sync::Arc;
 use tincy::core::build::{fabric_registry, hidden_stack, offloaded_spec, SystemConfig};
 use tincy::finn::FabricBackend;
 use tincy::nn::{
-    BackendRegistry, Network, NnError, OffloadBackend, OffloadConfig, WeightsReader, WeightsWriter,
+    BackendRegistry, LayerSpec, Network, NnError, OffloadBackend, OffloadConfig, WeightsReader,
+    WeightsWriter,
 };
 use tincy::tensor::{Shape3, Tensor};
 
@@ -28,14 +29,17 @@ fn fabric_backend_reports_hidden_ops_after_load() {
         ..Default::default()
     };
     let registry = fabric_registry(&config);
-    let net = Network::from_spec(&offloaded_spec(32), &registry, 4).expect("buildable");
-    // Layer 1 is the offload layer; its declared op budget must equal the
-    // Table-II reduced ops of the scaled topology... but before
-    // load_weights the backend reports zero: ops come from the accelerator
-    // built during the load hook. Network::from_spec initializes with
-    // random weights only for CPU layers; the offload backend stays
-    // unconfigured until a weight stream arrives.
+    let spec = offloaded_spec(32);
+    let mut net = Network::from_spec(&spec, &registry, 4).expect("buildable");
+    let mut weights = Vec::new();
+    net.save_weights(&mut weights).expect("weights serialize");
+    net.load_weights(weights.as_slice()).expect("weights load");
+    let LayerSpec::Offload(offload) = &spec.layers[1] else {
+        panic!("layer 1 of the offloaded spec is not the offload layer");
+    };
     assert_eq!(net.layer(1).kind(), "offload");
+    assert!(offload.ops > 0);
+    assert_eq!(net.layer(1).ops_per_frame(), offload.ops);
 }
 
 #[test]
