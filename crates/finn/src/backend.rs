@@ -178,6 +178,8 @@ impl FabricBackend {
                 BitTensor::from_signs(conv.filters, cols, &signs).map_err(NnError::Tensor)?;
             // One accumulator unit is worth α·q_in real units.
             let acc_scale = alpha * self.act_step;
+            // The levels the conv declares: 8 for A3, 2 (one threshold) for A1.
+            let levels = conv.precision.activations.levels();
             let mut channel_thresholds = Vec::with_capacity(conv.filters);
             for c in 0..conv.filters {
                 let (a, b) = if conv.batch_normalize {
@@ -189,7 +191,7 @@ impl FabricBackend {
                 } else {
                     (acc_scale, params.bias[c])
                 };
-                channel_thresholds.push(ThresholdSet::from_affine(a, b, self.act_step, 8)?);
+                channel_thresholds.push(ThresholdSet::from_affine(a, b, self.act_step, levels)?);
             }
             layers.push(QnnLayerParams::new(
                 in_shape,
@@ -232,8 +234,8 @@ impl OffloadBackend for FabricBackend {
                     ),
                 });
             }
-            // Thresholds fold a monotone staircase: ReLU then the 3-bit
-            // quantizer (transformation (a), §III-E). A leaky slope or a
+            // Thresholds fold a monotone staircase: ReLU then the layer's
+            // activation quantizer (transformation (a), §III-E). A leaky slope or a
             // linear pass-through has no such fold.
             if conv.activation != Activation::Relu {
                 return Err(NnError::InvalidSpec {

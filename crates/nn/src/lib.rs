@@ -50,8 +50,8 @@ pub use maxpool::MaxPoolLayer;
 pub use model::{FoldSpec, ModelSpec};
 pub use network::Network;
 pub use offload::{
-    run_with_resilience, run_with_resilience_n, BackendRegistry, OffloadBackend, OffloadConfig,
-    OffloadHealth, OffloadLayer, OffloadStats, RetryPolicy,
+    run_with_resilience, BackendRegistry, OffloadBackend, OffloadConfig, OffloadHealth,
+    OffloadLayer, OffloadStats, RetryPolicy,
 };
 pub use region::{RegionLayer, RegionParams};
 pub use spec::{ConvSpec, LayerSpec, NetworkSpec, OffloadSpec, PoolSpec, RegionSpec};

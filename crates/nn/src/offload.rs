@@ -113,19 +113,6 @@ pub trait OffloadBackend: Send + Sync {
         inputs.iter().map(|input| self.forward(input)).collect()
     }
 
-    /// Host-side reference evaluation of a whole micro-batch — the batched
-    /// counterpart of [`OffloadBackend::forward_reference`].
-    ///
-    /// # Errors
-    ///
-    /// Implementation-specific inference failures.
-    fn forward_reference_batch(&self, inputs: &[Tensor<f32>]) -> Result<Vec<Tensor<f32>>, NnError> {
-        inputs
-            .iter()
-            .map(|input| self.forward_reference(input))
-            .collect()
-    }
-
     /// Number of parameters consumed from the weight stream.
     fn num_params(&self) -> usize;
 
@@ -266,8 +253,11 @@ impl std::iter::Sum for OffloadStats {
     }
 }
 
-/// Runs one offload invocation under a retry/fallback policy, updating
-/// `health`.
+/// Runs one offload invocation of `items` frames (one micro-batched
+/// call) under a retry/fallback policy, updating `health`: the per-frame
+/// counters (`forwards`, `fallbacks`, `degraded`) advance by `items`, the
+/// per-invocation ones (`faults`, `retries`) by one per attempt — a
+/// faulted batch is one DMA fault, not `items` faults.
 ///
 /// `run(false)` must attempt the accelerated path; `run(true)` must run the
 /// host-side reference path. Shared by [`OffloadLayer`] and integrations
@@ -279,24 +269,6 @@ impl std::iter::Sum for OffloadStats {
 /// retryable error when the retry budget is exhausted and fallback is
 /// disabled (or the fallback itself fails).
 pub fn run_with_resilience<T>(
-    policy: &RetryPolicy,
-    health: &OffloadHealth,
-    run: impl FnMut(bool) -> Result<T, NnError>,
-) -> Result<T, NnError> {
-    run_with_resilience_n(policy, health, 1, run)
-}
-
-/// Batch-aware variant of [`run_with_resilience`]: the closure processes
-/// `items` frames per invocation (one micro-batched offload call), so the
-/// per-frame counters (`forwards`, `fallbacks`, `degraded`) advance by
-/// `items` while the per-invocation counters (`faults`, `retries`) advance
-/// by one per attempt — a faulted batch is one DMA fault, not `items`
-/// faults.
-///
-/// # Errors
-///
-/// Same contract as [`run_with_resilience`].
-pub fn run_with_resilience_n<T>(
     policy: &RetryPolicy,
     health: &OffloadHealth,
     items: u64,
@@ -492,13 +464,16 @@ impl OffloadLayer {
             self.check_input(input)?;
         }
         let backend = self.backend.as_ref();
-        let outs = run_with_resilience_n(
+        let outs = run_with_resilience(
             &self.retry,
             &self.health,
             inputs.len() as u64,
             |use_reference| {
                 if use_reference {
-                    backend.forward_reference_batch(inputs)
+                    inputs
+                        .iter()
+                        .map(|input| backend.forward_reference(input))
+                        .collect()
                 } else {
                     backend.forward_batch(inputs)
                 }
@@ -578,22 +553,8 @@ impl Layer for OffloadLayer {
     }
 
     fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
-        self.check_input(input)?;
-        let backend = self.backend.as_ref();
-        let out = run_with_resilience(&self.retry, &self.health, |use_reference| {
-            if use_reference {
-                backend.forward_reference(input)
-            } else {
-                backend.forward(input)
-            }
-        })?;
-        if out.shape() != self.config.output_shape {
-            return Err(NnError::ShapeMismatch {
-                expected: self.config.output_shape.to_string(),
-                actual: out.shape().to_string(),
-            });
-        }
-        Ok(out)
+        let mut outs = self.forward_batch(std::slice::from_ref(input))?;
+        Ok(outs.pop().expect("a batch of one yields one output"))
     }
 
     fn load_weights(&mut self, reader: &mut WeightsReader<'_>) -> Result<(), NnError> {

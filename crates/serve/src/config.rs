@@ -14,10 +14,11 @@ pub struct ServeConfig {
     /// interchangeable).
     pub system: SystemConfig,
     /// Host workers running the bit-exact reference path. The FINN engine
-    /// is a single worker — the device is one fabric.
+    /// is a single worker at any ladder height — the device is one fabric.
     pub cpu_workers: usize,
     /// Maximum FINN micro-batch size (weights swap once per layer per
-    /// batch, amortizing the dominant reload cost).
+    /// batch, amortizing the dominant reload cost). A batch holds one
+    /// rung's requests only.
     pub max_batch: usize,
     /// Global pending-queue bound; submissions beyond it are rejected.
     pub queue_capacity: usize,
@@ -54,8 +55,9 @@ pub struct ServeConfig {
     /// Quantization-variant ladder to host. When unset the server runs a
     /// one-rung ladder around [`Self::model_spec`] — the classic
     /// single-model behavior. With multiple rungs, each SLO class is
-    /// routed to its home rung and a shift monitor demotes traffic down
-    /// the ladder under sustained drift or SLO burn.
+    /// routed to its home rung, the one FINN worker serves the rungs by
+    /// earliest queue head, and a shift monitor demotes traffic down the
+    /// ladder under sustained drift or SLO burn.
     pub variants: Option<VariantLadder>,
 }
 

@@ -2,7 +2,7 @@
 //! accelerated segment so the serving layer can micro-batch it.
 //!
 //! A built engine only reads on a forward, so one engine per variant is
-//! shared by that variant's FINN worker and every host worker; the
+//! shared by the server's one FINN worker and every host worker; the
 //! fabric's bit-exactness with the software reference path makes FINN and
 //! CPU results interchangeable.
 

@@ -10,13 +10,14 @@
 //!   outstanding requests; a rejection fails over to the next candidate
 //!   — the fleet sheds only when *every* shard refuses.
 //! * **Drain / re-admit** — a health monitor watches each shard's
-//!   fabric counters. A shard whose fabric's `degraded` counter advances
-//!   is drained: skipped by dispatch while its outstanding work
-//!   completes (accepted work is never dropped). Load, SLO burn and
-//!   drift do not drain a shard: admission sheds overload with a typed
-//!   error, and the ladder demotes on burn and drift. Drained shards are
-//!   probed with canary frames; two clean fabric probes in a row
-//!   re-admit the shard. The monitor polls every 10 ms.
+//!   fabric counters, summed over its rungs' engines. A shard whose
+//!   `degraded` counter advances is drained: skipped by dispatch while
+//!   its outstanding work completes (accepted work is never dropped).
+//!   Load, SLO burn and drift do not drain a shard: admission sheds
+//!   overload with a typed error, and the ladder demotes on burn and
+//!   drift. Drained shards are probed with canary frames; two clean
+//!   fabric probes in a row re-admit the shard. The monitor polls every
+//!   10 ms.
 //! * **Aggregation** — `--status-addr` binds one endpoint: the router's
 //!   `tincy_fleet_*` families plus every shard's own series under a
 //!   `shard="i"` label, read from the shards' collectors by function

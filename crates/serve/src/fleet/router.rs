@@ -1,19 +1,19 @@
 //! The fleet router runtime: N in-process serve shards, least-loaded
 //! dispatch with failover, and the drain/re-admit health monitor.
 //!
-//! Shard health is judged from the fabric's own offload counters, not
-//! wall-clock timeouts or the shard's load: a poll that observes the
-//! `degraded` counter advance means the shard's FINN engine needed
-//! retries or CPU fallback since the last poll, and the shard is
-//! drained. A shard's SLO burn or drift verdict does not drain it. A
-//! drained shard keeps completing its outstanding work (accepted work
-//! is never dropped anywhere in the stack); once idle it is probed with
-//! canary frames. A probe is *clean* only on fabric evidence — the
-//! `forwards` counter advanced while `degraded` did not. A probe stolen
-//! by a host worker moves neither counter and is inconclusive: it
-//! leaves the recovery streak untouched rather than resetting it, and a
-//! later probe lands on the fabric. `READMIT_STREAK` clean probes
-//! re-admit the shard.
+//! Shard health is judged from the fabric's own offload counters, summed
+//! over every rung's engine, not wall-clock timeouts or the shard's load:
+//! a poll that observes the `degraded` counter advance means one of the
+//! shard's FINN engines needed retries or CPU fallback since the last
+//! poll, and the shard is drained. A shard's SLO burn or drift verdict
+//! does not drain it. A drained shard keeps completing its outstanding
+//! work (accepted work is never dropped anywhere in the stack); once idle
+//! it is probed with canary frames. A probe is *clean* only on fabric
+//! evidence — the `forwards` counter advanced while `degraded` did not. A
+//! probe stolen by a host worker moves neither counter and is
+//! inconclusive: it leaves the recovery streak untouched rather than
+//! resetting it, and a later probe lands on the fabric. `READMIT_STREAK`
+//! clean probes re-admit the shard.
 
 use super::telemetry::FleetStats;
 use super::{FleetConfig, HEALTH_EVERY, READMIT_STREAK};
@@ -250,7 +250,7 @@ impl Fleet {
                 .iter()
                 .zip(&self.shared.slots)
                 .all(|(server, slot)| {
-                    let degraded = server.collector.fabric().degraded;
+                    let degraded = server.collector.offload().degraded;
                     slot.judged.load(Ordering::Acquire) >= degraded
                         && slot.up.load(Ordering::Acquire)
                 })
@@ -579,7 +579,7 @@ impl Monitor {
             .iter()
             .map(|shard| Track {
                 phase: Phase::Up,
-                last: shard.fabric(),
+                last: shard.offload(),
                 streak: 0,
             })
             .collect();
@@ -621,7 +621,7 @@ impl Monitor {
         for shard in 0..self.tracks.len() {
             match self.tracks[shard].phase {
                 Phase::Up => {
-                    let snap = self.shards[shard].fabric();
+                    let snap = self.shards[shard].offload();
                     if snap.degraded > self.tracks[shard].last.degraded {
                         self.drain(shard);
                     }
@@ -631,7 +631,7 @@ impl Monitor {
                         .store(snap.degraded, Ordering::Release);
                 }
                 Phase::Draining => {
-                    self.tracks[shard].last = self.shards[shard].fabric();
+                    self.tracks[shard].last = self.shards[shard].offload();
                     if self.shared.load_of(shard) == 0 {
                         let track = &mut self.tracks[shard];
                         track.phase = Phase::Drained;
@@ -646,8 +646,8 @@ impl Monitor {
     /// Sends one canary through the drained shard and judges recovery
     /// from the fabric counters it moved.
     fn probe(&mut self, shard: usize) {
-        let fabric = || self.shards[shard].fabric();
-        let before = fabric();
+        let device = || self.shards[shard].offload();
+        let before = device();
         if self.probes[shard]
             .submit(self.probe_image.clone(), SloClass::Standard)
             .is_err()
@@ -658,7 +658,7 @@ impl Monitor {
         // Accepted work is always answered, so this blocks only as long
         // as the canary takes to complete.
         let _ = self.probes[shard].recv();
-        let after = fabric();
+        let after = device();
         let track = &mut self.tracks[shard];
         if after.degraded > before.degraded {
             track.streak = 0;
@@ -785,7 +785,7 @@ mod tests {
                 .submit(client, SloClass::Standard, image, None)
                 .unwrap();
         }
-        for request in state.lease(0, n).requests {
+        for request in state.lease(n) {
             state.complete(request, Vec::new(), BackendKind::Finn, n, true);
         }
     }
@@ -838,6 +838,44 @@ mod tests {
                 server.finish();
             }
         }
+    }
+
+    /// The monitor judges a shard by its whole device. Batch traffic
+    /// rides rung 1 of a two-rung ladder, and one degraded frame in eight
+    /// is no burn alert, so nothing demotes it: shard 1's outage (one
+    /// batch's three attempts) reaches rung 1's engine only. The shard
+    /// still drains, and two clean canaries (standard class, rung 0,
+    /// invocations 0 and 1) re-admit it.
+    #[test]
+    fn a_fault_on_any_rung_drains_and_readmits_its_shard() {
+        let mut config = small_fleet();
+        let rung = |name: &str, accuracy| crate::ServeVariant {
+            name: name.to_owned(),
+            model: config.base.model_spec(),
+            accuracy,
+        };
+        let ladder = crate::VariantLadder::new(vec![rung("cheap", 0.0), rung("accurate", 1.0)]);
+        config.base.variants = Some(ladder.unwrap());
+        // No host worker to take the faulted frames off the fabric.
+        config.base.cpu_workers = 0;
+        config.shard_faults = vec![FaultPlan::none(), FaultPlan::outage(2, 3)];
+        let fleet = Fleet::start(config).unwrap();
+        let mut client = fleet.client();
+        for image in frames(16, 7) {
+            client.submit(image, SloClass::Batch).unwrap();
+            client.collect_all();
+        }
+        assert!(
+            fleet.settle(Duration::from_secs(2)),
+            "drained and re-admitted"
+        );
+        let rungs = &fleet.servers[1].collector.healths;
+        assert_eq!(rungs[0].snapshot().degraded, 0, "rung 0 never faulted");
+        assert!(rungs[1].snapshot().degraded > 0, "rung 1 did");
+        assert!(client.in_order());
+        let report = fleet.finish();
+        assert!(report.drains >= 1 && report.readmits >= 1, "{report:?}");
+        assert_eq!(report.lost(), 0);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! makes starvation impossible under mixed SLO classes. Admission control
 //! bounds the global queue and per-client quotas, rejecting instead of
 //! queueing unboundedly; accepted requests are never dropped — a degraded
-//! FINN engine sheds load to the CPU workers, and because a rung's FINN
-//! worker and host workers share its one engine, the fabric's
+//! FINN engine sheds load to the CPU workers, and because the FINN worker
+//! and host workers share each rung's one engine, the fabric's
 //! bit-exactness with the reference path guarantees the answer does not
 //! depend on which backend produced it.
 //!

@@ -138,10 +138,10 @@ impl ServeReport {
         }
     }
 
-    /// FINN engine utilization: summed busy time over wall time × rungs
-    /// (the server runs one FINN worker per ladder rung).
+    /// FINN engine utilization: busy time over wall time (the server runs
+    /// one FINN worker at any ladder height).
     pub fn finn_utilization(&self) -> f64 {
-        fraction(self.finn_busy, self.wall, self.variants())
+        fraction(self.finn_busy, self.wall, 1)
     }
 
     /// Host worker utilization: summed busy time over wall time × workers.
@@ -217,14 +217,14 @@ mod tests {
     }
 
     #[test]
-    fn finn_utilization_is_per_rung() {
-        // Two rungs, each FINN worker busy for the whole wall: fully
-        // utilized is 1.0, not the 2.0 a one-lane division reports.
+    fn finn_utilization_is_one_fabric_at_any_ladder_height() {
+        // Two rungs share the one FINN worker: busy half the wall is 0.5,
+        // not the 0.25 a per-rung division reports.
         let mut r = empty();
         r.variant_names = vec!["cheap".to_string(), "accurate".to_string()];
-        r.finn_busy = Duration::from_secs(4);
+        r.finn_busy = Duration::from_secs(1);
         r.wall = Duration::from_secs(2);
-        assert!((r.finn_utilization() - 1.0).abs() < 1e-12);
+        assert!((r.finn_utilization() - 0.5).abs() < 1e-12);
     }
 
     #[test]

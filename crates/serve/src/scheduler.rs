@@ -66,12 +66,11 @@ impl Ord for QueueEntry {
 struct ClientState {
     /// Requests admitted but not yet delivered (quota accounting).
     outstanding: usize,
-    /// Next submission sequence number.
+    /// Next submission sequence number. Only admission assigns one, so
+    /// the client is owed exactly `0..next_seq`, in order.
     next_seq: u64,
-    /// Sequence numbers admitted, in order — the delivery contract.
-    admitted: Vec<u64>,
-    /// Index into `admitted` of the next response owed to the client.
-    next_deliver: usize,
+    /// Sequence number of the next response owed to the client.
+    next_deliver: u64,
     /// Completed responses held until all earlier admitted work completes.
     hold: BTreeMap<u64, InferResponse>,
     /// Delivery channel back to the client handle.
@@ -211,18 +210,6 @@ pub(crate) struct SchedState {
     slo: [SloTracker; 3],
 }
 
-/// A micro-batch leased to a backend worker.
-pub(crate) struct Lease {
-    pub requests: Vec<PendingRequest>,
-}
-
-impl Lease {
-    /// The frames of the lease, in dispatch order.
-    pub fn images(&self) -> Vec<Image> {
-        self.requests.iter().map(|r| r.image.clone()).collect()
-    }
-}
-
 impl SchedState {
     pub fn new(config: &ServeConfig) -> Self {
         let ladder = config.ladder();
@@ -307,7 +294,6 @@ impl SchedState {
         self.clients.push(ClientState {
             outstanding: 0,
             next_seq: 0,
-            admitted: Vec::new(),
             next_deliver: 0,
             hold: BTreeMap::new(),
             tx,
@@ -369,7 +355,6 @@ impl SchedState {
         let seq = state.next_seq;
         state.next_seq += 1;
         state.outstanding += 1;
-        state.admitted.push(seq);
         let global = self.next_global;
         self.next_global += 1;
         // Direct submissions (no fleet router upstream) mint their trace
@@ -464,9 +449,9 @@ impl SchedState {
         error
     }
 
-    /// Whether the FINN worker serving `variant` may take work right now.
-    pub fn finn_ready(&self, variant: usize) -> bool {
-        !self.paused && !self.pending[variant].is_empty()
+    /// Whether the FINN worker may take work right now.
+    pub fn finn_ready(&self) -> bool {
+        !self.paused && self.depth() > 0
     }
 
     /// Whether a host worker may take work right now: only under queue
@@ -480,41 +465,28 @@ impl SchedState {
             && (depth > CPU_ENGAGE_DEPTH || self.finn_degraded.iter().any(|d| *d) || self.draining)
     }
 
-    /// Leases up to `max` earliest-deadline requests of one variant to
-    /// that variant's FINN backend.
-    pub fn lease(&mut self, variant: usize, max: usize) -> Lease {
+    /// Leases up to `max` earliest-deadline requests of one rung: the rung
+    /// whose queue head has the earliest deadline across the ladder (ties
+    /// broken by admission order, like the heaps). A lease never mixes
+    /// rungs — a fabric batch shares one weight set — and a host worker
+    /// leases one.
+    pub fn lease(&mut self, max: usize) -> Vec<PendingRequest> {
+        let variant = self
+            .pending
+            .iter()
+            .enumerate()
+            .filter_map(|(i, heap)| heap.peek().map(|head| (i, head)))
+            // `QueueEntry` orders in reverse: the greatest head is the earliest.
+            .max_by_key(|&(_, head)| head)
+            .map_or(0, |(i, _)| i);
         let n = max.min(self.pending[variant].len());
         let mut requests = Vec::with_capacity(n);
         for _ in 0..n {
             requests.push(self.pending[variant].pop().expect("n bounded by len").0);
         }
-        self.book_lease(&requests, n);
-        Lease { requests }
-    }
-
-    /// Leases the single earliest-deadline request across every variant
-    /// to a host worker (ties broken by admission order, like the heaps).
-    pub fn lease_host(&mut self) -> Lease {
-        let variant = self
-            .pending
-            .iter()
-            .enumerate()
-            .filter_map(|(i, heap)| heap.peek().map(|e| (i, e)))
-            .min_by(|(_, a), (_, b)| (a.0.deadline, a.0.global).cmp(&(b.0.deadline, b.0.global)))
-            .map(|(i, _)| i);
-        let requests = match variant {
-            Some(v) => vec![self.pending[v].pop().expect("peeked above").0],
-            None => Vec::new(),
-        };
-        let n = requests.len();
-        self.book_lease(&requests, n);
-        Lease { requests }
-    }
-
-    fn book_lease(&mut self, requests: &[PendingRequest], n: usize) {
-        self.in_flight += requests.len();
+        self.in_flight += n;
         let now = Instant::now();
-        for request in requests {
+        for request in &requests {
             self.metrics
                 .queue_wait
                 .record(now.duration_since(request.submitted));
@@ -526,6 +498,7 @@ impl SchedState {
             )
             .emit();
         }
+        requests
     }
 
     /// Completes a leased request: records latency/SLO metrics and routes
@@ -587,10 +560,7 @@ impl SchedState {
         state.hold.insert(request.seq, response);
         // Flush the reorder buffer: deliver while the next owed sequence
         // number is present.
-        while let Some(&owed) = state.admitted.get(state.next_deliver) {
-            let Some(ready) = state.hold.remove(&owed) else {
-                break;
-            };
+        while let Some(ready) = state.hold.remove(&state.next_deliver) {
             state.next_deliver += 1;
             state.outstanding -= 1;
             // A dropped client handle just discards its responses.
@@ -670,9 +640,9 @@ mod tests {
         state
             .submit(c, SloClass::Interactive, frame(), None)
             .unwrap();
-        let lease = state.lease(0, 2);
-        assert_eq!(lease.requests[0].class, SloClass::Interactive);
-        assert_eq!(lease.requests[1].class, SloClass::Batch);
+        let lease = state.lease(2);
+        assert_eq!(lease[0].class, SloClass::Interactive);
+        assert_eq!(lease[1].class, SloClass::Batch);
     }
 
     #[test]
@@ -749,9 +719,8 @@ mod tests {
         let c = state.register_client(tx);
         state.submit(c, SloClass::Standard, frame(), None).unwrap();
         state.submit(c, SloClass::Standard, frame(), None).unwrap();
-        let lease = state.lease(0, 2);
-        let [first, second]: [PendingRequest; 2] =
-            lease.requests.try_into().map_err(|_| ()).unwrap();
+        let lease = state.lease(2);
+        let [first, second]: [PendingRequest; 2] = lease.try_into().map_err(|_| ()).unwrap();
         // Complete the *second* request first: it must be held back.
         state.complete(second, Vec::new(), BackendKind::Cpu, 1, false);
         assert!(rx.try_recv().is_err(), "seq 1 held until seq 0 completes");
@@ -770,7 +739,7 @@ mod tests {
         let (tx, _rx) = channel();
         let b = state.register_client(tx);
         state.submit(a, SloClass::Standard, frame(), None).unwrap();
-        assert!(state.finn_ready(0));
+        assert!(state.finn_ready());
         assert!(!state.cpu_ready(), "below the engage depth, CPU holds off");
         state.finn_degraded[0] = true;
         assert!(state.cpu_ready(), "degraded FINN sheds load to the CPU");
@@ -795,10 +764,10 @@ mod tests {
         state
             .submit(c, SloClass::Interactive, frame(), None)
             .unwrap();
-        assert!(!state.finn_ready(0));
+        assert!(!state.finn_ready());
         assert!(!state.cpu_ready());
         state.paused = false;
-        assert!(state.finn_ready(0));
+        assert!(state.finn_ready());
     }
 
     fn ladder_config() -> ServeConfig {
@@ -828,6 +797,11 @@ mod tests {
         }
     }
 
+    /// Queued requests per rung.
+    fn queued(state: &SchedState) -> Vec<usize> {
+        state.pending.iter().map(BinaryHeap::len).collect()
+    }
+
     #[test]
     fn classes_route_to_their_home_rungs() {
         let mut state = SchedState::new(&ladder_config());
@@ -838,12 +812,7 @@ mod tests {
             .submit(c, SloClass::Interactive, frame(), None)
             .unwrap();
         state.submit(c, SloClass::Batch, frame(), None).unwrap();
-        assert!(state.finn_ready(0));
-        assert!(!state.finn_ready(1));
-        assert!(state.finn_ready(2));
-        let lease = state.lease(2, 1);
-        assert_eq!(lease.requests[0].class, SloClass::Batch);
-        assert_eq!(lease.requests[0].variant, 2);
+        assert_eq!(queued(&state), [1, 0, 1]);
         assert_eq!(state.metrics.variant_requests[0], [1, 0, 0]);
         assert_eq!(state.metrics.variant_requests[2], [0, 0, 1]);
     }
@@ -858,10 +827,10 @@ mod tests {
         assert_eq!(state.active_variants(), [0, 0, 1]);
         assert_eq!(state.metrics.shifts_down, 1);
         // The queued request stays on its admission-time rung.
-        assert!(state.finn_ready(2));
+        assert_eq!(queued(&state), [0, 0, 1]);
         // New batch work lands on the demoted rung.
         state.submit(c, SloClass::Batch, frame(), None).unwrap();
-        assert!(state.finn_ready(1));
+        assert_eq!(queued(&state), [0, 1, 1]);
         // Re-applying the same offset is a no-op.
         assert!(!state.apply_shift(1, true, "demote"));
         assert_eq!(state.metrics.shifts_down, 1);
@@ -871,20 +840,32 @@ mod tests {
     }
 
     #[test]
-    fn host_lease_picks_earliest_deadline_across_variants() {
+    fn lease_takes_the_earliest_head_across_rungs_and_never_mixes_them() {
         let mut state = SchedState::new(&ladder_config());
         let (tx, _rx) = channel();
-        let c = state.register_client(tx);
-        // Batch lands on rung 2 first, interactive on rung 0 second — the
-        // host worker must still take the interactive (nearer) deadline.
-        state.submit(c, SloClass::Batch, frame(), None).unwrap();
-        state
-            .submit(c, SloClass::Interactive, frame(), None)
-            .unwrap();
-        let lease = state.lease_host();
-        assert_eq!(lease.requests.len(), 1);
-        assert_eq!(lease.requests[0].class, SloClass::Interactive);
-        assert_eq!(lease.requests[0].variant, 0);
+        let a = state.register_client(tx);
+        let (tx, _rx) = channel();
+        let b = state.register_client(tx);
+        // Batch work lands on rung 2 first, interactive on rung 0 second:
+        // the nearer interactive deadlines go first, whatever the lease
+        // size, and a lease never crosses into another rung's queue.
+        for _ in 0..2 {
+            state.submit(a, SloClass::Batch, frame(), None).unwrap();
+        }
+        for _ in 0..2 {
+            state
+                .submit(b, SloClass::Interactive, frame(), None)
+                .unwrap();
+        }
+        let leased = |lease: Vec<PendingRequest>| -> Vec<(SloClass, usize)> {
+            lease.iter().map(|r| (r.class, r.variant)).collect()
+        };
+        let interactive = (SloClass::Interactive, 0);
+        assert_eq!(leased(state.lease(1)), [interactive]);
+        assert_eq!(leased(state.lease(4)), [interactive]);
+        let batch = (SloClass::Batch, 2);
+        assert_eq!(leased(state.lease(4)), [batch, batch]);
+        assert!(state.lease(4).is_empty());
     }
 
     fn drift_state() -> SchedState {

@@ -1,6 +1,7 @@
-//! The concurrent inference server: one FINN engine worker per hosted
-//! variant micro-batching the accelerated path, plus host workers running
-//! the bit-exact reference path under pressure, degradation or drain.
+//! The concurrent inference server: one FINN worker — the device is one
+//! fabric — micro-batching the accelerated path of every hosted variant,
+//! plus host workers running the bit-exact reference path under pressure,
+//! degradation or drain.
 //!
 //! With a multi-rung [`crate::VariantLadder`] the server also runs a
 //! *shift monitor* thread: it samples the server's verdict (per-class SLO
@@ -116,9 +117,9 @@ impl InferenceServer {
     /// Propagates network construction failures.
     pub fn start(config: ServeConfig) -> Result<Self, NnError> {
         let ladder = config.ladder();
-        // One engine per rung, shared by that rung's FINN worker and every
-        // host worker: a leased request runs on the engine of its
-        // admission-time rung, so the CPU path stays bit-exact per variant.
+        // One engine per rung, shared by the FINN worker and every host
+        // worker: a leased request runs on the engine of its admission-time
+        // rung, so either path stays bit-exact per variant.
         let engines = ladder
             .variants()
             .iter()
@@ -139,7 +140,7 @@ impl InferenceServer {
             started: Instant::now(),
             cpu_workers: config.cpu_workers,
         });
-        let mut workers = Vec::with_capacity(ladder.len() + config.cpu_workers + 1);
+        let mut workers = Vec::with_capacity(config.cpu_workers + 2);
         let max_batch = config.max_batch.max(1);
         // In a fleet every shard lives in one process (one trace
         // session), so worker thread names carry the shard id — the
@@ -148,24 +149,13 @@ impl InferenceServer {
             .shard
             .map(|shard| format!("shard{shard}-"))
             .unwrap_or_default();
-        let multi = ladder.len() > 1;
-        for (variant, engine) in engines.iter().enumerate() {
-            // The single-variant name stays `serve-finn` so existing
-            // trace-based assertions and dashboards keep their tracks.
-            let name = if multi {
-                format!("{prefix}serve-finn-v{variant}")
-            } else {
-                format!("{prefix}serve-finn")
-            };
-            workers.push(spawn_finn_worker(
-                Arc::clone(&inner),
-                Arc::clone(engine),
-                variant,
-                max_batch,
-                name,
-                config.shard,
-            ));
-        }
+        workers.push(spawn_finn_worker(
+            Arc::clone(&inner),
+            engines.clone(),
+            max_batch,
+            format!("{prefix}serve-finn"),
+            config.shard,
+        ));
         for i in 0..config.cpu_workers {
             workers.push(spawn_cpu_worker(
                 Arc::clone(&inner),
@@ -174,7 +164,7 @@ impl InferenceServer {
                 config.shard,
             ));
         }
-        if multi {
+        if ladder.len() > 1 {
             workers.push(spawn_shift_monitor(
                 Arc::clone(&collector),
                 ladder.max_offset(),
@@ -264,68 +254,70 @@ impl InferenceServer {
     }
 }
 
+/// Spawns the one FINN worker: it leases the rung with the earliest
+/// queue head and runs the batch on that rung's engine, so the rungs
+/// share the fabric by deadline.
 fn spawn_finn_worker(
     inner: Arc<Inner>,
-    engine: Arc<ServeEngine>,
-    variant: usize,
+    engines: Vec<Arc<ServeEngine>>,
     max_batch: usize,
     name: String,
     shard: Option<u32>,
 ) -> JoinHandle<()> {
-    spawn_named(name, move || {
+    spawn_named(name, move || loop {
+        let requests = {
+            let mut state = inner.state.lock();
+            loop {
+                if state.shutdown {
+                    return;
+                }
+                if state.finn_ready() {
+                    break;
+                }
+                inner.cond.wait(&mut state);
+            }
+            state.lease(max_batch)
+        };
+        let variant = requests[0].variant;
+        let engine = &engines[variant];
         let health = engine.health();
-        loop {
-            let lease = {
-                let mut state = inner.state.lock();
-                loop {
-                    if state.shutdown {
-                        return;
-                    }
-                    if state.finn_ready(variant) {
-                        break;
-                    }
-                    inner.cond.wait(&mut state);
-                }
-                state.lease(variant, max_batch)
-            };
-            let batch = lease.requests.len();
-            // The batch span links every member request, so a timeline
-            // viewer can resolve which `serve.admit`/`serve.deliver` ids a
-            // FINN invocation covered.
-            let members: Vec<u64> = lease.requests.iter().map(|r| r.global).collect();
-            let before = health.snapshot();
-            let t0 = Instant::now();
-            let detections = {
-                let mut span = tincy_trace::span(static_label!("serve.finn_batch"))
-                    .batch(u32::try_from(batch).unwrap_or(u32::MAX))
-                    .backend(tincy_trace::Backend::Finn)
-                    .link_requests(&members);
-                if let Some(shard) = shard {
-                    span = span.shard(shard);
-                }
-                let _span = span.start();
-                engine
-                    .process_batch(&lease.images())
-                    .expect("offload resilience absorbs accelerator faults")
-            };
-            let busy = t0.elapsed();
-            // The degradation verdict of *this* batch drives load-shedding:
-            // a faulted batch engages the host workers, a clean one
-            // signals recovery and lets micro-batches form again.
-            let degraded_now = health.snapshot().degraded > before.degraded;
-            inner.mutate(|state| {
-                state.finn_degraded[variant] = degraded_now;
-                state.record_finn_batch(variant, batch, busy, degraded_now);
-                for (request, dets) in lease.requests.into_iter().zip(detections) {
-                    // A batch that needed the resilience machinery served
-                    // its members degraded: they burn SLO latency budget
-                    // even when the clock was met, which is what makes
-                    // burn-rate alerts deterministic under injected
-                    // outages.
-                    state.complete(request, dets, BackendKind::Finn, batch, degraded_now);
-                }
-            });
-        }
+        let batch = requests.len();
+        // The batch span links every member request, so a timeline
+        // viewer can resolve which `serve.admit`/`serve.deliver` ids a
+        // FINN invocation covered.
+        let members: Vec<u64> = requests.iter().map(|r| r.global).collect();
+        let before = health.snapshot();
+        let t0 = Instant::now();
+        let detections = {
+            let mut span = tincy_trace::span(static_label!("serve.finn_batch"))
+                .batch(u32::try_from(batch).unwrap_or(u32::MAX))
+                .backend(tincy_trace::Backend::Finn)
+                .link_requests(&members);
+            if let Some(shard) = shard {
+                span = span.shard(shard);
+            }
+            let _span = span.start();
+            engine
+                .process_batch(&requests.iter().map(|r| r.image.clone()).collect::<Vec<_>>())
+                .expect("offload resilience absorbs accelerator faults")
+        };
+        let busy = t0.elapsed();
+        // The degradation verdict of *this* batch drives load-shedding:
+        // a faulted batch engages the host workers, a clean one
+        // signals recovery and lets micro-batches form again.
+        let degraded_now = health.snapshot().degraded > before.degraded;
+        inner.mutate(|state| {
+            state.finn_degraded[variant] = degraded_now;
+            state.record_finn_batch(variant, batch, busy, degraded_now);
+            for (request, dets) in requests.into_iter().zip(detections) {
+                // A batch that needed the resilience machinery served
+                // its members degraded: they burn SLO latency budget
+                // even when the clock was met, which is what makes
+                // burn-rate alerts deterministic under injected
+                // outages.
+                state.complete(request, dets, BackendKind::Finn, batch, degraded_now);
+            }
+        });
     })
 }
 
@@ -346,7 +338,7 @@ fn spawn_cpu_worker(
     shard: Option<u32>,
 ) -> JoinHandle<()> {
     spawn_named(name, move || loop {
-        let lease = {
+        let request = {
             let mut state = inner.state.lock();
             loop {
                 if state.shutdown {
@@ -357,11 +349,11 @@ fn spawn_cpu_worker(
                 }
                 inner.cond.wait(&mut state);
             }
-            state.lease_host()
-        };
-        let Some(request) = lease.requests.into_iter().next() else {
-            // Another worker raced us to the queue; go back to waiting.
-            continue;
+            // Under the lock that saw the queue non-empty.
+            state
+                .lease(1)
+                .pop()
+                .expect("cpu_ready saw a queued request")
         };
         let t0 = Instant::now();
         let detections = {

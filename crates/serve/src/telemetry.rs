@@ -35,14 +35,9 @@ pub(crate) struct ServeCollector {
 }
 
 impl ServeCollector {
-    /// The health counters of the cheapest rung's FINN engine — the rung
-    /// tight traffic rides, and the one the fleet judges a shard by.
-    pub fn fabric(&self) -> OffloadStats {
-        self.healths[0].snapshot()
-    }
-
-    /// Offload health counters summed over every variant's FINN engine.
-    fn offload(&self) -> OffloadStats {
+    /// Offload health counters summed over every variant's FINN engine:
+    /// the device's, which the fleet judges a shard by.
+    pub fn offload(&self) -> OffloadStats {
         self.healths.iter().map(OffloadHealth::snapshot).sum()
     }
 
@@ -59,7 +54,7 @@ impl ServeCollector {
     /// has walked away from its reference. The ladder's shift monitor
     /// demotes on this one verdict, and `/healthz` reports it. The fleet
     /// does not drain on it (an overloaded shard is not a broken one): it
-    /// drains on the fabric's own counters.
+    /// drains on the device's own counters, [`Self::offload`].
     pub fn degraded(&self) -> Option<&'static str> {
         let mut state = self.inner.state.lock();
         if state
@@ -132,7 +127,7 @@ impl Collect for ServeCollector {
             ),
             Sample::new(
                 "tincy_serve_finn_busy_seconds",
-                "Busy time of the FINN engines, summed over rungs",
+                "Busy time of the FINN worker",
                 Value::Gauge(m.finn_busy.as_secs_f64()),
             ),
             Sample::new(

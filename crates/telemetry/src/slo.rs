@@ -134,14 +134,17 @@ impl Counts {
     }
 
     /// The worse of `violation_rate / latency_budget` and
-    /// `shed_rate / shed_budget`. An empty window burns nothing.
+    /// `shed_rate / shed_budget`. A window holding fewer than one budget's
+    /// worth of outcomes (`⌈1 / budget⌉`, the count in which a single miss
+    /// is exactly on budget) is rated as if it held that many, so one miss
+    /// in a near-empty window is not an alert. An empty window burns
+    /// nothing.
     fn burn(self, policy: &SloPolicy) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let latency_burn = (self.bad as f64 / self.total as f64) / policy.latency_budget;
-        let shed_burn = (self.shed as f64 / self.total as f64) / policy.shed_budget;
-        latency_burn.max(shed_burn)
+        let rate = |misses: u64, budget: f64| {
+            let outcomes = (self.total as f64).max((1.0 / budget).ceil());
+            misses as f64 / outcomes / budget
+        };
+        rate(self.bad, policy.latency_budget).max(rate(self.shed, policy.shed_budget))
     }
 }
 
@@ -379,6 +382,20 @@ mod tests {
         assert!(!status.fast_active && !status.slow_active);
         assert_eq!(status.fired, [0, 0]);
         assert!((status.budget_remaining - 0.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn one_miss_in_a_fresh_window_is_on_budget_not_an_alert() {
+        for policy in [SloPolicy::default(), SloPolicy::sensitive()] {
+            let mut missed = SloTracker::new(Duration::from_millis(50), policy);
+            missed.record(SEC, Duration::from_millis(1), true);
+            let mut shed = SloTracker::new(Duration::from_millis(50), policy);
+            shed.record_shed(SEC);
+            for status in [missed.evaluate(SEC), shed.evaluate(SEC)] {
+                assert_eq!(status.fired, [0, 0], "burn {:?}", status.burn);
+                assert!(status.burn.iter().all(|&b| b <= 1.0), "{:?}", status.burn);
+            }
+        }
     }
 
     #[test]

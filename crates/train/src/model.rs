@@ -11,7 +11,7 @@
 use crate::layers::{Act, QuantMode, TrainConvSpec, TrainLayerSpec};
 use crate::net::{TrainError, TrainNet};
 use tincy_nn::{Activation, LayerSpec, ModelSpec};
-use tincy_quant::WeightPrecision;
+use tincy_quant::ActPrecision;
 use tincy_tensor::Shape3;
 
 fn act_of(activation: Activation) -> Act {
@@ -29,7 +29,9 @@ fn act_of(activation: Activation) -> Act {
 /// # Errors
 ///
 /// Returns [`TrainError`] if the model contains an `[offload]` section
-/// (train the expanded per-layer topology, not the deployed collapse).
+/// (train the expanded per-layer topology, not the deployed collapse), or
+/// an offloadable conv whose activations are not `A3` (QAT trains the
+/// fabric's layers as `[W1A3]` only).
 fn train_specs_for(model: &ModelSpec) -> Result<(Shape3, Vec<TrainLayerSpec>), TrainError> {
     let convs_offloadable: Vec<bool> = model
         .network
@@ -47,13 +49,16 @@ fn train_specs_for(model: &ModelSpec) -> Result<(Shape3, Vec<TrainLayerSpec>), T
             LayerSpec::Conv(c) => {
                 let feeds_fabric = convs_offloadable.get(conv_idx + 1) == Some(&true);
                 let quant = if c.precision.offloadable() {
-                    match c.precision.weights {
-                        WeightPrecision::W2 => QuantMode::W2A3 {
-                            act_step: model.act_step,
-                        },
-                        _ => QuantMode::W1A3 {
-                            act_step: model.act_step,
-                        },
+                    if c.precision.activations != ActPrecision::A3 {
+                        return Err(TrainError {
+                            what: format!(
+                                "conv {conv_idx} is {}: QAT trains offloadable convs as [W1A3] only",
+                                c.precision
+                            ),
+                        });
+                    }
+                    QuantMode::W1A3 {
+                        act_step: model.act_step,
                     }
                 } else if feeds_fabric {
                     QuantMode::A3Only {
@@ -97,7 +102,8 @@ impl TrainNet {
     ///
     /// Returns [`TrainError`] for untrainable models (one with an
     /// `[offload]` section: train the expanded per-layer topology, not the
-    /// deployed collapse) or invalid layer geometry.
+    /// deployed collapse; or an offloadable conv that is not `[W1A3]`) or
+    /// invalid layer geometry.
     pub fn from_model(model: &ModelSpec) -> Result<Self, TrainError> {
         let (input, specs) = train_specs_for(model)?;
         TrainNet::new(input, &specs, model.seed)
@@ -174,6 +180,14 @@ mod tests {
         let mut net = net;
         let out = net.forward(&image);
         assert_eq!(out.shape().channels, 7);
+    }
+
+    #[test]
+    fn hidden_activations_other_than_a3_are_refused() {
+        let mut m = model();
+        m.network.layers[2] = conv(8, PrecisionConfig::W1A1, Activation::Relu);
+        let refused = TrainNet::from_model(&m);
+        assert!(matches!(refused, Err(e) if e.what.contains("[W1A1]")));
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! An explore-selected design point must be instantiable end-to-end: the
 //! `ModelSpec` the sweep emits builds into a servable network, and the
 //! fabric path stays bit-exact with the CPU reference — without any code
-//! changes between design points.
+//! changes between design points — and runs the activation precision the
+//! design declares.
 
-use tincy_core::SystemConfig;
-use tincy_explore::{run_sweep, DesignPoint, SweepConfig};
+use tincy_core::{build_network_for, offload_position, SystemConfig};
+use tincy_explore::{run_sweep, DesignPoint, HiddenProfile, SweepConfig};
+use tincy_finn::{FabricBackend, FaultPlan};
 use tincy_nn::ModelSpec;
 use tincy_serve::ServeEngine;
-use tincy_tensor::Shape3;
+use tincy_tensor::{Shape3, Tensor};
 use tincy_video::{Image, SceneConfig, SyntheticCamera};
 
 fn frames(n: u64) -> Vec<Image> {
@@ -80,4 +82,44 @@ fn explore_selected_designs_probe_bit_exact() {
 #[test]
 fn paper_design_probes_bit_exact_through_the_same_path() {
     assert_bit_exact(&shrunk(DesignPoint::PAPER, 64));
+}
+
+/// A `[W1A1]` design runs one activation bit on the fabric, not the
+/// paper's three: its rung serves other detections than the `[W1A3]`
+/// point with the same edits and fold, and every hidden layer folds one
+/// threshold per channel, so its outputs are level 0 or 1 — 0 or one
+/// activation step.
+#[test]
+fn w1a1_designs_run_one_activation_bit_on_the_fabric() {
+    let w1a1 = shrunk(
+        DesignPoint {
+            profile: HiddenProfile::W1A1,
+            ..DesignPoint::PAPER
+        },
+        64,
+    );
+    let system = SystemConfig::default();
+    let images = frames(8);
+    let detections = |model: &ModelSpec| {
+        let engine = ServeEngine::finn_for_model(model, &system, 0.0).expect("engine builds");
+        engine.process_batch(&images).expect("fabric batch runs")
+    };
+    assert_ne!(
+        detections(&w1a1),
+        detections(&shrunk(DesignPoint::PAPER, 64))
+    );
+
+    let mut layers = build_network_for(&w1a1, FaultPlan::none())
+        .expect("network builds")
+        .into_layers();
+    let offload = offload_position(&mut layers).expect("an offload layer");
+    let backend = layers[offload].as_offload().unwrap().backend();
+    let fabric: &FabricBackend = backend.as_any().downcast_ref().unwrap();
+    for layer in fabric.accelerator().unwrap().layers() {
+        assert!(layer.thresholds().iter().all(|set| set.len() == 1));
+    }
+    let accel = fabric.accelerator().unwrap();
+    let input = Tensor::from_fn(accel.input_shape(), |c, y, x| ((c + y + 3 * x) % 8) as u8);
+    let (levels, _) = accel.run(&input).unwrap();
+    assert!(levels.as_slice().iter().all(|&level| level <= 1));
 }

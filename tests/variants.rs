@@ -1,12 +1,12 @@
 //! Multi-variant serving invariants, exercised end to end through the
-//! public `tincy::serve` API: per-variant bit-exactness under a seeded
-//! FINN outage, the rung gap in simulated device cycles, and seeded-run
-//! fingerprint determinism. The drift-driven demote/promote cycle and
+//! public `tincy::serve` API: one fabric worker serving every rung,
+//! per-variant bit-exactness under a seeded FINN outage, the rung gap in
+//! simulated device cycles, and seeded-run fingerprint determinism. The drift-driven demote/promote cycle and
 //! in-order delivery across a mid-flight shift raise the alert through the
 //! scheduler's own trackers, so they live with it (`crates/serve/src/
 //! server.rs`).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use tincy::core::{build_network_for, offload_position, SystemConfig};
 use tincy::explore::DesignPoint;
 use tincy::finn::{AccelReport, FabricBackend, FaultPlan};
@@ -16,6 +16,7 @@ use tincy::serve::{
 };
 use tincy::telemetry::SloPolicy;
 use tincy::tensor::{Shape3, Tensor};
+use tincy::trace::exclusive;
 use tincy::video::{Image, SceneConfig, SyntheticCamera};
 
 /// The paper design point rescaled to a square `input`-px frame.
@@ -107,8 +108,49 @@ fn small_scene() -> SceneConfig {
     }
 }
 
+// The trace session is process-global: the traced test below must not
+// overlap another server run in this binary, or that server's
+// `serve-finn` thread would join its trace — so every test here that
+// starts a server holds `exclusive()`.
+
+/// The device is one fabric at any ladder height: a two-rung server runs
+/// one `serve-finn` worker, and it carries every `serve.finn_batch` span
+/// of both rungs.
+#[test]
+fn a_two_rung_server_runs_one_fabric_worker() {
+    let _guard = exclusive();
+    tincy::trace::start();
+    let server = InferenceServer::start(ServeConfig {
+        cpu_workers: 0,
+        ..ladder_config(FaultPlan::none())
+    })
+    .unwrap();
+    let client = server.client();
+    let mut camera = SyntheticCamera::with_limit(small_scene(), 3, 8);
+    // Interactive rides the cheap rung, batch the accurate one.
+    for class in [SloClass::Interactive, SloClass::Batch].repeat(4) {
+        client.submit(camera.capture().unwrap(), class).unwrap();
+    }
+    for _ in 0..8 {
+        client.recv().unwrap();
+    }
+    let report = server.finish();
+    let trace = tincy::trace::finish();
+    assert_eq!(report.variant_items, [4, 4], "both rungs ran on the fabric");
+    let batch_threads: BTreeSet<u32> = (trace.spans().unwrap().iter())
+        .filter(|s| trace.label_name(s.label) == "serve.finn_batch")
+        .map(|s| s.thread)
+        .collect();
+    let names: Vec<_> = batch_threads
+        .iter()
+        .map(|&t| trace.thread_name(t))
+        .collect();
+    assert_eq!(names, [Some("serve-finn")], "one fabric worker");
+}
+
 #[test]
 fn responses_are_bit_exact_with_their_variant_mid_outage() {
+    let _guard = exclusive();
     // A seeded FINN outage faults the fabric mid-run; the resilience
     // layer retries/falls back, and every response must still match the
     // bit-exact software reference of the variant that computed it —
@@ -159,6 +201,7 @@ fn responses_are_bit_exact_with_their_variant_mid_outage() {
 
 #[test]
 fn seeded_runs_fingerprint_identically() {
+    let _guard = exclusive();
     // Same seeds, same ladder, two independent runs: the bit-exact
     // backends and deterministic cameras must produce identical
     // detection fingerprints and identical per-variant routing totals.
