@@ -1,6 +1,7 @@
 //! Shared formatting helpers for the table-reproduction binaries.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 /// Formats an integer with thousands separators, as the paper prints its
 /// operation counts (e.g. `149,520,384`).

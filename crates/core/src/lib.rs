@@ -18,6 +18,7 @@
 //!   integer thresholds on the way).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod build;
 pub mod demo;

@@ -12,6 +12,7 @@
 //!   (both 11-point interpolated and continuous variants).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod bbox;
 mod detection;

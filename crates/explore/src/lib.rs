@@ -29,6 +29,7 @@
 //! changes.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod design;
 pub mod evaluate;

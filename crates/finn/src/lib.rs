@@ -31,6 +31,7 @@
 //!   accelerator into `tincy-nn` networks (Fig 4).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod accel;
 pub mod backend;

@@ -10,6 +10,7 @@
 //! events) stay in their own crates; this crate owns only the syntax.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod value;
 mod write;

@@ -62,6 +62,7 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -72,9 +73,16 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
     Ok(value)
 }
 
+/// How deep arrays and objects may nest. Every document this workspace
+/// writes nests a few levels; the bound keeps a hostile `[[[[…` from
+/// recursing the parser off its stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -103,8 +111,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.fail("nested too deep"));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -179,12 +198,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy the full UTF-8 scalar, not byte by byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote or escape:
+                    // both are ASCII, so the run is whole UTF-8 scalars,
+                    // and each byte is validated once.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let text = std::str::from_utf8(&rest[..run])
                         .map_err(|_| self.fail("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -271,6 +296,15 @@ mod tests {
         for doc in ["", "{", "[1,]", "{\"a\":}", "tru", "\"open", "1 2"] {
             assert!(parse(doc).is_err(), "{doc:?} should fail");
         }
+    }
+
+    /// Nesting past the bound is an error, not a stack overflow.
+    #[test]
+    fn deep_nesting_is_rejected() {
+        let nested = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"[{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

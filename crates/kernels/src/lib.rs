@@ -27,6 +27,7 @@
 //! core"), where the threads can be counted against the cores.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod gemm;
 pub mod pack;

@@ -25,6 +25,7 @@
 //! * [`weights`] — sequential weight-file I/O in Darknet's style.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod activation;
 pub mod batchnorm;

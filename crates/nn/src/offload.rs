@@ -123,19 +123,14 @@ pub trait OffloadBackend: Send + Sync {
 /// Bounded-backoff retry policy for transient accelerator faults.
 ///
 /// A faulted offload invocation is retried up to `max_retries` times with
-/// an exponentially growing (but capped) pause; if the fault persists and
+/// an exponentially growing (but capped) pause: 50 µs doubled per retry,
+/// at most 5 ms, fixed rather than configured; if the fault persists and
 /// `cpu_fallback` is set, the frame completes on the host-side reference
 /// path instead of failing the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retry attempts after the initial try (0 disables retrying).
     pub max_retries: u32,
-    /// Pause before the first retry.
-    pub backoff_base: Duration,
-    /// Growth factor applied per subsequent retry.
-    pub backoff_multiplier: u32,
-    /// Upper bound on any single pause.
-    pub backoff_cap: Duration,
     /// Whether to complete the frame on [`OffloadBackend::forward_reference`]
     /// once the retry budget is exhausted.
     pub cpu_fallback: bool,
@@ -145,9 +140,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         Self {
             max_retries: 2,
-            backoff_base: Duration::from_micros(50),
-            backoff_multiplier: 2,
-            backoff_cap: Duration::from_millis(5),
             cpu_fallback: true,
         }
     }
@@ -160,21 +152,22 @@ impl RetryPolicy {
         Self {
             max_retries: 0,
             cpu_fallback: false,
-            ..Self::default()
         }
     }
+}
 
-    /// The pause before retry `attempt` (1-based), exponentially grown and
-    /// capped. Saturates instead of overflowing for absurd attempt counts.
-    pub fn backoff_for(&self, attempt: u32) -> Duration {
-        let factor = self
-            .backoff_multiplier
-            .max(1)
-            .saturating_pow(attempt.saturating_sub(1).min(16));
-        self.backoff_base
-            .saturating_mul(factor)
-            .min(self.backoff_cap)
-    }
+/// Pause before the first retry.
+const BACKOFF_BASE: Duration = Duration::from_micros(50);
+/// Growth factor applied per subsequent retry.
+const BACKOFF_MULTIPLIER: u32 = 2;
+/// Upper bound on any single pause.
+const BACKOFF_CAP: Duration = Duration::from_millis(5);
+
+/// The pause before retry `attempt` (1-based), exponentially grown and
+/// capped. Saturates instead of overflowing for absurd attempt counts.
+fn backoff_for(attempt: u32) -> Duration {
+    let factor = BACKOFF_MULTIPLIER.saturating_pow(attempt.saturating_sub(1).min(16));
+    BACKOFF_BASE.saturating_mul(factor).min(BACKOFF_CAP)
 }
 
 /// Shared health counters of one offload path.
@@ -306,13 +299,10 @@ pub fn run_with_resilience<T>(
                 if attempt < policy.max_retries {
                     attempt += 1;
                     counters.retries.fetch_add(1, Ordering::Relaxed);
-                    let pause = policy.backoff_for(attempt);
-                    if !pause.is_zero() {
-                        let _span = tincy_trace::span(static_label!("offload.backoff"))
-                            .attempt(attempt)
-                            .start();
-                        std::thread::sleep(pause);
-                    }
+                    let _span = tincy_trace::span(static_label!("offload.backoff"))
+                        .attempt(attempt)
+                        .start();
+                    std::thread::sleep(backoff_for(attempt));
                     continue;
                 }
                 if policy.cpu_fallback {
@@ -588,14 +578,14 @@ pub(crate) mod test_support {
 
     /// A backend that scales its input by a loadable factor — small enough
     /// to verify the whole life cycle.
-    pub struct ScaleBackend {
+    pub(crate) struct ScaleBackend {
         pub factor: f32,
         pub out_shape: Shape3,
         pub initialized: bool,
     }
 
     impl ScaleBackend {
-        pub fn boxed() -> Box<dyn OffloadBackend> {
+        pub(crate) fn boxed() -> Box<dyn OffloadBackend> {
             Box::new(Self {
                 factor: 1.0,
                 out_shape: Shape3::new(1, 1, 1),
@@ -642,7 +632,7 @@ pub(crate) mod test_support {
     /// A backend whose accelerated path fails the first `faults`
     /// invocations with a retryable fault; the reference path always works
     /// (scaling by `factor`, like [`ScaleBackend`]).
-    pub struct FlakyBackend {
+    pub(crate) struct FlakyBackend {
         pub inner: ScaleBackend,
         pub faults: u64,
         pub hw_calls: AtomicU64,
@@ -650,7 +640,7 @@ pub(crate) mod test_support {
     }
 
     impl FlakyBackend {
-        pub fn failing(faults: u32) -> Box<dyn OffloadBackend> {
+        pub(crate) fn failing(faults: u32) -> Box<dyn OffloadBackend> {
             let inner = ScaleBackend {
                 factor: 1.0,
                 out_shape: Shape3::new(1, 1, 1),
@@ -665,7 +655,7 @@ pub(crate) mod test_support {
         }
 
         /// Accelerated and reference invocations so far.
-        pub fn calls(&self) -> (u64, u64) {
+        pub(crate) fn calls(&self) -> (u64, u64) {
             let load = |calls: &AtomicU64| calls.load(Ordering::Relaxed);
             (load(&self.hw_calls), load(&self.reference_calls))
         }
@@ -732,10 +722,7 @@ mod tests {
             ops: 1,
         };
         let mut layer = OffloadLayer::new(shape, &spec, &r).unwrap();
-        layer.set_retry_policy(RetryPolicy {
-            backoff_base: Duration::ZERO,
-            ..policy
-        });
+        layer.set_retry_policy(policy);
         layer
     }
 
@@ -846,21 +833,11 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_caps() {
-        let policy = RetryPolicy {
-            max_retries: 10,
-            backoff_base: Duration::from_micros(100),
-            backoff_multiplier: 2,
-            backoff_cap: Duration::from_micros(350),
-            cpu_fallback: true,
-        };
-        assert_eq!(policy.backoff_for(1), Duration::from_micros(100));
-        assert_eq!(policy.backoff_for(2), Duration::from_micros(200));
-        assert_eq!(policy.backoff_for(3), Duration::from_micros(350), "capped");
-        assert_eq!(
-            policy.backoff_for(100),
-            Duration::from_micros(350),
-            "no overflow"
-        );
+        assert_eq!(backoff_for(1), Duration::from_micros(50));
+        assert_eq!(backoff_for(2), Duration::from_micros(100));
+        assert_eq!(backoff_for(7), Duration::from_micros(3_200));
+        assert_eq!(backoff_for(8), Duration::from_millis(5), "capped");
+        assert_eq!(backoff_for(100), Duration::from_millis(5), "no overflow");
     }
 
     #[test]

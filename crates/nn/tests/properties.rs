@@ -157,7 +157,10 @@ proptest! {
     /// Outside text never panics the cfg parser, nor the accounting over
     /// what it accepts: valid renderings under byte-level replacements,
     /// insertions and deletions. The vendored proptest does not shrink,
-    /// so a panic reports the input that caused it.
+    /// so a panic reports the input that caused it. It stays here, with
+    /// its own copy of the edit loop that `tests/outside_input.rs` shares
+    /// among the other parsers, because it mutates renderings of
+    /// `network_spec`, this file's strategy.
     #[test]
     fn parse_cfg_never_panics_on_mutated_text(
         spec in network_spec(),

@@ -18,6 +18,7 @@
 //! speedup ladder: 0.1 fps → 1.1 fps → 2.5 fps → >5 fps → 16 fps (160×).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod calib;
 pub mod fabric;

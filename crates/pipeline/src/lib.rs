@@ -19,6 +19,7 @@
 //! (`tincy-perf`, benches) can run on it.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod latency;
 mod metrics;

@@ -20,6 +20,7 @@
 //!   to describe configurations such as `[W1A3]` throughout the paper.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod affine;
 mod binary;

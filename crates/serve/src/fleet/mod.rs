@@ -15,8 +15,9 @@
 //!   its outstanding work completes (accepted work is never dropped).
 //!   Load, SLO burn and drift do not drain a shard: admission sheds
 //!   overload with a typed error, and the ladder demotes on burn and
-//!   drift. Drained shards are probed with canary frames; two clean
-//!   fabric probes in a row re-admit the shard. The monitor polls every
+//!   drift. Drained shards are probed with one canary frame per ladder
+//!   rung; two probes in a row whose every rung ran clean on the fabric
+//!   re-admit the shard. The monitor polls every
 //!   10 ms.
 //! * **Aggregation** — `--status-addr` binds one endpoint: the router's
 //!   `tincy_fleet_*` families plus every shard's own series under a

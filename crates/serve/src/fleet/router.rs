@@ -8,9 +8,11 @@
 //! poll, and the shard is drained. A shard's SLO burn or drift verdict
 //! does not drain it. A drained shard keeps completing its outstanding
 //! work (accepted work is never dropped anywhere in the stack); once idle
-//! it is probed with canary frames. A probe is *clean* only on fabric
-//! evidence — the `forwards` counter advanced while `degraded` did not. A
-//! probe stolen by a host worker moves neither counter and is
+//! it is probed with canary frames, one per ladder rung, each on its own
+//! rung's engine and each answered before the next is sent, so a probe
+//! needs one slot of the client quota at any ladder height. A probe is *clean* only on fabric evidence — every
+//! rung's `forwards` counter advanced while no rung's `degraded` did. A
+//! canary stolen by a host worker moves neither counter and is
 //! inconclusive: it leaves the recovery streak untouched rather than
 //! resetting it, and a later probe lands on the fabric. `READMIT_STREAK`
 //! clean probes re-admit the shard.
@@ -481,7 +483,7 @@ pub struct FleetReport {
     pub rerouted: u64,
     /// Submissions refused by every shard.
     pub sheds: u64,
-    /// Canary probes sent to drained shards.
+    /// Probes sent to drained shards: rounds of one canary per rung.
     pub probes: u64,
     /// Wall-clock duration of the fleet run.
     pub wall: Duration,
@@ -643,31 +645,39 @@ impl Monitor {
         }
     }
 
-    /// Sends one canary through the drained shard and judges recovery
-    /// from the fabric counters it moved.
+    /// Sends one canary to each of the drained shard's rungs, one at a
+    /// time so a probe needs a single slot of the client quota, and
+    /// judges each from the counters of the engine it ran on. The probe
+    /// is clean only when every rung ran its canary on the fabric without
+    /// degrading; a rung that degraded resets the streak.
     fn probe(&mut self, shard: usize) {
-        let device = || self.shards[shard].offload();
-        let before = device();
-        if self.probes[shard]
-            .submit(self.probe_image.clone(), SloClass::Standard)
-            .is_err()
-        {
-            return;
+        let probes = &self.probes[shard];
+        let (mut sent, mut degraded, mut clean) = (false, false, true);
+        for (rung, health) in self.shards[shard].healths.iter().enumerate() {
+            let before = health.snapshot();
+            let accepted = probes.submit_canary(self.probe_image.clone(), rung).is_ok();
+            // Accepted work is always answered, so this blocks only as
+            // long as the canary takes to complete.
+            if accepted {
+                let _ = probes.recv();
+            }
+            let after = health.snapshot();
+            sent |= accepted;
+            degraded |= after.degraded > before.degraded;
+            clean &= accepted && after.forwards > before.forwards;
         }
-        self.shared.probes.fetch_add(1, Ordering::Relaxed);
-        // Accepted work is always answered, so this blocks only as long
-        // as the canary takes to complete.
-        let _ = self.probes[shard].recv();
-        let after = device();
+        if sent {
+            self.shared.probes.fetch_add(1, Ordering::Relaxed);
+        }
         let track = &mut self.tracks[shard];
-        if after.degraded > before.degraded {
+        if degraded {
             track.streak = 0;
-        } else if after.forwards > before.forwards {
+        } else if clean {
             track.streak += 1;
         }
-        // Neither counter moved: a host worker stole the canary, which
-        // says nothing about the fabric — leave the streak alone.
-        track.last = after;
+        // Otherwise a canary was refused or a host worker stole one, which
+        // says nothing about its rung's fabric: the streak holds.
+        track.last = self.shards[shard].offload();
         if track.streak >= READMIT_STREAK {
             self.readmit(shard);
         }
@@ -840,42 +850,109 @@ mod tests {
         }
     }
 
+    /// A ladder of `rungs` rungs, ordered by index, and no host worker to
+    /// take faulted frames off the fabric; shard 1 runs `fault`.
+    fn ladder_fleet(rungs: u32, fault: FaultPlan) -> FleetConfig {
+        let mut config = small_fleet();
+        let rung = |i| crate::ServeVariant {
+            name: format!("rung{i}"),
+            model: config.base.model_spec(),
+            accuracy: f64::from(i),
+        };
+        let ladder = crate::VariantLadder::new((0..rungs).map(rung).collect());
+        config.base.variants = Some(ladder.unwrap());
+        config.base.cpu_workers = 0;
+        config.shard_faults = vec![FaultPlan::none(), fault];
+        config
+    }
+
     /// The monitor judges a shard by its whole device. Batch traffic
-    /// rides rung 1 of a two-rung ladder, and one degraded frame in eight
-    /// is no burn alert, so nothing demotes it: shard 1's outage (one
-    /// batch's three attempts) reaches rung 1's engine only. The shard
-    /// still drains, and two clean canaries (standard class, rung 0,
-    /// invocations 0 and 1) re-admit it.
+    /// rides the top rung, and one degraded frame in eight is no burn
+    /// alert, so nothing demotes it: shard 1's outage (one batch's three
+    /// attempts) reaches the top rung's engine only. The shard still
+    /// drains, and two clean rounds of canaries, one per rung (each lower
+    /// rung's invocations 0 and 1, the top rung's next two, past its
+    /// outage), re-admit it. A probe takes one slot of the client quota,
+    /// so three rungs under a quota of two are probed whole as well.
     #[test]
     fn a_fault_on_any_rung_drains_and_readmits_its_shard() {
-        let mut config = small_fleet();
-        let rung = |name: &str, accuracy| crate::ServeVariant {
-            name: name.to_owned(),
-            model: config.base.model_spec(),
-            accuracy,
-        };
-        let ladder = crate::VariantLadder::new(vec![rung("cheap", 0.0), rung("accurate", 1.0)]);
-        config.base.variants = Some(ladder.unwrap());
-        // No host worker to take the faulted frames off the fabric.
-        config.base.cpu_workers = 0;
-        config.shard_faults = vec![FaultPlan::none(), FaultPlan::outage(2, 3)];
-        let fleet = Fleet::start(config).unwrap();
-        let mut client = fleet.client();
-        for image in frames(16, 7) {
-            client.submit(image, SloClass::Batch).unwrap();
-            client.collect_all();
+        for (rungs, quota) in [(2, 8), (3, 2)] {
+            let mut config = ladder_fleet(rungs, FaultPlan::outage(2, 3));
+            config.base.per_client_capacity = quota;
+            let fleet = Fleet::start(config).unwrap();
+            let mut client = fleet.client();
+            for image in frames(16, 7) {
+                client.submit(image, SloClass::Batch).unwrap();
+                client.collect_all();
+            }
+            assert!(
+                fleet.settle(Duration::from_secs(2)),
+                "{rungs} rungs: drained and re-admitted"
+            );
+            let healths = &fleet.servers[1].collector.healths;
+            let (top, below) = healths.split_last().unwrap();
+            assert!(
+                below.iter().all(|rung| rung.snapshot().degraded == 0),
+                "{rungs} rungs: the lower rungs never faulted"
+            );
+            assert!(top.snapshot().degraded > 0, "{rungs} rungs: the top did");
+            assert!(client.in_order());
+            let report = fleet.finish();
+            assert!(report.drains >= 1 && report.readmits >= 1, "{report:?}");
+            assert_eq!(report.lost(), 0);
         }
+    }
+
+    /// Canaries probe every rung. Batch traffic on rung 1 drains shard 1
+    /// at invocation 2 of a six-invocation outage. A canary on rung 0
+    /// alone would re-admit it while rung 1's engine is still inside the
+    /// outage, and the next batch would drain it again. The shard comes
+    /// back only after rung 1 ran clean canaries, and then stays up.
+    #[test]
+    fn canaries_probe_every_rung_before_readmission() {
+        let config = ladder_fleet(2, FaultPlan::outage(2, 6));
+        let servers: Vec<InferenceServer> = config
+            .shard_faults
+            .iter()
+            .map(|&fault| {
+                let mut base = config.base.clone();
+                base.system.fault_plan = fault;
+                InferenceServer::start(base).unwrap()
+            })
+            .collect();
+        let shared = Arc::new(Shared::new(2));
+        let mut monitor = Monitor::new(&servers, Arc::clone(&shared));
+        let client = servers[1].client();
+        let batch = |n: u64| {
+            for image in frames(n, 7) {
+                client.submit(image, SloClass::Batch).unwrap();
+                client.recv().unwrap();
+            }
+        };
+        let rung1 = || servers[1].collector.healths[1].snapshot();
+        batch(3); // invocations 0, 1, then 2..=4 fault and fall back
+        monitor.step();
+        assert!(!shared.slots[1].up.load(Ordering::Relaxed), "drained");
+        let at_drain = rung1();
+        let mut steps = 0;
+        while !shared.slots[1].up.load(Ordering::Relaxed) {
+            assert!(steps < 20, "shard 1 was never re-admitted");
+            monitor.step();
+            steps += 1;
+        }
+        let clean = |s: OffloadStats| s.forwards - s.degraded;
         assert!(
-            fleet.settle(Duration::from_secs(2)),
-            "drained and re-admitted"
+            clean(rung1()) > clean(at_drain),
+            "re-admitted before rung 1 ran a clean canary"
         );
-        let rungs = &fleet.servers[1].collector.healths;
-        assert_eq!(rungs[0].snapshot().degraded, 0, "rung 0 never faulted");
-        assert!(rungs[1].snapshot().degraded > 0, "rung 1 did");
-        assert!(client.in_order());
-        let report = fleet.finish();
-        assert!(report.drains >= 1 && report.readmits >= 1, "{report:?}");
-        assert_eq!(report.lost(), 0);
+        batch(4);
+        monitor.step();
+        assert!(shared.slots[1].up.load(Ordering::Relaxed), "stays up");
+        assert_eq!(shared.drains.load(Ordering::Relaxed), 1);
+        drop(monitor);
+        for server in servers {
+            server.finish();
+        }
     }
 
     #[test]

@@ -37,6 +37,7 @@
 //! Prometheus text), `/healthz` and the mid-run report (`/report`).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod arrivals;
 pub mod config;

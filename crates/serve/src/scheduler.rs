@@ -157,7 +157,7 @@ impl ServiceDrift {
     }
 
     /// `(ewma - reference) / reference`, once the reference has frozen.
-    pub fn drift(&self) -> Option<f64> {
+    pub(crate) fn drift(&self) -> Option<f64> {
         self.reference
             .filter(|&r| r > 0.0)
             .map(|r| (self.ewma - r) / r)
@@ -211,7 +211,7 @@ pub(crate) struct SchedState {
 }
 
 impl SchedState {
-    pub fn new(config: &ServeConfig) -> Self {
+    pub(crate) fn new(config: &ServeConfig) -> Self {
         let ladder = config.ladder();
         let homes = ladder.homes();
         Self {
@@ -262,7 +262,7 @@ impl SchedState {
     /// feeds its tracker; once the traffic that went elsewhere has closed
     /// a window of blocks its alert stops counting, and its next own
     /// block judges it again.
-    pub fn drift_alerted(&self) -> bool {
+    pub(crate) fn drift_alerted(&self) -> bool {
         let current = |t: &ServiceDrift| self.drift_closed - t.closed_at < DRIFT_WINDOW;
         self.drift.iter().flatten().any(|t| t.alerted && current(t))
     }
@@ -271,7 +271,12 @@ impl SchedState {
     /// the server knows. [`crate::InferenceServer::finish`] and the live
     /// `/report` route both read it, so the final and the mid-run view
     /// can never disagree on a field.
-    pub fn report(&self, cpu_workers: usize, wall: Duration, offload: OffloadStats) -> ServeReport {
+    pub(crate) fn report(
+        &self,
+        cpu_workers: usize,
+        wall: Duration,
+        offload: OffloadStats,
+    ) -> ServeReport {
         ServeReport {
             cpu_workers,
             wall,
@@ -283,14 +288,14 @@ impl SchedState {
 
     /// Evaluates every class's burn-rate state at the current injected
     /// clock, indexed by [`SloClass::index`].
-    pub fn slo_status(&mut self) -> [SloStatus; 3] {
+    pub(crate) fn slo_status(&mut self) -> [SloStatus; 3] {
         let now = self.now_ns();
         let [a, b, c] = &mut self.slo;
         [a.evaluate(now), b.evaluate(now), c.evaluate(now)]
     }
 
     /// Registers a client and returns its id.
-    pub fn register_client(&mut self, tx: Sender<InferResponse>) -> usize {
+    pub(crate) fn register_client(&mut self, tx: Sender<InferResponse>) -> usize {
         self.clients.push(ClientState {
             outstanding: 0,
             next_seq: 0,
@@ -302,25 +307,40 @@ impl SchedState {
     }
 
     /// Queue depth (admitted, not yet dispatched), across all variants.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.pending.iter().map(BinaryHeap::len).sum()
     }
 
     /// The active ladder rung per SLO class.
-    pub fn active_variants(&self) -> [usize; 3] {
+    pub(crate) fn active_variants(&self) -> [usize; 3] {
         self.metrics.active_variant
     }
 
     /// True when every admitted request has been delivered.
-    pub fn drained(&self) -> bool {
+    pub(crate) fn drained(&self) -> bool {
         self.depth() == 0 && self.in_flight == 0
     }
 
-    /// Admission control: accept the request into the EDF queue or reject
-    /// immediately. Never blocks, never queues beyond the configured
-    /// bounds.
-    pub fn submit(
+    /// Admission control: accept the request into the EDF queue of its
+    /// class's active ladder rung, or reject immediately. Never blocks,
+    /// never queues beyond the configured bounds.
+    pub(crate) fn submit(
         &mut self,
+        client: usize,
+        class: SloClass,
+        image: Image,
+        trace: Option<TraceContext>,
+    ) -> Result<u64, AdmissionError> {
+        let rung = self.metrics.active_variant[class.index()];
+        self.submit_on(rung, client, class, image, trace)
+    }
+
+    /// [`Self::submit`] on ladder rung `variant`, whatever rung the class
+    /// rides now (the fleet's canaries probe every rung this way). The
+    /// choice is fixed for the request's lifetime.
+    pub(crate) fn submit_on(
+        &mut self,
+        variant: usize,
         client: usize,
         class: SloClass,
         image: Image,
@@ -361,9 +381,6 @@ impl SchedState {
         // identity here, salted by shard so two shards' monitor probes
         // can never share a trace id.
         let trace = trace.or_else(|| Some(TraceContext::mint(self.mint_salt ^ client as u64, seq)));
-        // Route to the class's active ladder rung; the choice is fixed for
-        // the request's lifetime.
-        let variant = self.metrics.active_variant[class.index()];
         self.pending[variant].push(QueueEntry(PendingRequest {
             client,
             seq,
@@ -394,7 +411,12 @@ impl SchedState {
     /// offset` (saturating at the cheap end). Queued work keeps its
     /// admission-time variant; only *new* admissions route to the shifted
     /// rungs. Returns whether any class actually moved.
-    pub fn apply_shift(&mut self, offset: usize, demote: bool, reason: &'static str) -> bool {
+    pub(crate) fn apply_shift(
+        &mut self,
+        offset: usize,
+        demote: bool,
+        reason: &'static str,
+    ) -> bool {
         let new_active = [
             self.homes[0].saturating_sub(offset),
             self.homes[1].saturating_sub(offset),
@@ -450,7 +472,7 @@ impl SchedState {
     }
 
     /// Whether the FINN worker may take work right now.
-    pub fn finn_ready(&self) -> bool {
+    pub(crate) fn finn_ready(&self) -> bool {
         !self.paused && self.depth() > 0
     }
 
@@ -458,7 +480,7 @@ impl SchedState {
     /// pressure (deeper than [`CPU_ENGAGE_DEPTH`]), FINN degradation (of
     /// any variant's engine) or drain — otherwise frames are left to
     /// accumulate into FINN micro-batches.
-    pub fn cpu_ready(&self) -> bool {
+    pub(crate) fn cpu_ready(&self) -> bool {
         let depth = self.depth();
         !self.paused
             && depth > 0
@@ -470,7 +492,7 @@ impl SchedState {
     /// broken by admission order, like the heaps). A lease never mixes
     /// rungs — a fabric batch shares one weight set — and a host worker
     /// leases one.
-    pub fn lease(&mut self, max: usize) -> Vec<PendingRequest> {
+    pub(crate) fn lease(&mut self, max: usize) -> Vec<PendingRequest> {
         let variant = self
             .pending
             .iter()
@@ -504,7 +526,7 @@ impl SchedState {
     /// Completes a leased request: records latency/SLO metrics and routes
     /// the response through the owning client's reorder buffer so delivery
     /// follows admission order even when backends finish out of order.
-    pub fn complete(
+    pub(crate) fn complete(
         &mut self,
         request: PendingRequest,
         detections: Vec<Detection>,
@@ -575,7 +597,7 @@ impl SchedState {
     /// variant's FINN drift tracker its per-item time; a `degraded` one
     /// already burns the SLO budget, and a timed-out attempt is not a
     /// slower fabric.
-    pub fn record_finn_batch(
+    pub(crate) fn record_finn_batch(
         &mut self,
         variant: usize,
         batch: usize,
@@ -596,7 +618,7 @@ impl SchedState {
     }
 
     /// Records one host-worker request's busy time against its variant.
-    pub fn record_cpu_busy(&mut self, variant: usize, busy: Duration) {
+    pub(crate) fn record_cpu_busy(&mut self, variant: usize, busy: Duration) {
         self.metrics.cpu_busy += busy;
         if let Some([_, host]) = self.drift.get_mut(variant) {
             host.observe(busy.as_secs_f64(), 1, &mut self.drift_closed);

@@ -96,6 +96,13 @@ impl ClientHandle {
             .mutate(|state| state.submit(self.id, class, image, Some(ctx)))
     }
 
+    /// Submits a fleet canary on ladder rung `rung`, whatever rung the
+    /// standard class rides now, so every rung's engine can be probed.
+    pub(crate) fn submit_canary(&self, image: Image, rung: usize) -> Result<u64, AdmissionError> {
+        self.inner
+            .mutate(|state| state.submit_on(rung, self.id, SloClass::Standard, image, None))
+    }
+
     /// Receives the next response, blocking. Responses arrive in
     /// submission order. Returns `None` once the server is gone and all
     /// buffered responses are consumed.

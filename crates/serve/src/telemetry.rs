@@ -37,13 +37,13 @@ pub(crate) struct ServeCollector {
 impl ServeCollector {
     /// Offload health counters summed over every variant's FINN engine:
     /// the device's, which the fleet judges a shard by.
-    pub fn offload(&self) -> OffloadStats {
+    pub(crate) fn offload(&self) -> OffloadStats {
         self.healths.iter().map(OffloadHealth::snapshot).sum()
     }
 
     /// The report as of now: [`crate::InferenceServer::finish`] returns
     /// it after the drain, `/report` serves it mid-run.
-    pub fn report(&self) -> ServeReport {
+    pub(crate) fn report(&self) -> ServeReport {
         let offload = self.offload();
         let state = self.inner.state.lock();
         state.report(self.cpu_workers, self.started.elapsed(), offload)
@@ -55,7 +55,7 @@ impl ServeCollector {
     /// demotes on this one verdict, and `/healthz` reports it. The fleet
     /// does not drain on it (an overloaded shard is not a broken one): it
     /// drains on the device's own counters, [`Self::offload`].
-    pub fn degraded(&self) -> Option<&'static str> {
+    pub(crate) fn degraded(&self) -> Option<&'static str> {
         let mut state = self.inner.state.lock();
         if state
             .slo_status()

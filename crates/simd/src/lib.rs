@@ -31,6 +31,7 @@
 // obscure that.
 #![allow(clippy::needless_range_loop)]
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod conv;
 pub mod fused;

@@ -23,6 +23,7 @@
 //!   shift monitor.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod expose;
 mod http;

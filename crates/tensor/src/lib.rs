@@ -26,6 +26,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod error;
 mod im2col_impl;

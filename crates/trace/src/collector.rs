@@ -9,9 +9,13 @@
 //!   thread-local. Recording locks only the thread's *own* ring mutex,
 //!   which no other thread touches until `finish()` drains it — the lock
 //!   is uncontended on the hot path.
+//! - A span stamps its start when it opens ([`open`]) and writes one
+//!   record, start to end, when its guard drops ([`close`]); instants and
+//!   flow edges are one record each ([`record`]).
 //! - Sessions carry a generation number; a cached thread-local handle
 //!   from a previous session is detected by generation mismatch and
 //!   re-registered, so `start()`/`finish()` can cycle freely (tests do).
+//!   A span opened in an earlier session records nothing.
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::data::Trace;
@@ -23,9 +27,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::ThreadId;
 
-/// Default per-thread ring capacity (events). At ~64 bytes per event a
-/// 10-thread session tops out around 160 MiB worst case; real demo/serve
-/// runs stay under a few thousand events per thread.
+/// Default per-thread ring capacity (events; a span is one event). An
+/// [`Event`] is 176 bytes (`size_of::<Event>()` on x86-64), so a full ring
+/// is 44 MiB and a 10-thread session tops out around 440 MiB worst case.
+/// Rings grow as they fill, and real demo/serve runs stay under a few
+/// thousand events per thread.
 pub const DEFAULT_THREAD_CAPACITY: usize = 1 << 18;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -51,7 +57,8 @@ fn registry() -> &'static Mutex<Option<Session>> {
 }
 
 /// A bounded flight-recorder ring: keeps the most recent `capacity`
-/// events, counting overwritten ones.
+/// events, counting overwritten ones. Each span is one closed record, so
+/// an overwrite never leaves half a span behind.
 struct Ring {
     buf: Vec<Event>,
     capacity: usize,
@@ -95,6 +102,19 @@ struct ThreadHandle {
     thread: u32,
     clock: Arc<dyn Clock>,
     ring: Arc<Mutex<Ring>>,
+}
+
+impl ThreadHandle {
+    fn push(&self, start_ns: u64, end_ns: u64, kind: EventKind, label: Label, attrs: Attrs) {
+        self.ring.lock().push(Event {
+            start_ns,
+            end_ns,
+            thread: self.thread,
+            kind,
+            label,
+            attrs,
+        });
+    }
 }
 
 thread_local! {
@@ -175,17 +195,25 @@ pub fn finish() -> Trace {
         events.extend(ring.drain());
         dropped += ring.dropped;
     }
-    // Stable sort: events of one thread were appended in recording order,
-    // so equal timestamps (deterministic test clocks) keep that order.
-    events.sort_by_key(|e| e.t_ns);
+    sort_events(&mut events);
     Trace {
         events,
         labels: label_table(),
         threads: u32::try_from(session.rings.len()).unwrap_or(u32::MAX),
-        thread_names: session.names,
+        thread_names: (0..)
+            .zip(session.names)
+            .filter(|(_, name)| !name.is_empty())
+            .collect(),
         links: session.links,
         dropped,
     }
+}
+
+/// The order of [`Trace::events`]: by start, a span before the spans and
+/// points it contains (longer first on a shared start), recording order on
+/// full ties.
+pub(crate) fn sort_events(events: &mut [Event]) {
+    events.sort_by_key(|e| (e.start_ns, std::cmp::Reverse(e.end_ns)));
 }
 
 /// Per-thread flight-recorder drop counts for the *running* session:
@@ -242,41 +270,50 @@ fn register_thread(generation: u64) -> Option<ThreadHandle> {
     })
 }
 
-/// Records one event on the calling thread's ring. No-op when disabled.
-pub(crate) fn record(kind: EventKind, label: Label, attrs: Attrs) {
+/// Runs `f` on the calling thread's handle for the running session,
+/// registering the thread on its first record. `None` when disabled, or
+/// when the session ended or restarted mid-call.
+fn with_handle<R>(f: impl FnOnce(&ThreadHandle) -> R) -> Option<R> {
     if !is_enabled() {
-        return;
+        return None;
     }
     let generation = GENERATION.load(Ordering::Acquire);
     HANDLE.with(|cell| {
         let mut slot = cell.borrow_mut();
-        let stale = match slot.as_ref() {
-            Some(handle) => handle.generation != generation,
-            None => true,
-        };
-        if stale {
-            match register_thread(generation) {
-                Some(handle) => *slot = Some(handle),
-                // The session ended (or restarted) mid-call; drop the event.
-                None => return,
-            }
+        if slot.as_ref().is_none_or(|h| h.generation != generation) {
+            *slot = Some(register_thread(generation)?);
         }
-        let handle = slot.as_ref().expect("handle registered above");
-        let event = Event {
-            t_ns: handle.clock.now_ns(),
-            thread: handle.thread,
-            kind,
-            label,
-            attrs,
-        };
-        handle.ring.lock().push(event);
+        slot.as_ref().map(f)
+    })
+}
+
+/// Records one point event (instant or flow edge) stamped now. No-op when
+/// disabled.
+pub(crate) fn record(kind: EventKind, label: Label, attrs: Attrs) {
+    with_handle(|handle| {
+        let now = handle.clock.now_ns();
+        handle.push(now, now, kind, label, attrs);
     });
 }
 
-/// The session generation a just-started span belongs to; used by span
-/// guards to suppress the End edge if the session changed underneath.
-pub(crate) fn current_generation() -> u64 {
-    GENERATION.load(Ordering::Acquire)
+/// Opens a span: the session generation and the start stamp, or `None`
+/// when disabled.
+pub(crate) fn open() -> Option<(u64, u64)> {
+    with_handle(|handle| (handle.generation, handle.clock.now_ns()))
+}
+
+/// Closes a span opened by [`open`]: one record from `start_ns` to now.
+/// Nothing is recorded when the session changed since the span opened.
+pub(crate) fn close(generation: u64, start_ns: u64, label: Label, attrs: Attrs) {
+    if GENERATION.load(Ordering::Acquire) != generation {
+        return;
+    }
+    with_handle(|handle| {
+        if handle.generation == generation {
+            let now = handle.clock.now_ns();
+            handle.push(start_ns, now, EventKind::Span, label, attrs);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -287,9 +324,10 @@ mod tests {
     #[test]
     fn ring_keeps_newest_events_and_counts_drops() {
         let mut ring = Ring::new(3);
-        for i in 0..5u64 {
+        for t in 0..5u64 {
             ring.push(Event {
-                t_ns: i,
+                start_ns: t,
+                end_ns: t,
                 thread: 0,
                 kind: EventKind::Instant,
                 label: Label(0),
@@ -297,7 +335,7 @@ mod tests {
             });
         }
         assert_eq!(ring.dropped, 2);
-        let drained: Vec<u64> = ring.drain().iter().map(|e| e.t_ns).collect();
+        let drained: Vec<u64> = ring.drain().iter().map(|e| e.start_ns).collect();
         assert_eq!(drained, vec![2, 3, 4]);
     }
 
@@ -310,6 +348,7 @@ mod tests {
             Label::intern("collector.disabled"),
             Attrs::default(),
         );
+        assert!(open().is_none());
         let trace = finish();
         assert!(trace.events.is_empty());
     }
@@ -341,15 +380,14 @@ mod tests {
         let _guard = exclusive();
         start_local();
         let label = Label::intern("collector.local");
-        record(EventKind::Begin, label, Attrs::default());
-        // A bystander opens a span it never closes inside the session.
-        std::thread::spawn(move || record(EventKind::Begin, label, Attrs::default()))
+        let (generation, start) = open().expect("the caller records");
+        std::thread::spawn(|| assert!(open().is_none(), "a bystander records nothing"))
             .join()
             .expect("bystander thread");
-        record(EventKind::End, label, Attrs::default());
+        close(generation, start, label, Attrs::default());
         let trace = finish();
         assert_eq!(trace.threads, 1);
-        assert_eq!(trace.spans().expect("only the caller's span").len(), 1);
+        assert_eq!(trace.spans().count(), 1);
     }
 
     #[test]

@@ -1,91 +1,53 @@
-//! The collected trace: merged events, label table, span matching and
-//! structural validation.
+//! The collected trace: merged events, label table and the per-thread
+//! nesting check. Every span is already one closed record, so nothing
+//! here pairs edges.
 
-use crate::event::{Attrs, Event, EventKind, Label};
+use crate::event::{Event, EventKind, Label};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A finished trace session: every surviving event from every thread,
-/// sorted by timestamp, plus the label table to resolve names.
+/// sorted by start, plus the label table to resolve names.
 #[derive(Debug, Clone)]
 pub struct Trace {
-    /// Events sorted by `t_ns` (per-thread order preserved on ties).
+    /// Events sorted by `start_ns`; on a shared start a span precedes what
+    /// it contains.
     pub events: Vec<Event>,
     /// Interner snapshot: `labels[label.index()]` is the name.
     pub labels: Vec<String>,
     /// Threads that recorded at least one event.
     pub threads: u32,
-    /// OS thread names captured at registration, indexed by session
-    /// thread id (`""` when the thread was unnamed).
-    pub thread_names: Vec<String>,
+    /// OS thread names captured at registration, by session thread id;
+    /// unnamed threads have no entry.
+    pub thread_names: BTreeMap<u32, String>,
     /// Span-link sets: `links[id]` lists the request ids referenced by
-    /// spans whose [`Attrs::links`] is `Some(id)` (micro-batch members).
+    /// spans whose [`Attrs::links`](crate::Attrs::links) is `Some(id)`
+    /// (micro-batch members).
     pub links: Vec<Vec<u64>>,
     /// Events overwritten by ring-buffer wraparound.
     pub dropped: u64,
 }
 
-/// A matched begin/end pair.
-#[derive(Debug, Clone, Copy)]
-pub struct Span {
-    /// Interned name (shared by both edges).
-    pub label: Label,
-    /// Recording thread.
-    pub thread: u32,
-    /// Begin timestamp (ns since session start).
-    pub start_ns: u64,
-    /// End timestamp.
-    pub end_ns: u64,
-    /// Attributes from the Begin edge.
-    pub attrs: Attrs,
-}
-
-impl Span {
-    /// Span duration in nanoseconds.
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.start_ns)
-    }
-}
-
-/// A structural defect found by [`Trace::check`].
+/// Two spans on one thread that partially overlap: the defect
+/// [`Trace::check`] finds. Guards that drop out of order record it, and so
+/// can a hand-edited or foreign trace file.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceError {
-    /// An End edge with no open Begin, or whose label does not match the
-    /// innermost open span on its thread.
-    MismatchedEnd {
-        /// Thread the defect occurred on.
-        thread: u32,
-        /// Label of the offending End edge.
-        found: String,
-        /// Label of the innermost open span, if any.
-        expected: Option<String>,
-    },
-    /// A Begin edge that never closed.
-    UnclosedSpan {
-        /// Thread the span was opened on.
-        thread: u32,
-        /// Label of the unclosed span.
-        label: String,
-    },
+pub struct TraceError {
+    /// Thread both spans were recorded on.
+    pub thread: u32,
+    /// Label of the span that opened first.
+    pub outer: String,
+    /// Label of the span that opened inside `outer` and outlived it.
+    pub inner: String,
 }
 
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceError::MismatchedEnd {
-                thread,
-                found,
-                expected,
-            } => match expected {
-                Some(expected) => write!(
-                    f,
-                    "thread {thread}: end '{found}' does not match open span '{expected}'"
-                ),
-                None => write!(f, "thread {thread}: end '{found}' with no open span"),
-            },
-            TraceError::UnclosedSpan { thread, label } => {
-                write!(f, "thread {thread}: span '{label}' never ended")
-            }
-        }
+        write!(
+            f,
+            "thread {}: span '{}' outlives its enclosing span '{}'",
+            self.thread, self.inner, self.outer
+        )
     }
 }
 
@@ -96,7 +58,7 @@ impl Trace {
             events: Vec::new(),
             labels: Vec::new(),
             threads: 0,
-            thread_names: Vec::new(),
+            thread_names: BTreeMap::new(),
             links: Vec::new(),
             dropped: 0,
         }
@@ -115,35 +77,40 @@ impl Trace {
             .map_or("?", String::as_str)
     }
 
-    /// Matches Begin/End pairs per thread under stack discipline and
-    /// returns every completed span. Structural defects are errors; use
-    /// [`Self::spans_lossy`] for best-effort extraction.
+    /// Checks per-thread nesting: two spans on one thread are disjoint, or
+    /// one contains the other.
     ///
     /// # Errors
     ///
-    /// [`TraceError`] on the first mismatched End or unclosed Begin.
-    pub fn spans(&self) -> Result<Vec<Span>, TraceError> {
-        let (spans, defect) = self.match_spans();
-        match defect {
-            Some(error) => Err(error),
-            None => Ok(spans),
-        }
-    }
-
-    /// Best-effort span extraction: mismatched Ends are skipped and
-    /// unclosed Begins dropped, which keeps export working even if a
-    /// ring wrapped or a panic unwound past a guard.
-    pub fn spans_lossy(&self) -> Vec<Span> {
-        self.match_spans().0
-    }
-
-    /// Validates begin/end matching and per-thread nesting.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError`] describing the first structural defect.
+    /// [`TraceError`] naming the first pair that partially overlaps.
     pub fn check(&self) -> Result<(), TraceError> {
-        self.spans().map(drop)
+        let mut spans: Vec<&Event> = self.spans().collect();
+        spans.sort_by_key(|s| (s.thread, s.start_ns, std::cmp::Reverse(s.end_ns)));
+        // Per thread, the spans still open at the current start: each one
+        // ends no later than the one below it.
+        let mut open: Vec<&Event> = Vec::new();
+        for span in spans {
+            while open
+                .last()
+                .is_some_and(|o| o.thread != span.thread || o.end_ns <= span.start_ns)
+            {
+                open.pop();
+            }
+            if let Some(outer) = open.last().filter(|o| o.end_ns < span.end_ns) {
+                return Err(TraceError {
+                    thread: span.thread,
+                    outer: self.label_name(outer.label).to_string(),
+                    inner: self.label_name(span.label).to_string(),
+                });
+            }
+            open.push(span);
+        }
+        Ok(())
+    }
+
+    /// All spans.
+    pub fn spans(&self) -> impl Iterator<Item = &Event> {
+        self.events.iter().filter(|e| e.kind == EventKind::Span)
     }
 
     /// All instant events.
@@ -160,79 +127,27 @@ impl Trace {
 
     /// The captured OS thread name for a session thread id, if any.
     pub fn thread_name(&self, thread: u32) -> Option<&str> {
-        self.thread_names
-            .get(thread as usize)
-            .map(String::as_str)
-            .filter(|name| !name.is_empty())
+        self.thread_names.get(&thread).map(String::as_str)
     }
 
-    /// The request ids behind a span-link id ([`Attrs::links`]); empty
-    /// for ids outside the table.
+    /// The request ids behind a span-link id ([`Attrs::links`](crate::Attrs::links));
+    /// empty for ids outside the table.
     pub fn link_requests(&self, id: u32) -> &[u64] {
         self.links.get(id as usize).map_or(&[], Vec::as_slice)
-    }
-
-    fn match_spans(&self) -> (Vec<Span>, Option<TraceError>) {
-        // Per-thread stacks of open Begin edges. Thread ids are small
-        // session-local indices, so a Vec-of-stacks suffices.
-        let mut stacks: Vec<Vec<&Event>> = Vec::new();
-        let mut spans = Vec::new();
-        let mut defect = None;
-        for event in &self.events {
-            let t = event.thread as usize;
-            if stacks.len() <= t {
-                stacks.resize_with(t + 1, Vec::new);
-            }
-            match event.kind {
-                EventKind::Instant | EventKind::FlowStart | EventKind::FlowFinish => {}
-                EventKind::Begin => stacks[t].push(event),
-                EventKind::End => match stacks[t].last() {
-                    Some(open) if open.label == event.label => {
-                        let open = stacks[t].pop().expect("non-empty stack");
-                        spans.push(Span {
-                            label: open.label,
-                            thread: open.thread,
-                            start_ns: open.t_ns,
-                            end_ns: event.t_ns,
-                            attrs: open.attrs,
-                        });
-                    }
-                    open => {
-                        if defect.is_none() {
-                            defect = Some(TraceError::MismatchedEnd {
-                                thread: event.thread,
-                                found: self.label_name(event.label).to_string(),
-                                expected: open.map(|o| self.label_name(o.label).to_string()),
-                            });
-                        }
-                    }
-                },
-            }
-        }
-        if defect.is_none() {
-            for stack in &stacks {
-                if let Some(open) = stack.first() {
-                    defect = Some(TraceError::UnclosedSpan {
-                        thread: open.thread,
-                        label: self.label_name(open.label).to_string(),
-                    });
-                    break;
-                }
-            }
-        }
-        (spans, defect)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Attrs;
 
-    fn ev(t_ns: u64, thread: u32, kind: EventKind, label: u32) -> Event {
+    fn span(thread: u32, label: u32, start_ns: u64, end_ns: u64) -> Event {
         Event {
-            t_ns,
+            start_ns,
+            end_ns,
             thread,
-            kind,
+            kind: EventKind::Span,
             label: Label(label),
             attrs: Attrs::default(),
         }
@@ -243,60 +158,38 @@ mod tests {
             events,
             labels: vec!["a".into(), "b".into()],
             threads: 2,
-            thread_names: Vec::new(),
+            thread_names: BTreeMap::new(),
             links: Vec::new(),
             dropped: 0,
         }
     }
 
     #[test]
-    fn nested_spans_match_innermost_first() {
+    fn nested_and_disjoint_spans_pass() {
         let trace = trace_with(vec![
-            ev(0, 0, EventKind::Begin, 0),
-            ev(1, 0, EventKind::Begin, 1),
-            ev(2, 0, EventKind::End, 1),
-            ev(3, 0, EventKind::End, 0),
+            span(0, 0, 0, 10),
+            span(0, 1, 0, 4),
+            span(0, 1, 4, 4),
+            span(0, 1, 4, 10),
+            span(0, 0, 10, 12),
         ]);
-        let spans = trace.spans().unwrap();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(trace.label_name(spans[0].label), "b");
-        assert_eq!(spans[0].duration_ns(), 1);
-        assert_eq!(trace.label_name(spans[1].label), "a");
-        assert_eq!(spans[1].duration_ns(), 3);
+        trace.check().unwrap();
     }
 
     #[test]
-    fn interleaved_threads_do_not_interfere() {
-        let trace = trace_with(vec![
-            ev(0, 0, EventKind::Begin, 0),
-            ev(1, 1, EventKind::Begin, 1),
-            ev(2, 0, EventKind::End, 0),
-            ev(3, 1, EventKind::End, 1),
-        ]);
-        assert_eq!(trace.spans().unwrap().len(), 2);
-        assert!(trace.check().is_ok());
+    fn overlap_across_threads_is_not_a_defect() {
+        let trace = trace_with(vec![span(0, 0, 0, 5), span(1, 1, 3, 8)]);
+        trace.check().unwrap();
     }
 
     #[test]
-    fn mismatched_end_is_detected() {
-        let trace = trace_with(vec![
-            ev(0, 0, EventKind::Begin, 0),
-            ev(1, 0, EventKind::End, 1),
-        ]);
-        assert!(matches!(
-            trace.check(),
-            Err(TraceError::MismatchedEnd { .. })
-        ));
-        // Lossy extraction skips the defect and drops the unclosed span.
-        assert!(trace.spans_lossy().is_empty());
-    }
-
-    #[test]
-    fn unclosed_span_is_detected() {
-        let trace = trace_with(vec![ev(0, 0, EventKind::Begin, 0)]);
-        assert!(matches!(
-            trace.check(),
-            Err(TraceError::UnclosedSpan { .. })
-        ));
+    fn partial_overlap_on_one_thread_is_detected() {
+        let trace = trace_with(vec![span(0, 0, 0, 5), span(0, 1, 3, 8)]);
+        let err = trace.check().unwrap_err();
+        assert_eq!((err.outer.as_str(), err.inner.as_str()), ("a", "b"));
+        assert_eq!(
+            err.to_string(),
+            "thread 0: span 'b' outlives its enclosing span 'a'"
+        );
     }
 }

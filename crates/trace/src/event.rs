@@ -1,5 +1,7 @@
 //! The trace event schema: interned labels, typed attributes and the
-//! fixed-size [`Event`] record stored in the per-thread rings.
+//! fixed-size [`Event`] record stored in the per-thread rings. A span is
+//! one record, written when its guard drops, that carries both its start
+//! and its end.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -129,16 +131,13 @@ impl Attrs {
     }
 }
 
-/// Event flavor: spans are a begin/end pair on one thread; instants are
+/// Event flavor: spans cover an interval on one thread; instants are
 /// point markers; flow edges link a hand-off across threads (Perfetto
 /// `s`/`f` arrows, e.g. router dispatch → shard delivery).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// Span opening edge.
-    Begin,
-    /// Span closing edge (matches the innermost open `Begin` with the
-    /// same label on the same thread).
-    End,
+    /// A closed span: `start_ns..end_ns` is the time its guard was open.
+    Span,
     /// A point event.
     Instant,
     /// Flow start: the producing side of a cross-thread hand-off. Joined
@@ -151,16 +150,26 @@ pub enum EventKind {
 /// One record in a thread's ring buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    /// Nanoseconds since session start (per the session clock).
-    pub t_ns: u64,
+    /// Nanoseconds since session start (per the session clock): when the
+    /// span opened, or when the point event happened.
+    pub start_ns: u64,
+    /// When the span closed; equal to `start_ns` for point events.
+    pub end_ns: u64,
     /// Session-scoped thread id (registration order).
     pub thread: u32,
-    /// Begin/End/Instant.
+    /// Span, instant or flow edge.
     pub kind: EventKind,
     /// Interned event name.
     pub label: Label,
-    /// Typed attributes (End events carry none; the Begin edge owns them).
+    /// Typed attributes.
     pub attrs: Attrs,
+}
+
+impl Event {
+    /// Span duration in nanoseconds (0 for point events).
+    pub fn duration_ns(&self) -> u64 {
+        self.end_ns.saturating_sub(self.start_ns)
+    }
 }
 
 /// Interns a label once per call site and caches it in a `OnceLock`, so

@@ -171,16 +171,18 @@ pub fn journeys(trace: &Trace) -> Vec<RequestJourney> {
             *slot = Some(slot.map_or(t, |held| held.min(t)));
         };
         match (trace.label_name(event.label), event.kind) {
-            ("fleet.route", EventKind::FlowStart) => min_stage(&mut journey.route_ns, event.t_ns),
+            ("fleet.route", EventKind::FlowStart) => {
+                min_stage(&mut journey.route_ns, event.start_ns)
+            }
             ("fleet.route", EventKind::FlowFinish) => journey.flow_finished = true,
             ("fleet.failover", _) => journey.failovers += 1,
-            ("serve.admit", _) => min_stage(&mut journey.admit_ns, event.t_ns),
-            ("serve.lease", _) => min_stage(&mut journey.lease_ns, event.t_ns),
+            ("serve.admit", _) => min_stage(&mut journey.admit_ns, event.start_ns),
+            ("serve.lease", _) => min_stage(&mut journey.lease_ns, event.start_ns),
             ("serve.deliver", _) => {
                 journey.deliver_ns = Some(
                     journey
                         .deliver_ns
-                        .map_or(event.t_ns, |held| held.max(event.t_ns)),
+                        .map_or(event.start_ns, |held| held.max(event.start_ns)),
                 );
             }
             ("serve.reject", _) => journey.rejects += 1,
@@ -209,7 +211,8 @@ mod tests {
 
     fn ev(t_ns: u64, kind: EventKind, label: u32, trace: u64, shard: Option<u32>) -> Event {
         Event {
-            t_ns,
+            start_ns: t_ns,
+            end_ns: t_ns,
             thread: 0,
             kind,
             label: Label(label),
@@ -226,7 +229,7 @@ mod tests {
             events,
             labels: LABELS.iter().map(|s| (*s).to_string()).collect(),
             threads: 1,
-            thread_names: Vec::new(),
+            thread_names: BTreeMap::new(),
             links: Vec::new(),
             dropped: 0,
         }

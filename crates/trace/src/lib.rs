@@ -7,7 +7,7 @@
 //! - **Enabled**: each thread records into its own bounded ring buffer
 //!   behind a mutex nobody else touches mid-session — lock-minimal, not
 //!   lock-free, which the vendored `parking_lot` shim supports without
-//!   unsafe code.
+//!   unsafe code. A span is one record, written when its guard drops.
 //! - [`finish`] drains every ring into a time-sorted [`Trace`] that can
 //!   be validated ([`Trace::check`]), folded into a [`Profile`], or
 //!   exported as Chrome trace-event JSON ([`to_chrome_json`]) for
@@ -17,6 +17,7 @@
 //! [`MonotonicClock`], tests drive a [`TestClock`] by hand.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod chrome;
 mod clock;
@@ -35,7 +36,7 @@ pub use collector::{
     DEFAULT_THREAD_CAPACITY,
 };
 pub use context::{splitmix64, TraceContext};
-pub use data::{Span, Trace, TraceError};
+pub use data::{Trace, TraceError};
 pub use event::{Attrs, Backend, Event, EventKind, Label};
 pub use journey::{journeys, JourneyError, RequestJourney};
 pub use profile::{Profile, ProfileRow};

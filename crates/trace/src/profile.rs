@@ -1,4 +1,4 @@
-//! The in-process aggregator: folds matched spans into per-label (and
+//! The in-process aggregator: folds span records into per-label (and
 //! per-layer) duration profiles. Quantiles here are exact — the profile
 //! keeps every duration, unlike the streaming log-linear histograms in
 //! `tincy-pipeline` — because a trace is a bounded post-mortem artifact.
@@ -12,7 +12,7 @@ pub struct ProfileRow {
     pub label: String,
     /// Layer attribute, when the group's spans carry one.
     pub layer: Option<u32>,
-    /// Matched spans in the group.
+    /// Spans in the group.
     pub count: u64,
     /// Summed duration (ns).
     pub total_ns: u64,
@@ -53,12 +53,11 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Builds the profile from every matched span in `trace` (lossy
-    /// matching: unclosed spans are ignored).
+    /// Builds the profile from every span in `trace`.
     pub fn from_trace(trace: &Trace) -> Self {
         use std::collections::BTreeMap;
         let mut groups: BTreeMap<(String, Option<u32>), Vec<u64>> = BTreeMap::new();
-        for span in trace.spans_lossy() {
+        for span in trace.spans() {
             groups
                 .entry((trace.label_name(span.label).to_string(), span.attrs.layer))
                 .or_default()

@@ -1,5 +1,6 @@
 //! The span API: a builder for typed attributes plus an RAII guard that
-//! records the matching End edge.
+//! holds the span's start and attributes and records the whole span, as
+//! one event, when it drops.
 //!
 //! ```
 //! let _session = (); // assume tincy_trace::start() ran
@@ -7,11 +8,11 @@
 //! {
 //!     let _span = tincy_trace::span(label).frame(7).start();
 //!     // ... traced work ...
-//! } // End recorded here
+//! } // the span is recorded here
 //! tincy_trace::span(label).attempt(1).emit(); // instant event
 //! ```
 
-use crate::collector::{current_generation, is_enabled, record};
+use crate::collector::{close, is_enabled, open, record};
 use crate::context::TraceContext;
 use crate::event::{Attrs, Backend, EventKind, Label};
 use std::marker::PhantomData;
@@ -134,17 +135,13 @@ impl SpanBuilder {
         self
     }
 
-    /// Records the Begin edge and returns the guard whose drop records
-    /// the End edge. Inert (records nothing, ever) when tracing is off.
+    /// Stamps the span's start and returns the guard whose drop records
+    /// the span. Inert (records nothing, ever) when tracing is off.
     pub fn start(self) -> SpanGuard {
-        let active = is_enabled();
-        if active {
-            record(EventKind::Begin, self.label, self.attrs);
-        }
         SpanGuard {
             label: self.label,
-            generation: if active { current_generation() } else { 0 },
-            active,
+            attrs: self.attrs,
+            open: open(),
             _not_send: PhantomData,
         }
     }
@@ -167,24 +164,25 @@ impl SpanBuilder {
     }
 }
 
-/// RAII guard for an open span. `!Send` by construction: Begin and End
-/// must land on the same thread for per-thread nesting to hold.
+/// RAII guard for an open span. `!Send` by construction: a span opens
+/// and closes on one thread, so its record's thread and per-thread
+/// nesting hold.
 #[must_use = "dropping the guard immediately ends the span"]
 #[derive(Debug)]
 pub struct SpanGuard {
     label: Label,
-    generation: u64,
-    active: bool,
+    attrs: Attrs,
+    /// Session generation and start stamp; `None` when tracing was off.
+    open: Option<(u64, u64)>,
     _not_send: PhantomData<*const ()>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        // Suppress the End edge if the session was restarted while the
-        // span was open — a stray End in a fresh session would break its
-        // stack discipline.
-        if self.active && current_generation() == self.generation {
-            record(EventKind::End, self.label, Attrs::default());
+        // A guard opened in an earlier session records nothing: its start
+        // is on another session's clock.
+        if let Some((generation, start_ns)) = self.open {
+            close(generation, start_ns, self.label, self.attrs);
         }
     }
 }
@@ -198,7 +196,7 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn span_guard_records_matching_begin_end_with_attrs() {
+    fn span_guard_records_one_event_with_attrs() {
         let _guard = exclusive();
         let clock = Arc::new(TestClock::new());
         start_with_clock(clock.clone(), 64);
@@ -214,17 +212,76 @@ mod tests {
         }
         let trace = finish();
         trace.check().unwrap();
-        assert_eq!(trace.events.len(), 3);
-        let spans = trace.spans().unwrap();
+        assert_eq!(trace.events.len(), 2);
+        let spans: Vec<_> = trace.spans().collect();
         assert_eq!(spans.len(), 1);
         assert_eq!(trace.label_name(spans[0].label), "span.outer");
-        assert_eq!(spans[0].duration_ns(), 15);
+        assert_eq!((spans[0].start_ns, spans[0].end_ns), (0, 15));
         assert_eq!(spans[0].attrs.frame, Some(3));
         assert_eq!(spans[0].attrs.layer, Some(1));
         assert_eq!(spans[0].attrs.backend, Some(Backend::Finn));
         let instants: Vec<_> = trace.instants().collect();
         assert_eq!(instants.len(), 1);
         assert_eq!(instants[0].attrs.attempt, Some(2));
+    }
+
+    /// N nested spans and M instants on one thread leave exactly N + M
+    /// events, and a ring of K records keeps the K newest spans.
+    #[test]
+    fn each_span_is_one_record() {
+        let _guard = exclusive();
+        let clock = Arc::new(TestClock::new());
+        start_with_clock(clock.clone(), 64);
+        let label = Label::intern("span.nested");
+        let mut open = Vec::new();
+        for depth in 0..5 {
+            open.push(span(label).layer(depth).start());
+            clock.advance(1);
+            span(Label::intern("span.point")).emit();
+        }
+        while open.pop().is_some() {
+            clock.advance(1);
+        }
+        let trace = finish();
+        trace.check().unwrap();
+        assert_eq!(trace.events.len(), 10);
+        let spans: Vec<_> = trace
+            .spans()
+            .map(|s| (s.attrs.layer, s.start_ns, s.end_ns))
+            .collect();
+        let want: Vec<_> = (0..5u32)
+            .map(|d| (Some(d), u64::from(d), 9 - u64::from(d)))
+            .collect();
+        assert_eq!(spans, want, "outermost first, each with its own interval");
+
+        start_with_clock(clock.clone(), 4);
+        for _ in 0..6 {
+            let _span = span(label).start();
+            clock.advance(1);
+        }
+        let trace = finish();
+        assert_eq!((trace.spans().count(), trace.dropped), (4, 2));
+    }
+
+    /// Guards dropped out of order record two spans that partially
+    /// overlap, and the check names them.
+    #[test]
+    fn out_of_order_drops_fail_the_check() {
+        let _guard = exclusive();
+        let clock = Arc::new(TestClock::new());
+        start_with_clock(clock.clone(), 64);
+        let outer = span(Label::intern("span.first")).start();
+        clock.advance(1);
+        let inner = span(Label::intern("span.second")).start();
+        clock.advance(1);
+        drop(outer);
+        clock.advance(1);
+        drop(inner);
+        let err = finish().check().unwrap_err();
+        assert_eq!(
+            (err.outer.as_str(), err.inner.as_str()),
+            ("span.first", "span.second")
+        );
     }
 
     #[test]
@@ -243,16 +300,11 @@ mod tests {
         let clock = Arc::new(TestClock::new());
         start_with_clock(clock.clone(), 64);
         let open = span(Label::intern("span.stale")).start();
-        let first = finish();
-        assert!(matches!(
-            first.check(),
-            Err(crate::TraceError::UnclosedSpan { .. })
-        ));
+        assert!(finish().is_empty(), "an open span is not recorded yet");
         start_with_clock(clock, 64);
-        drop(open); // must not inject an End into the new session
+        drop(open); // must not record into the new session
         span(Label::intern("span.fresh")).emit();
         let second = finish();
-        second.check().unwrap();
         assert_eq!(second.events.len(), 1);
         assert_eq!(second.label_name(second.events[0].label), "span.fresh");
         assert_eq!(second.events[0].kind, EventKind::Instant);

@@ -20,6 +20,7 @@
 //!   reproduction.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod layers;
 pub mod loss;

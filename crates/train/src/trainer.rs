@@ -255,17 +255,16 @@ mod tests {
             },
         );
         let trace = tincy_trace::finish();
-        let spans = trace.spans().expect("well-formed trace");
         let named = |name: &str| {
-            spans
-                .iter()
+            trace
+                .spans()
                 .filter(|s| trace.label_name(s.label) == name)
                 .count()
         };
         assert_eq!(named("train.epoch"), 3, "one span per epoch");
         assert_eq!(named("train.step"), 12, "one span per sample step");
-        let epoch_frames: Vec<_> = spans
-            .iter()
+        let epoch_frames: Vec<_> = trace
+            .spans()
             .filter(|s| trace.label_name(s.label) == "train.epoch")
             .filter_map(|s| s.attrs.frame)
             .collect();

@@ -9,6 +9,7 @@
 //! study.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod dataset;
 mod draw;

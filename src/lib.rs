@@ -48,6 +48,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use tincy_core as core;
 pub use tincy_eval as eval;

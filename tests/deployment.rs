@@ -178,10 +178,6 @@ fn deployed_forward_survives_an_outage_bit_exactly() {
     let clean = clean.forward(&image).unwrap();
 
     let mut faulty = deploy(&net, &model(7), FaultPlan::outage(0, 10)).unwrap();
-    offload(&mut faulty).set_retry_policy(RetryPolicy {
-        backoff_base: std::time::Duration::ZERO,
-        ..RetryPolicy::default()
-    });
     let degraded = faulty.forward(&image).unwrap();
     assert_eq!(degraded, clean, "CPU fallback output is bit-exact");
     let stats = offload(&mut faulty).health().snapshot();

@@ -208,9 +208,14 @@ fn failed_over_request_spans_both_shards_under_one_trace_id() {
         "A's fourth submission must have failed over to shard 0"
     );
 
-    let trace = from_chrome_json(&to_chrome_json(&tincy::trace::finish()))
-        .expect("the exported trace re-imports");
+    let json = to_chrome_json(&tincy::trace::finish());
+    let trace = from_chrome_json(&json).expect("the exported trace re-imports");
     trace.check().expect("the trace is well formed");
+    assert_eq!(
+        to_chrome_json(&trace),
+        json,
+        "the import is the recorded trace"
+    );
     let by_request = journeys(&trace);
     assert_eq!(by_request.len(), 6, "one journey per minted trace id");
     for journey in &by_request {

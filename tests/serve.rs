@@ -7,7 +7,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 use tincy::core::SystemConfig;
 use tincy::finn::{FaultKind, FaultPlan, FaultWindow};
-use tincy::nn::{Network, RetryPolicy};
+use tincy::nn::Network;
 use tincy::serve::{
     run_load, AdmissionError, ArrivalPattern, FleetConfig, InferenceServer, LoadConfig, LoadReport,
     ServeConfig, ServeEngine, SloClass,
@@ -263,13 +263,7 @@ fn one_engine_shared_by_concurrent_workers_stays_bit_exact() {
         }),
         ..FaultPlan::from_seed(7)
     };
-    let system = SystemConfig {
-        retry: RetryPolicy {
-            backoff_base: Duration::ZERO,
-            ..RetryPolicy::default()
-        },
-        ..small_system(plan)
-    };
+    let system = small_system(plan);
     let images = frames(8, 3);
     let sequential = ServeEngine::finn(&system, 0.0).unwrap();
     let mut batched = sequential.process_batch(&images[..4]).unwrap();

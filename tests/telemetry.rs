@@ -59,10 +59,15 @@ fn fault_seeded_serve_trace_round_trips_and_scrape_matches_report() {
     // one well-formed timeline.
     let recorded = tincy::trace::finish();
     assert_eq!(recorded.dropped, 0, "ring buffers overflowed");
-    let trace = from_chrome_json(&to_chrome_json(&recorded)).expect("export re-imports");
+    let json = to_chrome_json(&recorded);
+    let trace = from_chrome_json(&json).expect("export re-imports");
     assert_eq!(trace.dropped, 0);
     trace.check().expect("re-imported timeline is well-formed");
-    let spans = trace.spans().expect("re-imported spans parse");
+    assert_eq!(
+        to_chrome_json(&trace),
+        json,
+        "the import is the recorded trace"
+    );
 
     // Named worker threads survive the export/import round trip.
     let names: BTreeSet<&str> = (0..trace.threads)
@@ -78,8 +83,8 @@ fn fault_seeded_serve_trace_round_trips_and_scrape_matches_report() {
     // the run the links cover exactly the FINN-served items.
     let serve = &report.target.shards[0];
     let mut linked_items = 0u64;
-    for span in spans
-        .iter()
+    for span in trace
+        .spans()
         .filter(|s| trace.label_name(s.label) == "serve.finn_batch")
     {
         let links = span

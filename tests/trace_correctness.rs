@@ -1,4 +1,4 @@
-//! Trace correctness: span matching under arbitrary recording patterns,
+//! Trace correctness: span nesting under arbitrary recording patterns,
 //! and fault attribution on a degraded end-to-end run.
 //!
 //! The trace session is process-global, so every test here holds
@@ -11,8 +11,8 @@ use tincy::core::demo::{run_demo, DemoConfig};
 use tincy::core::SystemConfig;
 use tincy::finn::FaultPlan;
 use tincy::trace::{
-    exclusive, finish, span, start, start_with_clock, thread_drops, Backend, Label, Span,
-    TestClock, Trace,
+    exclusive, finish, from_chrome_json, span, start, start_with_clock, thread_drops,
+    to_chrome_json, Backend, Event, Label, TestClock,
 };
 use tincy::video::SceneConfig;
 
@@ -60,38 +60,12 @@ fn replay_ops(ops: &[u8], clock: &TestClock, labels: &[Label]) -> u64 {
     opened
 }
 
-/// Spans on one thread must nest: any two are disjoint or contained, never
-/// partially overlapping.
-fn assert_nested(trace: &Trace, spans: &[Span]) {
-    for a in spans {
-        for b in spans {
-            if a.thread != b.thread || (a.start_ns, a.end_ns) == (b.start_ns, b.end_ns) {
-                continue;
-            }
-            let disjoint = a.end_ns <= b.start_ns || b.end_ns <= a.start_ns;
-            let contained = (a.start_ns <= b.start_ns && b.end_ns <= a.end_ns)
-                || (b.start_ns <= a.start_ns && a.end_ns <= b.end_ns);
-            assert!(
-                disjoint || contained,
-                "spans {} [{}, {}) and {} [{}, {}) on thread {} partially overlap",
-                trace.label_name(a.label),
-                a.start_ns,
-                a.end_ns,
-                trace.label_name(b.label),
-                b.start_ns,
-                b.end_ns,
-                a.thread
-            );
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Arbitrary open/close/instant sequences on several threads: every
-    /// begin gets a matching end (guards close on drop), `check()` passes,
-    /// and per-thread span intervals nest.
+    /// opened span is one record (guards close on drop), spans on one
+    /// thread nest, and the Chrome export imports back to the same trace.
     #[test]
     fn recorded_spans_always_match_and_nest(
         seqs in proptest::collection::vec(
@@ -125,15 +99,12 @@ proptest! {
 
         let trace = finish();
         prop_assert_eq!(trace.dropped, 0);
-        let spans = trace.spans().expect("every begin has a matching end");
-        prop_assert_eq!(spans.len() as u64, opened);
-        assert_nested(&trace, &spans);
-        // Chrome round-trip preserves matching and nesting.
-        let back = tincy::trace::from_chrome_json(&tincy::trace::to_chrome_json(&trace))
-            .expect("exported trace parses");
-        let back_spans = back.spans().expect("round-tripped spans still match");
-        prop_assert_eq!(back_spans.len(), spans.len());
-        assert_nested(&back, &back_spans);
+        prop_assert_eq!(trace.spans().count() as u64, opened);
+        trace.check().expect("per-thread spans nest");
+        let json = to_chrome_json(&trace);
+        let back = from_chrome_json(&json).expect("exported trace parses");
+        back.check().expect("imported spans still nest");
+        prop_assert_eq!(to_chrome_json(&back), json);
     }
 }
 
@@ -153,16 +124,17 @@ fn faulted_offload_emits_retry_and_fallback_spans() {
 
     trace.check().expect("demo trace is well formed");
     assert_eq!(trace.dropped, 0);
-    let spans = trace.spans().unwrap();
-    let name = |s: &Span| trace.label_name(s.label).to_owned();
+    let json = to_chrome_json(&trace);
+    assert_eq!(to_chrome_json(&from_chrome_json(&json).unwrap()), json);
+    let name = |s: &Event| trace.label_name(s.label).to_owned();
 
     assert!(report.offload.retries > 0, "the outage triggered retries");
     assert!(report.offload.fallbacks > 0, "the outage outlasted retries");
 
     // One `offload.attempt` span per retry attempt (attempt >= 1), on the
     // FINN backend.
-    let retries: Vec<&Span> = spans
-        .iter()
+    let retries: Vec<&Event> = trace
+        .spans()
         .filter(|s| name(s) == "offload.attempt" && s.attrs.attempt.unwrap_or(0) > 0)
         .collect();
     assert_eq!(retries.len() as u64, report.offload.retries);
@@ -172,8 +144,8 @@ fn faulted_offload_emits_retry_and_fallback_spans() {
 
     // One backoff sleep per retry (the default policy's base pause is
     // nonzero).
-    let backoffs = spans
-        .iter()
+    let backoffs = trace
+        .spans()
         .filter(|s| name(s) == "offload.backoff")
         .count();
     assert_eq!(backoffs as u64, report.offload.retries);
@@ -191,15 +163,15 @@ fn faulted_offload_emits_retry_and_fallback_spans() {
 
     // Exactly one `backend=host` fallback span per fallen-back frame,
     // nested inside the offload pipeline stage of a specific frame.
-    let fallbacks: Vec<&Span> = spans
-        .iter()
+    let fallbacks: Vec<&Event> = trace
+        .spans()
         .filter(|s| name(s) == "offload.fallback")
         .collect();
     assert_eq!(fallbacks.len() as u64, report.offload.fallbacks);
     for f in &fallbacks {
         assert_eq!(f.attrs.backend, Some(Backend::Host));
-        let stage = spans
-            .iter()
+        let stage = trace
+            .spans()
             .filter(|s| {
                 s.thread == f.thread
                     && s.start_ns <= f.start_ns

@@ -137,7 +137,7 @@ fn a_two_rung_server_runs_one_fabric_worker() {
     let report = server.finish();
     let trace = tincy::trace::finish();
     assert_eq!(report.variant_items, [4, 4], "both rungs ran on the fabric");
-    let batch_threads: BTreeSet<u32> = (trace.spans().unwrap().iter())
+    let batch_threads: BTreeSet<u32> = (trace.spans())
         .filter(|s| trace.label_name(s.label) == "serve.finn_batch")
         .map(|s| s.thread)
         .collect();
