@@ -102,6 +102,12 @@ fn count_fired(taus: &[i32], accs: &[i32], levels: &mut [u8], fires: impl Fn(i32
     for (levels, accs) in level_groups.iter_mut().zip(acc_groups) {
         let mut fired = [0i32; LANES];
         for &tau in taus {
+            // Opaque to the optimizer, so that the lanes are what gets
+            // vectorized. Left visible, wide-vector builds unroll the lanes
+            // and vectorize this loop instead: sixteen reductions over the
+            // thresholds, which a row of seven never fills, so every lane
+            // fell back to a scalar count (2× the portable build's time).
+            let tau = std::hint::black_box(tau);
             for (fired, &acc) in fired.iter_mut().zip(accs) {
                 *fired += i32::from(fires(tau, acc));
             }

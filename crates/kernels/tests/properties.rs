@@ -155,10 +155,11 @@ fn grid_case(
 }
 
 /// The schedule against the naive reference over channel counts on both
-/// sides of and straddling the 64-bit word, both kernel sizes, strides,
-/// paddings and pooling modes of the models, thresholds in both comparison
-/// directions in every layer, for every activation width (narrow ones
-/// leave the upper bitplanes empty) and on both popcount instantiations.
+/// sides of and straddling the 64-bit word (and, at 3 bits, the widest
+/// layers' 256 and 512), both kernel sizes, strides, paddings and pooling
+/// modes of the models, thresholds in both comparison directions in every
+/// layer, for every activation width (narrow ones leave the upper
+/// bitplanes empty) and on every popcount instantiation the CPU supports.
 #[test]
 fn schedule_matches_reference_over_the_geometry_grid() {
     let pools = [None, Some(PoolGeom::new(2, 2)), Some(PoolGeom::new(2, 1))];
@@ -170,7 +171,10 @@ fn schedule_matches_reference_over_the_geometry_grid() {
     let mut index = 0;
     for act_bits in 1..=3usize {
         let mut level_seen = [0usize; 8];
-        for channels in [1, 3, 24, 40, 64, 96, 130] {
+        // The 36- and 72-word rows of the product's widest layers, at one
+        // width: the vector instantiation counts them a lane group at a time.
+        let wide: &[usize] = if act_bits == 3 { &[256, 512] } else { &[] };
+        for &channels in [1, 3, 24, 40, 64, 96, 130].iter().chain(wide) {
             for (&geom, pool) in geoms.iter().flat_map(|g| pools.map(|p| (g, p))) {
                 index += 1;
                 let hw = 4 + index % 4;
@@ -182,8 +186,7 @@ fn schedule_matches_reference_over_the_geometry_grid() {
                 for &level in expected.as_slice() {
                     level_seen[level as usize] += 1;
                 }
-                let isas = [Some(PopcountIsa::PORTABLE), PopcountIsa::hardware()];
-                for isa in isas.into_iter().flatten() {
+                for isa in PopcountIsa::supported() {
                     assert_eq!(layer.run_on(isa, &input), expected, "{isa:?}, {what}");
                 }
             }

@@ -22,6 +22,7 @@ use std::time::Duration;
 use tincy::core::demo::{run_demo, DemoConfig};
 use tincy::core::topology::{cnv6, mlp4, tincy_yolo, tiny_yolo};
 use tincy::core::SystemConfig;
+use tincy::explore::{report_json, report_table, run_sweep, ResourceBudget, SweepConfig};
 use tincy::finn::FaultPlan;
 use tincy::nn::parse_cfg;
 use tincy::perf::{model_diff, pipelined_fps, speedup_ladder, PipelineModel, StageBudget, StageId};
@@ -420,39 +421,42 @@ fn write_artifacts(args: &Args, metrics: impl FnOnce() -> String) -> CliResult {
     Ok(())
 }
 
-fn cmd_demo(args: &Args) -> CliResult {
+/// What `demo`'s positionals and flags configure.
+fn demo_config(args: &Args) -> Result<DemoConfig, String> {
     let frames: u64 = match args.get("--frames")? {
         Some(n) => n,
         None => args.pos(0, "frames", 16)?,
     };
-    let workers: usize = args.pos(1, "workers", 4)?;
-    let input = input_size(args, 96)?;
-    let fault_plan = fault_plans(args, 1)?[0];
-    let config = DemoConfig {
+    Ok(DemoConfig {
         frames,
         system: SystemConfig {
-            input_size: input,
-            fault_plan,
+            input_size: input_size(args, 96)?,
+            fault_plan: fault_plans(args, 1)?[0],
             ..Default::default()
         },
-        workers,
+        workers: args.pos(1, "workers", 4)?,
         score_threshold: 0.02,
         scene: SceneConfig::default(),
-    };
+    })
+}
+
+fn cmd_demo(args: &Args) -> CliResult {
+    let config = demo_config(args)?;
     let trace = TraceSession::start(args);
     let report = run_demo(&config)?;
     trace.finish()?;
+    let input = config.system.input_size;
     println!(
         "{} frames at {:.2} fps ({} workers, {}x{} input), in order: {}, {} detections",
         report.metrics.frames,
         report.metrics.fps(),
-        workers,
+        config.workers,
         input,
         input,
         report.metrics.in_order,
         report.detections
     );
-    if !fault_plan.is_empty() {
+    if !config.system.fault_plan.is_empty() {
         println!(
             "offload health: {} faults, {} retries, {} cpu fallbacks, {} degraded frames",
             report.offload.faults,
@@ -494,12 +498,9 @@ fn variant_ladder(path: &str, input: usize) -> Result<VariantLadder, String> {
     Ok(ladder)
 }
 
-/// `tincy serve`: `--shards` serve shards behind the router (one by
-/// default), a multi-client deterministic load, the server's view and the
-/// clients', and the smoke/scrape assertions.
-fn cmd_serve(args: &Args) -> CliResult {
-    let (smoke, slo_smoke) = (args.has("--smoke"), args.has("--slo-smoke"));
-    let scrape = smoke || slo_smoke;
+/// What `serve`'s positionals and flags configure, all but the
+/// `--variants` ladder (a file the caller reads).
+fn serve_config(args: &Args) -> Result<(LoadConfig, FleetConfig), String> {
     let mut load = LoadConfig {
         requests_per_client: args.pos(0, "requests", 8)?,
         clients: args.pos(1, "clients", 4)?,
@@ -519,8 +520,8 @@ fn cmd_serve(args: &Args) -> CliResult {
     // The given `--status-addr`, or an ephemeral port when a check needs
     // an endpoint to scrape.
     let given = args.text("--status-addr").map(str::to_owned);
+    let scrape = args.has("--smoke") || args.has("--slo-smoke");
     config.status_addr = given.or_else(|| scrape.then(|| "127.0.0.1:0".to_owned()));
-    let faulted = config.shard_faults.iter().any(|plan| !plan.is_empty());
     let base = &mut config.base;
     args.set("--cpu-workers", &mut base.cpu_workers)?;
     args.set("--max-batch", &mut base.max_batch)?;
@@ -528,7 +529,7 @@ fn cmd_serve(args: &Args) -> CliResult {
     args.set("--per-client", &mut base.per_client_capacity)?;
     base.system.input_size = input;
     base.score_threshold = 0.02;
-    if slo_smoke {
+    if args.has("--slo-smoke") {
         // A deliberately twitchy error-budget policy: the injected fault
         // window must trip the fast burn-rate pair, and post-re-admission
         // traffic must clear it within the run. The latency/shed budgets
@@ -543,10 +544,22 @@ fn cmd_serve(args: &Args) -> CliResult {
             ..SloPolicy::sensitive()
         };
     }
-    if let Some(path) = args.text("--variants") {
-        base.variants = Some(variant_ladder(path, input)?);
-    }
     base.drift_threshold = args.percent("--drift-threshold")?;
+    Ok((load, config))
+}
+
+/// `tincy serve`: `--shards` serve shards behind the router (one by
+/// default), a multi-client deterministic load, the server's view and the
+/// clients', and the smoke/scrape assertions.
+fn cmd_serve(args: &Args) -> CliResult {
+    let (smoke, slo_smoke) = (args.has("--smoke"), args.has("--slo-smoke"));
+    let scrape = smoke || slo_smoke;
+    let (load, mut config) = serve_config(args)?;
+    if let Some(path) = args.text("--variants") {
+        let input = config.base.system.input_size;
+        config.base.variants = Some(variant_ladder(path, input)?);
+    }
+    let faulted = config.shard_faults.iter().any(|plan| !plan.is_empty());
     let trace = TraceSession::start(args);
     let burst = load.pattern == ArrivalPattern::Burst;
     // From `run_load`'s observation point: every response is collected,
@@ -880,9 +893,8 @@ fn parse_range(flag: &str, value: &str) -> CliResult<(usize, usize)> {
     Ok((lo, hi))
 }
 
-fn cmd_explore(args: &Args) -> CliResult {
-    use tincy::explore::{report_json, report_table, run_sweep, ResourceBudget, SweepConfig};
-
+/// What `explore`'s flags configure.
+fn sweep_config(args: &Args) -> CliResult<SweepConfig> {
     let mut config = SweepConfig::default();
     if let Some(value) = args.text("--pe") {
         config.pe_bounds = parse_range("--pe", value)?;
@@ -901,8 +913,11 @@ fn cmd_explore(args: &Args) -> CliResult {
             dsps: parse_as("--budget dsps", dsps)?,
         };
     }
+    Ok(config)
+}
 
-    let report = run_sweep(&config);
+fn cmd_explore(args: &Args) -> CliResult {
+    let report = run_sweep(&sweep_config(args)?);
     print!("{}", report_table(&report));
     if let Some(path) = args.text("--frontier-out") {
         std::fs::write(path, report_json(&report))?;
@@ -1024,6 +1039,153 @@ mod tests {
         assert_eq!((plans[2].seed, window(&plans[2])), (9, Some((3, 4))));
         let err = fault_plans(&parse(Cmd::Serve, "--fault-shard 3").unwrap(), 3).unwrap_err();
         assert_eq!(err, "--fault-shard 3: the fleet has 3 shards");
+    }
+
+    /// Tokens at the edges of what the value parsers read: the widths'
+    /// limits and just past them, a sign, and floats that are not finite.
+    const NUMBERS: [&str; 10] = [
+        "0",
+        "1",
+        "32",
+        "64",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-1",
+        "NaN",
+        "inf",
+    ];
+
+    /// A value in the grammar of a [`FLAGS`] placeholder, fields drawn by
+    /// `draw` from [`NUMBERS`]. Paths name nothing: no value parser
+    /// touches a file.
+    fn value_of(placeholder: &str, draw: (u64, u64, u64)) -> String {
+        let n = |d: u64| NUMBERS[d as usize % NUMBERS.len()];
+        let (a, b, c) = (n(draw.0), n(draw.1), n(draw.2));
+        match placeholder {
+            "START:LEN" | "MIN:MAX" | "HOST:PORT" => format!("{a}:{b}"),
+            "LUT:BRAM:DSP" => format!("{a}:{b}:{c}"),
+            "PATTERN" => match draw.1 % 5 {
+                0 => "closed".to_owned(),
+                1 => "burst".to_owned(),
+                2 => format!("uniform:{a}"),
+                3 => format!("diurnal:{a}:{b}:{c}"),
+                _ => format!("flash:{a}:{b}:{c}:{a}"),
+            },
+            "PATH" | "FRONTIER.json" => "no-such-dir/file.json".to_owned(),
+            _ => a.to_owned(),
+        }
+    }
+
+    /// Runs `line` through `Args::parse` and then every value parser `cmd`
+    /// applies before it runs anything, checking what they accept.
+    fn parse_everything(cmd: Cmd, words: &[String]) {
+        let Ok(args) = Args::parse(cmd, words) else {
+            return;
+        };
+        let is_input = |input: usize| input > 0 && input.is_multiple_of(32);
+        match cmd {
+            Cmd::Demo => {
+                if let Ok(config) = demo_config(&args) {
+                    assert!(is_input(config.system.input_size));
+                }
+            }
+            Cmd::Serve => {
+                if let Ok((_, config)) = serve_config(&args) {
+                    assert!(is_input(config.base.system.input_size));
+                    assert!(config.shard_faults.len() <= config.shards.max(1));
+                    let drift = config.base.drift_threshold;
+                    assert!(drift.is_none_or(|d| d.is_finite() && d > 0.0));
+                }
+            }
+            Cmd::TraceReport => {
+                if let Ok(Some(threshold)) = args.percent("--threshold") {
+                    assert!(threshold.is_finite() && threshold > 0.0);
+                }
+            }
+            Cmd::Explore => {
+                if let Ok(config) = sweep_config(&args) {
+                    for (lo, hi) in [config.pe_bounds, config.simd_bounds] {
+                        assert!(lo >= 1 && lo <= hi, "{lo}:{hi}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `line` with `edits` applied — replace, insert or delete, the byte
+    /// drawn from the grammar of the table's values — split into words.
+    fn mutate(line: &str, edits: &[(usize, usize, u8)]) -> Vec<String> {
+        const GRAMMAR: &[u8] = b" -:.0123456789eEinfaN/";
+        let mut bytes = line.as_bytes().to_vec();
+        for &(kind, at, byte) in edits {
+            let byte = GRAMMAR[usize::from(byte) % GRAMMAR.len()];
+            let at = at % (bytes.len() + 1);
+            match kind {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 => bytes.insert(at, byte),
+                _ if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => {}
+            }
+        }
+        let text = String::from_utf8(bytes).expect("ASCII edits of an ASCII line");
+        text.split_whitespace().map(str::to_owned).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Command lines built from each subcommand's rows of the flag
+        /// table, with values in each placeholder's grammar and then bytes
+        /// replaced, inserted or deleted (the vendored proptest does not
+        /// shrink, so a failure prints the line): the parse and the value
+        /// parsers return an error or a value they hold valid, never a
+        /// panic.
+        #[test]
+        fn flag_table_lines_never_panic_the_parsers(
+            positional in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..5),
+            flags in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<usize>(),
+                    proptest::prelude::any::<u64>(),
+                    proptest::prelude::any::<u64>(),
+                    proptest::prelude::any::<u64>(),
+                ),
+                0..6,
+            ),
+            edits in proptest::collection::vec(
+                (
+                    0usize..3,
+                    proptest::prelude::any::<usize>(),
+                    proptest::prelude::any::<u8>(),
+                ),
+                0..4,
+            ),
+        ) {
+            for &(cmd, _, _, accepted, _) in CMDS {
+                let mut line: Vec<String> = positional
+                    .iter()
+                    .take(accepted)
+                    .map(|&d| NUMBERS[d as usize % NUMBERS.len()].to_owned())
+                    .collect();
+                let table: Vec<&Flag> = FLAGS.iter().filter(|f| f.2.contains(&cmd)).collect();
+                for &(flag, a, b, c) in &flags {
+                    let &&Flag(name, placeholder, ..) = &table[flag % table.len()];
+                    line.push(name.to_owned());
+                    if !placeholder.is_empty() {
+                        line.push(value_of(placeholder, (a, b, c)));
+                    }
+                }
+                let words = mutate(&line.join(" "), &edits);
+                let run = std::panic::AssertUnwindSafe(|| parse_everything(cmd, &words));
+                proptest::prop_assert!(
+                    std::panic::catch_unwind(run).is_ok(),
+                    "{cmd:?} panicked on {words:?}"
+                );
+            }
+        }
     }
 
     /// A scratch path under the system temp directory, unique to this
