@@ -9,8 +9,8 @@
 use crate::topology::tincy_yolo_with_input;
 use tincy_finn::{EngineConfig, FabricBackend, FaultPlan, FABRIC_LIBRARY};
 use tincy_nn::{
-    BackendRegistry, ConvSpec, FoldSpec, LayerSpec, ModelSpec, Network, NetworkSpec, NnError,
-    OffloadHealth, OffloadSpec, PoolSpec, RegionLayer, RegionParams, RetryPolicy,
+    BackendRegistry, ConvSpec, Device, FoldSpec, LayerSpec, ModelSpec, Network, NetworkSpec,
+    NnError, OffloadHealth, OffloadSpec, PoolSpec, RegionLayer, RegionParams, RetryPolicy,
 };
 use tincy_tensor::Shape3;
 
@@ -102,15 +102,13 @@ pub fn hidden_stack(input_size: usize) -> Vec<(ConvSpec, Option<PoolSpec>)> {
 
 /// Builds a backend registry for a design point, with the fabric
 /// simulator registered under [`FABRIC_LIBRARY`].
-pub fn fabric_registry_for(model: &ModelSpec, fault_plan: FaultPlan) -> BackendRegistry {
+pub fn fabric_registry_for(model: &ModelSpec) -> BackendRegistry {
     let mut registry = BackendRegistry::new();
     let hidden = hidden_stack_of(&model.network);
     let engine = model.fold;
     let act_step = model.act_step;
     registry.register(FABRIC_LIBRARY, move || {
-        let mut backend = FabricBackend::new(hidden.clone(), engine, act_step);
-        backend.set_fault_plan(fault_plan);
-        Box::new(backend)
+        Box::new(FabricBackend::new(hidden.clone(), engine, act_step))
     });
     registry
 }
@@ -118,7 +116,7 @@ pub fn fabric_registry_for(model: &ModelSpec, fault_plan: FaultPlan) -> BackendR
 /// Builds a backend registry with the fabric simulator registered under
 /// [`FABRIC_LIBRARY`].
 pub fn fabric_registry(config: &SystemConfig) -> BackendRegistry {
-    fabric_registry_for(&config.model(), config.fault_plan)
+    fabric_registry_for(&config.model())
 }
 
 /// Applies the system's retry policy to every offload layer in a layer
@@ -131,8 +129,9 @@ pub fn arm_offload_resilience(
     let mut health = None;
     for layer in layers {
         if let Some(offload) = layer.as_offload_mut() {
-            offload.set_retry_policy(config.retry);
-            health = Some(offload.health());
+            let device = offload.device_mut();
+            device.retry = config.retry;
+            health = Some(device.health());
         }
     }
     health
@@ -206,14 +205,21 @@ pub fn offloaded_spec(input_size: usize) -> NetworkSpec {
 
 /// Builds the runnable network for a design point with random
 /// (deterministic) weights: offloadable layers on the fabric simulator,
-/// everything else on the CPU.
+/// everything else on the CPU. The offload layer runs on its own
+/// [`Device`], faulting on `fault_plan`'s schedule.
 ///
 /// # Errors
 ///
 /// Propagates network construction failures.
 pub fn build_network_for(model: &ModelSpec, fault_plan: FaultPlan) -> Result<Network, NnError> {
-    let registry = fabric_registry_for(model, fault_plan);
-    Network::from_spec(&offloaded_spec_of(model), &registry, model.seed)
+    let registry = fabric_registry_for(model);
+    let mut net = Network::from_spec(&offloaded_spec_of(model), &registry, model.seed)?;
+    for i in 0..net.num_layers() {
+        if let Some(offload) = net.layer_mut(i).as_offload_mut() {
+            *offload.device_mut() = Device::new(fault_plan, RetryPolicy::default());
+        }
+    }
+    Ok(net)
 }
 
 /// Builds the runnable offloaded network with random (deterministic)
@@ -377,19 +383,20 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_reaches_the_backend_through_the_registry() {
+    fn fault_plan_arms_the_offload_layers_device() {
         let config = SystemConfig {
             input_size: 32,
             seed: 3,
             fault_plan: FaultPlan::outage(0, 1),
             ..Default::default()
         };
-        let backend = fabric_registry(&config).create(FABRIC_LIBRARY).unwrap();
-        let fabric = backend
-            .as_any()
-            .downcast_ref::<FabricBackend>()
-            .expect("registry serves the fabric backend");
-        assert!(fabric.fault_stats().is_some(), "fault injection is armed");
+        let mut layers = build_offloaded_network(&config).unwrap().into_layers();
+        let at = offload_position(&mut layers).expect("an offload layer");
+        let offload = layers[at].as_offload_mut().expect("offload layer");
+        assert!(
+            offload.device_mut().faults().is_some(),
+            "fault injection is armed"
+        );
     }
 
     #[test]

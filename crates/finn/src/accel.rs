@@ -8,10 +8,10 @@
 //! before the computation of the next layer can be triggered" (§III-A).
 
 use crate::engine::{ConvEngine, EngineConfig};
-use crate::fault::{result_checksum, FaultInjector, FaultKind};
 use crate::resource::ResourceEstimate;
 use tincy_kernels::{autotune, KernelPlan, PackedLayer, TuneBudget, Variant};
-use tincy_nn::NnError;
+use tincy_nn::fault::result_checksum;
+use tincy_nn::{FaultInjector, FaultKind, NnError};
 use tincy_quant::ThresholdsForLayer;
 use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor};
 use tincy_trace::static_label;
@@ -146,7 +146,9 @@ impl AccelReport {
     }
 }
 
-/// The sequential, single-engine accelerator.
+/// The sequential, single-engine accelerator: the loaded layers and the
+/// engine they run on, immutable once built. The fault state of a running
+/// fabric is not here; [`QnnAccelerator::run_batch`] takes it.
 #[derive(Debug, Clone)]
 pub struct QnnAccelerator {
     layers: Vec<QnnLayerParams>,
@@ -158,8 +160,6 @@ pub struct QnnAccelerator {
     engine: ConvEngine,
     /// AXI weight-stream width in bits per cycle.
     axi_bits_per_cycle: u64,
-    /// Fault-injection harness; `None` runs the fabric fault-free.
-    injector: Option<FaultInjector>,
 }
 
 impl QnnAccelerator {
@@ -201,16 +201,7 @@ impl QnnAccelerator {
             plan,
             engine: ConvEngine::new(config)?,
             axi_bits_per_cycle: 128,
-            injector: None,
         })
-    }
-
-    /// Attaches or detaches the fault-injection harness in place. The
-    /// injector's counters are shared through its handle, so re-attaching
-    /// a clone after a rebuild continues the same invocation stream, and
-    /// the caller's clone reads them.
-    pub fn set_fault_injector(&mut self, injector: Option<FaultInjector>) {
-        self.injector = injector;
     }
 
     /// The offloaded layers.
@@ -221,14 +212,6 @@ impl QnnAccelerator {
     /// Expected input shape (first layer).
     pub fn input_shape(&self) -> Shape3 {
         self.layers[0].in_shape()
-    }
-
-    /// Produced output shape (last layer).
-    pub fn output_shape(&self) -> Shape3 {
-        self.layers
-            .last()
-            .expect("nonempty by construction")
-            .out_shape()
     }
 
     /// AXI cycles to stream one layer's weights onto the fabric.
@@ -248,56 +231,55 @@ impl QnnAccelerator {
             .sum()
     }
 
-    /// Runs the whole hidden stack on one engine, layer by layer.
-    ///
-    /// With a fault injector attached, the invocation first draws its fault
-    /// decision: transfer-class faults (DMA timeout, busy fabric, lost
-    /// bitstream) abort before any compute; a corrupted result buffer is
-    /// computed, corrupted on the simulated DMA return path, and *detected*
-    /// by the checksum compare — injected faults never escape as silently
-    /// wrong data. A successful invocation after a bitstream loss pays the
-    /// reload penalty in its report.
+    /// Runs the whole hidden stack on one engine, layer by layer, on a
+    /// fault-free fabric.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError`] on a shape mismatch or an injected
-    /// (retryable) accelerator fault.
+    /// Returns [`NnError`] on a shape mismatch.
     pub fn run(&self, input: &Tensor<u8>) -> Result<(Tensor<u8>, AccelReport), NnError> {
-        let (mut outs, report) = self.run_batch(std::slice::from_ref(input))?;
+        let (mut outs, report) = self.run_batch(std::slice::from_ref(input), None)?;
         Ok((outs.pop().expect("batch of one yields one output"), report))
     }
 
     /// Runs a whole micro-batch through the hidden stack in **one**
     /// accelerator invocation: per layer, the engine streams the weights in
     /// once and then processes every frame of the batch before moving on —
-    /// amortizing the weight-swap traffic that dominates small frames. One
-    /// invocation also means one fault draw: a faulted batch fails as a
-    /// unit, exactly like a faulted single-frame DMA transfer.
+    /// amortizing the weight-swap traffic that dominates small frames.
+    ///
+    /// One invocation also means one fault draw from `faults`, the running
+    /// device's injector (`None` runs fault-free): a faulted batch fails as
+    /// a unit, exactly like a faulted single-frame DMA transfer.
+    /// Transfer-class faults (DMA timeout, busy fabric, lost bitstream)
+    /// abort before any compute; a corrupted result buffer is computed,
+    /// corrupted on the simulated DMA return path, and *detected* by the
+    /// checksum compare — injected faults never escape as silently wrong
+    /// data. A successful invocation after a bitstream loss pays the
+    /// reload penalty in its report.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidSpec`] for an empty batch, otherwise the
-    /// same contract as [`QnnAccelerator::run`].
+    /// Returns [`NnError::InvalidSpec`] for an empty batch, otherwise
+    /// [`NnError`] on a shape mismatch or an injected (retryable)
+    /// accelerator fault.
     pub fn run_batch(
         &self,
         inputs: &[Tensor<u8>],
+        faults: Option<&FaultInjector>,
     ) -> Result<(Vec<Tensor<u8>>, AccelReport), NnError> {
         if inputs.is_empty() {
             return Err(NnError::InvalidSpec {
                 what: "accelerator micro-batch must not be empty".to_owned(),
             });
         }
-        let fault = self.injector.as_ref().and_then(FaultInjector::next_fault);
+        let fault = faults.and_then(FaultInjector::next_fault);
         if let Some(
             kind @ (FaultKind::DmaTimeout | FaultKind::TransientBusy | FaultKind::BitstreamLost),
         ) = fault
         {
             return Err(kind.to_error());
         }
-        let reload_cycles = self
-            .injector
-            .as_ref()
-            .map_or(0, FaultInjector::take_reload_penalty);
+        let reload_cycles = faults.map_or(0, FaultInjector::take_reload_penalty);
         let mut fmaps: Vec<Tensor<u8>> = inputs.to_vec();
         let mut layer_cycles = Vec::with_capacity(self.layers.len());
         let mut swap = 0u64;
@@ -333,7 +315,7 @@ impl QnnAccelerator {
             layer_cycles.push(cycles);
         }
         if fault == Some(FaultKind::CorruptResult) {
-            let injector = self.injector.as_ref().expect("fault implies injector");
+            let injector = faults.expect("fault implies injector");
             let first = fmaps.first().expect("nonempty batch");
             let expected = result_checksum(first.as_slice());
             let mut wire = first.clone();
@@ -526,7 +508,7 @@ mod tests {
             let inputs: Vec<Tensor<u8>> = (0..batch)
                 .map(|_| Tensor::from_fn(accel.input_shape(), |_, _, _| rng.gen_range(0..8) as u8))
                 .collect();
-            let (_, report) = accel.run_batch(&inputs).unwrap();
+            let (_, report) = accel.run_batch(&inputs, None).unwrap();
             assert_eq!(
                 report.weight_swap_cycles, fixed,
                 "swap traffic is per-invocation, not per-frame"
@@ -536,21 +518,22 @@ mod tests {
 
     #[test]
     fn injected_outage_fails_then_recovers_bit_exactly() {
-        use crate::fault::{FaultInjector, FaultPlan};
+        use tincy_nn::{FaultInjector, FaultPlan};
         let mut rng = StdRng::seed_from_u64(104);
         let injector = FaultInjector::new(FaultPlan::outage(0, 2));
-        let mut accel = two_layer_accel(&mut rng);
-        accel.set_fault_injector(Some(injector.clone()));
+        let accel = two_layer_accel(&mut rng);
         let input = Tensor::from_fn(accel.input_shape(), |_, _, _| rng.gen_range(0..8) as u8);
+        let run =
+            |input: &Tensor<u8>| accel.run_batch(std::slice::from_ref(input), Some(&injector));
         for _ in 0..2 {
-            let err = accel.run(&input).unwrap_err();
+            let err = run(&input).unwrap_err();
             assert!(
                 err.is_retryable(),
                 "injected faults must be retryable: {err}"
             );
         }
-        let (out, _) = accel.run(&input).unwrap();
-        assert_eq!(out, accel.reference_run(&input).unwrap());
+        let (out, _) = run(&input).unwrap();
+        assert_eq!(out[0], accel.reference_run(&input).unwrap());
         let stats = injector.stats();
         assert_eq!(
             (stats.invocations, stats.faults, stats.dma_timeouts),
@@ -560,7 +543,7 @@ mod tests {
 
     #[test]
     fn bitstream_loss_charges_reload_on_next_success() {
-        use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultWindow};
+        use tincy_nn::{FaultInjector, FaultKind, FaultPlan, FaultWindow};
         let mut rng = StdRng::seed_from_u64(105);
         let plan = FaultPlan {
             outage: Some(FaultWindow {
@@ -571,41 +554,45 @@ mod tests {
             reload_penalty_cycles: 9_999,
             ..FaultPlan::default()
         };
-        let mut accel = two_layer_accel(&mut rng);
-        accel.set_fault_injector(Some(FaultInjector::new(plan)));
+        let accel = two_layer_accel(&mut rng);
+        let injector = FaultInjector::new(plan);
         let input = Tensor::from_fn(accel.input_shape(), |_, _, _| rng.gen_range(0..8) as u8);
-        assert!(accel.run(&input).is_err());
-        let (_, report) = accel.run(&input).unwrap();
+        let run =
+            |input: &Tensor<u8>| accel.run_batch(std::slice::from_ref(input), Some(&injector));
+        assert!(run(&input).is_err());
+        let (_, report) = run(&input).unwrap();
         assert_eq!(report.reload_cycles, 9_999);
         assert_eq!(
             report.total_cycles(),
             report.layer_cycles.iter().sum::<u64>() + report.weight_swap_cycles + 9_999
         );
-        let (_, report) = accel.run(&input).unwrap();
+        let (_, report) = run(&input).unwrap();
         assert_eq!(report.reload_cycles, 0, "reload penalty paid exactly once");
     }
 
     #[test]
     fn corrupt_result_is_detected_never_escapes() {
-        use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultWindow};
+        use tincy_nn::{FaultInjector, FaultKind, FaultPlan, FaultWindow};
         let mut rng = StdRng::seed_from_u64(106);
         let plan = FaultPlan::default().with_outage(FaultWindow {
             start: 0,
             length: 1,
             kind: FaultKind::CorruptResult,
         });
-        let mut accel = two_layer_accel(&mut rng);
-        accel.set_fault_injector(Some(FaultInjector::new(plan)));
+        let accel = two_layer_accel(&mut rng);
+        let injector = FaultInjector::new(plan);
         let input = Tensor::from_fn(accel.input_shape(), |_, _, _| rng.gen_range(0..8) as u8);
-        let err = accel.run(&input).unwrap_err();
+        let run =
+            |input: &Tensor<u8>| accel.run_batch(std::slice::from_ref(input), Some(&injector));
+        let err = run(&input).unwrap_err();
         assert!(err.is_retryable());
         assert!(
             err.to_string().contains("checksum"),
             "corruption is CRC-detected: {err}"
         );
-        let (out, _) = accel.run(&input).unwrap();
+        let (out, _) = run(&input).unwrap();
         assert_eq!(
-            out,
+            out[0],
             accel.reference_run(&input).unwrap(),
             "clean retry is bit-exact"
         );
@@ -619,7 +606,7 @@ mod tests {
             .map(|_| Tensor::from_fn(accel.input_shape(), |_, _, _| rng.gen_range(0..8) as u8))
             .collect();
 
-        let (batched, report) = accel.run_batch(&inputs).unwrap();
+        let (batched, report) = accel.run_batch(&inputs, None).unwrap();
         assert_eq!(report.batch, 4);
         let mut single_swap = 0;
         for (input, out) in inputs.iter().zip(&batched) {
@@ -636,21 +623,24 @@ mod tests {
             report.cycles_per_frame(),
             single_cpf
         );
-        assert!(accel.run_batch(&[]).is_err());
+        assert!(accel.run_batch(&[], None).is_err());
     }
 
     #[test]
     fn batched_run_draws_one_fault_per_invocation() {
-        use crate::fault::{FaultInjector, FaultPlan};
+        use tincy_nn::{FaultInjector, FaultPlan};
         let mut rng = StdRng::seed_from_u64(108);
         let injector = FaultInjector::new(FaultPlan::outage(0, 1));
-        let mut accel = two_layer_accel(&mut rng);
-        accel.set_fault_injector(Some(injector.clone()));
+        let accel = two_layer_accel(&mut rng);
         let inputs: Vec<Tensor<u8>> = (0..3)
             .map(|_| Tensor::from_fn(accel.input_shape(), |_, _, _| rng.gen_range(0..8) as u8))
             .collect();
-        assert!(accel.run_batch(&inputs).is_err(), "whole batch faults once");
-        let (outs, _) = accel.run_batch(&inputs).unwrap();
+        let faults = Some(&injector);
+        assert!(
+            accel.run_batch(&inputs, faults).is_err(),
+            "whole batch faults once"
+        );
+        let (outs, _) = accel.run_batch(&inputs, faults).unwrap();
         assert_eq!(outs.len(), 3);
         let stats = injector.stats();
         assert_eq!((stats.invocations, stats.faults), (2, 1));

@@ -6,12 +6,15 @@
 //! hidden layers from the regular weight stream, binarizes the weights,
 //! folds batch normalization and activation quantization into integer
 //! threshold sets, and hands the result to the [`QnnAccelerator`].
+//!
+//! All of that is the loaded model: once built, the backend only reads.
+//! The fault state of the fabric that runs it belongs to the
+//! [`Device`] each batched forward names.
 
 use crate::accel::{QnnAccelerator, QnnLayerParams};
 use crate::engine::EngineConfig;
-use crate::fault::{FaultInjector, FaultPlan, FaultStats};
 use tincy_nn::{
-    Activation, ConvSpec, NnError, OffloadBackend, OffloadConfig, PoolSpec, WeightsReader,
+    Activation, ConvSpec, Device, NnError, OffloadBackend, OffloadConfig, PoolSpec, WeightsReader,
     WeightsWriter,
 };
 use tincy_quant::{binarize, ThresholdSet, ThresholdsForLayer};
@@ -44,9 +47,6 @@ pub struct FabricBackend {
     input_shape: Option<Shape3>,
     params: Vec<FloatParams>,
     accel: Option<QnnAccelerator>,
-    /// Fault-injection harness; cloned onto every (re)built accelerator so
-    /// its counters and invocation stream survive weight reloads.
-    injector: Option<FaultInjector>,
 }
 
 /// The fabric interface's 3-bit quantizer: a float feature map to
@@ -76,23 +76,7 @@ impl FabricBackend {
             input_shape: None,
             params: Vec::new(),
             accel: None,
-            injector: None,
         }
-    }
-
-    /// Arms fault injection: every subsequent accelerator invocation draws
-    /// from `plan`'s deterministic schedule. Passing an empty plan
-    /// ([`FaultPlan::none`]) disarms it.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.injector = (!plan.is_empty()).then(|| FaultInjector::new(plan));
-        if let Some(accel) = self.accel.as_mut() {
-            accel.set_fault_injector(self.injector.clone());
-        }
-    }
-
-    /// Fault counters, if injection is armed.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.injector.as_ref().map(FaultInjector::stats)
     }
 
     /// The built accelerator (after `load_weights`).
@@ -201,11 +185,7 @@ impl FabricBackend {
                 pool.map(|p| p.geom()),
             )?);
         }
-        let mut accel = QnnAccelerator::new(layers, self.engine_config)?;
-        // Reattach the injector so rebuilds (weight reloads) keep the same
-        // fault schedule position and counters.
-        accel.set_fault_injector(self.injector.clone());
-        self.accel = Some(accel);
+        self.accel = Some(QnnAccelerator::new(layers, self.engine_config)?);
         Ok(())
     }
 }
@@ -327,12 +307,17 @@ impl OffloadBackend for FabricBackend {
 
     /// Batched offload: one accelerator invocation for the whole
     /// micro-batch, streaming each layer's weights in once — the
-    /// amortization the serving layer's batch former exists to exploit.
-    fn forward_batch(&self, inputs: &[Tensor<f32>]) -> Result<Vec<Tensor<f32>>, NnError> {
+    /// amortization the serving layer's batch former exists to exploit —
+    /// and drawing one fault from `device`'s injector.
+    fn forward_batch(
+        &self,
+        inputs: &[Tensor<f32>],
+        device: &Device,
+    ) -> Result<Vec<Tensor<f32>>, NnError> {
         let step = self.act_step;
         let accel = self.loaded()?;
         let quantized: Vec<_> = inputs.iter().map(|i| to_levels(i, step)).collect();
-        let (levels, _) = accel.run_batch(&quantized)?;
+        let (levels, _) = accel.run_batch(&quantized, device.faults())?;
         Ok(levels.iter().map(|t| from_levels(t, step)).collect())
     }
 
@@ -510,18 +495,18 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_survives_weight_reload() {
-        use crate::fault::FaultPlan;
+    fn device_fault_stream_survives_weight_reload() {
+        use tincy_nn::{FaultPlan, RetryPolicy};
         let mut backend = loaded_backend();
-        backend.set_fault_plan(FaultPlan::outage(0, 1));
-        let input = Tensor::filled(Shape3::new(4, 8, 8), 0.25f32);
+        let device = Device::new(FaultPlan::outage(0, 1), RetryPolicy::default());
+        let inputs = [Tensor::filled(Shape3::new(4, 8, 8), 0.25f32)];
         assert!(
-            backend.forward(&input).is_err(),
+            backend.forward_batch(&inputs, &device).is_err(),
             "invocation 0 is inside the outage"
         );
 
-        // Reload weights (rebuilds the accelerator) — the injector keeps
-        // its position, so invocation 1 is past the outage and succeeds.
+        // Reload weights (rebuilds the accelerator) — the device keeps its
+        // position, so invocation 1 is past the outage and succeeds.
         let mut buf = Vec::new();
         backend
             .write_weights(&mut WeightsWriter::new(&mut buf))
@@ -530,14 +515,14 @@ mod tests {
         backend
             .load_weights(&mut WeightsReader::new(&mut cursor))
             .unwrap();
-        assert!(backend.forward(&input).is_ok());
-        let stats = backend.fault_stats().unwrap();
+        assert!(backend.forward_batch(&inputs, &device).is_ok());
+        let stats = device.faults().unwrap().stats();
         assert_eq!((stats.invocations, stats.faults), (2, 1));
 
-        // Disarming clears injection entirely.
-        backend.set_fault_plan(FaultPlan::none());
-        assert!(backend.fault_stats().is_none());
-        assert!(backend.forward(&input).is_ok());
+        // A fault-free device on the same backend draws nothing.
+        let clean = Device::default();
+        assert!(backend.forward_batch(&inputs, &clean).is_ok());
+        assert!(clean.faults().is_none());
     }
 
     #[test]
@@ -552,11 +537,11 @@ mod tests {
             .collect();
         let singles: Vec<Tensor<f32>> =
             inputs.iter().map(|i| backend.forward(i).unwrap()).collect();
-        let batched = backend.forward_batch(&inputs).unwrap();
+        let batched = backend.forward_batch(&inputs, &Device::default()).unwrap();
         assert_eq!(batched, singles, "micro-batching never changes results");
         let accel = backend.accelerator().expect("accelerator built");
         let levels: Vec<_> = inputs.iter().map(|i| to_levels(i, 0.125)).collect();
-        let (_, report) = accel.run_batch(&levels).unwrap();
+        let (_, report) = accel.run_batch(&levels, None).unwrap();
         assert_eq!(report.batch, 3);
     }
 

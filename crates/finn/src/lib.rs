@@ -21,10 +21,11 @@
 //!   plus a cycle model; [`mvtu`] and [`sliding`] are kept as the
 //!   per-vector reference units it is tested against.
 //! * [`accel`] — the layer-at-a-time accelerator executing a whole hidden
-//!   stack on one engine, including weight-swap traffic.
-//! * [`fault`] — deterministic fault injection for the offload boundary
-//!   (DMA timeouts, busy fabric, corrupted result buffers, bitstream
-//!   loss), driving the host-side retry/fallback machinery.
+//!   stack on one engine, including weight-swap traffic. It holds no
+//!   fault state: an invocation draws its fault (DMA timeout, busy
+//!   fabric, corrupted result buffer, bitstream loss) from the injector
+//!   of the `tincy_nn::Device` it runs on, so devices that share one
+//!   built accelerator fault independently.
 //! * [`resource`] / [`device`] — LUT/BRAM/DSP estimates and the XCZU3EG
 //!   budget, reproducing the §III-A feasibility argument.
 //! * [`backend`] — the `library=fabric.so` offload backend plugging the
@@ -37,7 +38,6 @@ pub mod accel;
 pub mod backend;
 pub mod device;
 pub mod engine;
-pub mod fault;
 pub mod mvtu;
 pub mod resource;
 pub mod sliding;
@@ -46,7 +46,7 @@ pub use accel::{AccelReport, QnnAccelerator, QnnLayerParams};
 pub use backend::{FabricBackend, FABRIC_LIBRARY};
 pub use device::FpgaDevice;
 pub use engine::{conv_layer_cycles, max_pool_levels, ConvEngine, EngineConfig};
-pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultStats, FaultWindow};
 pub use mvtu::Mvtu;
 pub use resource::{model_estimate, ResourceEstimate};
 pub use sliding::SlidingWindow;
+pub use tincy_nn::{FaultInjector, FaultKind, FaultPlan, FaultStats, FaultWindow};

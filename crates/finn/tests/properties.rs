@@ -354,7 +354,7 @@ fn batch_of_four_equals_four_runs() {
     let inputs: Vec<Tensor<u8>> = (0..4)
         .map(|_| Tensor::from_fn(accel.input_shape(), |_, _, _| (rng() % 8) as u8))
         .collect();
-    let (batched, report) = accel.run_batch(&inputs).expect("runs");
+    let (batched, report) = accel.run_batch(&inputs, None).expect("runs");
     let mut layer_cycles = vec![0u64; 2];
     for (input, from_batch) in inputs.iter().zip(&batched) {
         let (single, single_report) = accel.run(input).expect("runs");
@@ -381,7 +381,7 @@ fn host_path_equals_naive_and_fabric_and_survives_a_full_outage() {
     let second = stream_case(12, Shape3::new(64, 8, 8), 128, ConvGeom::same(3, 1), None);
     let third = stream_case(13, Shape3::new(128, 8, 8), 128, ConvGeom::same(3, 1), None);
     let layers = vec![first.layer, second.layer, third.layer];
-    let accel = QnnAccelerator::new(layers.clone(), EngineConfig::default()).expect("chains");
+    let accel = QnnAccelerator::new(layers, EngineConfig::default()).expect("chains");
     let input = first.input;
 
     let (fabric, _) = accel.run(&input).expect("fabric path runs");
@@ -393,12 +393,12 @@ fn host_path_equals_naive_and_fabric_and_survives_a_full_outage() {
     assert_eq!(host, naive, "host path disagrees with the naive reference");
     assert_eq!(host, fabric, "host path disagrees with the fabric path");
 
-    let mut degraded = QnnAccelerator::new(layers, EngineConfig::default()).expect("chains");
-    degraded.set_fault_injector(Some(FaultInjector::new(FaultPlan::outage(0, u64::MAX))));
-    let err = degraded
-        .run(&input)
+    // A device in a full outage runs the same accelerator.
+    let outage = FaultInjector::new(FaultPlan::outage(0, u64::MAX));
+    let err = accel
+        .run_batch(std::slice::from_ref(&input), Some(&outage))
         .expect_err("the outage faults the fabric path");
     assert!(err.is_retryable(), "{err}");
-    let served = degraded.reference_run(&input).expect("host path serves");
+    let served = accel.reference_run(&input).expect("host path serves");
     assert_eq!(served, fabric, "degraded output diverges from the fabric's");
 }

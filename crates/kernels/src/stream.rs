@@ -43,7 +43,12 @@ const PLANES: usize = 3;
 
 /// Footprints assembled per MVTU pass, in bytes: small enough to stay in
 /// L1 beside one weight row, so each pass streams the weight matrix once.
+/// A pass holds whole comparator groups: the pixel count is rounded up
+/// to a multiple of [`LANES`], so only a layer's last pass has a tail.
 const TILE_BYTES: usize = 16 * 1024;
+
+/// Accumulators the comparators fire as one lane group.
+const LANES: usize = 16;
 
 /// A layer's threshold sets as the MVTU's comparator rows: the thresholds
 /// of every output channel in one contiguous array, `row_len` per channel,
@@ -96,7 +101,6 @@ fn fire(taus: &[i32], ascending: bool, accs: &[i32], levels: &mut [u8]) {
 
 #[inline(always)]
 fn count_fired(taus: &[i32], accs: &[i32], levels: &mut [u8], fires: impl Fn(i32, i32) -> bool) {
-    const LANES: usize = 16;
     let (acc_groups, acc_tail) = accs.as_chunks::<LANES>();
     let (level_groups, level_tail) = levels.as_chunks_mut::<LANES>();
     for (levels, accs) in level_groups.iter_mut().zip(acc_groups) {
@@ -301,7 +305,8 @@ impl PopcountKernel for StreamedConv<'_> {
         let words = weights.words_per_row();
         let footprint_words = PLANES * words;
         let run_bits = geom.kernel * channels;
-        let tile_pixels = (TILE_BYTES / (footprint_words * 8)).clamp(1, pixels.max(1));
+        let tile_pixels = (TILE_BYTES / (footprint_words * 8)).div_ceil(LANES) * LANES;
+        let tile_pixels = tile_pixels.clamp(1, pixels.max(1));
         let mut tile = vec![0u64; tile_pixels * footprint_words];
         let mut plane_sums = vec![0i32; tile_pixels];
         let mut accs = vec![0i32; tile_pixels];

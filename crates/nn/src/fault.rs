@@ -13,11 +13,13 @@
 //! retryable [`NnError::Accel`] instead of silently wrong data (corrupted
 //! result buffers are caught by a checksum compare, modelling the CRC on
 //! the DMA return path). Recovery policy — retry, backoff, CPU fallback —
-//! lives host-side in `tincy-nn`'s offload layer.
+//! lives host-side in the [`crate::offload`] layer. A plan runs on one
+//! [`crate::Device`]: its injector is the device's, never the loaded
+//! model's, so devices that share one model fault independently.
 
+use crate::error::NnError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tincy_nn::NnError;
 
 /// The accelerator fault classes the injector can produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,6 +56,12 @@ impl FaultKind {
         }
     }
 }
+
+/// Cycles to stream the XCZU3EG bitstream (70 560 LUTs × 640 bits) back
+/// over a 128-bit configuration port: `tincy-finn`'s
+/// `FpgaDevice::XCZU3EG.bitstream_reload_cycles(128)`, which its tests pin
+/// to this value.
+const XCZU3EG_RELOAD_CYCLES: u64 = 352_800;
 
 /// A contiguous accelerator outage: every invocation in
 /// `start..start + length` fails with `kind`.
@@ -116,7 +124,7 @@ impl FaultPlan {
             corrupt_per_mille: 10,
             bitstream_lost_per_mille: 2,
             outage: None,
-            reload_penalty_cycles: crate::FpgaDevice::XCZU3EG.bitstream_reload_cycles(128),
+            reload_penalty_cycles: XCZU3EG_RELOAD_CYCLES,
         }
     }
 
@@ -157,20 +165,17 @@ impl FaultPlan {
                 return Some(window.kind);
             }
         }
-        let draw = |salt: u64, per_mille: u16| {
-            per_mille > 0 && mix(self.seed ^ salt, invocation) % 1000 < u64::from(per_mille)
-        };
-        if draw(0x1, self.dma_timeout_per_mille) {
-            Some(FaultKind::DmaTimeout)
-        } else if draw(0x2, self.busy_per_mille) {
-            Some(FaultKind::TransientBusy)
-        } else if draw(0x3, self.corrupt_per_mille) {
-            Some(FaultKind::CorruptResult)
-        } else if draw(0x4, self.bitstream_lost_per_mille) {
-            Some(FaultKind::BitstreamLost)
-        } else {
-            None
-        }
+        let rates = [
+            (FaultKind::DmaTimeout, self.dma_timeout_per_mille),
+            (FaultKind::TransientBusy, self.busy_per_mille),
+            (FaultKind::CorruptResult, self.corrupt_per_mille),
+            (FaultKind::BitstreamLost, self.bitstream_lost_per_mille),
+        ];
+        // One independent draw per kind, salted 1..=4, first hit wins.
+        (1u64..).zip(rates).find_map(|(salt, (kind, per_mille))| {
+            let draw = mix(self.seed ^ salt, invocation) % 1000;
+            (per_mille > 0 && draw < u64::from(per_mille)).then_some(kind)
+        })
     }
 }
 
@@ -246,11 +251,6 @@ impl FaultInjector {
             plan,
             counters: Arc::default(),
         }
-    }
-
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Draws the fault decision for the next invocation, updating

@@ -15,8 +15,10 @@
 //!   load mutate; a built network forwards through `&self`),
 //! * [`conv`], [`maxpool`], [`region`] — the layer implementations,
 //! * [`batchnorm`] — batch normalization and its folding,
-//! * [`offload`] — the offload layer and backend registry (the `dlopen`
-//!   analog),
+//! * [`offload`] — the offload layer, backend registry (the `dlopen`
+//!   analog) and [`Device`], the mutable half a forward runs on,
+//! * [`fault`] — deterministic fault injection at the offload boundary,
+//!   drawn per device,
 //! * [`model`] — [`ModelSpec`]/[`FoldSpec`] design points (topology +
 //!   folding + quantization),
 //! * [`network`] — the network container with whole-net *and* per-layer
@@ -32,6 +34,7 @@ pub mod batchnorm;
 pub mod cfg;
 pub mod conv;
 pub mod error;
+pub mod fault;
 pub mod layer;
 pub mod maxpool;
 pub mod model;
@@ -46,13 +49,14 @@ pub use batchnorm::BatchNorm;
 pub use cfg::{parse_cfg, render_cfg};
 pub use conv::ConvLayer;
 pub use error::NnError;
+pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultStats, FaultWindow};
 pub use layer::Layer;
 pub use maxpool::MaxPoolLayer;
 pub use model::{FoldSpec, ModelSpec};
 pub use network::Network;
 pub use offload::{
-    run_with_resilience, BackendRegistry, OffloadBackend, OffloadConfig, OffloadHealth,
-    OffloadLayer, OffloadStats, RetryPolicy,
+    BackendRegistry, Device, OffloadBackend, OffloadConfig, OffloadHealth, OffloadLayer,
+    OffloadStats, RetryPolicy,
 };
 pub use region::{RegionLayer, RegionParams};
 pub use spec::{ConvSpec, LayerSpec, NetworkSpec, OffloadSpec, PoolSpec, RegionSpec};

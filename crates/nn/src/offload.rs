@@ -13,8 +13,15 @@
 //! string resolves through a [`BackendRegistry`] instead; the architecture
 //! (config-driven backend substitution with the full Fig 3 life cycle) is
 //! preserved.
+//!
+//! The life cycle splits the layer in two. `init` and `load_weights` build
+//! the backend: weights, packed cores, thresholds — immutable once loaded,
+//! so any number of fabrics can run one copy. `forward` runs on a
+//! [`Device`]: the one fabric's fault injector, health counters and retry
+//! policy, the only state a forward changes.
 
 use crate::error::NnError;
+use crate::fault::{FaultInjector, FaultPlan};
 use crate::layer::Layer;
 use crate::spec::OffloadSpec;
 use crate::weights::{WeightsReader, WeightsWriter};
@@ -46,8 +53,9 @@ pub struct OffloadConfig {
 /// `init` ↦ [`OffloadBackend::init`], `load_weights` ↦
 /// [`OffloadBackend::load_weights`], `forward` ↦
 /// [`OffloadBackend::forward`], `destroy` ↦ [`Drop`]. As with [`Layer`],
-/// only the first two mutate: the forward hooks take `&self`, so one
-/// backend can serve concurrent workers.
+/// only the first two mutate: the forward hooks take `&self`, and what a
+/// forward changes lives on the [`Device`] it runs on, so one backend can
+/// serve concurrent workers and devices.
 pub trait OffloadBackend: Send + Sync {
     /// The library identifier this backend serves.
     fn library_name(&self) -> &str;
@@ -101,15 +109,21 @@ pub trait OffloadBackend: Send + Sync {
     }
 
     /// Computes output feature maps for a whole micro-batch in one backend
-    /// invocation. The default runs the inputs one by one; hardware-backed
-    /// implementations should override it to amortize per-invocation costs
-    /// (weight streaming, DMA setup) across the batch.
+    /// invocation on `device`. The default runs the inputs one by one and
+    /// draws nothing from the device; hardware-backed implementations
+    /// should override it to amortize per-invocation costs (weight
+    /// streaming, DMA setup) across the batch and to draw the invocation's
+    /// fault from [`Device::faults`].
     ///
     /// # Errors
     ///
     /// Implementation-specific; a failure faults the whole batch (no
     /// partial results), matching the all-or-nothing DMA transfer model.
-    fn forward_batch(&self, inputs: &[Tensor<f32>]) -> Result<Vec<Tensor<f32>>, NnError> {
+    fn forward_batch(
+        &self,
+        inputs: &[Tensor<f32>],
+        _device: &Device,
+    ) -> Result<Vec<Tensor<f32>>, NnError> {
         inputs.iter().map(|input| self.forward(input)).collect()
     }
 
@@ -189,11 +203,6 @@ struct HealthCounters {
 }
 
 impl OffloadHealth {
-    /// Creates a fresh health record.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Counter snapshot.
     pub fn snapshot(&self) -> OffloadStats {
         OffloadStats {
@@ -246,82 +255,41 @@ impl std::iter::Sum for OffloadStats {
     }
 }
 
-/// Runs one offload invocation of `items` frames (one micro-batched
-/// call) under a retry/fallback policy, updating `health`: the per-frame
-/// counters (`forwards`, `fallbacks`, `degraded`) advance by `items`, the
-/// per-invocation ones (`faults`, `retries`) by one per attempt — a
-/// faulted batch is one DMA fault, not `items` faults.
-///
-/// `run(false)` must attempt the accelerated path; `run(true)` must run the
-/// host-side reference path. Shared by [`OffloadLayer`] and integrations
-/// that drive an accelerator directly.
-///
-/// # Errors
-///
-/// Propagates non-retryable errors immediately; propagates the last
-/// retryable error when the retry budget is exhausted and fallback is
-/// disabled (or the fallback itself fails).
-pub fn run_with_resilience<T>(
-    policy: &RetryPolicy,
-    health: &OffloadHealth,
-    items: u64,
-    mut run: impl FnMut(bool) -> Result<T, NnError>,
-) -> Result<T, NnError> {
-    let counters = &health.inner;
-    #[allow(clippy::cast_possible_truncation)]
-    let batch = items.min(u64::from(u32::MAX)) as u32;
-    let mut attempt = 0u32;
-    loop {
-        let outcome = {
-            let _span = tincy_trace::span(static_label!("offload.attempt"))
-                .attempt(attempt)
-                .batch(batch)
-                .backend(tincy_trace::Backend::Finn)
-                .start();
-            run(false)
-        };
-        match outcome {
-            Ok(value) => {
-                counters.forwards.fetch_add(items, Ordering::Relaxed);
-                if attempt > 0 {
-                    counters.degraded.fetch_add(items, Ordering::Relaxed);
-                }
-                return Ok(value);
-            }
-            Err(e) if e.is_retryable() => {
-                counters.faults.fetch_add(1, Ordering::Relaxed);
-                if tincy_trace::is_enabled() {
-                    tincy_trace::span(static_label!("offload.fault"))
-                        .attempt(attempt)
-                        .fault(&e.to_string())
-                        .emit();
-                }
-                if attempt < policy.max_retries {
-                    attempt += 1;
-                    counters.retries.fetch_add(1, Ordering::Relaxed);
-                    let _span = tincy_trace::span(static_label!("offload.backoff"))
-                        .attempt(attempt)
-                        .start();
-                    std::thread::sleep(backoff_for(attempt));
-                    continue;
-                }
-                if policy.cpu_fallback {
-                    let value = {
-                        let _span = tincy_trace::span(static_label!("offload.fallback"))
-                            .batch(batch)
-                            .backend(tincy_trace::Backend::Host)
-                            .start();
-                        run(true)?
-                    };
-                    counters.forwards.fetch_add(items, Ordering::Relaxed);
-                    counters.fallbacks.fetch_add(items, Ordering::Relaxed);
-                    counters.degraded.fetch_add(items, Ordering::Relaxed);
-                    return Ok(value);
-                }
-                return Err(e);
-            }
-            Err(e) => return Err(e),
+/// The mutable half of an offload target: what one fabric carries while
+/// it runs a loaded backend. Its fault injector (the invocation stream and
+/// the pending bitstream reload), its health counters and its retry
+/// policy; the weights, cores and thresholds belong to the backend, which
+/// any number of devices may run at once. Fault-free under the default
+/// retry policy by default. A clone is a handle on the same device: it
+/// shares the fault stream and the counters.
+#[derive(Debug, Clone, Default)]
+pub struct Device {
+    /// Retry/fallback policy for this device's faults.
+    pub retry: RetryPolicy,
+    health: OffloadHealth,
+    faults: Option<FaultInjector>,
+}
+
+impl Device {
+    /// A device that faults on `plan`'s schedule ([`FaultPlan::none`] runs
+    /// fault-free) and recovers under `retry`.
+    pub fn new(plan: FaultPlan, retry: RetryPolicy) -> Self {
+        Self {
+            retry,
+            health: OffloadHealth::default(),
+            faults: (!plan.is_empty()).then(|| FaultInjector::new(plan)),
         }
+    }
+
+    /// A shared handle on this device's health counters.
+    pub fn health(&self) -> OffloadHealth {
+        self.health.clone()
+    }
+
+    /// The fault injector every accelerated invocation on this device
+    /// draws from, when its plan can fault.
+    pub fn faults(&self) -> Option<&FaultInjector> {
+        self.faults.as_ref()
     }
 }
 
@@ -378,12 +346,12 @@ impl fmt::Debug for BackendRegistry {
     }
 }
 
-/// The offload layer: Darknet's view of an externally implemented layer.
+/// The offload layer: Darknet's view of an externally implemented layer,
+/// with the [`Device`] its [`Layer::forward`] runs on.
 pub struct OffloadLayer {
     config: OffloadConfig,
     backend: Box<dyn OffloadBackend>,
-    retry: RetryPolicy,
-    health: OffloadHealth,
+    device: Device,
 }
 
 impl OffloadLayer {
@@ -411,28 +379,30 @@ impl OffloadLayer {
         Ok(Self {
             config,
             backend,
-            retry: RetryPolicy::default(),
-            health: OffloadHealth::new(),
+            device: Device::default(),
         })
     }
 
-    /// The resolved configuration.
-    pub fn config(&self) -> &OffloadConfig {
-        &self.config
+    /// The device the layer's own forwards run on, to arm or replace.
+    pub fn device_mut(&mut self) -> &mut Device {
+        &mut self.device
     }
 
-    /// Replaces the retry/fallback policy.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
-    /// A shared handle on this layer's health counters.
-    pub fn health(&self) -> OffloadHealth {
-        self.health.clone()
+    /// [`Self::forward_batch_on`] the layer's own device.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::forward_batch_on`].
+    pub fn forward_batch(&self, inputs: &[Tensor<f32>]) -> Result<Vec<Tensor<f32>>, NnError> {
+        self.forward_batch_on(&self.device, inputs)
     }
 
     /// Runs a whole micro-batch through the backend in one offload
-    /// invocation, under the layer's retry/fallback policy.
+    /// invocation on `device`, under its retry/fallback policy, updating
+    /// its health: the per-frame counters (`forwards`, `fallbacks`,
+    /// `degraded`) advance by the batch size, the per-invocation ones
+    /// (`faults`, `retries`) by one per attempt — a faulted batch is one
+    /// DMA fault, not one per frame.
     ///
     /// A retryable fault faults the *batch* (one DMA invocation), is
     /// retried as a unit, and past the retry budget the whole batch
@@ -444,7 +414,11 @@ impl OffloadLayer {
     /// Returns [`NnError::ShapeMismatch`] for any nonconforming input or
     /// output, or the backend's failure per the resilience contract. An
     /// empty batch is rejected as [`NnError::InvalidSpec`].
-    pub fn forward_batch(&self, inputs: &[Tensor<f32>]) -> Result<Vec<Tensor<f32>>, NnError> {
+    pub fn forward_batch_on(
+        &self,
+        device: &Device,
+        inputs: &[Tensor<f32>],
+    ) -> Result<Vec<Tensor<f32>>, NnError> {
         if inputs.is_empty() {
             return Err(NnError::InvalidSpec {
                 what: "offload micro-batch must not be empty".to_owned(),
@@ -454,21 +428,63 @@ impl OffloadLayer {
             self.check_input(input)?;
         }
         let backend = self.backend.as_ref();
-        let outs = run_with_resilience(
-            &self.retry,
-            &self.health,
-            inputs.len() as u64,
-            |use_reference| {
-                if use_reference {
-                    inputs
-                        .iter()
-                        .map(|input| backend.forward_reference(input))
-                        .collect()
-                } else {
-                    backend.forward_batch(inputs)
+        let (policy, counters) = (&device.retry, &device.health.inner);
+        let items = inputs.len() as u64;
+        let batch = u32::try_from(inputs.len()).unwrap_or(u32::MAX);
+        let mut attempt = 0u32;
+        let outs = loop {
+            let outcome = {
+                let _span = tincy_trace::span(static_label!("offload.attempt"))
+                    .attempt(attempt)
+                    .batch(batch)
+                    .backend(tincy_trace::Backend::Finn)
+                    .start();
+                backend.forward_batch(inputs, device)
+            };
+            match outcome {
+                Ok(value) => {
+                    counters.forwards.fetch_add(items, Ordering::Relaxed);
+                    if attempt > 0 {
+                        counters.degraded.fetch_add(items, Ordering::Relaxed);
+                    }
+                    break value;
                 }
-            },
-        )?;
+                Err(e) if e.is_retryable() => {
+                    counters.faults.fetch_add(1, Ordering::Relaxed);
+                    if tincy_trace::is_enabled() {
+                        tincy_trace::span(static_label!("offload.fault"))
+                            .attempt(attempt)
+                            .fault(&e.to_string())
+                            .emit();
+                    }
+                    if attempt < policy.max_retries {
+                        attempt += 1;
+                        counters.retries.fetch_add(1, Ordering::Relaxed);
+                        let _span = tincy_trace::span(static_label!("offload.backoff"))
+                            .attempt(attempt)
+                            .start();
+                        std::thread::sleep(backoff_for(attempt));
+                        continue;
+                    }
+                    if policy.cpu_fallback {
+                        let value = {
+                            let _span = tincy_trace::span(static_label!("offload.fallback"))
+                                .batch(batch)
+                                .backend(tincy_trace::Backend::Host)
+                                .start();
+                            let host = inputs.iter().map(|input| backend.forward_reference(input));
+                            host.collect::<Result<Vec<_>, _>>()?
+                        };
+                        counters.forwards.fetch_add(items, Ordering::Relaxed);
+                        counters.fallbacks.fetch_add(items, Ordering::Relaxed);
+                        counters.degraded.fetch_add(items, Ordering::Relaxed);
+                        break value;
+                    }
+                    return Err(e);
+                }
+                Err(e) => return Err(e),
+            }
+        };
         if outs.len() != inputs.len() {
             return Err(NnError::InvalidSpec {
                 what: format!(
@@ -722,7 +738,7 @@ mod tests {
             ops: 1,
         };
         let mut layer = OffloadLayer::new(shape, &spec, &r).unwrap();
-        layer.set_retry_policy(policy);
+        layer.device_mut().retry = policy;
         layer
     }
 
@@ -784,7 +800,7 @@ mod tests {
         let input = Tensor::filled(Shape3::new(1, 2, 2), 3.0f32);
         let out = layer.forward(&input).unwrap();
         assert!(out.as_slice().iter().all(|&v| (v - 3.0).abs() < 1e-6));
-        let stats = layer.health().snapshot();
+        let stats = layer.device.health().snapshot();
         assert_eq!(stats.faults, 2);
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.fallbacks, 0);
@@ -798,7 +814,7 @@ mod tests {
         let input = Tensor::filled(Shape3::new(1, 2, 2), 4.0f32);
         let out = layer.forward(&input).unwrap();
         assert!(out.as_slice().iter().all(|&v| (v - 4.0).abs() < 1e-6));
-        let stats = layer.health().snapshot();
+        let stats = layer.device.health().snapshot();
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.faults, 3, "initial try plus two retries all faulted");
         assert_eq!(stats.fallbacks, 1);
@@ -817,7 +833,7 @@ mod tests {
         let input = Tensor::filled(Shape3::new(1, 2, 2), 1.0f32);
         let err = layer.forward(&input).unwrap_err();
         assert!(err.is_retryable());
-        assert_eq!(layer.health().snapshot().fallbacks, 0);
+        assert_eq!(layer.device.health().snapshot().fallbacks, 0);
     }
 
     #[test]
@@ -828,7 +844,7 @@ mod tests {
             layer.forward(&bad),
             Err(NnError::ShapeMismatch { .. })
         ));
-        assert_eq!(layer.health().snapshot().faults, 0);
+        assert_eq!(layer.device.health().snapshot().faults, 0);
     }
 
     #[test]
@@ -846,8 +862,8 @@ mod tests {
         let mut layer: Box<dyn Layer> =
             Box::new(OffloadLayer::new(shape, &spec(shape), &registry()).unwrap());
         let offload = layer.as_offload_mut().expect("offload layer downcasts");
-        offload.set_retry_policy(RetryPolicy::fail_fast());
-        assert_eq!(offload.retry, RetryPolicy::fail_fast());
+        offload.device_mut().retry = RetryPolicy::fail_fast();
+        assert_eq!(offload.device.retry, RetryPolicy::fail_fast());
     }
 
     #[test]
@@ -863,7 +879,7 @@ mod tests {
             assert_eq!(&layer.forward(input).unwrap(), out);
         }
         // 4 batch items + 4 single forwards.
-        assert_eq!(layer.health().snapshot().forwards, 8);
+        assert_eq!(layer.device.health().snapshot().forwards, 8);
         assert!(matches!(
             layer.forward_batch(&[]),
             Err(NnError::InvalidSpec { .. })
@@ -881,7 +897,7 @@ mod tests {
         assert!(outs
             .iter()
             .all(|o| o.as_slice().iter().all(|&v| (v - 2.0).abs() < 1e-6)));
-        let stats = layer.health().snapshot();
+        let stats = layer.device.health().snapshot();
         // Per-invocation counters: initial try + two retries, all faulted.
         assert_eq!(stats.faults, 3);
         assert_eq!(stats.retries, 2);
@@ -897,7 +913,7 @@ mod tests {
         let input = Tensor::filled(Shape3::new(1, 2, 2), 5.0f32);
         let out = layer.forward_host(&input).unwrap();
         assert!(out.as_slice().iter().all(|&v| (v - 5.0).abs() < 1e-6));
-        let stats = layer.health().snapshot();
+        let stats = layer.device.health().snapshot();
         assert_eq!(stats, OffloadStats::default(), "no health movement");
         let backend = layer
             .backend()

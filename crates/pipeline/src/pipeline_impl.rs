@@ -468,30 +468,30 @@ mod tests {
 
     #[test]
     fn pipelining_overlaps_stage_time() {
-        // Four equal stages of ~4 ms on four workers should run
-        // substantially faster than the sequential sum. Generous margins
-        // keep this robust on loaded CI machines.
-        let delay = Duration::from_millis(4);
-        let frames = 24u64;
+        // Four stages on four workers overlap. Counted, not timed: the
+        // stages track how many of them are inside their work at once.
+        // The Fig 6 handshake holds a slot while its consumer runs, so
+        // neighbouring stages never overlap and four stages peak at 2.
+        let running = Arc::new(AtomicU64::new(0));
+        let peak = Arc::new(AtomicU64::new(0));
         let stage = |name: &str| {
+            let (running, peak) = (Arc::clone(&running), Arc::clone(&peak));
             FnStage::new(name.to_owned(), move |x: u64| {
-                std::thread::sleep(delay);
+                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                // Long enough that a neighbour-free stage gets to start.
+                std::thread::sleep(Duration::from_millis(4));
+                running.fetch_sub(1, Ordering::SeqCst);
                 x
             })
         };
-        let metrics = Pipeline::new(counting_source(frames))
+        Pipeline::new(counting_source(24))
             .with_stage(stage("s1"))
             .with_stage(stage("s2"))
             .with_stage(stage("s3"))
             .with_stage(stage("s4"))
             .run(|_| {}, 4);
-        let sequential = delay * 4 * frames as u32;
-        assert!(
-            metrics.elapsed < sequential * 3 / 4,
-            "elapsed {:?} not faster than 3/4 of sequential {:?}",
-            metrics.elapsed,
-            sequential
-        );
-        assert!(metrics.speedup() > 1.2, "speedup {}", metrics.speedup());
+        let peak = peak.load(Ordering::SeqCst);
+        assert!(peak >= 2, "at most {peak} stage(s) ever ran at once");
     }
 }

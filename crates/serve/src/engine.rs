@@ -1,91 +1,58 @@
 //! The offloaded network of one served variant, split around the
-//! accelerated segment so the serving layer can micro-batch it.
+//! accelerated segment so the serving layer can micro-batch it, and split
+//! the way the paper's Fig 3 life cycle splits a layer.
 //!
-//! A built engine only reads on a forward, so one engine per variant is
-//! shared by the server's one FINN worker and every host worker; the
-//! fabric's bit-exactness with the software reference path makes FINN and
-//! CPU results interchangeable.
+//! A [`Model`] is what `init` and `load_weights` build: the CPU prologue
+//! and epilogue layers, the offload core (float master weights, packed
+//! cores, threshold tables), the decoder and the input size. It only reads
+//! on a forward, so a process builds each rung once and every worker of a
+//! server, and every shard of a fleet, runs that one copy through an
+//! `Arc`. A [`Device`] is what `forward` changes: one fabric's fault
+//! injector, health counters and retry policy, so a server has one and
+//! its rungs' engines share it. A [`ServeEngine`] is a model on a device.
+//! The host path needs no device: it draws no fault and counts no
+//! recovery, and the fabric's bit-exactness with it makes FINN and CPU
+//! results interchangeable.
 
-use tincy_core::{
-    arm_offload_resilience, build_network_for, offload_position, region_decoder, SystemConfig,
-    NMS_IOU,
-};
+use std::sync::Arc;
+use tincy_core::{build_network_for, offload_position, region_decoder, SystemConfig, NMS_IOU};
 use tincy_eval::{nms, Detection};
 use tincy_finn::FaultPlan;
-use tincy_nn::{Layer, ModelSpec, NnError, OffloadHealth, OffloadLayer, RegionLayer};
+use tincy_nn::{Device, Layer, ModelSpec, NnError, OffloadHealth, OffloadLayer, RegionLayer};
 use tincy_tensor::Tensor;
 use tincy_video::Image;
 
-/// The runnable offloaded detector, split into CPU prologue / offload
-/// segment / CPU epilogue.
-pub struct ServeEngine {
+/// The immutable half of a served variant: the runnable offloaded
+/// detector, split into CPU prologue / offload segment / CPU epilogue,
+/// plus its decoder.
+pub struct Model {
     layers: Vec<Box<dyn Layer>>,
     offload_idx: usize,
     decoder: RegionLayer,
-    health: OffloadHealth,
     input_size: usize,
     score_threshold: f32,
 }
 
-impl ServeEngine {
-    /// Builds an engine for the FINN path: fault plan armed (if any) and
-    /// the system's retry/fallback policy applied.
+impl Model {
+    /// Builds a design point's network with its deterministic weights.
     ///
     /// # Errors
     ///
-    /// Propagates network construction failures.
-    pub fn finn(system: &SystemConfig, score_threshold: f32) -> Result<Self, NnError> {
-        Self::finn_for_model(&system.model(), system, score_threshold)
-    }
-
-    /// Builds a fault-free engine: [`Self::finn`] with the system's fault
-    /// plan disarmed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates network construction failures.
-    pub fn cpu(system: &SystemConfig, score_threshold: f32) -> Result<Self, NnError> {
-        let fault_free = SystemConfig {
-            fault_plan: FaultPlan::none(),
-            ..*system
-        };
-        Self::finn(&fault_free, score_threshold)
-    }
-
-    /// [`Self::finn`] for an explicit design point: the model supplies the
-    /// topology, folding and weights seed; `system` supplies only the
-    /// fault plan and retry policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates network construction failures.
-    pub fn finn_for_model(
-        model: &ModelSpec,
-        system: &SystemConfig,
-        score_threshold: f32,
-    ) -> Result<Self, NnError> {
-        let net = build_network_for(model, system.fault_plan)?;
+    /// Propagates network construction failures; a model without an
+    /// offloadable hidden stack is an [`NnError::InvalidSpec`].
+    pub fn build(model: &ModelSpec, score_threshold: f32) -> Result<Self, NnError> {
         let decoder = region_decoder(&model.network)?;
-        let mut layers = net.into_layers();
-        let health =
-            arm_offload_resilience(&mut layers, system).ok_or_else(|| NnError::InvalidSpec {
-                what: "served models must contain an offloadable hidden stack".to_owned(),
-            })?;
-        let offload_idx =
-            offload_position(&mut layers).expect("arm_offload_resilience found an offload layer");
+        let mut layers = build_network_for(model, FaultPlan::none())?.into_layers();
+        let offload_idx = offload_position(&mut layers).ok_or_else(|| NnError::InvalidSpec {
+            what: "served models must contain an offloadable hidden stack".to_owned(),
+        })?;
         Ok(Self {
             layers,
             offload_idx,
             decoder,
-            health,
             input_size: model.network.input.height,
             score_threshold,
         })
-    }
-
-    /// Offload health handle (faults/retries/fallbacks/degradation).
-    pub fn health(&self) -> OffloadHealth {
-        self.health.clone()
     }
 
     fn prologue(&self, image: &Image) -> Result<Tensor<f32>, NnError> {
@@ -106,24 +73,111 @@ impl ServeEngine {
         ))
     }
 
-    /// Runs a micro-batch through the accelerated path: per-frame CPU
-    /// prologue, one batched offload invocation (weights swap once per
-    /// layer for the whole batch), per-frame CPU epilogue and decoding.
+    fn offload(&self) -> &OffloadLayer {
+        self.layers[self.offload_idx]
+            .as_offload()
+            .expect("offload_idx points at the offload layer")
+    }
+}
+
+/// A [`Model`] on the [`Device`] its accelerated path runs on; a host-only
+/// engine has no device.
+pub struct ServeEngine {
+    model: Arc<Model>,
+    device: Option<Device>,
+}
+
+impl ServeEngine {
+    /// Builds an engine for the FINN path: fault plan armed (if any) and
+    /// the system's retry/fallback policy applied.
     ///
     /// # Errors
     ///
-    /// Propagates layer evaluation failures (shapes are consistent by
-    /// construction, and accelerator faults are absorbed by the offload
-    /// layer's retry/fallback policy, so errors here indicate a bug).
+    /// Propagates network construction failures.
+    pub fn finn(system: &SystemConfig, score_threshold: f32) -> Result<Self, NnError> {
+        Self::finn_for_model(&system.model(), system, score_threshold)
+    }
+
+    /// Builds a host-only engine: the system's model with no device, so
+    /// only [`Self::process_host`] runs.
+    ///
+    /// # Errors
+    ///
+    /// Propagates network construction failures.
+    pub fn cpu(system: &SystemConfig, score_threshold: f32) -> Result<Self, NnError> {
+        let model = Arc::new(Model::build(&system.model(), score_threshold)?);
+        Ok(Self {
+            model,
+            device: None,
+        })
+    }
+
+    /// [`Self::finn`] for an explicit design point: the model supplies the
+    /// topology, folding and weights seed; `system` supplies only the
+    /// fault plan and retry policy.
+    ///
+    /// # Errors
+    ///
+    /// Propagates network construction failures.
+    pub fn finn_for_model(
+        model: &ModelSpec,
+        system: &SystemConfig,
+        score_threshold: f32,
+    ) -> Result<Self, NnError> {
+        let model = Arc::new(Model::build(model, score_threshold)?);
+        let device = Device::new(system.fault_plan, system.retry);
+        Ok(Self::on_device(model, device))
+    }
+
+    /// A shared model on `device` (a handle: engines on clones of one
+    /// device share its fault stream and counters).
+    pub fn on_device(model: Arc<Model>, device: Device) -> Self {
+        Self {
+            model,
+            device: Some(device),
+        }
+    }
+
+    /// The model this engine runs.
+    pub fn model(&self) -> &Arc<Model> {
+        &self.model
+    }
+
+    /// The device the accelerated path runs on (`None` for a host-only
+    /// engine).
+    pub fn device(&self) -> Option<&Device> {
+        self.device.as_ref()
+    }
+
+    /// Offload health handle (faults/retries/fallbacks/degradation) of the
+    /// engine's device; a host-only engine's never moves.
+    pub fn health(&self) -> OffloadHealth {
+        self.device.as_ref().map(Device::health).unwrap_or_default()
+    }
+
+    /// Runs a micro-batch through the accelerated path: per-frame CPU
+    /// prologue, one batched offload invocation on the engine's device
+    /// (weights swap once per layer for the whole batch), per-frame CPU
+    /// epilogue and decoding.
+    ///
+    /// # Errors
+    ///
+    /// [`NnError::InvalidSpec`] on a host-only engine; otherwise propagates
+    /// layer evaluation failures (shapes are consistent by construction,
+    /// and accelerator faults are absorbed by the device's retry/fallback
+    /// policy, so errors here indicate a bug).
     pub fn process_batch(&self, images: &[Image]) -> Result<Vec<Vec<Detection>>, NnError> {
+        let device = self.device.as_ref().ok_or_else(|| NnError::InvalidSpec {
+            what: "a host-only engine has no device to offload to".to_owned(),
+        })?;
         let mut fmaps = Vec::with_capacity(images.len());
         for image in images {
-            fmaps.push(self.prologue(image)?);
+            fmaps.push(self.model.prologue(image)?);
         }
-        let outs = self.offload().forward_batch(&fmaps)?;
+        let outs = self.model.offload().forward_batch_on(device, &fmaps)?;
         let mut detections = Vec::with_capacity(outs.len());
         for fmap in outs {
-            detections.push(self.epilogue(fmap)?);
+            detections.push(self.model.epilogue(fmap)?);
         }
         Ok(detections)
     }
@@ -131,22 +185,16 @@ impl ServeEngine {
     /// Runs one frame entirely on the host: the offload segment is
     /// evaluated by the hidden layers' shared cores — the instructions the
     /// fabric simulator runs, without its weight-swap, cycle and fault
-    /// bookkeeping — bypassing the accelerator and its recovery counters.
+    /// bookkeeping — bypassing the device and its recovery counters.
     /// This is scheduled CPU work, not fault recovery.
     ///
     /// # Errors
     ///
     /// Propagates layer evaluation failures.
     pub fn process_host(&self, image: &Image) -> Result<Vec<Detection>, NnError> {
-        let fmap = self.prologue(image)?;
-        let out = self.offload().forward_host(&fmap)?;
-        self.epilogue(out)
-    }
-
-    fn offload(&self) -> &OffloadLayer {
-        self.layers[self.offload_idx]
-            .as_offload()
-            .expect("offload_idx points at the offload layer")
+        let fmap = self.model.prologue(image)?;
+        let out = self.model.offload().forward_host(&fmap)?;
+        self.model.epilogue(out)
     }
 }
 
@@ -194,6 +242,7 @@ mod tests {
             cpu.process_host(image).unwrap();
         }
         assert_eq!(cpu.health().snapshot(), tincy_nn::OffloadStats::default());
+        assert!(cpu.device().is_none() && cpu.process_batch(&images).is_err());
     }
 
     #[test]

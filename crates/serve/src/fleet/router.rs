@@ -1,17 +1,18 @@
 //! The fleet router runtime: N in-process serve shards, least-loaded
 //! dispatch with failover, and the drain/re-admit health monitor.
 //!
-//! Shard health is judged from the fabric's own offload counters, summed
-//! over every rung's engine, not wall-clock timeouts or the shard's load:
-//! a poll that observes the `degraded` counter advance means one of the
-//! shard's FINN engines needed retries or CPU fallback since the last
-//! poll, and the shard is drained. A shard's SLO burn or drift verdict
-//! does not drain it. A drained shard keeps completing its outstanding
-//! work (accepted work is never dropped anywhere in the stack); once idle
-//! it is probed with canary frames, one per ladder rung, each on its own
-//! rung's engine and each answered before the next is sent, so a probe
-//! needs one slot of the client quota at any ladder height. A probe is *clean* only on fabric evidence — every
-//! rung's `forwards` counter advanced while no rung's `degraded` did. A
+//! Shard health is judged from the offload counters of the shard's one
+//! device, which every rung runs on, not wall-clock timeouts or the
+//! shard's load: a poll that observes the `degraded` counter advance means
+//! the shard's fabric needed retries or CPU fallback since the last poll,
+//! and the shard is drained. A shard's SLO burn or drift verdict does not
+//! drain it. A drained shard keeps completing its outstanding work
+//! (accepted work is never dropped anywhere in the stack); once idle it is
+//! probed with canary frames, one per ladder rung, each answered before
+//! the next is sent, so a probe needs one slot of the client quota at any
+//! ladder height. A probe is *clean* only on fabric evidence — each
+//! rung's canary advanced the device's `forwards` counter and none
+//! advanced its `degraded` counter. A
 //! canary stolen by a host worker moves neither counter and is
 //! inconclusive: it leaves the recovery streak untouched rather than
 //! resetting it, and a later probe lands on the fabric. `READMIT_STREAK`
@@ -21,7 +22,7 @@ use super::telemetry::FleetStats;
 use super::{FleetConfig, HEALTH_EVERY, READMIT_STREAK};
 use crate::metrics::ServeReport;
 use crate::request::{AdmissionError, InferResponse, SloClass};
-use crate::server::{ClientHandle, InferenceServer};
+use crate::server::{rung_models, ClientHandle, InferenceServer};
 use crate::telemetry::ServeCollector;
 use std::collections::{BTreeSet, VecDeque};
 use std::net::SocketAddr;
@@ -182,6 +183,9 @@ impl Fleet {
                 what: "shards 0: a fleet needs at least one shard".to_owned(),
             });
         }
+        // Each rung is built once for the whole fleet; every shard runs it
+        // on a device of its own, so fault plans stay per shard.
+        let models = rung_models(&config.base)?;
         let mut servers = Vec::with_capacity(config.shards);
         for shard in 0..config.shards {
             let mut shard_config = config.base.clone();
@@ -196,7 +200,7 @@ impl Fleet {
             // The fleet endpoint is the only listener: it reads every
             // shard through its collector.
             shard_config.status_addr = None;
-            servers.push(InferenceServer::start(shard_config)?);
+            servers.push(InferenceServer::start_on(shard_config, &models)?);
         }
         let shared = Arc::new(Shared::new(config.shards));
         // Only the endpoint and the monitor hold the shards' collectors:
@@ -261,6 +265,12 @@ impl Fleet {
     /// The fleet status endpoint's bound address, when configured.
     pub fn status_addr(&self) -> Option<SocketAddr> {
         self.status.as_ref().map(StatusServer::addr)
+    }
+
+    /// Shard `shard`'s engines in ladder order: rung `r` of every shard
+    /// runs one shared [`crate::Model`], each on its shard's own device.
+    pub fn engines(&self, shard: usize) -> &[Arc<crate::ServeEngine>] {
+        &self.servers[shard].engines
     }
 
     /// Resumes dispatch on every shard. Burst-mode fleets (configured
@@ -572,6 +582,8 @@ struct Monitor {
     probes: Vec<ClientHandle>,
     probe_image: Image,
     tracks: Vec<Track>,
+    /// Ladder rungs per shard (every shard hosts the same ladder).
+    rungs: usize,
 }
 
 impl Monitor {
@@ -599,6 +611,7 @@ impl Monitor {
             probes: servers.iter().map(InferenceServer::client).collect(),
             probe_image,
             tracks,
+            rungs: servers[0].engines.len(),
         }
     }
 
@@ -647,13 +660,13 @@ impl Monitor {
 
     /// Sends one canary to each of the drained shard's rungs, one at a
     /// time so a probe needs a single slot of the client quota, and
-    /// judges each from the counters of the engine it ran on. The probe
-    /// is clean only when every rung ran its canary on the fabric without
+    /// judges each from the device's counters around it. The probe is
+    /// clean only when every rung ran its canary on the fabric without
     /// degrading; a rung that degraded resets the streak.
     fn probe(&mut self, shard: usize) {
-        let probes = &self.probes[shard];
+        let (probes, health) = (&self.probes[shard], &self.shards[shard].health);
         let (mut sent, mut degraded, mut clean) = (false, false, true);
-        for (rung, health) in self.shards[shard].healths.iter().enumerate() {
+        for rung in 0..self.rungs {
             let before = health.snapshot();
             let accepted = probes.submit_canary(self.probe_image.clone(), rung).is_ok();
             // Accepted work is always answered, so this blocks only as
@@ -866,14 +879,13 @@ mod tests {
         config
     }
 
-    /// The monitor judges a shard by its whole device. Batch traffic
-    /// rides the top rung, and one degraded frame in eight is no burn
-    /// alert, so nothing demotes it: shard 1's outage (one batch's three
-    /// attempts) reaches the top rung's engine only. The shard still
-    /// drains, and two clean rounds of canaries, one per rung (each lower
-    /// rung's invocations 0 and 1, the top rung's next two, past its
-    /// outage), re-admit it. A probe takes one slot of the client quota,
-    /// so three rungs under a quota of two are probed whole as well.
+    /// The monitor judges a shard by its one device. Batch traffic rides
+    /// the top rung, and one degraded frame in eight is no burn alert, so
+    /// nothing demotes it: shard 1's outage (one batch's three attempts)
+    /// degrades the top rung's frame. The shard drains, and two clean
+    /// rounds of canaries, one per rung, past the outage re-admit it. A
+    /// probe takes one slot of the client quota, so three rungs under a
+    /// quota of two are probed whole as well.
     #[test]
     fn a_fault_on_any_rung_drains_and_readmits_its_shard() {
         for (rungs, quota) in [(2, 8), (3, 2)] {
@@ -889,13 +901,9 @@ mod tests {
                 fleet.settle(Duration::from_secs(2)),
                 "{rungs} rungs: drained and re-admitted"
             );
-            let healths = &fleet.servers[1].collector.healths;
-            let (top, below) = healths.split_last().unwrap();
-            assert!(
-                below.iter().all(|rung| rung.snapshot().degraded == 0),
-                "{rungs} rungs: the lower rungs never faulted"
-            );
-            assert!(top.snapshot().degraded > 0, "{rungs} rungs: the top did");
+            let degraded = |shard: usize| fleet.servers[shard].collector.offload().degraded;
+            assert_eq!(degraded(0), 0, "{rungs} rungs: shard 0 never faulted");
+            assert!(degraded(1) > 0, "{rungs} rungs: shard 1 did");
             assert!(client.in_order());
             let report = fleet.finish();
             assert!(report.drains >= 1 && report.readmits >= 1, "{report:?}");
@@ -903,11 +911,12 @@ mod tests {
         }
     }
 
-    /// Canaries probe every rung. Batch traffic on rung 1 drains shard 1
-    /// at invocation 2 of a six-invocation outage. A canary on rung 0
-    /// alone would re-admit it while rung 1's engine is still inside the
-    /// outage, and the next batch would drain it again. The shard comes
-    /// back only after rung 1 ran clean canaries, and then stays up.
+    /// Canaries probe every rung of the shard's one device. Batch traffic
+    /// on rung 1 drains shard 1 at invocation 2 of a six-invocation
+    /// outage. The first round's rung-0 canary burns the rest of the
+    /// outage and degrades, so that round resets the streak; the shard
+    /// comes back after two clean rounds, and every round ran a canary on
+    /// rung 0, which batch traffic never rides. Then it stays up.
     #[test]
     fn canaries_probe_every_rung_before_readmission() {
         let config = ladder_fleet(2, FaultPlan::outage(2, 6));
@@ -929,22 +938,23 @@ mod tests {
                 client.recv().unwrap();
             }
         };
-        let rung1 = || servers[1].collector.healths[1].snapshot();
+        let rung0_items = || servers[1].collector.report().variant_items[0];
         batch(3); // invocations 0, 1, then 2..=4 fault and fall back
         monitor.step();
         assert!(!shared.slots[1].up.load(Ordering::Relaxed), "drained");
-        let at_drain = rung1();
+        assert_eq!(rung0_items(), 0);
         let mut steps = 0;
         while !shared.slots[1].up.load(Ordering::Relaxed) {
             assert!(steps < 20, "shard 1 was never re-admitted");
             monitor.step();
             steps += 1;
         }
-        let clean = |s: OffloadStats| s.forwards - s.degraded;
-        assert!(
-            clean(rung1()) > clean(at_drain),
-            "re-admitted before rung 1 ran a clean canary"
+        assert_eq!(
+            shared.probes.load(Ordering::Relaxed),
+            3,
+            "one dirty, two clean"
         );
+        assert_eq!(rung0_items(), 3, "every round probed rung 0");
         batch(4);
         monitor.step();
         assert!(shared.slots[1].up.load(Ordering::Relaxed), "stays up");

@@ -19,7 +19,8 @@
 //! FINN engine sheds load to the CPU workers, and because the FINN worker
 //! and host workers share each rung's one engine, the fabric's
 //! bit-exactness with the reference path guarantees the answer does not
-//! depend on which backend produced it.
+//! depend on which backend produced it. A process builds each rung's
+//! [`Model`] once; every shard runs it on a `Device` of its own.
 //!
 //! [`fleet`] scales the single-server runtime out: N in-process shards
 //! behind a least-loaded router that drains a shard whose fabric
@@ -55,7 +56,7 @@ pub mod variants;
 
 pub use arrivals::{arrival_schedule, ArrivalPattern};
 pub use config::ServeConfig;
-pub use engine::ServeEngine;
+pub use engine::{Model, ServeEngine};
 pub use fleet::{Fleet, FleetClient, FleetConfig, FleetReport, HashRing, RoutePolicy};
 pub use load::{run_load, ClientOutcome, LoadConfig, LoadReport};
 pub use metrics::ServeReport;

@@ -52,8 +52,8 @@ pub struct ServeReport {
     pub wall: Duration,
     /// Deepest pending-queue occupancy observed.
     pub max_depth: usize,
-    /// Offload health counters of the FINN engines, summed across
-    /// variants (faults, retries, CPU fallbacks taken *inside* the
+    /// Offload health counters of the server's device, which every
+    /// variant runs on (faults, retries, CPU fallbacks taken *inside* the
     /// resilience layer).
     pub offload: OffloadStats,
     /// Hosted variant names, cheapest rung first (always at least one).

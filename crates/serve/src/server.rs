@@ -10,10 +10,10 @@
 //! under a sustained alert (promoting back after a clean streak).
 
 use crate::config::ServeConfig;
-use crate::engine::ServeEngine;
+use crate::engine::{Model, ServeEngine};
 use crate::json::serve_report_json;
 use crate::metrics::ServeReport;
-use crate::request::{AdmissionError, BackendKind, InferResponse, SloClass};
+use crate::request::{AdmissionError, BackendKind, InferResponse, PendingRequest, SloClass};
 use crate::scheduler::SchedState;
 use crate::telemetry::{bind_status, healthz_json, ServeCollector};
 use crate::variants::{Shift, ShiftState, SHIFT_EVERY};
@@ -23,7 +23,7 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
-use tincy_nn::NnError;
+use tincy_nn::{Device, NnError};
 use tincy_telemetry::{Collect, StatusServer};
 use tincy_trace::{static_label, TraceContext};
 use tincy_video::Image;
@@ -43,6 +43,23 @@ impl Inner {
         self.cond.notify_all();
         result
     }
+
+    /// Waits until `ready` holds, then leases up to `max` requests under
+    /// the lock that saw it hold; `None` once the server shuts down.
+    fn lease_when(
+        &self,
+        ready: fn(&SchedState) -> bool,
+        max: usize,
+    ) -> Option<Vec<PendingRequest>> {
+        let mut state = self.state.lock();
+        while !state.shutdown {
+            if ready(&state) {
+                return Some(state.lease(max));
+            }
+            self.cond.wait(&mut state);
+        }
+        None
+    }
 }
 
 /// A running inference server. Register clients with [`Self::client`],
@@ -51,6 +68,9 @@ impl Inner {
 pub struct InferenceServer {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
+    /// One engine per ladder rung: the rung's shared model on this
+    /// server's one device.
+    pub(crate) engines: Vec<Arc<ServeEngine>>,
     /// The server's state as anything outside it reads it: its own
     /// endpoint, or the fleet it is a shard of.
     pub(crate) collector: Arc<ServeCollector>,
@@ -116,26 +136,45 @@ impl ClientHandle {
     }
 }
 
+/// Builds the model of every rung of `config`'s ladder, in ladder order.
+pub(crate) fn rung_models(config: &ServeConfig) -> Result<Vec<Arc<Model>>, NnError> {
+    let ladder = config.ladder();
+    let models = ladder
+        .variants()
+        .iter()
+        .map(|variant| Model::build(&variant.model, config.score_threshold).map(Arc::new));
+    models.collect()
+}
+
 impl InferenceServer {
-    /// Builds the backends and starts the worker threads.
+    /// Builds every rung's model and starts the worker threads.
     ///
     /// # Errors
     ///
     /// Propagates network construction failures.
     pub fn start(config: ServeConfig) -> Result<Self, NnError> {
+        let models = rung_models(&config)?;
+        Self::start_on(config, &models)
+    }
+
+    /// Starts a server over already built rung models (ladder order, from
+    /// [`rung_models`] of a configuration with this one's ladder), all on
+    /// the server's one device, armed with `config.system`'s fault plan
+    /// and retry policy.
+    ///
+    /// # Errors
+    ///
+    /// Propagates endpoint bind failures.
+    pub(crate) fn start_on(config: ServeConfig, models: &[Arc<Model>]) -> Result<Self, NnError> {
         let ladder = config.ladder();
         // One engine per rung, shared by the FINN worker and every host
         // worker: a leased request runs on the engine of its admission-time
         // rung, so either path stays bit-exact per variant.
-        let engines = ladder
-            .variants()
+        let device = Device::new(config.system.fault_plan, config.system.retry);
+        let engines: Vec<_> = models
             .iter()
-            .map(|variant| {
-                ServeEngine::finn_for_model(&variant.model, &config.system, config.score_threshold)
-                    .map(Arc::new)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let finn_healths = engines.iter().map(|engine| engine.health()).collect();
+            .map(|model| Arc::new(ServeEngine::on_device(Arc::clone(model), device.clone())))
+            .collect();
 
         let inner = Arc::new(Inner {
             state: Mutex::new(SchedState::new(&config)),
@@ -143,7 +182,7 @@ impl InferenceServer {
         });
         let collector = Arc::new(ServeCollector {
             inner: Arc::clone(&inner),
-            healths: finn_healths,
+            health: device.health(),
             started: Instant::now(),
             cpu_workers: config.cpu_workers,
         });
@@ -194,6 +233,7 @@ impl InferenceServer {
         Ok(Self {
             inner,
             workers,
+            engines,
             collector,
             status,
         })
@@ -272,18 +312,8 @@ fn spawn_finn_worker(
     shard: Option<u32>,
 ) -> JoinHandle<()> {
     spawn_named(name, move || loop {
-        let requests = {
-            let mut state = inner.state.lock();
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                if state.finn_ready() {
-                    break;
-                }
-                inner.cond.wait(&mut state);
-            }
-            state.lease(max_batch)
+        let Some(requests) = inner.lease_when(SchedState::finn_ready, max_batch) else {
+            return;
         };
         let variant = requests[0].variant;
         let engine = &engines[variant];
@@ -345,23 +375,10 @@ fn spawn_cpu_worker(
     shard: Option<u32>,
 ) -> JoinHandle<()> {
     spawn_named(name, move || loop {
-        let request = {
-            let mut state = inner.state.lock();
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                if state.cpu_ready() {
-                    break;
-                }
-                inner.cond.wait(&mut state);
-            }
-            // Under the lock that saw the queue non-empty.
-            state
-                .lease(1)
-                .pop()
-                .expect("cpu_ready saw a queued request")
+        let Some(mut leased) = inner.lease_when(SchedState::cpu_ready, 1) else {
+            return;
         };
+        let request = leased.pop().expect("cpu_ready saw a queued request");
         let t0 = Instant::now();
         let detections = {
             let mut span = tincy_trace::span(static_label!("serve.cpu"))

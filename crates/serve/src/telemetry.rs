@@ -28,17 +28,17 @@ const REJECT_REASONS: [&str; 3] = ["queue-full", "client-full", "draining"];
 /// Scrape-time view of a running [`crate::InferenceServer`].
 pub(crate) struct ServeCollector {
     pub inner: Arc<Inner>,
-    /// One health handle per hosted variant's FINN engine, ladder order.
-    pub healths: Vec<OffloadHealth>,
+    /// The health of the server's device, which every rung runs on.
+    pub health: OffloadHealth,
     pub started: Instant,
     pub cpu_workers: usize,
 }
 
 impl ServeCollector {
-    /// Offload health counters summed over every variant's FINN engine:
-    /// the device's, which the fleet judges a shard by.
+    /// The device's offload health counters, which the fleet judges a
+    /// shard by.
     pub(crate) fn offload(&self) -> OffloadStats {
-        self.healths.iter().map(OffloadHealth::snapshot).sum()
+        self.health.snapshot()
     }
 
     /// The report as of now: [`crate::InferenceServer::finish`] returns

@@ -180,14 +180,14 @@ fn deployed_forward_survives_an_outage_bit_exactly() {
     let mut faulty = deploy(&net, &model(7), FaultPlan::outage(0, 10)).unwrap();
     let degraded = faulty.forward(&image).unwrap();
     assert_eq!(degraded, clean, "CPU fallback output is bit-exact");
-    let stats = offload(&mut faulty).health().snapshot();
+    let stats = offload(&mut faulty).device_mut().health().snapshot();
     assert_eq!(stats.fallbacks, 1);
     assert_eq!(stats.degraded, 1);
     assert!(stats.faults >= 1);
 
     // Fail-fast surfaces the fault instead.
     let mut strict = deploy(&net, &model(7), FaultPlan::outage(0, 10)).unwrap();
-    offload(&mut strict).set_retry_policy(RetryPolicy::fail_fast());
+    offload(&mut strict).device_mut().retry = RetryPolicy::fail_fast();
     assert!(strict.forward(&image).unwrap_err().is_retryable());
 }
 

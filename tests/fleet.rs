@@ -12,14 +12,18 @@
 //! * two runs with the same seed produce identical per-client detection
 //!   fingerprints (routing may differ; results may not), whether or not
 //!   a status endpoint is bound (the health monitor reads its shards by
-//!   function call either way).
+//!   function call either way);
+//! * shards share each rung's one model and fault apart: a fault plan
+//!   lives on its shard's devices, never in the shared build.
 
+use std::sync::Arc;
 use std::time::Duration;
 use tincy::core::SystemConfig;
 use tincy::finn::FaultPlan;
 use tincy::serve::smoke::check_smoke;
 use tincy::serve::{
-    run_load, ArrivalPattern, Fleet, FleetConfig, LoadConfig, LoadReport, SloClass,
+    run_load, ArrivalPattern, Fleet, FleetConfig, LoadConfig, LoadReport, ServeEngine,
+    ServeVariant, SloClass, VariantLadder,
 };
 use tincy::telemetry::{http_get, parse_prometheus};
 use tincy::trace::{exclusive, from_chrome_json, journeys, to_chrome_json};
@@ -240,4 +244,96 @@ fn failed_over_request_spans_both_shards_under_one_trace_id() {
         (1, 1),
         "the cross-shard journey records its single reject + failover hop"
     );
+}
+
+/// One model per rung for the whole fleet, one device per shard: a
+/// 2-shard, 2-rung fleet whose shard 1 is in a full FINN outage runs both
+/// shards on the same two builds, counts the outage on shard 1's device
+/// alone, and answers every request from either shard with the host
+/// path's detections bit for bit.
+#[test]
+fn shards_share_each_rungs_model_and_fault_on_their_own_device() {
+    let _guard = exclusive();
+    let system = SystemConfig {
+        input_size: 32,
+        seed: 5,
+        ..Default::default()
+    };
+    let at = |input_size: usize| SystemConfig {
+        input_size,
+        ..system
+    };
+    let rung = |name: &str, input_size: usize, accuracy: f64| ServeVariant {
+        name: name.to_owned(),
+        model: at(input_size).model(),
+        accuracy,
+    };
+    let mut config = FleetConfig {
+        shards: 2,
+        ..Default::default()
+    };
+    config.base.system = system;
+    config.base.score_threshold = 0.0;
+    config.base.cpu_workers = 0;
+    // Paused shards route by submission order alone: s0, s1, s0, ...
+    config.base.start_paused = true;
+    config.base.variants = Some(
+        VariantLadder::new(vec![rung("cheap", 32, 41.1), rung("accurate", 64, 48.5)]).unwrap(),
+    );
+    config.shard_faults = vec![FaultPlan::none(), FaultPlan::outage(0, u64::MAX)];
+    let references = [32, 64].map(|input_size| ServeEngine::cpu(&at(input_size), 0.0).unwrap());
+
+    let fleet = Fleet::start(config).expect("fleet starts");
+    let engines: Vec<Vec<Arc<ServeEngine>>> = (0..2).map(|s| fleet.engines(s).to_vec()).collect();
+    assert_eq!(engines[0].len(), 2);
+    for (a, b) in engines[0].iter().zip(&engines[1]) {
+        assert!(Arc::ptr_eq(a.model(), b.model()), "one build per rung");
+    }
+    let mut client = fleet.client();
+    let mut camera = SyntheticCamera::with_limit(
+        SceneConfig {
+            width: 48,
+            height: 36,
+            ..Default::default()
+        },
+        13,
+        8,
+    );
+    // Interactive homes on the cheap rung, batch on the accurate one; the
+    // pairs put both rungs on both shards.
+    let classes = [SloClass::Interactive, SloClass::Batch];
+    let mut images = Vec::new();
+    for i in 0..8 {
+        let image = camera.capture().expect("camera frame");
+        client.submit(image.clone(), classes[i / 2 % 2]).unwrap();
+        images.push(image);
+    }
+    fleet.resume_all();
+    for image in &images {
+        let response = client.collect_next().expect("every request answers");
+        let expected = references[response.variant].process_host(image).unwrap();
+        assert_eq!(
+            response.detections, expected,
+            "variant {}",
+            response.variant
+        );
+    }
+    drop(client);
+    assert_eq!(fleet.finish().routed, vec![4, 4]);
+
+    // Read once the fleet is down: canaries no longer move the counters.
+    let device = |shard: usize| {
+        let engine = &engines[shard][0];
+        let faults = engine.device().unwrap().faults().map(|f| f.stats());
+        (engine.health().snapshot(), faults)
+    };
+    let (health, faults) = device(0);
+    assert_eq!((health.forwards, health.faults), (4, 0), "{health:?}");
+    assert_eq!(faults, None, "a fault-free shard arms no injector");
+    let (health, faults) = device(1);
+    let faults = faults.expect("the outage shard's device is armed");
+    assert!(health.forwards >= 4, "{health:?}");
+    assert_eq!(health.fallbacks, health.forwards, "every frame fell back");
+    assert_eq!(faults.faults, health.faults, "one device, one count");
+    assert_eq!(faults.faults, faults.invocations, "a full outage");
 }
