@@ -5,7 +5,9 @@
 //! owns the offline FINN flow: it receives the *float* parameters of the
 //! hidden layers from the regular weight stream, binarizes the weights,
 //! folds batch normalization and activation quantization into integer
-//! threshold sets, and hands the result to the [`QnnAccelerator`].
+//! threshold sets, and hands the result to the [`QnnAccelerator`]. It folds
+//! each layer as its floats arrive and drops them: at most one layer's
+//! floats are alive, and none once the accelerator is built.
 //!
 //! All of that is the loaded model: once built, the backend only reads.
 //! The fault state of the fabric that runs it belongs to the
@@ -15,7 +17,6 @@ use crate::accel::{QnnAccelerator, QnnLayerParams};
 use crate::engine::EngineConfig;
 use tincy_nn::{
     Activation, ConvSpec, Device, NnError, OffloadBackend, OffloadConfig, PoolSpec, WeightsReader,
-    WeightsWriter,
 };
 use tincy_quant::{binarize, ThresholdSet, ThresholdsForLayer};
 use tincy_tensor::{BitTensor, Shape3, Tensor};
@@ -24,14 +25,60 @@ use tincy_tensor::{BitTensor, Shape3, Tensor};
 /// library name of Fig 4).
 pub const FABRIC_LIBRARY: &str = "fabric.so";
 
-/// Float parameters of one hidden layer in darknet stream order.
-#[derive(Debug, Clone)]
+/// Float parameters of one hidden layer in darknet stream order, alive
+/// only until the layer is folded.
 struct FloatParams {
     bias: Vec<f32>,
     gamma: Vec<f32>,
     mean: Vec<f32>,
     var: Vec<f32>,
     weights: Vec<f32>,
+}
+
+impl FloatParams {
+    /// Deterministic default parameters (mirroring Darknet's random layer
+    /// init), drawn from `next` in stream order.
+    fn draw(conv: &ConvSpec, in_channels: usize, next: &mut impl FnMut() -> f32) -> Self {
+        let fan_in = conv.size * conv.size * in_channels;
+        let std = (2.0 / fan_in as f32).sqrt();
+        Self {
+            bias: (0..conv.filters).map(|_| (next() - 0.5) * 0.1).collect(),
+            gamma: (0..conv.filters).map(|_| 0.8 + 0.4 * next()).collect(),
+            mean: (0..conv.filters).map(|_| (next() - 0.5) * 0.2).collect(),
+            var: (0..conv.filters).map(|_| 0.5 + next()).collect(),
+            weights: (0..conv.filters * fan_in)
+                .map(|_| (next() - 0.5) * 2.0 * std)
+                .collect(),
+        }
+    }
+
+    /// One layer's slice of the weight stream: bias, [gamma, mean, var],
+    /// weights.
+    fn read(
+        reader: &mut WeightsReader<'_>,
+        conv: &ConvSpec,
+        in_channels: usize,
+    ) -> Result<Self, NnError> {
+        let bias = reader.read_f32s(conv.filters)?;
+        let (gamma, mean, var) = if conv.batch_normalize {
+            (
+                reader.read_f32s(conv.filters)?,
+                reader.read_f32s(conv.filters)?,
+                reader.read_f32s(conv.filters)?,
+            )
+        } else {
+            // Never read: the fold takes the bias as the whole affine.
+            Default::default()
+        };
+        let weights = reader.read_f32s(conv.filters * conv.size * conv.size * in_channels)?;
+        Ok(Self {
+            bias,
+            gamma,
+            mean,
+            var,
+            weights,
+        })
+    }
 }
 
 /// The fabric offload backend: a QNN accelerator behind the Darknet
@@ -45,7 +92,6 @@ pub struct FabricBackend {
     /// Uniform activation quantization step of the hidden feature maps.
     act_step: f32,
     input_shape: Option<Shape3>,
-    params: Vec<FloatParams>,
     accel: Option<QnnAccelerator>,
 }
 
@@ -74,7 +120,6 @@ impl FabricBackend {
             engine_config,
             act_step,
             input_shape: None,
-            params: Vec::new(),
             accel: None,
         }
     }
@@ -95,40 +140,6 @@ impl FabricBackend {
         })
     }
 
-    /// Deterministic default parameters so a freshly initialized backend is
-    /// immediately runnable (mirroring Darknet's random layer init); a
-    /// later `load_weights` overrides them.
-    fn default_params(&self, input: Shape3) -> Vec<FloatParams> {
-        // Small xorshift generator — keeps finn free of a rand dependency.
-        let mut state: u64 = 0x9E37_79B9_7F4A_7C15 ^ (input.volume() as u64);
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            // Uniform in [0, 1).
-            (state >> 11) as f32 / (1u64 << 53) as f32
-        };
-        let shapes = self.shapes(input);
-        self.hidden
-            .iter()
-            .enumerate()
-            .map(|(i, (conv, _))| {
-                let in_c = shapes[i].channels;
-                let fan_in = conv.size * conv.size * in_c;
-                let std = (2.0 / fan_in as f32).sqrt();
-                FloatParams {
-                    bias: (0..conv.filters).map(|_| (next() - 0.5) * 0.1).collect(),
-                    gamma: (0..conv.filters).map(|_| 0.8 + 0.4 * next()).collect(),
-                    mean: (0..conv.filters).map(|_| (next() - 0.5) * 0.2).collect(),
-                    var: (0..conv.filters).map(|_| 0.5 + next()).collect(),
-                    weights: (0..conv.filters * fan_in)
-                        .map(|_| (next() - 0.5) * 2.0 * std)
-                        .collect(),
-                }
-            })
-            .collect()
-    }
-
     fn shapes(&self, input: Shape3) -> Vec<Shape3> {
         let mut shapes = vec![input];
         let mut shape = input;
@@ -142,16 +153,20 @@ impl FabricBackend {
         shapes
     }
 
-    /// Runs the offline FINN flow: binarize weights, fold BN + activation
-    /// quantization into thresholds, assemble the accelerator.
-    fn build_accelerator(&mut self) -> Result<(), NnError> {
-        let input = self.input_shape.ok_or(NnError::InvalidSpec {
-            what: "fabric backend used before init".to_owned(),
-        })?;
+    /// Runs the offline FINN flow one layer at a time: `next` supplies a
+    /// layer's float parameters (given its conv and input channel count),
+    /// which are binarized, folded with BN and activation quantization
+    /// into thresholds, and dropped before the next layer's arrive. The
+    /// accelerator is assembled from the folded layers.
+    fn build(
+        &self,
+        input: Shape3,
+        mut next: impl FnMut(&ConvSpec, usize) -> Result<FloatParams, NnError>,
+    ) -> Result<QnnAccelerator, NnError> {
         let shapes = self.shapes(input);
         let mut layers = Vec::with_capacity(self.hidden.len());
-        for (i, ((conv, pool), params)) in self.hidden.iter().zip(&self.params).enumerate() {
-            let in_shape = shapes[i];
+        for ((conv, pool), &in_shape) in self.hidden.iter().zip(&shapes) {
+            let params = next(conv, in_shape.channels)?;
             let cols = conv.geom().dot_length(in_shape.channels);
             // Per-layer mean-absolute weight scale α: folded into the
             // thresholds so the fabric operates on pure ±1 weights.
@@ -185,8 +200,7 @@ impl FabricBackend {
                 pool.map(|p| p.geom()),
             )?);
         }
-        self.accel = Some(QnnAccelerator::new(layers, self.engine_config)?);
-        Ok(())
+        QnnAccelerator::new(layers, self.engine_config)
     }
 }
 
@@ -238,55 +252,35 @@ impl OffloadBackend for FabricBackend {
         self.input_shape = Some(config.input_shape);
         // Make the backend runnable immediately (Darknet layers are usable
         // with their init-time parameters); load_weights overrides.
-        if self.params.is_empty() {
-            self.params = self.default_params(config.input_shape);
-            self.build_accelerator()?;
+        if self.accel.is_none() {
+            // Small xorshift generator — keeps finn free of a rand
+            // dependency — seeded by the input volume.
+            let mut state: u64 = 0x9E37_79B9_7F4A_7C15 ^ (config.input_shape.volume() as u64);
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                // Uniform in [0, 1).
+                (state >> 11) as f32 / (1u64 << 53) as f32
+            };
+            let accel = self.build(config.input_shape, |conv, in_channels| {
+                Ok(FloatParams::draw(conv, in_channels, &mut next))
+            })?;
+            self.accel = Some(accel);
         }
         Ok(())
     }
 
+    /// Folds the stream's layers into a new accelerator. A failed load
+    /// leaves the previous accelerator serving.
     fn load_weights(&mut self, reader: &mut WeightsReader<'_>) -> Result<(), NnError> {
         let input = self.input_shape.ok_or(NnError::InvalidSpec {
             what: "load_weights before init".to_owned(),
         })?;
-        let shapes = self.shapes(input);
-        let mut params = Vec::with_capacity(self.hidden.len());
-        for (i, (conv, _)) in self.hidden.iter().enumerate() {
-            let in_channels = shapes[i].channels;
-            let bias = reader.read_f32s(conv.filters)?;
-            let (gamma, mean, var) = if conv.batch_normalize {
-                (
-                    reader.read_f32s(conv.filters)?,
-                    reader.read_f32s(conv.filters)?,
-                    reader.read_f32s(conv.filters)?,
-                )
-            } else {
-                // Never read: the fold takes the bias as the whole affine.
-                Default::default()
-            };
-            let weights = reader.read_f32s(conv.filters * conv.size * conv.size * in_channels)?;
-            params.push(FloatParams {
-                bias,
-                gamma,
-                mean,
-                var,
-                weights,
-            });
-        }
-        self.params = params;
-        self.build_accelerator()
-    }
-
-    fn write_weights(&self, writer: &mut WeightsWriter<'_>) -> Result<(), NnError> {
-        for ((conv, _), params) in self.hidden.iter().zip(&self.params) {
-            writer.write_f32s(&params.bias)?;
-            if conv.batch_normalize {
-                writer.write_f32s(&params.gamma)?;
-                writer.write_f32s(&params.mean)?;
-                writer.write_f32s(&params.var)?;
-            }
-            writer.write_f32s(&params.weights)?;
-        }
+        let accel = self.build(input, |conv, in_channels| {
+            FloatParams::read(reader, conv, in_channels)
+        })?;
+        self.accel = Some(accel);
         Ok(())
     }
 
@@ -341,6 +335,7 @@ impl OffloadBackend for FabricBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tincy_nn::WeightsWriter;
     use tincy_quant::PrecisionConfig;
 
     fn hidden_spec() -> Vec<(ConvSpec, Option<PoolSpec>)> {
@@ -369,42 +364,61 @@ mod tests {
         }
     }
 
-    fn loaded_backend() -> FabricBackend {
+    fn initialized() -> FabricBackend {
         let mut backend = FabricBackend::new(hidden_spec(), EngineConfig::default(), 0.125);
         backend
             .init(&config(Shape3::new(4, 8, 8), Shape3::new(6, 4, 4)))
             .unwrap();
-        // Deterministic pseudo-random float parameters.
-        let count = backend.num_params();
-        let values: Vec<f32> = (0..count)
-            .map(|i| {
-                let x = ((i as u64).wrapping_mul(6364136223846793005).wrapping_add(1) >> 33) as f32
-                    / (1u64 << 31) as f32;
-                // Keep variances positive by construction below.
-                x - 0.5
-            })
-            .collect();
-        let mut fixed = values;
-        // Overwrite the BN variance slots with positive values: layout is
-        // bias, gamma, mean, var, weights per layer.
-        let mut offset = 0;
-        for (conv, _) in hidden_spec() {
-            offset += 2 * conv.filters; // bias + gamma
-            offset += conv.filters; // mean
-            for v in &mut fixed[offset..offset + conv.filters] {
-                *v = v.abs() + 0.5;
-            }
-            offset += conv.filters;
-            let in_c = if conv.filters == 8 { 4 } else { 8 };
-            offset += conv.filters * 9 * in_c;
-        }
+        backend
+    }
+
+    /// A weight stream in the backend's layout — per layer bias, gamma,
+    /// mean, var, weights — of deterministic pseudo-random values, one
+    /// stream per `salt`. Variances are positive by construction.
+    fn weight_stream(salt: u64) -> Vec<u8> {
+        let mut state = 0x2545_F491_4F6C_DD1D ^ salt;
+        let mut values = |n: usize, low: f32| -> Vec<f32> {
+            (0..n)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    low + (state >> 40) as f32 / (1u64 << 24) as f32
+                })
+                .collect()
+        };
         let mut buf = Vec::new();
-        WeightsWriter::new(&mut buf).write_f32s(&fixed).unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
+        let mut writer = WeightsWriter::new(&mut buf);
+        let mut in_channels = 4;
+        for (conv, _) in hidden_spec() {
+            let f = conv.filters;
+            let weights = f * conv.size * conv.size * in_channels;
+            for slice in [
+                values(f, -0.5),
+                values(f, 0.5),
+                values(f, -0.5),
+                values(f, 0.5),
+                values(weights, -0.5),
+            ] {
+                writer.write_f32s(&slice).unwrap();
+            }
+            in_channels = f;
+        }
+        buf
+    }
+
+    fn load(backend: &mut FabricBackend, mut stream: &[u8]) -> Result<(), NnError> {
+        backend.load_weights(&mut WeightsReader::new(&mut stream))
+    }
+
+    fn loaded_backend_with(salt: u64) -> FabricBackend {
+        let mut backend = initialized();
+        load(&mut backend, &weight_stream(salt)).unwrap();
         backend
-            .load_weights(&mut WeightsReader::new(&mut cursor))
-            .unwrap();
-        backend
+    }
+
+    fn loaded_backend() -> FabricBackend {
+        loaded_backend_with(0)
     }
 
     #[test]
@@ -507,14 +521,7 @@ mod tests {
 
         // Reload weights (rebuilds the accelerator) — the device keeps its
         // position, so invocation 1 is past the outage and succeeds.
-        let mut buf = Vec::new();
-        backend
-            .write_weights(&mut WeightsWriter::new(&mut buf))
-            .unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        backend
-            .load_weights(&mut WeightsReader::new(&mut cursor))
-            .unwrap();
+        load(&mut backend, &weight_stream(1)).unwrap();
         assert!(backend.forward_batch(&inputs, &device).is_ok());
         let stats = device.faults().unwrap().stats();
         assert_eq!((stats.invocations, stats.faults), (2, 1));
@@ -547,27 +554,42 @@ mod tests {
 
     #[test]
     fn weight_stream_round_trip() {
-        let backend = loaded_backend();
-        let mut buf = Vec::new();
-        backend
-            .write_weights(&mut WeightsWriter::new(&mut buf))
-            .unwrap();
-        assert_eq!(buf.len(), backend.num_params() * 4);
-
-        let mut other = FabricBackend::new(hidden_spec(), EngineConfig::default(), 0.125);
-        other
-            .init(&config(Shape3::new(4, 8, 8), Shape3::new(6, 4, 4)))
-            .unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        other
-            .load_weights(&mut WeightsReader::new(&mut cursor))
-            .unwrap();
-
         let input = Tensor::from_fn(Shape3::new(4, 8, 8), |c, y, x| {
             ((c * 2 + y + x) % 8) as f32 * 0.125
         });
-        let out_a = backend.forward(&input).unwrap();
-        let out_b = other.forward(&input).unwrap();
-        assert_eq!(out_a, out_b);
+        let stream = weight_stream(0);
+        let mut fresh = initialized();
+        let defaults = fresh.forward(&input).unwrap();
+        let mut bytes = stream.as_slice();
+        let mut reader = WeightsReader::new(&mut bytes);
+        fresh.load_weights(&mut reader).unwrap();
+        assert_eq!(reader.read_count(), fresh.num_params());
+        assert!(bytes.is_empty(), "the layout consumes the whole stream");
+        let out = fresh.forward(&input).unwrap();
+        assert_ne!(out, defaults, "the stream replaces the init-time draw");
+
+        // The same stream over other loaded weights: identical inference.
+        let mut reloaded = loaded_backend_with(1);
+        assert_ne!(reloaded.forward(&input).unwrap(), out);
+        load(&mut reloaded, &stream).unwrap();
+        assert_eq!(reloaded.forward(&input).unwrap(), out);
+    }
+
+    #[test]
+    fn a_failed_load_leaves_the_previous_accelerator_serving() {
+        let mut backend = loaded_backend();
+        let input = Tensor::from_fn(Shape3::new(4, 8, 8), |c, y, x| {
+            ((3 * c + y + 2 * x) % 8) as f32 * 0.125
+        });
+        let hw = backend.forward(&input).unwrap();
+        let sw = backend.forward_reference(&input).unwrap();
+        // Another stream, cut short in its last layer's weights: the
+        // first layer folds before the read fails.
+        assert_ne!(loaded_backend_with(1).forward(&input).unwrap(), hw);
+        let mut cut = weight_stream(1);
+        cut.truncate(cut.len() - 4);
+        assert!(matches!(load(&mut backend, &cut), Err(NnError::Io(_))));
+        assert_eq!(backend.forward(&input).unwrap(), hw);
+        assert_eq!(backend.forward_reference(&input).unwrap(), sw);
     }
 }

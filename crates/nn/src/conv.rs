@@ -21,7 +21,7 @@ use crate::batchnorm::BatchNorm;
 use crate::error::NnError;
 use crate::layer::Layer;
 use crate::spec::ConvSpec;
-use crate::weights::{WeightsReader, WeightsWriter};
+use crate::weights::WeightsReader;
 use rand::rngs::StdRng;
 use rand::Rng;
 use tincy_quant::{binarize, AffineQuant, WeightPrecision};
@@ -293,17 +293,6 @@ impl Layer for ConvLayer {
         Ok(())
     }
 
-    fn write_weights(&self, writer: &mut WeightsWriter<'_>) -> Result<(), NnError> {
-        writer.write_f32s(&self.bias)?;
-        if let Some(bn) = &self.batchnorm {
-            writer.write_f32s(&bn.gamma)?;
-            writer.write_f32s(&bn.mean)?;
-            writer.write_f32s(&bn.var)?;
-        }
-        writer.write_f32s(self.weights.as_slice())?;
-        Ok(())
-    }
-
     fn num_params(&self) -> usize {
         self.weights.as_slice().len()
             + self.bias.len()
@@ -318,6 +307,7 @@ impl Layer for ConvLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weights::WeightsWriter;
     use rand::SeedableRng;
     use tincy_quant::PrecisionConfig;
 
@@ -407,19 +397,39 @@ mod tests {
     fn weights_round_trip_through_stream() {
         let mut rng = StdRng::seed_from_u64(4);
         let shape = Shape3::new(3, 6, 6);
-        let layer =
+        let mut layer =
             ConvLayer::new(shape, &spec(4, 3, 1, PrecisionConfig::FLOAT), &mut rng).unwrap();
+        // Every slot of the stream non-trivial (β is not in the stream).
+        let weights = layer.weights().clone();
+        layer
+            .set_parameters(weights, vec![0.1, -0.2, 0.05, 0.3])
+            .unwrap();
+        layer
+            .set_batchnorm(BatchNorm {
+                gamma: vec![1.3, 0.7, 2.0, 0.5],
+                beta: vec![0.0; 4],
+                mean: vec![0.5, -0.5, 0.2, 0.0],
+                var: vec![1.5, 0.8, 2.2, 1.0],
+                eps: 1e-5,
+            })
+            .unwrap();
         let x = input(&mut rng, shape);
         let before = layer.forward(&x).unwrap();
 
+        // The layer's parameters in stream order: bias, gamma, mean, var,
+        // weights.
+        let bn = layer.batchnorm().expect("the spec normalizes");
         let mut buf = Vec::new();
-        layer
-            .write_weights(&mut WeightsWriter::new(&mut buf))
-            .unwrap();
+        let mut writer = WeightsWriter::new(&mut buf);
+        for slice in [layer.bias(), &bn.gamma, &bn.mean, &bn.var] {
+            writer.write_f32s(slice).unwrap();
+        }
+        writer.write_f32s(layer.weights().as_slice()).unwrap();
         assert_eq!(buf.len(), layer.num_params() * 4);
 
         let mut other =
             ConvLayer::new(shape, &spec(4, 3, 1, PrecisionConfig::FLOAT), &mut rng).unwrap();
+        assert!(before.max_abs_diff(&other.forward(&x).unwrap()) > 1e-3);
         let mut cursor = std::io::Cursor::new(buf);
         other
             .load_weights(&mut WeightsReader::new(&mut cursor))

@@ -10,7 +10,7 @@
 //! built network can serve many threads at once.
 
 use crate::error::NnError;
-use crate::weights::{WeightsReader, WeightsWriter};
+use crate::weights::WeightsReader;
 use tincy_tensor::{Shape3, Tensor};
 
 /// A network layer.
@@ -47,15 +47,6 @@ pub trait Layer: Send + Sync {
     ///
     /// Returns [`NnError::Io`] if the stream is exhausted.
     fn load_weights(&mut self, _reader: &mut WeightsReader<'_>) -> Result<(), NnError> {
-        Ok(())
-    }
-
-    /// Writes this layer's parameters to the sequential weight stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Io`] on sink failure.
-    fn write_weights(&self, _writer: &mut WeightsWriter<'_>) -> Result<(), NnError> {
         Ok(())
     }
 

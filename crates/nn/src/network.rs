@@ -14,10 +14,10 @@ use crate::maxpool::MaxPoolLayer;
 use crate::offload::{BackendRegistry, OffloadLayer};
 use crate::region::{RegionLayer, RegionParams};
 use crate::spec::{LayerSpec, NetworkSpec};
-use crate::weights::{WeightsReader, WeightsWriter};
+use crate::weights::WeightsReader;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{Read, Write};
+use std::io::Read;
 use tincy_tensor::{Shape3, Tensor};
 
 /// A feed-forward network: an ordered stack of [`Layer`]s.
@@ -127,21 +127,6 @@ impl Network {
         self.layers.iter().map(|l| l.ops_per_frame()).sum()
     }
 
-    /// Serializes all parameters (with header) to a byte sink.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Io`] on sink failure. A `&mut` reference to any
-    /// [`Write`] implementor can be passed.
-    pub fn save_weights<W: Write>(&self, mut sink: W) -> Result<(), NnError> {
-        let mut writer = WeightsWriter::new(&mut sink);
-        writer.write_header(self.num_params() as u64)?;
-        for layer in &self.layers {
-            layer.write_weights(&mut writer)?;
-        }
-        Ok(())
-    }
-
     /// Loads all parameters (with header) from a byte source.
     ///
     /// # Errors
@@ -173,6 +158,8 @@ mod tests {
     use super::*;
     use crate::activation::Activation;
     use crate::spec::{ConvSpec, PoolSpec};
+    use crate::weights::WeightsWriter;
+    use rand::Rng;
     use tincy_quant::PrecisionConfig;
 
     fn small_spec() -> NetworkSpec {
@@ -231,29 +218,57 @@ mod tests {
         assert!(a.forward(&x).unwrap().max_abs_diff(&c.forward(&x).unwrap()) > 0.0);
     }
 
-    #[test]
-    fn weights_save_load_round_trip() {
-        let reg = BackendRegistry::new();
-        let a = Network::from_spec(&small_spec(), &reg, 1).unwrap();
+    /// A weight file for a spec's conv layers in the stream layout —
+    /// the header, then per conv bias, [gamma, mean, var,] weights — of
+    /// pseudo-random values, the variances positive.
+    fn weight_file(spec: &NetworkSpec) -> Vec<u8> {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut values = |n: usize, low: f32| -> Vec<f32> {
+            (0..n).map(|_| low + rng.gen_range(0.0f32..1.0)).collect()
+        };
         let mut buf = Vec::new();
-        a.save_weights(&mut buf).unwrap();
+        let mut writer = WeightsWriter::new(&mut buf);
+        writer.write_header(spec.num_params() as u64).unwrap();
+        for (i, layer) in spec.layers.iter().enumerate() {
+            let LayerSpec::Conv(conv) = layer else {
+                continue;
+            };
+            writer.write_f32s(&values(conv.filters, -0.5)).unwrap();
+            if conv.batch_normalize {
+                for low in [0.5, -0.5, 0.5] {
+                    writer.write_f32s(&values(conv.filters, low)).unwrap();
+                }
+            }
+            let fan_in = conv.geom().dot_length(spec.input_shape_of(i).channels);
+            writer
+                .write_f32s(&values(conv.filters * fan_in, -0.5))
+                .unwrap();
+        }
+        buf
+    }
 
+    #[test]
+    fn weights_load_alike_into_differently_seeded_networks() {
+        let reg = BackendRegistry::new();
+        let mut a = Network::from_spec(&small_spec(), &reg, 1).unwrap();
         let mut b = Network::from_spec(&small_spec(), &reg, 999).unwrap();
-        b.load_weights(std::io::Cursor::new(buf)).unwrap();
-
         let x = Tensor::filled(Shape3::new(3, 8, 8), 0.7f32);
+        assert!(a.forward(&x).unwrap().max_abs_diff(&b.forward(&x).unwrap()) > 1e-3);
+
+        let file = weight_file(&small_spec());
+        a.load_weights(file.as_slice()).unwrap();
+        b.load_weights(file.as_slice()).unwrap();
         assert!(a.forward(&x).unwrap().max_abs_diff(&b.forward(&x).unwrap()) < 1e-7);
     }
 
     #[test]
     fn truncated_weight_file_rejected() {
         let reg = BackendRegistry::new();
-        let a = Network::from_spec(&small_spec(), &reg, 1).unwrap();
-        let mut buf = Vec::new();
-        a.save_weights(&mut buf).unwrap();
-        buf.truncate(buf.len() - 8);
+        let mut file = weight_file(&small_spec());
         let mut b = Network::from_spec(&small_spec(), &reg, 2).unwrap();
-        assert!(b.load_weights(std::io::Cursor::new(buf)).is_err());
+        assert!(b.load_weights(file.as_slice()).is_ok());
+        file.truncate(file.len() - 8);
+        assert!(b.load_weights(file.as_slice()).is_err());
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! preserved.
 //!
 //! The life cycle splits the layer in two. `init` and `load_weights` build
-//! the backend: weights, packed cores, thresholds — immutable once loaded,
-//! so any number of fabrics can run one copy. `forward` runs on a
+//! the backend: a fabric backend folds the floats into packed cores and
+//! thresholds as they arrive and keeps only those — immutable once
+//! loaded, so any number of fabrics can run one copy. Parameters flow one
+//! way: a backend loads them and never writes them back. `forward` runs on a
 //! [`Device`]: the one fabric's fault injector, health counters and retry
 //! policy, the only state a forward changes.
 
@@ -24,7 +26,7 @@ use crate::error::NnError;
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::layer::Layer;
 use crate::spec::OffloadSpec;
-use crate::weights::{WeightsReader, WeightsWriter};
+use crate::weights::WeightsReader;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,10 +54,11 @@ pub struct OffloadConfig {
 ///
 /// `init` ↦ [`OffloadBackend::init`], `load_weights` ↦
 /// [`OffloadBackend::load_weights`], `forward` ↦
-/// [`OffloadBackend::forward`], `destroy` ↦ [`Drop`]. As with [`Layer`],
-/// only the first two mutate: the forward hooks take `&self`, and what a
-/// forward changes lives on the [`Device`] it runs on, so one backend can
-/// serve concurrent workers and devices.
+/// [`OffloadBackend::forward`], `destroy` ↦ [`Drop`]; there is no save
+/// hook, so a backend may keep only what it derives from its floats. As
+/// with [`Layer`], only the first two mutate: the forward hooks take
+/// `&self`, and what a forward changes lives on the [`Device`] it runs
+/// on, so one backend can serve concurrent workers and devices.
 pub trait OffloadBackend: Send + Sync {
     /// The library identifier this backend serves.
     fn library_name(&self) -> &str;
@@ -78,13 +81,6 @@ pub trait OffloadBackend: Send + Sync {
     ///
     /// Returns [`NnError::Io`] if the stream is exhausted.
     fn load_weights(&mut self, reader: &mut WeightsReader<'_>) -> Result<(), NnError>;
-
-    /// Writes the backend's parameters to the sequential weight stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Io`] on sink failure.
-    fn write_weights(&self, writer: &mut WeightsWriter<'_>) -> Result<(), NnError>;
 
     /// Computes the output feature map for one input feature map.
     ///
@@ -567,10 +563,6 @@ impl Layer for OffloadLayer {
         self.backend.load_weights(reader)
     }
 
-    fn write_weights(&self, writer: &mut WeightsWriter<'_>) -> Result<(), NnError> {
-        self.backend.write_weights(writer)
-    }
-
     fn num_params(&self) -> usize {
         self.backend.num_params()
     }
@@ -631,9 +623,6 @@ pub(crate) mod test_support {
             self.factor = reader.read_f32s(1)?[0];
             Ok(())
         }
-        fn write_weights(&self, writer: &mut WeightsWriter<'_>) -> Result<(), NnError> {
-            writer.write_f32s(&[self.factor])
-        }
         fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
             Ok(input.map(|v| v * self.factor))
         }
@@ -689,9 +678,6 @@ pub(crate) mod test_support {
         }
         fn load_weights(&mut self, reader: &mut WeightsReader<'_>) -> Result<(), NnError> {
             self.inner.load_weights(reader)
-        }
-        fn write_weights(&self, writer: &mut WeightsWriter<'_>) -> Result<(), NnError> {
-            self.inner.write_weights(writer)
         }
         fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
             if self.hw_calls.fetch_add(1, Ordering::Relaxed) < self.faults {

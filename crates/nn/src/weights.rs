@@ -1,9 +1,10 @@
-//! Sequential weight-file I/O in Darknet's style.
+//! Sequential weight files in Darknet's style.
 //!
 //! Darknet weight files are a short header followed by the raw `f32`
 //! parameters of every layer in network order; each layer consumes its slice
 //! of the stream during `load_weights` (Fig 3). We use the same sequential
-//! contract with a versioned little-endian format.
+//! contract with a versioned little-endian format. Layers only read it:
+//! the stream is written by training through [`WeightsWriter`].
 
 use crate::error::NnError;
 use std::io::{Read, Write};
@@ -90,17 +91,13 @@ impl std::fmt::Debug for WeightsReader<'_> {
 /// Sequential writer of `f32` parameters.
 pub struct WeightsWriter<'a> {
     inner: &'a mut dyn Write,
-    written_count: usize,
 }
 
 impl<'a> WeightsWriter<'a> {
     /// Wraps a byte sink. A `&mut` reference to any [`Write`] implementor
     /// can be passed.
     pub fn new(inner: &'a mut dyn Write) -> Self {
-        Self {
-            inner,
-            written_count: 0,
-        }
+        Self { inner }
     }
 
     /// Writes the stream header with the declared parameter count.
@@ -124,21 +121,13 @@ impl<'a> WeightsWriter<'a> {
         for v in values {
             self.inner.write_all(&v.to_le_bytes())?;
         }
-        self.written_count += values.len();
         Ok(())
-    }
-
-    /// Number of parameters written so far (excluding the header).
-    pub fn written_count(&self) -> usize {
-        self.written_count
     }
 }
 
 impl std::fmt::Debug for WeightsWriter<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WeightsWriter")
-            .field("written_count", &self.written_count)
-            .finish()
+        f.debug_struct("WeightsWriter").finish_non_exhaustive()
     }
 }
 
@@ -154,7 +143,6 @@ mod tests {
             w.write_header(5).unwrap();
             w.write_f32s(&[1.0, -2.5, 3.25]).unwrap();
             w.write_f32s(&[0.0, f32::MAX]).unwrap();
-            assert_eq!(w.written_count(), 5);
         }
         let mut cursor = std::io::Cursor::new(buf);
         let mut r = WeightsReader::new(&mut cursor);

@@ -3,8 +3,9 @@
 //! the way the paper's Fig 3 life cycle splits a layer.
 //!
 //! A [`Model`] is what `init` and `load_weights` build: the CPU prologue
-//! and epilogue layers, the offload core (float master weights, packed
-//! cores, threshold tables), the decoder and the input size. It only reads
+//! and epilogue layers, the offload core (packed cores and threshold
+//! tables, folded from the hidden layers' floats as they streamed in;
+//! the floats are not kept), the decoder and the input size. It only reads
 //! on a forward, so a process builds each rung once and every worker of a
 //! server, and every shard of a fleet, runs that one copy through an
 //! `Arc`. A [`Device`] is what `forward` changes: one fabric's fault

@@ -179,10 +179,9 @@ pub(crate) struct SchedState {
     pub draining: bool,
     /// Drained and joined: workers exit.
     pub shutdown: bool,
-    /// Latest degradation verdict of each variant's FINN engine health
-    /// probe; while any is set, host workers engage unconditionally to
-    /// shed load.
-    pub finn_degraded: Vec<bool>,
+    /// Verdict of the latest FINN batch on the server's one device: while
+    /// it is degraded, host workers engage unconditionally to shed load.
+    pub finn_degraded: bool,
     /// The counters and distributions of the run so far; [`Self::report`]
     /// completes them with the fields only the server knows.
     pub metrics: ServeReport,
@@ -222,7 +221,7 @@ impl SchedState {
             paused: config.start_paused,
             draining: false,
             shutdown: false,
-            finn_degraded: vec![false; ladder.len()],
+            finn_degraded: false,
             metrics: ServeReport::new(ladder.names(), homes),
             drift: config
                 .drift_threshold
@@ -477,14 +476,14 @@ impl SchedState {
     }
 
     /// Whether a host worker may take work right now: only under queue
-    /// pressure (deeper than [`CPU_ENGAGE_DEPTH`]), FINN degradation (of
-    /// any variant's engine) or drain — otherwise frames are left to
-    /// accumulate into FINN micro-batches.
+    /// pressure (deeper than [`CPU_ENGAGE_DEPTH`]), a degraded latest FINN
+    /// batch or drain — otherwise frames are left to accumulate into FINN
+    /// micro-batches.
     pub(crate) fn cpu_ready(&self) -> bool {
         let depth = self.depth();
         !self.paused
             && depth > 0
-            && (depth > CPU_ENGAGE_DEPTH || self.finn_degraded.iter().any(|d| *d) || self.draining)
+            && (depth > CPU_ENGAGE_DEPTH || self.finn_degraded || self.draining)
     }
 
     /// Leases up to `max` earliest-deadline requests of one rung: the rung
@@ -593,10 +592,12 @@ impl SchedState {
     /// Records one FINN invocation of the given batch size against the
     /// serving variant, charging the variant's per-invocation weight
     /// swaps (one per weighted fabric layer — the amortization batching
-    /// exists to win). A batch that needed no retry or fallback feeds the
-    /// variant's FINN drift tracker its per-item time; a `degraded` one
-    /// already burns the SLO budget, and a timed-out attempt is not a
-    /// slower fabric.
+    /// exists to win). The batch's `degraded` verdict, whatever its rung,
+    /// is the device's: it engages the host workers or, clean, lets
+    /// micro-batches form again. A batch that needed no retry or fallback
+    /// feeds the variant's FINN drift tracker its per-item time; a
+    /// `degraded` one already burns the SLO budget, and a timed-out
+    /// attempt is not a slower fabric.
     pub(crate) fn record_finn_batch(
         &mut self,
         variant: usize,
@@ -609,6 +610,7 @@ impl SchedState {
         }
         self.metrics.batch_hist[batch] += 1;
         self.metrics.finn_batches += 1;
+        self.finn_degraded = degraded;
         self.metrics.finn_busy += busy;
         self.metrics.weight_swaps[variant] += self.swap_layers[variant];
         let per_item = busy.as_secs_f64() / batch as f64;
@@ -763,9 +765,9 @@ mod tests {
         state.submit(a, SloClass::Standard, frame(), None).unwrap();
         assert!(state.finn_ready());
         assert!(!state.cpu_ready(), "below the engage depth, CPU holds off");
-        state.finn_degraded[0] = true;
+        state.finn_degraded = true;
         assert!(state.cpu_ready(), "degraded FINN sheds load to the CPU");
-        state.finn_degraded[0] = false;
+        state.finn_degraded = false;
         state.draining = true;
         assert!(state.cpu_ready(), "drain engages every backend");
         state.draining = false;
@@ -822,6 +824,24 @@ mod tests {
     /// Queued requests per rung.
     fn queued(state: &SchedState) -> Vec<usize> {
         state.pending.iter().map(BinaryHeap::len).collect()
+    }
+
+    #[test]
+    fn the_latest_batch_on_any_rung_sets_the_one_degraded_flag() {
+        // One device serves every rung: a degraded batch on rung 2 engages
+        // the host workers, and a clean batch on rung 0 releases them
+        // though no traffic rides rung 2 again.
+        let mut state = SchedState::new(&ladder_config());
+        let (tx, _rx) = channel();
+        let c = state.register_client(tx);
+        state
+            .submit(c, SloClass::Interactive, frame(), None)
+            .unwrap();
+        assert!(!state.cpu_ready(), "depth 1, nothing degraded");
+        state.record_finn_batch(2, 1, Duration::from_millis(4), true);
+        assert!(state.cpu_ready(), "a degraded batch engages the host");
+        state.record_finn_batch(0, 1, Duration::from_millis(4), false);
+        assert!(!state.cpu_ready(), "a clean batch releases it");
     }
 
     #[test]

@@ -344,7 +344,6 @@ fn spawn_finn_worker(
         // signals recovery and lets micro-batches form again.
         let degraded_now = health.snapshot().degraded > before.degraded;
         inner.mutate(|state| {
-            state.finn_degraded[variant] = degraded_now;
             state.record_finn_batch(variant, batch, busy, degraded_now);
             for (request, dets) in requests.into_iter().zip(detections) {
                 // A batch that needed the resilience machinery served

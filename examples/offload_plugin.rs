@@ -66,10 +66,6 @@ impl OffloadBackend for ChannelGainBackend {
         Ok(())
     }
 
-    fn write_weights(&self, writer: &mut WeightsWriter<'_>) -> Result<(), NnError> {
-        writer.write_f32s(&self.gains)
-    }
-
     fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
         let spatial = self.shape.spatial();
         let mut out = input.clone();

@@ -3,13 +3,16 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use tincy::core::build::{fabric_registry, hidden_stack, offloaded_spec, SystemConfig};
-use tincy::finn::FabricBackend;
+use tincy::core::build::{
+    fabric_registry, hidden_stack, offloaded_spec, offloaded_spec_of, SystemConfig,
+};
+use tincy::core::deploy;
+use tincy::finn::{FabricBackend, FaultPlan};
 use tincy::nn::{
     BackendRegistry, LayerSpec, Network, NnError, OffloadBackend, OffloadConfig, WeightsReader,
-    WeightsWriter,
 };
 use tincy::tensor::{Shape3, Tensor};
+use tincy::train::TrainNet;
 
 #[test]
 fn unknown_backend_fails_at_build_time() {
@@ -23,17 +26,20 @@ fn unknown_backend_fails_at_build_time() {
 
 #[test]
 fn fabric_backend_reports_hidden_ops_after_load() {
-    let config = SystemConfig {
+    let model = SystemConfig {
         input_size: 32,
         seed: 4,
         ..Default::default()
-    };
-    let registry = fabric_registry(&config);
-    let spec = offloaded_spec(32);
-    let mut net = Network::from_spec(&spec, &registry, 4).expect("buildable");
-    let mut weights = Vec::new();
-    net.save_weights(&mut weights).expect("weights serialize");
-    net.load_weights(weights.as_slice()).expect("weights load");
+    }
+    .model();
+    // Trained weights reach the fabric through `load_weights`.
+    let net = deploy(
+        &TrainNet::from_model(&model).expect("trainable"),
+        &model,
+        FaultPlan::none(),
+    )
+    .expect("deploys");
+    let spec = offloaded_spec_of(&model);
     let LayerSpec::Offload(offload) = &spec.layers[1] else {
         panic!("layer 1 of the offloaded spec is not the offload layer");
     };
@@ -60,9 +66,6 @@ fn destroy_hook_runs_on_drop() {
             Ok(())
         }
         fn load_weights(&mut self, _: &mut WeightsReader<'_>) -> Result<(), NnError> {
-            Ok(())
-        }
-        fn write_weights(&self, _: &mut WeightsWriter<'_>) -> Result<(), NnError> {
             Ok(())
         }
         fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
