@@ -47,8 +47,9 @@ fn replay(stage_ms: &[(String, f64)], scale: f64, frames: u64, workers: usize) -
 fn main() {
     println!("Experiment 1: stage-replay of the optimized Tincy budget (Fig 5)");
     // §III-F: "the image acquisition was split into the camera access and
-    // the internal scaling of the captured frame" — finer stages reduce
-    // the neighbour-serialization of the Fig 6 single-slot handshake.
+    // the internal scaling of the captured frame". The paper's finer
+    // stages shorten the stage its hold-while-processing handshake
+    // serializes with its neighbours; the replay keeps the paper's list.
     let stage_ms: Vec<(String, f64)> = table3()
         .into_iter()
         .filter(|row| row.optimized_ms > 0.0)

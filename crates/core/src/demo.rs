@@ -90,9 +90,13 @@ pub fn run_demo(config: &DemoConfig) -> Result<DemoReport, NnError> {
             frame
         })];
     // Stages #2..N+1: one stage per network layer; the offload stage is a
-    // tight wrapper around the accelerated computation (§III-F). The
-    // offload layer gets the system's retry/fallback policy, and its
-    // health counter doubles as the pipeline's degradation probe.
+    // tight wrapper around the accelerated computation (§III-F). Each
+    // stage frees its input slot as it takes the frame, so the first conv
+    // and the drawing run beside the offload stage, not ahead of it: given
+    // workers enough for the other stages, the offload stage alone sets
+    // the frame period. The offload layer gets the system's retry/fallback
+    // policy, and its health counter doubles as the pipeline's degradation
+    // probe.
     let mut layers = net.into_layers();
     let health = arm_offload_resilience(&mut layers, &config.system);
     for (i, layer) in layers.into_iter().enumerate() {

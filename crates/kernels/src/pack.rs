@@ -261,8 +261,21 @@ pub fn max_pool_levels(input: &Tensor<u8>, geom: PoolGeom) -> Tensor<u8> {
                     *best = (*best).max(v);
                 }
             }
-            // Then the window's columns, one tap at a time across the row;
-            // taps past the right border drop out with their outputs.
+            // Then the window's columns. A 2×2/2 window pools a pair of
+            // columns, whole pairs at a time so the pass vectorizes; an odd
+            // last column pools alone.
+            if (geom.size, geom.stride) == (2, 2) {
+                let (pairs, last) = column_max.as_chunks::<2>();
+                for (best, &[a, b]) in dst_row.iter_mut().zip(pairs) {
+                    *best = a.max(b);
+                }
+                if let [v] = *last {
+                    dst_row[pairs.len()] = v;
+                }
+                continue;
+            }
+            // Any other window one tap at a time across the row; taps past
+            // the right border drop out with their outputs.
             for tap in 0..geom.size.min(width) {
                 let taps = column_max[tap..].iter().step_by(geom.stride);
                 for (best, &v) in dst_row.iter_mut().zip(taps) {
@@ -393,6 +406,40 @@ mod tests {
         let same = max_pool_levels(&input, PoolGeom::new(2, 1));
         assert_eq!(same.shape(), input.shape());
         assert_eq!(same.channel(0), &[2, 3, 3, 3, 4, 4, 3, 4, 4]);
+    }
+
+    #[test]
+    fn pool_matches_a_naive_window_max() {
+        // Odd and even widths, through the pairwise 2×2/2 path and the
+        // tap-at-a-time path; ragged windows truncate at the border.
+        let mut rng = StdRng::seed_from_u64(15);
+        for geom in [PoolGeom::new(2, 2), PoolGeom::new(2, 1)] {
+            for width in 1..=9 {
+                let shape = Shape3::new(3, 5, width);
+                let input = random_input(&mut rng, shape, 3);
+                let got = max_pool_levels(&input, geom);
+                let out = geom.output_shape(shape);
+                assert_eq!(got.shape(), out);
+                for c in 0..shape.channels {
+                    for oy in 0..out.height {
+                        for ox in 0..out.width {
+                            let (y0, x0) = (oy * geom.stride, ox * geom.stride);
+                            let ys = y0..(y0 + geom.size).min(shape.height);
+                            let window = ys.flat_map(|y| {
+                                let xs = x0..(x0 + geom.size).min(width);
+                                xs.map(move |x| (y, x))
+                            });
+                            let naive = window.map(|(y, x)| input.at(c, y, x)).max();
+                            assert_eq!(
+                                Some(got.at(c, oy, ox)),
+                                naive,
+                                "{geom:?} width {width}: ({c},{oy},{ox})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

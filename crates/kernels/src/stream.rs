@@ -11,14 +11,14 @@
 //!    Within a plane every (zero-padded) input row is one dense bit stream,
 //!    pixel after pixel, `C` bits each — so the `K` taps a window covers in
 //!    one input row are `K·C` *adjacent* bits. Where `C` is a multiple of
-//!    eight the stream is written a byte at a time: eight channels of
-//!    eight pixels are turned into the pixels' eight channel-bytes by
-//!    shifts and ORs on whole words.
+//!    eight the stream is written a byte at a time, at any map width: eight
+//!    channels of up to eight pixels are turned into the pixels'
+//!    channel-bytes by shifts and ORs on whole words.
 //! 2. **Window assembly.** A footprint plane is `K` such runs, one per
-//!    kernel row, appended with shifts and ORs into a reused tile buffer
-//!    (whole-word moves when `C` is a multiple of 64). The plane popcounts
-//!    `Σ_p 2^p·pc(plane_p)` are folded once per pixel while the words are
-//!    hot.
+//!    kernel row, gathered a whole word at a time into a reused tile
+//!    buffer, or copied as slices where `C` is a multiple of 64. The plane
+//!    popcounts `Σ_p 2^p·pc(plane_p)` are folded once per pixel while the
+//!    words are hot.
 //! 3. **MVTU.** Per weight row, first every pixel of the tile gets its
 //!    accumulator — the three planes ANDed against the same weight word
 //!    and counted together,
@@ -180,38 +180,48 @@ impl LineBuffer {
         // Eight channels of eight pixels at a time where the channel count
         // allows: the eight bits a pixel gets from the group are one whole
         // byte of its row, so the group is stored, not OR-ed in bit by bit.
-        let (grouped_channels, grouped) = match channels % 8 {
-            0 => (channels, width / 8 * 8),
-            _ => (0, 0),
+        // A row's last pixels (all of a map narrower than eight) are one
+        // more group, read zero-padded.
+        let grouped_channels = if channels.is_multiple_of(8) {
+            channels
+        } else {
+            0
         };
+        let whole = width / 8 * 8;
         let level_row = |c: usize, y: usize| &input.channel(c)[y * width..][..width];
         for y in 0..height {
             let row = (y + pad) * row_bytes;
             for c0 in (0..grouped_channels).step_by(8) {
                 let group: [&[u8]; 8] = std::array::from_fn(|i| level_row(c0 + i, y));
-                for x0 in (0..grouped).step_by(8) {
-                    let mut planes = [0u64; PLANES];
-                    for (i, levels) in group.iter().enumerate() {
-                        let eight = levels[x0..x0 + 8].try_into().expect("eight pixels");
-                        let levels = u64::from_le_bytes(eight);
-                        seen |= levels;
-                        for (p, plane) in planes.iter_mut().enumerate() {
-                            // Byte `j`, bit `i`: plane `p` of pixel `x0 + j`
-                            // in channel `c0 + i`.
-                            *plane |= (levels >> p & 0x0101_0101_0101_0101) << i;
-                        }
-                    }
+                for x0 in (0..whole).step_by(8) {
+                    let read = |levels: &[u8]| {
+                        u64::from_le_bytes(levels[x0..x0 + 8].try_into().expect("eight pixels"))
+                    };
+                    let planes = channel_bytes(&group, read, &mut seen);
                     for (p, plane) in planes.iter().enumerate() {
-                        for (j, &byte) in plane.to_le_bytes().iter().enumerate() {
+                        for (j, &byte) in plane.iter().enumerate() {
                             let at = ((x0 + j + pad) * channels + c0) / 8;
                             bytes[p * plane_bytes + row + at] = byte;
                         }
                     }
                 }
+                if whole < width {
+                    let read = |levels: &[u8]| {
+                        let tail = levels[whole..].iter().rev();
+                        tail.fold(0, |word, &level| word << 8 | u64::from(level))
+                    };
+                    let planes = channel_bytes(&group, read, &mut seen);
+                    for (p, plane) in planes.iter().enumerate() {
+                        for (j, &byte) in plane[..width - whole].iter().enumerate() {
+                            let at = ((whole + j + pad) * channels + c0) / 8;
+                            bytes[p * plane_bytes + row + at] = byte;
+                        }
+                    }
+                }
             }
-            // Whatever is left, a bit at a time.
-            for c in 0..channels {
-                for (x, &level) in level_row(c, y).iter().enumerate().skip(grouped) {
+            // Any other channel count, a bit at a time.
+            for c in grouped_channels..channels {
+                for (x, &level) in level_row(c, y).iter().enumerate() {
                     seen |= u64::from(level);
                     let bit = (x + pad) * channels + c;
                     for plane in 0..PLANES {
@@ -246,28 +256,66 @@ impl LineBuffer {
     }
 }
 
-/// ORs `len` bits of `src` starting at bit `src_bit` into `dst` starting at
-/// bit `dst_bit`. `dst` must be clear there, and `src` must extend one word
-/// past the last bit read.
+/// The channel-bytes of eight channels at eight pixels, per plane: byte
+/// `j`, bit `i` of plane `p` is plane `p` of pixel `j` in channel `i`.
+/// `read` gives a channel's eight levels as one little-endian word; every
+/// level read is OR-ed into `seen`.
 #[inline(always)]
-fn append_bits(dst: &mut [u64], dst_bit: usize, src: &[u64], src_bit: usize, len: usize) {
-    let mut done = 0;
-    while done < len {
-        let take = (len - done).min(WORD_BITS);
-        let (word, shift) = ((src_bit + done) / WORD_BITS, (src_bit + done) % WORD_BITS);
-        let mut chunk = src[word] >> shift;
-        if shift != 0 {
-            chunk |= src[word + 1] << (WORD_BITS - shift);
+fn channel_bytes(
+    group: &[&[u8]; 8],
+    read: impl Fn(&[u8]) -> u64,
+    seen: &mut u64,
+) -> [[u8; 8]; PLANES] {
+    let mut planes = [0u64; PLANES];
+    for (i, levels) in group.iter().enumerate() {
+        let levels = read(levels);
+        *seen |= levels;
+        for (p, plane) in planes.iter_mut().enumerate() {
+            *plane |= (levels >> p & 0x0101_0101_0101_0101) << i;
         }
-        if take < WORD_BITS {
-            chunk &= (1u64 << take) - 1;
+    }
+    planes.map(u64::to_le_bytes)
+}
+
+/// Concatenates runs of `len` bits, each read from bit `src_bit` of one
+/// row, into `dst` a whole word at a time. Every word of `dst` is written,
+/// so it needs no clearing: it must be exactly as long as the runs' bits
+/// rounded up to a word. Each row must extend one word past the last bit
+/// read.
+#[inline(always)]
+fn gather_runs<'a>(
+    dst: &mut [u64],
+    rows: impl Iterator<Item = &'a [u64]>,
+    src_bit: usize,
+    len: usize,
+) {
+    let (mut word, mut fill, mut at) = (0u64, 0, 0);
+    for src in rows {
+        let mut done = 0;
+        while done < len {
+            let take = (len - done).min(WORD_BITS);
+            let (i, shift) = ((src_bit + done) / WORD_BITS, (src_bit + done) % WORD_BITS);
+            // Two words funnel-shifted; the split shift is zero, not an
+            // overflow, when the run starts on a word boundary.
+            let mut chunk = src[i] >> shift | (src[i + 1] << 1) << (WORD_BITS - 1 - shift);
+            if take < WORD_BITS {
+                chunk &= (1u64 << take) - 1;
+            }
+            word |= chunk << fill;
+            if fill + take >= WORD_BITS {
+                dst[at] = word;
+                at += 1;
+                // The chunk's bits that did not fit; none when `fill` is 0.
+                word = (chunk >> 1) >> (WORD_BITS - 1 - fill);
+                fill = fill + take - WORD_BITS;
+            } else {
+                fill += take;
+            }
+            done += take;
         }
-        let (word, shift) = ((dst_bit + done) / WORD_BITS, (dst_bit + done) % WORD_BITS);
-        dst[word] |= chunk << shift;
-        if shift + take > WORD_BITS {
-            dst[word + 1] |= chunk >> (WORD_BITS - shift);
-        }
-        done += take;
+    }
+    if fill > 0 {
+        dst[at] = word;
     }
 }
 
@@ -313,24 +361,42 @@ impl PopcountKernel for StreamedConv<'_> {
         let mut out = Tensor::zeros(conv_shape);
         let levels = out.as_mut_slice();
 
+        // Where the channel count is a multiple of 64, every run starts and
+        // ends on a word boundary: the footprint is `K` slices of the line
+        // buffer, copied whole.
+        let aligned = channels.is_multiple_of(WORD_BITS);
+        let run_words = run_bits / WORD_BITS;
+
         for start in (0..pixels).step_by(tile_pixels) {
             let count = tile_pixels.min(pixels - start);
-            tile[..count * footprint_words].fill(0);
             let footprints = tile.chunks_exact_mut(footprint_words);
-            for (i, (footprint, sum)) in footprints.zip(&mut plane_sums[..count]).enumerate() {
-                let (oy, ox) = ((start + i) / out_width, (start + i) % out_width);
+            let (mut oy, mut ox) = (start / out_width, start % out_width);
+            for (footprint, sum) in footprints.zip(&mut plane_sums[..count]) {
                 let src_bit = ox * geom.stride * channels;
                 *sum = 0;
                 for (p, plane) in footprint.chunks_exact_mut(words).enumerate() {
-                    for ky in 0..geom.kernel {
-                        let line = lines.row(p, oy * geom.stride + ky);
-                        append_bits(plane, ky * run_bits, line, src_bit, run_bits);
+                    let rows = (0..geom.kernel).map(|ky| lines.row(p, oy * geom.stride + ky));
+                    if aligned {
+                        for (run, line) in plane.chunks_exact_mut(run_words).zip(rows) {
+                            run.copy_from_slice(&line[src_bit / WORD_BITS..][..run_words]);
+                        }
+                    } else {
+                        // The first hidden layer's runs are 16 channels
+                        // by three taps: one chunk each, given as a constant.
+                        match run_bits {
+                            48 => gather_runs(plane, rows, src_bit, 48),
+                            _ => gather_runs(plane, rows, src_bit, run_bits),
+                        }
                     }
                     let mut ones = 0;
                     for &word in plane.iter() {
                         ones += word.count_ones();
                     }
                     *sum += (ones as i32) << p;
+                }
+                ox += 1;
+                if ox == out_width {
+                    (oy, ox) = (oy + 1, 0);
                 }
             }
             for r in 0..weights.rows() {
@@ -363,37 +429,43 @@ mod tests {
     use tincy_quant::ThresholdSet;
 
     #[test]
-    fn append_bits_copies_unaligned_runs() {
-        // 200 source bits with a recognisable pattern, plus the spare word.
-        let src = [
+    fn gather_runs_concatenates_unaligned_runs() {
+        // Rows of 200 source bits with a recognisable pattern, plus the
+        // spare word; every row differs.
+        let pattern = [
             0x0123_4567_89ab_cdef_u64,
             0xfedc_ba98_7654_3210,
             0xdead_beef_cafe_f00d,
             0x0000_0000_0000_00a5,
             0,
         ];
+        let rows: Vec<[u64; 5]> = (0..3u32)
+            .map(|r| pattern.map(|word| word.rotate_left(7 * r)))
+            .collect();
         let bit = |words: &[u64], i: usize| words[i / 64] >> (i % 64) & 1;
-        for (dst_bit, src_bit, len) in [
-            (0, 0, 64),
-            (0, 0, 128),
-            (5, 61, 70),
-            (63, 1, 130),
-            (64, 64, 64),
-            (100, 3, 1),
-            (17, 130, 70),
+        for (runs, src_bit, len) in [
+            (1usize, 0usize, 64usize),
+            (2, 0, 128),
+            (3, 61, 70),
+            (2, 1, 130),
+            (3, 64, 64),
+            (3, 3, 1),
+            (3, 16, 48),
+            (3, 130, 70),
         ] {
-            let mut dst = [0u64; 4];
-            append_bits(&mut dst, dst_bit, &src, src_bit, len);
-            for i in 0..256 {
-                let expected = if (dst_bit..dst_bit + len).contains(&i) {
-                    bit(&src, src_bit + i - dst_bit)
+            let mut dst = vec![!0u64; (runs * len).div_ceil(64)];
+            let sources = rows[..runs].iter().map(|row| &row[..]);
+            gather_runs(&mut dst, sources, src_bit, len);
+            for i in 0..dst.len() * 64 {
+                let expected = if i < runs * len {
+                    bit(&rows[i / len], src_bit + i % len)
                 } else {
                     0
                 };
                 assert_eq!(
                     bit(&dst, i),
                     expected,
-                    "dst {dst_bit} src {src_bit} len {len} bit {i}"
+                    "{runs} runs of {len} from {src_bit}: bit {i}"
                 );
             }
         }
@@ -456,8 +528,14 @@ mod tests {
 
     #[test]
     fn line_buffer_groups_of_eight_channels_match_the_bitwise_layout() {
-        // Whole groups, a pixel tail, and channels past the first word.
-        for (channels, height, width, pad) in [(8, 2, 8, 0), (16, 3, 19, 1), (72, 2, 9, 1)] {
+        // Whole groups, a pixel tail, channels past the first word, and the
+        // product's maps narrower than one group, with and without padding.
+        let narrow = [128, 256, 512]
+            .into_iter()
+            .flat_map(|c| [1, 2, 4].map(|w| (c, w)))
+            .flat_map(|(c, w)| [0, 1].map(|pad| (c, 2, w, pad)));
+        let wide = [(8, 2, 8, 0), (16, 3, 19, 1), (72, 2, 9, 1)];
+        for (channels, height, width, pad) in wide.into_iter().chain(narrow) {
             let shape = tincy_tensor::Shape3::new(channels, height, width);
             let input = Tensor::from_fn(shape, |c, y, x| ((c * 5 + y * 3 + x * 7) % 8) as u8);
             let lines = LineBuffer::pack(&input, pad, 3);

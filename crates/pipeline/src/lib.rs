@@ -5,8 +5,10 @@
 //! worker threads — one worker thread allocated for each available core":
 //!
 //! * every stage owns a single-slot output buffer with the *free → avail →
-//!   free* handshake of Fig 6 (the slot is reserved while its consumer is
-//!   processing, so a producer can never overwrite data in use),
+//!   free* handshake of Fig 6; a consumer takes the frame out when it
+//!   starts, which frees the slot, so the producer may refill it while the
+//!   consumer runs (the C original holds the slot until its consumer
+//!   finishes because the consumer reads the buffer in place),
 //! * "a new job is selected for execution by finding the **most mature** one
 //!   whose output buffer is free and whose input buffer has data pending",
 //! * "the video source and sink are always available and free,
@@ -30,5 +32,4 @@ mod stage;
 pub use latency::DurationStats;
 pub use metrics::{PipelineMetrics, StageStats};
 pub use pipeline_impl::Pipeline;
-pub use slot::Slot;
 pub use stage::{FnStage, Stage};

@@ -4,28 +4,29 @@
 ///
 /// The life cycle follows Fig 6: a producer may start only when the slot is
 /// [`Slot::Free`]; finishing makes it [`Slot::Avail`]. A consumer may start
-/// only on [`Slot::Avail`]; while it processes, the slot is
-/// [`Slot::InUse`] — neither free for the producer nor available to another
-/// consumer — and the consumer's *finish* returns it to [`Slot::Free`].
+/// only on [`Slot::Avail`], and starting takes the frame out, which frees
+/// the slot at once. The C original reserves the slot until its consumer
+/// finishes because the consumer reads the buffer in place; here the frame
+/// moves out, so nothing is left behind for the producer to overwrite and
+/// it may refill the slot while the consumer still runs. Order still holds:
+/// each stage runs one frame at a time and each slot holds one frame.
 #[derive(Debug, Default)]
-pub enum Slot<T> {
+pub(crate) enum Slot<T> {
     /// Empty and writable by the producer.
     #[default]
     Free,
     /// Holds a finished frame awaiting its consumer.
     Avail(T),
-    /// Reserved while the consumer processes the taken frame.
-    InUse,
 }
 
 impl<T> Slot<T> {
     /// Whether a producer may deposit into this slot.
-    pub fn is_free(&self) -> bool {
+    pub(crate) fn is_free(&self) -> bool {
         matches!(self, Slot::Free)
     }
 
     /// Whether a consumer may start on this slot.
-    pub fn is_avail(&self) -> bool {
+    pub(crate) fn is_avail(&self) -> bool {
         matches!(self, Slot::Avail(_))
     }
 
@@ -35,7 +36,7 @@ impl<T> Slot<T> {
     ///
     /// Panics if the slot is not free — the scheduler must never violate
     /// the handshake.
-    pub fn deposit(&mut self, frame: T) {
+    pub(crate) fn deposit(&mut self, frame: T) {
         assert!(
             self.is_free(),
             "deposit into a non-free slot violates the Fig 6 handshake"
@@ -43,32 +44,16 @@ impl<T> Slot<T> {
         *self = Slot::Avail(frame);
     }
 
-    /// Consumer start: takes the frame, leaving the slot reserved.
+    /// Consumer start: takes the frame, leaving the slot free.
     ///
     /// # Panics
     ///
     /// Panics if the slot holds no frame.
-    pub fn start_consume(&mut self) -> T {
-        match std::mem::replace(self, Slot::InUse) {
+    pub(crate) fn take(&mut self) -> T {
+        match std::mem::take(self) {
             Slot::Avail(frame) => frame,
-            other => {
-                *self = other;
-                panic!("start_consume on a slot without data violates the Fig 6 handshake");
-            }
+            Slot::Free => panic!("take from a free slot violates the Fig 6 handshake"),
         }
-    }
-
-    /// Consumer finish: releases the reservation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot was not reserved.
-    pub fn finish_consume(&mut self) {
-        assert!(
-            matches!(self, Slot::InUse),
-            "finish_consume on a non-reserved slot violates the Fig 6 handshake"
-        );
-        *self = Slot::Free;
     }
 }
 
@@ -83,15 +68,9 @@ mod tests {
         slot.deposit(7);
         assert!(slot.is_avail());
         assert!(!slot.is_free());
-        let frame = slot.start_consume();
-        assert_eq!(frame, 7);
-        assert!(
-            !slot.is_free(),
-            "slot stays reserved while the consumer runs"
-        );
+        assert_eq!(slot.take(), 7);
+        assert!(slot.is_free(), "taking the frame frees the slot");
         assert!(!slot.is_avail());
-        slot.finish_consume();
-        assert!(slot.is_free());
     }
 
     #[test]
@@ -106,26 +85,20 @@ mod tests {
     #[should_panic(expected = "handshake")]
     fn consume_empty_panics() {
         let mut slot: Slot<u32> = Slot::Free;
-        slot.start_consume();
+        slot.take();
     }
 
     #[test]
-    #[should_panic(expected = "handshake")]
-    fn finish_without_start_panics() {
-        let mut slot: Slot<u32> = Slot::Free;
-        slot.finish_consume();
-    }
-
-    #[test]
-    fn producer_blocked_while_consumer_processes() {
-        // The property that prevents frame overtaking: during InUse the
-        // producer still sees a non-free slot.
+    fn producer_deposits_while_consumer_processes() {
+        // The consumer owns the frame it took, so the producer may refill
+        // the slot before that consumer finishes; the slot still holds one
+        // frame at a time.
         let mut slot = Slot::Free;
         slot.deposit("frame 1");
-        let _taken = slot.start_consume();
-        assert!(!slot.is_free());
-        slot.finish_consume();
+        let taken = slot.take();
         slot.deposit("frame 2");
+        assert_eq!(taken, "frame 1", "the consumer's frame is untouched");
         assert!(slot.is_avail());
+        assert_eq!(slot.take(), "frame 2");
     }
 }

@@ -467,7 +467,15 @@ fn cmd_demo(args: &Args) -> CliResult {
     }
     write_artifacts(args, || {
         json::demo_metrics_json(&report.metrics, &report.offload)
-    })
+    })?;
+    if !report.metrics.in_order || report.metrics.frames != config.frames {
+        return Err(format!(
+            "broken stream: {} of {} frames delivered, in order: {}",
+            report.metrics.frames, config.frames, report.metrics.in_order
+        )
+        .into());
+    }
+    Ok(())
 }
 
 /// The `input` positional: the side of the square network input, which
