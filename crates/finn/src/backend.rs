@@ -96,10 +96,19 @@ pub struct FabricBackend {
 }
 
 /// The fabric interface's 3-bit quantizer: a float feature map to
-/// activation levels.
+/// activation levels, `(v / step).round().clamp(0.0, 7.0)`. The level is
+/// counted as the half-integers `v / step` reaches, which is that rounding
+/// (half away from zero) exactly, NaN included, in vector compares: the
+/// x86-64 baseline has no rounding instruction, so `round` was a `roundf`
+/// call per element.
 #[inline]
 fn to_levels(input: &Tensor<f32>, step: f32) -> Tensor<u8> {
-    input.map(|v| (v / step).round().clamp(0.0, 7.0) as u8)
+    input.map(|v| {
+        let level = v / step;
+        (0..7u8)
+            .map(|k| u8::from(level >= f32::from(k) + 0.5))
+            .sum()
+    })
 }
 
 /// Activation levels back to the float feature map they stand for.
@@ -475,6 +484,24 @@ mod tests {
             .init(&config(Shape3::new(4, 8, 8), Shape3::new(6, 4, 4)))
             .unwrap();
         assert_eq!(other.forward(&input).unwrap(), out);
+    }
+
+    #[test]
+    fn to_levels_rounds_half_away_from_zero_and_clamps() {
+        let mut values: Vec<f32> = (-40..=80).map(|i| i as f32 * 0.0625).collect();
+        for k in 0..8 {
+            let half = k as f32 + 0.5;
+            values.extend([half, half.next_down(), half.next_up()]);
+        }
+        values.extend([-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::MAX]);
+        let input = Tensor::from_vec(Shape3::new(1, 1, values.len()), values.clone()).unwrap();
+        for step in [0.125, 0.3, 1.0] {
+            let levels = to_levels(&input, step);
+            for (&v, &level) in values.iter().zip(levels.as_slice()) {
+                let expected = (v / step).round().clamp(0.0, 7.0) as u8;
+                assert_eq!(level, expected, "{v} at step {step}");
+            }
+        }
     }
 
     #[test]
