@@ -182,10 +182,9 @@ impl LineBuffer {
         // byte of its row, so the group is stored, not OR-ed in bit by bit.
         // A row's last pixels (all of a map narrower than eight) are one
         // more group, read zero-padded.
-        let grouped_channels = if channels.is_multiple_of(8) {
-            channels
-        } else {
-            0
+        let grouped_channels = match channels % 8 {
+            0 => channels,
+            _ => 0,
         };
         let whole = width / 8 * 8;
         let level_row = |c: usize, y: usize| &input.channel(c)[y * width..][..width];
