@@ -9,13 +9,13 @@
 //! ```
 
 use tincy_finn::engine::EngineConfig;
-use tincy_finn::{FpgaDevice, ResourceEstimate};
-use tincy_perf::fabric::{fabric_hidden_ms, tincy_hidden_dims};
+use tincy_finn::FpgaDevice;
+use tincy_perf::calib::LEAN_INPUT_CONV_MS;
+use tincy_perf::fabric::tincy_cost;
+use tincy_perf::{StageBudget, StageId};
 
 fn main() {
     let device = FpgaDevice::XCZU3EG;
-    let dims = tincy_hidden_dims();
-    let max_bits = dims.iter().map(|d| d.weight_bits()).max().unwrap_or(0);
 
     println!(
         "MVTU folding ablation on {} (Tincy hidden stack)",
@@ -40,11 +40,15 @@ fn main() {
             simd,
             ..Default::default()
         };
-        let ms = fabric_hidden_ms(&dims, config, 128);
-        let est = ResourceEstimate::conv_engine(pe, simd, max_bits, 8);
+        let cost = tincy_cost(config);
+        let (ms, est) = (cost.ms(), cost.engine);
         // Net frame rate with this fabric, everything else optimized
-        // (input conv 35 ms, §III-E budget), sequential.
-        let frame_ms = 40.0 + 35.0 + ms + 30.0 + 15.0 + 25.0;
+        // (the §III-E input conv, no first pool), sequential.
+        let frame_ms = StageBudget::paper_baseline()
+            .with(StageId::InputLayer, LEAN_INPUT_CONV_MS)
+            .with(StageId::MaxPool, 0.0)
+            .with(StageId::HiddenLayers, ms)
+            .total_ms();
         println!(
             "{:>5} {:>5}  {:>12.1}  {:>9.2}  {:>8}  {:>8}  {:>6}",
             pe,

@@ -11,7 +11,7 @@
 
 use tincy_finn::engine::EngineConfig;
 use tincy_finn::{FpgaDevice, ResourceEstimate};
-use tincy_perf::fabric::tincy_hidden_dims;
+use tincy_perf::fabric::tincy_cost;
 use tincy_perf::speedup_ladder;
 
 fn main() {
@@ -42,14 +42,7 @@ fn main() {
     println!();
     println!("Resource feasibility on the XCZU3EG (§III-A):");
     let device = FpgaDevice::XCZU3EG;
-    let config = EngineConfig::default();
-    let dims = tincy_hidden_dims();
-    let max_bits = dims.iter().map(|d| d.weight_bits()).max().unwrap_or(0);
-    let single = ResourceEstimate::conv_engine(config.pe, config.simd, max_bits, 8);
-    let dataflow = dims
-        .iter()
-        .map(|d| ResourceEstimate::conv_engine(config.pe, config.simd, d.weight_bits(), 8))
-        .fold(ResourceEstimate::default(), |a, b| a + b);
+    let cost = tincy_cost(EngineConfig::default());
     let report = |name: &str, est: &ResourceEstimate| {
         let (l, b, _) = device.utilization(est);
         println!(
@@ -61,6 +54,6 @@ fn main() {
             if device.fits(est) { "yes" } else { "NO" }
         );
     };
-    report("single time-multiplexed engine", &single);
-    report("per-layer dataflow pipeline", &dataflow);
+    report("single time-multiplexed engine", &cost.engine);
+    report("per-layer dataflow pipeline", &cost.dataflow);
 }

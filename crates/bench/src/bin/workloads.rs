@@ -9,23 +9,24 @@
 
 use tincy_bench::in_millions;
 use tincy_core::topology::{cnv6, mlp4, tincy_yolo};
-use tincy_finn::engine::{conv_layer_cycles, EngineConfig};
-use tincy_nn::{LayerSpec, NetworkSpec};
+use tincy_finn::engine::EngineConfig;
+use tincy_finn::SegmentCost;
+use tincy_nn::{Activation, LayerSpec, NetworkSpec, OffloadSegment};
 use tincy_tensor::Shape3;
 
-/// Models accelerator cycles for every binary conv layer of a spec.
-fn fabric_cycles(spec: &NetworkSpec, config: EngineConfig) -> u64 {
-    let mut shape = spec.input;
-    let mut total = 0;
-    for layer in &spec.layers {
+/// Compute cycles of a workload's offload segment. MLP-4 and CNV-6 end
+/// in a `Linear` classifier that FINN runs without thresholds; this
+/// engine always thresholds, so those layers are priced as ReLU layers
+/// (the cycles depend on the shapes only).
+fn segment_cycles(spec: &NetworkSpec, config: EngineConfig) -> u64 {
+    let mut spec = spec.clone();
+    for layer in &mut spec.layers {
         if let LayerSpec::Conv(c) = layer {
-            if c.precision.offloadable() {
-                total += conv_layer_cycles(shape, c.filters, c.geom(), config);
-            }
+            c.activation = Activation::Relu;
         }
-        shape = layer.output_shape(shape);
     }
-    total
+    let segment = OffloadSegment::of(&spec).expect("one binary run");
+    SegmentCost::of(&segment, config).compute_cycles()
 }
 
 fn main() {
@@ -46,7 +47,7 @@ fn main() {
     let tincy = tincy_yolo();
     for (name, spec) in [("MLP-4", &mlp), ("CNV-6", &cnv), ("Tincy YOLO", &tincy)] {
         let (reduced, _) = spec.dot_product_ops();
-        let cycles = fabric_cycles(spec, config);
+        let cycles = segment_cycles(spec, config);
         let fps = config.clock_hz as f64 / cycles as f64;
         println!(
             "{:<12}  {:>12}  {:>12}  {:>10.1}",

@@ -6,13 +6,12 @@
 //! section backed by `library=fabric.so` — here, the FINN simulator of
 //! `tincy-finn`.
 
-use crate::topology::tincy_yolo_with_input;
 use tincy_finn::{EngineConfig, FabricBackend, FaultPlan, FABRIC_LIBRARY};
+use tincy_nn::topology::tincy_yolo_with_input;
 use tincy_nn::{
-    BackendRegistry, ConvSpec, Device, FoldSpec, LayerSpec, ModelSpec, Network, NetworkSpec,
-    NnError, OffloadHealth, OffloadSpec, PoolSpec, RegionLayer, RegionParams, RetryPolicy,
+    BackendRegistry, Device, FoldSpec, LayerSpec, ModelSpec, Network, NetworkSpec, NnError,
+    OffloadHealth, OffloadSegment, OffloadSpec, RegionLayer, RegionParams, RetryPolicy,
 };
-use tincy_tensor::Shape3;
 
 /// Configuration of the assembled system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,43 +71,13 @@ pub fn tincy_model(input_size: usize) -> ModelSpec {
     }
 }
 
-/// Extracts the offloaded hidden stack from a topology: every offloadable
-/// conv layer paired with its immediately following pool.
-pub fn hidden_stack_of(spec: &NetworkSpec) -> Vec<(ConvSpec, Option<PoolSpec>)> {
-    let mut stack = Vec::new();
-    let mut iter = spec.layers.iter().peekable();
-    while let Some(layer) = iter.next() {
-        if let LayerSpec::Conv(c) = layer {
-            if !c.precision.offloadable() {
-                continue;
-            }
-            let pool = match iter.peek() {
-                Some(LayerSpec::MaxPool(p)) => {
-                    iter.next();
-                    Some(*p)
-                }
-                _ => None,
-            };
-            stack.push((c.clone(), pool));
-        }
-    }
-    stack
-}
-
-/// [`hidden_stack_of`] for the Tincy topology at an input size.
-pub fn hidden_stack(input_size: usize) -> Vec<(ConvSpec, Option<PoolSpec>)> {
-    hidden_stack_of(&tincy_yolo_with_input(input_size))
-}
-
-/// Builds a backend registry for a design point, with the fabric
-/// simulator registered under [`FABRIC_LIBRARY`].
-pub fn fabric_registry_for(model: &ModelSpec) -> BackendRegistry {
+/// A backend registry with the fabric simulator of a design point's
+/// segment registered under [`FABRIC_LIBRARY`].
+fn registry_for(model: &ModelSpec, segment: OffloadSegment) -> BackendRegistry {
     let mut registry = BackendRegistry::new();
-    let hidden = hidden_stack_of(&model.network);
-    let engine = model.fold;
-    let act_step = model.act_step;
+    let (engine, act_step) = (model.fold, model.act_step);
     registry.register(FABRIC_LIBRARY, move || {
-        Box::new(FabricBackend::new(hidden.clone(), engine, act_step))
+        Box::new(FabricBackend::new(segment.clone(), engine, act_step))
     });
     registry
 }
@@ -116,25 +85,22 @@ pub fn fabric_registry_for(model: &ModelSpec) -> BackendRegistry {
 /// Builds a backend registry with the fabric simulator registered under
 /// [`FABRIC_LIBRARY`].
 pub fn fabric_registry(config: &SystemConfig) -> BackendRegistry {
-    fabric_registry_for(&config.model())
+    let model = config.model();
+    let segment = OffloadSegment::of(&model.network).expect("Tincy YOLO has one ReLU segment");
+    registry_for(&model, segment)
 }
 
-/// Applies the system's retry policy to every offload layer in a layer
-/// stack and returns a combined health handle (the handle of the *last*
-/// offload layer; the paper's system has exactly one).
+/// Applies the system's retry policy to the offload layer of a layer
+/// stack (a network has at most one: its [`OffloadSegment`]) and returns
+/// its health handle.
 pub fn arm_offload_resilience(
     layers: &mut [Box<dyn tincy_nn::Layer>],
     config: &SystemConfig,
 ) -> Option<OffloadHealth> {
-    let mut health = None;
-    for layer in layers {
-        if let Some(offload) = layer.as_offload_mut() {
-            let device = offload.device_mut();
-            device.retry = config.retry;
-            health = Some(device.health());
-        }
-    }
-    health
+    let at = offload_position(layers)?;
+    let device = layers[at].as_offload_mut()?.device_mut();
+    device.retry = config.retry;
+    Some(device.health())
 }
 
 /// Position of the offload layer in a layer stack, so integrations that
@@ -148,54 +114,32 @@ pub fn offload_position(layers: &mut [Box<dyn tincy_nn::Layer>]) -> Option<usize
 }
 
 /// The offloaded network specification for a design point (Fig 4): CPU
-/// layers stay as-is and the contiguous offloadable run — each
-/// offloadable conv with its riding pool — collapses into one
+/// layers stay as-is and the model's [`OffloadSegment`] collapses into one
 /// `[offload]` section. A model without offloadable layers comes back
 /// unchanged (a pure CPU deployment).
+///
+/// # Panics
+///
+/// Panics on a model whose segment [`OffloadSegment::of`] refuses;
+/// [`build_network_for`] returns that error instead.
 pub fn offloaded_spec_of(model: &ModelSpec) -> NetworkSpec {
-    let full = &model.network;
-    let mut spec = NetworkSpec::new(full.input);
-    let mut shape = full.input;
-    let mut segment_ops = 0u64;
-    let mut in_segment = false;
-    let mut iter = full.layers.iter().peekable();
-    while let Some(layer) = iter.next() {
-        let offloadable = matches!(layer, LayerSpec::Conv(c) if c.precision.offloadable());
-        if offloadable {
-            in_segment = true;
-            segment_ops += layer.ops(shape);
-            shape = layer.output_shape(shape);
-            // The immediately following pool rides on the engine's
-            // in-stream pool unit (hidden_stack_of pairs them the same
-            // way).
-            if let Some(LayerSpec::MaxPool(p)) = iter.peek() {
-                shape = p.geom().output_shape(shape);
-                iter.next();
-            }
-            continue;
-        }
-        if in_segment {
-            in_segment = false;
-            spec.layers.push(offload_layer(model, shape, segment_ops));
-            segment_ops = 0;
-        }
-        spec.layers.push(layer.clone());
-        shape = layer.output_shape(shape);
-    }
-    if in_segment {
-        spec.layers.push(offload_layer(model, shape, segment_ops));
-    }
-    spec
+    let segment = OffloadSegment::of(&model.network).unwrap_or_else(|e| panic!("{e}"));
+    collapse(model, &segment)
 }
 
-fn offload_layer(model: &ModelSpec, out_shape: Shape3, ops: u64) -> LayerSpec {
-    LayerSpec::Offload(OffloadSpec {
-        library: FABRIC_LIBRARY.to_owned(),
-        network: format!("{}-offload.json", model.name),
-        weights: format!("binparam-{}/", model.name),
-        out_shape,
-        ops,
-    })
+fn collapse(model: &ModelSpec, segment: &OffloadSegment) -> NetworkSpec {
+    let mut spec = model.network.clone();
+    if let Some(out_shape) = segment.out_shape() {
+        let offload = LayerSpec::Offload(OffloadSpec {
+            library: FABRIC_LIBRARY.to_owned(),
+            network: format!("{}-offload.json", model.name),
+            weights: format!("binparam-{}/", model.name),
+            out_shape,
+            ops: segment.ops(),
+        });
+        spec.layers.splice(segment.span(), [offload]);
+    }
+    spec
 }
 
 /// The offloaded Tincy network specification at an input size.
@@ -210,10 +154,12 @@ pub fn offloaded_spec(input_size: usize) -> NetworkSpec {
 ///
 /// # Errors
 ///
-/// Propagates network construction failures.
+/// Returns [`NnError::InvalidSpec`] for a segment [`OffloadSegment::of`]
+/// refuses, and propagates network construction failures.
 pub fn build_network_for(model: &ModelSpec, fault_plan: FaultPlan) -> Result<Network, NnError> {
-    let registry = fabric_registry_for(model);
-    let mut net = Network::from_spec(&offloaded_spec_of(model), &registry, model.seed)?;
+    let segment = OffloadSegment::of(&model.network)?;
+    let spec = collapse(model, &segment);
+    let mut net = Network::from_spec(&spec, &registry_for(model, segment), model.seed)?;
     for i in 0..net.num_layers() {
         if let Some(offload) = net.layer_mut(i).as_offload_mut() {
             *offload.device_mut() = Device::new(fault_plan, RetryPolicy::default());
@@ -261,18 +207,7 @@ pub fn region_decoder(spec: &NetworkSpec) -> Result<RegionLayer, NnError> {
 mod tests {
     use super::*;
     use tincy_nn::Layer as _;
-
-    #[test]
-    fn hidden_stack_covers_seven_convs_and_five_pools() {
-        let stack = hidden_stack(416);
-        assert_eq!(stack.len(), 7);
-        let pools = stack.iter().filter(|(_, p)| p.is_some()).count();
-        assert_eq!(pools, 5);
-        assert_eq!(stack[0].0.filters, 64);
-        assert_eq!(stack[6].0.filters, 512);
-        // The stride-1 pool rides with the fifth hidden conv.
-        assert_eq!(stack[4].1, Some(PoolSpec { size: 2, stride: 1 }));
-    }
+    use tincy_tensor::Shape3;
 
     #[test]
     fn offloaded_spec_preserves_total_ops() {
@@ -361,6 +296,18 @@ mod tests {
             let err = build_network_for(&model, FaultPlan::none()).unwrap_err();
             assert!(matches!(err, NnError::InvalidSpec { .. }), "{err}");
         }
+    }
+
+    #[test]
+    fn a_model_with_two_offloadable_runs_is_refused_naming_the_runs() {
+        // A hidden conv back on the CPU splits the fabric's run in two.
+        let mut model = tincy_model(32);
+        if let LayerSpec::Conv(c) = &mut model.network.layers[5] {
+            c.precision = tincy_quant::PrecisionConfig::W8A8;
+        }
+        let err = build_network_for(&model, FaultPlan::none()).unwrap_err();
+        assert!(matches!(err, NnError::InvalidSpec { .. }), "{err}");
+        assert!(err.to_string().contains("[1..5, 7..13]"), "{err}");
     }
 
     #[test]

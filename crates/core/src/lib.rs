@@ -23,13 +23,14 @@
 pub mod build;
 pub mod demo;
 pub mod deploy;
-pub mod topology;
 pub mod variants;
+
+pub use tincy_nn::topology;
 
 pub use build::{
     arm_offload_resilience, build_network_for, build_offloaded_network, fabric_registry,
-    fabric_registry_for, hidden_stack, hidden_stack_of, offload_position, offloaded_spec,
-    offloaded_spec_of, region_decoder, tincy_model, SystemConfig, NMS_IOU,
+    offload_position, offloaded_spec, offloaded_spec_of, region_decoder, tincy_model, SystemConfig,
+    NMS_IOU,
 };
 pub use demo::{run_demo, DemoConfig, DemoReport};
 pub use deploy::deploy;

@@ -2,7 +2,7 @@
 //! profiles and engine folds, and their mapping to a [`ModelSpec`].
 
 use tincy_core::{tiny_yolo, transform_a, transform_bc, transform_d};
-use tincy_nn::{Activation, FoldSpec, LayerSpec, ModelSpec, NetworkSpec};
+use tincy_nn::{FoldSpec, LayerSpec, ModelSpec, NetworkSpec};
 use tincy_quant::PrecisionConfig;
 
 /// A subset of the paper's §III-E algorithmic transformations. (b) and
@@ -281,21 +281,6 @@ pub fn hidden_convs(spec: &NetworkSpec) -> Vec<(&tincy_nn::ConvSpec, tincy_tenso
         .collect()
 }
 
-/// Whether every hidden convolution carries an offloadable precision.
-pub fn hidden_offloadable(spec: &NetworkSpec) -> bool {
-    let hidden = hidden_convs(spec);
-    !hidden.is_empty() && hidden.iter().all(|(c, _)| c.precision.offloadable())
-}
-
-/// Whether any hidden convolution still uses leaky ReLU — the FINN
-/// engine's threshold activations cannot express it (the motivation for
-/// transformation (a), §III-E).
-pub fn hidden_has_leaky(spec: &NetworkSpec) -> bool {
-    hidden_convs(spec)
-        .iter()
-        .any(|(c, _)| c.activation == Activation::Leaky)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn leaky_detection_requires_edit_a() {
+    fn offloading_requires_edit_a() {
         let without_a = DesignPoint {
             edits: EditSet {
                 a: false,
@@ -408,7 +393,8 @@ mod tests {
             },
             ..DesignPoint::PAPER
         };
-        assert!(hidden_has_leaky(&without_a.network()));
-        assert!(!hidden_has_leaky(&DesignPoint::PAPER.network()));
+        let segment = |point: DesignPoint| tincy_nn::OffloadSegment::of(&point.network());
+        assert!(segment(without_a).is_err());
+        assert!(segment(DesignPoint::PAPER).is_ok());
     }
 }

@@ -2,18 +2,13 @@
 //! and the FINN cycle model, accuracy from a Table IV-calibrated proxy,
 //! resources from the `tincy-finn` bill-of-materials estimator.
 
-use crate::design::{hidden_convs, hidden_offloadable};
-use tincy_finn::{model_estimate, ResourceEstimate};
-use tincy_nn::{LayerSpec, ModelSpec, NetworkSpec};
+use crate::design::hidden_convs;
+use tincy_finn::{ResourceEstimate, SegmentCost};
+use tincy_nn::{LayerSpec, ModelSpec, NetworkSpec, NnError, OffloadSegment};
 use tincy_perf::calib;
-use tincy_perf::fabric::{fabric_hidden_ms, HiddenConvDims};
 use tincy_perf::pipeline_model::{pipelined_fps, PipelineModel};
 use tincy_perf::stages::{StageBudget, StageId};
 use tincy_quant::ActPrecision;
-
-/// AXI stream width used for weight swaps, bits per cycle (matches the
-/// ladder's assumption).
-const AXI_BITS_PER_CYCLE: u64 = 128;
 
 /// Table IV: Tiny YOLO floating-point baseline, mAP %.
 const BASE_MAP: f64 = 57.1;
@@ -128,25 +123,31 @@ pub struct Evaluation {
 /// Evaluates a design point's model against the calibrated performance,
 /// accuracy and resource models. Works on any [`ModelSpec`] in the Tiny
 /// YOLO family — including explore-selected designs re-loaded from JSON.
-pub fn evaluate(model: &ModelSpec, calib: &Calibration) -> Evaluation {
-    let budget = stage_budget(model, calib);
-    Evaluation {
+///
+/// # Errors
+///
+/// Returns what [`OffloadSegment::of`] refuses: the model is not
+/// deployable.
+pub fn evaluate(model: &ModelSpec, calib: &Calibration) -> Result<Evaluation, NnError> {
+    let segment = OffloadSegment::of(&model.network)?;
+    let fabric = SegmentCost::of(&segment, model.fold);
+    let budget = stage_budget(&model.network, &fabric, calib);
+    Ok(Evaluation {
         fps: pipelined_fps(&budget, PipelineModel::default()),
         accuracy: accuracy_proxy(&model.network),
-        resource: model_estimate(model),
-        offloaded: hidden_offloadable(&model.network),
+        resource: fabric.engine,
+        offloaded: !segment.is_empty(),
         hidden_ms: budget.get(StageId::HiddenLayers),
         frame_ms: budget.total_ms(),
-    }
+    })
 }
 
-/// Assembles the per-stage frame budget for a model: the measured kernel
-/// anchors scaled by operation count for CPU stages, the FINN cycle model
-/// for an offloaded hidden segment. At the paper's shipped configuration
-/// this reproduces the final rung of [`tincy_perf::ladder::speedup_ladder`]
-/// exactly.
-pub fn stage_budget(model: &ModelSpec, calib: &Calibration) -> StageBudget {
-    let spec = &model.network;
+/// Assembles the per-stage frame budget for a network: the measured kernel
+/// anchors scaled by operation count for CPU stages, the FINN cost model
+/// of its offload segment for an offloaded hidden segment. At the paper's
+/// shipped configuration this reproduces the final rung of
+/// [`tincy_perf::ladder::speedup_ladder`] exactly.
+fn stage_budget(spec: &NetworkSpec, fabric: &SegmentCost, calib: &Calibration) -> StageBudget {
     let seg = Segments::of(spec);
     let input_ms = if seg.input_stride >= 2 {
         calib::LEAN_INPUT_CONV_MS * seg.input_ops as f64 / calib.input_stride2_ops as f64
@@ -154,18 +155,10 @@ pub fn stage_budget(model: &ModelSpec, calib: &Calibration) -> StageBudget {
         calib::CUSTOM_I16_MS * seg.input_ops as f64 / calib.input_stride1_ops as f64
     };
     let pool_ms = calib::MAX_POOL_MS * seg.pool_ops as f64 / calib.pool_ops as f64;
-    let hidden_ms = if hidden_offloadable(spec) {
-        let dims: Vec<HiddenConvDims> = hidden_convs(spec)
-            .iter()
-            .map(|(c, in_shape)| HiddenConvDims {
-                in_shape: *in_shape,
-                out_channels: c.filters,
-                geom: c.geom(),
-            })
-            .collect();
-        fabric_hidden_ms(&dims, model.fold, AXI_BITS_PER_CYCLE)
-    } else {
+    let hidden_ms = if fabric.layer_cycles.is_empty() {
         calib::HIDDEN_LAYERS_MS * seg.hidden_ops as f64 / calib.hidden_ops as f64
+    } else {
+        fabric.ms()
     };
     let output_ms = calib::OUTPUT_LAYER_MS * seg.output_ops as f64 / calib.output_ops as f64;
     StageBudget::paper_baseline()
@@ -214,10 +207,11 @@ pub fn accuracy_proxy(spec: &NetworkSpec) -> f64 {
 mod tests {
     use super::*;
     use crate::design::{DesignPoint, EditSet, HiddenProfile};
+    use tincy_nn::FoldSpec;
     use tincy_perf::ladder::speedup_ladder;
 
     fn eval(point: DesignPoint) -> Evaluation {
-        evaluate(&point.model(), &Calibration::paper())
+        evaluate(&point.model(), &Calibration::paper()).unwrap()
     }
 
     #[test]
@@ -238,7 +232,9 @@ mod tests {
 
     #[test]
     fn paper_point_budget_reproduces_the_optimized_stages() {
-        let budget = stage_budget(&DesignPoint::PAPER.model(), &Calibration::paper());
+        let spec = DesignPoint::PAPER.network();
+        let fabric = SegmentCost::of(&OffloadSegment::of(&spec).unwrap(), FoldSpec::SHIPPED);
+        let budget = stage_budget(&spec, &fabric, &Calibration::paper());
         assert_eq!(budget.get(StageId::InputLayer), calib::LEAN_INPUT_CONV_MS);
         assert_eq!(budget.get(StageId::MaxPool), 0.0);
         assert_eq!(budget.get(StageId::OutputLayer), calib::OUTPUT_LAYER_MS);

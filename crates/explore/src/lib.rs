@@ -39,7 +39,7 @@ pub mod sweep;
 pub mod variants;
 
 pub use design::{DesignPoint, EditSet, HiddenProfile};
-pub use evaluate::{accuracy_proxy, evaluate, stage_budget, Calibration, Evaluation};
+pub use evaluate::{accuracy_proxy, evaluate, Calibration, Evaluation};
 pub use frontier::{dominates, fingerprint, pareto_frontier, Objectives};
 pub use report::{report_json, report_table};
 pub use sweep::{

@@ -1,7 +1,7 @@
 //! The sweep driver: enumerate candidate designs, prune infeasible ones,
 //! evaluate the rest and extract the Pareto frontier.
 
-use crate::design::{hidden_has_leaky, DesignPoint, EditSet, HiddenProfile};
+use crate::design::{DesignPoint, EditSet, HiddenProfile};
 use crate::evaluate::{evaluate, Calibration, Evaluation};
 use crate::frontier::{fingerprint, pareto_frontier, Objectives};
 use tincy_finn::{FpgaDevice, ResourceEstimate};
@@ -286,12 +286,10 @@ pub fn run_sweep(config: &SweepConfig) -> ExploreReport {
             pruned.illegal_fold += 1;
             continue;
         }
-        let model = point.model();
-        if point.profile.offloadable() && hidden_has_leaky(&model.network) {
+        let Ok(eval) = evaluate(&point.model(), &calib) else {
             pruned.undeployable += 1;
             continue;
-        }
-        let eval = evaluate(&model, &calib);
+        };
         if !config.budget.admits(&eval.resource) {
             pruned.over_budget += 1;
             continue;

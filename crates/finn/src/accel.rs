@@ -7,6 +7,7 @@
 //! to a pipeline as the feature maps between layers are computed in full
 //! before the computation of the next layer can be triggered" (§III-A).
 
+use crate::cost::swap_cycles;
 use crate::engine::{ConvEngine, EngineConfig};
 use crate::resource::ResourceEstimate;
 use tincy_kernels::{autotune, KernelPlan, PackedLayer, TuneBudget, Variant};
@@ -106,6 +107,11 @@ impl QnnLayerParams {
         (self.weights().rows() * self.weights().cols()) as u64
     }
 
+    /// Activation levels the thresholds produce (8 for `A3`, 2 for `A1`).
+    pub fn levels(&self) -> usize {
+        self.thresholds().channel(0).len() + 1
+    }
+
     /// Dot-product operations per frame (paper accounting, conv only).
     pub fn ops(&self) -> u64 {
         let weights = self.weights();
@@ -158,8 +164,6 @@ pub struct QnnAccelerator {
     /// What `benchmark/` reads its `forward` arguments from; chooses nothing.
     plan: KernelPlan,
     engine: ConvEngine,
-    /// AXI weight-stream width in bits per cycle.
-    axi_bits_per_cycle: u64,
 }
 
 impl QnnAccelerator {
@@ -200,7 +204,6 @@ impl QnnAccelerator {
             packed,
             plan,
             engine: ConvEngine::new(config)?,
-            axi_bits_per_cycle: 128,
         })
     }
 
@@ -214,11 +217,6 @@ impl QnnAccelerator {
         self.layers[0].in_shape()
     }
 
-    /// AXI cycles to stream one layer's weights onto the fabric.
-    fn layer_swap_cycles(&self, layer: &QnnLayerParams) -> u64 {
-        layer.weight_bits().div_ceil(self.axi_bits_per_cycle)
-    }
-
     /// Total weight-swap cycles charged per accelerator invocation:
     /// every layer's weights cross the AXI bus exactly once regardless
     /// of batch size. This is the fixed cost a micro-batch amortizes,
@@ -227,7 +225,7 @@ impl QnnAccelerator {
     pub fn swap_cycles_per_invocation(&self) -> u64 {
         self.layers
             .iter()
-            .map(|layer| self.layer_swap_cycles(layer))
+            .map(|layer| swap_cycles(layer.weight_bits()))
             .sum()
     }
 
@@ -290,11 +288,11 @@ impl QnnAccelerator {
             let layer_ix = index as u32;
             // Weight swap: the engine streams this layer's weights in once
             // for the whole batch.
-            let swap_cycles = self.layer_swap_cycles(layer);
-            swap += swap_cycles;
+            let layer_swap = swap_cycles(layer.weight_bits());
+            swap += layer_swap;
             tincy_trace::span(static_label!("finn.weight_swap"))
                 .layer(layer_ix)
-                .cycles(swap_cycles)
+                .cycles(layer_swap)
                 .emit();
             let mut cycles = 0u64;
             {
@@ -369,30 +367,13 @@ impl QnnAccelerator {
         &self.plan
     }
 
-    /// Resource estimate for the actual single-engine design: the MVTU array
-    /// plus a weight buffer sized for the *largest* layer.
+    /// The fabric this design occupies: the one single-engine bill
+    /// ([`ResourceEstimate::single_engine`]) over the loaded layers.
     pub fn engine_resources(&self) -> ResourceEstimate {
-        let config = self.engine.config();
-        let max_bits = self
-            .layers
-            .iter()
-            .map(QnnLayerParams::weight_bits)
-            .max()
-            .unwrap_or(0);
-        ResourceEstimate::conv_engine(config.pe, config.simd, max_bits, 8)
-    }
-
-    /// Resource estimate for a hypothetical per-layer dataflow pipeline:
-    /// one engine *per layer*, each holding its own weights. On the
-    /// XCZU3EG "this option quickly fails on resource constraints"
-    /// (§III-A); the tests hold the model to that.
-    #[cfg(test)]
-    fn dataflow_resources(&self) -> ResourceEstimate {
-        let config = self.engine.config();
-        self.layers
-            .iter()
-            .map(|l| ResourceEstimate::conv_engine(config.pe, config.simd, l.weight_bits(), 8))
-            .fold(ResourceEstimate::default(), |a, b| a + b)
+        ResourceEstimate::single_engine(
+            self.engine.config(),
+            self.layers.iter().map(|l| (l.weight_bits(), l.levels())),
+        )
     }
 
     /// Total offloaded dot-product operations per frame.
@@ -644,16 +625,6 @@ mod tests {
         assert_eq!(outs.len(), 3);
         let stats = injector.stats();
         assert_eq!((stats.invocations, stats.faults), (2, 1));
-    }
-
-    #[test]
-    fn dataflow_needs_more_resources_than_single_engine() {
-        let mut rng = StdRng::seed_from_u64(102);
-        let accel = two_layer_accel(&mut rng);
-        let single = accel.engine_resources();
-        let dataflow = accel.dataflow_resources();
-        assert!(dataflow.luts > single.luts);
-        assert!(dataflow.bram36 >= single.bram36);
     }
 
     #[test]

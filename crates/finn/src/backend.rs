@@ -16,10 +16,10 @@
 use crate::accel::{QnnAccelerator, QnnLayerParams};
 use crate::engine::EngineConfig;
 use tincy_nn::{
-    Activation, ConvSpec, Device, NnError, OffloadBackend, OffloadConfig, PoolSpec, WeightsReader,
+    ConvSpec, Device, NnError, OffloadBackend, OffloadConfig, OffloadSegment, WeightsReader,
 };
 use tincy_quant::{binarize, ThresholdSet, ThresholdsForLayer};
-use tincy_tensor::{BitTensor, Shape3, Tensor};
+use tincy_tensor::{BitTensor, Tensor};
 
 /// The registry key the fabric backend is published under (the shared
 /// library name of Fig 4).
@@ -85,13 +85,11 @@ impl FloatParams {
 /// offload interface.
 #[derive(Debug)]
 pub struct FabricBackend {
-    /// Offloaded sub-topology: each entry is a binary conv layer with an
-    /// optional fused max-pool.
-    hidden: Vec<(ConvSpec, Option<PoolSpec>)>,
+    /// The layers the fabric runs; legal by construction.
+    segment: OffloadSegment,
     engine_config: EngineConfig,
     /// Uniform activation quantization step of the hidden feature maps.
     act_step: f32,
-    input_shape: Option<Shape3>,
     accel: Option<QnnAccelerator>,
 }
 
@@ -118,17 +116,12 @@ fn from_levels(levels: &Tensor<u8>, step: f32) -> Tensor<f32> {
 }
 
 impl FabricBackend {
-    /// Creates the backend for a hidden sub-topology.
-    pub fn new(
-        hidden: Vec<(ConvSpec, Option<PoolSpec>)>,
-        engine_config: EngineConfig,
-        act_step: f32,
-    ) -> Self {
+    /// Creates the backend for an offload segment.
+    pub fn new(segment: OffloadSegment, engine_config: EngineConfig, act_step: f32) -> Self {
         Self {
-            hidden,
+            segment,
             engine_config,
             act_step,
-            input_shape: None,
             accel: None,
         }
     }
@@ -149,19 +142,6 @@ impl FabricBackend {
         })
     }
 
-    fn shapes(&self, input: Shape3) -> Vec<Shape3> {
-        let mut shapes = vec![input];
-        let mut shape = input;
-        for (conv, pool) in &self.hidden {
-            shape = conv.geom().output_shape(shape, conv.filters);
-            if let Some(p) = pool {
-                shape = p.geom().output_shape(shape);
-            }
-            shapes.push(shape);
-        }
-        shapes
-    }
-
     /// Runs the offline FINN flow one layer at a time: `next` supplies a
     /// layer's float parameters (given its conv and input channel count),
     /// which are binarized, folded with BN and activation quantization
@@ -169,12 +149,11 @@ impl FabricBackend {
     /// accelerator is assembled from the folded layers.
     fn build(
         &self,
-        input: Shape3,
         mut next: impl FnMut(&ConvSpec, usize) -> Result<FloatParams, NnError>,
     ) -> Result<QnnAccelerator, NnError> {
-        let shapes = self.shapes(input);
-        let mut layers = Vec::with_capacity(self.hidden.len());
-        for ((conv, pool), &in_shape) in self.hidden.iter().zip(&shapes) {
+        let mut layers = Vec::with_capacity(self.segment.layers().len());
+        for layer in self.segment.layers() {
+            let (conv, in_shape) = (&layer.conv, layer.in_shape);
             let params = next(conv, in_shape.channels)?;
             let cols = conv.geom().dot_length(in_shape.channels);
             // Per-layer mean-absolute weight scale α: folded into the
@@ -187,7 +166,7 @@ impl FabricBackend {
             // One accumulator unit is worth α·q_in real units.
             let acc_scale = alpha * self.act_step;
             // The levels the conv declares: 8 for A3, 2 (one threshold) for A1.
-            let levels = conv.precision.activations.levels();
+            let levels = layer.levels();
             let mut channel_thresholds = Vec::with_capacity(conv.filters);
             for c in 0..conv.filters {
                 let (a, b) = if conv.batch_normalize {
@@ -206,7 +185,7 @@ impl FabricBackend {
                 weights,
                 ThresholdsForLayer::new(channel_thresholds)?,
                 conv.geom(),
-                pool.map(|p| p.geom()),
+                layer.pool.map(|p| p.geom()),
             )?);
         }
         QnnAccelerator::new(layers, self.engine_config)
@@ -222,43 +201,26 @@ impl OffloadBackend for FabricBackend {
         self
     }
 
+    /// Checks the section's shapes against the segment's; what the
+    /// segment holds, [`OffloadSegment::of`] has already admitted.
     fn init(&mut self, config: &OffloadConfig) -> Result<(), NnError> {
-        if self.hidden.is_empty() {
+        let layers = self.segment.layers();
+        let (Some(first), Some(last)) = (layers.first(), layers.last()) else {
             return Err(NnError::InvalidSpec {
                 what: "fabric backend has no hidden layers".to_owned(),
             });
-        }
-        for (conv, _) in &self.hidden {
-            if !conv.precision.offloadable() {
-                return Err(NnError::InvalidSpec {
-                    what: format!(
-                        "hidden layer precision {} is not offloadable",
-                        conv.precision
-                    ),
-                });
-            }
-            // Thresholds fold a monotone staircase: ReLU then the layer's
-            // activation quantizer (transformation (a), §III-E). A leaky slope or a
-            // linear pass-through has no such fold.
-            if conv.activation != Activation::Relu {
-                return Err(NnError::InvalidSpec {
-                    what: format!(
-                        "hidden layer activation {:?} does not fold into integer thresholds \
-                         (the fabric computes ReLU)",
-                        conv.activation
-                    ),
+        };
+        for (expected, actual) in [
+            (first.in_shape, config.input_shape),
+            (config.output_shape, last.out_shape()),
+        ] {
+            if expected != actual {
+                return Err(NnError::ShapeMismatch {
+                    expected: expected.to_string(),
+                    actual: actual.to_string(),
                 });
             }
         }
-        let shapes = self.shapes(config.input_shape);
-        let produced = *shapes.last().expect("shapes includes the input");
-        if produced != config.output_shape {
-            return Err(NnError::ShapeMismatch {
-                expected: config.output_shape.to_string(),
-                actual: produced.to_string(),
-            });
-        }
-        self.input_shape = Some(config.input_shape);
         // Make the backend runnable immediately (Darknet layers are usable
         // with their init-time parameters); load_weights overrides.
         if self.accel.is_none() {
@@ -272,9 +234,8 @@ impl OffloadBackend for FabricBackend {
                 // Uniform in [0, 1).
                 (state >> 11) as f32 / (1u64 << 53) as f32
             };
-            let accel = self.build(config.input_shape, |conv, in_channels| {
-                Ok(FloatParams::draw(conv, in_channels, &mut next))
-            })?;
+            let accel = self
+                .build(|conv, in_channels| Ok(FloatParams::draw(conv, in_channels, &mut next)))?;
             self.accel = Some(accel);
         }
         Ok(())
@@ -283,12 +244,12 @@ impl OffloadBackend for FabricBackend {
     /// Folds the stream's layers into a new accelerator. A failed load
     /// leaves the previous accelerator serving.
     fn load_weights(&mut self, reader: &mut WeightsReader<'_>) -> Result<(), NnError> {
-        let input = self.input_shape.ok_or(NnError::InvalidSpec {
-            what: "load_weights before init".to_owned(),
-        })?;
-        let accel = self.build(input, |conv, in_channels| {
-            FloatParams::read(reader, conv, in_channels)
-        })?;
+        if self.accel.is_none() {
+            return Err(NnError::InvalidSpec {
+                what: "load_weights before init".to_owned(),
+            });
+        }
+        let accel = self.build(|conv, in_channels| FloatParams::read(reader, conv, in_channels))?;
         self.accel = Some(accel);
         Ok(())
     }
@@ -325,14 +286,10 @@ impl OffloadBackend for FabricBackend {
     }
 
     fn num_params(&self) -> usize {
-        let Some(input) = self.input_shape else {
-            return 0;
-        };
-        let shapes = self.shapes(input);
-        self.hidden
+        self.segment
+            .layers()
             .iter()
-            .enumerate()
-            .map(|(i, (conv, _))| conv.num_params(shapes[i].channels))
+            .map(|l| l.conv.num_params(l.in_shape.channels))
             .sum()
     }
 
@@ -344,23 +301,28 @@ impl OffloadBackend for FabricBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tincy_nn::WeightsWriter;
+    use tincy_nn::{Activation, LayerSpec, NetworkSpec, PoolSpec, WeightsWriter};
     use tincy_quant::PrecisionConfig;
+    use tincy_tensor::Shape3;
 
-    fn hidden_spec() -> Vec<(ConvSpec, Option<PoolSpec>)> {
-        let conv = |filters: usize| ConvSpec {
-            filters,
-            size: 3,
-            stride: 1,
-            pad: 1,
-            activation: Activation::Relu,
-            batch_normalize: true,
-            precision: PrecisionConfig::W1A3,
+    /// conv 4→8 + 2×2 pool, conv 8→6, over a 4×8×8 input.
+    fn hidden_segment() -> OffloadSegment {
+        let conv = |filters: usize| {
+            LayerSpec::Conv(ConvSpec {
+                filters,
+                size: 3,
+                stride: 1,
+                pad: 1,
+                activation: Activation::Relu,
+                batch_normalize: true,
+                precision: PrecisionConfig::W1A3,
+            })
         };
-        vec![
-            (conv(8), Some(PoolSpec { size: 2, stride: 2 })),
-            (conv(6), None),
-        ]
+        let spec = NetworkSpec::new(Shape3::new(4, 8, 8))
+            .with(conv(8))
+            .with(LayerSpec::MaxPool(PoolSpec { size: 2, stride: 2 }))
+            .with(conv(6));
+        OffloadSegment::of(&spec).unwrap()
     }
 
     fn config(input: Shape3, output: Shape3) -> OffloadConfig {
@@ -374,7 +336,7 @@ mod tests {
     }
 
     fn initialized() -> FabricBackend {
-        let mut backend = FabricBackend::new(hidden_spec(), EngineConfig::default(), 0.125);
+        let mut backend = FabricBackend::new(hidden_segment(), EngineConfig::default(), 0.125);
         backend
             .init(&config(Shape3::new(4, 8, 8), Shape3::new(6, 4, 4)))
             .unwrap();
@@ -399,7 +361,8 @@ mod tests {
         let mut buf = Vec::new();
         let mut writer = WeightsWriter::new(&mut buf);
         let mut in_channels = 4;
-        for (conv, _) in hidden_spec() {
+        for layer in hidden_segment().layers() {
+            let conv = &layer.conv;
             let f = conv.filters;
             let weights = f * conv.size * conv.size * in_channels;
             for slice in [
@@ -432,42 +395,25 @@ mod tests {
 
     #[test]
     fn init_validates_geometry() {
-        let mut backend = FabricBackend::new(hidden_spec(), EngineConfig::default(), 0.125);
+        let mut backend = FabricBackend::new(hidden_segment(), EngineConfig::default(), 0.125);
         assert!(backend
             .init(&config(Shape3::new(4, 8, 8), Shape3::new(6, 4, 4)))
             .is_ok());
         assert!(backend
             .init(&config(Shape3::new(4, 8, 8), Shape3::new(5, 4, 4)))
             .is_err());
-    }
-
-    #[test]
-    fn rejects_non_offloadable_precision() {
-        let mut hidden = hidden_spec();
-        hidden[0].0.precision = PrecisionConfig::W8A8;
-        let mut backend = FabricBackend::new(hidden, EngineConfig::default(), 0.125);
         assert!(backend
+            .init(&config(Shape3::new(4, 16, 16), Shape3::new(6, 4, 4)))
+            .is_err());
+        let mut empty = FabricBackend::new(OffloadSegment::default(), EngineConfig::default(), 0.1);
+        assert!(empty
             .init(&config(Shape3::new(4, 8, 8), Shape3::new(6, 4, 4)))
             .is_err());
     }
 
     #[test]
-    fn rejects_hidden_activations_that_do_not_fold_into_thresholds() {
-        for (activation, name) in [(Activation::Leaky, "Leaky"), (Activation::Linear, "Linear")] {
-            let mut hidden = hidden_spec();
-            hidden[1].0.activation = activation;
-            let mut backend = FabricBackend::new(hidden, EngineConfig::default(), 0.125);
-            let err = backend
-                .init(&config(Shape3::new(4, 8, 8), Shape3::new(6, 4, 4)))
-                .unwrap_err();
-            assert!(matches!(err, NnError::InvalidSpec { .. }), "{err}");
-            assert!(err.to_string().contains(name), "{err}");
-        }
-    }
-
-    #[test]
     fn forward_before_init_fails_but_init_alone_suffices() {
-        let mut backend = FabricBackend::new(hidden_spec(), EngineConfig::default(), 0.125);
+        let mut backend = FabricBackend::new(hidden_segment(), EngineConfig::default(), 0.125);
         let input = Tensor::filled(Shape3::new(4, 8, 8), 0.5f32);
         // No init: unusable.
         assert!(backend.forward(&input).is_err());
@@ -479,7 +425,7 @@ mod tests {
         let out = backend.forward(&input).unwrap();
         assert_eq!(out.shape(), Shape3::new(6, 4, 4));
         // Deterministic: a second identical backend agrees.
-        let mut other = FabricBackend::new(hidden_spec(), EngineConfig::default(), 0.125);
+        let mut other = FabricBackend::new(hidden_segment(), EngineConfig::default(), 0.125);
         other
             .init(&config(Shape3::new(4, 8, 8), Shape3::new(6, 4, 4)))
             .unwrap();

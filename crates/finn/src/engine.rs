@@ -100,11 +100,6 @@ impl ConvEngine {
         );
         Ok((params.core().run_on(isa, input), cycles))
     }
-
-    /// Wall-clock seconds for a cycle count at the configured clock.
-    pub fn seconds(&self, cycles: u64) -> f64 {
-        cycles as f64 / self.config.clock_hz as f64
-    }
 }
 
 /// Cycles one engine invocation takes for a conv layer of the given
@@ -233,11 +228,5 @@ mod tests {
         let input = Tensor::from_fn(Shape3::new(1, 2, 2), |_, y, x| (y * 2 + x) as u8);
         let out = max_pool_levels(&input, PoolGeom::new(2, 2));
         assert_eq!(out.as_slice(), &[3]);
-    }
-
-    #[test]
-    fn seconds_at_clock() {
-        let engine = ConvEngine::new(EngineConfig::default()).unwrap();
-        assert!((engine.seconds(300_000_000) - 1.0).abs() < 1e-9);
     }
 }

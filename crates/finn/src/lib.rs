@@ -26,6 +26,9 @@
 //!   fabric, corrupted result buffer, bitstream loss) from the injector
 //!   of the `tincy_nn::Device` it runs on, so devices that share one
 //!   built accelerator fault independently.
+//! * [`cost`] — the one cost model of an offload segment: per-layer
+//!   cycles, weight swaps over the AXI port, and the single-engine and
+//!   dataflow bills of materials.
 //! * [`resource`] / [`device`] — LUT/BRAM/DSP estimates and the XCZU3EG
 //!   budget, reproducing the §III-A feasibility argument.
 //! * [`backend`] — the `library=fabric.so` offload backend plugging the
@@ -36,6 +39,7 @@
 
 pub mod accel;
 pub mod backend;
+pub mod cost;
 pub mod device;
 pub mod engine;
 pub mod mvtu;
@@ -44,9 +48,10 @@ pub mod sliding;
 
 pub use accel::{AccelReport, QnnAccelerator, QnnLayerParams};
 pub use backend::{FabricBackend, FABRIC_LIBRARY};
+pub use cost::{model_estimate, swap_cycles, SegmentCost, AXI_WIDTH_BITS};
 pub use device::FpgaDevice;
 pub use engine::{conv_layer_cycles, max_pool_levels, ConvEngine, EngineConfig};
 pub use mvtu::Mvtu;
-pub use resource::{model_estimate, ResourceEstimate};
+pub use resource::ResourceEstimate;
 pub use sliding::SlidingWindow;
 pub use tincy_nn::{FaultInjector, FaultKind, FaultPlan, FaultStats, FaultWindow};

@@ -5,8 +5,8 @@
 //! logic), its weight storage comes from BRAM, and a fixed overhead covers
 //! the sliding-window unit, stream infrastructure and control.
 
+use crate::engine::EngineConfig;
 use std::ops::Add;
-use tincy_nn::{LayerSpec, ModelSpec};
 
 /// A LUT/BRAM/DSP bill of materials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -64,32 +64,34 @@ impl ResourceEstimate {
             dsps: 0, // binary weights need no multipliers
         }
     }
-}
 
-/// Estimates the fabric bill of materials for a whole design point: one
-/// time-multiplexed engine at the model's folding, sized by the largest
-/// offloadable layer's weight store and the widest activation among the
-/// offloaded layers. A model with no offloadable layer needs no engine
-/// and costs nothing.
-pub fn model_estimate(model: &ModelSpec) -> ResourceEstimate {
-    let mut shape = model.network.input;
-    let mut max_weight_bits = 0u64;
-    let mut max_levels = 0usize;
-    for layer in &model.network.layers {
-        if let LayerSpec::Conv(c) = layer {
-            if c.precision.offloadable() {
-                let weights = (c.filters * c.size * c.size * shape.channels) as u64;
-                max_weight_bits =
-                    max_weight_bits.max(weights * u64::from(c.precision.weights.bits()));
-                max_levels = max_levels.max(c.precision.activations.levels());
-            }
+    /// The single time-multiplexed engine of §III-A: the MVTU array at
+    /// `fold`, a weight buffer for the largest layer and comparators for
+    /// the widest activation. `layers` gives each offloaded layer's weight
+    /// bits and activation levels; without layers there is no engine and
+    /// nothing to bill.
+    pub fn single_engine(
+        fold: EngineConfig,
+        layers: impl IntoIterator<Item = (u64, usize)>,
+    ) -> Self {
+        let (bits, levels) = layers.into_iter().fold((0, 0), |(b, l), (bits, levels)| {
+            (b.max(bits), l.max(levels))
+        });
+        if bits == 0 {
+            return Self::default();
         }
-        shape = layer.output_shape(shape);
+        Self::conv_engine(fold.pe, fold.simd, bits, levels)
     }
-    if max_weight_bits == 0 {
-        return ResourceEstimate::default();
+
+    /// A per-layer dataflow pipeline over the same layers: one engine per
+    /// layer, each holding its own weights. On the XCZU3EG "this option
+    /// quickly fails on resource constraints" (§III-A).
+    pub fn dataflow(fold: EngineConfig, layers: impl IntoIterator<Item = (u64, usize)>) -> Self {
+        layers
+            .into_iter()
+            .map(|(bits, levels)| Self::conv_engine(fold.pe, fold.simd, bits, levels))
+            .fold(Self::default(), |a, b| a + b)
     }
-    ResourceEstimate::conv_engine(model.fold.pe, model.fold.simd, max_weight_bits, max_levels)
 }
 
 #[cfg(test)]

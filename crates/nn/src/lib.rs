@@ -21,6 +21,10 @@
 //!   drawn per device,
 //! * [`model`] — [`ModelSpec`]/[`FoldSpec`] design points (topology +
 //!   folding + quantization),
+//! * [`topology`] — the paper's networks: Tiny and Tincy YOLO, MLP-4 and
+//!   CNV-6, with the op counts of Tables I and II,
+//! * [`segment`] — the [`OffloadSegment`]: which layers of a network the
+//!   fabric runs, and the refusal of what it cannot run,
 //! * [`network`] — the network container with whole-net *and* per-layer
 //!   forward entry points ("the network inference had to be disintegrated
 //!   to gain access to the invocations of the individual layers", §III-F),
@@ -41,7 +45,9 @@ pub mod model;
 pub mod network;
 pub mod offload;
 pub mod region;
+pub mod segment;
 pub mod spec;
+pub mod topology;
 pub mod weights;
 
 pub use activation::Activation;
@@ -59,5 +65,6 @@ pub use offload::{
     OffloadStats, RetryPolicy,
 };
 pub use region::{RegionLayer, RegionParams};
+pub use segment::{OffloadSegment, SegmentLayer};
 pub use spec::{ConvSpec, LayerSpec, NetworkSpec, OffloadSpec, PoolSpec, RegionSpec};
 pub use weights::{WeightsReader, WeightsWriter};

@@ -1,6 +1,6 @@
 //! Network topologies of the paper.
 
-use tincy_nn::{Activation, ConvSpec, LayerSpec, NetworkSpec, PoolSpec, RegionSpec};
+use crate::{Activation, ConvSpec, LayerSpec, NetworkSpec, PoolSpec, RegionSpec};
 use tincy_quant::PrecisionConfig;
 use tincy_tensor::Shape3;
 

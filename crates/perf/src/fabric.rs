@@ -1,63 +1,15 @@
-//! Fabric offload timing derived from the FINN cycle model (§III-C).
+//! Fabric offload timing derived from the FINN cost model (§III-C).
 
-use tincy_finn::engine::{conv_layer_cycles, EngineConfig};
-use tincy_tensor::{ConvGeom, Shape3};
+use tincy_finn::{EngineConfig, SegmentCost};
+use tincy_nn::topology::tincy_yolo;
+use tincy_nn::OffloadSegment;
 
-/// Dimensions of one offloaded conv layer (weights not needed for timing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HiddenConvDims {
-    /// Input feature-map shape.
-    pub in_shape: Shape3,
-    /// Output channels.
-    pub out_channels: usize,
-    /// Convolution geometry.
-    pub geom: ConvGeom,
-}
-
-impl HiddenConvDims {
-    /// Binary weight bits of this layer.
-    pub fn weight_bits(&self) -> u64 {
-        (self.out_channels * self.geom.dot_length(self.in_shape.channels)) as u64
-    }
-}
-
-/// Predicts the accelerator time for a hidden-layer stack on one
-/// time-multiplexed engine, including the weight-swap AXI traffic.
-///
-/// With the default 16×16 engine at 300 MHz this reproduces the paper's
-/// ≈30 ms for Tincy YOLO's hidden layers.
-pub fn fabric_hidden_ms(
-    layers: &[HiddenConvDims],
-    config: EngineConfig,
-    axi_bits_per_cycle: u64,
-) -> f64 {
-    let compute: u64 = layers
-        .iter()
-        .map(|l| conv_layer_cycles(l.in_shape, l.out_channels, l.geom, config))
-        .sum();
-    let swap: u64 = layers
-        .iter()
-        .map(|l| l.weight_bits().div_ceil(axi_bits_per_cycle))
-        .sum();
-    (compute + swap) as f64 / config.clock_hz as f64 * 1000.0
-}
-
-/// The hidden conv layers of Tincy YOLO (L3–L14 of Table I).
-pub fn tincy_hidden_dims() -> Vec<HiddenConvDims> {
-    let conv = |c, hw, oc| HiddenConvDims {
-        in_shape: Shape3::new(c, hw, hw),
-        out_channels: oc,
-        geom: ConvGeom::same(3, 1),
-    };
-    vec![
-        conv(16, 208, 64),
-        conv(64, 104, 64),
-        conv(64, 52, 128),
-        conv(128, 26, 256),
-        conv(256, 13, 512),
-        conv(512, 13, 512),
-        conv(512, 13, 512),
-    ]
+/// What Tincy YOLO's hidden layers (L3–L14 of Table I, its offload
+/// segment) cost on one engine fold. At the shipped 16×16 engine at
+/// 300 MHz this reproduces the paper's ≈30 ms.
+pub fn tincy_cost(fold: EngineConfig) -> SegmentCost {
+    let segment = OffloadSegment::of(&tincy_yolo()).expect("Tincy YOLO has one ReLU segment");
+    SegmentCost::of(&segment, fold)
 }
 
 #[cfg(test)]
@@ -65,42 +17,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tincy_hidden_time_reproduces_thirty_ms() {
-        let ms = fabric_hidden_ms(&tincy_hidden_dims(), EngineConfig::default(), 128);
-        // §III-C: "it reduces the processing time of all hidden layers
-        // together to 30 ms".
-        assert!((25.0..35.0).contains(&ms), "modelled hidden time {ms} ms");
-    }
-
-    #[test]
     fn stage_speedup_is_about_three_hundred_x() {
-        let ms = fabric_hidden_ms(&tincy_hidden_dims(), EngineConfig::default(), 128);
+        let ms = tincy_cost(EngineConfig::default()).ms();
         let speedup = crate::calib::HIDDEN_LAYERS_MS / ms;
         // §III-C: "a speedup of more than 300x for this particular stage".
         assert!(speedup > 300.0, "stage speedup {speedup}");
-    }
-
-    #[test]
-    fn bigger_engine_is_faster() {
-        let small = EngineConfig {
-            pe: 8,
-            simd: 8,
-            ..Default::default()
-        };
-        let big = EngineConfig {
-            pe: 32,
-            simd: 32,
-            ..Default::default()
-        };
-        let dims = tincy_hidden_dims();
-        assert!(fabric_hidden_ms(&dims, big, 128) < fabric_hidden_ms(&dims, small, 128));
-    }
-
-    #[test]
-    fn weight_bits_match_topology() {
-        let dims = tincy_hidden_dims();
-        let total: u64 = dims.iter().map(HiddenConvDims::weight_bits).sum();
-        // 9216 + 36864 + 73728 + 294912 + 1179648 + 2359296 + 2359296
-        assert_eq!(total, 6_312_960);
     }
 }

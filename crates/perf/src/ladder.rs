@@ -1,7 +1,7 @@
 //! The paper's speedup ladder (§III narrative, summarized in §IV).
 
 use crate::calib;
-use crate::fabric::{fabric_hidden_ms, tincy_hidden_dims};
+use crate::fabric::tincy_cost;
 use crate::pipeline_model::{pipelined_fps, PipelineModel};
 use crate::stages::{StageBudget, StageId};
 use tincy_finn::engine::EngineConfig;
@@ -37,7 +37,7 @@ pub fn speedup_ladder() -> Vec<LadderStep> {
     });
 
     // §III-C: offload all hidden layers to the QNN accelerator.
-    let fabric_ms = fabric_hidden_ms(&tincy_hidden_dims(), EngineConfig::default(), 128);
+    let fabric_ms = tincy_cost(EngineConfig::default()).ms();
     let offloaded = baseline.with(StageId::HiddenLayers, fabric_ms);
     steps.push(LadderStep {
         name: "+ FINN QNN accelerator for all hidden layers",

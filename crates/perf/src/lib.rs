@@ -8,7 +8,7 @@
 //!    as ground truth once ([`calib`]); it pins the effective scalar rates
 //!    of the A53 for each stage class.
 //! 2. **Modelling** — every optimization of §III is a *transformation* of
-//!    the stage budget: the fabric offload time comes from the FINN cycle
+//!    the stage budget: the fabric offload time comes from the FINN cost
 //!    model ([`fabric`]), the NEON kernel gains come from the paper's own
 //!    measured ratios (cross-checked against our measured Rust kernel
 //!    ratios in the benches), the topology edits re-scale ops, and the
@@ -28,7 +28,7 @@ pub mod pipeline_model;
 pub mod stages;
 pub mod tables;
 
-pub use fabric::{fabric_hidden_ms, HiddenConvDims};
+pub use fabric::tincy_cost;
 pub use ladder::{speedup_ladder, LadderStep};
 pub use observed::{model_diff, ModelDiffRow};
 pub use pipeline_model::{pipelined_fps, PipelineModel};

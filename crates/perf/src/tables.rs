@@ -1,7 +1,7 @@
 //! Data generators for Tables I–III.
 
 use crate::calib;
-use crate::fabric::{fabric_hidden_ms, tincy_hidden_dims};
+use crate::fabric::tincy_cost;
 use crate::stages::{StageBudget, StageId};
 use tincy_finn::engine::EngineConfig;
 use tincy_nn::{LayerSpec, NetworkSpec};
@@ -121,7 +121,7 @@ pub struct Table3Row {
 /// fully-optimized budget.
 pub fn table3() -> Vec<Table3Row> {
     let baseline = StageBudget::paper_baseline();
-    let fabric = fabric_hidden_ms(&tincy_hidden_dims(), EngineConfig::default(), 128);
+    let fabric = tincy_cost(EngineConfig::default()).ms();
     let optimized = baseline
         .with(StageId::HiddenLayers, fabric)
         .with(StageId::InputLayer, calib::LEAN_INPUT_CONV_MS)

@@ -11,7 +11,7 @@
 //! machine that keeps demote/promote from flapping.
 
 use std::time::Duration;
-use tincy_nn::{LayerSpec, ModelSpec};
+use tincy_nn::{ModelSpec, OffloadSegment};
 
 use crate::request::SloClass;
 
@@ -33,12 +33,7 @@ impl ServeVariant {
     /// once per FINN invocation, so this is the per-invocation swap count
     /// the scheduler charges against `tincy_variant_weight_swaps_total`.
     pub fn swap_layers(&self) -> u64 {
-        self.model
-            .network
-            .layers
-            .iter()
-            .filter(|l| matches!(l, LayerSpec::Conv(c) if c.precision.offloadable()))
-            .count() as u64
+        OffloadSegment::of(&self.model.network).map_or(0, |s| s.layers().len() as u64)
     }
 }
 

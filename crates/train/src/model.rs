@@ -10,7 +10,7 @@
 
 use crate::layers::{Act, QuantMode, TrainConvSpec, TrainLayerSpec};
 use crate::net::{TrainError, TrainNet};
-use tincy_nn::{Activation, LayerSpec, ModelSpec};
+use tincy_nn::{Activation, LayerSpec, ModelSpec, OffloadSegment};
 use tincy_quant::ActPrecision;
 use tincy_tensor::Shape3;
 
@@ -29,25 +29,26 @@ fn act_of(activation: Activation) -> Act {
 /// # Errors
 ///
 /// Returns [`TrainError`] if the model contains an `[offload]` section
-/// (train the expanded per-layer topology, not the deployed collapse), or
-/// an offloadable conv whose activations are not `A3` (QAT trains the
+/// (train the expanded per-layer topology, not the deployed collapse), an
+/// offload segment the fabric cannot run ([`OffloadSegment::of`]), or an
+/// offloadable conv whose activations are not `A3` (QAT trains the
 /// fabric's layers as `[W1A3]` only).
 fn train_specs_for(model: &ModelSpec) -> Result<(Shape3, Vec<TrainLayerSpec>), TrainError> {
-    let convs_offloadable: Vec<bool> = model
-        .network
-        .layers
+    let layers = &model.network.layers;
+    let segment = OffloadSegment::of(&model.network).map_err(|e| TrainError {
+        what: e.to_string(),
+    })?;
+    // The last conv before the segment writes the feature map the fabric
+    // reads (an empty segment spans `0..0`: no conv feeds it).
+    let feeder = layers[..segment.span().start]
         .iter()
-        .filter_map(|l| match l {
-            LayerSpec::Conv(c) => Some(c.precision.offloadable()),
-            _ => None,
-        })
-        .collect();
+        .rposition(|l| matches!(l, LayerSpec::Conv(_)));
     let mut specs = Vec::new();
     let mut conv_idx = 0usize;
-    for layer in &model.network.layers {
+    for (i, layer) in layers.iter().enumerate() {
         match layer {
             LayerSpec::Conv(c) => {
-                let feeds_fabric = convs_offloadable.get(conv_idx + 1) == Some(&true);
+                let feeds_fabric = feeder == Some(i);
                 let quant = if c.precision.offloadable() {
                     if c.precision.activations != ActPrecision::A3 {
                         return Err(TrainError {

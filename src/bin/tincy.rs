@@ -2,8 +2,6 @@
 //!
 //! ```text
 //! tincy ops <network.cfg>   per-layer operation accounting for a config
-//! tincy tables              Tables I & II summary
-//! tincy ladder              the §III/§IV speedup ladder
 //! tincy demo                the pipelined live-detection demo
 //! tincy serve               the inference server (--shards N: a routed fleet) under a built-in load
 //! tincy trace-report        profile a trace file against Table III
@@ -20,7 +18,6 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Duration;
 use tincy::core::demo::{run_demo, DemoConfig};
-use tincy::core::topology::{cnv6, mlp4, tincy_yolo, tiny_yolo};
 use tincy::core::SystemConfig;
 use tincy::explore::{report_json, report_table, run_sweep, ResourceBudget, SweepConfig};
 use tincy::finn::FaultPlan;
@@ -218,8 +215,6 @@ fn main() -> ExitCode {
     let (name, rest) = args.split_first().map_or(("", &[][..]), |(n, r)| (n, r));
     let result = match (name, CMDS.iter().find(|row| row.1 == name)) {
         ("ops", _) => cmd_ops(rest.first().map(String::as_str)),
-        ("tables", _) => cmd_tables(),
-        ("ladder", _) => cmd_ladder(),
         (_, Some(row)) if rest.iter().any(|a| a == "--help" || a == "-h") => {
             print!("{}", usage(row));
             Ok(())
@@ -237,8 +232,6 @@ fn main() -> ExitCode {
         _ => {
             eprintln!("usage: tincy <command> [--help]\n");
             eprintln!("  ops <network.cfg>   per-layer operation accounting for a config");
-            eprintln!("  tables              Tables I & II summary");
-            eprintln!("  ladder              the §III/§IV speedup ladder");
             for (_, name, _, _, about) in CMDS {
                 eprintln!("  {name:<19} {about}");
             }
@@ -277,31 +270,6 @@ fn cmd_ops(path: Option<&str>) -> CliResult {
         spec.total_ops(),
         spec.num_params()
     );
-    Ok(())
-}
-
-fn cmd_tables() -> CliResult {
-    let tiny = tiny_yolo();
-    let tincy = tincy_yolo();
-    println!(
-        "Table I totals:  Tiny {}  Tincy {}",
-        tiny.total_ops(),
-        tincy.total_ops()
-    );
-    for (name, spec) in [("MLP-4", mlp4()), ("CNV-6", cnv6()), ("Tincy YOLO", tincy)] {
-        let (reduced, eight) = spec.dot_product_ops();
-        println!(
-            "Table II {name:<12} reduced {:>12}  8-bit {:>10}",
-            reduced, eight
-        );
-    }
-    Ok(())
-}
-
-fn cmd_ladder() -> CliResult {
-    for step in speedup_ladder() {
-        println!("[{}] {:<58} {:>8.2} fps", step.section, step.name, step.fps);
-    }
     Ok(())
 }
 

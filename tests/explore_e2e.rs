@@ -1,13 +1,14 @@
 //! An explore-selected design point must be instantiable end-to-end: the
 //! `ModelSpec` the sweep emits builds into a servable network, and the
 //! fabric path stays bit-exact with the CPU reference — without any code
-//! changes between design points — and runs the activation precision the
-//! design declares.
+//! changes between design points — runs the activation precision the
+//! design declares, and builds, bills and clocks the offload segment the
+//! cost model prices.
 
 use tincy_core::{build_network_for, offload_position, SystemConfig};
-use tincy_explore::{run_sweep, DesignPoint, HiddenProfile, SweepConfig};
-use tincy_finn::{FabricBackend, FaultPlan};
-use tincy_nn::ModelSpec;
+use tincy_explore::{run_sweep, DesignPoint, EditSet, HiddenProfile, SweepConfig};
+use tincy_finn::{model_estimate, FabricBackend, FaultPlan, QnnAccelerator, SegmentCost};
+use tincy_nn::{ModelSpec, OffloadSegment};
 use tincy_serve::ServeEngine;
 use tincy_tensor::{Shape3, Tensor};
 use tincy_video::{Image, SceneConfig, SyntheticCamera};
@@ -109,17 +110,76 @@ fn w1a1_designs_run_one_activation_bit_on_the_fabric() {
         detections(&shrunk(DesignPoint::PAPER, 64))
     );
 
-    let mut layers = build_network_for(&w1a1, FaultPlan::none())
+    let accel = accelerator_of(&w1a1);
+    for layer in accel.layers() {
+        assert!(layer.thresholds().iter().all(|set| set.len() == 1));
+    }
+    let input = Tensor::from_fn(accel.input_shape(), |c, y, x| ((c + y + 3 * x) % 8) as u8);
+    let (levels, _) = accel.run(&input).unwrap();
+    assert!(levels.as_slice().iter().all(|&level| level <= 1));
+}
+
+/// The accelerator `build_network_for` puts behind a model's offload layer.
+fn accelerator_of(model: &ModelSpec) -> QnnAccelerator {
+    let mut layers = build_network_for(model, FaultPlan::none())
         .expect("network builds")
         .into_layers();
     let offload = offload_position(&mut layers).expect("an offload layer");
     let backend = layers[offload].as_offload().unwrap().backend();
     let fabric: &FabricBackend = backend.as_any().downcast_ref().unwrap();
-    for layer in fabric.accelerator().unwrap().layers() {
-        assert!(layer.thresholds().iter().all(|set| set.len() == 1));
+    fabric.accelerator().unwrap().clone()
+}
+
+/// Every deployable design point (each edit subset with (a) × each
+/// offloadable profile, at the shipped fold and one other legal fold)
+/// builds exactly its offload segment, bills it as the cost model does
+/// and is charged the modelled cycles.
+#[test]
+fn every_deployable_design_builds_bills_and_clocks_its_segment() {
+    use HiddenProfile::{MixedA3A1, W1A1, W1A3};
+    for edits in EditSet::ALL.into_iter().filter(|e| e.a) {
+        for profile in [W1A3, W1A1, MixedA3A1] {
+            let shipped = DesignPoint {
+                edits,
+                profile,
+                ..DesignPoint::PAPER
+            };
+            // A fold changes the engine, not the layers (their weights
+            // are drawn per segment): the other fold runs the built layers
+            // on the engine `FabricBackend` builds for that fold.
+            let built = accelerator_of(&shrunk(shipped, 32));
+            for point in [
+                shipped,
+                DesignPoint {
+                    pe: 8,
+                    simd: 4,
+                    ..shipped
+                },
+            ] {
+                let id = point.id();
+                assert!(point.legal_fold().is_ok(), "{id}");
+                let model = shrunk(point, 32);
+                let segment = OffloadSegment::of(&model.network).expect("deployable");
+                let cost = SegmentCost::of(&segment, model.fold);
+                let accel = QnnAccelerator::new(built.layers().to_vec(), model.fold).unwrap();
+
+                assert_eq!(accel.layers().len(), segment.layers().len(), "{id}");
+                for (layer, planned) in accel.layers().iter().zip(segment.layers()) {
+                    let conv = &planned.conv;
+                    assert_eq!(layer.in_shape(), planned.in_shape, "{id}");
+                    assert_eq!(layer.out_shape(), planned.out_shape(), "{id}");
+                    assert_eq!(layer.weights().rows(), conv.filters, "{id}");
+                    assert_eq!(layer.geom(), conv.geom(), "{id}");
+                    assert_eq!(layer.pool(), planned.pool.map(|p| p.geom()), "{id}");
+                    assert_eq!(layer.levels(), planned.levels(), "{id}");
+                }
+                let bill = model_estimate(&model).expect("deployable");
+                assert_eq!(accel.engine_resources(), bill, "{id}");
+                let (_, report) = accel.run(&Tensor::zeros(accel.input_shape())).unwrap();
+                assert_eq!(report.layer_cycles, cost.layer_cycles, "{id}");
+                assert_eq!(report.weight_swap_cycles, cost.swap_cycles, "{id}");
+                assert_eq!(accel.swap_cycles_per_invocation(), cost.swap_cycles, "{id}");
+            }
+        }
     }
-    let accel = fabric.accelerator().unwrap();
-    let input = Tensor::from_fn(accel.input_shape(), |c, y, x| ((c + y + 3 * x) % 8) as u8);
-    let (levels, _) = accel.run(&input).unwrap();
-    assert!(levels.as_slice().iter().all(|&level| level <= 1));
 }

@@ -113,10 +113,7 @@ fn workload_scaling_matches_table_two_ordering() {
     .iter()
     .map(|&(i, o)| conv_layer_cycles(Shape3::new(i, 1, 1), o, ConvGeom::new(1, 1, 0), config))
     .sum();
-    let tincy_cycles: u64 = tincy::perf::fabric::tincy_hidden_dims()
-        .iter()
-        .map(|d| conv_layer_cycles(d.in_shape, d.out_channels, d.geom, config))
-        .sum();
+    let tincy_cycles = tincy::perf::fabric::tincy_cost(config).compute_cycles();
     assert!(
         tincy_cycles > 100 * mlp4_cycles,
         "Tincy ({tincy_cycles}) must dwarf MLP-4 ({mlp4_cycles})"

@@ -4,8 +4,8 @@
 
 use tincy::core::topology::{cnv6, mlp4, tincy_yolo, tiny_yolo};
 use tincy::finn::engine::EngineConfig;
-use tincy::finn::{FpgaDevice, ResourceEstimate};
-use tincy::perf::fabric::{fabric_hidden_ms, tincy_hidden_dims};
+use tincy::finn::FpgaDevice;
+use tincy::perf::fabric::tincy_cost;
 use tincy::perf::speedup_ladder;
 use tincy::perf::tables::{table1, table1_total, table2};
 
@@ -38,7 +38,7 @@ fn table_two_rows_exact_or_documented() {
 
 #[test]
 fn fabric_reproduces_thirty_millisecond_hidden_layers() {
-    let ms = fabric_hidden_ms(&tincy_hidden_dims(), EngineConfig::default(), 128);
+    let ms = tincy_cost(EngineConfig::default()).ms();
     assert!(
         (25.0..35.0).contains(&ms),
         "fabric hidden time {ms:.1} ms vs paper's 30 ms"
@@ -64,15 +64,9 @@ fn ladder_reaches_sixteen_fps_and_160x() {
 #[test]
 fn xczu3eg_fits_one_engine_but_not_a_dataflow_pipeline() {
     let device = FpgaDevice::XCZU3EG;
-    let config = EngineConfig::default();
-    let dims = tincy_hidden_dims();
-    let max_bits = dims.iter().map(|d| d.weight_bits()).max().expect("layers");
-    let single = ResourceEstimate::conv_engine(config.pe, config.simd, max_bits, 8);
+    let cost = tincy_cost(EngineConfig::default());
+    let (single, dataflow) = (cost.engine, cost.dataflow);
     assert!(device.fits(&single), "single engine must fit: {single:?}");
-    let dataflow = dims
-        .iter()
-        .map(|d| ResourceEstimate::conv_engine(config.pe, config.simd, d.weight_bits(), 8))
-        .fold(ResourceEstimate::default(), |a, b| a + b);
     assert!(
         !device.fits(&dataflow),
         "per-layer dataflow pipeline must NOT fit the XCZU3EG: {dataflow:?}"

@@ -39,7 +39,7 @@ fn render(estimate: &ResourceEstimate, device: &FpgaDevice) -> String {
 #[test]
 fn shipped_fold_estimate_matches_golden() {
     let model = SystemConfig::default().model();
-    let estimate = model_estimate(&model);
+    let estimate = model_estimate(&model).expect("a deployable model");
     let got = render(&estimate, &FpgaDevice::XCZU3EG);
     let path = golden_path();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -70,7 +70,7 @@ fn shipped_fold_estimate_matches_golden() {
 #[test]
 fn shipped_utilization_is_within_the_papers_envelope() {
     let model = SystemConfig::default().model();
-    let estimate = model_estimate(&model);
+    let estimate = model_estimate(&model).expect("a deployable model");
     let device = FpgaDevice::XCZU3EG;
     assert!(
         device.fits(&estimate),
@@ -97,7 +97,7 @@ fn shipped_utilization_is_within_the_papers_envelope() {
 #[test]
 fn estimate_is_anchored_to_the_largest_hidden_layer() {
     let model = SystemConfig::default().model();
-    let estimate = model_estimate(&model);
+    let estimate = model_estimate(&model).expect("a deployable model");
     assert_eq!(
         estimate.bram36,
         (2 * 2_359_296u64).div_ceil(36 * 1024),
