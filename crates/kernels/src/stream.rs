@@ -50,6 +50,10 @@ const TILE_BYTES: usize = 16 * 1024;
 /// Accumulators the comparators fire as one lane group.
 const LANES: usize = 16;
 
+/// `u64` words of a tile row: the footprints of one pixel group side by
+/// side, one 512-bit vector.
+const WORD_LANES: usize = 8;
+
 /// A layer's threshold sets as the MVTU's comparator rows: the thresholds
 /// of every output channel in one contiguous array, `row_len` per channel,
 /// so a weight row finds its comparators without a pointer chase.
@@ -125,26 +129,71 @@ fn count_fired(taus: &[i32], accs: &[i32], levels: &mut [u8], fires: impl Fn(i32
     }
 }
 
-/// One weight row of `words` words against every footprint of the tile:
-/// `accs[i] = 2·Σ_p 2^p·pc(w ∧ plane_p[i]) − sums[i]`.
+/// One weight row of `words` words against every footprint group of the
+/// tile: `accs[i] = 2·Σ_p 2^p·pc(w ∧ plane_p[i]) − sums[i]` for each of
+/// the `G` pixels of a group, `W` = [`WORD_LANES`]` / G` words of a pixel
+/// side by side.
 ///
-/// Inlined into every call site: called with a literal word count, the
-/// `3·words` AND-popcounts unroll flat.
+/// Each step loads `W` weight words once and ANDs them against all
+/// [`WORD_LANES`] words of a tile row; the counts stay in their lanes, so
+/// the vector instantiation is one broadcast, three ANDs and three
+/// popcounts per step, and there is one sum over `W` lanes per pixel and
+/// weight row. Inlined into every call site: called with a literal word
+/// count, the steps unroll flat.
 #[inline(always)]
-fn accumulate(words: usize, weight_row: &[u64], tile: &[u64], sums: &[i32], accs: &mut [i32]) {
-    let weight_row = &weight_row[..words];
-    let footprints = tile.chunks_exact(PLANES * words);
-    for ((acc, footprint), &sum) in accs.iter_mut().zip(footprints).zip(sums) {
-        let (plane0, rest) = footprint.split_at(words);
-        let (plane1, plane2) = rest.split_at(words);
-        let (mut ones0, mut ones1, mut ones2) = (0u32, 0u32, 0u32);
-        for j in 0..words {
-            let w = weight_row[j];
-            ones0 += (w & plane0[j]).count_ones();
-            ones1 += (w & plane1[j]).count_ones();
-            ones2 += (w & plane2[j]).count_ones();
+fn accumulate<const G: usize, const W: usize>(
+    words: usize,
+    weight_row: &[u64],
+    tile: &[u64],
+    sums: &[i32],
+    accs: &mut [i32],
+) {
+    const { assert!(G * W == WORD_LANES) };
+    let (whole, tail) = weight_row[..words].as_chunks::<W>();
+    // A row whose word count is not a multiple of `W` ends in one step
+    // padded with zero words, against the tile's zero words.
+    let mut last = [0u64; W];
+    last[..tail.len()].copy_from_slice(tail);
+    let steps = words.div_ceil(W);
+    let groups = tile.chunks_exact(PLANES * steps * WORD_LANES);
+    let pixels = accs.chunks_exact_mut(G).zip(sums.chunks_exact(G));
+    for (group, (accs, sums)) in groups.zip(pixels) {
+        let rows = group.as_chunks::<WORD_LANES>().0;
+        let (plane0, rest) = rows.split_at(steps);
+        let (plane1, plane2) = rest.split_at(steps);
+        let mut ones = [0u64; WORD_LANES];
+        for (s, &w) in whole.iter().enumerate() {
+            count_step(&mut ones, w, [&plane0[s], &plane1[s], &plane2[s]]);
         }
-        *acc = 2 * (ones0 + 2 * ones1 + 4 * ones2) as i32 - sum;
+        if !tail.is_empty() {
+            let s = whole.len();
+            count_step(&mut ones, last, [&plane0[s], &plane1[s], &plane2[s]]);
+        }
+        let per_pixel = ones.as_chunks::<W>().0;
+        for ((acc, ones), &sum) in accs.iter_mut().zip(per_pixel).zip(sums) {
+            *acc = 2 * ones.iter().sum::<u64>() as i32 - sum;
+        }
+    }
+}
+
+/// `W` weight words against one tile row of each plane, lane by lane.
+#[inline(always)]
+fn count_step<const W: usize>(
+    ones: &mut [u64; WORD_LANES],
+    w: [u64; W],
+    planes: [&[u64; WORD_LANES]; PLANES],
+) {
+    // Opaque to the optimizer, so that the lanes are what gets vectorized.
+    // Left visible, the AVX-512 build vectorized a three-word row across
+    // its steps instead, through masked gathers: 2.6× slower.
+    let w = w.map(std::hint::black_box);
+    let w: [u64; WORD_LANES] = std::array::from_fn(|l| w[l % W]);
+    let [b0, b1, b2] = planes;
+    for (l, ones) in ones.iter_mut().enumerate() {
+        let w = w[l];
+        *ones += u64::from((w & b0[l]).count_ones())
+            + (u64::from((w & b1[l]).count_ones()) << 1)
+            + (u64::from((w & b2[l]).count_ones()) << 2);
     }
 }
 
@@ -277,18 +326,17 @@ fn channel_bytes(
 }
 
 /// Concatenates runs of `len` bits, each read from bit `src_bit` of one
-/// row, into `dst` a whole word at a time. Every word of `dst` is written,
-/// so it needs no clearing: it must be exactly as long as the runs' bits
-/// rounded up to a word. Each row must extend one word past the last bit
-/// read.
+/// row, and hands the result to `put` a whole word at a time, in order:
+/// the runs' bits rounded up to a word, the last word zero-padded. Each
+/// row must extend one word past the last bit read.
 #[inline(always)]
 fn gather_runs<'a>(
-    dst: &mut [u64],
     rows: impl Iterator<Item = &'a [u64]>,
     src_bit: usize,
     len: usize,
+    mut put: impl FnMut(u64),
 ) {
-    let (mut word, mut fill, mut at) = (0u64, 0, 0);
+    let (mut word, mut fill) = (0u64, 0);
     for src in rows {
         let mut done = 0;
         while done < len {
@@ -302,8 +350,7 @@ fn gather_runs<'a>(
             }
             word |= chunk << fill;
             if fill + take >= WORD_BITS {
-                dst[at] = word;
-                at += 1;
+                put(word);
                 // The chunk's bits that did not fit; none when `fill` is 0.
                 word = (chunk >> 1) >> (WORD_BITS - 1 - fill);
                 fill = fill + take - WORD_BITS;
@@ -314,7 +361,7 @@ fn gather_runs<'a>(
         }
     }
     if fill > 0 {
-        dst[at] = word;
+        put(word);
     }
 }
 
@@ -350,11 +397,19 @@ impl PopcountKernel for StreamedConv<'_> {
         let lines = LineBuffer::pack(input, geom.pad, act_bits);
 
         let words = weights.words_per_row();
-        let footprint_words = PLANES * words;
         let run_bits = geom.kernel * channels;
-        let tile_pixels = (TILE_BYTES / (footprint_words * 8)).div_ceil(LANES) * LANES;
-        let tile_pixels = tile_pixels.clamp(1, pixels.max(1));
-        let mut tile = vec![0u64; tile_pixels * footprint_words];
+        // A group is `group` pixels of `WORD_LANES / group` words each: eight
+        // pixels of one word, or on a map narrower than eight pixels fewer
+        // pixels of several, so no lane idles.
+        let group = pixels.next_power_of_two().min(WORD_LANES);
+        let (step_words, steps) = (WORD_LANES / group, words.div_ceil(WORD_LANES / group));
+        let group_words = PLANES * steps * WORD_LANES;
+        let pixel_bytes = group_words / group * 8;
+        let tile_pixels = (TILE_BYTES / pixel_bytes).div_ceil(LANES) * LANES;
+        let tile_pixels = tile_pixels.min(pixels.next_multiple_of(group));
+        // Words past a row's end stay zero: the scatter below never
+        // writes them.
+        let mut tile = vec![0u64; tile_pixels / group * group_words];
         let mut plane_sums = vec![0i32; tile_pixels];
         let mut accs = vec![0i32; tile_pixels];
         let mut out = Tensor::zeros(conv_shape);
@@ -366,30 +421,37 @@ impl PopcountKernel for StreamedConv<'_> {
         let aligned = channels.is_multiple_of(WORD_BITS);
         let run_words = run_bits / WORD_BITS;
 
-        for start in (0..pixels).step_by(tile_pixels) {
+        for start in (0..pixels).step_by(tile_pixels.max(1)) {
             let count = tile_pixels.min(pixels - start);
-            let footprints = tile.chunks_exact_mut(footprint_words);
             let (mut oy, mut ox) = (start / out_width, start % out_width);
-            for (footprint, sum) in footprints.zip(&mut plane_sums[..count]) {
+            for (i, sum) in plane_sums[..count].iter_mut().enumerate() {
                 let src_bit = ox * geom.stride * channels;
+                // Straight into the pixel's lanes: word `s·W + k` of plane
+                // `p` is lane `(i mod G)·W + k` of its group's row
+                // `p·steps + s`.
+                let lane = (i >> group.trailing_zeros()) * group_words + (i & (group - 1)) * step_words;
                 *sum = 0;
-                for (p, plane) in footprint.chunks_exact_mut(words).enumerate() {
-                    let rows = (0..geom.kernel).map(|ky| lines.row(p, oy * geom.stride + ky));
+                for p in 0..PLANES {
+                    let rows = &mut tile[lane + p * steps * WORD_LANES..];
+                    let (mut j, mut ones) = (0, 0);
+                    let mut put = |word: u64| {
+                        let (s, k) = (j >> step_words.trailing_zeros(), j & (step_words - 1));
+                        rows[s * WORD_LANES + k] = word;
+                        ones += word.count_ones();
+                        j += 1;
+                    };
+                    let lines = (0..geom.kernel).map(|ky| lines.row(p, oy * geom.stride + ky));
                     if aligned {
-                        for (run, line) in plane.chunks_exact_mut(run_words).zip(rows) {
-                            run.copy_from_slice(&line[src_bit / WORD_BITS..][..run_words]);
+                        for line in lines {
+                            line[src_bit / WORD_BITS..][..run_words].iter().for_each(|&w| put(w));
                         }
                     } else {
                         // The first hidden layer's runs are 16 channels
                         // by three taps: one chunk each, given as a constant.
                         match run_bits {
-                            48 => gather_runs(plane, rows, src_bit, 48),
-                            _ => gather_runs(plane, rows, src_bit, run_bits),
+                            48 => gather_runs(lines, src_bit, 48, put),
+                            _ => gather_runs(lines, src_bit, run_bits, put),
                         }
-                    }
-                    let mut ones = 0;
-                    for &word in plane.iter() {
-                        ones += word.count_ones();
                     }
                     *sum += (ones as i32) << p;
                 }
@@ -398,21 +460,26 @@ impl PopcountKernel for StreamedConv<'_> {
                     (oy, ox) = (oy + 1, 0);
                 }
             }
+            let groups = count.div_ceil(group);
+            let tile = &tile[..groups * group_words];
+            let sums = &plane_sums[..groups * group];
             for r in 0..weights.rows() {
                 let weight_row = weights.row_words(r);
-                let accs = &mut accs[..count];
+                let accs = &mut accs[..groups * group];
                 // The first hidden layer's 144-bit footprint is three
-                // words, so it pays per pixel, not per word: give it the
-                // loop with its word count as a constant.
-                match words {
-                    3 => accumulate(3, weight_row, &tile, &plane_sums, accs),
-                    _ => accumulate(words, weight_row, &tile, &plane_sums, accs),
+                // words: give it the steps as a constant.
+                match (group, words) {
+                    (8, 3) => accumulate::<8, 1>(3, weight_row, tile, sums, accs),
+                    (8, _) => accumulate::<8, 1>(words, weight_row, tile, sums, accs),
+                    (4, _) => accumulate::<4, 2>(words, weight_row, tile, sums, accs),
+                    (2, _) => accumulate::<2, 4>(words, weight_row, tile, sums, accs),
+                    _ => accumulate::<1, 8>(words, weight_row, tile, sums, accs),
                 }
                 let (taus, ascending) = thresholds.channel(r);
                 fire(
                     taus,
                     ascending,
-                    accs,
+                    &accs[..count],
                     &mut levels[r * pixels + start..][..count],
                 );
             }
@@ -452,9 +519,10 @@ mod tests {
             (3, 16, 48),
             (3, 130, 70),
         ] {
-            let mut dst = vec![!0u64; (runs * len).div_ceil(64)];
+            let mut dst = Vec::new();
             let sources = rows[..runs].iter().map(|row| &row[..]);
-            gather_runs(&mut dst, sources, src_bit, len);
+            gather_runs(sources, src_bit, len, |word| dst.push(word));
+            assert_eq!(dst.len(), (runs * len).div_ceil(64));
             for i in 0..dst.len() * 64 {
                 let expected = if i < runs * len {
                     bit(&rows[i / len], src_bit + i % len)
