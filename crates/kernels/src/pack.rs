@@ -261,25 +261,36 @@ pub fn max_pool_levels(input: &Tensor<u8>, geom: PoolGeom) -> Tensor<u8> {
                     *best = (*best).max(v);
                 }
             }
-            // Then the window's columns. A 2×2/2 window pools a pair of
-            // columns, whole pairs at a time so the pass vectorizes; an odd
-            // last column pools alone.
-            if (geom.size, geom.stride) == (2, 2) {
-                let (pairs, last) = column_max.as_chunks::<2>();
-                for (best, &[a, b]) in dst_row.iter_mut().zip(pairs) {
-                    *best = a.max(b);
+            // Then the window's columns, whole rows at a time so the pass
+            // vectorizes. A 2×2/2 window pools a pair of columns, an odd
+            // last column alone; a 2×2/1 window pools each column with its
+            // right neighbour, the last column alone.
+            match (geom.size, geom.stride) {
+                (2, 2) => {
+                    let (pairs, last) = column_max.as_chunks::<2>();
+                    for (best, &[a, b]) in dst_row.iter_mut().zip(pairs) {
+                        *best = a.max(b);
+                    }
+                    if let [v] = *last {
+                        dst_row[pairs.len()] = v;
+                    }
                 }
-                if let [v] = *last {
-                    dst_row[pairs.len()] = v;
+                (2, 1) => {
+                    let right = column_max.iter().skip(1);
+                    for ((best, &a), &b) in dst_row.iter_mut().zip(&column_max).zip(right) {
+                        *best = a.max(b);
+                    }
+                    dst_row[width - 1] = column_max[width - 1];
                 }
-                continue;
-            }
-            // Any other window one tap at a time across the row; taps past
-            // the right border drop out with their outputs.
-            for tap in 0..geom.size.min(width) {
-                let taps = column_max[tap..].iter().step_by(geom.stride);
-                for (best, &v) in dst_row.iter_mut().zip(taps) {
-                    *best = (*best).max(v);
+                // Any other window one tap at a time across the row; taps
+                // past the right border drop out with their outputs.
+                _ => {
+                    for tap in 0..geom.size.min(width) {
+                        let taps = column_max[tap..].iter().step_by(geom.stride);
+                        for (best, &v) in dst_row.iter_mut().zip(taps) {
+                            *best = (*best).max(v);
+                        }
+                    }
                 }
             }
         }
@@ -410,10 +421,15 @@ mod tests {
 
     #[test]
     fn pool_matches_a_naive_window_max() {
-        // Odd and even widths, through the pairwise 2×2/2 path and the
-        // tap-at-a-time path; ragged windows truncate at the border.
+        // Odd and even widths, through the pairwise 2×2/2 path, the
+        // neighbour 2×2/1 path and the tap-at-a-time path; ragged windows
+        // truncate at the border.
         let mut rng = StdRng::seed_from_u64(15);
-        for geom in [PoolGeom::new(2, 2), PoolGeom::new(2, 1)] {
+        for geom in [
+            PoolGeom::new(2, 2),
+            PoolGeom::new(2, 1),
+            PoolGeom::new(3, 2),
+        ] {
             for width in 1..=9 {
                 let shape = Shape3::new(3, 5, width);
                 let input = random_input(&mut rng, shape, 3);

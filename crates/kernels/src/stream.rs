@@ -15,14 +15,22 @@
 //!    channels of up to eight pixels are turned into the pixels'
 //!    channel-bytes by shifts and ORs on whole words.
 //! 2. **Window assembly.** A footprint plane is `K` such runs, one per
-//!    kernel row, gathered a whole word at a time into a reused tile
-//!    buffer, or copied as slices where `C` is a multiple of 64. The plane
-//!    popcounts `Σ_p 2^p·pc(plane_p)` are folded once per pixel while the
-//!    words are hot.
+//!    kernel row, gathered a whole word at a time (or copied word by word
+//!    where `C` is a multiple of 64) straight into a reused tile buffer.
+//!    The tile is *lane-major*: a group of `G` pixels fills rows of eight
+//!    `u64` lanes, word `s·W + k` of a pixel's plane `p` in lane
+//!    `(pixel mod G)·W + k` of row `p·steps + s`, where `W = 8 / G` —
+//!    eight pixels of one word each, or on a map narrower than eight
+//!    pixels fewer pixels of several words side by side, so no lane idles.
+//!    The plane popcounts `Σ_p 2^p·pc(plane_p)` are folded once per pixel
+//!    while the words are hot.
 //! 3. **MVTU.** Per weight row, first every pixel of the tile gets its
-//!    accumulator — the three planes ANDed against the same weight word
-//!    and counted together,
-//!    `acc = 2·Σ_p 2^p·pc(w ∧ plane_p) − Σ_p 2^p·pc(plane_p)` — then the
+//!    accumulator: each weight word is loaded once, broadcast across a
+//!    tile row and ANDed against all eight lanes of each plane, and the
+//!    lanes keep their counts,
+//!    `acc = 2·Σ_p 2^p·pc(w ∧ plane_p) − Σ_p 2^p·pc(plane_p)` — one
+//!    vector AND-popcount per plane and step under `VPOPCNTDQ`, no gather
+//!    and no horizontal sum but the `W` lanes of a pixel. Then the
 //!    channel's comparators ([`ThresholdTable`]) run across that row of
 //!    accumulators and write the levels straight into the CHW output.
 //!
@@ -50,8 +58,8 @@ const TILE_BYTES: usize = 16 * 1024;
 /// Accumulators the comparators fire as one lane group.
 const LANES: usize = 16;
 
-/// `u64` words of a tile row: the footprints of one pixel group side by
-/// side, one 512-bit vector.
+/// `u64` lanes of a tile row, one 512-bit vector: a word of each of eight
+/// pixels, or several words of each of fewer.
 const WORD_LANES: usize = 8;
 
 /// A layer's threshold sets as the MVTU's comparator rows: the thresholds
@@ -407,8 +415,8 @@ impl PopcountKernel for StreamedConv<'_> {
         let pixel_bytes = group_words / group * 8;
         let tile_pixels = (TILE_BYTES / pixel_bytes).div_ceil(LANES) * LANES;
         let tile_pixels = tile_pixels.min(pixels.next_multiple_of(group));
-        // Words past a row's end stay zero: the scatter below never
-        // writes them.
+        // The lanes of a row's padded last step stay zero: the assembly
+        // below never writes them.
         let mut tile = vec![0u64; tile_pixels / group * group_words];
         let mut plane_sums = vec![0i32; tile_pixels];
         let mut accs = vec![0i32; tile_pixels];
@@ -417,7 +425,7 @@ impl PopcountKernel for StreamedConv<'_> {
 
         // Where the channel count is a multiple of 64, every run starts and
         // ends on a word boundary: the footprint is `K` slices of the line
-        // buffer, copied whole.
+        // buffer, taken word for word.
         let aligned = channels.is_multiple_of(WORD_BITS);
         let run_words = run_bits / WORD_BITS;
 
@@ -428,11 +436,12 @@ impl PopcountKernel for StreamedConv<'_> {
                 let src_bit = ox * geom.stride * channels;
                 // Straight into the pixel's lanes: word `s·W + k` of plane
                 // `p` is lane `(i mod G)·W + k` of its group's row
-                // `p·steps + s`.
-                let lane = (i >> group.trailing_zeros()) * group_words + (i & (group - 1)) * step_words;
+                // `p·steps + s` (`G` is a power of two: shifts and masks).
+                let (g, slot) = (i >> group.trailing_zeros(), i & (group - 1));
+                let first_lane = g * group_words + slot * step_words;
                 *sum = 0;
                 for p in 0..PLANES {
-                    let rows = &mut tile[lane + p * steps * WORD_LANES..];
+                    let rows = &mut tile[first_lane + p * steps * WORD_LANES..];
                     let (mut j, mut ones) = (0, 0);
                     let mut put = |word: u64| {
                         let (s, k) = (j >> step_words.trailing_zeros(), j & (step_words - 1));
@@ -443,7 +452,9 @@ impl PopcountKernel for StreamedConv<'_> {
                     let lines = (0..geom.kernel).map(|ky| lines.row(p, oy * geom.stride + ky));
                     if aligned {
                         for line in lines {
-                            line[src_bit / WORD_BITS..][..run_words].iter().for_each(|&w| put(w));
+                            for &word in &line[src_bit / WORD_BITS..][..run_words] {
+                                put(word);
+                            }
                         }
                     } else {
                         // The first hidden layer's runs are 16 channels

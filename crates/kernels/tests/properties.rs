@@ -200,3 +200,55 @@ fn schedule_matches_reference_over_the_geometry_grid() {
         );
     }
 }
+
+/// The MVTU's lane groups against the naive reference on every popcount
+/// instantiation: conv maps of 1 to 17 output pixels and Tiny YOLO's
+/// 13×13, so groups end part-filled and maps come narrower than a group,
+/// crossed with weight rows of 1, 2, 3, 9, 18, 36 and 72 words (a narrow
+/// map's group holds several words of a pixel side by side, and a row that
+/// does not fill its last step is padded). Activation width, padding and
+/// stride cycle through every combination from case to case.
+#[test]
+fn lane_groups_match_reference_on_every_map_width_and_row_length() {
+    // Channels of a 3×3 conv per row length: 7 → 63 bits (1 word), 14 →
+    // 2, 16 → 3 (the first hidden layer's runs), 60 → 9 with a part-word
+    // tail, then the aligned 128, 256 and 512 of the widest layers.
+    let rows = [
+        (7, 1),
+        (14, 2),
+        (16, 3),
+        (60, 9),
+        (128, 18),
+        (256, 36),
+        (512, 72),
+    ];
+    let maps = (1..=17usize)
+        .map(|p| {
+            if p % 2 == 0 && p > 2 {
+                (2, p / 2)
+            } else {
+                (1, p)
+            }
+        })
+        .chain([(13, 13)]);
+    let mut index = 0;
+    for (out_height, out_width) in maps {
+        for &(channels, words) in &rows {
+            let act_bits = 1 + index % 3;
+            let (pad, stride) = (index / 3 % 2, 1 + index / 6 % 2);
+            index += 1;
+            let geom = ConvGeom::new(3, stride, pad);
+            // The smallest input the geometry maps onto `out` pixels.
+            let extent = |out: usize| (out - 1) * stride + 3 - 2 * pad;
+            let in_shape = Shape3::new(channels, extent(out_height), extent(out_width));
+            let (layer, input) = grid_case(index, act_bits, in_shape, geom, None);
+            let what = format!("A{act_bits} {in_shape} {geom:?} → {out_height}×{out_width}");
+            assert_eq!(layer.weights().words_per_row(), words, "{what}");
+            let expected = layer.forward_reference(&input);
+            assert_eq!(expected.shape().spatial(), out_height * out_width, "{what}");
+            for isa in PopcountIsa::supported() {
+                assert_eq!(layer.run_on(isa, &input), expected, "{isa:?}, {what}");
+            }
+        }
+    }
+}
