@@ -413,7 +413,7 @@ impl PopcountKernel for StreamedConv<'_> {
         let (step_words, steps) = (WORD_LANES / group, words.div_ceil(WORD_LANES / group));
         let group_words = PLANES * steps * WORD_LANES;
         let pixel_bytes = group_words / group * 8;
-        let tile_pixels = (TILE_BYTES / pixel_bytes).div_ceil(LANES) * LANES;
+        let tile_pixels = (TILE_BYTES / pixel_bytes).max(1).div_ceil(LANES) * LANES;
         let tile_pixels = tile_pixels.min(pixels.next_multiple_of(group));
         // The lanes of a row's padded last step stay zero: the assembly
         // below never writes them.

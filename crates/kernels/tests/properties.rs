@@ -204,15 +204,17 @@ fn schedule_matches_reference_over_the_geometry_grid() {
 /// The MVTU's lane groups against the naive reference on every popcount
 /// instantiation: conv maps of 1 to 17 output pixels and Tiny YOLO's
 /// 13×13, so groups end part-filled and maps come narrower than a group,
-/// crossed with weight rows of 1, 2, 3, 9, 18, 36 and 72 words (a narrow
-/// map's group holds several words of a pixel side by side, and a row that
-/// does not fill its last step is padded). Activation width, padding and
+/// crossed with weight rows of 1, 2, 3, 9, 18, 36, 72 and 684 words (a
+/// narrow map's group holds several words of a pixel side by side, a row
+/// that does not fill its last step is padded, and the widest footprint
+/// alone outgrows the tile). Activation width, padding and
 /// stride cycle through every combination from case to case.
 #[test]
 fn lane_groups_match_reference_on_every_map_width_and_row_length() {
     // Channels of a 3×3 conv per row length: 7 → 63 bits (1 word), 14 →
     // 2, 16 → 3 (the first hidden layer's runs), 60 → 9 with a part-word
-    // tail, then the aligned 128, 256 and 512 of the widest layers.
+    // tail, the aligned 128, 256 and 512 of the widest layers, and a
+    // footprint of 684 words, wider than the whole 16 KiB tile.
     let rows = [
         (7, 1),
         (14, 2),
@@ -221,6 +223,7 @@ fn lane_groups_match_reference_on_every_map_width_and_row_length() {
         (128, 18),
         (256, 36),
         (512, 72),
+        (4864, 684),
     ];
     let maps = (1..=17usize)
         .map(|p| {
