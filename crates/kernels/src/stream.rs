@@ -62,6 +62,12 @@ const LANES: usize = 16;
 /// pixels, or several words of each of fewer.
 const WORD_LANES: usize = 8;
 
+/// One tile row, aligned to its size so that a vector load of it never
+/// straddles two cache lines.
+#[derive(Clone, Copy, Default)]
+#[repr(align(64))]
+struct Lanes([u64; WORD_LANES]);
+
 /// A layer's threshold sets as the MVTU's comparator rows: the thresholds
 /// of every output channel in one contiguous array, `row_len` per channel,
 /// so a weight row finds its comparators without a pointer chase.
@@ -152,7 +158,7 @@ fn count_fired(taus: &[i32], accs: &[i32], levels: &mut [u8], fires: impl Fn(i32
 fn accumulate<const G: usize, const W: usize>(
     words: usize,
     weight_row: &[u64],
-    tile: &[u64],
+    tile: &[Lanes],
     sums: &[i32],
     accs: &mut [i32],
 ) {
@@ -163,11 +169,10 @@ fn accumulate<const G: usize, const W: usize>(
     let mut last = [0u64; W];
     last[..tail.len()].copy_from_slice(tail);
     let steps = words.div_ceil(W);
-    let groups = tile.chunks_exact(PLANES * steps * WORD_LANES);
+    let groups = tile.chunks_exact(PLANES * steps);
     let pixels = accs.chunks_exact_mut(G).zip(sums.chunks_exact(G));
     for (group, (accs, sums)) in groups.zip(pixels) {
-        let rows = group.as_chunks::<WORD_LANES>().0;
-        let (plane0, rest) = rows.split_at(steps);
+        let (plane0, rest) = group.split_at(steps);
         let (plane1, plane2) = rest.split_at(steps);
         let mut ones = [0u64; WORD_LANES];
         for (s, &w) in whole.iter().enumerate() {
@@ -186,17 +191,13 @@ fn accumulate<const G: usize, const W: usize>(
 
 /// `W` weight words against one tile row of each plane, lane by lane.
 #[inline(always)]
-fn count_step<const W: usize>(
-    ones: &mut [u64; WORD_LANES],
-    w: [u64; W],
-    planes: [&[u64; WORD_LANES]; PLANES],
-) {
+fn count_step<const W: usize>(ones: &mut [u64; WORD_LANES], w: [u64; W], planes: [&Lanes; PLANES]) {
     // Opaque to the optimizer, so that the lanes are what gets vectorized.
     // Left visible, the AVX-512 build vectorized a three-word row across
     // its steps instead, through masked gathers: 2.6× slower.
     let w = w.map(std::hint::black_box);
     let w: [u64; WORD_LANES] = std::array::from_fn(|l| w[l % W]);
-    let [b0, b1, b2] = planes;
+    let [Lanes(b0), Lanes(b1), Lanes(b2)] = planes;
     for (l, ones) in ones.iter_mut().enumerate() {
         let w = w[l];
         *ones += u64::from((w & b0[l]).count_ones())
@@ -411,13 +412,13 @@ impl PopcountKernel for StreamedConv<'_> {
         // pixels of several, so no lane idles.
         let group = pixels.next_power_of_two().min(WORD_LANES);
         let (step_words, steps) = (WORD_LANES / group, words.div_ceil(WORD_LANES / group));
-        let group_words = PLANES * steps * WORD_LANES;
-        let pixel_bytes = group_words / group * 8;
+        let group_rows = PLANES * steps;
+        let pixel_bytes = group_rows * size_of::<Lanes>() / group;
         let tile_pixels = (TILE_BYTES / pixel_bytes).max(1).div_ceil(LANES) * LANES;
         let tile_pixels = tile_pixels.min(pixels.next_multiple_of(group));
         // The lanes of a row's padded last step stay zero: the assembly
         // below never writes them.
-        let mut tile = vec![0u64; tile_pixels / group * group_words];
+        let mut tile = vec![Lanes::default(); tile_pixels / group * group_rows];
         let mut plane_sums = vec![0i32; tile_pixels];
         let mut accs = vec![0i32; tile_pixels];
         let mut out = Tensor::zeros(conv_shape);
@@ -438,14 +439,14 @@ impl PopcountKernel for StreamedConv<'_> {
                 // `p` is lane `(i mod G)·W + k` of its group's row
                 // `p·steps + s` (`G` is a power of two: shifts and masks).
                 let (g, slot) = (i >> group.trailing_zeros(), i & (group - 1));
-                let first_lane = g * group_words + slot * step_words;
+                let first_lane = slot * step_words;
                 *sum = 0;
                 for p in 0..PLANES {
-                    let rows = &mut tile[first_lane + p * steps * WORD_LANES..];
+                    let rows = &mut tile[g * group_rows + p * steps..][..steps];
                     let (mut j, mut ones) = (0, 0);
                     let mut put = |word: u64| {
                         let (s, k) = (j >> step_words.trailing_zeros(), j & (step_words - 1));
-                        rows[s * WORD_LANES + k] = word;
+                        rows[s].0[first_lane + k] = word;
                         ones += word.count_ones();
                         j += 1;
                     };
@@ -472,7 +473,7 @@ impl PopcountKernel for StreamedConv<'_> {
                 }
             }
             let groups = count.div_ceil(group);
-            let tile = &tile[..groups * group_words];
+            let tile = &tile[..groups * group_rows];
             let sums = &plane_sums[..groups * group];
             for r in 0..weights.rows() {
                 let weight_row = weights.row_words(r);
