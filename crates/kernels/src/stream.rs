@@ -18,10 +18,11 @@
 //!    kernel row, gathered a whole word at a time (or copied word by word
 //!    where `C` is a multiple of 64) straight into a reused tile buffer.
 //!    The tile is *lane-major*: a group of `G` pixels fills rows of eight
-//!    `u64` lanes, word `s·W + k` of a pixel's plane `p` in lane
-//!    `(pixel mod G)·W + k` of row `p·steps + s`, where `W = 8 / G` —
-//!    eight pixels of one word each, or on a map narrower than eight
-//!    pixels fewer pixels of several words side by side, so no lane idles.
+//!    `u64` lanes (one 512-bit vector, aligned to it), word `s·W + k` of
+//!    a pixel's plane `p` in lane `(pixel mod G)·W + k` of row
+//!    `p·steps + s`, where `W = 8 / G` — eight pixels of one word each,
+//!    or on a map narrower than eight pixels fewer pixels of several
+//!    words side by side, so no lane idles.
 //!    The plane popcounts `Σ_p 2^p·pc(plane_p)` are folded once per pixel
 //!    while the words are hot.
 //! 3. **MVTU.** Per weight row, first every pixel of the tile gets its
