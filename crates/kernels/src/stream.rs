@@ -195,7 +195,9 @@ fn accumulate<const G: usize, const W: usize>(
 fn count_step<const W: usize>(ones: &mut [u64; WORD_LANES], w: [u64; W], planes: [&Lanes; PLANES]) {
     // Opaque to the optimizer, so that the lanes are what gets vectorized.
     // Left visible, the AVX-512 build vectorized a three-word row across
-    // its steps instead, through masked gathers: 2.6× slower.
+    // its steps instead, through masked gathers: 2.6× slower. One word at
+    // a time: the portable build stored an opaque `[u64; 8]` as scalars
+    // and reloaded it as vectors, a store-forwarding stall per step.
     let w = w.map(std::hint::black_box);
     let w: [u64; WORD_LANES] = std::array::from_fn(|l| w[l % W]);
     let [Lanes(b0), Lanes(b1), Lanes(b2)] = planes;
@@ -412,7 +414,8 @@ impl PopcountKernel for StreamedConv<'_> {
         // pixels of one word, or on a map narrower than eight pixels fewer
         // pixels of several, so no lane idles.
         let group = pixels.next_power_of_two().min(WORD_LANES);
-        let (step_words, steps) = (WORD_LANES / group, words.div_ceil(WORD_LANES / group));
+        let step_words = WORD_LANES / group;
+        let steps = words.div_ceil(step_words);
         let group_rows = PLANES * steps;
         let pixel_bytes = group_rows * size_of::<Lanes>() / group;
         let tile_pixels = (TILE_BYTES / pixel_bytes).max(1).div_ceil(LANES) * LANES;
