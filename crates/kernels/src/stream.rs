@@ -194,10 +194,10 @@ fn accumulate<const G: usize, const W: usize>(
 #[inline(always)]
 fn count_step<const W: usize>(ones: &mut [u64; WORD_LANES], w: [u64; W], planes: [&Lanes; PLANES]) {
     // Opaque to the optimizer, so that the lanes are what gets vectorized.
-    // Left visible, the AVX-512 build vectorized a three-word row across
-    // its steps instead, through masked gathers: 2.6× slower. One word at
-    // a time: the portable build stored an opaque `[u64; 8]` as scalars
-    // and reloaded it as vectors, a store-forwarding stall per step.
+    // Left visible, the AVX-512 build vectorized across groups instead,
+    // through gathers, and layers 0–1 took 3.3–4× as long. One word at a
+    // time: the portable build stored an opaque `[u64; 8]` as scalars and
+    // reloaded it as vectors, a store-forwarding stall per step.
     let w = w.map(std::hint::black_box);
     let w: [u64; WORD_LANES] = std::array::from_fn(|l| w[l % W]);
     let [Lanes(b0), Lanes(b1), Lanes(b2)] = planes;
