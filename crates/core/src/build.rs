@@ -6,7 +6,7 @@
 //! section backed by `library=fabric.so` — here, the FINN simulator of
 //! `tincy-finn`.
 
-use tincy_finn::{EngineConfig, FabricBackend, FaultPlan, FABRIC_LIBRARY};
+use tincy_finn::{EngineConfig, FabricBackend, FaultPlan, FpgaDevice, FABRIC_LIBRARY};
 use tincy_nn::topology::tincy_yolo_with_input;
 use tincy_nn::{
     BackendRegistry, Device, FoldSpec, LayerSpec, ModelSpec, Network, NetworkSpec, NnError,
@@ -162,10 +162,25 @@ pub fn build_network_for(model: &ModelSpec, fault_plan: FaultPlan) -> Result<Net
     let mut net = Network::from_spec(&spec, &registry_for(model, segment), model.seed)?;
     for i in 0..net.num_layers() {
         if let Some(offload) = net.layer_mut(i).as_offload_mut() {
-            *offload.device_mut() = Device::new(fault_plan, RetryPolicy::default());
+            *offload.device_mut() = xczu3eg_device(fault_plan, RetryPolicy::default());
         }
     }
     Ok(net)
+}
+
+/// A device of the one part this reproduction targets, the XCZU3EG,
+/// faulting on `plan` under `retry`. A bitstream loss costs the next
+/// invocation the part's full reload over its 128-bit configuration port:
+/// the plan's penalty is priced here, by the crate that knows the part.
+pub fn xczu3eg_device(plan: FaultPlan, retry: RetryPolicy) -> Device {
+    let reload_penalty_cycles = FpgaDevice::XCZU3EG.bitstream_reload_cycles(128);
+    Device::new(
+        FaultPlan {
+            reload_penalty_cycles,
+            ..plan
+        },
+        retry,
+    )
 }
 
 /// Builds the runnable offloaded network with random (deterministic)
@@ -241,6 +256,25 @@ mod tests {
         let out = net.forward(&input).unwrap();
         assert_eq!(out.shape(), Shape3::new(125, 1, 1));
         assert!(out.as_slice().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn a_seeded_plan_reloads_the_xczu3eg_bitstream() {
+        // `--fault-seed`'s plan, built as the demo builds it: its first
+        // bitstream loss charges the part's full reload.
+        let config = SystemConfig {
+            input_size: 32,
+            fault_plan: FaultPlan::from_seed(7),
+            ..Default::default()
+        };
+        let mut net = build_offloaded_network(&config).unwrap();
+        let offload = net.layer_mut(1).as_offload_mut().expect("offload layer");
+        let faults = offload.device_mut().faults().expect("a seeded plan faults");
+        let lost =
+            (0..100_000).any(|_| faults.next_fault() == Some(tincy_nn::FaultKind::BitstreamLost));
+        assert!(lost, "seed 7 loses the bitstream");
+        let reload = FpgaDevice::XCZU3EG.bitstream_reload_cycles(128);
+        assert_eq!(faults.take_reload_penalty(), reload);
     }
 
     #[test]

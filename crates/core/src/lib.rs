@@ -29,8 +29,8 @@ pub use tincy_nn::topology;
 
 pub use build::{
     arm_offload_resilience, build_network_for, build_offloaded_network, fabric_registry,
-    offload_position, offloaded_spec, offloaded_spec_of, region_decoder, tincy_model, SystemConfig,
-    NMS_IOU,
+    offload_position, offloaded_spec, offloaded_spec_of, region_decoder, tincy_model,
+    xczu3eg_device, SystemConfig, NMS_IOU,
 };
 pub use demo::{run_demo, DemoConfig, DemoReport};
 pub use deploy::deploy;

@@ -120,9 +120,6 @@ mod tests {
         assert_eq!(narrow, dev.bitstream_bits().div_ceil(32));
         // Zero width must not divide by zero.
         assert_eq!(dev.bitstream_reload_cycles(0), dev.bitstream_bits());
-        // A seeded fault plan's bitstream loss reloads this device.
-        let plan = tincy_nn::FaultPlan::from_seed(0);
-        assert_eq!(plan.reload_penalty_cycles, wide);
     }
 
     #[test]

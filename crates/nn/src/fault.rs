@@ -57,12 +57,6 @@ impl FaultKind {
     }
 }
 
-/// Cycles to stream the XCZU3EG bitstream (70 560 LUTs × 640 bits) back
-/// over a 128-bit configuration port: `tincy-finn`'s
-/// `FpgaDevice::XCZU3EG.bitstream_reload_cycles(128)`, which its tests pin
-/// to this value.
-const XCZU3EG_RELOAD_CYCLES: u64 = 352_800;
-
 /// A contiguous accelerator outage: every invocation in
 /// `start..start + length` fails with `kind`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,7 +98,9 @@ pub struct FaultPlan {
     /// Hard outage window, checked before the probabilistic draws.
     pub outage: Option<FaultWindow>,
     /// Cycle penalty charged to the first successful invocation after a
-    /// [`FaultKind::BitstreamLost`] (the reconfiguration time).
+    /// [`FaultKind::BitstreamLost`] (the reconfiguration time). 0 as the
+    /// constructors build a plan: the part's price is set by whoever
+    /// builds a device for it (`tincy_core::xczu3eg_device`).
     pub reload_penalty_cycles: u64,
 }
 
@@ -124,7 +120,7 @@ impl FaultPlan {
             corrupt_per_mille: 10,
             bitstream_lost_per_mille: 2,
             outage: None,
-            reload_penalty_cycles: XCZU3EG_RELOAD_CYCLES,
+            reload_penalty_cycles: 0,
         }
     }
 
@@ -343,8 +339,7 @@ mod tests {
             "expected a visible fault rate, got {faults}/4000"
         );
         assert!(faults < 1000, "fault rate implausibly high: {faults}/4000");
-        // CI's drift smoke (`serve 16 4 32 --fault-seed 7`, at most 64
-        // FINN invocations) counts on seed 7's first fault coming later.
+        // Seed 7's first fault: a change to the draw moves it.
         assert_eq!(schedule(&a).iter().position(Option::is_some), Some(66));
     }
 

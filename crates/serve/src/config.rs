@@ -46,18 +46,12 @@ pub struct ServeConfig {
     /// (exposed as `tincy_slo_*` on `/metrics`, and as a `degraded`
     /// verdict on `/healthz` while an alert is active).
     pub slo: SloPolicy,
-    /// When set, every (ladder rung, backend) keeps an EWMA of its own
-    /// per-item service time against a reference frozen after warmup,
-    /// and raises its drift alert while the relative divergence exceeds
-    /// this value (`0.5` = 50%): `tincy_calibration_*{variant,backend}`
-    /// on `/metrics`, and the `calibration-drift` verdict (DESIGN §8.3).
-    pub drift_threshold: Option<f64>,
     /// Quantization-variant ladder to host. When unset the server runs a
     /// one-rung ladder around [`Self::model_spec`] — the classic
     /// single-model behavior. With multiple rungs, each SLO class is
     /// routed to its home rung, the one FINN worker serves the rungs by
     /// earliest queue head, and a shift monitor demotes traffic down the
-    /// ladder under sustained drift or SLO burn.
+    /// ladder under a sustained SLO burn.
     pub variants: Option<VariantLadder>,
 }
 
@@ -82,7 +76,6 @@ impl Default for ServeConfig {
             shard: None,
             slo: SloPolicy::default(),
             status_addr: None,
-            drift_threshold: None,
             variants: None,
         }
     }

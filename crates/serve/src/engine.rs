@@ -126,7 +126,7 @@ impl ServeEngine {
         score_threshold: f32,
     ) -> Result<Self, NnError> {
         let model = Arc::new(Model::build(model, score_threshold)?);
-        let device = Device::new(system.fault_plan, system.retry);
+        let device = tincy_core::xczu3eg_device(system.fault_plan, system.retry);
         Ok(Self::on_device(model, device))
     }
 

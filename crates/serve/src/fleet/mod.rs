@@ -13,9 +13,8 @@
 //!   fabric counters, summed over its rungs' engines. A shard whose
 //!   `degraded` counter advances is drained: skipped by dispatch while
 //!   its outstanding work completes (accepted work is never dropped).
-//!   Load, SLO burn and drift do not drain a shard: admission sheds
-//!   overload with a typed error, and the ladder demotes on burn and
-//!   drift. Drained shards are probed with one canary frame per ladder
+//!   Load and SLO burn do not drain a shard: admission sheds overload
+//!   with a typed error, and the ladder demotes on burn. Drained shards are probed with one canary frame per ladder
 //!   rung; two probes in a row whose every rung ran clean on the fabric
 //!   re-admit the shard. The monitor polls every
 //!   10 ms.

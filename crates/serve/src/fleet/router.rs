@@ -5,8 +5,8 @@
 //! device, which every rung runs on, not wall-clock timeouts or the
 //! shard's load: a poll that observes the `degraded` counter advance means
 //! the shard's fabric needed retries or CPU fallback since the last poll,
-//! and the shard is drained. A shard's SLO burn or drift verdict does not
-//! drain it. A drained shard keeps completing its outstanding work
+//! and the shard is drained. A shard's SLO burn verdict does not drain
+//! it. A drained shard keeps completing its outstanding work
 //! (accepted work is never dropped anywhere in the stack); once idle it is
 //! probed with canary frames, one per ladder rung, each answered before
 //! the next is sent, so a probe needs one slot of the client quota at any
@@ -718,7 +718,7 @@ fn spawn_monitor(mut monitor: Monitor, stop: Arc<AtomicBool>) -> JoinHandle<()> 
 mod tests {
     use super::*;
     use crate::config::ServeConfig;
-    use crate::request::BackendKind;
+    use crate::server::tests::serve_synthetic;
     use tincy_core::SystemConfig;
 
     fn small_fleet() -> FleetConfig {
@@ -796,70 +796,32 @@ mod tests {
         assert_eq!(report.lost(), 0);
     }
 
-    /// Completes `n` requests on rung 0 of `server`, served degraded,
-    /// through the scheduler calls its workers make (the lock is held
-    /// throughout, so no worker sees them).
-    fn degraded_completions(server: &InferenceServer, n: usize) {
-        let (tx, _rx) = std::sync::mpsc::channel();
-        let mut state = server.collector.inner.state.lock();
-        let client = state.register_client(tx);
-        for image in frames(n as u64, 1) {
-            state
-                .submit(client, SloClass::Standard, image, None)
-                .unwrap();
-        }
-        for request in state.lease(n) {
-            state.complete(request, Vec::new(), BackendKind::Finn, n, true);
-        }
-    }
-
     /// A shard's own verdict does not drain it: the monitor drains on the
-    /// fabric's counters only. Both shards run the one base config with
-    /// drift on, and only shard 1 degrades: its FINN engine slows 4x after
-    /// warmup (drift is each shard's own measurement), or it serves its
-    /// requests degraded (SLO burn). Either way its fabric counters never
-    /// move, so it stays routable while `degraded()` still names the
-    /// reason for the ladder and `/healthz`.
+    /// fabric's counters only. Both shards run the one base config, and
+    /// only shard 1 serves requests degraded (SLO burn). Its fabric
+    /// counters never move, so it stays routable while `degraded()` still
+    /// names the reason for the ladder and `/healthz`.
     #[test]
-    fn monitor_leaves_a_burning_or_drifting_shard_routable() {
-        let slow_finn: fn(usize, &InferenceServer) = |shard, server| {
-            let mut state = server.collector.inner.state.lock();
-            for block in 0..5 {
-                let ms = if shard == 1 && block >= 3 { 4 } else { 1 };
-                for _ in 0..crate::scheduler::DRIFT_BLOCK {
-                    state.record_finn_batch(0, 1, Duration::from_millis(ms), false);
-                }
-            }
-        };
-        let burning: fn(usize, &InferenceServer) = |shard, server| {
-            if shard == 1 {
-                degraded_completions(server, 8);
-            }
-        };
-        for (reason, degrade) in [("calibration-drift", slow_finn), ("slo-burn", burning)] {
-            let mut config = small_fleet();
-            config.base.drift_threshold = Some(0.5);
-            let servers: Vec<InferenceServer> = (0..2)
-                .map(|_| InferenceServer::start(config.base.clone()).unwrap())
-                .collect();
-            for (shard, server) in servers.iter().enumerate() {
-                degrade(shard, server);
-            }
-            let shared = Arc::new(Shared::new(2));
-            let mut monitor = Monitor::new(&servers, Arc::clone(&shared));
-            for _ in 0..3 {
-                monitor.step();
-            }
-            assert!(
-                shared.slots.iter().all(|s| s.up.load(Ordering::Relaxed)),
-                "{reason}: both shards stay routable"
-            );
-            assert_eq!(shared.drains.load(Ordering::Relaxed), 0, "{reason}");
-            assert_eq!(servers[1].collector.degraded(), Some(reason));
-            drop(monitor);
-            for server in servers {
-                server.finish();
-            }
+    fn monitor_leaves_a_burning_shard_routable() {
+        let config = small_fleet();
+        let servers: Vec<InferenceServer> = (0..2)
+            .map(|_| InferenceServer::start(config.base.clone()).unwrap())
+            .collect();
+        serve_synthetic(&servers[1], 8, Duration::ZERO, true);
+        let shared = Arc::new(Shared::new(2));
+        let mut monitor = Monitor::new(&servers, Arc::clone(&shared));
+        for _ in 0..3 {
+            monitor.step();
+        }
+        assert!(
+            shared.slots.iter().all(|s| s.up.load(Ordering::Relaxed)),
+            "both shards stay routable"
+        );
+        assert_eq!(shared.drains.load(Ordering::Relaxed), 0);
+        assert_eq!(servers[1].collector.degraded(), Some("slo-burn"));
+        drop(monitor);
+        for server in servers {
+            server.finish();
         }
     }
 

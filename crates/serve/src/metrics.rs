@@ -70,14 +70,11 @@ pub struct ServeReport {
     pub weight_swaps: Vec<u64>,
     /// Active ladder rung per SLO class at report time.
     pub active_variant: [usize; 3],
-    /// Ladder demotions taken (drift / SLO-burn driven shifts toward the
-    /// cheap end).
+    /// Ladder demotions taken (SLO-burn driven shifts toward the cheap
+    /// end).
     pub shifts_down: u64,
     /// Ladder promotions taken (clean-streak shifts back toward home).
     pub shifts_up: u64,
-    /// Blocks folded by the per-(rung, backend) service-time drift
-    /// trackers (`None` without [`crate::ServeConfig::drift_threshold`]).
-    pub drift_blocks: Option<u64>,
 }
 
 impl ServeReport {
@@ -115,7 +112,6 @@ impl ServeReport {
             active_variant: homes,
             shifts_down: 0,
             shifts_up: 0,
-            drift_blocks: None,
         }
     }
 

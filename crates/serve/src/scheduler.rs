@@ -80,90 +80,6 @@ struct ClientState {
 /// Queue depth past which host workers engage on a healthy fabric.
 const CPU_ENGAGE_DEPTH: usize = 8;
 
-/// Items one drift block averages: the block the smallest drift run (32
-/// admitted requests split over one rung's FINN and host trackers) is
-/// sure to fill in one of them, and four default micro-batches on the
-/// fabric (DESIGN §8.3).
-pub(crate) const DRIFT_BLOCK: u32 = 16;
-/// The drift EWMA's nominal window in blocks (`alpha = 2/(8+1)`), which is
-/// also how many blocks the rest of the server may close before an alert
-/// its own tracker has not re-judged stops counting.
-const DRIFT_WINDOW: u64 = 8;
-const DRIFT_ALPHA: f64 = 2.0 / (DRIFT_WINDOW as f64 + 1.0);
-/// Blocks folded before the drift reference freezes.
-const DRIFT_WARMUP: u64 = 3;
-
-/// The per-item service time of one (ladder rung, backend): block means
-/// folded into an EWMA and compared with that EWMA as it stood after the
-/// warmup — drift from this server's own steady state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct ServiceDrift {
-    threshold: f64,
-    /// Seconds and items of the block still filling.
-    open_secs: f64,
-    open_items: u32,
-    pub blocks: u64,
-    /// The server's closed-block count just after this tracker's last
-    /// block.
-    closed_at: u64,
-    ewma: f64,
-    reference: Option<f64>,
-    /// Whether `|drift|` exceeded the threshold at the last block.
-    pub alerted: bool,
-    /// Rising edges of `alerted`.
-    pub alerts: u64,
-}
-
-impl ServiceDrift {
-    fn new(threshold: f64) -> Self {
-        Self {
-            threshold,
-            open_secs: 0.0,
-            open_items: 0,
-            blocks: 0,
-            closed_at: 0,
-            ewma: 0.0,
-            reference: None,
-            alerted: false,
-            alerts: 0,
-        }
-    }
-
-    /// Folds `items` items of `per_item` seconds each, counting every
-    /// block it closes in the server-wide `closed`.
-    fn observe(&mut self, per_item: f64, items: usize, closed: &mut u64) {
-        for _ in 0..items {
-            self.open_secs += per_item;
-            self.open_items += 1;
-            if self.open_items < DRIFT_BLOCK {
-                continue;
-            }
-            let mean = self.open_secs / f64::from(DRIFT_BLOCK);
-            (self.open_secs, self.open_items) = (0.0, 0);
-            self.ewma = match self.blocks {
-                0 => mean,
-                _ => self.ewma + DRIFT_ALPHA * (mean - self.ewma),
-            };
-            self.blocks += 1;
-            *closed += 1;
-            self.closed_at = *closed;
-            if self.blocks == DRIFT_WARMUP {
-                self.reference = Some(self.ewma);
-            }
-            let alerted = self.drift().is_some_and(|d| d.abs() > self.threshold);
-            self.alerts += u64::from(alerted && !self.alerted);
-            self.alerted = alerted;
-        }
-    }
-
-    /// `(ewma - reference) / reference`, once the reference has frozen.
-    pub(crate) fn drift(&self) -> Option<f64> {
-        self.reference
-            .filter(|&r| r > 0.0)
-            .map(|r| (self.ewma - r) / r)
-    }
-}
-
 /// The mutex-protected scheduler state.
 pub(crate) struct SchedState {
     /// One EDF heap per hosted variant (index = ladder rung).
@@ -185,11 +101,6 @@ pub(crate) struct SchedState {
     /// The counters and distributions of the run so far; [`Self::report`]
     /// completes them with the fields only the server knows.
     pub metrics: ServeReport,
-    /// Service-time drift per ladder rung, `[FINN, host]`; empty without
-    /// a drift threshold.
-    pub drift: Vec<[ServiceDrift; 2]>,
-    /// Drift blocks closed so far, over every tracker.
-    drift_closed: u64,
     /// Home rung per SLO class (demotion offset 0).
     homes: [usize; 3],
     /// Per-variant weighted-fabric-layer count — the weight swaps one
@@ -223,10 +134,6 @@ impl SchedState {
             shutdown: false,
             finn_degraded: false,
             metrics: ServeReport::new(ladder.names(), homes),
-            drift: config
-                .drift_threshold
-                .map_or_else(Vec::new, |t| vec![[ServiceDrift::new(t); 2]; ladder.len()]),
-            drift_closed: 0,
             homes,
             swap_layers: ladder.variants().iter().map(|v| v.swap_layers()).collect(),
             queue_capacity: config.queue_capacity,
@@ -255,17 +162,6 @@ impl SchedState {
         }
     }
 
-    /// Whether a drift tracker is alerted on current evidence: it closed
-    /// one of the last [`DRIFT_WINDOW`] blocks this server closed. A rung
-    /// that a demotion left, or a host that stopped engaging, no longer
-    /// feeds its tracker; once the traffic that went elsewhere has closed
-    /// a window of blocks its alert stops counting, and its next own
-    /// block judges it again.
-    pub(crate) fn drift_alerted(&self) -> bool {
-        let current = |t: &ServiceDrift| self.drift_closed - t.closed_at < DRIFT_WINDOW;
-        self.drift.iter().flatten().any(|t| t.alerted && current(t))
-    }
-
     /// The report as of now: the accumulated metrics plus the fields only
     /// the server knows. [`crate::InferenceServer::finish`] and the live
     /// `/report` route both read it, so the final and the mid-run view
@@ -280,7 +176,6 @@ impl SchedState {
             cpu_workers,
             wall,
             offload,
-            drift_blocks: (!self.drift.is_empty()).then_some(self.drift_closed),
             ..self.metrics.clone()
         }
     }
@@ -594,10 +489,7 @@ impl SchedState {
     /// swaps (one per weighted fabric layer — the amortization batching
     /// exists to win). The batch's `degraded` verdict, whatever its rung,
     /// is the device's: it engages the host workers or, clean, lets
-    /// micro-batches form again. A batch that needed no retry or fallback
-    /// feeds the variant's FINN drift tracker its per-item time; a
-    /// `degraded` one already burns the SLO budget, and a timed-out
-    /// attempt is not a slower fabric.
+    /// micro-batches form again.
     pub(crate) fn record_finn_batch(
         &mut self,
         variant: usize,
@@ -613,18 +505,6 @@ impl SchedState {
         self.finn_degraded = degraded;
         self.metrics.finn_busy += busy;
         self.metrics.weight_swaps[variant] += self.swap_layers[variant];
-        let per_item = busy.as_secs_f64() / batch as f64;
-        if let (Some([finn, _]), false) = (self.drift.get_mut(variant), degraded) {
-            finn.observe(per_item, batch, &mut self.drift_closed);
-        }
-    }
-
-    /// Records one host-worker request's busy time against its variant.
-    pub(crate) fn record_cpu_busy(&mut self, variant: usize, busy: Duration) {
-        self.metrics.cpu_busy += busy;
-        if let Some([_, host]) = self.drift.get_mut(variant) {
-            host.observe(busy.as_secs_f64(), 1, &mut self.drift_closed);
-        }
     }
 }
 
@@ -908,71 +788,5 @@ mod tests {
         let batch = (SloClass::Batch, 2);
         assert_eq!(leased(state.lease(4)), [batch, batch]);
         assert!(state.lease(4).is_empty());
-    }
-
-    fn drift_state() -> SchedState {
-        SchedState::new(&ServeConfig {
-            drift_threshold: Some(0.5),
-            ..ladder_config()
-        })
-    }
-
-    /// Records `blocks` drift blocks of FINN batches of 4 at `ms` per
-    /// item on `variant`, each `degraded` or not.
-    fn finn_blocks(state: &mut SchedState, variant: usize, ms: u64, blocks: u32, degraded: bool) {
-        for _ in 0..blocks * DRIFT_BLOCK / 4 {
-            state.record_finn_batch(variant, 4, Duration::from_millis(4 * ms), degraded);
-        }
-    }
-
-    fn host_block(state: &mut SchedState, ms: u64) {
-        for _ in 0..DRIFT_BLOCK {
-            state.record_cpu_busy(0, Duration::from_millis(ms));
-        }
-    }
-
-    #[test]
-    fn steady_service_never_alerts() {
-        let mut state = drift_state();
-        for _ in 0..20 {
-            finn_blocks(&mut state, 0, 2, 1, false);
-            host_block(&mut state, 7);
-        }
-        for tracker in state.drift[0] {
-            let seen = (tracker.blocks, tracker.drift(), tracker.alerts);
-            assert_eq!(seen, (20, Some(0.0), 0));
-            assert!(!tracker.alerted);
-        }
-    }
-
-    #[test]
-    fn faulted_batches_leave_the_ewma_untouched() {
-        let mut state = drift_state();
-        finn_blocks(&mut state, 0, 1, 3, false);
-        let before = state.drift[0][0];
-        finn_blocks(&mut state, 0, 50, 8, true);
-        assert_eq!(state.drift[0][0], before);
-        assert_eq!(
-            state.metrics.finn_batches, 44,
-            "a faulted batch still counts"
-        );
-    }
-
-    #[test]
-    fn a_slow_rung_moves_only_its_own_series() {
-        let mut state = drift_state();
-        for block in 0..5 {
-            finn_blocks(&mut state, 0, if block < 3 { 1 } else { 4 }, 1, false);
-            finn_blocks(&mut state, 1, 1, 1, false);
-            host_block(&mut state, 3);
-        }
-        let [finn, host] = state.drift[0];
-        // Reference 1 ms, two 4 ms blocks at alpha 2/9: 4 - 3 (7/9)^2 ms.
-        assert!((finn.drift().unwrap() - 96.0 / 81.0).abs() < 1e-9);
-        assert!(finn.alerted);
-        assert_eq!(finn.alerts, 1);
-        for other in [host, state.drift[1][0]] {
-            assert_eq!((other.drift(), other.alerted), (Some(0.0), false));
-        }
     }
 }

@@ -5,9 +5,9 @@
 //!
 //! With a multi-rung [`crate::VariantLadder`] the server also runs a
 //! *shift monitor* thread: it samples the server's verdict (per-class SLO
-//! burn, then its own service-time drift) every 10 ms,
-//! feeds a hysteretic [`ShiftState`], and demotes traffic down the ladder
-//! under a sustained alert (promoting back after a clean streak).
+//! burn) every 10 ms, feeds a hysteretic [`ShiftState`], and demotes
+//! traffic down the ladder under a sustained burn (promoting back after a
+//! clean streak).
 
 use crate::config::ServeConfig;
 use crate::engine::{Model, ServeEngine};
@@ -23,7 +23,7 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
-use tincy_nn::{Device, NnError};
+use tincy_nn::NnError;
 use tincy_telemetry::{Collect, StatusServer};
 use tincy_trace::{static_label, TraceContext};
 use tincy_video::Image;
@@ -170,7 +170,7 @@ impl InferenceServer {
         // One engine per rung, shared by the FINN worker and every host
         // worker: a leased request runs on the engine of its admission-time
         // rung, so either path stays bit-exact per variant.
-        let device = Device::new(config.system.fault_plan, config.system.retry);
+        let device = tincy_core::xczu3eg_device(config.system.fault_plan, config.system.retry);
         let engines: Vec<_> = models
             .iter()
             .map(|model| Arc::new(ServeEngine::on_device(Arc::clone(model), device.clone())))
@@ -394,15 +394,15 @@ fn spawn_cpu_worker(
         };
         let busy = t0.elapsed();
         inner.mutate(|state| {
-            state.record_cpu_busy(request.variant, busy);
+            state.metrics.cpu_busy += busy;
             state.complete(request, detections, BackendKind::Cpu, 1, false);
         });
     })
 }
 
 /// Spawns the ladder shift monitor: every `SHIFT_EVERY` it takes the
-/// server's degradation verdict (SLO burn or calibration drift) and
-/// feeds the hysteretic [`ShiftState`]. A sustained dirty streak demotes
+/// server's degradation verdict (SLO burn) and feeds the hysteretic
+/// [`ShiftState`]. A sustained dirty streak demotes
 /// every class one rung toward the cheap end; a sustained clean streak
 /// promotes back toward the home rungs.
 fn spawn_shift_monitor(
@@ -435,10 +435,9 @@ fn spawn_shift_monitor(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::scheduler::DRIFT_BLOCK;
-    use crate::variants::{ServeVariant, VariantLadder};
+    use crate::variants::{ServeVariant, VariantLadder, DEMOTE_AFTER};
     use std::time::Duration;
     use tincy_core::SystemConfig;
     use tincy_video::{SceneConfig, SyntheticCamera};
@@ -561,60 +560,33 @@ mod tests {
         assert_eq!(report.finn_batches, 0);
     }
 
-    /// Records `blocks` whole drift blocks of `ms` per item on `rung`, as
-    /// a `backend` worker records its requests — synthetic service times,
-    /// through the scheduler calls the workers make.
-    fn feed(server: &InferenceServer, rung: usize, backend: BackendKind, ms: u64, blocks: u32) {
-        let busy = Duration::from_millis(ms);
+    /// Serves `n` synthetic interactive requests on `server` as its FINN
+    /// worker would, each a batch of one taking `busy` and delivered
+    /// `degraded` or not, with the lock held throughout so no worker takes
+    /// them. Degraded ones burn the interactive class's error budget;
+    /// clean ones dilute it.
+    pub(crate) fn serve_synthetic(
+        server: &InferenceServer,
+        n: u64,
+        busy: Duration,
+        degraded: bool,
+    ) {
+        let images = frames(n, 1);
+        let (tx, _rx) = channel();
         let mut state = server.inner.state.lock();
-        for _ in 0..blocks * DRIFT_BLOCK {
-            match backend {
-                BackendKind::Finn => state.record_finn_batch(rung, 1, busy, false),
-                BackendKind::Cpu => state.record_cpu_busy(rung, busy),
-            }
+        let client = state.register_client(tx);
+        for image in images {
+            state
+                .submit(client, SloClass::Interactive, image, None)
+                .unwrap();
+            let request = state.lease(1).pop().expect("the request just queued");
+            assert_eq!(request.client, client, "the earliest deadline is ours");
+            state.record_finn_batch(request.variant, 1, busy, degraded);
+            state.complete(request, Vec::new(), BackendKind::Finn, 1, degraded);
         }
     }
 
-    #[test]
-    fn slowdown_after_warmup_raises_the_drift_verdict_on_metrics_and_healthz() {
-        let server = InferenceServer::start(ServeConfig {
-            status_addr: Some("127.0.0.1:0".to_string()),
-            drift_threshold: Some(0.5),
-            ..small_config()
-        })
-        .unwrap();
-        // Three 1 ms blocks freeze the reference; the first 4x slower
-        // block puts the EWMA (alpha 2/9) at +67%, past the 50% threshold.
-        feed(&server, 0, BackendKind::Finn, 1, 3);
-        assert_eq!(server.collector.degraded(), None);
-        feed(&server, 0, BackendKind::Finn, 4, 1);
-        assert_eq!(server.collector.degraded(), Some("calibration-drift"));
-        feed(&server, 0, BackendKind::Finn, 4, 1);
-        let addr = server.status_addr().expect("status endpoint bound");
-        let (_, body) = tincy_telemetry::http_get(addr, "/metrics").unwrap();
-        let samples = tincy_telemetry::parse_prometheus(&body).unwrap();
-        let get = |name: &str, backend: &str| {
-            samples
-                .iter()
-                .find(|s| s.name == name && s.label("backend") == Some(backend))
-                .unwrap_or_else(|| panic!("{name} {backend} exposed"))
-                .value
-        };
-        // Two slow blocks: EWMA = 4 - 3 (7/9)^2 ms against 1 ms.
-        let drift = get("tincy_calibration_drift", "finn");
-        assert!((drift - 96.0 / 81.0).abs() < 1e-9, "drift {drift}");
-        assert_eq!(get("tincy_calibration_alerts_total", "finn"), 1.0);
-        assert_eq!(get("tincy_calibration_drift", "cpu"), 0.0);
-        assert_eq!(get("tincy_calibration_alerts_total", "cpu"), 0.0);
-        let (_, health) = tincy_telemetry::http_get(addr, "/healthz").unwrap();
-        assert!(
-            health.contains("\"degraded\":true") && health.contains("calibration-drift"),
-            "{health}"
-        );
-        assert_eq!(server.finish().drift_blocks, Some(5));
-    }
-
-    /// A two-rung ladder, cheap 32 px below accurate 64 px, with drift on.
+    /// A two-rung ladder, cheap 32 px below accurate 64 px.
     fn ladder_config() -> ServeConfig {
         let rung = |name: &str, input_size, accuracy| ServeVariant {
             name: name.to_owned(),
@@ -632,7 +604,6 @@ mod tests {
             queue_capacity: 128,
             per_client_capacity: 32,
             score_threshold: 0.0,
-            drift_threshold: Some(0.5),
             ..small_config()
         }
     }
@@ -648,18 +619,26 @@ mod tests {
         false
     }
 
-    /// Raises the drift alert on rung 0's host tracker: three steady
-    /// blocks freeze the reference, one 4x slower block trips it. Host
-    /// workers stay idle below the engage depth, so no real request
-    /// lands in these blocks.
-    fn raise_drift(server: &InferenceServer) {
-        feed(server, 0, BackendKind::Cpu, 1, 3);
-        feed(server, 0, BackendKind::Cpu, 4, 1);
+    /// Synthetic requests that raise, then clear, an SLO burn.
+    const BURN: u64 = 20;
+    const CLEAN: u64 = 50;
+
+    /// Raises an SLO burn: `BURN` degraded interactive completions put
+    /// every window at a burn of 20 against the default policy's 14.4 and
+    /// 6 (5 % budget).
+    fn raise_burn(server: &InferenceServer) {
+        serve_synthetic(server, BURN, Duration::from_millis(1), true);
+    }
+
+    /// Clears it: `CLEAN` clean completions dilute the windows to 20
+    /// misses in 70, a burn of 5.7, under both thresholds.
+    fn clear_burn(server: &InferenceServer) {
+        serve_synthetic(server, CLEAN, Duration::from_millis(1), false);
     }
 
     #[test]
-    fn drift_alert_demotes_and_clean_streak_restores() {
-        // A sustained drift alert must shift every class toward the cheap
+    fn slo_burn_demotes_and_clean_streak_restores() {
+        // A sustained SLO burn must shift every class toward the cheap
         // rung; a sustained clean streak must shift them back home. A phase
         // of batch traffic at home, demoted and promoted again conserves
         // work: each response on the rung active at admission, delivered 1:1
@@ -683,14 +662,15 @@ mod tests {
         };
         assert_eq!(server.active_variants(), [0, 0, 1], "home routing");
         batch_phase(1);
-        raise_drift(&server);
+        raise_burn(&server);
+        assert_eq!(server.collector.degraded(), Some("slo-burn"));
         assert!(
             wait_until(|| server.active_variants() == [0, 0, 0]),
-            "sustained drift must demote the batch class to the cheap rung"
+            "a sustained burn must demote the batch class to the cheap rung"
         );
         batch_phase(0);
-        // Two blocks back at the reference bring the EWMA to +40%.
-        feed(&server, 0, BackendKind::Cpu, 1, 2);
+        clear_burn(&server);
+        assert_eq!(server.collector.degraded(), None);
         assert!(
             wait_until(|| server.active_variants() == [0, 0, 1]),
             "a clean streak must restore home routing"
@@ -699,33 +679,23 @@ mod tests {
         let report = server.finish();
         assert!(report.shifts_down >= 1);
         assert!(report.shifts_up >= 1);
-        assert_eq!((report.accepted, report.completed), (3 * PHASE, 3 * PHASE));
+        let served = 3 * PHASE + BURN + CLEAN;
+        assert_eq!((report.accepted, report.completed), (served, served));
     }
 
     #[test]
-    fn a_demotion_off_the_drifted_rung_promotes_back_and_re_judges_it() {
-        // The accurate rung's FINN engine slows (and the idle host with
-        // it), and the demotion takes the batch class off that rung, so
-        // neither tracker closes another block. The blocks the demoted
-        // traffic closes on the cheap rung age both alerts out, the server
-        // promotes back, and the rung's next own block judges it again.
+    fn slower_service_inside_the_targets_never_shifts() {
+        // Clean completions 4x slower than the first ones, every one
+        // inside its class target: no budget burns, so the ladder stays
+        // home however long the monitor watches.
         let server = InferenceServer::start(ladder_config()).unwrap();
-        for ms in [1, 1, 1, 4] {
-            feed(&server, 1, BackendKind::Finn, ms, 1);
-            feed(&server, 0, BackendKind::Cpu, ms, 1);
-        }
-        assert!(wait_until(|| server.active_variants() == [0, 0, 0]));
-        // The host alert closed 7 blocks before these, the FINN one 8.
-        feed(&server, 0, BackendKind::Finn, 1, 7);
-        assert_eq!(server.collector.degraded(), Some("calibration-drift"));
-        feed(&server, 0, BackendKind::Finn, 1, 1);
+        serve_synthetic(&server, 48, Duration::from_millis(1), false);
+        serve_synthetic(&server, 48, Duration::from_millis(4), false);
+        std::thread::sleep(SHIFT_EVERY * DEMOTE_AFTER * 10);
         assert_eq!(server.collector.degraded(), None);
-        assert!(wait_until(|| server.active_variants() == [0, 0, 1]));
-        // Still slow: alerted again, on current evidence.
-        feed(&server, 1, BackendKind::Finn, 4, 1);
-        assert!(wait_until(|| server.active_variants() == [0, 0, 0]));
+        assert_eq!(server.active_variants(), [0, 0, 1], "home routing");
         let report = server.finish();
-        assert_eq!((report.shifts_down, report.shifts_up), (2, 1));
+        assert_eq!((report.shifts_down, report.slo_violations), (0, 0));
     }
 
     #[test]
@@ -752,7 +722,7 @@ mod tests {
             }
         };
         submit_half(&mut submitted);
-        raise_drift(&server);
+        raise_burn(&server);
         assert!(
             wait_until(|| server.active_variants()[2] == 0),
             "the shift must land while the first half is still queued"
@@ -771,7 +741,7 @@ mod tests {
             );
         }
         let report = server.finish();
-        assert_eq!(report.completed, 12);
+        assert_eq!(report.completed, 12 + BURN);
         assert!(report.shifts_down >= 1);
     }
 }

@@ -10,7 +10,7 @@
 //! the final report agree by construction.
 
 use crate::metrics::ServeReport;
-use crate::request::{BackendKind, SloClass};
+use crate::request::SloClass;
 use crate::server::Inner;
 use std::io;
 use std::sync::Arc;
@@ -50,33 +50,25 @@ impl ServeCollector {
     }
 
     /// Why this server is degraded, if it is: it burns error budget
-    /// faster than its policy allows, or one of its rungs' service time
-    /// has walked away from its reference. The ladder's shift monitor
+    /// faster than its policy allows. The ladder's shift monitor
     /// demotes on this one verdict, and `/healthz` reports it. The fleet
     /// does not drain on it (an overloaded shard is not a broken one): it
     /// drains on the device's own counters, [`Self::offload`].
     pub(crate) fn degraded(&self) -> Option<&'static str> {
-        let mut state = self.inner.state.lock();
-        if state
-            .slo_status()
+        let burning = self.inner.state.lock().slo_status();
+        burning
             .iter()
             .any(|s| s.fast_active || s.slow_active)
-        {
-            Some("slo-burn")
-        } else if state.drift_alerted() {
-            Some("calibration-drift")
-        } else {
-            None
-        }
+            .then_some("slo-burn")
     }
 }
 
 impl Collect for ServeCollector {
     fn collect(&self) -> Vec<Sample> {
-        let (m, drift, depth, slo) = {
+        let (m, depth, slo) = {
             let mut state = self.inner.state.lock();
             let (depth, slo) = (state.depth(), state.slo_status());
-            (state.metrics.clone(), state.drift.clone(), depth, slo)
+            (state.metrics.clone(), depth, slo)
         };
         let offload = self.offload();
         let mut out = vec![
@@ -152,30 +144,6 @@ impl Collect for ServeCollector {
                 )
                 .label("class", class.label()),
             );
-        }
-        // Every (rung, backend) is emitted (drift 0 until the reference
-        // freezes) so the exposition shape is stable scrape to scrape.
-        for (name, pair) in m.variant_names.iter().zip(&drift) {
-            for (backend, tracker) in [BackendKind::Finn, BackendKind::Cpu].into_iter().zip(pair) {
-                out.push(
-                    Sample::new(
-                        "tincy_calibration_drift",
-                        "Relative divergence of the per-item service time's EWMA from its reference",
-                        Value::Gauge(tracker.drift().unwrap_or(0.0)),
-                    )
-                    .label("variant", name)
-                    .label("backend", backend.label()),
-                );
-                out.push(
-                    Sample::new(
-                        "tincy_calibration_alerts_total",
-                        "Drift alerts raised (steady-to-drifted transitions)",
-                        Value::Counter(tracker.alerts),
-                    )
-                    .label("variant", name)
-                    .label("backend", backend.label()),
-                );
-            }
         }
         // The variant ladder: which rung each class rides right now, the
         // per-variant×class admission counters, shift counters and the

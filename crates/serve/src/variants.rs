@@ -2,15 +2,16 @@
 //!
 //! One serve process can host several quantization variants of the
 //! detector — typically instantiated from the `tincy explore` Pareto
-//! frontier. The [`VariantLadder`] orders them by accuracy proxy
-//! (cheapest/fastest first); each SLO class gets a *home rung* (tight
-//! classes pinned to the cheap variant, best-effort to the accurate
-//! one), and a sustained calibration-drift or SLO burn-rate alert shifts
-//! every class *down* the ladder toward the cheap end — restoring rung
-//! by rung after a clean streak. [`ShiftState`] is the hysteresis state
+//! frontier. The [`VariantLadder`] orders them by accuracy proxy, then by
+//! modeled fabric cycles (cheapest/fastest first); each SLO class gets a
+//! *home rung* (tight classes pinned to the cheap variant, best-effort to
+//! the accurate one), and a sustained SLO burn-rate alert shifts every
+//! class *down* the ladder toward the cheap end — restoring rung by rung
+//! after a clean streak. [`ShiftState`] is the hysteresis state
 //! machine that keeps demote/promote from flapping.
 
 use std::time::Duration;
+use tincy_finn::SegmentCost;
 use tincy_nn::{ModelSpec, OffloadSegment};
 
 use crate::request::SloClass;
@@ -35,10 +36,18 @@ impl ServeVariant {
     pub fn swap_layers(&self) -> u64 {
         OffloadSegment::of(&self.model.network).map_or(0, |s| s.layers().len() as u64)
     }
+
+    /// Modeled fabric compute cycles of one frame at this variant's fold
+    /// (0 without an offloadable segment).
+    pub fn frame_cycles(&self) -> u64 {
+        OffloadSegment::of(&self.model.network)
+            .map_or(0, |s| SegmentCost::of(&s, self.model.fold).compute_cycles())
+    }
 }
 
 /// The variant ladder: every hosted variant, sorted cheapest-first
-/// (ascending accuracy proxy, name as the deterministic tie-break).
+/// (ascending accuracy proxy, then fewest modeled frame cycles, then name
+/// as the deterministic tie-break).
 /// Rung 0 is the fastest/least-accurate variant; the last rung the most
 /// accurate. The ordering is total — any two distinct variants compare
 /// consistently — so routing decisions are reproducible across runs.
@@ -62,6 +71,7 @@ impl VariantLadder {
             a.accuracy
                 .partial_cmp(&b.accuracy)
                 .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.frame_cycles().cmp(&b.frame_cycles()))
                 .then_with(|| a.name.cmp(&b.name))
         });
         for pair in variants.windows(2) {
@@ -133,7 +143,7 @@ impl VariantLadder {
     /// The rung a class runs on at a given demotion offset: `offset`
     /// rungs below its home, saturating at the cheap end. Demotion moves
     /// *down* the ladder (toward rung 0) — trading accuracy for speed
-    /// while the system is drifting or burning its error budget.
+    /// while the system is burning its error budget.
     pub fn active_for(&self, class: SloClass, offset: usize) -> usize {
         self.home(class).saturating_sub(offset)
     }
@@ -168,7 +178,7 @@ pub enum Shift {
 }
 
 /// The demote/promote state machine. Feed it one observation per shift
-/// monitor tick (`alerted` = drift alert raised or SLO budget burning); it
+/// monitor tick (`alerted` = SLO budget burning); it
 /// answers with a [`Shift`] only after a full streak in one direction,
 /// and every shift resets both streaks — so an alternating signal never
 /// moves the ladder, and a second demotion needs a fresh dirty streak.

@@ -1,21 +1,29 @@
 //! Property tests for the variant ladder: ordering is total and
-//! monotone in the accuracy proxy, and the shift hysteresis never flaps
-//! under adversarial drift signals.
+//! monotone in the accuracy proxy, then in modeled frame cycles, and the
+//! shift hysteresis never flaps under adversarial alert signals.
 
 use proptest::prelude::*;
 use tincy_serve::{
     ServeConfig, ServeVariant, ShiftState, VariantLadder, DEMOTE_AFTER, PROMOTE_AFTER,
 };
 
-fn variants_from(accuracies: &[f64]) -> Vec<ServeVariant> {
-    let model = ServeConfig::default().model_spec();
-    accuracies
+/// Engine folds `(pe, simd)` the variants draw from: CI's frontier's.
+const FOLDS: [(usize, usize); 5] = [(16, 16), (4, 16), (4, 4), (4, 8), (8, 16)];
+
+/// One variant per `(accuracy, fold index)`, named in input order.
+fn variants_from(rungs: &[(f64, usize)]) -> Vec<ServeVariant> {
+    let base = ServeConfig::default().model_spec();
+    rungs
         .iter()
         .enumerate()
-        .map(|(i, &accuracy)| ServeVariant {
-            name: format!("v{i}"),
-            model: model.clone(),
-            accuracy,
+        .map(|(i, &(accuracy, fold))| {
+            let mut model = base.clone();
+            (model.fold.pe, model.fold.simd) = FOLDS[fold % FOLDS.len()];
+            ServeVariant {
+                name: format!("v{i}"),
+                model,
+                accuracy,
+            }
         })
         .collect()
 }
@@ -25,23 +33,32 @@ proptest! {
 
     /// However the variants arrive, the ladder is totally ordered and
     /// monotone in the accuracy proxy: rung i's accuracy never exceeds
-    /// rung i+1's, and the per-class homes are monotone from the cheap
+    /// rung i+1's, neighbours of equal accuracy never go down in modeled
+    /// frame cycles, and the per-class homes are monotone from the cheap
     /// end (interactive) to the accurate end (batch).
     #[test]
     fn ladder_ordering_is_total_and_monotone(
-        accuracies in proptest::collection::vec(0.0f64..100.0, 1..8),
+        drawn in proptest::collection::vec((0.0f64..100.0, any::<bool>(), 0usize..5), 1..8),
         rotate in 0usize..8,
     ) {
+        // Half the variants share one accuracy, as a frontier's folds of
+        // one precision do, so the cycle tie-break is exercised.
+        let rungs: Vec<(f64, usize)> = drawn
+            .iter()
+            .map(|&(accuracy, tied, fold)| (if tied { 48.5 } else { accuracy }, fold))
+            .collect();
         // Feed the variants in a rotated order to show the ordering is
         // a property of the ladder, not of the input sequence.
-        let mut input = variants_from(&accuracies);
+        let mut input = variants_from(&rungs);
         let pivot = rotate % input.len().max(1);
         input.rotate_left(pivot);
         let ladder = VariantLadder::new(input).expect("nonempty distinct names");
         for i in 1..ladder.len() {
+            let (cheap, dear) = (ladder.get(i - 1), ladder.get(i));
+            prop_assert!(cheap.accuracy <= dear.accuracy, "rung {i} breaks monotonicity");
             prop_assert!(
-                ladder.get(i - 1).accuracy <= ladder.get(i).accuracy,
-                "rung {i} breaks monotonicity"
+                cheap.accuracy < dear.accuracy || cheap.frame_cycles() <= dear.frame_cycles(),
+                "rung {i} ties in accuracy but costs fewer cycles than rung {}", i - 1
             );
         }
         let [interactive, standard, batch] = ladder.homes();
@@ -61,7 +78,7 @@ proptest! {
         }
     }
 
-    /// Hysteresis invariants under arbitrary drift signals: the offset
+    /// Hysteresis invariants under arbitrary alert signals: the offset
     /// stays within the ladder, every demotion is preceded by a full
     /// dirty streak and every promotion by a full clean streak.
     #[test]
@@ -107,7 +124,7 @@ proptest! {
         }
     }
 
-    /// A strictly alternating drift signal never moves the ladder: both
+    /// A strictly alternating alert signal never moves the ladder: both
     /// streak requirements exceed one observation, so no flapping.
     #[test]
     fn alternating_signals_never_flap(

@@ -37,8 +37,7 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/metrics_shape.txt")
 }
 
-/// The server every shape below is taken from. A drift threshold turns on
-/// the calibration families, so their shape is pinned too.
+/// The server every shape below is taken from.
 fn shaped_server() -> ServeConfig {
     ServeConfig {
         system: SystemConfig {
@@ -49,7 +48,6 @@ fn shaped_server() -> ServeConfig {
         cpu_workers: 2,
         max_batch: 4,
         score_threshold: 0.0,
-        drift_threshold: Some(0.5),
         ..Default::default()
     }
 }

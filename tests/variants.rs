@@ -1,10 +1,10 @@
 //! Multi-variant serving invariants, exercised end to end through the
 //! public `tincy::serve` API: one fabric worker serving every rung,
 //! per-variant bit-exactness under a seeded FINN outage, the rung gap in
-//! simulated device cycles, and seeded-run fingerprint determinism. The drift-driven demote/promote cycle and
-//! in-order delivery across a mid-flight shift raise the alert through the
-//! scheduler's own trackers, so they live with it (`crates/serve/src/
-//! server.rs`).
+//! simulated device cycles, and seeded-run fingerprint determinism. The
+//! burn-driven demote/promote cycle and in-order delivery across a
+//! mid-flight shift raise the burn through the scheduler's own calls, so
+//! they live with it (`crates/serve/src/server.rs`).
 
 use std::collections::{BTreeSet, HashMap};
 use tincy::core::{build_network_for, offload_position, SystemConfig};
@@ -75,8 +75,8 @@ fn accurate_rung_costs_over_twice_the_cheap_rungs_device_cycles() {
     assert!(accurate.cycles_per_frame() >= 2 * cheap.cycles_per_frame());
 }
 
-/// A ladder config that never shifts on its own: no drift threshold, and
-/// an error-budget policy no burn rate can exceed.
+/// A ladder config that never shifts on its own: an error-budget policy
+/// no burn rate can exceed.
 fn ladder_config(fault_plan: FaultPlan) -> ServeConfig {
     ServeConfig {
         system: SystemConfig {
