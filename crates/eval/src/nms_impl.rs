@@ -1,4 +1,5 @@
-use crate::Detection;
+use crate::{BBox, Detection};
+use std::collections::HashMap;
 
 /// Greedy per-class non-maximum suppression.
 ///
@@ -26,12 +27,14 @@ pub fn nms(mut detections: Vec<Detection>, iou_threshold: f32) -> Vec<Detection>
             .partial_cmp(&a.score)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
+    // Only a kept box of its own class can suppress a candidate, so each
+    // candidate scans its class's kept boxes, not every kept box.
+    let mut kept_by_class: HashMap<usize, Vec<BBox>> = HashMap::new();
     let mut kept: Vec<Detection> = Vec::with_capacity(detections.len());
     for det in detections {
-        let suppressed = kept
-            .iter()
-            .any(|k| k.class == det.class && k.bbox.iou(&det.bbox) > iou_threshold);
-        if !suppressed {
+        let same_class = kept_by_class.entry(det.class).or_default();
+        if !same_class.iter().any(|k| k.iou(&det.bbox) > iou_threshold) {
+            same_class.push(det.bbox);
             kept.push(det);
         }
     }
@@ -41,7 +44,55 @@ pub fn nms(mut detections: Vec<Detection>, iou_threshold: f32) -> Vec<Detection>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BBox;
+    use proptest::prelude::*;
+
+    /// The all-classes scan `nms` replaced: each candidate against every
+    /// kept box, the class checked per pair.
+    fn nms_all_classes(mut detections: Vec<Detection>, iou_threshold: f32) -> Vec<Detection> {
+        detections.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let mut kept: Vec<Detection> = Vec::with_capacity(detections.len());
+        for det in detections {
+            let suppressed = kept
+                .iter()
+                .any(|k| k.class == det.class && k.bbox.iou(&det.bbox) > iou_threshold);
+            if !suppressed {
+                kept.push(det);
+            }
+        }
+        kept
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Up to 20 classes, scores from a handful of values (so many
+        /// tie), boxes crowded into a small square (so many overlap):
+        /// the same detections survive, in the same order.
+        #[test]
+        fn per_class_lists_decide_as_the_all_classes_scan(
+            raw in proptest::collection::vec(
+                (0.4f32..0.6, 0.4f32..0.6, 0.05f32..0.3, 0.05f32..0.3, 0usize..20, 0u8..4),
+                0..120,
+            ),
+            classes in 1usize..=20,
+            threshold in prop_oneof![Just(0.0f32), Just(0.3), Just(0.45), Just(0.9), Just(1.0)],
+        ) {
+            let detections: Vec<Detection> = raw
+                .into_iter()
+                .map(|(x, y, w, h, class, score)| {
+                    Detection::new(BBox::new(x, y, w, h), class % classes, f32::from(score) * 0.25)
+                })
+                .collect();
+            prop_assert_eq!(
+                nms(detections.clone(), threshold),
+                nms_all_classes(detections, threshold)
+            );
+        }
+    }
 
     fn det(x: f32, class: usize, score: f32) -> Detection {
         Detection::new(BBox::new(x, 0.5, 0.2, 0.2), class, score)

@@ -42,28 +42,36 @@ impl QnnLayerParams {
         geom: ConvGeom,
         pool: Option<PoolGeom>,
     ) -> Result<Self, NnError> {
-        geom.validate(in_shape).map_err(|e| NnError::InvalidSpec {
-            what: e.to_string(),
-        })?;
-        if weights.cols() != geom.dot_length(in_shape.channels) {
-            return Err(NnError::InvalidSpec {
-                what: format!(
-                    "weight columns {} do not match K^2*C = {}",
-                    weights.cols(),
-                    geom.dot_length(in_shape.channels)
-                ),
-            });
-        }
-        if thresholds.num_channels() != weights.rows() {
-            return Err(NnError::InvalidSpec {
-                what: format!(
-                    "thresholds cover {} channels, weights have {} rows",
-                    thresholds.num_channels(),
-                    weights.rows()
-                ),
-            });
-        }
+        check_shapes(in_shape, &weights, &thresholds, geom)?;
         let core = PackedLayer::new(in_shape, weights, thresholds, geom, pool, HIDDEN_ACT_BITS);
+        Ok(Self { core })
+    }
+
+    /// Creates layer parameters from weights already packed in both row
+    /// orders (see [`PackedLayer::with_streamed_weights`]): what the
+    /// backend's one-pass fold produces.
+    ///
+    /// # Errors
+    ///
+    /// As [`QnnLayerParams::new`].
+    pub(crate) fn with_streamed_weights(
+        in_shape: Shape3,
+        weights: BitTensor,
+        streamed_weights: BitTensor,
+        thresholds: ThresholdsForLayer,
+        geom: ConvGeom,
+        pool: Option<PoolGeom>,
+    ) -> Result<Self, NnError> {
+        check_shapes(in_shape, &weights, &thresholds, geom)?;
+        let core = PackedLayer::with_streamed_weights(
+            in_shape,
+            weights,
+            streamed_weights,
+            thresholds,
+            geom,
+            pool,
+            HIDDEN_ACT_BITS,
+        );
         Ok(Self { core })
     }
 
@@ -118,6 +126,38 @@ impl QnnLayerParams {
         let conv = self.geom().output_shape(self.in_shape(), weights.rows());
         2 * weights.cols() as u64 * conv.spatial() as u64 * weights.rows() as u64
     }
+}
+
+/// The shape checks both [`QnnLayerParams`] constructors make before
+/// [`PackedLayer`] asserts them.
+fn check_shapes(
+    in_shape: Shape3,
+    weights: &BitTensor,
+    thresholds: &ThresholdsForLayer,
+    geom: ConvGeom,
+) -> Result<(), NnError> {
+    geom.validate(in_shape).map_err(|e| NnError::InvalidSpec {
+        what: e.to_string(),
+    })?;
+    if weights.cols() != geom.dot_length(in_shape.channels) {
+        return Err(NnError::InvalidSpec {
+            what: format!(
+                "weight columns {} do not match K^2*C = {}",
+                weights.cols(),
+                geom.dot_length(in_shape.channels)
+            ),
+        });
+    }
+    if thresholds.num_channels() != weights.rows() {
+        return Err(NnError::InvalidSpec {
+            what: format!(
+                "thresholds cover {} channels, weights have {} rows",
+                thresholds.num_channels(),
+                weights.rows()
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Timing report of one accelerator invocation.

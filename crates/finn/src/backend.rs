@@ -3,83 +3,28 @@
 //! "Using this added offload mechanism, the QNN hardware accelerator within
 //! the PL was integrated into the inference path of Darknet." The backend
 //! owns the offline FINN flow: it receives the *float* parameters of the
-//! hidden layers from the regular weight stream, binarizes the weights,
-//! folds batch normalization and activation quantization into integer
+//! hidden layers from the regular weight stream, packs the weights' sign
+//! bits, folds batch normalization and activation quantization into integer
 //! threshold sets, and hands the result to the [`QnnAccelerator`]. It folds
-//! each layer as its floats arrive and drops them: at most one layer's
-//! floats are alive, and none once the accelerator is built.
+//! each layer as its floats arrive, in one staging buffer reused layer
+//! after layer: at most one layer's floats are alive, and none once the
+//! accelerator is built.
 //!
 //! All of that is the loaded model: once built, the backend only reads.
 //! The fault state of the fabric that runs it belongs to the
 //! [`Device`] each batched forward names.
 
-use crate::accel::{QnnAccelerator, QnnLayerParams};
+use crate::accel::QnnAccelerator;
 use crate::engine::EngineConfig;
+use crate::fold::{fold_layer, FloatParams};
 use tincy_nn::{
-    ConvSpec, Device, NnError, OffloadBackend, OffloadConfig, OffloadSegment, WeightsReader,
+    Device, NnError, OffloadBackend, OffloadConfig, OffloadSegment, SegmentLayer, WeightsReader,
 };
-use tincy_quant::{binarize, ThresholdSet, ThresholdsForLayer};
-use tincy_tensor::{BitTensor, Tensor};
+use tincy_tensor::Tensor;
 
 /// The registry key the fabric backend is published under (the shared
 /// library name of Fig 4).
 pub const FABRIC_LIBRARY: &str = "fabric.so";
-
-/// Float parameters of one hidden layer in darknet stream order, alive
-/// only until the layer is folded.
-struct FloatParams {
-    bias: Vec<f32>,
-    gamma: Vec<f32>,
-    mean: Vec<f32>,
-    var: Vec<f32>,
-    weights: Vec<f32>,
-}
-
-impl FloatParams {
-    /// Deterministic default parameters (mirroring Darknet's random layer
-    /// init), drawn from `next` in stream order.
-    fn draw(conv: &ConvSpec, in_channels: usize, next: &mut impl FnMut() -> f32) -> Self {
-        let fan_in = conv.size * conv.size * in_channels;
-        let std = (2.0 / fan_in as f32).sqrt();
-        Self {
-            bias: (0..conv.filters).map(|_| (next() - 0.5) * 0.1).collect(),
-            gamma: (0..conv.filters).map(|_| 0.8 + 0.4 * next()).collect(),
-            mean: (0..conv.filters).map(|_| (next() - 0.5) * 0.2).collect(),
-            var: (0..conv.filters).map(|_| 0.5 + next()).collect(),
-            weights: (0..conv.filters * fan_in)
-                .map(|_| (next() - 0.5) * 2.0 * std)
-                .collect(),
-        }
-    }
-
-    /// One layer's slice of the weight stream: bias, [gamma, mean, var],
-    /// weights.
-    fn read(
-        reader: &mut WeightsReader<'_>,
-        conv: &ConvSpec,
-        in_channels: usize,
-    ) -> Result<Self, NnError> {
-        let bias = reader.read_f32s(conv.filters)?;
-        let (gamma, mean, var) = if conv.batch_normalize {
-            (
-                reader.read_f32s(conv.filters)?,
-                reader.read_f32s(conv.filters)?,
-                reader.read_f32s(conv.filters)?,
-            )
-        } else {
-            // Never read: the fold takes the bias as the whole affine.
-            Default::default()
-        };
-        let weights = reader.read_f32s(conv.filters * conv.size * conv.size * in_channels)?;
-        Ok(Self {
-            bias,
-            gamma,
-            mean,
-            var,
-            weights,
-        })
-    }
-}
 
 /// The fabric offload backend: a QNN accelerator behind the Darknet
 /// offload interface.
@@ -142,53 +87,25 @@ impl FabricBackend {
         })
     }
 
-    /// Runs the offline FINN flow one layer at a time: `next` supplies a
-    /// layer's float parameters (given its conv and input channel count),
-    /// which are binarized, folded with BN and activation quantization
-    /// into thresholds, and dropped before the next layer's arrive. The
-    /// accelerator is assembled from the folded layers.
+    /// Runs the offline FINN flow one layer at a time: `fill` stages a
+    /// layer's float parameters, whose sign bits [`fold_layer`] packs in
+    /// one pass before it folds BN and activation quantization into
+    /// thresholds. Every layer is staged in one buffer, sized to the
+    /// largest and reused; it is freed once the accelerator is assembled.
     fn build(
         &self,
-        mut next: impl FnMut(&ConvSpec, usize) -> Result<FloatParams, NnError>,
+        mut fill: impl FnMut(&mut FloatParams<'_>, &SegmentLayer) -> Result<(), NnError>,
     ) -> Result<QnnAccelerator, NnError> {
-        let mut layers = Vec::with_capacity(self.segment.layers().len());
-        for layer in self.segment.layers() {
-            let (conv, in_shape) = (&layer.conv, layer.in_shape);
-            let params = next(conv, in_shape.channels)?;
-            let cols = conv.geom().dot_length(in_shape.channels);
-            // Per-layer mean-absolute weight scale α: folded into the
-            // thresholds so the fabric operates on pure ±1 weights.
-            let n = params.weights.len().max(1);
-            let alpha = params.weights.iter().map(|w| w.abs()).sum::<f32>() / n as f32;
-            let signs = binarize(&params.weights);
-            let weights =
-                BitTensor::from_signs(conv.filters, cols, &signs).map_err(NnError::Tensor)?;
-            // One accumulator unit is worth α·q_in real units.
-            let acc_scale = alpha * self.act_step;
-            // The levels the conv declares: 8 for A3, 2 (one threshold) for A1.
-            let levels = layer.levels();
-            let mut channel_thresholds = Vec::with_capacity(conv.filters);
-            for c in 0..conv.filters {
-                let (a, b) = if conv.batch_normalize {
-                    let inv_std = 1.0 / (params.var[c] + 1e-5).sqrt();
-                    (
-                        params.gamma[c] * inv_std * acc_scale,
-                        params.gamma[c] * (params.bias[c] - params.mean[c]) * inv_std,
-                    )
-                } else {
-                    (acc_scale, params.bias[c])
-                };
-                channel_thresholds.push(ThresholdSet::from_affine(a, b, self.act_step, levels)?);
-            }
-            layers.push(QnnLayerParams::new(
-                in_shape,
-                weights,
-                ThresholdsForLayer::new(channel_thresholds)?,
-                conv.geom(),
-                layer.pool.map(|p| p.geom()),
-            )?);
+        let layers = self.segment.layers();
+        let largest = layers.iter().map(FloatParams::staged_len).max();
+        let mut staging = vec![0.0; largest.unwrap_or(0)];
+        let mut folded = Vec::with_capacity(layers.len());
+        for layer in layers {
+            let mut params = FloatParams::staged(&mut staging, layer);
+            fill(&mut params, layer)?;
+            folded.push(fold_layer(layer, &params, self.act_step)?);
         }
-        QnnAccelerator::new(layers, self.engine_config)
+        QnnAccelerator::new(folded, self.engine_config)
     }
 }
 
@@ -234,8 +151,10 @@ impl OffloadBackend for FabricBackend {
                 // Uniform in [0, 1).
                 (state >> 11) as f32 / (1u64 << 53) as f32
             };
-            let accel = self
-                .build(|conv, in_channels| Ok(FloatParams::draw(conv, in_channels, &mut next)))?;
+            let accel = self.build(|params, _| {
+                params.draw(&mut next);
+                Ok(())
+            })?;
             self.accel = Some(accel);
         }
         Ok(())
@@ -249,7 +168,7 @@ impl OffloadBackend for FabricBackend {
                 what: "load_weights before init".to_owned(),
             });
         }
-        let accel = self.build(|conv, in_channels| FloatParams::read(reader, conv, in_channels))?;
+        let accel = self.build(|params, layer| params.read(reader, layer.conv.batch_normalize))?;
         self.accel = Some(accel);
         Ok(())
     }
@@ -301,7 +220,7 @@ impl OffloadBackend for FabricBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tincy_nn::{Activation, LayerSpec, NetworkSpec, PoolSpec, WeightsWriter};
+    use tincy_nn::{Activation, ConvSpec, LayerSpec, NetworkSpec, PoolSpec, WeightsWriter};
     use tincy_quant::PrecisionConfig;
     use tincy_tensor::Shape3;
 
@@ -556,13 +475,18 @@ mod tests {
         });
         let hw = backend.forward(&input).unwrap();
         let sw = backend.forward_reference(&input).unwrap();
-        // Another stream, cut short in its last layer's weights: the
-        // first layer folds before the read fails.
+        // Another stream, cut short mid-layer: in the first layer's
+        // weights, in the second layer's gamma (after the first layer
+        // folded), and in its last weight. Each cut leaves the staging
+        // buffer part-written and the previous accelerator serving.
         assert_ne!(loaded_backend_with(1).forward(&input).unwrap(), hw);
-        let mut cut = weight_stream(1);
-        cut.truncate(cut.len() - 4);
-        assert!(matches!(load(&mut backend, &cut), Err(NnError::Io(_))));
-        assert_eq!(backend.forward(&input).unwrap(), hw);
+        let stream = weight_stream(1);
+        let first = 4 * (4 * 8 + 8 * 9 * 4);
+        for cut in [4 * (4 * 8 + 100), first + 4 * 8, stream.len() - 4] {
+            let result = load(&mut backend, &stream[..cut]);
+            assert!(matches!(result, Err(NnError::Io(_))), "cut at {cut}");
+            assert_eq!(backend.forward(&input).unwrap(), hw, "cut at {cut}");
+        }
         assert_eq!(backend.forward_reference(&input).unwrap(), sw);
     }
 }

@@ -42,6 +42,7 @@ pub mod backend;
 pub mod cost;
 pub mod device;
 pub mod engine;
+mod fold;
 pub mod mvtu;
 pub mod resource;
 pub mod sliding;

@@ -28,9 +28,10 @@ use tincy_trace::{static_label, Backend};
 
 /// One hidden layer prepared for packed evaluation: packed weights, folded
 /// thresholds, convolution geometry and optional max-pool. Everything the
-/// schedule derives from the weights and thresholds is built once in
-/// [`PackedLayer::new`] and held by `Arc`, so clones — the fabric
-/// simulator's and the host fallback's view of the same layer — share it.
+/// schedule derives from the weights and thresholds is built once, by
+/// [`PackedLayer::new`] or [`PackedLayer::with_streamed_weights`], and held
+/// by `Arc`, so clones — the fabric simulator's and the host fallback's
+/// view of the same layer — share it.
 #[derive(Debug, Clone)]
 pub struct PackedLayer {
     in_shape: Shape3,
@@ -50,15 +51,12 @@ pub struct PackedLayer {
 }
 
 impl PackedLayer {
-    /// Prepares a layer for packed evaluation.
+    /// Prepares a layer for packed evaluation, deriving the tap-major rows
+    /// the schedule streams from `weights`.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not validate against `in_shape`, the
-    /// weight width differs from the im2col dot length, the threshold
-    /// channel count differs from the weight row count, or `act_bits` is
-    /// outside `1..=3` — all programmer errors (upstream layer builders
-    /// validate these shapes).
+    /// As [`PackedLayer::with_streamed_weights`].
     pub fn new(
         in_shape: Shape3,
         weights: impl Into<Arc<BitTensor>>,
@@ -67,7 +65,46 @@ impl PackedLayer {
         pool: Option<PoolGeom>,
         act_bits: usize,
     ) -> Self {
-        let (weights, thresholds) = (weights.into(), thresholds.into());
+        let weights = weights.into();
+        let (taps, channels) = (geom.kernel * geom.kernel, in_shape.channels);
+        // The two orders coincide for one tap or one channel; a width
+        // other than taps × channels is left to the constructor's check.
+        let streamed = if taps == 1 || channels == 1 || weights.cols() != taps * channels {
+            Arc::clone(&weights)
+        } else {
+            Arc::new(weights.permute_columns(|col| (col % taps) * channels + col / taps))
+        };
+        Self::with_streamed_weights(
+            in_shape, weights, streamed, thresholds, geom, pool, act_bits,
+        )
+    }
+
+    /// Prepares a layer for packed evaluation from both row orders:
+    /// `weights` in the channel-major `(c, ky, kx)` column order of the
+    /// weight files, and `streamed_weights`, the same matrix with each row
+    /// re-linearized to the tap-major `(ky, kx, c)` order footprints are
+    /// streamed in. A caller that packs both at once (the fabric backend's
+    /// one-pass fold) saves [`PackedLayer::new`] its column permutation;
+    /// that the two agree is the caller's to prove.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry does not validate against `in_shape`, the
+    /// weight width differs from the im2col dot length, the two row orders
+    /// differ in shape, the threshold channel count differs from the
+    /// weight row count, or `act_bits` is outside `1..=3` — all programmer
+    /// errors (upstream layer builders validate these shapes).
+    pub fn with_streamed_weights(
+        in_shape: Shape3,
+        weights: impl Into<Arc<BitTensor>>,
+        streamed_weights: impl Into<Arc<BitTensor>>,
+        thresholds: impl Into<Arc<ThresholdsForLayer>>,
+        geom: ConvGeom,
+        pool: Option<PoolGeom>,
+        act_bits: usize,
+    ) -> Self {
+        let (weights, streamed_weights, thresholds) =
+            (weights.into(), streamed_weights.into(), thresholds.into());
         assert!(
             (1..=3).contains(&act_bits),
             "act_bits must be in 1..=3, got {act_bits}"
@@ -79,16 +116,15 @@ impl PackedLayer {
             "weight width mismatch"
         );
         assert_eq!(
+            (streamed_weights.rows(), streamed_weights.cols()),
+            (weights.rows(), weights.cols()),
+            "streamed weight shape mismatch"
+        );
+        assert_eq!(
             thresholds.num_channels(),
             weights.rows(),
             "threshold channel count mismatch"
         );
-        let (taps, channels) = (geom.kernel * geom.kernel, in_shape.channels);
-        let streamed_weights = if taps == 1 || channels == 1 {
-            Arc::clone(&weights)
-        } else {
-            Arc::new(weights.permute_columns(|col| (col % taps) * channels + col / taps))
-        };
         Self {
             in_shape,
             weights,
@@ -128,6 +164,12 @@ impl PackedLayer {
     /// channel-major `(c, ky, kx)` column order of the weight files.
     pub fn weights(&self) -> &BitTensor {
         &self.weights
+    }
+
+    /// The same weights with each row in the tap-major `(ky, kx, c)`
+    /// column order the schedule streams.
+    pub fn streamed_weights(&self) -> &BitTensor {
+        &self.streamed_weights
     }
 
     /// The per-channel threshold sets.
@@ -348,6 +390,39 @@ mod tests {
             let got = layer.forward(&input, Variant::Blocked, threads);
             assert_eq!(got.as_slice(), expected.as_slice(), "threads={threads}");
         }
+    }
+
+    #[test]
+    fn tap_major_rows_from_the_caller_run_as_derived_ones() {
+        let mut rng = StdRng::seed_from_u64(16);
+        let in_shape = Shape3::new(5, 6, 6);
+        let derived = random_layer(&mut rng, in_shape, 7, 1);
+        // Column c·9 + t of the weight files is column t·5 + c streamed.
+        let weights = derived.weights();
+        let mut streamed = BitTensor::zeros(weights.rows(), weights.cols());
+        for r in 0..weights.rows() {
+            for col in 0..weights.cols() {
+                streamed.set(r, (col % 9) * 5 + col / 9, weights.get(r, col));
+            }
+        }
+        assert_eq!(derived.streamed_weights(), &streamed);
+        let given = PackedLayer::with_streamed_weights(
+            in_shape,
+            weights.clone(),
+            streamed,
+            derived.thresholds().clone(),
+            derived.geom(),
+            None,
+            3,
+        );
+        let input = random_input(&mut rng, in_shape, 3);
+        assert_eq!(
+            given.forward(&input, Variant::Blocked, 1),
+            derived.forward_reference(&input)
+        );
+        // One input channel: the two orders are one matrix.
+        let single = random_layer(&mut rng, Shape3::new(1, 4, 4), 3, 1);
+        assert_eq!(single.streamed_weights(), single.weights());
     }
 
     #[test]

@@ -65,13 +65,30 @@ impl<'a> WeightsReader<'a> {
     ///
     /// Returns [`NnError::Io`] if the stream ends early.
     pub fn read_f32s(&mut self, n: usize) -> Result<Vec<f32>, NnError> {
-        let mut bytes = vec![0u8; n * 4];
-        self.inner.read_exact(&mut bytes)?;
-        self.read_count += n;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
+        let mut values = vec![0.0; n];
+        self.read_f32s_into(&mut values)?;
+        Ok(values)
+    }
+
+    /// Reads `out.len()` parameters into `out`, through a fixed 4 KiB
+    /// buffer: a layer's bytes are never held twice.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::Io`] if the stream ends early; `out` then holds
+    /// a prefix of what was read and [`WeightsReader::read_count`] is
+    /// unchanged.
+    pub fn read_f32s_into(&mut self, out: &mut [f32]) -> Result<(), NnError> {
+        let mut bytes = [0u8; 4096];
+        for values in out.chunks_mut(bytes.len() / 4) {
+            let bytes = &mut bytes[..values.len() * 4];
+            self.inner.read_exact(bytes)?;
+            for (value, le) in values.iter_mut().zip(bytes.as_chunks::<4>().0) {
+                *value = f32::from_le_bytes(*le);
+            }
+        }
+        self.read_count += out.len();
+        Ok(())
     }
 
     /// Number of parameters read so far (excluding the header).
@@ -166,5 +183,24 @@ mod tests {
         let mut cursor = std::io::Cursor::new(buf);
         let mut r = WeightsReader::new(&mut cursor);
         assert!(matches!(r.read_f32s(2), Err(NnError::Io(_))));
+    }
+
+    #[test]
+    fn read_into_spans_buffer_refills_and_counts_only_whole_reads() {
+        let values: Vec<f32> = (0..2500).map(|i| i as f32 * -0.25).collect();
+        let mut buf = Vec::new();
+        WeightsWriter::new(&mut buf).write_f32s(&values).unwrap();
+        let mut cursor = std::io::Cursor::new(buf);
+        let mut r = WeightsReader::new(&mut cursor);
+        let mut out = vec![f32::NAN; 2499];
+        r.read_f32s_into(&mut out).unwrap();
+        assert_eq!(out, values[..2499]);
+        assert_eq!(r.read_count(), 2499);
+        // One value left: a two-value read fails and counts nothing.
+        assert!(matches!(
+            r.read_f32s_into(&mut [0.0; 2]),
+            Err(NnError::Io(_))
+        ));
+        assert_eq!(r.read_count(), 2499);
     }
 }

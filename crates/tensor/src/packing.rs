@@ -76,6 +76,41 @@ impl BitTensor {
         Ok(out)
     }
 
+    /// Wraps already packed rows: `data` holds `rows` rows of
+    /// [`BitTensor::words_per_row`] words each, bit `c % 64` of word
+    /// `c / 64` being column `c`, as [`BitTensor::row_words`] returns them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::LengthMismatch`] if `data` does not hold
+    /// `rows` whole rows, and [`TensorError::InvalidShape`] if a row sets a
+    /// padding bit past `cols`: the popcount kernels count whole words.
+    pub fn from_words(rows: usize, cols: usize, data: Vec<u64>) -> Result<Self, TensorError> {
+        let words_per_row = cols.div_ceil(WORD_BITS).max(1);
+        if data.len() != rows * words_per_row {
+            return Err(TensorError::LengthMismatch {
+                expected: rows * words_per_row,
+                actual: data.len(),
+            });
+        }
+        let used = cols - (words_per_row - 1) * WORD_BITS;
+        if used < WORD_BITS {
+            let padding = !0u64 << used;
+            let mut last_words = data.iter().skip(words_per_row - 1).step_by(words_per_row);
+            if let Some(row) = last_words.position(|w| w & padding != 0) {
+                return Err(TensorError::InvalidShape {
+                    what: format!("row {row} sets padding bits past column {cols}"),
+                });
+            }
+        }
+        Ok(Self {
+            rows,
+            cols,
+            words_per_row,
+            data,
+        })
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -392,6 +427,44 @@ mod tests {
     #[test]
     fn from_signs_validates_length() {
         assert!(BitTensor::from_signs(2, 3, &[1; 5]).is_err());
+    }
+
+    #[test]
+    fn from_words_wraps_what_row_words_returns() {
+        let (rows, cols) = (3, 130);
+        let signs: Vec<i8> = (0..rows * cols)
+            .map(|i| if i * 11 % 7 < 3 { 1 } else { -1 })
+            .collect();
+        let t = BitTensor::from_signs(rows, cols, &signs).unwrap();
+        let words: Vec<u64> = (0..rows).flat_map(|r| t.row_words(r).to_vec()).collect();
+        assert_eq!(BitTensor::from_words(rows, cols, words).unwrap(), t);
+        assert_eq!(
+            BitTensor::from_words(0, cols, Vec::new()).unwrap(),
+            BitTensor::zeros(0, cols)
+        );
+        assert_eq!(
+            BitTensor::from_words(2, 128, vec![!0; 4])
+                .unwrap()
+                .row_count_ones(1),
+            128
+        );
+    }
+
+    #[test]
+    fn from_words_rejects_short_data_and_set_padding() {
+        assert!(matches!(
+            BitTensor::from_words(2, 65, vec![0; 3]),
+            Err(TensorError::LengthMismatch {
+                expected: 4,
+                actual: 3
+            })
+        ));
+        // Column 65 of row 1 is padding.
+        assert!(matches!(
+            BitTensor::from_words(2, 65, vec![0, 1, 0, 0b10]),
+            Err(TensorError::InvalidShape { .. })
+        ));
+        assert!(BitTensor::from_words(1, 0, vec![1]).is_err());
     }
 
     #[test]

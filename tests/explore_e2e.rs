@@ -132,8 +132,8 @@ fn accelerator_of(model: &ModelSpec) -> QnnAccelerator {
 
 /// Every deployable design point (each edit subset with (a) × each
 /// offloadable profile, at the shipped fold and one other legal fold)
-/// builds exactly its offload segment, bills it as the cost model does
-/// and is charged the modelled cycles.
+/// builds exactly its offload segment through `build_network_for`, bills
+/// it as the cost model does and is charged the modelled cycles.
 #[test]
 fn every_deployable_design_builds_bills_and_clocks_its_segment() {
     use HiddenProfile::{MixedA3A1, W1A1, W1A3};
@@ -144,10 +144,6 @@ fn every_deployable_design_builds_bills_and_clocks_its_segment() {
                 profile,
                 ..DesignPoint::PAPER
             };
-            // A fold changes the engine, not the layers (their weights
-            // are drawn per segment): the other fold runs the built layers
-            // on the engine `FabricBackend` builds for that fold.
-            let built = accelerator_of(&shrunk(shipped, 32));
             for point in [
                 shipped,
                 DesignPoint {
@@ -161,7 +157,7 @@ fn every_deployable_design_builds_bills_and_clocks_its_segment() {
                 let model = shrunk(point, 32);
                 let segment = OffloadSegment::of(&model.network).expect("deployable");
                 let cost = SegmentCost::of(&segment, model.fold);
-                let accel = QnnAccelerator::new(built.layers().to_vec(), model.fold).unwrap();
+                let accel = accelerator_of(&model);
 
                 assert_eq!(accel.layers().len(), segment.layers().len(), "{id}");
                 for (layer, planned) in accel.layers().iter().zip(segment.layers()) {
