@@ -20,6 +20,7 @@ use crate::fold::{fold_layer, FloatParams};
 use tincy_nn::{
     Device, NnError, OffloadBackend, OffloadConfig, OffloadSegment, SegmentLayer, WeightsReader,
 };
+use tincy_kernels::{Isa, IsaKernel};
 use tincy_tensor::Tensor;
 
 /// The registry key the fabric backend is published under (the shared
@@ -43,21 +44,44 @@ pub struct FabricBackend {
 /// counted as the half-integers `v / step` reaches, which is that rounding
 /// (half away from zero) exactly, NaN included, in vector compares: the
 /// x86-64 baseline has no rounding instruction, so `round` was a `roundf`
-/// call per element.
-#[inline]
+/// call per element. Runs under [`Isa::detect`].
 fn to_levels(input: &Tensor<f32>, step: f32) -> Tensor<u8> {
-    input.map(|v| {
-        let level = v / step;
-        (0..7u8)
-            .map(|k| u8::from(level >= f32::from(k) + 0.5))
-            .sum()
-    })
+    Isa::detect().run(ToLevels(input, step))
 }
 
-/// Activation levels back to the float feature map they stand for.
-#[inline]
+/// Activation levels back to the float feature map they stand for. Runs
+/// under [`Isa::detect`].
 fn from_levels(levels: &Tensor<u8>, step: f32) -> Tensor<f32> {
-    levels.map(|l| l as f32 * step)
+    Isa::detect().run(FromLevels(levels, step))
+}
+
+struct ToLevels<'a>(&'a Tensor<f32>, f32);
+
+impl IsaKernel for ToLevels<'_> {
+    type Output = Tensor<u8>;
+
+    #[inline(always)]
+    fn run(self) -> Tensor<u8> {
+        let Self(input, step) = self;
+        input.map(|v| {
+            let level = v / step;
+            (0..7u8)
+                .map(|k| u8::from(level >= f32::from(k) + 0.5))
+                .sum()
+        })
+    }
+}
+
+struct FromLevels<'a>(&'a Tensor<u8>, f32);
+
+impl IsaKernel for FromLevels<'_> {
+    type Output = Tensor<f32>;
+
+    #[inline(always)]
+    fn run(self) -> Tensor<f32> {
+        let Self(levels, step) = self;
+        levels.map(|l| f32::from(l) * step)
+    }
 }
 
 impl FabricBackend {

@@ -11,7 +11,7 @@
 //! computes a layer says nothing about the cycles the fabric is charged.
 
 use crate::accel::QnnLayerParams;
-use tincy_kernels::PopcountIsa;
+use tincy_kernels::Isa;
 use tincy_nn::NnError;
 use tincy_tensor::{Shape3, Tensor};
 
@@ -64,7 +64,7 @@ impl ConvEngine {
         params: &QnnLayerParams,
         input: &Tensor<u8>,
     ) -> Result<(Tensor<u8>, u64), NnError> {
-        self.run_layer_on(PopcountIsa::detect(), params, input)
+        self.run_layer_on(Isa::detect(), params, input)
     }
 
     /// [`ConvEngine::run_layer`] on a given instantiation of the popcount
@@ -80,7 +80,7 @@ impl ConvEngine {
     /// As [`ConvEngine::run_layer`].
     pub fn run_layer_on(
         &self,
-        isa: PopcountIsa,
+        isa: Isa,
         params: &QnnLayerParams,
         input: &Tensor<u8>,
     ) -> Result<(Tensor<u8>, u64), NnError> {

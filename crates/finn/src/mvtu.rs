@@ -7,7 +7,7 @@
 //! 3-bit activations the dot product is evaluated per bitplane and the
 //! planes are combined with shifts — see [`tincy_quant::xnor_popcount_dot`].
 
-use tincy_kernels::{PopcountIsa, PopcountKernel};
+use tincy_kernels::{Isa, IsaKernel};
 use tincy_nn::NnError;
 use tincy_quant::{and_popcount, xnor_popcount_dot, ThresholdsForLayer};
 use tincy_tensor::{BitTensor, U3Tensor};
@@ -119,7 +119,7 @@ impl Mvtu {
             self.dot_length(),
             "activation vector length mismatch"
         );
-        PopcountIsa::detect().run(ProcessVector {
+        Isa::detect().run(ProcessVector {
             mvtu: self,
             activations,
         })
@@ -139,7 +139,7 @@ struct ProcessVector<'a> {
     activations: &'a U3Tensor,
 }
 
-impl PopcountKernel for ProcessVector<'_> {
+impl IsaKernel for ProcessVector<'_> {
     type Output = Vec<u8>;
 
     #[inline(always)]

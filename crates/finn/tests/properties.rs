@@ -9,7 +9,7 @@ use tincy_finn::{
     conv_layer_cycles, ConvEngine, FaultInjector, FaultPlan, Mvtu, QnnAccelerator, QnnLayerParams,
     SlidingWindow,
 };
-use tincy_kernels::PopcountIsa;
+use tincy_kernels::Isa;
 use tincy_nn::NnError;
 use tincy_quant::{BinaryDot, ThresholdSet, ThresholdsForLayer};
 use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor, U3Tensor};
@@ -286,7 +286,7 @@ fn streaming_engine_matches_every_other_path_over_the_geometry_grid() {
                         // (a) the per-vector reference units
                         assert_eq!(out, per_vector_layer(&case), "per-vector units, {what}");
                         // every instantiation of the popcount loops the CPU has, directly
-                        for isa in PopcountIsa::supported() {
+                        for isa in Isa::supported() {
                             let on = engine
                                 .run_layer_on(isa, &case.layer, &case.input)
                                 .expect("runs");

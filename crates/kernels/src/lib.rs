@@ -40,5 +40,5 @@ pub use pack::{max_pool_levels, PackedLayer};
 // simulator. `tincy-finn` reaches `tincy-simd` through this crate rather
 // than by an edge of its own: the benchmark package commits a lock file
 // that records every edge, and must not change with the code it measures.
-pub use tincy_simd::popcount::{PopcountIsa, PopcountKernel};
+pub use tincy_simd::popcount::{Isa, IsaKernel};
 pub use tune::{autotune, KernelPlan, PlanEntry, TuneBudget, Variant};

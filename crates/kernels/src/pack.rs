@@ -22,7 +22,7 @@ use crate::stream::{StreamedConv, ThresholdTable};
 use crate::tune::Variant;
 use std::sync::Arc;
 use tincy_quant::ThresholdsForLayer;
-use tincy_simd::PopcountIsa;
+use tincy_simd::Isa;
 use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor};
 use tincy_trace::{static_label, Backend};
 
@@ -207,7 +207,7 @@ impl PackedLayer {
             builder = builder.layer(layer);
         }
         let _span = builder.start();
-        self.run_on(PopcountIsa::detect(), input)
+        self.run_on(Isa::detect(), input)
     }
 
     /// The layer function itself, on a given instantiation of the popcount
@@ -218,7 +218,7 @@ impl PackedLayer {
     /// # Panics
     ///
     /// As [`PackedLayer::forward`].
-    pub fn run_on(&self, isa: PopcountIsa, input: &Tensor<u8>) -> Tensor<u8> {
+    pub fn run_on(&self, isa: Isa, input: &Tensor<u8>) -> Tensor<u8> {
         assert_eq!(input.shape(), self.in_shape, "input shape mismatch");
         let conv_out = isa.run(StreamedConv {
             in_shape: self.in_shape,

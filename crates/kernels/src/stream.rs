@@ -42,7 +42,7 @@
 //! special case.
 
 use tincy_quant::ThresholdsForLayer;
-use tincy_simd::PopcountKernel;
+use tincy_simd::IsaKernel;
 use tincy_tensor::{BitTensor, ConvGeom, Shape3, Tensor};
 
 const WORD_BITS: usize = 64;
@@ -390,7 +390,7 @@ pub(crate) struct StreamedConv<'a> {
     pub(crate) input: &'a Tensor<u8>,
 }
 
-impl PopcountKernel for StreamedConv<'_> {
+impl IsaKernel for StreamedConv<'_> {
     type Output = Tensor<u8>;
 
     #[inline(always)]

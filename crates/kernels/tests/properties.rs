@@ -5,7 +5,7 @@
 //! quantized GEMM), on every instantiation of the popcount loops.
 
 use proptest::prelude::*;
-use tincy_kernels::{gemm_q8, gemm_q8_reference, PackedLayer, PopcountIsa, Variant};
+use tincy_kernels::{gemm_q8, gemm_q8_reference, PackedLayer, Isa, Variant};
 use tincy_quant::{ThresholdSet, ThresholdsForLayer};
 use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor};
 
@@ -186,7 +186,7 @@ fn schedule_matches_reference_over_the_geometry_grid() {
                 for &level in expected.as_slice() {
                     level_seen[level as usize] += 1;
                 }
-                for isa in PopcountIsa::supported() {
+                for isa in Isa::supported() {
                     assert_eq!(layer.run_on(isa, &input), expected, "{isa:?}, {what}");
                 }
             }
@@ -249,7 +249,7 @@ fn lane_groups_match_reference_on_every_map_width_and_row_length() {
             assert_eq!(layer.weights().words_per_row(), words, "{what}");
             let expected = layer.forward_reference(&input);
             assert_eq!(expected.shape().spatial(), out_height * out_width, "{what}");
-            for isa in PopcountIsa::supported() {
+            for isa in Isa::supported() {
                 assert_eq!(layer.run_on(isa, &input), expected, "{isa:?}, {what}");
             }
         }

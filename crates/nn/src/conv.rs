@@ -27,7 +27,7 @@ use rand::Rng;
 use tincy_quant::{binarize, AffineQuant, WeightPrecision};
 use tincy_simd::conv::conv_lowp_im2col;
 use tincy_simd::kernel16x27::OUT_CHANNELS;
-use tincy_simd::{conv_im2col_gemm, FirstLayerKernel};
+use tincy_simd::{conv_im2col_gemm, FirstLayerKernel, Isa, IsaKernel};
 use tincy_tensor::{ConvGeom, Mat, Shape3, Tensor};
 
 /// Which implementation a [`ConvLayer`] uses for its dot products, with
@@ -205,10 +205,12 @@ impl ConvLayer {
 
     /// The integer path: one affine quantization of the input, exact
     /// `i32` accumulation, and scale → bias → batch norm → activation
-    /// folded into one pass over the accumulators.
+    /// folded into one pass over the accumulators. Each step runs under
+    /// [`Isa::detect`].
     fn forward_w8a8(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
-        let q = AffineQuant::fit_data(input.as_slice())?;
-        let input_q = Tensor::from_vec(input.shape(), q.quantize_slice(input.as_slice()))?;
+        let isa = Isa::detect();
+        let (q, input_q) = isa.run(QuantizeInput(input.as_slice()))?;
+        let input_q = Tensor::from_vec(input.shape(), input_q)?;
         let geom = self.geom();
         let (acc, w_scale) = match &self.compute {
             ConvCompute::FirstLayerI32(kernel) => (
@@ -223,17 +225,51 @@ impl ConvLayer {
                 unreachable!("forward dispatches only the 8-bit paths here")
             }
         };
-        let scale = w_scale * q.scale();
-        let spatial = self.out_shape.spatial().max(1);
-        let mut out = Tensor::zeros(self.out_shape);
+        Ok(isa.run(Epilogue {
+            layer: self,
+            acc: &acc,
+            scale: w_scale * q.scale(),
+        }))
+    }
+}
+
+/// The W8A8 input quantizer: fitted to the map's own range, then applied.
+struct QuantizeInput<'a>(&'a [f32]);
+
+impl IsaKernel for QuantizeInput<'_> {
+    type Output = Result<(AffineQuant, Vec<u8>), NnError>;
+
+    #[inline(always)]
+    fn run(self) -> Self::Output {
+        let q = AffineQuant::fit_data(self.0)?;
+        Ok((q, q.quantize_slice(self.0)))
+    }
+}
+
+/// Scale → bias → batch norm → activation over a W8A8 layer's `i32`
+/// accumulators, in that order, in `f32`.
+struct Epilogue<'a> {
+    layer: &'a ConvLayer,
+    acc: &'a Tensor<i32>,
+    scale: f32,
+}
+
+impl IsaKernel for Epilogue<'_> {
+    type Output = Tensor<f32>;
+
+    #[inline(always)]
+    fn run(self) -> Tensor<f32> {
+        let Self { layer, acc, scale } = self;
+        let spatial = layer.out_shape.spatial().max(1);
+        let mut out = Tensor::zeros(layer.out_shape);
         let channels = out
             .as_mut_slice()
             .chunks_mut(spatial)
             .zip(acc.as_slice().chunks(spatial));
         for (c, (out, acc)) in channels.enumerate() {
-            let (bias, activation) = (self.bias[c], self.spec.activation);
+            let (bias, activation) = (layer.bias[c], layer.spec.activation);
             // Batch norm as the per-channel affine `BatchNorm::apply` uses.
-            let normalize = self.batchnorm.as_ref().map(|bn| bn.affine(c));
+            let normalize = layer.batchnorm.as_ref().map(|bn| bn.affine(c));
             for (out, &acc) in out.iter_mut().zip(acc) {
                 let mut v = acc as f32 * scale;
                 v += bias;
@@ -243,7 +279,7 @@ impl ConvLayer {
                 *out = activation.apply(v);
             }
         }
-        Ok(out)
+        out
     }
 }
 

@@ -74,6 +74,7 @@ impl AffineQuant {
     ///
     /// Returns [`QuantError::InvalidRange`] if the slice contains non-finite
     /// values; an empty slice yields the degenerate unit quantizer.
+    #[inline]
     pub fn fit_data(data: &[f32]) -> Result<Self, QuantError> {
         if data.is_empty() {
             return Self::new(1.0, 0);
@@ -131,6 +132,7 @@ impl AffineQuant {
     /// returns for each element, computed without `f32::round` (a libm
     /// call on targets with no rounding instruction) so the loop
     /// vectorizes.
+    #[inline]
     pub fn quantize_slice(&self, real: &[f32]) -> Vec<u8> {
         // Beyond ±LIMIT steps the result saturates whatever the zero
         // point, so the quotient can be clamped into the range where the

@@ -18,6 +18,7 @@
 //! case-to-case evaluation" — so do we.
 
 use crate::lanes::F32x4;
+use crate::popcount::{Isa, IsaKernel};
 use tincy_tensor::{ConvGeom, Mat, Tensor, TensorError};
 
 /// Number of output channels of the first layer.
@@ -178,7 +179,8 @@ impl FirstLayerKernel {
     /// 27 rows of `out_w` zero-point-free 16-bit deltas (padding is a zero
     /// delta), then every output channel's row of the CHW result takes
     /// `mac(acc_row, [w0, w1], deltas0, deltas1)` once per pair of taps —
-    /// contiguous pixels in every lane, no gather and no scatter.
+    /// contiguous pixels in every lane, no gather and no scatter. Runs
+    /// under [`Isa::detect`].
     fn row_sliced<A: Copy + Default>(
         &self,
         input: &Tensor<u8>,
@@ -188,28 +190,14 @@ impl FirstLayerKernel {
     ) -> Result<Tensor<A>, TensorError> {
         self.check_input(input, geom)?;
         let zero_point = i16::from(crate::conv::check_zero_point(zero_point)?);
-        let out_shape = geom.output_shape(input.shape(), OUT_CHANNELS);
-        let (out_h, out_w) = (out_shape.height, out_shape.width);
-        let mut out = Tensor::zeros(out_shape);
-        // The row past the 27th tap is the zero weight's and stays zero.
-        let mut slice = vec![0i16; 2 * TAP_PAIRS * out_w];
-        for oy in 0..out_h {
-            // The kernel's two strides (§III-D's 1, transformation (d)'s 2)
-            // as literals: the strided read becomes a de-interleave.
-            match geom.stride {
-                1 => fill_slice(&mut slice, out_w, input, zero_point, oy, 1, geom.pad),
-                2 => fill_slice(&mut slice, out_w, input, zero_point, oy, 2, geom.pad),
-                stride => fill_slice(&mut slice, out_w, input, zero_point, oy, stride, geom.pad),
-            }
-            for (oc, pairs) in self.wq.iter().enumerate() {
-                let acc_row = &mut out.as_mut_slice()[(oc * out_h + oy) * out_w..][..out_w];
-                for (&w, deltas) in pairs.iter().zip(slice.chunks_exact(2 * out_w)) {
-                    let (deltas0, deltas1) = deltas.split_at(out_w);
-                    mac(acc_row, w, deltas0, deltas1);
-                }
-            }
-        }
-        Ok(out)
+        Ok(Isa::detect().run(RowSliced {
+            wq: &self.wq,
+            input,
+            zero_point,
+            geom,
+            mac,
+            acc: std::marker::PhantomData,
+        }))
     }
 
     /// 8-bit variant with exact 32-bit accumulation. Returns raw
@@ -287,6 +275,58 @@ impl FirstLayerKernel {
         for ((out, acc), &bias) in channels.zip(&self.bias) {
             for (out, &acc) in out.iter_mut().zip(acc) {
                 *out = to_f32(acc) * scale + bias;
+            }
+        }
+        out
+    }
+}
+
+/// [`FirstLayerKernel::row_sliced`]'s body, for the [`Isa`] dispatch.
+struct RowSliced<'a, A, M> {
+    wq: &'a [[[i16; 2]; TAP_PAIRS]; OUT_CHANNELS],
+    input: &'a Tensor<u8>,
+    zero_point: i16,
+    geom: ConvGeom,
+    mac: M,
+    acc: std::marker::PhantomData<A>,
+}
+
+impl<A, M> IsaKernel for RowSliced<'_, A, M>
+where
+    A: Copy + Default,
+    M: Fn(&mut [A], [i16; 2], &[i16], &[i16]),
+{
+    type Output = Tensor<A>;
+
+    #[inline(always)]
+    fn run(self) -> Tensor<A> {
+        let Self {
+            wq,
+            input,
+            zero_point,
+            geom,
+            mac,
+            ..
+        } = self;
+        let out_shape = geom.output_shape(input.shape(), OUT_CHANNELS);
+        let (out_h, out_w) = (out_shape.height, out_shape.width);
+        let mut out = Tensor::zeros(out_shape);
+        // The row past the 27th tap is the zero weight's and stays zero.
+        let mut slice = vec![0i16; 2 * TAP_PAIRS * out_w];
+        for oy in 0..out_h {
+            // The kernel's two strides (§III-D's 1, transformation (d)'s 2)
+            // as literals: the strided read becomes a de-interleave.
+            match geom.stride {
+                1 => fill_slice(&mut slice, out_w, input, zero_point, oy, 1, geom.pad),
+                2 => fill_slice(&mut slice, out_w, input, zero_point, oy, 2, geom.pad),
+                stride => fill_slice(&mut slice, out_w, input, zero_point, oy, stride, geom.pad),
+            }
+            for (oc, pairs) in wq.iter().enumerate() {
+                let acc_row = &mut out.as_mut_slice()[(oc * out_h + oy) * out_w..][..out_w];
+                for (&w, deltas) in pairs.iter().zip(slice.chunks_exact(2 * out_w)) {
+                    let (deltas0, deltas1) = deltas.split_at(out_w);
+                    mac(acc_row, w, deltas0, deltas1);
+                }
             }
         }
         out

@@ -47,4 +47,4 @@ pub use gemm::gemm_f32;
 pub use kernel16x27::FirstLayerKernel;
 pub use lanes::F32x4;
 pub use lowp::gemm_lowp;
-pub use popcount::{PopcountIsa, PopcountKernel};
+pub use popcount::{Isa, IsaKernel};

@@ -6,6 +6,7 @@
 //! with a zero-point offset, signed 8-bit weights (symmetric), 32-bit
 //! integer accumulation, and a float requantization step.
 
+use crate::popcount::{Isa, IsaKernel};
 use tincy_tensor::Mat;
 
 /// Multiplicand columns converted per pass, in 16-bit deltas: one pass
@@ -21,7 +22,8 @@ const BLOCK_DELTAS: usize = 8 * 1024;
 /// pixel-major 16-bit deltas `A[k][j] − zero_point`, so every result is one
 /// dot product of two contiguous 16-bit runs — the shape the widening
 /// multiply-add of either ISA (`vmlal.s16`, `pmaddwd`) consumes — however
-/// few columns there are (the 1×1 head layer has `H·W` of them).
+/// few columns there are (the 1×1 head layer has `H·W` of them). Runs
+/// under [`Isa::detect`].
 ///
 /// # Panics
 ///
@@ -44,6 +46,36 @@ pub fn gemm_lowp(weights: &Mat<i8>, activations: &Mat<u8>, zero_point: u8) -> Ma
         activations.rows(),
         "inner dimensions must agree"
     );
+    Isa::detect().run(GemmLowp {
+        weights,
+        activations,
+        zero_point,
+    })
+}
+
+/// [`gemm_lowp`]'s body, for the [`Isa`] dispatch.
+struct GemmLowp<'a> {
+    weights: &'a Mat<i8>,
+    activations: &'a Mat<u8>,
+    zero_point: u8,
+}
+
+impl IsaKernel for GemmLowp<'_> {
+    type Output = Mat<i32>;
+
+    #[inline(always)]
+    fn run(self) -> Mat<i32> {
+        let Self {
+            weights,
+            activations,
+            zero_point,
+        } = self;
+        gemm_lowp_body(weights, activations, zero_point)
+    }
+}
+
+#[inline(always)]
+fn gemm_lowp_body(weights: &Mat<i8>, activations: &Mat<u8>, zero_point: u8) -> Mat<i32> {
     let zero_point = i16::from(zero_point);
     let (m, k, n) = (weights.rows(), weights.cols(), activations.cols());
     let mut c = Mat::zeros(m, n);
@@ -74,7 +106,7 @@ pub fn gemm_lowp(weights: &Mat<i8>, activations: &Mat<u8>, zero_point: u8) -> Ma
 }
 
 /// Exact dot product of two 16-bit runs whose products fit 32 bits.
-#[inline]
+#[inline(always)]
 fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
     a.iter()
         .zip(b)

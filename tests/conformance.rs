@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use tincy::core::{build_network_for, SystemConfig};
 use tincy::finn::{ConvEngine, FabricBackend, FaultPlan, QnnAccelerator};
-use tincy::kernels::{PopcountIsa as Isa, Variant};
+use tincy::kernels::{Isa, Variant};
 use tincy::tensor::Tensor;
 use tincy::video::{SceneConfig, SyntheticCamera};
 
