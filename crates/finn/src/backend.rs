@@ -17,10 +17,10 @@
 use crate::accel::QnnAccelerator;
 use crate::engine::EngineConfig;
 use crate::fold::{fold_layer, FloatParams};
+use tincy_kernels::{Isa, IsaKernel};
 use tincy_nn::{
     Device, NnError, OffloadBackend, OffloadConfig, OffloadSegment, SegmentLayer, WeightsReader,
 };
-use tincy_kernels::{Isa, IsaKernel};
 use tincy_tensor::Tensor;
 
 /// The registry key the fabric backend is published under (the shared

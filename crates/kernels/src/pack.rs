@@ -220,18 +220,15 @@ impl PackedLayer {
     /// As [`PackedLayer::forward`].
     pub fn run_on(&self, isa: Isa, input: &Tensor<u8>) -> Tensor<u8> {
         assert_eq!(input.shape(), self.in_shape, "input shape mismatch");
-        let conv_out = isa.run(StreamedConv {
+        isa.run(StreamedConv {
             in_shape: self.in_shape,
             geom: self.geom,
             weights: &self.streamed_weights,
             thresholds: &self.threshold_table,
             act_bits: self.act_bits,
+            pool: self.pool,
             input,
-        });
-        match self.pool {
-            Some(pool) => max_pool_levels(&conv_out, pool),
-            None => conv_out,
-        }
+        })
     }
 
     /// Naive signed-arithmetic reference: the golden path the streamed
@@ -282,17 +279,42 @@ impl PackedLayer {
 /// monotone in the represented value, so pooling codes equals pooling
 /// values. The one pooling stage of the packed kernels and of the fabric
 /// engine: ragged edge windows are truncated at the feature-map border.
+/// Inlined, so that the packed layers pool under their instruction set.
+#[inline(always)]
 pub fn max_pool_levels(input: &Tensor<u8>, geom: PoolGeom) -> Tensor<u8> {
     let shape = input.shape();
     let out_shape = geom.output_shape(shape);
     let mut out = Tensor::<u8>::zeros(out_shape);
     let (height, width) = (shape.height, shape.width);
-    // The window's rows folded into one: a whole input row at a time.
-    let mut column_max = vec![0u8; width];
     let channels = input.as_slice().chunks_exact(shape.spatial().max(1)).zip(
         out.as_mut_slice()
             .chunks_exact_mut(out_shape.spatial().max(1)),
     );
+    if (geom.size, geom.stride) == (2, 2) {
+        // The hidden layers' pool, in one pass over each pair of rows: a
+        // pair of columns of each, an odd last row or column alone.
+        for (src, dst) in channels {
+            for (oy, dst_row) in dst.chunks_exact_mut(out_shape.width).enumerate() {
+                let top = &src[2 * oy * width..][..width];
+                let bottom = match 2 * oy + 1 < height {
+                    true => &src[(2 * oy + 1) * width..][..width],
+                    false => top,
+                };
+                let (top_pairs, top_last) = top.as_chunks::<2>();
+                let (bottom_pairs, bottom_last) = bottom.as_chunks::<2>();
+                let pairs = top_pairs.iter().zip(bottom_pairs);
+                for (best, (&[a, b], &[c, d])) in dst_row.iter_mut().zip(pairs) {
+                    *best = a.max(b).max(c.max(d));
+                }
+                if let ([v], [u]) = (top_last, bottom_last) {
+                    dst_row[top_pairs.len()] = (*v).max(*u);
+                }
+            }
+        }
+        return out;
+    }
+    // The window's rows folded into one: a whole input row at a time.
+    let mut column_max = vec![0u8; width];
     for (src, dst) in channels {
         for (oy, dst_row) in dst.chunks_exact_mut(out_shape.width).enumerate() {
             let y0 = oy * geom.stride;
@@ -304,19 +326,9 @@ pub fn max_pool_levels(input: &Tensor<u8>, geom: PoolGeom) -> Tensor<u8> {
                 }
             }
             // Then the window's columns, whole rows at a time so the pass
-            // vectorizes. A 2×2/2 window pools a pair of columns, an odd
-            // last column alone; a 2×2/1 window pools each column with its
-            // right neighbour, the last column alone.
+            // vectorizes. A 2×2/1 window pools each column with its right
+            // neighbour, the last column alone.
             match (geom.size, geom.stride) {
-                (2, 2) => {
-                    let (pairs, last) = column_max.as_chunks::<2>();
-                    for (best, &[a, b]) in dst_row.iter_mut().zip(pairs) {
-                        *best = a.max(b);
-                    }
-                    if let [v] = *last {
-                        dst_row[pairs.len()] = v;
-                    }
-                }
                 (2, 1) => {
                     let right = column_max.iter().skip(1);
                     for ((best, &a), &b) in dst_row.iter_mut().zip(&column_max).zip(right) {

@@ -41,9 +41,10 @@
 //! the upper planes empty, which the arithmetic above gets right without a
 //! special case.
 
+use crate::max_pool_levels;
 use tincy_quant::ThresholdsForLayer;
 use tincy_simd::IsaKernel;
-use tincy_tensor::{BitTensor, ConvGeom, Shape3, Tensor};
+use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor};
 
 const WORD_BITS: usize = 64;
 
@@ -183,10 +184,22 @@ fn accumulate<const G: usize, const W: usize>(
             let s = whole.len();
             count_step(&mut ones, last, [&plane0[s], &plane1[s], &plane2[s]]);
         }
+        // Where a pixel spans `W > 1` lanes, opaque to the optimizer, so
+        // that a tile row stays one vector. Left visible, the per-pixel sums
+        // led the AVX-512 build to split every tile row into its `W` word
+        // positions, with masked loads and shuffles per step, and layers
+        // 4–6 at input 64 took 2–3× as long.
+        let ones = if W > 1 {
+            std::hint::black_box(ones)
+        } else {
+            ones
+        };
         let per_pixel = ones.as_chunks::<W>().0;
-        for ((acc, ones), &sum) in accs.iter_mut().zip(per_pixel).zip(sums) {
-            *acc = 2 * ones.iter().sum::<u64>() as i32 - sum;
-        }
+        // The group's accumulators as one array, stored at once: written
+        // pixel by pixel, they were extracted and stored one at a time.
+        let group: [i32; G] =
+            std::array::from_fn(|i| 2 * per_pixel[i].iter().sum::<u64>() as i32 - sums[i]);
+        accs.copy_from_slice(&group);
     }
 }
 
@@ -210,12 +223,13 @@ fn count_step<const W: usize>(ones: &mut [u64; WORD_LANES], w: [u64; W], planes:
 }
 
 /// The input feature map as the sliding-window unit sees it: per bitplane
-/// and per padded input row, one dense channel-innermost bit stream.
+/// and per padded input row, one dense channel-innermost bit stream, held
+/// as bytes so that a word can be read from any byte of a row.
 struct LineBuffer {
-    words: Vec<u64>,
-    /// Words per row, including one spare so a two-word fetch at the last
-    /// bit of a row stays in bounds.
-    row_words: usize,
+    bytes: Vec<u8>,
+    /// Bytes per row, including one spare word so a two-word fetch at the
+    /// last bit of a row stays in bounds.
+    row_bytes: usize,
     /// Padded rows per plane.
     rows: usize,
 }
@@ -297,23 +311,25 @@ impl LineBuffer {
             seen >> act_bits == 0,
             "activation level exceeds {act_bits}-bit range"
         );
-        let words = bytes
-            .as_chunks()
-            .0
-            .iter()
-            .map(|&word| u64::from_le_bytes(word));
         Self {
-            words: words.collect(),
-            row_words,
+            bytes,
+            row_bytes,
             rows,
         }
     }
 
     /// Padded row `y` of bitplane `plane`.
     #[inline(always)]
-    fn row(&self, plane: usize, y: usize) -> &[u64] {
-        &self.words[(plane * self.rows + y) * self.row_words..][..self.row_words]
+    fn row(&self, plane: usize, y: usize) -> &[u8] {
+        &self.bytes[(plane * self.rows + y) * self.row_bytes..][..self.row_bytes]
     }
+}
+
+/// The 64 bits of `row` from its byte `byte` on, as one word: bit `k` of the
+/// word is bit `8·byte + k` of the row's stream.
+#[inline(always)]
+fn word_at(row: &[u8], byte: usize) -> u64 {
+    u64::from_le_bytes(*row[byte..].first_chunk().expect("a word inside the row"))
 }
 
 /// The channel-bytes of eight channels at eight pixels, per plane: byte
@@ -343,7 +359,7 @@ fn channel_bytes(
 /// row must extend one word past the last bit read.
 #[inline(always)]
 fn gather_runs<'a>(
-    rows: impl Iterator<Item = &'a [u64]>,
+    rows: impl Iterator<Item = &'a [u8]>,
     src_bit: usize,
     len: usize,
     mut put: impl FnMut(u64),
@@ -356,7 +372,8 @@ fn gather_runs<'a>(
             let (i, shift) = ((src_bit + done) / WORD_BITS, (src_bit + done) % WORD_BITS);
             // Two words funnel-shifted; the split shift is zero, not an
             // overflow, when the run starts on a word boundary.
-            let mut chunk = src[i] >> shift | (src[i + 1] << 1) << (WORD_BITS - 1 - shift);
+            let (low, high) = (word_at(src, 8 * i), word_at(src, 8 * i + 8));
+            let mut chunk = low >> shift | (high << 1) << (WORD_BITS - 1 - shift);
             if take < WORD_BITS {
                 chunk &= (1u64 << take) - 1;
             }
@@ -377,7 +394,36 @@ fn gather_runs<'a>(
     }
 }
 
-/// One convolution (before pooling) over one input feature map.
+/// [`gather_runs`] for `K` runs of `LEN ≤ 57` bits each, all from bit
+/// `src_bit` of their rows: one word read from the run's first byte per
+/// run, the chunks concatenated through a two-word window. With both
+/// counts constant the window's shifts are constants too.
+#[inline(always)]
+fn gather_short_runs<const LEN: usize, const K: usize>(
+    rows: [&[u8]; K],
+    src_bit: usize,
+    mut put: impl FnMut(u64),
+) {
+    // A word read from the run's first byte holds at least 57 of its bits.
+    const { assert!(0 < LEN && LEN <= WORD_BITS - 7) };
+    let (byte, shift) = (src_bit / 8, src_bit % 8);
+    let mask = u64::MAX >> (WORD_BITS - LEN);
+    let (mut window, mut fill) = (0u128, 0);
+    for src in rows {
+        window |= u128::from(word_at(src, byte) >> shift & mask) << fill;
+        fill += LEN;
+        if fill >= WORD_BITS {
+            put(window as u64);
+            window >>= WORD_BITS;
+            fill -= WORD_BITS;
+        }
+    }
+    if fill > 0 {
+        put(window as u64);
+    }
+}
+
+/// One convolution and its optional max-pool over one input feature map.
 pub(crate) struct StreamedConv<'a> {
     pub(crate) in_shape: Shape3,
     pub(crate) geom: ConvGeom,
@@ -386,6 +432,8 @@ pub(crate) struct StreamedConv<'a> {
     pub(crate) thresholds: &'a ThresholdTable,
     /// Widest activation level the layer accepts, in bits (`1..=3`).
     pub(crate) act_bits: usize,
+    /// The max-pool that finishes the layer, if any.
+    pub(crate) pool: Option<PoolGeom>,
     /// Must have shape `in_shape`.
     pub(crate) input: &'a Tensor<u8>,
 }
@@ -395,12 +443,35 @@ impl IsaKernel for StreamedConv<'_> {
 
     #[inline(always)]
     fn run(self) -> Tensor<u8> {
+        let pixels = self.geom.output_shape(self.in_shape, 1).spatial();
+        let words = self.weights.words_per_row();
+        // A group is `G` pixels of `WORD_LANES / G` words each: eight pixels
+        // of one word, or on a map narrower than eight pixels fewer pixels
+        // of several, so no lane idles.
+        match (pixels.next_power_of_two().min(WORD_LANES), words) {
+            // The first hidden layer's 144-bit footprint is three words:
+            // give it the steps as a constant.
+            (8, 3) => self.schedule::<8, 1>(3),
+            (8, _) => self.schedule::<8, 1>(words),
+            (4, _) => self.schedule::<4, 2>(words),
+            (2, _) => self.schedule::<2, 4>(words),
+            _ => self.schedule::<1, 8>(words),
+        }
+    }
+}
+
+impl StreamedConv<'_> {
+    /// The schedule for groups of `G` pixels of `W` words each, on weight
+    /// rows of `words` words.
+    #[inline(always)]
+    fn schedule<const G: usize, const W: usize>(self, words: usize) -> Tensor<u8> {
         let Self {
             in_shape,
             geom,
             weights,
             thresholds,
             act_bits,
+            pool,
             input,
         } = self;
         let channels = in_shape.channels;
@@ -408,21 +479,15 @@ impl IsaKernel for StreamedConv<'_> {
         let (out_width, pixels) = (conv_shape.width, conv_shape.spatial());
         let lines = LineBuffer::pack(input, geom.pad, act_bits);
 
-        let words = weights.words_per_row();
         let run_bits = geom.kernel * channels;
-        // A group is `group` pixels of `WORD_LANES / group` words each: eight
-        // pixels of one word, or on a map narrower than eight pixels fewer
-        // pixels of several, so no lane idles.
-        let group = pixels.next_power_of_two().min(WORD_LANES);
-        let step_words = WORD_LANES / group;
-        let steps = words.div_ceil(step_words);
+        let steps = words.div_ceil(W);
         let group_rows = PLANES * steps;
-        let pixel_bytes = group_rows * size_of::<Lanes>() / group;
+        let pixel_bytes = group_rows * size_of::<Lanes>() / G;
         let tile_pixels = (TILE_BYTES / pixel_bytes).max(1).div_ceil(LANES) * LANES;
-        let tile_pixels = tile_pixels.min(pixels.next_multiple_of(group));
+        let tile_pixels = tile_pixels.min(pixels.next_multiple_of(G));
         // The lanes of a row's padded last step stay zero: the assembly
         // below never writes them.
-        let mut tile = vec![Lanes::default(); tile_pixels / group * group_rows];
+        let mut tile = vec![Lanes::default(); tile_pixels / G * group_rows];
         let mut plane_sums = vec![0i32; tile_pixels];
         let mut accs = vec![0i32; tile_pixels];
         let mut out = Tensor::zeros(conv_shape);
@@ -432,7 +497,7 @@ impl IsaKernel for StreamedConv<'_> {
         // ends on a word boundary: the footprint is `K` slices of the line
         // buffer, taken word for word.
         let aligned = channels.is_multiple_of(WORD_BITS);
-        let run_words = run_bits / WORD_BITS;
+        let run_bytes = run_bits / 8;
 
         for start in (0..pixels).step_by(tile_pixels.max(1)) {
             let count = tile_pixels.min(pixels - start);
@@ -441,33 +506,31 @@ impl IsaKernel for StreamedConv<'_> {
                 let src_bit = ox * geom.stride * channels;
                 // Straight into the pixel's lanes: word `s·W + k` of plane
                 // `p` is lane `(i mod G)·W + k` of its group's row
-                // `p·steps + s` (`G` is a power of two: shifts and masks).
-                let (g, slot) = (i >> group.trailing_zeros(), i & (group - 1));
-                let first_lane = slot * step_words;
+                // `p·steps + s`.
+                let group = &mut tile[i / G * group_rows..][..group_rows];
+                let first_lane = i % G * W;
                 *sum = 0;
-                for p in 0..PLANES {
-                    let rows = &mut tile[g * group_rows + p * steps..][..steps];
+                for (p, rows) in group.chunks_exact_mut(steps).enumerate() {
                     let (mut j, mut ones) = (0, 0);
                     let mut put = |word: u64| {
-                        let (s, k) = (j >> step_words.trailing_zeros(), j & (step_words - 1));
-                        rows[s].0[first_lane + k] = word;
+                        rows[j / W].0[first_lane + j % W] = word;
                         ones += word.count_ones();
                         j += 1;
                     };
-                    let lines = (0..geom.kernel).map(|ky| lines.row(p, oy * geom.stride + ky));
+                    let line = |ky: usize| lines.row(p, oy * geom.stride + ky);
                     if aligned {
-                        for line in lines {
-                            for &word in &line[src_bit / WORD_BITS..][..run_words] {
-                                put(word);
+                        for ky in 0..geom.kernel {
+                            let run = &line(ky)[src_bit / 8..][..run_bytes];
+                            for &word in run.as_chunks().0 {
+                                put(u64::from_le_bytes(word));
                             }
                         }
+                    } else if (geom.kernel, run_bits) == (3, 48) {
+                        // The first hidden layer's runs are 16 channels by
+                        // three taps: one word read each, at constant offsets.
+                        gather_short_runs::<48, 3>([line(0), line(1), line(2)], src_bit, put);
                     } else {
-                        // The first hidden layer's runs are 16 channels
-                        // by three taps: one chunk each, given as a constant.
-                        match run_bits {
-                            48 => gather_runs(lines, src_bit, 48, put),
-                            _ => gather_runs(lines, src_bit, run_bits, put),
-                        }
+                        gather_runs((0..geom.kernel).map(line), src_bit, run_bits, put);
                     }
                     *sum += (ones as i32) << p;
                 }
@@ -476,21 +539,12 @@ impl IsaKernel for StreamedConv<'_> {
                     (oy, ox) = (oy + 1, 0);
                 }
             }
-            let groups = count.div_ceil(group);
+            let groups = count.div_ceil(G);
             let tile = &tile[..groups * group_rows];
-            let sums = &plane_sums[..groups * group];
+            let sums = &plane_sums[..groups * G];
+            let accs = &mut accs[..groups * G];
             for r in 0..weights.rows() {
-                let weight_row = weights.row_words(r);
-                let accs = &mut accs[..groups * group];
-                // The first hidden layer's 144-bit footprint is three
-                // words: give it the steps as a constant.
-                match (group, words) {
-                    (8, 3) => accumulate::<8, 1>(3, weight_row, tile, sums, accs),
-                    (8, _) => accumulate::<8, 1>(words, weight_row, tile, sums, accs),
-                    (4, _) => accumulate::<4, 2>(words, weight_row, tile, sums, accs),
-                    (2, _) => accumulate::<2, 4>(words, weight_row, tile, sums, accs),
-                    _ => accumulate::<1, 8>(words, weight_row, tile, sums, accs),
-                }
+                accumulate::<G, W>(words, weights.row_words(r), tile, sums, accs);
                 let (taus, ascending) = thresholds.channel(r);
                 fire(
                     taus,
@@ -500,7 +554,10 @@ impl IsaKernel for StreamedConv<'_> {
                 );
             }
         }
-        out
+        match pool {
+            Some(pool) => max_pool_levels(&out, pool),
+            None => out,
+        }
     }
 }
 
@@ -521,10 +578,15 @@ mod tests {
             0x0000_0000_0000_00a5,
             0,
         ];
-        let rows: Vec<[u64; 5]> = (0..3u32)
-            .map(|r| pattern.map(|word| word.rotate_left(7 * r)))
+        let rows: Vec<Vec<u8>> = (0..3u32)
+            .map(|r| {
+                pattern
+                    .iter()
+                    .flat_map(|word| word.rotate_left(7 * r).to_le_bytes())
+                    .collect()
+            })
             .collect();
-        let bit = |words: &[u64], i: usize| words[i / 64] >> (i % 64) & 1;
+        let bit = |bytes: &[u8], i: usize| u64::from(bytes[i / 8] >> (i % 8) & 1);
         for (runs, src_bit, len) in [
             (1usize, 0usize, 64usize),
             (2, 0, 128),
@@ -533,13 +595,21 @@ mod tests {
             (3, 64, 64),
             (3, 3, 1),
             (3, 16, 48),
+            (3, 13, 48),
+            (3, 144, 48),
             (3, 130, 70),
         ] {
             let mut dst = Vec::new();
             let sources = rows[..runs].iter().map(|row| &row[..]);
-            gather_runs(sources, src_bit, len, |word| dst.push(word));
-            assert_eq!(dst.len(), (runs * len).div_ceil(64));
-            for i in 0..dst.len() * 64 {
+            gather_runs(sources, src_bit, len, |word| dst.extend(word.to_le_bytes()));
+            assert_eq!(dst.len(), (runs * len).div_ceil(64) * 8);
+            if runs == 3 && len == 48 {
+                let mut short = Vec::new();
+                let rows = [&rows[0][..], &rows[1][..], &rows[2][..]];
+                gather_short_runs::<48, 3>(rows, src_bit, |word| short.extend(word.to_le_bytes()));
+                assert_eq!(short, dst, "short runs from {src_bit}");
+            }
+            for i in 0..dst.len() * 8 {
                 let expected = if i < runs * len {
                     bit(&rows[i / len], src_bit + i % len)
                 } else {
@@ -636,8 +706,8 @@ mod tests {
                                 0
                             };
                             assert_eq!(
-                                row[bit / 64] >> (bit % 64) & 1,
-                                u64::from(level >> plane & 1),
+                                row[bit / 8] >> (bit % 8) & 1,
+                                level >> plane & 1,
                                 "{channels} channels: plane {plane} pixel ({y},{x}) channel {c}"
                             );
                         }
@@ -662,8 +732,8 @@ mod tests {
                         let inside = (1..3).contains(&y) && (1..3).contains(&x);
                         let level = if inside { input.at(c, y - 1, x - 1) } else { 0 };
                         assert_eq!(
-                            row[bit / 64] >> (bit % 64) & 1,
-                            u64::from(level >> plane & 1),
+                            row[bit / 8] >> (bit % 8) & 1,
+                            level >> plane & 1,
                             "plane {plane} pixel ({y},{x}) channel {c}"
                         );
                     }

@@ -5,7 +5,7 @@
 //! quantized GEMM), on every instantiation of the popcount loops.
 
 use proptest::prelude::*;
-use tincy_kernels::{gemm_q8, gemm_q8_reference, PackedLayer, Isa, Variant};
+use tincy_kernels::{gemm_q8, gemm_q8_reference, Isa, PackedLayer, Variant};
 use tincy_quant::{ThresholdSet, ThresholdsForLayer};
 use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor};
 

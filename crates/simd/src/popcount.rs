@@ -78,8 +78,7 @@ impl Isa {
         let arms = {
             use std::is_x86_feature_detected as has;
             let popcnt = has!("popcnt");
-            let avx512 =
-                popcnt && has!("avx512f") && has!("avx512bw") && has!("avx512vpopcntdq");
+            let avx512 = popcnt && has!("avx512f") && has!("avx512bw") && has!("avx512vpopcntdq");
             [(Arm::Popcnt, popcnt), (Arm::Avx512, avx512)]
         };
         #[cfg(not(target_arch = "x86_64"))]
