@@ -2,8 +2,9 @@
 //!
 //! One serve process can host several quantization variants of the
 //! detector — typically instantiated from the `tincy explore` Pareto
-//! frontier. The [`VariantLadder`] orders them by accuracy proxy, then by
-//! modeled fabric cycles (cheapest/fastest first); each SLO class gets a
+//! frontier. The [`VariantLadder`] keeps one variant per accuracy proxy,
+//! the one with the fewest modeled fabric cycles, and orders them by
+//! accuracy (cheapest first); each SLO class gets a
 //! *home rung* (tight classes pinned to the cheap variant, best-effort to
 //! the accurate one), and a sustained SLO burn-rate alert shifts every
 //! class *down* the ladder toward the cheap end — restoring rung by rung
@@ -45,19 +46,24 @@ impl ServeVariant {
     }
 }
 
-/// The variant ladder: every hosted variant, sorted cheapest-first
-/// (ascending accuracy proxy, then fewest modeled frame cycles, then name
-/// as the deterministic tie-break).
+/// The variant ladder: the hosted variants, one per accuracy proxy, sorted
+/// cheapest-first (ascending accuracy).
+/// Of the variants that share an accuracy value, the ladder keeps the one
+/// with the fewest modeled frame cycles (then the first name): another
+/// is as accurate and slower, so no class is better served by it.
 /// Rung 0 is the fastest/least-accurate variant; the last rung the most
 /// accurate. The ordering is total — any two distinct variants compare
 /// consistently — so routing decisions are reproducible across runs.
 #[derive(Debug, Clone)]
 pub struct VariantLadder {
     variants: Vec<ServeVariant>,
+    /// Names of the variants dropped for a faster one of equal accuracy.
+    dropped: Vec<String>,
 }
 
 impl VariantLadder {
-    /// Builds a ladder from an unordered variant set.
+    /// Builds a ladder from an unordered variant set, dropping every
+    /// variant that is as accurate as a faster one.
     ///
     /// # Errors
     ///
@@ -67,6 +73,11 @@ impl VariantLadder {
         if variants.is_empty() {
             return Err("variant ladder needs at least one variant".to_string());
         }
+        let mut names: Vec<&str> = variants.iter().map(|v| v.name.as_str()).collect();
+        names.sort_unstable();
+        if let Some(pair) = names.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(format!("duplicate variant name {:?}", pair[0]));
+        }
         variants.sort_by(|a, b| {
             a.accuracy
                 .partial_cmp(&b.accuracy)
@@ -74,12 +85,16 @@ impl VariantLadder {
                 .then_with(|| a.frame_cycles().cmp(&b.frame_cycles()))
                 .then_with(|| a.name.cmp(&b.name))
         });
-        for pair in variants.windows(2) {
-            if pair[0].name == pair[1].name {
-                return Err(format!("duplicate variant name {:?}", pair[0].name));
+        // Each accuracy value's first variant in this order is its fastest.
+        let mut dropped = Vec::new();
+        variants.dedup_by(|later, kept| {
+            let dominated = later.accuracy == kept.accuracy;
+            if dominated {
+                dropped.push(later.name.clone());
             }
-        }
-        Ok(Self { variants })
+            dominated
+        });
+        Ok(Self { variants, dropped })
     }
 
     /// A one-rung ladder hosting a single design point — the degenerate
@@ -91,6 +106,7 @@ impl VariantLadder {
                 model,
                 accuracy: 0.0,
             }],
+            dropped: Vec::new(),
         }
     }
 
@@ -117,6 +133,12 @@ impl VariantLadder {
     /// Rung names, cheapest first.
     pub fn names(&self) -> Vec<String> {
         self.variants.iter().map(|v| v.name.clone()).collect()
+    }
+
+    /// Names of the variants [`VariantLadder::new`] dropped, each as
+    /// accurate as a rung with fewer modeled frame cycles.
+    pub fn dropped(&self) -> &[String] {
+        &self.dropped
     }
 
     /// The *home rung* of an SLO class: interactive traffic is pinned to
@@ -248,14 +270,20 @@ mod tests {
             variant("b", 0.5),
         ])
         .unwrap();
-        assert_eq!(ladder.names(), ["b", "c", "a"]);
-        assert_eq!(ladder.max_offset(), 2);
+        // "b" and "c" tie in accuracy and in cycles: the first name stays.
+        assert_eq!(ladder.names(), ["b", "a"]);
+        assert_eq!(ladder.dropped(), ["c"]);
+        assert_eq!(ladder.max_offset(), 1);
     }
 
     #[test]
     fn ladder_rejects_empty_and_duplicates() {
         assert!(VariantLadder::new(Vec::new()).is_err());
         assert!(VariantLadder::new(vec![variant("x", 0.1), variant("x", 0.2)]).is_err());
+        let apart = vec![variant("x", 0.1), variant("y", 0.2), variant("x", 0.3)];
+        assert!(VariantLadder::new(apart).is_err());
+        let tied = vec![variant("x", 0.1), variant("x", 0.1)];
+        assert!(VariantLadder::new(tied).is_err());
     }
 
     #[test]

@@ -479,8 +479,15 @@ fn variant_ladder(path: &str, input: usize) -> CliResult<VariantLadder> {
         accuracy: fv.accuracy,
     });
     let ladder = VariantLadder::new(rungs.collect()).map_err(|e| named(&e))?;
+    let dropped = match ladder.dropped() {
+        [] => String::new(),
+        names => format!(
+            "; dropped, as accurate as a faster rung: {}",
+            names.join(", ")
+        ),
+    };
     out!(
-        "variant ladder ({} rungs, cheapest first): {}",
+        "variant ladder ({} rungs, cheapest first): {}{dropped}",
         ladder.len(),
         ladder.names().join(" < ")
     );
