@@ -16,7 +16,8 @@
 //!    channel-bytes by shifts and ORs on whole words.
 //! 2. **Window assembly.** A footprint plane is `K` such runs, one per
 //!    kernel row, gathered a whole word at a time (or copied word by word
-//!    where `C` is a multiple of 64) straight into a reused tile buffer.
+//!    where `C` is a multiple of 64; a run of at most 57 bits is one word
+//!    read from its first byte) straight into a reused tile buffer.
 //!    The tile is *lane-major*: a group of `G` pixels fills rows of eight
 //!    `u64` lanes (one 512-bit vector, aligned to it), word `s·W + k` of
 //!    a pixel's plane `p` in lane `(pixel mod G)·W + k` of row
@@ -34,6 +35,8 @@
 //!    and no horizontal sum but the `W` lanes of a pixel. Then the
 //!    channel's comparators ([`ThresholdTable`]) run across that row of
 //!    accumulators and write the levels straight into the CHW output.
+//! 4. **Pool.** The layer's optional max-pool runs in the same call, so
+//!    under the same instruction set.
 //!
 //! Nothing is allocated per pixel and nothing is cloned per call; the
 //! tap-major weights and the comparator rows are built once in
@@ -124,25 +127,35 @@ fn count_fired(taus: &[i32], accs: &[i32], levels: &mut [u8], fires: impl Fn(i32
     let (acc_groups, acc_tail) = accs.as_chunks::<LANES>();
     let (level_groups, level_tail) = levels.as_chunks_mut::<LANES>();
     for (levels, accs) in level_groups.iter_mut().zip(acc_groups) {
-        let mut fired = [0i32; LANES];
-        for &tau in taus {
-            // Opaque to the optimizer, so that the lanes are what gets
-            // vectorized. Left visible, wide-vector builds unroll the lanes
-            // and vectorize this loop instead: sixteen reductions over the
-            // thresholds, which a row of seven never fills, so every lane
-            // fell back to a scalar count (2× the portable build's time).
-            let tau = std::hint::black_box(tau);
-            for (fired, &acc) in fired.iter_mut().zip(accs) {
-                *fired += i32::from(fires(tau, acc));
-            }
-        }
-        for (level, fired) in levels.iter_mut().zip(fired) {
-            *level = fired as u8;
+        *levels = count_lanes(taus, accs, &fires);
+    }
+    if !acc_tail.is_empty() {
+        // A tail runs the same lanes, padded; the padding's counts are
+        // dropped. A map of four pixels (layers 4–6 at input 64) is all
+        // tail, and counting it lane by lane cost those layers ≈ 8 %.
+        let mut padded = [0; LANES];
+        padded[..acc_tail.len()].copy_from_slice(acc_tail);
+        let counts = count_lanes(taus, &padded, &fires);
+        level_tail.copy_from_slice(&counts[..level_tail.len()]);
+    }
+}
+
+/// The number of `taus` each of a lane group's accumulators fires.
+#[inline(always)]
+fn count_lanes(taus: &[i32], accs: &[i32; LANES], fires: impl Fn(i32, i32) -> bool) -> [u8; LANES] {
+    let mut fired = [0i32; LANES];
+    for &tau in taus {
+        // Opaque to the optimizer, so that the lanes are what gets
+        // vectorized. Left visible, wide-vector builds unroll the lanes
+        // and vectorize this loop instead: sixteen reductions over the
+        // thresholds, which a row of seven never fills, so every lane
+        // fell back to a scalar count (2× the portable build's time).
+        let tau = std::hint::black_box(tau);
+        for (fired, &acc) in fired.iter_mut().zip(accs) {
+            *fired += i32::from(fires(tau, acc));
         }
     }
-    for (level, &acc) in level_tail.iter_mut().zip(acc_tail) {
-        *level = taus.iter().filter(|&&tau| fires(tau, acc)).count() as u8;
-    }
+    fired.map(|fired| fired as u8)
 }
 
 /// One weight row of `words` words against every footprint group of the

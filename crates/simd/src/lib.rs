@@ -1,5 +1,5 @@
-//! The convolution kernels of the paper's CPU half (§III-D), and the
-//! popcount dispatch of its binary half.
+//! The convolution kernels of the paper's CPU half (§III-D), and the one
+//! instruction-set dispatch a served frame's host kernels run under.
 //!
 //! The Zynq UltraScale+ application processors offer 128-bit NEON SIMD:
 //! "equivalent parallel computations can be performed in four 32-bit lanes
@@ -22,9 +22,12 @@
 //!   f32 (rung 4), 8-bit with 32-bit accumulators (rung 5, the product's
 //!   first layer), and 8-bit with 16-bit accumulators plus the rounding
 //!   right shift by 4 (rung 6);
-//! * [`popcount`] — run-time selection of the hardware population count
-//!   for the AND-popcount loops of `tincy-kernels` (the only `unsafe` in
-//!   the workspace).
+//! * [`popcount`] — run-time selection of the instruction set ([`Isa`])
+//!   for every host kernel of a served frame whose cost is vector or
+//!   popcount work: the binary layers of `tincy-kernels` and
+//!   `tincy-finn`, the 8-bit convolutions here and their quantizer and
+//!   epilogue in `tincy-nn`, and the fabric interface's quantizers (the
+//!   only `unsafe` in the workspace).
 
 // The float kernels are written with explicit index loops over NEON-shaped
 // lanes so the code shape matches the A53 target; iterator rewrites would

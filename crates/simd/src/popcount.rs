@@ -12,10 +12,11 @@
 //!
 //! What runs under the selected arm is every host kernel of a served frame
 //! whose cost is vector or popcount work: the AND-popcount loops of the
-//! binary layers (`tincy-kernels`, `tincy-finn`'s MVTU), the 8-bit
-//! convolutions ([`crate::FirstLayerKernel::accumulate_i32`],
-//! [`crate::gemm_lowp`]) with their input quantizer and epilogue
-//! (`tincy-nn`), and the fabric interface's quantizers (`tincy-finn`).
+//! binary layers with their max-pool (`tincy-kernels`, `tincy-finn`'s
+//! MVTU), the 8-bit convolutions
+//! ([`crate::FirstLayerKernel::accumulate_i32`], [`crate::gemm_lowp`])
+//! with their input quantizer and epilogue (`tincy-nn`), and the fabric
+//! interface's quantizers (`tincy-finn`).
 //! Every operation in them is integer or IEEE `f32` arithmetic, which Rust
 //! never contracts or reassociates, so the arm changes how fast they run,
 //! never an output bit.
