@@ -5,7 +5,8 @@
 //!
 //! Absolute times differ from the A53; the *ordering* and rough ratios are
 //! the reproduced claim, so every row prints its ratio to the generic
-//! im2col + GEMM row and nothing is gated.
+//! im2col + GEMM row and nothing is gated. A second table times the three
+//! 16×27 rungs at inputs 64, 128 and 416, at strides 1 and 2.
 //!
 //! ```text
 //! cargo run -p tincy-bench --release --bin first_layer
@@ -101,7 +102,32 @@ fn main() {
         "transformation (d): stride 2 cuts the i16 kernel {:.1}x (paper: 120 ms -> 35 ms, 3.4x,",
         i16_ms / stride2_ms
     );
-    println!("which also absorbs the removed max pool). The i32 rung trails the f32 kernel on");
-    println!("baseline x86-64: SSE2 has no widening 16-bit multiply-accumulate (NEON vmlal.s16),");
-    println!("so each product is sign-extended to 32 bits by unpack+shift before it is added.");
+    println!("which also absorbs the removed max pool). The integer rungs run under the frame's");
+    println!("instruction-set dispatch: a pair of taps is one 16-bit multiply-add into 32-bit");
+    println!("lanes (vpmaddwd; NEON's vmlal.s16), and the i16 rung adds a shift and two");
+    println!("saturating adds per pair, so here the i32 rung is the fastest.");
+    println!();
+    println!(
+        "the three 16x27 rungs per input (ms per call; stride 1 as in section III-D, stride 2 the"
+    );
+    println!("product's first layer)");
+    println!(
+        "{:>5}  {:>6}  {:>9}  {:>9}  {:>9}",
+        "input", "stride", "f32", "i32", "i16"
+    );
+    for size in [64, 128, 416] {
+        let input_f: Tensor<f32> = Tensor::from_fn(Shape3::new(3, size, size), |_, _, _| {
+            rng.gen_range(0.0..1.0)
+        });
+        let input_q = input_f.map(|v| q.quantize(v));
+        for stride in [1, 2] {
+            let geom = ConvGeom::same(3, stride);
+            println!(
+                "{size:>5}  {stride:>6}  {:>9.3}  {:>9.3}  {:>9.3}",
+                time_ms(|| kernel.forward_f32(black_box(&input_f), geom)),
+                time_ms(|| kernel.accumulate_i32(black_box(&input_q), zp, geom)),
+                time_ms(|| kernel.accumulate_i16(black_box(&input_q), zp, geom)),
+            );
+        }
+    }
 }

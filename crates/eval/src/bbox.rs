@@ -68,16 +68,47 @@ impl BBox {
     /// rounding can never report an intersection exceeding a member box
     /// (which would drive IoU above 1).
     pub fn intersection(&self, other: &BBox) -> f32 {
-        let iw = (self.right().min(other.right()) - self.left().max(other.left())).max(0.0);
-        let ih = (self.bottom().min(other.bottom()) - self.top().max(other.top())).max(0.0);
-        (iw * ih).min(self.area()).min(other.area())
+        Extent::of(self).intersection(&Extent::of(other))
     }
 
     /// Intersection over union with another box; zero when both are
     /// degenerate.
     pub fn iou(&self, other: &BBox) -> f32 {
+        Extent::of(self).iou(&Extent::of(other))
+    }
+}
+
+/// A box's edges and area, computed once: what [`BBox::iou`] reads of
+/// each box, for callers that pair one box with many.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Extent {
+    left: f32,
+    right: f32,
+    top: f32,
+    bottom: f32,
+    area: f32,
+}
+
+impl Extent {
+    pub(crate) fn of(b: &BBox) -> Self {
+        Self {
+            left: b.left(),
+            right: b.right(),
+            top: b.top(),
+            bottom: b.bottom(),
+            area: b.area(),
+        }
+    }
+
+    fn intersection(&self, other: &Extent) -> f32 {
+        let iw = (self.right.min(other.right) - self.left.max(other.left)).max(0.0);
+        let ih = (self.bottom.min(other.bottom) - self.top.max(other.top)).max(0.0);
+        (iw * ih).min(self.area).min(other.area)
+    }
+
+    pub(crate) fn iou(&self, other: &Extent) -> f32 {
         let inter = self.intersection(other);
-        let union = self.area() + other.area() - inter;
+        let union = self.area + other.area - inter;
         if union <= 0.0 {
             0.0
         } else {
@@ -124,6 +155,35 @@ mod tests {
         let a = BBox::new(0.3, 0.3, 0.4, 0.5);
         let b = BBox::new(0.5, 0.4, 0.3, 0.3);
         assert!((a.iou(&b) - b.iou(&a)).abs() < 1e-7);
+    }
+
+    /// `nms` computes each pair's overlap once and reads it in both
+    /// orders, so IoU must be symmetric in value, NaN included, on every
+    /// box: here every box whose fields are drawn from signed zeros, a
+    /// subnormal, infinities, NaN and an ordinary value.
+    #[test]
+    fn iou_is_symmetric_in_value_on_special_values() {
+        let centres = [f32::NAN, -0.0, 0.0, 0.5, f32::INFINITY];
+        let extents = [f32::NAN, -0.0, 1e-40, 0.25, f32::INFINITY];
+        let mut boxes = Vec::new();
+        for x in centres {
+            for y in [f32::NEG_INFINITY, 0.0, 0.5] {
+                for w in extents {
+                    for h in extents {
+                        boxes.push(BBox::new(x, y, w, h));
+                    }
+                }
+            }
+        }
+        for a in &boxes {
+            for b in &boxes {
+                let (ab, ba) = (a.iou(b), b.iou(a));
+                assert!(
+                    ab == ba || (ab.is_nan() && ba.is_nan()),
+                    "{a:?} {b:?}: {ab} {ba}"
+                );
+            }
+        }
     }
 
     #[test]

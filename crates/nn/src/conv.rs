@@ -363,6 +363,101 @@ mod tests {
         Tensor::from_fn(shape, |_, _, _| rng.gen_range(0.0..1.0))
     }
 
+    /// [`AffineQuant::quantize_slice`] under the dispatch, for any
+    /// quantizer (`QuantizeInput` fits its own).
+    struct QuantizeSlice<'a>(AffineQuant, &'a [f32]);
+
+    impl IsaKernel for QuantizeSlice<'_> {
+        type Output = Vec<u8>;
+
+        #[inline(always)]
+        fn run(self) -> Vec<u8> {
+            self.0.quantize_slice(self.1)
+        }
+    }
+
+    /// Ties at `k + 0.5` steps and their neighbours one ulp away, whole
+    /// steps, the ±512-step clamp and beyond, and the values with no step
+    /// at all: NaN, infinities, signed zeros, subnormals.
+    fn quantizer_edge_values(scale: f32) -> Vec<f32> {
+        let mut values = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            0.0,
+            -0.0,
+            1e-40,
+            -1e-40,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+        ];
+        for k in -520i16..=520 {
+            for steps in [f32::from(k), f32::from(k) + 0.5] {
+                let v = steps * scale;
+                values.extend([v, v.next_up(), v.next_down()]);
+            }
+        }
+        values
+    }
+
+    #[test]
+    fn the_quantizer_matches_the_scalar_one_on_every_arm() {
+        // Exact ties need a step the products above hit exactly: 1 and
+        // 1/8; 3 and a fitted step are not powers of two.
+        let fitted = AffineQuant::fit(-0.37, 1.93).unwrap().scale();
+        for scale in [1.0, 0.125, 3.0, fitted] {
+            let values = quantizer_edge_values(scale);
+            for zero_point in [0, 128, 255] {
+                let q = AffineQuant::new(scale, zero_point).unwrap();
+                let want: Vec<u8> = values.iter().map(|&v| q.quantize(v)).collect();
+                for isa in Isa::supported() {
+                    let got = isa.run(QuantizeSlice(q, &values));
+                    for ((v, w), g) in values.iter().zip(&want).zip(&got) {
+                        assert_eq!(g, w, "{isa:?} scale {scale} zero point {zero_point}: {v:e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_input_quantizer_fits_as_a_scalar_fold_on_every_arm() {
+        // Lengths around the 64 lanes of the fit's fold, NaN skipped,
+        // signed zeros; each map quantized through `QuantizeInput`.
+        let mut rng = StdRng::seed_from_u64(8);
+        for len in (0..=200).chain([12_288]) {
+            let mut data: Vec<f32> = (0..len).map(|_| rng.gen_range(-1.5f32..2.5)).collect();
+            for (i, special) in [(len / 2, f32::NAN), (len / 3, -0.0), (len / 5, f32::NAN)] {
+                if len > 5 {
+                    data[i] = special;
+                }
+            }
+            let (mut min, mut max) = (f32::INFINITY, f32::NEG_INFINITY);
+            for &v in &data {
+                min = min.min(v);
+                max = max.max(v);
+            }
+            let want = if data.is_empty() {
+                AffineQuant::new(1.0, 0).unwrap()
+            } else {
+                AffineQuant::fit(min, max).unwrap()
+            };
+            let bytes: Vec<u8> = data.iter().map(|&v| want.quantize(v)).collect();
+            for isa in Isa::supported() {
+                let (q, got) = isa.run(QuantizeInput(&data)).unwrap();
+                assert_eq!(q, want, "{isa:?} length {len}");
+                assert_eq!(got, bytes, "{isa:?} length {len}");
+            }
+        }
+        for isa in Isa::supported() {
+            assert!(isa.run(QuantizeInput(&[f32::NAN])).is_err());
+            assert!(isa.run(QuantizeInput(&[1.0, f32::INFINITY])).is_err());
+        }
+    }
+
     #[test]
     fn float_forward_shape_and_relu() {
         let mut rng = StdRng::seed_from_u64(1);

@@ -74,24 +74,28 @@ impl AffineQuant {
     ///
     /// Returns [`QuantError::InvalidRange`] if the slice contains non-finite
     /// values; an empty slice yields the degenerate unit quantizer.
-    #[inline]
+    #[inline(always)]
     pub fn fit_data(data: &[f32]) -> Result<Self, QuantError> {
         if data.is_empty() {
             return Self::new(1.0, 0);
         }
         // Lane-wise extrema, folded at the end: a reduction the compiler
-        // vectorizes, where one running minimum is a serial chain. The
-        // compare-and-select skips NaN exactly as `f32::min`/`max` do.
-        const LANES: usize = 8;
+        // vectorizes, where one running minimum is a serial chain. Sixty-four
+        // lanes are four 512-bit registers per extremum, enough independent
+        // chains to hide the compare's latency. The compare-and-select skips
+        // NaN exactly as `f32::min`/`max` do, and which zero survives a tie
+        // does not reach `fit`.
+        const LANES: usize = 64;
         let lower = |m: f32, v: f32| if v < m { v } else { m };
         let upper = |m: f32, v: f32| if v > m { v } else { m };
         let mut min = [f32::INFINITY; LANES];
         let mut max = [f32::NEG_INFINITY; LANES];
         let (groups, tail) = data.as_chunks::<LANES>();
         for group in groups {
-            for ((min, max), &v) in min.iter_mut().zip(&mut max).zip(group) {
-                *min = lower(*min, v);
-                *max = upper(*max, v);
+            // Indexed: the zipped form compiled to a shuffle per step.
+            for i in 0..LANES {
+                min[i] = lower(min[i], group[i]);
+                max[i] = upper(max[i], group[i]);
             }
         }
         let min = min
@@ -129,26 +133,46 @@ impl AffineQuant {
     }
 
     /// Quantizes a whole slice: byte for byte what [`AffineQuant::quantize`]
-    /// returns for each element, computed without `f32::round` (a libm
-    /// call on targets with no rounding instruction) so the loop
-    /// vectorizes.
-    #[inline]
+    /// returns for each element, computed with no float-to-integer
+    /// conversion so the loop vectorizes. Both `f32::round` (a libm call
+    /// on targets with no rounding instruction) and a saturating `as i32`
+    /// (one scalar conversion and two range branches per element) would
+    /// keep it scalar.
+    #[inline(always)]
     pub fn quantize_slice(&self, real: &[f32]) -> Vec<u8> {
         // Beyond ±LIMIT steps the result saturates whatever the zero
         // point, so the quotient can be clamped into the range where the
-        // integer conversion below is exact.
+        // shifter below rounds it exactly.
         const LIMIT: f32 = 512.0;
-        real.iter()
-            .map(|&v| {
-                let steps = (v / self.scale).clamp(-LIMIT, LIMIT);
-                // Round half away from zero: truncate, then look at the
-                // (exactly representable) fraction that was cut off.
-                let whole = steps as i32;
-                let cut = steps - whole as f32;
-                let rounded = whole + i32::from(cut >= 0.5) - i32::from(cut <= -0.5);
+        // 1.5 · 2²³: adding it to a value within ±2²² leaves a sum in
+        // [2²³, 2²⁴), whose unit in the last place is 1, so the addition
+        // rounds the value to the nearest integer (ties to even) and the
+        // sum's bits count up from the shifter's one integer at a time.
+        const SHIFTER: f32 = 12_582_912.0;
+        let shifter_bits = SHIFTER.to_bits() as i32;
+        let mut out = vec![0; real.len()];
+        for (out, &v) in out.iter_mut().zip(real) {
+            *out = {
+                let steps = v / self.scale;
+                // NaN quantizes to the zero point, as `quantize`'s cast
+                // turns it into 0 steps.
+                let steps = if steps.is_nan() {
+                    0.0
+                } else {
+                    steps.clamp(-LIMIT, LIMIT)
+                };
+                let shifted = steps + SHIFTER;
+                let even = shifted.to_bits() as i32 - shifter_bits;
+                // Both subtractions are exact, so a tie shows as a cut of
+                // exactly ±0.5; move it away from zero as `f32::round`
+                // does.
+                let cut = steps - (shifted - SHIFTER);
+                let rounded = even + i32::from(cut == 0.5 && steps > 0.0)
+                    - i32::from(cut == -0.5 && steps < 0.0);
                 (rounded + self.zero_point).clamp(0, 255) as u8
-            })
-            .collect()
+            };
+        }
+        out
     }
 }
 
@@ -212,7 +236,7 @@ mod tests {
     #[test]
     fn fit_data_matches_a_serial_scan() {
         // Lengths around the lane count, NaN skipped, signed zeros.
-        let data: Vec<f32> = (0..37)
+        let data: Vec<f32> = (0..150)
             .map(|i| ((i * 29) % 17) as f32 * 0.37 - 2.5)
             .collect();
         for len in 0..data.len() {

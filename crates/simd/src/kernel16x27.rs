@@ -25,9 +25,14 @@ use tincy_tensor::{ConvGeom, Mat, Tensor, TensorError};
 pub const OUT_CHANNELS: usize = 16;
 /// Dot-product length: 3×3 kernel over 3 image channels.
 pub const DOT_LENGTH: usize = 27;
-/// The integer variants take their taps two per pass over a row of
-/// accumulators; the odd one out is paired with a zero weight.
-const TAP_PAIRS: usize = DOT_LENGTH.div_ceil(2);
+/// Output pixels the integer variants accumulate at once: sixteen `i32`
+/// accumulators of one output channel fill one 512-bit register, so a
+/// block's sixteen channels stay in registers across all 27 taps.
+const BLOCK: usize = 16;
+/// The integer variants take their taps two per multiply-add, per input
+/// channel and kernel row: taps `kx = 0, 1`, then `kx = 2` with a zero
+/// weight.
+const TAP_PAIRS: usize = 3 * 3 * 2;
 
 /// The specialized 16×27 first-layer convolution kernel.
 #[derive(Debug, Clone)]
@@ -35,9 +40,11 @@ pub struct FirstLayerKernel {
     /// Weights transposed to `[k][oc]` so each dot-product step is one
     /// broadcast-multiply across output-channel lanes.
     wt: [[f32; OUT_CHANNELS]; DOT_LENGTH],
-    /// Symmetrically quantized weights (`±127`), one row of tap pairs per
-    /// output channel, already widened to the 16-bit lanes they multiply in.
-    wq: [[[i16; 2]; TAP_PAIRS]; OUT_CHANNELS],
+    /// Symmetrically quantized weights (`±127`) per tap pair and output
+    /// channel, widened to the 16-bit lanes they multiply in and repeated
+    /// for each pixel of a block, so that a pair's products and their sum
+    /// are one vector multiply-add over a block's interleaved deltas.
+    wq: [[[i16; 2 * BLOCK]; OUT_CHANNELS]; TAP_PAIRS],
     /// Real value of one quantized weight unit.
     w_scale: f32,
     bias: [f32; OUT_CHANNELS],
@@ -72,12 +79,19 @@ impl FirstLayerKernel {
             .max(f32::MIN_POSITIVE);
         let w_scale = max_abs / 127.0;
         let mut wt = [[0.0f32; OUT_CHANNELS]; DOT_LENGTH];
-        let mut wq = [[[0i16; 2]; TAP_PAIRS]; OUT_CHANNELS];
+        let mut wq = [[[0i16; 2 * BLOCK]; OUT_CHANNELS]; TAP_PAIRS];
         for oc in 0..OUT_CHANNELS {
             for k in 0..DOT_LENGTH {
                 let w = weights.at(oc, k);
                 wt[k][oc] = w;
-                wq[oc][k / 2][k % 2] = (w / w_scale).round().clamp(-127.0, 127.0) as i16;
+                // Tap `k = 9c + 3ky + kx` is lane `kx % 2` of pair
+                // `2(3c + ky) + kx / 2`.
+                let pair = &mut wq[2 * (k / 3) + k % 3 / 2][oc];
+                let lane = k % 3 % 2;
+                let q = (w / w_scale).round().clamp(-127.0, 127.0) as i16;
+                for px in 0..BLOCK {
+                    pair[2 * px + lane] = q;
+                }
             }
         }
         let mut b = [0.0f32; OUT_CHANNELS];
@@ -174,29 +188,26 @@ impl FirstLayerKernel {
         Ok(out)
     }
 
-    /// The integer variants' schedule: the paper's sliced im2col with the
-    /// slice as wide as one output row. Per output row the 27 taps become
-    /// 27 rows of `out_w` zero-point-free 16-bit deltas (padding is a zero
-    /// delta), then every output channel's row of the CHW result takes
-    /// `mac(acc_row, [w0, w1], deltas0, deltas1)` once per pair of taps —
-    /// contiguous pixels in every lane, no gather and no scatter. Runs
-    /// under [`Isa::detect`].
-    fn row_sliced<A: Copy + Default>(
+    /// The integer variants' schedule, under `isa`: each input row
+    /// becomes zero-point-free 16-bit deltas once, in the layout a pair of
+    /// taps multiplies in (see [`Blocked`]), and each output row is blocks
+    /// of [`BLOCK`] pixels whose sixteen channels accumulate all 27 taps in
+    /// registers before they are stored into the CHW result.
+    fn blocked<R: Rung>(
         &self,
+        isa: Isa,
         input: &Tensor<u8>,
         zero_point: i32,
         geom: ConvGeom,
-        mac: impl Fn(&mut [A], [i16; 2], &[i16], &[i16]),
-    ) -> Result<Tensor<A>, TensorError> {
+    ) -> Result<Tensor<R::Out>, TensorError> {
         self.check_input(input, geom)?;
         let zero_point = i16::from(crate::conv::check_zero_point(zero_point)?);
-        Ok(Isa::detect().run(RowSliced {
+        Ok(isa.run(Blocked::<R> {
             wq: &self.wq,
             input,
             zero_point,
             geom,
-            mac,
-            acc: std::marker::PhantomData,
+            rung: std::marker::PhantomData,
         }))
     }
 
@@ -213,13 +224,22 @@ impl FirstLayerKernel {
         zero_point: i32,
         geom: ConvGeom,
     ) -> Result<Tensor<i32>, TensorError> {
-        self.row_sliced(input, zero_point, geom, |acc_row: &mut [i32], w, d0, d1| {
-            for ((acc, &d0), &d1) in acc_row.iter_mut().zip(d0).zip(d1) {
-                // Each product fits its 16-bit lane (see `shifted_product`);
-                // only the sum needs the 32-bit one.
-                *acc += i32::from(w[0] * d0) + i32::from(w[1] * d1);
-            }
-        })
+        self.accumulate_i32_on(Isa::detect(), input, zero_point, geom)
+    }
+
+    /// [`FirstLayerKernel::accumulate_i32`] under a given instruction set.
+    ///
+    /// # Errors
+    ///
+    /// As [`FirstLayerKernel::accumulate_i32`].
+    pub fn accumulate_i32_on(
+        &self,
+        isa: Isa,
+        input: &Tensor<u8>,
+        zero_point: i32,
+        geom: ConvGeom,
+    ) -> Result<Tensor<i32>, TensorError> {
+        self.blocked::<I32Rung>(isa, input, zero_point, geom)
     }
 
     /// 8-bit variant with 16-bit accumulation: every product is rounding-
@@ -238,13 +258,22 @@ impl FirstLayerKernel {
         zero_point: i32,
         geom: ConvGeom,
     ) -> Result<Tensor<i16>, TensorError> {
-        self.row_sliced(input, zero_point, geom, |acc_row: &mut [i16], w, d0, d1| {
-            for ((acc, &d0), &d1) in acc_row.iter_mut().zip(d0).zip(d1) {
-                *acc = acc
-                    .saturating_add(shifted_product(w[0], d0))
-                    .saturating_add(shifted_product(w[1], d1));
-            }
-        })
+        self.accumulate_i16_on(Isa::detect(), input, zero_point, geom)
+    }
+
+    /// [`FirstLayerKernel::accumulate_i16`] under a given instruction set.
+    ///
+    /// # Errors
+    ///
+    /// As [`FirstLayerKernel::accumulate_i16`].
+    pub fn accumulate_i16_on(
+        &self,
+        isa: Isa,
+        input: &Tensor<u8>,
+        zero_point: i32,
+        geom: ConvGeom,
+    ) -> Result<Tensor<i16>, TensorError> {
+        self.blocked::<I16Rung>(isa, input, zero_point, geom)
     }
 
     /// Converts 32-bit accumulators to real outputs: `acc·(w_scale·a_scale) + bias`.
@@ -281,51 +310,119 @@ impl FirstLayerKernel {
     }
 }
 
-/// [`FirstLayerKernel::row_sliced`]'s body, for the [`Isa`] dispatch.
-struct RowSliced<'a, A, M> {
-    wq: &'a [[[i16; 2]; TAP_PAIRS]; OUT_CHANNELS],
+/// [`FirstLayerKernel::blocked`]'s body, for the [`Isa`] dispatch.
+///
+/// A pair of taps `(kx, kx + 1)` of input channel `c` and kernel row `ky`
+/// reads, at output pixel `ox`, the deltas at padded input columns
+/// `s·ox + kx` and `s·ox + kx + 1` of input row `s·oy + ky − pad`. Held
+/// interleaved, `[d(s·ox + kx), d(s·ox + kx + 1)]` for consecutive `ox`,
+/// they are a row the pair's weights multiply-add against without a
+/// shuffle. Such a row depends on the input row and on `kx` only through
+/// its phase `kx % s`, with the rest a shift of `kx / s` pixels, so every
+/// input row is built once per channel and phase (one phase for strides 1
+/// and 2, two for wider ones) and serves every output row that reads it.
+/// A band of three input rows is enough for the three kernel rows of one
+/// output row; rows in the padding read a shared zero row.
+struct Blocked<'a, R> {
+    wq: &'a [[[i16; 2 * BLOCK]; OUT_CHANNELS]; TAP_PAIRS],
     input: &'a Tensor<u8>,
     zero_point: i16,
     geom: ConvGeom,
-    mac: M,
-    acc: std::marker::PhantomData<A>,
+    rung: std::marker::PhantomData<R>,
 }
 
-impl<A, M> IsaKernel for RowSliced<'_, A, M>
-where
-    A: Copy + Default,
-    M: Fn(&mut [A], [i16; 2], &[i16], &[i16]),
-{
-    type Output = Tensor<A>;
+impl<R: Rung> IsaKernel for Blocked<'_, R> {
+    type Output = Tensor<R::Out>;
 
     #[inline(always)]
-    fn run(self) -> Tensor<A> {
+    fn run(self) -> Tensor<R::Out> {
         let Self {
             wq,
             input,
             zero_point,
             geom,
-            mac,
             ..
         } = self;
-        let out_shape = geom.output_shape(input.shape(), OUT_CHANNELS);
-        let (out_h, out_w) = (out_shape.height, out_shape.width);
+        let in_shape = input.shape();
+        let out_shape = geom.output_shape(in_shape, OUT_CHANNELS);
+        let (out_h, out_w, stride) = (out_shape.height, out_shape.width, geom.stride);
         let mut out = Tensor::zeros(out_shape);
-        // The row past the 27th tap is the zero weight's and stays zero.
-        let mut slice = vec![0i16; 2 * TAP_PAIRS * out_w];
+        let blocks = out_w.div_ceil(BLOCK);
+        // A phase row holds every block's pixels and the widest shift (two
+        // pixels at stride 1).
+        let row_len = 2 * (BLOCK * blocks + 2);
+        let phases = if stride <= 2 { 1 } else { 2 };
+        let slot_len = 3 * phases * row_len;
+        // Three slots of three channels' phase rows, then the zero row.
+        let mut band = vec![0i16; 3 * slot_len + row_len];
+        let mut held = [None; 3];
+        let mut line = vec![0i16; stride * row_len / 2 + 2];
         for oy in 0..out_h {
-            // The kernel's two strides (§III-D's 1, transformation (d)'s 2)
-            // as literals: the strided read becomes a de-interleave.
-            match geom.stride {
-                1 => fill_slice(&mut slice, out_w, input, zero_point, oy, 1, geom.pad),
-                2 => fill_slice(&mut slice, out_w, input, zero_point, oy, 2, geom.pad),
-                stride => fill_slice(&mut slice, out_w, input, zero_point, oy, stride, geom.pad),
+            let rows: [Option<usize>; 3] = std::array::from_fn(|ky| {
+                (oy * stride + ky)
+                    .checked_sub(geom.pad)
+                    .filter(|&iy| iy < in_shape.height)
+            });
+            // Rows arrive in ascending order, and the three of one output
+            // row are consecutive, so `iy % 3` never evicts one in use.
+            for iy in rows.into_iter().flatten() {
+                let slot = iy % 3;
+                if held[slot] != Some(iy) {
+                    held[slot] = Some(iy);
+                    let slot_rows =
+                        band[slot * slot_len..][..slot_len].chunks_exact_mut(phases * row_len);
+                    for (c, phase_rows) in slot_rows.enumerate() {
+                        let pixels = &input.channel(c)[iy * in_shape.width..][..in_shape.width];
+                        // The kernel's two strides (§III-D's 1,
+                        // transformation (d)'s 2) as literals: the phase
+                        // rows become a copy and an interleave.
+                        match stride {
+                            1 => fill_phase_rows(
+                                phase_rows, &mut line, pixels, zero_point, 1, geom.pad,
+                            ),
+                            2 => fill_phase_rows(
+                                phase_rows, &mut line, pixels, zero_point, 2, geom.pad,
+                            ),
+                            s => fill_phase_rows(
+                                phase_rows, &mut line, pixels, zero_point, s, geom.pad,
+                            ),
+                        }
+                    }
+                }
             }
-            for (oc, pairs) in wq.iter().enumerate() {
-                let acc_row = &mut out.as_mut_slice()[(oc * out_h + oy) * out_w..][..out_w];
-                for (&w, deltas) in pairs.iter().zip(slice.chunks_exact(2 * out_w)) {
-                    let (deltas0, deltas1) = deltas.split_at(out_w);
-                    mac(acc_row, w, deltas0, deltas1);
+            let zero_row = &band[3 * slot_len..];
+            let mut taps: [&[[i16; 2 * BLOCK]]; TAP_PAIRS] = [&[]; TAP_PAIRS];
+            for (t, taps) in taps.iter_mut().enumerate() {
+                let (c, ky, first) = (t / 6, t / 2 % 3, 2 * (t % 2));
+                let row = match rows[ky] {
+                    Some(iy) => {
+                        let phase_row = c * phases + usize::from(first % stride != 0);
+                        &band[iy % 3 * slot_len + phase_row * row_len..][..row_len]
+                    }
+                    None => zero_row,
+                };
+                *taps = row[2 * (first / stride)..][..2 * BLOCK * blocks]
+                    .as_chunks::<{ 2 * BLOCK }>()
+                    .0;
+            }
+            for block in 0..blocks {
+                let mut acc = [R::ZERO; OUT_CHANNELS];
+                for (tap_pair, weights) in taps.iter().zip(wq) {
+                    let deltas = &tap_pair[block];
+                    for (acc, w) in acc.iter_mut().zip(weights) {
+                        R::mac(acc, w, deltas);
+                    }
+                }
+                let first = block * BLOCK;
+                let channels = out.as_mut_slice().chunks_exact_mut(out_h * out_w);
+                if first + BLOCK <= out_w {
+                    // A whole block is one vector store per channel.
+                    for (plane, acc) in channels.zip(&acc) {
+                        let pixels = &mut plane[oy * out_w + first..][..BLOCK];
+                        *pixels.as_mut_array().expect("a block's width") = R::finish(acc);
+                    }
+                } else {
+                    store_tail::<R>(channels, oy * out_w + first, out_w - first, acc);
                 }
             }
         }
@@ -333,40 +430,125 @@ where
     }
 }
 
-/// Fills the first 27 rows of `slice` (`out_w` deltas each) with the taps
-/// of output row `oy`: input coordinates are `o·stride + k − pad`, and the
-/// taps that fall on the border keep a zero delta.
+/// How one integer rung accumulates a block: the registers it holds per
+/// output channel, one pair of taps, and the block's results.
+trait Rung {
+    /// The accumulator the rung returns.
+    type Out: Copy + Default;
+    /// One output channel's registers over a block.
+    type Acc: Copy;
+    /// `Acc` before the first tap.
+    const ZERO: Self::Acc;
+    /// Adds a pair of taps, `weights` and `deltas` interleaved per pixel.
+    fn mac(acc: &mut Self::Acc, weights: &[i16; 2 * BLOCK], deltas: &[i16; 2 * BLOCK]);
+    /// The block's results, pixel by pixel.
+    fn finish(acc: &Self::Acc) -> [Self::Out; BLOCK];
+}
+
+/// Exact 32-bit accumulation.
+struct I32Rung;
+
+impl Rung for I32Rung {
+    type Out = i32;
+    type Acc = [i32; BLOCK];
+    const ZERO: Self::Acc = [0; BLOCK];
+
+    #[inline(always)]
+    fn mac(acc: &mut Self::Acc, weights: &[i16; 2 * BLOCK], deltas: &[i16; 2 * BLOCK]) {
+        // Every product, then the sum of each adjacent pair: the shape the
+        // compiler turns into one 16-bit multiply-add into 32-bit lanes
+        // (`vpmaddwd`/`pmaddwd`).
+        let mut products = [0i32; 2 * BLOCK];
+        for ((p, &w), &d) in products.iter_mut().zip(weights).zip(deltas) {
+            *p = i32::from(w) * i32::from(d);
+        }
+        for (acc, pair) in acc.iter_mut().zip(products.as_chunks::<2>().0) {
+            *acc += pair[0] + pair[1];
+        }
+    }
+
+    #[inline(always)]
+    fn finish(acc: &Self::Acc) -> [i32; BLOCK] {
+        *acc
+    }
+}
+
+/// 16-bit accumulation of `vrshr #4` products, saturating tap by tap.
+struct I16Rung;
+
+impl Rung for I16Rung {
+    type Out = i16;
+    /// The interleaved lanes of the deltas: the even lane of each pixel
+    /// carries its sum, the odd one is never read.
+    type Acc = [i16; 2 * BLOCK];
+    const ZERO: Self::Acc = [0; 2 * BLOCK];
+
+    #[inline(always)]
+    fn mac(acc: &mut Self::Acc, weights: &[i16; 2 * BLOCK], deltas: &[i16; 2 * BLOCK]) {
+        let mut products = [0i16; 2 * BLOCK];
+        for ((p, &w), &d) in products.iter_mut().zip(weights).zip(deltas) {
+            *p = shifted_product(w, d);
+        }
+        // Saturating sums do not reassociate, so the taps go in order:
+        // `kx` in its own lane, then `kx + 1` moved down from the odd one.
+        // Every lane-wise, no lane crosses a pixel. A zero weight's
+        // product is zero.
+        let next: [i16; 2 * BLOCK] =
+            std::array::from_fn(|i| if i % 2 == 0 { products[i + 1] } else { 0 });
+        for ((acc, &p), &n) in acc.iter_mut().zip(&products).zip(&next) {
+            *acc = acc.saturating_add(p).saturating_add(n);
+        }
+    }
+
+    #[inline(always)]
+    fn finish(acc: &Self::Acc) -> [i16; BLOCK] {
+        std::array::from_fn(|px| acc[2 * px])
+    }
+}
+
+/// Stores the first `valid` pixels of a block in every channel, from
+/// `at` on: the tail of an output row narrower than a whole number of
+/// blocks. Kept out of line, so the whole blocks' stores stay vector
+/// stores from registers and do not become a call to `memcpy`.
+#[cold]
+#[inline(never)]
+fn store_tail<'a, R: Rung>(
+    channels: impl Iterator<Item = &'a mut [R::Out]>,
+    at: usize,
+    valid: usize,
+    acc: [R::Acc; OUT_CHANNELS],
+) where
+    R::Out: 'a,
+{
+    for (plane, acc) in channels.zip(&acc) {
+        plane[at..][..valid].copy_from_slice(&R::finish(acc)[..valid]);
+    }
+}
+
+/// Builds the phase rows of one channel of one input row: `line` becomes
+/// the row's deltas at padded columns (zero in the padding), and phase row
+/// `r` holds the pairs `[line[s·i + 2r], line[s·i + 2r + 1]]` for
+/// consecutive `i`.
 #[inline(always)]
-fn fill_slice(
-    slice: &mut [i16],
-    out_w: usize,
-    input: &Tensor<u8>,
+fn fill_phase_rows(
+    phase_rows: &mut [i16],
+    line: &mut [i16],
+    pixels: &[u8],
     zero_point: i16,
-    oy: usize,
     stride: usize,
     pad: usize,
 ) {
-    let shape = input.shape();
-    let tap_rows = slice.chunks_exact_mut(out_w).take(DOT_LENGTH);
-    for (k, deltas) in tap_rows.enumerate() {
-        let (c, ky, kx) = (k / 9, k / 3 % 3, k % 3);
-        deltas.fill(0);
-        let Some(iy) = (oy * stride + ky).checked_sub(pad) else {
-            continue;
-        };
-        if iy >= shape.height {
-            continue;
+    line.fill(0);
+    if let Some(inside) = line.get_mut(pad..) {
+        for (delta, &v) in inside.iter_mut().zip(pixels) {
+            *delta = i16::from(v) - zero_point;
         }
-        let row = &input.channel(c)[iy * shape.width..][..shape.width];
-        let first = pad.saturating_sub(kx).div_ceil(stride);
-        let inside = (
-            row.get(first * stride + kx - pad..),
-            deltas.get_mut(first..),
-        );
-        if let (Some(taps), Some(deltas)) = inside {
-            for (delta, &v) in deltas.iter_mut().zip(taps.iter().step_by(stride)) {
-                *delta = i16::from(v) - zero_point;
-            }
+    }
+    let row_len = phase_rows.len() / if stride <= 2 { 1 } else { 2 };
+    for (r, row) in phase_rows.chunks_exact_mut(row_len).enumerate() {
+        let pairs = line[2 * r..].windows(2).step_by(stride);
+        for (pair, deltas) in row.as_chunks_mut::<2>().0.iter_mut().zip(pairs) {
+            *pair = [deltas[0], deltas[1]];
         }
     }
 }
@@ -393,6 +575,103 @@ mod tests {
         let bias: Vec<f32> = (0..16).map(|_| rng.gen_range(-0.2..0.2)).collect();
         let kernel = FirstLayerKernel::new(&weights, &bias).unwrap();
         (weights, bias, kernel)
+    }
+
+    /// Integer weights in `-127..=127` with one at `±127`, so the kernel's
+    /// quantization returns them unchanged.
+    fn integer_weights(rng: &mut StdRng) -> Mat<i16> {
+        let mut q = Mat::from_fn(16, 27, |_, _| rng.gen_range(-127i16..=127));
+        let (oc, k) = (rng.gen_range(0..16), rng.gen_range(0..27));
+        *q.at_mut(oc, k) = if rng.gen() { 127 } else { -127 };
+        q
+    }
+
+    /// The direct loop both integer rungs must match bit for bit: every
+    /// tap in order `k = 9c + 3ky + kx`, padding as a zero delta, fed to
+    /// `step(acc, weight, delta)`.
+    fn naive<A: Copy + Default>(
+        q: &Mat<i16>,
+        input: &Tensor<u8>,
+        zero_point: i16,
+        geom: ConvGeom,
+        step: impl Fn(A, i16, i16) -> A,
+    ) -> Tensor<A> {
+        let out_shape = geom.output_shape(input.shape(), 16);
+        Tensor::from_fn(out_shape, |oc, oy, ox| {
+            let mut acc = A::default();
+            for k in 0..27 {
+                let (c, ky, kx) = (k / 9, k / 3 % 3, k % 3);
+                let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
+                let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
+                let inside = (0..input.shape().height as isize).contains(&iy)
+                    && (0..input.shape().width as isize).contains(&ix);
+                let delta = if inside {
+                    i16::from(input.at(c, iy as usize, ix as usize)) - zero_point
+                } else {
+                    0
+                };
+                acc = step(acc, q.at(oc, k), delta);
+            }
+            acc
+        })
+    }
+
+    /// Both integer rungs under every instruction set against [`naive`].
+    fn assert_integer_rungs_exact(rng: &mut StdRng, height: usize, width: usize, geom: ConvGeom) {
+        let q = integer_weights(rng);
+        let kernel = FirstLayerKernel::new(&q.map(f32::from), &[0.0; 16]).unwrap();
+        let input: Tensor<u8> = Tensor::from_fn(Shape3::new(3, height, width), |_, _, _| rng.gen());
+        for zero_point in [0u8, 77, 255] {
+            let zp = i16::from(zero_point);
+            let want32 = naive(&q, &input, zp, geom, |a: i32, w, d| {
+                a + i32::from(w) * i32::from(d)
+            });
+            let want16 = naive(&q, &input, zp, geom, |a: i16, w, d| {
+                a.saturating_add(shifted_product(w, d))
+            });
+            for isa in Isa::supported() {
+                let zp = i32::from(zero_point);
+                let what = format!("{isa:?} {height}x{width} {geom:?} zero point {zp}");
+                let got32 = kernel.accumulate_i32_on(isa, &input, zp, geom).unwrap();
+                assert_eq!(got32.as_slice(), want32.as_slice(), "i32 {what}");
+                let got16 = kernel.accumulate_i16_on(isa, &input, zp, geom).unwrap();
+                assert_eq!(got16.as_slice(), want16.as_slice(), "i16 {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn integer_rungs_match_the_direct_loop_at_every_width() {
+        // Every width up to two blocks and a tail, at both strides and pads.
+        let mut rng = StdRng::seed_from_u64(37);
+        for width in 1..=37 {
+            for (stride, pad) in [(1, 0), (1, 1), (2, 0), (2, 1)] {
+                let geom = ConvGeom::new(3, stride, pad);
+                let height = 3 + width % 4;
+                if geom.validate(Shape3::new(3, height, width)).is_ok() {
+                    assert_integer_rungs_exact(&mut rng, height, width, geom);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Maps of 1–37 pixels a side, strides 1–3, pads 0–2.
+        #[test]
+        fn integer_rungs_match_the_direct_loop(
+            height in 1usize..=37,
+            width in 1usize..=37,
+            stride in 1usize..=3,
+            pad in 0usize..=2,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let geom = ConvGeom::new(3, stride, pad);
+            if geom.validate(Shape3::new(3, height, width)).is_ok() {
+                assert_integer_rungs_exact(&mut StdRng::seed_from_u64(seed), height, width, geom);
+            }
+        }
     }
 
     #[test]
